@@ -44,7 +44,7 @@ use ceci_core::{
 };
 use ceci_graph::generators::erdos_renyi;
 use ceci_graph::{extract_query, io, Graph, GraphBuilder, LabelId};
-use ceci_query::{OrderStrategy, PlanOptions, QueryGraph, QueryPlan};
+use ceci_query::{splitmix64, OrderStrategy, PlanOptions, QueryGraph, QueryPlan};
 use ceci_service::{start_with_state, Client, ServeConfig, ServerState};
 
 use crate::datasets::Scale;
@@ -82,13 +82,6 @@ const CLASSES: [ClassSpec; 3] = [
         sizes: &[7, 8],
     },
 ];
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// The data graph: Erdős–Rényi (average degree 10) relabeled with a skewed
 /// 55/25/15/5 four-label alphabet. Deterministic per scale.

@@ -27,11 +27,9 @@ const SMALL_LEN: usize = 512;
 /// Deterministic pseudo-random stream (splitmix64) — keeps the sweep
 /// reproducible without pulling an RNG dependency into the bench crate.
 fn splitmix64(state: &mut u64) -> u64 {
+    let out = ceci_query::splitmix64(*state);
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    out
 }
 
 /// A sorted, deduplicated list of `len` ids drawn from `0..universe`.

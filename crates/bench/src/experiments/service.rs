@@ -85,8 +85,7 @@ pub fn run(scale: Scale) {
     let max_conns = axis.iter().copied().max().unwrap_or(2048);
     let mut points: Vec<Point> = Vec::new();
     for &connections in axis {
-        // Fresh server per point so per-point metrics are isolated. The
-        // event loop (the default) serves every point.
+        // Fresh server per point so per-point metrics are isolated.
         let state = Arc::new(ServerState::new(ServeConfig {
             pool_workers: 4,
             queue_cap: 256,
@@ -201,7 +200,6 @@ pub fn run(scale: Scale) {
         .collect();
     let json = JsonValue::object()
         .field("benchmark", "service_connection_scaling")
-        .field("event_loop", true)
         .field("target_offered_rps", TARGET_RPS)
         .field("graph_n", graph.num_vertices() as u64)
         .field("query_size", 4u64)

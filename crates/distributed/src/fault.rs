@@ -19,16 +19,7 @@
 
 use std::time::Duration;
 
-/// SplitMix64 — the standard 64-bit finalizer used for all fault draws.
-/// Inlined (not a crate dependency) so the fault layer is self-contained
-/// and its draws are stable across toolchains.
-#[inline]
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
+use ceci_query::splitmix64;
 
 /// Maps a hash to a uniform draw in `[0, 1)`.
 #[inline]

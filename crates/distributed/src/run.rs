@@ -724,7 +724,7 @@ fn run_machine(
                         None => {
                             let stolen_pivot = if config.work_stealing {
                                 let got =
-                                    steal(queues, machine, board, state, faults, ledger, &costs);
+                                    steal(queues, machine, board, states, faults, ledger, &costs);
                                 if let (Some(p), Some(t), Some(buf)) = (got, tracer, spans.as_mut())
                                 {
                                     buf.push(SpanRecord {
@@ -991,15 +991,26 @@ fn run_machine(
 /// request first survives deterministic loss draws (a lost request costs
 /// one message latency and is retried, up to a bounded number of rounds),
 /// and moved pivots change owner on the result board.
+///
+/// A machine with a scheduled crash is not stolen from until it has
+/// completed a cluster. Its crash fires on a completion, and which
+/// machine's threads start first is up to the host: without the shield the
+/// others can empty its queue before it runs at all, and the planned crash
+/// never happens.
 fn steal(
     queues: &[Mutex<VecDeque<VertexId>>],
     thief: usize,
     board: &ResultBoard,
-    state: &MachineState,
+    states: &[MachineState],
     faults: Option<&FaultPlan>,
     ledger: &Ledger,
     costs: &CostModel,
 ) -> Option<VertexId> {
+    let state = &states[thief];
+    let shielded = |machine: usize| {
+        faults.is_some_and(|f| f.crash_nanos_for(machine).is_some())
+            && states[machine].virt_nanos.load(Ordering::Relaxed) == 0
+    };
     if let Some(f) = faults {
         if f.steal_loss > 0.0 {
             let mut rounds = 0;
@@ -1023,7 +1034,7 @@ fn steal(
     let victim = queues
         .iter()
         .enumerate()
-        .filter(|&(i, _)| i != thief)
+        .filter(|&(i, _)| i != thief && !shielded(i))
         .max_by_key(|(_, q)| q.lock().len())?
         .0;
     let mut vq = queues[victim].lock();

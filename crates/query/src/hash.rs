@@ -45,9 +45,10 @@ pub const MAX_CANONICAL_PERMS: u64 = 1 << 17;
 /// splitmix64 — a small, stable, well-mixed 64-bit hash step. Used instead
 /// of `DefaultHasher` so canonical hashes are identical across processes,
 /// platforms, and std releases (cache keys may be logged and compared
-/// across runs).
+/// across runs). The workspace's one copy: fault draws, retry jitter and
+/// the benchmarks' seeded streams use it too, for the same reason.
 #[inline]
-fn mix(mut x: u64) -> u64 {
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -57,7 +58,7 @@ fn mix(mut x: u64) -> u64 {
 /// Folds a word into a running hash.
 #[inline]
 fn fold(acc: u64, word: u64) -> u64 {
-    mix(acc ^ mix(word))
+    splitmix64(acc ^ splitmix64(word))
 }
 
 /// The canonical form of a query graph: an encoding invariant under vertex

@@ -30,7 +30,7 @@ pub mod tree;
 
 pub use candidates::{admission_check, candidates_of, AdmissionVerdict, VertexFilters};
 pub use catalog::PaperQuery;
-pub use hash::{canonical_hash, CanonicalQuery};
+pub use hash::{canonical_hash, splitmix64, CanonicalQuery};
 pub use nec::OrderConstraint;
 pub use order::{is_valid_order, matching_order, OrderStrategy};
 pub use plan::{PlanOptions, QueryPlan};

@@ -22,11 +22,6 @@
 //!                        E_INFEASIBLE degradation, no kernel pinning)
 //!   --preload NAME=FILE  LOAD a labeled graph before accepting connections
 //!                        (repeatable)
-//!   --event-loop         serve connections from the epoll event loop
-//!                        (the default): one readiness thread owns every
-//!                        connection; data-plane work still runs on the
-//!                        bounded pool
-//!   --no-event-loop      fall back to thread-per-connection serving
 //!   --max-conns N        concurrent-connection cap; connections beyond it
 //!                        are answered BUSY and closed (default 10000)
 //!   --io-timeout-ms N    per-connection socket read/write timeout
@@ -49,8 +44,9 @@
 //!                        (ceci_trace_spans gauge) and EXPLAIN ANALYZE
 //! ```
 //!
-//! The server prints one `listening on <addr>` line to stdout once live —
-//! scripts wait for it — and serves until killed.
+//! One epoll readiness thread owns every connection; data-plane work runs
+//! on the bounded pool. The server prints one `listening on <addr>` line to
+//! stdout once live — scripts wait for it — and serves until killed.
 
 use std::process::exit;
 use std::sync::Arc;
@@ -64,9 +60,8 @@ fn usage() -> ! {
          [--cache-mb N] [--match-workers N] [--max-match-workers N] \
          [--build-threads N] [--compact-threshold N] [--dirty-log-cap N] \
          [--no-stream-repair] [--no-adaptive] [--preload NAME=FILE]... \
-         [--event-loop | --no-event-loop] [--max-conns N] \
-         [--io-timeout-ms N] [--shard ADDR]... [--shard-timeout-ms N] \
-         [--shard-retries N] [--chaos] [--trace]"
+         [--max-conns N] [--io-timeout-ms N] [--shard ADDR]... \
+         [--shard-timeout-ms N] [--shard-retries N] [--chaos] [--trace]"
     );
     exit(2)
 }
@@ -96,8 +91,6 @@ fn main() {
             "--compact-threshold" => config.compact_threshold = num(&mut i).max(1),
             "--dirty-log-cap" => config.dirty_log_cap = num(&mut i).max(1),
             "--no-stream-repair" => config.stream_repair = false,
-            "--event-loop" => config.event_loop = true,
-            "--no-event-loop" => config.event_loop = false,
             "--max-conns" => config.max_conns = num(&mut i).max(1),
             "--io-timeout-ms" => {
                 config.io_timeout_ms = value(&mut i).parse().unwrap_or_else(|_| usage())
@@ -166,7 +159,7 @@ fn main() {
     if handle.state().config().chaos {
         eprintln!("warning: CHAOS fault injection is enabled; do not expose this server");
     }
-    // Serve until killed: the accept thread owns the listener; parking the
+    // Serve until killed: the loop thread owns the listener; parking the
     // main thread keeps the handle (and the pool) alive.
     loop {
         std::thread::park();

@@ -20,6 +20,8 @@ use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
+use ceci_query::splitmix64;
+
 use crate::metrics::LatencyHistogram;
 
 /// One response: all payload lines plus the terminal line.
@@ -66,16 +68,6 @@ fn terminal_line(line: &str) -> bool {
 /// never part of a response payload; the client stashes these aside.
 fn event_line(line: &str) -> bool {
     line.starts_with("EVENT ")
-}
-
-/// SplitMix64 — deterministic jitter source for retry backoff (mirrors the
-/// fault layer's draw discipline: seeded counter, no wall-clock entropy).
-#[inline]
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// Retry policy for [`Client::request_with_retry`]: capped exponential

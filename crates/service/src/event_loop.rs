@@ -6,8 +6,10 @@
 //! ## Shape
 //!
 //! * The loop thread (`ceci-loop`) owns the nonblocking listener, a wakeup
-//!   `eventfd`, and one [`Conn`] per client: read-accumulate → parse line →
-//!   dispatch → queue write-out.
+//!   `eventfd`, and one [`Conn`] per client. This module is IO only: it
+//!   feeds the bytes it reads to the connection's sans-IO state machine
+//!   ([`LineConn`]), dispatches the frames that come out, queues the
+//!   write-out, and sets epoll interest from the state machine's answers.
 //! * **Control-plane** verbs run inline on the loop thread (they are cheap
 //!   by construction). **Data-plane** verbs are submitted to the bounded
 //!   [`WorkerPool`] with one request in flight per connection; the worker
@@ -19,10 +21,10 @@
 //!   socket overflows its write queue and is disconnected
 //!   (`slow_reader_disconnects`), and accepts beyond
 //!   [`ServeConfig::max_conns`](crate::ServeConfig) are refused with `BUSY`.
-//! * While a request is in flight, pipelined input accumulates in the read
-//!   buffer; past [`READ_PAUSE`] the connection's `EPOLLIN` interest is
-//!   dropped (level-triggered epoll re-arms it once the request completes),
-//!   so a firehose client cannot balloon the buffer.
+//! * While a request is in flight, pipelined input is parked in the state
+//!   machine; once it stops asking for input the connection's `EPOLLIN`
+//!   interest is dropped (level-triggered epoll re-arms it once the request
+//!   completes), so a firehose client cannot balloon the buffer.
 //!
 //! The per-connection state machine and the backpressure ladder are
 //! documented in DESIGN.md ("Event-driven server core").
@@ -35,9 +37,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
+use crate::conn::LineConn;
 use crate::metrics::ServerMetrics;
 use crate::pool::{Admission, Completion, PoolHandle};
-use crate::protocol::{parse_request, ErrorCode, Request};
+use crate::protocol::{ErrorCode, Request};
 use crate::server::{route, DataJob, Routed, ServerState};
 
 /// Token of the listening socket in the epoll interest set.
@@ -46,13 +49,6 @@ const TOKEN_LISTENER: u64 = 0;
 const TOKEN_WAKE: u64 = 1;
 /// First token handed to an accepted connection.
 const FIRST_CONN_TOKEN: u64 = 2;
-/// Longest accepted request line in bytes; beyond it the connection gets
-/// `ERR E_PARSE` and is closed (a line that long is a protocol violation
-/// or an attack, not a request).
-pub(crate) const MAX_LINE: usize = 1 << 20;
-/// Read-buffer high-water mark while a request is in flight: past this the
-/// connection's `EPOLLIN` interest is dropped until the request completes.
-const READ_PAUSE: usize = 64 * 1024;
 /// Per-connection write-queue cap in bytes; overflowing it marks the
 /// connection a slow reader and disconnects it.
 const WRITE_QUEUE_CAP: usize = 256 * 1024;
@@ -228,11 +224,12 @@ impl LoopShared {
     }
 }
 
-/// The event-loop side of a connection's response sink: a bounded byte
-/// queue drained by the loop thread. Any thread may append (worker
-/// completions, `EVENT` fan-out from mutation jobs); appends past `cap`
-/// mark the connection overflowed and it is disconnected rather than
-/// buffered without bound.
+/// A connection's response sink: a bounded byte queue drained by the loop
+/// thread. Any thread may append (worker completions, `EVENT` fan-out from
+/// mutation jobs); appends past `cap` mark the connection overflowed and it
+/// is disconnected rather than buffered without bound. Whole responses (and
+/// whole events) are appended atomically, so an `EVENT` line can interleave
+/// *between* responses but never inside one.
 pub struct QueuedSink {
     token: u64,
     cap: usize,
@@ -242,8 +239,27 @@ pub struct QueuedSink {
     shared: Arc<LoopShared>,
 }
 
+/// The response sink of one client connection, shared (`Arc`) so
+/// continuous-query events can be pushed to it from mutation jobs on other
+/// threads.
+pub(crate) type SharedWriter = Arc<QueuedSink>;
+
 impl QueuedSink {
-    fn write_lines(&self, lines: &[String]) -> std::io::Result<()> {
+    fn new(token: u64, cap: usize, shared: Arc<LoopShared>) -> SharedWriter {
+        Arc::new(QueuedSink {
+            token,
+            cap,
+            buf: Mutex::new(VecDeque::new()),
+            closed: AtomicBool::new(false),
+            overflowed: AtomicBool::new(false),
+            shared,
+        })
+    }
+
+    /// Writes one whole response (or event) atomically. An error means the
+    /// connection is effectively dead (closed, or its write queue
+    /// overflowed) — callers drop the connection or registration.
+    pub(crate) fn write_lines(&self, lines: &[String]) -> std::io::Result<()> {
         if self.closed.load(Ordering::Acquire) {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::BrokenPipe,
@@ -279,84 +295,14 @@ impl QueuedSink {
     }
 }
 
-/// The response sink of one client connection, shared (`Arc`) so
-/// continuous-query events can be pushed to it from mutation jobs on other
-/// threads.
-pub(crate) type SharedWriter = Arc<ConnSink>;
-
-/// A connection's response sink, shared (`Arc`) so continuous-query events
-/// can be pushed to it from mutation jobs on other threads. Whole responses
-/// (and whole events) are appended atomically, so an `EVENT` line can
-/// interleave *between* responses but never inside one.
-pub enum ConnSink {
-    /// Threaded fallback: writes go straight to the socket under a lock.
-    Direct(Mutex<std::io::BufWriter<TcpStream>>),
-    /// Event loop: writes land in the bounded queue, drained by the loop.
-    Queued(QueuedSink),
-}
-
-impl ConnSink {
-    /// Wraps a blocking connection's stream (threaded fallback mode).
-    pub(crate) fn direct(stream: TcpStream) -> Arc<ConnSink> {
-        Arc::new(ConnSink::Direct(Mutex::new(std::io::BufWriter::new(
-            stream,
-        ))))
-    }
-
-    fn queued(token: u64, cap: usize, shared: Arc<LoopShared>) -> Arc<ConnSink> {
-        Arc::new(ConnSink::Queued(QueuedSink {
-            token,
-            cap,
-            buf: Mutex::new(VecDeque::new()),
-            closed: AtomicBool::new(false),
-            overflowed: AtomicBool::new(false),
-            shared,
-        }))
-    }
-
-    /// Writes one whole response (or event) atomically. An error means the
-    /// connection is effectively dead (socket error, closed, or its write
-    /// queue overflowed) — callers drop the connection or registration.
-    pub(crate) fn write_lines(&self, lines: &[String]) -> std::io::Result<()> {
-        match self {
-            ConnSink::Direct(w) => {
-                let mut w = lock_recover(w);
-                for l in lines {
-                    w.write_all(l.as_bytes())?;
-                    w.write_all(b"\n")?;
-                }
-                w.flush()
-            }
-            ConnSink::Queued(q) => q.write_lines(lines),
-        }
-    }
-}
-
-/// One connection's state machine, owned by the loop thread.
+/// One connection, owned by the loop thread: its socket, its output queue,
+/// and its protocol state.
 struct Conn {
     stream: TcpStream,
-    sink: Arc<ConnSink>,
-    read_buf: Vec<u8>,
-    /// One data-plane request outstanding on the pool (responses stay in
-    /// request order; pipelined input waits in `read_buf`).
-    in_flight: bool,
-    /// Close once the write queue drains (after `QUIT`, a timeout notice,
-    /// or an oversized-line error).
-    closing: bool,
-    /// Peer closed its write half; serve what's buffered, then close.
-    read_eof: bool,
+    sink: SharedWriter,
+    line: LineConn,
     /// Currently registered epoll interest bits.
     interest: u32,
-    last_activity: Instant,
-}
-
-impl Conn {
-    fn queued(&self) -> &QueuedSink {
-        match &*self.sink {
-            ConnSink::Queued(q) => q,
-            ConnSink::Direct(_) => unreachable!("event-loop connection with a direct sink"),
-        }
-    }
 }
 
 /// Outcome of one socket-flush attempt.
@@ -465,7 +411,7 @@ impl EventLoop {
         // Teardown: mark every sink closed so in-flight jobs and later
         // EVENT pushes fail fast, then drop the sockets.
         for (_, conn) in self.conns.drain() {
-            conn.queued().closed.store(true, Ordering::Release);
+            conn.sink.closed.store(true, Ordering::Release);
             ServerMetrics::dec(&self.state.metrics.connections_open);
         }
     }
@@ -496,7 +442,7 @@ impl EventLoop {
                     {
                         continue;
                     }
-                    let sink = ConnSink::queued(token, WRITE_QUEUE_CAP, Arc::clone(&self.shared));
+                    let sink = QueuedSink::new(token, WRITE_QUEUE_CAP, Arc::clone(&self.shared));
                     ServerMetrics::inc(&self.state.metrics.connections_accepted);
                     ServerMetrics::inc(&self.state.metrics.connections_open);
                     self.conns.insert(
@@ -504,12 +450,8 @@ impl EventLoop {
                         Conn {
                             stream,
                             sink,
-                            read_buf: Vec::new(),
-                            in_flight: false,
-                            closing: false,
-                            read_eof: false,
+                            line: LineConn::new(Instant::now()),
                             interest,
-                            last_activity: Instant::now(),
                         },
                     );
                 }
@@ -526,23 +468,15 @@ impl EventLoop {
             let Some(conn) = self.conns.get_mut(&token) else {
                 return;
             };
-            if conn.in_flight && conn.read_buf.len() >= READ_PAUSE {
-                break; // interest update below drops EPOLLIN until completion
+            if !conn.line.wants_read() {
+                break; // interest update below drops EPOLLIN
             }
             match conn.stream.read(&mut chunk) {
                 Ok(0) => {
-                    conn.read_eof = true;
-                    // A final partial line without a newline is still a
-                    // request (matches the threaded reader's EOF handling).
-                    if !conn.read_buf.is_empty() && conn.read_buf.last() != Some(&b'\n') {
-                        conn.read_buf.push(b'\n');
-                    }
+                    conn.line.feed_eof();
                     break;
                 }
-                Ok(n) => {
-                    conn.read_buf.extend_from_slice(&chunk[..n]);
-                    conn.last_activity = Instant::now();
-                }
+                Ok(n) => conn.line.feed(&chunk[..n], Instant::now()),
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(_) => {
@@ -556,46 +490,23 @@ impl EventLoop {
         self.maybe_close(token);
     }
 
-    /// Parses and dispatches complete lines from the read buffer, stopping
-    /// at the first data-plane request (one in flight per connection keeps
-    /// responses in request order).
+    /// Dispatches the frames the connection's state machine releases; it
+    /// stops releasing them at the first data-plane request (one in flight
+    /// per connection keeps responses in request order).
     fn process_lines(&mut self, token: u64) {
         loop {
             let Some(conn) = self.conns.get_mut(&token) else {
                 return;
             };
-            if conn.in_flight || conn.closing {
-                return;
-            }
-            let Some(pos) = conn.read_buf.iter().position(|&b| b == b'\n') else {
-                if conn.read_buf.len() > MAX_LINE {
-                    self.oversized_line(token);
-                }
+            let Some(frame) = conn.line.next_frame() else {
                 return;
             };
-            if pos > MAX_LINE {
-                self.oversized_line(token);
-                return;
-            }
-            let line_bytes: Vec<u8> = conn.read_buf.drain(..=pos).collect();
-            conn.last_activity = Instant::now();
-            let sink = Arc::clone(&conn.sink);
-            let Ok(text) = std::str::from_utf8(&line_bytes[..pos]) else {
-                ServerMetrics::inc(&self.state.metrics.errors);
-                let err = ErrorCode::Parse.line("request line is not valid UTF-8");
-                if sink.write_lines(&[err]).is_err() {
-                    self.slow_reader(token);
-                    return;
-                }
-                continue;
-            };
-            let line = text.trim_end_matches('\r');
-            let request = match parse_request(line) {
+            let request = match frame.request() {
                 Ok(None) => continue,
                 Ok(Some(r)) => r,
-                Err(e) => {
+                Err(reply) => {
                     ServerMetrics::inc(&self.state.metrics.errors);
-                    if sink.write_lines(&[ErrorCode::Parse.line(e)]).is_err() {
+                    if conn.sink.write_lines(&[reply]).is_err() {
                         self.slow_reader(token);
                         return;
                     }
@@ -604,41 +515,20 @@ impl EventLoop {
             };
             ServerMetrics::inc(&self.state.metrics.requests);
             let quit = matches!(request, Request::Quit);
-            let state = Arc::clone(&self.state);
-            match route(request, &state, &sink) {
+            match route(request, &self.state, &conn.sink) {
                 Routed::Inline(lines) => {
-                    if sink.write_lines(&lines).is_err() {
+                    if quit {
+                        conn.line.close_after_drain();
+                    }
+                    if conn.sink.write_lines(&lines).is_err() {
                         self.slow_reader(token);
                         return;
                     }
-                    if quit {
-                        if let Some(c) = self.conns.get_mut(&token) {
-                            c.closing = true;
-                        }
-                        return;
-                    }
                 }
-                Routed::Data(job) => {
-                    self.submit_data(token, job);
-                    // in_flight (or an inline BUSY) — either way re-check
-                    // the loop guard before parsing further lines.
-                }
+                // In flight, or an inline BUSY: either way the state
+                // machine decides whether another frame comes out.
+                Routed::Data(job) => self.submit_data(token, job),
             }
-        }
-    }
-
-    /// Answers `ERR E_PARSE` for a line exceeding [`MAX_LINE`] and closes.
-    fn oversized_line(&mut self, token: u64) {
-        ServerMetrics::inc(&self.state.metrics.errors);
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        conn.read_buf.clear();
-        conn.closing = true;
-        let sink = Arc::clone(&conn.sink);
-        let err = ErrorCode::Parse.line(format!("request line exceeds {MAX_LINE} bytes; closing"));
-        if sink.write_lines(&[err]).is_err() {
-            self.slow_reader(token);
         }
     }
 
@@ -675,19 +565,14 @@ impl EventLoop {
             let lines = job(&state, queue_wait);
             completion.deliver(lines);
         }));
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return;
+        };
         match admitted {
-            Admission::Accepted => {
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.in_flight = true;
-                }
-            }
+            Admission::Accepted => conn.line.begin(),
             Admission::Rejected => {
                 ServerMetrics::inc(&self.state.metrics.rejected_busy);
-                let Some(conn) = self.conns.get(&token) else {
-                    return;
-                };
-                let sink = Arc::clone(&conn.sink);
-                if sink.write_lines(&[String::from("BUSY")]).is_err() {
+                if conn.sink.write_lines(&[String::from("BUSY")]).is_err() {
                     self.slow_reader(token);
                 }
             }
@@ -699,10 +584,8 @@ impl EventLoop {
             let Some(conn) = self.conns.get_mut(&token) else {
                 continue; // connection died while its job ran
             };
-            conn.in_flight = false;
-            conn.last_activity = Instant::now();
-            let sink = Arc::clone(&conn.sink);
-            if sink.write_lines(&lines).is_err() {
+            conn.line.complete(Instant::now());
+            if conn.sink.write_lines(&lines).is_err() {
                 self.slow_reader(token);
                 continue;
             }
@@ -725,7 +608,7 @@ impl EventLoop {
         let Some(conn) = self.conns.get(&token) else {
             return;
         };
-        let result = flush_sink(&conn.stream, conn.queued());
+        let result = flush_sink(&conn.stream, &conn.sink);
         match result {
             Flush::Overflowed => {
                 self.slow_reader(token);
@@ -743,18 +626,17 @@ impl EventLoop {
     }
 
     /// Recomputes and applies a connection's epoll interest set: `EPOLLIN`
-    /// unless reading is paused (in-flight + full read buffer) or the peer
-    /// already half-closed; `EPOLLOUT` only while bytes are queued.
+    /// while the state machine wants input; `EPOLLOUT` only while bytes are
+    /// queued.
     fn update_interest(&mut self, token: u64) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        let paused = conn.in_flight && conn.read_buf.len() >= READ_PAUSE;
         let mut want = libc::EPOLLRDHUP;
-        if !paused && !conn.read_eof && !conn.closing {
+        if conn.line.wants_read() {
             want |= libc::EPOLLIN;
         }
-        if conn.queued().has_pending() {
+        if conn.sink.has_pending() {
             want |= libc::EPOLLOUT;
         }
         if want != conn.interest
@@ -767,19 +649,13 @@ impl EventLoop {
         }
     }
 
-    /// Closes the connection once nothing remains to do for it: `closing`
-    /// (QUIT/timeout/protocol error) with the write queue drained, or EOF
-    /// from the peer with no buffered request, no in-flight job, and no
-    /// undelivered output.
+    /// Closes the connection once the state machine says nothing remains to
+    /// do for it and the write queue has drained.
     fn maybe_close(&mut self, token: u64) {
         let Some(conn) = self.conns.get(&token) else {
             return;
         };
-        if conn.in_flight || conn.queued().has_pending() {
-            return;
-        }
-        let done_reading = conn.closing || (conn.read_eof && !conn.read_buf.contains(&b'\n'));
-        if done_reading {
+        if conn.line.finished(conn.sink.has_pending()) {
             self.disconnect(token);
         }
     }
@@ -797,7 +673,7 @@ impl EventLoop {
             return;
         };
         self.poller.delete(conn.stream.as_raw_fd());
-        conn.queued().closed.store(true, Ordering::Release);
+        conn.sink.closed.store(true, Ordering::Release);
         ServerMetrics::dec(&self.state.metrics.connections_open);
         // Continuous-query registrations bound to this sink are cleaned up
         // lazily: the next EVENT push observes the closed sink, fails, and
@@ -817,28 +693,21 @@ impl EventLoop {
         let now = Instant::now();
         let mut expired: Vec<u64> = Vec::new();
         for (t, conn) in &self.conns {
-            if conn.in_flight || conn.closing {
-                continue;
+            let subscribed = || self.state.continuous.has_sink(&conn.sink);
+            if conn.line.idle_expired(now, timeout, subscribed) {
+                expired.push(*t);
             }
-            if now.duration_since(conn.last_activity) < timeout {
-                continue;
-            }
-            if conn.read_buf.is_empty() && self.state.continuous.has_sink(&conn.sink) {
-                continue;
-            }
-            expired.push(*t);
         }
         for token in expired {
             ServerMetrics::inc(&self.state.metrics.timeouts);
             let Some(conn) = self.conns.get_mut(&token) else {
                 continue;
             };
-            conn.closing = true;
-            let sink = Arc::clone(&conn.sink);
+            conn.line.close_after_drain();
             let notice = ErrorCode::Timeout.line(format!(
                 "no complete request within {timeout_ms}ms; closing connection"
             ));
-            if sink.write_lines(&[notice]).is_err() {
+            if conn.sink.write_lines(&[notice]).is_err() {
                 self.slow_reader(token);
                 continue;
             }
@@ -874,9 +743,9 @@ fn flush_sink(stream: &TcpStream, q: &QueuedSink) -> Flush {
 mod tests {
     use super::*;
 
-    fn test_sink(cap: usize) -> (Arc<ConnSink>, Arc<LoopShared>) {
+    fn test_sink(cap: usize) -> (SharedWriter, Arc<LoopShared>) {
         let shared = LoopShared::new().expect("eventfd");
-        (ConnSink::queued(7, cap, Arc::clone(&shared)), shared)
+        (QueuedSink::new(7, cap, Arc::clone(&shared)), shared)
     }
 
     #[test]
@@ -884,10 +753,7 @@ mod tests {
         let (sink, shared) = test_sink(1024);
         sink.write_lines(&["OK PONG".to_string()]).unwrap();
         assert_eq!(shared.take_dirty(), vec![7]);
-        let ConnSink::Queued(q) = &*sink else {
-            panic!("queued sink expected")
-        };
-        let buf = lock_recover(&q.buf);
+        let buf = lock_recover(&sink.buf);
         let bytes: Vec<u8> = buf.iter().copied().collect();
         assert_eq!(bytes, b"OK PONG\n");
     }

@@ -11,12 +11,12 @@
 //!   refinement entirely,
 //! * a **bounded worker pool** with admission control: a full queue answers
 //!   `BUSY` instead of building invisible backlog ([`pool`]),
-//! * an **event-driven server core** (on by default; `--no-event-loop`
-//!   falls back to thread-per-connection): one epoll readiness loop owns
-//!   every connection as a buffered state machine with a bounded write
-//!   queue, scaling to 10k+ mostly-idle connections — backpressure
-//!   degrades to `BUSY` (admission, connection cap) and slow-reader
-//!   disconnects before memory does ([`server`]),
+//! * an **event-driven server core**: one epoll readiness loop owns every
+//!   connection, each a sans-IO line-protocol state machine (the same one
+//!   `ceci-shard`'s blocking connections run) with a bounded write queue,
+//!   scaling to 10k+ mostly-idle connections — backpressure degrades to
+//!   `BUSY` (admission, connection cap) and slow-reader disconnects before
+//!   memory does ([`server`]),
 //! * **per-request deadlines** threaded into enumeration as cooperative
 //!   cancellation (`ceci_core::CancelToken`), returning partial counts with
 //!   `status=DEADLINE_EXCEEDED` ([`server`]),
@@ -53,6 +53,7 @@
 
 pub mod cache;
 pub mod client;
+mod conn;
 pub mod coord;
 mod event_loop;
 pub mod metrics;

@@ -284,8 +284,12 @@ impl GraphRegistry {
 
     /// Inserts (or replaces) `name`, returning the new entry and, when a
     /// graph was replaced, the epoch of the entry that was displaced (so the
-    /// caller can evict its cached indexes).
-    pub fn insert(&self, name: &str, graph: Graph) -> (Arc<GraphEntry>, Option<u64>) {
+    /// caller can evict its cached indexes). Builds the graph's label-pair
+    /// index if it has none: the admission filter passes everything beyond
+    /// its label-occurrence test on a graph without one, whichever way the
+    /// graph got here (`LOAD`, `--preload`, a test).
+    pub fn insert(&self, name: &str, mut graph: Graph) -> (Arc<GraphEntry>, Option<u64>) {
+        graph.build_label_pair_index();
         let graph = Arc::new(graph);
         let entry = Arc::new(GraphEntry {
             epoch: NEXT_EPOCH.fetch_add(1, Ordering::Relaxed),

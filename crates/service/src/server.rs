@@ -1,23 +1,19 @@
-//! The `ceci-serve` server proper: accept loop, connection handling, and
-//! request execution against the registry / index cache / worker pool.
+//! The `ceci-serve` server proper: start-up and shutdown, request routing,
+//! and request execution against the registry / index cache / worker pool.
 //!
 //! ## Threading model
 //!
-//! * By default ([`ServeConfig::event_loop`]) a single epoll readiness loop
-//!   (`crate::event_loop`) owns every connection as a buffered state
-//!   machine, so 10k+ mostly-idle connections cost file descriptors, not
-//!   threads. `--no-event-loop` falls back to the original
-//!   thread-per-connection model (one accept thread, one blocking thread
-//!   per connection).
-//! * The **control plane** (`LOAD`, `STATS`, `PING`, `QUIT`) runs inline —
-//!   on the loop thread (event mode) or the connection thread (threaded
-//!   mode): these are cheap or operator-driven and must stay responsive
-//!   even when the data plane is saturated.
+//! * A single epoll readiness loop (`crate::event_loop`) owns every
+//!   connection, each driven by the sans-IO line-connection state machine
+//!   (`crate::conn`), so 10k+ mostly-idle connections cost file
+//!   descriptors, not threads.
+//! * The **control plane** (`LOAD`, `STATS`, `PING`, `QUIT`) runs inline on
+//!   the loop thread: these are cheap or operator-driven and must stay
+//!   responsive even when the data plane is saturated.
 //! * The **data plane** (`MATCH`, `EXPLAIN`, `SLEEP`) is submitted to the
 //!   bounded [`WorkerPool`]; a full queue answers `BUSY` immediately
 //!   (admission control), and each connection has at most one request in
-//!   flight — responses stay in request order in both modes, and MATCH
-//!   counts are bit-identical between them.
+//!   flight, so responses stay in request order.
 //!
 //! ## Deadlines
 //!
@@ -38,11 +34,10 @@
 //! * The `CHAOS` verb (enabled with [`ServeConfig::chaos`]) injects these
 //!   failures on demand for testing.
 
-use std::io::{BufRead, BufReader, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -63,10 +58,10 @@ use ceci_trace::{PromWriter, Tracer};
 
 use crate::cache::{CachedIndex, FlightProbe, FlightWait, IndexCache, PlanFeedback, Probe};
 use crate::coord::{self, CoordConfig, HeartbeatHandle, ShardLiveness, ShardSet};
-use crate::event_loop::{lock_recover, ConnSink, EventLoop, LoopShared, SharedWriter, MAX_LINE};
+use crate::event_loop::{lock_recover, EventLoop, LoopShared, SharedWriter};
 use crate::metrics::ServerMetrics;
-use crate::pool::{Admission, Completion, FrontierCache, FrontierOutcome, PoolHandle, WorkerPool};
-use crate::protocol::{parse_request, ChaosCommand, ErrorCode, MatchStatus, Request};
+use crate::pool::{FrontierCache, FrontierOutcome, WorkerPool};
+use crate::protocol::{ChaosCommand, ErrorCode, MatchStatus, Request};
 use crate::registry::{ContinuousQuery, ContinuousRegistry, GraphEntry, GraphRegistry};
 
 /// Server configuration.
@@ -112,9 +107,6 @@ pub struct ServeConfig {
     /// Matching-order prefix length the batch scheduler groups on. Queries
     /// shorter than `depth + 1` simply run unbatched.
     pub batch_prefix_depth: usize,
-    /// Published shared frontiers kept by the [`FrontierCache`] (FIFO
-    /// eviction beyond this).
-    pub frontier_cache_entries: usize,
     /// Net overlay mutations that trigger compaction of a streamed graph's
     /// delta overlay into a fresh base CSR (with an exact label-pair index
     /// rebuild).
@@ -135,7 +127,7 @@ pub struct ServeConfig {
     pub adaptive: bool,
     /// Per-connection socket read/write timeout in milliseconds (0 = off).
     /// A half-open or stalled peer gets `ERR E_TIMEOUT` and its connection
-    /// closed instead of pinning a connection thread forever. Connections
+    /// closed instead of holding its connection slot forever. Connections
     /// holding continuous-query registrations are exempt while idle (they
     /// legitimately sit waiting for pushed events).
     pub io_timeout_ms: u64,
@@ -144,20 +136,11 @@ pub struct ServeConfig {
     pub shards: Vec<String>,
     /// Coordinator-side RPC read/write timeout per shard call, ms.
     pub shard_io_timeout_ms: u64,
-    /// Coordinator-side TCP connect timeout per shard dial, ms.
-    pub shard_connect_timeout_ms: u64,
     /// Consecutive failed shard RPC attempts before the shard is declared
     /// dead and its pivots re-scattered to survivors.
     pub shard_retries: u32,
-    /// Cadence at which a dead shard's driver retries rejoining, ms.
-    pub shard_rejoin_ms: u64,
     /// Shard heartbeat (PING) interval, ms (0 = no heartbeat thread).
     pub shard_heartbeat_ms: u64,
-    /// Serve connections from a single epoll readiness loop instead of one
-    /// thread per connection (the default). The threaded fallback
-    /// (`--no-event-loop`) keeps identical protocol semantics; MATCH counts
-    /// are bit-identical between the two.
-    pub event_loop: bool,
     /// Concurrent-connection cap; accepts beyond it are refused with
     /// `BUSY` instead of queueing unserviced sockets.
     pub max_conns: usize,
@@ -180,7 +163,6 @@ impl Default for ServeConfig {
             batching: true,
             prune_redundant: true,
             batch_prefix_depth: 2,
-            frontier_cache_entries: 32,
             compact_threshold: 32_768,
             dirty_log_cap: 64,
             stream_repair: true,
@@ -188,15 +170,16 @@ impl Default for ServeConfig {
             io_timeout_ms: 30_000,
             shards: Vec::new(),
             shard_io_timeout_ms: 5_000,
-            shard_connect_timeout_ms: 1_000,
             shard_retries: 3,
-            shard_rejoin_ms: 200,
             shard_heartbeat_ms: 1_000,
-            event_loop: true,
             max_conns: 10_000,
         }
     }
 }
+
+/// Published shared frontiers kept by [`ServerState::frontiers`] (FIFO
+/// eviction beyond this).
+const FRONTIER_CACHE_ENTRIES: usize = 32;
 
 /// Shared server state: everything a connection (or pool job) needs.
 pub struct ServerState {
@@ -242,7 +225,7 @@ impl ServerState {
             cache: IndexCache::new(config.cache_budget_bytes),
             metrics: ServerMetrics::default(),
             tracer,
-            frontiers: FrontierCache::new(config.frontier_cache_entries),
+            frontiers: FrontierCache::new(FRONTIER_CACHE_ENTRIES),
             config,
             stopping: AtomicBool::new(false),
             build_panic_armed: AtomicBool::new(false),
@@ -263,23 +246,14 @@ impl ServerState {
         self.shards.as_ref()
     }
 
-    /// Coordinator tunables derived from the serve config.
+    /// Coordinator tunables derived from the serve config; the connect
+    /// timeout and rejoin cadence are [`CoordConfig::default`]'s constants.
     pub fn coord_config(&self) -> CoordConfig {
         CoordConfig {
             io_timeout: Duration::from_millis(self.config.shard_io_timeout_ms.max(1)),
-            connect_timeout: Duration::from_millis(self.config.shard_connect_timeout_ms.max(1)),
-            retry: crate::client::RetryPolicy::default(),
             attempt_budget: self.config.shard_retries,
-            rejoin_interval: Duration::from_millis(self.config.shard_rejoin_ms.max(1)),
             ..CoordConfig::default()
         }
-    }
-
-    /// `true` when `writer` is the event sink of a live continuous-query
-    /// registration — such a connection legitimately idles between pushed
-    /// events and is exempt from the idle read timeout.
-    fn writer_has_registration(&self, writer: &SharedWriter) -> bool {
-        self.continuous.has_sink(writer)
     }
 
     /// Number of live continuous-query registrations.
@@ -293,8 +267,8 @@ impl ServerState {
 /// is reported instead of hanging forever or silently leaking the thread.
 #[derive(Clone, Copy, Debug)]
 pub struct ShutdownReport {
-    /// The accept/event-loop thread observed the stop signal and joined
-    /// within the shutdown deadline.
+    /// The event-loop thread (which owns the listener) observed the stop
+    /// signal and joined within the shutdown deadline.
     pub accept_joined: bool,
     /// The shard heartbeat thread (when one was running) joined within the
     /// deadline (`true` when no heartbeat was configured).
@@ -330,13 +304,10 @@ fn join_with_deadline(handle: JoinHandle<()>, deadline: Duration) -> bool {
 pub struct ServerHandle {
     addr: SocketAddr,
     state: Arc<ServerState>,
-    accept_thread: Option<JoinHandle<()>>,
+    loop_thread: JoinHandle<()>,
     pool: Option<WorkerPool>,
-    /// Event-loop wakeup (event mode only): shutdown writes the eventfd.
-    loop_shared: Option<Arc<LoopShared>>,
-    /// Cloned listener handle (threaded mode only): shutdown flips it
-    /// nonblocking and self-connects to unblock a parked `accept`.
-    listener: Option<TcpListener>,
+    /// Event-loop wakeup: shutdown writes the eventfd.
+    loop_shared: Arc<LoopShared>,
     heartbeat: Option<HeartbeatHandle>,
 }
 
@@ -353,32 +324,13 @@ impl ServerHandle {
     }
 
     /// Stops accepting connections, drains the pool, and joins the owned
-    /// threads (event/accept loop, shard heartbeat) with a deadline.
-    /// Already-open threaded connections are serviced until their clients
-    /// disconnect; event-loop connections are closed with the loop.
+    /// threads (event loop, shard heartbeat) with a deadline. Open
+    /// connections are closed with the loop.
     pub fn shutdown(mut self) -> ShutdownReport {
         self.state.stopping.store(true, Ordering::SeqCst);
-        if let Some(shared) = &self.loop_shared {
-            // Event mode: the eventfd interrupts epoll_wait directly — no
-            // connect dance, nothing that can silently fail.
-            shared.wake();
-        }
-        if let Some(listener) = self.listener.take() {
-            // Threaded fallback: future accepts return WouldBlock (the loop
-            // re-checks `stopping`), and a self-connect unblocks the accept
-            // already parked. The connect is checked and retried — a failed
-            // wakeup surfaces as accept_joined=false instead of hanging.
-            let _ = listener.set_nonblocking(true);
-            for _ in 0..3 {
-                if TcpStream::connect_timeout(&self.addr, Duration::from_millis(200)).is_ok() {
-                    break;
-                }
-            }
-        }
-        let accept_joined = match self.accept_thread.take() {
-            Some(h) => join_with_deadline(h, SHUTDOWN_DEADLINE),
-            None => true,
-        };
+        // The eventfd interrupts the loop's epoll_wait.
+        self.loop_shared.wake();
+        let accept_joined = join_with_deadline(self.loop_thread, SHUTDOWN_DEADLINE);
         let heartbeat_joined = match self.heartbeat.take() {
             Some(hb) => hb.stop(SHUTDOWN_DEADLINE),
             None => true,
@@ -412,41 +364,21 @@ pub fn start_with_state(state: Arc<ServerState>) -> std::io::Result<ServerHandle
             ServerMetrics::inc(&hook_state.metrics.panics_caught);
         })),
     )?;
-    let pool_handle = pool.handle();
-    let (accept_thread, loop_shared, listener_handle) = if state.config.event_loop {
-        // Build the loop here so epoll/eventfd setup errors surface to the
-        // caller, then hand it to its thread.
-        let (event_loop, shared) = match EventLoop::new(listener, Arc::clone(&state), pool_handle) {
-            Ok(built) => built,
-            Err(e) => {
-                pool.shutdown();
-                return Err(e);
-            }
-        };
-        match std::thread::Builder::new()
-            .name("ceci-loop".to_string())
-            .spawn(move || event_loop.run())
-        {
-            Ok(handle) => (handle, Some(shared), None),
-            Err(e) => {
-                pool.shutdown();
-                return Err(e);
-            }
-        }
-    } else {
-        // Threaded fallback: keep a cloned listener handle so shutdown can
-        // flip it nonblocking (try_clone failure just loses that lever).
-        let fallback = listener.try_clone().ok();
-        let accept_state = Arc::clone(&state);
-        match std::thread::Builder::new()
-            .name("ceci-accept".to_string())
-            .spawn(move || accept_loop(&listener, &accept_state, &pool_handle))
-        {
-            Ok(handle) => (handle, None, fallback),
-            Err(e) => {
-                pool.shutdown();
-                return Err(e);
-            }
+    // Build the loop here so epoll/eventfd setup errors surface to the
+    // caller, then hand it to its thread.
+    let spawned = EventLoop::new(listener, Arc::clone(&state), pool.handle()).and_then(
+        |(event_loop, shared)| {
+            let thread = std::thread::Builder::new()
+                .name("ceci-loop".to_string())
+                .spawn(move || event_loop.run())?;
+            Ok((thread, shared))
+        },
+    );
+    let (loop_thread, loop_shared) = match spawned {
+        Ok(started) => started,
+        Err(e) => {
+            pool.shutdown();
+            return Err(e);
         }
     };
     // Coordinator heartbeat: PING every shard on a cadence so STATS shows
@@ -465,165 +397,19 @@ pub fn start_with_state(state: Arc<ServerState>) -> std::io::Result<ServerHandle
     Ok(ServerHandle {
         addr,
         state,
-        accept_thread: Some(accept_thread),
+        loop_thread,
         pool: Some(pool),
         loop_shared,
-        listener: listener_handle,
         heartbeat,
     })
-}
-
-/// The threaded-fallback accept loop. Handles `WouldBlock` (shutdown flips
-/// the listener nonblocking) by re-checking the stop flag, and enforces
-/// [`ServeConfig::max_conns`] against the open-connection gauge.
-fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>, pool: &PoolHandle) {
-    loop {
-        match listener.accept() {
-            Ok((mut stream, _peer)) => {
-                if state.stopping.load(Ordering::SeqCst) {
-                    break;
-                }
-                let open = state.metrics.connections_open.load(Ordering::Relaxed);
-                if open as usize >= state.config.max_conns {
-                    ServerMetrics::inc(&state.metrics.connections_rejected);
-                    use std::io::Write;
-                    let _ = stream.write_all(b"BUSY\n");
-                    continue;
-                }
-                ServerMetrics::inc(&state.metrics.connections_accepted);
-                ServerMetrics::inc(&state.metrics.connections_open);
-                let conn_state = Arc::clone(state);
-                let pool = pool.clone();
-                let spawned = std::thread::Builder::new()
-                    .name("ceci-conn".to_string())
-                    .spawn(move || {
-                        let _ = serve_connection(stream, &conn_state, &pool);
-                        ServerMetrics::dec(&conn_state.metrics.connections_open);
-                    });
-                if spawned.is_err() {
-                    ServerMetrics::dec(&state.metrics.connections_open);
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if state.stopping.load(Ordering::SeqCst) {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => {
-                if state.stopping.load(Ordering::SeqCst) {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(5));
-            }
-        }
-    }
-}
-
-/// Is this IO error a socket read/write timeout (`TimedOut` on most
-/// platforms, `WouldBlock` on some)?
-fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock
-    )
-}
-
-fn serve_connection(
-    stream: TcpStream,
-    state: &Arc<ServerState>,
-    pool: &PoolHandle,
-) -> std::io::Result<()> {
-    stream.set_nodelay(true).ok();
-    if state.config.io_timeout_ms > 0 {
-        let t = Some(Duration::from_millis(state.config.io_timeout_ms));
-        stream.set_read_timeout(t)?;
-        stream.set_write_timeout(t)?;
-    }
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let writer: SharedWriter = ConnSink::direct(stream);
-    loop {
-        let mut buf = String::new();
-        // Cap the line length: an unterminated flood is a protocol
-        // violation, not a request worth buffering without bound.
-        match (&mut reader).take(MAX_LINE as u64 + 1).read_line(&mut buf) {
-            Ok(0) => return Ok(()),
-            Ok(_) if buf.len() > MAX_LINE && !buf.ends_with('\n') => {
-                ServerMetrics::inc(&state.metrics.errors);
-                let _ = respond(
-                    &writer,
-                    &[ErrorCode::Parse
-                        .line(format!("request line exceeds {MAX_LINE} bytes; closing"))],
-                );
-                return Ok(());
-            }
-            Ok(_) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                // Non-UTF-8 bytes on the wire: a typed parse error, not a
-                // dropped connection (read_line consumed through the
-                // newline, so the stream stays line-synchronized).
-                ServerMetrics::inc(&state.metrics.errors);
-                respond(
-                    &writer,
-                    &[ErrorCode::Parse.line("request line is not valid UTF-8")],
-                )?;
-                continue;
-            }
-            Err(e) if is_timeout(&e) => {
-                // An idle connection that REGISTERed a continuous query is
-                // legitimately waiting for pushed events: keep it open as
-                // long as nothing was half-read. Anything else — a partial
-                // line (stalled peer mid-request) or plain idleness — gets
-                // a typed timeout and the thread back.
-                if buf.is_empty() && state.writer_has_registration(&writer) {
-                    continue;
-                }
-                ServerMetrics::inc(&state.metrics.timeouts);
-                let _ = respond(
-                    &writer,
-                    &[ErrorCode::Timeout.line(format!(
-                        "no complete request within {}ms; closing connection",
-                        state.config.io_timeout_ms
-                    ))],
-                );
-                return Ok(());
-            }
-            Err(e) => return Err(e),
-        }
-        let line = buf.trim_end_matches(['\r', '\n']);
-        let request = match parse_request(line) {
-            Ok(None) => continue,
-            Ok(Some(r)) => r,
-            Err(e) => {
-                ServerMetrics::inc(&state.metrics.errors);
-                respond(&writer, &[ErrorCode::Parse.line(e)])?;
-                continue;
-            }
-        };
-        ServerMetrics::inc(&state.metrics.requests);
-        let quit = matches!(request, Request::Quit);
-        let lines = dispatch(request, state, pool, &writer);
-        respond(&writer, &lines)?;
-        if quit {
-            return Ok(());
-        }
-    }
-}
-
-/// Writes one whole response (or event) atomically so concurrent `EVENT`
-/// pushes never interleave inside it.
-fn respond(writer: &SharedWriter, lines: &[String]) -> std::io::Result<()> {
-    writer.write_lines(lines)
 }
 
 /// A routed data-plane job: runs on a pool worker with the shared state and
 /// the measured queue wait, returns the response lines.
 pub(crate) type DataJob = Box<dyn FnOnce(&Arc<ServerState>, Duration) -> Vec<String> + Send>;
 
-/// Where a request executes: inline on the calling thread (control plane)
-/// or on the worker pool (data plane). Both serving modes share this
-/// routing, which is what keeps their semantics identical.
+/// Where a request executes: inline on the loop thread (control plane) or
+/// on the worker pool (data plane).
 pub(crate) enum Routed {
     /// Already-computed response lines.
     Inline(Vec<String>),
@@ -705,75 +491,9 @@ pub(crate) fn route(request: Request, state: &Arc<ServerState>, writer: &SharedW
     }
 }
 
-/// Threaded-mode dispatch: route, then run data-plane jobs synchronously
-/// through the pool (the connection thread blocks on the response).
-fn dispatch(
-    request: Request,
-    state: &Arc<ServerState>,
-    pool: &PoolHandle,
-    writer: &SharedWriter,
-) -> Vec<String> {
-    match route(request, state, writer) {
-        Routed::Inline(lines) => lines,
-        Routed::Data(job) => submit_to_pool(state, pool, job),
-    }
-}
-
-/// Submits a data-plane job and waits for its response. A worker that
-/// panics mid-job fires the [`Completion`] panic path during unwind; the
-/// supervisor respawns the worker and this side answers a *typed* error
-/// instead of hanging or leaking a raw string.
-///
-/// The job closure receives the measured queue wait (admission to execution
-/// start) so request handlers can attribute it in their `service.request`
-/// span without re-deriving it.
-fn submit_to_pool(state: &Arc<ServerState>, pool: &PoolHandle, run: DataJob) -> Vec<String> {
-    let (tx, rx) = mpsc::channel::<Vec<String>>();
-    let job_state = Arc::clone(state);
-    let panic_state = Arc::clone(state);
-    let panic_tx = tx.clone();
-    let submitted = Instant::now();
-    let admitted = pool.submit(Box::new(move || {
-        // Armed only once the job runs: a rejected submission drops this
-        // closure un-run and must not fire the panic path.
-        let completion = Completion::new(
-            move |lines| {
-                let _ = tx.send(lines);
-            },
-            move || {
-                ServerMetrics::inc(&panic_state.metrics.worker_drops);
-                ServerMetrics::inc(&panic_state.metrics.errors);
-                let _ = panic_tx.send(vec![ErrorCode::WorkerDropped
-                    .line("worker panicked while handling this request (worker respawned)")]);
-            },
-        );
-        let queue_wait = submitted.elapsed();
-        // `CHAOS STALL` slows every data-plane job (0 = disarmed).
-        let stall = job_state.chaos_stall_ms.load(Ordering::SeqCst);
-        if stall > 0 {
-            std::thread::sleep(Duration::from_millis(stall));
-        }
-        let lines = run(&job_state, queue_wait);
-        completion.deliver(lines);
-    }));
-    match admitted {
-        Admission::Rejected => {
-            ServerMetrics::inc(&state.metrics.rejected_busy);
-            vec!["BUSY".to_string()]
-        }
-        // The Completion guard guarantees a send on both the normal and
-        // the unwind path; recv error is a structural backstop only.
-        Admission::Accepted => rx.recv().unwrap_or_else(|_| {
-            ServerMetrics::inc(&state.metrics.errors);
-            vec![ErrorCode::WorkerDropped
-                .line("worker dropped this request without responding (pool shutting down)")]
-        }),
-    }
-}
-
 /// Routes a `CHAOS` command (chaos mode only). `PANIC` and `DELAY` become
 /// data-plane jobs so they exercise the same pool failure paths a panicking
-/// `MATCH` would — in both serving modes.
+/// `MATCH` would.
 fn route_chaos(command: ChaosCommand, state: &Arc<ServerState>) -> Routed {
     if !state.config.chaos {
         ServerMetrics::inc(&state.metrics.errors);
@@ -1183,10 +903,7 @@ fn exec_load(
             ServerMetrics::inc(&state.metrics.errors);
             vec![ErrorCode::Load.line(format!("load failed: {e}"))]
         }
-        Ok(mut graph) => {
-            // The label-pair index powers the admission filter for every
-            // later MATCH against this graph; build it once per LOAD epoch.
-            graph.build_label_pair_index();
+        Ok(graph) => {
             let (vertices, edges) = (graph.num_vertices(), graph.num_edges());
             let (entry, displaced) = state.registry.insert(name, graph);
             if let Some(old_epoch) = displaced {
@@ -2206,7 +1923,7 @@ fn exec_mutate_vids(
                 "EVENT DELTA query={name} graph={graph_name} batch={} new={} retired={} total={}",
                 outcome.sub_epoch, delta.new_matches, delta.retired_matches, cq.total,
             );
-            if respond(&cq.sink, &[event]).is_err() {
+            if cq.sink.write_lines(&[event]).is_err() {
                 // The registering connection is gone (socket error, closed,
                 // or its write queue overflowed): auto-unregister so dead
                 // subscribers don't accumulate, and record the failure.

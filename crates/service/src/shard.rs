@@ -30,12 +30,12 @@
 //!   pinning a thread forever.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, SocketAddrV4, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use ceci_core::metrics::Counters;
 use ceci_core::sink::CountSink;
@@ -45,7 +45,8 @@ use ceci_graph::io::MappedCsr;
 use ceci_graph::{vid, Graph, LabelSet, VertexId};
 use ceci_query::{OrderConstraint, QueryGraph, QueryPlan};
 
-use crate::protocol::{parse_request, ChaosCommand, ErrorCode, Request};
+use crate::conn::LineConn;
+use crate::protocol::{ChaosCommand, ErrorCode, Request};
 
 /// Read access to a data graph, abstracted over storage so the per-pivot
 /// fragment extraction runs identically on a heap CSR and an mmap'd one.
@@ -389,72 +390,64 @@ pub fn start_shard(config: ShardConfig) -> std::io::Result<ShardHandle> {
     })
 }
 
-fn timeout_kind(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock
-    )
-}
-
-fn serve_shard_connection(stream: TcpStream, state: &Arc<ShardState>) -> std::io::Result<()> {
+/// Blocking adapter over the line-connection state machine the query
+/// daemon's event loop runs: read, feed, answer every frame that comes out.
+fn serve_shard_connection(mut stream: TcpStream, state: &Arc<ShardState>) -> std::io::Result<()> {
     stream.set_nodelay(true).ok();
-    if state.io_timeout_ms > 0 {
-        let t = Some(Duration::from_millis(state.io_timeout_ms));
-        stream.set_read_timeout(t)?;
-        stream.set_write_timeout(t)?;
-    }
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    loop {
-        let mut buf = String::new();
-        match reader.read_line(&mut buf) {
-            Ok(0) => return Ok(()),
-            Ok(_) => {}
-            Err(e) if timeout_kind(&e) => {
-                // A shard connection is request/response only — an idle
-                // socket past the timeout is a stalled or half-open peer.
-                state.timeouts.fetch_add(1, Ordering::Relaxed);
-                let _ = write_lines(
-                    &mut writer,
-                    &[ErrorCode::Timeout.line(format!(
-                        "no request within {}ms; closing connection",
-                        state.io_timeout_ms
-                    ))],
-                );
-                return Ok(());
-            }
-            Err(e) => return Err(e),
+    let timeout = (state.io_timeout_ms > 0).then(|| Duration::from_millis(state.io_timeout_ms));
+    stream.set_read_timeout(timeout)?;
+    stream.set_write_timeout(timeout)?;
+    let mut conn = LineConn::new(Instant::now());
+    let mut chunk = [0u8; 4096];
+    while !conn.finished(false) {
+        match stream.read(&mut chunk) {
+            Ok(0) => conn.feed_eof(),
+            Ok(n) => conn.feed(&chunk[..n], Instant::now()),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return read_failed(e, &mut stream, state),
         }
-        let line = buf.trim_end_matches(['\r', '\n']);
-        let request = match parse_request(line) {
-            Ok(None) => continue,
-            Ok(Some(r)) => r,
-            Err(e) => {
-                write_lines(&mut writer, &[ErrorCode::Parse.line(e)])?;
-                continue;
-            }
-        };
-        let quit = matches!(request, Request::Quit);
-        let lines = dispatch_shard(request, state);
-        write_lines(&mut writer, &lines)?;
-        if quit {
-            return Ok(());
+        while let Some(frame) = conn.next_frame() {
+            let lines = match frame.request() {
+                Ok(None) => continue,
+                Ok(Some(Request::Quit)) => {
+                    conn.close_after_drain();
+                    vec!["OK BYE".to_string()]
+                }
+                Ok(Some(request)) => dispatch_shard(request, state),
+                Err(reply) => vec![reply],
+            };
+            write_lines(&mut stream, &lines)?;
         }
     }
+    Ok(())
 }
 
-fn write_lines(writer: &mut BufWriter<TcpStream>, lines: &[String]) -> std::io::Result<()> {
-    for l in lines {
-        writer.write_all(l.as_bytes())?;
-        writer.write_all(b"\n")?;
+/// A shard connection is request/response only, so a read timeout is a
+/// stalled or half-open peer: it gets a typed notice and a clean close.
+fn read_failed(
+    e: std::io::Error,
+    stream: &mut TcpStream,
+    state: &ShardState,
+) -> std::io::Result<()> {
+    if !matches!(e.kind(), ErrorKind::TimedOut | ErrorKind::WouldBlock) {
+        return Err(e);
     }
-    writer.flush()
+    state.timeouts.fetch_add(1, Ordering::Relaxed);
+    let ms = state.io_timeout_ms;
+    let notice = format!("no request within {ms}ms; closing connection");
+    let _ = write_lines(stream, &[ErrorCode::Timeout.line(notice)]);
+    Ok(())
 }
 
+/// Writes one whole response in one `write`.
+fn write_lines(stream: &mut TcpStream, lines: &[String]) -> std::io::Result<()> {
+    stream.write_all((lines.join("\n") + "\n").as_bytes())
+}
+
+/// Answers one request (`QUIT` is the connection loop's: it ends the loop).
 fn dispatch_shard(request: Request, state: &Arc<ShardState>) -> Vec<String> {
     match request {
         Request::Ping => vec!["OK PONG".to_string()],
-        Request::Quit => vec!["OK BYE".to_string()],
         Request::Stats { .. } => {
             let g = |a: &AtomicU64| a.load(Ordering::Relaxed);
             vec![

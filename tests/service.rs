@@ -645,6 +645,19 @@ fn admission_filter_rejects_impossible_query_before_any_build() {
     assert_eq!(resp.field("filter"), None);
     assert_eq!(g(&state.metrics.filter_rejected), 1, "no false rejection");
     handle.shutdown();
+
+    // A graph that reaches the registry without LOAD (`ceci-serve
+    // --preload`) gets the same filter: every label of the impossible query
+    // occurs in it, so only the label-pair index — which the registry must
+    // have built — can reject it.
+    let state = Arc::new(ServerState::new(ServeConfig::default()));
+    state.registry.insert("g", data);
+    let handle = start_with_state(Arc::clone(&state)).expect("bind loopback");
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let resp = client.request(&format!("MATCH g {query_path}")).unwrap();
+    assert_eq!(resp.field("filter"), Some("REJECTED"), "{}", resp.terminal);
+    assert_eq!(state.metrics.build_latency.count(), 0, "no build");
+    handle.shutdown();
 }
 
 #[test]
@@ -1506,45 +1519,6 @@ fn dead_subscriber_is_auto_unregistered_on_push_failure() {
 }
 
 #[test]
-fn event_loop_and_threaded_counts_are_bit_identical() {
-    let scratch = Scratch::new("mode-diff");
-    let graph = small_graph();
-    let graph_path = scratch.write_graph("data.graph", &graph);
-
-    let (event_handle, _es) = serve(ServeConfig::default());
-    let (threaded_handle, _ts) = serve(ServeConfig {
-        event_loop: false,
-        ..ServeConfig::default()
-    });
-    let mut ev = Client::connect(event_handle.addr()).unwrap();
-    let mut th = Client::connect(threaded_handle.addr()).unwrap();
-    ev.request(&format!("LOAD g {graph_path}")).unwrap();
-    th.request(&format!("LOAD g {graph_path}")).unwrap();
-
-    for (size, seed) in [(3, 5), (4, 13), (5, 7)] {
-        let pattern = query_from(&graph, size, seed);
-        let expected = direct_count(&graph, &pattern);
-        let query_path = scratch.write_graph(&format!("q{size}-{seed}.graph"), &pattern);
-        let a = ev.request(&format!("MATCH g {query_path}")).unwrap();
-        let b = th.request(&format!("MATCH g {query_path}")).unwrap();
-        assert_eq!(
-            a.field_u64("count"),
-            Some(expected),
-            "event: {}",
-            a.terminal
-        );
-        assert_eq!(
-            b.field_u64("count"),
-            Some(expected),
-            "threaded: {}",
-            b.terminal
-        );
-    }
-    assert!(event_handle.shutdown().clean());
-    assert!(threaded_handle.shutdown().clean());
-}
-
-#[test]
 fn connection_cap_rejects_with_busy_and_counts_it() {
     let (handle, state) = serve(ServeConfig {
         max_conns: 2,
@@ -1602,17 +1576,10 @@ fn two_thousand_concurrent_clients_sustained_without_drops() {
 }
 
 #[test]
-fn shutdown_reports_clean_join_in_both_modes() {
-    let (event_handle, _s1) = serve(ServeConfig::default());
-    let report = event_handle.shutdown();
+fn shutdown_reports_clean_join() {
+    let (handle, _state) = serve(ServeConfig::default());
+    let report = handle.shutdown();
     assert!(report.clean(), "event-loop shutdown: {report:?}");
-
-    let (threaded_handle, _s2) = serve(ServeConfig {
-        event_loop: false,
-        ..ServeConfig::default()
-    });
-    let report = threaded_handle.shutdown();
-    assert!(report.clean(), "threaded shutdown: {report:?}");
 }
 
 #[test]

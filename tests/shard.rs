@@ -28,25 +28,30 @@ use ceci_service::{
 // ---------------------------------------------------------------------------
 
 /// Locates the `ceci-shard` binary next to the test executable, building it
-/// on first use (plain `cargo test` does not build bin targets of other
-/// crates before running integration tests).
-fn shard_bin() -> PathBuf {
-    let mut dir = std::env::current_exe().expect("test executable path");
-    dir.pop();
-    if dir.ends_with("deps") {
+/// once per test process (plain `cargo test` does not build bin targets of
+/// other crates before running integration tests). The build runs even when
+/// a binary is already there: one left by an earlier build would be a shard
+/// of some other commit.
+fn shard_bin() -> &'static Path {
+    static BIN: std::sync::OnceLock<PathBuf> = std::sync::OnceLock::new();
+    BIN.get_or_init(|| {
+        let mut dir = std::env::current_exe().expect("test executable path");
         dir.pop();
-    }
-    let bin = dir.join("ceci-shard");
-    if !bin.exists() {
+        if dir.ends_with("deps") {
+            dir.pop();
+        }
         let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
-        let status = Command::new(cargo)
-            .args(["build", "-p", "ceci-service", "--bin", "ceci-shard"])
-            .status()
-            .expect("run cargo build for ceci-shard");
+        let mut build = Command::new(cargo);
+        build.args(["build", "-p", "ceci-service", "--bin", "ceci-shard"]);
+        if dir.ends_with("release") {
+            build.arg("--release");
+        }
+        let status = build.status().expect("run cargo build for ceci-shard");
         assert!(status.success(), "building ceci-shard failed");
-    }
-    assert!(bin.exists(), "ceci-shard binary not found at {bin:?}");
-    bin
+        let bin = dir.join("ceci-shard");
+        assert!(bin.exists(), "ceci-shard binary not found at {bin:?}");
+        bin
+    })
 }
 
 /// One spawned shard process; killed (SIGKILL) on drop.
@@ -561,4 +566,35 @@ fn server_and_shard_sockets_time_out_typed() {
     let mut s = std::net::TcpStream::connect(&p.addr).unwrap();
     let got = read_all(&mut s);
     assert!(got.starts_with("ERR E_TIMEOUT"), "{got:?}");
+}
+
+// ---------------------------------------------------------------------------
+// Malformed input: the shard plane frames lines exactly as ceci-serve does
+// ---------------------------------------------------------------------------
+
+#[test]
+fn shard_answers_malformed_lines_typed() {
+    let graph = data();
+    let scratch = Scratch::new("malformed");
+    let gpath = scratch.write_labeled("g.graph", &graph);
+    let p = ShardProc::spawn_labeled(&gpath, "127.0.0.1:0");
+
+    // Raw non-UTF-8 bytes: a typed parse error, and the connection stays
+    // usable and line-synchronised.
+    let s = std::net::TcpStream::connect(&p.addr).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut lines = BufReader::new(s.try_clone().unwrap()).lines();
+    (&s).write_all(b"EXEC q \xff\xfe\xfd\n").unwrap();
+    let reply = lines.next().expect("a reply, not a close").unwrap();
+    assert!(reply.starts_with("ERR E_PARSE"), "{reply:?}");
+    (&s).write_all(b"PING\n").unwrap();
+    assert_eq!(lines.next().unwrap().unwrap(), "OK PONG");
+
+    // A line past the 1 MiB cap, never terminated: typed error, then close.
+    let mut s = std::net::TcpStream::connect(&p.addr).unwrap();
+    s.write_all(&vec![b'A'; (1 << 20) + 1]).unwrap();
+    let got = read_all(&mut s);
+    assert!(got.starts_with("ERR E_PARSE"), "{got:?}");
+    assert!(got.contains("exceeds"), "{got:?}");
+    assert_eq!(got.lines().count(), 1, "{got:?}");
 }
