@@ -1,56 +1,91 @@
-//! Cost-model-driven adaptive planning (ROADMAP item 4).
+//! Cost-model-driven adaptive execution: rent BFS, buy the portfolio.
 //!
-//! Closes the loop estimator → planner → runtime → profile feedback:
+//! The paper plans once — one BFS tree from the min-`|C(u)|/deg(u)` root,
+//! then build and enumerate (§3, §6). A better matching order can cut a
+//! query's enumeration several-fold, but finding it means scoring a
+//! portfolio of plans, and that costs several index builds: worth it only
+//! for a query that comes back often enough, which the request that misses
+//! the cache cannot know. So the planner prices the portfolio like a ski
+//! rental:
 //!
-//! 1. **Plan selection** — [`plan_adaptive`] generates a small portfolio of
-//!    candidate plans (the paper's BFS default plus the ranked greedy orders
-//!    over the 2–3 best roots), scores each with a cheap random-walk budget
-//!    over a *pilot* index ([`Ceci::build_for_pivots`] on a sampled pivot
-//!    subset, so scoring costs ≪ one full build), and picks the order with
-//!    the smallest estimated intermediate-result volume.
-//! 2. **Strategy + worker choice** — [`choose_execution`] maps the winning
-//!    estimate's volume, pivot population, and per-depth branch factors to
-//!    ST / CGD / FGD and a worker count.
-//! 3. **Kernel pinning** — [`kernels_from_profile`] converts an observed
-//!    [`DepthProfile`] from a prior execution of the same canonical query
-//!    into per-depth intersection-kernel pins, replacing global adaptive
-//!    dispatch once real behavior is known.
-//! 4. **Deadline admission** — [`admit`] predicts feasibility against a
-//!    deadline and answers exact, approximate, or infeasible.
+//! 1. **A miss rents.** [`plan_with_options`] with
+//!    [`OrderStrategy::Adaptive`] returns the paper's BFS plan and a
+//!    one-candidate [`PlanChoice`]; once the index is built,
+//!    [`PlanChoice::estimate_served`] takes the cost estimate (deadline
+//!    admission, strategy and worker pick, `EXPLAIN`) from [`SCORE_WALKS`]
+//!    random walks over that *served* index. No pilot index, nothing built
+//!    and thrown away.
+//! 2. **Every execution pays rent into a ledger.** The cached entry's
+//!    [`Reuse`] adds up the exact enumeration work of each execution
+//!    ([`Counters::intersection_ops`] + [`Counters::recursive_calls`]).
+//! 3. **Reuse buys the portfolio, once.** [`replan_price`] is what scoring
+//!    the challengers and rebuilding the index once would cost, in the same
+//!    unit. The first request that finds the entry's spent work at or above
+//!    the price ([`Reuse::claim`]) scores the challengers
+//!    ([`PlanChoice::score_challengers`]): ranked greedy orders and BFS over
+//!    the three best roots, each over a pilot index of at most 64 sampled
+//!    pivots. The incumbent is not estimated — what
+//!    it costs has been observed. A challenger wins only if the saving
+//!    already in sight pays for the rebuild: its estimated work *plus the
+//!    estimate's standard error*, over as many executions as the entry has
+//!    served, must undercut the work actually spent by more than the
+//!    rebuild's share of the price. Ties, noise and gains too small to
+//!    recoup keep the incumbent, and nothing is rebuilt.
 //!
-//! Only the *order* choice affects the enumeration; every candidate order
+//! Both sides of the rule are exact counts, not clocks: the spent work is
+//! the enumerator's own counters and the price is the build's own
+//! ([`crate::BuildStats::filter_scans`]), so the same requests trigger the
+//! re-plan at the same request on every host and every run. Buying when the
+//! rent paid equals the price is the classic 2-competitive rule: a query
+//! never asked again pays nothing, and one asked forever pays at most twice
+//! what planning it right on arrival would have.
+//!
+//! Around that: [`choose_execution`] sizes ST / CGD / FGD and the worker
+//! count from an estimate, [`kernels_from_profile`] pins per-depth
+//! intersection kernels from an observed [`DepthProfile`], and [`admit`]
+//! answers a deadline with exact, approximate or infeasible.
+//!
+//! Only the *order* differs between portfolio members, and every order
 //! satisfies the parent-precedes-child invariant, so exact counts are
-//! identical (bit-for-bit) across all portfolio members. Mis-estimates can
-//! only cost time, never correctness.
+//! identical (bit-for-bit) whichever is served. A mis-estimate can only cost
+//! time, never correctness.
 
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use ceci_graph::{Graph, VertexId};
-use ceci_query::candidates::compute_candidates;
 use ceci_query::root::select_root;
-use ceci_query::{OrderStrategy, PlanOptions, QueryGraph, QueryPlan};
+use ceci_query::{matching_order, OrderStrategy, PlanOptions, QueryGraph, QueryPlan, QueryTree};
 use ceci_trace::DepthProfile;
 
 use crate::estimate::{estimate_cost, CostEstimate, EstimateOptions};
 use crate::index::{BuildOptions, Ceci};
 use crate::intersect::Kernel;
+use crate::metrics::Counters;
 use crate::parallel::Strategy;
 
-/// Knobs for the adaptive planner.
+/// Random walks per cost estimate — over the served index on a miss, over
+/// each challenger's pilot index in a re-plan.
+pub const SCORE_WALKS: u64 = 64;
+/// Seed of those walks: one seed, so the same index always estimates the
+/// same and a re-plan decides the same on every run.
+const SCORE_SEED: u64 = 0xADA7;
+/// Pivot cap of a challenger's pilot index: it is built from every k-th
+/// root candidate so that at most this many survive, and its estimate is
+/// scaled back by the sampling ratio.
+const PILOT_PIVOTS: usize = 64;
+/// Roots the portfolio tries, best first by the paper's
+/// `|candidates| / degree` score.
+const PORTFOLIO_ROOTS: usize = 3;
+/// Enumeration work units that testing one adjacency entry in Algorithm 1
+/// costs. Measured on the perf ledger's four workloads: a build takes 22 to
+/// 60 ns per scan, an enumeration 1 to 3 ns per unit wherever it does
+/// enough work for a re-plan to matter.
+const UNITS_PER_SCAN: u64 = 32;
+
+/// Knobs for adaptive execution.
 #[derive(Clone, Copy, Debug)]
 pub struct AdaptiveOptions {
-    /// Random-walk budget per candidate plan (small: scoring must stay well
-    /// under the cost of one full index build).
-    pub walks: u64,
-    /// RNG seed — plan choice is deterministic per seed.
-    pub seed: u64,
-    /// Pivot-sample cap per pilot build. The pilot index is built from every
-    /// k-th root candidate so that at most this many pivots survive into
-    /// scoring; estimates are scaled back by the sampling ratio.
-    pub max_pilot_pivots: usize,
-    /// Number of distinct root choices to include in the portfolio (the
-    /// best-scoring roots by the paper's `|candidates| / degree` rule).
-    pub roots: usize,
     /// Upper bound on the worker count the planner may recommend (the
     /// server's per-request clamp).
     pub max_workers: usize,
@@ -58,17 +93,11 @@ pub struct AdaptiveOptions {
 
 impl Default for AdaptiveOptions {
     fn default() -> Self {
-        AdaptiveOptions {
-            walks: 64,
-            seed: 0xADA7,
-            max_pilot_pivots: 64,
-            roots: 3,
-            max_workers: 1,
-        }
+        AdaptiveOptions { max_workers: 1 }
     }
 }
 
-/// One scored member of the plan portfolio, kept for EXPLAIN.
+/// One member of the plan portfolio, kept for EXPLAIN.
 #[derive(Clone, Debug)]
 pub struct CandidatePlan {
     /// Order strategy this candidate used.
@@ -77,24 +106,29 @@ pub struct CandidatePlan {
     pub root: VertexId,
     /// The resulting matching order.
     pub order: Vec<VertexId>,
-    /// Estimated total intermediate-result volume (scaled to the full pivot
-    /// population) — the deadline-admission cost unit.
+    /// Estimated total intermediate-result volume — the deadline-admission
+    /// cost unit.
     pub volume: f64,
-    /// Estimated enumeration work (intersection comparisons plus one unit
-    /// per intermediate result); the planner minimizes this.
+    /// Enumeration work (intersection comparisons plus one unit per
+    /// intermediate result): estimated, except for an incumbent that was
+    /// scored against, whose work is the observed mean per execution.
     pub work: f64,
-    /// Whether this candidate won.
+    /// Standard error of `work` (zero for an observed one).
+    pub work_error: f64,
+    /// Whether this candidate is the served plan.
     pub chosen: bool,
 }
 
-/// The planner's full decision record: the winning plan's cost estimate plus
-/// everything EXPLAIN needs to show why it won.
+/// The planner's decision record for one served index: its cost estimate
+/// and everything EXPLAIN needs to show which plans were weighed.
 #[derive(Clone, Debug)]
 pub struct PlanChoice {
-    /// All scored candidates (deduplicated by matching order).
+    /// The served plan alone until a re-plan scores the portfolio; after
+    /// that the incumbent followed by every challenger (deduplicated by
+    /// matching order).
     pub candidates: Vec<CandidatePlan>,
-    /// Cost estimate of the winning plan, scaled to the full pivot
-    /// population.
+    /// Cost estimate of the served plan over the served index; all zero
+    /// until [`PlanChoice::estimate_served`] ran.
     pub cost: CostEstimate,
     /// Recommended parallel strategy.
     pub strategy: Strategy,
@@ -104,18 +138,111 @@ pub struct PlanChoice {
     /// Per-depth intersection-kernel pins. All-[`Kernel::Adaptive`] until an
     /// observed profile refines them via [`kernels_from_profile`].
     pub depth_kernels: Vec<Kernel>,
-    /// Wall time spent scoring the portfolio.
+    /// Wall time spent scoring the portfolio: zero until a re-plan.
     pub score_time: Duration,
-    /// `true` when the winning order differs from the paper-default plan
-    /// (best root, BFS order) — i.e. the cost model actually changed the
-    /// plan.
+    /// `true` when a re-plan replaced the paper-default plan (best root,
+    /// BFS order) with a challenger.
     pub replanned: bool,
+    max_workers: usize,
 }
 
 impl PlanChoice {
-    /// Predicted sequential execution time of the winning plan.
+    fn unscored(plan: &QueryPlan, max_workers: usize) -> PlanChoice {
+        let n = plan.query().num_vertices();
+        PlanChoice {
+            candidates: vec![CandidatePlan {
+                strategy: OrderStrategy::Bfs,
+                root: plan.root(),
+                order: plan.matching_order().to_vec(),
+                volume: 0.0,
+                work: 0.0,
+                work_error: 0.0,
+                chosen: true,
+            }],
+            cost: CostEstimate::empty(n, false),
+            strategy: Strategy::Static,
+            workers: 1,
+            depth_kernels: vec![Kernel::Adaptive; n],
+            score_time: Duration::ZERO,
+            replanned: false,
+            max_workers: max_workers.max(1),
+        }
+    }
+
+    /// Predicted sequential execution time of the served plan.
     pub fn predicted(&self) -> Duration {
         predicted_time(self.cost.volume(), DEFAULT_NS_PER_UNIT)
+    }
+
+    /// Takes the served plan's cost estimate from [`SCORE_WALKS`] walks over
+    /// the index that will answer the requests, and sizes strategy and
+    /// worker count from it. This is all the estimating a cache miss does.
+    pub fn estimate_served(&mut self, graph: &Graph, plan: &QueryPlan, ceci: &Ceci) {
+        self.cost = walk_cost(graph, plan, ceci);
+        (self.strategy, self.workers) = choose_execution(&self.cost, self.max_workers);
+        // A lone unscored candidate takes its numbers from here; a scored
+        // portfolio keeps the scores its decision was made on.
+        if let [served] = self.candidates.as_mut_slice() {
+            served.volume = self.cost.volume();
+            served.work = self.cost.work();
+            served.work_error = self.cost.work_std_error;
+        }
+    }
+
+    /// The one portfolio scoring an entry's reuse pays for. `plan` is the
+    /// served (incumbent) plan and `observed` what the ledger saw of it
+    /// ([`Reuse::claim`]); the incumbent itself is not estimated. Each
+    /// challenger shares the incumbent's candidate sets and symmetry
+    /// constraints and is estimated over a pilot index; it wins only if its
+    /// estimated [`CostEstimate::work`] plus that estimate's standard error
+    /// is below [`Observed::bar`], and among several winners the lowest such
+    /// bound is taken.
+    ///
+    /// Returns the winning plan, if any, and the decision record to store:
+    /// every member with its score, the time scoring took, and
+    /// [`PlanChoice::replanned`] set on a win. The caller rebuilds the index
+    /// under the winner and calls [`PlanChoice::estimate_served`] on the
+    /// record; without a winner the record describes the incumbent as is.
+    pub fn score_challengers(
+        &self,
+        graph: &Graph,
+        plan: &QueryPlan,
+        observed: &Observed,
+    ) -> (Option<QueryPlan>, PlanChoice) {
+        let started = Instant::now();
+        let mut scored = self.clone();
+        scored.candidates.retain(|c| c.chosen);
+        if let Some(incumbent) = scored.candidates.first_mut() {
+            incumbent.work = observed.work;
+            incumbent.work_error = 0.0;
+        }
+        let mut winner: Option<(f64, QueryPlan)> = None;
+        for (strategy, root, order) in challengers(plan) {
+            let sibling = plan.reordered(root, strategy);
+            let cost = pilot_cost(graph, &sibling);
+            let bound = cost.work() + cost.work_std_error;
+            scored.candidates.push(CandidatePlan {
+                strategy,
+                root,
+                order,
+                volume: cost.volume(),
+                work: cost.work(),
+                work_error: cost.work_std_error,
+                chosen: false,
+            });
+            if bound < winner.as_ref().map_or(observed.bar, |(best, _)| *best) {
+                winner = Some((bound, sibling));
+            }
+        }
+        let winner = winner.map(|(_, plan)| plan);
+        if let Some(plan) = &winner {
+            for c in &mut scored.candidates {
+                c.chosen = c.order == plan.matching_order();
+            }
+            scored.replanned = true;
+        }
+        scored.score_time = started.elapsed();
+        (winner, scored)
     }
 }
 
@@ -143,9 +270,10 @@ pub fn ns_per_unit_from_profile(profile: &DepthProfile) -> Option<f64> {
     Some(time as f64 / units as f64)
 }
 
-/// Builds a plan honoring `options.order`: [`OrderStrategy::Adaptive`] runs
-/// the portfolio planner and returns its decision record; any other
-/// strategy delegates to [`QueryPlan::with_options`] with no choice record.
+/// Builds a plan honoring `options.order`. [`OrderStrategy::Adaptive`]
+/// plans exactly as the paper does — best root, BFS order — and returns the
+/// one-candidate decision record a later re-plan extends; any other
+/// strategy delegates to [`QueryPlan::with_options`] with no record.
 pub fn plan_with_options(
     query: QueryGraph,
     graph: &Graph,
@@ -153,117 +281,75 @@ pub fn plan_with_options(
     adaptive: &AdaptiveOptions,
 ) -> (QueryPlan, Option<PlanChoice>) {
     if plan_options.order == OrderStrategy::Adaptive && plan_options.root_override.is_none() {
-        let (plan, choice) = plan_adaptive(query, graph, adaptive);
+        let plan = QueryPlan::with_options(
+            query,
+            graph,
+            &PlanOptions {
+                order: OrderStrategy::Bfs,
+                ..plan_options.clone()
+            },
+        );
+        let choice = PlanChoice::unscored(&plan, adaptive.max_workers);
         (plan, Some(choice))
     } else {
         (QueryPlan::with_options(query, graph, plan_options), None)
     }
 }
 
-/// Runs the portfolio planner: scores BFS plus the ranked greedy orders over
-/// the best `options.roots` roots and returns the plan minimizing estimated
-/// enumeration work ([`CostEstimate::work`] — intersection comparisons plus
-/// intermediate-result volume), together with the full decision record.
-pub fn plan_adaptive(
-    query: QueryGraph,
-    graph: &Graph,
-    options: &AdaptiveOptions,
-) -> (QueryPlan, PlanChoice) {
-    let started = Instant::now();
-    let sets = compute_candidates(&query, graph);
-    let root_choice = select_root(&query, &sets);
-
-    // Rank roots by the paper's score, best first; the default root leads so
-    // cost ties resolve toward the paper-default plan.
-    let mut ranked: Vec<VertexId> = query.vertices().collect();
-    ranked.sort_by(|&a, &b| {
-        root_choice.scores[a.index()]
-            .partial_cmp(&root_choice.scores[b.index()])
-            .unwrap_or(std::cmp::Ordering::Equal)
+/// The portfolio's members other than the served plan, as
+/// `(strategy, root, matching order)`: BFS and the two ranked greedy orders
+/// over the best `PORTFOLIO_ROOTS` roots, deduplicated by matching order
+/// (identical orders cost the same; the earliest root rank and BFS before
+/// greedy is kept).
+fn challengers(plan: &QueryPlan) -> Vec<(OrderStrategy, VertexId, Vec<VertexId>)> {
+    let query = plan.query();
+    let scores = select_root(query, plan.candidate_sets()).scores;
+    let mut roots: Vec<VertexId> = query.vertices().collect();
+    roots.sort_by(|&a, &b| {
+        scores[a.index()]
+            .total_cmp(&scores[b.index()])
             .then(a.cmp(&b))
     });
-    let roots: Vec<VertexId> = ranked.into_iter().take(options.roots.max(1)).collect();
-
-    const STRATEGIES: [OrderStrategy; 3] = [
-        OrderStrategy::Bfs,
-        OrderStrategy::EdgeRank,
-        OrderStrategy::PathRank,
-    ];
-
-    let mut plans: Vec<(OrderStrategy, QueryPlan)> = Vec::new();
-    for &root in &roots {
-        for strategy in STRATEGIES {
-            let plan = QueryPlan::with_options(
-                query.clone(),
-                graph,
-                &PlanOptions {
-                    order: strategy,
-                    root_override: Some(root),
-                    ..PlanOptions::default()
-                },
-            );
-            // Identical matching orders cost the same; keep the first
-            // (earliest root rank, BFS before greedy).
-            if !plans
-                .iter()
-                .any(|(_, p)| p.matching_order() == plan.matching_order())
-            {
-                plans.push((strategy, plan));
+    let counts: Vec<usize> = plan
+        .candidate_sets()
+        .iter()
+        .map(|s| s.candidates.len())
+        .collect();
+    let mut found: Vec<(OrderStrategy, VertexId, Vec<VertexId>)> = Vec::new();
+    for &root in roots.iter().take(PORTFOLIO_ROOTS) {
+        let tree = QueryTree::build(query, root);
+        for strategy in [
+            OrderStrategy::Bfs,
+            OrderStrategy::EdgeRank,
+            OrderStrategy::PathRank,
+        ] {
+            let order = matching_order(query, &tree, strategy, &counts);
+            if order != plan.matching_order() && !found.iter().any(|(_, _, o)| *o == order) {
+                found.push((strategy, root, order));
             }
         }
     }
-
-    let mut scored: Vec<(CostEstimate, CandidatePlan)> = Vec::with_capacity(plans.len());
-    for (strategy, plan) in &plans {
-        let cost = pilot_cost(graph, plan, options);
-        scored.push((
-            cost.clone(),
-            CandidatePlan {
-                strategy: *strategy,
-                root: plan.root(),
-                order: plan.matching_order().to_vec(),
-                volume: cost.volume(),
-                work: cost.work(),
-                chosen: false,
-            },
-        ));
-    }
-
-    // Argmin by estimated work; stable ties toward the earlier candidate
-    // (the paper-default plan is index 0).
-    let mut winner = 0usize;
-    for (i, (cost, _)) in scored.iter().enumerate() {
-        if cost.work() < scored[winner].0.work() {
-            winner = i;
-        }
-    }
-    let (cost, _) = scored[winner].clone();
-    let mut candidates: Vec<CandidatePlan> = scored.into_iter().map(|(_, c)| c).collect();
-    candidates[winner].chosen = true;
-    let replanned = winner != 0;
-    let (strategy, workers) = choose_execution(&cost, options.max_workers);
-    let depths = query.num_vertices();
-
-    let plan = plans.swap_remove(winner).1;
-    let choice = PlanChoice {
-        candidates,
-        cost,
-        strategy,
-        workers,
-        depth_kernels: vec![Kernel::Adaptive; depths],
-        score_time: started.elapsed(),
-        replanned,
-    };
-    (plan, choice)
+    found
 }
 
-/// Scores one candidate plan: builds a pilot index from a deterministic
-/// sample of the plan's root candidates, runs the walk budget over it, and
-/// scales the resulting cost back to the full pivot population.
-fn pilot_cost(graph: &Graph, plan: &QueryPlan, options: &AdaptiveOptions) -> CostEstimate {
+fn walk_cost(graph: &Graph, plan: &QueryPlan, ceci: &Ceci) -> CostEstimate {
+    estimate_cost(
+        graph,
+        plan,
+        ceci,
+        &EstimateOptions {
+            walks: SCORE_WALKS,
+            seed: SCORE_SEED,
+        },
+    )
+}
+
+/// Scores one challenger: builds a pilot index from a deterministic sample
+/// of the plan's root candidates, runs the walk budget over it, and scales
+/// the resulting cost back to the full pivot population.
+fn pilot_cost(graph: &Graph, plan: &QueryPlan) -> CostEstimate {
     let all = plan.initial_candidates(plan.root());
-    let cap = options.max_pilot_pivots.max(1);
-    let stride = all.len().div_ceil(cap).max(1);
+    let stride = all.len().div_ceil(PILOT_PIVOTS).max(1);
     let sampled: Vec<VertexId> = all.iter().copied().step_by(stride).collect();
     let scale = if sampled.is_empty() {
         1.0
@@ -271,16 +357,132 @@ fn pilot_cost(graph: &Graph, plan: &QueryPlan, options: &AdaptiveOptions) -> Cos
         all.len() as f64 / sampled.len() as f64
     };
     let pilot = Ceci::build_for_pivots(graph, plan, BuildOptions::default(), sampled);
-    let cost = estimate_cost(
-        graph,
-        plan,
-        &pilot,
-        &EstimateOptions {
-            walks: options.walks,
-            seed: options.seed,
-        },
-    );
-    cost.scaled(scale)
+    walk_cost(graph, plan, &pilot).scaled(scale)
+}
+
+/// What re-planning a cached index would cost, in enumeration work units.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ReplanPrice {
+    /// One pilot index per challenger.
+    pub scoring: u64,
+    /// One rebuild of the served tables under a winner.
+    pub rebuild: u64,
+}
+
+impl ReplanPrice {
+    /// The price of a plan with no challenger (or planned with a fixed
+    /// strategy): never due.
+    pub const NEVER: ReplanPrice = ReplanPrice {
+        scoring: u64::MAX,
+        rebuild: 0,
+    };
+
+    /// Scoring plus rebuild: what an entry's reuse must have spent before
+    /// it buys the portfolio.
+    pub fn total(&self) -> u64 {
+        self.scoring.saturating_add(self.rebuild)
+    }
+}
+
+/// Prices re-planning `plan`: a pilot index per challenger plus one rebuild
+/// of the served tables (`rebuilt_tables` of them — the frozen index, and
+/// the maintainable stream tables when the server keeps those, whose build
+/// scans what the filter scans). `ceci` must be the index the miss built: a
+/// rebuild tests the adjacency entries that build tested
+/// ([`crate::BuildStats::filter_scans`]), and a pilot, whose every frontier
+/// is a subset of the full build's, is priced at half of it (measured: 0.4
+/// to 0.9 of a build on the perf ledger's workloads).
+pub fn replan_price(plan: &QueryPlan, ceci: &Ceci, rebuilt_tables: u64) -> ReplanPrice {
+    let pilots = challengers(plan).len() as u64;
+    if pilots == 0 {
+        return ReplanPrice::NEVER;
+    }
+    let build = ceci.stats().filter_scans.saturating_mul(UNITS_PER_SCAN);
+    ReplanPrice {
+        scoring: (build / 2).saturating_mul(pilots).max(1),
+        rebuild: build.saturating_mul(rebuilt_tables),
+    }
+}
+
+/// What a ledger saw of the incumbent plan when its re-plan came due.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Observed {
+    /// Mean enumeration work per execution.
+    pub work: f64,
+    /// What a challenger's work-plus-error bound must stay under to win:
+    /// `work` less the rebuild's cost spread over the executions seen, so
+    /// that repeating the history under the challenger would have saved
+    /// more than rebuilding costs.
+    pub bar: f64,
+}
+
+/// The rent/buy ledger of one cached index: the enumeration work spent on
+/// it so far against the price of re-planning it. It outlives the index it
+/// was opened for — a repaired or re-planned entry carries the same ledger
+/// on — so one lineage of entries scores its portfolio at most once.
+#[derive(Debug)]
+pub struct Reuse {
+    price: ReplanPrice,
+    ledger: Mutex<Ledger>,
+}
+
+#[derive(Debug, Default)]
+struct Ledger {
+    spent: u64,
+    runs: u64,
+    scored: bool,
+}
+
+impl Reuse {
+    /// Opens a ledger against `price` ([`replan_price`]).
+    pub fn new(price: ReplanPrice) -> Reuse {
+        Reuse {
+            price,
+            ledger: Mutex::default(),
+        }
+    }
+
+    fn ledger(&self) -> MutexGuard<'_, Ledger> {
+        // Every update is one integer store, so a poisoned ledger is as
+        // valid as any other.
+        self.ledger.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The price the ledger was opened against.
+    pub fn price(&self) -> ReplanPrice {
+        self.price
+    }
+
+    /// Adds one execution's exact work.
+    pub fn spend(&self, counters: &Counters) {
+        let mut ledger = self.ledger();
+        ledger.spent = ledger
+            .spent
+            .saturating_add(counters.intersection_ops + counters.recursive_calls);
+        ledger.runs += 1;
+    }
+
+    /// Elects the one scorer: the first caller to find the spent work at or
+    /// above the price gets what was observed, every caller before and
+    /// after gets `None`.
+    pub fn claim(&self) -> Option<Observed> {
+        let mut ledger = self.ledger();
+        if ledger.scored || ledger.spent < self.price.total() {
+            return None;
+        }
+        ledger.scored = true;
+        let runs = ledger.runs.max(1) as f64;
+        Some(Observed {
+            work: ledger.spent as f64 / runs,
+            bar: ledger.spent.saturating_sub(self.price.rebuild) as f64 / runs,
+        })
+    }
+
+    /// Work spent so far, and whether the portfolio has been scored.
+    pub fn snapshot(&self) -> (u64, bool) {
+        let ledger = self.ledger();
+        (ledger.spent, ledger.scored)
+    }
 }
 
 /// Maps a cost estimate to a parallel strategy and worker count.
@@ -399,20 +601,41 @@ mod tests {
     use ceci_graph::generators::kronecker_default;
     use ceci_query::{is_valid_order, PaperQuery};
 
+    fn adaptive_plan(query: QueryGraph, graph: &Graph) -> (QueryPlan, PlanChoice) {
+        let (plan, choice) = plan_with_options(
+            query,
+            graph,
+            &PlanOptions {
+                order: OrderStrategy::Adaptive,
+                ..PlanOptions::default()
+            },
+            &AdaptiveOptions::default(),
+        );
+        (
+            plan,
+            choice.expect("the adaptive strategy records its choice"),
+        )
+    }
+
     #[test]
-    fn adaptive_plan_counts_match_bfs() {
+    fn a_miss_plans_what_the_paper_plans() {
         let graph = kronecker_default(9, 5, 42);
         for pq in [PaperQuery::Qg1, PaperQuery::Qg3, PaperQuery::Qg5] {
-            let bfs_plan = QueryPlan::new(pq.build(), &graph);
-            let bfs_ceci = Ceci::build(&graph, &bfs_plan);
-            let exact = count_embeddings(&graph, &bfs_plan, &bfs_ceci);
+            let bfs = QueryPlan::new(pq.build(), &graph);
+            let (plan, mut choice) = adaptive_plan(pq.build(), &graph);
+            assert_eq!(plan.matching_order(), bfs.matching_order(), "{pq:?}");
+            assert_eq!(choice.candidates.len(), 1);
+            assert!(choice.candidates[0].chosen);
+            assert_eq!(choice.score_time, Duration::ZERO);
+            assert!(!choice.replanned);
 
-            let (plan, choice) = plan_adaptive(pq.build(), &graph, &AdaptiveOptions::default());
-            assert!(is_valid_order(plan.tree(), plan.matching_order()));
+            // The one estimate a miss takes comes from the served index.
             let ceci = Ceci::build(&graph, &plan);
-            let adaptive = count_embeddings(&graph, &plan, &ceci);
-            assert_eq!(adaptive, exact, "{pq:?}: adaptive order changed the count");
-            assert!(choice.candidates.iter().filter(|c| c.chosen).count() == 1);
+            choice.estimate_served(&graph, &plan, &ceci);
+            assert_eq!(choice.cost.estimate.walks, SCORE_WALKS);
+            assert_eq!(choice.cost.depth_volumes[0], ceci.pivots().len() as f64);
+            assert_eq!(choice.candidates[0].work, choice.cost.work());
+            assert_eq!(choice.score_time, Duration::ZERO);
         }
     }
 
@@ -427,41 +650,182 @@ mod tests {
             &AdaptiveOptions::default(),
         );
         assert!(choice.is_none());
-        let default_plan = QueryPlan::new(query.clone(), &graph);
+        let default_plan = QueryPlan::new(query, &graph);
         assert_eq!(plan.matching_order(), default_plan.matching_order());
-
-        let (_, choice) = plan_with_options(
-            query,
-            &graph,
-            &PlanOptions {
-                order: OrderStrategy::Adaptive,
-                ..PlanOptions::default()
-            },
-            &AdaptiveOptions::default(),
-        );
-        assert!(choice.is_some());
     }
 
     #[test]
-    fn choice_is_deterministic() {
+    fn challengers_are_distinct_valid_orders_other_than_the_incumbent() {
         let graph = kronecker_default(8, 5, 7);
-        let opts = AdaptiveOptions::default();
-        let (a, ca) = plan_adaptive(PaperQuery::Qg2.build(), &graph, &opts);
-        let (b, cb) = plan_adaptive(PaperQuery::Qg2.build(), &graph, &opts);
-        assert_eq!(a.matching_order(), b.matching_order());
-        assert_eq!(ca.cost.volume(), cb.cost.volume());
+        for pq in [PaperQuery::Qg1, PaperQuery::Qg2, PaperQuery::Qg5] {
+            let plan = QueryPlan::new(pq.build(), &graph);
+            let found = challengers(&plan);
+            assert!(
+                !found.is_empty() && found.len() < PORTFOLIO_ROOTS * 3,
+                "{pq:?}"
+            );
+            for (i, (strategy, root, order)) in found.iter().enumerate() {
+                assert_ne!(order, plan.matching_order(), "{pq:?}: the incumbent");
+                assert!(
+                    found[i + 1..].iter().all(|(_, _, o)| o != order),
+                    "{pq:?}: duplicate orders survived dedup"
+                );
+                let sibling = plan.reordered(*root, *strategy);
+                assert_eq!(sibling.matching_order(), order);
+                assert!(is_valid_order(sibling.tree(), order));
+            }
+        }
+        // One vertex has one order: nothing to weigh, never due.
+        let single = QueryGraph::unlabeled(1, &[]).unwrap();
+        let plan = QueryPlan::new(single, &graph);
+        assert!(challengers(&plan).is_empty());
+        let ceci = Ceci::build(&graph, &plan);
+        assert_eq!(replan_price(&plan, &ceci, 2), ReplanPrice::NEVER);
+        assert_eq!(ReplanPrice::NEVER.total(), u64::MAX);
+    }
+
+    #[test]
+    fn price_counts_pilots_and_rebuilt_tables_in_build_scans() {
+        let graph = kronecker_default(8, 5, 7);
+        let plan = QueryPlan::new(PaperQuery::Qg2.build(), &graph);
+        let ceci = Ceci::build(&graph, &plan);
+        let scans = ceci.stats().filter_scans;
+        assert!(scans > 0);
+        let pilots = challengers(&plan).len() as u64;
+        let build = scans * UNITS_PER_SCAN;
+        for tables in [1, 2] {
+            let price = replan_price(&plan, &ceci, tables);
+            assert_eq!(price.scoring, build / 2 * pilots);
+            assert_eq!(price.rebuild, build * tables);
+            assert_eq!(price.total(), price.scoring + price.rebuild);
+        }
+        // The count is the build's own, whatever the pool width.
+        let wide = Ceci::build_with(
+            &graph,
+            &plan,
+            BuildOptions {
+                threads: 4,
+                ..BuildOptions::default()
+            },
+        );
+        assert_eq!(wide.stats().filter_scans, scans);
+    }
+
+    fn bar(at: f64) -> Observed {
+        Observed { work: at, bar: at }
+    }
+
+    #[test]
+    fn a_challenger_must_clear_the_bar_by_its_own_error() {
+        let graph = kronecker_default(9, 5, 42);
+        for pq in [PaperQuery::Qg1, PaperQuery::Qg3, PaperQuery::Qg5] {
+            let (plan, mut choice) = adaptive_plan(pq.build(), &graph);
+            let ceci = Ceci::build(&graph, &plan);
+            choice.estimate_served(&graph, &plan, &ceci);
+            let exact = count_embeddings(&graph, &plan, &ceci);
+
+            // An incumbent seen to cost nothing cannot be beaten: every
+            // member is listed, the served plan stays, nothing is rebuilt.
+            let (winner, kept) = choice.score_challengers(&graph, &plan, &bar(0.0));
+            assert!(winner.is_none(), "{pq:?}");
+            assert!(!kept.replanned);
+            assert_eq!(kept.candidates.len(), 1 + challengers(&plan).len());
+            assert!(kept.candidates[0].chosen && kept.candidates[0].work == 0.0);
+            assert_eq!(kept.candidates.iter().filter(|c| c.chosen).count(), 1);
+
+            // Against an incumbent seen to cost the earth the lowest
+            // work-plus-error bound wins, and the winner counts the same.
+            let (winner, scored) = choice.score_challengers(&graph, &plan, &bar(f64::MAX));
+            let winner = winner.expect("any finite bound beats f64::MAX");
+            assert!(scored.replanned && scored.score_time > Duration::ZERO);
+            assert_eq!(scored.candidates.iter().filter(|c| c.chosen).count(), 1);
+            let chosen = scored.candidates.iter().find(|c| c.chosen).unwrap();
+            assert_eq!(chosen.order, winner.matching_order());
+            assert_ne!(winner.matching_order(), plan.matching_order());
+            assert!(is_valid_order(winner.tree(), winner.matching_order()));
+            let rebuilt = Ceci::build(&graph, &winner);
+            assert_eq!(count_embeddings(&graph, &winner, &rebuilt), exact, "{pq:?}");
+
+            // The error term is part of the bound: a bar at the lowest
+            // bound is a tie and keeps the incumbent, a bar a hair above
+            // lets exactly that challenger pass.
+            let lowest = scored.candidates[1..]
+                .iter()
+                .map(|c| {
+                    assert!(c.work_error > 0.0, "{pq:?}: {c:?}");
+                    c.work + c.work_error
+                })
+                .fold(f64::MAX, f64::min);
+            assert_eq!(chosen.work + chosen.work_error, lowest);
+            let (tied, _) = choice.score_challengers(&graph, &plan, &bar(lowest));
+            assert!(tied.is_none(), "{pq:?}: a tie keeps the incumbent");
+            let (passed, _) = choice.score_challengers(&graph, &plan, &bar(lowest * 1.000_001));
+            assert_eq!(
+                passed.expect("one bound is under the bar").matching_order(),
+                winner.matching_order()
+            );
+        }
+    }
+
+    #[test]
+    fn scoring_is_deterministic() {
+        let graph = kronecker_default(8, 5, 7);
+        let (plan, mut choice) = adaptive_plan(PaperQuery::Qg2.build(), &graph);
+        let ceci = Ceci::build(&graph, &plan);
+        choice.estimate_served(&graph, &plan, &ceci);
+        let (a, ca) = choice.score_challengers(&graph, &plan, &bar(f64::MAX));
+        let (b, cb) = choice.score_challengers(&graph, &plan, &bar(f64::MAX));
+        assert_eq!(a.unwrap().matching_order(), b.unwrap().matching_order());
+        let works = |c: &PlanChoice| c.candidates.iter().map(|c| c.work).collect::<Vec<_>>();
+        assert_eq!(works(&ca), works(&cb));
         assert_eq!(ca.workers, cb.workers);
     }
 
     #[test]
-    fn portfolio_dedups_identical_orders() {
-        let (graph, plan0) = paper::figure1();
-        let (_, choice) = plan_adaptive(plan0.query().clone(), &graph, &AdaptiveOptions::default());
-        for (i, a) in choice.candidates.iter().enumerate() {
-            for b in &choice.candidates[i + 1..] {
-                assert_ne!(a.order, b.order, "duplicate orders survived dedup");
-            }
-        }
+    fn ledger_elects_one_scorer_once_the_price_is_spent() {
+        let run = |ops, calls| Counters {
+            intersection_ops: ops,
+            recursive_calls: calls,
+            ..Counters::default()
+        };
+        let price = |scoring, rebuild| ReplanPrice { scoring, rebuild };
+        let reuse = Reuse::new(price(40, 60));
+        assert_eq!(reuse.claim(), None, "nothing spent");
+        reuse.spend(&run(30, 9));
+        reuse.spend(&run(50, 10));
+        assert_eq!(reuse.snapshot(), (99, false));
+        assert_eq!(reuse.claim(), None, "one unit short of the price");
+        reuse.spend(&run(0, 21));
+        // 120 units over 3 executions; a challenger must leave room for the
+        // 60-unit rebuild over those 3.
+        assert_eq!(
+            reuse.claim(),
+            Some(Observed {
+                work: 40.0,
+                bar: 20.0
+            })
+        );
+        assert_eq!(reuse.claim(), None, "at most one re-plan");
+        reuse.spend(&run(1_000, 0));
+        assert_eq!(reuse.claim(), None);
+        assert_eq!(reuse.snapshot(), (1_120, true));
+
+        // Eight requests racing on a due ledger: exactly one scores.
+        let reuse = Reuse::new(price(5, 5));
+        reuse.spend(&run(10, 0));
+        let barrier = std::sync::Barrier::new(8);
+        let claims: usize = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        reuse.claim().is_some() as usize
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).sum()
+        });
+        assert_eq!(claims, 1);
     }
 
     #[test]
@@ -475,6 +839,7 @@ mod tests {
             },
             depth_volumes: vec![5.0, 10.0],
             depth_work: vec![5.0, 10.0],
+            work_std_error: 0.0,
         };
         assert_eq!(choose_execution(&small, 8), (Strategy::Static, 1));
 
@@ -487,6 +852,7 @@ mod tests {
             },
             depth_volumes: vec![1000.0, 1e6, 1e7],
             depth_work: vec![1000.0, 1e6, 1e7],
+            work_std_error: 0.0,
         };
         let (strategy, workers) = choose_execution(&big, 8);
         assert!(workers > 1);
@@ -514,6 +880,7 @@ mod tests {
             },
             depth_volumes: vec![10.0, 100.0],
             depth_work: vec![10.0, 100.0],
+            work_std_error: 0.0,
         };
         assert_eq!(
             admit(&cheap, Duration::from_secs(1), DEFAULT_NS_PER_UNIT, 1),
@@ -528,6 +895,7 @@ mod tests {
             },
             depth_volumes: vec![1e6, 1e12],
             depth_work: vec![1e6, 1e12],
+            work_std_error: 0.0,
         };
         assert_eq!(
             admit(&huge, Duration::from_millis(10), DEFAULT_NS_PER_UNIT, 1),
@@ -542,6 +910,7 @@ mod tests {
             },
             depth_volumes: vec![1e6, 1e12],
             depth_work: vec![1e6, 1e12],
+            work_std_error: 0.0,
         };
         assert_eq!(
             admit(&noisy, Duration::from_millis(10), DEFAULT_NS_PER_UNIT, 1),
@@ -556,6 +925,7 @@ mod tests {
             },
             depth_volumes: vec![0.0, 0.0],
             depth_work: vec![0.0, 0.0],
+            work_std_error: 0.0,
         };
         assert_eq!(
             admit(&zero, Duration::from_millis(1), DEFAULT_NS_PER_UNIT, 1),

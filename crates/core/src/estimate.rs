@@ -94,9 +94,31 @@ pub struct CostEstimate {
     /// depth. Tracks runtime far better than raw volume when candidate-list
     /// lengths differ between orders.
     pub depth_work: Vec<f64>,
+    /// Standard error of [`CostEstimate::work`]: the walks' per-walk work
+    /// totals are averaged exactly like their weights, so the same sample
+    /// variance prices the score's own noise. A re-plan challenger must
+    /// beat the incumbent by more than this
+    /// ([`crate::adaptive::PlanChoice::score_challengers`]).
+    pub work_std_error: f64,
 }
 
 impl CostEstimate {
+    /// The all-zero estimate of an `n`-vertex query: what an index without
+    /// pivots costs (`exact_zero`), or a placeholder before any walk ran.
+    pub(crate) fn empty(n: usize, exact_zero: bool) -> CostEstimate {
+        CostEstimate {
+            estimate: Estimate {
+                mean: 0.0,
+                std_error: 0.0,
+                walks: 0,
+                exact_zero,
+            },
+            depth_volumes: vec![0.0; n],
+            depth_work: vec![0.0; n],
+            work_std_error: 0.0,
+        }
+    }
+
     /// Total estimated intermediate-result volume (sum over depths) — the
     /// deadline-admission cost unit ([`crate::adaptive::admit`] multiplies it
     /// by an observed or default per-unit time).
@@ -134,6 +156,7 @@ impl CostEstimate {
             },
             depth_volumes: self.depth_volumes.iter().map(|v| v * factor).collect(),
             depth_work: self.depth_work.iter().map(|w| w * factor).collect(),
+            work_std_error: self.work_std_error * factor,
         }
     }
 }
@@ -164,16 +187,7 @@ pub fn estimate_cost(
     let n = plan.query().num_vertices();
     let pivots: Vec<VertexId> = ceci.pivots().iter().map(|&(p, _)| p).collect();
     if pivots.is_empty() {
-        return CostEstimate {
-            estimate: Estimate {
-                mean: 0.0,
-                std_error: 0.0,
-                walks: 0,
-                exact_zero: true,
-            },
-            depth_volumes: vec![0.0; n],
-            depth_work: vec![0.0; n],
-        };
+        return CostEstimate::empty(n, true);
     }
     let mut rng = StdRng::seed_from_u64(options.seed);
     let mut enumerator = Enumerator::new(graph, plan, ceci, EnumOptions::default());
@@ -181,6 +195,8 @@ pub fn estimate_cost(
 
     let mut sum = 0.0f64;
     let mut sum_sq = 0.0f64;
+    let mut work_sum = 0.0f64;
+    let mut work_sum_sq = 0.0f64;
     let mut depth_sums = vec![0.0f64; n];
     let mut depth_work = vec![0.0f64; n];
     let mut prefix: Vec<VertexId> = Vec::with_capacity(n);
@@ -192,6 +208,8 @@ pub fn estimate_cost(
         let mut weight = pivots.len() as f64;
         depth_sums[0] += weight;
         depth_work[0] += pivots.len() as f64;
+        // This walk's share of `work()`: every term it adds to either table.
+        let mut walk_work = 2.0 * pivots.len() as f64;
         while prefix.len() < n {
             // Charge this depth the comparisons the matching-node
             // computation performs, scaled by the partial-embedding count
@@ -201,27 +219,36 @@ pub fn estimate_cost(
             // estimate stays bit-identical to `estimate_embeddings`.
             let ops_before = counters.intersection_ops;
             let matching = enumerator.matching_nodes_after_prefix(&prefix, &mut counters);
-            depth_work[prefix.len()] += weight * (counters.intersection_ops - ops_before) as f64;
+            let ops = weight * (counters.intersection_ops - ops_before) as f64;
+            depth_work[prefix.len()] += ops;
+            walk_work += ops;
             if matching.is_empty() {
                 weight = 0.0;
                 break;
             }
             weight *= matching.len() as f64;
             depth_sums[prefix.len()] += weight;
+            walk_work += weight;
             let next = matching[rng.gen_range(0..matching.len())];
             prefix.push(next);
         }
         sum += weight;
         sum_sq += weight * weight;
+        work_sum += walk_work;
+        work_sum_sq += walk_work * walk_work;
     }
     let walks = options.walks as f64;
-    let mean = sum / walks;
-    let variance = (sum_sq / walks - mean * mean).max(0.0);
-    let std_error = if options.walks > 1 {
-        (variance / (walks - 1.0)).sqrt()
-    } else {
-        0.0
+    let std_error_of = |sum: f64, sum_sq: f64| {
+        let mean = sum / walks;
+        let variance = (sum_sq / walks - mean * mean).max(0.0);
+        if options.walks > 1 {
+            (variance / (walks - 1.0)).sqrt()
+        } else {
+            0.0
+        }
     };
+    let mean = sum / walks;
+    let std_error = std_error_of(sum, sum_sq);
     CostEstimate {
         estimate: Estimate {
             mean,
@@ -231,6 +258,7 @@ pub fn estimate_cost(
         },
         depth_volumes: depth_sums.iter().map(|s| s / walks).collect(),
         depth_work: depth_work.iter().map(|s| s / walks).collect(),
+        work_std_error: std_error_of(work_sum, work_sum_sq),
     }
 }
 
@@ -358,6 +386,20 @@ mod tests {
         let last = *cost.depth_volumes.last().unwrap();
         assert!((last - est.mean).abs() < 1e-9, "{last} vs {}", est.mean);
         assert!(cost.volume() >= est.mean);
+        // A single-pivot index still branches below the root, so the work
+        // score carries sampling noise, and a fifth of the walks carries
+        // more of it.
+        assert!(cost.work_std_error > 0.0 && cost.work_std_error < cost.work());
+        let fewer = estimate_cost(
+            &graph,
+            &plan,
+            &ceci,
+            &EstimateOptions {
+                walks: 100,
+                seed: 9,
+            },
+        );
+        assert!(fewer.work_std_error > cost.work_std_error);
         assert_eq!(
             cost.branch_factors().len(),
             cost.depth_volumes.len().saturating_sub(1)
@@ -372,6 +414,7 @@ mod tests {
         let doubled = cost.scaled(2.0);
         assert_eq!(doubled.estimate.mean, cost.estimate.mean * 2.0);
         assert_eq!(doubled.volume(), cost.volume() * 2.0);
+        assert_eq!(doubled.work_std_error, cost.work_std_error * 2.0);
         assert_eq!(doubled.estimate.walks, cost.estimate.walks);
     }
 

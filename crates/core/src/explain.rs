@@ -11,7 +11,7 @@ use std::fmt::Write as _;
 use ceci_graph::{Graph, VertexId};
 use ceci_query::QueryPlan;
 
-use crate::adaptive::PlanChoice;
+use crate::adaptive::{PlanChoice, Reuse};
 use crate::estimate::CostEstimate;
 use crate::index::Ceci;
 use crate::metrics::Counters;
@@ -120,15 +120,18 @@ pub fn explain_plan(plan: &QueryPlan, graph: &Graph) -> String {
     out
 }
 
-/// Renders the adaptive planner's decision record: every candidate order
-/// considered with its estimated intermediate-result volume, the winner,
-/// and the execution choices (strategy, workers, per-depth kernel pins)
-/// derived from the winning estimate.
-pub fn explain_choice(choice: &PlanChoice) -> String {
+/// Renders the adaptive planner's decision record: where the entry's
+/// rent/buy ledger stands (whether the portfolio has been scored, the work
+/// spent on the entry and the price of re-planning it, same unit), every
+/// plan weighed so far, and the execution choices (strategy, workers,
+/// per-depth kernel pins) derived from the served plan's estimate.
+pub fn explain_choice(choice: &PlanChoice, reuse: &Reuse) -> String {
     let mut out = String::new();
+    let (spent, scored) = reuse.snapshot();
     let _ = writeln!(
         out,
-        "plan choice: candidates={} score_us={} replanned={}",
+        "plan choice: scored={scored} spent={spent} price={} candidates={} score_us={} replanned={}",
+        reuse.price().total(),
         choice.candidates.len(),
         choice.score_time.as_micros(),
         choice.replanned,
@@ -137,11 +140,12 @@ pub fn explain_choice(choice: &PlanChoice) -> String {
         let order: Vec<String> = c.order.iter().map(|u| format!("u{u}")).collect();
         let _ = writeln!(
             out,
-            "  cand={i} strategy={:?} root=u{} volume={:.1} work={:.1} chosen={} order=[{}]",
+            "  cand={i} strategy={:?} root=u{} volume={:.1} work={:.1} work_se={:.1} chosen={} order=[{}]",
             c.strategy,
             c.root,
             c.volume,
             c.work,
+            c.work_error,
             if c.chosen { 1 } else { 0 },
             order.join(", "),
         );
@@ -371,11 +375,30 @@ mod tests {
 
     #[test]
     fn choice_report_lists_candidates_and_exec() {
-        use crate::adaptive::{plan_adaptive, AdaptiveOptions};
+        use crate::adaptive::{plan_with_options, replan_price, AdaptiveOptions};
+        use ceci_query::{OrderStrategy, PlanOptions};
         let (graph, plan) = paper::figure1();
-        let (_, choice) = plan_adaptive(plan.query().clone(), &graph, &AdaptiveOptions::default());
-        let report = explain_choice(&choice);
-        assert!(report.contains("plan choice: candidates="), "{report}");
+        let (plan, choice) = plan_with_options(
+            plan.query().clone(),
+            &graph,
+            &PlanOptions {
+                order: OrderStrategy::Adaptive,
+                ..PlanOptions::default()
+            },
+            &AdaptiveOptions::default(),
+        );
+        let mut choice = choice.expect("the adaptive strategy records its choice");
+        let ceci = Ceci::build(&graph, &plan);
+        choice.estimate_served(&graph, &plan, &ceci);
+        let reuse = Reuse::new(replan_price(&plan, &ceci, 1));
+        let report = explain_choice(&choice, &reuse);
+        assert!(
+            report.contains(&format!(
+                "plan choice: scored=false spent=0 price={} candidates=1",
+                reuse.price().total()
+            )),
+            "{report}"
+        );
         assert!(report.contains("chosen=1"), "{report}");
         assert!(report.contains("exec: strategy="), "{report}");
         assert!(report.contains("kernels: d0="), "{report}");

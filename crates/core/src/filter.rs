@@ -210,6 +210,10 @@ pub struct FilterProfile {
     pub fanout_wall: Duration,
     /// Wall time of the deterministic chunk merge.
     pub merge_time: Duration,
+    /// Data-graph adjacency entries the filter tested (the summed degree of
+    /// every table's frontier): Algorithm 1's work as an exact count, the
+    /// same for any worker-pool width.
+    pub scans: u64,
 }
 
 impl FilterProfile {
@@ -219,6 +223,7 @@ impl FilterProfile {
             worker_busy: vec![Duration::ZERO; threads],
             fanout_wall: Duration::ZERO,
             merge_time: Duration::ZERO,
+            scans: 0,
         }
     }
 
@@ -345,6 +350,10 @@ fn fill_table(
     threads: usize,
     profile: &mut FilterProfile,
 ) -> (BuildTable, Vec<VertexId>) {
+    profile.scans += frontier
+        .iter()
+        .map(|&vf| graph.degree(vf) as u64)
+        .sum::<u64>();
     if threads <= 1 || frontier.len() < PARALLEL_FRONTIER_MIN {
         return fill_table_sequential(graph, plan, filters, u, frontier);
     }

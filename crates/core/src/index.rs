@@ -73,6 +73,11 @@ pub struct BuildStats {
     pub filter_busy_total: Duration,
     /// Worker pool width the filter ran with.
     pub build_threads: usize,
+    /// Data-graph adjacency entries Algorithm 1 tested — the build's work
+    /// as an exact, replayable count ([`crate::adaptive::replan_price`]
+    /// prices a rebuild with it). Zero for an index materialized from
+    /// already-filtered tables.
+    pub filter_scans: u64,
     /// Flat value-arena bytes of the frozen tables (the paper's
     /// 4-bytes-per-candidate-edge payload).
     pub arena_bytes: usize,
@@ -251,6 +256,7 @@ impl Ceci {
         stats.filter_busy_max = profile.busy_max();
         stats.filter_busy_total = profile.busy_total();
         stats.build_threads = profile.threads;
+        stats.filter_scans = profile.scans;
         stats.te_entries_after_filter = state.te_entries();
         stats.nte_entries_after_filter = state.nte_entries();
 

@@ -6,6 +6,8 @@
 //! enumeration engine consume plans, so all engines agree on the search
 //! shape and results are directly comparable.
 
+use std::sync::Arc;
+
 use ceci_graph::{Graph, VertexId};
 
 use crate::candidates::{compute_candidates, CandidateSet};
@@ -56,8 +58,9 @@ pub struct QueryPlan {
     /// children contributing to cardinality during refinement).
     forward_nte: Vec<Vec<VertexId>>,
     /// Initial candidate sets (root selection byproduct; CECI seeds pivots
-    /// from the root's set).
-    initial_candidates: Vec<CandidateSet>,
+    /// from the root's set). They depend on the query and the graph only,
+    /// so every [`QueryPlan::reordered`] sibling shares this allocation.
+    initial_candidates: Arc<[CandidateSet]>,
     /// Raw symmetry constraints.
     symmetry: Vec<OrderConstraint>,
     /// Whether the constraint set fully quotients the automorphism group.
@@ -78,25 +81,56 @@ impl QueryPlan {
 
     /// Builds a plan with explicit options.
     pub fn with_options(query: QueryGraph, graph: &Graph, options: &PlanOptions) -> Self {
-        let initial_candidates = compute_candidates(&query, graph);
+        let initial_candidates: Arc<[CandidateSet]> = compute_candidates(&query, graph).into();
         let root = options
             .root_override
             .unwrap_or_else(|| select_root(&query, &initial_candidates).root);
-        let tree = QueryTree::build(&query, root);
-        let counts: Vec<usize> = {
-            // candidate sets are in vertex order already
-            initial_candidates
-                .iter()
-                .map(|s| s.candidates.len())
-                .collect()
-        };
-        let order = matching_order(&query, &tree, options.order, &counts);
-        debug_assert!(is_valid_order(&tree, &order));
         let (symmetry, symmetry_complete) = if options.break_symmetry {
             break_symmetry(&query, options.symmetry_step_cap)
         } else {
             (Vec::new(), false)
         };
+        Self::ordered(
+            query,
+            root,
+            options.order,
+            initial_candidates,
+            symmetry,
+            symmetry_complete,
+        )
+    }
+
+    /// The same query over the same graph under another `(root, order)`:
+    /// the candidate sets and symmetry constraints, which depend on neither,
+    /// are shared with `self` instead of recomputed (a candidate scan is a
+    /// pass over every data vertex).
+    pub fn reordered(&self, root: VertexId, order: OrderStrategy) -> Self {
+        Self::ordered(
+            self.query.clone(),
+            root,
+            order,
+            Arc::clone(&self.initial_candidates),
+            self.symmetry.clone(),
+            self.symmetry_complete,
+        )
+    }
+
+    fn ordered(
+        query: QueryGraph,
+        root: VertexId,
+        strategy: OrderStrategy,
+        initial_candidates: Arc<[CandidateSet]>,
+        symmetry: Vec<OrderConstraint>,
+        symmetry_complete: bool,
+    ) -> Self {
+        let tree = QueryTree::build(&query, root);
+        // Candidate sets are in vertex order already.
+        let counts: Vec<usize> = initial_candidates
+            .iter()
+            .map(|s| s.candidates.len())
+            .collect();
+        let order = matching_order(&query, &tree, strategy, &counts);
+        debug_assert!(is_valid_order(&tree, &order));
         Self::assemble(
             query,
             tree,
@@ -122,7 +156,7 @@ impl QueryPlan {
             is_valid_order(&tree, &order),
             "matching order violates tree-parent precedence"
         );
-        let initial_candidates = compute_candidates(&query, graph);
+        let initial_candidates = compute_candidates(&query, graph).into();
         Self::assemble(
             query,
             tree,
@@ -137,7 +171,7 @@ impl QueryPlan {
         query: QueryGraph,
         tree: QueryTree,
         order: Vec<VertexId>,
-        initial_candidates: Vec<CandidateSet>,
+        initial_candidates: Arc<[CandidateSet]>,
         symmetry: Vec<OrderConstraint>,
         symmetry_complete: bool,
     ) -> Self {
@@ -233,6 +267,12 @@ impl QueryPlan {
     #[inline]
     pub fn initial_candidates(&self, u: VertexId) -> &[VertexId] {
         &self.initial_candidates[u.index()].candidates
+    }
+
+    /// Initial candidate sets of every query vertex, in vertex order.
+    #[inline]
+    pub fn candidate_sets(&self) -> &[CandidateSet] {
+        &self.initial_candidates
     }
 
     /// Raw symmetry constraints.
@@ -366,6 +406,41 @@ mod tests {
         let plan = QueryPlan::with_options(PaperQuery::Qg1.build(), &g, &opts);
         assert_eq!(plan.root(), vid(2));
         assert_eq!(plan.matching_order()[0], vid(2));
+    }
+
+    #[test]
+    fn reordered_shares_candidates_and_matches_a_fresh_plan() {
+        let g = triangle_data();
+        let plan = QueryPlan::new(PaperQuery::Qg3.build(), &g);
+        for root in plan.query().vertices() {
+            for order in [
+                OrderStrategy::Bfs,
+                OrderStrategy::EdgeRank,
+                OrderStrategy::PathRank,
+            ] {
+                let fresh = QueryPlan::with_options(
+                    plan.query().clone(),
+                    &g,
+                    &PlanOptions {
+                        order,
+                        root_override: Some(root),
+                        ..Default::default()
+                    },
+                );
+                let sibling = plan.reordered(root, order);
+                assert_eq!(sibling.matching_order(), fresh.matching_order());
+                assert_eq!(sibling.symmetry_constraints(), fresh.symmetry_constraints());
+                for u in plan.query().vertices() {
+                    assert_eq!(sibling.backward_nte(u), fresh.backward_nte(u));
+                    assert_eq!(sibling.lower_bounds(u), fresh.lower_bounds(u));
+                    assert_eq!(sibling.upper_bounds(u), fresh.upper_bounds(u));
+                }
+                assert!(Arc::ptr_eq(
+                    &sibling.initial_candidates,
+                    &plan.initial_candidates
+                ));
+            }
+        }
     }
 
     #[test]

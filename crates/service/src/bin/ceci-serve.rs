@@ -18,8 +18,9 @@
 //!   --no-stream-repair   disable incremental index repair (stale cache
 //!                        entries always rebuild from scratch)
 //!   --no-adaptive        disable cost-model-driven adaptive execution
-//!                        (fixed BFS plans, no deadline-aware APPROX /
-//!                        E_INFEASIBLE degradation, no kernel pinning)
+//!                        (fixed BFS plans, no reuse-paid re-plan, no
+//!                        deadline-aware APPROX / E_INFEASIBLE degradation,
+//!                        no kernel pinning)
 //!   --preload NAME=FILE  LOAD a labeled graph before accepting connections
 //!                        (repeatable)
 //!   --max-conns N        concurrent-connection cap; connections beyond it

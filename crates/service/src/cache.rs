@@ -38,7 +38,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use ceci_core::{Ceci, Kernel, PlanChoice};
+use ceci_core::{Ceci, Kernel, PlanChoice, Reuse};
 use ceci_query::{CanonicalQuery, QueryPlan};
 use ceci_stream::StreamIndex;
 
@@ -76,10 +76,17 @@ pub struct CachedIndex {
     /// The maintainable base tables the frozen index was materialized from;
     /// `None` when stream repair is disabled (stale entries then rebuild).
     pub stream: Option<Arc<StreamIndex>>,
-    /// The adaptive planner's decision record (portfolio, winning cost
-    /// estimate, strategy/worker recommendation); `None` when the index was
-    /// planned with a fixed strategy (`--no-adaptive`).
+    /// The adaptive planner's decision record (the plans weighed so far,
+    /// the served plan's cost estimate, strategy/worker recommendation);
+    /// `None` when the index was planned with a fixed strategy
+    /// (`--no-adaptive`).
     pub choice: Option<PlanChoice>,
+    /// The rent/buy ledger: enumeration work spent on this entry against
+    /// the price of re-planning it, and whether that re-plan has happened.
+    /// Shared, not copied, by the entries a repair or the re-plan itself
+    /// derive from this one, so a stream of mutations neither resets the
+    /// spent work nor buys a second re-plan. Never due without a `choice`.
+    pub reuse: Arc<Reuse>,
     /// Observed-execution feedback, populated after the first profiled
     /// exact run; later runs pin its kernels and admission rate.
     pub feedback: Mutex<Option<PlanFeedback>>,
@@ -486,7 +493,7 @@ impl IndexCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ceci_core::Ceci;
+    use ceci_core::{Ceci, ReplanPrice};
     use ceci_graph::{GraphBuilder, LabelId};
     use ceci_query::QueryGraph;
 
@@ -515,6 +522,7 @@ mod tests {
             sub_epoch: 0,
             stream: None,
             choice: None,
+            reuse: Arc::new(Reuse::new(ReplanPrice::NEVER)),
             feedback: Mutex::new(None),
         }
     }

@@ -34,10 +34,13 @@
 //!   queries** emit per-batch embedding-count deltas (`EVENT DELTA`)
 //!   to their connection ([`server`]),
 //! * an **adaptive execution layer** (on by default, `--no-adaptive` to
-//!   disable): cache-miss builds score a plan portfolio under the
-//!   random-walk cost model and pick the cheapest order, the winning
-//!   estimate sizes the parallel strategy and worker count, observed
-//!   depth profiles pin per-depth intersection kernels on repeat queries
+//!   disable): a cache miss plans as the paper does and takes one
+//!   random-walk cost estimate from the index it built, which sizes the
+//!   parallel strategy and worker count; the plan portfolio is scored at
+//!   most once per cached entry, and only after the entry's own reuse has
+//!   spent as much enumeration work as scoring and one rebuild cost
+//!   (`ceci_core::adaptive`); observed depth profiles pin per-depth
+//!   intersection kernels on repeat queries
 //!   ([`cache::PlanFeedback`]), and `MATCH ... DEADLINE` degrades to an
 //!   estimator answer (`mode=APPROX`) or `ERR E_INFEASIBLE` when the
 //!   exact run cannot finish in time (`EXACT` opts out; `ESTIMATE`

@@ -201,8 +201,9 @@ pub struct ServerMetrics {
     pub index_repair_fallbacks: AtomicU64,
     /// Continuous-query delta events emitted to registered connections.
     pub continuous_events: AtomicU64,
-    /// Adaptive plan choices where the portfolio beat the paper-default
-    /// BFS-order plan (a non-default candidate won the cost race).
+    /// Cached indexes rebuilt under a challenger plan: the entry's reuse
+    /// paid for scoring the portfolio and a challenger beat the incumbent's
+    /// observed work by enough to pay for the rebuild.
     pub adaptive_replans: AtomicU64,
     /// Deadline-infeasible MATCH requests answered from the estimator
     /// (`mode=APPROX`) instead of enumerating.
@@ -238,9 +239,9 @@ pub struct ServerMetrics {
     /// Stale-index repair time (patch from dirty log + re-freeze), the
     /// counterpart of `build_latency` for the repair path.
     pub index_repair_latency: LatencyHistogram,
-    /// Time the adaptive planner spent scoring its plan portfolio (pilot
-    /// index builds + random-walk costing), recorded once per cache-miss
-    /// build when adaptive planning is on.
+    /// Time spent scoring a plan portfolio (pilot index builds +
+    /// random-walk costing), recorded once per cached entry whose reuse
+    /// paid for it — never on a cache miss.
     pub plan_score_latency: LatencyHistogram,
 }
 

@@ -79,6 +79,10 @@
 //! exact enumeration, reporting `status=DEADLINE_EXCEEDED` with a partial
 //! count if the deadline trips (the pre-adaptive behavior).
 //!
+//! A `MATCH` reply carrying `replan_us=<n>` paid for its cached entry's one
+//! re-plan (portfolio scoring, and a rebuild if a challenger won) before
+//! enumerating; it keeps the `cache=HIT|REPAIRED` tag it would have had.
+//!
 //! `ESTIMATE` answers the cardinality question directly: it runs the
 //! random-walk estimator over the (cached) index and reports the mean,
 //! standard error and 95% confidence interval without enumerating.

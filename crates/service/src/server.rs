@@ -44,9 +44,10 @@ use std::time::{Duration, Instant};
 use ceci_core::{
     admit, batch_delta, count_embeddings, enumerate_from_frontier, enumerate_parallel_cancellable,
     enumerate_parallel_pinned, estimate_embeddings, explain_choice, explain_estimates,
-    kernels_from_profile, ns_per_unit_from_profile, plan_with_options, AdaptiveOptions,
-    Admission as DeadlineVerdict, CancelToken, Ceci, CountSink, EnumOptions, EstimateOptions,
-    Kernel, ParallelOptions, PlanChoice, PrefixSpec, DEFAULT_NS_PER_UNIT,
+    kernels_from_profile, ns_per_unit_from_profile, plan_with_options, replan_price,
+    AdaptiveOptions, Admission as DeadlineVerdict, CancelToken, Ceci, CountSink, EnumOptions,
+    EstimateOptions, Kernel, ParallelOptions, PlanChoice, PrefixSpec, ReplanPrice, Reuse,
+    DEFAULT_NS_PER_UNIT,
 };
 use ceci_graph::io as graph_io;
 use ceci_graph::{vid, Graph, VertexId};
@@ -117,13 +118,27 @@ pub struct ServeConfig {
     /// Keep the maintainable stream tables alongside cached indexes so
     /// stale entries are *repaired* from the dirty log instead of rebuilt.
     pub stream_repair: bool,
-    /// Cost-model-driven adaptive execution: cache-miss builds score a
-    /// plan portfolio (order × root) over a pilot index and pick the
-    /// cheapest, the winning estimate chooses the parallel strategy and
-    /// worker count, observed depth profiles pin per-depth intersection
-    /// kernels on repeat queries, and `MATCH ... DEADLINE` degrades to an
+    /// Cost-model-driven adaptive execution. A cache miss plans as the
+    /// paper does (best root, BFS order) and takes one 64-walk cost
+    /// estimate from the index it built; that estimate chooses the parallel
+    /// strategy and worker count, and `MATCH ... DEADLINE` degrades to an
     /// APPROX answer (or `E_INFEASIBLE`) when the exact run cannot finish
-    /// in time. Exact counts are bit-identical to fixed-BFS planning.
+    /// in time. The plan portfolio (order × root) is rented, not bought:
+    /// every execution adds its exact enumeration work
+    /// (`intersection_ops + recursive_calls`) to the cached entry, and the
+    /// first current request that finds that spent work at or above the
+    /// price of scoring the challengers plus one rebuild
+    /// ([`ceci_core::replan_price`], the build's own adjacency-scan count
+    /// in the same unit) scores them once and rebuilds the entry under a
+    /// challenger only if the saving already in sight — the incumbent's
+    /// observed work against the challenger's estimate plus its error, over
+    /// the executions served so far — pays for the rebuild. At most once
+    /// per entry; the ledger rides along through repairs. Both sides are
+    /// counters, not clocks, so
+    /// the same traffic re-plans at the same request on every run; a query
+    /// never asked again pays nothing. Observed depth profiles pin
+    /// per-depth intersection kernels on repeat queries. Exact counts are
+    /// bit-identical to fixed-BFS planning.
     pub adaptive: bool,
     /// Per-connection socket read/write timeout in milliseconds (0 = off).
     /// A half-open or stalled peer gets `ERR E_TIMEOUT` and its connection
@@ -729,7 +744,7 @@ pub fn render_prometheus(state: &ServerState) -> String {
         ),
         (
             "ceci_adaptive_replans_total",
-            "Adaptive plan choices where a non-default candidate won",
+            "Cached indexes rebuilt under a challenger plan their reuse paid to score",
             g(&m.adaptive_replans),
         ),
         (
@@ -877,7 +892,7 @@ pub fn render_prometheus(state: &ServerState) -> String {
         (
             &m.plan_score_latency,
             "ceci_plan_score_us",
-            "Adaptive planner portfolio scoring time per cache-miss build, microseconds",
+            "Plan-portfolio scoring time per re-plan a cached index's reuse paid for, microseconds",
         ),
     ] {
         let (cum, sum, count) = hist.cumulative_us();
@@ -928,78 +943,174 @@ fn load_query(path: &str) -> Result<QueryGraph, String> {
     QueryGraph::from_graph(&pattern).map_err(|e| format!("invalid query: {e}"))
 }
 
-/// A successful cache-miss build: the plan, the frozen index, (when stream
+/// What [`run_build`] produces: the plan, the frozen index, (when stream
 /// repair is on) the maintainable base index kept for future patches, and
 /// (when adaptive planning is on) the planner's decision record.
-type BuiltIndex = (
-    Arc<QueryPlan>,
-    Arc<Ceci>,
-    Option<Arc<StreamIndex>>,
-    Option<PlanChoice>,
-);
+struct BuiltIndex {
+    plan: Arc<QueryPlan>,
+    ceci: Arc<Ceci>,
+    stream: Option<Arc<StreamIndex>>,
+    choice: Option<PlanChoice>,
+}
+
+impl BuiltIndex {
+    /// The cache entry for this build at `sub_epoch`, charging its bytes
+    /// and continuing (re-plan) or opening (miss) the rent/buy ledger.
+    fn into_entry(
+        self,
+        canonical: CanonicalQuery,
+        sub_epoch: u64,
+        reuse: Option<Arc<Reuse>>,
+    ) -> CachedIndex {
+        let reuse = reuse.unwrap_or_else(|| {
+            // A rebuild redoes the frozen index and, when kept, the stream
+            // tables.
+            let price = match &self.choice {
+                Some(_) => replan_price(&self.plan, &self.ceci, 1 + self.stream.is_some() as u64),
+                None => ReplanPrice::NEVER,
+            };
+            Arc::new(Reuse::new(price))
+        });
+        CachedIndex {
+            canonical,
+            bytes: self.ceci.size_bytes() + self.stream.as_ref().map_or(0, |s| s.size_bytes()),
+            plan: self.plan,
+            ceci: self.ceci,
+            sub_epoch,
+            stream: self.stream,
+            choice: self.choice,
+            reuse,
+            feedback: Mutex::new(None),
+        }
+    }
+}
+
+/// The plan a cache miss builds under. With [`ServeConfig::adaptive`] (the
+/// default) that is the paper's own — best root, BFS order — plus the
+/// one-candidate decision record a later re-plan extends.
+fn plan_for_miss(
+    state: &ServerState,
+    graph: &Graph,
+    query: QueryGraph,
+) -> (QueryPlan, Option<PlanChoice>) {
+    if !state.config.adaptive {
+        return (QueryPlan::new(query, graph), None);
+    }
+    plan_with_options(
+        query,
+        graph,
+        &PlanOptions {
+            order: OrderStrategy::Adaptive,
+            ..Default::default()
+        },
+        &AdaptiveOptions {
+            max_workers: state.config.max_match_workers.max(1),
+        },
+    )
+}
 
 /// Runs the (panic-prone) plan + CECI build under `catch_unwind`, honoring
 /// the one-shot chaos levers (`BUILDDELAY` sleeps first, then `BUILDPANIC`
 /// fires, so the two compose). `Err(())` means the build panicked; the
-/// caller quarantines the key.
+/// caller quarantines the key (a miss) or keeps the incumbent (a re-plan).
 ///
-/// With [`ServeConfig::adaptive`] (the default) the plan comes from the
-/// cost-model portfolio ([`plan_with_options`]): a pilot index over sampled
-/// pivots scores BFS/EdgeRank/PathRank orders across the top roots and the
-/// cheapest estimated intermediate-result volume wins. Scoring time lands
-/// in `plan_score_latency`; a non-default winner bumps `adaptive_replans`.
-fn run_build(state: &ServerState, graph: &Graph, query: QueryGraph) -> Result<BuiltIndex, ()> {
+/// The index is built once, under the plan `planner` returns, and a
+/// decision record coming with it takes its cost estimate from walks over
+/// that served index ([`PlanChoice::estimate_served`]).
+fn run_build(
+    state: &ServerState,
+    graph: &Graph,
+    planner: impl FnOnce() -> (QueryPlan, Option<PlanChoice>),
+) -> Result<BuiltIndex, ()> {
     let delay_ms = state.build_delay_ms.swap(0, Ordering::SeqCst);
     let armed = state.build_panic_armed.swap(false, Ordering::SeqCst);
     let build_threads = state.config.build_threads.max(1);
     let keep_stream = state.config.stream_repair;
-    let adaptive = state.config.adaptive;
-    let max_workers = state.config.max_match_workers.max(1);
-    let built = catch_unwind(AssertUnwindSafe(move || {
+    catch_unwind(AssertUnwindSafe(move || {
         if delay_ms > 0 {
             std::thread::sleep(Duration::from_millis(delay_ms));
         }
         if armed {
             panic!("injected CHAOS BUILDPANIC during index build");
         }
-        let (plan, choice) = if adaptive {
-            plan_with_options(
-                query,
-                graph,
-                &PlanOptions {
-                    order: OrderStrategy::Adaptive,
-                    ..Default::default()
-                },
-                &AdaptiveOptions {
-                    max_workers,
-                    ..Default::default()
-                },
-            )
-        } else {
-            (QueryPlan::new(query, graph), None)
-        };
-        let plan = Arc::new(plan);
-        let ceci = Arc::new(Ceci::build_with(
+        let (plan, mut choice) = planner();
+        let ceci = Ceci::build_with(
             graph,
             &plan,
             ceci_core::BuildOptions {
                 threads: build_threads,
                 ..Default::default()
             },
-        ));
+        );
         // The maintainable base tables ride along so a later mutation can
         // repair this entry instead of rebuilding it.
         let stream = keep_stream.then(|| Arc::new(StreamIndex::build(graph, &plan)));
-        (plan, ceci, stream, choice)
-    }))
-    .map_err(|_| ())?;
-    if let Some(choice) = &built.3 {
-        state.metrics.plan_score_latency.record(choice.score_time);
-        if choice.replanned {
-            ServerMetrics::inc(&state.metrics.adaptive_replans);
+        if let Some(choice) = choice.as_mut() {
+            choice.estimate_served(graph, &plan, &ceci);
         }
-    }
-    Ok(built)
+        BuiltIndex {
+            plan: Arc::new(plan),
+            ceci: Arc::new(ceci),
+            stream,
+            choice,
+        }
+    }))
+    .map_err(|_| ())
+}
+
+/// The buy side of the rent/buy rule, run by a request that found a current
+/// (`HIT` / `REPAIRED`) entry. The one request whose [`Reuse::claim`]
+/// succeeds — the entry's spent work has reached its re-plan price and
+/// nobody scored before — scores the challengers against the incumbent's
+/// observed work and, only if one wins, rebuilds index and stream tables
+/// under it against the request's own snapshot. Either way the entry is
+/// swapped in place for one carrying the scored decision record and the
+/// same ledger, so this happens at most once per lineage of entries. The
+/// request keeps its cache tag: this is neither a miss, a repair nor an
+/// eviction, and it counts only as `plan_score_latency` and (on a win)
+/// `adaptive_replans`.
+///
+/// Returns the entry to execute against and what the re-plan took; `None`
+/// when nothing was due (or scoring panicked, which keeps the incumbent).
+fn replan_if_due(
+    state: &ServerState,
+    graph_epoch: u64,
+    graph: &Graph,
+    index: &Arc<CachedIndex>,
+) -> Option<(Arc<CachedIndex>, Duration)> {
+    let choice = index.choice.as_ref()?;
+    let observed = index.reuse.claim()?;
+    let t0 = Instant::now();
+    let (winner, scored) = catch_unwind(AssertUnwindSafe(|| {
+        choice.score_challengers(graph, &index.plan, &observed)
+    }))
+    .ok()?;
+    state.metrics.plan_score_latency.record(scored.score_time);
+    let rebuilt = match winner {
+        Some(plan) => {
+            let built = run_build(state, graph, move || (plan, Some(scored))).ok()?;
+            ServerMetrics::inc(&state.metrics.adaptive_replans);
+            built
+        }
+        // The incumbent stays: same tables, now with the scores on record.
+        None => BuiltIndex {
+            plan: Arc::clone(&index.plan),
+            ceci: Arc::clone(&index.ceci),
+            stream: index.stream.clone(),
+            choice: Some(scored),
+        },
+    };
+    let entry = Arc::new(rebuilt.into_entry(
+        index.canonical.clone(),
+        index.sub_epoch,
+        Some(Arc::clone(&index.reuse)),
+    ));
+    state.cache.insert_arc(graph_epoch, Arc::clone(&entry));
+    state
+        .metrics
+        .cache_evictions
+        .store(state.cache.evictions(), Ordering::Relaxed);
+    Some((entry, t0.elapsed()))
 }
 
 /// Attempts to repair a stale cached entry in place: patch its retained
@@ -1056,9 +1167,10 @@ fn repair_entry(
     }
     let bytes = ceci.size_bytes() + patched.size_bytes();
     // The plan is unchanged by a repair, so the planner's decision record
-    // carries over; execution feedback does NOT — it was measured against
-    // the pre-mutation candidate sets, and the repaired entry re-profiles
-    // on its next exact run.
+    // and the rent/buy ledger (work spent, re-plan done or not) carry over;
+    // execution feedback does NOT — it was measured against the
+    // pre-mutation candidate sets, and the repaired entry re-profiles on
+    // its next exact run.
     Some((
         CachedIndex {
             canonical: old.canonical.clone(),
@@ -1068,6 +1180,7 @@ fn repair_entry(
             sub_epoch,
             stream: Some(Arc::new(patched)),
             choice: old.choice.clone(),
+            reuse: Arc::clone(&old.reuse),
             feedback: Mutex::new(None),
         },
         repair,
@@ -1108,24 +1221,14 @@ fn build_solo(
     canonical: CanonicalQuery,
 ) -> Result<(Arc<CachedIndex>, &'static str, Duration), Vec<String>> {
     let t0 = Instant::now();
-    let (plan, ceci, stream, choice) = match run_build(state, graph, query) {
+    let built = match run_build(state, graph, || plan_for_miss(state, graph, query)) {
         Ok(built) => built,
         Err(()) => return Err(quarantine_after_panic(state, graph_epoch, &canonical)),
     };
     let build = t0.elapsed();
-    record_build(state, &ceci, build);
-    let bytes = ceci.size_bytes() + stream.as_ref().map_or(0, |s| s.size_bytes());
+    record_build(state, &built.ceci, build);
     Ok((
-        Arc::new(CachedIndex {
-            canonical,
-            plan,
-            ceci,
-            bytes,
-            sub_epoch,
-            stream,
-            choice,
-            feedback: Mutex::new(None),
-        }),
+        Arc::new(built.into_entry(canonical, sub_epoch, None)),
         "MISS",
         build,
     ))
@@ -1193,22 +1296,13 @@ fn index_for(
         }
     }
     let t0 = Instant::now();
-    let (plan, ceci, stream, choice) = match run_build(state, graph, query) {
+    let built = match run_build(state, graph, || plan_for_miss(state, graph, query)) {
         Ok(built) => built,
         Err(()) => return Err(quarantine_after_panic(state, graph_epoch, &canonical)),
     };
     let build = t0.elapsed();
-    record_build(state, &ceci, build);
-    let shared = Arc::new(CachedIndex {
-        canonical,
-        plan,
-        ceci: Arc::clone(&ceci),
-        bytes: ceci.size_bytes() + stream.as_ref().map_or(0, |s| s.size_bytes()),
-        sub_epoch,
-        stream,
-        choice,
-        feedback: Mutex::new(None),
-    });
+    record_build(state, &built.ceci, build);
+    let shared = Arc::new(built.into_entry(canonical, sub_epoch, None));
     // Collisions keep the *old* entry (LRU decides who survives budget
     // pressure); overwriting would thrash between the two queries.
     if probe != Probe::Collision {
@@ -1230,7 +1324,7 @@ fn finish_lead(
     guard: crate::cache::FlightGuard<'_>,
 ) -> Result<(Arc<CachedIndex>, &'static str, Duration), Vec<String>> {
     let t0 = Instant::now();
-    match run_build(state, graph, query) {
+    match run_build(state, graph, || plan_for_miss(state, graph, query)) {
         Err(()) => {
             // Quarantine *before* releasing the gate so waiters and
             // later probes agree on the verdict.
@@ -1238,20 +1332,10 @@ fn finish_lead(
             guard.fail();
             Err(lines)
         }
-        Ok((plan, ceci, stream, choice)) => {
+        Ok(built) => {
             let build = t0.elapsed();
-            record_build(state, &ceci, build);
-            let bytes = ceci.size_bytes() + stream.as_ref().map_or(0, |s| s.size_bytes());
-            let entry = guard.complete(CachedIndex {
-                canonical,
-                plan,
-                ceci,
-                bytes,
-                sub_epoch,
-                stream,
-                choice,
-                feedback: Mutex::new(None),
-            });
+            record_build(state, &built.ceci, build);
+            let entry = guard.complete(built.into_entry(canonical, sub_epoch, None));
             // `complete` inserts internally; sync the server-level
             // eviction counter to the cache's authoritative one.
             state
@@ -1444,11 +1528,22 @@ fn exec_match(
     let cancel = deadline_ms.map(|ms| CancelToken::after(Duration::from_millis(ms)));
 
     let t_index = Instant::now();
-    let (index, cache_tag, build) = match index_for(state, &entry, &graph, sub_epoch, query) {
+    let (mut index, cache_tag, build) = match index_for(state, &entry, &graph, sub_epoch, query) {
         Ok(built) => built,
         Err(lines) => return lines,
     };
     let index_time = t_index.elapsed();
+
+    // Rent or buy: a current entry whose reuse has paid for it re-plans
+    // here, once, after any due repair and before this request enumerates.
+    // `RAW` asked for the pre-adaptive path and never pays for a re-plan.
+    let mut replan = Duration::ZERO;
+    if !raw && cache_tag != "MISS" {
+        if let Some((swapped, took)) = replan_if_due(state, entry.epoch, &graph, &index) {
+            index = swapped;
+            replan = took;
+        }
+    }
 
     // Worker count: explicit `WORKERS` wins, then the adaptive planner's
     // recommendation (sized from estimated volume), then the server default.
@@ -1547,7 +1642,7 @@ fn exec_match(
                     };
                 if let Some(f) = frontier {
                     let mut sink = CountSink::unbounded();
-                    enumerate_from_frontier(
+                    let counters = enumerate_from_frontier(
                         &graph,
                         &index.plan,
                         &index.ceci,
@@ -1558,6 +1653,7 @@ fn exec_match(
                         &f.frontier,
                         &mut sink,
                     );
+                    index.reuse.spend(&counters);
                     break 'run (sink.count(), false);
                 }
             }
@@ -1613,6 +1709,7 @@ fn exec_match(
                 }
             }
         }
+        index.reuse.spend(&result.counters);
         (result.total_embeddings, result.cancelled)
     };
     let enum_time = t_enum.elapsed();
@@ -1643,6 +1740,9 @@ fn exec_match(
         line.push_str(" batch=");
         line.push_str(tag);
     }
+    if replan > Duration::ZERO {
+        line.push_str(&format!(" replan_us={}", replan.as_micros()));
+    }
     let lines = vec![line];
     if state.tracer.enabled() {
         record_request_spans(
@@ -1651,6 +1751,7 @@ fn exec_match(
                 queue_wait,
                 index_time,
                 build,
+                replan,
                 enum_time,
                 total: t_start.elapsed(),
             },
@@ -1731,6 +1832,9 @@ struct RequestTiming {
     index_time: Duration,
     /// Build portion of `index_time` (zero on a cache hit).
     build: Duration,
+    /// Portfolio scoring + rebuild, on the one request per entry that pays
+    /// for its re-plan (zero otherwise).
+    replan: Duration,
     /// Enumeration wall time.
     enum_time: Duration,
     /// Execution start to response-lines-ready.
@@ -1739,8 +1843,8 @@ struct RequestTiming {
 
 /// Records one `service.request` span with its stage children
 /// (`service.queue` → `service.cache_probe` → `service.build` →
-/// `service.enumerate` → `service.serialize`) ending at the tracer's
-/// current clock.
+/// `service.replan` → `service.enumerate` → `service.serialize`) ending at
+/// the tracer's current clock.
 fn record_request_spans(tracer: &Tracer, t: RequestTiming, args: &[(&'static str, u64)]) {
     let ns = |d: Duration| d.as_nanos() as u64;
     let end = tracer.now_ns();
@@ -1761,11 +1865,13 @@ fn record_request_spans(tracer: &Tracer, t: RequestTiming, args: &[(&'static str
     // load, response formatting) lands in `serialize` — the closing stage.
     let serialize = ns(t.total)
         .saturating_sub(ns(t.index_time))
+        .saturating_sub(ns(t.replan))
         .saturating_sub(ns(t.enum_time));
     for (name, dur) in [
         ("service.queue", ns(t.queue_wait)),
         ("service.cache_probe", probe),
         ("service.build", ns(t.build)),
+        ("service.replan", ns(t.replan)),
         ("service.enumerate", ns(t.enum_time)),
         ("service.serialize", serialize),
     ] {
@@ -1799,10 +1905,11 @@ fn exec_explain(
     let report = ceci_core::explain_plan(&index.plan, &graph);
     let mut lines: Vec<String> = report.lines().map(|l| format!("| {l}")).collect();
     lines.push(format!("| index: bytes={} cache={cache_tag}", index.bytes));
-    // Plan-choice section: which candidate orders the adaptive planner
-    // scored, the winner's estimated cost, and the execution decision.
+    // Plan-choice section: where the entry's rent/buy ledger stands, which
+    // orders have been weighed, the served plan's estimated cost, and the
+    // execution decision.
     if let Some(choice) = index.choice.as_ref() {
-        for l in explain_choice(choice).lines() {
+        for l in explain_choice(choice, &index.reuse).lines() {
             lines.push(format!("| {l}"));
         }
     }

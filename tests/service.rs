@@ -425,17 +425,17 @@ fn stats_prom_emits_valid_exposition_format() {
     assert_eq!(value("ceci_load_requests_total"), Some(1.0));
     assert_eq!(value("ceci_cache_misses_total"), Some(1.0));
     assert_eq!(value("ceci_graphs_loaded"), Some(1.0));
-    // Adaptive-execution counters are exported (zero is fine — nothing
-    // degraded here) and the planner scored exactly one cache-miss build.
+    // Adaptive-execution counters are exported, all zero: nothing degraded
+    // here, and a cache miss scores no plan portfolio.
     assert_eq!(value("ceci_approx_answers_total"), Some(0.0));
     assert_eq!(value("ceci_infeasible_rejects_total"), Some(0.0));
-    assert!(value("ceci_adaptive_replans_total").is_some());
+    assert_eq!(value("ceci_adaptive_replans_total"), Some(0.0));
     assert_eq!(
         samples
             .iter()
             .find(|s| s.name == "ceci_plan_score_us_count")
             .map(|s| s.value),
-        Some(1.0)
+        Some(0.0)
     );
     // The match latency histogram observed exactly one request.
     assert_eq!(
@@ -543,6 +543,7 @@ fn traced_server_records_request_stage_spans() {
             "service.queue",
             "service.cache_probe",
             "service.build",
+            "service.replan",
             "service.enumerate",
             "service.serialize",
         ] {
@@ -1254,8 +1255,458 @@ fn adaptive_counts_bit_identical_to_raw_and_fixed() {
             );
         }
     }
+
+    // The post-re-plan entry: the order-sensitive template served until its
+    // reuse has bought the portfolio and a challenger order has replaced the
+    // BFS one, then the same four ways again.
+    let (graph, pattern) = order_sensitive();
+    let expected = direct_count(&graph, &pattern);
+    let graph_path = scratch.write_graph("skewed.graph", &graph);
+    let query_path = scratch.write_graph("order-sensitive.graph", &pattern);
+    client.request(&format!("LOAD s {graph_path}")).unwrap();
+    fixed.request(&format!("LOAD s {graph_path}")).unwrap();
+    let served = serve_until_replan(&mut client, &format!("MATCH s {query_path}"), 200);
+    assert!(served.iter().all(|r| r.count == expected), "{served:?}");
+    let explain = client.request(&format!("EXPLAIN s {query_path}")).unwrap();
+    assert!(
+        explain
+            .payload
+            .iter()
+            .any(|l| l.contains("scored=true") && l.contains("replanned=true")),
+        "{:?}",
+        explain.payload
+    );
+    for request in [
+        format!("MATCH s {query_path}"),
+        format!("MATCH s {query_path} RAW"),
+        format!("MATCH s {query_path} LIMIT 1000000"),
+        format!("MATCH s {query_path} WORKERS 2"),
+    ] {
+        let resp = client.request(&request).unwrap();
+        assert_eq!(resp.field("cache"), Some("HIT"), "{}", resp.terminal);
+        assert_eq!(resp.field_u64("count"), Some(expected), "{request}");
+    }
+    let base = fixed.request(&format!("MATCH s {query_path}")).unwrap();
+    assert_eq!(base.field_u64("count"), Some(expected));
     handle.shutdown();
     fixed_handle.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// Rent BFS, buy the portfolio: a miss plans once, and an entry re-plans at
+// most once, only after its own reuse has paid for it.
+// ---------------------------------------------------------------------------
+
+/// An Erdős–Rényi graph under a skewed 55/25/15/5 four-label alphabet, and a
+/// five-vertex template whose BFS order does about ten times the work of the
+/// best portfolio order on it — a gap no estimate's noise can hide, so its
+/// re-plan must happen, and must replace the plan.
+fn order_sensitive() -> (Graph, Graph) {
+    let base = erdos_renyi(600, 3_000, 0xADA9);
+    let mut b = ceci_graph::GraphBuilder::new();
+    for v in base.vertices() {
+        let label = match ceci_query::splitmix64(v.0 as u64 ^ 0xADA9) % 100 {
+            0..=54 => 0,
+            55..=79 => 1,
+            80..=94 => 2,
+            _ => 3,
+        };
+        b.add_vertex(ceci_graph::LabelId(label));
+    }
+    for v in base.vertices() {
+        for &nb in base.neighbors(v) {
+            if v < nb {
+                b.add_edge(v, nb);
+            }
+        }
+    }
+    let graph = b.build();
+    let pattern = extract_query(&graph, 5, 7, 10)
+        .expect("extractable query")
+        .pattern;
+    (graph, pattern)
+}
+
+/// What one `MATCH` reply said.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct Served {
+    count: u64,
+    cache: String,
+    /// The reply carried `replan_us=`: this request paid for the re-plan.
+    replanned: bool,
+}
+
+fn served(resp: &ceci_service::Response) -> Served {
+    assert!(resp.is_ok(), "{}", resp.terminal);
+    Served {
+        count: resp.field_u64("count").expect("count field"),
+        cache: resp.field("cache").expect("cache field").to_string(),
+        replanned: resp.field("replan_us").is_some(),
+    }
+}
+
+/// Sends `request` until a reply carries `replan_us=` (at most `cap` times)
+/// and returns every reply, the re-planning one last.
+fn serve_until_replan(client: &mut Client, request: &str, cap: usize) -> Vec<Served> {
+    let mut replies = Vec::new();
+    while replies.len() < cap {
+        replies.push(served(&client.request(request).unwrap()));
+        if replies.last().unwrap().replanned {
+            return replies;
+        }
+    }
+    panic!("no re-plan within {cap} requests: {replies:?}");
+}
+
+/// The server's Prometheus samples by name (unlabeled ones).
+fn prom(client: &mut Client) -> std::collections::BTreeMap<String, f64> {
+    let resp = client.request("STATS PROM").unwrap();
+    let text = resp.payload.join("\n") + "\n";
+    ceci_trace::prom::parse(&text)
+        .unwrap()
+        .into_iter()
+        .filter(|s| s.labels.is_empty())
+        .map(|s| (s.name, s.value))
+        .collect()
+}
+
+#[test]
+fn one_shot_matches_never_score_a_portfolio() {
+    let scratch = Scratch::new("one-shot");
+    let graph = small_graph();
+    let graph_path = scratch.write_graph("data.graph", &graph);
+    let (handle, _state) = serve(ServeConfig::default());
+    let mut client = Client::connect(handle.addr()).unwrap();
+    client.request(&format!("LOAD g {graph_path}")).unwrap();
+
+    // 50 templates no two of which are isomorphic, each asked once.
+    let mut seen = std::collections::HashSet::new();
+    let mut seed = 0;
+    while seen.len() < 50 {
+        seed += 1;
+        let Some(extracted) = extract_query(&graph, 3 + (seed % 4) as usize, seed, 50) else {
+            continue;
+        };
+        let query = QueryGraph::from_graph(&extracted.pattern).unwrap();
+        if !seen.insert(ceci_query::canonical_hash(&query)) {
+            continue;
+        }
+        let path = scratch.write_graph(&format!("q{seed}.graph"), &extracted.pattern);
+        let reply = served(&client.request(&format!("MATCH g {path}")).unwrap());
+        assert_eq!(reply.cache, "MISS", "seed {seed}");
+        assert!(!reply.replanned, "seed {seed}");
+        assert_eq!(reply.count, direct_count(&graph, &extracted.pattern));
+    }
+    let stats = prom(&mut client);
+    assert_eq!(stats["ceci_cache_misses_total"], 50.0);
+    assert_eq!(stats["ceci_build_latency_us_count"], 50.0);
+    assert_eq!(stats["ceci_plan_score_us_count"], 0.0);
+    assert_eq!(stats["ceci_adaptive_replans_total"], 0.0);
+    handle.shutdown();
+}
+
+#[test]
+fn order_sensitive_template_replans_exactly_once_at_the_same_request() {
+    let scratch = Scratch::new("replan-once");
+    let (graph, pattern) = order_sensitive();
+    let expected = direct_count(&graph, &pattern);
+    let graph_path = scratch.write_graph("data.graph", &graph);
+    let query_path = scratch.write_graph("query.graph", &pattern);
+    let request = format!("MATCH g {query_path}");
+
+    // Two fresh servers, the same 60 requests: the trigger is exact
+    // counters, so both re-plan on the same request.
+    let mut runs: Vec<Vec<Served>> = Vec::new();
+    for _ in 0..2 {
+        let (handle, state) = serve(ServeConfig {
+            trace: true,
+            ..ServeConfig::default()
+        });
+        let mut client = Client::connect(handle.addr()).unwrap();
+        client.request(&format!("LOAD g {graph_path}")).unwrap();
+        let replies: Vec<Served> = (0..60)
+            .map(|_| served(&client.request(&request).unwrap()))
+            .collect();
+
+        // Identical counts before, during and after; one miss, then hits.
+        assert!(replies.iter().all(|r| r.count == expected), "{replies:?}");
+        assert_eq!(replies[0].cache, "MISS");
+        assert!(replies[1..].iter().all(|r| r.cache == "HIT"), "{replies:?}");
+        assert!(!replies[0].replanned, "a miss never pays for a re-plan");
+        assert_eq!(replies.iter().filter(|r| r.replanned).count(), 1);
+
+        // The re-plan is neither a miss, a repair nor an eviction.
+        let stats = prom(&mut client);
+        assert_eq!(stats["ceci_cache_misses_total"], 1.0);
+        assert_eq!(stats["ceci_cache_hits_total"], 59.0);
+        assert_eq!(stats["ceci_build_latency_us_count"], 1.0);
+        assert_eq!(stats["ceci_index_repairs_total"], 0.0);
+        assert_eq!(stats["ceci_index_repair_fallbacks_total"], 0.0);
+        assert_eq!(stats["ceci_cache_evictions_total"], 0.0);
+        assert_eq!(stats["ceci_plan_score_us_count"], 1.0);
+        assert_eq!(stats["ceci_adaptive_replans_total"], 1.0);
+        assert_eq!(stats["ceci_cache_entries"], 1.0);
+
+        let explain = client.request(&format!("EXPLAIN g {query_path}")).unwrap();
+        let choice = explain
+            .payload
+            .iter()
+            .find(|l| l.contains("plan choice:"))
+            .expect("choice section");
+        assert!(
+            choice.contains("scored=true") && choice.contains("replanned=true"),
+            "{choice}"
+        );
+        assert!(
+            explain
+                .payload
+                .iter()
+                .filter(|l| l.contains("cand="))
+                .count()
+                > 1,
+            "the scored portfolio is on record: {:?}",
+            explain.payload
+        );
+
+        // The paying request's span has the one non-empty `replan` stage,
+        // and its stages still tile it.
+        let spans = state.tracer.snapshot();
+        let paid: Vec<_> = spans
+            .iter()
+            .filter(|s| s.name == "service.replan" && s.dur_ns > 0)
+            .collect();
+        assert_eq!(paid.len(), 1);
+        let request = spans.iter().find(|s| s.id == paid[0].parent).unwrap();
+        assert_eq!(request.name, "service.request");
+        let stages: u64 = spans
+            .iter()
+            .filter(|s| s.parent == request.id)
+            .map(|s| s.dur_ns)
+            .sum();
+        assert_eq!(stages, request.dur_ns, "stages tile the request");
+        assert!(
+            paid[0].dur_ns * 2 > request.dur_ns,
+            "and the re-plan dominates it"
+        );
+        runs.push(replies);
+        handle.shutdown();
+    }
+    assert_eq!(runs[0], runs[1], "the re-plan lands on the same request");
+    let at = runs[0].iter().position(|r| r.replanned).unwrap();
+    assert!(at > 1, "reuse has to pay first, re-planned at request {at}");
+}
+
+#[test]
+fn rent_buy_ledger_rides_along_through_repairs() {
+    let scratch = Scratch::new("replan-repair");
+    let (graph, pattern) = order_sensitive();
+    let graph_path = scratch.write_graph("data.graph", &graph);
+    let query_path = scratch.write_graph("query.graph", &pattern);
+    let request = format!("MATCH g {query_path}");
+    let spent = |client: &mut Client| -> (u64, bool) {
+        let explain = client.request(&format!("EXPLAIN g {query_path}")).unwrap();
+        let line = explain
+            .payload
+            .iter()
+            .find(|l| l.contains("plan choice:"))
+            .expect("choice section")
+            .clone();
+        let field = |key: &str| {
+            line.split_whitespace()
+                .find_map(|tok| tok.strip_prefix(key))
+                .unwrap_or_else(|| panic!("{key} in {line}"))
+                .to_string()
+        };
+        (field("spent=").parse().unwrap(), field("scored=") == "true")
+    };
+
+    let (handle, _state) = serve(ServeConfig::default());
+    let mut client = Client::connect(handle.addr()).unwrap();
+    client.request(&format!("LOAD g {graph_path}")).unwrap();
+
+    // Rent for three requests, short of the price.
+    for i in 0..3 {
+        let reply = served(&client.request(&request).unwrap());
+        assert_eq!(reply.count, direct_count(&graph, &pattern));
+        assert!(!reply.replanned, "request {i} re-planned before reuse paid");
+    }
+    let (before, scored) = spent(&mut client);
+    assert!(before > 0 && !scored);
+
+    // A batch makes the entry stale; the repaired entry carries the ledger.
+    let ((a, b), (c, d)) = applicable_mutation(&graph, 97);
+    let resp = client
+        .request(&format!("BATCH g +{a}:{b} -{c}:{d}"))
+        .unwrap();
+    assert!(resp.is_ok(), "{}", resp.terminal);
+    let reference = mutated_copy(&graph, &[(a, b)], &[(c, d)]);
+    let reply = served(&client.request(&request).unwrap());
+    assert_eq!(reply.cache, "REPAIRED");
+    assert_eq!(reply.count, direct_count(&reference, &pattern));
+    let (after, scored) = spent(&mut client);
+    assert!(after > before && !scored, "{before} -> {after}");
+
+    // Reuse goes on paying until the one re-plan, on a current entry.
+    let replies = serve_until_replan(&mut client, &request, 200);
+    assert!(replies.iter().all(|r| r.cache == "HIT"), "{replies:?}");
+    assert!(replies
+        .iter()
+        .all(|r| r.count == direct_count(&reference, &pattern)));
+    assert!(spent(&mut client).1);
+
+    // Later batches repair the re-planned entry and never buy a second one.
+    let mut reference = reference;
+    for round in 0..3 {
+        let ((a, b), (c, d)) = applicable_mutation(&reference, 131 + round);
+        let resp = client
+            .request(&format!("BATCH g +{a}:{b} -{c}:{d}"))
+            .unwrap();
+        assert!(resp.is_ok(), "{}", resp.terminal);
+        reference = mutated_copy(&reference, &[(a, b)], &[(c, d)]);
+        for i in 0..30 {
+            let reply = served(&client.request(&request).unwrap());
+            assert_eq!(reply.cache, if i == 0 { "REPAIRED" } else { "HIT" });
+            assert_eq!(reply.count, direct_count(&reference, &pattern));
+            assert!(!reply.replanned, "round {round} request {i}");
+        }
+        assert!(spent(&mut client).1, "done stays done through a repair");
+    }
+    let stats = prom(&mut client);
+    assert_eq!(stats["ceci_adaptive_replans_total"], 1.0);
+    assert_eq!(stats["ceci_plan_score_us_count"], 1.0);
+    assert_eq!(stats["ceci_cache_misses_total"], 1.0);
+    assert_eq!(stats["ceci_index_repairs_total"], 4.0);
+    assert_eq!(stats["ceci_index_repair_fallbacks_total"], 0.0);
+    handle.shutdown();
+}
+
+#[test]
+fn batch_landing_between_replan_trigger_and_swap_is_repaired_forward() {
+    let scratch = Scratch::new("replan-race");
+    let (graph, pattern) = order_sensitive();
+    let graph_path = scratch.write_graph("data.graph", &graph);
+    let query_path = scratch.write_graph("query.graph", &pattern);
+    let request = format!("MATCH g {query_path}");
+
+    // A dry run on a twin server finds the triggering request: the trigger
+    // is exact counters, so it is the same request here.
+    let trigger = {
+        let (handle, _state) = serve(ServeConfig::default());
+        let mut client = Client::connect(handle.addr()).unwrap();
+        client.request(&format!("LOAD g {graph_path}")).unwrap();
+        let at = serve_until_replan(&mut client, &request, 200).len();
+        handle.shutdown();
+        at
+    };
+
+    let (handle, _state) = serve(ServeConfig {
+        chaos: true,
+        ..ServeConfig::default()
+    });
+    let addr = handle.addr();
+    let mut client = Client::connect(addr).unwrap();
+    client.request(&format!("LOAD g {graph_path}")).unwrap();
+    for _ in 1..trigger {
+        assert!(!served(&client.request(&request).unwrap()).replanned);
+    }
+    // The next index build — the re-plan's rebuild under the winner —
+    // sleeps first, holding the window between trigger and swap open.
+    let resp = client.request("CHAOS BUILDDELAY 600").unwrap();
+    assert!(resp.is_ok(), "{}", resp.terminal);
+    let replanner = {
+        let request = request.clone();
+        std::thread::spawn(move || {
+            let mut c = Client::connect(addr).unwrap();
+            c.request(&request).unwrap()
+        })
+    };
+    std::thread::sleep(Duration::from_millis(200));
+    let ((a, b), (c, d)) = applicable_mutation(&graph, 97);
+    let resp = client
+        .request(&format!("BATCH g +{a}:{b} -{c}:{d}"))
+        .unwrap();
+    assert!(resp.is_ok(), "{}", resp.terminal);
+    let reference = mutated_copy(&graph, &[(a, b)], &[(c, d)]);
+
+    // The re-planning request answers for the snapshot it started on.
+    let reply = served(&replanner.join().unwrap());
+    assert!(reply.replanned, "{reply:?}");
+    assert_eq!(reply.cache, "HIT");
+    assert_eq!(reply.count, direct_count(&graph, &pattern));
+
+    // Its swapped-in entry is one batch behind: repaired forward under the
+    // new plan, with the ledger still marked done.
+    let reply = served(&client.request(&request).unwrap());
+    assert_eq!(reply.cache, "REPAIRED");
+    assert!(!reply.replanned);
+    assert_eq!(reply.count, direct_count(&reference, &pattern));
+    for _ in 0..30 {
+        let reply = served(&client.request(&request).unwrap());
+        assert_eq!((reply.cache.as_str(), reply.replanned), ("HIT", false));
+        assert_eq!(reply.count, direct_count(&reference, &pattern));
+    }
+    let explain = client.request(&format!("EXPLAIN g {query_path}")).unwrap();
+    assert!(
+        explain
+            .payload
+            .iter()
+            .any(|l| l.contains("scored=true") && l.contains("replanned=true")),
+        "{:?}",
+        explain.payload
+    );
+    let stats = prom(&mut client);
+    assert_eq!(stats["ceci_adaptive_replans_total"], 1.0);
+    assert_eq!(stats["ceci_plan_score_us_count"], 1.0);
+    assert_eq!(stats["ceci_cache_misses_total"], 1.0);
+    assert_eq!(stats["ceci_index_repairs_total"], 1.0);
+    assert_eq!(stats["ceci_index_repair_fallbacks_total"], 0.0);
+    handle.shutdown();
+}
+
+#[test]
+fn eight_concurrent_clients_elect_one_scorer() {
+    let scratch = Scratch::new("replan-concurrent");
+    let (graph, pattern) = order_sensitive();
+    let expected = direct_count(&graph, &pattern);
+    let graph_path = scratch.write_graph("data.graph", &graph);
+    let query_path = scratch.write_graph("query.graph", &pattern);
+
+    let (handle, _state) = serve(ServeConfig {
+        pool_workers: 8,
+        ..ServeConfig::default()
+    });
+    let addr = handle.addr();
+    let mut client = Client::connect(addr).unwrap();
+    client.request(&format!("LOAD g {graph_path}")).unwrap();
+
+    let barrier = Arc::new(std::sync::Barrier::new(8));
+    let threads: Vec<_> = (0..8)
+        .map(|_| {
+            let barrier = Arc::clone(&barrier);
+            let request = format!("MATCH g {query_path}");
+            std::thread::spawn(move || {
+                let mut c = Client::connect(addr).unwrap();
+                barrier.wait();
+                (0..40)
+                    .map(|_| served(&c.request(&request).unwrap()))
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    let replies: Vec<Served> = threads
+        .into_iter()
+        .flat_map(|t| t.join().unwrap())
+        .collect();
+    assert_eq!(replies.len(), 320);
+    assert!(replies.iter().all(|r| r.count == expected));
+    assert_eq!(replies.iter().filter(|r| r.replanned).count(), 1);
+    assert_eq!(replies.iter().filter(|r| r.cache == "MISS").count(), 1);
+    let stats = prom(&mut client);
+    assert_eq!(stats["ceci_plan_score_us_count"], 1.0);
+    assert_eq!(stats["ceci_adaptive_replans_total"], 1.0);
+    assert_eq!(stats["ceci_cache_misses_total"], 1.0);
+    assert_eq!(stats["ceci_build_latency_us_count"], 1.0);
+    handle.shutdown();
 }
 
 // ---------------------------------------------------------------------------
@@ -1602,6 +2053,11 @@ fn explain_shows_plan_choice_and_estimate_accuracy() {
     assert!(
         has("plan choice:"),
         "missing choice section: {:?}",
+        resp.payload
+    );
+    assert!(
+        has("plan choice: scored=false spent=") && has(" price="),
+        "missing the rent/buy ledger: {:?}",
         resp.payload
     );
     assert!(has("chosen=1"), "no candidate marked chosen");
