@@ -8,11 +8,12 @@
 //! overlay (with one mid-sweep CSR compaction). At every batch boundary,
 //! for each registered query template, the sweep times
 //!
-//! * **maintain** — the continuous-query path: `StreamIndex::patch` over the
-//!   batch's dirty endpoints plus `batch_delta` (new/retired matches), which
-//!   carries the embedding total forward incrementally;
-//! * **repair** — the cache-repair path: the same patch plus
-//!   `StreamIndex::materialize` into a frozen, refined `Ceci`;
+//! * **maintain** — the continuous-query path: `batch_delta` (new/retired
+//!   matches) over the two snapshots, which carries the embedding total
+//!   forward without any index of the query;
+//! * **repair** — the cache-repair path: `StreamIndex::patch` over the
+//!   batch's dirty endpoints plus `StreamIndex::materialize` into a frozen,
+//!   refined `Ceci`;
 //! * **rebuild** — the from-scratch reference: fresh `QueryPlan` +
 //!   `Ceci::build` + full `count_embeddings` on the post-batch snapshot.
 //!
@@ -23,25 +24,45 @@
 //! excluding the initial build). A shortfall prints a warning rather than
 //! failing the run (wall-clock ratios are host-dependent); count identity is
 //! always asserted.
+//!
+//! A second, **served-shaped** sweep ([`served_sweep`]) asks the question
+//! the serving layer's repair path poses: an entry owns tables at one
+//! snapshot, a batch of 1 / 100 / 1 000 / 10 000 mutations lands, and the
+//! next read either repairs (`patch` — merging or, past its floor, rebasing
+//! — plus `materialize`) or would have rebuilt (`Ceci::build_with` under the
+//! same plan). It records both costs and the branch taken per size on the
+//! wiki-talk stand-in and **asserts** `repair_never_slower` (repair ≤
+//! [`REPAIR_SLACK`] × rebuild at every size).
 
 use std::time::Duration;
 
-use ceci_core::{batch_delta, count_embeddings, Ceci};
+use ceci_core::{batch_delta, count_embeddings, BuildOptions, Ceci};
 use ceci_graph::extract::extract_query;
 use ceci_graph::io::{batch_by_timestamp, load_temporal};
 use ceci_graph::{lid, vid, Graph, LabelSet, VertexId};
-use ceci_query::{QueryGraph, QueryPlan};
+use ceci_query::{PaperQuery, QueryGraph, QueryPlan};
 use ceci_service::GraphRegistry;
 use ceci_stream::{RepairStats, StreamIndex};
 
 use crate::harness::time;
 use crate::json::JsonValue;
 use crate::table::Table;
-use crate::Scale;
+use crate::{Dataset, Scale};
 
 /// Amortized rebuild/maintain wall-time ratio the incremental path is
 /// expected to clear at 10k-edge batches.
 const TARGET_SPEEDUP: f64 = 3.0;
+
+/// How far a repair may exceed the rebuild it replaces, at any batch size,
+/// before the served-shaped sweep fails.
+const REPAIR_SLACK: f64 = 1.1;
+
+/// Batch sizes of the served-shaped sweep.
+const SERVED_BATCHES: [usize; 4] = [1, 100, 1_000, 10_000];
+
+/// Timed repeats per cell of the served-shaped sweep; a cell reports its
+/// quickest (interference on a shared host only ever adds time).
+const SERVED_REPEATS: usize = 7;
 
 fn xorshift(state: &mut u64) -> u64 {
     let mut x = *state;
@@ -138,7 +159,7 @@ struct BatchRow {
 
 impl BatchRow {
     fn maintain(&self) -> Duration {
-        self.patch + self.delta
+        self.delta
     }
     fn repair(&self) -> Duration {
         self.patch + self.materialize
@@ -220,12 +241,13 @@ pub fn run(scale: Scale) {
             ..BatchRow::default()
         };
         for q in queries.iter_mut() {
-            // Continuous-query maintenance: patch the live tables, carry the
-            // total forward by the batch delta.
+            // Cache repair, first half: patch the entry's tables forward.
             let (stats, patch_t) = time(|| {
                 q.stream
                     .patch(&outcome.new_graph, &q.plan, &outcome.endpoints)
             });
+            // Continuous-query maintenance: carry the total forward by the
+            // batch delta.
             let (delta, delta_t) = time(|| {
                 batch_delta(
                     &outcome.old_graph,
@@ -236,7 +258,7 @@ pub fn run(scale: Scale) {
                 )
             });
             q.total = delta.apply_to(q.total);
-            // Cache-repair path: freeze the patched tables into a Ceci.
+            // Cache repair, second half: freeze the patched tables.
             let (ceci_repaired, mat_t) = time(|| q.stream.materialize(&outcome.new_graph, &q.plan));
             // From-scratch reference on the same snapshot (fresh plan: the
             // initial candidate sets are graph-dependent).
@@ -361,6 +383,7 @@ pub fn run(scale: Scale) {
         .field("repair_speedup", repair_speedup)
         .field("target_speedup", TARGET_SPEEDUP)
         .field("counts_bit_identical", true)
+        .field("served_sweep", served_sweep(scale))
         .to_pretty();
 
     let out_dir = std::path::Path::new("bench_results");
@@ -376,6 +399,113 @@ pub fn run(scale: Scale) {
     std::fs::remove_dir_all(&dir).ok();
     // Silence the unused-field lint path: the entry keeps the final snapshot.
     let _ = entry.pending();
+}
+
+/// The served-shaped sweep: per batch size, what the read after the batch
+/// pays to repair an entry that owns tables at the pre-batch snapshot,
+/// against what rebuilding it under the same plan would have cost.
+fn served_sweep(scale: Scale) -> JsonValue {
+    let graph = Dataset::Wt.build(scale);
+    println!(
+        "\nServed-shaped repair vs rebuild on the WT stand-in (n={} m={}), quickest of \
+         {SERVED_REPEATS}:\n",
+        graph.num_vertices(),
+        graph.num_edges()
+    );
+    let n = graph.num_vertices() as u64;
+    let plans: Vec<(PaperQuery, QueryPlan)> = [PaperQuery::Qg1, PaperQuery::Qg2]
+        .into_iter()
+        .map(|q| (q, QueryPlan::new(q.build(), &graph)))
+        .collect();
+    let (entry, _) = GraphRegistry::new().insert("wt", graph);
+    let mut s = 0x5e7_feed_u64;
+    let mut t = Table::new(vec![
+        "batch", "query", "branch", "keys", "repair", "rebuild", "ratio",
+    ]);
+    let mut rows: Vec<JsonValue> = Vec::new();
+    let mut never_slower = true;
+    for size in SERVED_BATCHES {
+        let before = entry.graph();
+        // stream-rw's mix: one deletion of a present edge per twenty
+        // mutations, the rest additions between random vertices.
+        let dels: Vec<(VertexId, VertexId)> = (0..size / 20)
+            .filter_map(|_| {
+                let a = vid((xorshift(&mut s) % n) as u32);
+                let nbrs = before.neighbors(a);
+                let b = *nbrs.get(xorshift(&mut s) as usize % nbrs.len().max(1))?;
+                Some((a, b))
+            })
+            .collect();
+        let adds: Vec<(VertexId, VertexId)> = (dels.len()..size)
+            .map(|_| {
+                let a = vid((xorshift(&mut s) % n) as u32);
+                let b = vid((xorshift(&mut s) % n) as u32);
+                (a, b)
+            })
+            .filter(|(a, b)| a != b)
+            .collect();
+        let outcome = entry
+            .apply_batch(&adds, &dels, usize::MAX, 64)
+            .expect("in-range mutation batch");
+        for (q, plan) in &plans {
+            let mut repair_t = Duration::MAX;
+            let mut rebuild_t = Duration::MAX;
+            let mut stats = RepairStats::default();
+            for _ in 0..SERVED_REPEATS {
+                let mut tables = StreamIndex::build(&before, plan);
+                let ((patched, repaired), took) = time(|| {
+                    let stats = tables.patch(&outcome.new_graph, plan, &outcome.endpoints);
+                    (stats, tables.materialize(&outcome.new_graph, plan))
+                });
+                repair_t = repair_t.min(took);
+                let (rebuilt, took) =
+                    time(|| Ceci::build_with(&outcome.new_graph, plan, BuildOptions::default()));
+                rebuild_t = rebuild_t.min(took);
+                assert_eq!(
+                    count_embeddings(&outcome.new_graph, plan, &repaired),
+                    count_embeddings(&outcome.new_graph, plan, &rebuilt),
+                    "{} batch of {size}: repaired index diverges from rebuild",
+                    q.name()
+                );
+                stats = patched;
+            }
+            let ratio = us(repair_t) / us(rebuild_t).max(1e-9);
+            never_slower &= ratio <= REPAIR_SLACK;
+            let branch = if stats.rebases > 0 { "rebase" } else { "patch" };
+            t.row(vec![
+                outcome.applied().to_string(),
+                q.name().to_string(),
+                branch.to_string(),
+                stats.keys_recomputed.to_string(),
+                format!("{:.0} us", us(repair_t)),
+                format!("{:.0} us", us(rebuild_t)),
+                format!("{ratio:.2}x"),
+            ]);
+            rows.push(
+                JsonValue::object()
+                    .field("batch_size", size)
+                    .field("applied", outcome.applied())
+                    .field("query", q.name())
+                    .field("branch", branch)
+                    .field("dirty_vertices", stats.dirty_vertices)
+                    .field("keys_recomputed", stats.keys_recomputed)
+                    .field("repair_us", us(repair_t))
+                    .field("rebuild_us", us(rebuild_t))
+                    .field("repair_over_rebuild", ratio),
+            );
+        }
+    }
+    t.print();
+    assert!(
+        never_slower,
+        "a repair cost more than {REPAIR_SLACK}x the rebuild it replaces (table above)"
+    );
+    JsonValue::object()
+        .field("dataset", "WT stand-in")
+        .field("repeats", SERVED_REPEATS)
+        .field("slack", REPAIR_SLACK)
+        .field("rows", JsonValue::Array(rows))
+        .field("repair_never_slower", never_slower)
 }
 
 #[cfg(test)]

@@ -167,25 +167,6 @@ impl<'q> VertexFilters<'q> {
             && degree_filter(self.query, graph, u, v)
             && nlc_filter(&self.nlc[u.index()], graph, v)
     }
-
-    /// Appends the filtered adjacency `F(u, of)` — neighbors of data vertex
-    /// `of` passing [`VertexFilters::passes`] for `u` — onto `out` in sorted
-    /// order (data adjacency is sorted).
-    pub fn filtered_neighbors_into(
-        &self,
-        graph: &Graph,
-        u: VertexId,
-        of: VertexId,
-        out: &mut Vec<VertexId>,
-    ) {
-        out.extend(
-            graph
-                .neighbors(of)
-                .iter()
-                .copied()
-                .filter(|&v| self.passes(graph, u, v)),
-        );
-    }
 }
 
 /// Candidate set of one query vertex, plus the precomputed query-side NLC

@@ -14,9 +14,10 @@
 //!   --compact-threshold N  pending overlay edges that trigger CSR compaction
 //!                        after a mutation batch (default 32768)
 //!   --dirty-log-cap N    mutation batches of dirty endpoints kept per graph
-//!                        for index repair (default 64; older caches rebuild)
-//!   --no-stream-repair   disable incremental index repair (stale cache
-//!                        entries always rebuild from scratch)
+//!                        for index repair (default 64; an older entry's
+//!                        tables are rebased on the current snapshot)
+//!   --no-stream-repair   disable index repair (stale cache entries always
+//!                        rebuild from scratch, as a miss)
 //!   --no-adaptive        disable cost-model-driven adaptive execution
 //!                        (fixed BFS plans, no reuse-paid re-plan, no
 //!                        deadline-aware APPROX / E_INFEASIBLE degradation,

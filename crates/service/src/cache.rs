@@ -10,9 +10,10 @@
 //! is counted (`cache_collisions`) and treated as a miss rather than ever
 //! serving the wrong index.
 //!
-//! Entries are immutable `Arc`s (plan + frozen CECI), accounted by
-//! [`Ceci::size_bytes`], and evicted LRU-first when the configured byte
-//! budget is exceeded. Replacing a graph (`LOAD` over an existing name)
+//! Entries are immutable `Arc`s (plan + frozen CECI), charged
+//! [`Ceci::size_bytes`] — plus the maintainable tables' bytes once an entry
+//! owns them — and evicted LRU-first when the configured byte budget is
+//! exceeded. Replacing a graph (`LOAD` over an existing name)
 //! eagerly sweeps every entry built against the displaced epoch.
 //!
 //! ## Quarantine
@@ -30,9 +31,13 @@
 //! they bump the entry's *sub-epoch*. A probe whose sub-epoch differs from
 //! the cached entry's answers [`Probe::Stale`] (or
 //! [`FlightProbe::Stale`] under single-flight), removes the outdated slot,
-//! and hands the old entry back so the caller can *repair* it — patch the
-//! retained [`StreamIndex`] from the graph's dirty log and re-freeze —
-//! instead of rebuilding from scratch.
+//! and hands the old entry back so the caller can *repair* it under its
+//! retained plan instead of rebuilding from scratch. The maintainable
+//! [`StreamIndex`] tables a repair works on have one owner at a time: a
+//! miss builds none, the first repair of a lineage builds them against its
+//! snapshot, and every later repair *moves* them out of the dead entry
+//! ([`CachedIndex::take_tables`]) and patches them forward from the graph's
+//! dirty log.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -41,6 +46,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use ceci_core::{Ceci, Kernel, PlanChoice, Reuse};
 use ceci_query::{CanonicalQuery, QueryPlan};
 use ceci_stream::StreamIndex;
+
+use crate::event_loop::lock_recover;
 
 /// Execution feedback observed from a prior exact run of a cached index:
 /// the per-depth intersection kernels the depth profile picked and the
@@ -69,13 +76,17 @@ pub struct CachedIndex {
     pub plan: Arc<QueryPlan>,
     /// The frozen candidate index.
     pub ceci: Arc<Ceci>,
-    /// Bytes charged against the cache budget.
+    /// Bytes charged against the cache budget: the frozen index, plus the
+    /// maintainable tables when the entry was created owning them.
     pub bytes: usize,
     /// Mutation sub-epoch of the snapshot the index was built against.
     pub sub_epoch: u64,
-    /// The maintainable base tables the frozen index was materialized from;
-    /// `None` when stream repair is disabled (stale entries then rebuild).
-    pub stream: Option<Arc<StreamIndex>>,
+    /// The maintainable base tables the frozen index was materialized from.
+    /// `None` until a repair has built them (a miss never does), and again
+    /// once the repair superseding this entry has moved them on — by then
+    /// the entry has left the cache, and requests still holding it read
+    /// only `plan` and `ceci`.
+    tables: Mutex<Option<StreamIndex>>,
     /// The adaptive planner's decision record (the plans weighed so far,
     /// the served plan's cost estimate, strategy/worker recommendation);
     /// `None` when the index was planned with a fixed strategy
@@ -90,6 +101,47 @@ pub struct CachedIndex {
     /// Observed-execution feedback, populated after the first profiled
     /// exact run; later runs pin its kernels and admission rate.
     pub feedback: Mutex<Option<PlanFeedback>>,
+}
+
+impl CachedIndex {
+    /// An entry for `ceci` (built or materialized under `plan` against the
+    /// snapshot at `sub_epoch`) that owns `tables` when given, charged for
+    /// both.
+    pub fn new(
+        canonical: CanonicalQuery,
+        plan: Arc<QueryPlan>,
+        ceci: Arc<Ceci>,
+        tables: Option<StreamIndex>,
+        sub_epoch: u64,
+        choice: Option<PlanChoice>,
+        reuse: Arc<Reuse>,
+    ) -> CachedIndex {
+        CachedIndex {
+            canonical,
+            bytes: ceci.size_bytes() + tables.as_ref().map_or(0, StreamIndex::size_bytes),
+            plan,
+            ceci,
+            sub_epoch,
+            tables: Mutex::new(tables),
+            choice,
+            reuse,
+            feedback: Mutex::new(None),
+        }
+    }
+
+    /// Moves the maintainable tables out, leaving the entry without any.
+    /// For the one request that supersedes this entry (the single-flight
+    /// repair leader, or the re-plan that keeps its incumbent).
+    pub fn take_tables(&self) -> Option<StreamIndex> {
+        lock_recover(&self.tables).take()
+    }
+
+    /// Bytes of the maintainable tables the entry currently owns (0: none).
+    pub fn table_bytes(&self) -> usize {
+        lock_recover(&self.tables)
+            .as_ref()
+            .map_or(0, StreamIndex::size_bytes)
+    }
 }
 
 #[derive(Debug)]
@@ -173,9 +225,8 @@ pub enum FlightProbe<'a> {
     /// the flight (unwind safety net).
     Lead(FlightGuard<'a>),
     /// This caller is the build leader *and* an outdated entry for the same
-    /// canonical form was found (and removed): repair it forward instead of
-    /// rebuilding when its retained stream tables allow, then `complete` as
-    /// usual.
+    /// canonical form was found (and removed): repair it forward under its
+    /// plan instead of rebuilding, then `complete` as usual.
     Stale(Arc<CachedIndex>, FlightGuard<'a>),
     /// Another caller is already building this key; `wait()` blocks until
     /// its outcome.
@@ -469,6 +520,13 @@ impl IndexCache {
         keys.len()
     }
 
+    /// The live entries, in no particular order (a snapshot: byte-accounting
+    /// tests sum it against [`IndexCache::bytes`]).
+    pub fn entries(&self) -> Vec<Arc<CachedIndex>> {
+        let map = self.map.lock().expect("cache lock poisoned");
+        map.slots.values().map(|s| Arc::clone(&s.entry)).collect()
+    }
+
     /// Current number of cached entries.
     pub fn len(&self) -> usize {
         self.map.lock().expect("cache lock poisoned").slots.len()
@@ -520,7 +578,7 @@ mod tests {
             ceci: Arc::new(ceci),
             bytes,
             sub_epoch: 0,
-            stream: None,
+            tables: Mutex::new(None),
             choice: None,
             reuse: Arc::new(Reuse::new(ReplanPrice::NEVER)),
             feedback: Mutex::new(None),

@@ -29,8 +29,10 @@
 //! * a **streaming-mutation layer**: `ADDEDGE`/`DELEDGE`/`BATCH` verbs
 //!   mutate a loaded graph through a delta overlay over the frozen CSR
 //!   (compacted at a configurable threshold), cached indexes are
-//!   **repaired** from per-batch dirty endpoints instead of rebuilt
-//!   ([`registry`], `ceci_stream`), and `REGISTER`ed **continuous
+//!   **repaired** under their plan instead of rebuilt — the maintainable
+//!   tables built by an entry's first stale read, then moved along and
+//!   patched from per-batch dirty endpoints ([`registry`], [`cache`],
+//!   `ceci_stream`) — and `REGISTER`ed **continuous
 //!   queries** emit per-batch embedding-count deltas (`EVENT DELTA`)
 //!   to their connection ([`server`]),
 //! * an **adaptive execution layer** (on by default, `--no-adaptive` to

@@ -193,11 +193,17 @@ pub struct ServerMetrics {
     pub edges_deleted: AtomicU64,
     /// Overlay compactions (delta merged into a fresh base CSR).
     pub compactions: AtomicU64,
-    /// Stale cached indexes repaired in place from the dirty log instead of
-    /// rebuilt from scratch.
+    /// Stale cached indexes repaired forward under their plan (`mode=first`,
+    /// `patch` or `rebase`) instead of rebuilt as a miss.
     pub index_repairs: AtomicU64,
-    /// Stale cached indexes that had to fall back to a full rebuild (no
-    /// stream tables retained, or the dirty log was truncated).
+    /// The `mode=rebase` share of `index_repairs`: the entry's tables were
+    /// rebuilt on the request's snapshot instead of merged into, because the
+    /// batch was past `StreamIndex::patch`'s floor or the dirty log no longer
+    /// covered the gap.
+    pub index_repair_rebases: AtomicU64,
+    /// Stale cached indexes that fell back to a full rebuild, counted as a
+    /// miss: repair is off, the repair panicked, or the entry was from the
+    /// future.
     pub index_repair_fallbacks: AtomicU64,
     /// Continuous-query delta events emitted to registered connections.
     pub continuous_events: AtomicU64,
@@ -236,8 +242,8 @@ pub struct ServerMetrics {
     /// Reverse-BFS refinement phase time within cache-miss builds
     /// (Algorithm 2).
     pub build_refine_latency: LatencyHistogram,
-    /// Stale-index repair time (patch from dirty log + re-freeze), the
-    /// counterpart of `build_latency` for the repair path.
+    /// Stale-index repair time (tables built, patched or rebased, then
+    /// re-frozen), the counterpart of `build_latency` for the repair path.
     pub index_repair_latency: LatencyHistogram,
     /// Time spent scoring a plan portfolio (pilot index builds +
     /// random-walk costing), recorded once per cached entry whose reuse
@@ -303,6 +309,7 @@ impl ServerMetrics {
             ("edges_deleted".into(), g(&self.edges_deleted)),
             ("compactions".into(), g(&self.compactions)),
             ("index_repairs".into(), g(&self.index_repairs)),
+            ("index_repair_rebases".into(), g(&self.index_repair_rebases)),
             (
                 "index_repair_fallbacks".into(),
                 g(&self.index_repair_fallbacks),

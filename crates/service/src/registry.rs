@@ -23,11 +23,11 @@
 //! sound overestimate — so the filter never rejects a satisfiable query.
 //!
 //! Each applied batch is appended to a bounded **dirty log** of touched
-//! endpoints. The index cache uses it to repair a stale cached index
-//! forward across `(old sub-epoch, current]` instead of rebuilding; when
-//! the log has been truncated past the needed range,
+//! endpoints. The index cache uses it to patch a stale cached index's
+//! maintainable tables forward across `(old sub-epoch, current]`; when the
+//! log has been truncated past the needed range,
 //! [`GraphEntry::dirty_endpoints_since`] answers `None` and the caller
-//! falls back to a full rebuild.
+//! rebases the tables on the current snapshot instead.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,7 +35,6 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 use ceci_graph::{DeltaOverlay, Graph, VertexId};
 use ceci_query::QueryPlan;
-use ceci_stream::StreamIndex;
 use std::collections::HashMap;
 
 use crate::event_loop::SharedWriter;
@@ -137,8 +136,8 @@ impl GraphEntry {
 
     /// Distinct endpoints touched by every batch in
     /// `(from_sub_epoch, current]`, or `None` when the dirty log no longer
-    /// covers that range (repair must fall back to a rebuild). An up-to-date
-    /// caller gets `Some(empty)`.
+    /// covers that range (a repair then rebases instead of patching). An
+    /// up-to-date caller gets `Some(empty)`.
     pub fn dirty_endpoints_since(&self, from_sub_epoch: u64) -> Option<Vec<VertexId>> {
         let st = self.stream.read().expect("stream lock poisoned");
         if from_sub_epoch >= st.sub_epoch {
@@ -329,19 +328,19 @@ impl GraphRegistry {
     }
 }
 
-/// One registered continuous query: its live (maintainable) index plus the
-/// running embedding total and the connection to notify per batch.
+/// One registered continuous query: its plan, the running embedding total
+/// and the connection to notify per batch. It holds no index of any kind:
+/// `ceci_core::batch_delta` computes new − retired matches from the two
+/// snapshots around a batch and the batch's edges alone.
 pub(crate) struct ContinuousQuery {
     /// Registry name of the graph the query watches.
     pub(crate) graph: String,
     /// Load epoch the registration is pinned to; a re-`LOAD` drops it.
     pub(crate) epoch: u64,
-    /// Mutation sub-epoch the stream tables currently reflect.
+    /// Mutation sub-epoch `total` currently reflects.
     pub(crate) sub_epoch: u64,
-    /// The (graph-stable) matching plan the index maintains.
+    /// The (graph-stable) matching plan deltas are enumerated under.
     pub(crate) plan: Arc<QueryPlan>,
-    /// Maintainable candidate tables, patched in place per batch.
-    pub(crate) stream: StreamIndex,
     /// Running embedding total; updated by the delta identity per batch.
     pub(crate) total: u64,
     /// Where `EVENT DELTA` lines go.

@@ -37,7 +37,7 @@
 use std::net::{SocketAddr, TcpListener};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -54,7 +54,7 @@ use ceci_graph::{vid, Graph, VertexId};
 use ceci_query::{
     admission_check, CanonicalQuery, OrderStrategy, PlanOptions, QueryGraph, QueryPlan,
 };
-use ceci_stream::StreamIndex;
+use ceci_stream::{RepairStats, StreamIndex};
 use ceci_trace::{PromWriter, Tracer};
 
 use crate::cache::{CachedIndex, FlightProbe, FlightWait, IndexCache, PlanFeedback, Probe};
@@ -113,10 +113,16 @@ pub struct ServeConfig {
     /// rebuild).
     pub compact_threshold: usize,
     /// Applied mutation batches whose dirty endpoints are retained per
-    /// graph; stale indexes older than the log fall back to a rebuild.
+    /// graph; a stale index older than the log has its tables rebased on
+    /// the current snapshot instead of patched.
     pub dirty_log_cap: usize,
-    /// Keep the maintainable stream tables alongside cached indexes so
-    /// stale entries are *repaired* from the dirty log instead of rebuilt.
+    /// Repair a stale cached index forward under its retained plan instead
+    /// of rebuilding it as a miss. The maintainable tables a repair works
+    /// on exist only where a mutation asked for them: a miss builds none,
+    /// the first stale probe of an entry builds them against its snapshot,
+    /// later ones move them out of the dead entry and patch them from the
+    /// dirty log (or rebase them when the batch is too large to merge or the log no
+    /// longer covers the gap). Off: every stale probe is a miss.
     pub stream_repair: bool,
     /// Cost-model-driven adaptive execution. A cache miss plans as the
     /// paper does (best root, BFS order) and takes one 64-walk cost
@@ -610,7 +616,7 @@ pub fn render_prometheus(state: &ServerState) -> String {
     let m = &state.metrics;
     let g = |a: &std::sync::atomic::AtomicU64| a.load(Ordering::Relaxed);
     let mut w = PromWriter::new();
-    let counters: [(&str, &str, u64); 35] = [
+    let counters: [(&str, &str, u64); 36] = [
         (
             "ceci_requests_total",
             "Request lines accepted (parse successes)",
@@ -729,12 +735,17 @@ pub fn render_prometheus(state: &ServerState) -> String {
         ),
         (
             "ceci_index_repairs_total",
-            "Stale cached indexes repaired from the dirty log",
+            "Stale cached indexes repaired forward under their plan",
             g(&m.index_repairs),
         ),
         (
+            "ceci_index_repair_rebases_total",
+            "Repairs that rebuilt the maintainable tables on the snapshot instead of merging",
+            g(&m.index_repair_rebases),
+        ),
+        (
             "ceci_index_repair_fallbacks_total",
-            "Stale cached indexes that fell back to a full rebuild",
+            "Stale cached indexes rebuilt as a miss (repair off or panicked, entry from the future)",
             g(&m.index_repair_fallbacks),
         ),
         (
@@ -835,7 +846,7 @@ pub fn render_prometheus(state: &ServerState) -> String {
     );
     w.gauge(
         "ceci_cache_bytes",
-        "Bytes of frozen index currently cached",
+        "Bytes of frozen indexes (and the maintainable tables repaired ones own) currently cached",
         state.cache.bytes() as u64,
     );
     w.gauge(
@@ -887,7 +898,7 @@ pub fn render_prometheus(state: &ServerState) -> String {
         (
             &m.index_repair_latency,
             "ceci_index_repair_us",
-            "Stale-index repair time (patch + re-freeze), microseconds",
+            "Stale-index repair time (tables built, patched or rebased + re-freeze), microseconds",
         ),
         (
             &m.plan_score_latency,
@@ -943,45 +954,50 @@ fn load_query(path: &str) -> Result<QueryGraph, String> {
     QueryGraph::from_graph(&pattern).map_err(|e| format!("invalid query: {e}"))
 }
 
-/// What [`run_build`] produces: the plan, the frozen index, (when stream
-/// repair is on) the maintainable base index kept for future patches, and
-/// (when adaptive planning is on) the planner's decision record.
+/// What [`run_build`] produces: the plan, the frozen index and (when
+/// adaptive planning is on) the planner's decision record. No maintainable
+/// tables: those are built by the first repair that needs them.
 struct BuiltIndex {
     plan: Arc<QueryPlan>,
     ceci: Arc<Ceci>,
-    stream: Option<Arc<StreamIndex>>,
     choice: Option<PlanChoice>,
 }
 
 impl BuiltIndex {
-    /// The cache entry for this build at `sub_epoch`, charging its bytes
-    /// and continuing (re-plan) or opening (miss) the rent/buy ledger.
+    /// The cache entry for this build at `sub_epoch`, owning `tables` when
+    /// the incumbent's moved over, and continuing (re-plan) or opening
+    /// (miss) the rent/buy ledger.
     fn into_entry(
         self,
+        state: &ServerState,
         canonical: CanonicalQuery,
         sub_epoch: u64,
+        tables: Option<StreamIndex>,
         reuse: Option<Arc<Reuse>>,
     ) -> CachedIndex {
         let reuse = reuse.unwrap_or_else(|| {
-            // A rebuild redoes the frozen index and, when kept, the stream
-            // tables.
+            // A re-plan rebuilds the frozen index now and, with repair on,
+            // the tables at the winner's next repair (the incumbent's are
+            // for the wrong plan): both are in the price.
             let price = match &self.choice {
-                Some(_) => replan_price(&self.plan, &self.ceci, 1 + self.stream.is_some() as u64),
+                Some(_) => replan_price(
+                    &self.plan,
+                    &self.ceci,
+                    1 + state.config.stream_repair as u64,
+                ),
                 None => ReplanPrice::NEVER,
             };
             Arc::new(Reuse::new(price))
         });
-        CachedIndex {
+        CachedIndex::new(
             canonical,
-            bytes: self.ceci.size_bytes() + self.stream.as_ref().map_or(0, |s| s.size_bytes()),
-            plan: self.plan,
-            ceci: self.ceci,
+            self.plan,
+            self.ceci,
+            tables,
             sub_epoch,
-            stream: self.stream,
-            choice: self.choice,
+            self.choice,
             reuse,
-            feedback: Mutex::new(None),
-        }
+        )
     }
 }
 
@@ -1025,7 +1041,6 @@ fn run_build(
     let delay_ms = state.build_delay_ms.swap(0, Ordering::SeqCst);
     let armed = state.build_panic_armed.swap(false, Ordering::SeqCst);
     let build_threads = state.config.build_threads.max(1);
-    let keep_stream = state.config.stream_repair;
     catch_unwind(AssertUnwindSafe(move || {
         if delay_ms > 0 {
             std::thread::sleep(Duration::from_millis(delay_ms));
@@ -1042,16 +1057,12 @@ fn run_build(
                 ..Default::default()
             },
         );
-        // The maintainable base tables ride along so a later mutation can
-        // repair this entry instead of rebuilding it.
-        let stream = keep_stream.then(|| Arc::new(StreamIndex::build(graph, &plan)));
         if let Some(choice) = choice.as_mut() {
             choice.estimate_served(graph, &plan, &ceci);
         }
         BuiltIndex {
             plan: Arc::new(plan),
             ceci: Arc::new(ceci),
-            stream,
             choice,
         }
     }))
@@ -1062,8 +1073,9 @@ fn run_build(
 /// (`HIT` / `REPAIRED`) entry. The one request whose [`Reuse::claim`]
 /// succeeds — the entry's spent work has reached its re-plan price and
 /// nobody scored before — scores the challengers against the incumbent's
-/// observed work and, only if one wins, rebuilds index and stream tables
-/// under it against the request's own snapshot. Either way the entry is
+/// observed work and, only if one wins, rebuilds the index under it
+/// against the request's own snapshot (the winner's maintainable tables
+/// wait for its first repair, like a miss's). Either way the entry is
 /// swapped in place for one carrying the scored decision record and the
 /// same ledger, so this happens at most once per lineage of entries. The
 /// request keeps its cache tag: this is neither a miss, a repair nor an
@@ -1086,23 +1098,28 @@ fn replan_if_due(
     }))
     .ok()?;
     state.metrics.plan_score_latency.record(scored.score_time);
-    let rebuilt = match winner {
+    let (rebuilt, tables) = match winner {
         Some(plan) => {
             let built = run_build(state, graph, move || (plan, Some(scored))).ok()?;
             ServerMetrics::inc(&state.metrics.adaptive_replans);
-            built
+            (built, None)
         }
-        // The incumbent stays: same tables, now with the scores on record.
-        None => BuiltIndex {
-            plan: Arc::clone(&index.plan),
-            ceci: Arc::clone(&index.ceci),
-            stream: index.stream.clone(),
-            choice: Some(scored),
-        },
+        // The incumbent stays: same index, now with the scores on record,
+        // and its tables move over to the entry that replaces it.
+        None => (
+            BuiltIndex {
+                plan: Arc::clone(&index.plan),
+                ceci: Arc::clone(&index.ceci),
+                choice: Some(scored),
+            },
+            index.take_tables(),
+        ),
     };
     let entry = Arc::new(rebuilt.into_entry(
+        state,
         index.canonical.clone(),
         index.sub_epoch,
+        tables,
         Some(Arc::clone(&index.reuse)),
     ));
     state.cache.insert_arc(graph_epoch, Arc::clone(&entry));
@@ -1113,38 +1130,96 @@ fn replan_if_due(
     Some((entry, t0.elapsed()))
 }
 
-/// Attempts to repair a stale cached entry in place: patch its retained
-/// stream tables from the graph's dirty log against the request's snapshot,
-/// then re-freeze. `None` means repair is not possible (repair disabled, no
-/// stream tables retained, the dirty log no longer covers the gap, or the
-/// entry is from the *future* relative to this snapshot) and the caller
-/// must fall back to a full rebuild.
+/// How a request came by its index: `cache=` in the response and, for the
+/// three rungs of a repair, `mode=` in the `service.repair` span and in
+/// `EXPLAIN`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum CachePath {
+    Hit,
+    Miss,
+    /// Repaired; the entry never had maintainable tables: built on the
+    /// snapshot.
+    First,
+    /// Repaired; the tables moved out of the dead entry and merged forward
+    /// from the dirty log.
+    Patch,
+    /// Repaired; the tables rebuilt on the snapshot in place of the entry's
+    /// old ones: the batch was past [`StreamIndex::patch`]'s floor, or
+    /// the dirty log no longer covers the gap.
+    Rebase,
+}
+
+impl CachePath {
+    fn tag(self) -> &'static str {
+        match self {
+            CachePath::Hit => "HIT",
+            CachePath::Miss => "MISS",
+            CachePath::First | CachePath::Patch | CachePath::Rebase => "REPAIRED",
+        }
+    }
+
+    fn repair_mode(self) -> Option<&'static str> {
+        match self {
+            CachePath::Hit | CachePath::Miss => None,
+            CachePath::First => Some("mode=first"),
+            CachePath::Patch => Some("mode=patch"),
+            CachePath::Rebase => Some("mode=rebase"),
+        }
+    }
+}
+
+/// What [`index_for`] answers: the entry, how the request came by it, and
+/// the build (or repair) time it paid.
+type Indexed = (Arc<CachedIndex>, CachePath, Duration);
+
+/// Repairs a stale cached entry forward under its retained plan: bring its
+/// maintainable tables to the request's snapshot ([`CachePath`]), then
+/// re-freeze. The tables are *moved* out of `old` — the probe that handed
+/// it over already removed it from the cache, and only this caller (the
+/// single-flight leader) repairs it. `None` means the caller must fall back
+/// to a full rebuild: repair is disabled, the entry is from the *future*
+/// relative to this snapshot, or the repair panicked.
 fn repair_entry(
     state: &ServerState,
     entry: &GraphEntry,
     graph: &Graph,
     sub_epoch: u64,
     old: &CachedIndex,
-) -> Option<(CachedIndex, Duration)> {
+) -> Option<(CachedIndex, CachePath, Duration)> {
     if !state.config.stream_repair || old.sub_epoch > sub_epoch {
         return None;
     }
-    let stream = old.stream.as_ref()?;
-    let endpoints = entry.dirty_endpoints_since(old.sub_epoch)?;
+    let endpoints = entry.dirty_endpoints_since(old.sub_epoch);
     let plan = Arc::clone(&old.plan);
     let t0 = Instant::now();
     // Repair runs the same (panic-prone) index code paths a build does;
     // contain it the same way and fall back to a rebuild on unwind.
-    let (patched, ceci, stats) = catch_unwind(AssertUnwindSafe(|| {
-        let mut patched = (**stream).clone();
-        let stats = patched.patch(graph, &plan, &endpoints);
-        let ceci = Arc::new(patched.materialize(graph, &plan));
-        (patched, ceci, stats)
+    let (tables, ceci, stats, mode) = catch_unwind(AssertUnwindSafe(|| {
+        let (tables, stats, mode) = match (old.take_tables(), endpoints) {
+            (Some(mut tables), Some(endpoints)) => {
+                let stats = tables.patch(graph, &plan, &endpoints);
+                let mode = match stats.rebases {
+                    0 => CachePath::Patch,
+                    _ => CachePath::Rebase,
+                };
+                (tables, stats, mode)
+            }
+            (had, _) => (
+                StreamIndex::build(graph, &plan),
+                RepairStats::default(),
+                had.map_or(CachePath::First, |_| CachePath::Rebase),
+            ),
+        };
+        let ceci = Arc::new(tables.materialize(graph, &plan));
+        (tables, ceci, stats, mode)
     }))
     .ok()?;
     let repair = t0.elapsed();
     state.metrics.index_repair_latency.record(repair);
     ServerMetrics::inc(&state.metrics.index_repairs);
+    if mode == CachePath::Rebase {
+        ServerMetrics::inc(&state.metrics.index_repair_rebases);
+    }
     if state.tracer.enabled() {
         let dur = repair.as_nanos() as u64;
         let end = state.tracer.now_ns();
@@ -1156,6 +1231,7 @@ fn repair_entry(
             end.saturating_sub(dur),
             dur.max(1),
             vec![
+                (mode.repair_mode().expect("a repair rung"), 1),
                 ("dirty_vertices", stats.dirty_vertices as u64),
                 ("keys_recomputed", stats.keys_recomputed as u64),
                 ("keys_added", stats.keys_added as u64),
@@ -1165,24 +1241,22 @@ fn repair_entry(
             ],
         );
     }
-    let bytes = ceci.size_bytes() + patched.size_bytes();
     // The plan is unchanged by a repair, so the planner's decision record
     // and the rent/buy ledger (work spent, re-plan done or not) carry over;
     // execution feedback does NOT — it was measured against the
     // pre-mutation candidate sets, and the repaired entry re-profiles on
     // its next exact run.
     Some((
-        CachedIndex {
-            canonical: old.canonical.clone(),
+        CachedIndex::new(
+            old.canonical.clone(),
             plan,
             ceci,
-            bytes,
+            Some(tables),
             sub_epoch,
-            stream: Some(Arc::new(patched)),
-            choice: old.choice.clone(),
-            reuse: Arc::clone(&old.reuse),
-            feedback: Mutex::new(None),
-        },
+            old.choice.clone(),
+            Arc::clone(&old.reuse),
+        ),
+        mode,
         repair,
     ))
 }
@@ -1219,7 +1293,7 @@ fn build_solo(
     graph: &Graph,
     query: QueryGraph,
     canonical: CanonicalQuery,
-) -> Result<(Arc<CachedIndex>, &'static str, Duration), Vec<String>> {
+) -> Result<Indexed, Vec<String>> {
     let t0 = Instant::now();
     let built = match run_build(state, graph, || plan_for_miss(state, graph, query)) {
         Ok(built) => built,
@@ -1228,8 +1302,8 @@ fn build_solo(
     let build = t0.elapsed();
     record_build(state, &built.ceci, build);
     Ok((
-        Arc::new(built.into_entry(canonical, sub_epoch, None)),
-        "MISS",
+        Arc::new(built.into_entry(state, canonical, sub_epoch, None, None)),
+        CachePath::Miss,
         build,
     ))
 }
@@ -1255,7 +1329,7 @@ fn index_for(
     graph: &Graph,
     sub_epoch: u64,
     query: QueryGraph,
-) -> Result<(Arc<CachedIndex>, &'static str, Duration), Vec<String>> {
+) -> Result<Indexed, Vec<String>> {
     let graph_epoch = entry.epoch;
     let canonical = CanonicalQuery::of(&query);
     if state.config.single_flight {
@@ -1265,7 +1339,11 @@ fn index_for(
     match probe {
         Probe::Hit => {
             ServerMetrics::inc(&state.metrics.cache_hits);
-            return Ok((cached.expect("hit without entry"), "HIT", Duration::ZERO));
+            return Ok((
+                cached.expect("hit without entry"),
+                CachePath::Hit,
+                Duration::ZERO,
+            ));
         }
         Probe::Quarantined => {
             ServerMetrics::inc(&state.metrics.quarantine_hits);
@@ -1277,11 +1355,13 @@ fn index_for(
         }
         Probe::Stale => {
             let old = cached.expect("stale probe without entry");
-            if let Some((repaired, repair)) = repair_entry(state, entry, graph, sub_epoch, &old) {
+            if let Some((repaired, mode, repair)) =
+                repair_entry(state, entry, graph, sub_epoch, &old)
+            {
                 let shared = Arc::new(repaired);
                 let evicted = state.cache.insert_arc(graph_epoch, Arc::clone(&shared));
                 ServerMetrics::add(&state.metrics.cache_evictions, evicted);
-                return Ok((shared, "REPAIRED", repair));
+                return Ok((shared, mode, repair));
             }
             // Unrepairable: pay the full rebuild, counted as a miss.
             ServerMetrics::inc(&state.metrics.index_repair_fallbacks);
@@ -1302,14 +1382,14 @@ fn index_for(
     };
     let build = t0.elapsed();
     record_build(state, &built.ceci, build);
-    let shared = Arc::new(built.into_entry(canonical, sub_epoch, None));
+    let shared = Arc::new(built.into_entry(state, canonical, sub_epoch, None, None));
     // Collisions keep the *old* entry (LRU decides who survives budget
     // pressure); overwriting would thrash between the two queries.
     if probe != Probe::Collision {
         let evicted = state.cache.insert_arc(graph_epoch, Arc::clone(&shared));
         ServerMetrics::add(&state.metrics.cache_evictions, evicted);
     }
-    Ok((shared, "MISS", build))
+    Ok((shared, CachePath::Miss, build))
 }
 
 /// The leader side of a single-flight build: run it, publish through the
@@ -1322,7 +1402,7 @@ fn finish_lead(
     query: QueryGraph,
     canonical: CanonicalQuery,
     guard: crate::cache::FlightGuard<'_>,
-) -> Result<(Arc<CachedIndex>, &'static str, Duration), Vec<String>> {
+) -> Result<Indexed, Vec<String>> {
     let t0 = Instant::now();
     match run_build(state, graph, || plan_for_miss(state, graph, query)) {
         Err(()) => {
@@ -1335,14 +1415,14 @@ fn finish_lead(
         Ok(built) => {
             let build = t0.elapsed();
             record_build(state, &built.ceci, build);
-            let entry = guard.complete(built.into_entry(canonical, sub_epoch, None));
+            let entry = guard.complete(built.into_entry(state, canonical, sub_epoch, None, None));
             // `complete` inserts internally; sync the server-level
             // eviction counter to the cache's authoritative one.
             state
                 .metrics
                 .cache_evictions
                 .store(state.cache.evictions(), Ordering::Relaxed);
-            Ok((entry, "MISS", build))
+            Ok((entry, CachePath::Miss, build))
         }
     }
 }
@@ -1357,12 +1437,12 @@ fn index_for_single_flight(
     sub_epoch: u64,
     query: QueryGraph,
     canonical: CanonicalQuery,
-) -> Result<(Arc<CachedIndex>, &'static str, Duration), Vec<String>> {
+) -> Result<Indexed, Vec<String>> {
     let graph_epoch = entry.epoch;
     match state.cache.begin_at(graph_epoch, sub_epoch, &canonical) {
         FlightProbe::Hit(entry) => {
             ServerMetrics::inc(&state.metrics.cache_hits);
-            Ok((entry, "HIT", Duration::ZERO))
+            Ok((entry, CachePath::Hit, Duration::ZERO))
         }
         FlightProbe::Quarantined => {
             ServerMetrics::inc(&state.metrics.quarantine_hits);
@@ -1390,13 +1470,15 @@ fn index_for_single_flight(
             )
         }
         FlightProbe::Stale(old, guard) => {
-            if let Some((repaired, repair)) = repair_entry(state, entry, graph, sub_epoch, &old) {
+            if let Some((repaired, mode, repair)) =
+                repair_entry(state, entry, graph, sub_epoch, &old)
+            {
                 let shared = guard.complete(repaired);
                 state
                     .metrics
                     .cache_evictions
                     .store(state.cache.evictions(), Ordering::Relaxed);
-                return Ok((shared, "REPAIRED", repair));
+                return Ok((shared, mode, repair));
             }
             ServerMetrics::inc(&state.metrics.index_repair_fallbacks);
             ServerMetrics::inc(&state.metrics.cache_misses);
@@ -1416,7 +1498,7 @@ fn index_for_single_flight(
                 FlightWait::Ready(flown) => {
                     if flown.canonical == canonical && flown.sub_epoch == sub_epoch {
                         ServerMetrics::inc(&state.metrics.cache_hits);
-                        Ok((flown, "HIT", Duration::ZERO))
+                        Ok((flown, CachePath::Hit, Duration::ZERO))
                     } else {
                         // A different canonical form under this 64-bit hash
                         // (collision), or the leader ran against a different
@@ -1528,17 +1610,18 @@ fn exec_match(
     let cancel = deadline_ms.map(|ms| CancelToken::after(Duration::from_millis(ms)));
 
     let t_index = Instant::now();
-    let (mut index, cache_tag, build) = match index_for(state, &entry, &graph, sub_epoch, query) {
+    let (mut index, path, build) = match index_for(state, &entry, &graph, sub_epoch, query) {
         Ok(built) => built,
         Err(lines) => return lines,
     };
+    let cache_tag = path.tag();
     let index_time = t_index.elapsed();
 
     // Rent or buy: a current entry whose reuse has paid for it re-plans
     // here, once, after any due repair and before this request enumerates.
     // `RAW` asked for the pre-adaptive path and never pays for a re-plan.
     let mut replan = Duration::ZERO;
-    if !raw && cache_tag != "MISS" {
+    if !raw && path != CachePath::Miss {
         if let Some((swapped, took)) = replan_if_due(state, entry.epoch, &graph, &index) {
             index = swapped;
             replan = took;
@@ -1757,7 +1840,7 @@ fn exec_match(
             },
             &[
                 ("embeddings", count),
-                ("cache_hit", (cache_tag == "HIT") as u64),
+                ("cache_hit", (path == CachePath::Hit) as u64),
                 ("deadline_exceeded", cancelled as u64),
                 ("workers", match_workers as u64),
                 ("batched", batch_tag.is_some() as u64),
@@ -1801,10 +1884,11 @@ fn exec_estimate(
             t_start.elapsed().as_micros(),
         )];
     }
-    let (index, cache_tag, _build) = match index_for(state, &entry, &graph, sub_epoch, query) {
+    let (index, path, _build) = match index_for(state, &entry, &graph, sub_epoch, query) {
         Ok(built) => built,
         Err(lines) => return lines,
     };
+    let cache_tag = path.tag();
     let mut opts = EstimateOptions::default();
     if let Some(w) = walks {
         opts.walks = w.max(1);
@@ -1898,13 +1982,19 @@ fn exec_explain(
             return vec![ErrorCode::Query.line(e)];
         }
     };
-    let (index, cache_tag, _build) = match index_for(state, &entry, &graph, sub_epoch, query) {
+    let (index, path, _build) = match index_for(state, &entry, &graph, sub_epoch, query) {
         Ok(built) => built,
         Err(lines) => return lines,
     };
     let report = ceci_core::explain_plan(&index.plan, &graph);
     let mut lines: Vec<String> = report.lines().map(|l| format!("| {l}")).collect();
-    lines.push(format!("| index: bytes={} cache={cache_tag}", index.bytes));
+    let mut line = format!("| index: bytes={} cache={}", index.bytes, path.tag());
+    if let Some(mode) = path.repair_mode() {
+        // Which rung of the repair ladder this request itself took.
+        line.push(' ');
+        line.push_str(mode);
+    }
+    lines.push(line);
     // Plan-choice section: where the entry's rent/buy ledger stands, which
     // orders have been weighed, the served plan's estimated cost, and the
     // execution decision.
@@ -1951,8 +2041,8 @@ fn exec_explain(
 ///
 /// The continuous-query lock is taken *before* the batch is applied and
 /// held through notification, so concurrent mutation requests notify in
-/// strict sub-epoch order — each registration's stream tables are patched
-/// batch by batch against the exact snapshot pair the delta identity needs.
+/// strict sub-epoch order — each registration's total moves batch by batch
+/// over the exact snapshot pair the delta identity needs.
 fn exec_mutate(
     state: &ServerState,
     graph_name: &str,
@@ -2005,11 +2095,10 @@ fn exec_mutate_vids(
                 outcome.sub_epoch,
                 "in-order notification is guaranteed by the continuous lock"
             );
-            // Patch the live tables to the new snapshot and compute the
-            // embedding delta (new − retired) — contained like a build.
+            // The embedding delta (new − retired) reads the two snapshots
+            // and the batch's edges only; no index of the query is involved.
+            // Contained like a build.
             let delta = catch_unwind(AssertUnwindSafe(|| {
-                cq.stream
-                    .patch(&outcome.new_graph, &cq.plan, &outcome.endpoints);
                 batch_delta(
                     &outcome.old_graph,
                     &outcome.new_graph,
@@ -2019,8 +2108,7 @@ fn exec_mutate_vids(
                 )
             }));
             let Ok(delta) = delta else {
-                // The tables may be half-patched; the registration is no
-                // longer trustworthy.
+                // The total can no longer be carried forward.
                 dead.push(name.clone());
                 continue;
             };
@@ -2071,9 +2159,9 @@ fn exec_batch_file(state: &ServerState, graph_name: &str, path: &str) -> Vec<Str
     exec_mutate_vids(state, graph_name, &adds, &[])
 }
 
-/// `REGISTER <name> <graph> <query-path>`: builds the continuous query's
-/// live index against the graph's current snapshot and records the initial
-/// embedding total. Holding the continuous lock across the snapshot+build
+/// `REGISTER <name> <graph> <query-path>`: counts the continuous query's
+/// embeddings on the graph's current snapshot (one ordinary index build,
+/// dropped after the count) and records that initial total. Holding the continuous lock across the snapshot+build
 /// keeps the registration's sub-epoch exactly in step with the mutation
 /// notifier (a batch can never slip between the snapshot and the insert).
 fn exec_register(
@@ -2098,12 +2186,18 @@ fn exec_register(
     let (graph, sub_epoch) = entry.snapshot();
     let built = catch_unwind(AssertUnwindSafe(|| {
         let plan = Arc::new(QueryPlan::new(query, &graph));
-        let stream = StreamIndex::build(&graph, &plan);
-        let ceci = stream.materialize(&graph, &plan);
+        let ceci = Ceci::build_with(
+            &graph,
+            &plan,
+            ceci_core::BuildOptions {
+                threads: state.config.build_threads.max(1),
+                ..Default::default()
+            },
+        );
         let total = count_embeddings(&graph, &plan, &ceci);
-        (plan, stream, total)
+        (plan, total)
     }));
-    let Ok((plan, stream, total)) = built else {
+    let Ok((plan, total)) = built else {
         ServerMetrics::inc(&state.metrics.errors);
         return vec![ErrorCode::Register.line("index build for the continuous query panicked")];
     };
@@ -2114,7 +2208,6 @@ fn exec_register(
             epoch: entry.epoch,
             sub_epoch,
             plan,
-            stream,
             total,
             sink,
         },

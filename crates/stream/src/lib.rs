@@ -23,7 +23,11 @@
 //! endpoints, recomputes `F` for the dirty keys of every table, and cascades
 //! candidate additions/removals down the matching order via exact per-node
 //! value refcounts — the Algorithm-2 refinement cascade is then re-run only
-//! at materialization time, on the patched base.
+//! at materialization time, on the patched base. The repair has a floor:
+//! once the batch's endpoints and their adjacency are a sixteenth of the
+//! graph, `patch` rebuilds the tables on the new snapshot instead of merging
+//! into them, so it costs ∝ batch while the batch is small and never more
+//! than a [`StreamIndex::build`] when it is not.
 //!
 //! [`StreamIndex::materialize`] converts the base into a frozen `Ceci`
 //! through [`ceci_core::BuilderState::from_parts`] +
@@ -37,12 +41,17 @@
 
 #![warn(missing_docs)]
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 
 use ceci_core::tables::BuildTable;
 use ceci_core::{BuilderState, Ceci};
 use ceci_graph::{Graph, VertexId};
 use ceci_query::{candidates_of, QueryPlan, VertexFilters};
+
+/// [`StreamIndex::patch`] rebuilds instead of merging once the batch's
+/// endpoints and their adjacency are at least one part in this many of the
+/// graph's vertices and adjacency.
+const REBASE_SHARE: usize = 16;
 
 /// One filtered-adjacency table of the base index: key `vf` (a candidate of
 /// the parent node) → `F(u, vf)`, sorted, possibly empty.
@@ -62,6 +71,10 @@ pub struct RepairStats {
     pub keys_added: usize,
     /// Keys dropped because a vertex stopped being a candidate.
     pub keys_removed: usize,
+    /// Patches whose dirty region covered the tables, so they were rebuilt
+    /// on the new snapshot instead of merged into (0 or 1 per patch; every
+    /// rebuilt key then counts as recomputed).
+    pub rebases: usize,
 }
 
 impl RepairStats {
@@ -71,6 +84,7 @@ impl RepairStats {
         self.keys_recomputed += other.keys_recomputed;
         self.keys_added += other.keys_added;
         self.keys_removed += other.keys_removed;
+        self.rebases += other.rebases;
     }
 }
 
@@ -79,8 +93,9 @@ impl RepairStats {
 /// Build once with [`StreamIndex::build`], then [`StreamIndex::patch`] after
 /// each mutation batch (passing the batch's touched endpoints) and
 /// [`StreamIndex::materialize`] whenever a frozen, refined [`Ceci`] is
-/// needed for enumeration.
-#[derive(Clone, Debug)]
+/// needed for enumeration. Deliberately not `Clone`: a repair moves the
+/// tables forward, it never copies them.
+#[derive(Debug, PartialEq, Eq)]
 pub struct StreamIndex {
     /// Sorted root candidates (pre-refinement).
     pivots: Vec<VertexId>,
@@ -113,9 +128,10 @@ fn ref_dec(refs: &mut HashMap<VertexId, u32>, before: &mut HashMap<VertexId, u32
     }
 }
 
-/// Applies the batch-local repair to one table: a full filtered-adjacency
-/// recompute at endpoint keys, plus surgical endpoint-membership fixes at
-/// their non-endpoint neighbor keys (`pairs`, sorted by key). `on_change`
+/// Applies the batch-local repair to one table: endpoint keys get their
+/// list re-derived (from the key's new adjacency, its old list and the
+/// endpoints' verdicts `eps_pass` — no filter runs), their non-endpoint
+/// neighbor keys (`pairs`, sorted by key) a surgical endpoint-membership fix. `on_change`
 /// observes every value added (`true`) / removed (`false`) from the table so
 /// TE callers can maintain candidate refcounts; NTE callers pass a no-op.
 ///
@@ -127,8 +143,6 @@ fn ref_dec(refs: &mut HashMap<VertexId, u32>, before: &mut HashMap<VertexId, u32
 fn repair_table(
     map: &mut BaseTable,
     graph: &Graph,
-    filters: &VertexFilters,
-    u: VertexId,
     eps: &[VertexId],
     eps_pass: &[bool],
     pairs: &[(VertexId, VertexId)],
@@ -141,14 +155,25 @@ fn repair_table(
                      buf: &mut Vec<VertexId>,
                      stats: &mut RepairStats,
                      on_change: &mut dyn FnMut(VertexId, bool)| {
+        let endpoint = |v: &VertexId| eps.binary_search(v);
         buf.clear();
-        filters.filtered_neighbors_into(graph, u, vf, buf);
+        buf.extend(graph.neighbors(vf).iter().filter(|v| match endpoint(v) {
+            Ok(i) => eps_pass[i],
+            // A non-endpoint neighbor's verdict and its edge to `vf` both
+            // predate the batch: it is in the new list iff it was in the old.
+            Err(_) => list.binary_search(v).is_ok(),
+        }));
         stats.keys_recomputed += 1;
-        for &v in list.iter() {
-            on_change(v, false);
+        // So only endpoints can have left or entered.
+        for v in list.iter().filter(|v| endpoint(v).is_ok()) {
+            if buf.binary_search(v).is_err() {
+                on_change(*v, false);
+            }
         }
-        for &v in buf.iter() {
-            on_change(v, true);
+        for v in buf.iter().filter(|v| endpoint(v).is_ok()) {
+            if list.binary_search(v).is_err() {
+                on_change(*v, true);
+            }
         }
         list.clear();
         list.extend_from_slice(buf);
@@ -223,53 +248,105 @@ fn repair_table(
     }
 }
 
+/// The sorted distinct in-range `endpoints` of a batch.
+fn sorted_endpoints(graph: &Graph, endpoints: &[VertexId]) -> Vec<VertexId> {
+    let mut eps: Vec<VertexId> = endpoints
+        .iter()
+        .copied()
+        .filter(|e| e.index() < graph.num_vertices())
+        .collect();
+    eps.sort_unstable();
+    eps.dedup();
+    eps
+}
+
+/// The adjacency entries of the endpoints `eps` (sorted) at non-endpoint
+/// neighbors, as sorted `(key, endpoint)` pairs — the keys whose lists may
+/// need an endpoint membership fix.
+fn neighbor_pairs(graph: &Graph, eps: &[VertexId]) -> Vec<(VertexId, VertexId)> {
+    let mut pairs: Vec<(VertexId, VertexId)> = Vec::new();
+    for &e in eps {
+        for &w in graph.neighbors(e) {
+            if eps.binary_search(&w).is_err() {
+                pairs.push((w, e));
+            }
+        }
+    }
+    pairs.sort_unstable();
+    pairs
+}
+
 impl StreamIndex {
     /// Builds the base index from scratch on `graph` (Algorithm 1 without
     /// the empty-entry cascade — refinement at materialization subsumes it).
     pub fn build(graph: &Graph, plan: &QueryPlan) -> StreamIndex {
         let n = plan.query().num_vertices();
         let filters = VertexFilters::new(plan.query());
+        // One table: `F(u, vf)` for every candidate `vf` of the keying node,
+        // in key order. `values` (TE tables only) collects every list entry.
+        let fill = |u: VertexId,
+                    keys: &[VertexId],
+                    verdicts: &mut [u8],
+                    mut values: Option<&mut Vec<VertexId>>| {
+            let mut buf: Vec<VertexId> = Vec::new();
+            let entries = keys.iter().map(|&vf| {
+                buf.clear();
+                buf.extend(graph.neighbors(vf).iter().copied().filter(|&v| {
+                    let verdict = &mut verdicts[v.index()];
+                    if *verdict == 0 {
+                        *verdict = 2 - filters.passes(graph, u, v) as u8;
+                    }
+                    *verdict == 1
+                }));
+                if let Some(values) = values.as_deref_mut() {
+                    values.extend_from_slice(&buf);
+                }
+                (vf, buf.clone())
+            });
+            // Ascending keys: the map is bulk-built, not inserted into.
+            BaseTable::from_iter(entries)
+        };
         let mut idx = StreamIndex {
             pivots: candidates_of(plan.query(), graph, plan.root()),
             te: vec![None; n],
             nte: vec![Vec::new(); n],
             refs: vec![HashMap::new(); n],
         };
-        let mut buf: Vec<VertexId> = Vec::new();
+        // Sorted candidate set per node, known once its TE table is built.
+        let mut cands: Vec<Vec<VertexId>> = vec![Vec::new(); n];
+        cands[plan.root().index()] = idx.pivots.clone();
+        let mut values: Vec<VertexId> = Vec::new();
+        // A per-vertex verdict depends on `(u, v)` only, and a data vertex
+        // sits in many adjacency lists: each is tested once per query node
+        // (0 = untested, 1 = passes, 2 = fails) and looked up after that.
+        let mut verdicts: Vec<u8> = vec![0; graph.num_vertices()];
         for &u in plan.matching_order().iter().skip(1) {
             let parent = plan.tree().parent(u).expect("non-root node has a parent");
-            let mut map = BaseTable::new();
-            for vf in idx.candidates_sorted(plan, parent) {
-                buf.clear();
-                filters.filtered_neighbors_into(graph, u, vf, &mut buf);
-                for &v in &buf {
-                    *idx.refs[u.index()].entry(v).or_insert(0) += 1;
-                }
-                map.insert(vf, buf.clone());
+            values.clear();
+            verdicts.fill(0);
+            let keys = &cands[parent.index()];
+            idx.te[u.index()] = Some(fill(u, keys, &mut verdicts, Some(&mut values)));
+            // Refcounts and candidates from one sort of the table's values
+            // (sorted, so the increments of one `v` hit the map back to back).
+            values.sort_unstable();
+            for &v in &values {
+                *idx.refs[u.index()].entry(v).or_insert(0) += 1;
             }
-            idx.te[u.index()] = Some(map);
+            values.dedup();
+            cands[u.index()] = values.clone();
             for &un in plan.backward_nte(u) {
-                let mut map = BaseTable::new();
-                for vf in idx.candidates_sorted(plan, un) {
-                    buf.clear();
-                    filters.filtered_neighbors_into(graph, u, vf, &mut buf);
-                    map.insert(vf, buf.clone());
-                }
-                idx.nte[u.index()].push((un, map));
+                let table = fill(u, &cands[un.index()], &mut verdicts, None);
+                idx.nte[u.index()].push((un, table));
             }
         }
         idx
     }
 
-    /// The current (pre-refinement) candidate set of `u`, sorted ascending.
-    fn candidates_sorted(&self, plan: &QueryPlan, u: VertexId) -> Vec<VertexId> {
-        if u == plan.root() {
-            self.pivots.clone()
-        } else {
-            let mut c: Vec<VertexId> = self.refs[u.index()].keys().copied().collect();
-            c.sort_unstable();
-            c
-        }
+    /// Keys held across all tables (one TE per non-root node, one NTE per
+    /// backward non-tree edge).
+    fn num_keys(&self) -> usize {
+        let nte = self.nte.iter().flatten().map(|(_, map)| map.len());
+        self.te.iter().flatten().map(BTreeMap::len).chain(nte).sum()
     }
 
     /// Repairs the base index after a mutation batch whose touched edge
@@ -289,45 +366,69 @@ impl StreamIndex {
     /// `w`'s adjacency. A deleted edge's far side is itself an endpoint, so
     /// `endpoints ∪ N_new(endpoints)` covers the batch's old neighborhood
     /// too — dirtiness is an overestimate, never a miss.
+    ///
+    /// The floor: the merge works on the batch's share of the graph (its
+    /// endpoints and their adjacency), a rebuild on the whole of it, both
+    /// thinned by the same candidate density — so which is cheaper depends
+    /// on that share, not on the tables. Per adjacency entry the merge costs
+    /// an order of magnitude more (B-tree probes, refcount hashing, binary
+    /// searches per list, against one sequential fill); measured on a
+    /// labeled R-MAT, an unlabeled pendant-heavy Kronecker and a labeled
+    /// Erdős–Rényi graph the two cross at a share of 7 %, 7 % and 17 %.
+    /// From [`REBASE_SHARE`] on, the tables are rebuilt with
+    /// [`StreamIndex::build`] on `graph` ([`RepairStats::rebases`] says so):
+    /// a patch costs ∝ batch while the batch is small and never more than a
+    /// build when it is not. Both branches leave identical tables: which one
+    /// ran is a cost decision only.
     pub fn patch(
         &mut self,
         graph: &Graph,
         plan: &QueryPlan,
         endpoints: &[VertexId],
     ) -> RepairStats {
+        let eps = sorted_endpoints(graph, endpoints);
+        let share: usize = eps.iter().map(|&e| 1 + graph.degree(e)).sum();
+        if share > 0 && share * REBASE_SHARE >= graph.num_vertices() + 2 * graph.num_edges() {
+            *self = StreamIndex::build(graph, plan);
+            // Every key recomputed; the neighborhoods are counted without
+            // the sorted pairs only the merge needs.
+            let mut seen = vec![false; graph.num_vertices()];
+            let region = eps.iter().flat_map(|&e| graph.neighbors(e)).chain(&eps);
+            return RepairStats {
+                dirty_vertices: region
+                    .filter(|v| !std::mem::replace(&mut seen[v.index()], true))
+                    .count(),
+                keys_recomputed: self.num_keys(),
+                rebases: 1,
+                ..RepairStats::default()
+            };
+        }
+        let pairs = neighbor_pairs(graph, &eps);
+        // The examined region of the index: the endpoints plus their
+        // distinct post-batch non-endpoint neighbors (the keys of `pairs`).
+        let neighbor_keys =
+            pairs.len().min(1) + pairs.windows(2).filter(|w| w[0].0 != w[1].0).count();
+        let mut stats = RepairStats {
+            dirty_vertices: eps.len() + neighbor_keys,
+            ..RepairStats::default()
+        };
+        self.merge(graph, plan, &eps, &pairs, &mut stats);
+        stats
+    }
+
+    /// The batch-local branch of [`StreamIndex::patch`]: `eps` are the
+    /// sorted distinct in-range endpoints, `pairs` their sorted
+    /// `(non-endpoint neighbor, endpoint)` adjacency entries.
+    fn merge(
+        &mut self,
+        graph: &Graph,
+        plan: &QueryPlan,
+        eps: &[VertexId],
+        pairs: &[(VertexId, VertexId)],
+        stats: &mut RepairStats,
+    ) {
         let filters = VertexFilters::new(plan.query());
-        let mut stats = RepairStats::default();
         let n = plan.query().num_vertices();
-
-        let mut eps: Vec<VertexId> = endpoints
-            .iter()
-            .copied()
-            .filter(|e| e.index() < graph.num_vertices())
-            .collect();
-        eps.sort_unstable();
-        eps.dedup();
-
-        // Structural accounting only: the examined region of the index is
-        // the endpoints plus their post-batch neighborhoods.
-        let mut dirty: HashSet<VertexId> = HashSet::new();
-        for &e in &eps {
-            dirty.insert(e);
-            dirty.extend(graph.neighbors(e).iter().copied());
-        }
-        stats.dirty_vertices = dirty.len();
-        drop(dirty);
-
-        // Non-endpoint neighbor keys whose lists may need an endpoint
-        // membership fix, as sorted (key, endpoint) pairs.
-        let mut pairs: Vec<(VertexId, VertexId)> = Vec::new();
-        for &e in &eps {
-            for &w in graph.neighbors(e) {
-                if eps.binary_search(&w).is_err() {
-                    pairs.push((w, e));
-                }
-            }
-        }
-        pairs.sort_unstable();
 
         // Per-node candidate transitions discovered so far this patch.
         let mut added_c: Vec<Vec<VertexId>> = vec![Vec::new(); n];
@@ -335,7 +436,7 @@ impl StreamIndex {
 
         // Root membership can flip only at the endpoints themselves.
         let root = plan.root();
-        for &e in &eps {
+        for &e in eps {
             let pass = filters.passes(graph, root, e);
             match self.pivots.binary_search(&e) {
                 Ok(i) if !pass => {
@@ -356,6 +457,18 @@ impl StreamIndex {
             let parent = plan.tree().parent(u).expect("non-root node has a parent");
             let mut before: HashMap<VertexId, u32> = HashMap::new();
             let eps_pass: Vec<bool> = eps.iter().map(|&e| filters.passes(graph, u, e)).collect();
+            // `F(u, vf)` for a key with no old list to start from. New keys
+            // cluster around the batch, so their neighbors repeat: a verdict
+            // is taken once per `(u, v)`, as in `build`.
+            let mut verdicts: HashMap<VertexId, bool> = HashMap::new();
+            let mut fresh_list = |vf: VertexId, buf: &mut Vec<VertexId>| {
+                buf.clear();
+                buf.extend(graph.neighbors(vf).iter().filter(|&&v| {
+                    *verdicts
+                        .entry(v)
+                        .or_insert_with(|| filters.passes(graph, u, v))
+                }));
+            };
             {
                 let map = self.te[ui].as_mut().expect("non-root TE table");
                 let refs = &mut self.refs[ui];
@@ -382,12 +495,10 @@ impl StreamIndex {
                     repair_table(
                         map,
                         graph,
-                        &filters,
-                        u,
-                        &eps,
+                        eps,
                         &eps_pass,
-                        &pairs,
-                        &mut stats,
+                        pairs,
+                        stats,
                         &mut buf,
                         &mut on_change,
                     );
@@ -395,8 +506,7 @@ impl StreamIndex {
                 // 3. Keys for vertices that just became parent candidates.
                 for &vf in &added_c[parent.index()] {
                     debug_assert!(!map.contains_key(&vf), "fresh candidate already keyed");
-                    buf.clear();
-                    filters.filtered_neighbors_into(graph, u, vf, &mut buf);
+                    fresh_list(vf, &mut buf);
                     stats.keys_added += 1;
                     for &v in &buf {
                         ref_inc(refs, &mut before, v);
@@ -424,24 +534,20 @@ impl StreamIndex {
                 repair_table(
                     map,
                     graph,
-                    &filters,
-                    u,
-                    &eps,
+                    eps,
                     &eps_pass,
-                    &pairs,
-                    &mut stats,
+                    pairs,
+                    stats,
                     &mut buf,
                     &mut |_, _| {},
                 );
                 for &vf in &added_c[un.index()] {
-                    buf.clear();
-                    filters.filtered_neighbors_into(graph, u, vf, &mut buf);
+                    fresh_list(vf, &mut buf);
                     map.insert(vf, buf.clone());
                     stats.keys_added += 1;
                 }
             }
         }
-        stats
     }
 
     /// Freezes the current base into a refined, enumeration-ready [`Ceci`]
@@ -644,21 +750,97 @@ mod tests {
     }
 
     #[test]
-    fn clone_then_patch_leaves_original_usable() {
-        // The service repair path patches a *clone* of the cached base; the
-        // original must stay consistent for the old snapshot.
-        let graph = test_graph(17);
-        let plan = test_plan(&graph, 17);
-        let idx = StreamIndex::build(&graph, &plan);
-        let before = count_embeddings(&graph, &plan, &idx.materialize(&graph, &plan));
-        let mut rng = StdRng::seed_from_u64(4242);
-        let (next, endpoints) = apply_batch(&graph, &mut rng, 6, 6);
-        let mut patched = idx.clone();
-        patched.patch(&next, &plan, &endpoints);
-        let after = count_embeddings(&next, &plan, &patched.materialize(&next, &plan));
-        assert_eq!(after, rebuild_count(&next, &plan));
-        // Original still answers for the old graph.
-        let again = count_embeddings(&graph, &plan, &idx.materialize(&graph, &plan));
-        assert_eq!(again, before);
+    fn dirty_vertices_counts_endpoints_and_their_distinct_neighbors() {
+        // The definition the count replaced: |endpoints ∪ N(endpoints)| on
+        // the post-batch graph, by hashing every vertex of it.
+        for (seed, adds, dels) in [(5u64, 1, 0), (9, 0, 1), (21, 6, 6), (33, 60, 40)] {
+            let graph = test_graph(seed);
+            let plan = test_plan(&graph, seed);
+            let mut idx = StreamIndex::build(&graph, &plan);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (next, endpoints) = apply_batch(&graph, &mut rng, adds, dels);
+            let mut dirty = std::collections::HashSet::new();
+            for &e in &endpoints {
+                dirty.insert(e);
+                dirty.extend(next.neighbors(e).iter().copied());
+            }
+            let stats = idx.patch(&next, &plan, &endpoints);
+            assert_eq!(stats.dirty_vertices, dirty.len(), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn patch_floor_rebuilds_when_the_batch_covers_the_tables() {
+        let graph = test_graph(41);
+        let plan = test_plan(&graph, 41);
+        let mut idx = StreamIndex::build(&graph, &plan);
+        let mut rng = StdRng::seed_from_u64(41);
+        // One edge on a 120-vertex graph stays batch-local ...
+        let (next, endpoints) = apply_batch(&graph, &mut rng, 1, 0);
+        let stats = idx.patch(&next, &plan, &endpoints);
+        assert_eq!(stats.rebases, 0, "{stats:?}");
+        // ... a quarter of its edges does not: every key is recomputed once.
+        let (last, endpoints) = apply_batch(&next, &mut rng, 60, 45);
+        let stats = idx.patch(&last, &plan, &endpoints);
+        assert_eq!(stats.rebases, 1, "{stats:?}");
+        assert_eq!(stats.keys_recomputed, idx.num_keys());
+        assert_eq!((stats.keys_added, stats.keys_removed), (0, 0));
+        assert_eq!(idx, StreamIndex::build(&last, &plan));
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Random labeled graph, random sequence mixing 1-edge and |E|/4-edge
+        /// batches: `patch` (whichever branch its floor picks) counts like a
+        /// from-scratch build, and the merge branch — forced on every batch,
+        /// also where the floor would rebuild — leaves exactly the tables a
+        /// fresh build on that snapshot has (the rebuild branch *is* that
+        /// build).
+        #[test]
+        fn patch_matches_rebuild_on_either_side_of_the_floor(
+            seed in any::<u64>(),
+            n in 30usize..90,
+            density in 2usize..5,
+            labels in 1u32..4,
+            size in 3usize..5,
+            big in collection::vec(any::<bool>(), 1..6),
+        ) {
+            let mut graph = inject_random_labels(&erdos_renyi(n, n * density, seed), labels, seed ^ 0x5eed);
+            let Some(extracted) = extract_query(&graph, size, seed, 50) else {
+                return;
+            };
+            let query = QueryGraph::from_graph(&extracted.pattern).unwrap();
+            let plan = QueryPlan::new(query, &graph);
+            let mut patched = StreamIndex::build(&graph, &plan);
+            let mut merged = StreamIndex::build(&graph, &plan);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut branches = [0usize; 2];
+            for (batch, &big) in big.iter().enumerate() {
+                let total = if big { (graph.num_edges() / 4).max(2) } else { 1 };
+                let adds = rng.gen_range(0..=total);
+                let (next, endpoints) = apply_batch(&graph, &mut rng, adds, total - adds);
+
+                let stats = patched.patch(&next, &plan, &endpoints);
+                branches[stats.rebases] += 1;
+                let ceci = patched.materialize(&next, &plan);
+                prop_assert_eq!(
+                    count_embeddings(&next, &plan, &ceci),
+                    rebuild_count(&next, &plan),
+                    "batch {}: patch ({:?}) != rebuild", batch, stats
+                );
+
+                let eps = sorted_endpoints(&next, &endpoints);
+                let pairs = neighbor_pairs(&next, &eps);
+                merged.merge(&next, &plan, &eps, &pairs, &mut RepairStats::default());
+                let fresh = StreamIndex::build(&next, &plan);
+                prop_assert_eq!(&merged, &fresh, "batch {}: merged tables != fresh tables", batch);
+                prop_assert_eq!(&patched, &fresh, "batch {}: patched tables != fresh tables", batch);
+                graph = next;
+            }
+            prop_assert_eq!(branches[0] + branches[1], big.len());
+        }
     }
 }

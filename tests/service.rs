@@ -1358,6 +1358,24 @@ fn serve_until_replan(client: &mut Client, request: &str, cap: usize) -> Vec<Ser
     panic!("no re-plan within {cap} requests: {replies:?}");
 }
 
+/// Where `EXPLAIN` says the entry's rent/buy ledger stands: `(spent, scored)`.
+fn ledger(client: &mut Client, query_path: &str) -> (u64, bool) {
+    let explain = client.request(&format!("EXPLAIN g {query_path}")).unwrap();
+    let line = explain
+        .payload
+        .iter()
+        .find(|l| l.contains("plan choice:"))
+        .expect("choice section")
+        .clone();
+    let field = |key: &str| {
+        line.split_whitespace()
+            .find_map(|tok| tok.strip_prefix(key))
+            .unwrap_or_else(|| panic!("{key} in {line}"))
+            .to_string()
+    };
+    (field("spent=").parse().unwrap(), field("scored=") == "true")
+}
+
 /// The server's Prometheus samples by name (unlabeled ones).
 fn prom(client: &mut Client) -> std::collections::BTreeMap<String, f64> {
     let resp = client.request("STATS PROM").unwrap();
@@ -1370,6 +1388,26 @@ fn prom(client: &mut Client) -> std::collections::BTreeMap<String, f64> {
         .collect()
 }
 
+/// `n` templates extracted from `graph`, no two of them isomorphic, written
+/// to `scratch`: `(query path, pattern)` each.
+fn distinct_templates(scratch: &Scratch, graph: &Graph, n: usize) -> Vec<(String, Graph)> {
+    let mut seen = std::collections::HashSet::new();
+    let mut templates = Vec::new();
+    let mut seed = 0;
+    while templates.len() < n {
+        seed += 1;
+        let Some(extracted) = extract_query(graph, 3 + (seed % 4) as usize, seed, 50) else {
+            continue;
+        };
+        let query = QueryGraph::from_graph(&extracted.pattern).unwrap();
+        if seen.insert(ceci_query::canonical_hash(&query)) {
+            let path = scratch.write_graph(&format!("q{seed}.graph"), &extracted.pattern);
+            templates.push((path, extracted.pattern));
+        }
+    }
+    templates
+}
+
 #[test]
 fn one_shot_matches_never_score_a_portfolio() {
     let scratch = Scratch::new("one-shot");
@@ -1380,22 +1418,11 @@ fn one_shot_matches_never_score_a_portfolio() {
     client.request(&format!("LOAD g {graph_path}")).unwrap();
 
     // 50 templates no two of which are isomorphic, each asked once.
-    let mut seen = std::collections::HashSet::new();
-    let mut seed = 0;
-    while seen.len() < 50 {
-        seed += 1;
-        let Some(extracted) = extract_query(&graph, 3 + (seed % 4) as usize, seed, 50) else {
-            continue;
-        };
-        let query = QueryGraph::from_graph(&extracted.pattern).unwrap();
-        if !seen.insert(ceci_query::canonical_hash(&query)) {
-            continue;
-        }
-        let path = scratch.write_graph(&format!("q{seed}.graph"), &extracted.pattern);
+    for (path, pattern) in distinct_templates(&scratch, &graph, 50) {
         let reply = served(&client.request(&format!("MATCH g {path}")).unwrap());
-        assert_eq!(reply.cache, "MISS", "seed {seed}");
-        assert!(!reply.replanned, "seed {seed}");
-        assert_eq!(reply.count, direct_count(&graph, &extracted.pattern));
+        assert_eq!(reply.cache, "MISS", "{path}");
+        assert!(!reply.replanned, "{path}");
+        assert_eq!(reply.count, direct_count(&graph, &pattern));
     }
     let stats = prom(&mut client);
     assert_eq!(stats["ceci_cache_misses_total"], 50.0);
@@ -1503,22 +1530,7 @@ fn rent_buy_ledger_rides_along_through_repairs() {
     let graph_path = scratch.write_graph("data.graph", &graph);
     let query_path = scratch.write_graph("query.graph", &pattern);
     let request = format!("MATCH g {query_path}");
-    let spent = |client: &mut Client| -> (u64, bool) {
-        let explain = client.request(&format!("EXPLAIN g {query_path}")).unwrap();
-        let line = explain
-            .payload
-            .iter()
-            .find(|l| l.contains("plan choice:"))
-            .expect("choice section")
-            .clone();
-        let field = |key: &str| {
-            line.split_whitespace()
-                .find_map(|tok| tok.strip_prefix(key))
-                .unwrap_or_else(|| panic!("{key} in {line}"))
-                .to_string()
-        };
-        (field("spent=").parse().unwrap(), field("scored=") == "true")
-    };
+    let spent = |client: &mut Client| ledger(client, &query_path);
 
     let (handle, _state) = serve(ServeConfig::default());
     let mut client = Client::connect(handle.addr()).unwrap();
@@ -1706,6 +1718,252 @@ fn eight_concurrent_clients_elect_one_scorer() {
     assert_eq!(stats["ceci_adaptive_replans_total"], 1.0);
     assert_eq!(stats["ceci_cache_misses_total"], 1.0);
     assert_eq!(stats["ceci_build_latency_us_count"], 1.0);
+    handle.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// Maintainable tables on demand: a miss builds none, the first stale probe
+// builds them, later ones move them — and the cache charges whoever owns them.
+// ---------------------------------------------------------------------------
+
+/// Applies one applicable add + delete as a `BATCH` and returns the mutated
+/// reference copy.
+fn batch_one(client: &mut Client, reference: &Graph, seed: u64) -> Graph {
+    let ((a, b), (c, d)) = applicable_mutation(reference, seed);
+    let resp = client
+        .request(&format!("BATCH g +{a}:{b} -{c}:{d}"))
+        .unwrap();
+    assert!(resp.is_ok(), "{}", resp.terminal);
+    mutated_copy(reference, &[(a, b)], &[(c, d)])
+}
+
+/// The `mode=` of every `service.repair` span recorded so far, in order.
+fn repair_modes(state: &ServerState) -> Vec<&'static str> {
+    state
+        .tracer
+        .snapshot()
+        .iter()
+        .filter(|s| s.name == "service.repair")
+        .map(|s| {
+            let mode = s.args.iter().find(|(k, _)| k.starts_with("mode="));
+            mode.expect("a repair span says its mode").0
+        })
+        .collect()
+}
+
+#[test]
+fn first_stale_probe_builds_the_tables_and_later_ones_move_them() {
+    let scratch = Scratch::new("lazy-tables");
+    let graph = small_graph();
+    let pattern = query_from(&graph, 4, 7);
+    let graph_path = scratch.write_graph("data.graph", &graph);
+    let query_path = scratch.write_graph("query.graph", &pattern);
+    let request = format!("MATCH g {query_path}");
+
+    let (handle, state) = serve(ServeConfig {
+        trace: true,
+        ..ServeConfig::default()
+    });
+    let mut client = Client::connect(handle.addr()).unwrap();
+    client.request(&format!("LOAD g {graph_path}")).unwrap();
+
+    // The miss builds the frozen index and nothing else.
+    assert_eq!(served(&client.request(&request).unwrap()).cache, "MISS");
+    let entries = state.cache.entries();
+    assert_eq!(entries.len(), 1);
+    assert_eq!(entries[0].table_bytes(), 0, "a miss builds no tables");
+    assert_eq!(state.cache.bytes(), entries[0].ceci.size_bytes());
+
+    // The first read after a batch still answers REPAIRED: it builds the
+    // tables against its snapshot, under the entry's plan.
+    let reference = batch_one(&mut client, &graph, 97);
+    let reply = served(&client.request(&request).unwrap());
+    assert_eq!(reply.cache, "REPAIRED");
+    assert_eq!(reply.count, direct_count(&reference, &pattern));
+    let stats = prom(&mut client);
+    assert_eq!(stats["ceci_index_repairs_total"], 1.0);
+    assert_eq!(stats["ceci_index_repair_rebases_total"], 0.0);
+    assert_eq!(stats["ceci_index_repair_fallbacks_total"], 0.0);
+    assert_eq!(stats["ceci_cache_misses_total"], 1.0);
+    assert_eq!(repair_modes(&state), ["mode=first"]);
+    let first = state.cache.entries().pop().unwrap();
+    assert!(
+        first.table_bytes() > 0,
+        "the repaired entry owns its tables"
+    );
+
+    // The next one moves them out of the dead entry and patches them; an
+    // `EXPLAIN` that lands on the stale entry says which rung it took.
+    let reference = batch_one(&mut client, &reference, 131);
+    let explain = client
+        .request(&format!("EXPLAIN g {query_path} ANALYZE"))
+        .unwrap();
+    assert!(explain.is_ok(), "{}", explain.terminal);
+    let index_line = explain
+        .payload
+        .iter()
+        .find(|l| l.contains("index:"))
+        .unwrap();
+    assert!(
+        index_line.contains("cache=REPAIRED mode=patch"),
+        "{index_line}"
+    );
+    assert_eq!(first.table_bytes(), 0, "moved, not copied");
+    let reply = served(&client.request(&request).unwrap());
+    assert_eq!(reply.cache, "HIT");
+    assert_eq!(reply.count, direct_count(&reference, &pattern));
+    assert_eq!(repair_modes(&state), ["mode=first", "mode=patch"]);
+    let stats = prom(&mut client);
+    assert_eq!(stats["ceci_index_repairs_total"], 2.0);
+    assert_eq!(stats["ceci_index_repair_fallbacks_total"], 0.0);
+    handle.shutdown();
+}
+
+#[test]
+fn eight_concurrent_readers_after_one_batch_elect_one_repairer() {
+    let scratch = Scratch::new("repair-concurrent");
+    let graph = small_graph();
+    let pattern = query_from(&graph, 4, 7);
+    let graph_path = scratch.write_graph("data.graph", &graph);
+    let query_path = scratch.write_graph("query.graph", &pattern);
+    let request = format!("MATCH g {query_path}");
+
+    let (handle, _state) = serve(ServeConfig {
+        pool_workers: 8,
+        ..ServeConfig::default()
+    });
+    let addr = handle.addr();
+    let mut client = Client::connect(addr).unwrap();
+    client.request(&format!("LOAD g {graph_path}")).unwrap();
+    // Miss, batch, read: the entry now owns tables for the move to race on.
+    client.request(&request).unwrap();
+    let reference = batch_one(&mut client, &graph, 97);
+    assert_eq!(served(&client.request(&request).unwrap()).cache, "REPAIRED");
+    let reference = batch_one(&mut client, &reference, 131);
+    let expected = direct_count(&reference, &pattern);
+
+    let barrier = Arc::new(std::sync::Barrier::new(8));
+    let threads: Vec<_> = (0..8)
+        .map(|_| {
+            let barrier = Arc::clone(&barrier);
+            let request = request.clone();
+            std::thread::spawn(move || {
+                let mut c = Client::connect(addr).unwrap();
+                barrier.wait();
+                served(&c.request(&request).unwrap())
+            })
+        })
+        .collect();
+    let replies: Vec<Served> = threads.into_iter().map(|t| t.join().unwrap()).collect();
+    assert!(replies.iter().all(|r| r.count == expected), "{replies:?}");
+    // One reader moved the tables and repaired; the rest waited on it or
+    // came after it, and hit.
+    assert_eq!(replies.iter().filter(|r| r.cache == "REPAIRED").count(), 1);
+    assert_eq!(replies.iter().filter(|r| r.cache == "HIT").count(), 7);
+    let stats = prom(&mut client);
+    assert_eq!(stats["ceci_index_repairs_total"], 2.0);
+    assert_eq!(stats["ceci_index_repair_fallbacks_total"], 0.0);
+    assert_eq!(stats["ceci_cache_misses_total"], 1.0);
+    handle.shutdown();
+}
+
+#[test]
+fn dirty_log_overflow_rebases_under_the_plan_instead_of_missing() {
+    let scratch = Scratch::new("log-overflow");
+    let (graph, pattern) = order_sensitive();
+    let other = query_from(&graph, 3, 5);
+    let graph_path = scratch.write_graph("data.graph", &graph);
+    let query_path = scratch.write_graph("query.graph", &pattern);
+    let other_path = scratch.write_graph("other.graph", &other);
+    let request = format!("MATCH g {query_path}");
+    let spent = |client: &mut Client| ledger(client, &query_path).0;
+
+    let (handle, state) = serve(ServeConfig {
+        dirty_log_cap: 2,
+        trace: true,
+        ..ServeConfig::default()
+    });
+    let mut client = Client::connect(handle.addr()).unwrap();
+    client.request(&format!("LOAD g {graph_path}")).unwrap();
+    client.request(&request).unwrap();
+    client.request(&format!("MATCH g {other_path}")).unwrap();
+    // `query` gets tables (one batch, one read); `other` stays as missed.
+    let mut reference = batch_one(&mut client, &graph, 97);
+    assert_eq!(served(&client.request(&request).unwrap()).cache, "REPAIRED");
+    let before = spent(&mut client);
+
+    // Four unread batches: the two-batch log no longer reaches back.
+    for round in 0..4 {
+        reference = batch_one(&mut client, &reference, 131 + round);
+    }
+    let reply = served(&client.request(&request).unwrap());
+    assert_eq!(reply.cache, "REPAIRED", "rebased, not rebuilt as a miss");
+    assert_eq!(reply.count, direct_count(&reference, &pattern));
+    assert!(
+        spent(&mut client) > before,
+        "the lineage keeps its rent/buy ledger across the overflow"
+    );
+    // An entry that never had tables needs no log at all.
+    let reply = served(&client.request(&format!("MATCH g {other_path}")).unwrap());
+    assert_eq!(reply.cache, "REPAIRED");
+    assert_eq!(reply.count, direct_count(&reference, &other));
+
+    assert_eq!(
+        repair_modes(&state),
+        ["mode=first", "mode=rebase", "mode=first"]
+    );
+    let stats = prom(&mut client);
+    assert_eq!(stats["ceci_index_repairs_total"], 3.0);
+    assert_eq!(stats["ceci_index_repair_rebases_total"], 1.0);
+    assert_eq!(stats["ceci_index_repair_fallbacks_total"], 0.0);
+    assert_eq!(stats["ceci_cache_misses_total"], 2.0);
+    handle.shutdown();
+}
+
+#[test]
+fn cache_bytes_follow_the_tables() {
+    let scratch = Scratch::new("cache-bytes");
+    let graph = small_graph();
+    let graph_path = scratch.write_graph("data.graph", &graph);
+    let (handle, state) = serve(ServeConfig::default());
+    let mut client = Client::connect(handle.addr()).unwrap();
+    client.request(&format!("LOAD g {graph_path}")).unwrap();
+
+    // What the live entries hold, against what the cache charges.
+    let held = |state: &ServerState| -> (usize, usize) {
+        let entries = state.cache.entries();
+        let index: usize = entries.iter().map(|e| e.ceci.size_bytes()).sum();
+        let tables: usize = entries.iter().map(|e| e.table_bytes()).sum();
+        assert_eq!(state.cache.bytes(), index + tables);
+        (
+            index,
+            entries.iter().filter(|e| e.table_bytes() > 0).count(),
+        )
+    };
+
+    // 50 one-shot misses: frozen indexes only.
+    let templates = distinct_templates(&scratch, &graph, 50);
+    for (path, _) in &templates {
+        client.request(&format!("MATCH g {path}")).unwrap();
+    }
+    let (index, owners) = held(&state);
+    assert_eq!(state.cache.len(), 50);
+    assert_eq!(owners, 0, "no miss builds tables");
+    assert_eq!(prom(&mut client)["ceci_cache_bytes"], index as f64);
+
+    // A batch and one read: that entry's tables are charged ...
+    let request = format!("MATCH g {}", templates[0].0);
+    let reference = batch_one(&mut client, &graph, 97);
+    assert_eq!(served(&client.request(&request).unwrap()).cache, "REPAIRED");
+    assert_eq!(held(&state).1, 1);
+    let charged = state.cache.bytes();
+    assert_eq!(prom(&mut client)["ceci_cache_bytes"], charged as f64);
+
+    // ... and after the move of the next repair still once, not twice.
+    batch_one(&mut client, &reference, 131);
+    assert_eq!(served(&client.request(&request).unwrap()).cache, "REPAIRED");
+    assert_eq!(held(&state).1, 1);
+    assert_eq!(state.cache.len(), 50);
     handle.shutdown();
 }
 
