@@ -2,9 +2,11 @@
 //!
 //! Deliberately shares almost nothing with the CECI machinery: it walks
 //! query vertices in plain id order, tries every label-compatible data
-//! vertex, and checks *all* adjacent assigned query vertices by direct edge
+//! vertex (every neighbor of one assigned neighbor's image, once there is
+//! one), and checks *all* adjacent assigned query vertices by direct edge
 //! lookup. Slow, obvious, and easy to audit; every other engine is tested
-//! against it.
+//! against it. Counting visits embeddings without storing them, so the
+//! oracle also fits runs with 10^8 embeddings (`repro kernels`).
 
 use ceci_graph::{Graph, VertexId};
 use ceci_query::{OrderConstraint, QueryGraph};
@@ -19,26 +21,29 @@ pub fn enumerate_all(
     query: &QueryGraph,
     constraints: &[OrderConstraint],
 ) -> Vec<Vec<VertexId>> {
-    let n = query.num_vertices();
-    let mut mapping: Vec<Option<VertexId>> = vec![None; n];
-    let mut used = std::collections::HashSet::new();
     let mut out = Vec::new();
-    rec(
-        graph,
-        query,
-        constraints,
-        0,
-        &mut mapping,
-        &mut used,
-        &mut out,
-    );
+    visit_all(graph, query, constraints, &mut |mapping| {
+        out.push(mapping.iter().map(|m| m.unwrap()).collect());
+    });
     out.sort();
     out
 }
 
 /// Counts embeddings without materializing them.
 pub fn count_all(graph: &Graph, query: &QueryGraph, constraints: &[OrderConstraint]) -> u64 {
-    enumerate_all(graph, query, constraints).len() as u64
+    let mut count = 0u64;
+    visit_all(graph, query, constraints, &mut |_| count += 1);
+    count
+}
+
+fn visit_all(
+    graph: &Graph,
+    query: &QueryGraph,
+    constraints: &[OrderConstraint],
+    visit: &mut dyn FnMut(&[Option<VertexId>]),
+) {
+    let mut mapping: Vec<Option<VertexId>> = vec![None; query.num_vertices()];
+    rec(graph, query, constraints, 0, &mut mapping, visit);
 }
 
 fn rec(
@@ -47,23 +52,38 @@ fn rec(
     constraints: &[OrderConstraint],
     depth: usize,
     mapping: &mut Vec<Option<VertexId>>,
-    used: &mut std::collections::HashSet<VertexId>,
-    out: &mut Vec<Vec<VertexId>>,
+    visit: &mut dyn FnMut(&[Option<VertexId>]),
 ) {
     let n = query.num_vertices();
     if depth == n {
-        out.push(mapping.iter().map(|m| m.unwrap()).collect());
+        visit(mapping);
         return;
     }
     let u = VertexId(depth as u32);
-    // Seed candidates from the label index of the rarest member label.
-    let seed = query
-        .labels(u)
+    // Every image of `u` neighbors the image of each assigned query
+    // neighbor, so the shortest such adjacency list holds them all; with
+    // none assigned yet, seed from the label index of the rarest member
+    // label.
+    let anchor = query
+        .neighbors(u)
         .iter()
-        .min_by_key(|&l| graph.vertices_with_label(l).len())
-        .expect("non-empty label set");
-    for &v in graph.vertices_with_label(seed) {
-        if used.contains(&v) {
+        .filter_map(|w| mapping[w.index()])
+        .min_by_key(|&image| graph.neighbors(image).len());
+    let candidates = match anchor {
+        Some(image) => graph.neighbors(image),
+        None => {
+            let seed = query
+                .labels(u)
+                .iter()
+                .min_by_key(|&l| graph.vertices_with_label(l).len())
+                .expect("non-empty label set");
+            graph.vertices_with_label(seed)
+        }
+    };
+    for &v in candidates {
+        // Injectivity: a query has a handful of vertices, so the partial
+        // mapping itself is the used set.
+        if mapping.contains(&Some(v)) {
             continue;
         }
         if !query.labels(u).is_subset_of(graph.labels(v)) {
@@ -94,10 +114,8 @@ fn rec(
             continue;
         }
         mapping[u.index()] = Some(v);
-        used.insert(v);
-        rec(graph, query, constraints, depth + 1, mapping, used, out);
+        rec(graph, query, constraints, depth + 1, mapping, visit);
         mapping[u.index()] = None;
-        used.remove(&v);
     }
 }
 

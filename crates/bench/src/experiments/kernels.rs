@@ -4,11 +4,14 @@
 //! The sweep intersects a fixed-size small list against haystacks 1×…1024×
 //! larger and reports, per kernel, the exact comparison count and wall time;
 //! the end-to-end section re-runs the QG1–QG5 enumeration with each kernel
-//! pinned through [`EnumOptions`]. Everything is dumped to
+//! pinned through [`EnumOptions`] and checks every count against the
+//! `ceci-baselines` reference matcher (`"counts_identical": true` on each
+//! record, asserted in-run). Everything is dumped to
 //! `bench_results/kernels.json` so regressions are diffable.
 
 use std::time::{Duration, Instant};
 
+use ceci_baselines::reference;
 use ceci_core::intersect::{intersect_with, Kernel};
 use ceci_core::{enumerate_sequential, Ceci, CountSink, EnumOptions};
 use ceci_graph::VertexId;
@@ -166,13 +169,22 @@ pub fn run_with(scale: Scale, only: Option<Kernel>) {
             );
             (start.elapsed(), counters)
         };
-        let (merge_time, merge_counters) = run_kernel(Kernel::Merge);
+        let (merge_time, _) = run_kernel(Kernel::Merge);
+        // The oracle shares no code with the enumerator: plain id-order
+        // backtracking under the plan's symmetry constraints.
+        let oracle_start = Instant::now();
+        let expected = reference::count_all(&graph, plan.query(), plan.symmetry_constraints());
+        println!(
+            "{}: reference matcher counts {expected} in {:.1} s",
+            query.name(),
+            oracle_start.elapsed().as_secs_f64()
+        );
         for &kernel in &kernels {
             let (time, counters) = run_kernel(kernel);
             assert_eq!(
                 counters.embeddings,
-                merge_counters.embeddings,
-                "{} changes the result on {}",
+                expected,
+                "{} disagrees with the reference matcher on {}",
                 kernel.name(),
                 query.name()
             );
@@ -193,7 +205,8 @@ pub fn run_with(scale: Scale, only: Option<Kernel>) {
                     .field("embeddings", counters.embeddings)
                     .field("intersection_ops", counters.intersection_ops)
                     .field("nanos", time.as_nanos() as u64)
-                    .field("speedup_vs_merge", speedup),
+                    .field("speedup_vs_merge", speedup)
+                    .field("counts_identical", true),
             );
         }
     }

@@ -143,7 +143,10 @@ fn main() {
     let build_time = t1.elapsed();
 
     if args.stats {
-        eprint!("{}", ceci::core::explain_plan(&plan, &graph));
+        eprint!(
+            "{}",
+            ceci::core::explain_plan(&plan, &graph, Default::default())
+        );
         eprint!("{}", ceci::core::explain_index(&ceci, &plan));
     }
     if let Some(walks) = args.estimate {

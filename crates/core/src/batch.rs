@@ -32,6 +32,7 @@ use ceci_query::QueryPlan;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
+use crate::bitmap::VertexBitmap;
 use crate::enumerate::{EnumOptions, Enumerator};
 use crate::index::Ceci;
 use crate::metrics::Counters;
@@ -150,21 +151,34 @@ impl PrefixSpec {
     }
 }
 
+/// `plan`'s symmetry constraints whose endpoints both fall inside a prefix of
+/// `depth` positions, as `(smaller, larger)` position pairs.
+fn prefix_constraints(plan: &QueryPlan, depth: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+    plan.symmetry_constraints()
+        .iter()
+        .map(|c| (plan.position(c.smaller), plan.position(c.larger)))
+        .filter(move |&(ps, pl)| ps < depth && pl < depth)
+}
+
 /// Whether a frontier prefix satisfies `plan`'s symmetry constraints whose
 /// endpoints both fall inside the prefix (constraints straddling the suffix
 /// are enforced by the recursion as usual).
 pub fn prefix_satisfies_symmetry(plan: &QueryPlan, prefix: &[VertexId]) -> bool {
-    let d = prefix.len();
-    plan.symmetry_constraints().iter().all(|c| {
-        let (ps, pl) = (plan.position(c.smaller), plan.position(c.larger));
-        ps >= d || pl >= d || prefix[ps] < prefix[pl]
-    })
+    prefix_constraints(plan, prefix.len()).all(|(ps, pl)| prefix[ps] < prefix[pl])
 }
 
 /// Forks one query's enumeration from a shared frontier: each frontier
 /// entry that passes the query's prefix-internal symmetry constraints seeds
 /// [`Enumerator::enumerate_prefix`]. Returns the merged counters; stops
 /// early if the sink requests it.
+///
+/// What is the same for every entry is settled once per call: the
+/// prefix-internal constraints are resolved to position pairs, and the
+/// index's candidate set of each prefix position (the first one's are the
+/// pivots) becomes a bitmap. The structural frontier holds every edge of the
+/// graph, the index only what survived refinement: an entry with a vertex
+/// outside its position's candidates completes no embedding and is skipped
+/// before the enumerator is touched.
 ///
 /// The frontier must have been built from a [`PrefixSpec`] **equal** to
 /// `PrefixSpec::from_plan(plan, depth)` for the same data graph — the
@@ -180,8 +194,22 @@ pub fn enumerate_from_frontier<S: EmbeddingSink>(
 ) -> Counters {
     let mut counters = Counters::default();
     let mut e = Enumerator::new(graph, plan, ceci, options);
+    let depth = frontier.first().map_or(0, Vec::len);
+    let ordered: Vec<(usize, usize)> = prefix_constraints(plan, depth).collect();
+    let candidates: Vec<VertexBitmap> = plan.matching_order()[..depth]
+        .iter()
+        .map(|&u| {
+            let mut set = VertexBitmap::new(graph.num_vertices());
+            ceci.candidates(u).iter().for_each(|&v| set.insert(v));
+            set
+        })
+        .collect();
     for prefix in frontier {
-        if !prefix_satisfies_symmetry(plan, prefix) {
+        let admitted = prefix
+            .iter()
+            .zip(&candidates)
+            .all(|(&v, set)| set.contains(v));
+        if !admitted || !ordered.iter().all(|&(ps, pl)| prefix[ps] < prefix[pl]) {
             continue;
         }
         if !e.enumerate_prefix(prefix, sink, &mut counters) {

@@ -3,18 +3,24 @@
 //! Each embedding cluster is searched by backtracking along the matching
 //! order. For query node `u` with tree parent `u_p`, the candidate list is
 //! `TE_Candidates[u][f(u_p)]`; every backward non-tree edge `(u_n, u)`
-//! intersects in `NTE_Candidates[u][f(u_n)]`. The surviving *matching nodes*
-//! are then checked for injectivity and symmetry-breaking bounds and the
+//! intersects in `NTE_Candidates[u][f(u_n)]`. The symmetry-breaking order
+//! `f(u_i) < f(u_j)` is a *bound on those lists*, not a filter on their
+//! intersection: one [`Enumerator::gather`] slices every list to the window
+//! the already-mapped partners leave open before the kernel sees it, so the
+//! surviving *matching nodes* only need the injectivity check before the
 //! search recurses.
 //!
 //! The edge-verification mode (§4.1's comparison point) skips the NTE
 //! intersection and instead verifies each candidate's non-tree edges against
-//! the data graph — the strategy of TurboIso/CFLMatch-style engines.
+//! the data graph — the strategy of TurboIso/CFLMatch-style engines. It
+//! walks every TE candidate anyway, so it keeps filtering symmetry per
+//! candidate.
 
 use ceci_graph::{Graph, VertexId};
 use ceci_query::QueryPlan;
 use ceci_trace::DepthProfile;
 
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 use crate::bitmap::VertexBitmap;
@@ -61,16 +67,86 @@ pub struct EnumOptions {
     /// part of the run (forwarded to [`crate::BuildOptions::threads`]);
     /// `0`/`1` builds on the calling thread. Enumeration itself ignores it.
     pub build_threads: usize,
-    /// CEMR-style redundant-extension elimination: when the last matching-
-    /// order vertex's candidate set is provably independent of the sibling
-    /// chosen at the penultimate depth (no tree edge, backward NTE, or
-    /// symmetry constraint between them), the leaf set is computed once per
-    /// penultimate expansion and every sibling is answered with a
-    /// membership-corrected bulk count instead of a recursive re-gather.
-    /// Embedding counts are bit-identical; work counters legitimately
-    /// shrink. Only takes effect for counting sinks (bulk-capable) under
-    /// [`VerifyMode::Intersection`]. Off by default.
+    /// CEMR-style redundant-extension elimination: when no tree edge and no
+    /// backward NTE joins the last matching-order vertex to the penultimate
+    /// one, the leaf set is gathered once per penultimate expansion and
+    /// every sibling is answered with a bulk count instead of a recursive
+    /// re-gather. If nothing at all ties the two, a sibling's count is the
+    /// set minus its own membership ([`LeafMode::Reuse`]); if exactly one
+    /// symmetry constraint does, the set is gathered with that constraint
+    /// left out and a sibling's count is the part of the set above (or
+    /// below) it ([`LeafMode::ReuseOrdered`]). Embedding counts are
+    /// bit-identical; work counters legitimately shrink. Only takes effect
+    /// for counting sinks (bulk-capable) under [`VerifyMode::Intersection`].
+    /// Off by default.
     pub prune_redundant: bool,
+}
+
+/// How the last matching-order depth of a plan is answered for a
+/// bulk-capable sink (an unbounded count). Sinks that need each embedding
+/// (`LIMIT`, collection) and runs under a [`CancelToken`] deadline get
+/// [`LeafMode::Emit`] whatever the plan allows.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LeafMode {
+    /// One `mapping` write and one `emit` per embedding.
+    Emit,
+    /// The last depth's gathered set is counted, not walked.
+    Tally,
+    /// The leaf set is gathered once per penultimate expansion; nothing ties
+    /// it to the sibling chosen there but injectivity.
+    Reuse,
+    /// As [`LeafMode::Reuse`], with one symmetry constraint between the last
+    /// two vertices: the leaf's image must compare this way to the sibling's.
+    ReuseOrdered(Ordering),
+}
+
+impl LeafMode {
+    /// The mode `plan` gets under `options`.
+    pub fn of(plan: &QueryPlan, options: EnumOptions) -> LeafMode {
+        if options.verify != VerifyMode::Intersection {
+            return LeafMode::Emit;
+        }
+        let &[.., pen, last] = plan.matching_order() else {
+            return LeafMode::Tally;
+        };
+        // (A two-vertex order ends on the root's child: nothing to share.)
+        if !options.prune_redundant
+            || plan.tree().parent(last) == Some(pen)
+            || plan.backward_nte(last).contains(&pen)
+        {
+            return LeafMode::Tally;
+        }
+        let above = plan.lower_bounds(last).contains(&pen);
+        let below = plan.upper_bounds(last).contains(&pen);
+        match (above, below) {
+            (false, false) => LeafMode::Reuse,
+            (true, false) => LeafMode::ReuseOrdered(Ordering::Greater),
+            (false, true) => LeafMode::ReuseOrdered(Ordering::Less),
+            (true, true) => LeafMode::Tally, // contradictory: nothing to share
+        }
+    }
+
+    /// Embeddings completing the partial embedding that maps the penultimate
+    /// vertex to `sibling`, given the sorted leaf set `accepted` gathered
+    /// without it. The strict order of [`LeafMode::ReuseOrdered`] excludes
+    /// the sibling itself, which is all injectivity asks.
+    fn completions(self, accepted: &[VertexId], sibling: VertexId) -> u64 {
+        let n = match self {
+            LeafMode::ReuseOrdered(Ordering::Greater) => {
+                accepted.len() - accepted.partition_point(|&w| w <= sibling)
+            }
+            LeafMode::ReuseOrdered(_) => accepted.partition_point(|&w| w < sibling),
+            _ => accepted.len() - usize::from(accepted.binary_search(&sibling).is_ok()),
+        };
+        n as u64
+    }
+}
+
+/// The part of sorted `list` strictly between `lo` and `hi`.
+#[inline]
+fn clip(list: &[VertexId], lo: Option<VertexId>, hi: Option<VertexId>) -> &[VertexId] {
+    let list = hi.map_or(list, |hi| &list[..list.partition_point(|&x| x < hi)]);
+    lo.map_or(list, |lo| &list[list.partition_point(|&x| x <= lo)..])
 }
 
 /// Reusable per-worker scratch state for cluster enumeration.
@@ -107,11 +183,9 @@ pub struct Enumerator<'a> {
     /// [`Counters`], so all exact counters stay bit-identical with
     /// profiling on or off.
     profile: Option<Box<DepthProfile>>,
-    /// Precomputed per-plan eligibility for leaf-level redundant-extension
-    /// elimination (see [`EnumOptions::prune_redundant`]): true iff pruning
-    /// is requested AND the last matching-order vertex's candidate gather
-    /// cannot depend on the penultimate vertex's image.
-    prune_leaf: bool,
+    /// How the plan's last depth is answered for a bulk-capable sink,
+    /// precomputed per plan (see [`LeafMode::of`]).
+    leaf: LeafMode,
     /// Per-depth intersection-kernel pins from the adaptive planner's
     /// profile feedback. Empty (the default) means every depth dispatches
     /// through `options.kernel`; otherwise `depth_kernels[d]` overrides the
@@ -134,9 +208,6 @@ impl<'a> Enumerator<'a> {
             .map(|u| ceci.nte(u).len())
             .max()
             .unwrap_or(0);
-        let prune_leaf = options.prune_redundant
-            && options.verify == VerifyMode::Intersection
-            && leaf_gather_is_sibling_independent(plan);
         Enumerator {
             graph,
             plan,
@@ -151,7 +222,7 @@ impl<'a> Enumerator<'a> {
             cancel: None,
             drain_tick: 0,
             profile: None,
-            prune_leaf,
+            leaf: LeafMode::of(plan, options),
             depth_kernels: Vec::new(),
         }
     }
@@ -172,13 +243,6 @@ impl<'a> Enumerator<'a> {
             .get(depth)
             .copied()
             .unwrap_or(self.options.kernel)
-    }
-
-    /// Whether this enumerator will apply leaf-level redundant-extension
-    /// elimination (plan-dependent; requires a bulk-capable sink at run
-    /// time).
-    pub fn prunes_redundant_extensions(&self) -> bool {
-        self.prune_leaf
     }
 
     /// Attaches a cooperative [`CancelToken`]: the recursion polls it
@@ -283,21 +347,27 @@ impl<'a> Enumerator<'a> {
                 .all(|(i, v)| !prefix[..i].contains(v)),
             "work-unit prefix must map distinct data vertices"
         );
-        for (i, &v) in prefix.iter().enumerate() {
-            self.mapping[order[i].index()] = Some(v);
-            self.used.insert(v);
-        }
+        self.map_prefix(prefix, true);
         let keep_going = if prefix.len() == order.len() {
             counters.embeddings += 1;
             self.emit(sink)
         } else {
             self.search(prefix.len(), sink, counters)
         };
-        for (i, &v) in prefix.iter().enumerate() {
-            self.mapping[order[i].index()] = None;
-            self.used.remove(v);
-        }
+        self.map_prefix(prefix, false);
         keep_going
+    }
+
+    /// Maps (or unmaps) `matching_order[..prefix.len()]` to `prefix`.
+    fn map_prefix(&mut self, prefix: &[VertexId], mapped: bool) {
+        for (u, &v) in self.plan.matching_order().iter().zip(prefix) {
+            self.mapping[u.index()] = mapped.then_some(v);
+            if mapped {
+                self.used.insert(v);
+            } else {
+                self.used.remove(v);
+            }
+        }
     }
 
     /// Recursive backtracking search at `depth` in the matching order.
@@ -321,47 +391,67 @@ impl<'a> Enumerator<'a> {
         if let Some(p) = self.profile.as_deref_mut() {
             p.on_call(depth);
         }
+        let mut buffer = std::mem::take(&mut self.buffers[depth]);
+        let gathered = self.gather(depth, &mut buffer, counters);
+        let keep_going = gathered && self.drain(depth, &buffer, sink, counters);
+        self.buffers[depth] = buffer;
+        keep_going
+    }
+
+    /// Gathers the matching nodes of `order[depth]` under the current
+    /// partial embedding into `out`: window → intersect. The symmetry
+    /// window `(lo, hi)` — the largest image among the mapped partners that
+    /// must stay below `u`, the smallest among those that must stay above —
+    /// slices the TE list and every NTE list before the kernel sees them,
+    /// so `out` satisfies every tree edge, non-tree edge and symmetry
+    /// constraint whose other end is mapped; injectivity against the prefix
+    /// is left to the caller (each has its own way to count it).
+    /// Edge-verification mode walks the whole TE list and rejects per
+    /// candidate — edges, injectivity, symmetry, in the order its counters
+    /// have always recorded. Returns `false` only when that walk was
+    /// cancelled.
+    fn gather(&mut self, depth: usize, out: &mut Vec<VertexId>, counters: &mut Counters) -> bool {
+        out.clear();
         // Detach the reference fields from `self` so candidate lists borrowed
         // from the index don't pin the whole enumerator.
         let (graph, plan, ceci) = (self.graph, self.plan, self.ceci);
-        let order = plan.matching_order();
-        let u = order[depth];
+        let u = plan.matching_order()[depth];
         let parent = plan.tree().parent(u).expect("non-root nodes have parents");
         let parent_image = self.mapping[parent.index()].expect("parent is assigned");
-        let Some(te_list) = ceci.te(u).and_then(|t| t.get(parent_image)) else {
-            return true; // no candidates under this parent image
-        };
-
-        // Gather matching nodes into this depth's buffer.
-        let mut buffer = std::mem::take(&mut self.buffers[depth]);
+        // No list: no candidates under this parent image.
+        let te_list = ceci.te(u).and_then(|t| t.get(parent_image)).unwrap_or(&[]);
         let ops_before = counters.intersection_ops;
-        let mut gather_cancelled = false;
+        let mut completed = true;
         match self.options.verify {
             VerifyMode::Intersection => {
-                let nte_tables = ceci.nte(u);
+                // A partner still unmapped (the penultimate vertex during a
+                // shared leaf gather) bounds nothing yet.
+                let image = |w: &VertexId| self.mapping[w.index()];
+                let lo = plan.lower_bounds(u).iter().filter_map(image).max();
+                let hi = plan.upper_bounds(u).iter().filter_map(image).min();
                 // Collect the NTE lists keyed by the current images into the
-                // reusable gather buffer (no allocation in steady state).
+                // reusable gather buffer (no allocation in steady state). A
+                // missing key is two array reads to find, so look them all up
+                // before bisecting any list; one empty list empties the
+                // intersection.
                 let mut lists = std::mem::take(&mut self.nte_lists);
                 lists.clear();
-                let mut dead = false;
-                for (un, table) in nte_tables {
-                    let image = self.mapping[un.index()].expect("NTE parent assigned earlier");
-                    match table.get(image) {
-                        Some(list) => lists.push(list),
-                        None => {
-                            dead = true;
-                            break;
-                        }
-                    }
-                }
-                if dead {
-                    buffer.clear();
-                } else {
+                let keyed = ceci.nte(u).iter().all(|(un, table)| {
+                    let key = self.mapping[un.index()].expect("NTE parent assigned earlier");
+                    table.get(key).map(|list| lists.push(list)).is_some()
+                });
+                let te_list = if keyed { clip(te_list, lo, hi) } else { &[] };
+                let live = !te_list.is_empty()
+                    && lists.iter_mut().all(|list| {
+                        *list = clip(list, lo, hi);
+                        !list.is_empty()
+                    });
+                if live {
                     intersect_many_with(
                         self.kernel_at(depth),
                         te_list,
                         &lists,
-                        &mut buffer,
+                        out,
                         &mut self.scratch,
                         &mut counters.intersection_ops,
                     );
@@ -369,13 +459,12 @@ impl<'a> Enumerator<'a> {
                 self.nte_lists = lists;
             }
             VerifyMode::EdgeVerification => {
-                buffer.clear();
                 'cand: for &v in te_list {
                     // A single huge TE list can hold the recursion here for
                     // the rest of the deadline; poll inside the gather too.
                     if self.drain_cancelled() {
-                        gather_cancelled = true;
-                        break 'cand;
+                        completed = false;
+                        break;
                     }
                     for un in plan.backward_nte(u) {
                         let image = self.mapping[un.index()].expect("NTE parent assigned");
@@ -384,38 +473,67 @@ impl<'a> Enumerator<'a> {
                             continue 'cand;
                         }
                     }
-                    buffer.push(v);
+                    if self.used.contains(v) {
+                        counters.injectivity_rejections += 1;
+                    } else if !plan.satisfies_symmetry(u, v, &self.mapping) {
+                        counters.symmetry_rejections += 1;
+                    } else {
+                        out.push(v);
+                    }
                 }
             }
         }
-
         if let Some(p) = self.profile.as_deref_mut() {
-            p.on_expand(
-                depth,
-                buffer.len() as u64,
-                counters.intersection_ops - ops_before,
-            );
+            let ops = counters.intersection_ops - ops_before;
+            p.on_expand(depth, out.len() as u64, ops);
         }
-        if gather_cancelled {
-            self.buffers[depth] = buffer;
-            return false;
-        }
+        completed
+    }
 
+    /// Extends the partial embedding by each gathered candidate of
+    /// `order[depth]` in turn and recurses (or emits, at the last depth).
+    /// The only check left to make per candidate is injectivity — so at the
+    /// last depth a sink that takes counts gets one, without the walk.
+    fn drain<S: EmbeddingSink>(
+        &mut self,
+        depth: usize,
+        gathered: &[VertexId],
+        sink: &mut S,
+        counters: &mut Counters,
+    ) -> bool {
+        let plan = self.plan;
+        let order = plan.matching_order();
+        let u = order[depth];
+        let last = depth + 1 == order.len();
+        // Tally: the gather proved every edge and every symmetry constraint,
+        // so what completes the embedding is the gathered set minus the
+        // prefix images inside it. (A deadline asks for a poll every
+        // `DRAIN_CHECK_MASK`+1 candidates, which a tally cannot give.)
+        if last && self.leaf != LeafMode::Emit && self.cancel.is_none() && sink.supports_bulk() {
+            let image = |w: &VertexId| self.mapping[w.index()].expect("prefix is assigned");
+            let prefix = order[..depth].iter().map(image);
+            let taken = prefix.filter(|v| gathered.binary_search(v).is_ok()).count() as u64;
+            let n = gathered.len() as u64 - taken;
+            counters.injectivity_rejections += taken;
+            counters.embeddings += n;
+            if let Some(p) = self.profile.as_deref_mut() {
+                p.on_drain(depth, n, n);
+            }
+            return n == 0 || sink.emit_bulk(n);
+        }
         // Leaf-level redundant-extension elimination: every sibling drained
         // below would recurse into the last depth and gather the *same*
-        // candidate set (independence established per plan in `new`). Gather
-        // and filter it once against the shared prefix; each sibling's count
-        // is then the base count minus its own membership (the only part of
-        // the leaf filter that varies across siblings is injectivity against
-        // the sibling itself).
-        let leaf: Option<Vec<VertexId>> = (self.prune_leaf
-            && depth + 2 == order.len()
-            && sink.supports_bulk()
-            && !buffer.is_empty())
+        // candidate set, up to the one symmetry constraint that may tie the
+        // two (established per plan in `LeafMode::of`). Gather it once
+        // against the shared prefix; `LeafMode::completions` reads each
+        // sibling's count off it.
+        let leaf: Option<Vec<VertexId>> = (depth + 2 == order.len()
+            && !gathered.is_empty()
+            && matches!(self.leaf, LeafMode::Reuse | LeafMode::ReuseOrdered(_))
+            && sink.supports_bulk())
         .then(|| self.gather_leaf(counters));
 
         let mut keep_going = true;
-        let last = depth + 1 == order.len();
         // Batched profile attribution: the drain loop below is the hottest
         // code in the engine, so per-candidate profile hooks would deref the
         // boxed profile millions of times. Accumulate in stack locals and
@@ -423,9 +541,7 @@ impl<'a> Enumerator<'a> {
         let mut emitted_here = 0u64;
         let mut backtracks_here = 0u64;
         let mut leaf_emitted = 0u64;
-        let mut leaf_reused = 0u64;
-        let mut bulk_answered = 0u64;
-        for &v in &buffer {
+        for &v in gathered {
             // In-drain cancellation poll: the intersection above may have
             // produced millions of candidates for one pathological pivot,
             // and the per-call poll would not fire again until the *next*
@@ -438,10 +554,6 @@ impl<'a> Enumerator<'a> {
                 counters.injectivity_rejections += 1;
                 continue;
             }
-            if !plan.satisfies_symmetry(u, v, &self.mapping) {
-                counters.symmetry_rejections += 1;
-                continue;
-            }
             self.mapping[u.index()] = Some(v);
             self.used.insert(v);
             keep_going = if last {
@@ -449,17 +561,9 @@ impl<'a> Enumerator<'a> {
                 emitted_here += 1;
                 self.emit(sink)
             } else if let Some(accepted) = &leaf {
-                // The sibling itself is the only accepted leaf candidate
-                // its subtree must exclude (injectivity); everything else
-                // in the accepted set completes an embedding.
-                let sub = accepted.len() as u64 - u64::from(accepted.binary_search(&v).is_ok());
+                let sub = self.leaf.completions(accepted, v);
                 counters.embeddings += sub;
                 leaf_emitted += sub;
-                if bulk_answered > 0 {
-                    counters.reused_subtrees += 1;
-                    leaf_reused += 1;
-                }
-                bulk_answered += 1;
                 sink.emit_bulk(sub)
             } else {
                 self.search(depth + 1, sink, counters)
@@ -471,6 +575,12 @@ impl<'a> Enumerator<'a> {
                 break;
             }
         }
+        // The first sibling answered pays for the leaf gather; every later
+        // one reuses it.
+        let leaf_reused = leaf
+            .as_ref()
+            .map_or(0, |_| backtracks_here.saturating_sub(1));
+        counters.reused_subtrees += leaf_reused;
         if let Some(p) = self.profile.as_deref_mut() {
             p.on_drain(depth, emitted_here, backtracks_here);
             if leaf.is_some() {
@@ -482,73 +592,22 @@ impl<'a> Enumerator<'a> {
             // Return the leaf buffer to its slot for reuse.
             self.buffers[depth + 1] = accepted;
         }
-        self.buffers[depth] = buffer;
         keep_going
     }
 
-    /// Gathers and prefix-filters the last depth's candidate set once for
-    /// leaf-level redundant-extension elimination. Only called when the
-    /// plan guarantees the gather is independent of the penultimate
-    /// sibling's image (see [`leaf_gather_is_sibling_independent`]). The
-    /// returned set is sorted (intersection outputs are sorted and `retain`
-    /// preserves order), so per-sibling membership is a binary search.
+    /// Gathers the last depth's candidate set once for leaf-level redundant-
+    /// extension elimination, filtered for injectivity against the shared
+    /// prefix. The penultimate sibling is not mapped yet, so a symmetry
+    /// constraint tying it to the leaf stays out of the window; the sibling's
+    /// own exclusion is [`LeafMode::completions`]'s. The set stays sorted
+    /// (intersection outputs are, and `retain` preserves order).
     fn gather_leaf(&mut self, counters: &mut Counters) -> Vec<VertexId> {
-        let (plan, ceci) = (self.plan, self.ceci);
-        let order = plan.matching_order();
-        let depth = order.len() - 1;
-        let u = order[depth];
-        let parent = plan.tree().parent(u).expect("non-root nodes have parents");
-        let parent_image = self.mapping[parent.index()]
-            .expect("leaf parent is assigned before the penultimate depth");
+        let depth = self.plan.matching_order().len() - 1;
         let mut buffer = std::mem::take(&mut self.buffers[depth]);
-        buffer.clear();
-        let ops_before = counters.intersection_ops;
-        if let Some(te_list) = ceci.te(u).and_then(|t| t.get(parent_image)) {
-            let mut lists = std::mem::take(&mut self.nte_lists);
-            lists.clear();
-            let mut dead = false;
-            for (un, table) in ceci.nte(u) {
-                let image = self.mapping[un.index()].expect("NTE parent assigned earlier");
-                match table.get(image) {
-                    Some(list) => lists.push(list),
-                    None => {
-                        dead = true;
-                        break;
-                    }
-                }
-            }
-            if !dead {
-                intersect_many_with(
-                    self.kernel_at(depth),
-                    te_list,
-                    &lists,
-                    &mut buffer,
-                    &mut self.scratch,
-                    &mut counters.intersection_ops,
-                );
-            }
-            self.nte_lists = lists;
-        }
-        let raw = buffer.len() as u64;
-        // Injectivity + symmetry against the shared prefix only — the
-        // sibling is not yet mapped, and by construction neither check can
-        // depend on it (its own exclusion is the per-sibling membership
-        // correction in the drain loop).
-        let (used, mapping) = (&self.used, &self.mapping);
-        buffer.retain(|&w| {
-            if used.contains(w) {
-                counters.injectivity_rejections += 1;
-                return false;
-            }
-            if !plan.satisfies_symmetry(u, w, mapping) {
-                counters.symmetry_rejections += 1;
-                return false;
-            }
-            true
-        });
-        if let Some(p) = self.profile.as_deref_mut() {
-            p.on_expand(depth, raw, counters.intersection_ops - ops_before);
-        }
+        self.gather(depth, &mut buffer, counters);
+        let raw = buffer.len();
+        buffer.retain(|&w| !self.used.contains(w));
+        counters.injectivity_rejections += (raw - buffer.len()) as u64;
         buffer
     }
 
@@ -568,79 +627,14 @@ impl<'a> Enumerator<'a> {
         prefix: &[VertexId],
         counters: &mut Counters,
     ) -> Vec<VertexId> {
-        let (plan, ceci) = (self.plan, self.ceci);
-        let order = plan.matching_order();
-        assert!(!prefix.is_empty() && prefix.len() < order.len());
-        for (i, &v) in prefix.iter().enumerate() {
-            self.mapping[order[i].index()] = Some(v);
-            self.used.insert(v);
-        }
-        let u = order[prefix.len()];
-        let parent = plan.tree().parent(u).expect("non-root");
-        let parent_image = self.mapping[parent.index()].unwrap();
+        assert!(!prefix.is_empty() && prefix.len() < self.plan.matching_order().len());
+        self.map_prefix(prefix, true);
         let mut out = Vec::new();
-        if let Some(te_list) = ceci.te(u).and_then(|t| t.get(parent_image)) {
-            let mut ok = true;
-            let mut lists = std::mem::take(&mut self.nte_lists);
-            lists.clear();
-            for (un, table) in ceci.nte(u) {
-                let image = self.mapping[un.index()].unwrap();
-                match table.get(image) {
-                    Some(list) => lists.push(list),
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if ok {
-                intersect_many_with(
-                    self.kernel_at(prefix.len()),
-                    te_list,
-                    &lists,
-                    &mut out,
-                    &mut self.scratch,
-                    &mut counters.intersection_ops,
-                );
-                let (used, mapping) = (&self.used, &self.mapping);
-                out.retain(|&v| !used.contains(v) && plan.satisfies_symmetry(u, v, mapping));
-            }
-            self.nte_lists = lists;
-        }
-        for (i, &v) in prefix.iter().enumerate() {
-            self.mapping[order[i].index()] = None;
-            self.used.remove(v);
-        }
+        self.gather(prefix.len(), &mut out, counters);
+        out.retain(|&v| !self.used.contains(v));
+        self.map_prefix(prefix, false);
         out
     }
-}
-
-/// Static per-plan eligibility test for leaf-level redundant-extension
-/// elimination (CEMR-style): the last matching-order vertex's candidate
-/// gather is independent of the image chosen at the penultimate depth iff
-/// the penultimate vertex is neither the leaf's tree parent, nor one of its
-/// backward NTE sources, nor its partner in a symmetry constraint. Under
-/// those conditions every sibling drained at the penultimate depth induces
-/// the *same* leaf candidate set (up to injectivity against the sibling
-/// itself), so the set can be gathered once and each sibling answered with
-/// a membership-corrected bulk count.
-fn leaf_gather_is_sibling_independent(plan: &QueryPlan) -> bool {
-    let order = plan.matching_order();
-    let n = order.len();
-    if n < 3 {
-        return false;
-    }
-    let u_last = order[n - 1];
-    let u_pen = order[n - 2];
-    if plan.tree().parent(u_last) == Some(u_pen) {
-        return false;
-    }
-    if plan.backward_nte(u_last).contains(&u_pen) {
-        return false;
-    }
-    !plan.symmetry_constraints().iter().any(|c| {
-        (c.smaller == u_last && c.larger == u_pen) || (c.smaller == u_pen && c.larger == u_last)
-    })
 }
 
 /// Enumerates all clusters sequentially (pivot order). Returns the counters;
@@ -1080,68 +1074,48 @@ mod tests {
     }
 
     #[test]
-    fn redundant_pruning_eligibility_is_plan_dependent() {
-        let (graph, plan, ceci) = eligible_star();
-        let e = Enumerator::new(
-            &graph,
-            &plan,
-            &ceci,
-            EnumOptions {
-                prune_redundant: true,
-                ..Default::default()
-            },
-        );
-        assert!(e.prunes_redundant_extensions());
-        // Default off.
-        let e = Enumerator::new(&graph, &plan, &ceci, EnumOptions::default());
-        assert!(!e.prunes_redundant_extensions());
-        // An unlabeled 2-leaf star has automorphic leaves: the symmetry
-        // constraint between the last two order vertices makes the leaf
-        // gather sibling-dependent, so pruning must stay off.
+    fn leaf_mode_is_plan_dependent() {
+        let pruning = EnumOptions {
+            prune_redundant: true,
+            ..Default::default()
+        };
+        let (graph, plan, _) = eligible_star();
+        assert_eq!(LeafMode::of(&plan, pruning), LeafMode::Reuse);
+        // Default off: the last depth is still tallied, never shared.
+        assert_eq!(LeafMode::of(&plan, EnumOptions::default()), LeafMode::Tally);
+        // Edge verification rejects per candidate all the way down.
+        let verify = EnumOptions {
+            verify: VerifyMode::EdgeVerification,
+            ..pruning
+        };
+        assert_eq!(LeafMode::of(&plan, verify), LeafMode::Emit);
+        // An unlabeled 2-leaf star has automorphic leaves: the one symmetry
+        // constraint between the last two order vertices orders the shared
+        // leaf set instead of forbidding it.
         let sym_query = ceci_query::QueryGraph::unlabeled(3, &[(0, 1), (0, 2)]).unwrap();
         let sym_plan = QueryPlan::new(sym_query, &graph);
-        if sym_plan
+        let [.., pen, last] = *sym_plan.matching_order() else {
+            unreachable!()
+        };
+        let tie = sym_plan
             .symmetry_constraints()
             .iter()
-            .any(|c| c.smaller != c.larger)
-        {
-            let sym_ceci = Ceci::build(&graph, &sym_plan);
-            let e = Enumerator::new(
-                &graph,
-                &sym_plan,
-                &sym_ceci,
-                EnumOptions {
-                    prune_redundant: true,
-                    ..Default::default()
-                },
-            );
-            assert!(!e.prunes_redundant_extensions());
-        }
+            .find(|c| [c.smaller, c.larger] == [pen, last] || [c.larger, c.smaller] == [pen, last])
+            .expect("the two leaves are automorphic");
+        let expected = if tie.smaller == pen {
+            Ordering::Greater
+        } else {
+            Ordering::Less
+        };
+        assert_eq!(
+            LeafMode::of(&sym_plan, pruning),
+            LeafMode::ReuseOrdered(expected)
+        );
         // Triangle query: the leaf has a backward NTE to the penultimate
-        // vertex (or is its tree child) — never eligible.
+        // vertex (or is its tree child) — nothing to share.
         let tri_query = ceci_query::QueryGraph::unlabeled(3, &[(0, 1), (0, 2), (1, 2)]).unwrap();
-        let tri = Graph::unlabeled(
-            4,
-            &[
-                (ceci_graph::vid(0), ceci_graph::vid(1)),
-                (ceci_graph::vid(1), ceci_graph::vid(2)),
-                (ceci_graph::vid(2), ceci_graph::vid(0)),
-                (ceci_graph::vid(1), ceci_graph::vid(3)),
-                (ceci_graph::vid(2), ceci_graph::vid(3)),
-            ],
-        );
-        let tri_plan = QueryPlan::new(tri_query, &tri);
-        let tri_ceci = Ceci::build(&tri, &tri_plan);
-        let e = Enumerator::new(
-            &tri,
-            &tri_plan,
-            &tri_ceci,
-            EnumOptions {
-                prune_redundant: true,
-                ..Default::default()
-            },
-        );
-        assert!(!e.prunes_redundant_extensions());
+        let tri_plan = QueryPlan::new(tri_query, &graph);
+        assert_eq!(LeafMode::of(&tri_plan, pruning), LeafMode::Tally);
     }
 
     #[test]

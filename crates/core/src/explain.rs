@@ -12,6 +12,7 @@ use ceci_graph::{Graph, VertexId};
 use ceci_query::QueryPlan;
 
 use crate::adaptive::{PlanChoice, Reuse};
+use crate::enumerate::{EnumOptions, LeafMode};
 use crate::estimate::CostEstimate;
 use crate::index::Ceci;
 use crate::metrics::Counters;
@@ -63,8 +64,12 @@ pub fn explain_profile(plan: &QueryPlan, profile: &DepthProfile, counters: &Coun
     out
 }
 
-/// Renders the preprocessing decisions of a plan.
-pub fn explain_plan(plan: &QueryPlan, graph: &Graph) -> String {
+/// Renders the preprocessing decisions of a plan, and what they let an
+/// enumeration under `options` skip: per matching-order depth the mapped
+/// partners whose images bound its candidate lists (`window lo<-{..}
+/// hi<-{..}`: the symmetry constraints applied before the intersection), and
+/// how a count-only run answers the last depth (`leaf=`, see [`LeafMode`]).
+pub fn explain_plan(plan: &QueryPlan, graph: &Graph, options: EnumOptions) -> String {
     let query = plan.query();
     let mut out = String::new();
     let _ = writeln!(
@@ -110,13 +115,29 @@ pub fn explain_plan(plan: &QueryPlan, graph: &Graph) -> String {
             .iter()
             .map(|w| format!("u{w}"))
             .collect();
+        let partners = |bounds: &[VertexId]| {
+            let names: Vec<String> = bounds.iter().map(|w| format!("u{w}")).collect();
+            names.join(",")
+        };
         let _ = writeln!(
             out,
-            "  u{u}: parent {parent:>3} | NTE from [{}] | {} initial candidates",
+            "  u{u}: parent {parent:>3} | NTE from [{}] | window lo<-{{{}}} hi<-{{{}}} | {} initial candidates",
             ntes.join(", "),
+            partners(plan.lower_bounds(u)),
+            partners(plan.upper_bounds(u)),
             plan.initial_candidates(u).len(),
         );
     }
+    let _ = writeln!(
+        out,
+        "leaf={} for a count-only run (LIMIT, collected and deadline runs: EMIT)",
+        match LeafMode::of(plan, options) {
+            LeafMode::Emit => "EMIT",
+            LeafMode::Tally => "TALLY",
+            LeafMode::Reuse => "REUSE",
+            LeafMode::ReuseOrdered(_) => "REUSE_ORDERED",
+        }
+    );
     out
 }
 
@@ -332,12 +353,44 @@ mod tests {
     #[test]
     fn plan_report_mentions_key_facts() {
         let (graph, plan, _) = setup();
-        let report = explain_plan(&plan, &graph);
+        let report = explain_plan(&plan, &graph, EnumOptions::default());
         assert!(report.contains("root: u0"));
         assert!(report.contains("5 vertices, 6 edges (4 tree + 2 non-tree)"));
         assert!(report.contains("complete — each embedding listed once"));
         // u3 (paper u4) has an NTE from u2 (paper u3).
         assert!(report.contains("NTE from [u2]"), "report:\n{report}");
+        // Distinct labels throughout: no automorphism, nothing to window.
+        assert!(report.contains("window lo<-{} hi<-{}"), "report:\n{report}");
+        assert!(report.contains("leaf=TALLY"), "report:\n{report}");
+    }
+
+    #[test]
+    fn plan_report_names_window_partners_and_leaf_mode() {
+        use ceci_query::PaperQuery;
+        let graph = ceci_graph::generators::erdos_renyi(30, 120, 3);
+        // Triangle: every later vertex is bounded below by the earlier ones.
+        let triangle = QueryPlan::new(PaperQuery::Qg1.build(), &graph);
+        let report = explain_plan(&triangle, &graph, EnumOptions::default());
+        assert_eq!(
+            triangle.matching_order(),
+            [VertexId(0), VertexId(1), VertexId(2)]
+        );
+        assert!(report.contains("u1: parent  u0 | NTE from [] | window lo<-{u0} hi<-{}"));
+        assert!(report.contains("| NTE from [u1] | window lo<-{u0,u1} hi<-{}"));
+        assert!(report.contains("leaf=TALLY"), "report:\n{report}");
+        // 2-leaf star: the leaves are tied by symmetry alone.
+        let star = QueryPlan::new(ceci_query::catalog::star(2), &graph);
+        let pruning = EnumOptions {
+            prune_redundant: true,
+            ..EnumOptions::default()
+        };
+        let report = explain_plan(&star, &graph, pruning);
+        assert!(report.contains("leaf=REUSE_ORDERED"), "report:\n{report}");
+        let verify = EnumOptions {
+            verify: crate::enumerate::VerifyMode::EdgeVerification,
+            ..pruning
+        };
+        assert!(explain_plan(&star, &graph, verify).contains("leaf=EMIT"));
     }
 
     #[test]

@@ -307,8 +307,10 @@ fn probe_block_eq(block: &[u32], x: u32, ops: &mut u64) -> bool {
 }
 
 /// Intersects `base` with each list in `others`, writing the final result to
-/// `out`. Uses `scratch` as the ping-pong buffer (buffers are reused, not
-/// reallocated). Short-circuits to empty. Uses the adaptive kernel.
+/// `out`. The first intersection reads `base` where it lies; `scratch` is the
+/// ping-pong buffer from the second list on (buffers are reused, not
+/// reallocated), and `base` is copied only when `others` is empty.
+/// Short-circuits to empty. Uses the adaptive kernel.
 #[inline]
 pub fn intersect_many_into(
     base: &[VertexId],
@@ -329,9 +331,13 @@ pub fn intersect_many_with(
     scratch: &mut Vec<VertexId>,
     ops: &mut u64,
 ) {
-    out.clear();
-    out.extend_from_slice(base);
-    for list in others {
+    let Some((first, rest)) = others.split_first() else {
+        out.clear();
+        out.extend_from_slice(base);
+        return;
+    };
+    intersect_with(kernel, base, first, out, ops);
+    for list in rest {
         if out.is_empty() {
             return;
         }

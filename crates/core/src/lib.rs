@@ -52,7 +52,7 @@ pub use bitmap::VertexBitmap;
 pub use delta::{batch_delta, count_matches_using, BatchDelta};
 pub use enumerate::{
     collect_embeddings, count_embeddings, enumerate_sequential, is_valid_embedding, EnumOptions,
-    Enumerator, VerifyMode,
+    Enumerator, LeafMode, VerifyMode,
 };
 pub use estimate::{estimate_cost, estimate_embeddings, CostEstimate, Estimate, EstimateOptions};
 pub use explain::{

@@ -73,7 +73,13 @@ pub struct Counters {
     pub edge_verifications: u64,
     /// Candidates rejected by the injectivity (already-used) check.
     pub injectivity_rejections: u64,
-    /// Candidates rejected by symmetry-breaking bounds.
+    /// Candidates rejected by symmetry-breaking bounds *after* they were
+    /// gathered. Intersection-mode enumeration counts nothing here: it clips
+    /// every TE/NTE list to the symmetry window before intersecting, so a
+    /// candidate outside the bounds is never produced (the bisections that
+    /// clip are not counted as `intersection_ops` either). What still counts
+    /// is edge-verification mode, which walks each TE list and rejects per
+    /// candidate, and the baseline engines.
     pub symmetry_rejections: u64,
     /// Sibling subtrees answered by redundant-extension elimination: the
     /// leaf candidate set was provably identical to an already-computed

@@ -1986,7 +1986,12 @@ fn exec_explain(
         Ok(built) => built,
         Err(lines) => return lines,
     };
-    let report = ceci_core::explain_plan(&index.plan, &graph);
+    // The enumeration options a count-only `MATCH` of this server runs with.
+    let enum_options = EnumOptions {
+        prune_redundant: state.config.prune_redundant,
+        ..EnumOptions::default()
+    };
+    let report = ceci_core::explain_plan(&index.plan, &graph, enum_options);
     let mut lines: Vec<String> = report.lines().map(|l| format!("| {l}")).collect();
     let mut line = format!("| index: bytes={} cache={}", index.bytes, path.tag());
     if let Some(mode) = path.repair_mode() {
