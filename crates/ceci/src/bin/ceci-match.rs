@@ -145,7 +145,7 @@ fn main() {
     if args.stats {
         eprint!(
             "{}",
-            ceci::core::explain_plan(&plan, &graph, Default::default())
+            ceci::core::explain_plan(&plan, &graph, Default::default(), "sets@load")
         );
         eprint!("{}", ceci::core::explain_index(&ceci, &plan));
     }

@@ -78,9 +78,13 @@ const PILOT_PIVOTS: usize = 64;
 /// `|candidates| / degree` score.
 const PORTFOLIO_ROOTS: usize = 3;
 /// Enumeration work units that testing one adjacency entry in Algorithm 1
-/// costs. Measured on the perf ledger's four workloads: a build takes 22 to
-/// 60 ns per scan, an enumeration 1 to 3 ns per unit wherever it does
-/// enough work for a re-plan to matter.
+/// costs. Set when a build took 22 to 60 ns per scan on the perf ledger's
+/// four workloads and an enumeration 1 to 3 ns per unit wherever it does
+/// enough work for a re-plan to matter. Since verdicts became bit lookups a
+/// scan costs 4 to 8 ns there (4 in core, 8 as served), so the constant now
+/// overprices a build four- to fivefold. It is deliberately left as it is:
+/// re-pricing moves *when* `stream-rw`'s near-tied portfolio is scored, and
+/// that needs its own parent/change ledger pairs (ROADMAP item 3).
 const UNITS_PER_SCAN: u64 = 32;
 
 /// Knobs for adaptive execution.
@@ -192,17 +196,28 @@ impl PlanChoice {
     /// The one portfolio scoring an entry's reuse pays for. `plan` is the
     /// served (incumbent) plan and `observed` what the ledger saw of it
     /// ([`Reuse::claim`]); the incumbent itself is not estimated. Each
-    /// challenger shares the incumbent's candidate sets and symmetry
-    /// constraints and is estimated over a pilot index; it wins only if its
-    /// estimated [`CostEstimate::work`] plus that estimate's standard error
-    /// is below [`Observed::bar`], and among several winners the lowest such
-    /// bound is taken.
+    /// challenger shares the incumbent's symmetry constraints and is
+    /// estimated over a pilot index; it wins only if its estimated
+    /// [`CostEstimate::work`] plus that estimate's standard error is below
+    /// [`Observed::bar`], and among several winners the lowest such bound is
+    /// taken.
     ///
-    /// Returns the winning plan, if any, and the decision record to store:
-    /// every member with its score, the time scoring took, and
-    /// [`PlanChoice::replanned`] set on a win. The caller rebuilds the index
-    /// under the winner and calls [`PlanChoice::estimate_served`] on the
-    /// record; without a winner the record describes the incumbent as is.
+    /// `plan` may have been retained across repairs, its candidate sets
+    /// those of the snapshot the miss saw. What is *decided* from them stays
+    /// as retained, by design: which roots and orders are tried
+    /// (`challengers` ranks by the retained counts) and which root
+    /// candidates a pilot samples — refreshing those was measured to flip a
+    /// near-tied portfolio onto a slower plan for no gain in accuracy. What
+    /// is *indexed* does not: a pilot is built over `graph`, so like every
+    /// build it takes its per-vertex verdicts from sets of `graph` — one
+    /// candidate scan ([`QueryPlan::on_graph`]) shared by all challengers.
+    ///
+    /// Returns the winning plan, if any — with those current sets, ready to
+    /// build under — and the decision record to store: every member with
+    /// its score, the time scoring took, and [`PlanChoice::replanned`] set
+    /// on a win. The caller rebuilds the index under the winner and calls
+    /// [`PlanChoice::estimate_served`] on the record; without a winner the
+    /// record describes the incumbent as is.
     pub fn score_challengers(
         &self,
         graph: &Graph,
@@ -217,9 +232,10 @@ impl PlanChoice {
             incumbent.work_error = 0.0;
         }
         let mut winner: Option<(f64, QueryPlan)> = None;
+        let current = plan.on_graph(graph);
         for (strategy, root, order) in challengers(plan) {
-            let sibling = plan.reordered(root, strategy);
-            let cost = pilot_cost(graph, &sibling);
+            let sibling = plan.reordered(root, strategy).with_sets_of(&current);
+            let cost = pilot_cost(graph, &sibling, plan.initial_candidates(root));
             let bound = cost.work() + cost.work_std_error;
             scored.candidates.push(CandidatePlan {
                 strategy,
@@ -345,16 +361,17 @@ fn walk_cost(graph: &Graph, plan: &QueryPlan, ceci: &Ceci) -> CostEstimate {
 }
 
 /// Scores one challenger: builds a pilot index from a deterministic sample
-/// of the plan's root candidates, runs the walk budget over it, and scales
-/// the resulting cost back to the full pivot population.
-fn pilot_cost(graph: &Graph, plan: &QueryPlan) -> CostEstimate {
-    let all = plan.initial_candidates(plan.root());
-    let stride = all.len().div_ceil(PILOT_PIVOTS).max(1);
-    let sampled: Vec<VertexId> = all.iter().copied().step_by(stride).collect();
+/// of `retained_pivots` — the root's candidates as the incumbent's plan has
+/// them, possibly from an earlier snapshot than `plan`'s own sets — runs the
+/// walk budget over it, and scales the resulting cost back to the full
+/// pivot population.
+fn pilot_cost(graph: &Graph, plan: &QueryPlan, retained_pivots: &[VertexId]) -> CostEstimate {
+    let stride = retained_pivots.len().div_ceil(PILOT_PIVOTS).max(1);
+    let sampled: Vec<VertexId> = retained_pivots.iter().copied().step_by(stride).collect();
     let scale = if sampled.is_empty() {
         1.0
     } else {
-        all.len() as f64 / sampled.len() as f64
+        retained_pivots.len() as f64 / sampled.len() as f64
     };
     let pilot = Ceci::build_for_pivots(graph, plan, BuildOptions::default(), sampled);
     walk_cost(graph, plan, &pilot).scaled(scale)

@@ -69,7 +69,13 @@ pub fn explain_profile(plan: &QueryPlan, profile: &DepthProfile, counters: &Coun
 /// partners whose images bound its candidate lists (`window lo<-{..}
 /// hi<-{..}`: the symmetry constraints applied before the intersection), and
 /// how a count-only run answers the last depth (`leaf=`, see [`LeafMode`]).
-pub fn explain_plan(plan: &QueryPlan, graph: &Graph, options: EnumOptions) -> String {
+///
+/// `sets` names the snapshot the plan's candidate sets — the listed
+/// `initial candidates` — were computed on, for the section header; it is
+/// marked `(lagging)` when that is not `graph` (a plan retained across
+/// repairs: its index was built from current sets, these counts and a
+/// re-plan's pilots read the retained ones).
+pub fn explain_plan(plan: &QueryPlan, graph: &Graph, options: EnumOptions, sets: &str) -> String {
     let query = plan.query();
     let mut out = String::new();
     let _ = writeln!(
@@ -103,7 +109,12 @@ pub fn explain_plan(plan: &QueryPlan, graph: &Graph, options: EnumOptions) -> St
             "incomplete — duplicates possible"
         }
     );
-    let _ = writeln!(out, "per-node preprocessing:");
+    let lagging = if plan.describes(graph) {
+        ""
+    } else {
+        " (lagging)"
+    };
+    let _ = writeln!(out, "per-node preprocessing ({sets}{lagging}):");
     for &u in plan.matching_order() {
         let parent = plan
             .tree()
@@ -353,8 +364,15 @@ mod tests {
     #[test]
     fn plan_report_mentions_key_facts() {
         let (graph, plan, _) = setup();
-        let report = explain_plan(&plan, &graph, EnumOptions::default());
+        let report = explain_plan(&plan, &graph, EnumOptions::default(), "sets@load");
         assert!(report.contains("root: u0"));
+        assert!(report.contains("per-node preprocessing (sets@load):"));
+        // Against any other construction of the graph the plan's sets lag.
+        let (rebuilt, _) = paper::figure1();
+        assert!(
+            explain_plan(&plan, &rebuilt, EnumOptions::default(), "sets@load")
+                .contains("per-node preprocessing (sets@load (lagging)):")
+        );
         assert!(report.contains("5 vertices, 6 edges (4 tree + 2 non-tree)"));
         assert!(report.contains("complete — each embedding listed once"));
         // u3 (paper u4) has an NTE from u2 (paper u3).
@@ -370,7 +388,7 @@ mod tests {
         let graph = ceci_graph::generators::erdos_renyi(30, 120, 3);
         // Triangle: every later vertex is bounded below by the earlier ones.
         let triangle = QueryPlan::new(PaperQuery::Qg1.build(), &graph);
-        let report = explain_plan(&triangle, &graph, EnumOptions::default());
+        let report = explain_plan(&triangle, &graph, EnumOptions::default(), "sets@load");
         assert_eq!(
             triangle.matching_order(),
             [VertexId(0), VertexId(1), VertexId(2)]
@@ -384,13 +402,13 @@ mod tests {
             prune_redundant: true,
             ..EnumOptions::default()
         };
-        let report = explain_plan(&star, &graph, pruning);
+        let report = explain_plan(&star, &graph, pruning, "sets@load");
         assert!(report.contains("leaf=REUSE_ORDERED"), "report:\n{report}");
         let verify = EnumOptions {
             verify: crate::enumerate::VerifyMode::EdgeVerification,
             ..pruning
         };
-        assert!(explain_plan(&star, &graph, verify).contains("leaf=EMIT"));
+        assert!(explain_plan(&star, &graph, verify, "sets@load").contains("leaf=EMIT"));
     }
 
     #[test]

@@ -7,6 +7,16 @@
 //! removed from the parent's candidate set and from the already-built tables
 //! of the parent's other children (Algorithm 1 lines 9–12).
 //!
+//! Whether `v` passes LF ∧ DF ∧ NLCF for `u` is a fact about `(u, v)`
+//! alone, and §2.2 preprocessing has already established it for every pair:
+//! it is membership in the plan's initial candidate set of `u`. So the
+//! per-adjacency-entry test here is one bit of
+//! [`ceci_query::candidates::CandidateSet`] — no filter runs during the
+//! build, and the bitsets, living with the plan, are paid for once however
+//! many (per-pivot, pilot, parallel) builds read them. The plan's sets must
+//! therefore describe `graph` ([`QueryPlan::describes`]); the served entry
+//! points in [`crate::index`] assert it.
+//!
 //! Phase B builds the NTE_Candidates tables for every backward non-tree
 //! edge the same way, keyed by the NTE parent's surviving candidates, with
 //! the same empty-entry cascade.
@@ -37,8 +47,8 @@
 
 use std::time::{Duration, Instant};
 
-use ceci_graph::{Graph, LabelId, VertexId};
-use ceci_query::candidates::{degree_filter, label_filter, nlc_filter};
+use ceci_graph::{Graph, VertexId};
+use ceci_query::candidates::CandidateSet;
 use ceci_query::QueryPlan;
 
 use crate::metrics::ThreadTimer;
@@ -239,12 +249,6 @@ impl FilterProfile {
     }
 }
 
-/// Per-query-node filter context, precomputed once.
-struct NodeFilter {
-    /// Query-side NLC profile of the node.
-    nlc: Vec<(LabelId, u32)>,
-}
-
 /// Runs Algorithm 1: seeds the pivots from the plan's initial root
 /// candidates and fills all TE tables in matching order, then all backward
 /// NTE tables. Returns the builder state.
@@ -282,13 +286,7 @@ pub fn bfs_filter_from_with(
         candidates: vec![Vec::new(); n],
     };
     let mut profile = FilterProfile::new(threads);
-    let filters: Vec<NodeFilter> = plan
-        .query()
-        .vertices()
-        .map(|u| NodeFilter {
-            nlc: plan.query().neighborhood_label_counts(u),
-        })
-        .collect();
+    let sets = plan.candidate_sets();
 
     let mut frontier: Vec<VertexId> = Vec::new();
 
@@ -301,7 +299,7 @@ pub fn bfs_filter_from_with(
         frontier.clear();
         frontier.extend_from_slice(state.candidates_of(plan, up));
         let (table, emptied) =
-            fill_table(graph, plan, &filters, u, &frontier, threads, &mut profile);
+            fill_table(graph, &sets[u.index()], &frontier, threads, &mut profile);
         state.candidates[u.index()] = table.value_union();
         state.te[u.index()] = Some(table);
         for vf in emptied {
@@ -315,7 +313,7 @@ pub fn bfs_filter_from_with(
             frontier.clear();
             frontier.extend_from_slice(state.candidates_of(plan, un));
             let (table, emptied) =
-                fill_table(graph, plan, &filters, u, &frontier, threads, &mut profile);
+                fill_table(graph, &sets[u.index()], &frontier, threads, &mut profile);
             state.nte[u.index()].push((un, table));
             for vf in emptied {
                 state.remove_candidate(plan, un, vf);
@@ -338,14 +336,12 @@ struct ChunkRun {
     emptied: Vec<VertexId>,
 }
 
-/// Expands one table's frontier, sequentially or across the worker pool.
-/// Returns the filled table and the emptied frontier vertices in frontier
-/// order.
+/// Expands one table's frontier — `set` is the candidate set of the node
+/// the table is for — sequentially or across the worker pool. Returns the
+/// filled table and the emptied frontier vertices in frontier order.
 fn fill_table(
     graph: &Graph,
-    plan: &QueryPlan,
-    filters: &[NodeFilter],
-    u: VertexId,
+    set: &CandidateSet,
     frontier: &[VertexId],
     threads: usize,
     profile: &mut FilterProfile,
@@ -355,25 +351,23 @@ fn fill_table(
         .map(|&vf| graph.degree(vf) as u64)
         .sum::<u64>();
     if threads <= 1 || frontier.len() < PARALLEL_FRONTIER_MIN {
-        return fill_table_sequential(graph, plan, filters, u, frontier);
+        return fill_table_sequential(graph, set, frontier);
     }
-    fill_table_parallel(graph, plan, filters, u, frontier, threads, profile)
+    fill_table_parallel(graph, set, frontier, threads, profile)
 }
 
 /// Sequential path: filters every frontier vertex straight into the table
 /// arena ([`BuildTable::push_key_with`] — zero staging copies).
 fn fill_table_sequential(
     graph: &Graph,
-    plan: &QueryPlan,
-    filters: &[NodeFilter],
-    u: VertexId,
+    set: &CandidateSet,
     frontier: &[VertexId],
 ) -> (BuildTable, Vec<VertexId>) {
     let mut table = BuildTable::with_capacity(frontier.len(), 0);
     let mut emptied: Vec<VertexId> = Vec::new();
     for &vf in frontier {
         let written = table.push_key_with(vf, |arena| {
-            filter_into(graph, plan, filters, u, vf, arena);
+            filter_into(graph, set, vf, arena);
         });
         if written == 0 {
             emptied.push(vf);
@@ -391,9 +385,7 @@ fn fill_table_sequential(
 /// even when the host has fewer cores.
 fn fill_table_parallel(
     graph: &Graph,
-    plan: &QueryPlan,
-    filters: &[NodeFilter],
-    u: VertexId,
+    set: &CandidateSet,
     frontier: &[VertexId],
     threads: usize,
     profile: &mut FilterProfile,
@@ -417,7 +409,7 @@ fn fill_table_parallel(
             };
             for &vf in &frontier[lo..hi] {
                 let before = run.arena.len();
-                filter_into(graph, plan, filters, u, vf, &mut run.arena);
+                filter_into(graph, set, vf, &mut run.arena);
                 let len = run.arena.len() - before;
                 if len == 0 {
                     run.emptied.push(vf);
@@ -454,27 +446,19 @@ fn fill_table_parallel(
     (table, emptied)
 }
 
-/// Appends the neighbors of `vf` passing LF, DF, and NLCF for query node `u`
-/// to `out`. Appended values are sorted because adjacency lists are sorted
-/// and filtering preserves order.
-fn filter_into(
-    graph: &Graph,
-    plan: &QueryPlan,
-    filters: &[NodeFilter],
-    u: VertexId,
-    vf: VertexId,
-    out: &mut Vec<VertexId>,
-) {
-    let query = plan.query();
-    let nlc = &filters[u.index()].nlc;
+/// Appends the neighbors of `vf` that are candidates of the table's node —
+/// i.e. pass LF, DF and NLCF for it — to `out`. Appended values are sorted
+/// because adjacency lists are sorted and filtering preserves order. The
+/// one filter of the build: the sequential and the parallel fill both end
+/// here.
+#[inline]
+fn filter_into(graph: &Graph, set: &CandidateSet, vf: VertexId, out: &mut Vec<VertexId>) {
     out.extend(
         graph
             .neighbors(vf)
             .iter()
             .copied()
-            .filter(|&v| label_filter(query, graph, u, v))
-            .filter(|&v| degree_filter(query, graph, u, v))
-            .filter(|&v| nlc_filter(nlc, graph, v)),
+            .filter(|&v| set.contains(v)),
     );
 }
 

@@ -231,12 +231,24 @@ impl Ceci {
     /// Builds CECI restricted to a subset of the root's candidates — one
     /// index per machine in the distributed setting (§5). Only embeddings
     /// whose root maps into `pivots` are indexed/enumerable.
+    ///
+    /// Like [`Ceci::build`] and [`Ceci::build_with`], which end here, this
+    /// takes every per-vertex verdict from `plan`'s candidate sets, so they
+    /// must describe `graph` ([`QueryPlan::describes`], checked in debug
+    /// builds): a plan carried over from another snapshot goes through
+    /// [`QueryPlan::on_graph`] first. `pivots` are the caller's business —
+    /// any sorted set of data vertices is indexed as given.
     pub fn build_for_pivots(
         graph: &Graph,
         plan: &QueryPlan,
         options: BuildOptions,
         pivots: Vec<VertexId>,
     ) -> Ceci {
+        debug_assert!(
+            plan.describes(graph),
+            "the plan's candidate sets were computed on another graph; \
+             rebuild them with QueryPlan::on_graph"
+        );
         let mut stats = BuildStats {
             pivots_initial: pivots.len(),
             theoretical_bytes: plan.query().num_edges() as u64 * graph.num_edges() as u64 * 8,

@@ -1,0 +1,211 @@
+//! Differential oracle for Algorithm 1's one verdict source.
+//!
+//! The build takes "does `v` pass LF ∧ DF ∧ NLCF for `u`" from the plan's
+//! candidate bitsets instead of deriving it per adjacency entry. That may
+//! not change a single table: on random labeled and unlabeled graphs, for
+//! the automorphic query set of `symmetry_window.rs` under every root
+//! override, the sequential and the 4-thread build must leave exactly what
+//! the per-entry algorithm leaves — pivots, every TE / NTE key sequence and
+//! value list, the per-node candidate caches, entry and arena accounting
+//! (holes are what the empty-entry cascade removed, tombstones and emptied
+//! lists where it removed them, so a cascade applied in another order or to
+//! other keys shows here), and the scan count.
+//!
+//! The oracle is the parent algorithm kept whole in this file: it calls
+//! [`VertexFilters::passes`] on every adjacency entry and never reads a
+//! bitset, and it drives the cascade itself, in frontier order.
+//!
+//! Second half: a plan carried to a later snapshot. [`QueryPlan::on_graph`]
+//! makes it buildable there and counts like a fresh plan for every root;
+//! building under the carried plan as is trips the served entry points'
+//! debug assertion.
+
+use ceci_core::tables::BuildTable;
+use ceci_core::{bfs_filter_from_with, count_embeddings, BuilderState, Ceci};
+use ceci_graph::generators::{erdos_renyi, inject_random_labels};
+use ceci_graph::{vid, Graph, VertexId};
+use ceci_query::catalog::{clique, cycle, path, star};
+use ceci_query::{
+    candidates_of, OrderStrategy, PaperQuery, PlanOptions, QueryGraph, QueryPlan, VertexFilters,
+};
+use proptest::prelude::*;
+
+/// The query set of `symmetry_window.rs`.
+fn queries() -> Vec<(&'static str, QueryGraph)> {
+    let tailed_triangle = QueryGraph::unlabeled(4, &[(0, 1), (1, 2), (2, 0), (2, 3)]).unwrap();
+    vec![
+        ("triangle", clique(3)),
+        ("clique4", clique(4)),
+        ("diamond", PaperQuery::Qg3.build()),
+        ("cycle4", cycle(4)),
+        ("cycle5", cycle(5)),
+        ("star3", star(3)),
+        ("path4", path(4)),
+        ("tailed-triangle", tailed_triangle),
+    ]
+}
+
+/// The parent commit's Algorithm 1: every table is the filtered adjacency
+/// of its frontier with the three filters run per entry, and a frontier
+/// vertex that comes up empty is cascaded away before the next table.
+fn reference_filter(graph: &Graph, plan: &QueryPlan) -> (BuilderState, u64) {
+    let filters = VertexFilters::new(plan.query());
+    let n = plan.query().num_vertices();
+    let order = plan.matching_order();
+    // (node the table is for, node whose candidates key it), in build order.
+    let te = order[1..]
+        .iter()
+        .map(|&u| (u, plan.tree().parent(u).unwrap(), true));
+    let nte = order.iter().flat_map(|&u| {
+        let parents = plan.backward_nte(u).iter();
+        parents.map(move |&un| (u, un, false))
+    });
+    let pivots = candidates_of(plan.query(), graph, plan.root());
+    let no_te = (0..n).map(|_| None).collect();
+    let mut state = BuilderState::from_parts(plan, pivots, no_te, vec![Vec::new(); n]);
+    let mut scans = 0u64;
+    for (u, keyed_by, is_te) in te.chain(nte) {
+        let frontier = state.candidates_of(plan, keyed_by).to_vec();
+        let mut table = BuildTable::new();
+        for &vf in &frontier {
+            scans += graph.degree(vf) as u64;
+            let entries = graph.neighbors(vf).iter().copied();
+            let passing: Vec<VertexId> = entries.filter(|&v| filters.passes(graph, u, v)).collect();
+            table.push_key(vf, &passing); // an empty list records no key
+        }
+        let emptied = frontier.into_iter().filter(|&vf| table.get(vf).is_none());
+        let emptied: Vec<VertexId> = emptied.collect();
+        let (pivots, mut te, mut nte) = state.into_parts();
+        match is_te {
+            true => te[u.index()] = Some(table),
+            false => nte[u.index()].push((keyed_by, table)),
+        }
+        state = BuilderState::from_parts(plan, pivots, te, nte);
+        for vf in emptied {
+            state.remove_candidate(plan, keyed_by, vf);
+        }
+    }
+    (state, scans)
+}
+
+/// Everything a build table shows: live `(key, list)` pairs in insertion
+/// order (emptied lists included), and the key / entry / arena accounting.
+type TableImage = (Vec<(VertexId, Vec<VertexId>)>, usize, usize, usize);
+
+fn image(table: &BuildTable) -> TableImage {
+    (
+        table.iter().map(|(k, list)| (k, list.to_vec())).collect(),
+        table.num_keys(),
+        table.num_entries(),
+        table.arena_bytes(),
+    )
+}
+
+fn assert_same_state(plan: &QueryPlan, got: &BuilderState, want: &BuilderState, what: &str) {
+    assert_eq!(got.pivots, want.pivots, "{what}: pivots");
+    for u in plan.query().vertices() {
+        assert_eq!(
+            got.candidates_of(plan, u),
+            want.candidates_of(plan, u),
+            "{what}: candidates of u{u}"
+        );
+        assert_eq!(
+            got.te[u.index()].as_ref().map(image),
+            want.te[u.index()].as_ref().map(image),
+            "{what}: TE of u{u}"
+        );
+        let nte = |state: &BuilderState| -> Vec<(VertexId, TableImage)> {
+            let tables = state.nte[u.index()].iter();
+            tables.map(|(un, table)| (*un, image(table))).collect()
+        };
+        assert_eq!(nte(got), nte(want), "{what}: NTE of u{u}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 16 })]
+
+    #[test]
+    fn bitset_build_is_the_per_entry_build(
+        n in 12usize..320,
+        density in 2usize..5,
+        seed in 0u64..10_000,
+        labels in 1u32..4,
+    ) {
+        let topology = erdos_renyi(n, n * density, seed);
+        // One label is the unlabeled graph; with more, the all-label-0
+        // queries match a random share of the vertices and LF / NLCF bite.
+        let graph = match labels {
+            1 => topology,
+            _ => inject_random_labels(&topology, labels, seed ^ 0x5EED),
+        };
+        for (name, query) in queries() {
+            for root in query.vertices() {
+                let what = format!("{name} root=u{root} n={n} seed={seed} labels={labels}");
+                let options = PlanOptions {
+                    root_override: Some(root),
+                    ..PlanOptions::default()
+                };
+                let plan = QueryPlan::with_options(query.clone(), &graph, &options);
+                let (want, scans) = reference_filter(&graph, &plan);
+                for threads in [1usize, 4] {
+                    let pivots = plan.initial_candidates(root).to_vec();
+                    let (got, profile) = bfs_filter_from_with(&graph, &plan, pivots, threads);
+                    prop_assert_eq!(profile.scans, scans, "{} threads={}", &what, threads);
+                    assert_same_state(&plan, &got, &want, &format!("{what} threads={threads}"));
+                }
+                // The served entry point reports the same work.
+                let stats = *Ceci::build(&graph, &plan).stats();
+                prop_assert_eq!(stats.filter_scans, scans, "{}", &what);
+                prop_assert_eq!(stats.te_entries_after_filter, want.te_entries(), "{}", &what);
+                prop_assert_eq!(stats.nte_entries_after_filter, want.nte_entries(), "{}", &what);
+            }
+        }
+    }
+}
+
+/// G0: triangle 0-1-2 and a pendant edge 3-4. G1 adds 3-0 and 3-1, so
+/// vertex 3 newly passes DF for a triangle node and closes a second
+/// triangle that exists only through it.
+fn two_snapshots() -> (Graph, Graph) {
+    let mut edges = vec![
+        (vid(0), vid(1)),
+        (vid(1), vid(2)),
+        (vid(2), vid(0)),
+        (vid(3), vid(4)),
+    ];
+    let g0 = Graph::unlabeled(5, &edges);
+    edges.extend([(vid(3), vid(0)), (vid(3), vid(1))]);
+    (g0, Graph::unlabeled(5, &edges))
+}
+
+#[test]
+fn a_carried_plan_moved_on_graph_counts_like_a_fresh_one() {
+    let (g0, g1) = two_snapshots();
+    let plan0 = QueryPlan::new(clique(3), &g0);
+    assert_eq!(count_embeddings(&g0, &plan0, &Ceci::build(&g0, &plan0)), 1);
+    for root in plan0.query().vertices() {
+        for order in [OrderStrategy::Bfs, OrderStrategy::EdgeRank] {
+            let options = PlanOptions {
+                order,
+                root_override: Some(root),
+                ..PlanOptions::default()
+            };
+            let fresh = QueryPlan::with_options(clique(3), &g1, &options);
+            let moved = plan0.reordered(root, order).on_graph(&g1);
+            assert_eq!(moved.matching_order(), fresh.matching_order());
+            let count = |plan: &QueryPlan| count_embeddings(&g1, plan, &Ceci::build(&g1, plan));
+            assert_eq!(count(&fresh), 2, "root u{root} {order:?}");
+            assert_eq!(count(&moved), 2, "root u{root} {order:?}");
+        }
+    }
+}
+
+#[test]
+#[cfg(debug_assertions)]
+#[should_panic(expected = "computed on another graph")]
+fn a_served_build_refuses_sets_of_another_snapshot() {
+    let (g0, g1) = two_snapshots();
+    let plan0 = QueryPlan::new(clique(3), &g0);
+    let _ = Ceci::build(&g1, &plan0);
+}

@@ -10,13 +10,33 @@
 //! machinery only consults connectivity, so we store one undirected adjacency
 //! and keep a `directed` provenance flag.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use crate::csr::Csr;
 use crate::ids::{LabelId, VertexId};
 use crate::labels::LabelSet;
 
+/// Which construction a [`Graph`] value came out of: every constructor
+/// (the streaming overlay's `commit` included) draws a fresh stamp, and a
+/// clone shares its source's. Anything derived from a graph's adjacency and
+/// labels — a plan's candidate sets — records the stamp it was derived on,
+/// so "do these describe that graph?" is one comparison. Opaque: stamps
+/// compare for equality and nothing else.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct GraphStamp(u64);
+
+impl GraphStamp {
+    fn fresh() -> GraphStamp {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        // Relaxed: the stamp publishes nothing, it only has to be unique.
+        GraphStamp(NEXT.fetch_add(1, Ordering::Relaxed))
+    }
+}
+
 /// A labeled graph with sorted CSR adjacency.
 #[derive(Clone, Debug)]
 pub struct Graph {
+    stamp: GraphStamp,
     csr: Csr,
     labels: Vec<LabelSet>,
     num_labels: u32,
@@ -240,29 +260,8 @@ impl Graph {
         edges: &[(VertexId, VertexId)],
         directed_input: bool,
     ) -> Self {
-        let n = labels.len();
-        let csr = Csr::from_undirected_edges(n, edges);
-        let num_labels = labels
-            .iter()
-            .flat_map(|ls| ls.iter())
-            .map(|l| l.0 + 1)
-            .max()
-            .unwrap_or(0);
-        let mut label_index: Vec<Vec<VertexId>> = vec![Vec::new(); num_labels as usize];
-        for (i, ls) in labels.iter().enumerate() {
-            for l in ls.iter() {
-                label_index[l.index()].push(VertexId::from_index(i));
-            }
-        }
-        Graph {
-            csr,
-            labels,
-            num_labels,
-            directed_input,
-            label_index,
-            nlc: None,
-            label_pairs: None,
-        }
+        let csr = Csr::from_undirected_edges(labels.len(), edges);
+        Graph::from_csr(csr, labels, directed_input)
     }
 
     /// Builds a graph around an already-constructed CSR, rebuilding the
@@ -292,6 +291,7 @@ impl Graph {
             }
         }
         Graph {
+            stamp: GraphStamp::fresh(),
             csr,
             labels,
             num_labels,
@@ -300,6 +300,14 @@ impl Graph {
             nlc: None,
             label_pairs: None,
         }
+    }
+
+    /// The construction stamp: equal for a graph and its clones, different
+    /// for every separately constructed graph (see [`GraphStamp`]). The
+    /// optional indexes do not enter it — they restate the adjacency.
+    #[inline]
+    pub fn stamp(&self) -> GraphStamp {
+        self.stamp
     }
 
     /// Builds an *unlabeled* graph: every vertex gets the shared label `0`,
@@ -501,6 +509,18 @@ mod tests {
         assert_eq!(g.num_edges(), 4);
         assert_eq!(g.num_labels(), 3);
         assert!(!g.is_directed_input());
+    }
+
+    #[test]
+    fn stamps_name_constructions_not_contents() {
+        let g = fixture();
+        let mut clone = g.clone();
+        clone.build_nlc_index();
+        clone.build_label_pair_index();
+        assert_eq!(g.stamp(), clone.stamp());
+        assert_ne!(g.stamp(), fixture().stamp());
+        let snapshot = crate::overlay::DeltaOverlay::new().commit(&g);
+        assert_ne!(g.stamp(), snapshot.stamp());
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub use builder::GraphBuilder;
 pub use csr::Csr;
 pub use error::{GraphError, Result};
 pub use extract::{extract_query, ExtractedQuery};
-pub use graph::{Graph, LabelPairIndex};
+pub use graph::{Graph, GraphStamp, LabelPairIndex};
 pub use ids::{lid, vid, LabelId, VertexId};
 pub use labels::LabelSet;
 pub use overlay::DeltaOverlay;

@@ -107,6 +107,10 @@ pub fn degree_filter(query: &QueryGraph, graph: &Graph, u: VertexId, v: VertexId
     graph.degree(v) >= query.degree(u)
 }
 
+/// Query-side NLC profiles up to this many labels are checked against an
+/// un-indexed graph in one walk of the data vertex's adjacency.
+const NLC_ONE_PASS: usize = 8;
+
 /// Returns `true` if `v` passes the neighborhood label count filter (NLCF)
 /// for `u`: for every distinct label `l` among `u`'s neighbors,
 /// `count_v(l) ≥ count_u(l)`.
@@ -124,6 +128,33 @@ pub fn nlc_filter(query_counts: &[(ceci_graph::LabelId, u32)], graph: &Graph, v:
             }
         }
         true
+    } else if query_counts.len() <= NLC_ONE_PASS {
+        // One walk of `v`'s adjacency for the whole profile: each neighbor
+        // pays down the labels it carries, and the walk stops as soon as
+        // nothing is owed.
+        let mut need = [0u32; NLC_ONE_PASS];
+        for (slot, &(_, cu)) in need.iter_mut().zip(query_counts) {
+            *slot = cu;
+        }
+        let mut open = query_counts.iter().filter(|&&(_, cu)| cu > 0).count();
+        if open == 0 {
+            return true;
+        }
+        for &nb in graph.neighbors(v) {
+            let labels = graph.labels(nb);
+            for (slot, &(l, _)) in need.iter_mut().zip(query_counts) {
+                if *slot > 0 && labels.contains(l) {
+                    *slot -= 1;
+                    if *slot == 0 {
+                        open -= 1;
+                        if open == 0 {
+                            return true;
+                        }
+                    }
+                }
+            }
+        }
+        false
     } else {
         query_counts
             .iter()
@@ -169,14 +200,33 @@ impl<'q> VertexFilters<'q> {
     }
 }
 
-/// Candidate set of one query vertex, plus the precomputed query-side NLC
-/// profile so downstream filters can reuse it.
+/// Candidate set of one query vertex: the data vertices passing LF ∧ DF ∧
+/// NLCF for it, as a sorted list and as a dense bitset over data-vertex ids
+/// (|V|/8 bytes) answering the same membership in one shift and mask.
+///
+/// The verdict on `(u, v)` depends on nothing else, so every later stage —
+/// Algorithm 1's per-adjacency-entry test above all — looks it up here
+/// instead of re-deriving it.
 #[derive(Clone, Debug)]
 pub struct CandidateSet {
     /// The query vertex.
     pub u: VertexId,
     /// Sorted data-vertex candidates of `u`.
     pub candidates: Vec<VertexId>,
+    /// Bit `v` set iff `v ∈ candidates`.
+    members: Box<[u64]>,
+}
+
+impl CandidateSet {
+    /// Does `v` pass the three per-vertex filters for `u` on the graph the
+    /// set was computed on? `false` for ids past that graph's vertex range.
+    #[inline]
+    pub fn contains(&self, v: VertexId) -> bool {
+        let i = v.index();
+        self.members
+            .get(i >> 6)
+            .is_some_and(|word| (word >> (i & 63)) & 1 != 0)
+    }
 }
 
 /// Computes the candidate sets of every query vertex by scanning the data
@@ -186,9 +236,17 @@ pub struct CandidateSet {
 pub fn compute_candidates(query: &QueryGraph, graph: &Graph) -> Vec<CandidateSet> {
     query
         .vertices()
-        .map(|u| CandidateSet {
-            u,
-            candidates: candidates_of(query, graph, u),
+        .map(|u| {
+            let candidates = candidates_of(query, graph, u);
+            let mut members = vec![0u64; graph.num_vertices().div_ceil(64)].into_boxed_slice();
+            for v in &candidates {
+                members[v.index() >> 6] |= 1u64 << (v.index() & 63);
+            }
+            CandidateSet {
+                u,
+                candidates,
+                members,
+            }
         })
         .collect()
 }
@@ -269,14 +327,77 @@ mod tests {
         assert_eq!(c, vec![vid(3)]);
     }
 
+    /// A 40-vertex ring with chords; vertex `i` carries label `i % labels`
+    /// and every third vertex a second one, so neighborhoods hold several
+    /// labels and some of them more than once.
+    fn chorded_ring(labels: u32) -> Graph {
+        let n = 40u32;
+        let label_sets = (0..n)
+            .map(|i| match i % 3 {
+                0 => LabelSet::from_labels([lid(i % labels), lid((i / 3) % labels)]),
+                _ => LabelSet::single(lid(i % labels)),
+            })
+            .collect();
+        let edges: Vec<_> = (0..n)
+            .flat_map(|i| [1, 2, 7, 11].map(|d| (vid(i), vid((i + d) % n))))
+            .collect();
+        Graph::new(label_sets, &edges, false)
+    }
+
     #[test]
     fn nlc_filter_with_and_without_index_agree() {
-        let mut g = data();
         let q = edge_query();
-        let before: Vec<_> = q.vertices().map(|u| candidates_of(&q, &g, u)).collect();
-        g.build_nlc_index();
-        let after: Vec<_> = q.vertices().map(|u| candidates_of(&q, &g, u)).collect();
-        assert_eq!(before, after);
+        // Star queries over the ring: the hub's profile asks for several
+        // labels at once and for counts above one; the last is longer than
+        // the one-pass need array and takes the per-label path.
+        let star = |hub: u32, leaves: &[u32]| {
+            let labels: Vec<_> = std::iter::once(hub)
+                .chain(leaves.iter().copied())
+                .map(lid)
+                .collect();
+            let edges: Vec<_> = (1..=leaves.len() as u32).map(|i| (0, i)).collect();
+            QueryGraph::with_labels(&labels, &edges).unwrap()
+        };
+        let cases = [
+            (data(), q),
+            (chorded_ring(4), star(0, &[1, 1, 2])),
+            (chorded_ring(4), star(1, &[0, 0, 0, 3, 3])),
+            (chorded_ring(3), star(2, &[0, 0, 1, 1, 2, 2])),
+            (chorded_ring(12), star(0, &[1, 2, 3, 4, 5, 6, 7, 8, 9, 10])),
+        ];
+        for (mut g, q) in cases {
+            let profile = q.neighborhood_label_counts(vid(0));
+            let plain: Vec<bool> = g.vertices().map(|v| nlc_filter(&profile, &g, v)).collect();
+            let by_count: Vec<bool> = g
+                .vertices()
+                .map(|v| {
+                    profile
+                        .iter()
+                        .all(|&(l, c)| g.neighbor_label_count(v, l) >= c)
+                })
+                .collect();
+            assert_eq!(plain, by_count, "profile {profile:?}");
+            let before: Vec<_> = q.vertices().map(|u| candidates_of(&q, &g, u)).collect();
+            g.build_nlc_index();
+            let indexed: Vec<bool> = g.vertices().map(|v| nlc_filter(&profile, &g, v)).collect();
+            assert_eq!(plain, indexed, "profile {profile:?}");
+            let after: Vec<_> = q.vertices().map(|u| candidates_of(&q, &g, u)).collect();
+            assert_eq!(before, after);
+        }
+    }
+
+    #[test]
+    fn candidate_bitset_mirrors_the_sorted_list() {
+        let g = chorded_ring(4);
+        let q = QueryGraph::with_labels(&[lid(0), lid(1), lid(2)], &[(0, 1), (0, 2)]).unwrap();
+        for set in compute_candidates(&q, &g) {
+            for v in g.vertices() {
+                assert_eq!(set.contains(v), set.candidates.binary_search(&v).is_ok());
+            }
+            // Ids the graph never had are nobody's candidate.
+            assert!(!set.contains(vid(40)));
+            assert!(!set.contains(vid(4_000)));
+        }
     }
 
     #[test]

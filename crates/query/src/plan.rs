@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use ceci_graph::{Graph, VertexId};
+use ceci_graph::{Graph, GraphStamp, VertexId};
 
 use crate::candidates::{compute_candidates, CandidateSet};
 use crate::nec::{break_symmetry, OrderConstraint};
@@ -58,9 +58,12 @@ pub struct QueryPlan {
     /// children contributing to cardinality during refinement).
     forward_nte: Vec<Vec<VertexId>>,
     /// Initial candidate sets (root selection byproduct; CECI seeds pivots
-    /// from the root's set). They depend on the query and the graph only,
-    /// so every [`QueryPlan::reordered`] sibling shares this allocation.
+    /// from the root's set and takes every Algorithm-1 verdict from their
+    /// bitsets). They depend on the query and the graph only, so every
+    /// [`QueryPlan::reordered`] sibling shares this allocation.
     initial_candidates: Arc<[CandidateSet]>,
+    /// The graph `initial_candidates` was computed on.
+    sets_graph: GraphStamp,
     /// Raw symmetry constraints.
     symmetry: Vec<OrderConstraint>,
     /// Whether the constraint set fully quotients the automorphism group.
@@ -95,6 +98,7 @@ impl QueryPlan {
             root,
             options.order,
             initial_candidates,
+            graph.stamp(),
             symmetry,
             symmetry_complete,
         )
@@ -110,9 +114,46 @@ impl QueryPlan {
             root,
             order,
             Arc::clone(&self.initial_candidates),
+            self.sets_graph,
             self.symmetry.clone(),
             self.symmetry_complete,
         )
+    }
+
+    /// Whether the plan's candidate sets were computed on `graph` (or on a
+    /// graph it is a clone of). A served index build trusts the sets for
+    /// every per-vertex verdict, so it wants this to hold; root, matching
+    /// order and symmetry bounds are structural and hold on any graph.
+    #[inline]
+    pub fn describes(&self, graph: &Graph) -> bool {
+        self.sets_graph == graph.stamp()
+    }
+
+    /// The same root, matching order and symmetry bounds with candidate
+    /// sets that describe `graph`: a clone when they already do, otherwise
+    /// one candidate scan of `graph`. This is how a plan retained across
+    /// snapshots (a repair, a re-plan's winner) becomes buildable on the
+    /// current one without re-deciding anything.
+    pub fn on_graph(&self, graph: &Graph) -> Self {
+        let mut plan = self.clone();
+        if !self.describes(graph) {
+            plan.initial_candidates = compute_candidates(&self.query, graph).into();
+            plan.sets_graph = graph.stamp();
+        }
+        plan
+    }
+
+    /// `self`'s root, matching order and symmetry bounds over the candidate
+    /// sets of `current`, a plan of the same query — what
+    /// [`QueryPlan::on_graph`] returns, with the scan `current` already paid
+    /// for shared instead of repeated (one scan serves every sibling a
+    /// re-plan weighs).
+    pub fn with_sets_of(&self, current: &QueryPlan) -> Self {
+        debug_assert_eq!(self.query.edges(), current.query.edges());
+        let mut plan = self.clone();
+        plan.initial_candidates = Arc::clone(&current.initial_candidates);
+        plan.sets_graph = current.sets_graph;
+        plan
     }
 
     fn ordered(
@@ -120,6 +161,7 @@ impl QueryPlan {
         root: VertexId,
         strategy: OrderStrategy,
         initial_candidates: Arc<[CandidateSet]>,
+        sets_graph: GraphStamp,
         symmetry: Vec<OrderConstraint>,
         symmetry_complete: bool,
     ) -> Self {
@@ -136,6 +178,7 @@ impl QueryPlan {
             tree,
             order,
             initial_candidates,
+            sets_graph,
             symmetry,
             symmetry_complete,
         )
@@ -162,6 +205,7 @@ impl QueryPlan {
             tree,
             order,
             initial_candidates,
+            graph.stamp(),
             symmetry,
             symmetry_complete,
         )
@@ -172,6 +216,7 @@ impl QueryPlan {
         tree: QueryTree,
         order: Vec<VertexId>,
         initial_candidates: Arc<[CandidateSet]>,
+        sets_graph: GraphStamp,
         symmetry: Vec<OrderConstraint>,
         symmetry_complete: bool,
     ) -> Self {
@@ -214,6 +259,7 @@ impl QueryPlan {
             backward_nte,
             forward_nte,
             initial_candidates,
+            sets_graph,
             symmetry,
             symmetry_complete,
             lower_bounds,
@@ -441,6 +487,58 @@ mod tests {
                 ));
             }
         }
+    }
+
+    #[test]
+    fn on_graph_keeps_the_decision_and_refreshes_the_sets() {
+        // G0: triangle 0-1-2 and a pendant edge 3-4. G1 adds 3-0 and 3-1:
+        // vertex 3 now passes DF for a triangle node.
+        let mut edges = vec![
+            (vid(0), vid(1)),
+            (vid(1), vid(2)),
+            (vid(2), vid(0)),
+            (vid(3), vid(4)),
+        ];
+        let g0 = Graph::unlabeled(5, &edges);
+        edges.extend([(vid(3), vid(0)), (vid(3), vid(1))]);
+        let g1 = Graph::unlabeled(5, &edges);
+        let plan0 = QueryPlan::new(PaperQuery::Qg1.build(), &g0);
+        assert!(plan0.describes(&g0) && plan0.describes(&g0.clone()));
+        assert!(!plan0.describes(&g1));
+        let fresh = QueryPlan::new(PaperQuery::Qg1.build(), &g1);
+        for root in plan0.query().vertices() {
+            for order in [OrderStrategy::Bfs, OrderStrategy::EdgeRank] {
+                let lagging = plan0.reordered(root, order);
+                assert!(!lagging.describes(&g1));
+                let moved = lagging.on_graph(&g1);
+                assert!(moved.describes(&g1));
+                assert_eq!(moved.root(), lagging.root());
+                assert_eq!(moved.matching_order(), lagging.matching_order());
+                assert_eq!(moved.symmetry_constraints(), lagging.symmetry_constraints());
+                for u in plan0.query().vertices() {
+                    assert_eq!(lagging.initial_candidates(u).len(), 3);
+                    assert_eq!(moved.initial_candidates(u), fresh.initial_candidates(u));
+                    assert_eq!(moved.lower_bounds(u), lagging.lower_bounds(u));
+                    assert_eq!(moved.upper_bounds(u), lagging.upper_bounds(u));
+                    assert!(moved.candidate_sets()[u.index()].contains(vid(3)));
+                    assert!(!lagging.candidate_sets()[u.index()].contains(vid(3)));
+                }
+            }
+        }
+        // One scan can serve many siblings: the same plan, sets shared.
+        let sibling = plan0.reordered(vid(2), OrderStrategy::Bfs);
+        let shared = sibling.with_sets_of(&fresh);
+        assert!(shared.describes(&g1));
+        assert_eq!(shared.matching_order(), sibling.matching_order());
+        assert!(Arc::ptr_eq(
+            &shared.initial_candidates,
+            &fresh.initial_candidates
+        ));
+        // Already current: nothing is recomputed.
+        assert!(Arc::ptr_eq(
+            &plan0.on_graph(&g0).initial_candidates,
+            &plan0.initial_candidates
+        ));
     }
 
     #[test]

@@ -34,10 +34,11 @@
 //! and hands the old entry back so the caller can *repair* it under its
 //! retained plan instead of rebuilding from scratch. The maintainable
 //! [`StreamIndex`] tables a repair works on have one owner at a time: a
-//! miss builds none, the first repair of a lineage builds them against its
-//! snapshot, and every later repair *moves* them out of the dead entry
+//! miss builds none, the first small-batch repair of a lineage builds them
+//! against its snapshot, every later one *moves* them out of the dead entry
 //! ([`CachedIndex::take_tables`]) and patches them forward from the graph's
-//! dirty log.
+//! dirty log, and a repair whose gap is past the patch floor drops them and
+//! rebuilds the frozen index alone.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -81,6 +82,13 @@ pub struct CachedIndex {
     pub bytes: usize,
     /// Mutation sub-epoch of the snapshot the index was built against.
     pub sub_epoch: u64,
+    /// Mutation sub-epoch of the snapshot `plan`'s candidate sets were
+    /// computed on: `sub_epoch` for a miss and a re-plan's winner, older
+    /// for an entry repaired under a retained plan (whoever derives such an
+    /// entry copies it over). The index itself is always built from sets of
+    /// its own snapshot; this says what `EXPLAIN`'s candidate counts and a
+    /// re-plan's pilots read.
+    pub sets_sub_epoch: u64,
     /// The maintainable base tables the frozen index was materialized from.
     /// `None` until a repair has built them (a miss never does), and again
     /// once the repair superseding this entry has moved them on — by then
@@ -122,6 +130,7 @@ impl CachedIndex {
             plan,
             ceci,
             sub_epoch,
+            sets_sub_epoch: sub_epoch,
             tables: Mutex::new(tables),
             choice,
             reuse,
@@ -578,6 +587,7 @@ mod tests {
             ceci: Arc::new(ceci),
             bytes,
             sub_epoch: 0,
+            sets_sub_epoch: 0,
             tables: Mutex::new(None),
             choice: None,
             reuse: Arc::new(Reuse::new(ReplanPrice::NEVER)),

@@ -196,10 +196,10 @@ pub struct ServerMetrics {
     /// Stale cached indexes repaired forward under their plan (`mode=first`,
     /// `patch` or `rebase`) instead of rebuilt as a miss.
     pub index_repairs: AtomicU64,
-    /// The `mode=rebase` share of `index_repairs`: the entry's tables were
-    /// rebuilt on the request's snapshot instead of merged into, because the
-    /// batch was past `StreamIndex::patch`'s floor or the dirty log no longer
-    /// covered the gap.
+    /// The `mode=rebase` share of `index_repairs`: frozen rebuild under the
+    /// retained plan, tables dropped, because the gap was past
+    /// `StreamIndex::past_floor` or the dirty log no longer reached the
+    /// entry's tables.
     pub index_repair_rebases: AtomicU64,
     /// Stale cached indexes that fell back to a full rebuild, counted as a
     /// miss: repair is off, the repair panicked, or the entry was from the
@@ -242,8 +242,9 @@ pub struct ServerMetrics {
     /// Reverse-BFS refinement phase time within cache-miss builds
     /// (Algorithm 2).
     pub build_refine_latency: LatencyHistogram,
-    /// Stale-index repair time (tables built, patched or rebased, then
-    /// re-frozen), the counterpart of `build_latency` for the repair path.
+    /// Stale-index repair time (tables built or patched, then re-frozen; or
+    /// the frozen rebuild of a rebase), the counterpart of `build_latency`
+    /// for the repair path.
     pub index_repair_latency: LatencyHistogram,
     /// Time spent scoring a plan portfolio (pilot index builds +
     /// random-walk costing), recorded once per cached entry whose reuse

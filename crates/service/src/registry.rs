@@ -27,7 +27,7 @@
 //! maintainable tables forward across `(old sub-epoch, current]`; when the
 //! log has been truncated past the needed range,
 //! [`GraphEntry::dirty_endpoints_since`] answers `None` and the caller
-//! rebases the tables on the current snapshot instead.
+//! drops the tables and rebuilds the frozen index instead.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};

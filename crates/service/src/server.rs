@@ -113,16 +113,17 @@ pub struct ServeConfig {
     /// rebuild).
     pub compact_threshold: usize,
     /// Applied mutation batches whose dirty endpoints are retained per
-    /// graph; a stale index older than the log has its tables rebased on
-    /// the current snapshot instead of patched.
+    /// graph; a stale index older than the log drops its tables and is
+    /// rebuilt frozen under its plan instead of patched.
     pub dirty_log_cap: usize,
     /// Repair a stale cached index forward under its retained plan instead
     /// of rebuilding it as a miss. The maintainable tables a repair works
-    /// on exist only where a mutation asked for them: a miss builds none,
-    /// the first stale probe of an entry builds them against its snapshot,
-    /// later ones move them out of the dead entry and patch them from the
-    /// dirty log (or rebase them when the batch is too large to merge or the log no
-    /// longer covers the gap). Off: every stale probe is a miss.
+    /// on exist only where a small mutation asked for them: a miss builds
+    /// none, the first stale probe after a small batch builds them against
+    /// its snapshot, later ones move them out of the dead entry and patch
+    /// them from the dirty log, and a probe whose gap is too large to merge
+    /// (or off the log) drops them and rebuilds the frozen index alone.
+    /// Off: every stale probe is a miss.
     pub stream_repair: bool,
     /// Cost-model-driven adaptive execution. A cache miss plans as the
     /// paper does (best root, BFS order) and takes one 64-walk cost
@@ -740,7 +741,7 @@ pub fn render_prometheus(state: &ServerState) -> String {
         ),
         (
             "ceci_index_repair_rebases_total",
-            "Repairs that rebuilt the maintainable tables on the snapshot instead of merging",
+            "Repairs that dropped the maintainable tables and rebuilt the frozen index (mode=rebase)",
             g(&m.index_repair_rebases),
         ),
         (
@@ -898,7 +899,7 @@ pub fn render_prometheus(state: &ServerState) -> String {
         (
             &m.index_repair_latency,
             "ceci_index_repair_us",
-            "Stale-index repair time (tables built, patched or rebased + re-freeze), microseconds",
+            "Stale-index repair time (tables built or patched + re-freeze, or the frozen rebuild), microseconds",
         ),
         (
             &m.plan_score_latency,
@@ -1074,8 +1075,12 @@ fn run_build(
 /// succeeds — the entry's spent work has reached its re-plan price and
 /// nobody scored before — scores the challengers against the incumbent's
 /// observed work and, only if one wins, rebuilds the index under it
-/// against the request's own snapshot (the winner's maintainable tables
-/// wait for its first repair, like a miss's). Either way the entry is
+/// against the request's own snapshot — with candidate sets of that
+/// snapshot ([`QueryPlan::on_graph`], a clone when the scoring already
+/// moved the winner there): the incumbent's plan may have been retained
+/// across repairs, and a build never trusts sets of another graph (the
+/// winner's maintainable tables wait for its first repair, like a miss's).
+/// Either way the entry is
 /// swapped in place for one carrying the scored decision record and the
 /// same ledger, so this happens at most once per lineage of entries. The
 /// request keeps its cache tag: this is neither a miss, a repair nor an
@@ -1098,14 +1103,16 @@ fn replan_if_due(
     }))
     .ok()?;
     state.metrics.plan_score_latency.record(scored.score_time);
-    let (rebuilt, tables) = match winner {
+    let (rebuilt, tables, sets_sub_epoch) = match winner {
         Some(plan) => {
-            let built = run_build(state, graph, move || (plan, Some(scored))).ok()?;
+            let built =
+                run_build(state, graph, move || (plan.on_graph(graph), Some(scored))).ok()?;
             ServerMetrics::inc(&state.metrics.adaptive_replans);
-            (built, None)
+            (built, None, index.sub_epoch)
         }
-        // The incumbent stays: same index, now with the scores on record,
-        // and its tables move over to the entry that replaces it.
+        // The incumbent stays: same index and plan (whatever snapshot its
+        // sets date from), now with the scores on record, and its tables
+        // move over to the entry that replaces it.
         None => (
             BuiltIndex {
                 plan: Arc::clone(&index.plan),
@@ -1113,15 +1120,18 @@ fn replan_if_due(
                 choice: Some(scored),
             },
             index.take_tables(),
+            index.sets_sub_epoch,
         ),
     };
-    let entry = Arc::new(rebuilt.into_entry(
+    let mut entry = rebuilt.into_entry(
         state,
         index.canonical.clone(),
         index.sub_epoch,
         tables,
         Some(Arc::clone(&index.reuse)),
-    ));
+    );
+    entry.sets_sub_epoch = sets_sub_epoch;
+    let entry = Arc::new(entry);
     state.cache.insert_arc(graph_epoch, Arc::clone(&entry));
     state
         .metrics
@@ -1137,15 +1147,16 @@ fn replan_if_due(
 enum CachePath {
     Hit,
     Miss,
-    /// Repaired; the entry never had maintainable tables: built on the
-    /// snapshot.
+    /// Repaired, small gap; the entry had no maintainable tables: built on
+    /// the snapshot and materialized. This rung buys the tables.
     First,
-    /// Repaired; the tables moved out of the dead entry and merged forward
-    /// from the dirty log.
+    /// Repaired, small gap; the tables moved out of the dead entry and
+    /// merged forward from the dirty log. This rung uses them.
     Patch,
-    /// Repaired; the tables rebuilt on the snapshot in place of the entry's
-    /// old ones: the batch was past [`StreamIndex::patch`]'s floor, or
-    /// the dirty log no longer covers the gap.
+    /// Repaired, gap past [`StreamIndex::past_floor`] or no longer covered
+    /// by the dirty log: frozen rebuild under the retained plan with
+    /// candidate sets of the snapshot, tables dropped. This rung sells them
+    /// — past the floor a merge costs more than the build it would save.
     Rebase,
 }
 
@@ -1172,13 +1183,17 @@ impl CachePath {
 /// the build (or repair) time it paid.
 type Indexed = (Arc<CachedIndex>, CachePath, Duration);
 
-/// Repairs a stale cached entry forward under its retained plan: bring its
-/// maintainable tables to the request's snapshot ([`CachePath`]), then
-/// re-freeze. The tables are *moved* out of `old` — the probe that handed
-/// it over already removed it from the cache, and only this caller (the
-/// single-flight leader) repairs it. `None` means the caller must fall back
-/// to a full rebuild: repair is disabled, the entry is from the *future*
-/// relative to this snapshot, or the repair panicked.
+/// Repairs a stale cached entry forward under its retained plan, by the
+/// rung ([`CachePath`]) the gap since its snapshot calls for — decided
+/// before any table is touched. Small gap: bring the maintainable tables to
+/// the request's snapshot and re-freeze; they are *moved* out of `old` (the
+/// probe that handed it over already removed it from the cache, and only
+/// this caller, the single-flight leader, repairs it). Gap past the floor
+/// or off the dirty log: every full rebuild in the system is the frozen
+/// build, so run that, under the same plan re-set on the snapshot
+/// ([`QueryPlan::on_graph`]), and keep no tables. `None` means the caller
+/// must fall back to a miss: repair is disabled, the entry is from the
+/// *future* relative to this snapshot, or the repair panicked.
 fn repair_entry(
     state: &ServerState,
     entry: &GraphEntry,
@@ -1189,29 +1204,46 @@ fn repair_entry(
     if !state.config.stream_repair || old.sub_epoch > sub_epoch {
         return None;
     }
-    let endpoints = entry.dirty_endpoints_since(old.sub_epoch);
     let plan = Arc::clone(&old.plan);
+    let build_threads = state.config.build_threads.max(1);
     let t0 = Instant::now();
+    let endpoints = entry.dirty_endpoints_since(old.sub_epoch);
+    let tables = old.take_tables();
+    let past_floor = match &endpoints {
+        Some(endpoints) => StreamIndex::past_floor(graph, endpoints),
+        // Off the log the gap is unknown: tables that cannot be brought
+        // forward are dropped, an entry without any builds them as ever.
+        None => tables.is_some(),
+    };
     // Repair runs the same (panic-prone) index code paths a build does;
     // contain it the same way and fall back to a rebuild on unwind.
     let (tables, ceci, stats, mode) = catch_unwind(AssertUnwindSafe(|| {
-        let (tables, stats, mode) = match (old.take_tables(), endpoints) {
+        if past_floor {
+            drop(tables);
+            let ceci = Ceci::build_with(
+                graph,
+                &plan.on_graph(graph),
+                ceci_core::BuildOptions {
+                    threads: build_threads,
+                    ..Default::default()
+                },
+            );
+            return (None, ceci, RepairStats::default(), CachePath::Rebase);
+        }
+        let (tables, stats, mode) = match (tables, endpoints) {
             (Some(mut tables), Some(endpoints)) => {
                 let stats = tables.patch(graph, &plan, &endpoints);
-                let mode = match stats.rebases {
-                    0 => CachePath::Patch,
-                    _ => CachePath::Rebase,
-                };
-                (tables, stats, mode)
+                debug_assert_eq!(stats.rebases, 0, "the floor was asked above");
+                (tables, stats, CachePath::Patch)
             }
-            (had, _) => (
+            _ => (
                 StreamIndex::build(graph, &plan),
                 RepairStats::default(),
-                had.map_or(CachePath::First, |_| CachePath::Rebase),
+                CachePath::First,
             ),
         };
-        let ceci = Arc::new(tables.materialize(graph, &plan));
-        (tables, ceci, stats, mode)
+        let ceci = tables.materialize(graph, &plan);
+        (Some(tables), ceci, stats, mode)
     }))
     .ok()?;
     let repair = t0.elapsed();
@@ -1242,23 +1274,21 @@ fn repair_entry(
         );
     }
     // The plan is unchanged by a repair, so the planner's decision record
-    // and the rent/buy ledger (work spent, re-plan done or not) carry over;
-    // execution feedback does NOT — it was measured against the
-    // pre-mutation candidate sets, and the repaired entry re-profiles on
-    // its next exact run.
-    Some((
-        CachedIndex::new(
-            old.canonical.clone(),
-            plan,
-            ceci,
-            Some(tables),
-            sub_epoch,
-            old.choice.clone(),
-            Arc::clone(&old.reuse),
-        ),
-        mode,
-        repair,
-    ))
+    // and the rent/buy ledger (work spent, re-plan done or not) carry over,
+    // as does the snapshot its candidate sets describe; execution feedback
+    // does NOT — it was measured against the pre-mutation candidate sets,
+    // and the repaired entry re-profiles on its next exact run.
+    let mut repaired = CachedIndex::new(
+        old.canonical.clone(),
+        plan,
+        Arc::new(ceci),
+        tables,
+        sub_epoch,
+        old.choice.clone(),
+        Arc::clone(&old.reuse),
+    );
+    repaired.sets_sub_epoch = old.sets_sub_epoch;
+    Some((repaired, mode, repair))
 }
 
 /// Records build latency and its phase split (filter = Algorithm 1,
@@ -1991,7 +2021,10 @@ fn exec_explain(
         prune_redundant: state.config.prune_redundant,
         ..EnumOptions::default()
     };
-    let report = ceci_core::explain_plan(&index.plan, &graph, enum_options);
+    // Which snapshot the report's candidate counts describe: the entry's
+    // own, unless it was repaired under a plan retained from an earlier one.
+    let sets = format!("sets@sub_epoch={}", index.sets_sub_epoch);
+    let report = ceci_core::explain_plan(&index.plan, &graph, enum_options, &sets);
     let mut lines: Vec<String> = report.lines().map(|l| format!("| {l}")).collect();
     let mut line = format!("| index: bytes={} cache={}", index.bytes, path.tag());
     if let Some(mode) = path.repair_mode() {

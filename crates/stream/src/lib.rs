@@ -46,7 +46,8 @@ use std::collections::{BTreeMap, HashMap};
 use ceci_core::tables::BuildTable;
 use ceci_core::{BuilderState, Ceci};
 use ceci_graph::{Graph, VertexId};
-use ceci_query::{candidates_of, QueryPlan, VertexFilters};
+use ceci_query::candidates::{compute_candidates, CandidateSet};
+use ceci_query::{QueryPlan, VertexFilters};
 
 /// [`StreamIndex::patch`] rebuilds instead of merging once the batch's
 /// endpoints and their adjacency are at least one part in this many of the
@@ -260,6 +261,12 @@ fn sorted_endpoints(graph: &Graph, endpoints: &[VertexId]) -> Vec<VertexId> {
     eps
 }
 
+/// The floor test of [`StreamIndex::patch`] on sorted distinct endpoints.
+fn floor_share(graph: &Graph, eps: &[VertexId]) -> bool {
+    let share: usize = eps.iter().map(|&e| 1 + graph.degree(e)).sum();
+    share > 0 && share * REBASE_SHARE >= graph.num_vertices() + 2 * graph.num_edges()
+}
+
 /// The adjacency entries of the endpoints `eps` (sorted) at non-endpoint
 /// neighbors, as sorted `(key, endpoint)` pairs — the keys whose lists may
 /// need an endpoint membership fix.
@@ -279,35 +286,31 @@ fn neighbor_pairs(graph: &Graph, eps: &[VertexId]) -> Vec<(VertexId, VertexId)> 
 impl StreamIndex {
     /// Builds the base index from scratch on `graph` (Algorithm 1 without
     /// the empty-entry cascade — refinement at materialization subsumes it).
+    ///
+    /// Only `plan`'s root, tree and matching order are read, so a plan
+    /// retained from an earlier snapshot is fine here: the per-vertex
+    /// verdicts (and the pivots, which are the root's) come from one
+    /// candidate scan of `graph` itself, each looked up as a bit afterwards.
     pub fn build(graph: &Graph, plan: &QueryPlan) -> StreamIndex {
         let n = plan.query().num_vertices();
-        let filters = VertexFilters::new(plan.query());
+        let sets = compute_candidates(plan.query(), graph);
         // One table: `F(u, vf)` for every candidate `vf` of the keying node,
         // in key order. `values` (TE tables only) collects every list entry.
-        let fill = |u: VertexId,
-                    keys: &[VertexId],
-                    verdicts: &mut [u8],
-                    mut values: Option<&mut Vec<VertexId>>| {
-            let mut buf: Vec<VertexId> = Vec::new();
-            let entries = keys.iter().map(|&vf| {
-                buf.clear();
-                buf.extend(graph.neighbors(vf).iter().copied().filter(|&v| {
-                    let verdict = &mut verdicts[v.index()];
-                    if *verdict == 0 {
-                        *verdict = 2 - filters.passes(graph, u, v) as u8;
+        let fill =
+            |set: &CandidateSet, keys: &[VertexId], mut values: Option<&mut Vec<VertexId>>| {
+                let entries = keys.iter().map(|&vf| {
+                    let neighbors = graph.neighbors(vf).iter().copied();
+                    let list: Vec<VertexId> = neighbors.filter(|&v| set.contains(v)).collect();
+                    if let Some(values) = values.as_deref_mut() {
+                        values.extend_from_slice(&list);
                     }
-                    *verdict == 1
-                }));
-                if let Some(values) = values.as_deref_mut() {
-                    values.extend_from_slice(&buf);
-                }
-                (vf, buf.clone())
-            });
-            // Ascending keys: the map is bulk-built, not inserted into.
-            BaseTable::from_iter(entries)
-        };
+                    (vf, list)
+                });
+                // Ascending keys: the map is bulk-built, not inserted into.
+                BaseTable::from_iter(entries)
+            };
         let mut idx = StreamIndex {
-            pivots: candidates_of(plan.query(), graph, plan.root()),
+            pivots: sets[plan.root().index()].candidates.clone(),
             te: vec![None; n],
             nte: vec![Vec::new(); n],
             refs: vec![HashMap::new(); n],
@@ -316,16 +319,11 @@ impl StreamIndex {
         let mut cands: Vec<Vec<VertexId>> = vec![Vec::new(); n];
         cands[plan.root().index()] = idx.pivots.clone();
         let mut values: Vec<VertexId> = Vec::new();
-        // A per-vertex verdict depends on `(u, v)` only, and a data vertex
-        // sits in many adjacency lists: each is tested once per query node
-        // (0 = untested, 1 = passes, 2 = fails) and looked up after that.
-        let mut verdicts: Vec<u8> = vec![0; graph.num_vertices()];
         for &u in plan.matching_order().iter().skip(1) {
             let parent = plan.tree().parent(u).expect("non-root node has a parent");
+            let set = &sets[u.index()];
             values.clear();
-            verdicts.fill(0);
-            let keys = &cands[parent.index()];
-            idx.te[u.index()] = Some(fill(u, keys, &mut verdicts, Some(&mut values)));
+            idx.te[u.index()] = Some(fill(set, &cands[parent.index()], Some(&mut values)));
             // Refcounts and candidates from one sort of the table's values
             // (sorted, so the increments of one `v` hit the map back to back).
             values.sort_unstable();
@@ -335,11 +333,21 @@ impl StreamIndex {
             values.dedup();
             cands[u.index()] = values.clone();
             for &un in plan.backward_nte(u) {
-                let table = fill(u, &cands[un.index()], &mut verdicts, None);
+                let table = fill(set, &cands[un.index()], None);
                 idx.nte[u.index()].push((un, table));
             }
         }
         idx
+    }
+
+    /// Whether a batch with these touched `endpoints` is past the repair
+    /// floor on `graph` (the post-batch snapshot): its endpoints and their
+    /// adjacency are at least one part in `REBASE_SHARE` (16) of the graph's
+    /// vertices and adjacency. [`StreamIndex::patch`] rebuilds the tables
+    /// from here on; a caller that would rather not keep tables at all past
+    /// the floor asks first.
+    pub fn past_floor(graph: &Graph, endpoints: &[VertexId]) -> bool {
+        floor_share(graph, &sorted_endpoints(graph, endpoints))
     }
 
     /// Keys held across all tables (one TE per non-root node, one NTE per
@@ -387,8 +395,7 @@ impl StreamIndex {
         endpoints: &[VertexId],
     ) -> RepairStats {
         let eps = sorted_endpoints(graph, endpoints);
-        let share: usize = eps.iter().map(|&e| 1 + graph.degree(e)).sum();
-        if share > 0 && share * REBASE_SHARE >= graph.num_vertices() + 2 * graph.num_edges() {
+        if floor_share(graph, &eps) {
             *self = StreamIndex::build(graph, plan);
             // Every key recomputed; the neighborhoods are counted without
             // the sorted pairs only the merge needs.
@@ -733,6 +740,47 @@ mod tests {
     #[test]
     fn mixed_batches_match_rebuild() {
         differential_loop(23, 8, 8, 8);
+    }
+
+    #[test]
+    fn build_under_a_lagging_plan_counts_like_a_fresh_build() {
+        // The plan dates from the first snapshot; `build` reads only its
+        // root, tree and order, and takes every verdict from the snapshot
+        // it is given.
+        for (seed, adds, dels) in [(17u64, 10, 10), (43, 40, 5), (59, 5, 40)] {
+            let mut graph = test_graph(seed);
+            let plan0 = test_plan(&graph, seed);
+            let mut rng = StdRng::seed_from_u64(seed);
+            for batch in 0..4 {
+                let (next, _) = apply_batch(&graph, &mut rng, adds, dels);
+                assert!(!plan0.describes(&next));
+                let ceci = StreamIndex::build(&next, &plan0).materialize(&next, &plan0);
+                assert_eq!(
+                    count_embeddings(&next, &plan0, &ceci),
+                    rebuild_count(&next, &plan0),
+                    "seed {seed} batch {batch}"
+                );
+                graph = next;
+            }
+        }
+    }
+
+    #[test]
+    fn past_floor_is_the_test_patch_runs() {
+        let graph = test_graph(41);
+        let plan = test_plan(&graph, 41);
+        let mut rng = StdRng::seed_from_u64(41);
+        for (adds, dels) in [(1, 0), (0, 1), (3, 3), (60, 45), (20, 20)] {
+            let (next, endpoints) = apply_batch(&graph, &mut rng, adds, dels);
+            let mut idx = StreamIndex::build(&graph, &plan);
+            let stats = idx.patch(&next, &plan, &endpoints);
+            assert_eq!(
+                StreamIndex::past_floor(&next, &endpoints),
+                stats.rebases == 1,
+                "{adds} adds, {dels} dels"
+            );
+        }
+        assert!(!StreamIndex::past_floor(&graph, &[]));
     }
 
     #[test]

@@ -1302,6 +1302,12 @@ fn adaptive_counts_bit_identical_to_raw_and_fixed() {
 /// best portfolio order on it — a gap no estimate's noise can hide, so its
 /// re-plan must happen, and must replace the plan.
 fn order_sensitive() -> (Graph, Graph) {
+    let (graph, extracted) = order_sensitive_with_witness();
+    (graph, extracted.pattern)
+}
+
+/// [`order_sensitive`] with the embedding the template was carved from.
+fn order_sensitive_with_witness() -> (Graph, ceci_graph::ExtractedQuery) {
     let base = erdos_renyi(600, 3_000, 0xADA9);
     let mut b = ceci_graph::GraphBuilder::new();
     for v in base.vertices() {
@@ -1321,10 +1327,8 @@ fn order_sensitive() -> (Graph, Graph) {
         }
     }
     let graph = b.build();
-    let pattern = extract_query(&graph, 5, 7, 10)
-        .expect("extractable query")
-        .pattern;
-    (graph, pattern)
+    let extracted = extract_query(&graph, 5, 7, 10).expect("extractable query");
+    (graph, extracted)
 }
 
 /// What one `MATCH` reply said.
@@ -1676,6 +1680,99 @@ fn batch_landing_between_replan_trigger_and_swap_is_repaired_forward() {
 }
 
 #[test]
+fn a_replan_after_a_batch_builds_its_winner_from_the_snapshots_own_candidates() {
+    let scratch = Scratch::new("replan-sets");
+    let (graph, extracted) = order_sensitive_with_witness();
+    let (pattern, witness) = (extracted.pattern, extracted.witness);
+    let query = QueryGraph::from_graph(&pattern).unwrap();
+    let plan0 = QueryPlan::new(query.clone(), &graph);
+
+    // For every query node `r` (whichever root the re-plan picks is among
+    // them): a data vertex `x` outside the witness that carries `r`'s
+    // labels but fails DF / NLCF for it. Joined to the witness images of
+    // `r`'s query neighbours it passes, and the witness with `r -> x` is an
+    // embedding that exists only through `x`.
+    let mut adds: Vec<(u32, u32)> = Vec::new();
+    let mut through: Vec<(ceci_graph::VertexId, ceci_graph::VertexId)> = Vec::new();
+    for r in query.vertices() {
+        let fails_today = |x: &ceci_graph::VertexId| {
+            !witness.contains(x)
+                && through.iter().all(|(_, taken)| taken != x)
+                && query.labels(r).is_subset_of(graph.labels(*x))
+                && !plan0.candidate_sets()[r.index()].contains(*x)
+        };
+        let Some(x) = graph.vertices().find(fails_today) else {
+            continue;
+        };
+        for &nb in query.neighbors(r) {
+            let image = witness[nb.index()];
+            if !graph.has_edge(x, image) {
+                adds.push((x.0, image.0));
+            }
+        }
+        through.push((r, x));
+    }
+    let reference = mutated_copy(&graph, &adds, &[]);
+    let plan1 = QueryPlan::new(query, &reference);
+    for &(r, x) in &through {
+        assert!(
+            plan1.candidate_sets()[r.index()].contains(x),
+            "u{r} <- {x:?}"
+        );
+    }
+    let expected = direct_count(&reference, &pattern);
+    assert!(expected >= direct_count(&graph, &pattern) + through.len() as u64);
+
+    let graph_path = scratch.write_graph("data.graph", &graph);
+    let final_path = scratch.write_graph("final.graph", &reference);
+    let query_path = scratch.write_graph("query.graph", &pattern);
+    let request = format!("MATCH g {query_path}");
+    let (handle, _state) = serve(ServeConfig::default());
+    let mut client = Client::connect(handle.addr()).unwrap();
+    client.request(&format!("LOAD g {graph_path}")).unwrap();
+
+    // The miss plans at sub-epoch 0; the batch lands before reuse has paid.
+    assert_eq!(served(&client.request(&request).unwrap()).cache, "MISS");
+    let batch: Vec<String> = adds.iter().map(|(a, b)| format!("+{a}:{b}")).collect();
+    let resp = client
+        .request(&format!("BATCH g {}", batch.join(" ")))
+        .unwrap();
+    assert!(resp.is_ok(), "{}", resp.terminal);
+    let replies = serve_until_replan(&mut client, &request, 300);
+    assert_eq!(replies[0].cache, "REPAIRED");
+    assert!(replies.iter().all(|r| r.count == expected), "{replies:?}");
+
+    // The winner was built on the snapshot's own candidate sets ...
+    let explain = client.request(&format!("EXPLAIN g {query_path}")).unwrap();
+    let line = |needle: &str| -> &String {
+        let found = explain.payload.iter().find(|l| l.contains(needle));
+        found.unwrap_or_else(|| panic!("{needle} in {:?}", explain.payload))
+    };
+    assert!(line("plan choice:").contains("replanned=true"));
+    assert!(line("per-node preprocessing").contains("(sets@sub_epoch=1)"));
+    let root = line("| root: u")
+        .split_whitespace()
+        .find_map(|tok| tok.strip_prefix('u'))
+        .and_then(|r| r.parse::<u32>().ok())
+        .expect("root: u<r>");
+    assert!(
+        through.iter().any(|(r, _)| r.0 == root),
+        "the winner's root u{root} got no newly passing vertex: {through:?}"
+    );
+    // ... so it counts what every other path counts.
+    client.request(&format!("LOAD fresh {final_path}")).unwrap();
+    for request in [
+        request.clone(),
+        format!("{request} RAW"),
+        format!("MATCH fresh {query_path}"),
+    ] {
+        let reply = served(&client.request(&request).unwrap());
+        assert_eq!(reply.count, expected, "{request}");
+    }
+    handle.shutdown();
+}
+
+#[test]
 fn eight_concurrent_clients_elect_one_scorer() {
     let scratch = Scratch::new("replan-concurrent");
     let (graph, pattern) = order_sensitive();
@@ -1819,6 +1916,102 @@ fn first_stale_probe_builds_the_tables_and_later_ones_move_them() {
     handle.shutdown();
 }
 
+/// Applies `edges` applicable add + delete pairs as one `BATCH` and returns
+/// the mutated reference copy.
+fn batch_many(client: &mut Client, reference: &Graph, seed: u64, edges: u64) -> Graph {
+    let mut reference = reference.clone();
+    let mut line = String::from("BATCH g");
+    for i in 0..edges {
+        let ((a, b), (c, d)) = applicable_mutation(&reference, seed + 977 * i);
+        line.push_str(&format!(" +{a}:{b} -{c}:{d}"));
+        reference = mutated_copy(&reference, &[(a, b)], &[(c, d)]);
+    }
+    let resp = client.request(&line).unwrap();
+    assert!(resp.is_ok(), "{}", resp.terminal);
+    reference
+}
+
+#[test]
+fn a_batch_past_the_floor_sells_the_tables_and_small_ones_buy_them_back() {
+    let scratch = Scratch::new("ladder");
+    let graph = small_graph();
+    let pattern = query_from(&graph, 4, 7);
+    let graph_path = scratch.write_graph("data.graph", &graph);
+    let query_path = scratch.write_graph("query.graph", &pattern);
+    let request = format!("MATCH g {query_path}");
+
+    let (handle, state) = serve(ServeConfig {
+        trace: true,
+        ..ServeConfig::default()
+    });
+    let mut client = Client::connect(handle.addr()).unwrap();
+    client.request(&format!("LOAD g {graph_path}")).unwrap();
+    // Miss, one small batch, one read: the entry owns tables.
+    assert_eq!(served(&client.request(&request).unwrap()).cache, "MISS");
+    let mut reference = batch_one(&mut client, &graph, 97);
+    assert_eq!(served(&client.request(&request).unwrap()).cache, "REPAIRED");
+    let owner = state.cache.entries().pop().unwrap();
+    let tables = owner.table_bytes();
+    assert!(tables > 0);
+    assert_eq!(state.cache.bytes(), owner.ceci.size_bytes() + tables);
+
+    // One read per rung; each answers like RAW and like a fresh build, and
+    // hands the plan object, the decision record and the ledger on.
+    let mut spent = ledger(&mut client, &query_path).0;
+    let mut step = |client: &mut Client, reference: &Graph, rung: &str| {
+        let reply = served(&client.request(&request).unwrap());
+        assert_eq!(reply.cache, "REPAIRED", "{rung}");
+        assert_eq!(reply.count, direct_count(reference, &pattern), "{rung}");
+        let raw = served(&client.request(&format!("{request} RAW")).unwrap());
+        assert_eq!(
+            (raw.count, raw.cache.as_str()),
+            (reply.count, "HIT"),
+            "{rung}"
+        );
+        assert_eq!(repair_modes(&state).last(), Some(&rung), "{rung}");
+        let entry = state.cache.entries().pop().unwrap();
+        assert!(Arc::ptr_eq(&entry.plan, &owner.plan), "{rung}: plan object");
+        assert!(Arc::ptr_eq(&entry.reuse, &owner.reuse), "{rung}: ledger");
+        assert!(entry.choice.is_some(), "{rung}: decision record");
+        let now = ledger(client, &query_path).0;
+        assert!(now > spent, "{rung}: ledger {spent} -> {now}");
+        spent = now;
+        entry
+    };
+
+    // A quarter of the edges: past the floor. Frozen rebuild, tables dropped.
+    reference = batch_many(&mut client, &reference, 131, 120);
+    let rebased = step(&mut client, &reference, "mode=rebase");
+    assert_eq!(owner.table_bytes(), 0, "taken from the dead entry");
+    assert_eq!(rebased.table_bytes(), 0, "and not rebuilt");
+    assert_eq!(state.cache.bytes(), rebased.ceci.size_bytes());
+    let stats = prom(&mut client);
+    assert_eq!(stats["ceci_cache_bytes"], rebased.ceci.size_bytes() as f64);
+    assert_eq!(stats["ceci_index_repair_rebases_total"], 1.0);
+    assert_eq!(stats["ceci_index_repair_fallbacks_total"], 0.0);
+
+    // One edge each: the first buys the tables back, the second uses them.
+    reference = batch_one(&mut client, &reference, 173);
+    assert!(step(&mut client, &reference, "mode=first").table_bytes() > 0);
+    reference = batch_one(&mut client, &reference, 211);
+    assert!(step(&mut client, &reference, "mode=patch").table_bytes() > 0);
+
+    // The entry's plan still dates from the miss, and EXPLAIN says so.
+    let explain = client.request(&format!("EXPLAIN g {query_path}")).unwrap();
+    let header = explain
+        .payload
+        .iter()
+        .find(|l| l.contains("per-node preprocessing"))
+        .unwrap();
+    assert!(header.contains("(sets@sub_epoch=0 (lagging))"), "{header}");
+    let stats = prom(&mut client);
+    assert_eq!(stats["ceci_index_repairs_total"], 4.0);
+    assert_eq!(stats["ceci_index_repair_rebases_total"], 1.0);
+    assert_eq!(stats["ceci_index_repair_fallbacks_total"], 0.0);
+    assert_eq!(stats["ceci_cache_misses_total"], 1.0);
+    handle.shutdown();
+}
+
 #[test]
 fn eight_concurrent_readers_after_one_batch_elect_one_repairer() {
     let scratch = Scratch::new("repair-concurrent");
@@ -1903,6 +2096,9 @@ fn dirty_log_overflow_rebases_under_the_plan_instead_of_missing() {
         spent(&mut client) > before,
         "the lineage keeps its rent/buy ledger across the overflow"
     );
+    let entries = state.cache.entries();
+    let rebased = entries.iter().find(|e| e.sub_epoch == 5).unwrap();
+    assert_eq!(rebased.table_bytes(), 0, "a rebase keeps no tables");
     // An entry that never had tables needs no log at all.
     let reply = served(&client.request(&format!("MATCH g {other_path}")).unwrap());
     assert_eq!(reply.cache, "REPAIRED");
