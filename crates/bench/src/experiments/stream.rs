@@ -152,6 +152,8 @@ struct BatchRow {
     deleted: usize,
     compacted: bool,
     stats: RepairStats,
+    /// The registry's `apply_batch`: next snapshot, label-pair index, log.
+    apply: Duration,
     patch: Duration,
     delta: Duration,
     materialize: Duration,
@@ -234,13 +236,14 @@ pub fn run(scale: Scale) {
 
     let mut rows: Vec<BatchRow> = Vec::new();
     for b in 0..batches {
-        let outcome = entry
-            .apply_batch(&add_batches[b], &del_batches[b], compact_threshold, 64)
-            .expect("in-range mutation batch");
+        let (outcome, apply) =
+            time(|| entry.apply_batch(&add_batches[b], &del_batches[b], compact_threshold, 64));
+        let outcome = outcome.expect("in-range mutation batch");
         let mut row = BatchRow {
             added: outcome.added.len(),
             deleted: outcome.deleted.len(),
             compacted: outcome.compacted,
+            apply,
             ..BatchRow::default()
         };
         for q in queries.iter_mut() {
@@ -297,7 +300,7 @@ pub fn run(scale: Scale) {
     }
 
     let mut t = Table::new(vec![
-        "batch", "adds", "dels", "dirty", "maintain", "repair", "rebuild", "ratio",
+        "batch", "adds", "dels", "dirty", "apply", "maintain", "repair", "rebuild", "ratio",
     ]);
     for (b, row) in rows.iter().enumerate() {
         t.row(vec![
@@ -305,6 +308,7 @@ pub fn run(scale: Scale) {
             row.added.to_string(),
             row.deleted.to_string(),
             row.stats.dirty_vertices.to_string(),
+            format!("{:.0} us", us(row.apply)),
             format!("{:.0} us", us(row.maintain())),
             format!("{:.0} us", us(row.repair())),
             format!("{:.0} us", us(row.rebuild())),
@@ -342,6 +346,7 @@ pub fn run(scale: Scale) {
                 .field("keys_recomputed", row.stats.keys_recomputed)
                 .field("keys_added", row.stats.keys_added)
                 .field("keys_removed", row.stats.keys_removed)
+                .field("apply_us", us(row.apply))
                 .field("patch_us", us(row.patch))
                 .field("delta_us", us(row.delta))
                 .field("materialize_us", us(row.materialize))
@@ -423,7 +428,7 @@ fn served_sweep(scale: Scale) -> JsonValue {
     let (entry, _) = GraphRegistry::new().insert("wt", graph);
     let mut s = 0x5e7_feed_u64;
     let mut t = Table::new(vec![
-        "batch", "query", "branch", "keys", "repair", "rebuild", "ratio",
+        "batch", "apply", "query", "branch", "keys", "repair", "rebuild", "ratio",
     ]);
     let mut rows: Vec<JsonValue> = Vec::new();
     let mut never_slower = true;
@@ -447,9 +452,8 @@ fn served_sweep(scale: Scale) -> JsonValue {
             })
             .filter(|(a, b)| a != b)
             .collect();
-        let outcome = entry
-            .apply_batch(&adds, &dels, usize::MAX, 64)
-            .expect("in-range mutation batch");
+        let (outcome, apply) = time(|| entry.apply_batch(&adds, &dels, usize::MAX, 64));
+        let outcome = outcome.expect("in-range mutation batch");
         let after = &outcome.new_graph;
         let past_floor = StreamIndex::past_floor(after, &outcome.endpoints);
         // What a full rebuild is, on either side of the comparison: the
@@ -488,6 +492,7 @@ fn served_sweep(scale: Scale) -> JsonValue {
             let branch = if past_floor { "rebase" } else { "patch" };
             t.row(vec![
                 outcome.applied().to_string(),
+                format!("{:.0} us", us(apply)),
                 q.name().to_string(),
                 branch.to_string(),
                 stats.keys_recomputed.to_string(),
@@ -499,6 +504,7 @@ fn served_sweep(scale: Scale) -> JsonValue {
                 JsonValue::object()
                     .field("batch_size", size)
                     .field("applied", outcome.applied())
+                    .field("apply_us", us(apply))
                     .field("query", q.name())
                     .field("branch", branch)
                     .field("dirty_vertices", stats.dirty_vertices)

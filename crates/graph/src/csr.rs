@@ -9,6 +9,11 @@
 
 use crate::ids::VertexId;
 
+/// One directed half of a changed edge: `(src, dst, add)` — `dst` joins
+/// (`true`) or leaves (`false`) `src`'s adjacency. Tuples order by source,
+/// then neighbor, which is the order [`Csr`] stores.
+pub(crate) type EdgeDelta = (VertexId, VertexId, bool);
+
 /// Sorted-adjacency CSR structure: `offsets[v]..offsets[v+1]` indexes the
 /// neighbor slice of vertex `v` inside `neighbors`.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -59,19 +64,53 @@ impl Csr {
         csr
     }
 
-    /// Builds a CSR directly from prevalidated parts: `offsets` has `n + 1`
-    /// monotone entries and `neighbors[offsets[v]..offsets[v + 1]]` is the
-    /// sorted, deduplicated adjacency of `v`. Used by the delta-overlay
-    /// patch path, which produces sorted lists by merging sorted inputs and
-    /// must not pay the full sort-and-dedup of
-    /// [`Csr::from_undirected_edges`].
-    pub(crate) fn from_sorted_parts(offsets: Vec<usize>, neighbors: Vec<VertexId>) -> Self {
-        debug_assert_eq!(*offsets.last().unwrap_or(&0), neighbors.len());
-        debug_assert!(offsets.windows(2).all(|w| w[0] <= w[1]));
-        debug_assert!((0..offsets.len().saturating_sub(1))
-            .all(|v| neighbors[offsets[v]..offsets[v + 1]]
-                .windows(2)
-                .all(|w| w[0] < w[1])));
+    /// This CSR with one batch of net edge changes applied, in one pass:
+    /// the run of untouched vertices between two touched ones is a single
+    /// slice copy plus an offset shift, and only the touched vertices'
+    /// lists are merged. `delta` is sorted, holds both directions of every
+    /// changed edge, and is *net* against `self`: an added neighbor is
+    /// absent from `src`'s list, a deleted one present.
+    pub(crate) fn patched(&self, delta: &[EdgeDelta]) -> Csr {
+        debug_assert!(delta.windows(2).all(|w| w[0] < w[1]));
+        let adds = delta.iter().filter(|e| e.2).count();
+        let mut offsets = Vec::with_capacity(self.offsets.len());
+        let mut neighbors = Vec::with_capacity(self.neighbors.len() + 2 * adds - delta.len());
+        offsets.push(0);
+        // Appends the unchanged lists of vertices `from..to`.
+        let copy_run = |from: usize, to: usize, offsets: &mut Vec<usize>, out: &mut Vec<_>| {
+            let (lo, hi) = (self.offsets[from], self.offsets[to]);
+            let shifted = out.len();
+            out.extend_from_slice(&self.neighbors[lo..hi]);
+            offsets.extend(self.offsets[from + 1..=to].iter().map(|o| o - lo + shifted));
+        };
+        let mut clean_from = 0;
+        let mut rest = delta;
+        while let Some(&(src, ..)) = rest.first() {
+            let (mine, later) = rest.split_at(rest.partition_point(|e| e.0 == src));
+            copy_run(clean_from, src.index(), &mut offsets, &mut neighbors);
+            let mut old = self.neighbors(src);
+            for &(_, dst, add) in mine {
+                let (before, from_dst) = old.split_at(old.partition_point(|&nb| nb < dst));
+                neighbors.extend_from_slice(before);
+                debug_assert_eq!(from_dst.first() == Some(&dst), !add, "delta is not net");
+                if add {
+                    neighbors.push(dst);
+                    old = from_dst;
+                } else {
+                    old = &from_dst[1..];
+                }
+            }
+            neighbors.extend_from_slice(old);
+            offsets.push(neighbors.len());
+            clean_from = src.index() + 1;
+            rest = later;
+        }
+        copy_run(
+            clean_from,
+            self.num_vertices(),
+            &mut offsets,
+            &mut neighbors,
+        );
         Csr { offsets, neighbors }
     }
 
@@ -222,6 +261,29 @@ mod tests {
         assert_eq!(g.num_edges(), 2);
         assert_eq!(g.neighbors(vid(0)), &[vid(1)]);
         assert_eq!(g.neighbors(vid(1)), &[vid(0), vid(2)]);
+    }
+
+    #[test]
+    fn patched_merges_dirty_lists_and_shifts_clean_runs() {
+        let g = triangle_plus_tail();
+        assert_eq!(g.patched(&[]), g);
+        // Drop 0-1, add 0-3: first and last vertex dirty, vertex 2 clean.
+        let delta = [
+            (vid(0), vid(1), false),
+            (vid(0), vid(3), true),
+            (vid(1), vid(0), false),
+            (vid(3), vid(0), true),
+        ];
+        let expect = Csr::from_undirected_edges(
+            4,
+            &[
+                (vid(1), vid(2)),
+                (vid(2), vid(0)),
+                (vid(2), vid(3)),
+                (vid(0), vid(3)),
+            ],
+        );
+        assert_eq!(g.patched(&delta), expect);
     }
 
     #[test]

@@ -11,13 +11,14 @@
 //! and keep a `directed` provenance flag.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-use crate::csr::Csr;
+use crate::csr::{Csr, EdgeDelta};
 use crate::ids::{LabelId, VertexId};
 use crate::labels::LabelSet;
 
 /// Which construction a [`Graph`] value came out of: every constructor
-/// (the streaming overlay's `commit` included) draws a fresh stamp, and a
+/// (a streamed snapshot's [`Graph::patched`] included) draws a fresh stamp, and a
 /// clone shares its source's. Anything derived from a graph's adjacency and
 /// labels — a plan's candidate sets — records the stamp it was derived on,
 /// so "do these describe that graph?" is one comparison. Opaque: stamps
@@ -38,11 +39,14 @@ impl GraphStamp {
 pub struct Graph {
     stamp: GraphStamp,
     csr: Csr,
-    labels: Vec<LabelSet>,
+    /// Shared with every snapshot patched from this graph: edge mutations
+    /// never change a label.
+    labels: Arc<[LabelSet]>,
     num_labels: u32,
     directed_input: bool,
-    /// `label_index[l]` = sorted vertices whose label set contains `l`.
-    label_index: Vec<Vec<VertexId>>,
+    /// `label_index[l]` = sorted vertices whose label set contains `l`;
+    /// shared like `labels`.
+    label_index: Arc<[Vec<VertexId>]>,
     /// Optional NLC index; see [`NlcIndex`].
     nlc: Option<NlcIndex>,
     /// Optional label-pair admission index; see [`LabelPairIndex`].
@@ -176,8 +180,8 @@ impl LabelPairIndex {
     ///
     /// This is the streaming maintenance primitive: edge *additions* can only
     /// raise per-vertex neighbor-label counts at the two endpoints, so
-    /// re-deriving the endpoints' counts and calling `raise` keeps the index
-    /// a sound overestimate. Deletions deliberately leave entries in place —
+    /// re-deriving the endpoints' counts ([`Self::absorb_vertices`]) and
+    /// calling `raise` keeps the index a sound overestimate. Deletions deliberately leave entries in place —
     /// a too-large maximum can only admit more queries, never reject a
     /// satisfiable one — and compaction rebuilds the exact index.
     pub fn raise(&mut self, l: LabelId, m: LabelId, count: u32) {
@@ -191,26 +195,30 @@ impl LabelPairIndex {
         }
     }
 
-    /// Re-derives vertex `v`'s neighborhood label counts on `graph` and
-    /// raises every `(label-of-v, neighbor-label)` maximum accordingly. Used
-    /// after a mutation batch for each touched endpoint.
-    pub fn absorb_vertex(&mut self, graph: &Graph, v: VertexId) {
-        let mut scratch: Vec<LabelId> = Vec::new();
-        for &nb in graph.neighbors(v) {
-            scratch.extend(graph.labels(nb).iter());
-        }
-        scratch.sort_unstable();
-        let mut i = 0;
-        while i < scratch.len() {
-            let m = scratch[i];
-            let mut j = i + 1;
-            while j < scratch.len() && scratch[j] == m {
-                j += 1;
+    /// Re-derives the neighborhood label counts of each of `vertices` on
+    /// `graph` and raises every `(label-of-v, neighbor-label)` maximum
+    /// accordingly. Used after a mutation batch for the endpoints of its
+    /// *added* edges — a deletion's endpoints can raise nothing.
+    pub fn absorb_vertices(&mut self, graph: &Graph, vertices: &[VertexId]) {
+        // One dense count per label, zeroed again through `seen` after
+        // every vertex.
+        let mut counts = vec![0u32; graph.num_labels() as usize];
+        let mut seen: Vec<LabelId> = Vec::new();
+        for &v in vertices {
+            for &nb in graph.neighbors(v) {
+                for m in graph.labels(nb).iter() {
+                    if counts[m.index()] == 0 {
+                        seen.push(m);
+                    }
+                    counts[m.index()] += 1;
+                }
             }
-            for l in graph.labels(v).iter() {
-                self.raise(l, m, (j - i) as u32);
+            for m in seen.drain(..) {
+                for l in graph.labels(v).iter() {
+                    self.raise(l, m, counts[m.index()]);
+                }
+                counts[m.index()] = 0;
             }
-            i = j;
         }
     }
 
@@ -261,23 +269,6 @@ impl Graph {
         directed_input: bool,
     ) -> Self {
         let csr = Csr::from_undirected_edges(labels.len(), edges);
-        Graph::from_csr(csr, labels, directed_input)
-    }
-
-    /// Builds a graph around an already-constructed CSR, rebuilding the
-    /// label inverted index but leaving the optional NLC and label-pair
-    /// indexes unset. This is the snapshot path of the streaming overlay:
-    /// the patched CSR is produced by sorted merges, so re-running the
-    /// edge-list sort of [`Graph::new`] would waste the work.
-    ///
-    /// # Panics
-    /// Panics if `labels.len()` differs from the CSR vertex count.
-    pub fn from_csr(csr: Csr, labels: Vec<LabelSet>, directed_input: bool) -> Self {
-        assert_eq!(
-            labels.len(),
-            csr.num_vertices(),
-            "label list must cover every CSR vertex"
-        );
         let num_labels = labels
             .iter()
             .flat_map(|ls| ls.iter())
@@ -293,10 +284,29 @@ impl Graph {
         Graph {
             stamp: GraphStamp::fresh(),
             csr,
-            labels,
+            labels: labels.into(),
             num_labels,
             directed_input,
-            label_index,
+            label_index: label_index.into(),
+            nlc: None,
+            label_pairs: None,
+        }
+    }
+
+    /// The next streamed snapshot: this graph with one batch of net edge
+    /// changes applied (see [`Csr::patched`] for what `delta` must be).
+    /// Reads this graph's adjacency only; labels, the label inverted index
+    /// and the alphabet size are shared with it, the stamp is fresh, and
+    /// the optional NLC and label-pair indexes are left unset (the
+    /// streaming layer attaches its maintained label-pair index itself).
+    pub(crate) fn patched(&self, delta: &[EdgeDelta]) -> Graph {
+        Graph {
+            stamp: GraphStamp::fresh(),
+            csr: self.csr.patched(delta),
+            labels: Arc::clone(&self.labels),
+            num_labels: self.num_labels,
+            directed_input: self.directed_input,
+            label_index: Arc::clone(&self.label_index),
             nlc: None,
             label_pairs: None,
         }
@@ -519,8 +529,7 @@ mod tests {
         clone.build_label_pair_index();
         assert_eq!(g.stamp(), clone.stamp());
         assert_ne!(g.stamp(), fixture().stamp());
-        let snapshot = crate::overlay::DeltaOverlay::new().commit(&g);
-        assert_ne!(g.stamp(), snapshot.stamp());
+        assert_ne!(g.stamp(), g.patched(&[]).stamp());
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //! * [`generators`] — deterministic Erdős–Rényi, Graph500-style Kronecker
 //!   (R-MAT), and labeled-graph generators standing in for the paper's
 //!   datasets.
-//! * [`overlay`] — delta overlay for streaming edge mutations over a frozen
-//!   CSR, committed into compacted snapshots at configurable thresholds.
+//! * [`overlay`] — one batch of streaming edge mutations over an immutable
+//!   snapshot, committed as the next snapshot by patching its CSR.
 //! * [`extract`] — DFS-based connected query extraction (§6.2).
 //! * [`stats`] — dataset statistics and the distributed pivot workload
 //!   estimates of §5.

@@ -1,214 +1,96 @@
-//! Delta overlay over a frozen CSR graph.
+//! One batch of streamed edge mutations against an immutable snapshot.
 //!
 //! Streaming mutations (`ADDEDGE`/`DELEDGE`/`BATCH`) must not rebuild the
-//! base CSR per edge, but CECI enumeration is far too read-hot to pay a
-//! per-`neighbors()` overlay merge. [`DeltaOverlay`] resolves the tension:
-//! it accumulates *net* edge additions and deletions relative to a frozen
-//! base graph as per-vertex sorted delta lists, and [`DeltaOverlay::commit`]
-//! produces a fresh read-optimized [`Graph`] snapshot by a linear patch of
-//! the base CSR — clean vertices are bulk-copied, dirty vertices get a
-//! sorted three-way merge, and no edge-list re-sort happens. The overlay
-//! itself stays attached to the base until the caller *compacts* (adopts a
-//! snapshot as the new base and clears the overlay), which bounds delta
-//! memory at a configurable threshold.
+//! CSR per edge, but CECI enumeration is far too read-hot to pay a
+//! per-`neighbors()` overlay merge. [`DeltaOverlay`] resolves the tension
+//! one batch at a time: it records which edges the batch has flipped
+//! relative to the *current* snapshot, and [`DeltaOverlay::commit`] turns
+//! the net flips into one sorted flat list of directed entries and patches
+//! the snapshot's CSR with it in one pass ([`Graph::patched`]) — clean runs
+//! of vertices are bulk-copied, only this batch's endpoints are merged, and
+//! labels are shared, not copied. Nothing outlives the batch: the next one
+//! starts a fresh overlay on the snapshot this one produced.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
-use crate::csr::Csr;
+use crate::csr::EdgeDelta;
 use crate::graph::Graph;
 use crate::ids::VertexId;
 
-/// Net pending edge mutations against a frozen base graph.
+/// The edges one batch has touched on top of a snapshot.
 ///
-/// All operations are expressed relative to the *base* passed in — the
-/// overlay never holds a reference, so the same overlay value can outlive
-/// registry lock scopes. Callers must pass the same base graph to every
-/// call between two compactions; mixing bases is a logic error.
+/// All operations are expressed relative to the snapshot passed in — the
+/// overlay never holds a reference, so callers must pass the same graph to
+/// every call; mixing snapshots is a logic error.
 #[derive(Clone, Debug, Default)]
 pub struct DeltaOverlay {
-    /// Per-vertex sorted lists of neighbors added relative to the base.
-    adds: BTreeMap<VertexId, Vec<VertexId>>,
-    /// Per-vertex sorted lists of base neighbors deleted.
-    dels: BTreeMap<VertexId, Vec<VertexId>>,
-    /// Net added undirected edges pending.
-    added: usize,
-    /// Net deleted undirected edges pending.
-    deleted: usize,
-}
-
-fn insert_sorted(map: &mut BTreeMap<VertexId, Vec<VertexId>>, k: VertexId, v: VertexId) {
-    let list = map.entry(k).or_default();
-    if let Err(i) = list.binary_search(&v) {
-        list.insert(i, v);
-    }
-}
-
-fn remove_sorted(map: &mut BTreeMap<VertexId, Vec<VertexId>>, k: VertexId, v: VertexId) {
-    if let Some(list) = map.get_mut(&k) {
-        if let Ok(i) = list.binary_search(&v) {
-            list.remove(i);
-        }
-        if list.is_empty() {
-            map.remove(&k);
-        }
-    }
-}
-
-fn contains(map: &BTreeMap<VertexId, Vec<VertexId>>, k: VertexId, v: VertexId) -> bool {
-    map.get(&k).is_some_and(|l| l.binary_search(&v).is_ok())
+    /// Every undirected edge an applied mutation named, keyed `(lo, hi)`:
+    /// whether the snapshot has it, and whether the view has it now.
+    touched: HashMap<(VertexId, VertexId), (bool, bool)>,
 }
 
 impl DeltaOverlay {
-    /// An empty overlay (the view equals the base).
+    /// An empty overlay (the view equals the snapshot).
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Edge test against the overlaid view (base ∖ deletions ∪ additions).
-    pub fn has_edge(&self, base: &Graph, a: VertexId, b: VertexId) -> bool {
-        if contains(&self.dels, a, b) {
+    /// Edge test against the overlaid view.
+    pub fn has_edge(&self, current: &Graph, a: VertexId, b: VertexId) -> bool {
+        match self.touched.get(&(a.min(b), a.max(b))) {
+            Some(&(_, now)) => now,
+            None => current.has_edge(a, b),
+        }
+    }
+
+    /// Makes the view's `{a, b}` present or absent. Returns `false` (no-op)
+    /// for self-loops and when the view already agrees.
+    fn set_edge(&mut self, current: &Graph, a: VertexId, b: VertexId, present: bool) -> bool {
+        let n = current.num_vertices();
+        assert!(a.index() < n && b.index() < n, "edge endpoint out of range");
+        if a == b {
             return false;
         }
-        contains(&self.adds, a, b) || base.has_edge(a, b)
+        let state = self.touched.entry((a.min(b), a.max(b))).or_insert_with(|| {
+            let was = current.has_edge(a, b);
+            (was, was)
+        });
+        let applied = state.1 != present;
+        state.1 = present;
+        applied
     }
 
     /// Adds undirected edge `{a, b}` to the view. Returns `false` (no-op)
     /// for self-loops and edges already present in the view.
     ///
     /// # Panics
-    /// Panics if an endpoint is out of the base vertex range — streaming
-    /// mutations never grow the vertex set.
-    pub fn add_edge(&mut self, base: &Graph, a: VertexId, b: VertexId) -> bool {
-        let n = base.num_vertices();
-        assert!(a.index() < n && b.index() < n, "edge endpoint out of range");
-        if a == b || self.has_edge(base, a, b) {
-            return false;
-        }
-        if contains(&self.dels, a, b) {
-            // Re-adding a base edge pending deletion just cancels the delete.
-            remove_sorted(&mut self.dels, a, b);
-            remove_sorted(&mut self.dels, b, a);
-            self.deleted -= 1;
-        } else {
-            insert_sorted(&mut self.adds, a, b);
-            insert_sorted(&mut self.adds, b, a);
-            self.added += 1;
-        }
-        true
+    /// Panics if an endpoint is out of the snapshot's vertex range —
+    /// streaming mutations never grow the vertex set.
+    pub fn add_edge(&mut self, current: &Graph, a: VertexId, b: VertexId) -> bool {
+        self.set_edge(current, a, b, true)
     }
 
     /// Deletes undirected edge `{a, b}` from the view. Returns `false`
     /// (no-op) when the edge is absent from the view.
     ///
     /// # Panics
-    /// Panics if an endpoint is out of the base vertex range.
-    pub fn delete_edge(&mut self, base: &Graph, a: VertexId, b: VertexId) -> bool {
-        let n = base.num_vertices();
-        assert!(a.index() < n && b.index() < n, "edge endpoint out of range");
-        if a == b || !self.has_edge(base, a, b) {
-            return false;
-        }
-        if contains(&self.adds, a, b) {
-            // Deleting a pending addition cancels it.
-            remove_sorted(&mut self.adds, a, b);
-            remove_sorted(&mut self.adds, b, a);
-            self.added -= 1;
-        } else {
-            insert_sorted(&mut self.dels, a, b);
-            insert_sorted(&mut self.dels, b, a);
-            self.deleted += 1;
-        }
-        true
+    /// Panics if an endpoint is out of the snapshot's vertex range.
+    pub fn delete_edge(&mut self, current: &Graph, a: VertexId, b: VertexId) -> bool {
+        self.set_edge(current, a, b, false)
     }
 
-    /// Net undirected edges added relative to the base.
-    pub fn edges_added(&self) -> usize {
-        self.added
-    }
-
-    /// Net base edges deleted.
-    pub fn edges_deleted(&self) -> usize {
-        self.deleted
-    }
-
-    /// Total pending net mutations — the compaction-threshold signal.
-    pub fn pending(&self) -> usize {
-        self.added + self.deleted
-    }
-
-    /// True when the view equals the base.
-    pub fn is_empty(&self) -> bool {
-        self.added == 0 && self.deleted == 0
-    }
-
-    /// Drops all pending deltas (used after compaction adopts a snapshot).
-    pub fn clear(&mut self) {
-        self.adds.clear();
-        self.dels.clear();
-        self.added = 0;
-        self.deleted = 0;
-    }
-
-    /// Approximate heap bytes held by the delta lists.
-    pub fn size_bytes(&self) -> usize {
-        let per = |m: &BTreeMap<VertexId, Vec<VertexId>>| {
-            m.values()
-                .map(|l| l.capacity() * std::mem::size_of::<VertexId>() + 48)
-                .sum::<usize>()
-        };
-        per(&self.adds) + per(&self.dels)
-    }
-
-    /// Materializes the overlaid view as a fresh read-optimized [`Graph`]:
-    /// offsets are recomputed from per-vertex degree deltas, clean vertices'
-    /// adjacency is bulk-copied from the base CSR, and dirty vertices get a
-    /// sorted merge of `base ∖ dels ∪ adds`. Labels are carried over; the
-    /// NLC and label-pair indexes are left unset (the streaming layer
-    /// attaches its maintained label-pair index separately).
-    pub fn commit(&self, base: &Graph) -> Graph {
-        let n = base.num_vertices();
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0usize);
-        let mut total = 0usize;
-        for v in 0..n {
-            let vv = VertexId::from_index(v);
-            let d = base.degree(vv) + self.adds.get(&vv).map_or(0, Vec::len)
-                - self.dels.get(&vv).map_or(0, Vec::len);
-            total += d;
-            offsets.push(total);
-        }
-        let mut neighbors = Vec::with_capacity(total);
-        for v in 0..n {
-            let vv = VertexId::from_index(v);
-            let base_nbrs = base.neighbors(vv);
-            let adds = self.adds.get(&vv).map_or(&[][..], Vec::as_slice);
-            let dels = self.dels.get(&vv).map_or(&[][..], Vec::as_slice);
-            if adds.is_empty() && dels.is_empty() {
-                neighbors.extend_from_slice(base_nbrs);
-                continue;
-            }
-            let mut ai = 0;
-            for &b in base_nbrs {
-                if dels.binary_search(&b).is_ok() {
-                    continue;
-                }
-                while ai < adds.len() && adds[ai] < b {
-                    neighbors.push(adds[ai]);
-                    ai += 1;
-                }
-                debug_assert!(
-                    ai >= adds.len() || adds[ai] != b,
-                    "pending addition duplicates a base edge"
-                );
-                neighbors.push(b);
-            }
-            neighbors.extend_from_slice(&adds[ai..]);
-        }
-        let csr = Csr::from_sorted_parts(offsets, neighbors);
-        let labels = (0..n)
-            .map(|i| base.labels(VertexId::from_index(i)).clone())
+    /// Materializes the overlaid view as the next read-optimized [`Graph`]
+    /// snapshot: the edges whose view state differs from the snapshot's,
+    /// both directions of each, sorted, patched into `current`'s CSR.
+    pub fn commit(&self, current: &Graph) -> Graph {
+        let mut delta: Vec<EdgeDelta> = self
+            .touched
+            .iter()
+            .filter(|(_, &(was, now))| was != now)
+            .flat_map(|(&(a, b), &(_, now))| [(a, b, now), (b, a, now)])
             .collect();
-        Graph::from_csr(csr, labels, base.is_directed_input())
+        delta.sort_unstable();
+        current.patched(&delta)
     }
 }
 
@@ -232,6 +114,13 @@ mod tests {
         )
     }
 
+    fn same_adjacency(a: &Graph, b: &Graph) {
+        assert_eq!(a.num_edges(), b.num_edges());
+        for v in a.vertices() {
+            assert_eq!(a.neighbors(v), b.neighbors(v));
+        }
+    }
+
     #[test]
     fn add_delete_noop_semantics() {
         let g = base();
@@ -244,9 +133,8 @@ mod tests {
         assert!(!o.delete_edge(&g, vid(0), vid(3)), "absent edge is a no-op");
         assert!(o.delete_edge(&g, vid(1), vid(2)));
         assert!(!o.has_edge(&g, vid(1), vid(2)));
-        assert_eq!(o.edges_added(), 1);
-        assert_eq!(o.edges_deleted(), 1);
-        assert_eq!(o.pending(), 2);
+        assert!(!o.has_edge(&g, vid(2), vid(1)));
+        assert_eq!(o.commit(&g).num_edges(), 3);
     }
 
     #[test]
@@ -255,11 +143,11 @@ mod tests {
         let mut o = DeltaOverlay::new();
         assert!(o.add_edge(&g, vid(0), vid(3)));
         assert!(o.delete_edge(&g, vid(3), vid(0)));
-        assert!(o.is_empty());
+        assert!(!o.has_edge(&g, vid(0), vid(3)));
         assert!(o.delete_edge(&g, vid(0), vid(1)));
         assert!(o.add_edge(&g, vid(1), vid(0)));
-        assert!(o.is_empty());
         assert!(o.has_edge(&g, vid(0), vid(1)));
+        same_adjacency(&o.commit(&g), &g);
     }
 
     #[test]
@@ -280,37 +168,28 @@ mod tests {
             ],
             false,
         );
-        assert_eq!(snap.num_edges(), expect.num_edges());
+        same_adjacency(&snap, &expect);
         for v in 0..4 {
-            assert_eq!(snap.neighbors(vid(v)), expect.neighbors(vid(v)));
             assert_eq!(snap.labels(vid(v)), expect.labels(vid(v)));
         }
         assert_eq!(
             snap.vertices_with_label(lid(0)),
             expect.vertices_with_label(lid(0))
         );
+        // A second batch patches the snapshot the first one produced.
+        let mut o = DeltaOverlay::new();
+        assert!(o.delete_edge(&snap, vid(0), vid(3)));
+        assert!(o.add_edge(&snap, vid(1), vid(2)));
+        let next = o.commit(&snap);
+        assert_eq!(next.neighbors(vid(0)), &[vid(1), vid(2)]);
+        assert_eq!(next.neighbors(vid(2)), &[vid(0), vid(1), vid(3)]);
+        assert_eq!(next.neighbors(vid(3)), &[vid(2)]);
     }
 
     #[test]
     fn commit_of_empty_overlay_copies_base() {
         let g = base();
-        let o = DeltaOverlay::new();
-        let snap = o.commit(&g);
-        assert_eq!(snap.num_edges(), g.num_edges());
-        for v in 0..4 {
-            assert_eq!(snap.neighbors(vid(v)), g.neighbors(vid(v)));
-        }
-    }
-
-    #[test]
-    fn clear_resets() {
-        let g = base();
-        let mut o = DeltaOverlay::new();
-        o.add_edge(&g, vid(0), vid(2));
-        assert!(o.size_bytes() > 0);
-        o.clear();
-        assert!(o.is_empty());
-        assert_eq!(o.pending(), 0);
+        same_adjacency(&DeltaOverlay::new().commit(&g), &g);
     }
 
     #[test]

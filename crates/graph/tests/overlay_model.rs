@@ -1,0 +1,160 @@
+//! Model-based differential for streamed snapshots: random labeled graph ×
+//! random batch sequences, every snapshot checked against an edge-set model
+//! and against a copy of the base-relative overlay this design replaced.
+//!
+//! The vertex range is tiny on purpose: duplicates, reversed duplicates,
+//! self-loops, no-ops, the same edge in a batch's adds and dels, re-adds of
+//! deleted base edges and deletes of pending adds across batches all occur
+//! in nearly every case.
+
+use std::collections::BTreeSet;
+
+use ceci_graph::{DeltaOverlay, Graph, LabelId, LabelSet, VertexId};
+use proptest::prelude::*;
+
+type Edge = (VertexId, VertexId);
+
+fn key((a, b): Edge) -> Edge {
+    (a.min(b), a.max(b))
+}
+
+/// The bookkeeping of the overlay this design replaced: *net* additions and
+/// deletions relative to a frozen `base`, kept until a compaction clears
+/// them. The oracle for which mutations apply and how many are pending.
+#[derive(Default)]
+struct BaseRelativeOverlay {
+    adds: BTreeSet<Edge>,
+    dels: BTreeSet<Edge>,
+}
+
+impl BaseRelativeOverlay {
+    fn has_edge(&self, base: &Graph, e: Edge) -> bool {
+        !self.dels.contains(&key(e)) && (self.adds.contains(&key(e)) || base.has_edge(e.0, e.1))
+    }
+
+    fn add_edge(&mut self, base: &Graph, e: Edge) -> bool {
+        if e.0 == e.1 || self.has_edge(base, e) {
+            return false;
+        }
+        // Re-adding a base edge pending deletion just cancels the delete.
+        if !self.dels.remove(&key(e)) {
+            self.adds.insert(key(e));
+        }
+        true
+    }
+
+    fn delete_edge(&mut self, base: &Graph, e: Edge) -> bool {
+        if e.0 == e.1 || !self.has_edge(base, e) {
+            return false;
+        }
+        // Deleting a pending addition cancels it.
+        if !self.adds.remove(&key(e)) {
+            self.dels.insert(key(e));
+        }
+        true
+    }
+
+    fn pending(&self) -> usize {
+        self.adds.len() + self.dels.len()
+    }
+}
+
+type Batch = (Vec<(u32, u32)>, Vec<(u32, u32)>);
+/// `(n, labels per vertex, base edges, batches, compaction threshold)`.
+type Stream = (u32, Vec<Vec<u32>>, Vec<(u32, u32)>, Vec<Batch>, usize);
+
+fn arb_stream() -> impl Strategy<Value = Stream> {
+    (3u32..9).prop_flat_map(|n| {
+        let pairs = || proptest::collection::vec((0..n, 0..n), 0..14);
+        (
+            Just(n),
+            proptest::collection::vec(proptest::collection::vec(0u32..3, 1..3), n as usize),
+            proptest::collection::vec((0..n, 0..n), 0..(2 * n as usize)),
+            proptest::collection::vec((pairs(), pairs()), 1..7),
+            1usize..10,
+        )
+    })
+}
+
+fn edges_of(raw: &[(u32, u32)]) -> Vec<Edge> {
+    raw.iter()
+        .map(|&(a, b)| (VertexId(a), VertexId(b)))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn overlay_snapshots_equal_the_edge_set_model(
+        (n, labels, base_edges, batches, threshold) in arb_stream()
+    ) {
+        let labels: Vec<LabelSet> = labels
+            .iter()
+            .map(|ls| LabelSet::from_labels(ls.iter().map(|&l| LabelId(l))))
+            .collect();
+        let first = Graph::new(labels.clone(), &edges_of(&base_edges), false);
+        let mut model: BTreeSet<Edge> = first
+            .vertices()
+            .flat_map(|a| first.neighbors(a).iter().map(move |&b| key((a, b))))
+            .collect();
+        let mut oracle = BaseRelativeOverlay::default();
+        let (mut base, mut current) = (first.clone(), first.clone());
+        let mut pending = 0usize;
+        for (adds, dels) in &batches {
+            let mut overlay = DeltaOverlay::new();
+            for &e in &edges_of(adds) {
+                let applied = overlay.add_edge(&current, e.0, e.1);
+                prop_assert_eq!(applied, oracle.add_edge(&base, e));
+                prop_assert_eq!(applied, e.0 != e.1 && model.insert(key(e)));
+                if applied {
+                    // The registry's counter rule, against the oracle's lists:
+                    // back to what `base` has cancels, anything else is pending.
+                    if base.has_edge(e.0, e.1) { pending -= 1 } else { pending += 1 }
+                }
+            }
+            for &e in &edges_of(dels) {
+                let applied = overlay.delete_edge(&current, e.0, e.1);
+                prop_assert_eq!(applied, oracle.delete_edge(&base, e));
+                prop_assert_eq!(applied, model.remove(&key(e)));
+                if applied {
+                    if base.has_edge(e.0, e.1) { pending += 1 } else { pending -= 1 }
+                }
+            }
+            prop_assert_eq!(pending, oracle.pending());
+            for a in 0..n {
+                for b in 0..n {
+                    let e = (VertexId(a), VertexId(b));
+                    prop_assert_eq!(overlay.has_edge(&current, e.0, e.1), model.contains(&key(e)));
+                }
+            }
+
+            let next = overlay.commit(&current);
+            let model_edges: Vec<Edge> = model.iter().copied().collect();
+            let expect = Graph::new(labels.clone(), &model_edges, false);
+            prop_assert_eq!(next.num_edges(), model.len());
+            prop_assert_eq!(next.num_labels(), first.num_labels());
+            for v in next.vertices() {
+                prop_assert_eq!(next.neighbors(v), expect.neighbors(v));
+                prop_assert_eq!(next.labels(v), first.labels(v));
+                // Shared with the first snapshot, not copied.
+                prop_assert!(std::ptr::eq(next.labels(v), first.labels(v)));
+            }
+            for l in (0..first.num_labels()).map(LabelId) {
+                prop_assert_eq!(next.vertices_with_label(l), first.vertices_with_label(l));
+                prop_assert_eq!(
+                    next.vertices_with_label(l).as_ptr(),
+                    first.vertices_with_label(l).as_ptr()
+                );
+            }
+            prop_assert!(next.stamp() != current.stamp() && next.stamp() != first.stamp());
+            prop_assert!(next.nlc_index().is_none() && next.label_pair_index().is_none());
+
+            if pending >= threshold {
+                // The compaction boundary: the snapshot becomes the base.
+                (base, oracle, pending) = (next.clone(), BaseRelativeOverlay::default(), 0);
+            }
+            current = next;
+        }
+    }
+}

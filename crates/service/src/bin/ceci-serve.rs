@@ -11,8 +11,9 @@
 //!   --max-match-workers N  cap on per-request WORKERS (default 8)
 //!   --build-threads N    BFS-filter threads per cache-miss index build
 //!                        (default 1; any value builds a bit-identical index)
-//!   --compact-threshold N  pending overlay edges that trigger CSR compaction
-//!                        after a mutation batch (default 32768)
+//!   --compact-threshold N  net mutations since the last compaction that
+//!                        trigger the next exact label-pair rebuild
+//!                        (default 32768)
 //!   --dirty-log-cap N    mutation batches of dirty endpoints kept per graph
 //!                        for index repair (default 64; an older entry's
 //!                        tables are rebased on the current snapshot)

@@ -27,8 +27,9 @@
 //!   leaf-level redundant-extension pruning — all per-request bypassable
 //!   with `MATCH ... RAW` for differential verification,
 //! * a **streaming-mutation layer**: `ADDEDGE`/`DELEDGE`/`BATCH` verbs
-//!   mutate a loaded graph through a delta overlay over the frozen CSR
-//!   (compacted at a configurable threshold), cached indexes are
+//!   publish the next immutable CSR snapshot as the current one patched by
+//!   the batch's edges (the exact label-pair index rebuilt at a
+//!   configurable threshold, maintained in between), cached indexes are
 //!   **repaired** under their plan instead of rebuilt — the maintainable
 //!   tables built by an entry's first stale read, then moved along and
 //!   patched from per-batch dirty endpoints ([`registry`], [`cache`],

@@ -53,6 +53,24 @@
 //! `BATCH ... FILE` reads a SNAP temporal edge list (`src dst ts`) server
 //! side and applies every edge as one batch of additions.
 //!
+//! An inline `BATCH` is **not** applied in token order: all `+` tokens
+//! apply before all `-` tokens, each against the view the earlier ones
+//! left, and a mutation the view already agrees with is dropped. So
+//! `BATCH g -1:2 +1:2` on a present edge drops the add and then deletes
+//! the edge (`added=0 deleted=1`), and `BATCH g +3:4 -3:4` on an absent
+//! edge applies both (`added=1 deleted=1`): the sub-epoch moves and
+//! registered queries get an `EVENT DELTA new=0 retired=0`, over an
+//! unchanged edge set. The answer is
+//!
+//! ```text
+//! OK MUTATED graph=<g> added=<a> deleted=<d> sub_epoch=<s> pending=<p> compacted=<0|1>
+//!            apply_us=<us> delta_us=<us>
+//! ```
+//!
+//! (one line) where `apply_us` is the registry's share — next snapshot,
+//! label-pair maintenance, dirty log — and `delta_us` the sum of the
+//! registered queries' delta enumerations for this batch.
+//!
 //! `REGISTER` pins a *continuous query*: the server keeps its index live
 //! across mutation batches and pushes one asynchronous line
 //!

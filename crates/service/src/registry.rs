@@ -1,5 +1,5 @@
-//! The graph registry: named, reference-counted data graphs with a
-//! streaming-mutation overlay.
+//! The graph registry: named, reference-counted data graphs that take
+//! streamed edge mutations.
 //!
 //! `LOAD` replaces a name atomically — in-flight `MATCH` requests keep
 //! their `Arc<Graph>` snapshot and finish against the old graph while new
@@ -12,15 +12,19 @@
 //!
 //! `ADDEDGE` / `DELEDGE` / `BATCH` mutate a loaded graph *between* epochs:
 //! each applied batch bumps the entry's **sub-epoch** and publishes a fresh
-//! immutable snapshot (`base` CSR + [`DeltaOverlay`] committed into a new
-//! CSR). Readers always see a consistent `(snapshot, sub_epoch)` pair;
-//! mutations never touch a snapshot a reader already holds.
+//! immutable snapshot: the previous snapshot patched by this batch's net
+//! edges (a per-batch [`DeltaOverlay`]), sharing its labels. Readers always
+//! see a consistent `(snapshot, sub_epoch)` pair; mutations never touch a
+//! snapshot a reader already holds.
 //!
-//! The overlay is compacted (becomes the new `base`, with an exact
-//! label-pair index rebuild) once its pending net mutations reach the
-//! configured threshold; between compactions the label-pair admission index
-//! is *maintained* — endpoint maxima are raised on adds, deletions keep a
-//! sound overestimate — so the filter never rejects a satisfiable query.
+//! `base` is the snapshot whose label-pair admission index was last built
+//! exactly, and `pending` counts the net mutations between it and the
+//! current snapshot. Once `pending` reaches the configured threshold the
+//! entry *compacts*: the fresh snapshot gets an exact label-pair rebuild
+//! and becomes the new `base`. Between compactions the index is
+//! *maintained* — the maxima at the endpoints of added edges are raised,
+//! deletions keep a sound overestimate — so the filter never rejects a
+//! satisfiable query.
 //!
 //! Each applied batch is appended to a bounded **dirty log** of touched
 //! endpoints. The index cache uses it to patch a stale cached index's
@@ -59,11 +63,11 @@ pub struct DirtyRecord {
 /// Mutable streaming state of one loaded graph, guarded by the entry lock.
 #[derive(Debug)]
 struct StreamState {
-    /// Last compacted CSR (exact label-pair index).
+    /// Last compacted snapshot (exact label-pair index).
     base: Arc<Graph>,
-    /// Net mutations since `base`.
-    overlay: DeltaOverlay,
-    /// Current immutable snapshot (`base` ⊕ `overlay`), shared with readers.
+    /// Net edge mutations between `base` and `current`.
+    pending: usize,
+    /// Current immutable snapshot, shared with readers.
     current: Arc<Graph>,
     /// Applied-batch counter; 0 right after `LOAD`.
     sub_epoch: u64,
@@ -82,9 +86,9 @@ pub struct BatchOutcome {
     pub deleted: Vec<(VertexId, VertexId)>,
     /// Distinct touched endpoints of the applied mutations.
     pub endpoints: Vec<VertexId>,
-    /// Whether this batch triggered an overlay compaction.
+    /// Whether this batch triggered a compaction.
     pub compacted: bool,
-    /// Net overlay mutations still pending after the batch.
+    /// Net mutations still pending compaction after the batch.
     pub pending: usize,
     /// Snapshot *before* the batch (for delta enumeration).
     pub old_graph: Arc<Graph>,
@@ -97,6 +101,14 @@ impl BatchOutcome {
     pub fn applied(&self) -> usize {
         self.added.len() + self.deleted.len()
     }
+}
+
+/// The distinct endpoints of `edges`, sorted.
+fn distinct_endpoints<'a>(edges: impl Iterator<Item = &'a (VertexId, VertexId)>) -> Vec<VertexId> {
+    let mut ends: Vec<VertexId> = edges.flat_map(|&(a, b)| [a, b]).collect();
+    ends.sort_unstable();
+    ends.dedup();
+    ends
 }
 
 /// One loaded graph plus its identity metadata and streaming state.
@@ -125,13 +137,9 @@ impl GraphEntry {
         (Arc::clone(&st.current), st.sub_epoch)
     }
 
-    /// Net overlay mutations pending compaction.
+    /// Net mutations pending compaction.
     pub fn pending(&self) -> usize {
-        self.stream
-            .read()
-            .expect("stream lock poisoned")
-            .overlay
-            .pending()
+        self.stream.read().expect("stream lock poisoned").pending
     }
 
     /// Distinct endpoints touched by every batch in
@@ -161,12 +169,13 @@ impl GraphEntry {
         }
     }
 
-    /// Applies one mutation batch atomically: edge adds/deletes go through
-    /// the overlay (net semantics — re-adding a pending delete cancels it),
-    /// an applied batch publishes a fresh snapshot, bumps the sub-epoch,
+    /// Applies one mutation batch atomically, all `adds` before all `dels`,
+    /// each against the view the earlier ones left (mutations the view
+    /// already agrees with are dropped). An applied batch publishes the
+    /// current snapshot patched by its net edges, bumps the sub-epoch,
     /// maintains the label-pair admission index, logs the dirty endpoints
-    /// (log bounded by `dirty_log_cap`), and compacts the overlay into a new
-    /// base once `compact_threshold` net mutations are pending.
+    /// (log bounded by `dirty_log_cap`), and compacts once
+    /// `compact_threshold` net mutations are pending against `base`.
     ///
     /// Returns `Err` when any endpoint is out of range for the graph; no
     /// mutation is applied in that case.
@@ -191,59 +200,57 @@ impl GraphEntry {
             ));
         }
         let old_graph = Arc::clone(&st.current);
-        let mut applied_adds = Vec::new();
-        let mut applied_dels = Vec::new();
-        let mut endpoints: Vec<VertexId> = Vec::new();
-        {
-            let st = &mut *st;
-            for &(a, b) in adds {
-                if st.overlay.add_edge(&st.base, a, b) {
-                    applied_adds.push((a, b));
-                    endpoints.extend([a, b]);
-                }
-            }
-            for &(a, b) in dels {
-                if st.overlay.delete_edge(&st.base, a, b) {
-                    applied_dels.push((a, b));
-                    endpoints.extend([a, b]);
-                }
-            }
-        }
-        endpoints.sort_unstable();
-        endpoints.dedup();
+        let mut overlay = DeltaOverlay::new();
+        let applied_adds: Vec<_> = (adds.iter().copied())
+            .filter(|&(a, b)| overlay.add_edge(&old_graph, a, b))
+            .collect();
+        let applied_dels: Vec<_> = (dels.iter().copied())
+            .filter(|&(a, b)| overlay.delete_edge(&old_graph, a, b))
+            .collect();
         if applied_adds.is_empty() && applied_dels.is_empty() {
             return Ok(BatchOutcome {
                 sub_epoch: st.sub_epoch,
                 added: applied_adds,
                 deleted: applied_dels,
-                endpoints,
+                endpoints: Vec::new(),
                 compacted: false,
-                pending: st.overlay.pending(),
+                pending: st.pending,
                 new_graph: Arc::clone(&old_graph),
                 old_graph,
             });
         }
-        let mut fresh = st.overlay.commit(&st.base);
-        let compacted = st.overlay.pending() >= compact_threshold.max(1);
+        // An applied mutation that puts the edge back the way `base` has it
+        // cancels a pending one; any other is itself pending.
+        let st = &mut *st;
+        let applied =
+            (applied_adds.iter().map(|e| (e, true))).chain(applied_dels.iter().map(|e| (e, false)));
+        for (&(a, b), add) in applied {
+            if st.base.has_edge(a, b) == add {
+                st.pending -= 1;
+            } else {
+                st.pending += 1;
+            }
+        }
+        let endpoints = distinct_endpoints(applied_adds.iter().chain(&applied_dels));
+        let mut fresh = overlay.commit(&old_graph);
+        let compacted = st.pending >= compact_threshold.max(1);
         if compacted {
-            // Exact rebuild at compaction: the fresh CSR has no label-pair
-            // index yet, so this computes it from scratch.
+            // Exact rebuild at compaction: the fresh snapshot has no
+            // label-pair index yet, so this computes it from scratch.
             fresh.build_label_pair_index();
         } else if let Some(lpi) = old_graph.label_pair_index() {
-            // Maintained between compactions: raise the endpoint maxima on
-            // the new adjacency. Deletions keep stale maxima — a sound
-            // overestimate for the admission filter.
+            // Maintained between compactions: raise the maxima at the
+            // endpoints of added edges on the new adjacency. Deletions keep
+            // stale maxima — a sound overestimate for the admission filter.
             let mut lpi = lpi.clone();
-            for &v in &endpoints {
-                lpi.absorb_vertex(&fresh, v);
-            }
+            lpi.absorb_vertices(&fresh, &distinct_endpoints(applied_adds.iter()));
             fresh.set_label_pair_index(lpi);
         }
         let fresh = Arc::new(fresh);
         st.current = Arc::clone(&fresh);
         if compacted {
             st.base = Arc::clone(&fresh);
-            st.overlay.clear();
+            st.pending = 0;
         }
         st.sub_epoch += 1;
         let sub_epoch = st.sub_epoch;
@@ -257,12 +264,12 @@ impl GraphEntry {
             st.dirty_log.pop_front();
         }
         Ok(BatchOutcome {
-            sub_epoch: st.sub_epoch,
+            sub_epoch,
             added: applied_adds,
             deleted: applied_dels,
             endpoints,
             compacted,
-            pending: st.overlay.pending(),
+            pending: st.pending,
             old_graph,
             new_graph: fresh,
         })
@@ -294,7 +301,7 @@ impl GraphRegistry {
             epoch: NEXT_EPOCH.fetch_add(1, Ordering::Relaxed),
             stream: RwLock::new(StreamState {
                 base: Arc::clone(&graph),
-                overlay: DeltaOverlay::new(),
+                pending: 0,
                 current: graph,
                 sub_epoch: 0,
                 dirty_log: VecDeque::new(),
@@ -384,7 +391,11 @@ impl ContinuousRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ceci_graph::{vid, GraphBuilder, LabelId};
+    use ceci_graph::extract::extract_query;
+    use ceci_graph::{vid, GraphBuilder, LabelId, LabelSet};
+    use ceci_query::{admission_check, QueryGraph};
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn tiny(label: u32) -> Graph {
         let mut b = GraphBuilder::new();
@@ -519,6 +530,113 @@ mod tests {
             e.dirty_endpoints_since(1).unwrap(),
             vec![vid(0), vid(1), vid(3)]
         );
+    }
+
+    /// Every ordered label pair's maximum under `graph`'s label-pair index.
+    fn pair_maxima(graph: &Graph) -> Vec<u32> {
+        let lpi = graph.label_pair_index().expect("label-pair index");
+        let labels = || (0..graph.num_labels()).map(LabelId);
+        labels()
+            .flat_map(|l| labels().map(move |m| lpi.max_count(l, m)))
+            .collect()
+    }
+
+    type RawBatch = (Vec<(u32, u32)>, Vec<(u32, u32)>);
+    /// `(labels, base edges, batches, compact threshold)`.
+    type RawStream = (Vec<u32>, Vec<(u32, u32)>, Vec<RawBatch>, usize);
+
+    /// A labeled graph and a batch sequence over a vertex range small enough that duplicates, no-ops, add-and-delete of one
+    /// edge, re-adds of deleted base edges and deletes of pending adds all
+    /// occur; every third batch deletes only.
+    fn arb_stream() -> impl Strategy<Value = RawStream> {
+        (4u32..12).prop_flat_map(|n| {
+            let pairs = |max| proptest::collection::vec((0..n, 0..n), 0..max);
+            (
+                proptest::collection::vec(0u32..3, n as usize),
+                pairs(3 * n as usize),
+                proptest::collection::vec((pairs(12), pairs(12)), 1..8),
+                1usize..12,
+            )
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The registry against an edge-set model: what applied, which
+        /// endpoints were logged, `pending` (the distance between the
+        /// model and its copy at the last compaction) and `compacted`;
+        /// the maintained label-pair index never under the exact one,
+        /// equal to it right after a compaction, untouched by a batch of
+        /// deletions; a query cut out of a snapshot never rejected on it.
+        #[test]
+        fn batches_track_an_edge_set_model_and_keep_label_pairs_sound(
+            (labels, base_edges, batches, threshold) in arb_stream()
+        ) {
+            let key = |(a, b): (VertexId, VertexId)| (a.min(b), a.max(b));
+            let vids = |raw: &[(u32, u32)]| -> Vec<(VertexId, VertexId)> {
+                raw.iter().map(|&(a, b)| (vid(a), vid(b))).collect()
+            };
+            let labels: Vec<LabelSet> = labels.iter().map(|&l| LabelSet::single(LabelId(l))).collect();
+            let first = Graph::new(labels.clone(), &vids(&base_edges), false);
+            let mut model: BTreeSet<(VertexId, VertexId)> = first
+                .vertices()
+                .flat_map(|a| first.neighbors(a).iter().map(move |&b| key((a, b))))
+                .collect();
+            let mut base_model = model.clone();
+            let (entry, _) = GraphRegistry::new().insert("g", first);
+            for (round, (adds, dels)) in batches.iter().enumerate() {
+                let adds = if round % 3 == 2 { Vec::new() } else { vids(adds) };
+                let dels = vids(dels);
+                let before = entry.graph();
+                let stale_plan = extract_query(&before, 3, round as u64, 20)
+                    .map(|q| QueryPlan::new(QueryGraph::from_graph(&q.pattern).unwrap(), &before));
+                let out = entry.apply_batch(&adds, &dels, threshold, 64).unwrap();
+
+                let added: Vec<_> = (adds.iter().copied())
+                    .filter(|&e| e.0 != e.1 && model.insert(key(e)))
+                    .collect();
+                let deleted: Vec<_> = (dels.iter().copied())
+                    .filter(|&e| model.remove(&key(e)))
+                    .collect();
+                prop_assert_eq!(&out.added, &added);
+                prop_assert_eq!(&out.deleted, &deleted);
+                let touched: BTreeSet<VertexId> = (added.iter().chain(&deleted))
+                    .flat_map(|&(a, b)| [a, b])
+                    .collect();
+                prop_assert_eq!(&out.endpoints, &touched.into_iter().collect::<Vec<_>>());
+                let pending = model.symmetric_difference(&base_model).count();
+                let compacted = out.applied() > 0 && pending >= threshold;
+                prop_assert_eq!(out.compacted, compacted);
+                if compacted {
+                    base_model = model.clone();
+                }
+                prop_assert_eq!(out.pending, if compacted { 0 } else { pending });
+                prop_assert_eq!(entry.pending(), out.pending);
+
+                let snapshot = entry.graph();
+                let edges: Vec<_> = model.iter().copied().collect();
+                let mut exact = Graph::new(labels.clone(), &edges, false);
+                for v in snapshot.vertices() {
+                    prop_assert_eq!(snapshot.neighbors(v), exact.neighbors(v));
+                }
+                exact.build_label_pair_index();
+                let (maintained, exact_maxima) = (pair_maxima(&snapshot), pair_maxima(&exact));
+                prop_assert!(maintained.iter().zip(&exact_maxima).all(|(m, e)| m >= e));
+                if compacted {
+                    prop_assert_eq!(&maintained, &exact_maxima);
+                } else if added.is_empty() {
+                    prop_assert_eq!(&maintained, &pair_maxima(&before));
+                }
+                if let Some(plan) = stale_plan.filter(|_| out.applied() > 0) {
+                    prop_assert!(plan.describes(&before) && !plan.describes(&snapshot));
+                }
+                if let Some(q) = extract_query(&snapshot, 3, round as u64, 20) {
+                    let query = QueryGraph::from_graph(&q.pattern).unwrap();
+                    prop_assert!(!admission_check(&query, &snapshot).rejected());
+                }
+            }
+        }
     }
 
     #[test]

@@ -108,9 +108,9 @@ pub struct ServeConfig {
     /// Matching-order prefix length the batch scheduler groups on. Queries
     /// shorter than `depth + 1` simply run unbatched.
     pub batch_prefix_depth: usize,
-    /// Net overlay mutations that trigger compaction of a streamed graph's
-    /// delta overlay into a fresh base CSR (with an exact label-pair index
-    /// rebuild).
+    /// Net mutations since the last compaction that trigger the next one:
+    /// the fresh snapshot gets an exact label-pair index rebuild and
+    /// becomes the streamed graph's base.
     pub compact_threshold: usize,
     /// Applied mutation batches whose dirty endpoints are retained per
     /// graph; a stale index older than the log drops its tables and is
@@ -731,7 +731,7 @@ pub fn render_prometheus(state: &ServerState) -> String {
         ),
         (
             "ceci_compactions_total",
-            "Delta-overlay compactions into a fresh base CSR",
+            "Compactions: exact label-pair rebuilds adopting the fresh snapshot as base",
             g(&m.compactions),
         ),
         (
@@ -1961,19 +1961,7 @@ struct RequestTiming {
 /// the tracer's current clock.
 fn record_request_spans(tracer: &Tracer, t: RequestTiming, args: &[(&'static str, u64)]) {
     let ns = |d: Duration| d.as_nanos() as u64;
-    let end = tracer.now_ns();
     let total = ns(t.queue_wait) + ns(t.total);
-    let start = end.saturating_sub(total);
-    let req = tracer.span(
-        "service.request",
-        "service",
-        0,
-        0,
-        start,
-        total.max(1),
-        args.to_vec(),
-    );
-    let mut cursor = start;
     let probe = ns(t.index_time).saturating_sub(ns(t.build));
     // Everything between the measured stages (registry lookup, query-file
     // load, response formatting) lands in `serialize` — the closing stage.
@@ -1981,15 +1969,54 @@ fn record_request_spans(tracer: &Tracer, t: RequestTiming, args: &[(&'static str
         .saturating_sub(ns(t.index_time))
         .saturating_sub(ns(t.replan))
         .saturating_sub(ns(t.enum_time));
-    for (name, dur) in [
+    let stages = [
         ("service.queue", ns(t.queue_wait)),
         ("service.cache_probe", probe),
         ("service.build", ns(t.build)),
         ("service.replan", ns(t.replan)),
         ("service.enumerate", ns(t.enum_time)),
         ("service.serialize", serialize),
-    ] {
-        tracer.span(name, "service", req, 0, cursor, dur, Vec::new());
+    ];
+    record_tiled_spans(tracer, "service.request", total, args.to_vec(), &stages);
+}
+
+/// Records one `service.mutate` span tiled like `service.request`:
+/// `service.apply` (the registry's `apply_batch`) → `service.delta`
+/// (Σ `batch_delta` over the notified registrations) → `service.notify`
+/// (the rest: event formatting, sink writes, counters).
+fn record_mutate_spans(
+    tracer: &Tracer,
+    total: Duration,
+    apply: Duration,
+    delta: Duration,
+    args: Vec<(&'static str, u64)>,
+) {
+    let ns = |d: Duration| d.as_nanos() as u64;
+    let stages = [
+        ("service.apply", ns(apply)),
+        ("service.delta", ns(delta)),
+        (
+            "service.notify",
+            ns(total).saturating_sub(ns(apply) + ns(delta)),
+        ),
+    ];
+    record_tiled_spans(tracer, "service.mutate", ns(total), args, &stages);
+}
+
+/// Records a `root` span of `total` ns ending at the tracer's current clock,
+/// with `stages` laid end to end under it from its start.
+fn record_tiled_spans(
+    tracer: &Tracer,
+    root: &'static str,
+    total: u64,
+    args: Vec<(&'static str, u64)>,
+    stages: &[(&'static str, u64)],
+) {
+    let start = tracer.now_ns().saturating_sub(total);
+    let root = tracer.span(root, "service", 0, 0, start, total.max(1), args);
+    let mut cursor = start;
+    for &(name, dur) in stages {
+        tracer.span(name, "service", root, 0, cursor, dur, Vec::new());
         cursor += dur;
     }
 }
@@ -2104,6 +2131,7 @@ fn exec_mutate_vids(
         return vec![ErrorCode::UnknownGraph.line(format!("unknown graph {graph_name:?}"))];
     };
     let mut continuous = state.continuous.lock();
+    let t0 = Instant::now();
     let outcome = match entry.apply_batch(
         adds,
         dels,
@@ -2116,6 +2144,8 @@ fn exec_mutate_vids(
             return vec![ErrorCode::Mutation.line(e)];
         }
     };
+    let apply = t0.elapsed();
+    let mut delta_time = Duration::ZERO;
     if outcome.applied() > 0 {
         ServerMetrics::inc(&state.metrics.mutation_batches);
         ServerMetrics::add(&state.metrics.edges_added, outcome.added.len() as u64);
@@ -2136,6 +2166,7 @@ fn exec_mutate_vids(
             // The embedding delta (new − retired) reads the two snapshots
             // and the batch's edges only; no index of the query is involved.
             // Contained like a build.
+            let t_delta = Instant::now();
             let delta = catch_unwind(AssertUnwindSafe(|| {
                 batch_delta(
                     &outcome.old_graph,
@@ -2145,6 +2176,7 @@ fn exec_mutate_vids(
                     &outcome.deleted,
                 )
             }));
+            delta_time += t_delta.elapsed();
             let Ok(delta) = delta else {
                 // The total can no longer be carried forward.
                 dead.push(name.clone());
@@ -2170,13 +2202,24 @@ fn exec_mutate_vids(
             continuous.remove(&name);
         }
     }
+    if state.tracer.enabled() {
+        let args = vec![
+            ("applied", outcome.applied() as u64),
+            ("sub_epoch", outcome.sub_epoch),
+            ("compacted", outcome.compacted as u64),
+        ];
+        record_mutate_spans(&state.tracer, t0.elapsed(), apply, delta_time, args);
+    }
     vec![format!(
-        "OK MUTATED graph={graph_name} added={} deleted={} sub_epoch={} pending={} compacted={}",
+        "OK MUTATED graph={graph_name} added={} deleted={} sub_epoch={} pending={} compacted={} \
+         apply_us={} delta_us={}",
         outcome.added.len(),
         outcome.deleted.len(),
         outcome.sub_epoch,
         outcome.pending,
         outcome.compacted as u8,
+        apply.as_micros(),
+        delta_time.as_micros(),
     )]
 }
 

@@ -251,7 +251,14 @@ proptest! {
         let maintained = mutated
             .label_pair_index()
             .expect("maintenance keeps the index alive");
-        let mut exact = (*mutated).clone();
+        // Built from scratch: on a clone the index is already there and
+        // `build_label_pair_index` would hand the maintained one back.
+        let edges: Vec<_> = mutated
+            .vertices()
+            .flat_map(|a| mutated.neighbors(a).iter().map(move |&b| (a, b)))
+            .collect();
+        let labels = mutated.vertices().map(|v| mutated.labels(v).clone()).collect();
+        let mut exact = Graph::new(labels, &edges, false);
         exact.build_label_pair_index();
         let exact = exact.label_pair_index().unwrap();
         for l in 0..mutated.num_labels() {
