@@ -123,12 +123,9 @@ fn run_one(
     graph: &ceci_graph::Graph,
     plan: &QueryPlan,
     config: &ClusterConfig,
-    fault: Option<&FaultPlan>,
+    scenario: &Scenario,
 ) -> DistributedResult {
-    match fault {
-        None => run_distributed(graph, plan, config),
-        Some(f) => run_distributed_with_faults(graph, plan, config, Some(f)),
-    }
+    run_distributed_with_faults(graph, plan, config, scenario.plan.as_ref()).expect(scenario.name)
 }
 
 /// Runs the sweep and writes `bench_results/faults.json`.
@@ -154,7 +151,7 @@ pub fn run(scale: Scale) {
                     ..Default::default()
                 };
                 let extent = mean_virtual_extent(&graph, &plan, &config, unit_cost);
-                let baseline = run_one(&graph, &plan, &config, None);
+                let baseline = run_distributed(&graph, &plan, &config);
 
                 let mut t = Table::new(vec![
                     "scenario",
@@ -167,7 +164,7 @@ pub fn run(scale: Scale) {
                     "inflation",
                 ]);
                 for s in scenarios(extent, unit_cost) {
-                    let result = run_one(&graph, &plan, &config, s.plan.as_ref());
+                    let result = run_one(&graph, &plan, &config, &s);
                     assert_eq!(
                         result.total_embeddings,
                         baseline.total_embeddings,
@@ -176,23 +173,18 @@ pub fn run(scale: Scale) {
                         q.name(),
                         s.name
                     );
-                    // Replay determinism: the same seeded plan must
-                    // reproduce the same *answer*. (The recovery ledger —
-                    // which clusters happened to be in flight when the
-                    // virtual crash point was crossed — legitimately varies
-                    // with thread scheduling; the exactly-once board is
-                    // what keeps the count invariant regardless.)
-                    if let Some(f) = &s.plan {
-                        let replay = run_one(&graph, &plan, &config, Some(f));
-                        assert_eq!(
-                            replay.total_embeddings, result.total_embeddings,
-                            "replay diverged"
-                        );
-                        assert_eq!(
-                            replay.recovery.crashed_machines, result.recovery.crashed_machines,
-                            "replay crash schedule diverged"
-                        );
-                    }
+                    // Replay determinism: the simulator's schedule is a
+                    // function of the plan and the configuration alone, so
+                    // a replay reproduces the whole recovery ledger — what
+                    // was lost, re-executed, deduplicated and re-scattered
+                    // — not just the answer.
+                    let replay = run_one(&graph, &plan, &config, &s);
+                    assert_eq!(
+                        (replay.total_embeddings, replay.recovery),
+                        (result.total_embeddings, result.recovery),
+                        "{}: replay diverged",
+                        s.name
+                    );
                     scenarios_checked += 1;
                     let r = &result.recovery;
                     let inflation = result.makespan_inflation();
@@ -215,6 +207,7 @@ pub fn run(scale: Scale) {
                             .field("machines", machines as u64)
                             .field("embeddings", result.total_embeddings)
                             .field("matches_baseline", true)
+                            .field("replay_identical", true)
                             .field("crashed_machines", r.crashed_machines as u64)
                             .field("lost_clusters", r.lost_clusters as u64)
                             .field("reexecuted_clusters", r.reexecuted_clusters as u64)
@@ -241,7 +234,7 @@ pub fn run(scale: Scale) {
 
     println!(
         "(all {scenarios_checked} fault scenarios committed counts bit-identical to their \
-         fault-free baselines, and every seeded replay reproduced the same count — \
+         fault-free baselines, and every replay reproduced the same recovery ledger — \
          failures change the cost columns, never the answer)"
     );
 
@@ -254,6 +247,7 @@ pub fn run(scale: Scale) {
         .field("machines", machines as u64)
         .field("scenarios_checked", scenarios_checked)
         .field("all_counts_match_baseline", true)
+        .field("replay_identical", true)
         .field("runs", JsonValue::Array(rows))
         .to_pretty();
     let path = dir.join("faults.json");

@@ -136,7 +136,8 @@ pub fn run(scale: Scale) {
         storage: StorageMode::Replicated,
         ..Default::default()
     };
-    let dist = run_distributed_traced(&graph, &plan, &config, None, Some(&tracer));
+    let dist = run_distributed_traced(&graph, &plan, &config, None, Some(&tracer))
+        .expect("fault-free traced run");
     assert_eq!(
         dist.total_embeddings, result.total_embeddings,
         "distributed run must agree with the single-machine run"

@@ -17,8 +17,8 @@ pub enum StorageMode {
 }
 
 /// Virtual-time cost model for communication and storage. The simulation
-/// runs on real threads for CPU work and *accounts* (never sleeps) these
-/// latencies, reporting a modeled makespan.
+/// really computes and *accounts* (never sleeps) these latencies, reporting
+/// a modeled makespan.
 #[derive(Clone, Copy, Debug)]
 pub struct CostModel {
     /// Fixed cost of one MPI-style message (send/recv pair).
@@ -70,14 +70,6 @@ pub struct ClusterConfig {
     /// Workload cap per machine as a multiple of the mean machine load
     /// ("the total workload does not exceed the maximum allowed workload").
     pub max_load_factor: f64,
-    /// Speculatively re-execute uncommitted clusters claimed by straggler
-    /// machines (those at or above [`ClusterConfig::straggler_threshold`])
-    /// on idle machines. First commit wins — the exactly-once board makes
-    /// duplicated speculation harmless to the count.
-    pub speculation: bool,
-    /// Virtual slowdown factor at which a machine counts as a straggler
-    /// and its in-flight clusters become speculation targets.
-    pub straggler_threshold: f64,
 }
 
 impl Default for ClusterConfig {
@@ -92,8 +84,6 @@ impl Default for ClusterConfig {
             jaccard_threshold: 0.5,
             jaccard_top_k: 1000,
             max_load_factor: 1.25,
-            speculation: true,
-            straggler_threshold: 4.0,
         }
     }
 }

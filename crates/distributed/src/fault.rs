@@ -9,14 +9,16 @@
 //! plan injects the same faults on every run, on any host, at any thread
 //! count.
 //!
-//! The *consequences* of a fault are still scheduling-dependent (which
-//! exact cluster a machine was chewing on when it died depends on the OS
-//! scheduler), which is precisely why recovery is built around per-pivot
-//! ownership epochs and first-commit-wins accounting in [`crate::run`]:
-//! match counts are bit-identical under any interleaving, fault or no
-//! fault, even though recovery *metrics* (how much work was lost and
-//! re-executed) may vary between runs.
+//! The *consequences* of a fault replay too: the simulation is a
+//! single-threaded discrete-event scheduler ([`crate::run`]) whose order of
+//! events is a function of the plan and the cluster configuration alone, so
+//! which cluster a machine was running when it died, what was re-scattered
+//! where, and every recovery metric come out the same on every run. Match
+//! counts are bit-identical under *any* plan regardless, because recovery
+//! is per-pivot ownership epochs and first-commit-wins accounting
+//! ([`crate::recovery`]).
 
+use std::fmt;
 use std::time::Duration;
 
 use ceci_query::splitmix64;
@@ -44,8 +46,9 @@ pub struct CrashFault {
 
 /// A straggler: the machine's virtual clock runs `slowdown`× slower per
 /// unit of work (its *real* compute is unchanged — the simulation models
-/// the slowdown rather than sleeping). Machines at or above the configured
-/// straggler threshold become targets for speculative re-execution.
+/// the slowdown rather than sleeping). Machines at or above
+/// [`crate::run::STRAGGLER_THRESHOLD`] become targets for speculative
+/// re-execution.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct StragglerFault {
     /// Machine index that straggles.
@@ -72,6 +75,48 @@ pub struct FaultPlan {
     /// virtual-progress clock crashes are pinned to.
     pub unit_cost: Duration,
 }
+
+/// Why [`FaultPlan::validate`] refused a plan.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum FaultPlanError {
+    /// The steal-loss probability is outside `[0, 1]`.
+    StealLoss(f64),
+    /// A crash or straggler entry names a machine the cluster does not have.
+    MachineOutOfRange {
+        /// `"crash"` or `"straggler"`.
+        fault: &'static str,
+        /// The machine the entry names.
+        machine: usize,
+        /// Machines in the cluster.
+        machines: usize,
+    },
+    /// Every machine crashes: nobody is left to recover onto.
+    NoSurvivor,
+    /// A straggler slowdown is not a finite value ≥ 1.
+    Slowdown(f64),
+}
+
+impl fmt::Display for FaultPlanError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            FaultPlanError::StealLoss(p) => write!(f, "steal_loss {p} outside [0, 1]"),
+            FaultPlanError::MachineOutOfRange {
+                fault,
+                machine,
+                machines,
+            } => write!(
+                f,
+                "{fault} names machine {machine} but the cluster has {machines}"
+            ),
+            FaultPlanError::NoSurvivor => {
+                write!(f, "every machine crashes: no survivor to recover onto")
+            }
+            FaultPlanError::Slowdown(s) => write!(f, "slowdown {s} must be a finite value ≥ 1"),
+        }
+    }
+}
+
+impl std::error::Error for FaultPlanError {}
 
 impl Default for FaultPlan {
     fn default() -> Self {
@@ -127,36 +172,32 @@ impl FaultPlan {
     /// Validates the plan against a cluster of `machines` machines:
     /// at least one machine must survive, probabilities must be in
     /// `[0, 1]`, slowdowns ≥ 1, and machine indexes in range.
-    pub fn validate(&self, machines: usize) -> Result<(), String> {
+    pub fn validate(&self, machines: usize) -> Result<(), FaultPlanError> {
         if !(0.0..=1.0).contains(&self.steal_loss) {
-            return Err(format!("steal_loss {} outside [0, 1]", self.steal_loss));
+            return Err(FaultPlanError::StealLoss(self.steal_loss));
         }
+        let out_of_range = |fault, machine| FaultPlanError::MachineOutOfRange {
+            fault,
+            machine,
+            machines,
+        };
         let mut crashed = vec![false; machines];
         for c in &self.crashes {
             if c.machine >= machines {
-                return Err(format!(
-                    "crash names machine {} but the cluster has {machines}",
-                    c.machine
-                ));
+                return Err(out_of_range("crash", c.machine));
             }
             crashed[c.machine] = true;
         }
         if machines > 0 && crashed.iter().all(|&c| c) {
-            return Err("every machine crashes: no survivor to recover onto".to_string());
+            return Err(FaultPlanError::NoSurvivor);
         }
         for s in &self.stragglers {
             if s.machine >= machines {
-                return Err(format!(
-                    "straggler names machine {} but the cluster has {machines}",
-                    s.machine
-                ));
+                return Err(out_of_range("straggler", s.machine));
             }
             // `is_finite` rejects NaN, so the plain `<` comparison is safe.
             if !s.slowdown.is_finite() || s.slowdown < 1.0 {
-                return Err(format!(
-                    "slowdown {} must be a finite value ≥ 1",
-                    s.slowdown
-                ));
+                return Err(FaultPlanError::Slowdown(s.slowdown));
             }
         }
         Ok(())

@@ -97,8 +97,10 @@ pub fn distribute_pivots(graph: &Graph, pivots: &[VertexId], config: &ClusterCon
                 }
             }
         }
-        let mut merged: std::collections::HashMap<usize, Vec<VertexId>> =
-            std::collections::HashMap::new();
+        // Ordered by root so the grouping, and with it the assignment, is
+        // the same on every run.
+        let mut merged: std::collections::BTreeMap<usize, Vec<VertexId>> =
+            std::collections::BTreeMap::new();
         let group_heads: Vec<VertexId> = groups.iter().map(|g| g[0]).collect();
         for (i, &head) in group_heads.iter().enumerate() {
             let root = find(&mut parent, i);

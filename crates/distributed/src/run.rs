@@ -1,11 +1,28 @@
-//! The distributed execution simulation (§5), with deterministic fault
-//! injection and exactly-once recovery.
+//! The distributed execution simulation (§5): a single-threaded,
+//! deterministic discrete-event scheduler driving the recovery protocol of
+//! [`crate::recovery`].
 //!
-//! Machines are OS threads (each running `threads_per_machine` worker
-//! threads); MPI messages are accounted through the [`crate::config::CostModel`] as virtual
-//! time — the simulation never sleeps, it reports a *modeled makespan*
-//! `max_m (real compute_m + virtual io_m + virtual comm_m)` alongside the
-//! real wall time.
+//! A simulated machine is an executor of the [`Recovery`] state machine; its
+//! `threads_per_machine` workers are **lanes** of the scheduler, not OS
+//! threads. The run queue holds one entry per lane, ordered by
+//! `(lane virtual time, machine, thread)`; the scheduler pops the earliest,
+//! lets that lane finish what it was running (commit, or crash) and start
+//! what the protocol hands it next, and pushes it back at the virtual time
+//! that work ends. Nothing else decides the order of events, so the same
+//! `(FaultPlan, ClusterConfig)` replays the same steals, crashes, commits
+//! and trace on any host.
+//!
+//! Every cluster is still *really* enumerated — at the moment its lane
+//! starts it — and its measured CPU time feeds
+//! [`MachineReport::enumerate_busy`] and the *modeled makespan*
+//! `max_m (compute_m + virtual io_m + virtual comm_m)` of Figures 16, 17
+//! and 20. Measured time never moves a lane's clock. That advances by
+//! replayable quantities only: [`FaultPlan::virtual_work_nanos`] over the
+//! pivot's [`workload_estimate`] (times the machine's straggler slowdown)
+//! plus the [`CostModel`](crate::config::CostModel) charges that lane pays
+//! — the scatter message and shared-storage reads before its first
+//! cluster, the candidate fetch of a stolen one, and one message latency
+//! per steal request the plan's seeded draws lose.
 //!
 //! Protocol, as in the paper:
 //!
@@ -16,55 +33,48 @@
 //!    queues are globally visible.
 //! 3. An idle machine steals half the queue of the machine with the most
 //!    unexplored clusters (the `MPI_Get` emulation), builds a mini-CECI for
-//!    the stolen pivots, and continues.
+//!    each stolen pivot, and continues.
 //! 4. Results accumulate to machine 0 (one message per machine).
 //!
-//! ## Fault model and exactly-once recovery
+//! ## Faults
 //!
-//! [`run_distributed_with_faults`] threads a [`FaultPlan`] through the run:
-//! machines crash when their deterministic virtual-progress clock crosses
-//! the plan's crash point, stragglers accumulate extra virtual time, and
-//! steal messages are lost by seeded draws. Recovery is built on a shared
-//! **result board** holding one slot per pivot with an *ownership epoch*
-//! and a first-commit-wins tally:
-//!
-//! * every execution claims the pivot's current epoch before enumerating
-//!   and commits `(epoch, count)` after — a commit is accepted only if the
-//!   epoch still matches and nothing committed before it;
-//! * a crash cancels the machine's in-flight enumerations (their partial
-//!   counts are *discarded*, never mixed into a total — see
-//!   [`ceci_core::Enumerator::enumerate_cluster_checked`]), bumps the epoch
-//!   of everything uncommitted the machine owned, and re-scatters those
-//!   pivots to survivors, so late commits from the dead machine are
-//!   rejected as stale;
-//! * idle machines speculatively re-execute clusters claimed by straggler
-//!   machines; duplicated completions are de-duplicated by the board.
-//!
-//! Because per-pivot cluster counts are independent of *where* the cluster
-//! is enumerated (the steal path already relies on this: a per-pivot mini
-//! CECI produces the same cluster as the machine-local index), the total is
-//! `Σ committed per-pivot counts` and is **bit-identical** under any fault
-//! schedule and any thread interleaving — the property `tests/chaos.rs`
-//! asserts seed by seed.
+//! A machine **crashes** on the completion that carries its cumulative
+//! virtual work across the plan's crash point: that cluster is lost, the
+//! machine is declared dead to the protocol (which bumps the epoch of
+//! everything uncommitted it owned and re-scatters it to the survivors),
+//! and whatever its other lanes were running completes later into nothing
+//! — the cancelled in-flight siblings. A **straggler**'s lanes advance
+//! `slowdown`× slower; once it is at or above [`STRAGGLER_THRESHOLD`] idle
+//! machines speculatively re-execute what it has in flight. A **lost
+//! steal** delays the thief. Per-pivot counts do not depend on where a
+//! cluster runs, so `Σ committed counts` is bit-identical under any plan.
 
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
 
 use ceci_core::metrics::{Counters, ThreadTimer};
-use ceci_core::{BuildOptions, CancelToken, Ceci, EnumOptions, Enumerator};
+use ceci_core::sink::CountSink;
+use ceci_core::{BuildOptions, Ceci, EnumOptions, Enumerator};
 use ceci_graph::{Graph, VertexId};
 use ceci_query::QueryPlan;
-use ceci_trace::{LocalSpans, SpanRecord, Tracer};
-use parking_lot::Mutex;
+use ceci_trace::{SpanRecord, Tracer};
 
-use crate::config::{ClusterConfig, CostModel, StorageMode};
-use crate::fault::FaultPlan;
+use crate::config::{ClusterConfig, StorageMode};
+use crate::fault::{FaultPlan, FaultPlanError};
 use crate::partition::{distribute_pivots, workload_estimate};
+use crate::recovery::{Recovery, Work, WorkKind};
+
+/// Virtual slowdown factor at which a machine counts as a straggler and
+/// what it has in flight becomes a speculation target.
+pub const STRAGGLER_THRESHOLD: f64 = 4.0;
+
+/// A thief gives up re-sending a steal request after this many losses in a
+/// row; the next one goes through.
+const MAX_LOST_STEALS: u32 = 16;
 
 /// Per-machine outcome.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct MachineReport {
     /// Machine index.
     pub machine: usize,
@@ -194,198 +204,17 @@ impl DistributedResult {
     }
 }
 
-/// Virtual-time ledger for one machine (atomics in nanoseconds so worker
-/// threads can charge concurrently).
-#[derive(Default)]
-struct Ledger {
-    io_nanos: AtomicU64,
-    comm_nanos: AtomicU64,
-}
-
-impl Ledger {
-    fn charge_io(&self, d: Duration) {
-        self.io_nanos
-            .fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
-    }
-    fn charge_comm(&self, d: Duration) {
-        self.comm_nanos
-            .fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
-    }
-}
-
-/// One result-board slot: the ownership epoch, current owner, and the
-/// first-committed count of a pivot's cluster.
-#[derive(Debug)]
-struct PivotSlot {
-    epoch: u32,
-    owner: usize,
-    claimed: bool,
-    committed: Option<u64>,
-}
-
-/// The shared exactly-once result board: one slot per pivot.
-///
-/// `claim` hands an executor the slot's current epoch; `commit` accepts a
-/// count only when that epoch is still current and no count landed first.
-/// `rescatter` bumps the epoch of everything uncommitted a dead machine
-/// owned, which atomically invalidates any late commit from that machine.
-struct ResultBoard {
-    slots: Mutex<HashMap<VertexId, PivotSlot>>,
-    remaining: AtomicUsize,
-}
-
-impl ResultBoard {
-    fn new(assignment: &[Vec<VertexId>]) -> Self {
-        let mut slots = HashMap::new();
-        for (machine, pivots) in assignment.iter().enumerate() {
-            for &p in pivots {
-                slots.insert(
-                    p,
-                    PivotSlot {
-                        epoch: 0,
-                        owner: machine,
-                        claimed: false,
-                        committed: None,
-                    },
-                );
-            }
-        }
-        let remaining = slots.len();
-        ResultBoard {
-            slots: Mutex::new(slots),
-            remaining: AtomicUsize::new(remaining),
-        }
-    }
-
-    /// Takes ownership of `pivot` for execution; returns the current epoch.
-    fn claim(&self, pivot: VertexId, machine: usize) -> u32 {
-        let mut slots = self.slots.lock();
-        let slot = slots
-            .get_mut(&pivot)
-            .expect("claimed pivot is on the board");
-        slot.owner = machine;
-        slot.claimed = true;
-        slot.epoch
-    }
-
-    /// Commits `count` for `pivot` under `epoch`. First commit wins; stale
-    /// epochs (bumped by a re-scatter) are rejected. Returns acceptance.
-    fn commit(&self, pivot: VertexId, epoch: u32, count: u64) -> bool {
-        let mut slots = self.slots.lock();
-        let slot = slots
-            .get_mut(&pivot)
-            .expect("committed pivot is on the board");
-        if slot.committed.is_some() || slot.epoch != epoch {
-            return false;
-        }
-        slot.committed = Some(count);
-        drop(slots);
-        self.remaining.fetch_sub(1, Ordering::AcqRel);
-        true
-    }
-
-    /// Reassigns queue ownership of stolen/re-scattered pivots (no epoch
-    /// change: stealing is a normal transfer, not a recovery event).
-    fn transfer(&self, pivots: &[VertexId], to: usize) {
-        let mut slots = self.slots.lock();
-        for p in pivots {
-            if let Some(slot) = slots.get_mut(p) {
-                if slot.committed.is_none() {
-                    slot.owner = to;
-                }
-            }
-        }
-    }
-
-    /// Crash recovery: bumps the epoch of every uncommitted pivot owned by
-    /// `dead` (queued *or* in flight) and returns them, sorted, for
-    /// redistribution. Late commits from the dead machine now carry a stale
-    /// epoch and are rejected.
-    fn rescatter(&self, dead: usize) -> Vec<VertexId> {
-        let mut slots = self.slots.lock();
-        let mut orphans: Vec<VertexId> = slots
-            .iter_mut()
-            .filter(|(_, s)| s.committed.is_none() && s.owner == dead)
-            .map(|(&p, s)| {
-                s.epoch += 1;
-                s.claimed = false;
-                p
-            })
-            .collect();
-        orphans.sort_unstable();
-        orphans
-    }
-
-    /// Uncommitted, claimed pivots currently owned by `machine` with their
-    /// epochs — the speculation targets when `machine` is a straggler.
-    fn in_flight_of(&self, machine: usize) -> Vec<(VertexId, u32)> {
-        let slots = self.slots.lock();
-        let mut v: Vec<(VertexId, u32)> = slots
-            .iter()
-            .filter(|(_, s)| s.committed.is_none() && s.claimed && s.owner == machine)
-            .map(|(&p, s)| (p, s.epoch))
-            .collect();
-        v.sort_unstable_by_key(|&(p, _)| p);
-        v
-    }
-
-    fn remaining(&self) -> usize {
-        self.remaining.load(Ordering::Acquire)
-    }
-}
-
-/// Per-machine fault/recovery state shared across all machines' workers.
-struct MachineState {
-    dead: AtomicBool,
-    cancel: Arc<CancelToken>,
-    virt_nanos: AtomicU64,
-    straggle_nanos: AtomicU64,
-    lost: AtomicU64,
-    reexecuted: AtomicU64,
-    commits_rejected: AtomicU64,
-    steals_lost: AtomicU64,
-    steal_attempts: AtomicU64,
-    recovery_comm_nanos: AtomicU64,
-}
-
-impl MachineState {
-    fn new() -> Self {
-        MachineState {
-            dead: AtomicBool::new(false),
-            cancel: CancelToken::new(),
-            virt_nanos: AtomicU64::new(0),
-            straggle_nanos: AtomicU64::new(0),
-            lost: AtomicU64::new(0),
-            reexecuted: AtomicU64::new(0),
-            commits_rejected: AtomicU64::new(0),
-            steals_lost: AtomicU64::new(0),
-            steal_attempts: AtomicU64::new(0),
-            recovery_comm_nanos: AtomicU64::new(0),
-        }
-    }
-}
-
 /// Estimated adjacency entries read while building a CECI: for every table
 /// key (an expanded frontier vertex), its full neighbor list was scanned.
 fn adjacency_entries_touched(graph: &Graph, plan: &QueryPlan, ceci: &Ceci) -> u64 {
-    let mut touched = 0u64;
-    for u in plan.query().vertices() {
-        if let Some(te) = ceci.te(u) {
-            touched += te
-                .keys()
-                .iter()
-                .map(|&k| graph.degree(k) as u64)
-                .sum::<u64>();
-        }
-        for (_, table) in ceci.nte(u) {
-            touched += table
-                .keys()
-                .iter()
-                .map(|&k| graph.degree(k) as u64)
-                .sum::<u64>();
-        }
-    }
-    touched
+    let tables = plan.query().vertices().flat_map(|u| {
+        let nte = ceci.nte(u).iter().map(|(_, table)| table);
+        ceci.te(u).into_iter().chain(nte)
+    });
+    tables
+        .flat_map(|table| table.keys())
+        .map(|&k| graph.degree(k) as u64)
+        .sum()
 }
 
 /// Runs the distributed simulation fault-free: counts all embeddings.
@@ -394,7 +223,7 @@ pub fn run_distributed(
     plan: &QueryPlan,
     config: &ClusterConfig,
 ) -> DistributedResult {
-    run_distributed_with_faults(graph, plan, config, None)
+    simulate(graph, plan, config, &FaultPlan::new(0), None)
 }
 
 /// Runs the distributed simulation under an optional [`FaultPlan`].
@@ -402,135 +231,318 @@ pub fn run_distributed(
 /// With `faults: None` (or a no-op plan) behaves exactly like
 /// [`run_distributed`]. With faults, injected crashes trigger pivot
 /// re-scatter with ownership-epoch bumps, stragglers trigger speculative
-/// re-execution (when [`ClusterConfig::speculation`] is on), and the total
-/// embedding count is guaranteed bit-identical to the fault-free run.
-///
-/// # Panics
-///
-/// Panics when the plan fails [`FaultPlan::validate`] (e.g. it crashes
-/// every machine, leaving no survivor to recover onto).
+/// re-execution, and the total embedding count is guaranteed bit-identical
+/// to the fault-free run. A plan that fails [`FaultPlan::validate`] (e.g.
+/// it crashes every machine, leaving no survivor to recover onto) is
+/// refused before anything runs.
 pub fn run_distributed_with_faults(
     graph: &Graph,
     plan: &QueryPlan,
     config: &ClusterConfig,
     faults: Option<&FaultPlan>,
-) -> DistributedResult {
+) -> Result<DistributedResult, FaultPlanError> {
     run_distributed_traced(graph, plan, config, faults, None)
 }
 
 /// [`run_distributed_with_faults`] with an optional [`Tracer`] that records
 /// a per-machine timeline: `distributed.machine{m}` summary spans plus
 /// scatter / steal / commit / crash / re-scatter instant events, all
-/// timestamped on the simulation's **virtual clock** (the same
-/// deterministic clock the fault plan uses to trigger crashes). Tracing a
-/// fault-free run advances the virtual clock with a unit-cost plan so the
-/// timeline is still meaningful; this never changes counts, fault behavior,
-/// or recovery accounting.
+/// timestamped on the scheduler's **virtual clock**, in the order the
+/// scheduler processed them. Tracing never changes counts, fault behavior,
+/// or recovery accounting, and a replay records the same timeline (only the
+/// `distributed.build` child's duration is a measured one).
 pub fn run_distributed_traced(
     graph: &Graph,
     plan: &QueryPlan,
     config: &ClusterConfig,
     faults: Option<&FaultPlan>,
     tracer: Option<&Tracer>,
+) -> Result<DistributedResult, FaultPlanError> {
+    let fault_free = FaultPlan::new(0);
+    let faults = faults.unwrap_or(&fault_free);
+    faults.validate(config.machines)?;
+    Ok(simulate(graph, plan, config, faults, tracer))
+}
+
+/// What a lane is running: handed out at its start event, really enumerated
+/// there, committed (or lost) at its completion event.
+struct Running {
+    work: Work,
+    count: u64,
+    /// Virtual work of the cluster, added to the machine's crash clock when
+    /// it completes.
+    nanos: u64,
+}
+
+/// One simulated machine: its report, accumulated in place, and the clocks
+/// the fault plan reads.
+struct Machine {
+    report: MachineReport,
+    /// Cumulative virtual work of the clusters its lanes completed — the
+    /// clock crash points are pinned to.
+    progress: u64,
+    steal_attempts: u64,
+    /// Virtual time of its latest completion.
+    end: u64,
+    /// Id of its `distributed.machine` summary span, reserved up front so
+    /// events can parent onto it.
+    span: u64,
+}
+
+/// Counts the cluster of `pivot` over `ceci` (0 when refinement pruned the
+/// pivot: it has no embedding).
+fn count_cluster(
+    enumerator: &mut Enumerator<'_>,
+    ceci: &Ceci,
+    pivot: VertexId,
+    counters: &mut Counters,
+) -> u64 {
+    let kept = ceci.pivots().binary_search_by_key(&pivot, |&(p, _)| p);
+    if kept.is_err() {
+        return 0;
+    }
+    let mut sink = CountSink::unbounded();
+    enumerator.enumerate_cluster(pivot, &mut sink, counters);
+    sink.count()
+}
+
+/// Counts the cluster of `pivot` over a mini-CECI built for that pivot
+/// alone — how a cluster runs anywhere but on the machine whose index holds
+/// it (a thief, a re-scatter target, a speculator, the shard coordinator's
+/// local fallback). Returns the count and the index it was counted over.
+pub fn count_pivot_cluster(
+    graph: &Graph,
+    plan: &QueryPlan,
+    pivot: VertexId,
+    counters: &mut Counters,
+) -> (u64, Ceci) {
+    let mini = Ceci::build_for_pivots(graph, plan, BuildOptions::default(), vec![pivot]);
+    let mut enumerator = Enumerator::new(graph, plan, &mini, EnumOptions::default());
+    let count = count_cluster(&mut enumerator, &mini, pivot, counters);
+    (count, mini)
+}
+
+fn simulate(
+    graph: &Graph,
+    plan: &QueryPlan,
+    config: &ClusterConfig,
+    faults: &FaultPlan,
+    tracer: Option<&Tracer>,
 ) -> DistributedResult {
     assert!(config.machines >= 1 && config.threads_per_machine >= 1);
-    if let Some(f) = faults {
-        if let Err(e) = f.validate(config.machines) {
-            panic!("invalid fault plan: {e}");
-        }
-    }
-    // A no-op plan is exactly a fault-free run; normalize so the worker
-    // loops take the lean path.
-    let faults = faults.filter(|f| !f.is_noop());
-    // Virtual-clock source for traced fault-free runs (slowdown 1, no
-    // crashes): keeps `distributed.*` event timestamps meaningful without
-    // enabling any fault machinery.
-    let clock_plan = FaultPlan::new(0);
-
     let wall_start = Instant::now();
     let pivots = plan.initial_candidates(plan.root()).to_vec();
     let partition = distribute_pivots(graph, &pivots, config);
-    let m = config.machines;
-    let costs = config.costs;
-
-    // Globally visible unexplored-cluster queues (front = next to run).
-    let queues: Vec<Mutex<VecDeque<VertexId>>> = partition
-        .assignment
-        .iter()
-        .map(|p| Mutex::new(p.iter().copied().collect()))
-        .collect();
-    let ledgers: Vec<Ledger> = (0..m).map(|_| Ledger::default()).collect();
-    let board = ResultBoard::new(&partition.assignment);
-    let states: Vec<MachineState> = (0..m).map(|_| MachineState::new()).collect();
-
-    // Charge the pivot scatter: one message per machine plus marginal cost
-    // per pivot.
-    for (i, p) in partition.assignment.iter().enumerate() {
-        ledgers[i].charge_comm(costs.msg_latency + costs.per_pivot_comm * p.len() as u32);
+    let (costs, threads) = (config.costs, config.threads_per_machine);
+    let mut core = Recovery::new(&partition.assignment, config.work_stealing);
+    let may_speculate_on = |m: usize| faults.slowdown_for(m) >= STRAGGLER_THRESHOLD;
+    // Records one `distributed.*` span (an instant when `dur_ns` is 0) on
+    // `machine`'s lane of the virtual-time axis; `id` 0 draws a fresh one.
+    let record = |id, parent, name, machine: usize, ts_ns, dur_ns, args: &[(&'static str, u64)]| {
         if let Some(t) = tracer {
             t.record(SpanRecord {
-                id: t.next_span_id(),
-                parent: 0,
-                name: "distributed.scatter",
-                index: Some(i as u32),
+                id: if id == 0 { t.next_span_id() } else { id },
+                parent,
+                name,
+                index: Some(machine as u32),
                 cat: "distributed",
-                ts_ns: 0,
-                dur_ns: 0,
-                tid: i as u32,
-                args: vec![("pivots", p.len() as u64)],
+                ts_ns,
+                dur_ns,
+                tid: machine as u32,
+                args: args.to_vec(),
             });
         }
-    }
+    };
 
-    let mut reports: Vec<MachineReport> = Vec::with_capacity(m);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(m);
-        for machine in 0..m {
-            let queues = &queues;
-            let ledgers = &ledgers;
-            let partition = &partition;
-            let board = &board;
-            let states = &states;
-            let clock_plan = &clock_plan;
-            handles.push(scope.spawn(move || {
-                run_machine(
-                    graph,
-                    plan,
-                    config,
-                    machine,
-                    partition.assignment[machine].clone(),
-                    queues,
-                    ledgers,
-                    board,
-                    states,
-                    faults,
-                    tracer,
-                    clock_plan,
-                )
-            }));
+    // Scatter (one message per machine plus marginal cost per pivot), then
+    // every machine builds its CECI over what it received.
+    let mut cecis = Vec::with_capacity(config.machines);
+    let mut machines = Vec::with_capacity(config.machines);
+    for (m, own) in partition.assignment.iter().enumerate() {
+        let args = [("pivots", own.len() as u64)];
+        record(0, 0, "distributed.scatter", m, 0, 0, &args);
+        let timer = ThreadTimer::start();
+        let ceci = Ceci::build_for_pivots(graph, plan, BuildOptions::default(), own.clone());
+        let mut report = MachineReport {
+            machine: m,
+            assigned_pivots: own.len(),
+            build_compute: timer.elapsed(),
+            comm_virtual: costs.msg_latency + costs.per_pivot_comm * own.len() as u32,
+            ..Default::default()
+        };
+        if matches!(config.storage, StorageMode::Shared) {
+            report.io_virtual =
+                costs.per_entry_io * adjacency_entries_touched(graph, plan, &ceci) as u32;
         }
-        for h in handles {
-            reports.push(h.join().expect("machine thread panicked"));
+        machines.push(Machine {
+            report,
+            progress: 0,
+            steal_attempts: 0,
+            end: 0,
+            span: tracer.map_or(0, |t| t.next_span_id()),
+        });
+        cecis.push(ceci);
+    }
+    let mut enumerators: Vec<Enumerator<'_>> = cecis
+        .iter()
+        .map(|ceci| Enumerator::new(graph, plan, ceci, EnumOptions::default()))
+        .collect();
+
+    // The run queue: one entry per lane that has something to do, earliest
+    // virtual time first. A machine's lanes start once its scatter message
+    // and shared-storage reads are paid.
+    let mut queue = BinaryHeap::new();
+    for (m, machine) in machines.iter().enumerate() {
+        let start = (machine.report.comm_virtual + machine.report.io_virtual).as_nanos() as u64;
+        queue.extend((0..threads).map(|t| Reverse((start, m, t))));
+    }
+    let mut running: Vec<Option<Running>> = Vec::new();
+    running.resize_with(config.machines * threads, || None);
+    // Lanes the protocol had nothing for; every completion re-queues them.
+    let mut idle: Vec<(usize, usize)> = Vec::new();
+
+    while let Some(Reverse((now, m, t))) = queue.pop() {
+        if let Some(done) = running[m * threads + t].take() {
+            let span = machines[m].span;
+            machines[m].end = now;
+            machines[m].progress += done.nanos;
+            let crash = faults
+                .crash_nanos_for(m)
+                .filter(|&at| machines[m].progress >= at && !machines[m].report.crashed);
+            if let Some(at) = crash {
+                machines[m].report.crashed = true;
+                let args = [("crash_at_ns", at)];
+                record(0, span, "distributed.crash", m, now, 0, &args);
+                for (target, batch) in core.declare_dead(m) {
+                    let args = [("target", target as u64), ("pivots", batch.len() as u64)];
+                    record(0, 0, "distributed.rescatter", m, now, 0, &args);
+                    let charge = costs.msg_latency + costs.per_pivot_comm * batch.len() as u32;
+                    machines[target].report.comm_virtual += charge;
+                    machines[target].report.recovery_comm_virtual += charge;
+                }
+            }
+            let report = &mut machines[m].report;
+            if report.crashed {
+                // The cluster that crossed the crash point, or a sibling
+                // that was in flight when it did: its count is discarded.
+                report.lost_clusters += 1;
+            } else {
+                let Work { pivot, epoch, kind } = done.work;
+                let speculative = kind == WorkKind::Speculative;
+                let accepted = core.commit(pivot, epoch, done.count);
+                if !accepted {
+                    report.commits_rejected += 1;
+                } else {
+                    report.embeddings += done.count;
+                    if speculative || epoch > 0 {
+                        report.reexecuted_clusters += 1;
+                    }
+                }
+                let args = [
+                    ("pivot", pivot.0 as u64),
+                    ("count", done.count),
+                    ("epoch", epoch as u64),
+                    ("accepted", accepted as u64),
+                    ("speculative", speculative as u64),
+                ];
+                record(0, span, "distributed.commit", m, now, 0, &args);
+            }
+            queue.extend(idle.drain(..).map(|(m, t)| Reverse((now, m, t))));
         }
-    });
-    reports.sort_by_key(|r| r.machine);
+        if machines[m].report.crashed {
+            continue;
+        }
+        let Some(work) = core.next(m, may_speculate_on) else {
+            // Only a fault makes work reappear: a crash re-scatters, a
+            // straggler's next cluster is a speculation target.
+            if !faults.is_noop() && core.remaining() > 0 {
+                idle.push((m, t));
+            }
+            continue;
+        };
+
+        // Start event: pay what reaching the cluster costs, enumerate it for
+        // real, and come back when its virtual work is done.
+        let machine = &mut machines[m];
+        let report = &mut machine.report;
+        let (mut comm, mut io) = (Duration::ZERO, Duration::ZERO);
+        if work.kind == WorkKind::Stolen {
+            // The request that got through, after the ones the plan lost.
+            let lost = (0..MAX_LOST_STEALS)
+                .take_while(|&k| faults.steal_lost(m, machine.steal_attempts + k as u64))
+                .count() as u32;
+            machine.steal_attempts += lost as u64 + 1;
+            report.steals_lost += lost as usize;
+            comm += costs.msg_latency * lost;
+            let args = [("pivot", work.pivot.0 as u64)];
+            record(0, machine.span, "distributed.steal", m, now, 0, &args);
+        }
+        report.processed_clusters += 1;
+        let mut counters = Counters::default();
+        let timer = ThreadTimer::start();
+        let count = if partition.assignment[m].binary_search(&work.pivot).is_ok() {
+            count_cluster(&mut enumerators[m], &cecis[m], work.pivot, &mut counters)
+        } else {
+            // Not in the local CECI — stolen, parked here by an earlier
+            // steal batch, re-scattered or speculated: build a mini index
+            // for it and charge the candidate fetch.
+            report.stolen_clusters += 1;
+            let (count, mini) = count_pivot_cluster(graph, plan, work.pivot, &mut counters);
+            comm += costs.msg_latency;
+            match config.storage {
+                StorageMode::Replicated => {
+                    comm += costs.per_entry_comm * mini.num_entries() as u32;
+                }
+                StorageMode::Shared => {
+                    io += costs.per_entry_io * adjacency_entries_touched(graph, plan, &mini) as u32;
+                }
+            }
+            count
+        };
+        report.enumerate_busy += timer.elapsed();
+        report.counters.merge(&counters);
+        report.comm_virtual += comm;
+        report.io_virtual += io;
+        let estimate = workload_estimate(graph, work.pivot, config);
+        let (nanos, straggle) = faults.virtual_work_nanos(m, estimate);
+        report.straggle_virtual += Duration::from_nanos(straggle);
+        running[m * threads + t] = Some(Running { work, count, nanos });
+        queue.push(Reverse((now + (comm + io).as_nanos() as u64 + nanos, m, t)));
+    }
+    debug_assert_eq!(core.remaining(), 0, "a pivot cluster was never committed");
 
     // Result gather: one message per non-root machine, charged to machine 0.
-    ledgers[0].charge_comm(costs.msg_latency * (m.saturating_sub(1)) as u32);
-    for (r, ledger) in reports.iter_mut().zip(&ledgers) {
-        r.io_virtual = Duration::from_nanos(ledger.io_nanos.load(Ordering::Relaxed));
-        r.comm_virtual = Duration::from_nanos(ledger.comm_nanos.load(Ordering::Relaxed));
+    machines[0].report.comm_virtual += costs.msg_latency * (config.machines - 1) as u32;
+    // Each machine's summary span runs from virtual t=0 to its last
+    // completion, with a build child covering the (measured) local index
+    // construction.
+    for (
+        m,
+        Machine {
+            report: r,
+            end,
+            span,
+            ..
+        },
+    ) in machines.iter().enumerate()
+    {
+        let args = [
+            ("processed", r.processed_clusters as u64),
+            ("stolen", r.stolen_clusters as u64),
+            ("committed", r.embeddings),
+            ("crashed", r.crashed as u64),
+            ("lost", r.lost_clusters as u64),
+        ];
+        record(*span, 0, "distributed.machine", m, 0, (*end).max(1), &args);
+        let build_ns = (r.build_compute.as_nanos() as u64).max(1);
+        let args = [("pivots", r.assigned_pivots as u64)];
+        record(0, *span, "distributed.build", m, 0, build_ns, &args);
     }
 
-    let total_embeddings = reports.iter().map(|r| r.embeddings).sum();
-    debug_assert_eq!(
-        board.remaining(),
-        0,
-        "every pivot cluster must be committed exactly once"
-    );
+    let reports: Vec<MachineReport> = machines.into_iter().map(|m| m.report).collect();
     let makespan = reports
         .iter()
-        .map(|r| r.modeled_time(config.threads_per_machine))
+        .map(|r| r.modeled_time(threads))
         .max()
         .unwrap_or(Duration::ZERO);
     let recovery = RecoveryStats {
@@ -544,520 +556,13 @@ pub fn run_distributed_traced(
     };
     DistributedResult {
         reports,
-        total_embeddings,
+        total_embeddings: core.total(),
         makespan,
         wall: wall_start.elapsed(),
         merged_groups: partition.merged_groups,
-        threads_per_machine: config.threads_per_machine,
+        threads_per_machine: threads,
         recovery,
     }
-}
-
-/// Crash recovery: drains the dead machine's queue, bumps the epochs of
-/// everything uncommitted it owned, and redistributes those pivots
-/// round-robin to alive survivors (charging each survivor the re-scatter
-/// message).
-fn rescatter_dead_machine(
-    dead: usize,
-    board: &ResultBoard,
-    queues: &[Mutex<VecDeque<VertexId>>],
-    states: &[MachineState],
-    ledgers: &[Ledger],
-    costs: &CostModel,
-    tracer: Option<&Tracer>,
-) {
-    // Drop the dead machine's queued work so thieves can't pick up stale
-    // pivots from its queue (the board re-scatter below re-homes them).
-    queues[dead].lock().clear();
-    let orphans = board.rescatter(dead);
-    if orphans.is_empty() {
-        return;
-    }
-    let survivors: Vec<usize> = (0..queues.len())
-        .filter(|&i| i != dead && !states[i].dead.load(Ordering::Acquire))
-        .collect();
-    if survivors.is_empty() {
-        return; // validate() forbids this; keep the simulation from wedging
-    }
-    let mut batches: Vec<Vec<VertexId>> = vec![Vec::new(); survivors.len()];
-    for (i, &p) in orphans.iter().enumerate() {
-        batches[i % survivors.len()].push(p);
-    }
-    for (bi, batch) in batches.iter().enumerate() {
-        if batch.is_empty() {
-            continue;
-        }
-        let target = survivors[bi];
-        board.transfer(batch, target);
-        if let Some(t) = tracer {
-            t.record(SpanRecord {
-                id: t.next_span_id(),
-                parent: 0,
-                name: "distributed.rescatter",
-                index: Some(dead as u32),
-                cat: "distributed",
-                ts_ns: states[dead].virt_nanos.load(Ordering::Relaxed),
-                dur_ns: 0,
-                tid: dead as u32,
-                args: vec![("target", target as u64), ("pivots", batch.len() as u64)],
-            });
-        }
-        let charge = costs.msg_latency + costs.per_pivot_comm * batch.len() as u32;
-        ledgers[target].charge_comm(charge);
-        states[target]
-            .recovery_comm_nanos
-            .fetch_add(charge.as_nanos() as u64, Ordering::Relaxed);
-        let mut q = queues[target].lock();
-        for &p in batch {
-            q.push_back(p);
-        }
-    }
-}
-
-/// Picks a speculative re-execution target: the smallest-id uncommitted
-/// in-flight cluster claimed by an alive straggler machine that this
-/// worker has not already attempted.
-fn pick_speculation_target(
-    board: &ResultBoard,
-    states: &[MachineState],
-    me: usize,
-    config: &ClusterConfig,
-    faults: &FaultPlan,
-    attempted: &mut HashSet<VertexId>,
-) -> Option<(VertexId, u32)> {
-    for (machine, state) in states.iter().enumerate() {
-        if machine == me
-            || state.dead.load(Ordering::Acquire)
-            || faults.slowdown_for(machine) < config.straggler_threshold
-        {
-            continue;
-        }
-        for (pivot, epoch) in board.in_flight_of(machine) {
-            if attempted.insert(pivot) {
-                return Some((pivot, epoch));
-            }
-        }
-    }
-    None
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_machine(
-    graph: &Graph,
-    plan: &QueryPlan,
-    config: &ClusterConfig,
-    machine: usize,
-    own_pivots: Vec<VertexId>,
-    queues: &[Mutex<VecDeque<VertexId>>],
-    ledgers: &[Ledger],
-    board: &ResultBoard,
-    states: &[MachineState],
-    faults: Option<&FaultPlan>,
-    tracer: Option<&Tracer>,
-    clock_plan: &FaultPlan,
-) -> MachineReport {
-    let costs = config.costs;
-    let ledger = &ledgers[machine];
-    let state = &states[machine];
-    let crash_at = faults.and_then(|f| f.crash_nanos_for(machine));
-    // Reserve the machine's summary-span id up front so worker events can
-    // parent onto it even though the span itself (whose duration is the
-    // final virtual clock) is recorded last.
-    let machine_span = tracer.map(|t| t.next_span_id()).unwrap_or(0);
-    let track_virt = faults.is_some() || tracer.is_some();
-    // Build the machine-local CECI over the assigned pivots.
-    let t0 = Instant::now();
-    let local_ceci = Ceci::build_for_pivots(graph, plan, BuildOptions::default(), {
-        let mut p = own_pivots.clone();
-        p.sort_unstable();
-        p
-    });
-    let build_compute = t0.elapsed();
-    if matches!(config.storage, StorageMode::Shared) {
-        let touched = adjacency_entries_touched(graph, plan, &local_ceci);
-        ledger.charge_io(costs.per_entry_io * touched as u32);
-    }
-
-    // Worker threads pull from the machine's queue, stealing when idle.
-    // A pivot counts as "stolen" when it is absent from the machine's local
-    // CECI — whether it arrived via a direct steal, was parked on the
-    // queue by an earlier steal batch, or was re-scattered here by crash
-    // recovery.
-    let own_set: HashSet<VertexId> = own_pivots.iter().copied().collect();
-    let processed = AtomicU64::new(0);
-    let stolen = AtomicU64::new(0);
-    let committed_sum = AtomicU64::new(0);
-    let threads = config.threads_per_machine;
-    let mut thread_outcomes: Vec<(Counters, Duration)> = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let local_ceci = &local_ceci;
-        let processed = &processed;
-        let stolen = &stolen;
-        let committed_sum = &committed_sum;
-        let own_set = &own_set;
-        let mut handles = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            handles.push(scope.spawn(move || {
-                let mut counters = Counters::default();
-                let mut busy = Duration::ZERO;
-                // Worker-local span buffer: pushes are plain vector appends;
-                // the shared store is touched once, at thread exit.
-                let mut spans = tracer.map(|_| LocalSpans::new(1 << 14));
-                let mut enumerator =
-                    Enumerator::new(graph, plan, local_ceci, EnumOptions::default());
-                if faults.is_some() {
-                    // Crash cancellation: when this machine dies, in-flight
-                    // enumerations unwind and their partial counts are
-                    // discarded by `enumerate_cluster_checked`.
-                    enumerator.set_cancel(Some(Arc::clone(&state.cancel)));
-                }
-                let mut speculated: HashSet<VertexId> = HashSet::new();
-                loop {
-                    if state.dead.load(Ordering::Acquire) {
-                        break;
-                    }
-                    // Own queue first, then stealing, then speculation.
-                    let own = queues[machine].lock().pop_front();
-                    let mut speculative_epoch: Option<u32> = None;
-                    let pivot = match own {
-                        Some(p) => Some(p),
-                        None => {
-                            let stolen_pivot = if config.work_stealing {
-                                let got =
-                                    steal(queues, machine, board, states, faults, ledger, &costs);
-                                if let (Some(p), Some(t), Some(buf)) = (got, tracer, spans.as_mut())
-                                {
-                                    buf.push(SpanRecord {
-                                        id: t.next_span_id(),
-                                        parent: machine_span,
-                                        name: "distributed.steal",
-                                        index: Some(machine as u32),
-                                        cat: "distributed",
-                                        ts_ns: state.virt_nanos.load(Ordering::Relaxed),
-                                        dur_ns: 0,
-                                        tid: machine as u32,
-                                        args: vec![("pivot", p.0 as u64)],
-                                    });
-                                }
-                                got
-                            } else {
-                                None
-                            };
-                            match (stolen_pivot, faults) {
-                                (Some(p), _) => Some(p),
-                                (None, Some(f)) if config.speculation => {
-                                    match pick_speculation_target(
-                                        board,
-                                        states,
-                                        machine,
-                                        config,
-                                        f,
-                                        &mut speculated,
-                                    ) {
-                                        Some((p, e)) => {
-                                            speculative_epoch = Some(e);
-                                            Some(p)
-                                        }
-                                        None => None,
-                                    }
-                                }
-                                _ => None,
-                            }
-                        }
-                    };
-                    let Some(pivot) = pivot else {
-                        if faults.is_some() && board.remaining() > 0 {
-                            // Work may reappear through crash re-scatter;
-                            // spin gently until the board settles.
-                            std::thread::sleep(Duration::from_micros(50));
-                            continue;
-                        }
-                        break;
-                    };
-                    // Claim the pivot's current epoch. Speculative runs use
-                    // the epoch observed at selection and do *not* take
-                    // ownership — the straggler keeps it; first commit wins.
-                    let epoch = match speculative_epoch {
-                        Some(e) => e,
-                        None => board.claim(pivot, machine),
-                    };
-                    let was_stolen = !own_set.contains(&pivot);
-                    processed.fetch_add(1, Ordering::Relaxed);
-                    let start = ThreadTimer::start();
-                    let outcome: Option<u64> = if was_stolen {
-                        stolen.fetch_add(1, Ordering::Relaxed);
-                        // A stolen / re-scattered / speculated cluster is not
-                        // in the local CECI: build a mini index for it and
-                        // charge the candidate fetch.
-                        let mini = Ceci::build_for_pivots(
-                            graph,
-                            plan,
-                            BuildOptions::default(),
-                            vec![pivot],
-                        );
-                        let entries = mini.num_entries() as u32;
-                        match config.storage {
-                            StorageMode::Replicated => {
-                                ledger.charge_comm(
-                                    costs.msg_latency + costs.per_entry_comm * entries,
-                                );
-                            }
-                            StorageMode::Shared => {
-                                ledger.charge_io(
-                                    costs.per_entry_io
-                                        * adjacency_entries_touched(graph, plan, &mini) as u32,
-                                );
-                                ledger.charge_comm(costs.msg_latency);
-                            }
-                        }
-                        let mut mini_enum =
-                            Enumerator::new(graph, plan, &mini, EnumOptions::default());
-                        if faults.is_some() {
-                            mini_enum.set_cancel(Some(Arc::clone(&state.cancel)));
-                        }
-                        if mini.pivots().iter().any(|&(p, _)| p == pivot) {
-                            mini_enum.enumerate_cluster_checked(pivot, &mut counters)
-                        } else {
-                            Some(0)
-                        }
-                    } else if local_ceci.pivots().iter().any(|&(p, _)| p == pivot) {
-                        enumerator.enumerate_cluster_checked(pivot, &mut counters)
-                    } else {
-                        Some(0)
-                    };
-                    busy += start.elapsed();
-
-                    // Advance the deterministic virtual-progress clock and
-                    // trigger the crash if this completion crosses the
-                    // plan's crash point. The crossing cluster is lost.
-                    if track_virt {
-                        let estimate = workload_estimate(graph, pivot, config);
-                        let clock = faults.unwrap_or(clock_plan);
-                        let (work, straggle) = clock.virtual_work_nanos(machine, estimate);
-                        state.straggle_nanos.fetch_add(straggle, Ordering::Relaxed);
-                        let now = state.virt_nanos.fetch_add(work, Ordering::Relaxed) + work;
-                        if let Some(crash) = crash_at {
-                            if now >= crash {
-                                if !state.dead.swap(true, Ordering::AcqRel) {
-                                    // First crossing wins: kill the machine,
-                                    // cancel siblings, re-scatter orphans.
-                                    state.cancel.cancel();
-                                    if let (Some(t), Some(buf)) = (tracer, spans.as_mut()) {
-                                        buf.push(SpanRecord {
-                                            id: t.next_span_id(),
-                                            parent: machine_span,
-                                            name: "distributed.crash",
-                                            index: Some(machine as u32),
-                                            cat: "distributed",
-                                            ts_ns: now,
-                                            dur_ns: 0,
-                                            tid: machine as u32,
-                                            args: vec![("crash_at_ns", crash)],
-                                        });
-                                    }
-                                    rescatter_dead_machine(
-                                        machine, board, queues, states, ledgers, &costs, tracer,
-                                    );
-                                }
-                                state.lost.fetch_add(1, Ordering::Relaxed);
-                                if let (Some(t), Some(buf)) = (tracer, spans.as_mut()) {
-                                    buf.flush(t);
-                                }
-                                break;
-                            }
-                        }
-                    }
-                    match outcome {
-                        Some(count) => {
-                            let accepted = board.commit(pivot, epoch, count);
-                            if accepted {
-                                committed_sum.fetch_add(count, Ordering::Relaxed);
-                                if speculative_epoch.is_some() || epoch > 0 {
-                                    state.reexecuted.fetch_add(1, Ordering::Relaxed);
-                                }
-                            } else {
-                                state.commits_rejected.fetch_add(1, Ordering::Relaxed);
-                            }
-                            if let (Some(t), Some(buf)) = (tracer, spans.as_mut()) {
-                                buf.push(SpanRecord {
-                                    id: t.next_span_id(),
-                                    parent: machine_span,
-                                    name: "distributed.commit",
-                                    index: Some(machine as u32),
-                                    cat: "distributed",
-                                    ts_ns: state.virt_nanos.load(Ordering::Relaxed),
-                                    dur_ns: 0,
-                                    tid: machine as u32,
-                                    args: vec![
-                                        ("pivot", pivot.0 as u64),
-                                        ("count", count),
-                                        ("epoch", epoch as u64),
-                                        ("accepted", accepted as u64),
-                                        ("speculative", speculative_epoch.is_some() as u64),
-                                    ],
-                                });
-                            }
-                        }
-                        None => {
-                            // Cancelled mid-cluster: the machine died under
-                            // us. Discard the partial count; the re-scatter
-                            // already re-homed this pivot under a new epoch.
-                            state.lost.fetch_add(1, Ordering::Relaxed);
-                            if let (Some(t), Some(buf)) = (tracer, spans.as_mut()) {
-                                buf.flush(t);
-                            }
-                            break;
-                        }
-                    }
-                }
-                if let (Some(t), Some(mut buf)) = (tracer, spans) {
-                    buf.flush(t);
-                }
-                (counters, busy)
-            }));
-        }
-        for h in handles {
-            thread_outcomes.push(h.join().expect("worker thread panicked"));
-        }
-    });
-
-    let mut counters = Counters::default();
-    let mut enumerate_busy = Duration::ZERO;
-    for (c, busy) in thread_outcomes {
-        counters.merge(&c);
-        enumerate_busy += busy;
-    }
-    if let Some(t) = tracer {
-        // The machine's lane on the virtual-time axis: one summary span from
-        // virtual t=0 to the machine's final virtual clock, with a build
-        // child covering the (wall-clock measured) local index construction.
-        let virt_end = states[machine].virt_nanos.load(Ordering::Relaxed);
-        let build_ns = build_compute.as_nanos() as u64;
-        t.record(SpanRecord {
-            id: machine_span,
-            parent: 0,
-            name: "distributed.machine",
-            index: Some(machine as u32),
-            cat: "distributed",
-            ts_ns: 0,
-            dur_ns: virt_end.max(build_ns).max(1),
-            tid: machine as u32,
-            args: vec![
-                ("processed", processed.load(Ordering::Relaxed)),
-                ("stolen", stolen.load(Ordering::Relaxed)),
-                ("committed", committed_sum.load(Ordering::Relaxed)),
-                ("crashed", state.dead.load(Ordering::Acquire) as u64),
-                ("lost", state.lost.load(Ordering::Relaxed)),
-            ],
-        });
-        t.record(SpanRecord {
-            id: t.next_span_id(),
-            parent: machine_span,
-            name: "distributed.build",
-            index: Some(machine as u32),
-            cat: "distributed",
-            ts_ns: 0,
-            dur_ns: build_ns.max(1),
-            tid: machine as u32,
-            args: vec![("pivots", own_pivots.len() as u64)],
-        });
-    }
-    MachineReport {
-        machine,
-        assigned_pivots: own_pivots.len(),
-        processed_clusters: processed.load(Ordering::Relaxed) as usize,
-        stolen_clusters: stolen.load(Ordering::Relaxed) as usize,
-        embeddings: committed_sum.load(Ordering::Relaxed),
-        counters,
-        build_compute,
-        enumerate_busy,
-        io_virtual: Duration::ZERO, // filled in by the caller from ledgers
-        comm_virtual: Duration::ZERO,
-        crashed: state.dead.load(Ordering::Acquire),
-        lost_clusters: state.lost.load(Ordering::Relaxed) as usize,
-        reexecuted_clusters: state.reexecuted.load(Ordering::Relaxed) as usize,
-        commits_rejected: state.commits_rejected.load(Ordering::Relaxed) as usize,
-        steals_lost: state.steals_lost.load(Ordering::Relaxed) as usize,
-        straggle_virtual: Duration::from_nanos(state.straggle_nanos.load(Ordering::Relaxed)),
-        recovery_comm_virtual: Duration::from_nanos(
-            state.recovery_comm_nanos.load(Ordering::Relaxed),
-        ),
-    }
-}
-
-/// Steals one pivot from the victim with the most unexplored clusters,
-/// moving (up to) half the victim's remaining queue onto the thief's queue
-/// and returning the first stolen pivot. Under a fault plan, each steal
-/// request first survives deterministic loss draws (a lost request costs
-/// one message latency and is retried, up to a bounded number of rounds),
-/// and moved pivots change owner on the result board.
-///
-/// A machine with a scheduled crash is not stolen from until it has
-/// completed a cluster. Its crash fires on a completion, and which
-/// machine's threads start first is up to the host: without the shield the
-/// others can empty its queue before it runs at all, and the planned crash
-/// never happens.
-fn steal(
-    queues: &[Mutex<VecDeque<VertexId>>],
-    thief: usize,
-    board: &ResultBoard,
-    states: &[MachineState],
-    faults: Option<&FaultPlan>,
-    ledger: &Ledger,
-    costs: &CostModel,
-) -> Option<VertexId> {
-    let state = &states[thief];
-    let shielded = |machine: usize| {
-        faults.is_some_and(|f| f.crash_nanos_for(machine).is_some())
-            && states[machine].virt_nanos.load(Ordering::Relaxed) == 0
-    };
-    if let Some(f) = faults {
-        if f.steal_loss > 0.0 {
-            let mut rounds = 0;
-            loop {
-                let attempt = state.steal_attempts.fetch_add(1, Ordering::Relaxed);
-                if !f.steal_lost(thief, attempt) {
-                    break;
-                }
-                // The request vanished on the wire: pay for it, try again.
-                state.steals_lost.fetch_add(1, Ordering::Relaxed);
-                ledger.charge_comm(costs.msg_latency);
-                rounds += 1;
-                if rounds >= 16 {
-                    return None; // give up this round; the worker loop retries
-                }
-            }
-        }
-    }
-    // Pick the victim by queue length (the "maximum number of unexplored
-    // clusters" rule).
-    let victim = queues
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| i != thief && !shielded(i))
-        .max_by_key(|(_, q)| q.lock().len())?
-        .0;
-    let mut vq = queues[victim].lock();
-    let take = vq.len().div_ceil(2);
-    if take == 0 {
-        return None;
-    }
-    let mut batch: Vec<VertexId> = Vec::with_capacity(take);
-    for _ in 0..take {
-        if let Some(p) = vq.pop_back() {
-            batch.push(p);
-        }
-    }
-    drop(vq);
-    board.transfer(&batch, thief);
-    let first = batch[0];
-    if batch.len() > 1 {
-        let mut tq = queues[thief].lock();
-        for &p in &batch[1..] {
-            tq.push_back(p);
-        }
-    }
-    Some(first)
 }
 
 #[cfg(test)]
@@ -1186,30 +691,6 @@ mod tests {
     }
 
     #[test]
-    fn board_commit_protocol_is_exactly_once() {
-        let a = vid(1);
-        let board = ResultBoard::new(&[vec![a, vid(2)], vec![vid(3)]]);
-        assert_eq!(board.remaining(), 3);
-        let e = board.claim(a, 0);
-        assert_eq!(e, 0);
-        // First commit wins; duplicates and stale epochs are rejected.
-        assert!(board.commit(a, e, 7));
-        assert!(!board.commit(a, e, 9), "duplicate rejected");
-        assert_eq!(board.remaining(), 2);
-        // Rescatter bumps epochs of uncommitted pivots owned by the dead
-        // machine only.
-        let orphans = board.rescatter(0);
-        assert_eq!(orphans, vec![vid(2)]);
-        let stale = 0;
-        assert!(!board.commit(vid(2), stale, 1), "stale epoch rejected");
-        let fresh = board.claim(vid(2), 1);
-        assert_eq!(fresh, 1);
-        assert!(board.commit(vid(2), fresh, 4));
-        assert!(board.commit(vid(3), board.claim(vid(3), 1), 5));
-        assert_eq!(board.remaining(), 0);
-    }
-
-    #[test]
     fn crash_recovery_preserves_counts() {
         let graph = test_graph();
         let plan = QueryPlan::new(PaperQuery::Qg1.build(), &graph);
@@ -1221,7 +702,8 @@ mod tests {
         };
         // Machine 1 dies after its first completed cluster.
         let fp = FaultPlan::new(11).crash(1, Duration::ZERO);
-        let result = run_distributed_with_faults(&graph, &plan, &cfg, Some(&fp));
+        let result = run_distributed_with_faults(&graph, &plan, &cfg, Some(&fp))
+            .expect("crash of machine 1 at zero");
         assert_eq!(result.total_embeddings, expected, "exactly-once recovery");
         assert_eq!(result.recovery.crashed_machines, 1);
         assert!(result.reports[1].crashed);
@@ -1240,14 +722,14 @@ mod tests {
             ..Default::default()
         };
         let fp = FaultPlan::new(5).straggler(0, 8.0).with_steal_loss(0.4);
-        let result = run_distributed_with_faults(&graph, &plan, &cfg, Some(&fp));
+        let result = run_distributed_with_faults(&graph, &plan, &cfg, Some(&fp))
+            .expect("straggler + steal loss");
         assert_eq!(result.total_embeddings, expected);
         assert!(result.reports[0].straggle_virtual > Duration::ZERO);
         assert!(result.recovery.straggle_virtual > Duration::ZERO);
     }
 
     #[test]
-    #[should_panic(expected = "invalid fault plan")]
     fn all_machines_crashing_is_rejected() {
         let graph = test_graph();
         let plan = QueryPlan::new(PaperQuery::Qg1.build(), &graph);
@@ -1258,7 +740,8 @@ mod tests {
         let fp = FaultPlan::new(0)
             .crash(0, Duration::ZERO)
             .crash(1, Duration::ZERO);
-        run_distributed_with_faults(&graph, &plan, &cfg, Some(&fp));
+        let refused = run_distributed_with_faults(&graph, &plan, &cfg, Some(&fp));
+        assert_eq!(refused.err(), Some(FaultPlanError::NoSurvivor));
     }
 
     #[test]
@@ -1272,7 +755,8 @@ mod tests {
             ..Default::default()
         };
         let tracer = Tracer::new();
-        let result = run_distributed_traced(&graph, &plan, &cfg, None, Some(&tracer));
+        let result =
+            run_distributed_traced(&graph, &plan, &cfg, None, Some(&tracer)).expect("fault-free");
         assert_eq!(result.total_embeddings, expected);
         let spans = tracer.snapshot();
         assert!(!spans.is_empty());
@@ -1342,7 +826,8 @@ mod tests {
         };
         let fp = FaultPlan::new(11).crash(1, Duration::from_nanos(1));
         let tracer = Tracer::new();
-        let result = run_distributed_traced(&graph, &plan, &cfg, Some(&fp), Some(&tracer));
+        let result = run_distributed_traced(&graph, &plan, &cfg, Some(&fp), Some(&tracer))
+            .expect("crash of machine 1");
         assert_eq!(
             result.total_embeddings, expected,
             "exactly-once under trace"
@@ -1356,5 +841,67 @@ mod tests {
             spans.iter().any(|s| s.name == "distributed.rescatter"),
             "rescatter instant missing"
         );
+    }
+
+    /// Everything about a machine's run that is not a measured duration.
+    fn ledger(r: &MachineReport) -> impl PartialEq + std::fmt::Debug {
+        (
+            (r.processed_clusters, r.stolen_clusters, r.embeddings),
+            (r.lost_clusters, r.reexecuted_clusters, r.commits_rejected),
+            (r.steals_lost, r.crashed, r.counters),
+            (r.io_virtual, r.comm_virtual, r.straggle_virtual),
+        )
+    }
+
+    #[test]
+    fn crash_replay_is_byte_identical() {
+        let graph = test_graph();
+        let plan = QueryPlan::new(PaperQuery::Qg1.build(), &graph);
+        let expected = reference_count(&graph, &plan);
+        let cfg = ClusterConfig {
+            machines: 3,
+            threads_per_machine: 2,
+            ..Default::default()
+        };
+        let plans = [
+            ("crash at zero", FaultPlan::new(11).crash(1, Duration::ZERO)),
+            (
+                "crash mid-run",
+                FaultPlan::new(12).crash(2, Duration::from_micros(100)),
+            ),
+            (
+                "straggler + steal loss",
+                FaultPlan::new(5).straggler(0, 8.0).with_steal_loss(0.4),
+            ),
+        ];
+        for (name, fp) in &plans {
+            let run = || {
+                let tracer = Tracer::new();
+                let result = run_distributed_traced(&graph, &plan, &cfg, Some(fp), Some(&tracer))
+                    .expect(name);
+                assert_eq!(result.total_embeddings, expected, "{name}");
+                let timeline: Vec<_> = tracer
+                    .snapshot()
+                    .into_iter()
+                    .map(|s| (s.full_name(), s.id, s.parent, s.tid, s.ts_ns, s.args))
+                    .collect();
+                let ledgers: Vec<_> = result.reports.iter().map(ledger).collect();
+                (result.recovery, format!("{ledgers:?}"), timeline)
+            };
+            let (first, second) = (run(), run());
+            assert_eq!(first.0, second.0, "{name}: recovery stats");
+            assert_eq!(first.1, second.1, "{name}: per-machine ledgers");
+            assert_eq!(first.2, second.2, "{name}: distributed.* timeline");
+            if fp.crashes.is_empty() {
+                assert!(first.0.straggle_virtual > Duration::ZERO, "{name}");
+                assert!(first.0.reexecuted_clusters > 0, "{name}: nobody speculated");
+            } else {
+                assert_eq!(
+                    first.0.crashed_machines, 1,
+                    "{name}: the crash did not fire"
+                );
+                assert!(first.0.lost_clusters >= 1, "{name}");
+            }
+        }
     }
 }

@@ -2,207 +2,50 @@
 //! pivots across `ceci-shard` processes, steal work from idle shards, and
 //! recover from shard death/stalls without ever changing the answer.
 //!
-//! ## Protocol
+//! ## Protocol and transport
 //!
-//! Each shard driver (one thread per shard) holds one connection. After
-//! every (re)connect it re-sends `PREPARE` (idempotent) pinning the
-//! coordinator's full-graph plan decisions, then loops: claim a pivot on
-//! the result board, `EXEC <name> <pivot> <epoch>`, commit the count.
+//! *What* runs where, and what a result is worth, is decided by
+//! [`ceci_distributed::Recovery`] — the same state machine the distributed
+//! simulator drives through every fault schedule: per-pivot ownership
+//! epochs, first commit wins, own queue → steal half of the longest live
+//! queue → speculate on somebody's in-flight pivot, a dead shard's
+//! uncommitted pivots re-homed on the living under a bumped epoch. This
+//! module is the *transport* under it. Each shard driver (one thread per
+//! shard) holds one connection; after every (re)connect it re-sends
+//! `PREPARE` (idempotent) pinning the coordinator's full-graph plan
+//! decisions, then loops: ask the state machine for a pivot, `EXEC <name>
+//! <pivot> <epoch>`, commit the count. The state machine sits behind one
+//! mutex held only around those calls — nanoseconds against an RPC's
+//! milliseconds.
 //!
 //! ## Recovery invariant
 //!
 //! The total is `Σ` per-pivot committed counts, and each pivot's count is a
 //! pure function of `(graph, plan, pivot)` — independent of *which* shard
-//! executes it or how many times. The [`ResultBoard`] makes commits
-//! exactly-once (first commit wins; stale epochs are rejected), so any
-//! schedule of kills, stalls, restarts, steals, and speculative
-//! re-executions produces the bit-identical total of a single-process run.
+//! executes it or how many times — so any schedule of kills, stalls,
+//! restarts, steals, and speculative re-executions produces the
+//! bit-identical total of a single-process run. What the transport adds:
 //!
-//! * A driver whose RPC fails transiently retries with capped exponential
-//!   backoff ([`RetryPolicy`]) after reconnecting.
-//! * A driver that exhausts its attempt budget declares its shard dead:
-//!   the shard's uncommitted pivots are *re-scattered* to survivors with a
-//!   bumped ownership epoch, so a zombie commit under the old epoch is
-//!   rejected. The driver then keeps trying to rejoin at a slow cadence —
-//!   a restarted shard process is re-adopted automatically.
-//! * Idle drivers steal queued pivots from the longest queue and
-//!   speculatively re-execute other shards' in-flight pivots (each at most
-//!   once per driver); first commit wins either way.
+//! * A driver whose RPC fails transiently hands the pivot back and retries
+//!   with capped exponential backoff ([`RetryPolicy`]) after reconnecting.
+//! * A driver that exhausts its attempt budget declares its shard dead,
+//!   then keeps trying to rejoin at a slow cadence — a restarted shard
+//!   process is revived automatically.
 //! * If every shard is dead — or a hard wall-clock passes — the
-//!   coordinator executes the remaining pivots locally on the full graph.
+//!   coordinator executes the uncommitted pivots locally on the full graph.
 
-use std::collections::{HashSet, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use ceci_core::metrics::Counters;
-use ceci_core::sink::CountSink;
-use ceci_core::{BuildOptions, Ceci, EnumOptions, Enumerator};
-use ceci_distributed::{distribute_pivots, ClusterConfig};
+use ceci_distributed::{count_pivot_cluster, distribute_pivots, ClusterConfig, Recovery};
 use ceci_graph::{Graph, VertexId};
 use ceci_query::QueryPlan;
 
 use crate::client::{Client, RetryPolicy};
 use crate::protocol::ErrorCode;
-
-/// Owner id used by the coordinator's local-fallback execution.
-const LOCAL_OWNER: usize = usize::MAX - 1;
-/// Owner id of an unclaimed slot.
-const NO_OWNER: usize = usize::MAX;
-
-/// Per-pivot slot on the result board.
-#[derive(Debug)]
-struct PivotSlot {
-    pivot: VertexId,
-    /// Ownership epoch; bumped on re-scatter so a dead shard's late commit
-    /// is recognizably stale.
-    epoch: u32,
-    owner: usize,
-    claimed: bool,
-    committed: Option<u64>,
-}
-
-/// First-commit-wins, epoch-guarded pivot result board — the cross-process
-/// port of the in-process simulator's exactly-once board.
-#[derive(Debug)]
-pub struct ResultBoard {
-    slots: Vec<Mutex<PivotSlot>>,
-    /// Pivot → slot index (pivots are sorted; binary search).
-    pivots: Vec<VertexId>,
-    remaining: AtomicUsize,
-    /// Commits rejected as stale (wrong epoch) or duplicate.
-    stale_rejected: AtomicU64,
-}
-
-impl ResultBoard {
-    /// A board over `pivots` (deduplicated, sorted internally).
-    pub fn new(pivots: &[VertexId]) -> ResultBoard {
-        let mut sorted: Vec<VertexId> = pivots.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        let slots = sorted
-            .iter()
-            .map(|&p| {
-                Mutex::new(PivotSlot {
-                    pivot: p,
-                    epoch: 0,
-                    owner: NO_OWNER,
-                    claimed: false,
-                    committed: None,
-                })
-            })
-            .collect();
-        ResultBoard {
-            remaining: AtomicUsize::new(sorted.len()),
-            pivots: sorted,
-            slots,
-            stale_rejected: AtomicU64::new(0),
-        }
-    }
-
-    fn slot(&self, pivot: VertexId) -> Option<&Mutex<PivotSlot>> {
-        self.pivots
-            .binary_search(&pivot)
-            .ok()
-            .map(|i| &self.slots[i])
-    }
-
-    /// Uncommitted pivots (committed slots never reappear).
-    pub fn remaining(&self) -> usize {
-        self.remaining.load(Ordering::SeqCst)
-    }
-
-    /// Commits rejected for a stale epoch or an already-committed slot.
-    pub fn stale_rejected(&self) -> u64 {
-        self.stale_rejected.load(Ordering::Relaxed)
-    }
-
-    /// Claims `pivot` for `owner` and returns the current epoch (`None`
-    /// when already committed — nothing to do).
-    pub fn claim(&self, pivot: VertexId, owner: usize) -> Option<u32> {
-        let slot = self.slot(pivot)?;
-        let mut s = slot.lock().expect("board slot poisoned");
-        if s.committed.is_some() {
-            return None;
-        }
-        s.owner = owner;
-        s.claimed = true;
-        Some(s.epoch)
-    }
-
-    /// Commits `count` for `pivot` under `epoch`. Returns `true` if this
-    /// commit won (first, with a current epoch); `false` when stale or
-    /// duplicate — the count is then discarded.
-    pub fn commit(&self, pivot: VertexId, epoch: u32, count: u64) -> bool {
-        let Some(slot) = self.slot(pivot) else {
-            return false;
-        };
-        let mut s = slot.lock().expect("board slot poisoned");
-        if s.committed.is_some() || s.epoch != epoch {
-            self.stale_rejected.fetch_add(1, Ordering::Relaxed);
-            return false;
-        }
-        s.committed = Some(count);
-        self.remaining.fetch_sub(1, Ordering::SeqCst);
-        true
-    }
-
-    /// Re-scatters a dead owner's claimed-but-uncommitted pivots: bumps
-    /// their epoch (so the dead owner's late commits are rejected), clears
-    /// the claim, and returns them for re-queueing.
-    pub fn rescatter(&self, dead_owner: usize) -> Vec<VertexId> {
-        let mut orphans = Vec::new();
-        for slot in &self.slots {
-            let mut s = slot.lock().expect("board slot poisoned");
-            if s.committed.is_none() && s.claimed && s.owner == dead_owner {
-                s.epoch += 1;
-                s.claimed = false;
-                s.owner = NO_OWNER;
-                orphans.push(s.pivot);
-            }
-        }
-        orphans
-    }
-
-    /// In-flight pivots (claimed, uncommitted) owned by someone other than
-    /// `not_owner`, with their current epoch — speculation targets.
-    pub fn in_flight_of_others(&self, not_owner: usize) -> Vec<(VertexId, u32)> {
-        let mut v = Vec::new();
-        for slot in &self.slots {
-            let s = slot.lock().expect("board slot poisoned");
-            if s.committed.is_none() && s.claimed && s.owner != not_owner && s.owner != NO_OWNER {
-                v.push((s.pivot, s.epoch));
-            }
-        }
-        v
-    }
-
-    /// All uncommitted pivots (for the local fallback).
-    pub fn uncommitted(&self) -> Vec<VertexId> {
-        self.slots
-            .iter()
-            .map(|s| s.lock().expect("board slot poisoned"))
-            .filter(|s| s.committed.is_none())
-            .map(|s| s.pivot)
-            .collect()
-    }
-
-    /// Total of all committed counts. Only meaningful once
-    /// [`ResultBoard::remaining`] is 0.
-    pub fn total(&self) -> u64 {
-        self.slots
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .expect("board slot poisoned")
-                    .committed
-                    .unwrap_or(0)
-            })
-            .sum()
-    }
-}
 
 /// Shard liveness as seen by the coordinator.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -352,11 +195,16 @@ impl fmt::Display for CoordError {
 
 impl std::error::Error for CoordError {}
 
-/// One PING round-trip against `addr` under the coordinator timeouts.
-pub fn probe(addr: &str, config: &CoordConfig) -> std::io::Result<()> {
+/// Connects to `addr` under the coordinator timeouts.
+fn dial(addr: &str, config: &CoordConfig) -> std::io::Result<Client> {
     let mut client = Client::connect_with_timeout(addr, config.connect_timeout)?;
     client.set_io_timeout(Some(config.io_timeout))?;
-    let resp = client.request("PING")?;
+    Ok(client)
+}
+
+/// One PING round-trip against `addr` under the coordinator timeouts.
+pub fn probe(addr: &str, config: &CoordConfig) -> std::io::Result<()> {
+    let resp = dial(addr, config)?.request("PING")?;
     if resp.is_ok() {
         Ok(())
     } else {
@@ -518,7 +366,7 @@ pub fn plan_radius(plan: &QueryPlan) -> usize {
 }
 
 /// Outcome of one scattered query.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ScatterReport {
     /// The total embedding count (bit-identical to single-process).
     pub total: u64,
@@ -560,83 +408,11 @@ fn rpc_exec(
     }
 }
 
-/// Counts one pivot's cluster locally on the full graph — the coordinator
-/// fallback; bit-identical to the shard-side fragment execution.
-fn exec_local(full: &Graph, plan: &QueryPlan, pivot: VertexId) -> u64 {
-    let ceci = Ceci::build_for_pivots(full, plan, BuildOptions::default(), vec![pivot]);
-    let mut enumerator = Enumerator::new(full, plan, &ceci, EnumOptions::default());
-    let mut counters = Counters::default();
-    let mut sink = CountSink::unbounded();
-    for &(p, _) in ceci.pivots() {
-        enumerator.enumerate_cluster(p, &mut sink, &mut counters);
-    }
-    sink.count()
-}
-
-/// Shared work queues: one deque per shard, stealable.
-struct WorkQueues {
-    queues: Vec<Mutex<VecDeque<VertexId>>>,
-}
-
-impl WorkQueues {
-    fn new(assignment: Vec<Vec<VertexId>>) -> WorkQueues {
-        WorkQueues {
-            queues: assignment
-                .into_iter()
-                .map(|v| Mutex::new(v.into()))
-                .collect(),
-        }
-    }
-
-    fn pop(&self, idx: usize) -> Option<VertexId> {
-        self.queues[idx].lock().expect("queue poisoned").pop_front()
-    }
-
-    fn push_front(&self, idx: usize, p: VertexId) {
-        self.queues[idx]
-            .lock()
-            .expect("queue poisoned")
-            .push_front(p);
-    }
-
-    /// Steals up to half of the longest other queue (back half, preserving
-    /// the victim's front-of-queue locality).
-    fn steal(&self, thief: usize) -> Option<VertexId> {
-        let victim = (0..self.queues.len())
-            .filter(|&i| i != thief)
-            .max_by_key(|&i| self.queues[i].lock().expect("queue poisoned").len())?;
-        let mut vq = self.queues[victim].lock().expect("queue poisoned");
-        let n = vq.len();
-        if n == 0 {
-            return None;
-        }
-        let take = (n / 2).max(1);
-        let stolen: Vec<VertexId> = (0..take).filter_map(|_| vq.pop_back()).collect();
-        drop(vq);
-        let mut tq = self.queues[thief].lock().expect("queue poisoned");
-        for p in stolen {
-            tq.push_back(p);
-        }
-        tq.pop_front()
-    }
-
-    /// Distributes orphaned pivots round-robin over every queue except
-    /// `except` (all queues when `except` is out of range).
-    fn distribute(&self, orphans: &[VertexId], except: usize) {
-        let targets: Vec<usize> = (0..self.queues.len()).filter(|&i| i != except).collect();
-        if targets.is_empty() {
-            // Sole shard: give them back to it for the rejoin path.
-            let mut q = self.queues[except].lock().expect("queue poisoned");
-            q.extend(orphans.iter().copied());
-            return;
-        }
-        for (k, &p) in orphans.iter().enumerate() {
-            self.queues[targets[k % targets.len()]]
-                .lock()
-                .expect("queue poisoned")
-                .push_back(p);
-        }
-    }
+/// The recovery state machine, shared by the shard drivers and the
+/// coordinator's fallback loop.
+fn lock(core: &Mutex<Recovery>) -> MutexGuard<'_, Recovery> {
+    core.lock()
+        .expect("a shard driver panicked inside the recovery state machine")
 }
 
 /// Runs one query scattered over `shards`, recovering from any shard
@@ -654,302 +430,168 @@ pub fn scatter_match(
 ) -> ScatterReport {
     let t0 = Instant::now();
     let pivots = plan.initial_candidates(plan.root()).to_vec();
-    let board = ResultBoard::new(&pivots);
-    let radius = plan_radius(plan);
-    let prepare = prepare_line(handle, query_path, plan, radius);
+    let prepare = prepare_line(handle, query_path, plan, plan_radius(plan));
     let cluster = ClusterConfig {
         machines: shards.len().max(1),
         ..Default::default()
     };
     let partition = distribute_pivots(full, &pivots, &cluster);
-    let queues = WorkQueues::new(partition.assignment);
-    let rescatters = AtomicU64::new(0);
-    let reconnects = AtomicU64::new(0);
-    let shard_commits = AtomicU64::new(0);
-    let local_fallback = AtomicU64::new(0);
+    let core = Mutex::new(Recovery::new(&partition.assignment, true));
+    let mut report = ScatterReport::default();
 
     std::thread::scope(|scope| {
-        for (idx, status) in shards.shards.iter().enumerate() {
-            let board = &board;
-            let queues = &queues;
-            let prepare = &prepare;
-            let rescatters = &rescatters;
-            let reconnects = &reconnects;
-            let shard_commits = &shard_commits;
-            scope.spawn(move || {
-                drive_shard(DriverCtx {
+        let drivers: Vec<_> = (shards.shards.iter().enumerate())
+            .map(|(idx, status)| {
+                let driver = Driver {
                     idx,
                     status,
-                    board,
-                    queues,
-                    prepare,
+                    core: &core,
+                    prepare: &prepare,
                     handle,
                     config,
                     t0,
-                    rescatters,
-                    reconnects,
-                    shard_commits,
-                });
-            });
-        }
+                };
+                scope.spawn(move || driver.run())
+            })
+            .collect();
         // Coordinator main loop: watch for the all-dead / hard-wall
         // conditions and finish the remainder locally so the query always
         // terminates with the exact answer.
-        loop {
-            if board.remaining() == 0 {
-                break;
+        while lock(&core).remaining() > 0 {
+            let all_dead = (shards.shards.iter()).all(|s| s.liveness() == ShardLiveness::Dead);
+            if !(all_dead || t0.elapsed() > config.hard_wall) {
+                std::thread::sleep(Duration::from_millis(2));
+                continue;
             }
-            let all_dead = !shards.is_empty()
-                && shards
-                    .shards
-                    .iter()
-                    .all(|s| s.liveness() == ShardLiveness::Dead);
-            let past_wall = t0.elapsed() > config.hard_wall;
-            if shards.is_empty() || all_dead || past_wall {
-                for p in board.uncommitted() {
-                    if let Some(epoch) = board.claim(p, LOCAL_OWNER) {
-                        let count = exec_local(full, plan, p);
-                        if board.commit(p, epoch, count) {
-                            local_fallback.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
+            // A driver may still rejoin, or declare its shard dead, while
+            // this runs: a count whose epoch went stale is recomputed.
+            let pending = lock(&core).uncommitted();
+            for (pivot, epoch) in pending {
+                // Bit-identical to the shard-side fragment execution.
+                let count = count_pivot_cluster(full, plan, pivot, &mut Counters::default()).0;
+                if lock(&core).commit(pivot, epoch, count) {
+                    report.local_fallback += 1;
                 }
-                break;
             }
-            std::thread::sleep(Duration::from_millis(2));
+        }
+        for driver in drivers {
+            let tally = driver.join().expect("shard driver panicked");
+            report.shard_commits += tally.commits;
+            report.rescatters += tally.rescatters;
+            report.reconnects += tally.reconnects;
         }
     });
 
-    ScatterReport {
-        total: board.total(),
-        shard_commits: shard_commits.load(Ordering::Relaxed),
-        local_fallback: local_fallback.load(Ordering::Relaxed),
-        rescatters: rescatters.load(Ordering::Relaxed),
-        stale_rejected: board.stale_rejected(),
-        reconnects: reconnects.load(Ordering::Relaxed),
-        wall: t0.elapsed(),
-    }
+    let core = lock(&core);
+    report.total = core.total();
+    report.stale_rejected = core.rejected();
+    report.wall = t0.elapsed();
+    report
 }
 
-struct DriverCtx<'a> {
+/// What one shard driver did during a query.
+#[derive(Default)]
+struct DriverTally {
+    commits: u64,
+    rescatters: u64,
+    reconnects: u64,
+}
+
+/// One shard's driver: executor `idx` of the recovery state machine.
+struct Driver<'a> {
     idx: usize,
     status: &'a ShardStatus,
-    board: &'a ResultBoard,
-    queues: &'a WorkQueues,
+    core: &'a Mutex<Recovery>,
     prepare: &'a str,
     handle: &'a str,
     config: &'a CoordConfig,
     t0: Instant,
-    rescatters: &'a AtomicU64,
-    reconnects: &'a AtomicU64,
-    shard_commits: &'a AtomicU64,
 }
 
-/// Dials the shard and re-sends `PREPARE` (idempotent) so `EXEC`s find the
-/// handle even after a shard restart wiped its plan store.
-fn connect_and_prepare(ctx: &DriverCtx<'_>) -> std::io::Result<Client> {
-    let mut client = Client::connect_with_timeout(&ctx.status.addr, ctx.config.connect_timeout)?;
-    client.set_io_timeout(Some(ctx.config.io_timeout))?;
-    let resp = client.request(ctx.prepare)?;
-    if resp.is_ok() {
-        Ok(client)
-    } else {
-        Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("PREPARE refused: {}", resp.terminal),
-        ))
+impl Driver<'_> {
+    /// Dials the shard and re-sends `PREPARE` (idempotent) so `EXEC`s find
+    /// the handle even after a shard restart wiped its plan store. `None`
+    /// when the dial, the request or the shard's answer fails.
+    fn connect_and_prepare(&self) -> Option<Client> {
+        let mut client = dial(&self.status.addr, self.config).ok()?;
+        let prepared = client.request(self.prepare).ok()?.is_ok();
+        prepared.then_some(client)
     }
-}
 
-fn drive_shard(ctx: DriverCtx<'_>) {
-    let mut client: Option<Client> = None;
-    let mut failures = 0u32;
-    let mut ever_connected = false;
-    let mut speculated: HashSet<VertexId> = HashSet::new();
-    loop {
-        if ctx.board.remaining() == 0 || ctx.t0.elapsed() > ctx.config.hard_wall {
-            return;
-        }
-        // (Re)establish the connection.
-        if client.is_none() {
-            match connect_and_prepare(&ctx) {
-                Ok(c) => {
-                    client = Some(c);
-                    if ever_connected {
-                        ctx.reconnects.fetch_add(1, Ordering::Relaxed);
-                        ctx.status.reconnects.fetch_add(1, Ordering::Relaxed);
-                    }
-                    ever_connected = true;
-                    ctx.status.set_liveness(ShardLiveness::Alive);
-                    failures = 0;
-                }
-                Err(_) => {
-                    failures += 1;
-                    if failures > ctx.config.attempt_budget {
-                        declare_dead(&ctx);
+    fn run(&self) -> DriverTally {
+        let mut tally = DriverTally::default();
+        let mut client: Option<Client> = None;
+        let mut failures = 0u32;
+        let mut ever_connected = false;
+        while lock(self.core).remaining() > 0 && self.t0.elapsed() <= self.config.hard_wall {
+            let Some(conn) = client.as_mut() else {
+                match self.connect_and_prepare() {
+                    Some(c) => {
+                        client = Some(c);
+                        if ever_connected {
+                            tally.reconnects += 1;
+                            self.status.reconnects.fetch_add(1, Ordering::Relaxed);
+                        }
+                        ever_connected = true;
+                        self.status.set_liveness(ShardLiveness::Alive);
+                        lock(self.core).revive(self.idx);
                         failures = 0;
-                        std::thread::sleep(ctx.config.rejoin_interval);
-                    } else {
-                        std::thread::sleep(ctx.config.retry.backoff(failures - 1));
                     }
-                    continue;
+                    None => self.on_failure(&mut failures, &mut tally, RpcFailure::Io),
                 }
-            }
-        }
-        let conn = client.as_mut().expect("connection just established");
-        // Own work first, then steal, then speculate.
-        let pivot = ctx
-            .queues
-            .pop(ctx.idx)
-            .or_else(|| ctx.queues.steal(ctx.idx));
-        if let Some(p) = pivot {
-            let Some(epoch) = ctx.board.claim(p, ctx.idx) else {
-                continue; // already committed elsewhere
+                continue;
             };
-            match rpc_exec(conn, ctx.handle, p, epoch) {
+            // Own work first, then steal, then speculate on anybody's
+            // in-flight pivot — first commit wins either way.
+            let Some(work) = lock(self.core).next(self.idx, |_| true) else {
+                std::thread::sleep(Duration::from_millis(2));
+                continue;
+            };
+            match rpc_exec(conn, self.handle, work.pivot, work.epoch) {
                 Ok(count) => {
                     failures = 0;
-                    if ctx.board.commit(p, epoch, count) {
-                        ctx.shard_commits.fetch_add(1, Ordering::Relaxed);
-                        ctx.status.executed.fetch_add(1, Ordering::Relaxed);
+                    if lock(self.core).commit(work.pivot, work.epoch, count) {
+                        tally.commits += 1;
+                        self.status.executed.fetch_add(1, Ordering::Relaxed);
                     } else {
-                        ctx.status.commits_rejected.fetch_add(1, Ordering::Relaxed);
+                        self.status.commits_rejected.fetch_add(1, Ordering::Relaxed);
                     }
                 }
                 Err(kind) => {
-                    ctx.queues.push_front(ctx.idx, p);
-                    on_failure(&ctx, &mut client, &mut failures, kind);
+                    lock(self.core).requeue(self.idx, work.pivot);
+                    client = None;
+                    self.on_failure(&mut failures, &mut tally, kind);
                 }
-            }
-        } else {
-            // Idle: speculatively re-execute someone else's in-flight pivot
-            // (each at most once per driver) — first commit wins.
-            let target = ctx
-                .board
-                .in_flight_of_others(ctx.idx)
-                .into_iter()
-                .find(|(p, _)| !speculated.contains(p));
-            match target {
-                Some((p, epoch)) => {
-                    speculated.insert(p);
-                    match rpc_exec(conn, ctx.handle, p, epoch) {
-                        Ok(count) => {
-                            failures = 0;
-                            if ctx.board.commit(p, epoch, count) {
-                                ctx.shard_commits.fetch_add(1, Ordering::Relaxed);
-                                ctx.status.executed.fetch_add(1, Ordering::Relaxed);
-                            } else {
-                                ctx.status.commits_rejected.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        Err(kind) => on_failure(&ctx, &mut client, &mut failures, kind),
-                    }
-                }
-                None => std::thread::sleep(Duration::from_millis(2)),
             }
         }
+        tally
     }
-}
 
-/// Handles one failed RPC: `Refused` drops the connection so the next loop
-/// iteration re-`PREPARE`s (the restart-wiped-plan case); `Io` does the
-/// same plus backoff, and past the attempt budget the shard is declared
-/// dead and its work re-scattered.
-fn on_failure(
-    ctx: &DriverCtx<'_>,
-    client: &mut Option<Client>,
-    failures: &mut u32,
-    kind: RpcFailure,
-) {
-    *client = None;
-    *failures += 1;
-    if *failures > ctx.config.attempt_budget {
-        declare_dead(ctx);
-        *failures = 0;
-        std::thread::sleep(ctx.config.rejoin_interval);
-    } else if matches!(kind, RpcFailure::Io) {
-        std::thread::sleep(ctx.config.retry.backoff(*failures - 1));
-    }
-}
-
-/// Declares this driver's shard dead: its claimed-but-uncommitted pivots
-/// get an epoch bump and move to the survivors' queues, together with
-/// whatever was still queued here.
-fn declare_dead(ctx: &DriverCtx<'_>) {
-    ctx.status.set_liveness(ShardLiveness::Dead);
-    let mut orphans = ctx.board.rescatter(ctx.idx);
-    while let Some(p) = ctx.queues.pop(ctx.idx) {
-        orphans.push(p);
-    }
-    if !orphans.is_empty() {
-        ctx.rescatters.fetch_add(1, Ordering::Relaxed);
-        ctx.status.rescatters.fetch_add(1, Ordering::Relaxed);
-        ctx.queues.distribute(&orphans, ctx.idx);
+    /// Handles one failed dial or RPC (the connection is already dropped,
+    /// so the next iteration re-dials and re-`PREPARE`s — the
+    /// restart-wiped-plan case): an `Io` failure backs off first, and past
+    /// the attempt budget the shard is declared dead — its uncommitted
+    /// pivots, queued or in flight, go to the living under a bumped epoch —
+    /// and the driver waits out the rejoin cadence.
+    fn on_failure(&self, failures: &mut u32, tally: &mut DriverTally, kind: RpcFailure) {
+        *failures += 1;
+        if *failures > self.config.attempt_budget {
+            self.status.set_liveness(ShardLiveness::Dead);
+            if !lock(self.core).declare_dead(self.idx).is_empty() {
+                tally.rescatters += 1;
+                self.status.rescatters.fetch_add(1, Ordering::Relaxed);
+            }
+            *failures = 0;
+            std::thread::sleep(self.config.rejoin_interval);
+        } else if matches!(kind, RpcFailure::Io) {
+            std::thread::sleep(self.config.retry.backoff(*failures - 1));
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ceci_graph::vid;
-
-    #[test]
-    fn board_commit_protocol_is_exactly_once() {
-        let board = ResultBoard::new(&[vid(3), vid(1), vid(7), vid(1)]);
-        assert_eq!(board.remaining(), 3);
-        // Claim + commit.
-        let e = board.claim(vid(1), 0).unwrap();
-        assert!(board.commit(vid(1), e, 10));
-        assert_eq!(board.remaining(), 2);
-        // Duplicate commit rejected.
-        assert!(!board.commit(vid(1), e, 10));
-        assert_eq!(board.stale_rejected(), 1);
-        // Claim on a committed pivot yields nothing.
-        assert!(board.claim(vid(1), 2).is_none());
-        // Re-scatter bumps the epoch: the dead owner's commit is stale.
-        let e3 = board.claim(vid(3), 1).unwrap();
-        let orphans = board.rescatter(1);
-        assert_eq!(orphans, vec![vid(3)]);
-        assert!(!board.commit(vid(3), e3, 99), "stale epoch must lose");
-        let e3b = board.claim(vid(3), 2).unwrap();
-        assert_eq!(e3b, e3 + 1);
-        assert!(board.commit(vid(3), e3b, 42));
-        // Finish and total.
-        let e7 = board.claim(vid(7), 0).unwrap();
-        assert!(board.commit(vid(7), e7, 8));
-        assert_eq!(board.remaining(), 0);
-        assert_eq!(board.total(), 10 + 42 + 8);
-    }
-
-    #[test]
-    fn speculation_targets_exclude_self_and_unclaimed() {
-        let board = ResultBoard::new(&[vid(1), vid(2), vid(3)]);
-        board.claim(vid(1), 0);
-        board.claim(vid(2), 1);
-        let targets = board.in_flight_of_others(0);
-        assert_eq!(targets, vec![(vid(2), 0)]);
-        // Commits remove in-flight status.
-        assert!(board.commit(vid(2), 0, 5));
-        assert!(board.in_flight_of_others(0).is_empty());
-    }
-
-    #[test]
-    fn queues_steal_and_distribute() {
-        let q = WorkQueues::new(vec![vec![vid(1), vid(2), vid(3), vid(4)], vec![]]);
-        // Thief 1 steals the back half of 0 ([4, 3]) and starts on it.
-        let got = q.steal(1).unwrap();
-        assert_eq!(got, vid(4), "steals the back half");
-        // Orphans spread over survivors only.
-        q.distribute(&[vid(9), vid(8)], 0);
-        assert_eq!(q.pop(1), Some(vid(3)));
-        assert_eq!(q.pop(1), Some(vid(9)));
-        assert_eq!(q.pop(1), Some(vid(8)));
-        assert_eq!(q.pop(1), None);
-        // Sole-shard distribution hands the work back for rejoin.
-        let solo = WorkQueues::new(vec![vec![]]);
-        solo.distribute(&[vid(5)], 0);
-        assert_eq!(solo.pop(0), Some(vid(5)));
-    }
 
     #[test]
     fn coord_error_is_typed() {

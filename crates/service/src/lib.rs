@@ -75,7 +75,7 @@ pub use cache::{
 pub use client::{run_load, Client, LoadConfig, LoadReport, Response, RetryOutcome, RetryPolicy};
 pub use coord::{
     scatter_match, spawn_heartbeat, validate_shards, CoordConfig, CoordError, HeartbeatHandle,
-    ResultBoard, ScatterReport, ShardLiveness, ShardSet, ShardStatus,
+    ScatterReport, ShardLiveness, ShardSet, ShardStatus,
 };
 pub use metrics::{LatencyHistogram, ServerMetrics};
 pub use pool::{Admission, FrontierCache, FrontierOutcome, PoolHandle, SharedFrontier, WorkerPool};

@@ -56,7 +56,8 @@ fn crash_recovery_commits_bit_identical_counts() {
                     storage,
                     ..Default::default()
                 };
-                let result = run_distributed_with_faults(&graph, &plan, &config, Some(&faults));
+                let result = run_distributed_with_faults(&graph, &plan, &config, Some(&faults))
+                    .expect("crash m1 @0 + m2 @200us");
                 assert_eq!(
                     result.total_embeddings,
                     want,
@@ -82,10 +83,10 @@ fn stragglers_and_steal_loss_preserve_counts() {
     let config = ClusterConfig {
         machines: 4,
         threads_per_machine: 2,
-        speculation: true,
         ..Default::default()
     };
-    let result = run_distributed_with_faults(&graph, &plan, &config, Some(&faults));
+    let result = run_distributed_with_faults(&graph, &plan, &config, Some(&faults))
+        .expect("straggler x8 + steal loss 50%");
     assert_eq!(result.total_embeddings, want);
     // The straggler's modeled time is visibly inflated.
     assert!(result.reports[0].straggle_virtual > Duration::ZERO);
@@ -110,8 +111,9 @@ fn fault_seeds_never_change_the_answer() {
             .with_steal_loss(0.3);
         // Same seed twice: the *plan* is deterministic, and the counts are
         // identical both to each other and to the fault-free baseline.
-        let a = run_distributed_with_faults(&graph, &plan, &config, Some(&faults));
-        let b = run_distributed_with_faults(&graph, &plan, &config, Some(&faults));
+        let scenario = "crash m2 @50us + straggler x6 + steal loss 30%";
+        let a = run_distributed_with_faults(&graph, &plan, &config, Some(&faults)).expect(scenario);
+        let b = run_distributed_with_faults(&graph, &plan, &config, Some(&faults)).expect(scenario);
         assert_eq!(a.total_embeddings, baseline, "seed {seed}");
         assert_eq!(b.total_embeddings, baseline, "seed {seed} (rerun)");
         counts.push(a.total_embeddings);

@@ -484,6 +484,43 @@ fn coordinator_match_scatters_and_reports_shards() {
 }
 
 // ---------------------------------------------------------------------------
+// All shards dead: nothing is re-scattered onto the dead, the coordinator
+// finishes locally
+// ---------------------------------------------------------------------------
+
+#[test]
+fn all_dead_fleet_falls_back_to_the_coordinator() {
+    let graph = data();
+    let qg = PaperQuery::Qg1.build();
+    let scratch = Scratch::new("alldead");
+    let qpath = scratch.write_labeled("q.graph", qg.as_graph());
+    let plan = QueryPlan::new(qg, &graph);
+    let want = expected(&graph, &plan);
+    let pivots = plan.initial_candidates(plan.root()).len() as u64;
+
+    // Port 1 on loopback refuses immediately: both drivers burn their
+    // attempt budget and declare their shard dead. The first to go hands
+    // its pivots to the other; the second has nobody left to hand them to.
+    let set = ShardSet::new(&["127.0.0.1:1".to_string(), "127.0.0.1:1".to_string()]);
+    let report = scatter_match(
+        &graph,
+        &plan,
+        qpath.to_str().unwrap(),
+        "h",
+        &set,
+        &fast_coord(),
+    );
+    assert_eq!(report.total, want, "the fallback must be exact");
+    assert_eq!(report.shard_commits, 0);
+    assert_eq!(report.local_fallback, pivots, "every pivot exactly once");
+    assert!(report.rescatters <= 1, "{report:?}");
+    assert!(set
+        .shards
+        .iter()
+        .all(|s| s.liveness() == ShardLiveness::Dead));
+}
+
+// ---------------------------------------------------------------------------
 // Startup validation: typed E_SHARD error, not a panic
 // ---------------------------------------------------------------------------
 
