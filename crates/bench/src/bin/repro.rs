@@ -50,8 +50,8 @@ EXPERIMENTS:
                         loss — asserts bit-identical counts vs fault-free
                         and writes bench_results/faults.json
     multiquery          Mixed-workload throughput sweep: admission filter,
-                        single-flight builds, shared-prefix batching, and
-                        redundant-extension pruning on vs off — asserts
+                        single-flight builds and redundant-extension
+                        pruning on vs off — asserts
                         bit-identical counts and writes
                         bench_results/multiquery.json
     service             Connection-scaling sweep for the event-driven server
@@ -248,7 +248,7 @@ const ALL_EXPERIMENTS: &[(&str, Runner)] = &[
         experiments::faults::run,
     ),
     (
-        "Multi-query throughput: filter/single-flight/batching/pruning",
+        "Multi-query throughput: filter/single-flight/pruning",
         experiments::multiquery::run,
     ),
     (

@@ -6,14 +6,21 @@
 //! the end-to-end section re-runs the QG1–QG5 enumeration with each kernel
 //! pinned through [`EnumOptions`] and checks every count against the
 //! `ceci-baselines` reference matcher (`"counts_identical": true` on each
-//! record, asserted in-run). Everything is dumped to
-//! `bench_results/kernels.json` so regressions are diffable.
+//! record, asserted in-run). Beside them the general path gets a number:
+//! per query, the wall of `enumerate_parallel` at one worker over the wall of
+//! `enumerate_sequential` on the same plan, index and kernel
+//! (`st1_over_sequential`, median of 5 each) — what a served `MATCH` pays
+//! for going through the entry point every request form shares. Everything
+//! is dumped to `bench_results/kernels.json` so regressions are diffable.
 
 use std::time::{Duration, Instant};
 
 use ceci_baselines::reference;
 use ceci_core::intersect::{intersect_with, Kernel};
-use ceci_core::{enumerate_sequential, Ceci, CountSink, EnumOptions};
+use ceci_core::{
+    enumerate_parallel, enumerate_sequential, Ceci, CountSink, EnumOptions, ParallelOptions,
+    Strategy,
+};
 use ceci_graph::VertexId;
 use ceci_query::{PaperQuery, QueryPlan};
 
@@ -65,6 +72,14 @@ fn time_kernel(
         std::hint::black_box(out.len());
     }
     (start.elapsed() / reps, ops / reps as u64, hits)
+}
+
+/// Paired runs behind each `st1_over_sequential` median.
+const GENERAL_PATH_REPS: usize = 5;
+
+fn median(mut walls: Vec<Duration>) -> Duration {
+    walls.sort_unstable();
+    walls[walls.len() / 2]
 }
 
 /// Runs the full experiment (sweep + end-to-end) for every kernel.
@@ -145,6 +160,12 @@ pub fn run_with(scale: Scale, only: Option<Kernel>) {
         "time".to_string(),
         "vs merge".to_string(),
     ]);
+    let mut general = Table::new(vec![
+        "query".to_string(),
+        "sequential".to_string(),
+        "ST x 1".to_string(),
+        "ST1 / sequential".to_string(),
+    ]);
     for query in [
         PaperQuery::Qg1,
         PaperQuery::Qg2,
@@ -209,8 +230,54 @@ pub fn run_with(scale: Scale, only: Option<Kernel>) {
                     .field("counts_identical", true),
             );
         }
+
+        // The general path against the bare sequential loop, same plan,
+        // index and (default) kernel. Alternated, so a host-load drift
+        // lands on both.
+        let st1 = ParallelOptions {
+            workers: 1,
+            strategy: Strategy::Static,
+            ..ParallelOptions::default()
+        };
+        let (mut sequential_walls, mut st1_walls) = (Vec::new(), Vec::new());
+        for _ in 0..GENERAL_PATH_REPS {
+            let mut sink = CountSink::unbounded();
+            let start = Instant::now();
+            let sequential =
+                enumerate_sequential(&graph, &plan, &ceci, EnumOptions::default(), &mut sink);
+            sequential_walls.push(start.elapsed());
+            let start = Instant::now();
+            let result = enumerate_parallel(&graph, &plan, &ceci, &st1);
+            st1_walls.push(start.elapsed());
+            assert_eq!(
+                result.counters,
+                sequential,
+                "{}: one worker is not the sequential drain",
+                query.name()
+            );
+        }
+        let (sequential, st1) = (median(sequential_walls), median(st1_walls));
+        let ratio = st1.as_secs_f64() / sequential.as_secs_f64().max(1e-12);
+        general.row(vec![
+            query.name().to_string(),
+            format!("{:.2} ms", sequential.as_secs_f64() * 1e3),
+            format!("{:.2} ms", st1.as_secs_f64() * 1e3),
+            format!("{ratio:.3}"),
+        ]);
+        records.push(
+            JsonValue::object()
+                .field("section", "general_path")
+                .field("query", query.name())
+                .field("reps", GENERAL_PATH_REPS as u64)
+                .field("sequential_nanos", sequential.as_nanos() as u64)
+                .field("st1_nanos", st1.as_nanos() as u64)
+                .field("st1_over_sequential", ratio),
+        );
     }
     println!("{}", t.render());
+
+    println!("\nOne-worker parallel entry point vs sequential drain (same plan, index, kernel)\n");
+    println!("{}", general.render());
 
     let dir = std::path::Path::new("bench_results");
     if let Err(e) = std::fs::create_dir_all(dir) {

@@ -6,14 +6,18 @@
 //! against two in-process servers:
 //!
 //! * **optimized**: the default [`ServeConfig`] — label-pair admission
-//!   filter, single-flight index builds, shared-prefix batching, and
-//!   redundant-extension pruning all on;
-//! * **unoptimized**: the same server with all four switches off.
+//!   filter, single-flight index builds and redundant-extension pruning
+//!   all on;
+//! * **unoptimized**: the same server with all three switches off.
 //!
 //! The sweep **asserts** that every template's embedding count is
 //! bit-identical between the two configurations and against a per-template
-//! `MATCH ... RAW` differential pass, then reports the throughput ratio
-//! (target: >= 1.3x) and writes `bench_results/multiquery.json`.
+//! `MATCH ... RAW` differential pass, then reports the throughput ratio and
+//! writes `bench_results/multiquery.json`. The ratio is recorded, not gated:
+//! wall-clock ratios over a 40 ms workload are host-dependent, and since
+//! every `MATCH` form shares one drain the all-off server no longer runs a
+//! slower enumeration path — what separates the two is the 32 rejected
+//! requests and the builds they spare (1.0–1.2x at `--scale quick`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
@@ -26,12 +30,6 @@ use ceci_service::{start_with_state, Client, ServeConfig, ServerState};
 use crate::json::JsonValue;
 use crate::table::Table;
 use crate::Scale;
-
-/// Throughput ratio the optimization layer is expected to clear on the
-/// mixed workload. Recorded in the artifact; a shortfall prints a warning
-/// rather than failing the run (wall-clock ratios are host-dependent),
-/// while count identity is always asserted.
-const TARGET_SPEEDUP: f64 = 1.3;
 
 /// Closed-loop clients issuing the workload.
 const CLIENTS: usize = 4;
@@ -155,8 +153,6 @@ struct MetricsSnap {
     cache_misses: u64,
     filter_rejected: u64,
     singleflight_waits: u64,
-    frontier_builds: u64,
-    frontier_hits: u64,
 }
 
 struct RunOutcome {
@@ -169,7 +165,7 @@ struct RunOutcome {
 /// Runs the closed-loop workload once against a fresh server with `config`:
 /// `CLIENTS` threads, each issuing `REQUESTS_PER_CLIENT` MATCHes cycling
 /// through the template list in the same order (so identical queries
-/// collide in flight — the single-flight and batching cases).
+/// collide in flight — the single-flight case).
 fn run_workload(config: ServeConfig, graph_path: &str, query_paths: &[String]) -> RunOutcome {
     let state = Arc::new(ServerState::new(config));
     let handle = start_with_state(Arc::clone(&state)).expect("bind loopback");
@@ -221,8 +217,6 @@ fn run_workload(config: ServeConfig, graph_path: &str, query_paths: &[String]) -
         cache_misses: g(&state.metrics.cache_misses),
         filter_rejected: g(&state.metrics.filter_rejected),
         singleflight_waits: g(&state.metrics.singleflight_waits),
-        frontier_builds: g(&state.metrics.batch_frontier_builds),
-        frontier_hits: g(&state.metrics.batch_frontier_hits),
     };
     handle.shutdown();
     RunOutcome {
@@ -294,7 +288,6 @@ fn unoptimized_config() -> ServeConfig {
         pool_workers: CLIENTS,
         admission_filter: false,
         single_flight: false,
-        batching: false,
         prune_redundant: false,
         ..ServeConfig::default()
     }
@@ -397,7 +390,7 @@ pub fn run(scale: Scale) {
     let speedup = qps(&on) / qps(&off).max(1e-12);
     println!("\nClosed-loop workload, best rep per config:\n");
     let mut t = Table::new(vec![
-        "config", "elapsed", "qps", "builds", "rejects", "sf waits", "frontier",
+        "config", "elapsed", "qps", "builds", "rejects", "sf waits",
     ]);
     let config_row = |name: &str, o: &RunOutcome| {
         vec![
@@ -407,20 +400,16 @@ pub fn run(scale: Scale) {
             o.snap.builds.to_string(),
             o.snap.filter_rejected.to_string(),
             o.snap.singleflight_waits.to_string(),
-            format!("{}+{}", o.snap.frontier_builds, o.snap.frontier_hits),
         ]
     };
     t.row(config_row("unoptimized", &off));
     t.row(config_row("optimized", &on));
     t.print();
     println!(
-        "\nthroughput ratio optimized/unoptimized: {speedup:.2}x (target {TARGET_SPEEDUP}x), \
+        "\nthroughput ratio optimized/unoptimized: {speedup:.2}x, \
          counts bit-identical across all {} templates",
         templates.len()
     );
-    if speedup < TARGET_SPEEDUP {
-        println!("warning: ratio below target on this host/run");
-    }
 
     let snap_json = |o: &RunOutcome| {
         JsonValue::object()
@@ -431,8 +420,6 @@ pub fn run(scale: Scale) {
             .field("cache_misses", o.snap.cache_misses)
             .field("filter_rejected", o.snap.filter_rejected)
             .field("singleflight_waits", o.snap.singleflight_waits)
-            .field("batch_frontier_builds", o.snap.frontier_builds)
-            .field("batch_frontier_hits", o.snap.frontier_hits)
     };
     let json = JsonValue::object()
         .field(
@@ -448,7 +435,6 @@ pub fn run(scale: Scale) {
         .field("unoptimized", snap_json(&off))
         .field("optimized", snap_json(&on))
         .field("speedup", speedup)
-        .field("target_speedup", TARGET_SPEEDUP)
         .field("counts_bit_identical", true)
         .to_pretty();
 

@@ -41,9 +41,8 @@
 //! what planning it right on arrival would have.
 //!
 //! Around that: [`choose_execution`] sizes ST / CGD / FGD and the worker
-//! count from an estimate, [`kernels_from_profile`] pins per-depth
-//! intersection kernels from an observed [`DepthProfile`], and [`admit`]
-//! answers a deadline with exact, approximate or infeasible.
+//! count from an estimate, and [`admit`] answers a deadline with exact,
+//! approximate or infeasible.
 //!
 //! Only the *order* differs between portfolio members, and every order
 //! satisfies the parent-precedes-child invariant, so exact counts are
@@ -60,7 +59,6 @@ use ceci_trace::DepthProfile;
 
 use crate::estimate::{estimate_cost, CostEstimate, EstimateOptions};
 use crate::index::{BuildOptions, Ceci};
-use crate::intersect::Kernel;
 use crate::metrics::Counters;
 use crate::parallel::Strategy;
 
@@ -139,9 +137,6 @@ pub struct PlanChoice {
     /// Recommended worker count (already clamped to
     /// [`AdaptiveOptions::max_workers`]).
     pub workers: usize,
-    /// Per-depth intersection-kernel pins. All-[`Kernel::Adaptive`] until an
-    /// observed profile refines them via [`kernels_from_profile`].
-    pub depth_kernels: Vec<Kernel>,
     /// Wall time spent scoring the portfolio: zero until a re-plan.
     pub score_time: Duration,
     /// `true` when a re-plan replaced the paper-default plan (best root,
@@ -166,7 +161,6 @@ impl PlanChoice {
             cost: CostEstimate::empty(n, false),
             strategy: Strategy::Static,
             workers: 1,
-            depth_kernels: vec![Kernel::Adaptive; n],
             score_time: Duration::ZERO,
             replanned: false,
             max_workers: max_workers.max(1),
@@ -538,34 +532,6 @@ pub fn choose_execution(cost: &CostEstimate, max_workers: usize) -> (Strategy, u
     } else {
         (Strategy::CoarseDynamic, workers)
     }
-}
-
-/// Pins an intersection kernel per depth from an observed [`DepthProfile`].
-///
-/// The signal is element operations per produced candidate: high (≫ 8)
-/// means skewed list pairs where galloping's binary probes win; very low
-/// (≤ 2) means dense overlap where the SIMD block scan streams; the middle
-/// is the branchless merge's home turf. Depths the profile never reached
-/// keep [`Kernel::Adaptive`].
-pub fn kernels_from_profile(profile: &DepthProfile) -> Vec<Kernel> {
-    profile
-        .depths()
-        .iter()
-        .map(|s| {
-            if s.calls == 0 || s.intersections == 0 {
-                Kernel::Adaptive
-            } else {
-                let per_unit = s.intersections as f64 / s.candidates.max(1) as f64;
-                if per_unit > 8.0 {
-                    Kernel::Gallop
-                } else if per_unit <= 2.0 {
-                    Kernel::Simd
-                } else {
-                    Kernel::BranchlessMerge
-                }
-            }
-        })
-        .collect()
 }
 
 /// Deadline-admission verdict for a `MATCH … DEADLINE` request.
@@ -948,20 +914,6 @@ mod tests {
             admit(&zero, Duration::from_millis(1), DEFAULT_NS_PER_UNIT, 1),
             Admission::Exact
         );
-    }
-
-    #[test]
-    fn kernel_pins_follow_profile_shape() {
-        let mut profile = DepthProfile::new(3);
-        // Depth 0: heavy probing per produced candidate → Gallop.
-        profile.on_call(0);
-        profile.on_expand(0, 10, 1000);
-        // Depth 1: dense overlap → Simd.
-        profile.on_call(1);
-        profile.on_expand(1, 100, 150);
-        // Depth 2: untouched → Adaptive.
-        let pins = kernels_from_profile(&profile);
-        assert_eq!(pins, vec![Kernel::Gallop, Kernel::Simd, Kernel::Adaptive]);
     }
 
     #[test]

@@ -1,5 +1,14 @@
 //! Shared-prefix batched execution for multi-query workloads.
 //!
+//! **No longer served.** A `MATCH` drains its own cached index; the
+//! structural frontier below is by construction a superset of the prefix
+//! space that index already stores, so on a cache hit it could only add work
+//! (measured: ISSUE 22, DESIGN.md "The served drain"). [`PrefixSpec`] and
+//! [`enumerate_from_frontier`] are read only by the ledger's replay
+//! (`benchmark/src/bin/ledger_layers.rs`, the `core.batch.*` cells) and are
+//! retired by the `benchmark` PR that drops `core.batch.*` /
+//! `service.batch.*` from `BENCHMARK.json`.
+//!
 //! Concurrent MATCHes frequently share the *shape* of the first few
 //! matching-order vertices — same label sets, same edges among them — even
 //! when their suffixes differ. The per-query work for that prefix (candidate
@@ -28,9 +37,6 @@
 
 use ceci_graph::{Graph, LabelSet, VertexId};
 use ceci_query::QueryPlan;
-
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
 
 use crate::bitmap::VertexBitmap;
 use crate::enumerate::{EnumOptions, Enumerator};
@@ -80,18 +86,6 @@ impl PrefixSpec {
     /// Number of prefix positions.
     pub fn depth(&self) -> usize {
         self.labels.len()
-    }
-
-    /// A 64-bit grouping signature. Equal specs hash equal; collisions are
-    /// tolerable for *grouping* only when the caller re-verifies with `==`
-    /// before actually sharing a frontier.
-    pub fn signature(&self) -> u64 {
-        let mut h = DefaultHasher::new();
-        for ls in &self.labels {
-            ls.as_slice().hash(&mut h);
-        }
-        self.edges.hash(&mut h);
-        h.finish()
     }
 
     /// All injective assignments of the prefix shape onto `graph`: every
@@ -160,13 +154,6 @@ fn prefix_constraints(plan: &QueryPlan, depth: usize) -> impl Iterator<Item = (u
         .filter(move |&(ps, pl)| ps < depth && pl < depth)
 }
 
-/// Whether a frontier prefix satisfies `plan`'s symmetry constraints whose
-/// endpoints both fall inside the prefix (constraints straddling the suffix
-/// are enforced by the recursion as usual).
-pub fn prefix_satisfies_symmetry(plan: &QueryPlan, prefix: &[VertexId]) -> bool {
-    prefix_constraints(plan, prefix.len()).all(|(ps, pl)| prefix[ps] < prefix[pl])
-}
-
 /// Forks one query's enumeration from a shared frontier: each frontier
 /// entry that passes the query's prefix-internal symmetry constraints seeds
 /// [`Enumerator::enumerate_prefix`]. Returns the merged counters; stops
@@ -181,9 +168,7 @@ pub fn prefix_satisfies_symmetry(plan: &QueryPlan, prefix: &[VertexId]) -> bool 
 /// before the enumerator is touched.
 ///
 /// The frontier must have been built from a [`PrefixSpec`] **equal** to
-/// `PrefixSpec::from_plan(plan, depth)` for the same data graph — the
-/// caller (the service's frontier cache) verifies spec equality before
-/// sharing.
+/// `PrefixSpec::from_plan(plan, depth)` for the same data graph.
 pub fn enumerate_from_frontier<S: EmbeddingSink>(
     graph: &Graph,
     plan: &QueryPlan,
@@ -262,15 +247,14 @@ mod tests {
     #[test]
     fn spec_equality_groups_shared_prefixes() {
         let (graph, fixture_plan) = paper::figure1();
-        // Same query planned twice the same way: specs and signatures agree
-        // at every depth (the planner is deterministic).
+        // Same query planned twice the same way: specs agree at every depth
+        // (the planner is deterministic).
         let plan = QueryPlan::new(fixture_plan.query().clone(), &graph);
         let plan2 = QueryPlan::new(fixture_plan.query().clone(), &graph);
         for depth in 1..plan.matching_order().len() {
             let a = PrefixSpec::from_plan(&plan, depth).unwrap();
             let b = PrefixSpec::from_plan(&plan2, depth).unwrap();
             assert_eq!(a, b);
-            assert_eq!(a.signature(), b.signature());
         }
         // Depth out of range refuses.
         assert!(PrefixSpec::from_plan(&plan, 0).is_none());

@@ -186,11 +186,6 @@ pub struct Enumerator<'a> {
     /// How the plan's last depth is answered for a bulk-capable sink,
     /// precomputed per plan (see [`LeafMode::of`]).
     leaf: LeafMode,
-    /// Per-depth intersection-kernel pins from the adaptive planner's
-    /// profile feedback. Empty (the default) means every depth dispatches
-    /// through `options.kernel`; otherwise `depth_kernels[d]` overrides the
-    /// kernel for intersections gathered at depth `d`.
-    depth_kernels: Vec<Kernel>,
 }
 
 impl<'a> Enumerator<'a> {
@@ -223,26 +218,7 @@ impl<'a> Enumerator<'a> {
             drain_tick: 0,
             profile: None,
             leaf: LeafMode::of(plan, options),
-            depth_kernels: Vec::new(),
         }
-    }
-
-    /// Pins an intersection kernel per matching-order depth (adaptive
-    /// planner feedback). Pass an empty slice to clear the pins and fall
-    /// back to the global `options.kernel` dispatch. Kernel choice affects
-    /// only how intersections are computed, never their result.
-    pub fn set_depth_kernels(&mut self, pins: &[Kernel]) {
-        self.depth_kernels.clear();
-        self.depth_kernels.extend_from_slice(pins);
-    }
-
-    /// The kernel to dispatch for intersections at `depth`.
-    #[inline]
-    fn kernel_at(&self, depth: usize) -> Kernel {
-        self.depth_kernels
-            .get(depth)
-            .copied()
-            .unwrap_or(self.options.kernel)
     }
 
     /// Attaches a cooperative [`CancelToken`]: the recursion polls it
@@ -448,7 +424,7 @@ impl<'a> Enumerator<'a> {
                     });
                 if live {
                     intersect_many_with(
-                        self.kernel_at(depth),
+                        self.options.kernel,
                         te_list,
                         &lists,
                         out,

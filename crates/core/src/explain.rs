@@ -155,8 +155,8 @@ pub fn explain_plan(plan: &QueryPlan, graph: &Graph, options: EnumOptions, sets:
 /// Renders the adaptive planner's decision record: where the entry's
 /// rent/buy ledger stands (whether the portfolio has been scored, the work
 /// spent on the entry and the price of re-planning it, same unit), every
-/// plan weighed so far, and the execution choices (strategy, workers,
-/// per-depth kernel pins) derived from the served plan's estimate.
+/// plan weighed so far, and the execution choices (strategy, workers)
+/// derived from the served plan's estimate.
 pub fn explain_choice(choice: &PlanChoice, reuse: &Reuse) -> String {
     let mut out = String::new();
     let (spent, scored) = reuse.snapshot();
@@ -196,13 +196,6 @@ pub fn explain_choice(choice: &PlanChoice, reuse: &Reuse) -> String {
         choice.cost.volume(),
         choice.predicted().as_micros(),
     );
-    let pins: Vec<String> = choice
-        .depth_kernels
-        .iter()
-        .enumerate()
-        .map(|(d, k)| format!("d{d}={k:?}"))
-        .collect();
-    let _ = writeln!(out, "kernels: {}", pins.join(" "));
     out
 }
 
@@ -472,7 +465,6 @@ mod tests {
         );
         assert!(report.contains("chosen=1"), "{report}");
         assert!(report.contains("exec: strategy="), "{report}");
-        assert!(report.contains("kernels: d0="), "{report}");
     }
 
     #[test]

@@ -43,11 +43,11 @@ pub mod sink;
 pub mod tables;
 
 pub use adaptive::{
-    admit, choose_execution, kernels_from_profile, ns_per_unit_from_profile, plan_with_options,
-    predicted_time, replan_price, AdaptiveOptions, Admission, CandidatePlan, Observed, PlanChoice,
-    ReplanPrice, Reuse, DEFAULT_NS_PER_UNIT,
+    admit, choose_execution, ns_per_unit_from_profile, plan_with_options, predicted_time,
+    replan_price, AdaptiveOptions, Admission, CandidatePlan, Observed, PlanChoice, ReplanPrice,
+    Reuse, DEFAULT_NS_PER_UNIT,
 };
-pub use batch::{enumerate_from_frontier, prefix_satisfies_symmetry, PrefixSpec};
+pub use batch::{enumerate_from_frontier, PrefixSpec};
 pub use bitmap::VertexBitmap;
 pub use delta::{batch_delta, count_matches_using, BatchDelta};
 pub use enumerate::{
@@ -65,8 +65,8 @@ pub use index::{record_build_spans, BuildOptions, BuildStats, Ceci};
 pub use intersect::Kernel;
 pub use metrics::{Counters, Phase, PhaseSpan, PhaseTimeline};
 pub use parallel::{
-    count_parallel, enumerate_parallel, enumerate_parallel_cancellable, enumerate_parallel_pinned,
-    ParallelOptions, ParallelResult, Strategy,
+    count_parallel, enumerate_parallel, enumerate_parallel_cancellable, ParallelOptions,
+    ParallelResult, Strategy,
 };
 pub use sink::{
     canonicalize, CancelToken, CollectSink, CountSink, DeadlineSink, EmbeddingSink, SharedBudget,

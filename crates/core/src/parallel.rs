@@ -24,7 +24,7 @@ use crate::index::Ceci;
 use crate::intersect::Kernel;
 use crate::metrics::{Counters, ThreadTimer};
 use crate::sink::{
-    CancelToken, CollectSink, CountSink, DeadlineSink, SharedBudget, SharedLimitSink,
+    CancelToken, CollectSink, CountSink, DeadlineSink, EmbeddingSink, SharedBudget, SharedLimitSink,
 };
 
 /// Runs `f(worker_index)` on `threads` scoped worker threads and returns
@@ -133,7 +133,10 @@ pub struct ParallelResult {
     /// Merged counters across workers.
     pub counters: Counters,
     /// Per-worker CPU time (thread clock, preemption-immune) — the Fig 12
-    /// per-worker finish profile and the basis of `modeled_makespan`.
+    /// per-worker finish profile and the basis of `modeled_makespan`. Read
+    /// once around each worker's unit loop, which never blocks between
+    /// units: the same quantity as a timer per unit, for two clock reads per
+    /// worker instead of two per cluster.
     pub worker_busy: Vec<Duration>,
     /// Number of work units distributed.
     pub num_units: usize,
@@ -211,29 +214,16 @@ pub fn enumerate_parallel(
 /// between work units, inside the recursion (periodically), and on every
 /// emission, so a tripped token unwinds the whole pool in bounded time; the
 /// result then carries `cancelled = true` and valid partial counts.
+///
+/// At one worker this is an inline loop over the units with one reused
+/// [`Enumerator`] — what [`crate::enumerate_sequential`] does, plus the
+/// stop poll between units.
 pub fn enumerate_parallel_cancellable(
     graph: &Graph,
     plan: &QueryPlan,
     ceci: &Ceci,
     options: &ParallelOptions,
     cancel: Option<Arc<CancelToken>>,
-) -> ParallelResult {
-    enumerate_parallel_pinned(graph, plan, ceci, options, cancel, None)
-}
-
-/// [`enumerate_parallel_cancellable`] with optional per-depth intersection
-/// kernel pins from the adaptive planner's profile feedback (see
-/// [`crate::adaptive::kernels_from_profile`]). `None` — or an empty slice —
-/// keeps the global `options.kernel` dispatch. Pins change only *how*
-/// intersections are computed, never their results, so counts are identical
-/// with and without them.
-pub fn enumerate_parallel_pinned(
-    graph: &Graph,
-    plan: &QueryPlan,
-    ceci: &Ceci,
-    options: &ParallelOptions,
-    cancel: Option<Arc<CancelToken>>,
-    depth_kernels: Option<&[Kernel]>,
 ) -> ParallelResult {
     assert!(options.workers >= 1, "need at least one worker");
     let t0 = Instant::now();
@@ -243,27 +233,25 @@ pub fn enumerate_parallel_pinned(
         build_threads: options.build_threads,
         prune_redundant: options.prune_redundant,
     };
-    let units: Vec<WorkUnit> = match options.strategy {
-        Strategy::FineDynamic { beta } => {
-            decompose_with(graph, plan, ceci, options.workers, beta, enum_opts)
-        }
-        _ => ceci
-            .pivots()
-            .iter()
-            .map(|&(pivot, card)| WorkUnit {
-                prefix: vec![pivot],
-                workload: card as f64,
-            })
-            .collect(),
+    let units = match options.strategy {
+        Strategy::FineDynamic { beta } => Units::Decomposed(decompose_with(
+            graph,
+            plan,
+            ceci,
+            options.workers,
+            beta,
+            enum_opts,
+        )),
+        _ => Units::Clusters(ceci.pivots()),
     };
     let distribute_time = t0.elapsed();
     let num_units = units.len();
 
-    let budget = SharedBudget::new(options.limit);
+    // Only a limit is shared between workers: without one each worker's sink
+    // is its own and no emission touches an atomic.
+    let budget = options.limit.map(|limit| SharedBudget::new(Some(limit)));
     let next = AtomicUsize::new(0);
 
-    // Static pre-assignment: worker w owns units with index ≡ w (mod k) —
-    // "equal number of embedding clusters to each worker" with no pulling.
     let workers = options.workers;
     let t1 = Instant::now();
     type WorkerOut = (
@@ -273,63 +261,39 @@ pub fn enumerate_parallel_pinned(
         Option<Box<crate::DepthProfile>>,
     );
     let results: Vec<WorkerOut> = scoped_workers(workers, |w| {
-        let units = &units;
-        let budget = budget.clone();
-        let cancel = cancel.clone();
-        let mut counters = Counters::default();
-        let mut busy = Duration::ZERO;
-        let mut collected: Vec<Vec<VertexId>> = Vec::new();
         let mut enumerator = Enumerator::new(graph, plan, ceci, enum_opts);
         enumerator.set_cancel(cancel.clone());
-        if let Some(pins) = depth_kernels {
-            enumerator.set_depth_kernels(pins);
-        }
         if options.profile {
             enumerator.enable_profile();
         }
-        let stop_now = |budget: &SharedBudget| budget.stopped() || is_cancelled(cancel.as_deref());
-        if matches!(options.strategy, Strategy::Static) {
-            // Static pre-assignment: worker w owns units w, w+k, ...
-            let mut i = w;
-            while i < units.len() {
-                if stop_now(&budget) {
-                    break;
-                }
-                let start = ThreadTimer::start();
-                run_unit(
-                    &mut enumerator,
-                    &units[i],
-                    &budget,
-                    cancel.as_ref(),
-                    options.collect,
-                    &mut collected,
-                    &mut counters,
-                );
-                busy += start.elapsed();
-                i += workers;
-            }
+        let mut worker = UnitLoop {
+            units: &units,
+            // Static pre-assignment: worker w owns units w, w+k, ... —
+            // "equal number of embedding clusters to each worker" with no
+            // pulling. The dynamic strategies pull from `next`.
+            pull: (options.strategy != Strategy::Static).then_some(&next),
+            worker: w,
+            workers,
+            budget: budget.as_ref(),
+            cancel: cancel.as_ref(),
+            enumerator,
+            counters: Counters::default(),
+            busy: Duration::ZERO,
+        };
+        let mut collected = Vec::new();
+        if options.collect {
+            let mut sink = CollectSink::unbounded();
+            worker.run_wrapped(&mut sink);
+            collected = sink.into_embeddings();
         } else {
-            // Pull-based dynamic distribution: grab the next unit.
-            loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(unit) = units.get(i) else { break };
-                if stop_now(&budget) {
-                    break;
-                }
-                let start = ThreadTimer::start();
-                run_unit(
-                    &mut enumerator,
-                    unit,
-                    &budget,
-                    cancel.as_ref(),
-                    options.collect,
-                    &mut collected,
-                    &mut counters,
-                );
-                busy += start.elapsed();
-            }
+            worker.run_wrapped(&mut CountSink::unbounded());
         }
-        (counters, busy, collected, enumerator.take_profile())
+        (
+            worker.counters,
+            worker.busy,
+            collected,
+            worker.enumerator.take_profile(),
+        )
     });
     let enumerate_time = t1.elapsed();
 
@@ -365,52 +329,86 @@ pub fn enumerate_parallel_pinned(
         distribute_time,
         enumerate_time,
         embeddings,
-        cancelled: is_cancelled(cancel.as_deref()),
+        cancelled: cancel.is_some_and(|t| t.is_cancelled()),
         profile,
     }
 }
 
-#[inline]
-fn is_cancelled(cancel: Option<&CancelToken>) -> bool {
-    cancel.map(|t| t.is_cancelled()).unwrap_or(false)
+/// The work units of one run. ST and CGD hand out whole clusters, which the
+/// index already lists: they borrow its pivots instead of boxing a
+/// one-vertex prefix per pivot. FGD owns its decomposition.
+enum Units<'a> {
+    Clusters(&'a [(VertexId, u64)]),
+    Decomposed(Vec<WorkUnit>),
 }
 
-fn run_unit(
-    enumerator: &mut Enumerator<'_>,
-    unit: &WorkUnit,
-    budget: &Arc<SharedBudget>,
-    cancel: Option<&Arc<CancelToken>>,
-    collect: bool,
-    collected: &mut Vec<Vec<VertexId>>,
-    counters: &mut Counters,
-) {
-    if collect {
-        let mut inner = CollectSink::unbounded();
-        {
-            let mut limited = SharedLimitSink::new(&mut inner, budget.clone());
-            match cancel {
-                Some(token) => {
-                    let mut sink = DeadlineSink::new(&mut limited, token.clone());
-                    enumerator.enumerate_prefix(&unit.prefix, &mut sink, counters);
-                }
-                None => {
-                    enumerator.enumerate_prefix(&unit.prefix, &mut limited, counters);
-                }
+impl Units<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Units::Clusters(pivots) => pivots.len(),
+            Units::Decomposed(units) => units.len(),
+        }
+    }
+
+    fn prefix(&self, i: usize) -> &[VertexId] {
+        match self {
+            Units::Clusters(pivots) => std::slice::from_ref(&pivots[i].0),
+            Units::Decomposed(units) => &units[i].prefix,
+        }
+    }
+}
+
+/// One worker's share of a run: which units it takes and what it
+/// accumulates while draining them.
+struct UnitLoop<'a, 'e> {
+    units: &'a Units<'a>,
+    /// The shared cursor the dynamic strategies pull from; `None` assigns
+    /// statically by worker index.
+    pull: Option<&'a AtomicUsize>,
+    worker: usize,
+    workers: usize,
+    budget: Option<&'a Arc<SharedBudget>>,
+    cancel: Option<&'a Arc<CancelToken>>,
+    enumerator: Enumerator<'e>,
+    counters: Counters,
+    busy: Duration,
+}
+
+impl UnitLoop<'_, '_> {
+    /// Drains this worker's units into `inner`, wrapped in exactly the sinks
+    /// the run shares something through: the global limit, the token.
+    fn run_wrapped<S: EmbeddingSink>(&mut self, inner: &mut S) {
+        match (self.budget.cloned(), self.cancel.cloned()) {
+            (None, None) => self.run(inner),
+            (Some(budget), None) => self.run(&mut SharedLimitSink::new(inner, budget)),
+            (None, Some(token)) => self.run(&mut DeadlineSink::new(inner, token)),
+            (Some(budget), Some(token)) => {
+                let mut limited = SharedLimitSink::new(inner, budget);
+                self.run(&mut DeadlineSink::new(&mut limited, token))
             }
         }
-        collected.extend(inner.into_embeddings());
-    } else {
-        let mut inner = CountSink::unbounded();
-        let mut limited = SharedLimitSink::new(&mut inner, budget.clone());
-        match cancel {
-            Some(token) => {
-                let mut sink = DeadlineSink::new(&mut limited, token.clone());
-                enumerator.enumerate_prefix(&unit.prefix, &mut sink, counters);
+    }
+
+    fn run<S: EmbeddingSink>(&mut self, sink: &mut S) {
+        // Neither way of taking units blocks between them, so one timer pair
+        // around the loop reads the CPU time a pair per unit would add up to.
+        let busy = ThreadTimer::start();
+        let mut own = (self.worker..).step_by(self.workers);
+        loop {
+            let i = match self.pull {
+                Some(next) => next.fetch_add(1, Ordering::Relaxed),
+                None => own.next().expect("an open range never ends"),
+            };
+            if i >= self.units.len()
+                || self.budget.is_some_and(|b| b.stopped())
+                || self.cancel.is_some_and(|t| t.is_cancelled())
+            {
+                break;
             }
-            None => {
-                enumerator.enumerate_prefix(&unit.prefix, &mut limited, counters);
-            }
+            self.enumerator
+                .enumerate_prefix(self.units.prefix(i), sink, &mut self.counters);
         }
+        self.busy = busy.elapsed();
     }
 }
 
@@ -671,7 +669,6 @@ mod tests {
     #[test]
     fn pinned_kernels_do_not_change_counts() {
         use ceci_graph::generators::kronecker_default;
-        use ceci_query::PaperQuery;
         let graph = kronecker_default(9, 5, 13);
         let plan = QueryPlan::new(PaperQuery::Qg3.build(), &graph);
         let ceci = Ceci::build(&graph, &plan);
@@ -680,25 +677,16 @@ mod tests {
             ..Default::default()
         };
         let baseline = enumerate_parallel(&graph, &plan, &ceci, &options);
-        let n = plan.matching_order().len();
-        for kernel in [Kernel::Merge, Kernel::Gallop, Kernel::Simd] {
-            let pins = vec![kernel; n];
+        assert!(baseline.total_embeddings > 0);
+        // `ParallelOptions::kernel` pins one kernel for every worker and
+        // depth; which one only changes how an intersection is computed.
+        for kernel in Kernel::CONCRETE {
             let pinned =
-                enumerate_parallel_pinned(&graph, &plan, &ceci, &options, None, Some(&pins));
+                enumerate_parallel(&graph, &plan, &ceci, &ParallelOptions { kernel, ..options });
             assert_eq!(
                 pinned.total_embeddings, baseline.total_embeddings,
-                "{kernel:?} pins changed the count"
+                "{kernel:?} changed the count"
             );
         }
-        // Mixed pins, too.
-        let mixed: Vec<Kernel> = (0..n)
-            .map(|d| match d % 3 {
-                0 => Kernel::Gallop,
-                1 => Kernel::BranchlessMerge,
-                _ => Kernel::Adaptive,
-            })
-            .collect();
-        let pinned = enumerate_parallel_pinned(&graph, &plan, &ceci, &options, None, Some(&mixed));
-        assert_eq!(pinned.total_embeddings, baseline.total_embeddings);
     }
 }

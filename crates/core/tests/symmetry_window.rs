@@ -17,7 +17,9 @@
 //! * `prune_redundant` on ≡ off;
 //! * forking from a shared frontier and the parallel strategies count the
 //!   same, with the same `intersection_ops` wherever they split the work
-//!   at cluster (or TE-only prefix) granularity.
+//!   at cluster (or TE-only prefix) granularity;
+//! * `enumerate_parallel` at one worker (ST and CGD) returns the whole
+//!   `Counters` of `enumerate_sequential`: it is the same drain.
 
 use std::cmp::Ordering;
 
@@ -160,6 +162,19 @@ proptest! {
                             prop_assert_eq!(
                                 result.counters.intersection_ops, sequential.intersection_ops,
                                 "{} {}", &label, strategy.abbrev()
+                            );
+                            // One worker is the sequential drain: a single
+                            // enumerator takes the clusters in pivot order,
+                            // so every counter matches, not only the ops.
+                            let single = enumerate_parallel(&graph, &plan, &ceci, &ParallelOptions {
+                                workers: 1,
+                                strategy,
+                                prune_redundant,
+                                ..ParallelOptions::default()
+                            });
+                            prop_assert_eq!(
+                                &single.counters, sequential,
+                                "{} {} at one worker", &label, strategy.abbrev()
                             );
                         }
                     }

@@ -44,24 +44,20 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use ceci_core::{Ceci, Kernel, PlanChoice, Reuse};
+use ceci_core::{Ceci, PlanChoice, Reuse};
 use ceci_query::{CanonicalQuery, QueryPlan};
 use ceci_stream::StreamIndex;
 
 use crate::event_loop::lock_recover;
 
 /// Execution feedback observed from a prior exact run of a cached index:
-/// the per-depth intersection kernels the depth profile picked and the
-/// measured cost-unit rate. Stored beside the index so later requests on
-/// the same `(epoch, canonical)` key pin kernels and calibrate deadline
-/// admission from real observations instead of static defaults. Scoped to
-/// the cache entry, so `LOAD` epochs and stream sub-epoch bumps retire it
-/// together with the index it was measured on.
-#[derive(Clone, Debug)]
+/// the measured cost-unit rate. Stored beside the index so later
+/// `MATCH ... DEADLINE` requests on the same `(epoch, canonical)` key
+/// calibrate deadline admission from a real observation instead of the
+/// static default. Scoped to the cache entry, so `LOAD` epochs and stream
+/// sub-epoch bumps retire it together with the index it was measured on.
+#[derive(Clone, Copy, Debug)]
 pub struct PlanFeedback {
-    /// Intersection kernel pinned per enumeration depth
-    /// ([`ceci_core::kernels_from_profile`]).
-    pub depth_kernels: Vec<Kernel>,
     /// Observed nanoseconds per cost-model volume unit
     /// ([`ceci_core::ns_per_unit_from_profile`]).
     pub ns_per_unit: f64,
@@ -106,8 +102,9 @@ pub struct CachedIndex {
     /// derive from this one, so a stream of mutations neither resets the
     /// spent work nor buys a second re-plan. Never due without a `choice`.
     pub reuse: Arc<Reuse>,
-    /// Observed-execution feedback, populated after the first profiled
-    /// exact run; later runs pin its kernels and admission rate.
+    /// Observed-execution feedback, populated by the first profiled exact
+    /// run (the first one under a deadline); later deadline admissions
+    /// read its rate.
     pub feedback: Mutex<Option<PlanFeedback>>,
 }
 

@@ -22,8 +22,7 @@
 //!   `status=DEADLINE_EXCEEDED` ([`server`]),
 //! * a **multi-query optimization layer**: a label-pair admission filter
 //!   answering provably-zero MATCHes before any build, single-flight
-//!   deduplication of concurrent identical builds ([`cache`]),
-//!   shared-prefix batched execution over a frontier cache ([`pool`]), and
+//!   deduplication of concurrent identical builds ([`cache`]), and
 //!   leaf-level redundant-extension pruning — all per-request bypassable
 //!   with `MATCH ... RAW` for differential verification,
 //! * a **streaming-mutation layer**: `ADDEDGE`/`DELEDGE`/`BATCH` verbs
@@ -42,12 +41,11 @@
 //!   parallel strategy and worker count; the plan portfolio is scored at
 //!   most once per cached entry, and only after the entry's own reuse has
 //!   spent as much enumeration work as scoring and one rebuild cost
-//!   (`ceci_core::adaptive`); observed depth profiles pin per-depth
-//!   intersection kernels on repeat queries
-//!   ([`cache::PlanFeedback`]), and `MATCH ... DEADLINE` degrades to an
+//!   (`ceci_core::adaptive`); `MATCH ... DEADLINE` degrades to an
 //!   estimator answer (`mode=APPROX`) or `ERR E_INFEASIBLE` when the
-//!   exact run cannot finish in time (`EXACT` opts out; `ESTIMATE`
-//!   answers the cardinality question directly),
+//!   exact run cannot finish in time, at the per-unit rate an earlier
+//!   deadline run of the entry observed ([`cache::PlanFeedback`]; `EXACT`
+//!   opts out; `ESTIMATE` answers the cardinality question directly),
 //! * a line-oriented **text protocol** ([`protocol`]) and lock-free
 //!   **metrics** surfaced via `STATS` ([`metrics`]),
 //! * a blocking **client** doubling as a closed-loop load generator
@@ -78,7 +76,7 @@ pub use coord::{
     ScatterReport, ShardLiveness, ShardSet, ShardStatus,
 };
 pub use metrics::{LatencyHistogram, ServerMetrics};
-pub use pool::{Admission, FrontierCache, FrontierOutcome, PoolHandle, SharedFrontier, WorkerPool};
+pub use pool::{Admission, PoolHandle, WorkerPool};
 pub use protocol::{parse_request, ChaosCommand, ErrorCode, MatchStatus, ParseError, Request};
 pub use registry::{BatchOutcome, ContinuousRegistry, DirtyRecord, GraphEntry, GraphRegistry};
 pub use server::{start, start_with_state, ServeConfig, ServerHandle, ServerState, ShutdownReport};

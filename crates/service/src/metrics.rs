@@ -181,10 +181,6 @@ pub struct ServerMetrics {
     /// MATCH requests that waited on another request's in-flight index
     /// build instead of building their own (single-flight dedup).
     pub singleflight_waits: AtomicU64,
-    /// Shared-prefix frontiers built (batch leader paid the prefix cost).
-    pub batch_frontier_builds: AtomicU64,
-    /// MATCH requests that reused an already-built shared-prefix frontier.
-    pub batch_frontier_hits: AtomicU64,
     /// Mutation batches applied (ADDEDGE/DELEDGE/BATCH with ≥1 net change).
     pub mutation_batches: AtomicU64,
     /// Net edges added across all applied mutation batches.
@@ -300,11 +296,6 @@ impl ServerMetrics {
                 "cache_singleflight_waits".into(),
                 g(&self.singleflight_waits),
             ),
-            (
-                "batch_frontier_builds".into(),
-                g(&self.batch_frontier_builds),
-            ),
-            ("batch_frontier_hits".into(), g(&self.batch_frontier_hits)),
             ("mutation_batches".into(), g(&self.mutation_batches)),
             ("edges_added".into(), g(&self.edges_added)),
             ("edges_deleted".into(), g(&self.edges_deleted)),

@@ -23,26 +23,12 @@
 //! paying for a new OS thread. The queue mutex is only ever held around
 //! push/pop (never across a job), so a job panic cannot poison it.
 
-//! ## Shared-prefix frontier cache
-//!
-//! The same file also hosts the batch scheduler's [`FrontierCache`]: queued
-//! MATCHes whose plans share a matching-order prefix shape
-//! ([`ceci_core::PrefixSpec`]) elect one *leader* to build the shared
-//! candidate frontier; the rest fork their enumeration from it. The cache is
-//! single-flight (same leader/waiter discipline as the index cache), keyed
-//! by `(graph epoch, mutation sub-epoch, spec signature)` with spec equality re-verified before
-//! sharing, so a signature collision degrades to solo execution instead of
-//! wrong counts.
-
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-
-use ceci_core::PrefixSpec;
-use ceci_graph::VertexId;
 
 /// A unit of data-plane work. Boxed closure so the pool stays independent
 /// of server internals; responses travel through the channel the closure
@@ -300,177 +286,6 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// A shared-prefix candidate frontier: the structural prefix shape it was
-/// built from plus every injective assignment of that shape onto the data
-/// graph. Immutable once published; shared by `Arc`.
-pub struct SharedFrontier {
-    /// The prefix shape the frontier satisfies. Consumers must verify their
-    /// own spec `==` this one before forking from the frontier (signatures
-    /// can collide; shapes cannot).
-    pub spec: PrefixSpec,
-    /// All structural prefix assignments, lexicographic by position.
-    pub frontier: Vec<Vec<VertexId>>,
-}
-
-/// How a [`FrontierCache::get_or_build`] call was satisfied.
-pub enum FrontierOutcome {
-    /// This caller was elected leader and built (and published) the
-    /// frontier.
-    Built(Arc<SharedFrontier>),
-    /// Another request already built it; this caller shares it.
-    Shared(Arc<SharedFrontier>),
-    /// The cached entry's spec differs from the caller's (signature
-    /// collision) — the caller must enumerate solo, without the cache.
-    Solo,
-}
-
-enum FrontierSlot {
-    /// A leader is building; waiters sleep on the cache condvar.
-    Building,
-    /// Published and shareable.
-    Ready(Arc<SharedFrontier>),
-}
-
-#[derive(Default)]
-struct FrontierMap {
-    slots: HashMap<(u64, u64, u64), FrontierSlot>,
-    /// Publication order of `Ready` keys, for FIFO capacity eviction.
-    order: VecDeque<(u64, u64, u64)>,
-}
-
-/// Single-flight cache of shared-prefix frontiers keyed by
-/// `(graph epoch, mutation sub-epoch, PrefixSpec signature)`. Keying on the
-/// sub-epoch makes a frontier built before an `ADDEDGE`/`DELEDGE` batch
-/// unreachable afterwards by construction — a stale shared frontier can
-/// never be served across a mutation, without any eager sweep.
-///
-/// Concurrency discipline mirrors the index cache: the first request for a
-/// key becomes the *leader* (slot `Building`), builds outside the lock, and
-/// publishes `Ready`; concurrent requests for the same key wait on the
-/// condvar and share the published `Arc`. If the leader panics, a drop
-/// guard removes the `Building` slot and wakes the waiters, which then
-/// re-elect among themselves. Frontiers are *derived* data — eviction (FIFO
-/// beyond `capacity`, or a whole epoch on graph replacement) only costs a
-/// rebuild.
-pub struct FrontierCache {
-    map: Mutex<FrontierMap>,
-    published: Condvar,
-    capacity: usize,
-}
-
-/// Removes a leader's `Building` slot if it never published (panic
-/// unwind), so waiters are not stranded.
-struct BuildingGuard<'a> {
-    cache: &'a FrontierCache,
-    key: (u64, u64, u64),
-    armed: bool,
-}
-
-impl Drop for BuildingGuard<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            let mut m = self.cache.map.lock().expect("frontier lock poisoned");
-            if matches!(m.slots.get(&self.key), Some(FrontierSlot::Building)) {
-                m.slots.remove(&self.key);
-            }
-            drop(m);
-            self.cache.published.notify_all();
-        }
-    }
-}
-
-impl FrontierCache {
-    /// A cache holding at most `capacity` published frontiers.
-    pub fn new(capacity: usize) -> Self {
-        FrontierCache {
-            map: Mutex::new(FrontierMap::default()),
-            published: Condvar::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// Returns the frontier for `(epoch, sub_epoch, spec)`, building it via
-    /// `build` (outside the cache lock) when this caller is elected leader.
-    ///
-    /// `Solo` means a signature collision: an entry exists for the key but
-    /// its spec differs, so the caller must run unbatched rather than share
-    /// a frontier built for a different shape.
-    pub fn get_or_build(
-        &self,
-        epoch: u64,
-        sub_epoch: u64,
-        spec: &PrefixSpec,
-        build: impl FnOnce() -> Vec<Vec<VertexId>>,
-    ) -> FrontierOutcome {
-        let key = (epoch, sub_epoch, spec.signature());
-        let mut m = self.map.lock().expect("frontier lock poisoned");
-        loop {
-            match m.slots.get(&key) {
-                Some(FrontierSlot::Ready(arc)) => {
-                    return if arc.spec == *spec {
-                        FrontierOutcome::Shared(Arc::clone(arc))
-                    } else {
-                        FrontierOutcome::Solo
-                    };
-                }
-                Some(FrontierSlot::Building) => {
-                    m = self.published.wait(m).expect("frontier lock poisoned");
-                }
-                None => break,
-            }
-        }
-        // Elected leader: publish intent, build outside the lock.
-        m.slots.insert(key, FrontierSlot::Building);
-        drop(m);
-        let mut guard = BuildingGuard {
-            cache: self,
-            key,
-            armed: true,
-        };
-        let frontier = build(); // may panic; guard unblocks waiters
-        guard.armed = false;
-        let arc = Arc::new(SharedFrontier {
-            spec: spec.clone(),
-            frontier,
-        });
-        let mut m = self.map.lock().expect("frontier lock poisoned");
-        while m.order.len() >= self.capacity {
-            match m.order.pop_front() {
-                Some(old) => {
-                    m.slots.remove(&old);
-                }
-                None => break,
-            }
-        }
-        m.slots.insert(key, FrontierSlot::Ready(Arc::clone(&arc)));
-        m.order.push_back(key);
-        drop(m);
-        self.published.notify_all();
-        FrontierOutcome::Built(arc)
-    }
-
-    /// Drops every *published* frontier built against `epoch` (a graph
-    /// replacement invalidates them). In-flight `Building` slots are left
-    /// alone — their leaders publish into the dead epoch harmlessly and the
-    /// entries age out via FIFO capacity eviction.
-    pub fn evict_epoch(&self, epoch: u64) {
-        let mut m = self.map.lock().expect("frontier lock poisoned");
-        m.order.retain(|k| k.0 != epoch);
-        m.slots
-            .retain(|k, slot| k.0 != epoch || matches!(slot, FrontierSlot::Building));
-    }
-
-    /// Number of published (Ready) frontiers currently cached.
-    pub fn len(&self) -> usize {
-        self.map.lock().expect("frontier lock poisoned").order.len()
-    }
-
-    /// Whether no frontier is published.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -580,142 +395,5 @@ mod tests {
         }
         pool.shutdown(); // drains everything despite 7 interleaved panics
         assert_eq!(done.load(Ordering::SeqCst), 13, "non-panicking jobs ran");
-    }
-
-    use ceci_graph::{lid, vid, Graph, LabelSet};
-    use ceci_query::{QueryGraph, QueryPlan};
-
-    /// A path query over a small labeled graph — enough structure for
-    /// `PrefixSpec::from_plan` to produce distinct specs at depths 1 and 2.
-    fn specs() -> (PrefixSpec, PrefixSpec) {
-        let labels: Vec<LabelSet> = [0u32, 1, 0, 1, 0]
-            .iter()
-            .map(|&l| LabelSet::single(lid(l)))
-            .collect();
-        let edges = [(0u32, 1u32), (1, 2), (2, 3), (3, 4), (4, 0)].map(|(a, b)| (vid(a), vid(b)));
-        let graph = Graph::new(labels, &edges, false);
-        let qlabels: Vec<LabelSet> = [0u32, 1, 0]
-            .iter()
-            .map(|&l| LabelSet::single(lid(l)))
-            .collect();
-        let qedges = [(0u32, 1u32), (1, 2)].map(|(a, b)| (vid(a), vid(b)));
-        let pattern = Graph::new(qlabels, &qedges, false);
-        let query = QueryGraph::from_graph(&pattern).unwrap();
-        let plan = QueryPlan::new(query, &graph);
-        (
-            PrefixSpec::from_plan(&plan, 1).unwrap(),
-            PrefixSpec::from_plan(&plan, 2).unwrap(),
-        )
-    }
-
-    #[test]
-    fn frontier_cache_single_flights_concurrent_builders() {
-        let cache = Arc::new(FrontierCache::new(8));
-        let (spec, _) = specs();
-        let builds = Arc::new(AtomicUsize::new(0));
-        let built = Arc::new(AtomicUsize::new(0));
-        let shared = Arc::new(AtomicUsize::new(0));
-        let mut handles = Vec::new();
-        for _ in 0..6 {
-            let cache = Arc::clone(&cache);
-            let spec = spec.clone();
-            let builds = Arc::clone(&builds);
-            let built = Arc::clone(&built);
-            let shared = Arc::clone(&shared);
-            handles.push(std::thread::spawn(move || {
-                let outcome = cache.get_or_build(1, 0, &spec, || {
-                    builds.fetch_add(1, Ordering::SeqCst);
-                    // Widen the single-flight window so followers pile up.
-                    std::thread::sleep(Duration::from_millis(50));
-                    vec![vec![vid(0)], vec![vid(2)], vec![vid(4)]]
-                });
-                match outcome {
-                    FrontierOutcome::Built(f) => {
-                        assert_eq!(f.frontier.len(), 3);
-                        built.fetch_add(1, Ordering::SeqCst);
-                    }
-                    FrontierOutcome::Shared(f) => {
-                        assert_eq!(f.frontier.len(), 3);
-                        shared.fetch_add(1, Ordering::SeqCst);
-                    }
-                    FrontierOutcome::Solo => panic!("no collision expected"),
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(builds.load(Ordering::SeqCst), 1, "exactly one build ran");
-        assert_eq!(built.load(Ordering::SeqCst), 1);
-        assert_eq!(shared.load(Ordering::SeqCst), 5);
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn frontier_cache_leader_panic_unblocks_waiters() {
-        let cache = Arc::new(FrontierCache::new(8));
-        let (spec, _) = specs();
-        // Leader panics mid-build...
-        let c = Arc::clone(&cache);
-        let s = spec.clone();
-        let leader = std::thread::spawn(move || {
-            let _ = catch_unwind(AssertUnwindSafe(|| {
-                c.get_or_build(1, 0, &s, || panic!("injected frontier-build panic"))
-            }));
-        });
-        leader.join().unwrap();
-        // ...and the slot is gone, so the next caller is elected leader and
-        // succeeds rather than waiting forever.
-        match cache.get_or_build(1, 0, &spec, || vec![vec![vid(0)]]) {
-            FrontierOutcome::Built(f) => assert_eq!(f.frontier.len(), 1),
-            _ => panic!("expected fresh leadership after leader panic"),
-        }
-    }
-
-    #[test]
-    fn frontier_cache_evicts_by_epoch_and_capacity() {
-        let cache = FrontierCache::new(2);
-        let (spec1, spec2) = specs();
-        assert!(cache.is_empty());
-        cache.get_or_build(1, 0, &spec1, || vec![vec![vid(0)]]);
-        cache.get_or_build(1, 0, &spec2, || vec![vec![vid(0), vid(1)]]);
-        assert_eq!(cache.len(), 2);
-        // Third distinct key FIFO-evicts the oldest.
-        cache.get_or_build(2, 0, &spec1, || vec![vec![vid(2)]]);
-        assert_eq!(cache.len(), 2);
-        // The epoch-1 survivors go on graph replacement; epoch 2 stays.
-        cache.evict_epoch(1);
-        assert_eq!(cache.len(), 1);
-        match cache.get_or_build(2, 0, &spec1, || unreachable!("still cached")) {
-            FrontierOutcome::Shared(f) => assert_eq!(f.frontier, vec![vec![vid(2)]]),
-            _ => panic!("epoch-2 entry should have survived"),
-        }
-    }
-
-    #[test]
-    fn frontier_cache_never_serves_across_a_mutation() {
-        // Regression: a frontier shared at sub-epoch 0 must be unreachable
-        // after a mutation bumps the graph to sub-epoch 1 — the key
-        // includes the sub-epoch, so staleness is structural.
-        let cache = FrontierCache::new(8);
-        let (spec, _) = specs();
-        match cache.get_or_build(1, 0, &spec, || vec![vec![vid(0)]]) {
-            FrontierOutcome::Built(f) => assert_eq!(f.frontier, vec![vec![vid(0)]]),
-            _ => panic!("first build"),
-        }
-        // Same epoch, same spec, new sub-epoch: rebuild, never share.
-        match cache.get_or_build(1, 1, &spec, || vec![vec![vid(0)], vec![vid(2)]]) {
-            FrontierOutcome::Built(f) => assert_eq!(f.frontier.len(), 2),
-            FrontierOutcome::Shared(_) => panic!("stale frontier served across mutation"),
-            FrontierOutcome::Solo => panic!("no collision expected"),
-        }
-        // The old sub-epoch's entry still answers probes pinned to it.
-        match cache.get_or_build(1, 0, &spec, || unreachable!("still cached")) {
-            FrontierOutcome::Shared(f) => assert_eq!(f.frontier, vec![vec![vid(0)]]),
-            _ => panic!("pinned sub-epoch entry should persist until aged out"),
-        }
-        // Graph replacement still sweeps every sub-epoch of the epoch.
-        cache.evict_epoch(1);
-        assert!(cache.is_empty());
     }
 }

@@ -83,9 +83,11 @@
 //! connection; clients must treat them as out-of-band payload.
 //!
 //! `MATCH ... RAW` opts one request out of the multi-query optimization
-//! layer (admission filter, single-flight builds, shared-prefix batching,
-//! redundant-extension pruning) — the differential lever used to verify the
-//! optimized path returns bit-identical counts.
+//! layer (admission filter, redundant-extension pruning, the adaptive
+//! planner's strategy and re-plan) — the differential lever used to verify
+//! the optimized path returns bit-identical counts. Every `MATCH` form —
+//! plain, `LIMIT`, `DEADLINE`, `WORKERS`, `RAW`, `EXACT` — drains its cached
+//! index through the same enumeration entry point.
 //!
 //! `MATCH ... DEADLINE <ms>` is *deadline-aware*: when the adaptive planner
 //! predicts the exact enumeration cannot finish inside the deadline, the
@@ -141,9 +143,9 @@ pub enum Request {
         /// Enumeration threads for this request (capped by the server).
         workers: Option<usize>,
         /// `RAW`: bypass the multi-query optimization layer (admission
-        /// filter, shared-prefix batching, redundant-extension pruning) for
-        /// this request — the differential lever for verifying bit-identical
-        /// counts.
+        /// filter, redundant-extension pruning, adaptive strategy and
+        /// re-plan) for this request — the differential lever for verifying
+        /// bit-identical counts.
         raw: bool,
         /// `EXACT`: opt out of deadline-aware graceful degradation — always
         /// run the exact enumeration even when the planner predicts the

@@ -42,12 +42,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use ceci_core::{
-    admit, batch_delta, count_embeddings, enumerate_from_frontier, enumerate_parallel_cancellable,
-    enumerate_parallel_pinned, estimate_embeddings, explain_choice, explain_estimates,
-    kernels_from_profile, ns_per_unit_from_profile, plan_with_options, replan_price,
-    AdaptiveOptions, Admission as DeadlineVerdict, CancelToken, Ceci, CountSink, EnumOptions,
-    EstimateOptions, Kernel, ParallelOptions, PlanChoice, PrefixSpec, ReplanPrice, Reuse,
-    DEFAULT_NS_PER_UNIT,
+    admit, batch_delta, count_embeddings, enumerate_parallel_cancellable, estimate_embeddings,
+    explain_choice, explain_estimates, ns_per_unit_from_profile, plan_with_options, replan_price,
+    AdaptiveOptions, Admission as DeadlineVerdict, CancelToken, Ceci, EnumOptions, EstimateOptions,
+    ParallelOptions, PlanChoice, ReplanPrice, Reuse, DEFAULT_NS_PER_UNIT,
 };
 use ceci_graph::io as graph_io;
 use ceci_graph::{vid, Graph, VertexId};
@@ -61,7 +59,7 @@ use crate::cache::{CachedIndex, FlightProbe, FlightWait, IndexCache, PlanFeedbac
 use crate::coord::{self, CoordConfig, HeartbeatHandle, ShardLiveness, ShardSet};
 use crate::event_loop::{lock_recover, EventLoop, LoopShared, SharedWriter};
 use crate::metrics::ServerMetrics;
-use crate::pool::{FrontierCache, FrontierOutcome, WorkerPool};
+use crate::pool::WorkerPool;
 use crate::protocol::{ChaosCommand, ErrorCode, MatchStatus, Request};
 use crate::registry::{ContinuousQuery, ContinuousRegistry, GraphEntry, GraphRegistry};
 
@@ -98,15 +96,14 @@ pub struct ServeConfig {
     /// Dedupe concurrent cache misses on the same `(epoch, canonical)` key
     /// into one build with N−1 waiters ([`IndexCache::begin`]).
     pub single_flight: bool,
-    /// Shared-prefix batched execution: count-only single-threaded MATCHes
-    /// whose plans share a matching-order prefix shape reuse one cached
-    /// candidate frontier instead of re-scanning the prefix per query.
-    pub batching: bool,
     /// Redundant-extension elimination at the enumeration leaf (CEMR-style
     /// sibling-subtree reuse; bit-identical counts, fewer intersections).
     pub prune_redundant: bool,
-    /// Matching-order prefix length the batch scheduler groups on. Queries
-    /// shorter than `depth + 1` simply run unbatched.
+    /// Matching-order prefix length of the structural frontier
+    /// (`ceci_core::PrefixSpec`). The server no longer builds one: the field
+    /// is read only by the ledger's replay (`benchmark/`, the `core.batch.*`
+    /// cells) and is retired by the `benchmark` PR that drops `core.batch.*`
+    /// / `service.batch.*`.
     pub batch_prefix_depth: usize,
     /// Net mutations since the last compaction that trigger the next one:
     /// the fresh snapshot gets an exact label-pair index rebuild and
@@ -143,9 +140,8 @@ pub struct ServeConfig {
     /// per entry; the ledger rides along through repairs. Both sides are
     /// counters, not clocks, so
     /// the same traffic re-plans at the same request on every run; a query
-    /// never asked again pays nothing. Observed depth profiles pin
-    /// per-depth intersection kernels on repeat queries. Exact counts are
-    /// bit-identical to fixed-BFS planning.
+    /// never asked again pays nothing. Exact counts are bit-identical to
+    /// fixed-BFS planning.
     pub adaptive: bool,
     /// Per-connection socket read/write timeout in milliseconds (0 = off).
     /// A half-open or stalled peer gets `ERR E_TIMEOUT` and its connection
@@ -182,7 +178,6 @@ impl Default for ServeConfig {
             trace: false,
             admission_filter: true,
             single_flight: true,
-            batching: true,
             prune_redundant: true,
             batch_prefix_depth: 2,
             compact_threshold: 32_768,
@@ -199,10 +194,6 @@ impl Default for ServeConfig {
     }
 }
 
-/// Published shared frontiers kept by [`ServerState::frontiers`] (FIFO
-/// eviction beyond this).
-const FRONTIER_CACHE_ENTRIES: usize = 32;
-
 /// Shared server state: everything a connection (or pool job) needs.
 pub struct ServerState {
     /// Named loaded graphs.
@@ -214,9 +205,6 @@ pub struct ServerState {
     /// `service.request` span store (recording only when
     /// [`ServeConfig::trace`] is set; always safe to snapshot).
     pub tracer: Tracer,
-    /// Shared-prefix frontiers for the batch scheduler (epoch-scoped,
-    /// single-flight like the index cache).
-    pub frontiers: FrontierCache,
     config: ServeConfig,
     pub(crate) stopping: AtomicBool,
     /// One-shot flag armed by `CHAOS BUILDPANIC`: the next index build
@@ -247,7 +235,6 @@ impl ServerState {
             cache: IndexCache::new(config.cache_budget_bytes),
             metrics: ServerMetrics::default(),
             tracer,
-            frontiers: FrontierCache::new(FRONTIER_CACHE_ENTRIES),
             config,
             stopping: AtomicBool::new(false),
             build_panic_armed: AtomicBool::new(false),
@@ -573,7 +560,6 @@ fn exec_stats(state: &ServerState, prom: bool) -> Vec<String> {
             state.cache.quarantined_len() as u64,
         ),
         ("trace_spans", state.tracer.len() as u64),
-        ("frontier_entries", state.frontiers.len() as u64),
         ("continuous_registrations", state.continuous_len() as u64),
         (
             "shards_configured",
@@ -617,7 +603,7 @@ pub fn render_prometheus(state: &ServerState) -> String {
     let m = &state.metrics;
     let g = |a: &std::sync::atomic::AtomicU64| a.load(Ordering::Relaxed);
     let mut w = PromWriter::new();
-    let counters: [(&str, &str, u64); 36] = [
+    let counters: [(&str, &str, u64); 34] = [
         (
             "ceci_requests_total",
             "Request lines accepted (parse successes)",
@@ -703,16 +689,6 @@ pub fn render_prometheus(state: &ServerState) -> String {
             "ceci_cache_singleflight_waits_total",
             "MATCH requests that waited on another request's in-flight build",
             g(&m.singleflight_waits),
-        ),
-        (
-            "ceci_batch_frontier_builds_total",
-            "Shared-prefix frontiers built by batch leaders",
-            g(&m.batch_frontier_builds),
-        ),
-        (
-            "ceci_batch_frontier_hits_total",
-            "MATCH requests that reused a shared-prefix frontier",
-            g(&m.batch_frontier_hits),
         ),
         (
             "ceci_mutation_batches_total",
@@ -861,11 +837,6 @@ pub fn render_prometheus(state: &ServerState) -> String {
         state.tracer.len() as u64,
     );
     w.gauge(
-        "ceci_frontier_entries",
-        "Shared-prefix frontiers currently published",
-        state.frontiers.len() as u64,
-    );
-    w.gauge(
         "ceci_continuous_registrations",
         "Continuous queries currently registered",
         state.continuous_len() as u64,
@@ -935,7 +906,6 @@ fn exec_load(
             let (entry, displaced) = state.registry.insert(name, graph);
             if let Some(old_epoch) = displaced {
                 state.cache.evict_epoch(old_epoch);
-                state.frontiers.evict_epoch(old_epoch);
             }
             // Continuous queries are pinned to the replaced entry's epoch;
             // their totals are meaningless against the new graph.
@@ -1719,124 +1689,48 @@ fn exec_match(
         }
     }
 
-    // Shared-prefix batched execution: eligible requests (count-only,
-    // single-threaded, no deadline) fork their enumeration from a cached
-    // frontier of the matching-order prefix, shared with every concurrent
-    // query of the same prefix shape. Ineligible or `Solo` (signature
-    // collision) requests fall through to the unbatched path.
-    let mut batch_tag: Option<&'static str> = None;
-    let t_enum = Instant::now();
-    let (total_embeddings, cancelled) = 'run: {
-        if state.config.batching
-            && !raw
-            && limit.is_none()
-            && deadline_ms.is_none()
-            && match_workers == 1
-        {
-            if let Some(spec) = PrefixSpec::from_plan(&index.plan, state.config.batch_prefix_depth)
-            {
-                let frontier =
-                    match state
-                        .frontiers
-                        .get_or_build(entry.epoch, sub_epoch, &spec, || {
-                            spec.build_frontier(&graph)
-                        }) {
-                        FrontierOutcome::Built(f) => {
-                            ServerMetrics::inc(&state.metrics.batch_frontier_builds);
-                            batch_tag = Some("LEAD");
-                            Some(f)
-                        }
-                        FrontierOutcome::Shared(f) => {
-                            ServerMetrics::inc(&state.metrics.batch_frontier_hits);
-                            batch_tag = Some("SHARED");
-                            Some(f)
-                        }
-                        FrontierOutcome::Solo => None,
-                    };
-                if let Some(f) = frontier {
-                    let mut sink = CountSink::unbounded();
-                    let counters = enumerate_from_frontier(
-                        &graph,
-                        &index.plan,
-                        &index.ceci,
-                        EnumOptions {
-                            prune_redundant: state.config.prune_redundant,
-                            ..EnumOptions::default()
-                        },
-                        &f.frontier,
-                        &mut sink,
-                    );
-                    index.reuse.spend(&counters);
-                    break 'run (sink.count(), false);
-                }
-            }
-        }
-        // Adaptive execution (skipped for RAW): the planner's estimated
-        // branch profile picks the work-distribution strategy; kernel pins
-        // observed from a prior profiled run of this cached index choose the
-        // intersection kernel per depth. The first unconstrained exact run
-        // profiles itself to populate that feedback. All of it only changes
-        // *how* intersections are computed and work is split — counts stay
-        // bit-identical to the fixed path.
-        let pins: Option<Vec<Kernel>> = if raw {
-            None
-        } else {
-            lock_recover(&index.feedback)
-                .as_ref()
-                .map(|f| f.depth_kernels.clone())
-        };
-        let need_feedback = !raw
-            && state.config.adaptive
-            && index.choice.is_some()
-            && pins.is_none()
-            && limit.is_none();
-        let mut options = ParallelOptions {
-            workers: match_workers,
-            limit,
-            prune_redundant: state.config.prune_redundant && !raw,
-            profile: need_feedback,
-            ..Default::default()
-        };
-        if let Some(choice) = index.choice.as_ref() {
-            if !raw {
-                options.strategy = choice.strategy;
-            }
-        }
-        let result = enumerate_parallel_pinned(
-            &graph,
-            &index.plan,
-            &index.ceci,
-            &options,
-            cancel.clone(),
-            pins.as_deref(),
-        );
-        if need_feedback && !result.cancelled {
-            if let Some(profile) = &result.profile {
-                let mut slot = lock_recover(&index.feedback);
-                if slot.is_none() {
-                    *slot = Some(PlanFeedback {
-                        depth_kernels: kernels_from_profile(profile),
-                        ns_per_unit: ns_per_unit_from_profile(profile)
-                            .unwrap_or(DEFAULT_NS_PER_UNIT),
-                    });
-                }
-            }
-        }
-        index.reuse.spend(&result.counters);
-        (result.total_embeddings, result.cancelled)
+    // The one drain. Every `MATCH` form enumerates its own cached index
+    // through the parallel entry point (an inline loop over the pivots at
+    // one worker). What the adaptive planner adds — skipped for `RAW` — is
+    // the work-distribution strategy its estimate picked, which changes how
+    // work is split, never a count.
+    let need_feedback = !raw
+        && deadline_ms.is_some()
+        && index.choice.is_some()
+        && lock_recover(&index.feedback).is_none();
+    let mut options = ParallelOptions {
+        workers: match_workers,
+        limit,
+        prune_redundant: state.config.prune_redundant && !raw,
+        // Only deadline admission reads the observed rate, so only a
+        // deadline run pays to measure it, once per entry.
+        profile: need_feedback,
+        ..Default::default()
     };
+    if let Some(choice) = index.choice.as_ref() {
+        if !raw {
+            options.strategy = choice.strategy;
+        }
+    }
+    let t_enum = Instant::now();
+    let result = enumerate_parallel_cancellable(&graph, &index.plan, &index.ceci, &options, cancel);
+    if !result.cancelled {
+        if let Some(profile) = &result.profile {
+            lock_recover(&index.feedback).get_or_insert(PlanFeedback {
+                ns_per_unit: ns_per_unit_from_profile(profile).unwrap_or(DEFAULT_NS_PER_UNIT),
+            });
+        }
+    }
+    index.reuse.spend(&result.counters);
     let enum_time = t_enum.elapsed();
 
-    let status = if cancelled {
+    let status = if result.cancelled {
         ServerMetrics::inc(&state.metrics.deadline_exceeded);
         MatchStatus::DeadlineExceeded
     } else {
         MatchStatus::Ok
     };
-    let count = match limit {
-        Some(k) => total_embeddings.min(k),
-        None => total_embeddings,
-    };
+    let count = limit.map_or(result.total_embeddings, |k| result.total_embeddings.min(k));
     ServerMetrics::add(&state.metrics.embeddings_returned, count);
     let total = t_start.elapsed();
     // `match_latency` is documented as admission-to-response: queue wait
@@ -1849,10 +1743,6 @@ fn exec_match(
         enum_time.as_micros(),
         total.as_micros(),
     );
-    if let Some(tag) = batch_tag {
-        line.push_str(" batch=");
-        line.push_str(tag);
-    }
     if replan > Duration::ZERO {
         line.push_str(&format!(" replan_us={}", replan.as_micros()));
     }
@@ -1871,9 +1761,8 @@ fn exec_match(
             &[
                 ("embeddings", count),
                 ("cache_hit", (path == CachePath::Hit) as u64),
-                ("deadline_exceeded", cancelled as u64),
+                ("deadline_exceeded", result.cancelled as u64),
                 ("workers", match_workers as u64),
-                ("batched", batch_tag.is_some() as u64),
             ],
         );
     }

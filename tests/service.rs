@@ -726,58 +726,110 @@ fn concurrent_identical_matches_build_once_single_flight() {
     handle.shutdown();
 }
 
+/// Every form of `MATCH` drains the cached index through one enumeration
+/// entry point, so every form counts what the reference matcher counts —
+/// on a skewed unlabeled graph with a pendant tail (symmetry windows, tally
+/// and ordered leaf reuse all engaged) and on a labeled one.
 #[test]
-fn batched_matches_share_one_frontier_with_identical_counts() {
-    let scratch = Scratch::new("batch");
-    let graph = small_graph();
-    let pattern = query_from(&graph, 4, 27);
-    let expected = direct_count(&graph, &pattern);
-    let graph_path = scratch.write_graph("data.graph", &graph);
-    let query_path = scratch.write_graph("query.graph", &pattern);
+fn every_match_form_counts_the_same_through_one_drain() {
+    use ceci_baselines::reference;
+    use ceci_graph::generators::{attach_pendants, barabasi_albert};
+    use ceci_graph::vid;
 
-    let (handle, state) = serve(ServeConfig::default());
+    let scratch = Scratch::new("one-drain");
+    let unlabeled = |n: usize, edges: &[(u32, u32)]| {
+        let edges: Vec<_> = edges.iter().map(|&(a, b)| (vid(a), vid(b))).collect();
+        Graph::unlabeled(n, &edges)
+    };
+    let skewed = attach_pendants(&barabasi_albert(400, 4, 7), 300, 8);
+    let labeled = small_graph();
+    // (template, name its graph is loaded under, that graph, pattern)
+    let cases: Vec<(&str, &str, &Graph, Graph)> = vec![
+        (
+            "triangle",
+            "skewed",
+            &skewed,
+            unlabeled(3, &[(0, 1), (1, 2), (2, 0)]),
+        ),
+        (
+            "clique4",
+            "skewed",
+            &skewed,
+            unlabeled(4, &[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+        ),
+        (
+            "diamond",
+            "skewed",
+            &skewed,
+            unlabeled(4, &[(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]),
+        ),
+        ("labeled", "labeled", &labeled, query_from(&labeled, 4, 27)),
+    ];
+
+    let (handle, _state) = serve(ServeConfig::default());
     let mut client = Client::connect(handle.addr()).unwrap();
-    client.request(&format!("LOAD g {graph_path}")).unwrap();
-
-    // First eligible MATCH leads the frontier build; a repeat of the same
-    // prefix shape shares it. Counts are bit-identical to the direct
-    // enumeration either way.
-    let r1 = client.request(&format!("MATCH g {query_path}")).unwrap();
-    assert!(r1.is_ok(), "{}", r1.terminal);
-    assert_eq!(r1.field_u64("count"), Some(expected));
-    assert_eq!(r1.field("batch"), Some("LEAD"));
-
-    let r2 = client.request(&format!("MATCH g {query_path}")).unwrap();
-    assert_eq!(r2.field_u64("count"), Some(expected));
-    assert_eq!(r2.field("batch"), Some("SHARED"));
-    assert_eq!(r2.field("cache"), Some("HIT"));
-
-    let g = |c: &std::sync::atomic::AtomicU64| c.load(std::sync::atomic::Ordering::Relaxed);
-    assert_eq!(g(&state.metrics.batch_frontier_builds), 1);
-    assert!(g(&state.metrics.batch_frontier_hits) >= 1);
-    assert_eq!(state.frontiers.len(), 1);
-
-    // RAW runs the classic unbatched path and still agrees bit-for-bit.
-    let r3 = client
-        .request(&format!("MATCH g {query_path} RAW"))
+    let skewed_path = scratch.write_graph("skewed.graph", &skewed);
+    let labeled_path = scratch.write_graph("labeled.graph", &labeled);
+    client
+        .request(&format!("LOAD skewed {skewed_path}"))
         .unwrap();
-    assert_eq!(r3.field_u64("count"), Some(expected));
-    assert_eq!(r3.field("batch"), None, "RAW never batches");
-
-    // LIMIT and DEADLINE requests are ineligible (they need early-exit /
-    // cancellation plumbing the batched path deliberately avoids).
-    let r4 = client
-        .request(&format!("MATCH g {query_path} LIMIT 1"))
+    client
+        .request(&format!("LOAD labeled {labeled_path}"))
         .unwrap();
-    assert_eq!(r4.field("batch"), None);
-    assert_eq!(r4.field_u64("count"), Some(1));
 
-    // Re-LOAD invalidates the frontier cache along with the index cache.
-    client.request(&format!("LOAD g {graph_path}")).unwrap();
-    assert_eq!(state.frontiers.len(), 0, "frontiers swept on reload");
-    let r5 = client.request(&format!("MATCH g {query_path}")).unwrap();
-    assert_eq!(r5.field_u64("count"), Some(expected));
-    assert_eq!(r5.field("batch"), Some("LEAD"), "rebuilt for the new epoch");
+    for (name, graph_name, graph, pattern) in &cases {
+        let query = QueryGraph::from_graph(pattern).unwrap();
+        let plan = QueryPlan::new(query.clone(), graph);
+        let expected = reference::count_all(graph, &query, plan.symmetry_constraints());
+        assert!(
+            expected > 2,
+            "{name}: need a template with several embeddings"
+        );
+        let query_path = scratch.write_graph(&format!("{name}.graph"), pattern);
+        let mut ask = |suffix: &str| {
+            let resp = client
+                .request(&format!("MATCH {graph_name} {query_path}{suffix}"))
+                .unwrap();
+            assert!(resp.is_ok(), "{name}{suffix}: {}", resp.terminal);
+            assert_eq!(resp.field("status"), Some("OK"), "{name}{suffix}");
+            assert_eq!(
+                resp.field("batch"),
+                None,
+                "{name}{suffix}: {}",
+                resp.terminal
+            );
+            resp.field_u64("count").expect("count field")
+        };
+        // Miss, hit, and every option that used to pick another path.
+        for suffix in [
+            "",
+            "",
+            " RAW",
+            " EXACT",
+            " WORKERS 2",
+            " WORKERS 1",
+            " DEADLINE 60000",
+            " DEADLINE 60000 EXACT",
+        ] {
+            assert_eq!(ask(suffix), expected, "{name}{suffix}");
+        }
+        for k in [1, 2, expected, expected + 5] {
+            assert_eq!(
+                ask(&format!(" LIMIT {k}")),
+                k.min(expected),
+                "{name} LIMIT {k}"
+            );
+        }
+    }
+
+    for verb in ["STATS", "STATS PROM"] {
+        let resp = client.request(verb).unwrap();
+        assert!(resp.is_ok(), "{verb}: {}", resp.terminal);
+        assert!(!resp.payload.is_empty());
+        for row in &resp.payload {
+            assert!(!row.contains("frontier"), "{verb} still reports {row:?}");
+        }
+    }
     handle.shutdown();
 }
 
@@ -946,8 +998,7 @@ fn mutation_verbs_agree_with_direct_enumeration_and_repair_the_cache() {
     assert_eq!(resp.field_u64("sub_epoch"), Some(3));
 
     // The cached frozen index is repaired, not rebuilt, and the count is
-    // exactly the from-scratch count on the mutated graph. This also
-    // guards against a stale shared frontier surviving the mutation.
+    // exactly the from-scratch count on the mutated graph.
     let resp = client.request(&format!("MATCH g {query_path}")).unwrap();
     assert!(resp.is_ok(), "{}", resp.terminal);
     assert_eq!(resp.field("cache"), Some("REPAIRED"));
@@ -1231,9 +1282,8 @@ fn adaptive_counts_bit_identical_to_raw_and_fixed() {
         let pattern = query_from(&graph, size, seed);
         let expected = direct_count(&graph, &pattern);
         let query_path = scratch.write_graph(&format!("q{size}-{seed}.graph"), &pattern);
-        // Adaptive plan, first (profiled) run.
+        // Adaptive plan: the miss, then the hit.
         let first = client.request(&format!("MATCH g {query_path}")).unwrap();
-        // Second run exercises the pinned-kernel feedback path.
         let second = client.request(&format!("MATCH g {query_path}")).unwrap();
         // RAW bypasses every adaptive execution decision.
         let raw = client
@@ -2516,7 +2566,10 @@ fn explain_shows_plan_choice_and_estimate_accuracy() {
     );
     assert!(has("chosen=1"), "no candidate marked chosen");
     assert!(has("exec: strategy="), "missing execution decision");
-    assert!(has("kernels: d0="), "missing kernel pins");
+    assert!(
+        !has("kernels:"),
+        "kernel pins are gone, and so is their line"
+    );
     assert!(has("estimate depth="), "missing est-vs-actual table");
     assert!(has("qerr="), "missing q-error column");
 
