@@ -208,7 +208,7 @@ struct Search<'a> {
     /// the per-class member subset present among that node's candidates.
     reps: Vec<Vec<VertexId>>,
     node_members: Vec<HashMap<u32, Vec<VertexId>>>,
-    /// mapping[u] = class id.
+    /// `mapping[u]` = class id.
     mapping_class: Vec<Option<u32>>,
     /// Query vertices mapped per class.
     class_count: HashMap<u32, u32>,

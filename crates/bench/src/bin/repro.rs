@@ -49,11 +49,6 @@ EXPERIMENTS:
     faults              Fault-injection sweep: crashes, stragglers, steal
                         loss — asserts bit-identical counts vs fault-free
                         and writes bench_results/faults.json
-    multiquery          Mixed-workload throughput sweep: admission filter,
-                        single-flight builds and redundant-extension
-                        pruning on vs off — asserts
-                        bit-identical counts and writes
-                        bench_results/multiquery.json
     service             Connection-scaling sweep for the event-driven server
                         core: constant offered load while connections scale
                         8 -> 2048 — asserts zero dropped responses and
@@ -189,7 +184,6 @@ fn dispatch(
         "adaptive" => experiments::adaptive::run(scale),
         "physical" => experiments::physical::run(scale),
         "faults" => experiments::faults::run(scale),
-        "multiquery" => experiments::multiquery::run(scale),
         "service" => experiments::service::run(scale),
         "shard" => experiments::shard::run(scale),
         "stream" => experiments::stream::run(scale),
@@ -246,10 +240,6 @@ const ALL_EXPERIMENTS: &[(&str, Runner)] = &[
     (
         "Fault injection: exactly-once recovery",
         experiments::faults::run,
-    ),
-    (
-        "Multi-query throughput: filter/single-flight/pruning",
-        experiments::multiquery::run,
     ),
     (
         "Connection scaling: event-driven server core",

@@ -27,15 +27,16 @@
 //!    the artifact's `one_shot_portfolio_scores` counts those that did, and
 //!    CI fails on anything but 0.
 //! 2. **Reused ×N** — the easy and hard queries asked [`REUSED_REPS`] times
-//!    each of a default server and of one with `adaptive: false`: the
-//!    adaptive server's entries re-plan once their own reuse has paid for it
-//!    (the request that paid is recorded), and every count is asserted
-//!    identical before, during and after.
+//!    each of a fresh default server, once as plain `MATCH` and once as
+//!    `MATCH ... RAW` (the fixed baseline: no re-plan, no planner-chosen
+//!    strategy, no leaf pruning): the plain arm's entries re-plan once their
+//!    own reuse has paid for it (the request that paid is recorded), and
+//!    every count is asserted identical before, during and after.
 //! 3. **Served deadline workload** — the same queries with a per-request
-//!    `DEADLINE`, replayed against two real in-process servers: the
-//!    default adaptive [`ServeConfig`] and the same server with
-//!    `adaptive: false` (the pre-adaptive engine: fixed BFS plans and
-//!    cooperative deadline cancellation). The headline speedup is the
+//!    `DEADLINE`, replayed against two real in-process default servers, one
+//!    sent plain requests and one sent `RAW` ones (the pre-adaptive engine:
+//!    the BFS plan as built and cooperative deadline cancellation, no
+//!    degradation). The headline speedup is the
 //!    workload wall-time ratio, with per-query answer quality (exact /
 //!    APPROX q-error / truncated partial count) reported beside it —
 //!    degradation buys its speed with a quantified accuracy cost.
@@ -59,8 +60,8 @@ use crate::harness::geometric_mean;
 use crate::json::JsonValue;
 use crate::table::{fmt_duration, fmt_speedup, Table};
 
-/// Headline target: served deadline-workload wall-time ratio — the fixed
-/// pre-adaptive server over the adaptive server on the same MATCH+DEADLINE
+/// Headline target: served deadline-workload wall-time ratio — the `RAW`
+/// (fixed, pre-adaptive) arm over the plain arm on the same MATCH+DEADLINE
 /// stream. Recorded in the artifact; a shortfall prints a warning rather
 /// than failing the run (wall-clock ratios are host-dependent), while
 /// count identity is always asserted.
@@ -211,12 +212,11 @@ struct ServedOutcome {
     infeasible: u64,
 }
 
-/// Both served configs pin one pool worker and one enumeration thread so
-/// the comparison isolates execution *policy* (degrade vs run out the
-/// clock), not scheduling noise on a shared host.
-fn served_config(adaptive: bool) -> ServeConfig {
+/// Both arms run on a default server pinned to one pool worker and one
+/// enumeration thread, so the comparison isolates execution *policy*
+/// (degrade vs run out the clock), not scheduling noise on a shared host.
+fn served_config() -> ServeConfig {
     ServeConfig {
-        adaptive,
         pool_workers: 1,
         max_match_workers: 1,
         ..ServeConfig::default()
@@ -233,7 +233,9 @@ fn run_served(
     query_paths: &[String],
     deadline_ms: u64,
 ) -> ServedOutcome {
-    let state = Arc::new(ServerState::new(served_config(adaptive)));
+    let state = Arc::new(ServerState::new(served_config()));
+    // The fixed baseline opts each of its requests out with `RAW`.
+    let raw = if adaptive { "" } else { " RAW" };
     let handle = start_with_state(Arc::clone(&state)).expect("bind loopback");
     let mut client = Client::connect(handle.addr()).expect("connect");
     let resp = client
@@ -254,7 +256,7 @@ fn run_served(
         for (i, path) in query_paths.iter().enumerate() {
             let t_req = Instant::now();
             let resp = client
-                .request(&format!("MATCH g {path} DEADLINE {deadline_ms}"))
+                .request(&format!("MATCH g {path} DEADLINE {deadline_ms}{raw}"))
                 .expect("MATCH with deadline");
             let latency = t_req.elapsed();
             let answer = if !resp.is_ok() {
@@ -301,7 +303,7 @@ fn run_served(
     }
 }
 
-/// One template's `REUSED_REPS` plain `MATCH`es on one server.
+/// One template's `REUSED_REPS` `MATCH`es on one server.
 struct Reused {
     /// Summed server-side `total_us` of the replies (the in-process client's
     /// round trips are mostly thread hand-offs on a two-core host).
@@ -319,7 +321,9 @@ fn run_reused(
     graph_path: &str,
     templates: &[(&String, u64)],
 ) -> (Vec<Reused>, u64, u64) {
-    let state = Arc::new(ServerState::new(served_config(adaptive)));
+    let state = Arc::new(ServerState::new(served_config()));
+    // The fixed baseline opts each of its requests out with `RAW`.
+    let raw = if adaptive { "" } else { " RAW" };
     let handle = start_with_state(Arc::clone(&state)).expect("bind loopback");
     let mut client = Client::connect(handle.addr()).expect("connect");
     let resp = client
@@ -332,7 +336,9 @@ fn run_reused(
             let mut replanned_at = None;
             let mut total_us = 0;
             for rep in 1..=REUSED_REPS {
-                let resp = client.request(&format!("MATCH g {path}")).expect("MATCH");
+                let resp = client
+                    .request(&format!("MATCH g {path}{raw}"))
+                    .expect("MATCH");
                 assert_eq!(
                     resp.field_u64("count"),
                     Some(exact),
@@ -583,8 +589,8 @@ pub fn run(scale: Scale) {
         .collect();
     println!(
         "\nReused x{REUSED_REPS}: {} easy and hard templates, {REUSED_REPS} plain `MATCH`es \
-         each, default server (rent BFS, buy the portfolio once reuse has paid for it) vs \
-         --no-adaptive (fixed BFS), every count asserted:\n",
+         each, plain (rent BFS, buy the portfolio once reuse has paid for it) vs \
+         RAW (fixed BFS), every count asserted:\n",
         reusable.len()
     );
     let templates: Vec<(&String, u64)> = reusable.iter().map(|&(r, p)| (p, r.count)).collect();
@@ -693,8 +699,8 @@ pub fn run(scale: Scale) {
     };
     println!(
         "\nServed deadline workload: {} templates x {SERVED_REPS} reps of \
-         `MATCH ... DEADLINE {deadline_ms}`, adaptive server vs the same \
-         server with --no-adaptive (fixed BFS plans, cooperative deadline \
+         `MATCH ... DEADLINE {deadline_ms}`, plain requests vs the same \
+         requests sent RAW (fixed BFS plans, cooperative deadline \
          cancellation), warm index cache:\n",
         records.len()
     );

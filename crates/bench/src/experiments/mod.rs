@@ -17,7 +17,6 @@ pub mod fig7_8;
 pub mod fig9_10;
 pub mod index_build;
 pub mod kernels;
-pub mod multiquery;
 pub mod physical;
 pub mod queries;
 pub mod service;

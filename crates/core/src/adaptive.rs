@@ -146,7 +146,10 @@ pub struct PlanChoice {
 }
 
 impl PlanChoice {
-    fn unscored(plan: &QueryPlan, max_workers: usize) -> PlanChoice {
+    /// The one-candidate record of a plan nobody has scored yet — what a
+    /// cache miss stores beside the paper's plan (best root, BFS order) and
+    /// a later re-plan extends.
+    pub fn unscored(plan: &QueryPlan, max_workers: usize) -> PlanChoice {
         let n = plan.query().num_vertices();
         PlanChoice {
             candidates: vec![CandidatePlan {

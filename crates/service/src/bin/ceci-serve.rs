@@ -17,12 +17,6 @@
 //!   --dirty-log-cap N    mutation batches of dirty endpoints kept per graph
 //!                        for index repair (default 64; an older entry's
 //!                        tables are rebased on the current snapshot)
-//!   --no-stream-repair   disable index repair (stale cache entries always
-//!                        rebuild from scratch, as a miss)
-//!   --no-adaptive        disable cost-model-driven adaptive execution
-//!                        (fixed BFS plans, no reuse-paid re-plan, no
-//!                        deadline-aware APPROX / E_INFEASIBLE degradation,
-//!                        no kernel pinning)
 //!   --preload NAME=FILE  LOAD a labeled graph before accepting connections
 //!                        (repeatable)
 //!   --max-conns N        concurrent-connection cap; connections beyond it
@@ -62,7 +56,7 @@ fn usage() -> ! {
         "usage: ceci-serve [--addr HOST:PORT] [--pool-workers N] [--queue-cap N] \
          [--cache-mb N] [--match-workers N] [--max-match-workers N] \
          [--build-threads N] [--compact-threshold N] [--dirty-log-cap N] \
-         [--no-stream-repair] [--no-adaptive] [--preload NAME=FILE]... \
+         [--preload NAME=FILE]... \
          [--max-conns N] [--io-timeout-ms N] [--shard ADDR]... \
          [--shard-timeout-ms N] [--shard-retries N] [--chaos] [--trace]"
     );
@@ -93,7 +87,6 @@ fn main() {
             "--build-threads" => config.build_threads = num(&mut i).max(1),
             "--compact-threshold" => config.compact_threshold = num(&mut i).max(1),
             "--dirty-log-cap" => config.dirty_log_cap = num(&mut i).max(1),
-            "--no-stream-repair" => config.stream_repair = false,
             "--max-conns" => config.max_conns = num(&mut i).max(1),
             "--io-timeout-ms" => {
                 config.io_timeout_ms = value(&mut i).parse().unwrap_or_else(|_| usage())
@@ -105,7 +98,6 @@ fn main() {
             "--shard-retries" => {
                 config.shard_retries = value(&mut i).parse().unwrap_or_else(|_| usage())
             }
-            "--no-adaptive" => config.adaptive = false,
             "--chaos" => config.chaos = true,
             "--trace" => config.trace = true,
             "--preload" => {

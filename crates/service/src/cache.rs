@@ -19,7 +19,7 @@
 //! ## Quarantine
 //!
 //! When an index *build* panics, the cache key it would have filled is
-//! quarantined: later probes answer [`Probe::Quarantined`] instead of
+//! quarantined: later probes answer [`FlightProbe::Quarantined`] instead of
 //! rebuilding, so a query that deterministically crashes the builder cannot
 //! melt the server by crashing a worker per request. Quarantine is scoped
 //! to the `(epoch, hash)` key — re-`LOAD`ing the graph bumps the epoch and
@@ -29,16 +29,12 @@
 //!
 //! Streaming mutations (`ADDEDGE`/`DELEDGE`/`BATCH`) do not bump the epoch;
 //! they bump the entry's *sub-epoch*. A probe whose sub-epoch differs from
-//! the cached entry's answers [`Probe::Stale`] (or
-//! [`FlightProbe::Stale`] under single-flight), removes the outdated slot,
-//! and hands the old entry back so the caller can *repair* it under its
-//! retained plan instead of rebuilding from scratch. The maintainable
-//! [`StreamIndex`] tables a repair works on have one owner at a time: a
-//! miss builds none, the first small-batch repair of a lineage builds them
-//! against its snapshot, every later one *moves* them out of the dead entry
-//! ([`CachedIndex::take_tables`]) and patches them forward from the graph's
-//! dirty log, and a repair whose gap is past the patch floor drops them and
-//! rebuilds the frozen index alone.
+//! the cached entry's answers [`FlightProbe::Stale`], removes the outdated
+//! slot, and hands the old entry back so the caller can *repair* it under
+//! its retained plan instead of rebuilding from scratch (`crate::index`
+//! has the ladder). The maintainable [`StreamIndex`] tables a repair works
+//! on have one owner at a time: a later repair *moves* them out of the dead
+//! entry ([`CachedIndex::take_tables`]).
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -92,15 +88,13 @@ pub struct CachedIndex {
     /// only `plan` and `ceci`.
     tables: Mutex<Option<StreamIndex>>,
     /// The adaptive planner's decision record (the plans weighed so far,
-    /// the served plan's cost estimate, strategy/worker recommendation);
-    /// `None` when the index was planned with a fixed strategy
-    /// (`--no-adaptive`).
-    pub choice: Option<PlanChoice>,
+    /// the served plan's cost estimate, strategy/worker recommendation).
+    pub choice: PlanChoice,
     /// The rent/buy ledger: enumeration work spent on this entry against
     /// the price of re-planning it, and whether that re-plan has happened.
     /// Shared, not copied, by the entries a repair or the re-plan itself
     /// derive from this one, so a stream of mutations neither resets the
-    /// spent work nor buys a second re-plan. Never due without a `choice`.
+    /// spent work nor buys a second re-plan.
     pub reuse: Arc<Reuse>,
     /// Observed-execution feedback, populated by the first profiled exact
     /// run (the first one under a deadline); later deadline admissions
@@ -118,7 +112,7 @@ impl CachedIndex {
         ceci: Arc<Ceci>,
         tables: Option<StreamIndex>,
         sub_epoch: u64,
-        choice: Option<PlanChoice>,
+        choice: PlanChoice,
         reuse: Arc<Reuse>,
     ) -> CachedIndex {
         CachedIndex {
@@ -161,7 +155,7 @@ struct Slot {
 struct CacheMap {
     slots: HashMap<(u64, u64), Slot>,
     bytes: usize,
-    /// Keys whose build panicked; probes answer [`Probe::Quarantined`].
+    /// Keys whose build panicked; probes answer [`FlightProbe::Quarantined`].
     quarantined: HashSet<(u64, u64)>,
     /// Keys with a build currently in flight (single-flight gates).
     flights: HashMap<(u64, u64), Arc<Flight>>,
@@ -216,8 +210,8 @@ pub enum FlightWait {
     Failed,
 }
 
-/// Outcome of [`IndexCache::begin`]: a cache probe that additionally
-/// arbitrates concurrent misses into one leader and N−1 waiters.
+/// Outcome of [`IndexCache::begin_at`], the cache's one probe: it
+/// additionally arbitrates concurrent misses into one leader and N−1 waiters.
 pub enum FlightProbe<'a> {
     /// Verified hit.
     Hit(Arc<CachedIndex>),
@@ -226,9 +220,10 @@ pub enum FlightProbe<'a> {
     /// Hash collision with a cached entry of a different canonical form;
     /// the caller builds solo and must not insert.
     Collision,
-    /// This caller is the build leader: build, then [`FlightGuard::complete`]
-    /// or [`FlightGuard::fail`]. Dropping the guard without either fails
-    /// the flight (unwind safety net).
+    /// This caller is the build leader: build, then
+    /// [`FlightGuard::complete`]. Dropping the guard instead fails the flight
+    /// — a panicked build (quarantine the key first, so waiters and later
+    /// probes agree on the verdict) and any other unwind alike.
     Lead(FlightGuard<'a>),
     /// This caller is the build leader *and* an outdated entry for the same
     /// canonical form was found (and removed): repair it forward under its
@@ -243,7 +238,7 @@ pub enum FlightProbe<'a> {
 /// in-flight key; completing or dropping it releases the gate.
 pub struct FlightGuard<'a> {
     cache: &'a IndexCache,
-    epoch: u64,
+    /// `(epoch, canonical hash)`.
     key: (u64, u64),
     flight: Arc<Flight>,
     published: bool,
@@ -255,15 +250,9 @@ impl FlightGuard<'_> {
     /// shared entry for the leader's own use.
     pub fn complete(mut self, entry: CachedIndex) -> Arc<CachedIndex> {
         let entry = Arc::new(entry);
-        self.cache.insert_arc(self.epoch, Arc::clone(&entry));
+        self.cache.insert(self.key.0, Arc::clone(&entry));
         self.release(FlightWait::Ready(Arc::clone(&entry)));
         entry
-    }
-
-    /// Publishes a failed build (the caller is responsible for quarantining
-    /// the key first so waiters and later probes agree on the verdict).
-    pub fn fail(mut self) {
-        self.release(FlightWait::Failed);
     }
 
     fn release(&mut self, outcome: FlightWait) {
@@ -279,30 +268,11 @@ impl FlightGuard<'_> {
 impl Drop for FlightGuard<'_> {
     fn drop(&mut self) {
         if !self.published {
-            // Leader unwound without publishing: fail the waiters rather
+            // Leader gave up without publishing: fail the waiters rather
             // than leaving them blocked forever.
             self.release(FlightWait::Failed);
         }
     }
-}
-
-/// Outcome of a cache probe.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Probe {
-    /// Entry found and canonical form verified.
-    Hit,
-    /// No entry under this key.
-    Miss,
-    /// Entry found but the canonical form differed (64-bit hash collision);
-    /// treated as a miss.
-    Collision,
-    /// Entry found for the right canonical form but built against a
-    /// different mutation sub-epoch; the slot was removed and the outdated
-    /// entry returned for repair.
-    Stale,
-    /// The key is quarantined (its build panicked earlier); the caller must
-    /// not rebuild — answer `ERR E_QUARANTINED`.
-    Quarantined,
 }
 
 /// A byte-budgeted, LRU-evicting map from `(epoch, canonical hash)` to
@@ -332,45 +302,6 @@ impl IndexCache {
         self.clock.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Probes for `(epoch, canonical)` at mutation sub-epoch 0 (the state
-    /// right after `LOAD`). See [`IndexCache::get_at`].
-    pub fn get(&self, epoch: u64, canonical: &CanonicalQuery) -> (Probe, Option<Arc<CachedIndex>>) {
-        self.get_at(epoch, 0, canonical)
-    }
-
-    /// Probes for `(epoch, canonical)` against the graph's current mutation
-    /// `sub_epoch`. On a verified hit the entry's LRU stamp is refreshed and
-    /// the entry returned. An entry of the right canonical form but a
-    /// different sub-epoch is removed from the cache and returned under
-    /// [`Probe::Stale`] so the caller can repair (or rebuild) it.
-    pub fn get_at(
-        &self,
-        epoch: u64,
-        sub_epoch: u64,
-        canonical: &CanonicalQuery,
-    ) -> (Probe, Option<Arc<CachedIndex>>) {
-        let stamp = self.tick();
-        let key = (epoch, canonical.hash());
-        let mut map = self.map.lock().expect("cache lock poisoned");
-        if map.quarantined.contains(&key) {
-            return (Probe::Quarantined, None);
-        }
-        match map.slots.get_mut(&key) {
-            None => (Probe::Miss, None),
-            Some(slot) if slot.entry.canonical == *canonical => {
-                if slot.entry.sub_epoch == sub_epoch {
-                    slot.last_used = stamp;
-                    (Probe::Hit, Some(Arc::clone(&slot.entry)))
-                } else {
-                    let slot = map.slots.remove(&key).expect("slot vanished");
-                    map.bytes -= slot.entry.bytes;
-                    (Probe::Stale, Some(slot.entry))
-                }
-            }
-            Some(_) => (Probe::Collision, None),
-        }
-    }
-
     /// Quarantines `(epoch, hash)` after a panicked build. Idempotent;
     /// returns `true` the first time the key is marked. Any stale entry
     /// under the key is dropped (it predates the panic and may be suspect).
@@ -390,12 +321,6 @@ impl IndexCache {
             .expect("cache lock poisoned")
             .quarantined
             .len()
-    }
-
-    /// Single-flight probe at mutation sub-epoch 0. See
-    /// [`IndexCache::begin_at`].
-    pub fn begin(&self, epoch: u64, canonical: &CanonicalQuery) -> FlightProbe<'_> {
-        self.begin_at(epoch, 0, canonical)
     }
 
     /// Probes for `(epoch, canonical)` at the graph's current mutation
@@ -440,7 +365,6 @@ impl IndexCache {
         map.flights.insert(key, Arc::clone(&flight));
         let guard = FlightGuard {
             cache: self,
-            epoch,
             key,
             flight,
             published: false,
@@ -454,11 +378,8 @@ impl IndexCache {
     /// Inserts an entry built outside the lock, then evicts LRU-first until
     /// the byte budget holds. Entries larger than the whole budget are not
     /// cached at all. Returns the number of entries evicted.
-    pub fn insert(&self, epoch: u64, entry: CachedIndex) -> u64 {
-        self.insert_arc(epoch, Arc::new(entry))
-    }
-
-    pub(crate) fn insert_arc(&self, epoch: u64, entry: Arc<CachedIndex>) -> u64 {
+    pub fn insert(&self, epoch: u64, entry: impl Into<Arc<CachedIndex>>) -> u64 {
+        let entry = entry.into();
         // A zero budget disables caching entirely — including zero-byte
         // entries, which would otherwise slip past the size check and leave
         // phantom slots a "disabled" cache is documented not to hold.
@@ -557,7 +478,7 @@ impl IndexCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ceci_core::{Ceci, ReplanPrice};
+    use ceci_core::{replan_price, Ceci};
     use ceci_graph::{GraphBuilder, LabelId};
     use ceci_query::QueryGraph;
 
@@ -578,17 +499,19 @@ mod tests {
         let canonical = CanonicalQuery::of(&query);
         let plan = QueryPlan::new(query, &graph);
         let ceci = Ceci::build(&graph, &plan);
+        let choice = PlanChoice::unscored(&plan, 1);
+        let reuse = Arc::new(Reuse::new(replan_price(&plan, &ceci, 2)));
         CachedIndex {
-            canonical,
-            plan: Arc::new(plan),
-            ceci: Arc::new(ceci),
             bytes,
-            sub_epoch: 0,
-            sets_sub_epoch: 0,
-            tables: Mutex::new(None),
-            choice: None,
-            reuse: Arc::new(Reuse::new(ReplanPrice::NEVER)),
-            feedback: Mutex::new(None),
+            ..CachedIndex::new(
+                canonical,
+                Arc::new(plan),
+                Arc::new(ceci),
+                None,
+                0,
+                choice,
+                reuse,
+            )
         }
     }
 
@@ -600,16 +523,41 @@ mod tests {
         }
     }
 
+    /// What the one probe answers at `(epoch, sub_epoch)`, by name. A `lead`
+    /// or `stale` answer's guard is dropped on the spot, which releases its
+    /// gate: the next probe of the key leads again.
+    fn probe_at(
+        cache: &IndexCache,
+        epoch: u64,
+        sub_epoch: u64,
+        canonical: &CanonicalQuery,
+    ) -> &'static str {
+        match cache.begin_at(epoch, sub_epoch, canonical) {
+            FlightProbe::Hit(_) => "hit",
+            FlightProbe::Quarantined => "quarantined",
+            FlightProbe::Collision => "collision",
+            FlightProbe::Lead(_) => "lead",
+            FlightProbe::Stale(..) => "stale",
+            FlightProbe::Wait(_) => "wait",
+        }
+    }
+
+    /// [`probe_at`] sub-epoch 0 (the state right after `LOAD`).
+    fn probe(cache: &IndexCache, epoch: u64, canonical: &CanonicalQuery) -> &'static str {
+        probe_at(cache, epoch, 0, canonical)
+    }
+
     #[test]
     fn miss_then_hit() {
         let cache = IndexCache::new(1 << 20);
         let e = entry(0, 100);
         let canonical = e.canonical.clone();
-        assert_eq!(cache.get(1, &canonical).0, Probe::Miss);
+        assert_eq!(probe(&cache, 1, &canonical), "lead");
         cache.insert(1, e);
-        let (probe, got) = cache.get(1, &canonical);
-        assert_eq!(probe, Probe::Hit);
-        assert!(got.is_some());
+        match cache.begin_at(1, 0, &canonical) {
+            FlightProbe::Hit(got) => assert_eq!(got.canonical, canonical),
+            _ => panic!("an inserted entry must hit"),
+        }
         assert_eq!(cache.bytes(), 100);
     }
 
@@ -619,7 +567,7 @@ mod tests {
         let e = entry(0, 100);
         let canonical = e.canonical.clone();
         cache.insert(1, e);
-        assert_eq!(cache.get(2, &canonical).0, Probe::Miss);
+        assert_eq!(probe(&cache, 2, &canonical), "lead");
     }
 
     #[test]
@@ -635,13 +583,13 @@ mod tests {
         );
         cache.insert(1, a);
         cache.insert(1, b);
-        // Touch `a` so `b` is the LRU victim.
-        assert_eq!(cache.get(1, &ka).0, Probe::Hit);
+        // Touch `a`: a hit refreshes its LRU stamp, so `b` is the victim.
+        assert_eq!(probe(&cache, 1, &ka), "hit");
         cache.insert(1, c);
         assert_eq!(cache.evictions(), 1);
-        assert_eq!(cache.get(1, &kb).0, Probe::Miss, "LRU entry evicted");
-        assert_eq!(cache.get(1, &ka).0, Probe::Hit);
-        assert_eq!(cache.get(1, &kc).0, Probe::Hit);
+        assert_eq!(probe(&cache, 1, &kb), "lead", "LRU entry evicted");
+        assert_eq!(probe(&cache, 1, &ka), "hit");
+        assert_eq!(probe(&cache, 1, &kc), "hit");
         assert!(cache.bytes() <= 250);
     }
 
@@ -651,7 +599,7 @@ mod tests {
         let e = entry(0, 100);
         let canonical = e.canonical.clone();
         cache.insert(1, e);
-        assert_eq!(cache.get(1, &canonical).0, Probe::Miss);
+        assert_eq!(probe(&cache, 1, &canonical), "lead");
         assert_eq!(cache.bytes(), 0);
     }
 
@@ -664,17 +612,18 @@ mod tests {
         cache.insert(1, a);
         cache.insert(2, b);
         assert_eq!(cache.evict_epoch(1), 1);
-        assert_eq!(cache.get(1, &ka).0, Probe::Miss);
-        assert_eq!(cache.get(2, &kb).0, Probe::Hit);
+        assert_eq!(probe(&cache, 1, &ka), "lead");
+        assert_eq!(probe(&cache, 2, &kb), "hit");
         assert_eq!(cache.bytes(), 100);
     }
 
     #[test]
     fn concurrent_misses_converge_on_one_entry() {
-        // Many threads race the classic miss → build → insert sequence on
-        // the same key. Whoever inserts last wins the slot (entries for the
-        // same canonical query are interchangeable); the byte ledger must
-        // charge exactly one entry and every later probe must hit.
+        // Many threads race probe → build → insert on the same key, each
+        // giving its gate up before it inserts (what a collision's solo
+        // build amounts to). Whoever inserts last wins the slot (entries for
+        // the same canonical query are interchangeable); the byte ledger
+        // must charge exactly one entry and every later probe must hit.
         let cache = Arc::new(IndexCache::new(1 << 20));
         let proto = entry(0, 128);
         let canonical = proto.canonical.clone();
@@ -684,9 +633,9 @@ mod tests {
                 let cache = Arc::clone(&cache);
                 let canonical = canonical.clone();
                 std::thread::spawn(move || {
-                    let (probe, _) = cache.get(7, &canonical);
-                    assert_ne!(probe, Probe::Quarantined);
-                    if probe != Probe::Hit {
+                    let probe = probe(&cache, 7, &canonical);
+                    assert_ne!(probe, "quarantined");
+                    if probe != "hit" {
                         // Simulate the out-of-lock build, then insert.
                         cache.insert(7, entry(0, 128));
                     }
@@ -702,7 +651,7 @@ mod tests {
             "duplicate inserts must replace, not pile up"
         );
         assert_eq!(cache.bytes(), 128, "byte ledger must count the entry once");
-        assert_eq!(cache.get(7, &canonical).0, Probe::Hit);
+        assert_eq!(probe(&cache, 7, &canonical), "hit");
     }
 
     #[test]
@@ -711,26 +660,26 @@ mod tests {
         let e = entry(0, 100);
         let canonical = e.canonical.clone();
         cache.insert(1, e);
-        assert_eq!(cache.get(1, &canonical).0, Probe::Hit);
+        assert_eq!(probe(&cache, 1, &canonical), "hit");
 
         // Quarantine evicts the suspect entry and is idempotent.
         assert!(cache.quarantine(1, &canonical));
         assert!(!cache.quarantine(1, &canonical));
         assert_eq!(cache.bytes(), 0);
         assert_eq!(cache.quarantined_len(), 1);
-        assert_eq!(cache.get(1, &canonical).0, Probe::Quarantined);
+        assert_eq!(probe(&cache, 1, &canonical), "quarantined");
 
         // A build that was already in flight when the key was poisoned
-        // must not resurrect it.
+        // must not resurrect it: quarantine wins over a slot.
         assert_eq!(cache.insert(1, entry(0, 100)), 0);
         assert_eq!(cache.len(), 0);
-        assert_eq!(cache.get(1, &canonical).0, Probe::Quarantined);
+        assert_eq!(probe(&cache, 1, &canonical), "quarantined");
 
         // Other epochs are unaffected; re-LOAD (epoch bump) clears marks.
-        assert_eq!(cache.get(2, &canonical).0, Probe::Miss);
+        assert_eq!(probe(&cache, 2, &canonical), "lead");
         cache.evict_epoch(1);
         assert_eq!(cache.quarantined_len(), 0);
-        assert_eq!(cache.get(1, &canonical).0, Probe::Miss);
+        assert_eq!(probe(&cache, 1, &canonical), "lead");
     }
 
     #[test]
@@ -748,20 +697,16 @@ mod tests {
         cache.insert(1, b);
         cache.insert(1, c);
         // Recency now a < b < c; touching `a` makes it the most recent.
-        assert_eq!(cache.get(1, &ka).0, Probe::Hit);
+        assert_eq!(probe(&cache, 1, &ka), "hit");
         // 300 + 250 = 550: must evict the two LRU entries (b, then c) to
         // get back under 400; evicting only one would leave 450.
         let big = entry(3, 250);
         let kbig = big.canonical.clone();
         assert_eq!(cache.insert(1, big), 2);
-        assert_eq!(cache.get(1, &kb).0, Probe::Miss, "oldest victim first");
-        assert_eq!(cache.get(1, &kc).0, Probe::Miss, "next-oldest second");
-        assert_eq!(cache.get(1, &ka).0, Probe::Hit, "recently-touched survives");
-        assert_eq!(
-            cache.get(1, &kbig).0,
-            Probe::Hit,
-            "newcomer never self-evicts"
-        );
+        assert_eq!(probe(&cache, 1, &kb), "lead", "oldest victim first");
+        assert_eq!(probe(&cache, 1, &kc), "lead", "next-oldest second");
+        assert_eq!(probe(&cache, 1, &ka), "hit", "recently-touched survives");
+        assert_eq!(probe(&cache, 1, &kbig), "hit", "newcomer never self-evicts");
         assert_eq!(cache.bytes(), 350);
         assert_eq!(cache.evictions(), 2);
     }
@@ -774,7 +719,7 @@ mod tests {
         assert_eq!(cache.insert(1, e), 0);
         assert_eq!(cache.len(), 0, "disabled cache must hold no slots");
         assert_eq!(cache.bytes(), 0);
-        assert_eq!(cache.get(1, &canonical).0, Probe::Miss);
+        assert_eq!(probe(&cache, 1, &canonical), "lead");
     }
 
     #[test]
@@ -793,7 +738,7 @@ mod tests {
         // Build panic under epoch 1.
         assert!(cache.quarantine(1, &canonical));
         assert_eq!(cache.bytes(), 0, "quarantine must release the bytes");
-        assert_eq!(cache.get(1, &canonical).0, Probe::Quarantined);
+        assert_eq!(probe(&cache, 1, &canonical), "quarantined");
         // Insert racing the quarantine must not re-charge the ledger.
         assert_eq!(cache.insert(1, entry(0, 4096)), 0);
         assert_eq!(cache.bytes(), 0, "blocked insert must not charge bytes");
@@ -801,9 +746,9 @@ mod tests {
         // Re-LOAD: old epoch swept, new epoch rebuilds cleanly.
         cache.evict_epoch(1);
         assert_eq!(cache.quarantined_len(), 0);
-        assert_eq!(cache.get(2, &canonical).0, Probe::Miss);
+        assert_eq!(probe(&cache, 2, &canonical), "lead");
         cache.insert(2, entry(0, 4096));
-        assert_eq!(cache.get(2, &canonical).0, Probe::Hit);
+        assert_eq!(probe(&cache, 2, &canonical), "hit");
         assert_eq!(
             cache.bytes(),
             baseline,
@@ -830,7 +775,7 @@ mod tests {
                 let barrier = Arc::clone(&barrier);
                 std::thread::spawn(move || {
                     barrier.wait();
-                    match cache.begin(7, &canonical) {
+                    match cache.begin_at(7, 0, &canonical) {
                         FlightProbe::Lead(guard) => {
                             leaders.fetch_add(1, Ordering::SeqCst);
                             // Linger so the others pile onto the gate.
@@ -845,14 +790,7 @@ mod tests {
                             }
                         }
                         FlightProbe::Hit(_) => {} // raced past the flight
-                        other => panic!(
-                            "unexpected probe: {}",
-                            match other {
-                                FlightProbe::Quarantined => "quarantined",
-                                FlightProbe::Collision => "collision",
-                                _ => unreachable!(),
-                            }
-                        ),
+                        _ => panic!("unexpected probe: quarantined, collision or stale"),
                     }
                 })
             })
@@ -864,7 +802,7 @@ mod tests {
         assert!(waits.load(Ordering::SeqCst) >= 1, "someone waited");
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.bytes(), 128);
-        assert!(matches!(cache.begin(7, &canonical), FlightProbe::Hit(_)));
+        assert_eq!(probe(&cache, 7, &canonical), "hit");
     }
 
     #[test]
@@ -873,14 +811,14 @@ mod tests {
         let proto = entry(0, 64);
         let canonical = proto.canonical.clone();
         drop(proto);
-        let guard = match cache.begin(3, &canonical) {
+        let guard = match cache.begin_at(3, 0, &canonical) {
             FlightProbe::Lead(g) => g,
             _ => panic!("first probe must lead"),
         };
         let waiter = {
             let cache = Arc::clone(&cache);
             let canonical = canonical.clone();
-            std::thread::spawn(move || match cache.begin(3, &canonical) {
+            std::thread::spawn(move || match cache.begin_at(3, 0, &canonical) {
                 FlightProbe::Wait(flight) => flight.wait(),
                 _ => panic!("second probe must wait"),
             })
@@ -889,12 +827,9 @@ mod tests {
         // a panicked build: quarantine first, then release the gate.
         std::thread::sleep(std::time::Duration::from_millis(50));
         cache.quarantine(3, &canonical);
-        guard.fail();
+        drop(guard);
         assert!(matches!(waiter.join().unwrap(), FlightWait::Failed));
-        assert!(matches!(
-            cache.begin(3, &canonical),
-            FlightProbe::Quarantined
-        ));
+        assert_eq!(probe(&cache, 3, &canonical), "quarantined");
     }
 
     #[test]
@@ -904,14 +839,16 @@ mod tests {
         let canonical = proto.canonical.clone();
         drop(proto);
         {
-            let _guard = match cache.begin(5, &canonical) {
+            let _guard = match cache.begin_at(5, 0, &canonical) {
                 FlightProbe::Lead(g) => g,
                 _ => panic!("must lead"),
             };
+            // While the guard lives every other probe of the key waits.
+            assert_eq!(probe(&cache, 5, &canonical), "wait");
             // Unwind without complete()/fail().
         }
         // The gate is gone: the next probe leads again instead of waiting.
-        assert!(matches!(cache.begin(5, &canonical), FlightProbe::Lead(_)));
+        assert_eq!(probe(&cache, 5, &canonical), "lead");
     }
 
     #[test]
@@ -921,14 +858,14 @@ mod tests {
         let proto = entry(0, 64);
         let canonical = proto.canonical.clone();
         drop(proto);
-        let guard = match cache.begin(9, &canonical) {
+        let guard = match cache.begin_at(9, 0, &canonical) {
             FlightProbe::Lead(g) => g,
             _ => panic!("must lead"),
         };
         let waiter = {
             let cache = Arc::clone(&cache);
             let canonical = canonical.clone();
-            std::thread::spawn(move || match cache.begin(9, &canonical) {
+            std::thread::spawn(move || match cache.begin_at(9, 0, &canonical) {
                 FlightProbe::Wait(flight) => flight.wait(),
                 _ => panic!("must wait"),
             })
@@ -950,11 +887,12 @@ mod tests {
         let stored_hash = e.canonical.hash();
         cache.insert(1, e);
         // Forge a canonical form with the same hash but a different
-        // signature: a real collision would look exactly like this.
+        // signature: a real collision would look exactly like this. It is
+        // never served the stored entry, and it never displaces it.
         let forged = CanonicalQuery::forged_for_tests(vec![1, 2, 3], stored_hash);
-        let (probe, got) = cache.get(1, &forged);
-        assert_eq!(probe, Probe::Collision);
-        assert!(got.is_none());
+        assert_eq!(probe(&cache, 1, &forged), "collision");
+        assert_eq!(probe_at(&cache, 1, 4, &forged), "collision");
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]
@@ -966,22 +904,23 @@ mod tests {
         let e = entry_at(0, 100, 0);
         let canonical = e.canonical.clone();
         cache.insert(1, e);
-        assert_eq!(cache.get_at(1, 0, &canonical).0, Probe::Hit);
+        assert_eq!(probe_at(&cache, 1, 0, &canonical), "hit");
 
         // Mutation bumps the graph to sub-epoch 1: the cached entry is
         // stale, gets removed, and is handed back for repair.
-        let (probe, old) = cache.get_at(1, 1, &canonical);
-        assert_eq!(probe, Probe::Stale);
-        let old = old.expect("stale probe must return the outdated entry");
+        let old = match cache.begin_at(1, 1, &canonical) {
+            FlightProbe::Stale(old, _guard) => old,
+            _ => panic!("stale probe must return the outdated entry"),
+        };
         assert_eq!(old.sub_epoch, 0);
         assert_eq!(cache.len(), 0, "stale slot must be removed");
         assert_eq!(cache.bytes(), 0, "stale bytes must be released");
 
         // The repaired entry, re-inserted at the new sub-epoch, hits.
         cache.insert(1, entry_at(0, 100, 1));
-        assert_eq!(cache.get_at(1, 1, &canonical).0, Probe::Hit);
+        assert_eq!(probe_at(&cache, 1, 1, &canonical), "hit");
         // ...and a probe at yet another sub-epoch goes stale again.
-        assert_eq!(cache.get_at(1, 2, &canonical).0, Probe::Stale);
+        assert_eq!(probe_at(&cache, 1, 2, &canonical), "stale");
     }
 
     #[test]
@@ -1012,9 +951,6 @@ mod tests {
             FlightWait::Ready(e) => assert_eq!(e.sub_epoch, 5),
             FlightWait::Failed => panic!("repair completed"),
         }
-        assert!(matches!(
-            cache.begin_at(1, 5, &canonical),
-            FlightProbe::Hit(_)
-        ));
+        assert_eq!(probe_at(&cache, 1, 5, &canonical), "hit");
     }
 }

@@ -12,9 +12,9 @@
 //!   write-out, and sets epoll interest from the state machine's answers.
 //! * **Control-plane** verbs run inline on the loop thread (they are cheap
 //!   by construction). **Data-plane** verbs are submitted to the bounded
-//!   [`WorkerPool`] with one request in flight per connection; the worker
-//!   pushes its response into [`LoopShared::completions`] and wakes the
-//!   loop via the eventfd.
+//!   [`WorkerPool`](crate::pool::WorkerPool) with one request in flight per
+//!   connection; the worker pushes its response into
+//!   [`LoopShared::completions`] and wakes the loop via the eventfd.
 //! * Responses and pushed `EVENT` lines go through a bounded per-connection
 //!   byte queue ([`QueuedSink`]). Backpressure degrades before memory does:
 //!   a full worker queue answers `BUSY`, a reader that stops draining its

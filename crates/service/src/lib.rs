@@ -20,11 +20,12 @@
 //! * **per-request deadlines** threaded into enumeration as cooperative
 //!   cancellation (`ceci_core::CancelToken`), returning partial counts with
 //!   `status=DEADLINE_EXCEEDED` ([`server`]),
-//! * a **multi-query optimization layer**: a label-pair admission filter
-//!   answering provably-zero MATCHes before any build, single-flight
-//!   deduplication of concurrent identical builds ([`cache`]), and
-//!   leaf-level redundant-extension pruning — all per-request bypassable
-//!   with `MATCH ... RAW` for differential verification,
+//! * **one way to serve a query**: every `MATCH` / `ESTIMATE` / `EXPLAIN`
+//!   resolves, in one function, to one execution path — the label-pair
+//!   admission filter answering provably-zero queries before any build,
+//!   single-flight deduplication of concurrent identical builds
+//!   ([`cache`]), leaf-level redundant-extension pruning; `MATCH ... RAW`
+//!   is the one per-request lever left for differential verification,
 //! * a **streaming-mutation layer**: `ADDEDGE`/`DELEDGE`/`BATCH` verbs
 //!   publish the next immutable CSR snapshot as the current one patched by
 //!   the batch's edges (the exact label-pair index rebuilt at a
@@ -35,17 +36,16 @@
 //!   `ceci_stream`) — and `REGISTER`ed **continuous
 //!   queries** emit per-batch embedding-count deltas (`EVENT DELTA`)
 //!   to their connection ([`server`]),
-//! * an **adaptive execution layer** (on by default, `--no-adaptive` to
-//!   disable): a cache miss plans as the paper does and takes one
-//!   random-walk cost estimate from the index it built, which sizes the
-//!   parallel strategy and worker count; the plan portfolio is scored at
-//!   most once per cached entry, and only after the entry's own reuse has
-//!   spent as much enumeration work as scoring and one rebuild cost
-//!   (`ceci_core::adaptive`); `MATCH ... DEADLINE` degrades to an
-//!   estimator answer (`mode=APPROX`) or `ERR E_INFEASIBLE` when the
-//!   exact run cannot finish in time, at the per-unit rate an earlier
-//!   deadline run of the entry observed ([`cache::PlanFeedback`]; `EXACT`
-//!   opts out; `ESTIMATE` answers the cardinality question directly),
+//! * **rent BFS, buy the portfolio**: a cache miss plans as the paper does
+//!   and takes one random-walk cost estimate from the index it built, which
+//!   sizes the parallel strategy and worker count; the plan portfolio is
+//!   scored at most once per cached entry, and only after the entry's own
+//!   reuse has spent as much enumeration work as scoring and one rebuild
+//!   cost (`ceci_core::adaptive`); `MATCH ... DEADLINE` degrades to an
+//!   estimator answer (`mode=APPROX`) or `ERR E_INFEASIBLE` when the exact
+//!   run cannot finish in time, at the per-unit rate an earlier deadline
+//!   run of the entry observed ([`cache::PlanFeedback`]; `EXACT` opts out;
+//!   `ESTIMATE` answers the cardinality question directly),
 //! * a line-oriented **text protocol** ([`protocol`]) and lock-free
 //!   **metrics** surfaced via `STATS` ([`metrics`]),
 //! * a blocking **client** doubling as a closed-loop load generator
@@ -60,15 +60,19 @@ pub mod client;
 mod conn;
 pub mod coord;
 mod event_loop;
+mod index;
 pub mod metrics;
+mod mutate;
 pub mod pool;
 pub mod protocol;
+mod query;
 pub mod registry;
 pub mod server;
 pub mod shard;
+mod stats;
 
 pub use cache::{
-    CachedIndex, Flight, FlightGuard, FlightProbe, FlightWait, IndexCache, PlanFeedback, Probe,
+    CachedIndex, Flight, FlightGuard, FlightProbe, FlightWait, IndexCache, PlanFeedback,
 };
 pub use client::{run_load, Client, LoadConfig, LoadReport, Response, RetryOutcome, RetryPolicy};
 pub use coord::{
@@ -77,7 +81,9 @@ pub use coord::{
 };
 pub use metrics::{LatencyHistogram, ServerMetrics};
 pub use pool::{Admission, PoolHandle, WorkerPool};
-pub use protocol::{parse_request, ChaosCommand, ErrorCode, MatchStatus, ParseError, Request};
+pub use protocol::{
+    parse_request, ChaosCommand, ErrorCode, MatchForm, MatchStatus, ParseError, Request,
+};
 pub use registry::{BatchOutcome, ContinuousRegistry, DirtyRecord, GraphEntry, GraphRegistry};
 pub use server::{start, start_with_state, ServeConfig, ServerHandle, ServerState, ShutdownReport};
 pub use shard::{bind_reuse, start_shard, GraphStore, PlanSpec, ShardConfig, ShardHandle};

@@ -270,55 +270,188 @@ impl ServerMetrics {
         });
     }
 
+    /// Every monotone counter as `(STATS key, help, value)`, in exposition
+    /// order: `STATS` prints `STAT <key> <value>`, `STATS PROM` the counter
+    /// `ceci_<key>_total`.
+    pub fn counters(&self) -> [(&'static str, &'static str, u64); 34] {
+        let g = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        [
+            (
+                "requests_total",
+                "Request lines accepted (parse successes)",
+                g(&self.requests),
+            ),
+            (
+                "match_requests",
+                "MATCH requests admitted",
+                g(&self.match_requests),
+            ),
+            (
+                "load_requests",
+                "LOAD requests served",
+                g(&self.load_requests),
+            ),
+            (
+                "rejected_busy",
+                "Requests rejected BUSY by admission control",
+                g(&self.rejected_busy),
+            ),
+            (
+                "deadline_exceeded",
+                "MATCH requests that hit their deadline",
+                g(&self.deadline_exceeded),
+            ),
+            ("errors", "Requests answered ERR", g(&self.errors)),
+            ("cache_hits", "Index-cache hits", g(&self.cache_hits)),
+            (
+                "cache_misses",
+                "Index-cache misses (CECI built)",
+                g(&self.cache_misses),
+            ),
+            (
+                "cache_evictions",
+                "Cache entries evicted under the byte budget",
+                g(&self.cache_evictions),
+            ),
+            (
+                "cache_collisions",
+                "Canonical-hash collisions detected by verification",
+                g(&self.cache_collisions),
+            ),
+            (
+                "worker_drops",
+                "Data-plane jobs whose worker panicked mid-request",
+                g(&self.worker_drops),
+            ),
+            (
+                "panics_caught",
+                "Job panics caught by pool supervisors",
+                g(&self.panics_caught),
+            ),
+            (
+                "cache_quarantined",
+                "Index builds that panicked and were quarantined",
+                g(&self.cache_quarantined),
+            ),
+            (
+                "quarantine_hits",
+                "Requests refused on a quarantined cache key",
+                g(&self.quarantine_hits),
+            ),
+            (
+                "chaos_injected",
+                "CHAOS commands executed",
+                g(&self.chaos_injected),
+            ),
+            (
+                "embeddings_returned",
+                "Embeddings returned across MATCH responses",
+                g(&self.embeddings_returned),
+            ),
+            (
+                "filter_rejected",
+                "MATCH requests answered count=0 by the label-pair admission filter",
+                g(&self.filter_rejected),
+            ),
+            (
+                "cache_singleflight_waits",
+                "MATCH requests that waited on another request's in-flight build",
+                g(&self.singleflight_waits),
+            ),
+            (
+                "mutation_batches",
+                "Mutation batches applied (>=1 net edge change)",
+                g(&self.mutation_batches),
+            ),
+            (
+                "edges_added",
+                "Net edges added by mutation batches",
+                g(&self.edges_added),
+            ),
+            (
+                "edges_deleted",
+                "Net edges deleted by mutation batches",
+                g(&self.edges_deleted),
+            ),
+            (
+                "compactions",
+                "Compactions: exact label-pair rebuilds adopting the fresh snapshot as base",
+                g(&self.compactions),
+            ),
+            (
+                "index_repairs",
+                "Stale cached indexes repaired forward under their plan",
+                g(&self.index_repairs),
+            ),
+            (
+                "index_repair_rebases",
+                "Repairs that dropped the tables and rebuilt the frozen index (mode=rebase)",
+                g(&self.index_repair_rebases),
+            ),
+            (
+                "index_repair_fallbacks",
+                "Stale cached indexes rebuilt as a miss (repair panicked, entry from the future)",
+                g(&self.index_repair_fallbacks),
+            ),
+            (
+                "continuous_events",
+                "Continuous-query delta events emitted",
+                g(&self.continuous_events),
+            ),
+            (
+                "adaptive_replans",
+                "Cached indexes rebuilt under a challenger plan their reuse paid to score",
+                g(&self.adaptive_replans),
+            ),
+            (
+                "approx_answers",
+                "Deadline-infeasible MATCH requests answered mode=APPROX",
+                g(&self.approx_answers),
+            ),
+            (
+                "infeasible_rejects",
+                "Deadline-infeasible MATCH requests refused E_INFEASIBLE",
+                g(&self.infeasible_rejects),
+            ),
+            (
+                "io_timeouts",
+                "Connections closed on a socket read/write timeout",
+                g(&self.timeouts),
+            ),
+            (
+                "connections_accepted",
+                "Client connections accepted",
+                g(&self.connections_accepted),
+            ),
+            (
+                "connections_rejected",
+                "Connections refused BUSY at the max-conns cap",
+                g(&self.connections_rejected),
+            ),
+            (
+                "event_push_failures",
+                "EVENT pushes that failed on a dead subscriber connection",
+                g(&self.event_push_failures),
+            ),
+            (
+                "slow_reader_disconnects",
+                "Connections dropped after overflowing their write queue",
+                g(&self.slow_reader_disconnects),
+            ),
+        ]
+    }
+
     /// Renders the `STAT <key> <value>` payload lines of the `STATS`
     /// response (sorted, stable keys).
     pub fn render(&self, extra: &[(&str, u64)]) -> Vec<String> {
         let g = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let mut rows: Vec<(String, u64)> = vec![
-            ("requests_total".into(), g(&self.requests)),
-            ("match_requests".into(), g(&self.match_requests)),
-            ("load_requests".into(), g(&self.load_requests)),
-            ("rejected_busy".into(), g(&self.rejected_busy)),
-            ("deadline_exceeded".into(), g(&self.deadline_exceeded)),
-            ("errors".into(), g(&self.errors)),
-            ("cache_hits".into(), g(&self.cache_hits)),
-            ("cache_misses".into(), g(&self.cache_misses)),
-            ("cache_evictions".into(), g(&self.cache_evictions)),
-            ("cache_collisions".into(), g(&self.cache_collisions)),
-            ("worker_drops".into(), g(&self.worker_drops)),
-            ("panics_caught".into(), g(&self.panics_caught)),
-            ("cache_quarantined".into(), g(&self.cache_quarantined)),
-            ("quarantine_hits".into(), g(&self.quarantine_hits)),
-            ("chaos_injected".into(), g(&self.chaos_injected)),
-            ("embeddings_returned".into(), g(&self.embeddings_returned)),
-            ("filter_rejected".into(), g(&self.filter_rejected)),
-            (
-                "cache_singleflight_waits".into(),
-                g(&self.singleflight_waits),
-            ),
-            ("mutation_batches".into(), g(&self.mutation_batches)),
-            ("edges_added".into(), g(&self.edges_added)),
-            ("edges_deleted".into(), g(&self.edges_deleted)),
-            ("compactions".into(), g(&self.compactions)),
-            ("index_repairs".into(), g(&self.index_repairs)),
-            ("index_repair_rebases".into(), g(&self.index_repair_rebases)),
-            (
-                "index_repair_fallbacks".into(),
-                g(&self.index_repair_fallbacks),
-            ),
-            ("continuous_events".into(), g(&self.continuous_events)),
-            ("adaptive_replans".into(), g(&self.adaptive_replans)),
-            ("approx_answers".into(), g(&self.approx_answers)),
-            ("infeasible_rejects".into(), g(&self.infeasible_rejects)),
-            ("io_timeouts".into(), g(&self.timeouts)),
-            ("connections_accepted".into(), g(&self.connections_accepted)),
-            ("connections_rejected".into(), g(&self.connections_rejected)),
+        let mut rows: Vec<(String, u64)> = self
+            .counters()
+            .iter()
+            .map(|&(key, _, value)| (key.to_string(), value))
+            .collect();
+        rows.extend([
             ("connections_open".into(), g(&self.connections_open)),
-            ("event_push_failures".into(), g(&self.event_push_failures)),
-            (
-                "slow_reader_disconnects".into(),
-                g(&self.slow_reader_disconnects),
-            ),
             ("plan_score_count".into(), self.plan_score_latency.count()),
             (
                 "plan_score_mean_us".into(),
@@ -376,7 +509,7 @@ impl ServerMetrics {
                 "build_refine_p99_us".into(),
                 self.build_refine_latency.quantile_us(0.99),
             ),
-        ];
+        ]);
         for &(k, v) in extra {
             rows.push((k.to_string(), v));
         }

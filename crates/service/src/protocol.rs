@@ -116,6 +116,26 @@
 
 use std::fmt;
 
+/// The options of one `MATCH` line. The default is the plain count-only
+/// form, which is also what `ESTIMATE` and `EXPLAIN` resolve as.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct MatchForm {
+    /// Stop after this many embeddings.
+    pub limit: Option<u64>,
+    /// Per-request deadline in milliseconds.
+    pub deadline_ms: Option<u64>,
+    /// Enumeration threads for this request (capped by the server).
+    pub workers: Option<usize>,
+    /// `RAW`: the one ablation lever — no admission filter, no re-plan, no
+    /// planner-chosen strategy or worker count, no deadline ladder, no
+    /// redundant-extension pruning — for verifying bit-identical counts.
+    pub raw: bool,
+    /// `EXACT`: opt out of deadline-aware graceful degradation — always
+    /// run the exact enumeration even when the planner predicts the
+    /// deadline is infeasible.
+    pub exact: bool,
+}
+
 /// A parsed client request.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Request {
@@ -136,21 +156,8 @@ pub enum Request {
         graph: String,
         /// Server-side path of the query (labeled t/v/e format).
         query_path: String,
-        /// Stop after this many embeddings.
-        limit: Option<u64>,
-        /// Per-request deadline in milliseconds.
-        deadline_ms: Option<u64>,
-        /// Enumeration threads for this request (capped by the server).
-        workers: Option<usize>,
-        /// `RAW`: bypass the multi-query optimization layer (admission
-        /// filter, redundant-extension pruning, adaptive strategy and
-        /// re-plan) for this request — the differential lever for verifying
-        /// bit-identical counts.
-        raw: bool,
-        /// `EXACT`: opt out of deadline-aware graceful degradation — always
-        /// run the exact enumeration even when the planner predicts the
-        /// deadline is infeasible.
-        exact: bool,
+        /// The line's options.
+        form: MatchForm,
     },
     /// Estimate the embedding count of a (graph, query) pair via random
     /// walks over the index, without enumerating.
@@ -461,35 +468,27 @@ pub fn parse_request(line: &str) -> Result<Option<Request>, ParseError> {
             let query_path = it
                 .next()
                 .ok_or_else(|| err("MATCH requires <graph> <query-path>"))?;
-            let mut limit = None;
-            let mut deadline_ms = None;
-            let mut workers = None;
-            let mut raw = false;
-            let mut exact = false;
+            let mut form = MatchForm::default();
             while let Some(opt) = it.next() {
                 match opt.to_ascii_uppercase().as_str() {
-                    "LIMIT" => limit = Some(parse_u64(&mut it, "LIMIT")?),
-                    "DEADLINE" => deadline_ms = Some(parse_u64(&mut it, "DEADLINE")?),
+                    "LIMIT" => form.limit = Some(parse_u64(&mut it, "LIMIT")?),
+                    "DEADLINE" => form.deadline_ms = Some(parse_u64(&mut it, "DEADLINE")?),
                     "WORKERS" => {
                         let w = parse_u64(&mut it, "WORKERS")?;
                         if w == 0 {
                             return Err(err("WORKERS must be >= 1"));
                         }
-                        workers = Some(w as usize);
+                        form.workers = Some(w as usize);
                     }
-                    "RAW" => raw = true,
-                    "EXACT" => exact = true,
+                    "RAW" => form.raw = true,
+                    "EXACT" => form.exact = true,
                     other => return Err(err(format!("unknown MATCH option {other:?}"))),
                 }
             }
             Request::Match {
                 graph: graph.to_string(),
                 query_path: query_path.to_string(),
-                limit,
-                deadline_ms,
-                workers,
-                raw,
-                exact,
+                form,
             }
         }
         "ESTIMATE" => {
@@ -797,11 +796,12 @@ mod tests {
             Some(Request::Match {
                 graph: "g".into(),
                 query_path: "q.graph".into(),
-                limit: Some(100),
-                deadline_ms: Some(50),
-                workers: Some(2),
-                raw: false,
-                exact: false,
+                form: MatchForm {
+                    limit: Some(100),
+                    deadline_ms: Some(50),
+                    workers: Some(2),
+                    ..MatchForm::default()
+                },
             })
         );
         assert_eq!(
@@ -809,11 +809,7 @@ mod tests {
             Some(Request::Match {
                 graph: "g".into(),
                 query_path: "q".into(),
-                limit: None,
-                deadline_ms: None,
-                workers: None,
-                raw: false,
-                exact: false,
+                form: MatchForm::default(),
             })
         );
         assert_eq!(
@@ -821,11 +817,10 @@ mod tests {
             Some(Request::Match {
                 graph: "g".into(),
                 query_path: "q".into(),
-                limit: None,
-                deadline_ms: None,
-                workers: None,
-                raw: true,
-                exact: false,
+                form: MatchForm {
+                    raw: true,
+                    ..MatchForm::default()
+                },
             })
         );
         assert_eq!(
@@ -833,11 +828,11 @@ mod tests {
             Some(Request::Match {
                 graph: "g".into(),
                 query_path: "q".into(),
-                limit: None,
-                deadline_ms: Some(10),
-                workers: None,
-                raw: false,
-                exact: true,
+                form: MatchForm {
+                    deadline_ms: Some(10),
+                    exact: true,
+                    ..MatchForm::default()
+                },
             })
         );
         assert!(parse_request("MATCH g q LIMIT").is_err());

@@ -1,0 +1,548 @@
+//! The query verbs — `MATCH`, `ESTIMATE`, `EXPLAIN` — behind one resolver.
+//!
+//! [`resolve`] is the only place a request meets the registry, the admission
+//! filter, the shard table, the index cache, the rent/buy planner and the
+//! deadline ladder, in that order, and it ends on exactly one [`ExecPath`].
+//! The reply's `filter=` / `mode=` / `cache=` tokens, the path's `STATS`
+//! counter, the drain's [`ParallelOptions`] and `EXPLAIN`'s `| path:` line
+//! are each derived from that value in one function below; the verbs only
+//! execute the path they were handed.
+
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use ceci_core::{
+    admit, enumerate_parallel_cancellable, estimate_embeddings, explain_choice, explain_estimates,
+    ns_per_unit_from_profile, Admission as DeadlineVerdict, CancelToken, EnumOptions, Estimate,
+    EstimateOptions, ParallelOptions, DEFAULT_NS_PER_UNIT,
+};
+use ceci_graph::Graph;
+use ceci_query::{admission_check, QueryGraph, QueryPlan};
+use ceci_trace::Tracer;
+
+use crate::cache::{CachedIndex, PlanFeedback};
+use crate::coord;
+use crate::event_loop::lock_recover;
+use crate::index::{index_for, replan_if_due, Acquired};
+use crate::metrics::ServerMetrics;
+use crate::protocol::{ErrorCode, MatchForm, MatchStatus};
+use crate::registry::GraphEntry;
+use crate::server::{record_tiled_spans, Reply, ServeConfig, ServerState};
+
+/// The index a local path runs over, and what acquiring it took.
+pub(crate) struct Served {
+    index: Arc<CachedIndex>,
+    cache: Acquired,
+    /// Build or repair time (zero on a hit).
+    build: Duration,
+    /// The whole acquisition: cache probe + `build`.
+    index_time: Duration,
+    /// Portfolio scoring + rebuild, on the one request per entry that pays
+    /// for its re-plan (zero otherwise).
+    replan: Duration,
+}
+
+/// The one path a request takes, chosen by [`resolve`].
+pub(crate) enum ExecPath {
+    /// The label-pair admission filter proved zero embeddings: answered in
+    /// O(query edges) before any cache probe, index build or enumeration.
+    Rejected,
+    /// Coordinator mode, plain count-only `MATCH`: the pivots scatter across
+    /// the shard fleet under the fixed deterministic plan.
+    Sharded { query: QueryGraph, sub_epoch: u64 },
+    /// `DEADLINE` the exact run cannot meet, estimate trustworthy: answered
+    /// from the estimator over the index.
+    Approx(Served),
+    /// `DEADLINE` the exact run cannot meet, estimate (of this intermediate
+    /// `volume`) too noisy to stand behind: refused.
+    Infeasible { volume: f64, deadline_ms: u64 },
+    /// Everything else: enumerate the index with `workers` threads.
+    Drain {
+        served: Served,
+        raw: bool,
+        workers: usize,
+        cancel: Option<Arc<CancelToken>>,
+    },
+}
+
+impl ExecPath {
+    /// The variant's name, and the `filter=` / `mode=` token its reply leads
+    /// with (`benchmark/src/wire.rs::parse_match` keys on these).
+    fn tokens(&self) -> (&'static str, &'static str) {
+        match self {
+            ExecPath::Rejected => ("rejected", "filter=REJECTED"),
+            ExecPath::Sharded { .. } => ("sharded", "mode=SHARDED"),
+            ExecPath::Approx(_) => ("approx", "mode=APPROX"),
+            ExecPath::Infeasible { .. } => ("infeasible", ""),
+            ExecPath::Drain { .. } => ("drain", ""),
+        }
+    }
+
+    /// The index under a local path.
+    fn served(&self) -> Option<&Served> {
+        match self {
+            ExecPath::Approx(served) | ExecPath::Drain { served, .. } => Some(served),
+            _ => None,
+        }
+    }
+
+    /// The reply's `cache=` value.
+    fn cache_tag(&self) -> &'static str {
+        self.served().map_or("NONE", |served| served.cache.tag())
+    }
+
+    /// `EXPLAIN`'s `| path:` line: the variant, then its reply tokens and,
+    /// for a repaired index, the rung.
+    fn describe(&self) -> String {
+        let (name, lead) = self.tokens();
+        let mut line = format!("| path: {name}");
+        let cache = format!("cache={}", self.cache_tag());
+        let rung = self.served().and_then(|served| served.cache.repair_mode());
+        for token in [lead, &cache, rung.unwrap_or("")] {
+            if !token.is_empty() {
+                line.push(' ');
+                line.push_str(token);
+            }
+        }
+        line
+    }
+
+    /// Counts the path: one counter per variant (an index's acquisition was
+    /// counted, hit / miss / repair, by [`index_for`]; a scatter has none).
+    fn count(&self, metrics: &ServerMetrics) {
+        match self {
+            ExecPath::Rejected => ServerMetrics::inc(&metrics.filter_rejected),
+            ExecPath::Approx(_) => ServerMetrics::inc(&metrics.approx_answers),
+            ExecPath::Infeasible { .. } => ServerMetrics::inc(&metrics.infeasible_rejects),
+            ExecPath::Sharded { .. } | ExecPath::Drain { .. } => {}
+        }
+    }
+}
+
+/// The enumeration options of a drain over `index`: the one function both
+/// `MATCH` and `EXPLAIN ANALYZE` take theirs from. What the planner adds —
+/// skipped for `RAW` — is the work-distribution strategy its estimate
+/// picked, which changes how work is split, never a count.
+fn drain_options(
+    config: &ServeConfig,
+    index: &CachedIndex,
+    raw: bool,
+    workers: usize,
+    limit: Option<u64>,
+) -> ParallelOptions {
+    let mut options = ParallelOptions {
+        workers,
+        limit,
+        prune_redundant: config.prune_redundant && !raw,
+        ..Default::default()
+    };
+    if !raw {
+        options.strategy = index.choice.strategy;
+    }
+    options
+}
+
+/// Resolves one request to its snapshot and the path over it (registry
+/// lookup → snapshot → query load → [`choose`]) and counts that path. `form`
+/// is `Some` for `MATCH`; `ESTIMATE` and `EXPLAIN` pass `None` and resolve as
+/// the plain form does, except that they read the local index only: they
+/// never scatter and never pay an entry's re-plan.
+fn resolve(
+    state: &ServerState,
+    graph_name: &str,
+    query_path: &str,
+    form: Option<&MatchForm>,
+) -> Result<(Arc<Graph>, ExecPath), Vec<String>> {
+    let entry = state.graph(graph_name)?;
+    // One consistent (snapshot, sub-epoch) pair for the whole request:
+    // concurrent mutations publish new snapshots without touching this one.
+    let (graph, sub_epoch) = entry.snapshot();
+    let query = state.query(query_path)?;
+    let path = choose(state, &entry, &graph, sub_epoch, query, form)?;
+    path.count(&state.metrics);
+    Ok((graph, path))
+}
+
+/// The ladder itself, in order: admission → shard check → index acquisition
+/// (hit / miss / first / patch / rebase) → re-plan → deadline ladder.
+fn choose(
+    state: &ServerState,
+    entry: &GraphEntry,
+    graph: &Graph,
+    sub_epoch: u64,
+    query: QueryGraph,
+    form: Option<&MatchForm>,
+) -> Result<ExecPath, Vec<String>> {
+    let (runs, form) = (form.is_some(), form.copied().unwrap_or_default());
+    if !form.raw && admission_check(&query, graph).rejected() {
+        return Ok(ExecPath::Rejected);
+    }
+    // Requests with LIMIT/DEADLINE/WORKERS keep the local path: those knobs
+    // shape enumeration in ways a scatter cannot reproduce deterministically.
+    let plain = form.limit.is_none() && form.deadline_ms.is_none() && form.workers.is_none();
+    if runs && plain && state.shards().is_some() {
+        return Ok(ExecPath::Sharded { query, sub_epoch });
+    }
+    // The deadline clock starts when execution starts, not at submission:
+    // queue wait is already bounded by admission control.
+    let cancel = form
+        .deadline_ms
+        .map(|ms| CancelToken::after(Duration::from_millis(ms)));
+    let t_index = Instant::now();
+    let (mut index, cache, build) = index_for(state, entry, graph, sub_epoch, query)?;
+    let index_time = t_index.elapsed();
+    // Rent or buy: a current entry whose reuse has paid for it re-plans
+    // here, once, after any due repair and before this request enumerates.
+    let mut replan = Duration::ZERO;
+    if runs && !form.raw && cache != Acquired::Miss {
+        if let Some((swapped, took)) = replan_if_due(state, entry.epoch, graph, &index) {
+            (index, replan) = (swapped, took);
+        }
+    }
+    // Worker count: explicit `WORKERS` wins, then the planner's
+    // recommendation (sized from estimated volume), then the default.
+    let config = state.config();
+    let recommended = if form.raw { 1 } else { index.choice.workers };
+    let workers = form
+        .workers
+        .unwrap_or(recommended.max(config.default_match_workers))
+        .clamp(1, config.max_match_workers.max(1));
+    let served = Served {
+        index,
+        cache,
+        build,
+        index_time,
+        replan,
+    };
+    // Deadline ladder: when the planner's cost estimate (at the rate an
+    // earlier deadline run observed, when there is one) says the exact
+    // enumeration cannot finish inside the deadline, degrade to an estimator
+    // answer — or refuse outright — *before* occupying the worker for the
+    // full deadline. `RAW` and `EXACT` both opt out.
+    if let Some(deadline_ms) = form.deadline_ms.filter(|_| !form.raw && !form.exact) {
+        let cost = &served.index.choice.cost;
+        let ns_per_unit = lock_recover(&served.index.feedback)
+            .as_ref()
+            .map_or(DEFAULT_NS_PER_UNIT, |f| f.ns_per_unit);
+        match admit(
+            cost,
+            Duration::from_millis(deadline_ms),
+            ns_per_unit,
+            workers,
+        ) {
+            DeadlineVerdict::Exact => {}
+            DeadlineVerdict::Approx => return Ok(ExecPath::Approx(served)),
+            DeadlineVerdict::Infeasible => {
+                let volume = cost.volume();
+                return Ok(ExecPath::Infeasible {
+                    volume,
+                    deadline_ms,
+                });
+            }
+        }
+    }
+    Ok(ExecPath::Drain {
+        served,
+        raw: form.raw,
+        workers,
+        cancel,
+    })
+}
+
+fn estimate_line(est: &Estimate) -> String {
+    let (lo, hi) = est.ci95();
+    format!(
+        "mean={:.1} std_error={:.1} ci95_lo={lo:.1} ci95_hi={hi:.1} walks={}",
+        est.mean, est.std_error, est.walks,
+    )
+}
+
+pub(crate) fn exec_match(
+    state: &ServerState,
+    graph_name: &str,
+    query_path: &str,
+    form: MatchForm,
+    queue_wait: Duration,
+) -> Reply {
+    let t_start = Instant::now();
+    ServerMetrics::inc(&state.metrics.match_requests);
+    let (graph, path) = resolve(state, graph_name, query_path, Some(&form))?;
+    let (lead, cache_tag) = (path.tokens().1, path.cache_tag());
+    // `match_latency` is admission-to-response: queue wait counts.
+    let finish = |line: String| {
+        let total = t_start.elapsed();
+        state.metrics.match_latency.record(queue_wait + total);
+        vec![format!("{line} total_us={}", total.as_micros())]
+    };
+    match path {
+        ExecPath::Rejected => Ok(finish(format!(
+            "OK MATCH count=0 status=OK {lead} cache={cache_tag} build_us=0 enum_us=0"
+        ))),
+        ExecPath::Sharded { query, sub_epoch } => {
+            // The plan is the *fixed* deterministic one (`QueryPlan::new`,
+            // BFS order) — shards replay it from the PREPARE line, so
+            // coordinator and shards agree bit-for-bit on candidates, order,
+            // and symmetry constraints.
+            let shards = state.shards().expect("a sharded path has shards");
+            let plan = QueryPlan::new(query, &graph);
+            let handle = format!("{graph_name}@{sub_epoch}:{query_path}");
+            let report = coord::scatter_match(
+                &graph,
+                &plan,
+                query_path,
+                &handle,
+                shards,
+                &state.coord_config(),
+            );
+            Ok(finish(format!(
+                "OK MATCH count={} status=OK {lead} shards={} shard_commits={} \
+                 local_fallback={} rescatters={} stale_rejected={} reconnects={}",
+                report.total,
+                shards.len(),
+                report.shard_commits,
+                report.local_fallback,
+                report.rescatters,
+                report.stale_rejected,
+                report.reconnects,
+            )))
+        }
+        ExecPath::Approx(served) => {
+            let index = &served.index;
+            let est = estimate_embeddings(
+                &graph,
+                &index.plan,
+                &index.ceci,
+                &EstimateOptions::default(),
+            );
+            Ok(finish(format!(
+                "OK MATCH count={} status=OK {lead} {} cache={cache_tag} build_us={} enum_us=0",
+                est.mean.round() as u64,
+                estimate_line(&est),
+                served.build.as_micros(),
+            )))
+        }
+        ExecPath::Infeasible {
+            volume,
+            deadline_ms,
+        } => Err(state.fail(
+            ErrorCode::Infeasible,
+            format!(
+                "estimated intermediate volume {volume:.0} cannot finish inside {deadline_ms}ms \
+                 and the estimate is too noisy for an APPROX answer; retry with EXACT, a \
+                 larger DEADLINE, or use ESTIMATE"
+            ),
+        )),
+        ExecPath::Drain {
+            served,
+            raw,
+            workers,
+            cancel,
+        } => {
+            // The one drain. Every `MATCH` form enumerates its own cached
+            // index through the parallel entry point (an inline loop over
+            // the pivots at one worker).
+            let index = &served.index;
+            let options = ParallelOptions {
+                // Only the deadline ladder reads the observed rate, so only
+                // a deadline run pays to measure it, once per entry.
+                profile: !raw
+                    && form.deadline_ms.is_some()
+                    && lock_recover(&index.feedback).is_none(),
+                ..drain_options(state.config(), index, raw, workers, form.limit)
+            };
+            let t_enum = Instant::now();
+            let result =
+                enumerate_parallel_cancellable(&graph, &index.plan, &index.ceci, &options, cancel);
+            if !result.cancelled {
+                if let Some(profile) = &result.profile {
+                    let ns_per_unit =
+                        ns_per_unit_from_profile(profile).unwrap_or(DEFAULT_NS_PER_UNIT);
+                    lock_recover(&index.feedback).get_or_insert(PlanFeedback { ns_per_unit });
+                }
+            }
+            index.reuse.spend(&result.counters);
+            let enum_time = t_enum.elapsed();
+
+            let status = if result.cancelled {
+                ServerMetrics::inc(&state.metrics.deadline_exceeded);
+                MatchStatus::DeadlineExceeded
+            } else {
+                MatchStatus::Ok
+            };
+            let found = result.total_embeddings;
+            let count = form.limit.map_or(found, |k| found.min(k));
+            ServerMetrics::add(&state.metrics.embeddings_returned, count);
+            let mut lines = finish(format!(
+                "OK MATCH count={count} status={} cache={cache_tag} build_us={} enum_us={}",
+                status.as_str(),
+                served.build.as_micros(),
+                enum_time.as_micros(),
+            ));
+            if served.replan > Duration::ZERO {
+                lines[0].push_str(&format!(" replan_us={}", served.replan.as_micros()));
+            }
+            if state.tracer.enabled() {
+                record_request_spans(
+                    &state.tracer,
+                    queue_wait,
+                    &served,
+                    enum_time,
+                    t_start.elapsed(),
+                    &[
+                        ("embeddings", count),
+                        ("cache_hit", (served.cache == Acquired::Hit) as u64),
+                        ("deadline_exceeded", result.cancelled as u64),
+                        ("workers", workers as u64),
+                    ],
+                );
+            }
+            Ok(lines)
+        }
+    }
+}
+
+/// Answers `ESTIMATE <graph> <query-path> [WALKS <n>]`: runs the
+/// random-walk cardinality estimator over the (cached) index and reports
+/// mean, standard error, and 95% confidence interval without enumerating.
+/// Shares the index cache with MATCH, so estimating then matching pays one
+/// build.
+pub(crate) fn exec_estimate(
+    state: &ServerState,
+    graph_name: &str,
+    query_path: &str,
+    walks: Option<u64>,
+) -> Reply {
+    let t_start = Instant::now();
+    let (graph, path) = resolve(state, graph_name, query_path, None)?;
+    // The label-pair filter proves zero without touching the index: the
+    // degenerate exact-zero estimate.
+    let est = match path.served() {
+        Some(Served { index, .. }) => {
+            let mut opts = EstimateOptions::default();
+            if let Some(w) = walks {
+                opts.walks = w.max(1);
+            }
+            estimate_embeddings(&graph, &index.plan, &index.ceci, &opts)
+        }
+        None => Estimate {
+            mean: 0.0,
+            std_error: 0.0,
+            walks: 0,
+            exact_zero: true,
+        },
+    };
+    Ok(vec![format!(
+        "OK ESTIMATE {} exact_zero={} cache={} total_us={}",
+        estimate_line(&est),
+        est.exact_zero as u8,
+        path.cache_tag(),
+        t_start.elapsed().as_micros(),
+    )])
+}
+
+/// Records one `service.request` span with its stage children
+/// (`service.queue` → `service.cache_probe` → `service.build` →
+/// `service.replan` → `service.enumerate` → `service.serialize`) ending at
+/// the tracer's current clock. `queue_wait` is admission to execution
+/// start, `total` execution start to response-lines-ready; everything
+/// between the measured stages (registry lookup, query-file load, response
+/// formatting) lands in `serialize`, the closing stage.
+fn record_request_spans(
+    tracer: &Tracer,
+    queue_wait: Duration,
+    served: &Served,
+    enum_time: Duration,
+    total: Duration,
+    args: &[(&'static str, u64)],
+) {
+    let ns = |d: Duration| d.as_nanos() as u64;
+    let probe = ns(served.index_time).saturating_sub(ns(served.build));
+    let stages = [
+        ("service.queue", ns(queue_wait)),
+        ("service.cache_probe", probe),
+        ("service.build", ns(served.build)),
+        ("service.replan", ns(served.replan)),
+        ("service.enumerate", ns(enum_time)),
+    ];
+    let total = ns(queue_wait) + ns(total);
+    let args = args.to_vec();
+    record_tiled_spans(
+        tracer,
+        "service.request",
+        total,
+        args,
+        &stages,
+        "service.serialize",
+    );
+}
+
+pub(crate) fn exec_explain(
+    state: &ServerState,
+    graph_name: &str,
+    query_path: &str,
+    analyze: bool,
+) -> Reply {
+    let (graph, path) = resolve(state, graph_name, query_path, None)?;
+    let ExecPath::Drain {
+        served,
+        raw,
+        workers,
+        ..
+    } = &path
+    else {
+        // Provably zero: no index was probed or built, so there is none to
+        // describe.
+        return Ok(vec![path.describe(), "OK EXPLAIN".to_string()]);
+    };
+    let index = &served.index;
+    // What a count-only `MATCH` of this template drains with.
+    let options = drain_options(state.config(), index, *raw, *workers, None);
+    let enum_options = EnumOptions {
+        prune_redundant: options.prune_redundant,
+        ..EnumOptions::default()
+    };
+    // Which snapshot the report's candidate counts describe: the entry's
+    // own, unless it was repaired under a plan retained from an earlier one.
+    let sets = format!("sets@sub_epoch={}", index.sets_sub_epoch);
+    let report = ceci_core::explain_plan(&index.plan, &graph, enum_options, &sets);
+    let mut lines: Vec<String> = report.lines().map(|l| format!("| {l}")).collect();
+    lines.push(path.describe());
+    let mut line = format!("| index: bytes={} cache={}", index.bytes, path.cache_tag());
+    if let Some(mode) = served.cache.repair_mode() {
+        // Which rung of the repair ladder this request itself took.
+        line.push(' ');
+        line.push_str(mode);
+    }
+    lines.push(line);
+    // Plan-choice section: where the entry's rent/buy ledger stands, which
+    // orders have been weighed, the served plan's estimated cost, and the
+    // execution decision.
+    let choice = explain_choice(&index.choice, &index.reuse);
+    lines.extend(choice.lines().map(|l| format!("| {l}")));
+    if analyze {
+        // EXPLAIN ANALYZE: the drain itself with a per-depth profile
+        // attached, and the profile table appended. Single worker so the
+        // per-depth rows describe one deterministic recursion.
+        let options = ParallelOptions {
+            workers: 1,
+            profile: true,
+            ..options
+        };
+        let result =
+            enumerate_parallel_cancellable(&graph, &index.plan, &index.ceci, &options, None);
+        // `profile: true` was requested, but degrade gracefully if the
+        // enumerator returned none rather than panicking the worker.
+        if let Some(profile) = result.profile.as_ref() {
+            let table = ceci_core::explain_profile(&index.plan, profile, &result.counters);
+            lines.extend(table.lines().map(|l| format!("| {l}")));
+            // Estimated vs actual per-depth volumes (q-error column): how
+            // well the planner's cost model predicted this execution.
+            let estimates = explain_estimates(&index.plan, &index.choice.cost, profile);
+            lines.extend(estimates.lines().map(|l| format!("| {l}")));
+        } else {
+            lines.push("| profile: unavailable for this run".to_string());
+        }
+    }
+    lines.push("OK EXPLAIN".to_string());
+    Ok(lines)
+}

@@ -451,21 +451,19 @@ fn stats_prom_emits_valid_exposition_format() {
 #[test]
 fn explain_analyze_profile_sums_match_global_counters() {
     let scratch = Scratch::new("analyze");
-    let graph = small_graph();
-    let pattern = query_from(&graph, 4, 29);
-    let graph_path = scratch.write_graph("g.graph", &graph);
-    let query_path = scratch.write_graph("q.graph", &pattern);
+    let labeled = small_graph();
+    // One label, and a template with three interchangeable leaves: a
+    // count-only run answers its last depth by sibling reuse.
+    let unlabeled = erdos_renyi(400, 2_400, 5);
+    let vid = ceci_graph::vid;
+    let star = Graph::unlabeled(4, &[(vid(0), vid(1)), (vid(0), vid(2)), (vid(0), vid(3))]);
+    let cases = [
+        ("g", &labeled, query_from(&labeled, 4, 29), false),
+        ("s", &unlabeled, star, true),
+    ];
 
     let (handle, _state) = serve(ServeConfig::default());
     let mut client = Client::connect(handle.addr()).unwrap();
-    client.request(&format!("LOAD g {graph_path}")).unwrap();
-
-    let resp = client
-        .request(&format!("EXPLAIN g {query_path} ANALYZE"))
-        .unwrap();
-    assert_eq!(resp.terminal, "OK EXPLAIN");
-    assert!(resp.payload.iter().all(|l| l.starts_with("| ")));
-
     // Pull `key=value` fields out of the profile rows.
     let kv = |line: &str, key: &str| -> Option<u64> {
         line.split_whitespace()
@@ -473,39 +471,62 @@ fn explain_analyze_profile_sums_match_global_counters() {
             .find(|(k, _)| *k == key)
             .and_then(|(_, v)| v.parse().ok())
     };
-    let depth_rows: Vec<&String> = resp
-        .payload
-        .iter()
-        .filter(|l| l.starts_with("| depth="))
-        .collect();
-    assert!(!depth_rows.is_empty(), "per-depth rows missing:\n{resp:?}");
-    let totals = resp
-        .payload
-        .iter()
-        .find(|l| l.starts_with("| totals"))
-        .expect("totals row");
+    for (name, graph, pattern, reuses) in &cases {
+        let graph_path = scratch.write_graph(&format!("{name}.graph"), graph);
+        let query_path = scratch.write_graph(&format!("{name}-q.graph"), pattern);
+        client
+            .request(&format!("LOAD {name} {graph_path}"))
+            .unwrap();
+        let explain = format!("EXPLAIN {name} {query_path}");
+        // Work spent on the entry so far, as its rent/buy ledger has it.
+        let spent = |client: &mut Client| -> u64 {
+            let resp = client.request(&explain).unwrap();
+            let choice = resp.payload.iter().find(|l| l.contains("plan choice:"));
+            kv(choice.expect("choice section"), "spent").expect("spent field")
+        };
 
-    // Acceptance criterion: per-depth intersection ops are exact, so their
-    // sum equals the run's global intersection counter bit-for-bit.
-    let depth_isect: u64 = depth_rows.iter().map(|l| kv(l, "isect").unwrap()).sum();
-    assert_eq!(Some(depth_isect), kv(totals, "intersection_ops"));
-    // Same for emitted embeddings and recursive calls.
-    let depth_emit: u64 = depth_rows.iter().map(|l| kv(l, "emit").unwrap()).sum();
-    assert_eq!(Some(depth_emit), kv(totals, "embeddings"));
-    let depth_calls: u64 = depth_rows.iter().map(|l| kv(l, "calls").unwrap()).sum();
-    assert_eq!(Some(depth_calls), kv(totals, "recursive_calls"));
+        let resp = client.request(&format!("{explain} ANALYZE")).unwrap();
+        assert_eq!(resp.terminal, "OK EXPLAIN");
+        assert!(resp.payload.iter().all(|l| l.starts_with("| ")));
+        let reused = resp.payload.iter().any(|l| l.contains("leaf=REUSE"));
+        assert_eq!(reused, *reuses, "{name}: {:?}", resp.payload);
+        let depth_rows: Vec<&String> = resp
+            .payload
+            .iter()
+            .filter(|l| l.starts_with("| depth="))
+            .collect();
+        assert!(!depth_rows.is_empty(), "per-depth rows missing:\n{resp:?}");
+        let totals = resp
+            .payload
+            .iter()
+            .find(|l| l.starts_with("| totals"))
+            .expect("totals row");
 
-    // The profiled count matches the unprofiled MATCH and the direct
-    // enumeration — ANALYZE must not perturb results.
-    let resp = client.request(&format!("MATCH g {query_path}")).unwrap();
-    assert_eq!(
-        resp.field_u64("count"),
-        Some(direct_count(&graph, &pattern))
-    );
-    assert_eq!(
-        Some(direct_count(&graph, &pattern)),
-        kv(totals, "embeddings")
-    );
+        // Acceptance criterion: per-depth intersection ops are exact, so
+        // their sum equals the run's global intersection counter
+        // bit-for-bit.
+        let depth_isect: u64 = depth_rows.iter().map(|l| kv(l, "isect").unwrap()).sum();
+        assert_eq!(Some(depth_isect), kv(totals, "intersection_ops"));
+        // Same for emitted embeddings and recursive calls.
+        let depth_emit: u64 = depth_rows.iter().map(|l| kv(l, "emit").unwrap()).sum();
+        assert_eq!(Some(depth_emit), kv(totals, "embeddings"));
+        let depth_calls: u64 = depth_rows.iter().map(|l| kv(l, "calls").unwrap()).sum();
+        assert_eq!(Some(depth_calls), kv(totals, "recursive_calls"));
+
+        // ANALYZE profiles the enumeration `MATCH` runs, not another one:
+        // it counts what the unprofiled MATCH and the direct enumeration
+        // count, and its work is exactly what one plain count-only MATCH
+        // puts on the entry's ledger.
+        let before = spent(&mut client);
+        let resp = client
+            .request(&format!("MATCH {name} {query_path}"))
+            .unwrap();
+        let expected = direct_count(graph, pattern);
+        assert_eq!(resp.field_u64("count"), Some(expected), "{name}");
+        assert_eq!(Some(expected), kv(totals, "embeddings"), "{name}");
+        let work = kv(totals, "recursive_calls").unwrap() + kv(totals, "intersection_ops").unwrap();
+        assert_eq!(spent(&mut client) - before, work, "{name}: {totals}");
+    }
     handle.shutdown();
 }
 
@@ -1269,17 +1290,21 @@ fn adaptive_counts_bit_identical_to_raw_and_fixed() {
     let graph_path = scratch.write_graph("data.graph", &graph);
 
     let (handle, _state) = serve(ServeConfig::default());
-    let (fixed_handle, _fixed_state) = serve(ServeConfig {
-        adaptive: false,
-        ..ServeConfig::default()
-    });
     let mut client = Client::connect(handle.addr()).unwrap();
-    let mut fixed = Client::connect(fixed_handle.addr()).unwrap();
     client.request(&format!("LOAD g {graph_path}")).unwrap();
-    fixed.request(&format!("LOAD g {graph_path}")).unwrap();
+    // Every `EXPLAIN` carries the planner's decision record: there is no
+    // server without one.
+    let assert_plan_choice = |client: &mut Client, request: String| {
+        let explain = client.request(&request).unwrap();
+        assert_eq!(explain.terminal, "OK EXPLAIN");
+        let choice = explain.payload.iter().any(|l| l.contains("plan choice:"));
+        assert!(choice, "{request}: {:?}", explain.payload);
+    };
 
     for (size, seed) in [(3, 41), (4, 42), (5, 43), (6, 44)] {
         let pattern = query_from(&graph, size, seed);
+        // The fixed-BFS reference: the paper's plan, built and counted
+        // outside the server.
         let expected = direct_count(&graph, &pattern);
         let query_path = scratch.write_graph(&format!("q{size}-{seed}.graph"), &pattern);
         // Adaptive plan: the miss, then the hit.
@@ -1289,14 +1314,7 @@ fn adaptive_counts_bit_identical_to_raw_and_fixed() {
         let raw = client
             .request(&format!("MATCH g {query_path} RAW"))
             .unwrap();
-        // And a --no-adaptive server plans fixed BFS.
-        let base = fixed.request(&format!("MATCH g {query_path}")).unwrap();
-        for (tag, resp) in [
-            ("first", &first),
-            ("second", &second),
-            ("raw", &raw),
-            ("fixed", &base),
-        ] {
+        for (tag, resp) in [("first", &first), ("second", &second), ("raw", &raw)] {
             assert_eq!(
                 resp.field_u64("count"),
                 Some(expected),
@@ -1304,6 +1322,7 @@ fn adaptive_counts_bit_identical_to_raw_and_fixed() {
                 resp.terminal
             );
         }
+        assert_plan_choice(&mut client, format!("EXPLAIN g {query_path}"));
     }
 
     // The post-re-plan entry: the order-sensitive template served until its
@@ -1314,7 +1333,7 @@ fn adaptive_counts_bit_identical_to_raw_and_fixed() {
     let graph_path = scratch.write_graph("skewed.graph", &graph);
     let query_path = scratch.write_graph("order-sensitive.graph", &pattern);
     client.request(&format!("LOAD s {graph_path}")).unwrap();
-    fixed.request(&format!("LOAD s {graph_path}")).unwrap();
+    assert_plan_choice(&mut client, format!("EXPLAIN s {query_path}"));
     let served = serve_until_replan(&mut client, &format!("MATCH s {query_path}"), 200);
     assert!(served.iter().all(|r| r.count == expected), "{served:?}");
     let explain = client.request(&format!("EXPLAIN s {query_path}")).unwrap();
@@ -1336,10 +1355,7 @@ fn adaptive_counts_bit_identical_to_raw_and_fixed() {
         assert_eq!(resp.field("cache"), Some("HIT"), "{}", resp.terminal);
         assert_eq!(resp.field_u64("count"), Some(expected), "{request}");
     }
-    let base = fixed.request(&format!("MATCH s {query_path}")).unwrap();
-    assert_eq!(base.field_u64("count"), Some(expected));
     handle.shutdown();
-    fixed_handle.shutdown();
 }
 
 // ---------------------------------------------------------------------------
@@ -2022,7 +2038,11 @@ fn a_batch_past_the_floor_sells_the_tables_and_small_ones_buy_them_back() {
         let entry = state.cache.entries().pop().unwrap();
         assert!(Arc::ptr_eq(&entry.plan, &owner.plan), "{rung}: plan object");
         assert!(Arc::ptr_eq(&entry.reuse, &owner.reuse), "{rung}: ledger");
-        assert!(entry.choice.is_some(), "{rung}: decision record");
+        assert_eq!(
+            entry.choice.candidates.len(),
+            owner.choice.candidates.len(),
+            "{rung}: decision record"
+        );
         let now = ledger(client, &query_path).0;
         assert!(now > spent, "{rung}: ledger {spent} -> {now}");
         spent = now;
@@ -2059,6 +2079,194 @@ fn a_batch_past_the_floor_sells_the_tables_and_small_ones_buy_them_back() {
     assert_eq!(stats["ceci_index_repair_rebases_total"], 1.0);
     assert_eq!(stats["ceci_index_repair_fallbacks_total"], 0.0);
     assert_eq!(stats["ceci_cache_misses_total"], 1.0);
+    handle.shutdown();
+}
+
+/// One counter per path: every local `ExecPath` variant driven once, its
+/// reply carrying exactly its own tokens and `STATS` moving exactly its own
+/// counter — plus, for a path over an index, the counter of how the index
+/// was come by. Mirrors DESIGN's "`ExecPath` → tokens / counter / span".
+#[test]
+fn every_exec_path_moves_its_own_counter_and_carries_its_own_tokens() {
+    use ceci_core::{CostEstimate, Estimate, PlanChoice, Reuse};
+    use ceci_query::CanonicalQuery;
+    use ceci_service::CachedIndex;
+
+    let scratch = Scratch::new("one-counter");
+    let graph = small_graph();
+    let pattern = query_from(&graph, 4, 7);
+    let graph_path = scratch.write_graph("data.graph", &graph);
+    let query_path = scratch.write_graph("query.graph", &pattern);
+    // A label the data graph does not carry: provably zero.
+    let mut qb = ceci_graph::GraphBuilder::new();
+    let (a, b) = (
+        qb.add_vertex(ceci_graph::LabelId(9)),
+        qb.add_vertex(ceci_graph::LabelId(9)),
+    );
+    qb.add_edge(a, b);
+    let zero_path = scratch.write_graph("zero.graph", &qb.build());
+
+    let (handle, state) = serve(ServeConfig {
+        trace: true,
+        ..ServeConfig::default()
+    });
+    let mut client = Client::connect(handle.addr()).unwrap();
+    client.request(&format!("LOAD g {graph_path}")).unwrap();
+
+    // The deadline ladder's two degraded rungs need an entry whose stored
+    // estimate says "cannot finish": plant one per rung, a trustworthy
+    // estimate and a hopelessly noisy one, for two more templates.
+    let plant = |name: &str, seed: u64, mean: f64, std_error: f64| -> String {
+        let pattern = query_from(&graph, 3, seed);
+        let query = QueryGraph::from_graph(&pattern).unwrap();
+        let entry = state.registry.get("g").unwrap();
+        let (snapshot, sub_epoch) = entry.snapshot();
+        let canonical = CanonicalQuery::of(&query);
+        let plan = Arc::new(QueryPlan::new(query, &snapshot));
+        let ceci = Arc::new(Ceci::build(&snapshot, &plan));
+        let mut choice = PlanChoice::unscored(&plan, 1);
+        choice.cost = CostEstimate {
+            estimate: Estimate {
+                mean,
+                std_error,
+                walks: 64,
+                exact_zero: false,
+            },
+            depth_volumes: vec![1e6, 1e12],
+            depth_work: vec![1e6, 1e12],
+            work_std_error: 0.0,
+        };
+        let reuse = Arc::new(Reuse::new(ceci_core::replan_price(&plan, &ceci, 2)));
+        let planted = CachedIndex::new(canonical, plan, ceci, None, sub_epoch, choice, reuse);
+        state.cache.insert(entry.epoch, planted);
+        scratch.write_graph(&format!("{name}.graph"), &pattern)
+    };
+    let approx_path = plant("approx", 5, 1e6, 1.0);
+    let noisy_path = plant("noisy", 9, 1e6, 1e9);
+    assert_eq!(state.cache.len(), 2, "two distinct planted templates");
+
+    // What a row does before its request.
+    enum Before {
+        Nothing,
+        SmallBatch(u64),
+        BigBatch(u64),
+    }
+    use Before::*;
+    // `STATS PROM` names: `ceci_<key>_total`.
+    const WATCHED: [&str; 9] = [
+        "filter_rejected",
+        "cache_hits",
+        "cache_misses",
+        "index_repairs",
+        "index_repair_rebases",
+        "approx_answers",
+        "infeasible_rejects",
+        "index_repair_fallbacks",
+        "cache_collisions",
+    ];
+    // (path, before, request, [filter=, mode=, cache=], counters moved by one)
+    type Row<'a> = (&'a str, Before, String, [Option<&'a str>; 3], &'a [&'a str]);
+    let plain = format!("MATCH g {query_path}");
+    let rows: Vec<Row> = vec![
+        (
+            "rejected",
+            Nothing,
+            format!("MATCH g {zero_path}"),
+            [Some("REJECTED"), None, Some("NONE")],
+            &["filter_rejected"],
+        ),
+        (
+            "drain/miss",
+            Nothing,
+            plain.clone(),
+            [None, None, Some("MISS")],
+            &["cache_misses"],
+        ),
+        (
+            "drain/hit",
+            Nothing,
+            plain.clone(),
+            [None, None, Some("HIT")],
+            &["cache_hits"],
+        ),
+        (
+            "drain raw/hit",
+            Nothing,
+            format!("{plain} RAW"),
+            [None, None, Some("HIT")],
+            &["cache_hits"],
+        ),
+        (
+            "approx/hit",
+            Nothing,
+            format!("MATCH g {approx_path} DEADLINE 10"),
+            [None, Some("APPROX"), Some("HIT")],
+            &["approx_answers", "cache_hits"],
+        ),
+        (
+            "infeasible/hit",
+            Nothing,
+            format!("MATCH g {noisy_path} DEADLINE 10"),
+            [None, None, None],
+            &["infeasible_rejects", "cache_hits"],
+        ),
+        (
+            "drain/first",
+            SmallBatch(97),
+            plain.clone(),
+            [None, None, Some("REPAIRED")],
+            &["index_repairs"],
+        ),
+        (
+            "drain/patch",
+            SmallBatch(131),
+            plain.clone(),
+            [None, None, Some("REPAIRED")],
+            &["index_repairs"],
+        ),
+        (
+            "drain/rebase",
+            BigBatch(173),
+            plain.clone(),
+            [None, None, Some("REPAIRED")],
+            &["index_repairs", "index_repair_rebases"],
+        ),
+    ];
+
+    let mut reference = graph.clone();
+    for (path, before, request, [filter, mode, cache], moved) in rows {
+        match before {
+            Nothing => {}
+            SmallBatch(seed) => reference = batch_one(&mut client, &reference, seed),
+            BigBatch(seed) => reference = batch_many(&mut client, &reference, seed, 120),
+        }
+        let was = prom(&mut client);
+        let resp = client.request(&request).unwrap();
+        let now = prom(&mut client);
+        for key in WATCHED {
+            let name = format!("ceci_{key}_total");
+            let expected = moved.contains(&key) as u64 as f64;
+            assert_eq!(now[&name] - was[&name], expected, "{path}: {key}");
+        }
+        assert_eq!(resp.field("filter"), filter, "{path}: {}", resp.terminal);
+        assert_eq!(resp.field("mode"), mode, "{path}: {}", resp.terminal);
+        assert_eq!(resp.field("cache"), cache, "{path}: {}", resp.terminal);
+        if path == "infeasible/hit" {
+            let refused = resp.terminal.starts_with("ERR E_INFEASIBLE");
+            assert!(refused, "{path}: {}", resp.terminal);
+        } else {
+            assert!(resp.is_ok(), "{path}: {}", resp.terminal);
+        }
+        if path.starts_with("drain") {
+            let expected = direct_count(&reference, &pattern);
+            assert_eq!(resp.field_u64("count"), Some(expected), "{path}");
+        }
+    }
+    // The three repairs took the three rungs, in the order asked for.
+    assert_eq!(
+        repair_modes(&state),
+        ["mode=first", "mode=patch", "mode=rebase"]
+    );
     handle.shutdown();
 }
 
@@ -2572,20 +2780,16 @@ fn explain_shows_plan_choice_and_estimate_accuracy() {
     );
     assert!(has("estimate depth="), "missing est-vs-actual table");
     assert!(has("qerr="), "missing q-error column");
+    assert!(has("| path: drain cache=MISS"), "{:?}", resp.payload);
 
-    // A --no-adaptive server omits the section entirely.
-    let (fixed_handle, _s) = serve(ServeConfig {
-        adaptive: false,
-        ..ServeConfig::default()
-    });
-    let mut fixed = Client::connect(fixed_handle.addr()).unwrap();
-    fixed.request(&format!("LOAD g {graph_path}")).unwrap();
-    let resp = fixed.request(&format!("EXPLAIN g {query_path}")).unwrap();
-    assert_eq!(resp.terminal, "OK EXPLAIN");
-    assert!(
-        !resp.payload.iter().any(|l| l.contains("plan choice:")),
-        "--no-adaptive must not report a plan choice"
-    );
-    fixed_handle.shutdown();
+    // The section is not an option: the plain form, a hit this time, carries
+    // it too, and so does the `EXPLAIN` of every other template.
+    for (size, seed) in [(4, 37), (3, 5), (5, 7)] {
+        let path = scratch.write_graph("other.graph", &query_from(&graph, size, seed));
+        let resp = client.request(&format!("EXPLAIN g {path}")).unwrap();
+        assert_eq!(resp.terminal, "OK EXPLAIN");
+        let choice = resp.payload.iter().any(|l| l.contains("plan choice:"));
+        assert!(choice, "size={size} seed={seed}: {:?}", resp.payload);
+    }
     handle.shutdown();
 }
