@@ -37,7 +37,7 @@ pub fn run(scale: Scale) {
                 let max_edges = result
                     .reports
                     .iter()
-                    .map(|r| r.fragment_edges)
+                    .map(|r| r.run.fragment_edges)
                     .max()
                     .unwrap_or(0);
                 let mean_frac = result.reports.iter().map(|r| r.edge_fraction).sum::<f64>()
@@ -45,13 +45,13 @@ pub fn run(scale: Scale) {
                 let extract = result
                     .reports
                     .iter()
-                    .map(|r| r.extract_time)
+                    .map(|r| r.run.extract_time)
                     .max()
                     .unwrap_or_default();
                 let match_t = result
                     .reports
                     .iter()
-                    .map(|r| r.match_time)
+                    .map(|r| r.run.match_time)
                     .max()
                     .unwrap_or_default();
                 t.row(vec![

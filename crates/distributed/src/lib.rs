@@ -34,7 +34,10 @@ pub mod run;
 pub use config::{ClusterConfig, CostModel, StorageMode};
 pub use fault::{CrashFault, FaultPlan, FaultPlanError, StragglerFault};
 pub use partition::{distribute_pivots, jaccard, workload_estimate, Partition};
-pub use physical::{extract_fragment, run_physical, run_physical_traced, Fragment, PhysicalResult};
+pub use physical::{
+    count_fragment, extract_fragment, run_physical, AdjacencySource, Fragment, FragmentCount,
+    PhysicalResult, PlanSpec,
+};
 pub use recovery::{Recovery, Work, WorkKind};
 pub use run::{
     count_pivot_cluster, run_distributed, run_distributed_traced, run_distributed_with_faults,

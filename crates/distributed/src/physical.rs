@@ -12,27 +12,83 @@
 //! union of radius-`depth(T_q)` balls around its pivots — typically a small
 //! fraction of a trillion-edge graph.
 //!
-//! [`extract_fragment`] builds that induced subgraph with dense re-labeled
-//! vertex ids plus the pivot translation table; [`run_physical`] distributes
-//! pivots, extracts one fragment per machine, runs the ordinary CECI
-//! pipeline inside each fragment, and checks the global count invariant.
+//! §8 lives here once. [`extract_fragment`] builds that induced subgraph,
+//! over any [`AdjacencySource`] (a heap [`Graph`] or an mmap'd
+//! [`MappedCsr`]), with dense re-labeled vertex ids plus the pivot
+//! translation table; [`count_fragment`] runs the ordinary CECI pipeline
+//! inside it under a [`PlanSpec`] — the query-side decisions of the
+//! full-graph plan. A `ceci-shard` answers `EXEC` with it, one pivot at a
+//! time, and [`run_physical`] calls it once per machine of a partition.
+//! It is a pure function of `(source, spec, pivots)`: faults on this path
+//! are tested where they are real (`tests/shard.rs`: SIGKILL, stall,
+//! restart of shard processes over this executor) and recovery where it is
+//! deterministic (the simulator in [`crate::run`]).
 //!
 //! One caveat mirrors the logical design: global candidate *filters* (label
 //! frequencies, NLC) look identical inside a fragment because filtering is
 //! purely local to a vertex's neighborhood — so per-fragment results equal
 //! the full-graph results cluster by cluster.
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
-use ceci_core::metrics::Counters;
-use ceci_core::sink::CountSink;
-use ceci_core::{BuildOptions, Ceci, EnumOptions, Enumerator};
-use ceci_graph::{Graph, VertexId};
-use ceci_query::QueryPlan;
+use ceci_core::{count_embeddings, BuildOptions, Ceci};
+use ceci_graph::io::MappedCsr;
+use ceci_graph::{vid, Graph, LabelSet, VertexId};
+use ceci_query::{is_valid_order, OrderConstraint, QueryGraph, QueryPlan, QueryTree};
 
 use crate::config::ClusterConfig;
 use crate::partition::distribute_pivots;
+
+/// Read access to a data graph, abstracted over storage so fragment
+/// extraction runs identically on a heap CSR and an mmap'd one.
+pub trait AdjacencySource {
+    /// Number of vertices.
+    fn num_vertices(&self) -> usize;
+    /// Whether the source was declared directed at load time.
+    fn directed(&self) -> bool;
+    /// Calls `f` for every neighbor of `v` in CSR order.
+    fn for_each_neighbor(&self, v: VertexId, f: &mut dyn FnMut(VertexId));
+    /// The vertex's label set (owned; the mmap view materializes it).
+    fn label_set(&self, v: VertexId) -> LabelSet;
+}
+
+impl AdjacencySource for Graph {
+    fn num_vertices(&self) -> usize {
+        Graph::num_vertices(self)
+    }
+
+    fn directed(&self) -> bool {
+        self.is_directed_input()
+    }
+
+    fn for_each_neighbor(&self, v: VertexId, f: &mut dyn FnMut(VertexId)) {
+        self.neighbors(v).iter().copied().for_each(f);
+    }
+
+    fn label_set(&self, v: VertexId) -> LabelSet {
+        self.labels(v).clone()
+    }
+}
+
+impl AdjacencySource for MappedCsr {
+    fn num_vertices(&self) -> usize {
+        MappedCsr::num_vertices(self)
+    }
+
+    fn directed(&self) -> bool {
+        self.is_directed_input()
+    }
+
+    fn for_each_neighbor(&self, v: VertexId, f: &mut dyn FnMut(VertexId)) {
+        self.neighbors(v.0).iter().map(|&nb| vid(nb)).for_each(f);
+    }
+
+    fn label_set(&self, v: VertexId) -> LabelSet {
+        MappedCsr::label_set(self, v.0)
+    }
+}
 
 /// A machine-local graph fragment: the induced subgraph on the union of
 /// radius-`radius` balls around the machine's pivots.
@@ -54,17 +110,10 @@ impl Fragment {
     pub fn to_global(&self, local: &[VertexId]) -> Vec<VertexId> {
         local.iter().map(|v| self.global_of[v.index()]).collect()
     }
-
-    /// Fraction of the full graph's edges this fragment holds.
-    pub fn edge_fraction(&self, full: &Graph) -> f64 {
-        if full.num_edges() == 0 {
-            return 0.0;
-        }
-        self.graph.num_edges() as f64 / full.num_edges() as f64
-    }
 }
 
-/// Extracts the radius-`radius` fragment around `pivots`.
+/// Extracts the radius-`radius` fragment around `pivots` from any
+/// [`AdjacencySource`].
 ///
 /// The extraction BFS stops expanding *from* vertices at distance `radius`,
 /// but keeps edges between any two included vertices — exactly the induced
@@ -86,12 +135,16 @@ impl Fragment {
 /// assert_eq!(f.graph.num_vertices(), 3);
 /// assert_eq!(f.graph.num_edges(), 2);
 /// ```
-pub fn extract_fragment(full: &Graph, pivots: &[VertexId], radius: usize) -> Fragment {
+pub fn extract_fragment<A: AdjacencySource + ?Sized>(
+    src: &A,
+    pivots: &[VertexId],
+    radius: usize,
+) -> Fragment {
     let mut dist: HashMap<VertexId, usize> = HashMap::new();
     let mut order: Vec<VertexId> = Vec::new();
-    let mut queue = std::collections::VecDeque::new();
+    let mut queue = VecDeque::new();
     for &p in pivots {
-        if let std::collections::hash_map::Entry::Vacant(e) = dist.entry(p) {
+        if let Entry::Vacant(e) = dist.entry(p) {
             e.insert(0);
             order.push(p);
             queue.push_back(p);
@@ -102,13 +155,13 @@ pub fn extract_fragment(full: &Graph, pivots: &[VertexId], radius: usize) -> Fra
         if d == radius {
             continue;
         }
-        for &nb in full.neighbors(v) {
-            if let std::collections::hash_map::Entry::Vacant(e) = dist.entry(nb) {
+        src.for_each_neighbor(v, &mut |nb| {
+            if let Entry::Vacant(e) = dist.entry(nb) {
                 e.insert(d + 1);
                 order.push(nb);
                 queue.push_back(nb);
             }
-        }
+        });
     }
     // Dense relabeling in *ascending global id* order: the automorphism
     // breaking constraints compare data-vertex ids (`map(a) < map(b)`), so
@@ -123,22 +176,163 @@ pub fn extract_fragment(full: &Graph, pivots: &[VertexId], radius: usize) -> Fra
         .collect();
     let mut edges = Vec::new();
     for &v in &order {
-        for &nb in full.neighbors(v) {
+        src.for_each_neighbor(v, &mut |nb| {
             if v < nb {
                 if let Some(&lnb) = local_of.get(&nb) {
                     edges.push((local_of[&v], lnb));
                 }
             }
-        }
+        });
     }
-    let labels = order.iter().map(|&v| full.labels(v).clone()).collect();
-    let graph = Graph::new(labels, &edges, full.is_directed_input());
+    let labels = order.iter().map(|&v| src.label_set(v)).collect();
+    let graph = Graph::new(labels, &edges, src.directed());
     let local_pivots = pivots.iter().map(|p| local_of[p]).collect();
     Fragment {
         graph,
         local_pivots,
         global_of: order,
         radius,
+    }
+}
+
+/// The query-side decisions of a full-graph plan — root, matching order,
+/// symmetry breaking, extraction radius — under which every fragment
+/// rebuilds the *same* plan; candidates are recomputed per fragment by
+/// [`QueryPlan::from_parts`]. A coordinator pins one on its shards with
+/// `PREPARE`.
+#[derive(Clone, Debug)]
+pub struct PlanSpec {
+    /// The query pattern.
+    pub query: QueryGraph,
+    /// Root of the query tree.
+    pub root: VertexId,
+    /// Full matching order, root first.
+    pub order: Vec<VertexId>,
+    /// Symmetry-breaking constraints.
+    pub sym: Vec<OrderConstraint>,
+    /// Whether `sym` breaks all automorphisms.
+    pub sym_complete: bool,
+    /// Fragment extraction radius: at least the depth of the query tree.
+    pub radius: usize,
+}
+
+/// Depth of the deepest query-tree vertex: how far from its pivot an
+/// embedding can reach.
+fn tree_depth(tree: &QueryTree) -> usize {
+    let depths = tree.bfs_order().iter().map(|&u| tree.depth(u));
+    depths.max().unwrap_or(0) as usize
+}
+
+impl PlanSpec {
+    /// The decisions `plan` made on the full graph.
+    pub fn of(plan: &QueryPlan) -> PlanSpec {
+        PlanSpec {
+            query: plan.query().clone(),
+            root: plan.root(),
+            order: plan.matching_order().to_vec(),
+            sym: plan.symmetry_constraints().to_vec(),
+            sym_complete: plan.symmetry_complete(),
+            radius: tree_depth(plan.tree()),
+        }
+    }
+
+    /// Checks decisions that arrived from outside the process (a `PREPARE`
+    /// line) against `query`, so that [`count_fragment`] can neither panic
+    /// on them nor extract too small a ball. The error says what is wrong.
+    pub fn from_wire(
+        query: QueryGraph,
+        root: u32,
+        order: &[u32],
+        sym: &[(u32, u32)],
+        sym_complete: bool,
+        radius: usize,
+    ) -> Result<PlanSpec, &'static str> {
+        let n = query.num_vertices() as u32;
+        if root >= n || sym.iter().any(|&(a, b)| a >= n || b >= n) {
+            return Err("references query vertices out of range");
+        }
+        let tree = QueryTree::build(&query, vid(root));
+        let order: Vec<VertexId> = order.iter().map(|&u| vid(u)).collect();
+        if !is_valid_order(&tree, &order) {
+            return Err(
+                "order must be a permutation of the query vertices, root first, \
+                 every query-tree parent before its children",
+            );
+        }
+        if radius < tree_depth(&tree) {
+            return Err("radius is below the depth of the query tree");
+        }
+        let constraint = |&(a, b): &(u32, u32)| OrderConstraint {
+            smaller: vid(a),
+            larger: vid(b),
+        };
+        Ok(PlanSpec {
+            query,
+            root: vid(root),
+            order,
+            sym: sym.iter().map(constraint).collect(),
+            sym_complete,
+            radius,
+        })
+    }
+}
+
+/// What one fragment execution found, and what it cost.
+#[derive(Debug)]
+pub struct FragmentCount {
+    /// Embeddings rooted at the given pivots.
+    pub embeddings: u64,
+    /// Fragment vertices.
+    pub fragment_vertices: usize,
+    /// Fragment edges.
+    pub fragment_edges: usize,
+    /// Time to extract the fragment.
+    pub extract_time: Duration,
+    /// Time to build the fragment-local CECI and enumerate.
+    pub match_time: Duration,
+}
+
+/// Counts the embedding clusters of `pivots` (distinct global vertex ids)
+/// inside their own fragment: extract the radius ball union, rebuild the
+/// plan locally, index the pivots that pass the fragment-local initial
+/// filters (one that fails them also failed the global ones — filtering is
+/// neighborhood-local), enumerate. The count is a pure function of
+/// `(src, spec, pivots)` and additive over any split of `pivots`.
+pub fn count_fragment<A: AdjacencySource + ?Sized>(
+    src: &A,
+    spec: &PlanSpec,
+    pivots: &[VertexId],
+) -> FragmentCount {
+    let t0 = Instant::now();
+    let fragment = extract_fragment(src, pivots, spec.radius);
+    let extract_time = t0.elapsed();
+
+    let t1 = Instant::now();
+    let plan = QueryPlan::from_parts(
+        spec.query.clone(),
+        spec.root,
+        spec.order.clone(),
+        &fragment.graph,
+        spec.sym.clone(),
+        spec.sym_complete,
+    );
+    let initial = plan.initial_candidates(plan.root());
+    let mut local_pivots = fragment.local_pivots;
+    local_pivots.sort_unstable();
+    local_pivots.retain(|p| initial.binary_search(p).is_ok());
+    let embeddings = if local_pivots.is_empty() {
+        0
+    } else {
+        let options = BuildOptions::default();
+        let ceci = Ceci::build_for_pivots(&fragment.graph, &plan, options, local_pivots);
+        count_embeddings(&fragment.graph, &plan, &ceci)
+    };
+    FragmentCount {
+        embeddings,
+        fragment_vertices: fragment.graph.num_vertices(),
+        fragment_edges: fragment.graph.num_edges(),
+        extract_time,
+        match_time: t1.elapsed(),
     }
 }
 
@@ -149,237 +343,59 @@ pub struct PhysicalMachineReport {
     pub machine: usize,
     /// Assigned pivots.
     pub pivots: usize,
-    /// Fragment vertices.
-    pub fragment_vertices: usize,
-    /// Fragment edges.
-    pub fragment_edges: usize,
     /// Fraction of the full graph's edges held locally.
     pub edge_fraction: f64,
-    /// Embeddings found in the fragment.
-    pub embeddings: u64,
-    /// Enumeration counters.
-    pub counters: Counters,
-    /// Time to extract the fragment.
-    pub extract_time: Duration,
-    /// Time to build the fragment-local CECI and enumerate.
-    pub match_time: Duration,
+    /// The machine's fragment execution.
+    pub run: FragmentCount,
 }
 
 /// Result of a physical-decomposition run.
 #[derive(Debug)]
 pub struct PhysicalResult {
-    /// Per-machine reports.
+    /// Per-machine reports, in machine order.
     pub reports: Vec<PhysicalMachineReport>,
     /// Total embeddings.
     pub total_embeddings: u64,
     /// Largest per-machine edge fraction — the memory headline: how much of
     /// the graph any single machine must hold.
     pub max_edge_fraction: f64,
-    /// Machines whose thread panicked and whose pivot set was re-executed
-    /// on the coordinator. Counts are unaffected: the machine's whole
-    /// assignment reruns from scratch and nothing was committed before.
-    pub recovered_machines: usize,
 }
 
 /// Runs subgraph listing with physical decomposition: distribute pivots,
-/// extract per-machine fragments, match inside each fragment.
+/// then, machine by machine, extract the fragment and match inside it.
 ///
 /// The `plan` must be built against the *full* graph (root selection and
 /// initial candidates are global); per-fragment plans pin the same query
 /// root and matching order.
 pub fn run_physical(full: &Graph, plan: &QueryPlan, config: &ClusterConfig) -> PhysicalResult {
-    run_physical_with_fault(full, plan, config, None)
-}
-
-/// [`run_physical`] that additionally records a per-machine span timeline
-/// (`distributed.machine{m}` with `physical.extract` / `physical.match`
-/// children) into `tracer`. Spans are reconstructed post-hoc from the
-/// per-machine reports, so the run itself pays zero tracing cost.
-pub fn run_physical_traced(
-    full: &Graph,
-    plan: &QueryPlan,
-    config: &ClusterConfig,
-    tracer: &ceci_trace::Tracer,
-) -> PhysicalResult {
-    let result = run_physical(full, plan, config);
-    for r in &result.reports {
-        let extract = r.extract_time.as_nanos() as u64;
-        let matching = r.match_time.as_nanos() as u64;
-        let machine = tracer.next_span_id();
-        tracer.record(ceci_trace::SpanRecord {
-            id: machine,
-            parent: 0,
-            name: "distributed.machine",
-            index: Some(r.machine as u32),
-            cat: "physical",
-            ts_ns: 0,
-            dur_ns: (extract + matching).max(1),
-            tid: r.machine as u32,
-            args: vec![
-                ("pivots", r.pivots as u64),
-                ("embeddings", r.embeddings),
-                ("edge_permille", (r.edge_fraction * 1000.0) as u64),
-            ],
-        });
-        tracer.record(ceci_trace::SpanRecord {
-            id: tracer.next_span_id(),
-            parent: machine,
-            name: "physical.extract",
-            index: Some(r.machine as u32),
-            cat: "physical",
-            ts_ns: 0,
-            dur_ns: extract.max(1),
-            tid: r.machine as u32,
-            args: Vec::new(),
-        });
-        tracer.record(ceci_trace::SpanRecord {
-            id: tracer.next_span_id(),
-            parent: machine,
-            name: "physical.match",
-            index: Some(r.machine as u32),
-            cat: "physical",
-            ts_ns: extract,
-            dur_ns: matching.max(1),
-            tid: r.machine as u32,
-            args: Vec::new(),
-        });
-    }
-    result
-}
-
-/// [`run_physical`] with an injected fragment-machine panic: when
-/// `panic_machine` is `Some(m)`, machine `m`'s thread panics before doing
-/// any work, exercising the coordinator's recovery path. Exposed for the
-/// chaos test suite; production callers use [`run_physical`].
-#[doc(hidden)]
-pub fn run_physical_with_fault(
-    full: &Graph,
-    plan: &QueryPlan,
-    config: &ClusterConfig,
-    panic_machine: Option<usize>,
-) -> PhysicalResult {
     let pivots = plan.initial_candidates(plan.root()).to_vec();
     let partition = distribute_pivots(full, &pivots, config);
-    let radius = plan
-        .tree()
-        .bfs_order()
-        .iter()
-        .map(|&u| plan.tree().depth(u))
-        .max()
-        .unwrap_or(0) as usize;
-
-    // A machine is an OS thread; a panic is this layer's machine failure.
-    // The coordinator (this thread) notices the failed join and re-executes
-    // the machine's whole pivot set locally. That is exactly-once by
-    // construction: a fragment machine publishes results only through its
-    // returned report, so a panicked machine published nothing.
-    let mut outcomes: Vec<std::thread::Result<PhysicalMachineReport>> =
-        Vec::with_capacity(config.machines);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (machine, assigned) in partition.assignment.iter().enumerate() {
-            handles.push(scope.spawn(move || {
-                if panic_machine == Some(machine) {
-                    panic!("injected fragment-machine fault (machine {machine})");
-                }
-                run_fragment_machine(full, plan, machine, assigned, radius)
-            }));
-        }
-        for h in handles {
-            outcomes.push(h.join());
-        }
-    });
-    let mut recovered_machines = 0usize;
-    let mut reports: Vec<PhysicalMachineReport> = Vec::with_capacity(outcomes.len());
-    for (machine, outcome) in outcomes.into_iter().enumerate() {
-        match outcome {
-            Ok(report) => reports.push(report),
-            Err(_) => {
-                recovered_machines += 1;
-                let assigned = &partition.assignment[machine];
-                reports.push(run_fragment_machine(full, plan, machine, assigned, radius));
+    let spec = PlanSpec::of(plan);
+    let edges = full.num_edges().max(1) as f64;
+    let reports: Vec<PhysicalMachineReport> = (partition.assignment.iter().enumerate())
+        .map(|(machine, assigned)| {
+            let run = count_fragment(full, &spec, assigned);
+            PhysicalMachineReport {
+                machine,
+                pivots: assigned.len(),
+                edge_fraction: run.fragment_edges as f64 / edges,
+                run,
             }
-        }
-    }
-    reports.sort_by_key(|r| r.machine);
-    let total_embeddings = reports.iter().map(|r| r.embeddings).sum();
-    let max_edge_fraction = reports
-        .iter()
-        .map(|r| r.edge_fraction)
-        .fold(0.0f64, f64::max);
+        })
+        .collect();
     PhysicalResult {
+        total_embeddings: reports.iter().map(|r| r.run.embeddings).sum(),
+        max_edge_fraction: reports.iter().map(|r| r.edge_fraction).fold(0.0, f64::max),
         reports,
-        total_embeddings,
-        max_edge_fraction,
-        recovered_machines,
-    }
-}
-
-fn run_fragment_machine(
-    full: &Graph,
-    plan: &QueryPlan,
-    machine: usize,
-    assigned: &[VertexId],
-    radius: usize,
-) -> PhysicalMachineReport {
-    let t0 = Instant::now();
-    let fragment = extract_fragment(full, assigned, radius);
-    let extract_time = t0.elapsed();
-
-    let t1 = Instant::now();
-    let mut counters = Counters::default();
-    let mut embeddings = 0u64;
-    if !assigned.is_empty() {
-        // Rebuild the plan inside the fragment, pinning the same query-side
-        // decisions (root + order are query-properties; candidates are
-        // recomputed locally).
-        let local_plan = QueryPlan::from_parts(
-            plan.query().clone(),
-            plan.root(),
-            plan.matching_order().to_vec(),
-            &fragment.graph,
-            plan.symmetry_constraints().to_vec(),
-            plan.symmetry_complete(),
-        );
-        let mut local_pivots = fragment.local_pivots.clone();
-        local_pivots.sort_unstable();
-        // Keep only pivots that still pass the local initial filters.
-        let initial = local_plan.initial_candidates(local_plan.root());
-        local_pivots.retain(|p| initial.binary_search(p).is_ok());
-        let ceci = Ceci::build_for_pivots(
-            &fragment.graph,
-            &local_plan,
-            BuildOptions::default(),
-            local_pivots,
-        );
-        let mut enumerator =
-            Enumerator::new(&fragment.graph, &local_plan, &ceci, EnumOptions::default());
-        let mut sink = CountSink::unbounded();
-        for &(pivot, _) in ceci.pivots() {
-            enumerator.enumerate_cluster(pivot, &mut sink, &mut counters);
-        }
-        embeddings = sink.count();
-    }
-    let match_time = t1.elapsed();
-    PhysicalMachineReport {
-        machine,
-        pivots: assigned.len(),
-        fragment_vertices: fragment.graph.num_vertices(),
-        fragment_edges: fragment.graph.num_edges(),
-        edge_fraction: fragment.edge_fraction(full),
-        embeddings,
-        counters,
-        extract_time,
-        match_time,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ceci_core::count_embeddings;
-    use ceci_graph::generators::{attach_pendants, kronecker_default};
-    use ceci_graph::vid;
+    use ceci_graph::generators::{attach_pendants, barabasi_albert, kronecker_default};
+    use ceci_graph::generators::{erdos_renyi, inject_random_multilabels};
+    use ceci_graph::io::save_binary;
     use ceci_query::PaperQuery;
 
     fn data() -> Graph {
@@ -430,6 +446,83 @@ mod tests {
                     q.name()
                 );
             }
+        }
+    }
+
+    /// The one executor against the full-graph pipeline: pivot by pivot
+    /// (what a shard's `EXEC` runs) and machine by machine (what
+    /// [`run_physical`] runs), over a heap graph and an mmap of its file.
+    #[test]
+    fn count_fragment_is_additive_and_storage_blind() {
+        let dir = std::env::temp_dir().join(format!("ceci_physical_diff_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("g.ceci");
+        let graphs = [
+            attach_pendants(&kronecker_default(7, 5, 23), 60, 24),
+            barabasi_albert(150, 3, 5),
+            inject_random_multilabels(&erdos_renyi(120, 480, 9), 3, 1, 2, 10),
+        ];
+        let cfg = ClusterConfig {
+            machines: 3,
+            ..Default::default()
+        };
+        for (i, g) in graphs.iter().enumerate() {
+            save_binary(g, &path).unwrap();
+            let mapped = MappedCsr::open(&path).unwrap();
+            for q in [PaperQuery::Qg1, PaperQuery::Qg3, PaperQuery::Qg5] {
+                let plan = QueryPlan::new(q.build(), g);
+                let want = full_count(g, &plan);
+                assert!(want > 0, "graph {i} {}", q.name());
+                let spec = PlanSpec::of(&plan);
+                let pivots = plan.initial_candidates(plan.root());
+                let partition = distribute_pivots(g, pivots, &cfg);
+                for src in [g as &dyn AdjacencySource, &mapped] {
+                    let count = |p: &[VertexId]| count_fragment(src, &spec, p).embeddings;
+                    let per_pivot: u64 = pivots.iter().map(|&p| count(&[p])).sum();
+                    let per_machine: u64 = partition.assignment.iter().map(|a| count(a)).sum();
+                    assert_eq!(per_pivot, want, "graph {i} {} per pivot", q.name());
+                    assert_eq!(per_machine, want, "graph {i} {} per machine", q.name());
+                }
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_machine_without_pivots_counts_nothing() {
+        let g = data();
+        let spec = PlanSpec::of(&QueryPlan::new(PaperQuery::Qg3.build(), &g));
+        let run = count_fragment(&g, &spec, &[]);
+        assert_eq!((run.embeddings, run.fragment_vertices), (0, 0));
+    }
+
+    /// `PREPARE` input that would make [`QueryPlan::from_parts`] panic, or a
+    /// fragment miss part of an embedding, is refused where it enters.
+    #[test]
+    fn wire_decisions_are_checked_against_the_query() {
+        // The path 0-1-2 rooted at an end: depth 2, one valid order.
+        let path = Graph::unlabeled(3, &[(vid(0), vid(1)), (vid(1), vid(2))]);
+        let query = QueryGraph::from_graph(&path).unwrap();
+        let wire = |root: u32, order: &[u32], sym: &[(u32, u32)], radius: usize| {
+            PlanSpec::from_wire(query.clone(), root, order, sym, true, radius)
+        };
+        let spec = wire(0, &[0, 1, 2], &[(0, 2)], 2).unwrap();
+        assert_eq!(spec.order, [vid(0), vid(1), vid(2)]);
+        assert_eq!((spec.sym[0].smaller, spec.sym[0].larger), (vid(0), vid(2)));
+        assert!(
+            wire(0, &[0, 1, 2], &[], 3).is_ok(),
+            "a larger ball is sound"
+        );
+        for (root, order, sym, radius, why) in [
+            (3, &[0, 1, 2][..], &[][..], 2, "root out of range"),
+            (0, &[0, 1, 2], &[(0, 3)], 2, "sym out of range"),
+            (0, &[0, 1], &[], 2, "short order"),
+            (0, &[0, 1, 1], &[], 2, "not a permutation"),
+            (0, &[0, 2, 1], &[], 2, "child before its tree parent"),
+            (0, &[1, 0, 2], &[], 2, "root not first"),
+            (0, &[0, 1, 2], &[], 1, "ball smaller than the tree"),
+        ] {
+            assert!(wire(root, order, sym, radius).is_err(), "{why}");
         }
     }
 

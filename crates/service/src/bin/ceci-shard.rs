@@ -4,30 +4,33 @@
 //! ceci-shard --graph FILE [options]
 //!
 //!   --graph FILE         the data graph this shard serves (required)
-//!   --addr HOST:PORT     bind address (default 127.0.0.1:0 = ephemeral);
-//!                        IPv4 binds set SO_REUSEADDR so a restarted shard
-//!                        can reclaim its port through TIME_WAIT
+//!   --addr HOST:PORT     bind address (default 127.0.0.1:0 = ephemeral); a
+//!                        restarted shard can reclaim its port through
+//!                        TIME_WAIT (the listener sets SO_REUSEADDR)
 //!   --heap               load the graph fully into memory; the default for
 //!                        CECIGRF1 files is a zero-copy mmap view, so shards
 //!                        can serve fragments larger than RAM
 //!   --labeled            FILE is a labeled edge-list (implies --heap)
 //!   --io-timeout-ms N    per-connection socket read/write timeout
 //!                        (default 5000; 0 disables)
-//!   --chaos              enable CHAOS EXIT / CHAOS STALL process faults
-//!                        (testing only)
+//!   --chaos              enable the CHAOS fault-injection verb (EXIT,
+//!                        STALL, PANIC, ...; testing only)
 //! ```
 //!
-//! A shard speaks the same line protocol as `ceci-serve` but serves only the
-//! coordinator-facing verbs: `PREPARE` (install a query plan), `EXEC`
-//! (count one pivot's embeddings), plus `PING`/`STATS`/`QUIT`/`CHAOS`.
-//! It prints one `listening on <addr>` line to stdout once live — scripts
-//! wait for it — and serves until killed.
+//! A shard is the `ceci-serve` server core started over state that holds a
+//! fragment plane: on top of everything that core answers (`PING`, `STATS`,
+//! `QUIT`, `CHAOS`, ...) it serves the coordinator-facing verbs `PREPARE`
+//! (pin a query plan) and `EXEC` (count one pivot's embeddings), which a
+//! `ceci-serve` refuses with `ERR E_SHARD`. It prints one `listening on
+//! <addr>` line to stdout once live — scripts wait for it — and serves
+//! until killed.
 
 use std::process::exit;
+use std::sync::Arc;
 
 use ceci_graph::io;
 use ceci_graph::io::MappedCsr;
-use ceci_service::{start_shard, GraphStore, ShardConfig};
+use ceci_service::{start_with_state, GraphStore, ServeConfig, ServerState};
 
 fn usage() -> ! {
     eprintln!(
@@ -38,11 +41,9 @@ fn usage() -> ! {
 }
 
 fn main() {
-    let mut config = ShardConfig {
-        addr: "127.0.0.1:0".to_string(),
-        store: GraphStore::Heap(ceci_graph::Graph::new(Vec::new(), &[], false)),
-        chaos: false,
+    let mut config = ServeConfig {
         io_timeout_ms: 5_000,
+        ..ServeConfig::default()
     };
     let mut graph_path: Option<String> = None;
     let mut heap = false;
@@ -97,11 +98,10 @@ fn main() {
             }
         }
     };
-    let vertices = store.num_vertices();
-    config.store = store;
-    let chaos = config.chaos;
+    let vertices = store.source().num_vertices();
+    let state = ServerState::new(config).with_fragments(store);
 
-    let handle = match start_shard(config) {
+    let handle = match start_with_state(Arc::new(state)) {
         Ok(h) => h,
         Err(e) => {
             eprintln!("error: bind failed: {e}");
@@ -110,11 +110,11 @@ fn main() {
     };
     eprintln!("shard serving {vertices} vertices from {path}");
     println!("listening on {}", handle.addr());
-    if chaos {
+    if handle.state().config().chaos {
         eprintln!("warning: CHAOS fault injection is enabled; do not expose this shard");
     }
-    // Serve until killed: the accept thread owns the listener; parking the
-    // main thread keeps the handle alive.
+    // Serve until killed: the loop thread owns the listener; parking the
+    // main thread keeps the handle (and the pool) alive.
     loop {
         std::thread::park();
     }

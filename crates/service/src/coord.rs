@@ -40,9 +40,9 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use ceci_core::metrics::Counters;
-use ceci_distributed::{count_pivot_cluster, distribute_pivots, ClusterConfig, Recovery};
+use ceci_distributed::{count_pivot_cluster, distribute_pivots, ClusterConfig, PlanSpec, Recovery};
 use ceci_graph::{Graph, VertexId};
-use ceci_query::QueryPlan;
+use ceci_query::{OrderConstraint, QueryPlan};
 
 use crate::client::{Client, RetryPolicy};
 use crate::protocol::ErrorCode;
@@ -328,41 +328,25 @@ pub fn validate_shards(set: &ShardSet, config: &CoordConfig) -> Result<(), Coord
     Ok(())
 }
 
-/// Formats the `PREPARE` line pinning `plan`'s decisions under `name`.
-pub fn prepare_line(name: &str, query_path: &str, plan: &QueryPlan, radius: usize) -> String {
-    let order: Vec<String> = plan
-        .matching_order()
-        .iter()
-        .map(|u| u.0.to_string())
-        .collect();
+/// Formats the `PREPARE` line pinning `spec`'s decisions under `name`.
+pub fn prepare_line(name: &str, query_path: &str, spec: &PlanSpec) -> String {
+    let order: Vec<String> = spec.order.iter().map(|u| u.0.to_string()).collect();
     let mut line = format!(
-        "PREPARE {name} {query_path} ROOT {} ORDER {} RADIUS {radius}",
-        plan.root().0,
-        order.join(",")
+        "PREPARE {name} {query_path} ROOT {} ORDER {} RADIUS {}",
+        spec.root.0,
+        order.join(","),
+        spec.radius
     );
-    let sym = plan.symmetry_constraints();
-    if !sym.is_empty() {
-        let pairs: Vec<String> = sym
-            .iter()
-            .map(|c| format!("{}:{}", c.smaller.0, c.larger.0))
-            .collect();
+    if !spec.sym.is_empty() {
+        let pair = |c: &OrderConstraint| format!("{}:{}", c.smaller.0, c.larger.0);
+        let pairs: Vec<String> = spec.sym.iter().map(pair).collect();
         line.push_str(" SYM ");
         line.push_str(&pairs.join(","));
     }
-    if plan.symmetry_complete() {
+    if spec.sym_complete {
         line.push_str(" SYMCOMPLETE");
     }
     line
-}
-
-/// The query-tree radius used for fragment extraction.
-pub fn plan_radius(plan: &QueryPlan) -> usize {
-    plan.tree()
-        .bfs_order()
-        .iter()
-        .map(|&u| plan.tree().depth(u))
-        .max()
-        .unwrap_or(0) as usize
 }
 
 /// Outcome of one scattered query.
@@ -400,12 +384,16 @@ fn rpc_exec(
     pivot: VertexId,
     epoch: u32,
 ) -> Result<u64, RpcFailure> {
-    let line = format!("EXEC {name} {} {epoch}", pivot.0);
-    match client.request(&line) {
+    match client.request(&exec_line(name, pivot, epoch)) {
         Ok(resp) if resp.is_ok() => resp.field_u64("count").ok_or(RpcFailure::Refused),
         Ok(_) => Err(RpcFailure::Refused),
         Err(_) => Err(RpcFailure::Io),
     }
+}
+
+/// Formats the `EXEC` line for one pivot under ownership epoch `epoch`.
+pub fn exec_line(name: &str, pivot: VertexId, epoch: u32) -> String {
+    format!("EXEC {name} {} {epoch}", pivot.0)
 }
 
 /// The recovery state machine, shared by the shard drivers and the
@@ -430,7 +418,7 @@ pub fn scatter_match(
 ) -> ScatterReport {
     let t0 = Instant::now();
     let pivots = plan.initial_candidates(plan.root()).to_vec();
-    let prepare = prepare_line(handle, query_path, plan, plan_radius(plan));
+    let prepare = prepare_line(handle, query_path, &PlanSpec::of(plan));
     let cluster = ClusterConfig {
         machines: shards.len().max(1),
         ..Default::default()

@@ -12,11 +12,10 @@
 //! * a **bounded worker pool** with admission control: a full queue answers
 //!   `BUSY` instead of building invisible backlog ([`pool`]),
 //! * an **event-driven server core**: one epoll readiness loop owns every
-//!   connection, each a sans-IO line-protocol state machine (the same one
-//!   `ceci-shard`'s blocking connections run) with a bounded write queue,
-//!   scaling to 10k+ mostly-idle connections — backpressure degrades to
-//!   `BUSY` (admission, connection cap) and slow-reader disconnects before
-//!   memory does ([`server`]),
+//!   connection, each a sans-IO line-protocol state machine with a bounded
+//!   write queue, scaling to 10k+ mostly-idle connections — backpressure
+//!   degrades to `BUSY` (admission, connection cap) and slow-reader
+//!   disconnects before memory does ([`server`]),
 //! * **per-request deadlines** threaded into enumeration as cooperative
 //!   cancellation (`ceci_core::CancelToken`), returning partial counts with
 //!   `status=DEADLINE_EXCEEDED` ([`server`]),
@@ -51,9 +50,11 @@
 //! * a blocking **client** doubling as a closed-loop load generator
 //!   ([`client`]).
 //!
-//! Everything is std-only: no async runtime, no external crates. Two bins
-//! ship with the crate: `ceci-serve` (the daemon) and `ceci-client` (one
-//! -shot commands, interactive piping, and `--bench-local` load baseline).
+//! Everything is std-only: no async runtime, no external crates. Three bins
+//! ship with the crate: `ceci-serve` (the daemon), `ceci-client` (one-shot
+//! commands, interactive piping, and `--bench-local` load baseline) and
+//! `ceci-shard` (the same server core over state that holds a fragment
+//! plane, [`shard`]: it answers a coordinator's `PREPARE` / `EXEC`).
 
 pub mod cache;
 pub mod client;
@@ -86,4 +87,4 @@ pub use protocol::{
 };
 pub use registry::{BatchOutcome, ContinuousRegistry, DirtyRecord, GraphEntry, GraphRegistry};
 pub use server::{start, start_with_state, ServeConfig, ServerHandle, ServerState, ShutdownReport};
-pub use shard::{bind_reuse, start_shard, GraphStore, PlanSpec, ShardConfig, ShardHandle};
+pub use shard::{FragmentPlane, GraphStore};

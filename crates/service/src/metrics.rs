@@ -229,6 +229,10 @@ pub struct ServerMetrics {
     /// Connections dropped because their bounded write queue overflowed
     /// (the peer stopped reading while responses/events kept queueing).
     pub slow_reader_disconnects: AtomicU64,
+    /// Shard plane: `PREPARE`s accepted.
+    pub shard_prepares: AtomicU64,
+    /// Shard plane: `EXEC`s answered with a count.
+    pub shard_execs: AtomicU64,
     /// End-to-end MATCH latency (admission to response).
     pub match_latency: LatencyHistogram,
     /// CECI build time on cache misses.
@@ -273,7 +277,7 @@ impl ServerMetrics {
     /// Every monotone counter as `(STATS key, help, value)`, in exposition
     /// order: `STATS` prints `STAT <key> <value>`, `STATS PROM` the counter
     /// `ceci_<key>_total`.
-    pub fn counters(&self) -> [(&'static str, &'static str, u64); 34] {
+    pub fn counters(&self) -> [(&'static str, &'static str, u64); 36] {
         let g = |a: &AtomicU64| a.load(Ordering::Relaxed);
         [
             (
@@ -437,6 +441,16 @@ impl ServerMetrics {
                 "slow_reader_disconnects",
                 "Connections dropped after overflowing their write queue",
                 g(&self.slow_reader_disconnects),
+            ),
+            (
+                "shard_prepares",
+                "Shard plane: PREPAREs accepted",
+                g(&self.shard_prepares),
+            ),
+            (
+                "shard_execs",
+                "Shard plane: EXECs answered with a count",
+                g(&self.shard_execs),
             ),
         ]
     }

@@ -401,6 +401,12 @@ fn parse_u64(tokens: &mut std::slice::Iter<'_, &str>, what: &str) -> Result<u64,
         .map_err(|_| err(format!("invalid {what} value")))
 }
 
+/// [`parse_u64`] for a 32-bit field: a value past its range is an error,
+/// not a truncation (`EXEC q 4294967296 0` is not pivot 0).
+fn parse_u32(tokens: &mut std::slice::Iter<'_, &str>, what: &str) -> Result<u32, ParseError> {
+    u32::try_from(parse_u64(tokens, what)?).map_err(|_| err(format!("invalid {what} value")))
+}
+
 fn parse_vertex(tokens: &mut std::slice::Iter<'_, &str>, what: &str) -> Result<u32, ParseError> {
     tokens
         .next()
@@ -679,7 +685,7 @@ pub fn parse_request(line: &str) -> Result<Option<Request>, ParseError> {
             let mut sym_complete = false;
             while let Some(opt) = it.next() {
                 match opt.to_ascii_uppercase().as_str() {
-                    "ROOT" => root = Some(parse_u64(&mut it, "ROOT")? as u32),
+                    "ROOT" => root = Some(parse_u32(&mut it, "ROOT")?),
                     "RADIUS" => radius = Some(parse_u64(&mut it, "RADIUS")? as usize),
                     "ORDER" => {
                         let list = it.next().ok_or_else(|| err("ORDER requires u0,u1,..."))?;
@@ -724,8 +730,8 @@ pub fn parse_request(line: &str) -> Result<Option<Request>, ParseError> {
             let name = it
                 .next()
                 .ok_or_else(|| err("EXEC requires <name> <pivot> <epoch>"))?;
-            let pivot = parse_u64(&mut it, "EXEC pivot")? as u32;
-            let epoch = parse_u64(&mut it, "EXEC epoch")? as u32;
+            let pivot = parse_u32(&mut it, "EXEC pivot")?;
+            let epoch = parse_u32(&mut it, "EXEC epoch")?;
             if it.next().is_some() {
                 return Err(err("EXEC takes exactly <name> <pivot> <epoch>"));
             }
@@ -764,6 +770,11 @@ impl MatchStatus {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coord::{exec_line, prepare_line};
+    use ceci_distributed::PlanSpec;
+    use ceci_graph::{vid, VertexId};
+    use ceci_query::{OrderConstraint, QueryGraph};
+    use proptest::prelude::*;
 
     #[test]
     fn parses_load() {
@@ -1128,5 +1139,151 @@ mod tests {
         }
         assert_eq!(ErrorCode::Timeout.as_str(), "E_TIMEOUT");
         assert_eq!(ErrorCode::Shard.as_str(), "E_SHARD");
+    }
+    /// Words the grammar gives a meaning to somewhere.
+    const WORDS: [&str; 40] = [
+        "LOAD",
+        "EDGELIST",
+        "DIRECTED",
+        "MATCH",
+        "LIMIT",
+        "DEADLINE",
+        "WORKERS",
+        "RAW",
+        "EXACT",
+        "ESTIMATE",
+        "WALKS",
+        "EXPLAIN",
+        "ANALYZE",
+        "STATS",
+        "PROM",
+        "SLEEP",
+        "CHAOS",
+        "PANIC",
+        "BUILDPANIC",
+        "BUILDDELAY",
+        "DELAY",
+        "EXIT",
+        "STALL",
+        "ADDEDGE",
+        "DELEDGE",
+        "BATCH",
+        "FILE",
+        "REGISTER",
+        "UNREGISTER",
+        "PREPARE",
+        "ROOT",
+        "RADIUS",
+        "ORDER",
+        "SYM",
+        "SYMCOMPLETE",
+        "EXEC",
+        "PING",
+        "QUIT",
+        "#",
+        "g",
+    ];
+
+    fn lossy(bytes: Vec<u8>) -> String {
+        String::from_utf8_lossy(&bytes).into_owned()
+    }
+
+    /// One token of a soup: a grammar word (either case), a number of any
+    /// size, an edge or pair or list token, or noise.
+    fn token() -> impl Strategy<Value = String> {
+        let id = || 0u64..=u32::MAX as u64 + 2;
+        prop_oneof![
+            (0..WORDS.len(), any::<bool>()).prop_map(|(i, lower)| match lower {
+                true => WORDS[i].to_ascii_lowercase(),
+                false => WORDS[i].to_string(),
+            }),
+            any::<u64>().prop_map(|n| n.to_string()),
+            (0u8..4, id(), id()).prop_map(|(sign, u, v)| match sign {
+                0 => format!("+{u}:{v}"),
+                1 => format!("-{u}:{v}"),
+                2 => format!("{u}:{v}"),
+                _ => format!("{u},{v}"),
+            }),
+            collection::vec(0u8..=255, 0..6).prop_map(lossy),
+        ]
+    }
+
+    /// An arbitrary coordinator decision over a path query of `n` vertices:
+    /// any permutation as the order (the wire does not care about tree
+    /// precedence), any in-range pairs, any radius.
+    fn plan_spec() -> impl Strategy<Value = PlanSpec> {
+        let parts = (2usize..8).prop_flat_map(|n| {
+            let pair = (0..n as u32, 0..n as u32);
+            let keys = collection::vec(any::<u64>(), n..n + 1);
+            let sym = collection::vec(pair, 0..4);
+            (keys, sym, 0usize..12, any::<bool>())
+        });
+        parts.prop_map(|(keys, sym, radius, sym_complete)| {
+            let n = keys.len() as u32;
+            let edges: Vec<_> = (1..n).map(|v| (vid(v - 1), vid(v))).collect();
+            let path = ceci_graph::Graph::unlabeled(n as usize, &edges);
+            let mut order: Vec<_> = (0..n).map(vid).collect();
+            order.sort_by_key(|u| keys[u.index()]);
+            let constraint = |(a, b)| OrderConstraint {
+                smaller: vid(a),
+                larger: vid(b),
+            };
+            PlanSpec {
+                query: QueryGraph::from_graph(&path).expect("a path is a query"),
+                root: order[0],
+                order,
+                sym: sym.into_iter().map(constraint).collect(),
+                sym_complete,
+                radius,
+            }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// No line panics the parser; only blanks and comments are skipped.
+        #[test]
+        fn arbitrary_lines_never_panic_the_parser(
+            bytes in collection::vec(0u8..=255, 0..64),
+            soup in collection::vec(token(), 0..10),
+        ) {
+            for line in [lossy(bytes), soup.join(" ")] {
+                let skipped = line.trim().is_empty() || line.trim().starts_with('#');
+                match parse_request(&line) {
+                    Ok(parsed) => prop_assert_eq!(parsed.is_none(), skipped, "{:?}", line),
+                    Err(e) => prop_assert!(!skipped && !e.0.is_empty(), "{:?}", line),
+                }
+            }
+        }
+
+        /// What the coordinator formats is what the shard parses.
+        #[test]
+        fn shard_plane_lines_round_trip(
+            spec in plan_spec(),
+            pivot in any::<u32>(),
+            epoch in any::<u32>(),
+            wide in u32::MAX as u64 + 1..=u64::MAX,
+        ) {
+            let ids = |vs: &[VertexId]| vs.iter().map(|u| u.0).collect::<Vec<u32>>();
+            let want = Request::Prepare {
+                name: "h".into(),
+                query_path: "/tmp/q.graph".into(),
+                root: spec.root.0,
+                order: ids(&spec.order),
+                radius: spec.radius,
+                sym: spec.sym.iter().map(|c| (c.smaller.0, c.larger.0)).collect(),
+                sym_complete: spec.sym_complete,
+            };
+            let line = prepare_line("h", "/tmp/q.graph", &spec);
+            prop_assert_eq!(parse_request(&line).unwrap(), Some(want), "{}", line);
+            let want = Request::Exec { name: "h".into(), pivot, epoch };
+            let line = exec_line("h", vid(pivot), epoch);
+            prop_assert_eq!(parse_request(&line).unwrap(), Some(want), "{}", line);
+            // A 32-bit field never wraps a wider value into range.
+            for line in [format!("EXEC h {wide} 0"), format!("EXEC h 0 {wide}")] {
+                prop_assert!(parse_request(&line).is_err(), "{}", line);
+            }
+        }
     }
 }

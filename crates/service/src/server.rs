@@ -14,10 +14,14 @@
 //! * The **control plane** (`LOAD`, `STATS`, `PING`, `QUIT`) runs inline on
 //!   the loop thread: these are cheap or operator-driven and must stay
 //!   responsive even when the data plane is saturated.
-//! * The **data plane** (`MATCH`, `EXPLAIN`, `SLEEP`) is submitted to the
-//!   bounded [`WorkerPool`]; a full queue answers `BUSY` immediately
-//!   (admission control), and each connection has at most one request in
-//!   flight, so responses stay in request order.
+//! * The **data plane** (`MATCH`, `EXPLAIN`, `SLEEP`, and the shard plane's
+//!   `PREPARE` / `EXEC`) is submitted to the bounded [`WorkerPool`]; a full
+//!   queue answers `BUSY` immediately (admission control), and each
+//!   connection has at most one request in flight, so responses stay in
+//!   request order.
+//! * `ceci-shard` is this same server started over state that holds a
+//!   fragment plane ([`ServerState::with_fragments`], `crate::shard`);
+//!   without one, `PREPARE` / `EXEC` answer `ERR E_SHARD`.
 //!
 //! ## Deadlines
 //!
@@ -58,6 +62,7 @@ use crate::pool::WorkerPool;
 use crate::protocol::{ChaosCommand, ErrorCode, Request};
 use crate::query::{exec_estimate, exec_explain, exec_match};
 use crate::registry::{ContinuousRegistry, GraphEntry, GraphRegistry};
+use crate::shard::{exec_exec, exec_prepare, FragmentPlane, GraphStore};
 use crate::stats::exec_stats;
 
 /// Server configuration.
@@ -172,13 +177,16 @@ pub struct ServerState {
     /// deterministically pile waiters behind one leader.
     pub(crate) build_delay_ms: AtomicU64,
     /// Persistent stall armed by `CHAOS STALL <ms>`: every data-plane job
-    /// sleeps this long before running (0 disarms). The process-level
-    /// slow-server lever, mirroring the shard's.
+    /// sleeps this long before running (0 disarms); `PING` stays inline, so
+    /// a stalled shard is heartbeat-alive. The process-level slow-server
+    /// lever.
     pub(crate) chaos_stall_ms: AtomicU64,
     /// Continuous-query registrations by handle.
     pub(crate) continuous: ContinuousRegistry,
     /// Shard table (coordinator mode); `None` without configured shards.
     shards: Option<Arc<ShardSet>>,
+    /// Fragment plane (a `ceci-shard`); `None` on a query daemon.
+    fragments: Option<FragmentPlane>,
 }
 
 impl ServerState {
@@ -199,7 +207,15 @@ impl ServerState {
             chaos_stall_ms: AtomicU64::new(0),
             continuous: ContinuousRegistry::default(),
             shards,
+            fragments: None,
         }
+    }
+
+    /// Makes this a shard's state: `PREPARE` / `EXEC` are served over
+    /// `store`.
+    pub fn with_fragments(mut self, store: GraphStore) -> Self {
+        self.fragments = Some(FragmentPlane::new(store));
+        self
     }
 
     /// The config the server was started with.
@@ -210,6 +226,11 @@ impl ServerState {
     /// The shard table when running as a coordinator.
     pub fn shards(&self) -> Option<&Arc<ShardSet>> {
         self.shards.as_ref()
+    }
+
+    /// The fragment plane when running as a shard.
+    pub fn fragments(&self) -> Option<&FragmentPlane> {
+        self.fragments.as_ref()
     }
 
     /// Coordinator tunables derived from the serve config; the connect
@@ -451,10 +472,6 @@ pub(crate) fn route(request: Request, state: &Arc<ServerState>, writer: &SharedW
             exec_load(state, &name, &path, edge_list, directed).unwrap_or_else(|err| err),
         ),
         Request::Chaos { command } => route_chaos(command, state),
-        Request::Prepare { .. } | Request::Exec { .. } => Routed::Inline(state.fail(
-            ErrorCode::Shard,
-            "this is a ceci-serve query daemon; PREPARE/EXEC are served by ceci-shard",
-        )),
         data_plane => {
             let sink = Arc::clone(writer);
             Routed::Data(Box::new(move |job_state, queue_wait| {
@@ -484,6 +501,27 @@ pub(crate) fn route(request: Request, state: &Arc<ServerState>, writer: &SharedW
                         query_path,
                     } => exec_register(job_state, &name, &graph, &query_path, sink),
                     Request::Unregister { name } => exec_unregister(job_state, &name),
+                    Request::Prepare {
+                        name,
+                        query_path,
+                        root,
+                        order,
+                        radius,
+                        sym,
+                        sym_complete,
+                    } => exec_prepare(
+                        job_state,
+                        &name,
+                        &query_path,
+                        root,
+                        &order,
+                        radius,
+                        &sym,
+                        sym_complete,
+                    ),
+                    Request::Exec { name, pivot, epoch } => {
+                        exec_exec(job_state, &name, pivot, epoch, queue_wait)
+                    }
                     Request::Sleep { ms } => {
                         std::thread::sleep(Duration::from_millis(ms));
                         Ok(vec![format!("OK SLEPT {ms}")])
@@ -536,5 +574,33 @@ fn route_chaos(command: ChaosCommand, state: &Arc<ServerState>) -> Routed {
             state.chaos_stall_ms.store(ms, Ordering::SeqCst);
             Routed::Inline(vec![format!("OK CHAOS armed=STALL ms={ms}")])
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::Client;
+
+    /// What a killed-and-restarted `ceci-shard` (or `ceci-serve`) depends
+    /// on: the server closed its side of a connection first, so the port has
+    /// a socket in TIME_WAIT, and a fresh server binds it all the same —
+    /// `std`'s listener sets `SO_REUSEADDR`.
+    #[test]
+    fn a_restarted_server_rebinds_its_port_at_once() {
+        let first = start(ServeConfig::default()).unwrap();
+        let addr = first.addr();
+        let mut client = Client::connect(addr).unwrap();
+        assert!(client.request("PING").unwrap().is_ok());
+        assert!(first.shutdown().clean());
+        let again = start(ServeConfig {
+            addr: addr.to_string(),
+            ..ServeConfig::default()
+        })
+        .expect("rebind through TIME_WAIT");
+        assert_eq!(again.addr(), addr);
+        let mut client = Client::connect(addr).unwrap();
+        assert!(client.request("PING").unwrap().is_ok());
+        assert!(again.shutdown().clean());
     }
 }

@@ -11,7 +11,7 @@ use crate::server::ServerState;
 
 /// The point-in-time gauges both renderings share, as `(STATS key, help,
 /// value)`; `STATS PROM` names them `ceci_<key>`.
-fn gauges(state: &ServerState) -> [(&'static str, &'static str, u64); 6] {
+fn gauges(state: &ServerState) -> [(&'static str, &'static str, u64); 7] {
     [
         (
             "graphs_loaded",
@@ -42,6 +42,11 @@ fn gauges(state: &ServerState) -> [(&'static str, &'static str, u64); 6] {
             "continuous_registrations",
             "Continuous queries currently registered",
             state.continuous_len() as u64,
+        ),
+        (
+            "shard_vertices",
+            "Vertices of the graph this shard cuts fragments from (0 on a query daemon)",
+            state.fragments().map_or(0, |f| f.num_vertices() as u64),
         ),
     ]
 }

@@ -12,8 +12,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ceci::distributed::{
-    physical::run_physical_with_fault, run_distributed, run_distributed_with_faults, run_physical,
-    ClusterConfig, FaultPlan, StorageMode,
+    run_distributed, run_distributed_with_faults, ClusterConfig, FaultPlan, StorageMode,
 };
 use ceci::prelude::*;
 use ceci_graph::generators::{
@@ -119,24 +118,6 @@ fn fault_seeds_never_change_the_answer() {
         counts.push(a.total_embeddings);
     }
     assert!(counts.iter().all(|&c| c == baseline));
-}
-
-#[test]
-fn physical_fragment_machine_panic_recovers_on_coordinator() {
-    let graph = data();
-    let plan = QueryPlan::new(PaperQuery::Qg1.build(), &graph);
-    let config = ClusterConfig {
-        machines: 4,
-        ..Default::default()
-    };
-    let clean = run_physical(&graph, &plan, &config);
-    assert_eq!(clean.recovered_machines, 0);
-    let faulted = run_physical_with_fault(&graph, &plan, &config, Some(1));
-    assert_eq!(faulted.recovered_machines, 1);
-    assert_eq!(
-        faulted.total_embeddings, clean.total_embeddings,
-        "re-executed fragment must reproduce the machine's exact count"
-    );
 }
 
 // ---------------------------------------------------------------------------

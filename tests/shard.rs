@@ -558,6 +558,47 @@ fn chaos_exit_terminates_the_shard_process() {
 }
 
 // ---------------------------------------------------------------------------
+// Panic isolation: a panicking shard job costs one typed reply, not the
+// connection
+// ---------------------------------------------------------------------------
+
+#[test]
+fn panicking_shard_job_answers_typed_and_keeps_the_connection() {
+    let graph = data();
+    let qg = PaperQuery::Qg1.build();
+    let scratch = Scratch::new("panic");
+    let gpath = scratch.write_labeled("g.graph", &graph);
+    let qpath = scratch.write_labeled("q.graph", qg.as_graph());
+    let plan = QueryPlan::new(qg, &graph);
+    let pivot = plan.initial_candidates(plan.root())[0];
+    let want =
+        ceci::distributed::count_pivot_cluster(&graph, &plan, pivot, &mut Default::default()).0;
+
+    let p = ShardProc::spawn_labeled(&gpath, "127.0.0.1:0");
+    let mut c = Client::connect(p.addr.parse::<std::net::SocketAddr>().unwrap()).unwrap();
+    let spec = ceci::distributed::PlanSpec::of(&plan);
+    let prepare = ceci_service::coord::prepare_line("h", qpath.to_str().unwrap(), &spec);
+    assert!(c.request(&prepare).unwrap().is_ok());
+
+    let resp = c.request("CHAOS PANIC").unwrap();
+    assert!(
+        resp.terminal.starts_with("ERR E_WORKER_DROPPED"),
+        "{}",
+        resp.terminal
+    );
+    // The same connection keeps serving: the coordinator burns no retry
+    // and no reconnect on a shard-side panic.
+    assert!(c.request("PING").unwrap().is_ok());
+    let resp = c.request(&format!("EXEC h {} 3", pivot.0)).unwrap();
+    assert!(resp.is_ok(), "{}", resp.terminal);
+    assert_eq!(resp.field_u64("count"), Some(want));
+    assert_eq!(resp.field_u64("epoch"), Some(3));
+    let resp = c.request("STATS").unwrap();
+    assert_eq!(stat_u64(&resp.payload, "panics_caught"), Some(1));
+    assert_eq!(stat_u64(&resp.payload, "shard_execs"), Some(1));
+}
+
+// ---------------------------------------------------------------------------
 // Socket timeouts: idle connections close with a typed E_TIMEOUT
 // ---------------------------------------------------------------------------
 
