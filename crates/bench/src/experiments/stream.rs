@@ -30,10 +30,11 @@
 //! server makes: an entry owns tables at one snapshot, a batch of 1 / 100 /
 //! 1 000 / 10 000 mutations lands, and the next read either repairs (under
 //! the floor `patch` + `materialize`; past it the tables are dropped and
-//! the frozen index rebuilt under the retained plan re-set on the snapshot)
-//! or would have rebuilt (that same re-set + `Ceci::build_with`, the
-//! candidate refresh inside the timed region because a real rebuild pays
-//! it). It records both costs and the branch taken per size on the
+//! the frozen index rebuilt under the retained plan, its candidate sets
+//! patched from the entry's index at the batch's endpoints) or would have
+//! rebuilt (the retained plan re-set on the snapshot by a candidate scan +
+//! `Ceci::build_with`, the scan inside the timed region because a real
+//! rebuild pays it). It records both costs and the branch taken per size on the
 //! wiki-talk stand-in and **asserts** `repair_never_slower` (repair ≤
 //! [`REPAIR_SLACK`] × rebuild at every size).
 
@@ -456,12 +457,17 @@ fn served_sweep(scale: Scale) -> JsonValue {
         let outcome = outcome.expect("in-range mutation batch");
         let after = &outcome.new_graph;
         let past_floor = StreamIndex::past_floor(after, &outcome.endpoints);
-        // What a full rebuild is, on either side of the comparison: the
-        // retained plan with candidate sets of the snapshot, then the build.
-        let rebuild = |plan: &QueryPlan| {
-            Ceci::build_with(after, &plan.on_graph(after), BuildOptions::default())
-        };
+        // What a full rebuild is: the retained plan with candidate sets of
+        // the snapshot from a scan, then the build.
+        let build = |plan: &QueryPlan| Ceci::build_with(after, plan, BuildOptions::default());
+        let rebuild = |plan: &QueryPlan| build(&plan.on_graph(after));
         for (q, plan) in &plans {
+            // Past the floor the entry holds a frozen index of `before`,
+            // whose candidate sets the rebase patches.
+            let held = past_floor.then(|| {
+                Ceci::build_with(&before, &plan.on_graph(&before), BuildOptions::default())
+            });
+            let held_sets = held.as_ref().and_then(Ceci::candidate_sets);
             let mut repair_t = Duration::MAX;
             let mut rebuild_t = Duration::MAX;
             let mut stats = RepairStats::default();
@@ -470,7 +476,15 @@ fn served_sweep(scale: Scale) -> JsonValue {
                 // way the read goes, so neither side is charged for them.
                 let mut tables = (!past_floor).then(|| StreamIndex::build(&before, plan));
                 let ((patched, repaired), took) = time(|| match tables.as_mut() {
-                    None => (RepairStats::default(), rebuild(plan)),
+                    None => {
+                        let sets = held_sets.expect("an index built past the floor");
+                        let stats = RepairStats {
+                            dirty_vertices: outcome.endpoints.len(),
+                            ..RepairStats::default()
+                        };
+                        let on_after = plan.on_graph_patched(after, sets, &outcome.endpoints);
+                        (stats, build(&on_after))
+                    }
                     Some(tables) => {
                         let stats = tables.patch(after, plan, &outcome.endpoints);
                         (stats, tables.materialize(after, plan))

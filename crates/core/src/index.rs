@@ -7,9 +7,11 @@
 //! cardinalities, and the surviving cluster pivots. Size accounting matches
 //! the paper's 8-bytes-per-candidate-edge convention (Table 2).
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ceci_graph::{Graph, VertexId};
+use ceci_query::candidates::CandidateSet;
 use ceci_query::QueryPlan;
 
 use crate::filter::{bfs_filter_from_with, BuilderState};
@@ -192,6 +194,10 @@ pub struct Ceci {
     candidates: Vec<Vec<VertexId>>,
     /// `(candidate, cardinality)` per query node, sorted by candidate.
     cardinality: Vec<Vec<(VertexId, u64)>>,
+    /// The building plan's candidate sets (its own allocation, shared), so
+    /// they describe the indexed graph; `None` when materialized from
+    /// already-filtered tables.
+    sets: Option<Arc<[CandidateSet]>>,
     stats: BuildStats,
 }
 
@@ -272,7 +278,8 @@ impl Ceci {
         stats.te_entries_after_filter = state.te_entries();
         stats.nte_entries_after_filter = state.nte_entries();
 
-        Ceci::finish(plan, state, stats, options.refine)
+        let sets = Some(Arc::clone(plan.candidate_sets()));
+        Ceci::finish(plan, state, stats, options.refine, sets)
     }
 
     /// Completes a build from an already-filtered [`BuilderState`]:
@@ -293,7 +300,7 @@ impl Ceci {
             nte_entries_after_filter: state.nte_entries(),
             ..Default::default()
         };
-        Ceci::finish(plan, state, stats, true)
+        Ceci::finish(plan, state, stats, true, None)
     }
 
     fn finish(
@@ -301,6 +308,7 @@ impl Ceci {
         mut state: BuilderState,
         mut stats: BuildStats,
         refine: bool,
+        sets: Option<Arc<[CandidateSet]>>,
     ) -> Ceci {
         let t1 = Instant::now();
         let cards = reverse_bfs_refine(plan, &mut state, refine);
@@ -357,6 +365,7 @@ impl Ceci {
             nte,
             candidates: candidate_sets,
             cardinality,
+            sets,
             stats,
         };
         ceci.stats.size_bytes = ceci.size_bytes();
@@ -405,6 +414,15 @@ impl Ceci {
         self.pivots
             .iter()
             .fold(0u64, |acc, &(_, c)| acc.saturating_add(c))
+    }
+
+    /// The per-vertex candidate sets (LF ∧ DF ∧ NLCF) of the graph this
+    /// index was built on — the building plan's, kept so a later snapshot's
+    /// can be patched from them ([`QueryPlan::on_graph_patched`]) — or
+    /// `None` for an index materialized from already-filtered tables.
+    #[inline]
+    pub fn candidate_sets(&self) -> Option<&[CandidateSet]> {
+        self.sets.as_deref()
     }
 
     /// Build statistics.
@@ -521,6 +539,13 @@ mod tests {
         assert_eq!(ceci.candidates(paper::u(3)), &[paper::v(4), paper::v(6)]);
         assert_eq!(ceci.candidates(paper::u(4)), &[paper::v(11), paper::v(13)]);
         assert_eq!(ceci.candidates(paper::u(5)), &[paper::v(12), paper::v(14)]);
+    }
+
+    #[test]
+    fn a_build_keeps_its_plans_candidate_sets_without_a_copy() {
+        let (_, plan, ceci) = built();
+        let kept = ceci.candidate_sets().expect("a build keeps the sets");
+        assert!(std::ptr::eq(kept, &**plan.candidate_sets()));
     }
 
     #[test]

@@ -207,7 +207,7 @@ impl<'q> VertexFilters<'q> {
 /// The verdict on `(u, v)` depends on nothing else, so every later stage —
 /// Algorithm 1's per-adjacency-entry test above all — looks it up here
 /// instead of re-deriving it.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CandidateSet {
     /// The query vertex.
     pub u: VertexId,
@@ -244,6 +244,53 @@ pub fn compute_candidates(query: &QueryGraph, graph: &Graph) -> Vec<CandidateSet
             }
             CandidateSet {
                 u,
+                candidates,
+                members,
+            }
+        })
+        .collect()
+}
+
+/// The candidate sets of every query vertex on `graph`, from `previous` —
+/// the sets on an earlier snapshot whose edges differ from `graph`'s only at
+/// the `dirty` vertices — by re-testing the dirty vertices alone.
+///
+/// LF, DF and NLCF read a vertex's own labels, its degree and its neighbors'
+/// labels. Labels are the same on every snapshot and an edge mutation moves
+/// the other two only at its endpoints, so every other verdict carries over.
+/// Each dirty verdict is set or cleared in a copy of the bitset and the
+/// sorted list is rebuilt from the bits: equal, bit for bit, to
+/// [`compute_candidates`] on `graph`.
+pub fn patch_candidates(
+    query: &QueryGraph,
+    graph: &Graph,
+    previous: &[CandidateSet],
+    dirty: &[VertexId],
+) -> Vec<CandidateSet> {
+    let filters = VertexFilters::new(query);
+    previous
+        .iter()
+        .map(|prev| {
+            debug_assert_eq!(prev.members.len(), graph.num_vertices().div_ceil(64));
+            let mut members = prev.members.clone();
+            for &v in dirty {
+                let (word, bit) = (v.index() >> 6, 1u64 << (v.index() & 63));
+                if filters.passes(graph, prev.u, v) {
+                    members[word] |= bit;
+                } else {
+                    members[word] &= !bit;
+                }
+            }
+            let mut candidates = Vec::with_capacity(prev.candidates.len());
+            for (w, &word) in members.iter().enumerate() {
+                let mut rest = word;
+                while rest != 0 {
+                    candidates.push(VertexId((w * 64) as u32 + rest.trailing_zeros()));
+                    rest &= rest - 1;
+                }
+            }
+            CandidateSet {
+                u: prev.u,
                 candidates,
                 members,
             }

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use ceci_graph::{Graph, GraphStamp, VertexId};
 
-use crate::candidates::{compute_candidates, CandidateSet};
+use crate::candidates::{compute_candidates, patch_candidates, CandidateSet};
 use crate::nec::{break_symmetry, OrderConstraint};
 use crate::order::{is_valid_order, matching_order, OrderStrategy};
 use crate::query_graph::QueryGraph;
@@ -140,6 +140,28 @@ impl QueryPlan {
             plan.initial_candidates = compute_candidates(&self.query, graph).into();
             plan.sets_graph = graph.stamp();
         }
+        plan
+    }
+
+    /// What [`QueryPlan::on_graph`] returns, without its scan: `previous`
+    /// are this query's candidate sets on an earlier snapshot whose edges
+    /// differ from `graph`'s only at the `dirty` vertices, and only those
+    /// are re-tested ([`patch_candidates`]). Debug builds check the result
+    /// against a scan of `graph`.
+    pub fn on_graph_patched(
+        &self,
+        graph: &Graph,
+        previous: &[CandidateSet],
+        dirty: &[VertexId],
+    ) -> Self {
+        let sets = patch_candidates(&self.query, graph, previous, dirty);
+        debug_assert!(
+            sets == compute_candidates(&self.query, graph),
+            "patched candidate sets differ from a scan of the graph"
+        );
+        let mut plan = self.clone();
+        plan.initial_candidates = sets.into();
+        plan.sets_graph = graph.stamp();
         plan
     }
 
@@ -315,9 +337,10 @@ impl QueryPlan {
         &self.initial_candidates[u.index()].candidates
     }
 
-    /// Initial candidate sets of every query vertex, in vertex order.
+    /// Initial candidate sets of every query vertex, in vertex order (the
+    /// shared allocation, so an index built under the plan can keep it).
     #[inline]
-    pub fn candidate_sets(&self) -> &[CandidateSet] {
+    pub fn candidate_sets(&self) -> &Arc<[CandidateSet]> {
         &self.initial_candidates
     }
 
@@ -534,6 +557,13 @@ mod tests {
             &shared.initial_candidates,
             &fresh.initial_candidates
         ));
+        // G1's new edges touch 0, 1 and 3: re-testing those alone gives the
+        // scan's sets, under the same decision.
+        let patched =
+            sibling.on_graph_patched(&g1, plan0.candidate_sets(), &[vid(0), vid(1), vid(3)]);
+        assert!(patched.describes(&g1));
+        assert_eq!(patched.matching_order(), sibling.matching_order());
+        assert_eq!(patched.candidate_sets(), fresh.candidate_sets());
         // Already current: nothing is recomputed.
         assert!(Arc::ptr_eq(
             &plan0.on_graph(&g0).initial_candidates,

@@ -207,8 +207,12 @@ pub(crate) fn replan_if_due(
 /// probe that handed it over already removed it from the cache, and only
 /// this caller, the single-flight leader, repairs it). Gap past the floor
 /// or off the dirty log: every full rebuild in the system is the frozen
-/// build, so run that, under the same plan re-set on the snapshot
-/// ([`QueryPlan::on_graph`]), and keep no tables. `None` means the caller
+/// build, so run that, under the same plan with candidate sets of the
+/// snapshot, and keep no tables. Those sets are the old index's patched at
+/// the gap's endpoints ([`QueryPlan::on_graph_patched`], `sets=patch`);
+/// only an index without sets (a materialized one) or a gap off the log
+/// pays a scan ([`QueryPlan::on_graph`], `sets=scan`,
+/// `index_repair_set_scans`). `None` means the caller
 /// must fall back to a miss: the entry is from the *future* relative to
 /// this snapshot, or the repair panicked.
 fn repair_entry(
@@ -231,17 +235,28 @@ fn repair_entry(
         // forward are dropped, an entry without any builds them as ever.
         None => tables.is_some(),
     };
+    // A rebase patches the old index's candidate sets at the gap's
+    // endpoints; lacking either, it scans every label class.
+    let patchable = old.ceci.candidate_sets().zip(endpoints.as_deref());
     // Repair runs the same (panic-prone) index code paths a build does;
     // contain it the same way and fall back to a rebuild on unwind.
     let (tables, ceci, stats, mode) = catch_unwind(AssertUnwindSafe(|| {
         if past_floor {
             drop(tables);
-            let ceci = Ceci::build_with(graph, &plan.on_graph(graph), build_options(state));
-            return (None, ceci, RepairStats::default(), Acquired::Rebase);
+            let built_on = match patchable {
+                Some((previous, dirty)) => plan.on_graph_patched(graph, previous, dirty),
+                None => plan.on_graph(graph),
+            };
+            let ceci = Ceci::build_with(graph, &built_on, build_options(state));
+            let stats = RepairStats {
+                dirty_vertices: endpoints.as_ref().map_or(0, Vec::len),
+                ..RepairStats::default()
+            };
+            return (None, ceci, stats, Acquired::Rebase);
         }
-        let (tables, stats, mode) = match (tables, endpoints) {
+        let (tables, stats, mode) = match (tables, endpoints.as_deref()) {
             (Some(mut tables), Some(endpoints)) => {
-                let stats = tables.patch(graph, &plan, &endpoints);
+                let stats = tables.patch(graph, &plan, endpoints);
                 debug_assert_eq!(stats.rebases, 0, "the floor was asked above");
                 (tables, stats, Acquired::Patch)
             }
@@ -258,9 +273,25 @@ fn repair_entry(
     let repair = t0.elapsed();
     state.metrics.index_repair_latency.record(repair);
     mode.count(&state.metrics);
+    let scanned = patchable.is_none();
+    if mode == Acquired::Rebase && scanned {
+        ServerMetrics::inc(&state.metrics.index_repair_set_scans);
+    }
     if state.tracer.enabled() {
         let dur = repair.as_nanos() as u64;
         let end = state.tracer.now_ns();
+        let mut args = vec![
+            (mode.repair_mode().expect("a repair rung"), 1),
+            ("dirty_vertices", stats.dirty_vertices as u64),
+            ("keys_recomputed", stats.keys_recomputed as u64),
+            ("keys_added", stats.keys_added as u64),
+            ("keys_removed", stats.keys_removed as u64),
+            ("from_sub_epoch", old.sub_epoch),
+            ("to_sub_epoch", sub_epoch),
+        ];
+        if mode == Acquired::Rebase {
+            args.push((if scanned { "sets=scan" } else { "sets=patch" }, 1));
+        }
         state.tracer.span(
             "service.repair",
             "service",
@@ -268,15 +299,7 @@ fn repair_entry(
             0,
             end.saturating_sub(dur),
             dur.max(1),
-            vec![
-                (mode.repair_mode().expect("a repair rung"), 1),
-                ("dirty_vertices", stats.dirty_vertices as u64),
-                ("keys_recomputed", stats.keys_recomputed as u64),
-                ("keys_added", stats.keys_added as u64),
-                ("keys_removed", stats.keys_removed as u64),
-                ("from_sub_epoch", old.sub_epoch),
-                ("to_sub_epoch", sub_epoch),
-            ],
+            args,
         );
     }
     // The plan is unchanged by a repair, so the planner's decision record

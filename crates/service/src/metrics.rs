@@ -197,6 +197,11 @@ pub struct ServerMetrics {
     /// `StreamIndex::past_floor` or the dirty log no longer reached the
     /// entry's tables.
     pub index_repair_rebases: AtomicU64,
+    /// The rebases among `index_repair_rebases` that scanned every label
+    /// class for their candidate sets instead of patching the old index's
+    /// at the gap's endpoints: the old index had none (it was materialized
+    /// from tables) or the dirty log no longer reached back.
+    pub index_repair_set_scans: AtomicU64,
     /// Stale cached indexes that fell back to a full rebuild, counted as a
     /// miss: repair is off, the repair panicked, or the entry was from the
     /// future.
@@ -277,7 +282,7 @@ impl ServerMetrics {
     /// Every monotone counter as `(STATS key, help, value)`, in exposition
     /// order: `STATS` prints `STAT <key> <value>`, `STATS PROM` the counter
     /// `ceci_<key>_total`.
-    pub fn counters(&self) -> [(&'static str, &'static str, u64); 36] {
+    pub fn counters(&self) -> [(&'static str, &'static str, u64); 37] {
         let g = |a: &AtomicU64| a.load(Ordering::Relaxed);
         [
             (
@@ -391,6 +396,11 @@ impl ServerMetrics {
                 "index_repair_rebases",
                 "Repairs that dropped the tables and rebuilt the frozen index (mode=rebase)",
                 g(&self.index_repair_rebases),
+            ),
+            (
+                "index_repair_set_scans",
+                "Rebases that rescanned every label class for candidate sets (no prior sets, or a gap off the dirty log)",
+                g(&self.index_repair_set_scans),
             ),
             (
                 "index_repair_fallbacks",

@@ -393,6 +393,7 @@ mod tests {
     use super::*;
     use ceci_graph::extract::extract_query;
     use ceci_graph::{vid, GraphBuilder, LabelId, LabelSet};
+    use ceci_query::candidates::{compute_candidates, patch_candidates, CandidateSet};
     use ceci_query::{admission_check, QueryGraph};
     use proptest::prelude::*;
     use std::collections::BTreeSet;
@@ -635,6 +636,56 @@ mod tests {
                     let query = QueryGraph::from_graph(&q.pattern).unwrap();
                     prop_assert!(!admission_check(&query, &snapshot).rejected());
                 }
+            }
+        }
+
+        /// Candidate sets patched at the dirty log's endpoints equal a scan
+        /// of the snapshot, sorted list and bitset, bit for bit: chained
+        /// batch by batch (as successive rebases patch each other's), and
+        /// from every earlier snapshot across any gap, compactions included.
+        /// Some vertices carry two labels, and so do some query vertices.
+        #[test]
+        fn patched_candidate_sets_equal_a_scan_of_every_later_snapshot(
+            (labels, base_edges, batches, threshold) in arb_stream(),
+            second in proptest::collection::vec(0u32..5, 12),
+        ) {
+            let vids = |raw: &[(u32, u32)]| -> Vec<(VertexId, VertexId)> {
+                raw.iter().map(|&(a, b)| (vid(a), vid(b))).collect()
+            };
+            let two = |a: u32, b: u32| LabelSet::from_labels([LabelId(a), LabelId(b)]);
+            let labels: Vec<LabelSet> = (labels.iter().zip(&second))
+                .map(|(&l, &m)| if m < 3 && m != l { two(l, m) } else { LabelSet::single(LabelId(l)) })
+                .collect();
+            let first = Graph::new(labels, &vids(&base_edges), false);
+            // A two-label hub needing two neighbors of label 1 (DF and NLC
+            // both bite), and whatever can be cut out of the first snapshot.
+            let mut queries = vec![QueryGraph::new(
+                vec![two(0, 1), LabelSet::single(LabelId(1)), LabelSet::single(LabelId(1))],
+                &[(vid(0), vid(1)), (vid(0), vid(2))],
+            ).unwrap()];
+            queries.extend((3..5).filter_map(|size| {
+                let q = extract_query(&first, size, size as u64, 20)?;
+                QueryGraph::from_graph(&q.pattern).ok()
+            }));
+            let scan = |graph: &Graph| -> Vec<Vec<CandidateSet>> {
+                queries.iter().map(|q| compute_candidates(q, graph)).collect()
+            };
+            let mut seen = vec![(0, scan(&first))];
+            let (entry, _) = GraphRegistry::new().insert("g", first);
+            for (adds, dels) in &batches {
+                let out = entry.apply_batch(&vids(adds), &vids(dels), threshold, 64).unwrap();
+                let snapshot = entry.graph();
+                let scanned = scan(&snapshot);
+                let (_, last) = seen.last().unwrap();
+                for (i, q) in queries.iter().enumerate() {
+                    let chained = patch_candidates(q, &snapshot, &last[i], &out.endpoints);
+                    prop_assert_eq!(&chained, &scanned[i]);
+                    for (from, sets) in &seen {
+                        let dirty = entry.dirty_endpoints_since(*from).unwrap();
+                        prop_assert_eq!(&patch_candidates(q, &snapshot, &sets[i], &dirty), &scanned[i]);
+                    }
+                }
+                seen.push((out.sub_epoch, scanned));
             }
         }
     }

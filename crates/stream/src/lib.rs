@@ -658,6 +658,9 @@ mod tests {
             let plan = test_plan(&graph, seed);
             let idx = StreamIndex::build(&graph, &plan);
             let ceci = idx.materialize(&graph, &plan);
+            // Materialized from tables: no candidate sets for a rebase to
+            // patch, so the next one scans.
+            assert!(ceci.candidate_sets().is_none());
             let got = count_embeddings(&graph, &plan, &ceci);
             let reference = {
                 let ceci = Ceci::build(&graph, &plan);

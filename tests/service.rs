@@ -2153,12 +2153,13 @@ fn every_exec_path_moves_its_own_counter_and_carries_its_own_tokens() {
     }
     use Before::*;
     // `STATS PROM` names: `ceci_<key>_total`.
-    const WATCHED: [&str; 9] = [
+    const WATCHED: [&str; 10] = [
         "filter_rejected",
         "cache_hits",
         "cache_misses",
         "index_repairs",
         "index_repair_rebases",
+        "index_repair_set_scans",
         "approx_answers",
         "infeasible_rejects",
         "index_repair_fallbacks",
@@ -2224,9 +2225,23 @@ fn every_exec_path_moves_its_own_counter_and_carries_its_own_tokens() {
             [None, None, Some("REPAIRED")],
             &["index_repairs"],
         ),
+        // The patch entry's index was materialized from tables and has no
+        // candidate sets to patch: this rebase scans for them ...
         (
             "drain/rebase",
             BigBatch(173),
+            plain.clone(),
+            [None, None, Some("REPAIRED")],
+            &[
+                "index_repairs",
+                "index_repair_rebases",
+                "index_repair_set_scans",
+            ],
+        ),
+        // ... and the next one patches the sets that rebase built under.
+        (
+            "drain/rebase again",
+            BigBatch(211),
             plain.clone(),
             [None, None, Some("REPAIRED")],
             &["index_repairs", "index_repair_rebases"],
@@ -2262,11 +2277,23 @@ fn every_exec_path_moves_its_own_counter_and_carries_its_own_tokens() {
             assert_eq!(resp.field_u64("count"), Some(expected), "{path}");
         }
     }
-    // The three repairs took the three rungs, in the order asked for.
+    // The repairs took the rungs in the order asked for, and each rebase's
+    // span says where its sets came from and how many endpoints its gap had.
     assert_eq!(
         repair_modes(&state),
-        ["mode=first", "mode=patch", "mode=rebase"]
+        ["mode=first", "mode=patch", "mode=rebase", "mode=rebase"]
     );
+    let rebases: Vec<(&str, u64)> = (state.tracer.snapshot().iter())
+        .filter(|s| s.name == "service.repair" && s.args.iter().any(|a| a.0 == "mode=rebase"))
+        .map(|s| {
+            let sets = s.args.iter().find(|a| a.0.starts_with("sets=")).unwrap().0;
+            let dirty = s.args.iter().find(|a| a.0 == "dirty_vertices").unwrap().1;
+            (sets, dirty)
+        })
+        .collect();
+    assert_eq!(rebases[0].0, "sets=scan");
+    assert_eq!(rebases[1].0, "sets=patch");
+    assert!(rebases.iter().all(|&(_, dirty)| dirty > 0), "{rebases:?}");
     handle.shutdown();
 }
 
@@ -2369,6 +2396,8 @@ fn dirty_log_overflow_rebases_under_the_plan_instead_of_missing() {
     let stats = prom(&mut client);
     assert_eq!(stats["ceci_index_repairs_total"], 3.0);
     assert_eq!(stats["ceci_index_repair_rebases_total"], 1.0);
+    // Off the log there are no endpoints to patch the sets at.
+    assert_eq!(stats["ceci_index_repair_set_scans_total"], 1.0);
     assert_eq!(stats["ceci_index_repair_fallbacks_total"], 0.0);
     assert_eq!(stats["ceci_cache_misses_total"], 2.0);
     handle.shutdown();
