@@ -16,6 +16,7 @@ use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
 use ceci_core::{count_embeddings, Ceci};
+use ceci_graph::Ranking;
 use ceci_query::{PaperQuery, QueryPlan};
 use ceci_service::{scatter_match, Client, CoordConfig, RetryPolicy, ScatterReport, ShardSet};
 
@@ -158,8 +159,9 @@ fn run_one(
     );
     let config = coord_config();
     let qpath = query_path.to_str().expect("utf-8 query path");
+    let ids = Ranking::identity();
     std::thread::scope(|scope| {
-        let t = scope.spawn(|| scatter_match(graph, plan, qpath, "bench", &set, &config));
+        let t = scope.spawn(|| scatter_match(graph, &ids, plan, qpath, "bench", &set, &config));
         match fault {
             Fault::Kill(after) => {
                 std::thread::sleep(*after);

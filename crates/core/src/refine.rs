@@ -19,8 +19,8 @@
 //! a pivot bounds the embeddings its cluster can contain (§4.3).
 //!
 //! Storage is dense: per node, a snapshot of the candidate list (sorted), a
-//! dense candidate-id → slot map (same scheme as the tables'
-//! `slot_of`), and a slot-indexed `Vec<u64>` of cardinalities. Lookups
+//! dense candidate-id → slot map (the tables' `SlotMap`, spanning only the
+//! candidates' ids), and a slot-indexed `Vec<u64>` of cardinalities. Lookups
 //! during the reverse walk are two array reads — no hashing — which makes
 //! refinement a linear pass over the child tables' flat arenas, and
 //! [`Cardinalities::of_node`] returns pairs in candidate order without a
@@ -30,15 +30,15 @@ use ceci_graph::VertexId;
 use ceci_query::QueryPlan;
 
 use crate::filter::BuilderState;
-use crate::tables::{build_slot_map, slot_lookup};
+use crate::tables::SlotMap;
 
 /// One query node's cardinalities in dense slot-indexed form.
 #[derive(Clone, Debug, Default)]
 struct NodeCards {
     /// Candidate snapshot at refinement time, sorted.
     cands: Vec<VertexId>,
-    /// Dense candidate id → slot into `vals` (`NO_SLOT` sentinel absent).
-    slot_of: Vec<u32>,
+    /// Dense candidate id → slot into `vals`.
+    slot_of: SlotMap,
     /// `vals[slot]` = cardinality of `cands[slot]` (0 = pruned).
     vals: Vec<u64>,
 }
@@ -47,7 +47,7 @@ impl NodeCards {
     fn for_candidates(cands: &[VertexId]) -> NodeCards {
         NodeCards {
             cands: cands.to_vec(),
-            slot_of: build_slot_map(cands),
+            slot_of: SlotMap::new(cands),
             vals: vec![0; cands.len()],
         }
     }
@@ -65,7 +65,7 @@ impl Cardinalities {
     #[inline]
     pub fn get(&self, u: VertexId, v: VertexId) -> u64 {
         let node = &self.per_node[u.index()];
-        match slot_lookup(&node.slot_of, v) {
+        match node.slot_of.get(v) {
             Some(s) => node.vals[s],
             None => 0,
         }
@@ -130,7 +130,7 @@ pub fn reverse_bfs_refine(
                         .and_then(|t| t.get(v))
                         .map(|list| {
                             list.iter().fold(0u64, |acc, &vc| {
-                                let c = match slot_lookup(&child.slot_of, vc) {
+                                let c = match child.slot_of.get(vc) {
                                     Some(s) => child.vals[s],
                                     None => 0,
                                 };

@@ -17,10 +17,10 @@
 //! `value_union` is a single ascending scan — already sorted, no sort call.
 //!
 //! Freezing additionally builds a dense key → slot map (`slot_of`) indexed
-//! directly by the key's vertex id, so the enumeration hot path resolves
-//! `TE_Candidates[u][f(u_p)]` with two array reads instead of a binary
-//! search per recursive call. The same dense map accelerates *build-time*
-//! lookups ([`BuildTable::get`] is O(1) too), which turns reverse-BFS
+//! by the key's vertex id less the first key's, so the enumeration hot path
+//! resolves `TE_Candidates[u][f(u_p)]` with two array reads instead of a
+//! binary search per recursive call. A dense map accelerates *build-time*
+//! lookups too ([`BuildTable::get`] is O(1)), which turns reverse-BFS
 //! refinement into a linear array pass. The legacy binary-search path
 //! survives as [`CompactTable::get_binary`] for differential testing.
 
@@ -361,7 +361,7 @@ impl BuildTable {
             offsets.push(write as u32);
         }
         self.values.truncate(write);
-        let slot_of = build_slot_map(&keys);
+        let slot_of = SlotMap::new(&keys);
         CompactTable {
             keys,
             offsets,
@@ -371,32 +371,49 @@ impl BuildTable {
     }
 }
 
-/// Builds the dense key-id → slot array for a sorted key list. Sized to
-/// `max_key + 1`, so lookups for any `VertexId` are a bounds check plus one
-/// array read (out-of-range ids are simply absent).
-pub(crate) fn build_slot_map(keys: &[VertexId]) -> Vec<u32> {
-    let Some(max) = keys.last() else {
-        return Vec::new();
-    };
-    debug_assert!(
-        keys.len() < NO_SLOT as usize,
-        "slot indices must fit below the NO_SLOT sentinel"
-    );
-    let mut slot_of = vec![NO_SLOT; max.index() + 1];
-    for (i, k) in keys.iter().enumerate() {
-        slot_of[k.index()] = i as u32;
-    }
-    slot_of
+/// The dense key-id → slot map of a sorted key list, spanning only the ids
+/// from its first key to its last: a lookup is one subtraction, a bounds
+/// check and one array read, and ids outside the span are simply absent.
+/// Candidates that pass the degree filter cluster at the top of a
+/// degree-ranked id range, so a map from id 0 would be mostly empty.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub(crate) struct SlotMap {
+    /// The first key's id; slot `i` of `slots` is id `first + i`.
+    first: u32,
+    /// Index into the key list, or [`NO_SLOT`].
+    slots: Vec<u32>,
 }
 
-/// Slot lookup against a map built by [`build_slot_map`].
-#[inline]
-pub(crate) fn slot_lookup(slot_of: &[u32], key: VertexId) -> Option<usize> {
-    let s = *slot_of.get(key.index())?;
-    if s == NO_SLOT {
-        None
-    } else {
-        Some(s as usize)
+impl SlotMap {
+    pub(crate) fn new(keys: &[VertexId]) -> SlotMap {
+        let (Some(first), Some(last)) = (keys.first(), keys.last()) else {
+            return SlotMap::default();
+        };
+        debug_assert!(
+            keys.len() < NO_SLOT as usize,
+            "slot indices must fit below the NO_SLOT sentinel"
+        );
+        let mut slots = vec![NO_SLOT; (last.0 - first.0) as usize + 1];
+        for (i, k) in keys.iter().enumerate() {
+            slots[(k.0 - first.0) as usize] = i as u32;
+        }
+        SlotMap {
+            first: first.0,
+            slots,
+        }
+    }
+
+    /// The slot of `key`. An id below the first key wraps past the end of
+    /// `slots` and reads as absent.
+    #[inline]
+    pub(crate) fn get(&self, key: VertexId) -> Option<usize> {
+        let s = *self.slots.get(key.0.wrapping_sub(self.first) as usize)?;
+        (s != NO_SLOT).then_some(s as usize)
+    }
+
+    /// Heap bytes of the map.
+    fn size_bytes(&self) -> usize {
+        self.slots.len() * std::mem::size_of::<u32>()
     }
 }
 
@@ -413,16 +430,16 @@ fn values_len_guard(len: usize) {
 /// Layout is exactly the paper's 8-bytes-per-candidate-edge accounting: each
 /// stored (key, value) candidate edge costs one `u32` value slot plus
 /// amortized key/offset overhead. The `slot_of` acceleration array trades
-/// `4 × (max_key + 1)` bytes per table for O(1) hot-path lookups; it is
-/// derived entirely from `keys`, so equality and the candidate-edge counts
-/// of Table 2 are unaffected.
+/// `4 × (last_key − first_key + 1)` bytes per table for O(1) hot-path
+/// lookups; it is derived entirely from `keys`, so equality and the
+/// candidate-edge counts of Table 2 are unaffected.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CompactTable {
     keys: Vec<VertexId>,
     offsets: Vec<u32>,
     values: Vec<VertexId>,
-    /// `slot_of[key_id]` = index into `keys`/`offsets`, or [`NO_SLOT`].
-    slot_of: Vec<u32>,
+    /// Key id → index into `keys`/`offsets`.
+    slot_of: SlotMap,
 }
 
 impl CompactTable {
@@ -442,11 +459,7 @@ impl CompactTable {
     /// slot map, one offset-pair read. This is the enumeration hot path.
     #[inline]
     pub fn get(&self, key: VertexId) -> Option<&[VertexId]> {
-        let slot = *self.slot_of.get(key.index())?;
-        if slot == NO_SLOT {
-            return None;
-        }
-        let i = slot as usize;
+        let i = self.slot_of.get(key)?;
         Some(&self.values[self.offsets[i] as usize..self.offsets[i + 1] as usize])
     }
 
@@ -499,7 +512,7 @@ impl CompactTable {
         self.keys.len() * std::mem::size_of::<VertexId>()
             + self.offsets.len() * std::mem::size_of::<u32>()
             + self.values.len() * std::mem::size_of::<VertexId>()
-            + self.slot_of.len() * std::mem::size_of::<u32>()
+            + self.slot_of.size_bytes()
     }
 }
 
@@ -661,17 +674,20 @@ mod tests {
 
     #[test]
     fn slot_map_counted_in_size() {
-        let with_high_key = {
+        let table = |keys: &[u32]| {
             let mut t = BuildTable::new();
-            t.push_key(vid(1000), &[vid(1)]);
+            for &k in keys {
+                t.push_key(vid(k), &[vid(1)]);
+            }
             t.freeze()
         };
-        let with_low_key = {
-            let mut t = BuildTable::new();
-            t.push_key(vid(0), &[vid(1)]);
-            t.freeze()
-        };
-        assert!(with_high_key.size_bytes() > with_low_key.size_bytes());
+        // The map spans the keys, not the ids below the first one.
+        assert_eq!(table(&[1000]).size_bytes(), table(&[0]).size_bytes());
+        assert!(table(&[0, 1000]).size_bytes() > table(&[1000]).size_bytes());
+        let spread = table(&[1000, 1003]);
+        for probe in 0..1100 {
+            assert_eq!(spread.get(vid(probe)), spread.get_binary(vid(probe)));
+        }
     }
 
     #[test]

@@ -308,8 +308,8 @@ fn count_cluster(
 
 /// Counts the cluster of `pivot` over a mini-CECI built for that pivot
 /// alone — how a cluster runs anywhere but on the machine whose index holds
-/// it (a thief, a re-scatter target, a speculator, the shard coordinator's
-/// local fallback). Returns the count and the index it was counted over.
+/// it (a thief, a re-scatter target, a speculator). Returns the count and
+/// the index it was counted over.
 pub fn count_pivot_cluster(
     graph: &Graph,
     plan: &QueryPlan,

@@ -114,6 +114,32 @@ impl Csr {
         Csr { offsets, neighbors }
     }
 
+    /// This CSR renumbered in one pass: vertex `file_of[r]` becomes `r`, and
+    /// `rank_of` is the inverse permutation. The lists come out sorted
+    /// without a sort: sources are scanned in new-id order and each one is
+    /// appended to its neighbours' lists, which for a symmetric adjacency is
+    /// the renumbered adjacency itself.
+    pub(crate) fn permuted(&self, rank_of: &[VertexId], file_of: &[VertexId]) -> Csr {
+        let mut offsets = Vec::with_capacity(file_of.len() + 1);
+        offsets.push(0);
+        let mut acc = 0;
+        for &f in file_of {
+            acc += self.degree(f);
+            offsets.push(acc);
+        }
+        let mut cursor = offsets[..file_of.len()].to_vec();
+        let mut neighbors = vec![VertexId::default(); acc];
+        for (r, &f) in file_of.iter().enumerate() {
+            let r = VertexId::from_index(r);
+            for &nb in self.neighbors(f) {
+                let slot = &mut cursor[rank_of[nb.index()].index()];
+                neighbors[*slot] = r;
+                *slot += 1;
+            }
+        }
+        Csr { offsets, neighbors }
+    }
+
     /// Sorts each adjacency list and removes duplicate neighbors, compacting
     /// the arrays in place.
     #[allow(clippy::needless_range_loop)] // read/write cursors alias `neighbors`

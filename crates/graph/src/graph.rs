@@ -269,6 +269,17 @@ impl Graph {
         directed_input: bool,
     ) -> Self {
         let csr = Csr::from_undirected_edges(labels.len(), edges);
+        Graph::from_csr(csr, labels.into(), directed_input, None)
+    }
+
+    /// The graph over `csr` and `labels`, with its label inverted index
+    /// derived here and a fresh stamp.
+    fn from_csr(
+        csr: Csr,
+        labels: Arc<[LabelSet]>,
+        directed_input: bool,
+        label_pairs: Option<LabelPairIndex>,
+    ) -> Self {
         let num_labels = labels
             .iter()
             .flat_map(|ls| ls.iter())
@@ -284,13 +295,26 @@ impl Graph {
         Graph {
             stamp: GraphStamp::fresh(),
             csr,
-            labels: labels.into(),
+            labels,
             num_labels,
             directed_input,
             label_index: label_index.into(),
             nlc: None,
-            label_pairs: None,
+            label_pairs,
         }
+    }
+
+    /// This graph renumbered: vertex `file_of[r]` becomes `r` (`rank_of` is
+    /// the inverse). Adjacency is permuted in one pass ([`Csr::permuted`]);
+    /// the label-pair index, which speaks of labels only, is carried over.
+    pub(crate) fn permuted(&self, rank_of: &[VertexId], file_of: &[VertexId]) -> Graph {
+        let labels = file_of.iter().map(|&f| self.labels(f).clone()).collect();
+        Graph::from_csr(
+            self.csr.permuted(rank_of, file_of),
+            labels,
+            self.directed_input,
+            self.label_pairs.clone(),
+        )
     }
 
     /// The next streamed snapshot: this graph with one batch of net edge

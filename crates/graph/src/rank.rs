@@ -1,0 +1,209 @@
+//! Degree-ranked vertex numbering.
+//!
+//! CECI breaks a query's automorphisms with `f(u_i) < f(u_j)` on data-vertex
+//! ids (§4), and the enumerator slices every candidate list to that window
+//! before intersecting, so what the ids *mean* decides how much a window
+//! cuts. Under a file's numbering a hub's list is cut at an arbitrary point.
+//! Numbered by ascending `(degree, file id)`, the part of a vertex's list
+//! above it holds only neighbours of higher degree — its out-neighbourhood
+//! in the degree orientation, which for a hub is short. That is the
+//! orientation bound of triangle and clique listing (Chiba–Nishizeki).
+//!
+//! [`rank_by_degree`] produces a graph's ranked copy together with the
+//! [`Ranking`] that translates between the two numberings.
+
+use crate::graph::Graph;
+use crate::ids::VertexId;
+
+/// A renumbering of a graph's vertices: file id ↔ rank. The identity
+/// ranking holds no arrays.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Ranking {
+    /// `rank_of[file id]`; empty for the identity.
+    rank_of: Vec<VertexId>,
+    /// `file_of[rank]`; empty for the identity.
+    file_of: Vec<VertexId>,
+}
+
+impl Ranking {
+    /// The ranking that keeps every id.
+    pub fn identity() -> Ranking {
+        Ranking::default()
+    }
+
+    /// Whether this is [`Ranking::identity`].
+    #[inline]
+    pub fn is_identity(&self) -> bool {
+        self.file_of.is_empty()
+    }
+
+    /// The rank of file vertex `file`.
+    ///
+    /// # Panics
+    /// Panics if `file` is out of range of a non-identity ranking.
+    #[inline]
+    pub fn rank(&self, file: VertexId) -> VertexId {
+        if self.is_identity() {
+            file
+        } else {
+            self.rank_of[file.index()]
+        }
+    }
+
+    /// The file id of rank `rank`.
+    ///
+    /// # Panics
+    /// Panics if `rank` is out of range of a non-identity ranking.
+    #[inline]
+    pub fn file(&self, rank: VertexId) -> VertexId {
+        if self.is_identity() {
+            rank
+        } else {
+            self.file_of[rank.index()]
+        }
+    }
+
+    /// Ascending `(degree, file id)`: a counting sort on degree, whose
+    /// stable pass keeps file order among equal degrees.
+    fn by_degree(graph: &Graph) -> Ranking {
+        let mut next = vec![0usize; graph.max_degree() + 2];
+        for v in graph.vertices() {
+            next[graph.degree(v) + 1] += 1;
+        }
+        for d in 1..next.len() {
+            next[d] += next[d - 1];
+        }
+        let n = graph.num_vertices();
+        let mut rank_of = vec![VertexId::default(); n];
+        let mut file_of = vec![VertexId::default(); n];
+        for v in graph.vertices() {
+            let rank = &mut next[graph.degree(v)];
+            rank_of[v.index()] = VertexId::from_index(*rank);
+            file_of[*rank] = v;
+            *rank += 1;
+        }
+        Ranking { rank_of, file_of }
+    }
+}
+
+/// `graph` renumbered by ascending `(degree, file id)`, and the ranking that
+/// did it. A pure function of the graph. The copy's adjacency is permuted
+/// in one pass, not rebuilt from an edge list; labels move with their
+/// vertices and the label-pair index, which names labels only, is kept.
+pub fn rank_by_degree(graph: &Graph) -> (Graph, Ranking) {
+    let ranking = Ranking::by_degree(graph);
+    let ranked = graph.permuted(&ranking.rank_of, &ranking.file_of);
+    (ranked, ranking)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ids::{lid, vid, LabelId};
+    use crate::labels::LabelSet;
+    use proptest::prelude::*;
+
+    /// `(labels, second labels, edges)` over a vertex range small enough for
+    /// duplicate edges, self-loops, isolated vertices and degree ties.
+    fn arb_graph() -> impl Strategy<Value = Graph> {
+        (1u32..40).prop_flat_map(|n| {
+            (
+                proptest::collection::vec(0u32..4, n as usize),
+                proptest::collection::vec(0u32..6, n as usize),
+                proptest::collection::vec((0..n, 0..n), 0..4 * n as usize),
+            )
+                .prop_map(|(first, second, edges)| {
+                    let labels = (first.iter().zip(&second))
+                        .map(|(&l, &m)| match m {
+                            m if m < 4 && m != l => LabelSet::from_labels([lid(l), lid(m)]),
+                            _ => LabelSet::single(lid(l)),
+                        })
+                        .collect();
+                    let edges: Vec<_> = edges.iter().map(|&(a, b)| (vid(a), vid(b))).collect();
+                    Graph::new(labels, &edges, false)
+                })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The ranking is a bijection, ordered by `(degree, file id)`, the
+        /// same on every call, and the ranked copy is the file graph under
+        /// it: every edge maps to an edge and back, lists stay sorted, and
+        /// labels (and the label inverted index) travel with their vertices.
+        #[test]
+        fn ranking_is_a_degree_ordered_bijection_that_preserves_edges(file in arb_graph()) {
+            let (ranked, ids) = rank_by_degree(&file);
+            let n = file.num_vertices();
+            prop_assert_eq!(ranked.num_vertices(), n);
+            prop_assert_eq!(ranked.num_edges(), file.num_edges());
+            let mut hit = vec![false; n];
+            for v in file.vertices() {
+                prop_assert_eq!(ids.file(ids.rank(v)), v);
+                prop_assert_eq!(ids.rank(ids.file(v)), v);
+                hit[ids.rank(v).index()] = true;
+            }
+            prop_assert!(hit.iter().all(|&h| h), "rank is onto");
+            let key = |r: VertexId| (file.degree(ids.file(r)), ids.file(r));
+            for r in 1..n as u32 {
+                prop_assert!(key(vid(r - 1)) < key(vid(r)), "rank {} out of order", r);
+            }
+
+            let (again, ids_again) = rank_by_degree(&file);
+            prop_assert_eq!(&ids_again, &ids);
+            for r in ranked.vertices() {
+                prop_assert_eq!(again.neighbors(r), ranked.neighbors(r));
+                let f = ids.file(r);
+                prop_assert_eq!(ranked.degree(r), file.degree(f));
+                prop_assert_eq!(ranked.labels(r), file.labels(f));
+                prop_assert!(ranked.neighbors(r).windows(2).all(|w| w[0] < w[1]));
+                for &s in ranked.neighbors(r) {
+                    prop_assert!(file.has_edge(f, ids.file(s)));
+                }
+            }
+            for a in file.vertices() {
+                for &b in file.neighbors(a) {
+                    prop_assert!(ranked.has_edge(ids.rank(a), ids.rank(b)));
+                }
+            }
+            for l in (0..file.num_labels()).map(LabelId) {
+                let mut want: Vec<_> = file.vertices_with_label(l).iter().map(|&v| ids.rank(v)).collect();
+                want.sort_unstable();
+                prop_assert_eq!(ranked.vertices_with_label(l), want.as_slice());
+            }
+            prop_assert!(ranked.stamp() != file.stamp());
+        }
+    }
+
+    #[test]
+    fn identity_keeps_every_id() {
+        let ids = Ranking::identity();
+        assert!(ids.is_identity());
+        assert_eq!((ids.rank(vid(7)), ids.file(vid(7))), (vid(7), vid(7)));
+    }
+
+    #[test]
+    fn hubs_rank_last_and_the_label_pair_index_is_kept() {
+        // A star centred on 0 plus an edge 3-4: the leaves 1, 2 (degree 1)
+        // rank first, then 3 and 4 (degree 2), then the hub.
+        let mut star = Graph::unlabeled(
+            5,
+            &[
+                (vid(0), vid(1)),
+                (vid(0), vid(2)),
+                (vid(0), vid(3)),
+                (vid(0), vid(4)),
+                (vid(3), vid(4)),
+            ],
+        );
+        star.build_label_pair_index();
+        let (ranked, ids) = rank_by_degree(&star);
+        let order: Vec<u32> = ranked.vertices().map(|r| ids.file(r).0).collect();
+        assert_eq!(order, [1, 2, 3, 4, 0]);
+        assert_eq!(ranked.neighbors(vid(4)), &[vid(0), vid(1), vid(2), vid(3)]);
+        assert!(!ids.is_identity());
+        let pairs = ranked.label_pair_index().expect("carried over");
+        assert_eq!(pairs.max_count(lid(0), lid(0)), 4);
+    }
+}

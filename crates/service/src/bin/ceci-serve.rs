@@ -18,7 +18,7 @@
 //!                        for index repair (default 64; an older entry's
 //!                        tables are rebased on the current snapshot)
 //!   --preload NAME=FILE  LOAD a labeled graph before accepting connections
-//!                        (repeatable)
+//!                        (repeatable; numbered by degree as LOAD does)
 //!   --max-conns N        concurrent-connection cap; connections beyond it
 //!                        are answered BUSY and closed (default 10000)
 //!   --io-timeout-ms N    per-connection socket read/write timeout
@@ -48,7 +48,7 @@
 use std::process::exit;
 use std::sync::Arc;
 
-use ceci_graph::io;
+use ceci_graph::{io, rank_by_degree};
 use ceci_service::{start_with_state, ServeConfig, ServerState};
 
 fn usage() -> ! {
@@ -116,8 +116,10 @@ fn main() {
     let state = Arc::new(ServerState::new(config));
     for (name, file) in &preloads {
         match io::load_labeled(file) {
-            Ok(graph) => {
-                let (entry, _) = state.registry.insert(name, graph);
+            Ok(file) => {
+                let (graph, ids) = rank_by_degree(&file);
+                drop(file);
+                let (entry, _) = state.registry.insert_ranked(name, graph, ids);
                 eprintln!(
                     "preloaded {name} ({} vertices, {} edges, epoch {})",
                     entry.graph().num_vertices(),

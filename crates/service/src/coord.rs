@@ -33,15 +33,24 @@
 //!   process is revived automatically.
 //! * If every shard is dead — or a hard wall-clock passes — the
 //!   coordinator executes the uncommitted pivots locally on the full graph.
+//!
+//! ## Numbering
+//!
+//! A pivot's count depends on the vertex numbering its symmetry constraints
+//! compare, so all pivots of one scatter are counted under one: the file
+//! ids the shards loaded. `EXEC` names pivots by file id, and the local
+//! fallback runs the shards' executor ([`count_fragment`]) over a view of
+//! the coordinator's graph that presents file ids.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use ceci_core::metrics::Counters;
-use ceci_distributed::{count_pivot_cluster, distribute_pivots, ClusterConfig, PlanSpec, Recovery};
-use ceci_graph::{Graph, VertexId};
+use ceci_distributed::{
+    count_fragment, distribute_pivots, AdjacencySource, ClusterConfig, PlanSpec, Recovery,
+};
+use ceci_graph::{Graph, LabelSet, Ranking, VertexId};
 use ceci_query::{OrderConstraint, QueryPlan};
 
 use crate::client::{Client, RetryPolicy};
@@ -403,13 +412,41 @@ fn lock(core: &Mutex<Recovery>) -> MutexGuard<'_, Recovery> {
         .expect("a shard driver panicked inside the recovery state machine")
 }
 
+/// A graph numbered by `ids`, presented in file ids.
+struct FileIds<'a> {
+    graph: &'a Graph,
+    ids: &'a Ranking,
+}
+
+impl AdjacencySource for FileIds<'_> {
+    fn num_vertices(&self) -> usize {
+        self.graph.num_vertices()
+    }
+
+    fn directed(&self) -> bool {
+        self.graph.is_directed_input()
+    }
+
+    fn for_each_neighbor(&self, v: VertexId, f: &mut dyn FnMut(VertexId)) {
+        let neighbors = self.graph.neighbors(self.ids.rank(v));
+        neighbors.iter().for_each(|&nb| f(self.ids.file(nb)));
+    }
+
+    fn label_set(&self, v: VertexId) -> LabelSet {
+        self.graph.labels(self.ids.rank(v)).clone()
+    }
+}
+
 /// Runs one query scattered over `shards`, recovering from any shard
 /// failures, and returns the exact total.
 ///
-/// `plan` must be built against the full graph; `query_path` must be
-/// readable by the shard processes (they re-load and re-validate it).
+/// `full` is numbered by `ids` (its file ids are what the shards loaded;
+/// pass [`Ranking::identity`] for a graph in file numbering), and `plan`
+/// must be built against it; `query_path` must be readable by the shard
+/// processes (they re-load and re-validate it).
 pub fn scatter_match(
     full: &Graph,
+    ids: &Ranking,
     plan: &QueryPlan,
     query_path: &str,
     handle: &str,
@@ -418,13 +455,19 @@ pub fn scatter_match(
 ) -> ScatterReport {
     let t0 = Instant::now();
     let pivots = plan.initial_candidates(plan.root()).to_vec();
-    let prepare = prepare_line(handle, query_path, &PlanSpec::of(plan));
+    let spec = PlanSpec::of(plan);
+    let prepare = prepare_line(handle, query_path, &spec);
     let cluster = ClusterConfig {
         machines: shards.len().max(1),
         ..Default::default()
     };
-    let partition = distribute_pivots(full, &pivots, &cluster);
-    let core = Mutex::new(Recovery::new(&partition.assignment, true));
+    let mut assignment = distribute_pivots(full, &pivots, &cluster).assignment;
+    for own in &mut assignment {
+        own.iter_mut().for_each(|p| *p = ids.file(*p));
+        own.sort_unstable();
+    }
+    let file_ids = FileIds { graph: full, ids };
+    let core = Mutex::new(Recovery::new(&assignment, true));
     let mut report = ScatterReport::default();
 
     std::thread::scope(|scope| {
@@ -455,8 +498,8 @@ pub fn scatter_match(
             // this runs: a count whose epoch went stale is recomputed.
             let pending = lock(&core).uncommitted();
             for (pivot, epoch) in pending {
-                // Bit-identical to the shard-side fragment execution.
-                let count = count_pivot_cluster(full, plan, pivot, &mut Counters::default()).0;
+                // What a shard's `EXEC` of this pivot answers.
+                let count = count_fragment(&file_ids, &spec, &[pivot]).embeddings;
                 if lock(&core).commit(pivot, epoch, count) {
                     report.local_fallback += 1;
                 }

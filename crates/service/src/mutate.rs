@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 
 use ceci_core::{batch_delta, count_embeddings, Ceci};
 use ceci_graph::io as graph_io;
-use ceci_graph::{vid, VertexId};
+use ceci_graph::{rank_by_degree, vid, VertexId};
 use ceci_query::QueryPlan;
 
 use crate::event_loop::SharedWriter;
@@ -18,6 +18,9 @@ use crate::protocol::ErrorCode;
 use crate::registry::ContinuousQuery;
 use crate::server::{record_tiled_spans, Reply, ServerState};
 
+/// `LOAD`: reads the file and serves its graph numbered by ascending degree
+/// (`rank_us=` is what the renumbering cost); requests keep naming vertices
+/// by their file ids.
 pub(crate) fn exec_load(
     state: &ServerState,
     name: &str,
@@ -30,9 +33,15 @@ pub(crate) fn exec_load(
     } else {
         graph_io::load_labeled(path)
     };
-    let graph = loaded.map_err(|e| state.fail(ErrorCode::Load, format!("load failed: {e}")))?;
-    let (vertices, edges) = (graph.num_vertices(), graph.num_edges());
-    let (entry, displaced) = state.registry.insert(name, graph);
+    let file = loaded.map_err(|e| state.fail(ErrorCode::Load, format!("load failed: {e}")))?;
+    let (vertices, edges) = (file.num_vertices(), file.num_edges());
+    let t_rank = Instant::now();
+    let (graph, ids) = rank_by_degree(&file);
+    let rank = t_rank.elapsed();
+    // Only the ranked copy is served; free the file's before the entry
+    // builds its label-pair index.
+    drop(file);
+    let (entry, displaced) = state.registry.insert_ranked(name, graph, ids);
     if let Some(old_epoch) = displaced {
         state.cache.evict_epoch(old_epoch);
     }
@@ -41,8 +50,9 @@ pub(crate) fn exec_load(
     state.continuous.lock().retain(|_, cq| cq.graph != name);
     ServerMetrics::inc(&state.metrics.load_requests);
     Ok(vec![format!(
-        "OK LOADED name={name} vertices={vertices} edges={edges} epoch={}",
-        entry.epoch
+        "OK LOADED name={name} vertices={vertices} edges={edges} epoch={} rank_us={}",
+        entry.epoch,
+        rank.as_micros()
     )])
 }
 
@@ -65,6 +75,8 @@ pub(crate) fn exec_mutate(
     exec_mutate_vids(state, graph_name, &to_vids(adds), &to_vids(dels))
 }
 
+/// [`exec_mutate`] over edges in file ids, which are translated into the
+/// entry's ids here, once, for both `BATCH` forms.
 fn exec_mutate_vids(
     state: &ServerState,
     graph_name: &str,
@@ -72,11 +84,14 @@ fn exec_mutate_vids(
     dels: &[(VertexId, VertexId)],
 ) -> Reply {
     let entry = state.graph(graph_name)?;
+    let translate =
+        |edges| (entry.entry_edges(edges)).map_err(|e| state.fail(ErrorCode::Mutation, e));
+    let (adds, dels) = (translate(adds)?, translate(dels)?);
     let mut continuous = state.continuous.lock();
     let t0 = Instant::now();
     let config = state.config();
     let outcome = entry
-        .apply_batch(adds, dels, config.compact_threshold, config.dirty_log_cap)
+        .apply_batch(&adds, &dels, config.compact_threshold, config.dirty_log_cap)
         .map_err(|e| state.fail(ErrorCode::Mutation, e))?;
     let apply = t0.elapsed();
     let mut delta_time = Duration::ZERO;

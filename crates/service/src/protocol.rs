@@ -407,6 +407,12 @@ fn parse_u32(tokens: &mut std::slice::Iter<'_, &str>, what: &str) -> Result<u32,
     u32::try_from(parse_u64(tokens, what)?).map_err(|_| err(format!("invalid {what} value")))
 }
 
+/// [`parse_u64`] for a `usize` field: a value past the host's `usize` is
+/// an error, not a truncation.
+fn parse_usize(tokens: &mut std::slice::Iter<'_, &str>, what: &str) -> Result<usize, ParseError> {
+    usize::try_from(parse_u64(tokens, what)?).map_err(|_| err(format!("invalid {what} value")))
+}
+
 fn parse_vertex(tokens: &mut std::slice::Iter<'_, &str>, what: &str) -> Result<u32, ParseError> {
     tokens
         .next()
@@ -480,11 +486,11 @@ pub fn parse_request(line: &str) -> Result<Option<Request>, ParseError> {
                     "LIMIT" => form.limit = Some(parse_u64(&mut it, "LIMIT")?),
                     "DEADLINE" => form.deadline_ms = Some(parse_u64(&mut it, "DEADLINE")?),
                     "WORKERS" => {
-                        let w = parse_u64(&mut it, "WORKERS")?;
+                        let w = parse_usize(&mut it, "WORKERS")?;
                         if w == 0 {
                             return Err(err("WORKERS must be >= 1"));
                         }
-                        form.workers = Some(w as usize);
+                        form.workers = Some(w);
                     }
                     "RAW" => form.raw = true,
                     "EXACT" => form.exact = true,
@@ -686,7 +692,7 @@ pub fn parse_request(line: &str) -> Result<Option<Request>, ParseError> {
             while let Some(opt) = it.next() {
                 match opt.to_ascii_uppercase().as_str() {
                     "ROOT" => root = Some(parse_u32(&mut it, "ROOT")?),
-                    "RADIUS" => radius = Some(parse_u64(&mut it, "RADIUS")? as usize),
+                    "RADIUS" => radius = Some(parse_usize(&mut it, "RADIUS")?),
                     "ORDER" => {
                         let list = it.next().ok_or_else(|| err("ORDER requires u0,u1,..."))?;
                         for tok in list.split(',') {
@@ -850,6 +856,27 @@ mod tests {
         assert!(parse_request("MATCH g q LIMIT abc").is_err());
         assert!(parse_request("MATCH g q WORKERS 0").is_err());
         assert!(parse_request("MATCH g").is_err());
+    }
+
+    /// `WORKERS` and `RADIUS` are `usize`s: the largest one the host holds
+    /// parses, one more is a typed parse error, never a truncation.
+    #[test]
+    fn usize_fields_refuse_what_the_host_cannot_hold() {
+        let (max, past) = (usize::MAX, usize::MAX as u128 + 1);
+        let workers = |value: &str| parse_request(&format!("MATCH g q WORKERS {value}"));
+        let radius =
+            |value: &str| parse_request(&format!("PREPARE h q ROOT 0 ORDER 0 RADIUS {value}"));
+        match workers(&max.to_string()) {
+            Ok(Some(Request::Match { form, .. })) => assert_eq!(form.workers, Some(max)),
+            other => panic!("WORKERS {max}: {other:?}"),
+        }
+        match radius(&max.to_string()) {
+            Ok(Some(Request::Prepare { radius, .. })) => assert_eq!(radius, max),
+            other => panic!("RADIUS {max}: {other:?}"),
+        }
+        let past = past.to_string();
+        assert_eq!(workers(&past), Err(err("invalid WORKERS value")));
+        assert_eq!(radius(&past), Err(err("invalid RADIUS value")));
     }
 
     #[test]

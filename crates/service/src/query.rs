@@ -152,7 +152,7 @@ fn resolve(
     graph_name: &str,
     query_path: &str,
     form: Option<&MatchForm>,
-) -> Result<(Arc<Graph>, ExecPath), Vec<String>> {
+) -> Result<(Arc<GraphEntry>, Arc<Graph>, ExecPath), Vec<String>> {
     let entry = state.graph(graph_name)?;
     // One consistent (snapshot, sub-epoch) pair for the whole request:
     // concurrent mutations publish new snapshots without touching this one.
@@ -160,7 +160,7 @@ fn resolve(
     let query = state.query(query_path)?;
     let path = choose(state, &entry, &graph, sub_epoch, query, form)?;
     path.count(&state.metrics);
-    Ok((graph, path))
+    Ok((entry, graph, path))
 }
 
 /// The ladder itself, in order: admission → shard check → index acquisition
@@ -266,7 +266,7 @@ pub(crate) fn exec_match(
 ) -> Reply {
     let t_start = Instant::now();
     ServerMetrics::inc(&state.metrics.match_requests);
-    let (graph, path) = resolve(state, graph_name, query_path, Some(&form))?;
+    let (entry, graph, path) = resolve(state, graph_name, query_path, Some(&form))?;
     let (lead, cache_tag) = (path.tokens().1, path.cache_tag());
     // `match_latency` is admission-to-response: queue wait counts.
     let finish = |line: String| {
@@ -282,12 +282,13 @@ pub(crate) fn exec_match(
             // The plan is the *fixed* deterministic one (`QueryPlan::new`,
             // BFS order) — shards replay it from the PREPARE line, so
             // coordinator and shards agree bit-for-bit on candidates, order,
-            // and symmetry constraints.
+            // and symmetry constraints. Pivots go out as file ids.
             let shards = state.shards().expect("a sharded path has shards");
             let plan = QueryPlan::new(query, &graph);
             let handle = format!("{graph_name}@{sub_epoch}:{query_path}");
             let report = coord::scatter_match(
                 &graph,
+                entry.ids(),
                 &plan,
                 query_path,
                 &handle,
@@ -413,7 +414,7 @@ pub(crate) fn exec_estimate(
     walks: Option<u64>,
 ) -> Reply {
     let t_start = Instant::now();
-    let (graph, path) = resolve(state, graph_name, query_path, None)?;
+    let (_, graph, path) = resolve(state, graph_name, query_path, None)?;
     // The label-pair filter proves zero without touching the index: the
     // degenerate exact-zero estimate.
     let est = match path.served() {
@@ -482,7 +483,7 @@ pub(crate) fn exec_explain(
     query_path: &str,
     analyze: bool,
 ) -> Reply {
-    let (graph, path) = resolve(state, graph_name, query_path, None)?;
+    let (entry, graph, path) = resolve(state, graph_name, query_path, None)?;
     let ExecPath::Drain {
         served,
         raw,
@@ -513,6 +514,13 @@ pub(crate) fn exec_explain(
         line.push(' ');
         line.push_str(mode);
     }
+    // Which numbering the symmetry windows above compare ids under.
+    let ids = if entry.ids().is_identity() {
+        "file"
+    } else {
+        "ranked"
+    };
+    line.push_str(&format!(" ids={ids}"));
     lines.push(line);
     // Plan-choice section: where the entry's rent/buy ledger stands, which
     // orders have been weighed, the served plan's estimated cost, and the

@@ -26,6 +26,15 @@
 //! deletions keep a sound overestimate — so the filter never rejects a
 //! satisfiable query.
 //!
+//! ## Vertex numbering
+//!
+//! Every vertex id on the wire is a file id; every id inside an entry is a
+//! rank. `LOAD` inserts the file's graph renumbered by ascending degree
+//! ([`ceci_graph::rank_by_degree`]) and the entry keeps that [`Ranking`] for
+//! its life: batches and compactions never renumber. Wire edges enter
+//! through [`GraphEntry::entry_edges`]. [`GraphRegistry::insert`] keeps the
+//! graph's own numbering (the identity ranking).
+//!
 //! Each applied batch is appended to a bounded **dirty log** of touched
 //! endpoints. The index cache uses it to patch a stale cached index's
 //! maintainable tables forward across `(old sub-epoch, current]`; when the
@@ -37,7 +46,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
-use ceci_graph::{DeltaOverlay, Graph, VertexId};
+use ceci_graph::{DeltaOverlay, Graph, Ranking, VertexId};
 use ceci_query::QueryPlan;
 use std::collections::HashMap;
 
@@ -111,15 +120,51 @@ fn distinct_endpoints<'a>(edges: impl Iterator<Item = &'a (VertexId, VertexId)>)
     ends
 }
 
+/// The first of `edges` with an endpoint `>= n`, as the mutation error.
+fn check_range<'a>(
+    mut edges: impl Iterator<Item = &'a (VertexId, VertexId)>,
+    n: usize,
+) -> Result<(), String> {
+    match edges.find(|&&(a, b)| a.index() >= n || b.index() >= n) {
+        Some(&(a, b)) => Err(format!(
+            "edge ({}, {}) out of range for a graph of {n} vertices",
+            a.index(),
+            b.index()
+        )),
+        None => Ok(()),
+    }
+}
+
 /// One loaded graph plus its identity metadata and streaming state.
 #[derive(Debug)]
 pub struct GraphEntry {
     /// Unique load stamp; bumped on every (re)load of the name.
     pub epoch: u64,
+    /// File id ↔ entry id, fixed for the entry's life.
+    ids: Ranking,
     stream: RwLock<StreamState>,
 }
 
 impl GraphEntry {
+    /// How the entry numbers its vertices: entry id = `ids().rank(file id)`.
+    pub fn ids(&self) -> &Ranking {
+        &self.ids
+    }
+
+    /// `edges` given in file ids, as every wire id is, in entry ids. They
+    /// are range-checked before they are translated, so an out-of-range
+    /// edge is refused with the file ids and the text
+    /// [`GraphEntry::apply_batch`] uses.
+    pub fn entry_edges(
+        &self,
+        edges: &[(VertexId, VertexId)],
+    ) -> Result<Vec<(VertexId, VertexId)>, String> {
+        let n = self.graph().num_vertices();
+        check_range(edges.iter(), n)?;
+        let rank = |v| self.ids.rank(v);
+        Ok(edges.iter().map(|&(a, b)| (rank(a), rank(b))).collect())
+    }
+
     /// The current immutable snapshot.
     pub fn graph(&self) -> Arc<Graph> {
         Arc::clone(&self.stream.read().expect("stream lock poisoned").current)
@@ -187,18 +232,7 @@ impl GraphEntry {
         dirty_log_cap: usize,
     ) -> Result<BatchOutcome, String> {
         let mut st = self.stream.write().expect("stream lock poisoned");
-        let n = st.current.num_vertices();
-        if let Some(&(a, b)) = adds
-            .iter()
-            .chain(dels.iter())
-            .find(|&&(a, b)| a.index() >= n || b.index() >= n)
-        {
-            return Err(format!(
-                "edge ({}, {}) out of range for a graph of {n} vertices",
-                a.index(),
-                b.index()
-            ));
-        }
+        check_range(adds.iter().chain(dels), st.current.num_vertices())?;
         let old_graph = Arc::clone(&st.current);
         let mut overlay = DeltaOverlay::new();
         let applied_adds: Vec<_> = (adds.iter().copied())
@@ -288,17 +322,29 @@ impl GraphRegistry {
         Self::default()
     }
 
-    /// Inserts (or replaces) `name`, returning the new entry and, when a
-    /// graph was replaced, the epoch of the entry that was displaced (so the
-    /// caller can evict its cached indexes). Builds the graph's label-pair
-    /// index if it has none: the admission filter passes everything beyond
-    /// its label-occurrence test on a graph without one, whichever way the
-    /// graph got here (`LOAD`, `--preload`, a test).
-    pub fn insert(&self, name: &str, mut graph: Graph) -> (Arc<GraphEntry>, Option<u64>) {
+    /// Inserts (or replaces) `name` under the graph's own numbering,
+    /// returning the new entry and, when a graph was replaced, the epoch of
+    /// the entry that was displaced (so the caller can evict its cached
+    /// indexes). Builds the graph's label-pair index if it has none: the
+    /// admission filter passes everything beyond its label-occurrence test
+    /// on a graph without one, whichever way the graph got here.
+    pub fn insert(&self, name: &str, graph: Graph) -> (Arc<GraphEntry>, Option<u64>) {
+        self.insert_ranked(name, graph, Ranking::identity())
+    }
+
+    /// [`GraphRegistry::insert`] of a graph numbered by `ids` (`LOAD` and
+    /// `--preload` pass [`ceci_graph::rank_by_degree`]'s output).
+    pub fn insert_ranked(
+        &self,
+        name: &str,
+        mut graph: Graph,
+        ids: Ranking,
+    ) -> (Arc<GraphEntry>, Option<u64>) {
         graph.build_label_pair_index();
         let graph = Arc::new(graph);
         let entry = Arc::new(GraphEntry {
             epoch: NEXT_EPOCH.fetch_add(1, Ordering::Relaxed),
+            ids,
             stream: RwLock::new(StreamState {
                 base: Arc::clone(&graph),
                 pending: 0,

@@ -460,6 +460,43 @@ fn client_retry_rides_out_busy_storms() {
 }
 
 // ---------------------------------------------------------------------------
+// A dead shard fleet in front of a LOADed entry
+// ---------------------------------------------------------------------------
+
+/// A coordinator whose every shard refuses connections counts the whole
+/// scatter itself. Its entry is numbered by degree; the fallback counts in
+/// the file ids a live shard would have used, and the total is exact.
+#[test]
+fn a_dead_fleet_falls_back_in_file_ids_on_a_loaded_entry() {
+    let graph = data();
+    let scratch = Scratch::new("fleet");
+    let graph_path = scratch.write_graph("data.graph", &graph);
+    let qg = PaperQuery::Qg3.build();
+    let query_path = scratch.write_graph("qg3.graph", qg.as_graph());
+    let want = expected(&graph, &QueryPlan::new(qg, &graph));
+
+    // Port 1 on loopback refuses at once: both drivers give up after one
+    // retry and the coordinator finishes every pivot locally.
+    let state = Arc::new(ServerState::new(ServeConfig {
+        shards: vec!["127.0.0.1:1".to_string(), "127.0.0.1:1".to_string()],
+        shard_retries: 1,
+        shard_heartbeat_ms: 0,
+        ..ServeConfig::default()
+    }));
+    let handle = start_with_state(state).expect("bind loopback");
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let resp = client.request(&format!("LOAD g {graph_path}")).unwrap();
+    assert!(resp.field_u64("rank_us").is_some(), "{}", resp.terminal);
+    let resp = client.request(&format!("MATCH g {query_path}")).unwrap();
+    let line = &resp.terminal;
+    assert_eq!(resp.field("mode"), Some("SHARDED"), "{line}");
+    assert_eq!(resp.field_u64("count"), Some(want), "{line}");
+    assert_eq!(resp.field_u64("shard_commits"), Some(0), "{line}");
+    assert!(resp.field_u64("local_fallback") > Some(0), "{line}");
+    handle.shutdown();
+}
+
+// ---------------------------------------------------------------------------
 // Streaming mutations under chaos
 // ---------------------------------------------------------------------------
 

@@ -854,6 +854,190 @@ fn every_match_form_counts_the_same_through_one_drain() {
     handle.shutdown();
 }
 
+/// `LOAD` serves a graph numbered by ascending degree, and every vertex id
+/// on the wire stays a file id. On random labeled graphs (some vertices
+/// with two labels), every `MATCH` form counts what the reference matcher
+/// counts on the file graph. A `BATCH` sequence written in file ids moves a
+/// registration's `EVENT DELTA` total as an edge-set model of the file
+/// graph says: duplicates, reversed pairs, deletes of pending adds, and an
+/// out-of-range edge refused with the file ids it named.
+#[test]
+fn loaded_graphs_are_served_in_ranked_ids_and_answer_in_file_ids() {
+    use ceci_baselines::reference;
+    use ceci_graph::generators::{barabasi_albert, inject_random_multilabels};
+    use ceci_graph::vid;
+    use std::collections::BTreeSet;
+
+    let scratch = Scratch::new("ranked");
+    let (handle, _state) = serve(ServeConfig {
+        compact_threshold: 16,
+        ..ServeConfig::default()
+    });
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let reference_count = |graph: &Graph, pattern: &Graph| {
+        let query = QueryGraph::from_graph(pattern).unwrap();
+        let plan = QueryPlan::new(query.clone(), graph);
+        assert!(plan.symmetry_complete());
+        reference::count_all(graph, &query, plan.symmetry_constraints())
+    };
+    let graphs = [
+        inject_random_multilabels(&barabasi_albert(120, 3, 41), 3, 1, 2, 42),
+        inject_random_multilabels(&erdos_renyi(100, 400, 43), 3, 1, 2, 44),
+    ];
+    for (i, file) in graphs.iter().enumerate() {
+        assert!(file.vertices().any(|v| file.labels(v).len() == 2));
+        let path = scratch.write_graph(&format!("g{i}.graph"), file);
+        let resp = client.request(&format!("LOAD g{i} {path}")).unwrap();
+        assert!(resp.field_u64("rank_us").is_some(), "{}", resp.terminal);
+        for size in [3, 4] {
+            let pattern = query_from(file, size, 7 + i as u64);
+            let want = reference_count(file, &pattern);
+            let qpath = scratch.write_graph(&format!("g{i}-{size}.graph"), &pattern);
+            let limit = format!(" LIMIT {}", want.max(2) - 1);
+            for (suffix, expect) in [
+                ("", want),
+                (" RAW", want),
+                (" EXACT", want),
+                (" WORKERS 2", want),
+                (" LIMIT 1", want.min(1)),
+                (limit.as_str(), want.min(want.max(2) - 1)),
+            ] {
+                let resp = client
+                    .request(&format!("MATCH g{i} {qpath}{suffix}"))
+                    .unwrap();
+                assert_eq!(resp.field_u64("count"), Some(expect), "g{i} {size}{suffix}");
+            }
+        }
+    }
+
+    let file = &graphs[0];
+    let n = file.num_vertices() as u32;
+    let pattern = query_from(file, 3, 5);
+    let qpath = scratch.write_graph("q.graph", &pattern);
+    let resp = client.request(&format!("REGISTER q g0 {qpath}")).unwrap();
+    assert_eq!(
+        resp.field_u64("total"),
+        Some(reference_count(file, &pattern))
+    );
+    let key = |(a, b): (u32, u32)| (a.min(b), a.max(b));
+    let mut model: BTreeSet<(u32, u32)> = (file.vertices())
+        .flat_map(|a| file.neighbors(a).iter().map(move |&b| key((a.0, b.0))))
+        .collect();
+    let model_graph = |model: &BTreeSet<(u32, u32)>| {
+        let labels = file.vertices().map(|v| file.labels(v).clone()).collect();
+        let edges: Vec<_> = (model.iter()).map(|&(a, b)| (vid(a), vid(b))).collect();
+        Graph::new(labels, &edges, false)
+    };
+    let mut x = 0x5EED_u64;
+    let mut rng = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        (x % n as u64) as u32
+    };
+    let mut last_adds: Vec<(u32, u32)> = Vec::new();
+    for round in 0..8 {
+        if round == 3 {
+            // Refused before anything applies, naming the file ids sent.
+            for (line, edge) in [
+                (format!("BATCH g0 +1:2 -0:{n}"), format!("(0, {n})")),
+                (format!("ADDEDGE g0 {n} 1"), format!("({n}, 1)")),
+            ] {
+                let resp = client.request(&line).unwrap();
+                let text = format!("edge {edge} out of range for a graph of {n} vertices");
+                assert_eq!(resp.terminal, format!("ERR E_MUTATION {text}"));
+            }
+        }
+        let mut adds: Vec<(u32, u32)> = (0..4).map(|_| (rng(), rng())).collect();
+        adds.push(adds[0]);
+        adds.push((adds[1].1, adds[1].0));
+        let present: Vec<_> = model.iter().copied().collect();
+        let (a, b) = present[rng() as usize % present.len()];
+        // A reversed delete, a delete of this batch's own add, a delete of
+        // the previous batch's (pending) add.
+        let mut dels = vec![(b, a), adds[2]];
+        dels.extend(last_adds.first());
+        let tokens = (adds.iter().map(|&(a, b)| format!("+{a}:{b}")))
+            .chain(dels.iter().map(|&(a, b)| format!("-{a}:{b}")));
+        let line = format!("BATCH g0 {}", tokens.collect::<Vec<_>>().join(" "));
+        let resp = client.request(&line).unwrap();
+        assert!(resp.is_ok(), "{line}: {}", resp.terminal);
+
+        let added = (adds.iter()).filter(|&&(a, b)| a != b && model.insert(key((a, b))));
+        let added = added.count() as u64;
+        let deleted = dels.iter().filter(|&&e| model.remove(&key(e))).count() as u64;
+        assert_eq!(resp.field_u64("added"), Some(added), "{line}");
+        assert_eq!(resp.field_u64("deleted"), Some(deleted), "{line}");
+        if added + deleted > 0 {
+            let event = client.wait_event().unwrap();
+            let total = event
+                .split_whitespace()
+                .find_map(|t| t.strip_prefix("total="));
+            let want = reference_count(&model_graph(&model), &pattern);
+            assert_eq!(total, Some(want.to_string().as_str()), "{line}: {event}");
+        }
+        last_adds = adds;
+    }
+    let resp = client.request(&format!("MATCH g0 {qpath}")).unwrap();
+    let want = reference_count(&model_graph(&model), &pattern);
+    assert_eq!(resp.field_u64("count"), Some(want));
+    handle.shutdown();
+}
+
+/// The point of ranking at `LOAD`: on the skewed graph of the perf ledger's
+/// `hot-enum` workload, the symmetry windows of the 4-clique cut a
+/// degree-ranked entry's lists to a third of the intersections, or less,
+/// that an entry in the generator's numbering spends.
+#[test]
+fn degree_ranked_entry_intersects_a_third_of_a_file_numbered_one() {
+    use ceci_graph::generators::{attach_pendants, kronecker_default};
+    use ceci_query::PaperQuery;
+
+    let scratch = Scratch::new("rank-guard");
+    let file = attach_pendants(&kronecker_default(9, 4, 3), 5_120, 4);
+    let path = scratch.write_graph("g.graph", &file);
+    let qpath = scratch.write_graph("qg4.graph", PaperQuery::Qg4.build().as_graph());
+    let (handle, state) = serve(ServeConfig::default());
+    let mut client = Client::connect(handle.addr()).unwrap();
+    assert!(client
+        .request(&format!("LOAD ranked {path}"))
+        .unwrap()
+        .is_ok());
+    state.registry.insert("file", file);
+    let analyze = |client: &mut Client, name: &str| -> (u64, u64, String) {
+        let resp = client
+            .request(&format!("EXPLAIN {name} {qpath} ANALYZE"))
+            .unwrap();
+        let line = |prefix: &str| {
+            let found = resp.payload.iter().find(|l| l.starts_with(prefix));
+            found.expect(prefix).clone()
+        };
+        let totals = line("| totals");
+        let field = |key: &str| {
+            let value = totals.split_whitespace().find_map(|t| t.strip_prefix(key));
+            value.and_then(|v| v.parse().ok()).expect(key)
+        };
+        let ids = line("| index:")
+            .split_whitespace()
+            .last()
+            .unwrap()
+            .to_string();
+        (field("intersection_ops="), field("embeddings="), ids)
+    };
+    let (ranked_ops, ranked_found, ranked_ids) = analyze(&mut client, "ranked");
+    let (file_ops, file_found, file_ids) = analyze(&mut client, "file");
+    assert_eq!(
+        (ranked_ids.as_str(), file_ids.as_str()),
+        ("ids=ranked", "ids=file")
+    );
+    assert_eq!(ranked_found, file_found);
+    assert!(
+        3 * ranked_ops <= file_ops,
+        "ranked {ranked_ops} vs file-numbered {file_ops} intersections"
+    );
+    handle.shutdown();
+}
+
 #[test]
 fn optimized_and_raw_counts_agree_across_query_mix() {
     // Differential sweep over a mixed workload: every optimization on

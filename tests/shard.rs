@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 
 use ceci::prelude::*;
 use ceci_graph::generators::{attach_pendants, kronecker_default};
-use ceci_graph::io;
+use ceci_graph::{io, Ranking};
 use ceci_service::{
     scatter_match, start_with_state, validate_shards, Client, CoordConfig, RetryPolicy,
     ServeConfig, ServerState, ShardLiveness, ShardSet,
@@ -227,6 +227,7 @@ fn counts_bit_identical_across_shard_fleets() {
             let set = shard_set(&procs.iter().collect::<Vec<_>>());
             let report = scatter_match(
                 &graph,
+                &Ranking::identity(),
                 &plan,
                 qpath.to_str().unwrap(),
                 "h",
@@ -283,8 +284,17 @@ fn sigkill_mid_query_rescatters_and_totals_stay_exact() {
     let set = ShardSet::new(&[victim.addr.clone(), survivor.addr.clone()]);
     let config = fast_coord();
     let report = std::thread::scope(|scope| {
-        let t = scope
-            .spawn(|| scatter_match(&graph, &plan, qpath.to_str().unwrap(), "h", &set, &config));
+        let t = scope.spawn(|| {
+            scatter_match(
+                &graph,
+                &Ranking::identity(),
+                &plan,
+                qpath.to_str().unwrap(),
+                "h",
+                &set,
+                &config,
+            )
+        });
         std::thread::sleep(Duration::from_millis(200));
         victim.kill();
         t.join().unwrap()
@@ -336,8 +346,17 @@ fn shard_restart_rejoins_on_same_port_mid_query() {
     let set = ShardSet::new(&[victim.addr.clone(), survivor.addr.clone()]);
     let config = fast_coord();
     let (report, _replacement) = std::thread::scope(|scope| {
-        let t = scope
-            .spawn(|| scatter_match(&graph, &plan, qpath.to_str().unwrap(), "h", &set, &config));
+        let t = scope.spawn(|| {
+            scatter_match(
+                &graph,
+                &Ranking::identity(),
+                &plan,
+                qpath.to_str().unwrap(),
+                "h",
+                &set,
+                &config,
+            )
+        });
         // Kill after the victim's driver has prepared (~400ms) and is
         // stalled in its first EXEC, then bring a fresh process up on the
         // same port: SO_REUSEADDR lets it bind through the predecessor's
@@ -383,6 +402,7 @@ fn mmap_and_heap_shards_count_identically() {
         let set = shard_set(&[p]);
         let report = scatter_match(
             &graph,
+            &Ranking::identity(),
             &plan,
             qpath.to_str().unwrap(),
             "h",
@@ -396,6 +416,7 @@ fn mmap_and_heap_shards_count_identically() {
     let set = shard_set(&[&mapped, &heap]);
     let report = scatter_match(
         &graph,
+        &Ranking::identity(),
         &plan,
         qpath.to_str().unwrap(),
         "h",
@@ -484,6 +505,102 @@ fn coordinator_match_scatters_and_reports_shards() {
 }
 
 // ---------------------------------------------------------------------------
+// A LOADed entry is numbered by degree; its scatter speaks file ids
+// ---------------------------------------------------------------------------
+
+/// A coordinator in front of its own `LOAD`ed (degree-ranked) entry with
+/// the shard fleet serving the file.
+fn ranked_coordinator(
+    gpath: &Path,
+    shards: &[&ShardProc],
+    io_timeout_ms: u64,
+) -> (ceci_service::ServerHandle, Client) {
+    let state = Arc::new(ServerState::new(ServeConfig {
+        shards: shards.iter().map(|p| p.addr.clone()).collect(),
+        shard_io_timeout_ms: io_timeout_ms,
+        shard_retries: 1,
+        shard_heartbeat_ms: 0,
+        ..ServeConfig::default()
+    }));
+    let handle = start_with_state(state).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let resp = client
+        .request(&format!("LOAD g {}", gpath.display()))
+        .unwrap();
+    assert!(resp.field_u64("rank_us").is_some(), "{}", resp.terminal);
+    (handle, client)
+}
+
+/// The coordinator counts on its ranked entry, one `--heap` and one mmap
+/// shard on the file: every pivot crosses the wire as a file id, and the
+/// total is the single-process count.
+#[test]
+fn a_loaded_entry_scatters_file_ids_to_heap_and_mmap_shards() {
+    let graph = data();
+    let scratch = Scratch::new("ranked-fleet");
+    let gpath = scratch.write_labeled("g.graph", &graph);
+    let bpath = scratch.0.join("g.ceci");
+    io::save_binary(&graph, &bpath).unwrap();
+    let base = ["--addr", "127.0.0.1:0", "--io-timeout-ms", "0"];
+    let mapped = ShardProc::spawn(&bpath, &base);
+    let heap = ShardProc::spawn(&bpath, &[&["--heap"][..], &base].concat());
+    let (handle, mut client) = ranked_coordinator(&gpath, &[&mapped, &heap], 5_000);
+    for q in [PaperQuery::Qg1, PaperQuery::Qg3] {
+        let qg = q.build();
+        let qpath = scratch.write_labeled(&format!("{}.graph", q.name()), qg.as_graph());
+        let want = expected(&graph, &QueryPlan::new(qg, &graph));
+        let resp = client
+            .request(&format!("MATCH g {}", qpath.display()))
+            .unwrap();
+        assert_eq!(resp.field("mode"), Some("SHARDED"), "{}", resp.terminal);
+        assert_eq!(resp.field_u64("count"), Some(want), "{}", q.name());
+        assert_eq!(
+            resp.field_u64("local_fallback"),
+            Some(0),
+            "{}",
+            resp.terminal
+        );
+    }
+    handle.shutdown();
+}
+
+/// A shard killed mid-scatter leaves the coordinator to count the rest
+/// itself: the pivots the shard committed were counted on the file, so the
+/// fallback counts the rest on a file-id view of the ranked entry, and the
+/// mixed total is exact.
+#[test]
+fn a_killed_shard_falls_back_in_file_ids_on_a_loaded_entry() {
+    let graph = data();
+    let qg = PaperQuery::Qg1.build();
+    let scratch = Scratch::new("ranked-fallback");
+    let gpath = scratch.write_labeled("g.graph", &graph);
+    let qpath = scratch.write_labeled("q.graph", qg.as_graph());
+    let want = expected(&graph, &QueryPlan::new(qg, &graph));
+    let mut victim = ShardProc::spawn_labeled(&gpath, "127.0.0.1:0");
+    let addr = victim.addr.parse::<std::net::SocketAddr>().unwrap();
+    let resp = Client::connect(addr)
+        .unwrap()
+        .request("CHAOS STALL 20")
+        .unwrap();
+    assert!(resp.is_ok(), "{}", resp.terminal);
+    let (handle, mut client) = ranked_coordinator(&gpath, &[&victim], 500);
+
+    let resp = std::thread::scope(|scope| {
+        let line = format!("MATCH g {}", qpath.display());
+        let t = scope.spawn(move || client.request(&line).unwrap());
+        std::thread::sleep(Duration::from_millis(300));
+        victim.kill();
+        t.join().unwrap()
+    });
+    assert_eq!(resp.field("mode"), Some("SHARDED"), "{}", resp.terminal);
+    assert_eq!(resp.field_u64("count"), Some(want), "{}", resp.terminal);
+    for mixed in ["shard_commits", "local_fallback"] {
+        assert!(resp.field_u64(mixed) > Some(0), "{}", resp.terminal);
+    }
+    handle.shutdown();
+}
+
+// ---------------------------------------------------------------------------
 // All shards dead: nothing is re-scattered onto the dead, the coordinator
 // finishes locally
 // ---------------------------------------------------------------------------
@@ -504,6 +621,7 @@ fn all_dead_fleet_falls_back_to_the_coordinator() {
     let set = ShardSet::new(&["127.0.0.1:1".to_string(), "127.0.0.1:1".to_string()]);
     let report = scatter_match(
         &graph,
+        &Ranking::identity(),
         &plan,
         qpath.to_str().unwrap(),
         "h",
@@ -593,9 +711,19 @@ fn panicking_shard_job_answers_typed_and_keeps_the_connection() {
     assert!(resp.is_ok(), "{}", resp.terminal);
     assert_eq!(resp.field_u64("count"), Some(want));
     assert_eq!(resp.field_u64("epoch"), Some(3));
-    let resp = c.request("STATS").unwrap();
-    assert_eq!(stat_u64(&resp.payload, "panics_caught"), Some(1));
-    assert_eq!(stat_u64(&resp.payload, "shard_execs"), Some(1));
+    // The pool counts a panic when the unwind reaches the worker's
+    // supervisor, which can be just after the ERR above went out.
+    let t0 = Instant::now();
+    let stats = loop {
+        let payload = c.request("STATS").unwrap().payload;
+        let counted = stat_u64(&payload, "panics_caught") == Some(1);
+        if counted || t0.elapsed() > Duration::from_secs(5) {
+            break payload;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert_eq!(stat_u64(&stats, "panics_caught"), Some(1));
+    assert_eq!(stat_u64(&stats, "shard_execs"), Some(1));
 }
 
 // ---------------------------------------------------------------------------
