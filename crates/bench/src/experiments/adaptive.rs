@@ -11,7 +11,7 @@
 //! * **hard** — mid-size patterns where matching order dominates runtime,
 //! * **hopeless** — large patterns whose predicted exact runs blow any
 //!   interactive deadline; the admission path must degrade to an estimator
-//!   answer (APPROX / INFEASIBLE) instead of occupying a worker.
+//!   answer (APPROX) instead of occupying a worker.
 //!
 //! Three phases:
 //!
@@ -192,14 +192,13 @@ fn verdict_name(cost: &CostEstimate) -> &'static str {
     match admit(cost, Duration::from_millis(1), DEFAULT_NS_PER_UNIT, 1) {
         Admission::Exact => "EXACT",
         Admission::Approx => "APPROX",
-        Admission::Infeasible => "INFEASIBLE",
     }
 }
 
 /// One answer from the served deadline workload (last rep per template).
 struct ServedAnswer {
-    /// `exact`, `approx` (estimator answer), `partial` (deadline hit
-    /// mid-enumeration, truncated count), or `infeasible` (refused).
+    /// `exact`, `approx` (estimator answer), or `partial` (deadline hit
+    /// mid-enumeration, truncated count).
     mode: &'static str,
     count: u64,
     latency: Duration,
@@ -209,7 +208,6 @@ struct ServedOutcome {
     elapsed: Duration,
     answers: Vec<ServedAnswer>,
     approx_answers: u64,
-    infeasible: u64,
 }
 
 /// Both arms run on a default server pinned to one pool worker and one
@@ -250,7 +248,7 @@ fn run_served(
     }
 
     let mut answers: Vec<Option<ServedAnswer>> = query_paths.iter().map(|_| None).collect();
-    let (mut approx_answers, mut infeasible) = (0u64, 0u64);
+    let mut approx_answers = 0u64;
     let t0 = Instant::now();
     for _ in 0..SERVED_REPS {
         for (i, path) in query_paths.iter().enumerate() {
@@ -259,35 +257,21 @@ fn run_served(
                 .request(&format!("MATCH g {path} DEADLINE {deadline_ms}{raw}"))
                 .expect("MATCH with deadline");
             let latency = t_req.elapsed();
-            let answer = if !resp.is_ok() {
-                assert!(
-                    resp.terminal.starts_with("ERR E_INFEASIBLE"),
-                    "unexpected error: {}",
-                    resp.terminal
-                );
-                infeasible += 1;
-                ServedAnswer {
-                    mode: "infeasible",
-                    count: 0,
-                    latency,
-                }
+            assert!(resp.is_ok(), "unexpected error: {}", resp.terminal);
+            let count = resp.field_u64("count").expect("count field");
+            let mode = if resp.field("mode") == Some("APPROX") {
+                approx_answers += 1;
+                "approx"
+            } else if resp.field("status") == Some("DEADLINE_EXCEEDED") {
+                "partial"
             } else {
-                let count = resp.field_u64("count").expect("count field");
-                let mode = if resp.field("mode") == Some("APPROX") {
-                    approx_answers += 1;
-                    "approx"
-                } else if resp.field("status") == Some("DEADLINE_EXCEEDED") {
-                    "partial"
-                } else {
-                    "exact"
-                };
-                ServedAnswer {
-                    mode,
-                    count,
-                    latency,
-                }
+                "exact"
             };
-            answers[i] = Some(answer);
+            answers[i] = Some(ServedAnswer {
+                mode,
+                count,
+                latency,
+            });
         }
     }
     let elapsed = t0.elapsed();
@@ -299,7 +283,6 @@ fn run_served(
             .map(|a| a.expect("every template answered"))
             .collect(),
         approx_answers,
-        infeasible,
     }
 }
 
@@ -368,8 +351,7 @@ fn run_reused(
 }
 
 /// Answer-quality factor against the exact count: 1.0 is perfect, higher is
-/// worse, symmetric for over- and under-estimates (q-error). Refused
-/// queries (`infeasible`) carry no answer and are skipped by the caller.
+/// worse, symmetric for over- and under-estimates (q-error).
 fn answer_qerr(answered: u64, exact: u64) -> f64 {
     let a = (answered as f64).max(1.0);
     let e = (exact as f64).max(1.0);
@@ -714,13 +696,9 @@ pub fn run(scale: Scale) {
     let (mut qerr_adaptive, mut qerr_fixed) = (Vec::new(), Vec::new());
     for ((r, a), f) in records.iter().zip(&served.answers).zip(&fixed.answers) {
         // Exact answers are perfect by definition; degraded answers pay a
-        // measured accuracy cost. Refusals carry no answer to score.
-        if a.mode != "infeasible" {
-            qerr_adaptive.push(answer_qerr(a.count, r.count));
-        }
-        if f.mode != "infeasible" {
-            qerr_fixed.push(answer_qerr(f.count, r.count));
-        }
+        // measured accuracy cost.
+        qerr_adaptive.push(answer_qerr(a.count, r.count));
+        qerr_fixed.push(answer_qerr(f.count, r.count));
         t.row(vec![
             r.class.to_string(),
             r.size.to_string(),
@@ -748,8 +726,8 @@ pub fn run(scale: Scale) {
     );
     println!(
         "answer quality (geomean q-error, 1.0 = exact): adaptive {:.2} \
-         ({} APPROX, {} refused) vs fixed {:.2} (truncated partial counts)",
-        qerr_served_adaptive, served.approx_answers, served.infeasible, qerr_served_fixed,
+         ({} APPROX) vs fixed {:.2} (truncated partial counts)",
+        qerr_served_adaptive, served.approx_answers, qerr_served_fixed,
     );
     if served_speedup < TARGET_SPEEDUP {
         println!("warning: served-workload speedup below target on this host/run");
@@ -814,7 +792,6 @@ pub fn run(scale: Scale) {
         .field("adaptive_qerr_geomean", qerr_served_adaptive)
         .field("fixed_qerr_geomean", qerr_served_fixed)
         .field("approx_answers", served.approx_answers)
-        .field("infeasible_rejects", served.infeasible)
         .field("answers", JsonValue::Array(served_rows));
     let json = JsonValue::object()
         .field("data_vertices", graph.num_vertices() as u64)

@@ -11,14 +11,15 @@
 //! * **maintain** — the continuous-query path: `batch_delta` (new/retired
 //!   matches) over the two snapshots, which carries the embedding total
 //!   forward without any index of the query;
-//! * **repair** — the cache-repair path: `StreamIndex::patch` over the
-//!   batch's dirty endpoints plus `StreamIndex::materialize` into a frozen,
-//!   refined `Ceci`;
+//! * **repair** — the server's one cache-repair rung: the previous index's
+//!   candidate sets re-tested at the batch's dirty endpoints
+//!   (`QueryPlan::on_graph_patched`), then `Ceci::build_with` under the
+//!   retained plan;
 //! * **rebuild** — the from-scratch reference: fresh `QueryPlan` +
 //!   `Ceci::build` + full `count_embeddings` on the post-batch snapshot.
 //!
 //! Counts are **asserted** bit-identical three ways at every boundary —
-//! delta-maintained total ≡ rebuilt count ≡ count over the materialized
+//! delta-maintained total ≡ rebuilt count ≡ count over the repaired
 //! index — and `bench_results/stream.json` records per-batch wall times plus
 //! the amortized speedups (target: maintenance ≥ 3× faster than rebuild,
 //! excluding the initial build). A shortfall prints a warning rather than
@@ -27,15 +28,14 @@
 //!
 //! A second, **served-shaped** sweep ([`served_sweep`]) asks the question
 //! the serving layer's repair path poses, and answers it with the calls the
-//! server makes: an entry owns tables at one snapshot, a batch of 1 / 100 /
-//! 1 000 / 10 000 mutations lands, and the next read either repairs (under
-//! the floor `patch` + `materialize`; past it the tables are dropped and
-//! the frozen index rebuilt under the retained plan, its candidate sets
-//! patched from the entry's index at the batch's endpoints) or would have
-//! rebuilt (the retained plan re-set on the snapshot by a candidate scan +
+//! server makes: an entry holds a frozen index of one snapshot, a batch of
+//! 1 / 100 / 1 000 / 10 000 mutations lands, and the next read either
+//! repairs (the index's candidate sets patched at the batch's endpoints,
+//! then the frozen build under the retained plan) or would have rebuilt
+//! (the retained plan re-set on the snapshot by a candidate scan +
 //! `Ceci::build_with`, the scan inside the timed region because a real
-//! rebuild pays it). It records both costs and the branch taken per size on the
-//! wiki-talk stand-in and **asserts** `repair_never_slower` (repair ≤
+//! rebuild pays it). It records both costs per size on the wiki-talk
+//! stand-in and **asserts** `repair_never_slower` (repair ≤
 //! [`REPAIR_SLACK`] × rebuild at every size).
 
 use std::time::Duration;
@@ -45,8 +45,7 @@ use ceci_graph::extract::extract_query;
 use ceci_graph::io::{batch_by_timestamp, load_temporal};
 use ceci_graph::{lid, vid, Graph, LabelSet, VertexId};
 use ceci_query::{PaperQuery, QueryGraph, QueryPlan};
-use ceci_service::GraphRegistry;
-use ceci_stream::{RepairStats, StreamIndex};
+use ceci_service::{BatchOutcome, GraphRegistry};
 
 use crate::harness::time;
 use crate::json::JsonValue;
@@ -139,12 +138,25 @@ fn stage_stream(
 struct LiveQuery {
     name: String,
     pattern: Graph,
-    /// Plan built once at registration; `patch`/`batch_delta` consult only
-    /// its graph-independent parts, so it stays valid across mutations.
+    /// Plan built once at registration: the repair and `batch_delta` keep
+    /// its root, tree and order across mutations.
     plan: QueryPlan,
-    stream: StreamIndex,
+    /// The repaired index of the latest snapshot (its candidate sets are
+    /// the next repair's starting point).
+    index: Ceci,
     /// Delta-maintained embedding total.
     total: u64,
+}
+
+/// The server's repair, split in its two timed halves: the plan over
+/// `previous`'s candidate sets patched at the batch's endpoints, then the
+/// frozen build on the new snapshot.
+fn patch_sets(plan: &QueryPlan, previous: &Ceci, outcome: &BatchOutcome) -> QueryPlan {
+    plan.on_graph_patched(
+        &outcome.new_graph,
+        previous.candidate_sets(),
+        &outcome.endpoints,
+    )
 }
 
 #[derive(Default)]
@@ -152,12 +164,12 @@ struct BatchRow {
     added: usize,
     deleted: usize,
     compacted: bool,
-    stats: RepairStats,
+    dirty_vertices: usize,
     /// The registry's `apply_batch`: next snapshot, label-pair index, log.
     apply: Duration,
-    patch: Duration,
+    sets: Duration,
     delta: Duration,
-    materialize: Duration,
+    build: Duration,
     rebuild_index: Duration,
     rebuild_count: Duration,
     counts: Vec<u64>,
@@ -168,7 +180,7 @@ impl BatchRow {
         self.delta
     }
     fn repair(&self) -> Duration {
-        self.patch + self.materialize
+        self.sets + self.build
     }
     fn rebuild(&self) -> Duration {
         self.rebuild_index + self.rebuild_count
@@ -214,15 +226,14 @@ pub fn run(scale: Scale) {
                 .expect("extractable query template")
                 .pattern;
             let query = QueryGraph::from_graph(&pattern).expect("valid query");
-            let registry = QueryPlan::new(query, &graph);
-            let stream = StreamIndex::build(&graph, &registry);
-            let ceci = stream.materialize(&graph, &registry);
-            let total = count_embeddings(&graph, &registry, &ceci);
+            let plan = QueryPlan::new(query, &graph);
+            let index = Ceci::build(&graph, &plan);
+            let total = count_embeddings(&graph, &plan, &index);
             LiveQuery {
                 name: format!("q_s{size}_r{seed}"),
                 pattern,
-                plan: registry,
-                stream,
+                plan,
+                index,
                 total,
             }
         })
@@ -244,15 +255,13 @@ pub fn run(scale: Scale) {
             added: outcome.added.len(),
             deleted: outcome.deleted.len(),
             compacted: outcome.compacted,
+            dirty_vertices: outcome.endpoints.len(),
             apply,
             ..BatchRow::default()
         };
         for q in queries.iter_mut() {
-            // Cache repair, first half: patch the entry's tables forward.
-            let (stats, patch_t) = time(|| {
-                q.stream
-                    .patch(&outcome.new_graph, &q.plan, &outcome.endpoints)
-            });
+            // Cache repair, first half: carry the candidate sets forward.
+            let (on_new, sets_t) = time(|| patch_sets(&q.plan, &q.index, &outcome));
             // Continuous-query maintenance: carry the total forward by the
             // batch delta.
             let (delta, delta_t) = time(|| {
@@ -265,8 +274,9 @@ pub fn run(scale: Scale) {
                 )
             });
             q.total = delta.apply_to(q.total);
-            // Cache repair, second half: freeze the patched tables.
-            let (ceci_repaired, mat_t) = time(|| q.stream.materialize(&outcome.new_graph, &q.plan));
+            // Cache repair, second half: the frozen build over them.
+            let (repaired, build_t) =
+                time(|| Ceci::build_with(&outcome.new_graph, &on_new, BuildOptions::default()));
             // From-scratch reference on the same snapshot (fresh plan: the
             // initial candidate sets are graph-dependent).
             let ((rebuilt_plan, rebuilt_ceci), rebuild_index_t) = time(|| {
@@ -283,16 +293,16 @@ pub fn run(scale: Scale) {
                 "{} batch {b}: delta-maintained total diverges from rebuild",
                 q.name
             );
-            let repaired_count = count_embeddings(&outcome.new_graph, &q.plan, &ceci_repaired);
+            let repaired_count = count_embeddings(&outcome.new_graph, &q.plan, &repaired);
             assert_eq!(
                 repaired_count, rebuilt_count,
                 "{} batch {b}: repaired index diverges from rebuild",
                 q.name
             );
-            row.stats.absorb(&stats);
-            row.patch += patch_t;
+            q.index = repaired;
+            row.sets += sets_t;
             row.delta += delta_t;
-            row.materialize += mat_t;
+            row.build += build_t;
             row.rebuild_index += rebuild_index_t;
             row.rebuild_count += rebuild_count_t;
             row.counts.push(rebuilt_count);
@@ -308,7 +318,7 @@ pub fn run(scale: Scale) {
             format!("{b}{}", if row.compacted { "*" } else { "" }),
             row.added.to_string(),
             row.deleted.to_string(),
-            row.stats.dirty_vertices.to_string(),
+            row.dirty_vertices.to_string(),
             format!("{:.0} us", us(row.apply)),
             format!("{:.0} us", us(row.maintain())),
             format!("{:.0} us", us(row.repair())),
@@ -343,14 +353,11 @@ pub fn run(scale: Scale) {
                 .field("added", row.added)
                 .field("deleted", row.deleted)
                 .field("compacted", row.compacted)
-                .field("dirty_vertices", row.stats.dirty_vertices)
-                .field("keys_recomputed", row.stats.keys_recomputed)
-                .field("keys_added", row.stats.keys_added)
-                .field("keys_removed", row.stats.keys_removed)
+                .field("dirty_vertices", row.dirty_vertices)
                 .field("apply_us", us(row.apply))
-                .field("patch_us", us(row.patch))
+                .field("sets_us", us(row.sets))
                 .field("delta_us", us(row.delta))
-                .field("materialize_us", us(row.materialize))
+                .field("build_us", us(row.build))
                 .field("maintain_us", us(row.maintain()))
                 .field("repair_us", us(row.repair()))
                 .field("rebuild_index_us", us(row.rebuild_index))
@@ -411,8 +418,8 @@ pub fn run(scale: Scale) {
 }
 
 /// The served-shaped sweep: per batch size, what the read after the batch
-/// pays to repair an entry that owns tables at the pre-batch snapshot,
-/// against what rebuilding it under the same plan would have cost.
+/// pays to repair an entry holding a frozen index of the pre-batch
+/// snapshot, against what rebuilding it under the same plan would have cost.
 fn served_sweep(scale: Scale) -> JsonValue {
     let graph = Dataset::Wt.build(scale);
     println!(
@@ -429,7 +436,7 @@ fn served_sweep(scale: Scale) -> JsonValue {
     let (entry, _) = GraphRegistry::new().insert("wt", graph);
     let mut s = 0x5e7_feed_u64;
     let mut t = Table::new(vec![
-        "batch", "apply", "query", "branch", "keys", "repair", "rebuild", "ratio",
+        "batch", "apply", "query", "dirty", "repair", "rebuild", "ratio",
     ]);
     let mut rows: Vec<JsonValue> = Vec::new();
     let mut never_slower = true;
@@ -456,60 +463,34 @@ fn served_sweep(scale: Scale) -> JsonValue {
         let (outcome, apply) = time(|| entry.apply_batch(&adds, &dels, usize::MAX, 64));
         let outcome = outcome.expect("in-range mutation batch");
         let after = &outcome.new_graph;
-        let past_floor = StreamIndex::past_floor(after, &outcome.endpoints);
-        // What a full rebuild is: the retained plan with candidate sets of
-        // the snapshot from a scan, then the build.
         let build = |plan: &QueryPlan| Ceci::build_with(after, plan, BuildOptions::default());
-        let rebuild = |plan: &QueryPlan| build(&plan.on_graph(after));
         for (q, plan) in &plans {
-            // Past the floor the entry holds a frozen index of `before`,
-            // whose candidate sets the rebase patches.
-            let held = past_floor.then(|| {
-                Ceci::build_with(&before, &plan.on_graph(&before), BuildOptions::default())
-            });
-            let held_sets = held.as_ref().and_then(Ceci::candidate_sets);
+            // The entry holds a frozen index of `before`, whose candidate
+            // sets the repair patches.
+            let held = Ceci::build_with(&before, &plan.on_graph(&before), BuildOptions::default());
             let mut repair_t = Duration::MAX;
             let mut rebuild_t = Duration::MAX;
-            let mut stats = RepairStats::default();
             for _ in 0..SERVED_REPEATS {
-                // Past the floor the entry's tables are freed whichever
-                // way the read goes, so neither side is charged for them.
-                let mut tables = (!past_floor).then(|| StreamIndex::build(&before, plan));
-                let ((patched, repaired), took) = time(|| match tables.as_mut() {
-                    None => {
-                        let sets = held_sets.expect("an index built past the floor");
-                        let stats = RepairStats {
-                            dirty_vertices: outcome.endpoints.len(),
-                            ..RepairStats::default()
-                        };
-                        let on_after = plan.on_graph_patched(after, sets, &outcome.endpoints);
-                        (stats, build(&on_after))
-                    }
-                    Some(tables) => {
-                        let stats = tables.patch(after, plan, &outcome.endpoints);
-                        (stats, tables.materialize(after, plan))
-                    }
-                });
+                let (repaired, took) = time(|| build(&patch_sets(plan, &held, &outcome)));
                 repair_t = repair_t.min(took);
-                let (rebuilt, took) = time(|| rebuild(plan));
+                // A full rebuild: the retained plan with candidate sets of
+                // the snapshot from a scan, then the build.
+                let (rebuilt, took) = time(|| build(&plan.on_graph(after)));
                 rebuild_t = rebuild_t.min(took);
                 assert_eq!(
-                    count_embeddings(&outcome.new_graph, plan, &repaired),
-                    count_embeddings(&outcome.new_graph, plan, &rebuilt),
+                    count_embeddings(after, plan, &repaired),
+                    count_embeddings(after, plan, &rebuilt),
                     "{} batch of {size}: repaired index diverges from rebuild",
                     q.name()
                 );
-                stats = patched;
             }
             let ratio = us(repair_t) / us(rebuild_t).max(1e-9);
             never_slower &= ratio <= REPAIR_SLACK;
-            let branch = if past_floor { "rebase" } else { "patch" };
             t.row(vec![
                 outcome.applied().to_string(),
                 format!("{:.0} us", us(apply)),
                 q.name().to_string(),
-                branch.to_string(),
-                stats.keys_recomputed.to_string(),
+                outcome.endpoints.len().to_string(),
                 format!("{:.0} us", us(repair_t)),
                 format!("{:.0} us", us(rebuild_t)),
                 format!("{ratio:.2}x"),
@@ -520,9 +501,7 @@ fn served_sweep(scale: Scale) -> JsonValue {
                     .field("applied", outcome.applied())
                     .field("apply_us", us(apply))
                     .field("query", q.name())
-                    .field("branch", branch)
-                    .field("dirty_vertices", stats.dirty_vertices)
-                    .field("keys_recomputed", stats.keys_recomputed)
+                    .field("dirty_vertices", outcome.endpoints.len())
                     .field("repair_us", us(repair_t))
                     .field("rebuild_us", us(rebuild_t))
                     .field("repair_over_rebuild", ratio),

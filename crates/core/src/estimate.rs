@@ -238,28 +238,32 @@ pub fn estimate_cost(
         work_sum_sq += walk_work * walk_work;
     }
     let walks = options.walks as f64;
-    let std_error_of = |sum: f64, sum_sq: f64| {
-        let mean = sum / walks;
-        let variance = (sum_sq / walks - mean * mean).max(0.0);
-        if options.walks > 1 {
-            (variance / (walks - 1.0)).sqrt()
-        } else {
-            0.0
-        }
-    };
-    let mean = sum / walks;
-    let std_error = std_error_of(sum, sum_sq);
     CostEstimate {
         estimate: Estimate {
-            mean,
-            std_error,
+            mean: sum / walks,
+            std_error: std_error(options.walks, sum, sum_sq),
             walks: options.walks,
             exact_zero: false,
         },
         depth_volumes: depth_sums.iter().map(|s| s / walks).collect(),
         depth_work: depth_work.iter().map(|s| s / walks).collect(),
-        work_std_error: std_error_of(work_sum, work_sum_sq),
+        work_std_error: std_error(options.walks, work_sum, work_sum_sq),
     }
+}
+
+/// Standard error of the mean of `walks` samples with this `sum` and sum of
+/// squares: `sqrt(popvar / (walks − 1))`, 0 for a single walk. Over
+/// non-negative samples it never exceeds the mean — equal when exactly one
+/// sample is non-zero — which is why deadline admission has no verdict for
+/// an estimate too noisy to answer with.
+fn std_error(walks: u64, sum: f64, sum_sq: f64) -> f64 {
+    if walks <= 1 {
+        return 0.0;
+    }
+    let n = walks as f64;
+    let mean = sum / n;
+    let variance = (sum_sq / n - mean * mean).max(0.0);
+    (variance / (n - 1.0)).sqrt()
 }
 
 #[cfg(test)]
@@ -463,5 +467,29 @@ mod tests {
         assert_eq!(cost.depth_volumes.len(), plan.query().num_vertices());
         assert!(cost.depth_volumes.iter().all(|&v| v == 0.0));
         assert_eq!(cost.volume(), 0.0);
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Non-negative walk weights (dead ends are zeros) never carry a
+        /// standard error above their mean; a single non-zero weight is the
+        /// equality case.
+        #[test]
+        fn std_error_never_exceeds_the_mean(
+            weights in collection::vec(prop_oneof![Just(0.0), 0.0f64..1e9], 1..200),
+            lone in 0.0f64..1e9,
+            at in any::<u64>(),
+        ) {
+            let mut one_nonzero = vec![0.0; weights.len()];
+            one_nonzero[at as usize % weights.len()] = lone;
+            for weights in [weights, one_nonzero] {
+                let sum: f64 = weights.iter().sum();
+                let sum_sq: f64 = weights.iter().map(|w| w * w).sum();
+                let mean = sum / weights.len() as f64;
+                let se = std_error(weights.len() as u64, sum, sum_sq);
+                prop_assert!(se <= mean * (1.0 + 1e-12), "{} > {} over {:?}", se, mean, weights);
+            }
+        }
     }
 }

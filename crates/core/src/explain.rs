@@ -454,7 +454,7 @@ mod tests {
         let mut choice = choice.expect("the adaptive strategy records its choice");
         let ceci = Ceci::build(&graph, &plan);
         choice.estimate_served(&graph, &plan, &ceci);
-        let reuse = Reuse::new(replan_price(&plan, &ceci, 1));
+        let reuse = Reuse::new(replan_price(&plan, &ceci));
         let report = explain_choice(&choice, &reuse);
         assert!(
             report.contains(&format!(

@@ -167,10 +167,10 @@ impl BuilderState {
     /// Reassembles a `BuilderState` from externally built parts, recomputing
     /// the per-node candidate caches as the value union of each TE table.
     ///
-    /// This is the inverse of [`BuilderState::into_parts`] for the streaming
-    /// repair path: the incremental maintainer patches raw TE/NTE tables
-    /// across mutation batches and rebuilds the state here before handing it
-    /// to refinement. Invariants expected from the caller (and `debug_assert`ed):
+    /// This is the inverse of [`BuilderState::into_parts`] for callers that
+    /// assemble filtered tables themselves — the filter oracle test builds
+    /// its reference state here. Invariants expected from the caller (and
+    /// `debug_assert`ed):
     /// `pivots` sorted ascending; `te[u]` present exactly for non-root nodes
     /// and keyed by (a superset of) the parent's candidates; all value lists
     /// sorted — i.e. the same shape [`bfs_filter`] produces, minus the

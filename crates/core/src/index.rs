@@ -14,7 +14,7 @@ use ceci_graph::{Graph, VertexId};
 use ceci_query::candidates::CandidateSet;
 use ceci_query::QueryPlan;
 
-use crate::filter::{bfs_filter_from_with, BuilderState};
+use crate::filter::bfs_filter_from_with;
 use crate::refine::reverse_bfs_refine;
 use crate::tables::CompactTable;
 
@@ -77,8 +77,7 @@ pub struct BuildStats {
     pub build_threads: usize,
     /// Data-graph adjacency entries Algorithm 1 tested — the build's work
     /// as an exact, replayable count ([`crate::adaptive::replan_price`]
-    /// prices a rebuild with it). Zero for an index materialized from
-    /// already-filtered tables.
+    /// prices a rebuild with it).
     pub filter_scans: u64,
     /// Flat value-arena bytes of the frozen tables (the paper's
     /// 4-bytes-per-candidate-edge payload).
@@ -195,9 +194,8 @@ pub struct Ceci {
     /// `(candidate, cardinality)` per query node, sorted by candidate.
     cardinality: Vec<Vec<(VertexId, u64)>>,
     /// The building plan's candidate sets (its own allocation, shared), so
-    /// they describe the indexed graph; `None` when materialized from
-    /// already-filtered tables.
-    sets: Option<Arc<[CandidateSet]>>,
+    /// they describe the indexed graph.
+    sets: Arc<[CandidateSet]>,
     stats: BuildStats,
 }
 
@@ -278,40 +276,8 @@ impl Ceci {
         stats.te_entries_after_filter = state.te_entries();
         stats.nte_entries_after_filter = state.nte_entries();
 
-        let sets = Some(Arc::clone(plan.candidate_sets()));
-        Ceci::finish(plan, state, stats, options.refine, sets)
-    }
-
-    /// Completes a build from an already-filtered [`BuilderState`]:
-    /// Algorithm 2 refinement, stale-key pruning, and table freezing — the
-    /// exact tail of [`Ceci::build_for_pivots`] after its BFS-filter phase.
-    ///
-    /// This is the materialization entry of the streaming repair path: the
-    /// incremental maintainer keeps per-query *base* candidate tables
-    /// patched across mutation batches and reconstructs a `BuilderState`
-    /// from them (via [`BuilderState::from_parts`]) instead of re-running
-    /// the full filter, so repair pays refine + freeze but not the
-    /// per-neighbor LF/DF/NLCF scans that dominate a cold build.
-    pub fn from_filtered_state(graph: &Graph, plan: &QueryPlan, state: BuilderState) -> Ceci {
-        let stats = BuildStats {
-            pivots_initial: state.pivots.len(),
-            theoretical_bytes: plan.query().num_edges() as u64 * graph.num_edges() as u64 * 8,
-            te_entries_after_filter: state.te_entries(),
-            nte_entries_after_filter: state.nte_entries(),
-            ..Default::default()
-        };
-        Ceci::finish(plan, state, stats, true, None)
-    }
-
-    fn finish(
-        plan: &QueryPlan,
-        mut state: BuilderState,
-        mut stats: BuildStats,
-        refine: bool,
-        sets: Option<Arc<[CandidateSet]>>,
-    ) -> Ceci {
         let t1 = Instant::now();
-        let cards = reverse_bfs_refine(plan, &mut state, refine);
+        let cards = reverse_bfs_refine(plan, &mut state, options.refine);
         stats.refine_time = t1.elapsed();
 
         // Drop keys that are no longer candidates of their key-side node —
@@ -365,7 +331,7 @@ impl Ceci {
             nte,
             candidates: candidate_sets,
             cardinality,
-            sets,
+            sets: Arc::clone(plan.candidate_sets()),
             stats,
         };
         ceci.stats.size_bytes = ceci.size_bytes();
@@ -418,11 +384,10 @@ impl Ceci {
 
     /// The per-vertex candidate sets (LF ∧ DF ∧ NLCF) of the graph this
     /// index was built on — the building plan's, kept so a later snapshot's
-    /// can be patched from them ([`QueryPlan::on_graph_patched`]) — or
-    /// `None` for an index materialized from already-filtered tables.
+    /// can be patched from them ([`QueryPlan::on_graph_patched`]).
     #[inline]
-    pub fn candidate_sets(&self) -> Option<&[CandidateSet]> {
-        self.sets.as_deref()
+    pub fn candidate_sets(&self) -> &[CandidateSet] {
+        &self.sets
     }
 
     /// Build statistics.
@@ -544,8 +509,10 @@ mod tests {
     #[test]
     fn a_build_keeps_its_plans_candidate_sets_without_a_copy() {
         let (_, plan, ceci) = built();
-        let kept = ceci.candidate_sets().expect("a build keeps the sets");
-        assert!(std::ptr::eq(kept, &**plan.candidate_sets()));
+        assert!(std::ptr::eq(
+            ceci.candidate_sets(),
+            &**plan.candidate_sets()
+        ));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!                        (default 32768)
 //!   --dirty-log-cap N    mutation batches of dirty endpoints kept per graph
 //!                        for index repair (default 64; an older entry's
-//!                        tables are rebased on the current snapshot)
+//!                        repair scans for its candidate sets)
 //!   --preload NAME=FILE  LOAD a labeled graph before accepting connections
 //!                        (repeatable; numbered by degree as LOAD does)
 //!   --max-conns N        concurrent-connection cap; connections beyond it

@@ -11,9 +11,8 @@
 //! serving the wrong index.
 //!
 //! Entries are immutable `Arc`s (plan + frozen CECI), charged
-//! [`Ceci::size_bytes`] — plus the maintainable tables' bytes once an entry
-//! owns them — and evicted LRU-first when the configured byte budget is
-//! exceeded. Replacing a graph (`LOAD` over an existing name)
+//! [`Ceci::size_bytes`] and evicted LRU-first when the configured byte
+//! budget is exceeded. Replacing a graph (`LOAD` over an existing name)
 //! eagerly sweeps every entry built against the displaced epoch.
 //!
 //! ## Quarantine
@@ -32,9 +31,7 @@
 //! the cached entry's answers [`FlightProbe::Stale`], removes the outdated
 //! slot, and hands the old entry back so the caller can *repair* it under
 //! its retained plan instead of rebuilding from scratch (`crate::index`
-//! has the ladder). The maintainable [`StreamIndex`] tables a repair works
-//! on have one owner at a time: a later repair *moves* them out of the dead
-//! entry ([`CachedIndex::take_tables`]).
+//! has the one repair it runs).
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -42,9 +39,6 @@ use std::sync::{Arc, Condvar, Mutex};
 
 use ceci_core::{Ceci, PlanChoice, Reuse};
 use ceci_query::{CanonicalQuery, QueryPlan};
-use ceci_stream::StreamIndex;
-
-use crate::event_loop::lock_recover;
 
 /// Execution feedback observed from a prior exact run of a cached index:
 /// the measured cost-unit rate. Stored beside the index so later
@@ -69,8 +63,7 @@ pub struct CachedIndex {
     pub plan: Arc<QueryPlan>,
     /// The frozen candidate index.
     pub ceci: Arc<Ceci>,
-    /// Bytes charged against the cache budget: the frozen index, plus the
-    /// maintainable tables when the entry was created owning them.
+    /// Bytes charged against the cache budget: [`Ceci::size_bytes`].
     pub bytes: usize,
     /// Mutation sub-epoch of the snapshot the index was built against.
     pub sub_epoch: u64,
@@ -81,12 +74,6 @@ pub struct CachedIndex {
     /// its own snapshot; this says what `EXPLAIN`'s candidate counts and a
     /// re-plan's pilots read.
     pub sets_sub_epoch: u64,
-    /// The maintainable base tables the frozen index was materialized from.
-    /// `None` until a repair has built them (a miss never does), and again
-    /// once the repair superseding this entry has moved them on — by then
-    /// the entry has left the cache, and requests still holding it read
-    /// only `plan` and `ceci`.
-    tables: Mutex<Option<StreamIndex>>,
     /// The adaptive planner's decision record (the plans weighed so far,
     /// the served plan's cost estimate, strategy/worker recommendation).
     pub choice: PlanChoice,
@@ -103,44 +90,27 @@ pub struct CachedIndex {
 }
 
 impl CachedIndex {
-    /// An entry for `ceci` (built or materialized under `plan` against the
-    /// snapshot at `sub_epoch`) that owns `tables` when given, charged for
-    /// both.
+    /// An entry for `ceci` (built under `plan` against the snapshot at
+    /// `sub_epoch`), charged its size.
     pub fn new(
         canonical: CanonicalQuery,
         plan: Arc<QueryPlan>,
         ceci: Arc<Ceci>,
-        tables: Option<StreamIndex>,
         sub_epoch: u64,
         choice: PlanChoice,
         reuse: Arc<Reuse>,
     ) -> CachedIndex {
         CachedIndex {
             canonical,
-            bytes: ceci.size_bytes() + tables.as_ref().map_or(0, StreamIndex::size_bytes),
+            bytes: ceci.size_bytes(),
             plan,
             ceci,
             sub_epoch,
             sets_sub_epoch: sub_epoch,
-            tables: Mutex::new(tables),
             choice,
             reuse,
             feedback: Mutex::new(None),
         }
-    }
-
-    /// Moves the maintainable tables out, leaving the entry without any.
-    /// For the one request that supersedes this entry (the single-flight
-    /// repair leader, or the re-plan that keeps its incumbent).
-    pub fn take_tables(&self) -> Option<StreamIndex> {
-        lock_recover(&self.tables).take()
-    }
-
-    /// Bytes of the maintainable tables the entry currently owns (0: none).
-    pub fn table_bytes(&self) -> usize {
-        lock_recover(&self.tables)
-            .as_ref()
-            .map_or(0, StreamIndex::size_bytes)
     }
 }
 
@@ -500,18 +470,10 @@ mod tests {
         let plan = QueryPlan::new(query, &graph);
         let ceci = Ceci::build(&graph, &plan);
         let choice = PlanChoice::unscored(&plan, 1);
-        let reuse = Arc::new(Reuse::new(replan_price(&plan, &ceci, 2)));
+        let reuse = Arc::new(Reuse::new(replan_price(&plan, &ceci)));
         CachedIndex {
             bytes,
-            ..CachedIndex::new(
-                canonical,
-                Arc::new(plan),
-                Arc::new(ceci),
-                None,
-                0,
-                choice,
-                reuse,
-            )
+            ..CachedIndex::new(canonical, Arc::new(plan), Arc::new(ceci), 0, choice, reuse)
         }
     }
 

@@ -6,9 +6,9 @@
 //! CECI are built outside any lock, exactly once per `(epoch, canonical)`
 //! key however many requests miss it together (one leads, the rest wait on
 //! its flight gate, `cache_singleflight_waits` counts them); or, for an
-//! entry a mutation left behind, a repair forward under its retained plan —
-//! **first** / **patch** / **rebase** ([`repair_entry`]). [`replan_if_due`]
-//! is the buy side of the rent/buy rule, run on a current entry.
+//! entry a mutation left behind, a **repair** forward under its retained
+//! plan ([`repair_entry`]). [`replan_if_due`] is the buy side of the
+//! rent/buy rule, run on a current entry.
 //!
 //! Every build runs under `catch_unwind`: a panicking one (a bad interaction
 //! between a specific query and graph — or an injected `CHAOS BUILDPANIC`)
@@ -26,7 +26,6 @@ use std::time::{Duration, Instant};
 use ceci_core::{replan_price, BuildOptions, Ceci, PlanChoice, Reuse};
 use ceci_graph::Graph;
 use ceci_query::{CanonicalQuery, QueryGraph, QueryPlan};
-use ceci_stream::{RepairStats, StreamIndex};
 
 use crate::cache::{CachedIndex, FlightGuard, FlightProbe, FlightWait};
 use crate::metrics::ServerMetrics;
@@ -34,24 +33,15 @@ use crate::protocol::ErrorCode;
 use crate::registry::GraphEntry;
 use crate::server::ServerState;
 
-/// How a request came by its index: the `cache=` token of its reply, its
-/// `STATS` counter and, for the three rungs of a repair, `mode=` in the
-/// `service.repair` span and in `EXPLAIN`.
+/// How a request came by its index: the `cache=` token of its reply and
+/// its `STATS` counter.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Acquired {
     Hit,
     Miss,
-    /// Repaired, small gap; the entry had no maintainable tables: built on
-    /// the snapshot and materialized. This rung buys the tables.
-    First,
-    /// Repaired, small gap; the tables moved out of the dead entry and
-    /// merged forward from the dirty log. This rung uses them.
-    Patch,
-    /// Repaired, gap past [`StreamIndex::past_floor`] or no longer covered
-    /// by the dirty log: frozen rebuild under the retained plan with
-    /// candidate sets of the snapshot, tables dropped. This rung sells them
-    /// — past the floor a merge costs more than the build it would save.
-    Rebase,
+    /// A stale entry rebuilt on the snapshot under its retained plan
+    /// ([`repair_entry`]).
+    Repaired,
 }
 
 impl Acquired {
@@ -59,31 +49,18 @@ impl Acquired {
         match self {
             Acquired::Hit => "HIT",
             Acquired::Miss => "MISS",
-            Acquired::First | Acquired::Patch | Acquired::Rebase => "REPAIRED",
+            Acquired::Repaired => "REPAIRED",
         }
     }
 
-    pub(crate) fn repair_mode(self) -> Option<&'static str> {
-        match self {
-            Acquired::Hit | Acquired::Miss => None,
-            Acquired::First => Some("mode=first"),
-            Acquired::Patch => Some("mode=patch"),
-            Acquired::Rebase => Some("mode=rebase"),
-        }
-    }
-
-    /// Counts this acquisition: one counter each, and a rebase also as the
-    /// repair it is. A miss counts when its build starts, so one that
-    /// panics is a miss all the same.
+    /// Counts this acquisition, one counter each. A miss counts when its
+    /// build starts, so one that panics is a miss all the same.
     fn count(self, metrics: &ServerMetrics) {
         ServerMetrics::inc(match self {
             Acquired::Hit => &metrics.cache_hits,
             Acquired::Miss => &metrics.cache_misses,
-            Acquired::First | Acquired::Patch | Acquired::Rebase => &metrics.index_repairs,
+            Acquired::Repaired => &metrics.index_repairs,
         });
-        if self == Acquired::Rebase {
-            ServerMetrics::inc(&metrics.index_repair_rebases);
-        }
     }
 }
 
@@ -92,8 +69,7 @@ impl Acquired {
 pub(crate) type Indexed = (Arc<CachedIndex>, Acquired, Duration);
 
 /// What [`run_build`] produces: the plan, the frozen index and the
-/// planner's decision record. No maintainable tables: those are built by
-/// the first repair that needs them.
+/// planner's decision record.
 type Built = (Arc<QueryPlan>, Arc<Ceci>, PlanChoice);
 
 /// The options of every index build the server runs.
@@ -142,9 +118,8 @@ fn run_build(
 /// against the request's own snapshot — with candidate sets of that
 /// snapshot ([`QueryPlan::on_graph`], a clone when the scoring already
 /// moved the winner there): the incumbent's plan may have been retained
-/// across repairs, and a build never trusts sets of another graph (the
-/// winner's maintainable tables wait for its first repair, like a miss's).
-/// Either way the entry is
+/// across repairs, and a build never trusts sets of another graph. Either
+/// way the entry is
 /// swapped in place for one carrying the scored decision record and the
 /// same ledger, so this happens at most once per lineage of entries. The
 /// request keeps its cache tag: this is neither a miss, a repair nor an
@@ -168,130 +143,83 @@ pub(crate) fn replan_if_due(
     }))
     .ok()?;
     state.metrics.plan_score_latency.record(scored.score_time);
-    let ((plan, ceci, choice), tables, sets_sub_epoch) = match winner {
+    let ((plan, ceci, choice), sets_sub_epoch) = match winner {
         Some(plan) => {
             let built = run_build(state, graph, move || (plan.on_graph(graph), scored)).ok()?;
             ServerMetrics::inc(&state.metrics.adaptive_replans);
-            (built, None, index.sub_epoch)
+            (built, index.sub_epoch)
         }
         // The incumbent stays: same index and plan (whatever snapshot its
-        // sets date from), now with the scores on record, and its tables
-        // move over to the entry that replaces it.
+        // sets date from), now with the scores on record.
         None => (
             (Arc::clone(&index.plan), Arc::clone(&index.ceci), scored),
-            index.take_tables(),
             index.sets_sub_epoch,
         ),
     };
     let canonical = index.canonical.clone();
     let reuse = Arc::clone(&index.reuse);
-    let mut entry = CachedIndex::new(
-        canonical,
-        plan,
-        ceci,
-        tables,
-        index.sub_epoch,
-        choice,
-        reuse,
-    );
+    let mut entry = CachedIndex::new(canonical, plan, ceci, index.sub_epoch, choice, reuse);
     entry.sets_sub_epoch = sets_sub_epoch;
     let entry = Arc::new(entry);
     state.cache.insert(graph_epoch, Arc::clone(&entry));
     Some((entry, t0.elapsed()))
 }
 
-/// Repairs a stale cached entry forward under its retained plan, by the
-/// rung ([`Acquired`]) the gap since its snapshot calls for — decided
-/// before any table is touched. Small gap: bring the maintainable tables to
-/// the request's snapshot and re-freeze; they are *moved* out of `old` (the
-/// probe that handed it over already removed it from the cache, and only
-/// this caller, the single-flight leader, repairs it). Gap past the floor
-/// or off the dirty log: every full rebuild in the system is the frozen
-/// build, so run that, under the same plan with candidate sets of the
-/// snapshot, and keep no tables. Those sets are the old index's patched at
-/// the gap's endpoints ([`QueryPlan::on_graph_patched`], `sets=patch`);
-/// only an index without sets (a materialized one) or a gap off the log
-/// pays a scan ([`QueryPlan::on_graph`], `sets=scan`,
-/// `index_repair_set_scans`). `None` means the caller
-/// must fall back to a miss: the entry is from the *future* relative to
-/// this snapshot, or the repair panicked.
+/// Repairs a stale cached entry forward under its retained plan: the
+/// frozen index is built on the request's snapshot, under the same plan,
+/// with candidate sets of that snapshot. Those are the old index's patched
+/// at the gap's endpoints ([`QueryPlan::on_graph_patched`], `sets=patch`);
+/// only a gap the dirty log no longer covers pays a scan
+/// ([`QueryPlan::on_graph`], `sets=scan`, `index_repair_set_scans`). `None`
+/// means the caller must fall back to a miss: the entry is from the
+/// *future* relative to this snapshot, or the repair panicked.
+///
+/// Small gaps get no cheaper rung: a mutable copy of Algorithm 1's tables
+/// to merge them into beats this build only on single-edge gaps, and costs
+/// more to buy than ten such repairs save (DESIGN, "Repair instead of
+/// rebuild").
 fn repair_entry(
     state: &ServerState,
     entry: &GraphEntry,
     graph: &Graph,
     sub_epoch: u64,
     old: &CachedIndex,
-) -> Option<(CachedIndex, Acquired, Duration)> {
+) -> Option<(CachedIndex, Duration)> {
     if old.sub_epoch > sub_epoch {
         return None;
     }
     let plan = Arc::clone(&old.plan);
     let t0 = Instant::now();
     let endpoints = entry.dirty_endpoints_since(old.sub_epoch);
-    let tables = old.take_tables();
-    let past_floor = match &endpoints {
-        Some(endpoints) => StreamIndex::past_floor(graph, endpoints),
-        // Off the log the gap is unknown: tables that cannot be brought
-        // forward are dropped, an entry without any builds them as ever.
-        None => tables.is_some(),
-    };
-    // A rebase patches the old index's candidate sets at the gap's
-    // endpoints; lacking either, it scans every label class.
-    let patchable = old.ceci.candidate_sets().zip(endpoints.as_deref());
     // Repair runs the same (panic-prone) index code paths a build does;
     // contain it the same way and fall back to a rebuild on unwind.
-    let (tables, ceci, stats, mode) = catch_unwind(AssertUnwindSafe(|| {
-        if past_floor {
-            drop(tables);
-            let built_on = match patchable {
-                Some((previous, dirty)) => plan.on_graph_patched(graph, previous, dirty),
-                None => plan.on_graph(graph),
-            };
-            let ceci = Ceci::build_with(graph, &built_on, build_options(state));
-            let stats = RepairStats {
-                dirty_vertices: endpoints.as_ref().map_or(0, Vec::len),
-                ..RepairStats::default()
-            };
-            return (None, ceci, stats, Acquired::Rebase);
-        }
-        let (tables, stats, mode) = match (tables, endpoints.as_deref()) {
-            (Some(mut tables), Some(endpoints)) => {
-                let stats = tables.patch(graph, &plan, endpoints);
-                debug_assert_eq!(stats.rebases, 0, "the floor was asked above");
-                (tables, stats, Acquired::Patch)
-            }
-            _ => (
-                StreamIndex::build(graph, &plan),
-                RepairStats::default(),
-                Acquired::First,
-            ),
+    let ceci = catch_unwind(AssertUnwindSafe(|| {
+        let built_on = match &endpoints {
+            Some(dirty) => plan.on_graph_patched(graph, old.ceci.candidate_sets(), dirty),
+            None => plan.on_graph(graph),
         };
-        let ceci = tables.materialize(graph, &plan);
-        (Some(tables), ceci, stats, mode)
+        Ceci::build_with(graph, &built_on, build_options(state))
     }))
     .ok()?;
     let repair = t0.elapsed();
     state.metrics.index_repair_latency.record(repair);
-    mode.count(&state.metrics);
-    let scanned = patchable.is_none();
-    if mode == Acquired::Rebase && scanned {
+    Acquired::Repaired.count(&state.metrics);
+    if endpoints.is_none() {
         ServerMetrics::inc(&state.metrics.index_repair_set_scans);
     }
     if state.tracer.enabled() {
         let dur = repair.as_nanos() as u64;
         let end = state.tracer.now_ns();
-        let mut args = vec![
-            (mode.repair_mode().expect("a repair rung"), 1),
-            ("dirty_vertices", stats.dirty_vertices as u64),
-            ("keys_recomputed", stats.keys_recomputed as u64),
-            ("keys_added", stats.keys_added as u64),
-            ("keys_removed", stats.keys_removed as u64),
+        let (sets, dirty) = match &endpoints {
+            Some(dirty) => ("sets=patch", dirty.len() as u64),
+            None => ("sets=scan", 0),
+        };
+        let args = vec![
+            (sets, 1),
+            ("dirty_vertices", dirty),
             ("from_sub_epoch", old.sub_epoch),
             ("to_sub_epoch", sub_epoch),
         ];
-        if mode == Acquired::Rebase {
-            args.push((if scanned { "sets=scan" } else { "sets=patch" }, 1));
-        }
         state.tracer.span(
             "service.repair",
             "service",
@@ -311,13 +239,12 @@ fn repair_entry(
         old.canonical.clone(),
         plan,
         Arc::new(ceci),
-        tables,
         sub_epoch,
         old.choice.clone(),
         Arc::clone(&old.reuse),
     );
     repaired.sets_sub_epoch = old.sets_sub_epoch;
-    Some((repaired, mode, repair))
+    Some((repaired, repair))
 }
 
 /// The `ERR E_QUARANTINED` reply (`when` says whose build panicked).
@@ -368,11 +295,9 @@ fn build_miss(
     let stats = ceci.stats();
     state.metrics.build_filter_latency.record(stats.filter_time);
     state.metrics.build_refine_latency.record(stats.refine_time);
-    // The ledger a re-plan is bought against: it would rebuild the frozen
-    // index at once and the tables at the winner's next repair (an
-    // incumbent's are for the wrong plan), so both are in the price.
-    let reuse = Arc::new(Reuse::new(replan_price(&plan, &ceci, 2)));
-    let entry = CachedIndex::new(canonical, plan, ceci, None, sub_epoch, choice, reuse);
+    // The ledger a re-plan is bought against.
+    let reuse = Arc::new(Reuse::new(replan_price(&plan, &ceci)));
+    let entry = CachedIndex::new(canonical, plan, ceci, sub_epoch, choice, reuse);
     let shared = match guard {
         Some(guard) => guard.complete(entry),
         None => Arc::new(entry),
@@ -408,10 +333,8 @@ pub(crate) fn index_for(
         }
         FlightProbe::Lead(guard) => build_miss(state, graph, at, query, canonical, Some(guard)),
         FlightProbe::Stale(old, guard) => {
-            if let Some((repaired, mode, repair)) =
-                repair_entry(state, entry, graph, sub_epoch, &old)
-            {
-                return Ok((guard.complete(repaired), mode, repair));
+            if let Some((repaired, repair)) = repair_entry(state, entry, graph, sub_epoch, &old) {
+                return Ok((guard.complete(repaired), Acquired::Repaired, repair));
             }
             // Unrepairable: pay the full rebuild, counted as a miss.
             ServerMetrics::inc(&state.metrics.index_repair_fallbacks);

@@ -29,10 +29,9 @@
 //!   publish the next immutable CSR snapshot as the current one patched by
 //!   the batch's edges (the exact label-pair index rebuilt at a
 //!   configurable threshold, maintained in between), cached indexes are
-//!   **repaired** under their plan instead of rebuilt — the maintainable
-//!   tables built by an entry's first stale read, then moved along and
-//!   patched from per-batch dirty endpoints ([`registry`], [`cache`],
-//!   `ceci_stream`) — and `REGISTER`ed **continuous
+//!   **repaired** under their plan instead of rebuilt as a miss — the old
+//!   index's candidate sets re-tested at the per-batch dirty endpoints, then
+//!   the frozen build ([`registry`], [`cache`]) — and `REGISTER`ed **continuous
 //!   queries** emit per-batch embedding-count deltas (`EVENT DELTA`)
 //!   to their connection ([`server`]),
 //! * **rent BFS, buy the portfolio**: a cache miss plans as the paper does
@@ -41,8 +40,8 @@
 //!   scored at most once per cached entry, and only after the entry's own
 //!   reuse has spent as much enumeration work as scoring and one rebuild
 //!   cost (`ceci_core::adaptive`); `MATCH ... DEADLINE` degrades to an
-//!   estimator answer (`mode=APPROX`) or `ERR E_INFEASIBLE` when the exact
-//!   run cannot finish in time, at the per-unit rate an earlier deadline
+//!   estimator answer (`mode=APPROX`) when the exact run cannot finish in
+//!   time, at the per-unit rate an earlier deadline
 //!   run of the entry observed ([`cache::PlanFeedback`]; `EXACT` opts out;
 //!   `ESTIMATE` answers the cardinality question directly),
 //! * a line-oriented **text protocol** ([`protocol`]) and lock-free

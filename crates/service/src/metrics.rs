@@ -189,22 +189,16 @@ pub struct ServerMetrics {
     pub edges_deleted: AtomicU64,
     /// Overlay compactions (delta merged into a fresh base CSR).
     pub compactions: AtomicU64,
-    /// Stale cached indexes repaired forward under their plan (`mode=first`,
-    /// `patch` or `rebase`) instead of rebuilt as a miss.
+    /// Stale cached indexes repaired forward under their plan (frozen
+    /// rebuild on the snapshot over patched candidate sets) instead of
+    /// rebuilt as a miss.
     pub index_repairs: AtomicU64,
-    /// The `mode=rebase` share of `index_repairs`: frozen rebuild under the
-    /// retained plan, tables dropped, because the gap was past
-    /// `StreamIndex::past_floor` or the dirty log no longer reached the
-    /// entry's tables.
-    pub index_repair_rebases: AtomicU64,
-    /// The rebases among `index_repair_rebases` that scanned every label
-    /// class for their candidate sets instead of patching the old index's
-    /// at the gap's endpoints: the old index had none (it was materialized
-    /// from tables) or the dirty log no longer reached back.
+    /// The repairs among `index_repairs` that scanned every label class for
+    /// their candidate sets instead of patching the old index's at the gap's
+    /// endpoints, because the dirty log no longer reached back.
     pub index_repair_set_scans: AtomicU64,
     /// Stale cached indexes that fell back to a full rebuild, counted as a
-    /// miss: repair is off, the repair panicked, or the entry was from the
-    /// future.
+    /// miss: the repair panicked, or the entry was from the future.
     pub index_repair_fallbacks: AtomicU64,
     /// Continuous-query delta events emitted to registered connections.
     pub continuous_events: AtomicU64,
@@ -215,9 +209,6 @@ pub struct ServerMetrics {
     /// Deadline-infeasible MATCH requests answered from the estimator
     /// (`mode=APPROX`) instead of enumerating.
     pub approx_answers: AtomicU64,
-    /// Deadline-infeasible MATCH requests refused with `E_INFEASIBLE`
-    /// (estimate too noisy even for an APPROX answer).
-    pub infeasible_rejects: AtomicU64,
     /// Connections closed after the socket read/write timeout expired with
     /// a request outstanding or a line half-read (stalled/half-open peer).
     pub timeouts: AtomicU64,
@@ -247,9 +238,9 @@ pub struct ServerMetrics {
     /// Reverse-BFS refinement phase time within cache-miss builds
     /// (Algorithm 2).
     pub build_refine_latency: LatencyHistogram,
-    /// Stale-index repair time (tables built or patched, then re-frozen; or
-    /// the frozen rebuild of a rebase), the counterpart of `build_latency`
-    /// for the repair path.
+    /// Stale-index repair time (candidate sets patched or scanned, then the
+    /// frozen build), the counterpart of `build_latency` for the repair
+    /// path.
     pub index_repair_latency: LatencyHistogram,
     /// Time spent scoring a plan portfolio (pilot index builds +
     /// random-walk costing), recorded once per cached entry whose reuse
@@ -282,7 +273,7 @@ impl ServerMetrics {
     /// Every monotone counter as `(STATS key, help, value)`, in exposition
     /// order: `STATS` prints `STAT <key> <value>`, `STATS PROM` the counter
     /// `ceci_<key>_total`.
-    pub fn counters(&self) -> [(&'static str, &'static str, u64); 37] {
+    pub fn counters(&self) -> [(&'static str, &'static str, u64); 35] {
         let g = |a: &AtomicU64| a.load(Ordering::Relaxed);
         [
             (
@@ -393,13 +384,8 @@ impl ServerMetrics {
                 g(&self.index_repairs),
             ),
             (
-                "index_repair_rebases",
-                "Repairs that dropped the tables and rebuilt the frozen index (mode=rebase)",
-                g(&self.index_repair_rebases),
-            ),
-            (
                 "index_repair_set_scans",
-                "Rebases that rescanned every label class for candidate sets (no prior sets, or a gap off the dirty log)",
+                "Repairs that rescanned every label class for candidate sets (a gap off the dirty log)",
                 g(&self.index_repair_set_scans),
             ),
             (
@@ -421,11 +407,6 @@ impl ServerMetrics {
                 "approx_answers",
                 "Deadline-infeasible MATCH requests answered mode=APPROX",
                 g(&self.approx_answers),
-            ),
-            (
-                "infeasible_rejects",
-                "Deadline-infeasible MATCH requests refused E_INFEASIBLE",
-                g(&self.infeasible_rejects),
             ),
             (
                 "io_timeouts",

@@ -93,11 +93,10 @@
 //! predicts the exact enumeration cannot finish inside the deadline, the
 //! server degrades gracefully — it answers from the random-walk estimator
 //! (`OK MATCH ... mode=APPROX mean=... std_error=... ci95_lo=... ci95_hi=...`)
-//! instead of burning a worker for the full deadline, or refuses outright
-//! with `ERR E_INFEASIBLE` when even the estimate is too noisy to be useful.
-//! `MATCH ... EXACT` opts out of degradation: the request always runs the
-//! exact enumeration, reporting `status=DEADLINE_EXCEEDED` with a partial
-//! count if the deadline trips (the pre-adaptive behavior).
+//! instead of burning a worker for the full deadline. `MATCH ... EXACT`
+//! opts out of degradation: the request always runs the exact enumeration,
+//! reporting `status=DEADLINE_EXCEEDED` with a partial count if the
+//! deadline trips (the pre-adaptive behavior).
 //!
 //! A `MATCH` reply carrying `replan_us=<n>` paid for its cached entry's one
 //! re-plan (portfolio scoring, and a rebuild if a challenger won) before
@@ -131,8 +130,8 @@ pub struct MatchForm {
     /// redundant-extension pruning — for verifying bit-identical counts.
     pub raw: bool,
     /// `EXACT`: opt out of deadline-aware graceful degradation — always
-    /// run the exact enumeration even when the planner predicts the
-    /// deadline is infeasible.
+    /// run the exact enumeration even when the planner predicts it cannot
+    /// finish inside the deadline.
     pub exact: bool,
 }
 
@@ -338,10 +337,6 @@ pub enum ErrorCode {
     /// A `REGISTER`/`UNREGISTER` request failed (unknown handle, or the
     /// continuous query could not be planned).
     Register,
-    /// The adaptive planner predicted the request cannot finish inside its
-    /// `DEADLINE` and the estimate is too noisy to answer `APPROX`; retry
-    /// with `EXACT`, a larger deadline, or `ESTIMATE`.
-    Infeasible,
     /// A socket read or write hit its configured timeout: the peer is
     /// half-open, stalled, or abandoned the connection mid-request.
     Timeout,
@@ -365,7 +360,6 @@ impl ErrorCode {
             ErrorCode::ChaosDisabled => "E_CHAOS_DISABLED",
             ErrorCode::Mutation => "E_MUTATION",
             ErrorCode::Register => "E_REGISTER",
-            ErrorCode::Infeasible => "E_INFEASIBLE",
             ErrorCode::Timeout => "E_TIMEOUT",
             ErrorCode::Shard => "E_SHARD",
         }
@@ -1157,7 +1151,6 @@ mod tests {
             ErrorCode::ChaosDisabled,
             ErrorCode::Mutation,
             ErrorCode::Register,
-            ErrorCode::Infeasible,
             ErrorCode::Timeout,
             ErrorCode::Shard,
         ] {

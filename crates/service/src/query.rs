@@ -25,7 +25,7 @@ use crate::coord;
 use crate::event_loop::lock_recover;
 use crate::index::{index_for, replan_if_due, Acquired};
 use crate::metrics::ServerMetrics;
-use crate::protocol::{ErrorCode, MatchForm, MatchStatus};
+use crate::protocol::{MatchForm, MatchStatus};
 use crate::registry::GraphEntry;
 use crate::server::{record_tiled_spans, Reply, ServeConfig, ServerState};
 
@@ -50,12 +50,9 @@ pub(crate) enum ExecPath {
     /// Coordinator mode, plain count-only `MATCH`: the pivots scatter across
     /// the shard fleet under the fixed deterministic plan.
     Sharded { query: QueryGraph, sub_epoch: u64 },
-    /// `DEADLINE` the exact run cannot meet, estimate trustworthy: answered
-    /// from the estimator over the index.
+    /// `DEADLINE` the exact run cannot meet: answered from the estimator
+    /// over the index.
     Approx(Served),
-    /// `DEADLINE` the exact run cannot meet, estimate (of this intermediate
-    /// `volume`) too noisy to stand behind: refused.
-    Infeasible { volume: f64, deadline_ms: u64 },
     /// Everything else: enumerate the index with `workers` threads.
     Drain {
         served: Served,
@@ -73,7 +70,6 @@ impl ExecPath {
             ExecPath::Rejected => ("rejected", "filter=REJECTED"),
             ExecPath::Sharded { .. } => ("sharded", "mode=SHARDED"),
             ExecPath::Approx(_) => ("approx", "mode=APPROX"),
-            ExecPath::Infeasible { .. } => ("infeasible", ""),
             ExecPath::Drain { .. } => ("drain", ""),
         }
     }
@@ -91,14 +87,11 @@ impl ExecPath {
         self.served().map_or("NONE", |served| served.cache.tag())
     }
 
-    /// `EXPLAIN`'s `| path:` line: the variant, then its reply tokens and,
-    /// for a repaired index, the rung.
+    /// `EXPLAIN`'s `| path:` line: the variant, then its reply tokens.
     fn describe(&self) -> String {
         let (name, lead) = self.tokens();
         let mut line = format!("| path: {name}");
-        let cache = format!("cache={}", self.cache_tag());
-        let rung = self.served().and_then(|served| served.cache.repair_mode());
-        for token in [lead, &cache, rung.unwrap_or("")] {
+        for token in [lead, &format!("cache={}", self.cache_tag())] {
             if !token.is_empty() {
                 line.push(' ');
                 line.push_str(token);
@@ -113,7 +106,6 @@ impl ExecPath {
         match self {
             ExecPath::Rejected => ServerMetrics::inc(&metrics.filter_rejected),
             ExecPath::Approx(_) => ServerMetrics::inc(&metrics.approx_answers),
-            ExecPath::Infeasible { .. } => ServerMetrics::inc(&metrics.infeasible_rejects),
             ExecPath::Sharded { .. } | ExecPath::Drain { .. } => {}
         }
     }
@@ -164,7 +156,7 @@ fn resolve(
 }
 
 /// The ladder itself, in order: admission → shard check → index acquisition
-/// (hit / miss / first / patch / rebase) → re-plan → deadline ladder.
+/// (hit / miss / repaired) → re-plan → deadline ladder.
 fn choose(
     state: &ServerState,
     entry: &GraphEntry,
@@ -217,28 +209,16 @@ fn choose(
     // Deadline ladder: when the planner's cost estimate (at the rate an
     // earlier deadline run observed, when there is one) says the exact
     // enumeration cannot finish inside the deadline, degrade to an estimator
-    // answer — or refuse outright — *before* occupying the worker for the
-    // full deadline. `RAW` and `EXACT` both opt out.
+    // answer *before* occupying the worker for the full deadline. `RAW` and
+    // `EXACT` both opt out.
     if let Some(deadline_ms) = form.deadline_ms.filter(|_| !form.raw && !form.exact) {
-        let cost = &served.index.choice.cost;
         let ns_per_unit = lock_recover(&served.index.feedback)
             .as_ref()
             .map_or(DEFAULT_NS_PER_UNIT, |f| f.ns_per_unit);
-        match admit(
-            cost,
-            Duration::from_millis(deadline_ms),
-            ns_per_unit,
-            workers,
-        ) {
-            DeadlineVerdict::Exact => {}
-            DeadlineVerdict::Approx => return Ok(ExecPath::Approx(served)),
-            DeadlineVerdict::Infeasible => {
-                let volume = cost.volume();
-                return Ok(ExecPath::Infeasible {
-                    volume,
-                    deadline_ms,
-                });
-            }
+        let deadline = Duration::from_millis(deadline_ms);
+        let verdict = admit(&served.index.choice.cost, deadline, ns_per_unit, workers);
+        if verdict == DeadlineVerdict::Approx {
+            return Ok(ExecPath::Approx(served));
         }
     }
     Ok(ExecPath::Drain {
@@ -322,17 +302,6 @@ pub(crate) fn exec_match(
                 served.build.as_micros(),
             )))
         }
-        ExecPath::Infeasible {
-            volume,
-            deadline_ms,
-        } => Err(state.fail(
-            ErrorCode::Infeasible,
-            format!(
-                "estimated intermediate volume {volume:.0} cannot finish inside {deadline_ms}ms \
-                 and the estimate is too noisy for an APPROX answer; retry with EXACT, a \
-                 larger DEADLINE, or use ESTIMATE"
-            ),
-        )),
         ExecPath::Drain {
             served,
             raw,
@@ -509,11 +478,6 @@ pub(crate) fn exec_explain(
     let mut lines: Vec<String> = report.lines().map(|l| format!("| {l}")).collect();
     lines.push(path.describe());
     let mut line = format!("| index: bytes={} cache={}", index.bytes, path.cache_tag());
-    if let Some(mode) = served.cache.repair_mode() {
-        // Which rung of the repair ladder this request itself took.
-        line.push(' ');
-        line.push_str(mode);
-    }
     // Which numbering the symmetry windows above compare ids under.
     let ids = if entry.ids().is_identity() {
         "file"

@@ -36,11 +36,11 @@
 //! graph's own numbering (the identity ranking).
 //!
 //! Each applied batch is appended to a bounded **dirty log** of touched
-//! endpoints. The index cache uses it to patch a stale cached index's
-//! maintainable tables forward across `(old sub-epoch, current]`; when the
-//! log has been truncated past the needed range,
-//! [`GraphEntry::dirty_endpoints_since`] answers `None` and the caller
-//! drops the tables and rebuilds the frozen index instead.
+//! endpoints. A stale cached index's repair re-tests only those endpoints
+//! across `(old sub-epoch, current]` to carry its candidate sets forward;
+//! when the log has been truncated past the needed range,
+//! [`GraphEntry::dirty_endpoints_since`] answers `None` and the repair scans
+//! for the sets instead.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -189,7 +189,7 @@ impl GraphEntry {
 
     /// Distinct endpoints touched by every batch in
     /// `(from_sub_epoch, current]`, or `None` when the dirty log no longer
-    /// covers that range (a repair then rebases instead of patching). An
+    /// covers that range (a repair then scans for its candidate sets). An
     /// up-to-date caller gets `Some(empty)`.
     pub fn dirty_endpoints_since(&self, from_sub_epoch: u64) -> Option<Vec<VertexId>> {
         let st = self.stream.read().expect("stream lock poisoned");
@@ -687,7 +687,7 @@ mod tests {
 
         /// Candidate sets patched at the dirty log's endpoints equal a scan
         /// of the snapshot, sorted list and bitset, bit for bit: chained
-        /// batch by batch (as successive rebases patch each other's), and
+        /// batch by batch (as successive repairs patch each other's), and
         /// from every earlier snapshot across any gap, compactions included.
         /// Some vertices carry two labels, and so do some query vertices.
         #[test]

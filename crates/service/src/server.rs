@@ -106,8 +106,8 @@ pub struct ServeConfig {
     /// becomes the streamed graph's base.
     pub compact_threshold: usize,
     /// Applied mutation batches whose dirty endpoints are retained per
-    /// graph; a stale index older than the log drops its tables and is
-    /// rebuilt frozen under its plan instead of patched.
+    /// graph; a stale index older than the log is still repaired under its
+    /// plan, but scans for its candidate sets instead of patching them.
     pub dirty_log_cap: usize,
     /// Per-connection socket read/write timeout in milliseconds (0 = off).
     /// A half-open or stalled peer gets `ERR E_TIMEOUT` and its connection

@@ -25,7 +25,7 @@ fn gauges(state: &ServerState) -> [(&'static str, &'static str, u64); 7] {
         ),
         (
             "cache_bytes",
-            "Bytes of frozen indexes (and the tables repaired ones own) currently cached",
+            "Bytes of frozen indexes currently cached",
             state.cache.bytes() as u64,
         ),
         (
@@ -179,7 +179,7 @@ pub(crate) fn render_prometheus(state: &ServerState) -> String {
         (
             &m.index_repair_latency,
             "ceci_index_repair_us",
-            "Stale-index repair time (tables built or patched + re-freeze, or the frozen rebuild), microseconds",
+            "Stale-index repair time (candidate sets patched or scanned + frozen build), microseconds",
         ),
         (
             &m.plan_score_latency,

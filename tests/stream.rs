@@ -1,8 +1,8 @@
 //! Integration tests for the streaming-mutation subsystem: the temporal
 //! edge-list loader, the registry's delta overlay (including compaction),
-//! and the differential invariant that patched [`StreamIndex`] counts and
-//! running [`batch_delta`] totals stay bit-identical to a from-scratch
-//! rebuild at every batch boundary.
+//! and the differential invariant that repaired-index counts (the server's
+//! one repair rung, [`repair`]) and running [`batch_delta`] totals stay
+//! bit-identical to a from-scratch rebuild at every batch boundary.
 
 use std::collections::BTreeSet;
 use std::io::Cursor;
@@ -15,8 +15,9 @@ use ceci_graph::generators::{erdos_renyi, inject_random_labels};
 use ceci_graph::io::{batch_by_timestamp, load_temporal, read_temporal};
 use ceci_graph::{vid, Graph, VertexId};
 use ceci_query::{QueryGraph, QueryPlan};
-use ceci_service::{start_with_state, Client, GraphRegistry, ServeConfig, ServerState};
-use ceci_stream::StreamIndex;
+use ceci_service::{
+    start_with_state, BatchOutcome, Client, GraphRegistry, ServeConfig, ServerState,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -39,6 +40,15 @@ fn rebuild_count(graph: &Graph, pattern_source: &QueryPlan) -> u64 {
     let plan = QueryPlan::new(query, graph);
     let ceci = Ceci::build(graph, &plan);
     count_embeddings(graph, &plan, &ceci)
+}
+
+/// The server's one repair rung: `previous`'s candidate sets re-tested at
+/// the batch's endpoints, then the frozen build on the new snapshot under
+/// the same plan.
+fn repair(previous: &Ceci, plan: &QueryPlan, outcome: &BatchOutcome) -> Ceci {
+    let sets = previous.candidate_sets();
+    let on_new = plan.on_graph_patched(&outcome.new_graph, sets, &outcome.endpoints);
+    Ceci::build(&outcome.new_graph, &on_new)
 }
 
 /// Undirected edge set of a graph, canonically oriented.
@@ -193,17 +203,16 @@ fn incremental_maintenance_is_bit_identical_to_rebuild() {
     let registry = GraphRegistry::new();
     let (entry, _) = registry.insert("g", graph);
 
-    // Three live queries of different shapes, each with a patched index
+    // Three live queries of different shapes, each with a repaired index
     // and a running total maintained purely through batch deltas.
     let snapshot = entry.graph();
-    let mut live: Vec<(QueryPlan, StreamIndex, u64)> = [(3usize, 5u64), (4, 13), (4, 29)]
+    let mut live: Vec<(QueryPlan, Ceci, u64)> = [(3usize, 5u64), (4, 13), (4, 29)]
         .iter()
         .map(|&(size, seed)| {
             let plan = pattern_plan(&snapshot, size, seed);
-            let stream = StreamIndex::build(&snapshot, &plan);
-            let ceci = stream.materialize(&snapshot, &plan);
+            let ceci = Ceci::build(&snapshot, &plan);
             let total = count_embeddings(&snapshot, &plan, &ceci);
-            (plan, stream, total)
+            (plan, ceci, total)
         })
         .collect();
 
@@ -219,9 +228,7 @@ fn incremental_maintenance_is_bit_identical_to_rebuild() {
             edges.remove(&(a.0.min(b.0), a.0.max(b.0)));
         }
 
-        for (plan, stream, total) in &mut live {
-            let stats = stream.patch(&outcome.new_graph, plan, &outcome.endpoints);
-            assert!(stats.dirty_vertices > 0, "batch touched no vertices");
+        for (plan, index, total) in &mut live {
             let delta = batch_delta(
                 &outcome.old_graph,
                 &outcome.new_graph,
@@ -233,8 +240,8 @@ fn incremental_maintenance_is_bit_identical_to_rebuild() {
 
             let expected = rebuild_count(&outcome.new_graph, plan);
             // Repaired index enumerates the same count as a fresh build...
-            let repaired = stream.materialize(&outcome.new_graph, plan);
-            let repaired_count = count_embeddings(&outcome.new_graph, plan, &repaired);
+            *index = repair(index, plan, &outcome);
+            let repaired_count = count_embeddings(&outcome.new_graph, plan, index);
             assert_eq!(repaired_count, expected, "repair diverged at round {round}");
             // ...and the delta-maintained running total tracks it too.
             assert_eq!(*total, expected, "delta total diverged at round {round}");
@@ -244,15 +251,15 @@ fn incremental_maintenance_is_bit_identical_to_rebuild() {
 
 #[test]
 fn single_edge_patches_match_rebuild_on_a_sparse_graph() {
-    // Large vertex count relative to the mutation so the repair takes the
-    // sparse point-lookup path rather than the dense merge scan.
+    // Large vertex count relative to the mutation: the repair re-tests two
+    // endpoints of 2 000 vertices.
     let graph = small_graph(2_000, 6_000, 23);
     let registry = GraphRegistry::new();
     let (entry, _) = registry.insert("g", graph);
 
     let snapshot = entry.graph();
     let plan = pattern_plan(&snapshot, 4, 17);
-    let mut stream = StreamIndex::build(&snapshot, &plan);
+    let mut index = Ceci::build(&snapshot, &plan);
 
     // One lone ADDEDGE, then one lone DELEDGE of an existing edge.
     let add = {
@@ -274,9 +281,8 @@ fn single_edge_patches_match_rebuild_on_a_sparse_graph() {
     for (adds, dels) in [(vec![add], vec![]), (vec![], vec![del])] {
         let outcome = entry.apply_batch(&adds, &dels, usize::MAX, 16).unwrap();
         assert_eq!(outcome.applied(), 1);
-        stream.patch(&outcome.new_graph, &plan, &outcome.endpoints);
-        let repaired = stream.materialize(&outcome.new_graph, &plan);
-        let got = count_embeddings(&outcome.new_graph, &plan, &repaired);
+        index = repair(&index, &plan, &outcome);
+        let got = count_embeddings(&outcome.new_graph, &plan, &index);
         assert_eq!(got, rebuild_count(&outcome.new_graph, &plan));
     }
 }
