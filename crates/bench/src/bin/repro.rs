@@ -35,12 +35,6 @@ EXPERIMENTS:
     fig20               CECI construction IO/comm/compute breakdown (Figure 20)
     ablation-order      Matching-order heuristics vs naive BFS (§2.2)
     ablation-intersect  Intersection vs edge verification (§4.1)
-    adaptive            Cost-model-driven adaptive execution: portfolio
-                        planner vs fixed BFS vs worst-scoring order on
-                        easy/hard/hopeless query classes — asserts
-                        bit-identical counts, records speedup + q-error,
-                        and shows 1 ms deadline admission verdicts;
-                        writes bench_results/adaptive.json
     kernels             Intersection-kernel sweep + end-to-end ablation (§4.1)
     index               Index-construction thread-scaling sweep (§6.4):
                         filter/refine/merge breakdown + bytes per thread
@@ -60,15 +54,6 @@ EXPERIMENTS:
                         asserts bit-identical counts vs the single-process
                         oracle, reports recovery makespan inflation, and
                         writes bench_results/shard.json
-    stream              SMFresh-style temporal batch sweep: incremental
-                        index maintenance (patch + delta) vs from-scratch
-                        rebuild at every batch boundary — asserts
-                        bit-identical counts and writes
-                        bench_results/stream.json
-    trace               End-to-end trace capture (build/enumerate/distributed)
-                        + tracing-overhead gate (<3% asserted); writes
-                        bench_results/trace.json and trace_chrome.json
-                        (loadable in about:tracing / Perfetto)
     all                 Everything above, in order
 
 OPTIONS:
@@ -181,13 +166,10 @@ fn dispatch(
         "index" => experiments::index_build::run_with(scale, build_threads),
         "ablation-order" => experiments::ablation::run_order(scale),
         "ablation-intersect" => experiments::ablation::run_intersection(scale),
-        "adaptive" => experiments::adaptive::run(scale),
         "physical" => experiments::physical::run(scale),
         "faults" => experiments::faults::run(scale),
         "service" => experiments::service::run(scale),
         "shard" => experiments::shard::run(scale),
-        "stream" => experiments::stream::run(scale),
-        "trace" => experiments::trace::run(scale),
         "all" => {
             for (name, f) in ALL_EXPERIMENTS {
                 section(name);
@@ -230,10 +212,6 @@ const ALL_EXPERIMENTS: &[(&str, Runner)] = &[
         experiments::ablation::run_intersection,
     ),
     (
-        "Adaptive execution: planner vs fixed/worst order",
-        experiments::adaptive::run,
-    ),
-    (
         "Future work: physical decomposition (§8)",
         experiments::physical::run,
     ),
@@ -248,13 +226,5 @@ const ALL_EXPERIMENTS: &[(&str, Runner)] = &[
     (
         "Sharded serving: cross-process fault recovery",
         experiments::shard::run,
-    ),
-    (
-        "Streaming maintenance: incremental vs rebuild",
-        experiments::stream::run,
-    ),
-    (
-        "Trace capture + tracing-overhead gate",
-        experiments::trace::run,
     ),
 ];

@@ -238,22 +238,11 @@ pub fn run(scale: Scale) {
          failures change the cost columns, never the answer)"
     );
 
-    let dir = std::path::Path::new("bench_results");
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return;
-    }
     let json = JsonValue::object()
         .field("machines", machines as u64)
         .field("scenarios_checked", scenarios_checked)
         .field("all_counts_match_baseline", true)
         .field("replay_identical", true)
-        .field("runs", JsonValue::Array(rows))
-        .to_pretty();
-    let path = dir.join("faults.json");
-    if let Err(e) = std::fs::write(&path, json) {
-        eprintln!("warning: cannot write {}: {e}", path.display());
-    } else {
-        println!("wrote {}", path.display());
-    }
+        .field("runs", JsonValue::Array(rows));
+    crate::harness::persist("faults", &json);
 }

@@ -216,21 +216,10 @@ pub fn run_with(scale: Scale, build_threads: Option<usize>) {
         fmt_speedup(geo4)
     );
 
-    let dir = std::path::Path::new("bench_results");
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return;
-    }
     let json = JsonValue::object()
         .field("graph_vertices", graph.num_vertices() as u64)
         .field("graph_edges", graph.num_edges() as u64)
         .field("geomean_speedup_4t", geo4)
-        .field("builds", JsonValue::Array(rows))
-        .to_pretty();
-    let path = dir.join("index_build.json");
-    if let Err(e) = std::fs::write(&path, json) {
-        eprintln!("warning: cannot write {}: {e}", path.display());
-    } else {
-        println!("wrote {}", path.display());
-    }
+        .field("builds", JsonValue::Array(rows));
+    crate::harness::persist("index_build", &json);
 }

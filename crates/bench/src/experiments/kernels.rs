@@ -279,17 +279,7 @@ pub fn run_with(scale: Scale, only: Option<Kernel>) {
     println!("\nOne-worker parallel entry point vs sequential drain (same plan, index, kernel)\n");
     println!("{}", general.render());
 
-    let dir = std::path::Path::new("bench_results");
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let path = dir.join("kernels.json");
-    if let Err(e) = std::fs::write(&path, JsonValue::Array(records).to_pretty()) {
-        eprintln!("warning: cannot write {}: {e}", path.display());
-    } else {
-        println!("\nrecords written to {}", path.display());
-    }
+    crate::harness::persist("kernels", &JsonValue::Array(records));
 }
 
 #[cfg(test)]

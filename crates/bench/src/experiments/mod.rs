@@ -1,9 +1,9 @@
-//! One module per paper table/figure; each exposes `run(...)` printing the
-//! same rows/series the paper reports (plus a JSON record dump under
+//! One module per paper table/figure, plus the `kernels`, `index_build`,
+//! `physical`, `faults`, `service` and `shard` sweeps; each exposes
+//! `run(...)` printing its rows/series (plus a JSON record dump under
 //! `bench_results/`).
 
 pub mod ablation;
-pub mod adaptive;
 pub mod faults;
 pub mod fig11;
 pub mod fig12;
@@ -21,10 +21,8 @@ pub mod physical;
 pub mod queries;
 pub mod service;
 pub mod shard;
-pub mod stream;
 pub mod table1;
 pub mod table2;
-pub mod trace;
 
 use std::time::Duration;
 

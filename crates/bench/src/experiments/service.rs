@@ -116,7 +116,6 @@ pub fn run(scale: Scale) {
                 requests_per_client: requests,
                 request: format!("MATCH bench {}", query_path.display()),
                 think_ms,
-                ..LoadConfig::default()
             },
         );
 
@@ -208,17 +207,6 @@ pub fn run(scale: Scale) {
         .field("p99_ratio_peak_vs_base", p99_ratio)
         .field("target_p99_ratio", TARGET_P99_RATIO)
         .field("p99_within_target", p99_ratio <= TARGET_P99_RATIO)
-        .field("zero_dropped_responses", true)
-        .to_pretty();
-
-    let out_dir = std::path::Path::new("bench_results");
-    if let Err(e) = std::fs::create_dir_all(out_dir) {
-        eprintln!("warning: cannot create {}: {e}", out_dir.display());
-    } else {
-        let path = out_dir.join("service.json");
-        match std::fs::write(&path, json) {
-            Ok(()) => println!("wrote {}", path.display()),
-            Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-        }
-    }
+        .field("zero_dropped_responses", true);
+    crate::harness::persist("service", &json);
 }

@@ -318,23 +318,12 @@ pub fn run(scale: Scale) {
          columns, never the answer)"
     );
 
-    let out = std::path::Path::new("bench_results");
-    if let Err(e) = std::fs::create_dir_all(out) {
-        eprintln!("warning: cannot create {}: {e}", out.display());
-        return;
-    }
     let json = JsonValue::object()
         .field("dataset", dataset.abbrev())
         .field("scenarios_checked", scenarios_checked)
         .field("all_counts_match_oracle", true)
-        .field("runs", JsonValue::Array(rows))
-        .to_pretty();
-    let path = out.join("shard.json");
-    if let Err(e) = std::fs::write(&path, json) {
-        eprintln!("warning: cannot write {}: {e}", path.display());
-    } else {
-        println!("wrote {}", path.display());
-    }
+        .field("runs", JsonValue::Array(rows));
+    crate::harness::persist("shard", &json);
 }
 
 /// Clones a report's fields (ScatterReport is not `Clone`; the baseline is

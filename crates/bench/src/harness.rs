@@ -4,7 +4,7 @@ use std::time::{Duration, Instant};
 
 use ceci_core::{enumerate_parallel, Ceci, Counters, ParallelOptions, Strategy, VerifyMode};
 use ceci_graph::Graph;
-use ceci_query::{PlanOptions, QueryGraph, QueryPlan};
+use ceci_query::{QueryGraph, QueryPlan};
 
 use crate::json::JsonValue;
 
@@ -85,19 +85,27 @@ impl RunRecord {
     }
 }
 
-/// Writes records as JSON to `bench_results/<name>.json` (best effort;
+/// Writes `json` pretty-printed to `bench_results/<name>.json` (best effort;
 /// failures are reported to stderr, not fatal).
-pub fn persist_records(name: &str, records: &[RunRecord]) {
+pub fn persist(name: &str, json: &JsonValue) {
     let dir = std::path::Path::new("bench_results");
     if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!("warning: cannot create {}: {e}", dir.display());
         return;
     }
     let path = dir.join(format!("{name}.json"));
-    let json = JsonValue::Array(records.iter().map(RunRecord::to_json).collect()).to_pretty();
-    if let Err(e) = std::fs::write(&path, json) {
-        eprintln!("warning: cannot write {}: {e}", path.display());
+    match std::fs::write(&path, json.to_pretty()) {
+        Ok(()) => println!("wrote {}", path.display()),
+        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
     }
+}
+
+/// Writes records as a JSON array to `bench_results/<name>.json`.
+pub fn persist_records(name: &str, records: &[RunRecord]) {
+    persist(
+        name,
+        &JsonValue::Array(records.iter().map(RunRecord::to_json).collect()),
+    );
 }
 
 /// A full CECI run: plan + build + parallel enumeration. Returns
@@ -118,7 +126,11 @@ pub fn run_ceci(
     )
 }
 
-/// [`run_ceci`] with an explicit distribution strategy.
+/// [`run_ceci`] with an explicit distribution strategy. The elapsed time is
+/// the *modeled* total on a machine with one core per worker — serial setup
+/// (plan + index build) plus the parallel result's modeled makespan — the
+/// figure the scalability experiments report, since the experiment host
+/// may have fewer cores than the paper's 28-core server.
 pub fn run_ceci_with(
     graph: &Graph,
     query: QueryGraph,
@@ -126,66 +138,27 @@ pub fn run_ceci_with(
     limit: Option<u64>,
     strategy: Strategy,
 ) -> (Duration, Counters, u64) {
-    let (result, setup) = run_ceci_detail(graph, query, workers, limit, strategy);
-    // Modeled total: serial setup + decomposition + busiest worker's CPU
-    // time (meaningful even when the host has fewer cores than workers).
+    let start = Instant::now();
+    let plan = QueryPlan::new(query, graph);
+    let ceci = Ceci::build(graph, &plan);
+    let setup = start.elapsed();
+    let options = ParallelOptions {
+        workers,
+        strategy,
+        verify: VerifyMode::Intersection,
+        kernel: Default::default(),
+        limit,
+        collect: false,
+        build_threads: 1,
+        profile: false,
+        prune_redundant: false,
+    };
+    let result = enumerate_parallel(graph, &plan, &ceci, &options);
     (
         setup + result.modeled_makespan(),
         result.counters,
         result.total_embeddings,
     )
-}
-
-/// Full-detail CECI run: returns the parallel result plus the serial setup
-/// time (plan + index build). The *modeled* total runtime on a machine with
-/// one core per worker is `setup + result.modeled_makespan()` — the figure
-/// the scalability experiments report, since the experiment host may have
-/// fewer cores than the paper's 28-core server.
-pub fn run_ceci_detail(
-    graph: &Graph,
-    query: QueryGraph,
-    workers: usize,
-    limit: Option<u64>,
-    strategy: Strategy,
-) -> (ceci_core::ParallelResult, Duration) {
-    run_ceci_opts(
-        graph,
-        query,
-        &ParallelOptions {
-            workers,
-            strategy,
-            verify: VerifyMode::Intersection,
-            kernel: Default::default(),
-            limit,
-            collect: false,
-            build_threads: 1,
-            profile: false,
-            prune_redundant: false,
-        },
-    )
-}
-
-/// Fully-parameterized CECI run: `opts.build_threads` is plumbed into the
-/// index build ([`ceci_core::BuildOptions::threads`]) and the remaining
-/// options drive enumeration.
-pub fn run_ceci_opts(
-    graph: &Graph,
-    query: QueryGraph,
-    opts: &ParallelOptions,
-) -> (ceci_core::ParallelResult, Duration) {
-    let start = Instant::now();
-    let plan = QueryPlan::with_options(query, graph, &PlanOptions::default());
-    let ceci = Ceci::build_with(
-        graph,
-        &plan,
-        ceci_core::BuildOptions {
-            threads: opts.build_threads,
-            ..Default::default()
-        },
-    );
-    let setup = start.elapsed();
-    let result = enumerate_parallel(graph, &plan, &ceci, opts);
-    (result, setup)
 }
 
 #[cfg(test)]

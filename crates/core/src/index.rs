@@ -112,76 +112,6 @@ impl BuildStats {
     }
 }
 
-/// Records `build.filter` / `build.refine` / `build.merge` spans for a
-/// completed build onto `tracer`, reconstructing the stage timeline from
-/// [`BuildStats`] so the build itself pays zero tracing cost. The spans are
-/// children of `parent` (pass 0 for a root build) and end at the tracer
-/// clock's *call* instant; `build.merge` is nested inside `build.filter`
-/// (the deterministic chunk merge runs at the end of Algorithm 1). Returns
-/// the id of the enclosing `build.index` span.
-pub fn record_build_spans(
-    tracer: &ceci_trace::Tracer,
-    parent: u64,
-    tid: u32,
-    stats: &BuildStats,
-) -> u64 {
-    let end = tracer.now_ns();
-    let filter_ns = stats.filter_time.as_nanos() as u64;
-    let refine_ns = stats.refine_time.as_nanos() as u64;
-    let merge_ns = stats.merge_time.as_nanos() as u64;
-    let total_ns = filter_ns + refine_ns;
-    let start = end.saturating_sub(total_ns);
-    let root = tracer.span(
-        "build.index",
-        "build",
-        parent,
-        tid,
-        start,
-        total_ns,
-        vec![
-            ("pivots_final", stats.pivots_final as u64),
-            ("build_threads", stats.build_threads as u64),
-            ("size_bytes", stats.size_bytes as u64),
-        ],
-    );
-    let filter = tracer.span(
-        "build.filter",
-        "build",
-        root,
-        tid,
-        start,
-        filter_ns,
-        vec![
-            ("te_entries", stats.te_entries_after_filter as u64),
-            ("nte_entries", stats.nte_entries_after_filter as u64),
-            ("fanout_wall_ns", stats.filter_fanout_wall.as_nanos() as u64),
-            ("busy_max_ns", stats.filter_busy_max.as_nanos() as u64),
-        ],
-    );
-    tracer.span(
-        "build.merge",
-        "build",
-        filter,
-        tid,
-        (start + filter_ns).saturating_sub(merge_ns),
-        merge_ns,
-        Vec::new(),
-    );
-    tracer.span(
-        "build.refine",
-        "build",
-        root,
-        tid,
-        start + filter_ns,
-        refine_ns,
-        vec![
-            ("te_entries", stats.te_entries_after_refine as u64),
-            ("nte_entries", stats.nte_entries_after_refine as u64),
-        ],
-    );
-    root
-}
-
 /// The frozen Compact Embedding Cluster Index.
 #[derive(Clone, Debug)]
 pub struct Ceci {

@@ -1,64 +1,29 @@
-//! `ceci-client` — protocol client and closed-loop load generator.
+//! `ceci-client` — protocol client.
 //!
 //! ```text
 //! ceci-client --addr HOST:PORT [--retries N] CMD ARGS...  # one request
 //! ceci-client --addr HOST:PORT [--retries N]              # pipe stdin lines
-//! ceci-client --bench-local [options]          # self-contained load baseline
+//! ```
 //!
 //! `--retries N` retries BUSY rejections and transient transport failures
 //! (connection reset / EOF mid-response) up to N times with exponential
 //! backoff plus deterministic jitter, reconnecting as needed.
 //!
-//! bench-local options:
-//!   --clients N     concurrent connections (default 8)
-//!   --requests N    requests per connection (default 25)
-//!   --graph-n N     synthetic data-graph vertices (default 2000)
-//!   --query-size N  extracted query vertices (default 4)
-//!   --retries N     per-request retry budget for BUSY/transient errors
-//!                   (default 0 = one shot)
-//!   --think-ms N    think time between requests per client loop (default 0);
-//!                   with thousands of clients this keeps the offered load
-//!                   constant (offered_rps ≈ clients × 1000 / think_ms)
-//!   --out FILE      write a JSON report (e.g. bench_results/service.json)
-//! ```
-//!
-//! `--bench-local` starts an in-process server on a loopback ephemeral
-//! port, loads a deterministic synthetic labeled graph, extracts a query
-//! pattern from it, and drives the load generator against repeated `MATCH`
-//! requests — the cache-hit serving path under concurrency, with no
-//! external process management. Exit code is non-zero if any request
-//! errors.
-//!
-//! In one-shot mode the exit code mirrors the terminal line: 0 for `OK`,
-//! 3 for `BUSY`, 1 for `ERR`.
-//! ```
+//! The exit code mirrors the terminal line: 0 for `OK`, 3 for `BUSY`, 1 for
+//! `ERR`.
 
-use std::io::{BufRead, Write};
+use std::io::BufRead;
 use std::process::exit;
-use std::sync::Arc;
 
-use ceci_graph::extract::extract_query;
-use ceci_graph::generators::{erdos_renyi, inject_random_labels};
-use ceci_graph::io as graph_io;
-use ceci_service::{
-    run_load, start_with_state, Client, LoadConfig, RetryPolicy, ServeConfig, ServerState,
-};
+use ceci_service::{Client, RetryPolicy};
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: ceci-client --addr HOST:PORT [--retries N] [CMD ARGS...]\n       \
-         ceci-client --bench-local [--clients N] [--requests N] [--graph-n N] \
-         [--query-size N] [--retries N] [--think-ms N] [--out FILE]"
-    );
+    eprintln!("usage: ceci-client --addr HOST:PORT [--retries N] [CMD ARGS...]");
     exit(2)
 }
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    if raw.iter().any(|a| a == "--bench-local") {
-        bench_local(&raw);
-        return;
-    }
     let mut addr = String::new();
     let mut retries: u32 = 0;
     let mut command: Vec<String> = Vec::new();
@@ -152,160 +117,4 @@ fn send_and_print(
     } else {
         1
     })
-}
-
-struct BenchArgs {
-    clients: usize,
-    requests: usize,
-    graph_n: usize,
-    query_size: usize,
-    retries: u32,
-    think_ms: u64,
-    out: Option<String>,
-}
-
-fn parse_bench_args(raw: &[String]) -> BenchArgs {
-    let mut args = BenchArgs {
-        clients: 8,
-        requests: 25,
-        graph_n: 2000,
-        query_size: 4,
-        retries: 0,
-        think_ms: 0,
-        out: None,
-    };
-    let mut i = 0;
-    let value = |i: &mut usize| -> String {
-        *i += 1;
-        raw.get(*i).cloned().unwrap_or_else(|| usage())
-    };
-    while i < raw.len() {
-        match raw[i].as_str() {
-            "--bench-local" => {}
-            "--clients" => args.clients = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--requests" => args.requests = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--graph-n" => args.graph_n = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--query-size" => args.query_size = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--retries" => args.retries = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--think-ms" => args.think_ms = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--out" => args.out = Some(value(&mut i)),
-            "--help" | "-h" => usage(),
-            _ => usage(),
-        }
-        i += 1;
-    }
-    args
-}
-
-fn bench_local(raw: &[String]) {
-    let args = parse_bench_args(raw);
-
-    // Deterministic synthetic workload: a labeled ER graph plus a query
-    // pattern carved out of it (guaranteed at least one embedding).
-    let graph = inject_random_labels(
-        &erdos_renyi(args.graph_n, args.graph_n * 4, 0xCEC1),
-        4,
-        0xCEC1,
-    );
-    let extracted = extract_query(&graph, args.query_size, 7, 50).unwrap_or_else(|| {
-        eprintln!("error: could not extract a connected query; try a larger --graph-n");
-        exit(1);
-    });
-    let query_path = std::env::temp_dir().join(format!(
-        "ceci-bench-query-{}-{}.graph",
-        std::process::id(),
-        args.query_size
-    ));
-    let mut file = std::fs::File::create(&query_path).unwrap_or_else(|e| {
-        eprintln!("error: write query file: {e}");
-        exit(1);
-    });
-    graph_io::write_labeled(&extracted.pattern, &mut file).expect("serialize query");
-    file.flush().ok();
-
-    // In-process server on an ephemeral loopback port, graph preloaded.
-    let state = Arc::new(ServerState::new(ServeConfig {
-        pool_workers: args.clients.clamp(2, 8),
-        queue_cap: args.clients * 2,
-        ..ServeConfig::default()
-    }));
-    state.registry.insert("bench", graph);
-    let handle = start_with_state(Arc::clone(&state)).unwrap_or_else(|e| {
-        eprintln!("error: bind failed: {e}");
-        exit(1);
-    });
-
-    let request = format!("MATCH bench {}", query_path.display());
-    let load = LoadConfig {
-        clients: args.clients,
-        requests_per_client: args.requests,
-        request,
-        retry: (args.retries > 0).then(|| RetryPolicy {
-            max_retries: args.retries,
-            ..RetryPolicy::default()
-        }),
-        think_ms: args.think_ms,
-    };
-    let report = run_load(handle.addr(), &load);
-
-    let cache_hits = state
-        .metrics
-        .cache_hits
-        .load(std::sync::atomic::Ordering::Relaxed);
-    let cache_misses = state
-        .metrics
-        .cache_misses
-        .load(std::sync::atomic::Ordering::Relaxed);
-    handle.shutdown();
-    std::fs::remove_file(&query_path).ok();
-
-    let p50 = report.latency.quantile_us(0.50);
-    let p99 = report.latency.quantile_us(0.99);
-    println!(
-        "bench-local: clients={} requests={} ok={} busy={} err={} io_errors={}",
-        args.clients, args.requests, report.ok, report.busy, report.err, report.io_errors
-    );
-    println!(
-        "  throughput={:.1} req/s p50={p50}us p99={p99}us cache_hits={cache_hits} \
-         cache_misses={cache_misses}",
-        report.throughput_rps()
-    );
-
-    if let Some(out) = &args.out {
-        if let Some(parent) = std::path::Path::new(out).parent() {
-            std::fs::create_dir_all(parent).ok();
-        }
-        let json = format!(
-            "{{\n  \"benchmark\": \"service_bench_local\",\n  \"clients\": {},\n  \
-             \"requests_per_client\": {},\n  \"think_ms\": {},\n  \"graph_n\": {},\n  \
-             \"query_size\": {},\n  \
-             \"ok\": {},\n  \"busy\": {},\n  \"err\": {},\n  \"io_errors\": {},\n  \
-             \"wall_ms\": {},\n  \"throughput_rps\": {:.2},\n  \"latency_p50_us\": {},\n  \
-             \"latency_p99_us\": {},\n  \"cache_hits\": {},\n  \"cache_misses\": {}\n}}\n",
-            args.clients,
-            args.requests,
-            args.think_ms,
-            args.graph_n,
-            args.query_size,
-            report.ok,
-            report.busy,
-            report.err,
-            report.io_errors,
-            report.wall.as_millis(),
-            report.throughput_rps(),
-            p50,
-            p99,
-            cache_hits,
-            cache_misses,
-        );
-        std::fs::write(out, json).unwrap_or_else(|e| {
-            eprintln!("error: write {out}: {e}");
-            exit(1);
-        });
-        println!("  report written to {out}");
-    }
-
-    if report.err > 0 || report.io_errors > 0 {
-        exit(1);
-    }
 }

@@ -4,8 +4,8 @@
 //! of every response starts with `OK`, `BUSY`, or `ERR`, so it reads lines
 //! until one does. The load generator drives N connections in lock-step
 //! closed loops (each issues its next request only after the previous
-//! response lands) and aggregates latency/throughput — the `--bench-local`
-//! baseline and the CI smoke load both run on it.
+//! response lands) and aggregates latency/throughput — `repro service` and
+//! the many-client service tests run on it.
 //!
 //! ## Retries
 //!
@@ -324,11 +324,8 @@ pub struct LoadConfig {
     pub clients: usize,
     /// Requests per connection.
     pub requests_per_client: usize,
-    /// The request line every client repeats.
+    /// The request line every client repeats (one shot: no retry).
     pub request: String,
-    /// When set, each request retries `BUSY`/transient failures under this
-    /// policy (`None` = one shot, the historical behavior).
-    pub retry: Option<RetryPolicy>,
     /// Think time between requests, per client loop, in milliseconds. With
     /// thousands of mostly-idle connections this is what keeps the *offered*
     /// load constant while the connection count scales (Little's law:
@@ -344,7 +341,6 @@ impl Default for LoadConfig {
             clients: 8,
             requests_per_client: 100,
             request: "PING".to_string(),
-            retry: None,
             think_ms: 0,
         }
     }
@@ -361,10 +357,6 @@ pub struct LoadReport {
     pub err: u64,
     /// Transport failures (connect/read/write).
     pub io_errors: u64,
-    /// Retry attempts beyond the first (0 without a retry policy).
-    pub retries: u64,
-    /// Reconnections performed by the retry path.
-    pub reconnects: u64,
     /// Wall time of the whole run.
     pub wall: Duration,
     /// Per-request latency over successful responses.
@@ -390,8 +382,6 @@ struct Tallies {
     busy: std::sync::atomic::AtomicU64,
     err: std::sync::atomic::AtomicU64,
     io_errors: std::sync::atomic::AtomicU64,
-    retries: std::sync::atomic::AtomicU64,
-    reconnects: std::sync::atomic::AtomicU64,
     latency: LatencyHistogram,
 }
 
@@ -432,11 +422,6 @@ pub fn run_load(addr: std::net::SocketAddr, config: &LoadConfig) -> LoadReport {
         let stagger = Duration::from_millis(
             config.think_ms.saturating_mul(client_idx as u64) / config.clients.max(1) as u64,
         );
-        let retry = config.retry.map(|mut p| {
-            // De-correlate the jitter schedules across client loops.
-            p.jitter_seed = splitmix64(p.jitter_seed ^ client_idx as u64);
-            p
-        });
         // Default thread stacks are 2–8 MB of reserved address space; at
         // thousands of client loops that adds up. These loops recurse
         // nowhere, so a small fixed stack keeps a 10k-client run cheap.
@@ -460,15 +445,7 @@ pub fn run_load(addr: std::net::SocketAddr, config: &LoadConfig) -> LoadReport {
                     std::thread::sleep(think);
                 }
                 let t = Instant::now();
-                let outcome = match &retry {
-                    Some(policy) => client.request_with_retry(&line, policy).map(|o| {
-                        bump(&tallies.retries, (o.attempts - 1) as u64);
-                        bump(&tallies.reconnects, o.reconnects as u64);
-                        o.response
-                    }),
-                    None => client.request(&line),
-                };
-                match outcome {
+                match client.request(&line) {
                     Ok(resp) if resp.is_ok() => {
                         tallies.latency.record(t.elapsed());
                         bump(&tallies.ok, 1);
@@ -499,8 +476,6 @@ pub fn run_load(addr: std::net::SocketAddr, config: &LoadConfig) -> LoadReport {
         busy: g(&tallies.busy),
         err: g(&tallies.err),
         io_errors: g(&tallies.io_errors),
-        retries: g(&tallies.retries),
-        reconnects: g(&tallies.reconnects),
         wall,
         latency: tallies.latency,
     }

@@ -51,7 +51,7 @@
 //!
 //! Everything is std-only: no async runtime, no external crates. Three bins
 //! ship with the crate: `ceci-serve` (the daemon), `ceci-client` (one-shot
-//! commands, interactive piping, and `--bench-local` load baseline) and
+//! commands and interactive piping) and
 //! `ceci-shard` (the same server core over state that holds a fragment
 //! plane, [`shard`]: it answers a coordinator's `PREPARE` / `EXEC`).
 

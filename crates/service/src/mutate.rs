@@ -191,9 +191,9 @@ fn exec_mutate_vids(
 
 /// `BATCH <graph> FILE <path>`: reads a SNAP temporal edge list server-side
 /// and applies every edge as one batch of additions (timestamps order the
-/// file; the whole file is one batch boundary here — `repro stream` slices
-/// files into per-timestamp batches client-side when finer boundaries are
-/// wanted).
+/// file; the whole file is one batch boundary here — a client that wants
+/// finer boundaries slices the file into per-timestamp batches with
+/// [`graph_io::batch_by_timestamp`] and sends each as an inline `BATCH`).
 pub(crate) fn exec_batch_file(state: &ServerState, graph_name: &str, path: &str) -> Reply {
     let edges = graph_io::load_temporal(path)
         .map_err(|e| state.fail(ErrorCode::Mutation, format!("batch file load failed: {e}")))?;

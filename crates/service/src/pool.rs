@@ -18,10 +18,11 @@
 //! is therefore a *supervisor*: it runs the drain loop under
 //! [`std::panic::catch_unwind`], and when a job panics it counts the panic
 //! (optionally notifying a hook, which the server wires to its
-//! `panics_caught` metric), increments the respawn counter, and re-enters
-//! the drain loop on the same thread — logically a worker respawn without
-//! paying for a new OS thread. The queue mutex is only ever held around
-//! push/pop (never across a job), so a job panic cannot poison it.
+//! `panics_caught` metric) and re-enters the drain loop on the same
+//! thread — logically a worker respawn without paying for a new OS thread,
+//! so one caught panic is one respawn and one counter says both. The queue
+//! mutex is only ever held around push/pop (never across a job), so a job
+//! panic cannot poison it.
 
 use std::collections::VecDeque;
 use std::io;
@@ -50,10 +51,9 @@ struct Shared {
     /// Signalled on push and on shutdown.
     available: Condvar,
     capacity: usize,
-    /// Job panics caught by worker supervisors.
+    /// Job panics caught by worker supervisors; each one restarted its
+    /// worker's drain loop.
     panics: AtomicU64,
-    /// Worker drain loops restarted after a caught panic.
-    respawns: AtomicU64,
     /// Optional per-panic notification.
     on_panic: Option<PanicHook>,
 }
@@ -95,7 +95,6 @@ impl WorkerPool {
             available: Condvar::new(),
             capacity: queue_cap.max(1),
             panics: AtomicU64::new(0),
-            respawns: AtomicU64::new(0),
             on_panic,
         });
         let mut handles = Vec::with_capacity(workers);
@@ -123,14 +122,10 @@ impl WorkerPool {
         })
     }
 
-    /// Job panics caught (and survived) by the pool so far.
+    /// Job panics caught (and survived) by the pool so far — equally, the
+    /// worker drain loops restarted.
     pub fn panics_caught(&self) -> u64 {
         self.shared.panics.load(Ordering::Relaxed)
-    }
-
-    /// Worker drain loops restarted after a caught panic.
-    pub fn respawns(&self) -> u64 {
-        self.shared.respawns.load(Ordering::Relaxed)
     }
 
     /// Admits `job` if the queue has room; otherwise rejects immediately.
@@ -195,9 +190,9 @@ impl PoolHandle {
 }
 
 /// Exactly-once delivery of a data-plane job's response lines back to the
-/// connection that submitted it — the pool side of the completion hand-off
-/// shared by the threaded server (mpsc channel) and the event loop
-/// (completion queue + eventfd wake).
+/// connection that submitted it — the pool side of the event loop's
+/// completion hand-off (the lines are pushed on its completion queue and an
+/// eventfd wakes the loop).
 ///
 /// The job calls [`Completion::deliver`] with the response on its normal
 /// path. If the job panics first, the guard is dropped during the unwind
@@ -258,7 +253,6 @@ fn supervisor_loop(shared: &Shared) {
             Ok(()) => return, // shutdown requested
             Err(_payload) => {
                 shared.panics.fetch_add(1, Ordering::Relaxed);
-                shared.respawns.fetch_add(1, Ordering::Relaxed);
                 if let Some(hook) = &shared.on_panic {
                     hook();
                 }
@@ -375,7 +369,6 @@ mod tests {
         }));
         assert_eq!(rx.recv_timeout(Duration::from_secs(5)).unwrap(), "survived");
         assert_eq!(pool.panics_caught(), 1);
-        assert_eq!(pool.respawns(), 1);
         assert_eq!(hook_fires.load(Ordering::SeqCst), 1);
         pool.shutdown();
     }

@@ -5,31 +5,25 @@
 //! dependencies** so it can be threaded through every layer of the workspace
 //! without pulling anything from crates.io. It provides:
 //!
-//! * [`Tracer`] — a span recorder with atomic span-id allocation, a
-//!   process-epoch monotonic clock, and [`LocalSpans`] worker-local bounded
-//!   buffers so recording on worker threads is a plain `Vec` push (no lock,
-//!   no syscall); buffers are merged into the shared store in one batch at
-//!   flush points.
-//! * [`SpanRecord`] — one named stage occurrence (`build.filter`,
-//!   `enumerate.depth{d}`, `distributed.machine{m}`, `service.request`, …)
-//!   with span id / parent id, nanosecond timestamp + duration, and small
-//!   static-key integer args.
+//! * [`Tracer`] — a span recorder with atomic span-id allocation and a
+//!   process-epoch monotonic clock; spans are recorded at stage boundaries
+//!   into one shared store.
+//! * [`SpanRecord`] — one named stage occurrence (`service.request`,
+//!   `service.repair`, `distributed.machine{m}`, …) with span id / parent
+//!   id, nanosecond timestamp + duration, and small static-key integer args.
 //! * [`DepthProfile`] — a preallocated per-matching-order-depth profile for
 //!   the enumeration hot path: exact candidate fan-out / intersection-op /
 //!   backtrack counters plus stride-sampled coarse timestamps, with **zero
 //!   allocations** in the steady state.
-//! * [`chrome`] — Chrome `trace_event` JSON export (loadable in
-//!   `about:tracing` and Perfetto).
 //! * [`prom`] — Prometheus text-exposition writer and a tiny validating
 //!   parser (used by tests and CI; no external dependency).
 
 #![warn(missing_docs)]
 
-pub mod chrome;
 pub mod profile;
 pub mod prom;
 pub mod tracer;
 
 pub use profile::{DepthProfile, DepthStat};
 pub use prom::PromWriter;
-pub use tracer::{LocalSpans, SpanRecord, Tracer};
+pub use tracer::{SpanRecord, Tracer};

@@ -2,9 +2,9 @@
 //!
 //! The writer emits version 0.0.4 text format (`# HELP` / `# TYPE` headers,
 //! one sample per line). The parser is deliberately small — just enough to
-//! validate what this workspace emits — and is used by the service tests,
-//! the `repro trace` experiment, and CI so no external Prometheus dependency
-//! is needed to prove the exposition is well-formed.
+//! validate what this workspace emits — and is used by the service tests
+//! and CI so no external Prometheus dependency is needed to prove the
+//! exposition is well-formed.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -1,21 +1,16 @@
-//! Span recorder: atomic ids, monotonic process-epoch clock, worker-local
-//! bounded buffers merged into a shared store in batches.
+//! Span recorder: atomic ids, monotonic process-epoch clock, one shared
+//! store.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// Maximum number of inline args per span. Spans are recorded outside the
-/// enumeration steady state, so a small heap-backed vec is fine; the constant
-/// only bounds what exporters render.
-pub const MAX_ARGS: usize = 8;
-
 /// One recorded stage occurrence.
 ///
-/// `name` is a static stage name from the taxonomy (`build.filter`,
-/// `enumerate.depth`, `distributed.machine`, `service.request`, …). When
-/// `index` is set, exporters append it to the name (`enumerate.depth3`,
-/// `distributed.machine1`) so hot paths never format strings.
+/// `name` is a static stage name from the taxonomy (`service.request`,
+/// `service.repair`, `distributed.machine`, …). When `index` is set,
+/// [`SpanRecord::full_name`] appends it (`distributed.machine1`) so hot
+/// paths never format strings.
 #[derive(Debug, Clone)]
 pub struct SpanRecord {
     /// Unique span id (never 0).
@@ -24,17 +19,17 @@ pub struct SpanRecord {
     pub parent: u64,
     /// Static stage name.
     pub name: &'static str,
-    /// Optional numeric suffix (depth, machine id) appended at export time.
+    /// Optional numeric suffix (machine id) appended by `full_name`.
     pub index: Option<u32>,
-    /// Category (`build`, `enumerate`, `distributed`, `service`).
+    /// Category (`distributed`, `service`).
     pub cat: &'static str,
-    /// Start timestamp in nanoseconds. For `service`/`build`/`enumerate`
-    /// spans this is the tracer's monotonic process-epoch clock; for
-    /// `distributed` spans it is the simulator's virtual clock.
+    /// Start timestamp in nanoseconds. For `service` spans this is the
+    /// tracer's monotonic process-epoch clock; for `distributed` spans it is
+    /// the simulator's virtual clock.
     pub ts_ns: u64,
-    /// Duration in nanoseconds; 0 marks an instant event.
+    /// Duration in nanoseconds.
     pub dur_ns: u64,
-    /// Logical thread / machine lane for the exporter.
+    /// Logical thread / machine lane.
     pub tid: u32,
     /// Small set of static-key integer arguments.
     pub args: Vec<(&'static str, u64)>,
@@ -52,16 +47,14 @@ impl SpanRecord {
 
 /// Shared span store.
 ///
-/// Recording through a [`LocalSpans`] buffer is a plain `Vec::push`; the
-/// mutex is only taken when a worker flushes its batch (at stage boundaries,
-/// never inside the enumeration loop), so the hot path is lock-free by
-/// construction.
+/// Every span is recorded under the store's mutex. Spans are recorded at
+/// stage boundaries (a served request's stages, a simulated machine's
+/// phases), never inside the enumeration loop.
 pub struct Tracer {
     enabled: AtomicBool,
     next_id: AtomicU64,
     epoch: Instant,
     store: Mutex<Vec<SpanRecord>>,
-    dropped: AtomicU64,
 }
 
 impl Default for Tracer {
@@ -78,7 +71,6 @@ impl Tracer {
             next_id: AtomicU64::new(1),
             epoch: Instant::now(),
             store: Mutex::new(Vec::new()),
-            dropped: AtomicU64::new(0),
         }
     }
 
@@ -130,49 +122,12 @@ impl Tracer {
         id
     }
 
-    /// Record an instant (zero-duration) event at the current clock.
-    pub fn instant(
-        &self,
-        name: &'static str,
-        cat: &'static str,
-        parent: u64,
-        tid: u32,
-        args: Vec<(&'static str, u64)>,
-    ) -> u64 {
-        let ts = self.now_ns();
-        self.span(name, cat, parent, tid, ts, 0, args)
-    }
-
     /// Record a single span record.
     pub fn record(&self, rec: SpanRecord) {
         if !self.enabled() {
             return;
         }
         self.store.lock().unwrap().push(rec);
-    }
-
-    /// Merge a drained worker-local batch under one lock acquisition.
-    pub fn record_batch(&self, batch: &mut Vec<SpanRecord>) {
-        if batch.is_empty() {
-            return;
-        }
-        if !self.enabled() {
-            batch.clear();
-            return;
-        }
-        self.store.lock().unwrap().append(batch);
-    }
-
-    /// Note that `n` spans were dropped by a saturated local buffer.
-    pub fn note_dropped(&self, n: u64) {
-        if n > 0 {
-            self.dropped.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Total spans dropped by saturated local buffers.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
     }
 
     /// Number of spans currently in the store.
@@ -190,62 +145,6 @@ impl Tracer {
         let mut v = self.store.lock().unwrap().clone();
         v.sort_by_key(|s| (s.ts_ns, s.id));
         v
-    }
-
-    /// Drain all recorded spans, sorted by start timestamp.
-    pub fn take(&self) -> Vec<SpanRecord> {
-        let mut v = std::mem::take(&mut *self.store.lock().unwrap());
-        v.sort_by_key(|s| (s.ts_ns, s.id));
-        v
-    }
-}
-
-/// Bounded worker-local span buffer.
-///
-/// Pushes are plain vector appends (lock-free); once `cap` is reached further
-/// spans are counted as dropped instead of reallocating, keeping worst-case
-/// memory bounded. Call [`LocalSpans::flush`] at a stage boundary to merge
-/// into the shared [`Tracer`] store.
-pub struct LocalSpans {
-    buf: Vec<SpanRecord>,
-    cap: usize,
-    dropped: u64,
-}
-
-impl LocalSpans {
-    /// New buffer that holds at most `cap` spans between flushes.
-    pub fn new(cap: usize) -> Self {
-        LocalSpans {
-            buf: Vec::with_capacity(cap.min(256)),
-            cap: cap.max(1),
-            dropped: 0,
-        }
-    }
-
-    /// Buffered span count.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Append a span, or count it as dropped when the buffer is full.
-    pub fn push(&mut self, rec: SpanRecord) {
-        if self.buf.len() >= self.cap {
-            self.dropped += 1;
-        } else {
-            self.buf.push(rec);
-        }
-    }
-
-    /// Merge buffered spans (and the drop count) into `tracer`.
-    pub fn flush(&mut self, tracer: &Tracer) {
-        tracer.record_batch(&mut self.buf);
-        tracer.note_dropped(self.dropped);
-        self.dropped = 0;
     }
 }
 
@@ -273,30 +172,6 @@ mod tests {
         t.set_enabled(true);
         t.span("x", "service", 0, 0, 0, 1, Vec::new());
         assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    fn local_buffer_bounds_and_flushes() {
-        let t = Tracer::new();
-        let mut local = LocalSpans::new(2);
-        for i in 0..5 {
-            local.push(SpanRecord {
-                id: t.next_span_id(),
-                parent: 0,
-                name: "enumerate.depth",
-                index: Some(i),
-                cat: "enumerate",
-                ts_ns: i as u64,
-                dur_ns: 1,
-                tid: 7,
-                args: Vec::new(),
-            });
-        }
-        assert_eq!(local.len(), 2);
-        local.flush(&t);
-        assert!(local.is_empty());
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.dropped(), 3);
     }
 
     #[test]
