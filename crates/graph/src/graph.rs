@@ -2,8 +2,9 @@
 //!
 //! [`Graph`] combines CSR adjacency with per-vertex [`LabelSet`]s, a
 //! label → vertices inverted index (used by root selection and candidate
-//! seeding), and an optional precomputed neighborhood-label-count (NLC)
-//! index used by the paper's NLC filter (§3.2).
+//! seeding), and two optional indexes built by one walk of the adjacency:
+//! the per-vertex neighborhood-label-count (NLC) rows the paper's NLC filter
+//! reads (§3.2), and the label-pair admission index derived from those rows.
 //!
 //! Directed inputs are symmetrized: the paper matches undirected query graphs
 //! against directed or undirected data graphs, and its candidate/adjacency
@@ -53,13 +54,15 @@ pub struct Graph {
     label_pairs: Option<LabelPairIndex>,
 }
 
-/// Precomputed neighborhood label counts: for each vertex, a sorted
-/// `(label, count)` list over the labels appearing among its neighbors.
+/// Precomputed neighborhood label counts (l2Match's neighbouring-label
+/// index): for each vertex, a sorted `(label, count)` row over the labels
+/// appearing among its neighbors, all rows in one flat array.
 ///
 /// The NLC filter asks, for every distinct label `l` in the query node's
 /// neighborhood, whether `count_v(l) >= count_u(l)`. With this index the
 /// check is a merge over two short sorted lists instead of a rescan of the
-/// data vertex's adjacency.
+/// data vertex's adjacency. The rows are also all the
+/// [`LabelPairIndex`] is derived from, so one label walk builds both.
 #[derive(Clone, Debug)]
 pub struct NlcIndex {
     offsets: Vec<usize>,
@@ -67,30 +70,32 @@ pub struct NlcIndex {
 }
 
 impl NlcIndex {
-    fn build(csr: &Csr, labels: &[LabelSet]) -> Self {
+    /// One walk of every adjacency list: each neighbor's labels are counted
+    /// into a dense per-label array, and the labels seen are sorted into
+    /// the vertex's row and zeroed again.
+    fn build(csr: &Csr, labels: &[LabelSet], num_labels: u32) -> Self {
         let n = csr.num_vertices();
         let mut offsets = Vec::with_capacity(n + 1);
         let mut entries: Vec<(LabelId, u32)> = Vec::new();
         offsets.push(0);
-        let mut scratch: Vec<LabelId> = Vec::new();
+        let mut counts = vec![0u32; num_labels as usize];
+        let mut seen: Vec<LabelId> = Vec::new();
         for v in 0..n {
-            scratch.clear();
             for &nb in csr.neighbors(VertexId::from_index(v)) {
-                scratch.extend(labels[nb.index()].iter());
-            }
-            scratch.sort_unstable();
-            let mut i = 0;
-            while i < scratch.len() {
-                let l = scratch[i];
-                let mut j = i + 1;
-                while j < scratch.len() && scratch[j] == l {
-                    j += 1;
+                for m in labels[nb.index()].iter() {
+                    if counts[m.index()] == 0 {
+                        seen.push(m);
+                    }
+                    counts[m.index()] += 1;
                 }
-                entries.push((l, (j - i) as u32));
-                i = j;
+            }
+            seen.sort_unstable();
+            for m in seen.drain(..) {
+                entries.push((m, std::mem::take(&mut counts[m.index()])));
             }
             offsets.push(entries.len());
         }
+        entries.shrink_to_fit();
         NlcIndex { offsets, entries }
     }
 
@@ -143,34 +148,30 @@ impl LabelPairIndex {
         ((l.0 as u64) << 32) | m.0 as u64
     }
 
-    fn build(csr: &Csr, labels: &[LabelSet]) -> Self {
-        use std::collections::HashMap;
-        let mut max: HashMap<u64, u32> = HashMap::new();
-        let mut scratch: Vec<LabelId> = Vec::new();
-        for v in 0..csr.num_vertices() {
-            // Neighborhood label multiset of v, as sorted runs.
-            scratch.clear();
-            for &nb in csr.neighbors(VertexId::from_index(v)) {
-                scratch.extend(labels[nb.index()].iter());
+    /// The exact maxima, read off the NLC rows label class by label class:
+    /// `(l, m)` is the largest `m` count in the rows of the vertices
+    /// `label_index[l]` lists. Classes come in label order and each class's
+    /// neighbor labels are sorted, so the entries come out sorted.
+    fn from_rows(rows: &NlcIndex, label_index: &[Vec<VertexId>]) -> Self {
+        let mut max = vec![0u32; label_index.len()];
+        let mut seen: Vec<LabelId> = Vec::new();
+        let mut entries: Vec<(u64, u32)> = Vec::new();
+        for (l, members) in label_index.iter().enumerate() {
+            for &v in members {
+                for &(m, count) in rows.counts(v) {
+                    let slot = &mut max[m.index()];
+                    if *slot == 0 {
+                        seen.push(m);
+                    }
+                    *slot = (*slot).max(count);
+                }
             }
-            scratch.sort_unstable();
-            let mut i = 0;
-            while i < scratch.len() {
-                let m = scratch[i];
-                let mut j = i + 1;
-                while j < scratch.len() && scratch[j] == m {
-                    j += 1;
-                }
-                let count = (j - i) as u32;
-                for l in labels[v].iter() {
-                    let e = max.entry(Self::key(l, m)).or_insert(0);
-                    *e = (*e).max(count);
-                }
-                i = j;
+            seen.sort_unstable();
+            for m in seen.drain(..) {
+                let count = std::mem::take(&mut max[m.index()]);
+                entries.push((Self::key(LabelId(l as u32), m), count));
             }
         }
-        let mut entries: Vec<(u64, u32)> = max.into_iter().collect();
-        entries.sort_unstable_by_key(|&(k, _)| k);
         LabelPairIndex { entries }
     }
 
@@ -323,6 +324,9 @@ impl Graph {
     /// and the alphabet size are shared with it, the stamp is fresh, and
     /// the optional NLC and label-pair indexes are left unset (the
     /// streaming layer attaches its maintained label-pair index itself).
+    /// Rows rebuilt here would cost every batch a walk of every adjacency
+    /// list and every live snapshot a copy of them; a candidate scan on a
+    /// snapshot without rows walks the adjacency of the vertices it tests.
     pub(crate) fn patched(&self, delta: &[EdgeDelta]) -> Graph {
         Graph {
             stamp: GraphStamp::fresh(),
@@ -354,7 +358,7 @@ impl Graph {
     /// Precomputes the NLC index. Idempotent.
     pub fn build_nlc_index(&mut self) {
         if self.nlc.is_none() {
-            self.nlc = Some(NlcIndex::build(&self.csr, &self.labels));
+            self.nlc = Some(NlcIndex::build(&self.csr, &self.labels, self.num_labels));
         }
     }
 
@@ -364,10 +368,14 @@ impl Graph {
         self.nlc.as_ref()
     }
 
-    /// Precomputes the label-pair admission index. Idempotent.
+    /// Precomputes the label-pair admission index and the NLC index it is
+    /// derived from: the rows are built if absent (the one walk of every
+    /// adjacency list), then the exact maxima are read off them. Idempotent.
     pub fn build_label_pair_index(&mut self) {
+        self.build_nlc_index();
         if self.label_pairs.is_none() {
-            self.label_pairs = Some(LabelPairIndex::build(&self.csr, &self.labels));
+            let rows = self.nlc.as_ref().expect("built above");
+            self.label_pairs = Some(LabelPairIndex::from_rows(rows, &self.label_index));
         }
     }
 
@@ -654,6 +662,27 @@ mod tests {
         // Every A-vertex (0 and 2) has exactly one B-neighbor (vertex 1).
         assert_eq!(lp.max_count(lid(0), lid(1)), 1);
         assert_eq!(lp.max_count(lid(0), lid(0)), 0);
+    }
+
+    #[test]
+    fn label_pair_index_builds_the_rows_it_is_derived_from() {
+        let mut g = fixture();
+        g.build_label_pair_index();
+        let rows = g.nlc_index().expect("built with the label pairs");
+        // Vertex 1(B) has neighbors {0(A), 2(A,B), 3(C)}.
+        assert_eq!(
+            rows.counts(vid(1)),
+            &[(lid(0), 2), (lid(1), 1), (lid(2), 1)]
+        );
+        assert_eq!(rows.counts(vid(3)), &[(lid(0), 1), (lid(1), 2)]);
+        // Rows already present are kept, and the maxima read off them.
+        let mut h = fixture();
+        h.build_nlc_index();
+        h.build_label_pair_index();
+        assert_eq!(
+            h.label_pair_index().unwrap().entries,
+            g.label_pair_index().unwrap().entries
+        );
     }
 
     #[test]

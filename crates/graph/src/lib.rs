@@ -7,8 +7,10 @@
 //! Provides:
 //!
 //! * [`Graph`] — labeled graphs over sorted-adjacency CSR storage ([`Csr`]),
-//!   with a label inverted index and an optional neighborhood-label-count
-//!   index ([`graph::NlcIndex`]) backing the paper's NLC filter.
+//!   with a label inverted index and two optional indexes that one walk of
+//!   the adjacency builds: the neighborhood-label-count rows
+//!   ([`graph::NlcIndex`]) backing the paper's NLC filter, and the
+//!   [`LabelPairIndex`] admission summary derived from them.
 //! * [`GraphBuilder`] — incremental construction.
 //! * [`io`] — SNAP edge lists, the labeled `t/v/e` text format, and a compact
 //!   binary format used by the simulated shared store.

@@ -79,7 +79,7 @@ pub fn admission_check(query: &QueryGraph, graph: &Graph) -> AdmissionVerdict {
     for u in query.vertices() {
         let qc = query.neighborhood_label_counts(u);
         for l in query.labels(u).iter() {
-            for &(m, c) in &qc {
+            for &(m, c) in qc {
                 if lp.max_count(l, m) < c {
                     return AdmissionVerdict::SignatureExceeded {
                         label: l,
@@ -107,14 +107,18 @@ pub fn degree_filter(query: &QueryGraph, graph: &Graph, u: VertexId, v: VertexId
     graph.degree(v) >= query.degree(u)
 }
 
-/// Query-side NLC profiles up to this many labels are checked against an
-/// un-indexed graph in one walk of the data vertex's adjacency.
+/// One walk of a data vertex's adjacency checks this many labels of a
+/// query-side NLC profile against a graph without NLC rows.
 const NLC_ONE_PASS: usize = 8;
 
 /// Returns `true` if `v` passes the neighborhood label count filter (NLCF)
 /// for `u`: for every distinct label `l` among `u`'s neighbors,
 /// `count_v(l) ≥ count_u(l)`.
-pub fn nlc_filter(query_counts: &[(ceci_graph::LabelId, u32)], graph: &Graph, v: VertexId) -> bool {
+///
+/// A graph with NLC rows answers by merging `v`'s row with the profile; a
+/// graph without (a streamed snapshot) by walking `v`'s adjacency, once per
+/// `NLC_ONE_PASS` (8) labels of the profile.
+pub fn nlc_filter(query_counts: &[(LabelId, u32)], graph: &Graph, v: VertexId) -> bool {
     if let Some(nlc) = graph.nlc_index() {
         // Merge the two sorted (label, count) lists.
         let vc = nlc.counts(v);
@@ -128,41 +132,43 @@ pub fn nlc_filter(query_counts: &[(ceci_graph::LabelId, u32)], graph: &Graph, v:
             }
         }
         true
-    } else if query_counts.len() <= NLC_ONE_PASS {
-        // One walk of `v`'s adjacency for the whole profile: each neighbor
-        // pays down the labels it carries, and the walk stops as soon as
-        // nothing is owed.
-        let mut need = [0u32; NLC_ONE_PASS];
-        for (slot, &(_, cu)) in need.iter_mut().zip(query_counts) {
-            *slot = cu;
-        }
-        let mut open = query_counts.iter().filter(|&&(_, cu)| cu > 0).count();
-        if open == 0 {
-            return true;
-        }
-        for &nb in graph.neighbors(v) {
-            let labels = graph.labels(nb);
-            for (slot, &(l, _)) in need.iter_mut().zip(query_counts) {
-                if *slot > 0 && labels.contains(l) {
-                    *slot -= 1;
-                    if *slot == 0 {
-                        open -= 1;
-                        if open == 0 {
-                            return true;
-                        }
+    } else {
+        query_counts
+            .chunks(NLC_ONE_PASS)
+            .all(|chunk| walk_pays(chunk, graph, v))
+    }
+}
+
+/// Does one walk of `v`'s adjacency meet `profile` (at most
+/// [`NLC_ONE_PASS`] labels)? Each neighbor pays down the labels it carries,
+/// and the walk stops as soon as nothing is owed.
+fn walk_pays(profile: &[(LabelId, u32)], graph: &Graph, v: VertexId) -> bool {
+    let mut need = [0u32; NLC_ONE_PASS];
+    for (slot, &(_, cu)) in need.iter_mut().zip(profile) {
+        *slot = cu;
+    }
+    let mut open = profile.iter().filter(|&&(_, cu)| cu > 0).count();
+    if open == 0 {
+        return true;
+    }
+    for &nb in graph.neighbors(v) {
+        let labels = graph.labels(nb);
+        for (slot, &(l, _)) in need.iter_mut().zip(profile) {
+            if *slot > 0 && labels.contains(l) {
+                *slot -= 1;
+                if *slot == 0 {
+                    open -= 1;
+                    if open == 0 {
+                        return true;
                     }
                 }
             }
         }
-        false
-    } else {
-        query_counts
-            .iter()
-            .all(|&(l, cu)| graph.neighbor_label_count(v, l) >= cu)
     }
+    false
 }
 
-/// Precomputed per-query-node filter profiles (LF + DF + NLCF) for repeated
+/// The per-vertex filters (LF + DF + NLCF) of one query for repeated
 /// membership tests — the dirty-candidate localization primitive of the
 /// streaming repair path.
 ///
@@ -170,24 +176,17 @@ pub fn nlc_filter(query_counts: &[(ceci_graph::LabelId, u32)], graph: &Graph, v:
 /// mutation endpoints (their degree and neighborhood label counts moved) and
 /// filtered adjacency at the endpoints' neighbors, so incremental index
 /// repair re-tests exactly those vertices against each query node instead of
-/// re-filtering the whole graph. `VertexFilters` hoists the query-side NLC
-/// profiles out of that inner loop.
-#[derive(Clone, Debug)]
+/// re-filtering the whole graph. The query-side NLC profiles are the query
+/// graph's own rows, so nothing is computed per call.
+#[derive(Clone, Copy, Debug)]
 pub struct VertexFilters<'q> {
     query: &'q QueryGraph,
-    /// `nlc[u]` = sorted `(label, count)` neighborhood profile of query
-    /// vertex `u`.
-    nlc: Vec<Vec<(LabelId, u32)>>,
 }
 
 impl<'q> VertexFilters<'q> {
-    /// Precomputes the per-node query profiles.
+    /// The filters of `query`.
     pub fn new(query: &'q QueryGraph) -> Self {
-        let nlc = query
-            .vertices()
-            .map(|u| query.neighborhood_label_counts(u))
-            .collect();
-        VertexFilters { query, nlc }
+        VertexFilters { query }
     }
 
     /// Does data vertex `v` pass all three per-vertex filters for query
@@ -196,7 +195,7 @@ impl<'q> VertexFilters<'q> {
     pub fn passes(&self, graph: &Graph, u: VertexId, v: VertexId) -> bool {
         label_filter(self.query, graph, u, v)
             && degree_filter(self.query, graph, u, v)
-            && nlc_filter(&self.nlc[u.index()], graph, v)
+            && nlc_filter(self.query.neighborhood_label_counts(u), graph, v)
     }
 }
 
@@ -315,7 +314,7 @@ pub fn candidates_of(query: &QueryGraph, graph: &Graph, u: VertexId) -> Vec<Vert
         .copied()
         .filter(|&v| label_filter(query, graph, u, v))
         .filter(|&v| degree_filter(query, graph, u, v))
-        .filter(|&v| nlc_filter(&qc, graph, v))
+        .filter(|&v| nlc_filter(qc, graph, v))
         .collect()
 }
 
@@ -391,12 +390,26 @@ mod tests {
         Graph::new(label_sets, &edges, false)
     }
 
+    /// Three label-0 hubs over seventeen leaves labeled 1..=17: hub 0 sees
+    /// every leaf, hub 1 all but label 3 (in the first eight of a profile
+    /// asking for all seventeen), hub 2 all but label 17 (in its remainder).
+    fn fans() -> Graph {
+        let labels = (0..20)
+            .map(|i| LabelSet::single(lid(i.max(2) - 2)))
+            .collect();
+        let edges: Vec<_> = (0..3)
+            .flat_map(|hub| (3..20).map(move |leaf| (vid(hub), vid(leaf))))
+            .filter(|&(hub, leaf)| !matches!((hub.0, leaf.0), (1, 5) | (2, 19)))
+            .collect();
+        Graph::new(labels, &edges, false)
+    }
+
     #[test]
     fn nlc_filter_with_and_without_index_agree() {
         let q = edge_query();
-        // Star queries over the ring: the hub's profile asks for several
-        // labels at once and for counts above one; the last is longer than
-        // the one-pass need array and takes the per-label path.
+        // Star queries: the hub's profile asks for several labels at once
+        // and for counts above one; the last two are longer than one walk's
+        // need array, and the 17-label one is two full walks and a third.
         let star = |hub: u32, leaves: &[u32]| {
             let labels: Vec<_> = std::iter::once(hub)
                 .chain(leaves.iter().copied())
@@ -405,16 +418,22 @@ mod tests {
             let edges: Vec<_> = (1..=leaves.len() as u32).map(|i| (0, i)).collect();
             QueryGraph::with_labels(&labels, &edges).unwrap()
         };
+        let all17: Vec<u32> = (1..=17).collect();
         let cases = [
             (data(), q),
             (chorded_ring(4), star(0, &[1, 1, 2])),
             (chorded_ring(4), star(1, &[0, 0, 0, 3, 3])),
             (chorded_ring(3), star(2, &[0, 0, 1, 1, 2, 2])),
             (chorded_ring(12), star(0, &[1, 2, 3, 4, 5, 6, 7, 8, 9, 10])),
+            (fans(), star(0, &all17)),
         ];
         for (mut g, q) in cases {
             let profile = q.neighborhood_label_counts(vid(0));
-            let plain: Vec<bool> = g.vertices().map(|v| nlc_filter(&profile, &g, v)).collect();
+            let plain: Vec<bool> = g.vertices().map(|v| nlc_filter(profile, &g, v)).collect();
+            if profile.len() == 17 {
+                let passing: Vec<usize> = (0..plain.len()).filter(|&v| plain[v]).collect();
+                assert_eq!(passing, [0], "only the hub that sees every label");
+            }
             let by_count: Vec<bool> = g
                 .vertices()
                 .map(|v| {
@@ -426,7 +445,7 @@ mod tests {
             assert_eq!(plain, by_count, "profile {profile:?}");
             let before: Vec<_> = q.vertices().map(|u| candidates_of(&q, &g, u)).collect();
             g.build_nlc_index();
-            let indexed: Vec<bool> = g.vertices().map(|v| nlc_filter(&profile, &g, v)).collect();
+            let indexed: Vec<bool> = g.vertices().map(|v| nlc_filter(profile, &g, v)).collect();
             assert_eq!(plain, indexed, "profile {profile:?}");
             let after: Vec<_> = q.vertices().map(|u| candidates_of(&q, &g, u)).collect();
             assert_eq!(before, after);

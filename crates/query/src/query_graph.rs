@@ -59,10 +59,11 @@ impl QueryGraph {
         if labels.is_empty() {
             return Err(QueryGraphError::Empty);
         }
-        let graph = Graph::new(labels, edges, false);
+        let mut graph = Graph::new(labels, edges, false);
         if !is_connected(&graph) {
             return Err(QueryGraphError::Disconnected);
         }
+        graph.build_nlc_index();
         let edges = canonical_edges(&graph);
         Ok(QueryGraph { graph, edges })
     }
@@ -148,27 +149,15 @@ impl QueryGraph {
         self.graph.neighbor_label_count(u, l)
     }
 
-    /// Distinct labels appearing among the neighbors of `u`, with counts —
-    /// the set of `(l, count_u(l))` pairs the NLC filter compares.
-    pub fn neighborhood_label_counts(&self, u: VertexId) -> Vec<(LabelId, u32)> {
-        let mut all: Vec<LabelId> = self
-            .neighbors(u)
-            .iter()
-            .flat_map(|&nb| self.labels(nb).iter())
-            .collect();
-        all.sort_unstable();
-        let mut out = Vec::new();
-        let mut i = 0;
-        while i < all.len() {
-            let l = all[i];
-            let mut j = i + 1;
-            while j < all.len() && all[j] == l {
-                j += 1;
-            }
-            out.push((l, (j - i) as u32));
-            i = j;
-        }
-        out
+    /// Distinct labels appearing among the neighbors of `u`, sorted, with
+    /// counts — the `(l, count_u(l))` pairs the NLC filter compares: `u`'s
+    /// row of the NLC index [`QueryGraph::new`] builds.
+    #[inline]
+    pub fn neighborhood_label_counts(&self, u: VertexId) -> &[(LabelId, u32)] {
+        self.graph
+            .nlc_index()
+            .expect("QueryGraph::new builds the NLC rows")
+            .counts(u)
     }
 
     /// The underlying graph storage (used by automorphism search).
@@ -261,9 +250,29 @@ mod tests {
                 .unwrap();
         assert_eq!(
             q.neighborhood_label_counts(vid(0)),
-            vec![(lid(1), 2), (lid(2), 1)]
+            &[(lid(1), 2), (lid(2), 1)]
         );
-        assert_eq!(q.neighborhood_label_counts(vid(1)), vec![(lid(9), 1)]);
+        assert_eq!(q.neighborhood_label_counts(vid(1)), &[(lid(9), 1)]);
+        // Multi-label vertices: a leaf {1, 3} counts once under each label,
+        // and a {2, 9} leaf sees the {1, 3} centre through both.
+        let q = QueryGraph::new(
+            vec![
+                LabelSet::from_labels([lid(1), lid(3)]),
+                LabelSet::single(lid(3)),
+                LabelSet::from_labels([lid(2), lid(9)]),
+                LabelSet::from_labels([lid(1), lid(3)]),
+            ],
+            &[(vid(0), vid(1)), (vid(0), vid(2)), (vid(0), vid(3))],
+        )
+        .unwrap();
+        assert_eq!(
+            q.neighborhood_label_counts(vid(0)),
+            &[(lid(1), 1), (lid(2), 1), (lid(3), 2), (lid(9), 1)]
+        );
+        assert_eq!(
+            q.neighborhood_label_counts(vid(2)),
+            &[(lid(1), 1), (lid(3), 1)]
+        );
     }
 
     #[test]

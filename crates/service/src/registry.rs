@@ -21,7 +21,8 @@
 //! exactly, and `pending` counts the net mutations between it and the
 //! current snapshot. Once `pending` reaches the configured threshold the
 //! entry *compacts*: the fresh snapshot gets an exact label-pair rebuild
-//! and becomes the new `base`. Between compactions the index is
+//! (one walk of its adjacency builds its NLC rows, and the maxima are read
+//! off them) and becomes the new `base`. Between compactions the index is
 //! *maintained* — the maxima at the endpoints of added edges are raised,
 //! deletions keep a sound overestimate — so the filter never rejects a
 //! satisfiable query.
@@ -269,8 +270,9 @@ impl GraphEntry {
         let mut fresh = overlay.commit(&old_graph);
         let compacted = st.pending >= compact_threshold.max(1);
         if compacted {
-            // Exact rebuild at compaction: the fresh snapshot has no
-            // label-pair index yet, so this computes it from scratch.
+            // Exact rebuild at compaction: the fresh snapshot has neither
+            // index yet, so this walks its adjacency once for the NLC rows
+            // and reads the exact maxima off them.
             fresh.build_label_pair_index();
         } else if let Some(lpi) = old_graph.label_pair_index() {
             // Maintained between compactions: raise the maxima at the
@@ -327,7 +329,8 @@ impl GraphRegistry {
     /// the entry that was displaced (so the caller can evict its cached
     /// indexes). Builds the graph's label-pair index if it has none: the
     /// admission filter passes everything beyond its label-occurrence test
-    /// on a graph without one, whichever way the graph got here.
+    /// on a graph without one, whichever way the graph got here. The same
+    /// call builds the NLC rows the candidate scan of every miss reads.
     pub fn insert(&self, name: &str, graph: Graph) -> (Arc<GraphEntry>, Option<u64>) {
         self.insert_ranked(name, graph, Ranking::identity())
     }
@@ -539,22 +542,51 @@ mod tests {
         assert_eq!(e.pending(), 0);
     }
 
+    /// Every vertex's `(label, count)` row, counted by walking its
+    /// neighbors' labels.
+    fn walked_rows(graph: &Graph) -> Vec<Vec<(LabelId, u32)>> {
+        (graph.vertices())
+            .map(|v| {
+                let mut row = std::collections::BTreeMap::new();
+                for &nb in graph.neighbors(v) {
+                    for m in graph.labels(nb).iter() {
+                        *row.entry(m).or_insert(0u32) += 1;
+                    }
+                }
+                row.into_iter().collect()
+            })
+            .collect()
+    }
+
+    /// `graph`'s NLC rows, `None` when it has none.
+    fn nlc_rows(graph: &Graph) -> Option<Vec<Vec<(LabelId, u32)>>> {
+        let rows = graph.nlc_index()?;
+        Some(graph.vertices().map(|v| rows.counts(v).to_vec()).collect())
+    }
+
     #[test]
     fn compaction_clears_overlay_and_rebuilds_exact() {
         let r = GraphRegistry::new();
         let (e, _) = r.insert("g", path4());
+        // The inserted graph carries NLC rows next to its label pairs.
+        assert_eq!(nlc_rows(&e.graph()), Some(walked_rows(&e.graph())));
         let out = e.apply_batch(&[(vid(0), vid(2))], &[], 1, 8).unwrap();
         assert!(out.compacted);
         assert_eq!(out.pending, 0);
         assert_eq!(e.pending(), 0);
-        // The compacted snapshot carries an exact label-pair index.
+        // The compacted snapshot carries an exact label-pair index and the
+        // rows of its own adjacency, built by the same walk.
         assert!(e.graph().label_pair_index().is_some());
-        // Further batches build on the new base.
+        assert_eq!(nlc_rows(&e.graph()), Some(walked_rows(&e.graph())));
+        // Further batches build on the new base; a snapshot no compaction
+        // made carries no rows.
         let out2 = e
             .apply_batch(&[], &[(vid(0), vid(2))], 1_000_000, 8)
             .unwrap();
         assert_eq!(out2.deleted.len(), 1);
+        assert!(!out2.compacted);
         assert!(!e.graph().has_edge(vid(0), vid(2)));
+        assert_eq!(nlc_rows(&e.graph()), None);
     }
 
     #[test]
@@ -586,6 +618,29 @@ mod tests {
         labels()
             .flat_map(|l| labels().map(move |m| lpi.max_count(l, m)))
             .collect()
+    }
+
+    /// [`pair_maxima`]'s oracle, independent of the NLC rows the index is
+    /// derived from: every vertex's neighbor labels walked and sorted into
+    /// runs, each run's length raising the maxima of the vertex's labels.
+    fn walked_pair_maxima(graph: &Graph) -> Vec<u32> {
+        let k = graph.num_labels() as usize;
+        let mut max = vec![0u32; k * k];
+        let mut scratch: Vec<LabelId> = Vec::new();
+        for v in graph.vertices() {
+            scratch.clear();
+            for &nb in graph.neighbors(v) {
+                scratch.extend(graph.labels(nb).iter());
+            }
+            scratch.sort_unstable();
+            for run in scratch.chunk_by(|a, b| a == b) {
+                for l in graph.labels(v).iter() {
+                    let e = &mut max[l.index() * k + run[0].index()];
+                    *e = (*e).max(run.len() as u32);
+                }
+            }
+        }
+        max
     }
 
     type RawBatch = (Vec<(u32, u32)>, Vec<(u32, u32)>);
@@ -669,7 +724,12 @@ mod tests {
                 }
                 exact.build_label_pair_index();
                 let (maintained, exact_maxima) = (pair_maxima(&snapshot), pair_maxima(&exact));
+                prop_assert_eq!(&exact_maxima, &walked_pair_maxima(&exact));
                 prop_assert!(maintained.iter().zip(&exact_maxima).all(|(m, e)| m >= e));
+                if out.applied() > 0 {
+                    let rows = compacted.then(|| walked_rows(&snapshot));
+                    prop_assert_eq!(nlc_rows(&snapshot), rows);
+                }
                 if compacted {
                     prop_assert_eq!(&maintained, &exact_maxima);
                 } else if added.is_empty() {
