@@ -119,7 +119,6 @@ pub fn enumerate_cfl(graph: &Graph, plan: &QueryPlan, options: &CflOptions) -> C
         BuildOptions {
             build_nte: false,
             refine: true,
-            ..BuildOptions::default()
         },
     );
     let build_time = t0.elapsed();

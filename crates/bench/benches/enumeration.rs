@@ -54,7 +54,6 @@ fn bench_strategies(c: &mut Criterion) {
                         kernel: Default::default(),
                         limit: None,
                         collect: false,
-                        build_threads: 1,
                         profile: false,
                         prune_redundant: false,
                     },

@@ -38,7 +38,6 @@ fn bench_build_stages(c: &mut Criterion) {
                 BuildOptions {
                     build_nte: true,
                     refine: false,
-                    ..BuildOptions::default()
                 },
             ))
         });

@@ -36,9 +36,6 @@ EXPERIMENTS:
     ablation-order      Matching-order heuristics vs naive BFS (§2.2)
     ablation-intersect  Intersection vs edge verification (§4.1)
     kernels             Intersection-kernel sweep + end-to-end ablation (§4.1)
-    index               Index-construction thread-scaling sweep (§6.4):
-                        filter/refine/merge breakdown + bytes per thread
-                        count, written to bench_results/index_build.json
     physical            Physical decomposition — future work (§8)
     faults              Fault-injection sweep: crashes, stragglers, steal
                         loss — asserts bit-identical counts vs fault-free
@@ -60,8 +57,6 @@ OPTIONS:
     --scale quick|full  Stand-in dataset size (default: quick)
     --kernel <name>     Pin one kernel for the `kernels` experiment
                         (merge|branchless|gallop|simd|adaptive; default: all)
-    --build-threads <n> BFS-filter worker pool width for index builds
-                        (default: 1; any value yields a bit-identical index)
 ";
 
 fn main() {
@@ -69,23 +64,9 @@ fn main() {
     let mut experiment: Option<String> = None;
     let mut scale = Scale::Quick;
     let mut kernel: Option<Kernel> = None;
-    let mut build_threads: Option<usize> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--build-threads" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<usize>().ok()) {
-                    Some(n) if n >= 1 => build_threads = Some(n),
-                    _ => {
-                        eprintln!(
-                            "error: --build-threads expects a positive integer, got {:?}",
-                            args.get(i)
-                        );
-                        std::process::exit(2);
-                    }
-                }
-            }
             "--scale" => {
                 i += 1;
                 match args.get(i).map(|s| s.as_str()) {
@@ -126,19 +107,14 @@ fn main() {
         print!("{HELP}");
         std::process::exit(2);
     };
-    if !dispatch(&experiment, scale, kernel, build_threads) {
+    if !dispatch(&experiment, scale, kernel) {
         eprintln!("error: unknown experiment {experiment:?}\n");
         print!("{HELP}");
         std::process::exit(2);
     }
 }
 
-fn dispatch(
-    experiment: &str,
-    scale: Scale,
-    kernel: Option<Kernel>,
-    build_threads: Option<usize>,
-) -> bool {
+fn dispatch(experiment: &str, scale: Scale, kernel: Option<Kernel>) -> bool {
     let section = |name: &str| {
         println!("\n================================================================");
         println!("== {name}");
@@ -163,7 +139,6 @@ fn dispatch(
         "fig19" => experiments::fig19::run(scale),
         "fig20" => experiments::fig20::run(scale),
         "kernels" => experiments::kernels::run_with(scale, kernel),
-        "index" => experiments::index_build::run_with(scale, build_threads),
         "ablation-order" => experiments::ablation::run_order(scale),
         "ablation-intersect" => experiments::ablation::run_intersection(scale),
         "physical" => experiments::physical::run(scale),
@@ -188,7 +163,6 @@ const ALL_EXPERIMENTS: &[(&str, Runner)] = &[
     ("Table 2", experiments::table2::run),
     ("Figure 6 (queries)", |_| experiments::queries::run()),
     ("Kernel ablation", experiments::kernels::run),
-    ("Index construction scaling", experiments::index_build::run),
     ("Figure 7", experiments::fig7_8::run_fig7),
     ("Figure 8", experiments::fig7_8::run_fig8),
     ("Figure 9", experiments::fig9_10::run_fig9),

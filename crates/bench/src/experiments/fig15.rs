@@ -42,7 +42,6 @@ pub fn run(scale: Scale) {
                     kernel: Default::default(),
                     limit: None,
                     collect: false,
-                    build_threads: 1,
                     profile: false,
                     prune_redundant: false,
                 },

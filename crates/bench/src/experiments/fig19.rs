@@ -39,7 +39,6 @@ fn timed_ceci_variant(
             kernel: Default::default(),
             limit: None,
             collect: false,
-            build_threads: 1,
             profile: false,
             prune_redundant: false,
         },
@@ -85,7 +84,6 @@ pub fn run(scale: Scale) {
                 BuildOptions {
                     build_nte: false,
                     refine: false,
-                    ..BuildOptions::default()
                 },
                 VerifyMode::EdgeVerification,
             );
@@ -96,7 +94,6 @@ pub fn run(scale: Scale) {
                 BuildOptions {
                     build_nte: false,
                     refine: true,
-                    ..BuildOptions::default()
                 },
                 VerifyMode::EdgeVerification,
             );
@@ -107,7 +104,6 @@ pub fn run(scale: Scale) {
                 BuildOptions {
                     build_nte: true,
                     refine: true,
-                    ..BuildOptions::default()
                 },
                 VerifyMode::Intersection,
             );

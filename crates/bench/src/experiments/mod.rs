@@ -1,5 +1,5 @@
-//! One module per paper table/figure, plus the `kernels`, `index_build`,
-//! `physical`, `faults`, `service` and `shard` sweeps; each exposes
+//! One module per paper table/figure, plus the `kernels`, `physical`,
+//! `faults`, `service` and `shard` sweeps; each exposes
 //! `run(...)` printing its rows/series (plus a JSON record dump under
 //! `bench_results/`).
 
@@ -15,7 +15,6 @@ pub mod fig19;
 pub mod fig20;
 pub mod fig7_8;
 pub mod fig9_10;
-pub mod index_build;
 pub mod kernels;
 pub mod physical;
 pub mod queries;

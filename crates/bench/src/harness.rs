@@ -149,7 +149,6 @@ pub fn run_ceci_with(
         kernel: Default::default(),
         limit,
         collect: false,
-        build_threads: 1,
         profile: false,
         prune_redundant: false,
     };

@@ -683,16 +683,6 @@ mod tests {
         assert_eq!(price.scoring, build / 2 * pilots);
         assert_eq!(price.rebuild, build * PRICED_REBUILDS);
         assert_eq!(price.total(), price.scoring + price.rebuild);
-        // The count is the build's own, whatever the pool width.
-        let wide = Ceci::build_with(
-            &graph,
-            &plan,
-            BuildOptions {
-                threads: 4,
-                ..BuildOptions::default()
-            },
-        );
-        assert_eq!(wide.stats().filter_scans, scans);
     }
 
     fn bar(at: f64) -> Observed {

@@ -63,10 +63,6 @@ pub struct EnumOptions {
     pub verify: VerifyMode,
     /// Intersection kernel used for NTE conjunctions (§4.1 ablation knob).
     pub kernel: Kernel,
-    /// BFS-filter worker pool width for callers that build the index as
-    /// part of the run (forwarded to [`crate::BuildOptions::threads`]);
-    /// `0`/`1` builds on the calling thread. Enumeration itself ignores it.
-    pub build_threads: usize,
     /// CEMR-style redundant-extension elimination: when no tree edge and no
     /// backward NTE joins the last matching-order vertex to the penultimate
     /// one, the leaf set is gathered once per penultimate expansion and
@@ -713,7 +709,6 @@ mod tests {
             BuildOptions {
                 build_nte: false,
                 refine: true,
-                ..BuildOptions::default()
             },
         );
         let mut sink = CollectSink::unbounded();
@@ -929,7 +924,6 @@ mod tests {
             BuildOptions {
                 build_nte: false,
                 refine: true,
-                ..BuildOptions::default()
             },
         );
         let token = CancelToken::new();

@@ -13,7 +13,7 @@
 //! per-adjacency-entry test here is one bit of
 //! [`ceci_query::candidates::CandidateSet`] — no filter runs during the
 //! build, and the bitsets, living with the plan, are paid for once however
-//! many (per-pivot, pilot, parallel) builds read them. The plan's sets must
+//! many (full, per-pivot, pilot) builds read them. The plan's sets must
 //! therefore describe `graph` ([`QueryPlan::describes`]); the served entry
 //! points in [`crate::index`] assert it.
 //!
@@ -21,46 +21,19 @@
 //! edge the same way, keyed by the NTE parent's surviving candidates, with
 //! the same empty-entry cascade.
 //!
-//! # Parallel construction
-//!
-//! Each table's frontier expansion is embarrassingly parallel: the filtered
-//! neighborhood of frontier vertex `vf` depends only on the immutable data
-//! graph, never on other frontier vertices. [`bfs_filter_from_with`] fans
-//! each frontier out across a scoped worker pool
-//! ([`crate::parallel::scoped_workers`]): the frontier is split into
-//! contiguous chunks, worker `w` filters chunks `w, w+threads, …` into a
-//! private arena (static stride — the work split is independent of OS
-//! scheduling), and a deterministic merge stitches the chunk runs back
-//! **in chunk order** — which is frontier order — via
-//! [`BuildTable::push_run`]. Because the sequential path
-//! processes the same frontier in the same order, the merged table (keys,
-//! spans, arena contents, value counts) is bit-identical to the sequential
-//! build, and the empty-entry cascade — applied only after the merge, in
-//! frontier order — removes the same candidates in the same order. The
-//! `threads = 1` path skips chunking entirely and filters straight into the
-//! table arena (zero staging copies), so it is never slower than the
-//! pre-parallel sequential build.
+//! Each table's frontier is filtered on the calling thread, straight into
+//! the table's value arena ([`BuildTable::push_key_with`], zero staging
+//! copies), as the paper's filtering phase runs on one core (Fig 15, §6.6).
 //!
 //! Candidate sets are cached in [`BuilderState`] and kept in sync by
 //! [`BuilderState::remove_candidate`], so [`BuilderState::candidates_of`]
 //! is a borrow instead of a per-call `value_union()` allocation.
 
-use std::time::{Duration, Instant};
-
 use ceci_graph::{Graph, VertexId};
 use ceci_query::candidates::CandidateSet;
 use ceci_query::QueryPlan;
 
-use crate::metrics::ThreadTimer;
-use crate::parallel::scoped_workers;
 use crate::tables::BuildTable;
-
-/// Frontiers below this size are filtered on the calling thread even when a
-/// worker pool is available — the fan-out overhead would dominate.
-const PARALLEL_FRONTIER_MIN: usize = 128;
-
-/// Minimum chunk size handed to one worker pull.
-const CHUNK_MIN: usize = 64;
 
 /// Mutable CECI under construction: pivots plus per-node TE/NTE tables.
 #[derive(Debug)]
@@ -206,78 +179,35 @@ pub type BuilderParts = (
     Vec<Vec<(VertexId, BuildTable)>>,
 );
 
-/// Timing profile of one BFS-filter run — the parallel-construction
-/// breakdown surfaced through `BuildStats`.
-#[derive(Clone, Debug, Default)]
+/// Work profile of one BFS-filter run, surfaced through `BuildStats`.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct FilterProfile {
-    /// Worker-pool width the filter ran with.
-    pub threads: usize,
-    /// Per-worker CPU busy time accumulated across all parallel fan-out
-    /// sections (thread-CPU clock, the basis of the modeled build time on
-    /// machines with fewer cores than workers).
-    pub worker_busy: Vec<Duration>,
-    /// Wall time spent inside parallel fan-out sections (spawn → join).
-    pub fanout_wall: Duration,
-    /// Wall time of the deterministic chunk merge.
-    pub merge_time: Duration,
     /// Data-graph adjacency entries the filter tested (the summed degree of
-    /// every table's frontier): Algorithm 1's work as an exact count, the
-    /// same for any worker-pool width.
+    /// every table's frontier): Algorithm 1's work as an exact count.
     pub scans: u64,
-}
-
-impl FilterProfile {
-    fn new(threads: usize) -> Self {
-        FilterProfile {
-            threads,
-            worker_busy: vec![Duration::ZERO; threads],
-            fanout_wall: Duration::ZERO,
-            merge_time: Duration::ZERO,
-            scans: 0,
-        }
-    }
-
-    /// Longest per-worker CPU busy time — the modeled parallel span of the
-    /// fan-out sections.
-    pub fn busy_max(&self) -> Duration {
-        self.worker_busy.iter().copied().max().unwrap_or_default()
-    }
-
-    /// Total CPU busy time across workers.
-    pub fn busy_total(&self) -> Duration {
-        self.worker_busy.iter().sum()
-    }
 }
 
 /// Runs Algorithm 1: seeds the pivots from the plan's initial root
 /// candidates and fills all TE tables in matching order, then all backward
 /// NTE tables. Returns the builder state.
 pub fn bfs_filter(graph: &Graph, plan: &QueryPlan) -> BuilderState {
-    bfs_filter_from(graph, plan, plan.initial_candidates(plan.root()).to_vec())
+    bfs_filter_from(graph, plan, plan.initial_candidates(plan.root()).to_vec()).0
 }
 
 /// Runs Algorithm 1 from an explicit pivot set — used by the distributed
 /// simulation, where each machine indexes only its assigned embedding
 /// clusters (§5). `pivots` must be sorted and a subset of the root's
-/// initial candidates.
-pub fn bfs_filter_from(graph: &Graph, plan: &QueryPlan, pivots: Vec<VertexId>) -> BuilderState {
-    bfs_filter_from_with(graph, plan, pivots, 1).0
-}
-
-/// [`bfs_filter_from`] with an explicit worker count and timing profile.
-/// The result is bit-identical for every `threads` value (see module docs);
-/// `threads = 1` runs fully on the calling thread.
-pub fn bfs_filter_from_with(
+/// initial candidates. Returns the builder state and the run's
+/// [`FilterProfile`].
+pub fn bfs_filter_from(
     graph: &Graph,
     plan: &QueryPlan,
     pivots: Vec<VertexId>,
-    threads: usize,
 ) -> (BuilderState, FilterProfile) {
     debug_assert!(
         pivots.windows(2).all(|w| w[0] < w[1]),
         "pivots must be sorted"
     );
-    let threads = threads.max(1);
     let n = plan.query().num_vertices();
     let mut state = BuilderState {
         pivots,
@@ -285,7 +215,7 @@ pub fn bfs_filter_from_with(
         nte: vec![Vec::new(); n],
         candidates: vec![Vec::new(); n],
     };
-    let mut profile = FilterProfile::new(threads);
+    let mut profile = FilterProfile::default();
     let sets = plan.candidate_sets();
 
     let mut frontier: Vec<VertexId> = Vec::new();
@@ -298,8 +228,7 @@ pub fn bfs_filter_from_with(
             .expect("non-root nodes have tree parents");
         frontier.clear();
         frontier.extend_from_slice(state.candidates_of(plan, up));
-        let (table, emptied) =
-            fill_table(graph, &sets[u.index()], &frontier, threads, &mut profile);
+        let (table, emptied) = fill_table(graph, &sets[u.index()], &frontier, &mut profile);
         state.candidates[u.index()] = table.value_union();
         state.te[u.index()] = Some(table);
         for vf in emptied {
@@ -312,8 +241,7 @@ pub fn bfs_filter_from_with(
         for &un in plan.backward_nte(u) {
             frontier.clear();
             frontier.extend_from_slice(state.candidates_of(plan, un));
-            let (table, emptied) =
-                fill_table(graph, &sets[u.index()], &frontier, threads, &mut profile);
+            let (table, emptied) = fill_table(graph, &sets[u.index()], &frontier, &mut profile);
             state.nte[u.index()].push((un, table));
             for vf in emptied {
                 state.remove_candidate(plan, un, vf);
@@ -323,46 +251,20 @@ pub fn bfs_filter_from_with(
     (state, profile)
 }
 
-/// One chunk's output from a parallel fan-out: a private mini-table in
-/// frontier order.
-struct ChunkRun {
-    /// Chunk index — merge order.
-    chunk: usize,
-    /// `(frontier vertex, value count)` for non-empty entries, in order.
-    keys: Vec<(VertexId, u32)>,
-    /// Concatenated value lists of `keys`.
-    arena: Vec<VertexId>,
-    /// Frontier vertices whose expansion came up empty (cascade input).
-    emptied: Vec<VertexId>,
-}
-
 /// Expands one table's frontier — `set` is the candidate set of the node
-/// the table is for — sequentially or across the worker pool. Returns the
-/// filled table and the emptied frontier vertices in frontier order.
+/// the table is for — filtering every frontier vertex straight into the
+/// table arena. Returns the filled table and the emptied frontier vertices
+/// in frontier order.
 fn fill_table(
     graph: &Graph,
     set: &CandidateSet,
     frontier: &[VertexId],
-    threads: usize,
     profile: &mut FilterProfile,
 ) -> (BuildTable, Vec<VertexId>) {
     profile.scans += frontier
         .iter()
         .map(|&vf| graph.degree(vf) as u64)
         .sum::<u64>();
-    if threads <= 1 || frontier.len() < PARALLEL_FRONTIER_MIN {
-        return fill_table_sequential(graph, set, frontier);
-    }
-    fill_table_parallel(graph, set, frontier, threads, profile)
-}
-
-/// Sequential path: filters every frontier vertex straight into the table
-/// arena ([`BuildTable::push_key_with`] — zero staging copies).
-fn fill_table_sequential(
-    graph: &Graph,
-    set: &CandidateSet,
-    frontier: &[VertexId],
-) -> (BuildTable, Vec<VertexId>) {
     let mut table = BuildTable::with_capacity(frontier.len(), 0);
     let mut emptied: Vec<VertexId> = Vec::new();
     for &vf in frontier {
@@ -376,81 +278,9 @@ fn fill_table_sequential(
     (table, emptied)
 }
 
-/// Parallel path: contiguous frontier chunks are assigned to workers in a
-/// strided round-robin (worker `w` takes chunks `w, w+threads, …`) and
-/// filtered into private arenas; the merge stitches the chunk runs in chunk
-/// (= frontier) order, reproducing the sequential table exactly. The static
-/// stride keeps the per-worker work split independent of OS scheduling, so
-/// the measured per-worker CPU busy time models a `threads`-core machine
-/// even when the host has fewer cores.
-fn fill_table_parallel(
-    graph: &Graph,
-    set: &CandidateSet,
-    frontier: &[VertexId],
-    threads: usize,
-    profile: &mut FilterProfile,
-) -> (BuildTable, Vec<VertexId>) {
-    let chunk_size = frontier.len().div_ceil(threads * 4).max(CHUNK_MIN);
-    let num_chunks = frontier.len().div_ceil(chunk_size);
-
-    let t_fanout = Instant::now();
-    let worker_results: Vec<(Duration, Vec<ChunkRun>)> = scoped_workers(threads, |w| {
-        let timer = ThreadTimer::start();
-        let mut runs: Vec<ChunkRun> = Vec::new();
-        let mut c = w;
-        while c < num_chunks {
-            let lo = c * chunk_size;
-            let hi = ((c + 1) * chunk_size).min(frontier.len());
-            let mut run = ChunkRun {
-                chunk: c,
-                keys: Vec::new(),
-                arena: Vec::new(),
-                emptied: Vec::new(),
-            };
-            for &vf in &frontier[lo..hi] {
-                let before = run.arena.len();
-                filter_into(graph, set, vf, &mut run.arena);
-                let len = run.arena.len() - before;
-                if len == 0 {
-                    run.emptied.push(vf);
-                } else {
-                    run.keys.push((vf, len as u32));
-                }
-            }
-            runs.push(run);
-            c += threads;
-        }
-        (timer.elapsed(), runs)
-    });
-    profile.fanout_wall += t_fanout.elapsed();
-
-    let t_merge = Instant::now();
-    let mut by_chunk: Vec<Option<ChunkRun>> = (0..num_chunks).map(|_| None).collect();
-    let mut total_entries = 0usize;
-    for (w, (busy, runs)) in worker_results.into_iter().enumerate() {
-        profile.worker_busy[w] += busy;
-        for run in runs {
-            total_entries += run.arena.len();
-            let c = run.chunk;
-            by_chunk[c] = Some(run);
-        }
-    }
-    let mut table = BuildTable::with_capacity(frontier.len(), total_entries);
-    let mut emptied: Vec<VertexId> = Vec::new();
-    for run in by_chunk.into_iter() {
-        let run = run.expect("every chunk produces a run");
-        table.push_run(&run.keys, &run.arena);
-        emptied.extend(run.emptied);
-    }
-    profile.merge_time += t_merge.elapsed();
-    (table, emptied)
-}
-
 /// Appends the neighbors of `vf` that are candidates of the table's node —
 /// i.e. pass LF, DF and NLCF for it — to `out`. Appended values are sorted
-/// because adjacency lists are sorted and filtering preserves order. The
-/// one filter of the build: the sequential and the parallel fill both end
-/// here.
+/// because adjacency lists are sorted and filtering preserves order.
 #[inline]
 fn filter_into(graph: &Graph, set: &CandidateSet, vf: VertexId, out: &mut Vec<VertexId>) {
     out.extend(
@@ -580,51 +410,5 @@ mod tests {
         let state = bfs_filter(&graph, &plan);
         assert_eq!(state.pivots.len(), 3);
         assert_eq!(state.te_entries(), 0);
-    }
-
-    #[test]
-    fn parallel_build_matches_sequential_on_fixture() {
-        let (graph, plan) = paper::figure1();
-        let pivots = plan.initial_candidates(plan.root()).to_vec();
-        let (seq, p1) = bfs_filter_from_with(&graph, &plan, pivots.clone(), 1);
-        for threads in [2usize, 4, 8] {
-            let (par, pp) = bfs_filter_from_with(&graph, &plan, pivots.clone(), threads);
-            assert_eq!(pp.threads, threads);
-            assert_eq!(seq.pivots, par.pivots);
-            assert_eq!(seq.te_entries(), par.te_entries());
-            assert_eq!(seq.nte_entries(), par.nte_entries());
-            for u in plan.query().vertices() {
-                assert_eq!(
-                    seq.candidates_of(&plan, u),
-                    par.candidates_of(&plan, u),
-                    "candidates diverge at {u:?} with {threads} threads"
-                );
-            }
-        }
-        assert_eq!(p1.threads, 1);
-        assert_eq!(p1.fanout_wall, Duration::ZERO);
-    }
-
-    #[test]
-    fn parallel_fanout_engages_on_large_frontier() {
-        // A star graph gives the root's child a frontier of `n` hub
-        // candidates... too small; instead use many root candidates: an
-        // unlabeled edge query on a large random-ish graph so the root
-        // frontier exceeds PARALLEL_FRONTIER_MIN.
-        let n = 512u32;
-        let edges: Vec<(VertexId, VertexId)> = (0..n).map(|i| (vid(i), vid((i + 1) % n))).collect();
-        let graph = ceci_graph::Graph::unlabeled(n as usize, &edges);
-        let query = ceci_query::QueryGraph::unlabeled(2, &[(0, 1)]).unwrap();
-        let plan = QueryPlan::new(query, &graph);
-        let pivots = plan.initial_candidates(plan.root()).to_vec();
-        assert!(pivots.len() >= PARALLEL_FRONTIER_MIN);
-        let (seq, _) = bfs_filter_from_with(&graph, &plan, pivots.clone(), 1);
-        let (par, profile) = bfs_filter_from_with(&graph, &plan, pivots, 4);
-        assert!(profile.fanout_wall > Duration::ZERO, "fan-out never ran");
-        assert_eq!(profile.worker_busy.len(), 4);
-        assert_eq!(seq.te_entries(), par.te_entries());
-        for u in plan.query().vertices() {
-            assert_eq!(seq.candidates_of(&plan, u), par.candidates_of(&plan, u));
-        }
     }
 }

@@ -14,12 +14,11 @@ use ceci_graph::{Graph, VertexId};
 use ceci_query::candidates::CandidateSet;
 use ceci_query::QueryPlan;
 
-use crate::filter::bfs_filter_from_with;
+use crate::filter::bfs_filter_from;
 use crate::refine::reverse_bfs_refine;
 use crate::tables::CompactTable;
 
-/// Options controlling CECI construction — the Figure 19 ablation toggles
-/// plus the build worker pool width.
+/// Options controlling CECI construction — the Figure 19 ablation toggles.
 #[derive(Clone, Copy, Debug)]
 pub struct BuildOptions {
     /// Build NTE_Candidates tables (enables intersection-based enumeration).
@@ -28,10 +27,6 @@ pub struct BuildOptions {
     /// Run reverse-BFS refinement removals. Cardinalities are computed
     /// either way (the workload balancer needs them).
     pub refine: bool,
-    /// Worker threads for the BFS-filter fan-out (Algorithm 1). `1` (or 0)
-    /// runs fully on the calling thread; any value produces a bit-identical
-    /// index (deterministic chunk merge).
-    pub threads: usize,
 }
 
 impl Default for BuildOptions {
@@ -39,7 +34,6 @@ impl Default for BuildOptions {
         BuildOptions {
             build_nte: true,
             refine: true,
-            threads: 1,
         }
     }
 }
@@ -59,22 +53,10 @@ pub struct BuildStats {
     pub te_entries_after_refine: usize,
     /// NTE candidate edges after refinement.
     pub nte_entries_after_refine: usize,
-    /// Wall time of Algorithm 1 (frontier filtering + cascade + merge).
+    /// Wall time of Algorithm 1 (frontier filtering + cascade).
     pub filter_time: Duration,
     /// Wall time of Algorithm 2.
     pub refine_time: Duration,
-    /// Wall time of the deterministic chunk merge inside Algorithm 1 (zero
-    /// for a 1-thread build, which writes straight into the table arena).
-    pub merge_time: Duration,
-    /// Wall time spent inside parallel fan-out sections of Algorithm 1.
-    pub filter_fanout_wall: Duration,
-    /// Longest per-worker CPU busy time across the fan-out sections — the
-    /// modeled parallel span on machines with fewer cores than workers.
-    pub filter_busy_max: Duration,
-    /// Total worker CPU busy time across the fan-out sections.
-    pub filter_busy_total: Duration,
-    /// Worker pool width the filter ran with.
-    pub build_threads: usize,
     /// Data-graph adjacency entries Algorithm 1 tested — the build's work
     /// as an exact, replayable count ([`crate::adaptive::replan_price`]
     /// prices a rebuild with it).
@@ -89,18 +71,6 @@ pub struct BuildStats {
 }
 
 impl BuildStats {
-    /// Build time as it would be on a machine with one core per worker:
-    /// the serial portion of the filter (`filter_time − fanout_wall`, which
-    /// includes the merge) plus the modeled parallel span (`busy_max`) plus
-    /// refinement. For a 1-thread build this equals
-    /// `filter_time + refine_time` exactly.
-    pub fn modeled_build_time(&self) -> Duration {
-        self.filter_time
-            .saturating_sub(self.filter_fanout_wall)
-            .saturating_add(self.filter_busy_max)
-            .saturating_add(self.refine_time)
-    }
-
     /// Fraction of the theoretical size saved by filtering + refinement
     /// (the bracketed percentage of Table 2).
     pub fn percent_saved(&self) -> f64 {
@@ -190,18 +160,13 @@ impl Ceci {
         };
 
         let t0 = Instant::now();
-        let (mut state, profile) = bfs_filter_from_with(graph, plan, pivots, options.threads);
+        let (mut state, profile) = bfs_filter_from(graph, plan, pivots);
         if !options.build_nte {
             for tables in &mut state.nte {
                 tables.clear();
             }
         }
         stats.filter_time = t0.elapsed();
-        stats.merge_time = profile.merge_time;
-        stats.filter_fanout_wall = profile.fanout_wall;
-        stats.filter_busy_max = profile.busy_max();
-        stats.filter_busy_total = profile.busy_total();
-        stats.build_threads = profile.threads;
         stats.filter_scans = profile.scans;
         stats.te_entries_after_filter = state.te_entries();
         stats.nte_entries_after_filter = state.nte_entries();
@@ -482,7 +447,6 @@ mod tests {
             BuildOptions {
                 build_nte: false,
                 refine: true,
-                ..BuildOptions::default()
             },
         );
         for u in plan.query().vertices() {
@@ -502,7 +466,6 @@ mod tests {
             BuildOptions {
                 build_nte: true,
                 refine: false,
-                ..BuildOptions::default()
             },
         );
         let s = ceci.stats();

@@ -60,7 +60,7 @@ pub use explain::{
     ClusterSkew,
 };
 pub use extreme::{decompose, decompose_with, WorkUnit};
-pub use filter::{bfs_filter, bfs_filter_from, bfs_filter_from_with, BuilderState, FilterProfile};
+pub use filter::{bfs_filter, bfs_filter_from, BuilderState, FilterProfile};
 pub use index::{BuildOptions, BuildStats, Ceci};
 pub use intersect::Kernel;
 pub use metrics::{Counters, Phase, PhaseSpan, PhaseTimeline};

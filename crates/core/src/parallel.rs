@@ -28,10 +28,9 @@ use crate::sink::{
 };
 
 /// Runs `f(worker_index)` on `threads` scoped worker threads and returns
-/// the results in worker order. The degenerate single-thread case runs
-/// inline on the caller (no spawn). This is the one piece of scoped-thread
-/// machinery shared by embedding enumeration and parallel CECI
-/// construction ([`crate::filter::bfs_filter_from_with`]).
+/// the results in worker order: the worker pool of
+/// [`enumerate_parallel_cancellable`]. The degenerate single-thread case
+/// runs inline on the caller (no spawn).
 pub(crate) fn scoped_workers<R, F>(threads: usize, f: F) -> Vec<R>
 where
     R: Send,
@@ -91,11 +90,6 @@ pub struct ParallelOptions {
     pub limit: Option<u64>,
     /// Collect the embeddings (otherwise only count).
     pub collect: bool,
-    /// Threads used for *CECI construction* by callers that build and
-    /// enumerate in one shot (the repro harness, `ceci-match`, the serving
-    /// layer). Enumeration itself is governed by `workers`; this knob is
-    /// plumbed into [`crate::BuildOptions::threads`].
-    pub build_threads: usize,
     /// Attach a per-depth [`crate::DepthProfile`] to every worker and merge
     /// them into [`ParallelResult::profile`]. Profiles are preallocated from
     /// the matching order before the workers start, so enabling this adds no
@@ -118,7 +112,6 @@ impl Default for ParallelOptions {
             kernel: Kernel::Adaptive,
             limit: None,
             collect: false,
-            build_threads: 1,
             profile: false,
             prune_redundant: false,
         }
@@ -230,7 +223,6 @@ pub fn enumerate_parallel_cancellable(
     let enum_opts = EnumOptions {
         verify: options.verify,
         kernel: options.kernel,
-        build_threads: options.build_threads,
         prune_redundant: options.prune_redundant,
     };
     let units = match options.strategy {

@@ -200,40 +200,6 @@ impl BuildTable {
         len
     }
 
-    /// Appends a pre-filtered run of keys produced by one parallel build
-    /// chunk: `keys_lens` holds `(key, value_count)` pairs in ascending key
-    /// order and `arena` holds their concatenated value lists. One bulk
-    /// arena copy; per-key work is span bookkeeping only.
-    pub fn push_run(&mut self, keys_lens: &[(VertexId, u32)], arena: &[VertexId]) {
-        debug_assert_eq!(
-            keys_lens.iter().map(|&(_, l)| l as usize).sum::<usize>(),
-            arena.len(),
-            "run lengths must cover the chunk arena"
-        );
-        let mut offset = self.values.len();
-        self.values.extend_from_slice(arena);
-        values_len_guard(self.values.len());
-        for v in arena {
-            self.value_counts.add(*v, 1);
-        }
-        for &(key, len) in keys_lens {
-            debug_assert!(
-                self.keys.last().map(|&k| k < key).unwrap_or(true),
-                "runs must arrive in ascending key order"
-            );
-            let slot = self.keys.len();
-            self.keys.push(key);
-            self.spans.push(Span {
-                offset: offset as u32,
-                len,
-                dead: false,
-            });
-            self.record_slot(key, slot);
-            offset += len as usize;
-            self.num_entries += len as usize;
-        }
-    }
-
     /// Number of live keys.
     pub fn num_keys(&self) -> usize {
         self.keys.len() - self.dead_keys
@@ -506,8 +472,8 @@ impl CompactTable {
 
     /// Heap bytes held by the table, including the dense slot map. Computed
     /// from lengths (not capacities) so the figure is exact and identical
-    /// across allocation histories — parallel and sequential builds of the
-    /// same index report the same bytes.
+    /// across allocation histories — a table frozen after removals reports
+    /// the bytes of one pushed with its surviving content.
     pub fn size_bytes(&self) -> usize {
         self.keys.len() * std::mem::size_of::<VertexId>()
             + self.offsets.len() * std::mem::size_of::<u32>()
@@ -604,18 +570,6 @@ mod tests {
     }
 
     #[test]
-    fn push_run_matches_push_key() {
-        let mut a = BuildTable::new();
-        a.push_key(vid(1), &[vid(3), vid(5)]);
-        a.push_key(vid(4), &[vid(6)]);
-        a.push_key(vid(9), &[vid(2), vid(3), vid(8)]);
-        let mut b = BuildTable::new();
-        b.push_run(&[(vid(1), 2), (vid(4), 1)], &[vid(3), vid(5), vid(6)]);
-        b.push_run(&[(vid(9), 3)], &[vid(2), vid(3), vid(8)]);
-        assert_eq!(a.freeze(), b.freeze());
-    }
-
-    #[test]
     fn push_key_with_writes_directly_into_arena() {
         let mut t = BuildTable::new();
         let n = t.push_key_with(vid(7), |arena| {
@@ -693,10 +647,11 @@ mod tests {
     #[test]
     fn size_bytes_is_allocation_independent() {
         // Same logical content through different construction histories
-        // (bulk run vs incremental with removals) reports identical bytes.
+        // (exact pushes vs incremental with removals) reports identical
+        // bytes.
         let a = {
             let mut t = BuildTable::new();
-            t.push_run(&[(vid(1), 2)], &[vid(3), vid(5)]);
+            t.push_key(vid(1), &[vid(3), vid(5)]);
             t.freeze()
         };
         let b = {

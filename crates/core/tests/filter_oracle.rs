@@ -4,12 +4,12 @@
 //! candidate bitsets instead of deriving it per adjacency entry. That may
 //! not change a single table: on random labeled and unlabeled graphs, for
 //! the automorphic query set of `symmetry_window.rs` under every root
-//! override, the sequential and the 4-thread build must leave exactly what
-//! the per-entry algorithm leaves — pivots, every TE / NTE key sequence and
-//! value list, the per-node candidate caches, entry and arena accounting
-//! (holes are what the empty-entry cascade removed, tombstones and emptied
-//! lists where it removed them, so a cascade applied in another order or to
-//! other keys shows here), and the scan count.
+//! override, the build must leave exactly what the per-entry algorithm
+//! leaves — pivots, every TE / NTE key sequence and value list, the
+//! per-node candidate caches, entry and arena accounting (holes are what
+//! the empty-entry cascade removed, tombstones and emptied lists where it
+//! removed them, so a cascade applied in another order or to other keys
+//! shows here), and the scan count.
 //!
 //! The oracle is the parent algorithm kept whole in this file: it calls
 //! [`VertexFilters::passes`] on every adjacency entry and never reads a
@@ -21,7 +21,7 @@
 //! debug assertion.
 
 use ceci_core::tables::BuildTable;
-use ceci_core::{bfs_filter_from_with, count_embeddings, BuilderState, Ceci};
+use ceci_core::{bfs_filter_from, count_embeddings, BuilderState, Ceci};
 use ceci_graph::generators::{erdos_renyi, inject_random_labels};
 use ceci_graph::{vid, Graph, VertexId};
 use ceci_query::catalog::{clique, cycle, path, star};
@@ -148,12 +148,10 @@ proptest! {
                 };
                 let plan = QueryPlan::with_options(query.clone(), &graph, &options);
                 let (want, scans) = reference_filter(&graph, &plan);
-                for threads in [1usize, 4] {
-                    let pivots = plan.initial_candidates(root).to_vec();
-                    let (got, profile) = bfs_filter_from_with(&graph, &plan, pivots, threads);
-                    prop_assert_eq!(profile.scans, scans, "{} threads={}", &what, threads);
-                    assert_same_state(&plan, &got, &want, &format!("{what} threads={threads}"));
-                }
+                let pivots = plan.initial_candidates(root).to_vec();
+                let (got, profile) = bfs_filter_from(&graph, &plan, pivots);
+                prop_assert_eq!(profile.scans, scans, "{}", &what);
+                assert_same_state(&plan, &got, &want, &what);
                 // The served entry point reports the same work.
                 let stats = *Ceci::build(&graph, &plan).stats();
                 prop_assert_eq!(stats.filter_scans, scans, "{}", &what);

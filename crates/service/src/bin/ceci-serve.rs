@@ -7,10 +7,8 @@
 //!   --pool-workers N     data-plane pool threads (default 2)
 //!   --queue-cap N        pending-request cap before BUSY (default 64)
 //!   --cache-mb N         index-cache budget in MiB (default 64; 0 disables)
-//!   --match-workers N    default enumeration threads per MATCH (default 1)
-//!   --max-match-workers N  cap on per-request WORKERS (default 8)
-//!   --build-threads N    BFS-filter threads per cache-miss index build
-//!                        (default 1; any value builds a bit-identical index)
+//!   --max-match-workers N  cap on per-request WORKERS (default 8); a MATCH
+//!                        without WORKERS runs the planner's recommendation
 //!   --compact-threshold N  net mutations since the last compaction that
 //!                        trigger the next exact label-pair rebuild
 //!                        (default 32768)
@@ -54,13 +52,18 @@ use ceci_service::{start_with_state, ServeConfig, ServerState};
 fn usage() -> ! {
     eprintln!(
         "usage: ceci-serve [--addr HOST:PORT] [--pool-workers N] [--queue-cap N] \
-         [--cache-mb N] [--match-workers N] [--max-match-workers N] \
-         [--build-threads N] [--compact-threshold N] [--dirty-log-cap N] \
+         [--cache-mb N] [--max-match-workers N] \
+         [--compact-threshold N] [--dirty-log-cap N] \
          [--preload NAME=FILE]... \
          [--max-conns N] [--io-timeout-ms N] [--shard ADDR]... \
          [--shard-timeout-ms N] [--shard-retries N] [--chaos] [--trace]"
     );
     exit(2)
+}
+
+/// `--cache-mb`'s MiB as bytes; `None` when the product overflows `usize`.
+fn mib_to_bytes(mib: usize) -> Option<usize> {
+    mib.checked_mul(1 << 20)
 }
 
 fn main() {
@@ -81,10 +84,10 @@ fn main() {
             "--addr" => config.addr = value(&mut i),
             "--pool-workers" => config.pool_workers = num(&mut i).max(1),
             "--queue-cap" => config.queue_cap = num(&mut i),
-            "--cache-mb" => config.cache_budget_bytes = num(&mut i) << 20,
-            "--match-workers" => config.default_match_workers = num(&mut i).max(1),
+            "--cache-mb" => {
+                config.cache_budget_bytes = mib_to_bytes(num(&mut i)).unwrap_or_else(|| usage())
+            }
             "--max-match-workers" => config.max_match_workers = num(&mut i).max(1),
-            "--build-threads" => config.build_threads = num(&mut i).max(1),
             "--compact-threshold" => config.compact_threshold = num(&mut i).max(1),
             "--dirty-log-cap" => config.dirty_log_cap = num(&mut i).max(1),
             "--max-conns" => config.max_conns = num(&mut i).max(1),
@@ -160,5 +163,19 @@ fn main() {
     // main thread keeps the handle (and the pool) alive.
     loop {
         std::thread::park();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::mib_to_bytes;
+
+    #[test]
+    fn cache_mb_refuses_an_overflowing_budget() {
+        assert_eq!(mib_to_bytes(64), Some(64 << 20));
+        assert_eq!(mib_to_bytes(0), Some(0));
+        // 2^44 MiB is 2^64 bytes: a shift would wrap it to a zero budget.
+        assert_eq!(mib_to_bytes(1 << 44), None);
+        assert_eq!(mib_to_bytes(usize::MAX), None);
     }
 }

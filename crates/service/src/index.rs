@@ -23,7 +23,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ceci_core::{replan_price, BuildOptions, Ceci, PlanChoice, Reuse};
+use ceci_core::{replan_price, Ceci, PlanChoice, Reuse};
 use ceci_graph::Graph;
 use ceci_query::{CanonicalQuery, QueryGraph, QueryPlan};
 
@@ -72,14 +72,6 @@ pub(crate) type Indexed = (Arc<CachedIndex>, Acquired, Duration);
 /// planner's decision record.
 type Built = (Arc<QueryPlan>, Arc<Ceci>, PlanChoice);
 
-/// The options of every index build the server runs.
-pub(crate) fn build_options(state: &ServerState) -> BuildOptions {
-    BuildOptions {
-        threads: state.config().build_threads.max(1),
-        ..Default::default()
-    }
-}
-
 /// Runs the (panic-prone) plan + CECI build under `catch_unwind`, honoring
 /// the one-shot chaos levers (`BUILDDELAY` sleeps first, then `BUILDPANIC`
 /// fires, so the two compose). `Err(())` means the build panicked; the
@@ -103,7 +95,7 @@ fn run_build(
             panic!("injected CHAOS BUILDPANIC during index build");
         }
         let (plan, mut choice) = planner();
-        let ceci = Ceci::build_with(graph, &plan, build_options(state));
+        let ceci = Ceci::build(graph, &plan);
         choice.estimate_served(graph, &plan, &ceci);
         (Arc::new(plan), Arc::new(ceci), choice)
     }))
@@ -198,7 +190,7 @@ fn repair_entry(
             Some(dirty) => plan.on_graph_patched(graph, old.ceci.candidate_sets(), dirty),
             None => plan.on_graph(graph),
         };
-        Ceci::build_with(graph, &built_on, build_options(state))
+        Ceci::build(graph, &built_on)
     }))
     .ok()?;
     let repair = t0.elapsed();

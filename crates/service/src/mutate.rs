@@ -12,7 +12,6 @@ use ceci_graph::{rank_by_degree, vid, VertexId};
 use ceci_query::QueryPlan;
 
 use crate::event_loop::SharedWriter;
-use crate::index::build_options;
 use crate::metrics::ServerMetrics;
 use crate::protocol::ErrorCode;
 use crate::registry::ContinuousQuery;
@@ -220,7 +219,7 @@ pub(crate) fn exec_register(
     let (graph, sub_epoch) = entry.snapshot();
     let built = catch_unwind(AssertUnwindSafe(|| {
         let plan = Arc::new(QueryPlan::new(query, &graph));
-        let ceci = Ceci::build_with(&graph, &plan, build_options(state));
+        let ceci = Ceci::build(&graph, &plan);
         let total = count_embeddings(&graph, &plan, &ceci);
         (plan, total)
     }));

@@ -191,13 +191,13 @@ fn choose(
             (index, replan) = (swapped, took);
         }
     }
-    // Worker count: explicit `WORKERS` wins, then the planner's
-    // recommendation (sized from estimated volume), then the default.
+    // Worker count: explicit `WORKERS` wins, else the planner's
+    // recommendation (sized from estimated volume).
     let config = state.config();
     let recommended = if form.raw { 1 } else { index.choice.workers };
     let workers = form
         .workers
-        .unwrap_or(recommended.max(config.default_match_workers))
+        .unwrap_or(recommended)
         .clamp(1, config.max_match_workers.max(1));
     let served = Served {
         index,

@@ -76,13 +76,8 @@ pub struct ServeConfig {
     pub queue_cap: usize,
     /// Index-cache byte budget (0 disables caching).
     pub cache_budget_bytes: usize,
-    /// Enumeration threads per MATCH when the request doesn't say.
-    pub default_match_workers: usize,
     /// Hard cap on per-request `WORKERS`.
     pub max_match_workers: usize,
-    /// BFS-filter worker threads per cache-miss index build (any value
-    /// yields a bit-identical index; see `ceci_core::BuildOptions`).
-    pub build_threads: usize,
     /// Enable the `CHAOS` fault-injection verb. Off by default; without it
     /// `CHAOS` answers `ERR E_CHAOS_DISABLED` and injects nothing.
     pub chaos: bool,
@@ -137,9 +132,7 @@ impl Default for ServeConfig {
             pool_workers: 2,
             queue_cap: 64,
             cache_budget_bytes: 64 << 20,
-            default_match_workers: 1,
             max_match_workers: 8,
-            build_threads: 1,
             chaos: false,
             trace: false,
             prune_redundant: true,

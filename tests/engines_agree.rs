@@ -190,15 +190,7 @@ fn ablation_variants_agree() {
         (true, true, VerifyMode::Intersection),
         (true, false, VerifyMode::Intersection),
     ] {
-        let ceci = Ceci::build_with(
-            &graph,
-            &plan,
-            BuildOptions {
-                build_nte,
-                refine,
-                ..BuildOptions::default()
-            },
-        );
+        let ceci = Ceci::build_with(&graph, &plan, BuildOptions { build_nte, refine });
         let mut sink = CountSink::unbounded();
         enumerate_sequential(
             &graph,

@@ -8,6 +8,8 @@
 //! * Symmetry breaking yields exactly one representative per automorphism
 //!   class.
 //! * Index size accounting is internally consistent.
+//! * Work units, and indexes built over halves of the root's candidates,
+//!   partition the embeddings.
 
 use ceci::baselines::enumerate_all;
 use ceci::prelude::*;
@@ -91,8 +93,8 @@ proptest! {
     #[test]
     fn refinement_changes_size_not_results(graph in arb_graph(), query in arb_query()) {
         let plan = QueryPlan::new(query, &graph);
-        let refined = Ceci::build_with(&graph, &plan, BuildOptions { build_nte: true, refine: true, ..BuildOptions::default() });
-        let unrefined = Ceci::build_with(&graph, &plan, BuildOptions { build_nte: true, refine: false, ..BuildOptions::default() });
+        let refined = Ceci::build_with(&graph, &plan, BuildOptions { build_nte: true, refine: true });
+        let unrefined = Ceci::build_with(&graph, &plan, BuildOptions { build_nte: true, refine: false });
         // Refinement never grows the index.
         prop_assert!(refined.num_entries() <= unrefined.num_entries());
         // And results match.
@@ -171,7 +173,28 @@ proptest! {
         let got = ceci::core::canonicalize(sink.into_embeddings());
         let expected = ceci::core::collect_embeddings(&graph, &plan, &ceci);
         // Partition: same set, no duplicates.
-        prop_assert_eq!(got, expected);
+        prop_assert_eq!(&got, &expected);
+        // A machine's index (§5) holds only its own pivots' clusters: built
+        // over the two halves of the root's candidates, each index lists
+        // pivots of its half that the full build lists too, with no larger
+        // cardinality (refinement over fewer keys can only prune more), and
+        // the two count the full build's embeddings between them.
+        let roots = plan.initial_candidates(plan.root());
+        let (low, high) = roots.split_at(roots.len() / 2);
+        let mut count = 0u64;
+        for half in [low, high] {
+            let index = Ceci::build_for_pivots(&graph, &plan, BuildOptions::default(), half.to_vec());
+            for &(pivot, card) in index.pivots() {
+                prop_assert!(half.contains(&pivot), "pivot {:?} outside its half", pivot);
+                let full = ceci.pivots().iter().find(|&&(p, _)| p == pivot);
+                prop_assert!(
+                    full.is_some_and(|&(_, bound)| card <= bound),
+                    "pivot {:?}: cardinality {} against the full build's {:?}", pivot, card, full
+                );
+            }
+            count += count_embeddings(&graph, &plan, &index);
+        }
+        prop_assert_eq!(count, expected.len() as u64);
     }
 
     #[test]
