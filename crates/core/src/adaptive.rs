@@ -10,11 +10,11 @@
 //!
 //! 1. **A miss rents.** [`plan_with_options`] with
 //!    [`OrderStrategy::Adaptive`] returns the paper's BFS plan and a
-//!    one-candidate [`PlanChoice`]; once the index is built,
-//!    [`PlanChoice::estimate_served`] takes the cost estimate (deadline
-//!    admission, strategy and worker pick, `EXPLAIN`) from [`SCORE_WALKS`]
-//!    random walks over that *served* index. No pilot index, nothing built
-//!    and thrown away.
+//!    one-candidate [`PlanChoice`], and the index is built once under it.
+//!    Nothing is estimated: no walk, no pilot index, nothing built and
+//!    thrown away. The two readers of a cost estimate, deadline admission
+//!    and `EXPLAIN`, take it when they run, from [`served_cost`]'s
+//!    [`SCORE_WALKS`] random walks over the *served* index.
 //! 2. **Every execution pays rent into a ledger.** The cached entry's
 //!    [`Reuse`] adds up the exact enumeration work of each execution
 //!    ([`Counters::intersection_ops`] + [`Counters::recursive_calls`]).
@@ -40,9 +40,9 @@
 //! never asked again pays nothing, and one asked forever pays at most twice
 //! what planning it right on arrival would have.
 //!
-//! Around that: [`choose_execution`] sizes ST / CGD / FGD and the worker
-//! count from an estimate, and [`admit`] answers a deadline with exact or
-//! approximate.
+//! Around that, [`admit`] answers a deadline with exact or approximate. No
+//! estimate sizes execution: the width is the request's own (`WORKERS`, one
+//! worker without it), and the strategy follows from that width.
 //!
 //! Only the *order* differs between portfolio members, and every order
 //! satisfies the parent-precedes-child invariant, so exact counts are
@@ -60,10 +60,9 @@ use ceci_trace::DepthProfile;
 use crate::estimate::{estimate_cost, CostEstimate, EstimateOptions};
 use crate::index::{BuildOptions, Ceci};
 use crate::metrics::Counters;
-use crate::parallel::Strategy;
 
-/// Random walks per cost estimate — over the served index on a miss, over
-/// each challenger's pilot index in a re-plan.
+/// Random walks per cost estimate — over the served index when a request
+/// reads its estimate, over each challenger's pilot index in a re-plan.
 pub const SCORE_WALKS: u64 = 64;
 /// Seed of those walks: one seed, so the same index always estimates the
 /// same and a re-plan decides the same on every run.
@@ -88,8 +87,10 @@ const UNITS_PER_SCAN: u64 = 32;
 /// Knobs for adaptive execution.
 #[derive(Clone, Copy, Debug)]
 pub struct AdaptiveOptions {
-    /// Upper bound on the worker count the planner may recommend (the
-    /// server's per-request clamp).
+    /// Nothing reads this field: the planner no longer recommends a width
+    /// (a `MATCH` drains on its own `WORKERS`, one worker without it). It
+    /// is kept only because the perf ledger's replay (`benchmark/`) names
+    /// it, and is retired by the `benchmark` PR that stops naming it.
     pub max_workers: usize,
 }
 
@@ -109,11 +110,13 @@ pub struct CandidatePlan {
     /// The resulting matching order.
     pub order: Vec<VertexId>,
     /// Estimated total intermediate-result volume — the deadline-admission
-    /// cost unit.
+    /// cost unit. Zero where nothing was walked: the unscored served plan
+    /// (`EXPLAIN` prints its row from the walks it takes) and an incumbent
+    /// scored against.
     pub volume: f64,
     /// Enumeration work (intersection comparisons plus one unit per
-    /// intermediate result): estimated, except for an incumbent that was
-    /// scored against, whose work is the observed mean per execution.
+    /// intermediate result): estimated for a challenger, the observed mean
+    /// per execution for an incumbent that was scored against.
     pub work: f64,
     /// Standard error of `work` (zero for an observed one).
     pub work_error: f64,
@@ -121,36 +124,26 @@ pub struct CandidatePlan {
     pub chosen: bool,
 }
 
-/// The planner's decision record for one served index: its cost estimate
-/// and everything EXPLAIN needs to show which plans were weighed.
+/// The planner's decision record for one served index: everything
+/// EXPLAIN needs to show which plans were weighed.
 #[derive(Clone, Debug)]
 pub struct PlanChoice {
     /// The served plan alone until a re-plan scores the portfolio; after
     /// that the incumbent followed by every challenger (deduplicated by
     /// matching order).
     pub candidates: Vec<CandidatePlan>,
-    /// Cost estimate of the served plan over the served index; all zero
-    /// until [`PlanChoice::estimate_served`] ran.
-    pub cost: CostEstimate,
-    /// Recommended parallel strategy.
-    pub strategy: Strategy,
-    /// Recommended worker count (already clamped to
-    /// [`AdaptiveOptions::max_workers`]).
-    pub workers: usize,
     /// Wall time spent scoring the portfolio: zero until a re-plan.
     pub score_time: Duration,
     /// `true` when a re-plan replaced the paper-default plan (best root,
     /// BFS order) with a challenger.
     pub replanned: bool,
-    max_workers: usize,
 }
 
 impl PlanChoice {
     /// The one-candidate record of a plan nobody has scored yet — what a
     /// cache miss stores beside the paper's plan (best root, BFS order) and
     /// a later re-plan extends.
-    pub fn unscored(plan: &QueryPlan, max_workers: usize) -> PlanChoice {
-        let n = plan.query().num_vertices();
+    pub fn unscored(plan: &QueryPlan) -> PlanChoice {
         PlanChoice {
             candidates: vec![CandidatePlan {
                 strategy: OrderStrategy::Bfs,
@@ -161,32 +154,8 @@ impl PlanChoice {
                 work_error: 0.0,
                 chosen: true,
             }],
-            cost: CostEstimate::empty(n, false),
-            strategy: Strategy::Static,
-            workers: 1,
             score_time: Duration::ZERO,
             replanned: false,
-            max_workers: max_workers.max(1),
-        }
-    }
-
-    /// Predicted sequential execution time of the served plan.
-    pub fn predicted(&self) -> Duration {
-        predicted_time(self.cost.volume(), DEFAULT_NS_PER_UNIT)
-    }
-
-    /// Takes the served plan's cost estimate from [`SCORE_WALKS`] walks over
-    /// the index that will answer the requests, and sizes strategy and
-    /// worker count from it. This is all the estimating a cache miss does.
-    pub fn estimate_served(&mut self, graph: &Graph, plan: &QueryPlan, ceci: &Ceci) {
-        self.cost = walk_cost(graph, plan, ceci);
-        (self.strategy, self.workers) = choose_execution(&self.cost, self.max_workers);
-        // A lone unscored candidate takes its numbers from here; a scored
-        // portfolio keeps the scores its decision was made on.
-        if let [served] = self.candidates.as_mut_slice() {
-            served.volume = self.cost.volume();
-            served.work = self.cost.work();
-            served.work_error = self.cost.work_std_error;
         }
     }
 
@@ -212,9 +181,8 @@ impl PlanChoice {
     /// Returns the winning plan, if any — with those current sets, ready to
     /// build under — and the decision record to store: every member with
     /// its score, the time scoring took, and [`PlanChoice::replanned`] set
-    /// on a win. The caller rebuilds the index under the winner and calls
-    /// [`PlanChoice::estimate_served`] on the record; without a winner the
-    /// record describes the incumbent as is.
+    /// on a win. The caller rebuilds the index under the winner; without a
+    /// winner the record describes the incumbent as is.
     pub fn score_challengers(
         &self,
         graph: &Graph,
@@ -287,11 +255,12 @@ pub fn ns_per_unit_from_profile(profile: &DepthProfile) -> Option<f64> {
 /// plans exactly as the paper does — best root, BFS order — and returns the
 /// one-candidate decision record a later re-plan extends; any other
 /// strategy delegates to [`QueryPlan::with_options`] with no record.
+/// `_adaptive` is not read (see [`AdaptiveOptions::max_workers`]).
 pub fn plan_with_options(
     query: QueryGraph,
     graph: &Graph,
     plan_options: &PlanOptions,
-    adaptive: &AdaptiveOptions,
+    _adaptive: &AdaptiveOptions,
 ) -> (QueryPlan, Option<PlanChoice>) {
     if plan_options.order == OrderStrategy::Adaptive && plan_options.root_override.is_none() {
         let plan = QueryPlan::with_options(
@@ -302,7 +271,7 @@ pub fn plan_with_options(
                 ..plan_options.clone()
             },
         );
-        let choice = PlanChoice::unscored(&plan, adaptive.max_workers);
+        let choice = PlanChoice::unscored(&plan);
         (plan, Some(choice))
     } else {
         (QueryPlan::with_options(query, graph, plan_options), None)
@@ -345,7 +314,12 @@ fn challengers(plan: &QueryPlan) -> Vec<(OrderStrategy, VertexId, Vec<VertexId>)
     found
 }
 
-fn walk_cost(graph: &Graph, plan: &QueryPlan, ceci: &Ceci) -> CostEstimate {
+/// The cost estimate of `plan` over `ceci`: [`SCORE_WALKS`] random walks
+/// under one fixed seed, so the same index always estimates the same. Taken
+/// over the served index by the requests that read an estimate (deadline
+/// admission, `EXPLAIN`), and over each challenger's pilot index by a
+/// re-plan.
+pub fn served_cost(graph: &Graph, plan: &QueryPlan, ceci: &Ceci) -> CostEstimate {
     estimate_cost(
         graph,
         plan,
@@ -371,7 +345,7 @@ fn pilot_cost(graph: &Graph, plan: &QueryPlan, retained_pivots: &[VertexId]) -> 
         retained_pivots.len() as f64 / sampled.len() as f64
     };
     let pilot = Ceci::build_for_pivots(graph, plan, BuildOptions::default(), sampled);
-    walk_cost(graph, plan, &pilot).scaled(scale)
+    served_cost(graph, plan, &pilot).scaled(scale)
 }
 
 /// What re-planning a cached index would cost, in enumeration work units.
@@ -503,44 +477,6 @@ impl Reuse {
     }
 }
 
-/// Maps a cost estimate to a parallel strategy and worker count.
-///
-/// Volume thresholds are deliberately coarse: below ~100k modeled units a
-/// second worker costs more in distribution than it saves, and the paper's
-/// §6.3 result (FGD ≥ CGD ≥ ST under skew) decides the strategy once
-/// parallelism pays. Skew is read from the per-depth branch factors: a
-/// branch factor ≫ the mean at any depth means cluster workloads are
-/// unbalanced and static assignment will straggle.
-pub fn choose_execution(cost: &CostEstimate, max_workers: usize) -> (Strategy, usize) {
-    let max_workers = max_workers.max(1);
-    let volume = cost.volume();
-    const UNITS_PER_WORKER: f64 = 100_000.0;
-    let workers = if volume <= UNITS_PER_WORKER {
-        1
-    } else {
-        ((volume / UNITS_PER_WORKER).ceil() as usize).min(max_workers)
-    };
-    if workers == 1 {
-        return (Strategy::Static, 1);
-    }
-    let pivots = cost.depth_volumes.first().copied().unwrap_or(0.0);
-    let factors = cost.branch_factors();
-    let mean_bf = if factors.is_empty() {
-        0.0
-    } else {
-        factors.iter().sum::<f64>() / factors.len() as f64
-    };
-    let max_bf = factors.iter().cloned().fold(0.0f64, f64::max);
-    let skewed = max_bf > 4.0 * mean_bf.max(1.0);
-    // Few clusters per worker, or skewed fan-out → decompose (FGD). A deep
-    // pool of similar clusters → pull-based CGD is enough.
-    if skewed || pivots < 4.0 * workers as f64 {
-        (Strategy::FineDynamic { beta: 0.2 }, workers)
-    } else {
-        (Strategy::CoarseDynamic, workers)
-    }
-}
-
 /// Deadline-admission verdict for a `MATCH … DEADLINE` request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Admission {
@@ -555,8 +491,10 @@ pub enum Admission {
 ///
 /// `ns_per_unit` is the modeled cost per intermediate-result unit —
 /// [`DEFAULT_NS_PER_UNIT`] absent feedback, or the observed value from
-/// [`ns_per_unit_from_profile`]. The prediction assumes the recommended
-/// worker parallelism is already folded into `workers`.
+/// [`ns_per_unit_from_profile`]. `workers` is the width the request will
+/// drain with, and the prediction assumes it divides the work evenly.
+/// `cost` is [`served_cost`] over the index the request would drain, taken
+/// at admission.
 ///
 /// There is no third verdict for an estimate too noisy to answer with: over
 /// non-negative walk weights the standard error never exceeds the mean
@@ -608,20 +546,19 @@ mod tests {
         let graph = kronecker_default(9, 5, 42);
         for pq in [PaperQuery::Qg1, PaperQuery::Qg3, PaperQuery::Qg5] {
             let bfs = QueryPlan::new(pq.build(), &graph);
-            let (plan, mut choice) = adaptive_plan(pq.build(), &graph);
+            let (plan, choice) = adaptive_plan(pq.build(), &graph);
             assert_eq!(plan.matching_order(), bfs.matching_order(), "{pq:?}");
             assert_eq!(choice.candidates.len(), 1);
             assert!(choice.candidates[0].chosen);
+            assert_eq!(choice.candidates[0].work, 0.0, "a miss walks nothing");
             assert_eq!(choice.score_time, Duration::ZERO);
             assert!(!choice.replanned);
 
-            // The one estimate a miss takes comes from the served index.
+            // The estimate a request reads comes from the served index.
             let ceci = Ceci::build(&graph, &plan);
-            choice.estimate_served(&graph, &plan, &ceci);
-            assert_eq!(choice.cost.estimate.walks, SCORE_WALKS);
-            assert_eq!(choice.cost.depth_volumes[0], ceci.pivots().len() as f64);
-            assert_eq!(choice.candidates[0].work, choice.cost.work());
-            assert_eq!(choice.score_time, Duration::ZERO);
+            let cost = served_cost(&graph, &plan, &ceci);
+            assert_eq!(cost.estimate.walks, SCORE_WALKS);
+            assert_eq!(cost.depth_volumes[0], ceci.pivots().len() as f64);
         }
     }
 
@@ -693,9 +630,8 @@ mod tests {
     fn a_challenger_must_clear_the_bar_by_its_own_error() {
         let graph = kronecker_default(9, 5, 42);
         for pq in [PaperQuery::Qg1, PaperQuery::Qg3, PaperQuery::Qg5] {
-            let (plan, mut choice) = adaptive_plan(pq.build(), &graph);
+            let (plan, choice) = adaptive_plan(pq.build(), &graph);
             let ceci = Ceci::build(&graph, &plan);
-            choice.estimate_served(&graph, &plan, &ceci);
             let exact = count_embeddings(&graph, &plan, &ceci);
 
             // An incumbent seen to cost nothing cannot be beaten: every
@@ -744,15 +680,19 @@ mod tests {
     #[test]
     fn scoring_is_deterministic() {
         let graph = kronecker_default(8, 5, 7);
-        let (plan, mut choice) = adaptive_plan(PaperQuery::Qg2.build(), &graph);
+        let (plan, choice) = adaptive_plan(PaperQuery::Qg2.build(), &graph);
         let ceci = Ceci::build(&graph, &plan);
-        choice.estimate_served(&graph, &plan, &ceci);
         let (a, ca) = choice.score_challengers(&graph, &plan, &bar(f64::MAX));
         let (b, cb) = choice.score_challengers(&graph, &plan, &bar(f64::MAX));
         assert_eq!(a.unwrap().matching_order(), b.unwrap().matching_order());
         let works = |c: &PlanChoice| c.candidates.iter().map(|c| c.work).collect::<Vec<_>>();
         assert_eq!(works(&ca), works(&cb));
-        assert_eq!(ca.workers, cb.workers);
+        // And the served index always estimates the same.
+        let (x, y) = (
+            served_cost(&graph, &plan, &ceci),
+            served_cost(&graph, &plan, &ceci),
+        );
+        assert_eq!((x.volume(), x.work()), (y.volume(), y.work()));
     }
 
     #[test]
@@ -800,47 +740,6 @@ mod tests {
             handles.into_iter().map(|h| h.join().unwrap()).sum()
         });
         assert_eq!(claims, 1);
-    }
-
-    #[test]
-    fn execution_choice_scales_with_volume() {
-        let small = CostEstimate {
-            estimate: crate::estimate::Estimate {
-                mean: 10.0,
-                std_error: 1.0,
-                walks: 64,
-                exact_zero: false,
-            },
-            depth_volumes: vec![5.0, 10.0],
-            depth_work: vec![5.0, 10.0],
-            work_std_error: 0.0,
-        };
-        assert_eq!(choose_execution(&small, 8), (Strategy::Static, 1));
-
-        let big = CostEstimate {
-            estimate: crate::estimate::Estimate {
-                mean: 1e7,
-                std_error: 1e5,
-                walks: 64,
-                exact_zero: false,
-            },
-            depth_volumes: vec![1000.0, 1e6, 1e7],
-            depth_work: vec![1000.0, 1e6, 1e7],
-            work_std_error: 0.0,
-        };
-        let (strategy, workers) = choose_execution(&big, 8);
-        assert!(workers > 1);
-        assert!(matches!(
-            strategy,
-            Strategy::CoarseDynamic | Strategy::FineDynamic { .. }
-        ));
-        // Skewed fan-out forces decomposition.
-        let skewed = CostEstimate {
-            depth_volumes: vec![2.0, 1e6, 1e7],
-            ..big
-        };
-        let (strategy, _) = choose_execution(&skewed, 8);
-        assert!(matches!(strategy, Strategy::FineDynamic { .. }));
     }
 
     #[test]

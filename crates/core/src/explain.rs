@@ -11,11 +11,12 @@ use std::fmt::Write as _;
 use ceci_graph::{Graph, VertexId};
 use ceci_query::QueryPlan;
 
-use crate::adaptive::{PlanChoice, Reuse};
+use crate::adaptive::{predicted_time, PlanChoice, Reuse, DEFAULT_NS_PER_UNIT};
 use crate::enumerate::{EnumOptions, LeafMode};
 use crate::estimate::CostEstimate;
 use crate::index::Ceci;
 use crate::metrics::Counters;
+use crate::parallel::Strategy;
 use ceci_trace::DepthProfile;
 
 /// Renders a per-matching-order-depth enumeration profile (the
@@ -155,9 +156,17 @@ pub fn explain_plan(plan: &QueryPlan, graph: &Graph, options: EnumOptions, sets:
 /// Renders the adaptive planner's decision record: where the entry's
 /// rent/buy ledger stands (whether the portfolio has been scored, the work
 /// spent on the entry and the price of re-planning it, same unit), every
-/// plan weighed so far, and the execution choices (strategy, workers)
-/// derived from the served plan's estimate.
-pub fn explain_choice(choice: &PlanChoice, reuse: &Reuse) -> String {
+/// plan weighed so far, and the execution: the drain's `strategy` and
+/// `workers`, and `cost`, the served plan's estimate
+/// ([`crate::served_cost`] over the served index, taken by the caller). The
+/// lone row of an unscored record prints its numbers from `cost`.
+pub fn explain_choice(
+    choice: &PlanChoice,
+    reuse: &Reuse,
+    cost: &CostEstimate,
+    strategy: Strategy,
+    workers: usize,
+) -> String {
     let mut out = String::new();
     let (spent, scored) = reuse.snapshot();
     let _ = writeln!(
@@ -168,33 +177,35 @@ pub fn explain_choice(choice: &PlanChoice, reuse: &Reuse) -> String {
         choice.score_time.as_micros(),
         choice.replanned,
     );
+    let lone = choice.candidates.len() == 1;
     for (i, c) in choice.candidates.iter().enumerate() {
         let order: Vec<String> = c.order.iter().map(|u| format!("u{u}")).collect();
+        let (volume, work, work_error) = if lone {
+            (cost.volume(), cost.work(), cost.work_std_error)
+        } else {
+            (c.volume, c.work, c.work_error)
+        };
         let _ = writeln!(
             out,
-            "  cand={i} strategy={:?} root=u{} volume={:.1} work={:.1} work_se={:.1} chosen={} order=[{}]",
+            "  cand={i} strategy={:?} root=u{} volume={volume:.1} work={work:.1} work_se={work_error:.1} chosen={} order=[{}]",
             c.strategy,
             c.root,
-            c.volume,
-            c.work,
-            c.work_error,
             if c.chosen { 1 } else { 0 },
             order.join(", "),
         );
     }
-    let est = &choice.cost.estimate;
+    let est = &cost.estimate;
     let (lo, hi) = est.ci95();
     let _ = writeln!(
         out,
-        "exec: strategy={} workers={} est_count={:.1} est_se={:.1} ci95=[{:.1}, {:.1}] est_volume={:.1} predicted_us={}",
-        choice.strategy.abbrev(),
-        choice.workers,
+        "exec: strategy={} workers={workers} est_count={:.1} est_se={:.1} ci95=[{:.1}, {:.1}] est_volume={:.1} predicted_us={}",
+        strategy.abbrev(),
         est.mean,
         est.std_error,
         lo,
         hi,
-        choice.cost.volume(),
-        choice.predicted().as_micros(),
+        cost.volume(),
+        predicted_time(cost.volume(), DEFAULT_NS_PER_UNIT).as_micros(),
     );
     out
 }
@@ -439,7 +450,7 @@ mod tests {
 
     #[test]
     fn choice_report_lists_candidates_and_exec() {
-        use crate::adaptive::{plan_with_options, replan_price, AdaptiveOptions};
+        use crate::adaptive::{plan_with_options, replan_price, served_cost, AdaptiveOptions};
         use ceci_query::{OrderStrategy, PlanOptions};
         let (graph, plan) = paper::figure1();
         let (plan, choice) = plan_with_options(
@@ -451,11 +462,11 @@ mod tests {
             },
             &AdaptiveOptions::default(),
         );
-        let mut choice = choice.expect("the adaptive strategy records its choice");
+        let choice = choice.expect("the adaptive strategy records its choice");
         let ceci = Ceci::build(&graph, &plan);
-        choice.estimate_served(&graph, &plan, &ceci);
+        let cost = served_cost(&graph, &plan, &ceci);
         let reuse = Reuse::new(replan_price(&plan, &ceci));
-        let report = explain_choice(&choice, &reuse);
+        let report = explain_choice(&choice, &reuse, &cost, Strategy::Static, 1);
         assert!(
             report.contains(&format!(
                 "plan choice: scored=false spent=0 price={} candidates=1",
@@ -464,7 +475,23 @@ mod tests {
             "{report}"
         );
         assert!(report.contains("chosen=1"), "{report}");
-        assert!(report.contains("exec: strategy="), "{report}");
+        // The lone unscored row prints the walked numbers it was handed.
+        assert!(
+            report.contains(&format!(
+                "volume={:.1} work={:.1} work_se={:.1} chosen=1",
+                cost.volume(),
+                cost.work(),
+                cost.work_std_error
+            )),
+            "{report}"
+        );
+        assert!(
+            report.contains(&format!(
+                "exec: strategy=ST workers=1 est_count={:.1}",
+                cost.estimate.mean
+            )),
+            "{report}"
+        );
     }
 
     #[test]

@@ -43,9 +43,9 @@ pub mod sink;
 pub mod tables;
 
 pub use adaptive::{
-    admit, choose_execution, ns_per_unit_from_profile, plan_with_options, predicted_time,
-    replan_price, AdaptiveOptions, Admission, CandidatePlan, Observed, PlanChoice, ReplanPrice,
-    Reuse, DEFAULT_NS_PER_UNIT,
+    admit, ns_per_unit_from_profile, plan_with_options, predicted_time, replan_price, served_cost,
+    AdaptiveOptions, Admission, CandidatePlan, Observed, PlanChoice, ReplanPrice, Reuse,
+    DEFAULT_NS_PER_UNIT,
 };
 pub use batch::{enumerate_from_frontier, PrefixSpec};
 pub use bitmap::VertexBitmap;

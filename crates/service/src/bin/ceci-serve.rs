@@ -8,7 +8,7 @@
 //!   --queue-cap N        pending-request cap before BUSY (default 64)
 //!   --cache-mb N         index-cache budget in MiB (default 64; 0 disables)
 //!   --max-match-workers N  cap on per-request WORKERS (default 8); a MATCH
-//!                        without WORKERS runs the planner's recommendation
+//!                        without WORKERS runs one worker
 //!   --compact-threshold N  net mutations since the last compaction that
 //!                        trigger the next exact label-pair rebuild
 //!                        (default 32768)

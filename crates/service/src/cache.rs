@@ -74,8 +74,9 @@ pub struct CachedIndex {
     /// its own snapshot; this says what `EXPLAIN`'s candidate counts and a
     /// re-plan's pilots read.
     pub sets_sub_epoch: u64,
-    /// The adaptive planner's decision record (the plans weighed so far,
-    /// the served plan's cost estimate, strategy/worker recommendation).
+    /// The adaptive planner's decision record: the plans weighed so far.
+    /// It holds no cost estimate; a request that reads one walks this
+    /// entry's own `plan` and `ceci` ([`ceci_core::served_cost`]).
     pub choice: PlanChoice,
     /// The rent/buy ledger: enumeration work spent on this entry against
     /// the price of re-planning it, and whether that re-plan has happened.
@@ -469,7 +470,7 @@ mod tests {
         let canonical = CanonicalQuery::of(&query);
         let plan = QueryPlan::new(query, &graph);
         let ceci = Ceci::build(&graph, &plan);
-        let choice = PlanChoice::unscored(&plan, 1);
+        let choice = PlanChoice::unscored(&plan);
         let reuse = Arc::new(Reuse::new(replan_price(&plan, &ceci)));
         CachedIndex {
             bytes,

@@ -77,9 +77,9 @@ type Built = (Arc<QueryPlan>, Arc<Ceci>, PlanChoice);
 /// fires, so the two compose). `Err(())` means the build panicked; the
 /// caller quarantines the key (a miss) or keeps the incumbent (a re-plan).
 ///
-/// The index is built once, under the plan `planner` returns, and the
-/// decision record coming with it takes its cost estimate from walks over
-/// that served index ([`PlanChoice::estimate_served`]).
+/// The index is built once, under the plan `planner` returns. Nothing is
+/// estimated here: the requests that read a cost estimate (deadline
+/// admission, `EXPLAIN`) walk the served index themselves.
 fn run_build(
     state: &ServerState,
     graph: &Graph,
@@ -94,9 +94,8 @@ fn run_build(
         if armed {
             panic!("injected CHAOS BUILDPANIC during index build");
         }
-        let (plan, mut choice) = planner();
+        let (plan, choice) = planner();
         let ceci = Ceci::build(graph, &plan);
-        choice.estimate_served(graph, &plan, &ceci);
         (Arc::new(plan), Arc::new(ceci), choice)
     }))
     .map_err(|_| ())
@@ -223,10 +222,11 @@ fn repair_entry(
         );
     }
     // The plan is unchanged by a repair, so the planner's decision record
-    // and the rent/buy ledger (work spent, re-plan done or not) carry over,
-    // as does the snapshot its candidate sets describe; execution feedback
-    // does NOT — it was measured against the pre-mutation candidate sets,
-    // and the repaired entry re-profiles on its next exact run.
+    // (the plans weighed; it holds no estimate of the old index) and the
+    // rent/buy ledger (work spent, re-plan done or not) carry over, as does
+    // the snapshot its candidate sets describe; execution feedback does
+    // NOT — it was measured against the pre-mutation candidate sets, and
+    // the repaired entry re-profiles on its next exact run.
     let mut repaired = CachedIndex::new(
         old.canonical.clone(),
         plan,
@@ -266,10 +266,9 @@ fn build_miss(
 ) -> Result<Indexed, Vec<String>> {
     Acquired::Miss.count(&state.metrics);
     let t0 = Instant::now();
-    let max_workers = state.config().max_match_workers;
     let planner = || {
         let plan = QueryPlan::new(query, graph);
-        let choice = PlanChoice::unscored(&plan, max_workers);
+        let choice = PlanChoice::unscored(&plan);
         (plan, choice)
     };
     let Ok((plan, ceci, choice)) = run_build(state, graph, planner) else {

@@ -35,12 +35,13 @@
 //!   queries** emit per-batch embedding-count deltas (`EVENT DELTA`)
 //!   to their connection ([`server`]),
 //! * **rent BFS, buy the portfolio**: a cache miss plans as the paper does
-//!   and takes one random-walk cost estimate from the index it built, which
-//!   sizes the parallel strategy and worker count; the plan portfolio is
+//!   and builds that index, estimating nothing (a `MATCH` drains on its own
+//!   `WORKERS n`, one worker without it); the plan portfolio is
 //!   scored at most once per cached entry, and only after the entry's own
 //!   reuse has spent as much enumeration work as scoring and one rebuild
 //!   cost (`ceci_core::adaptive`); `MATCH ... DEADLINE` degrades to an
-//!   estimator answer (`mode=APPROX`) when the exact run cannot finish in
+//!   estimator answer (`mode=APPROX`) when random walks over the served
+//!   index, taken at admission, say the exact run cannot finish in
 //!   time, at the per-unit rate an earlier deadline
 //!   run of the entry observed ([`cache::PlanFeedback`]; `EXACT` opts out;
 //!   `ESTIMATE` answers the cardinality question directly),

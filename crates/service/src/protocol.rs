@@ -84,7 +84,7 @@
 //!
 //! `MATCH ... RAW` opts one request out of the multi-query optimization
 //! layer (admission filter, redundant-extension pruning, the adaptive
-//! planner's strategy and re-plan) — the differential lever used to verify
+//! planner's re-plan) — the differential lever used to verify
 //! the optimized path returns bit-identical counts. Every `MATCH` form —
 //! plain, `LIMIT`, `DEADLINE`, `WORKERS`, `RAW`, `EXACT` — drains its cached
 //! index through the same enumeration entry point.
@@ -105,6 +105,8 @@
 //! `ESTIMATE` answers the cardinality question directly: it runs the
 //! random-walk estimator over the (cached) index and reports the mean,
 //! standard error and 95% confidence interval without enumerating.
+//! `WALKS <n>` takes 1 to [`MAX_WALKS`] walks: nothing cancels an estimate,
+//! so the cap bounds how long one request holds a pool worker.
 //!
 //! `CHAOS` is a fault-injection verb for testing the server's failure
 //! paths; it is refused with `E_CHAOS_DISABLED` unless the server was
@@ -114,6 +116,11 @@
 //! with `STAT ` / `| ` respectively and never start with a terminal word.
 
 use std::fmt;
+
+/// The most walks one `ESTIMATE … WALKS <n>` may ask for: 1 000 times the
+/// default budget. Walking is linear in `n` and runs to the end on a pool
+/// worker, so a larger `n` is refused at parse time (`E_PARSE`).
+pub const MAX_WALKS: u64 = 1_000_000;
 
 /// The options of one `MATCH` line. The default is the plain count-only
 /// form, which is also what `ESTIMATE` and `EXPLAIN` resolve as.
@@ -126,8 +133,9 @@ pub struct MatchForm {
     /// Enumeration threads for this request (capped by the server).
     pub workers: Option<usize>,
     /// `RAW`: the one ablation lever — no admission filter, no re-plan, no
-    /// planner-chosen strategy or worker count, no deadline ladder, no
-    /// redundant-extension pruning — for verifying bit-identical counts.
+    /// deadline ladder, no redundant-extension pruning — for verifying
+    /// bit-identical counts. Width and strategy are those of any `MATCH`:
+    /// `WORKERS n` (one worker without it), ST at one worker, FGD above.
     pub raw: bool,
     /// `EXACT`: opt out of deadline-aware graceful degradation — always
     /// run the exact enumeration even when the planner predicts it cannot
@@ -509,8 +517,8 @@ pub fn parse_request(line: &str) -> Result<Option<Request>, ParseError> {
                 match opt.to_ascii_uppercase().as_str() {
                     "WALKS" => {
                         let w = parse_u64(&mut it, "WALKS")?;
-                        if w == 0 {
-                            return Err(err("WALKS must be >= 1"));
+                        if !(1..=MAX_WALKS).contains(&w) {
+                            return Err(err(format!("WALKS must be in 1..={MAX_WALKS}")));
                         }
                         walks = Some(w);
                     }
@@ -895,6 +903,19 @@ mod tests {
         assert!(parse_request("ESTIMATE g q WALKS").is_err());
         assert!(parse_request("ESTIMATE g q WALKS 0").is_err());
         assert!(parse_request("ESTIMATE g q BOGUS").is_err());
+        // The walk budget is capped: one request holds one worker.
+        assert_eq!(
+            parse_request(&format!("ESTIMATE g q WALKS {MAX_WALKS}")).unwrap(),
+            Some(Request::Estimate {
+                graph: "g".into(),
+                query_path: "q".into(),
+                walks: Some(MAX_WALKS),
+            })
+        );
+        assert_eq!(
+            parse_request(&format!("ESTIMATE g q WALKS {}", MAX_WALKS + 1)),
+            Err(err(format!("WALKS must be in 1..={MAX_WALKS}")))
+        );
     }
 
     #[test]

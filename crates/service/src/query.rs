@@ -13,8 +13,8 @@ use std::time::{Duration, Instant};
 
 use ceci_core::{
     admit, enumerate_parallel_cancellable, estimate_embeddings, explain_choice, explain_estimates,
-    ns_per_unit_from_profile, Admission as DeadlineVerdict, CancelToken, EnumOptions, Estimate,
-    EstimateOptions, ParallelOptions, DEFAULT_NS_PER_UNIT,
+    ns_per_unit_from_profile, served_cost, Admission as DeadlineVerdict, CancelToken, EnumOptions,
+    Estimate, EstimateOptions, ParallelOptions, Strategy, DEFAULT_NS_PER_UNIT,
 };
 use ceci_graph::Graph;
 use ceci_query::{admission_check, QueryGraph, QueryPlan};
@@ -111,13 +111,12 @@ impl ExecPath {
     }
 }
 
-/// The enumeration options of a drain over `index`: the one function both
-/// `MATCH` and `EXPLAIN ANALYZE` take theirs from. What the planner adds —
-/// skipped for `RAW` — is the work-distribution strategy its estimate
-/// picked, which changes how work is split, never a count.
+/// The enumeration options of a drain: the one function both `MATCH` and
+/// `EXPLAIN ANALYZE` take theirs from. The strategy follows from the width
+/// alone, `RAW` included: ST at one worker, the paper's FGD (β = 0.2) above
+/// one. It changes how work is split, never a count.
 fn drain_options(
     config: &ServeConfig,
-    index: &CachedIndex,
     raw: bool,
     workers: usize,
     limit: Option<u64>,
@@ -128,8 +127,8 @@ fn drain_options(
         prune_redundant: config.prune_redundant && !raw,
         ..Default::default()
     };
-    if !raw {
-        options.strategy = index.choice.strategy;
+    if workers == 1 {
+        options.strategy = Strategy::Static;
     }
     options
 }
@@ -191,14 +190,11 @@ fn choose(
             (index, replan) = (swapped, took);
         }
     }
-    // Worker count: explicit `WORKERS` wins, else the planner's
-    // recommendation (sized from estimated volume).
-    let config = state.config();
-    let recommended = if form.raw { 1 } else { index.choice.workers };
+    // Worker count: the request's `WORKERS`, one worker without it.
     let workers = form
         .workers
-        .unwrap_or(recommended)
-        .clamp(1, config.max_match_workers.max(1));
+        .unwrap_or(1)
+        .clamp(1, state.config().max_match_workers.max(1));
     let served = Served {
         index,
         cache,
@@ -206,17 +202,19 @@ fn choose(
         index_time,
         replan,
     };
-    // Deadline ladder: when the planner's cost estimate (at the rate an
-    // earlier deadline run observed, when there is one) says the exact
-    // enumeration cannot finish inside the deadline, degrade to an estimator
-    // answer *before* occupying the worker for the full deadline. `RAW` and
-    // `EXACT` both opt out.
+    // Deadline ladder: when the cost estimate, walked over the served index
+    // here (at the rate an earlier deadline run observed, when there is
+    // one), says the exact enumeration cannot finish inside the deadline,
+    // degrade to an estimator answer *before* occupying the worker for the
+    // full deadline. `RAW` and `EXACT` both opt out.
     if let Some(deadline_ms) = form.deadline_ms.filter(|_| !form.raw && !form.exact) {
-        let ns_per_unit = lock_recover(&served.index.feedback)
+        let index = &served.index;
+        let ns_per_unit = lock_recover(&index.feedback)
             .as_ref()
             .map_or(DEFAULT_NS_PER_UNIT, |f| f.ns_per_unit);
         let deadline = Duration::from_millis(deadline_ms);
-        let verdict = admit(&served.index.choice.cost, deadline, ns_per_unit, workers);
+        let cost = served_cost(graph, &index.plan, &index.ceci);
+        let verdict = admit(&cost, deadline, ns_per_unit, workers);
         if verdict == DeadlineVerdict::Approx {
             return Ok(ExecPath::Approx(served));
         }
@@ -318,7 +316,7 @@ pub(crate) fn exec_match(
                 profile: !raw
                     && form.deadline_ms.is_some()
                     && lock_recover(&index.feedback).is_none(),
-                ..drain_options(state.config(), index, raw, workers, form.limit)
+                ..drain_options(state.config(), raw, workers, form.limit)
             };
             let t_enum = Instant::now();
             let result =
@@ -466,7 +464,7 @@ pub(crate) fn exec_explain(
     };
     let index = &served.index;
     // What a count-only `MATCH` of this template drains with.
-    let options = drain_options(state.config(), index, *raw, *workers, None);
+    let options = drain_options(state.config(), *raw, *workers, None);
     let enum_options = EnumOptions {
         prune_redundant: options.prune_redundant,
         ..EnumOptions::default()
@@ -487,9 +485,16 @@ pub(crate) fn exec_explain(
     line.push_str(&format!(" ids={ids}"));
     lines.push(line);
     // Plan-choice section: where the entry's rent/buy ledger stands, which
-    // orders have been weighed, the served plan's estimated cost, and the
-    // execution decision.
-    let choice = explain_choice(&index.choice, &index.reuse);
+    // orders have been weighed, the drain's width and strategy, and the
+    // served plan's estimated cost, walked over the served index now.
+    let cost = served_cost(&graph, &index.plan, &index.ceci);
+    let choice = explain_choice(
+        &index.choice,
+        &index.reuse,
+        &cost,
+        options.strategy,
+        options.workers,
+    );
     lines.extend(choice.lines().map(|l| format!("| {l}")));
     if analyze {
         // EXPLAIN ANALYZE: the drain itself with a per-depth profile
@@ -509,7 +514,7 @@ pub(crate) fn exec_explain(
             lines.extend(table.lines().map(|l| format!("| {l}")));
             // Estimated vs actual per-depth volumes (q-error column): how
             // well the planner's cost model predicted this execution.
-            let estimates = explain_estimates(&index.plan, &index.choice.cost, profile);
+            let estimates = explain_estimates(&index.plan, &cost, profile);
             lines.extend(estimates.lines().map(|l| format!("| {l}")));
         } else {
             lines.push("| profile: unavailable for this run".to_string());

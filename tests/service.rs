@@ -221,7 +221,10 @@ fn deadline_returns_partial_count_in_bounded_time() {
     let graph_path = scratch.write_graph("data.graph", &graph);
     let query_path = scratch.write_graph("query.graph", &pattern);
 
-    let (handle, _state) = serve(ServeConfig::default());
+    let (handle, state) = serve(ServeConfig {
+        trace: true,
+        ..ServeConfig::default()
+    });
     let mut client = Client::connect(handle.addr()).unwrap();
     client.request(&format!("LOAD g {graph_path}")).unwrap();
     // Warm the cache so DEADLINE 1 exercises *enumeration* cancellation
@@ -262,6 +265,24 @@ fn deadline_returns_partial_count_in_bounded_time() {
         elapsed < Duration::from_secs(5),
         "degraded response took {elapsed:?}"
     );
+
+    // The drain's width is the request's own: a heavy template (over a
+    // million walked units) without `WORKERS` drains on one worker, and
+    // `WORKERS 2` on two.
+    let resp = client
+        .request(&format!("MATCH g {query_path} LIMIT 1 WORKERS 2"))
+        .unwrap();
+    assert!(resp.is_ok(), "{}", resp.terminal);
+    let widths: Vec<u64> = state
+        .tracer
+        .snapshot()
+        .iter()
+        .filter(|s| s.name == "service.request")
+        .map(|s| s.args.iter().find(|(k, _)| *k == "workers").unwrap().1)
+        .collect();
+    // The warm-up, the EXACT run, then `WORKERS 2` (the APPROX answer
+    // drains nothing and records no request span).
+    assert_eq!(widths, [1, 1, 2]);
     handle.shutdown();
 }
 
@@ -2196,6 +2217,13 @@ fn every_stale_read_repairs_over_patched_sets_whatever_the_gap() {
     );
     let header = line("per-node preprocessing");
     assert!(header.contains("(sets@sub_epoch=0 (lagging))"), "{header}");
+    // Its estimate is walked over the repaired index it serves, not carried
+    // over from the miss.
+    let repaired = state.cache.entries().pop().unwrap();
+    let (snapshot, _) = state.registry.get("g").unwrap().snapshot();
+    let fresh = ceci_core::served_cost(&snapshot, &repaired.plan, &repaired.ceci);
+    let volume = format!(" est_volume={:.1} ", fresh.volume());
+    assert!(line("exec:").contains(&volume), "{}", line("exec:"));
     let reply = served(&client.request(&request).unwrap());
     assert_eq!(reply.cache, "HIT");
     assert_eq!(reply.count, direct_count(&reference, &pattern));
@@ -2263,9 +2291,9 @@ fn cache_bytes_equal_the_live_frozen_indexes_over_fifty_entries() {
 /// was come by. Mirrors DESIGN's "`ExecPath` → tokens / counter / span".
 #[test]
 fn every_exec_path_moves_its_own_counter_and_carries_its_own_tokens() {
-    use ceci_core::{CostEstimate, Estimate, PlanChoice, Reuse};
+    use ceci_core::{PlanChoice, Reuse};
     use ceci_query::CanonicalQuery;
-    use ceci_service::CachedIndex;
+    use ceci_service::{CachedIndex, PlanFeedback};
 
     let scratch = Scratch::new("one-counter");
     let graph = small_graph();
@@ -2288,8 +2316,9 @@ fn every_exec_path_moves_its_own_counter_and_carries_its_own_tokens() {
     let mut client = Client::connect(handle.addr()).unwrap();
     client.request(&format!("LOAD g {graph_path}")).unwrap();
 
-    // The deadline ladder's degraded rung needs an entry whose stored
-    // estimate says "cannot finish": plant one, for another template.
+    // The deadline ladder's degraded rung needs an entry that "cannot
+    // finish": plant a real one, for another template, whose observed rate
+    // prices every walked unit at a thousand seconds.
     let approx_path = {
         let pattern = query_from(&graph, 3, 5);
         let query = QueryGraph::from_graph(&pattern).unwrap();
@@ -2298,20 +2327,10 @@ fn every_exec_path_moves_its_own_counter_and_carries_its_own_tokens() {
         let canonical = CanonicalQuery::of(&query);
         let plan = Arc::new(QueryPlan::new(query, &snapshot));
         let ceci = Arc::new(Ceci::build(&snapshot, &plan));
-        let mut choice = PlanChoice::unscored(&plan, 1);
-        choice.cost = CostEstimate {
-            estimate: Estimate {
-                mean: 1e6,
-                std_error: 1.0,
-                walks: 64,
-                exact_zero: false,
-            },
-            depth_volumes: vec![1e6, 1e12],
-            depth_work: vec![1e6, 1e12],
-            work_std_error: 0.0,
-        };
+        let choice = PlanChoice::unscored(&plan);
         let reuse = Arc::new(Reuse::new(ceci_core::replan_price(&plan, &ceci)));
         let planted = CachedIndex::new(canonical, plan, ceci, sub_epoch, choice, reuse);
+        *planted.feedback.lock().unwrap() = Some(PlanFeedback { ns_per_unit: 1e12 });
         state.cache.insert(entry.epoch, planted);
         scratch.write_graph("approx.graph", &pattern)
     };
