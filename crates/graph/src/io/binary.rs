@@ -36,18 +36,6 @@ fn write_u64<W: Write>(w: &mut W, v: u64) -> std::io::Result<()> {
     w.write_all(&v.to_le_bytes())
 }
 
-fn read_u32<R: Read>(r: &mut R) -> std::io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn read_u64<R: Read>(r: &mut R) -> std::io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
 /// Serializes a graph into the binary format.
 pub fn write_binary<W: Write>(graph: &Graph, mut w: W) -> Result<()> {
     w.write_all(MAGIC)?;
@@ -75,60 +63,15 @@ pub fn write_binary<W: Write>(graph: &Graph, mut w: W) -> Result<()> {
     Ok(())
 }
 
-/// Deserializes a graph from the binary format.
+/// Deserializes a graph from the binary format. The whole image is read
+/// first and its layout validated against the bytes present
+/// ([`MappedCsr::open`] runs the same checks), so a malformed file answers
+/// [`GraphError::Format`] and nothing is allocated from its header alone.
 pub fn read_binary<R: Read>(mut r: R) -> Result<Graph> {
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(GraphError::Format(format!(
-            "bad magic {:?}, expected {:?}",
-            magic, MAGIC
-        )));
-    }
-    let flags = read_u32(&mut r)?;
-    let directed = flags & 1 != 0;
-    let n = read_u64(&mut r)? as usize;
-    let m2 = read_u64(&mut r)? as usize;
-    let mut offsets = Vec::with_capacity(n + 1);
-    for _ in 0..=n {
-        offsets.push(read_u64(&mut r)? as usize);
-    }
-    if offsets.first() != Some(&0) || offsets.last() != Some(&m2) {
-        return Err(GraphError::Format(
-            "offset array inconsistent with adjacency length".into(),
-        ));
-    }
-    let mut neighbors = Vec::with_capacity(m2);
-    for _ in 0..m2 {
-        neighbors.push(VertexId(read_u32(&mut r)?));
-    }
-    let total_labels = read_u64(&mut r)? as usize;
-    let mut lsizes = Vec::with_capacity(n);
-    for _ in 0..n {
-        lsizes.push(read_u32(&mut r)? as usize);
-    }
-    if lsizes.iter().sum::<usize>() != total_labels {
-        return Err(GraphError::Format("label counts inconsistent".into()));
-    }
-    let mut labels = Vec::with_capacity(n);
-    for &sz in &lsizes {
-        let mut ls = Vec::with_capacity(sz);
-        for _ in 0..sz {
-            ls.push(LabelId(read_u32(&mut r)?));
-        }
-        labels.push(LabelSet::from_labels(ls));
-    }
-    // Reconstruct edges (v < nb once each) and rebuild through the normal
-    // constructor so all indexes come out consistent.
-    let mut edges = Vec::with_capacity(m2 / 2);
-    for v in 0..n {
-        for &nb in &neighbors[offsets[v]..offsets[v + 1]] {
-            if (v as u32) < nb.0 {
-                edges.push((VertexId(v as u32), nb));
-            }
-        }
-    }
-    Ok(Graph::new(labels, &edges, directed))
+    let mut bytes = Vec::new();
+    r.read_to_end(&mut bytes)?;
+    let layout = Layout::of(&bytes)?;
+    Ok(layout.to_graph(&bytes))
 }
 
 /// Writes the binary format to a file.
@@ -159,9 +102,15 @@ pub struct Mmap {
     len: usize,
 }
 
-// A read-only mapping has no interior mutability; sharing the raw pointer
-// across threads is sound.
+// SAFETY: the mapping is `PROT_READ` + `MAP_PRIVATE` and `Mmap` hands out
+// only shared `&[u8]` views of it, so no thread can write through the
+// pointer, and `munmap` runs once, in `Drop`, when no view is left. This
+// assumes the file is not truncated while it is mapped: pages past a new
+// end of file fault with `SIGBUS` on access, which no safe wrapper over
+// `mmap(2)` can rule out for a file another process may shrink.
 unsafe impl Send for Mmap {}
+// SAFETY: as for `Send`: shared reads of read-only pages need no
+// synchronization.
 unsafe impl Sync for Mmap {}
 
 impl Mmap {
@@ -175,6 +124,8 @@ impl Mmap {
         if len == 0 {
             return Err(GraphError::Format("cannot mmap an empty file".into()));
         }
+        // SAFETY: a fresh mapping (null hint) of `len > 0` bytes of an open
+        // file, read-only; the result is checked against `MAP_FAILED`.
         let ptr = unsafe {
             libc::mmap(
                 std::ptr::null_mut(),
@@ -197,6 +148,8 @@ impl Mmap {
 
     /// The mapped bytes.
     pub fn as_bytes(&self) -> &[u8] {
+        // SAFETY: `ptr` is a live mapping of `len` readable bytes until
+        // `Drop`, which cannot run while this borrow of `self` lives.
         unsafe { std::slice::from_raw_parts(self.ptr as *const u8, self.len) }
     }
 
@@ -214,64 +167,63 @@ impl Mmap {
 
 impl Drop for Mmap {
     fn drop(&mut self) {
+        // SAFETY: `ptr`/`len` are exactly what `mmap` returned, unmapped
+        // once; no `as_bytes` borrow outlives `self`.
         unsafe {
             libc::munmap(self.ptr, self.len);
         }
     }
 }
 
-/// Section layout of a `CECIGRF1` file, in byte offsets from the start.
+/// The validated layout of a `CECIGRF1` image: header fields and section
+/// offsets in bytes from the start.
+///
+/// [`Layout::of`] checks every count against the bytes present, in checked
+/// arithmetic, before anything is sized from it; then that offsets never
+/// decrease and end at `m2`, that every neighbour id is `< n`, and that every
+/// vertex has at least one label. After that, every slice a reader takes
+/// is in range and every id a `Graph` is built from is valid.
 ///
 /// The header is 28 bytes (magic 8 + flags 4 + n 8 + m2 8), so the offsets
 /// section is 4-aligned but *not* 8-aligned — `u64` reads there go through
 /// [`u64::from_le_bytes`] on byte slices instead of casting to `&[u64]`.
-/// Every later section stays 4-aligned, so `&[u32]` views are zero-copy.
+/// Every later section stays 4-aligned, so `&[u32]` views of a page-aligned
+/// mapping are zero-copy.
 #[derive(Debug)]
-struct Sections {
-    offsets_at: usize,
-    nbrs_at: usize,
-    lsizes_at: usize,
-    labels_at: usize,
-}
-
-/// A zero-copy CSR view over a memory-mapped `CECIGRF1` file.
-///
-/// Header and section bounds are validated once at open; neighbor lists and
-/// per-vertex label slices read straight out of the mapping. This is the
-/// out-of-core substrate for `ceci-shard`: a shard extracts per-pivot
-/// fragments from this view without ever materializing the full graph in
-/// heap memory.
-#[derive(Debug)]
-pub struct MappedCsr {
-    map: Mmap,
+struct Layout {
     directed: bool,
     n: usize,
     m2: usize,
-    sections: Sections,
-    /// Prefix sums of per-vertex label counts (`n + 1` entries), computed
-    /// once at open — O(n) `usize`s, the only heap the view owns.
+    offsets_at: usize,
+    nbrs_at: usize,
+    labels_at: usize,
+    /// Prefix sums of per-vertex label counts (`n + 1` entries).
     label_offsets: Vec<usize>,
 }
 
-impl MappedCsr {
-    /// Maps and validates a binary graph file.
-    pub fn open(path: impl AsRef<Path>) -> Result<MappedCsr> {
-        let path = path.as_ref();
-        Self::from_map(Mmap::map(path)?).map_err(|e| e.in_file(path))
-    }
+fn u32_at(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"))
+}
 
-    fn from_map(map: Mmap) -> Result<MappedCsr> {
-        let bytes = map.as_bytes();
-        let need = |at: usize, len: usize| -> Result<()> {
-            if at.checked_add(len).map_or(true, |end| end > bytes.len()) {
-                return Err(GraphError::Format(format!(
-                    "file truncated: need {len} bytes at offset {at}, have {}",
+fn u64_at(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"))
+}
+
+impl Layout {
+    fn of(bytes: &[u8]) -> Result<Layout> {
+        // The end of a `len`-byte section at `at`, if the image holds it;
+        // `len` is `None` when computing it overflowed.
+        let need = |at: usize, len: Option<usize>| -> Result<usize> {
+            let end = len.and_then(|len| at.checked_add(len));
+            end.filter(|&end| end <= bytes.len()).ok_or_else(|| {
+                GraphError::Format(format!(
+                    "file truncated: a section at offset {at} needs {} bytes, have {}",
+                    len.map_or("too many".to_string(), |len| len.to_string()),
                     bytes.len()
-                )));
-            }
-            Ok(())
+                ))
+            })
         };
-        need(0, 28)?;
+        need(0, Some(MAGIC.len()))?;
         if &bytes[..8] != MAGIC {
             return Err(GraphError::Format(format!(
                 "bad magic {:?}, expected {:?}",
@@ -279,77 +231,154 @@ impl MappedCsr {
                 MAGIC
             )));
         }
-        let flags = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-        let n = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes")) as usize;
-        let m2 = u64::from_le_bytes(bytes[20..28].try_into().expect("8 bytes")) as usize;
+        need(0, Some(28))?;
+        let size = |count: u64, width: usize| {
+            usize::try_from(count)
+                .ok()
+                .and_then(|c| c.checked_mul(width))
+        };
+        let (n, m2) = (u64_at(bytes, 12), u64_at(bytes, 20));
         let offsets_at = 28;
-        let nbrs_at = offsets_at + (n + 1) * 8;
-        need(offsets_at, (n + 1) * 8)?;
-        need(nbrs_at, m2 * 4)?;
-        let nlabels_at = nbrs_at + m2 * 4;
-        need(nlabels_at, 8)?;
-        let total_labels = u64::from_le_bytes(
-            bytes[nlabels_at..nlabels_at + 8]
-                .try_into()
-                .expect("8 bytes"),
-        ) as usize;
-        let lsizes_at = nlabels_at + 8;
-        need(lsizes_at, n * 4)?;
-        let labels_at = lsizes_at + n * 4;
-        need(labels_at, total_labels * 4)?;
-        let sections = Sections {
-            offsets_at,
-            nbrs_at,
-            lsizes_at,
-            labels_at,
-        };
-        let csr = MappedCsr {
-            map,
-            directed: flags & 1 != 0,
-            n,
-            m2,
-            sections,
-            label_offsets: Vec::new(),
-        };
-        if csr.offset(0) != 0 || csr.offset(n) != m2 {
+        let nbrs_at = need(offsets_at, n.checked_add(1).and_then(|k| size(k, 8)))?;
+        let nlabels_at = need(nbrs_at, size(m2, 4))?;
+        let lsizes_at = need(nlabels_at, Some(8))?;
+        let total_labels = u64_at(bytes, nlabels_at);
+        let labels_at = need(lsizes_at, size(n, 4))?;
+        need(labels_at, size(total_labels, 4))?;
+        // Both sections fit in the image, so both counts fit in a usize.
+        let (n, m2) = (n as usize, m2 as usize);
+        let offset = |v: usize| u64_at(bytes, offsets_at + v * 8);
+        if offset(0) != 0 || offset(n) != m2 as u64 {
             return Err(GraphError::Format(
                 "offset array inconsistent with adjacency length".into(),
             ));
         }
+        if let Some(v) = (1..=n).find(|&v| offset(v) < offset(v - 1)) {
+            return Err(GraphError::Format(format!(
+                "offsets decrease at vertex {v}"
+            )));
+        }
+        let nbr = |i: usize| u32_at(bytes, nbrs_at + i * 4);
+        if let Some(id) = (0..m2).map(nbr).find(|&id| id as usize >= n) {
+            return Err(GraphError::Format(format!(
+                "neighbour id {id} out of range for {n} vertices"
+            )));
+        }
         let mut label_offsets = Vec::with_capacity(n + 1);
-        let mut acc = 0usize;
         label_offsets.push(0);
+        let mut acc = 0u64;
         for v in 0..n {
-            acc += csr.read_u32(csr.sections.lsizes_at + v * 4) as usize;
-            label_offsets.push(acc);
+            let labels = u32_at(bytes, lsizes_at + v * 4);
+            if labels == 0 {
+                return Err(GraphError::Format(format!("vertex {v} has no label")));
+            }
+            acc += labels as u64;
+            label_offsets.push(acc as usize);
         }
         if acc != total_labels {
             return Err(GraphError::Format("label counts inconsistent".into()));
         }
-        Ok(MappedCsr {
+        Ok(Layout {
+            directed: u32_at(bytes, 8) & 1 != 0,
+            n,
+            m2,
+            offsets_at,
+            nbrs_at,
+            labels_at,
             label_offsets,
-            ..csr
         })
     }
 
-    #[inline]
-    fn read_u32(&self, at: usize) -> u32 {
-        u32::from_le_bytes(self.map.as_bytes()[at..at + 4].try_into().expect("4 bytes"))
+    /// Adjacency offset of vertex `v` (valid for `v <= n`).
+    fn offset(&self, bytes: &[u8], v: usize) -> usize {
+        u64_at(bytes, self.offsets_at + v * 8) as usize
+    }
+
+    /// Byte range of `v`'s neighbour ids.
+    fn neighbors(&self, bytes: &[u8], v: usize) -> std::ops::Range<usize> {
+        let at = |i: usize| self.nbrs_at + i * 4;
+        at(self.offset(bytes, v))..at(self.offset(bytes, v + 1))
+    }
+
+    /// Byte range of `v`'s label ids.
+    fn labels(&self, v: usize) -> std::ops::Range<usize> {
+        let at = |i: usize| self.labels_at + i * 4;
+        at(self.label_offsets[v])..at(self.label_offsets[v + 1])
+    }
+
+    /// The image as a heap [`Graph`]: its edges (`v < nb`, once each)
+    /// rebuilt through the normal constructor, so all indexes come out
+    /// consistent.
+    fn to_graph(&self, bytes: &[u8]) -> Graph {
+        let ids = |range: std::ops::Range<usize>| {
+            let words = bytes[range].chunks_exact(4);
+            words.map(|w| u32::from_le_bytes(w.try_into().expect("4 bytes")))
+        };
+        let mut edges = Vec::with_capacity(self.m2 / 2);
+        for v in 0..self.n {
+            let later = ids(self.neighbors(bytes, v)).filter(|&nb| v < nb as usize);
+            edges.extend(later.map(|nb| (VertexId(v as u32), VertexId(nb))));
+        }
+        let labels = (0..self.n)
+            .map(|v| LabelSet::from_labels(ids(self.labels(v)).map(LabelId)))
+            .collect();
+        Graph::new(labels, &edges, self.directed)
+    }
+}
+
+/// `bytes` of a mapped section as the `u32`s they encode, without a copy.
+/// Every section after the offsets starts at `28 + (n+1)*8 + 4k` bytes into
+/// a page-aligned mapping, so its slices are 4-aligned.
+#[inline]
+fn words(bytes: &[u8]) -> &[u32] {
+    assert_eq!(bytes.as_ptr() as usize % std::mem::align_of::<u32>(), 0);
+    // SAFETY: the pointer is 4-aligned (asserted above), the length is the
+    // number of whole `u32`s in `bytes`, any bit pattern is a valid `u32`
+    // (native order equals the file's little-endian order on the targets
+    // `mmap` is used on), and the result borrows `bytes`.
+    unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const u32, bytes.len() / 4) }
+}
+
+/// A zero-copy CSR view over a memory-mapped `CECIGRF1` file.
+///
+/// The layout is validated once at open, by the checks [`read_binary`]
+/// runs too; neighbor lists and per-vertex label slices read straight out
+/// of the mapping. This is the
+/// out-of-core substrate for `ceci-shard`: a shard extracts per-pivot
+/// fragments from this view without ever materializing the full graph in
+/// heap memory.
+#[derive(Debug)]
+pub struct MappedCsr {
+    map: Mmap,
+    /// Its label prefix sums are the only heap the view owns: O(n) `usize`s.
+    layout: Layout,
+}
+
+impl MappedCsr {
+    /// Maps and validates a binary graph file.
+    pub fn open(path: impl AsRef<Path>) -> Result<MappedCsr> {
+        let path = path.as_ref();
+        let open = || {
+            let map = Mmap::map(path)?;
+            let layout = Layout::of(map.as_bytes())?;
+            Ok(MappedCsr { map, layout })
+        };
+        open().map_err(|e: GraphError| e.in_file(path))
     }
 
     /// Vertex count.
     pub fn num_vertices(&self) -> usize {
-        self.n
+        self.layout.n
     }
 
     /// Undirected edge count (adjacency entries / 2).
     pub fn num_edges(&self) -> usize {
-        self.m2 / 2
+        self.layout.m2 / 2
     }
 
     /// Directed-provenance flag.
     pub fn is_directed_input(&self) -> bool {
-        self.directed
+        self.layout.directed
     }
 
     /// Adjacency offset of vertex `v` (valid for `v <= n`). The offsets
@@ -357,32 +386,20 @@ impl MappedCsr {
     /// byte-slice decode, never an aligned `u64` load.
     #[inline]
     pub fn offset(&self, v: usize) -> usize {
-        let at = self.sections.offsets_at + v * 8;
-        u64::from_le_bytes(self.map.as_bytes()[at..at + 8].try_into().expect("8 bytes")) as usize
+        self.layout.offset(self.map.as_bytes(), v)
     }
 
     /// Zero-copy neighbor slice of vertex `v`, straight out of the mapping.
     #[inline]
     pub fn neighbors(&self, v: u32) -> &[u32] {
-        let lo = self.offset(v as usize);
-        let hi = self.offset(v as usize + 1);
-        let at = self.sections.nbrs_at + lo * 4;
-        let bytes = &self.map.as_bytes()[at..at + (hi - lo) * 4];
-        // The neighbor section begins at 28 + (n+1)*8, a multiple of 4, and
-        // the mapping itself is page-aligned, so the u32 view is aligned.
-        debug_assert_eq!(bytes.as_ptr() as usize % std::mem::align_of::<u32>(), 0);
-        unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const u32, hi - lo) }
+        let bytes = self.map.as_bytes();
+        words(&bytes[self.layout.neighbors(bytes, v as usize)])
     }
 
     /// Raw label ids of vertex `v` (sorted as written).
     #[inline]
     pub fn label_ids(&self, v: u32) -> &[u32] {
-        let lo = self.label_offsets[v as usize];
-        let hi = self.label_offsets[v as usize + 1];
-        let at = self.sections.labels_at + lo * 4;
-        let bytes = &self.map.as_bytes()[at..at + (hi - lo) * 4];
-        debug_assert_eq!(bytes.as_ptr() as usize % std::mem::align_of::<u32>(), 0);
-        unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const u32, hi - lo) }
+        words(&self.map.as_bytes()[self.layout.labels(v as usize)])
     }
 
     /// The label set of vertex `v` (materialized).
@@ -393,16 +410,7 @@ impl MappedCsr {
     /// Materializes the whole view into a heap [`Graph`] — identical to
     /// [`read_binary`] on the same file (the mmap-vs-heap differential).
     pub fn to_graph(&self) -> Graph {
-        let mut edges = Vec::with_capacity(self.m2 / 2);
-        for v in 0..self.n as u32 {
-            for &nb in self.neighbors(v) {
-                if v < nb {
-                    edges.push((VertexId(v), VertexId(nb)));
-                }
-            }
-        }
-        let labels = (0..self.n as u32).map(|v| self.label_set(v)).collect();
-        Graph::new(labels, &edges, self.directed)
+        self.layout.to_graph(self.map.as_bytes())
     }
 }
 

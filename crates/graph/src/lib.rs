@@ -26,6 +26,7 @@
 //!   estimates of §5.
 
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod builder;
 pub mod csr;

@@ -226,6 +226,13 @@ impl CandidateSet {
             .get(i >> 6)
             .is_some_and(|word| (word >> (i & 63)) & 1 != 0)
     }
+
+    /// Heap bytes the set holds: the sorted list and the membership bitset
+    /// (`⌈|V|/64⌉` words). Length-based, like `Ceci::size_bytes`.
+    pub fn size_bytes(&self) -> usize {
+        self.candidates.len() * std::mem::size_of::<VertexId>()
+            + self.members.len() * std::mem::size_of::<u64>()
+    }
 }
 
 /// Computes the candidate sets of every query vertex by scanning the data

@@ -11,9 +11,10 @@
 //! serving the wrong index.
 //!
 //! Entries are immutable `Arc`s (plan + frozen CECI), charged
-//! [`Ceci::size_bytes`] and evicted LRU-first when the configured byte
-//! budget is exceeded. Replacing a graph (`LOAD` over an existing name)
-//! eagerly sweeps every entry built against the displaced epoch.
+//! [`Ceci::size_bytes`] plus their candidate sets and evicted LRU-first
+//! when the configured byte budget is exceeded. Replacing a graph (`LOAD`
+//! over an existing name) eagerly sweeps every entry built against the
+//! displaced epoch.
 //!
 //! ## Quarantine
 //!
@@ -38,6 +39,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 use ceci_core::{Ceci, PlanChoice, Reuse};
+use ceci_query::candidates::CandidateSet;
 use ceci_query::{CanonicalQuery, QueryPlan};
 
 /// Execution feedback observed from a prior exact run of a cached index:
@@ -63,7 +65,10 @@ pub struct CachedIndex {
     pub plan: Arc<QueryPlan>,
     /// The frozen candidate index.
     pub ceci: Arc<Ceci>,
-    /// Bytes charged against the cache budget: [`Ceci::size_bytes`].
+    /// Bytes charged against the cache budget: [`Ceci::size_bytes`] plus
+    /// the candidate sets the entry holds, once per allocation: a miss's
+    /// index shares its plan's sets, an index repaired under a retained
+    /// plan holds its own beside the plan's.
     pub bytes: usize,
     /// Mutation sub-epoch of the snapshot the index was built against.
     pub sub_epoch: u64,
@@ -103,7 +108,7 @@ impl CachedIndex {
     ) -> CachedIndex {
         CachedIndex {
             canonical,
-            bytes: ceci.size_bytes(),
+            bytes: ceci.size_bytes() + sets_bytes(&plan, &ceci),
             plan,
             ceci,
             sub_epoch,
@@ -113,6 +118,16 @@ impl CachedIndex {
             feedback: Mutex::new(None),
         }
     }
+}
+
+/// Bytes of the candidate sets `plan` and `ceci` hold (a bitset of
+/// `⌈|V|/64⌉` words and a sorted list per query vertex), each allocation
+/// once.
+fn sets_bytes(plan: &QueryPlan, ceci: &Ceci) -> usize {
+    let bytes = |sets: &[CandidateSet]| sets.iter().map(CandidateSet::size_bytes).sum();
+    let (own, plans) = (ceci.candidate_sets(), &**plan.candidate_sets());
+    let shared = std::ptr::eq(own.as_ptr(), plans.as_ptr());
+    bytes(own) + if shared { 0 } else { bytes(plans) }
 }
 
 #[derive(Debug)]

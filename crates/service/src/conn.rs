@@ -363,8 +363,8 @@ mod tests {
     fn reading_pauses_behind_an_in_flight_request_and_resumes() {
         let now = Instant::now();
         let mut conn = LineConn::new(now);
-        conn.feed(b"SLEEP 1\n", now);
-        assert_eq!(drain(&mut conn), vec![Ok("SLEEP 1".to_string())]);
+        conn.feed(b"CHAOS DELAY 1\n", now);
+        assert_eq!(drain(&mut conn), vec![Ok("CHAOS DELAY 1".to_string())]);
         conn.begin();
         conn.feed(&b"PING\n".repeat(READ_PAUSE / 5), now);
         assert!(conn.wants_read(), "just under the high-water mark");

@@ -70,6 +70,8 @@ struct Poller {
 
 impl Poller {
     fn new() -> std::io::Result<Poller> {
+        // SAFETY: no pointers; the returned fd is checked and owned by the
+        // `Poller`, which closes it once in `Drop`.
         let epfd = unsafe { libc::epoll_create1(libc::EPOLL_CLOEXEC) };
         if epfd < 0 {
             return Err(std::io::Error::last_os_error());
@@ -85,6 +87,8 @@ impl Poller {
         events: u32,
     ) -> std::io::Result<()> {
         let mut ev = libc::epoll_event { events, u64: token };
+        // SAFETY: `ev` is a live `epoll_event` the kernel only reads; `epfd`
+        // is open for the life of `self`.
         let rc = unsafe { libc::epoll_ctl(self.epfd, op, fd, &mut ev) };
         if rc < 0 {
             return Err(std::io::Error::last_os_error());
@@ -101,6 +105,8 @@ impl Poller {
     }
 
     fn delete(&self, fd: libc::c_int) {
+        // SAFETY: `EPOLL_CTL_DEL` ignores the event pointer, so null is
+        // allowed; `epfd` is open for the life of `self`.
         let rc =
             unsafe { libc::epoll_ctl(self.epfd, libc::EPOLL_CTL_DEL, fd, std::ptr::null_mut()) };
         let _ = rc; // best-effort: the fd is about to be closed anyway
@@ -109,6 +115,8 @@ impl Poller {
     /// Waits for readiness; returns the number of events filled. `EINTR`
     /// surfaces as `Ok(0)` (the loop re-checks `stopping` and re-waits).
     fn wait(&self, events: &mut [libc::epoll_event], timeout_ms: i32) -> usize {
+        // SAFETY: the kernel writes at most `events.len()` entries into the
+        // exclusively borrowed slice; `epfd` is open for the life of `self`.
         let n = unsafe {
             libc::epoll_wait(
                 self.epfd,
@@ -127,6 +135,7 @@ impl Poller {
 
 impl Drop for Poller {
     fn drop(&mut self) {
+        // SAFETY: `epfd` is this poller's own fd, closed exactly once.
         unsafe {
             libc::close(self.epfd);
         }
@@ -141,6 +150,8 @@ struct WakeFd {
 
 impl WakeFd {
     fn new() -> std::io::Result<WakeFd> {
+        // SAFETY: no pointers; the returned fd is checked and owned by the
+        // `WakeFd`, which closes it once in `Drop`.
         let fd = unsafe { libc::eventfd(0, libc::EFD_NONBLOCK | libc::EFD_CLOEXEC) };
         if fd < 0 {
             return Err(std::io::Error::last_os_error());
@@ -152,6 +163,7 @@ impl WakeFd {
         let one: u64 = 1;
         // Failure modes are a full counter (the loop is already signalled)
         // or a closed fd (the loop is gone); both are safe to ignore.
+        // SAFETY: writes the 8 bytes of a live local `u64`.
         unsafe {
             libc::write(self.fd, &one as *const u64 as *const libc::c_void, 8);
         }
@@ -159,6 +171,7 @@ impl WakeFd {
 
     fn drain(&self) {
         let mut counter: u64 = 0;
+        // SAFETY: reads at most 8 bytes into a live local `u64`.
         unsafe {
             libc::read(self.fd, &mut counter as *mut u64 as *mut libc::c_void, 8);
         }
@@ -167,15 +180,12 @@ impl WakeFd {
 
 impl Drop for WakeFd {
     fn drop(&mut self) {
+        // SAFETY: `fd` is this eventfd's own, closed exactly once.
         unsafe {
             libc::close(self.fd);
         }
     }
 }
-
-// An eventfd is just an i32; reads/writes from any thread are the point.
-unsafe impl Send for WakeFd {}
-unsafe impl Sync for WakeFd {}
 
 /// State shared between the loop thread and everyone who needs to reach it:
 /// pool workers delivering completions, other threads pushing `EVENT` lines
@@ -189,7 +199,7 @@ pub(crate) struct LoopShared {
 }
 
 impl LoopShared {
-    fn new() -> std::io::Result<Arc<LoopShared>> {
+    pub(crate) fn new() -> std::io::Result<Arc<LoopShared>> {
         Ok(Arc::new(LoopShared {
             wake: WakeFd::new()?,
             completions: Mutex::new(Vec::new()),
@@ -245,7 +255,7 @@ pub struct QueuedSink {
 pub(crate) type SharedWriter = Arc<QueuedSink>;
 
 impl QueuedSink {
-    fn new(token: u64, cap: usize, shared: Arc<LoopShared>) -> SharedWriter {
+    pub(crate) fn new(token: u64, cap: usize, shared: Arc<LoopShared>) -> SharedWriter {
         Arc::new(QueuedSink {
             token,
             cap,
@@ -292,6 +302,15 @@ impl QueuedSink {
 
     fn has_pending(&self) -> bool {
         !lock_recover(&self.buf).is_empty()
+    }
+
+    /// Empties the queue into the lines a socket would have read: where
+    /// the socket-free replay (`crate::sim`) reads pushed `EVENT`s.
+    #[cfg(test)]
+    pub(crate) fn take_lines(&self) -> Vec<String> {
+        let bytes: Vec<u8> = lock_recover(&self.buf).drain(..).collect();
+        let text = String::from_utf8(bytes).expect("queued lines are UTF-8");
+        text.lines().map(str::to_string).collect()
     }
 }
 

@@ -56,6 +56,8 @@
 //! `ceci-shard` (the same server core over state that holds a fragment
 //! plane, [`shard`]: it answers a coordinator's `PREPARE` / `EXEC`).
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod cache;
 pub mod client;
 mod conn;
@@ -70,6 +72,8 @@ mod query;
 pub mod registry;
 pub mod server;
 pub mod shard;
+#[cfg(test)]
+mod sim;
 mod stats;
 
 pub use cache::{

@@ -1,6 +1,6 @@
 //! A bounded worker pool with admission control.
 //!
-//! The data plane (`MATCH`, `EXPLAIN`, `SLEEP`) is executed by a fixed set
+//! The data plane (`MATCH`, `EXPLAIN`, `CHAOS DELAY`) is executed by a fixed set
 //! of worker threads fed from a bounded FIFO queue. Submission never
 //! blocks: when the queue is full the job is rejected immediately and the
 //! connection answers `BUSY` — fast rejection beats unbounded queueing for

@@ -18,7 +18,6 @@
 //! ESTIMATE <graph> <query-path> [WALKS <n>]
 //! EXPLAIN <graph> <query-path> [ANALYZE]
 //! STATS [PROM]
-//! SLEEP <ms>
 //! CHAOS PANIC | BUILDPANIC | BUILDDELAY <ms> | DELAY <ms>
 //!       | EXIT [after-ms] | STALL <ms>
 //! ADDEDGE <graph> <u> <v>
@@ -194,13 +193,6 @@ pub enum Request {
         /// instead of `STAT <key> <value>` rows.
         prom: bool,
     },
-    /// Occupy one pool worker for `ms` milliseconds — an operational aid for
-    /// probing admission control (and the deterministic lever the
-    /// integration tests use to force `BUSY`).
-    Sleep {
-        /// How long the worker sleeps.
-        ms: u64,
-    },
     /// Inject a fault (chaos-mode only; see [`ChaosCommand`]).
     Chaos {
         /// What to break.
@@ -292,8 +284,9 @@ pub enum ChaosCommand {
         /// How long the next build stalls.
         ms: u64,
     },
-    /// Occupy a pool worker for `ms` milliseconds (like `SLEEP`, but
-    /// counted as injected chaos) — a lever for forcing `BUSY` storms.
+    /// Occupy a pool worker for `ms` milliseconds — the lever for forcing
+    /// `BUSY` storms, and the only request that pins a worker for as long
+    /// as its client asks.
     Delay {
         /// How long the worker stalls.
         ms: u64,
@@ -561,9 +554,6 @@ pub fn parse_request(line: &str) -> Result<Option<Request>, ParseError> {
             }
             Request::Stats { prom }
         }
-        "SLEEP" => Request::Sleep {
-            ms: parse_u64(&mut it, "SLEEP")?,
-        },
         "CHAOS" => {
             let sub = it.next().ok_or_else(|| {
                 err(
@@ -931,10 +921,7 @@ mod tests {
         assert!(parse_request("STATS BOGUS").is_err());
         assert_eq!(parse_request("ping").unwrap(), Some(Request::Ping));
         assert_eq!(parse_request("QUIT").unwrap(), Some(Request::Quit));
-        assert_eq!(
-            parse_request("SLEEP 25").unwrap(),
-            Some(Request::Sleep { ms: 25 })
-        );
+        assert!(parse_request("SLEEP 25").is_err(), "no SLEEP verb");
         assert_eq!(
             parse_request("EXPLAIN g q").unwrap(),
             Some(Request::Explain {
@@ -1182,7 +1169,7 @@ mod tests {
         assert_eq!(ErrorCode::Shard.as_str(), "E_SHARD");
     }
     /// Words the grammar gives a meaning to somewhere.
-    const WORDS: [&str; 40] = [
+    const WORDS: [&str; 39] = [
         "LOAD",
         "EDGELIST",
         "DIRECTED",
@@ -1198,7 +1185,6 @@ mod tests {
         "ANALYZE",
         "STATS",
         "PROM",
-        "SLEEP",
         "CHAOS",
         "PANIC",
         "BUILDPANIC",

@@ -14,7 +14,7 @@
 //! * The **control plane** (`LOAD`, `STATS`, `PING`, `QUIT`) runs inline on
 //!   the loop thread: these are cheap or operator-driven and must stay
 //!   responsive even when the data plane is saturated.
-//! * The **data plane** (`MATCH`, `EXPLAIN`, `SLEEP`, and the shard plane's
+//! * The **data plane** (`MATCH`, `EXPLAIN`, `CHAOS DELAY`, and the shard plane's
 //!   `PREPARE` / `EXEC`) is submitted to the bounded [`WorkerPool`]; a full
 //!   queue answers `BUSY` immediately (admission control), and each
 //!   connection has at most one request in flight, so responses stay in
@@ -514,10 +514,6 @@ pub(crate) fn route(request: Request, state: &Arc<ServerState>, writer: &SharedW
                     ),
                     Request::Exec { name, pivot, epoch } => {
                         exec_exec(job_state, &name, pivot, epoch, queue_wait)
-                    }
-                    Request::Sleep { ms } => {
-                        std::thread::sleep(Duration::from_millis(ms));
-                        Ok(vec![format!("OK SLEPT {ms}")])
                     }
                     _ => unreachable!("control-plane request reached the pool"),
                 };

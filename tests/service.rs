@@ -1,10 +1,12 @@
 //! Integration tests for `ceci-serve`: a real server on a loopback
 //! ephemeral port, exercised over TCP through the real client.
 //!
-//! Covers the acceptance criteria of the serving layer: correct counts vs
-//! direct enumeration, LIMIT, index-cache hits on repeated templates,
-//! DEADLINE returning partial counts in bounded time, BUSY under queue
-//! overflow, and 8 concurrent clients sustained without error.
+//! Covers the acceptance criteria of the serving layer over real requests:
+//! correct counts vs direct enumeration, LIMIT, index-cache hits on
+//! repeated templates, DEADLINE returning partial counts in bounded time,
+//! BUSY under queue overflow, and 8 concurrent clients sustained without
+//! error. The seeded replay in `crates/service/src/sim.rs` checks random
+//! interleavings of the same verbs against one model, without a socket.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -16,7 +18,8 @@ use ceci_graph::io;
 use ceci_graph::Graph;
 use ceci_query::{QueryGraph, QueryPlan};
 use ceci_service::{
-    run_load, start_with_state, Client, LoadConfig, ServeConfig, ServerHandle, ServerState,
+    run_load, start_with_state, CachedIndex, Client, LoadConfig, ServeConfig, ServerHandle,
+    ServerState,
 };
 
 /// A per-test scratch directory under the target-adjacent temp dir.
@@ -291,9 +294,10 @@ fn queue_overflow_answers_busy() {
     let (handle, state) = serve(ServeConfig {
         pool_workers: 1,
         queue_cap: 1,
+        chaos: true,
         ..ServeConfig::default()
     });
-    // Two parked SLEEPs: one occupies the single worker, one fills the
+    // Two parked delays: one occupies the single worker, one fills the
     // queue. Each needs its own connection (a connection blocks on its
     // in-flight request), and they are staggered so the first is popped by
     // the worker before the second is submitted — submitting both at once
@@ -303,7 +307,7 @@ fn queue_overflow_answers_busy() {
         .map(|_| {
             let t = std::thread::spawn(move || {
                 let mut c = Client::connect(addr).unwrap();
-                c.request("SLEEP 2000").unwrap()
+                c.request("CHAOS DELAY 2000").unwrap()
             });
             std::thread::sleep(Duration::from_millis(400));
             t
@@ -311,7 +315,7 @@ fn queue_overflow_answers_busy() {
         .collect();
 
     let mut probe = Client::connect(addr).unwrap();
-    let resp = probe.request("SLEEP 1").unwrap();
+    let resp = probe.request("CHAOS DELAY 1").unwrap();
     assert!(resp.is_busy(), "expected BUSY, got {}", resp.terminal);
     // Control plane stays responsive while the data plane is saturated.
     let resp = probe.request("PING").unwrap();
@@ -2145,7 +2149,8 @@ fn every_stale_read_repairs_over_patched_sets_whatever_the_gap() {
     client.request(&format!("LOAD g {graph_path}")).unwrap();
     assert_eq!(served(&client.request(&request).unwrap()).cache, "MISS");
     let owner = state.cache.entries().pop().unwrap();
-    assert_eq!(state.cache.bytes(), owner.ceci.size_bytes());
+    let (index_bytes, sets_bytes) = entry_bytes(&owner, graph.num_vertices());
+    assert_eq!(state.cache.bytes(), index_bytes + sets_bytes);
     let mut index = Arc::clone(&owner.ceci);
     let mut spent = ledger(&mut client, &query_path).0;
 
@@ -2177,8 +2182,8 @@ fn every_stale_read_repairs_over_patched_sets_whatever_the_gap() {
         let scanned = (sets == "sets=scan") as u64 as f64;
         assert_eq!(moved("ceci_index_repair_set_scans_total"), scanned, "{gap}");
         // A new index; the plan object, the decision record and the ledger
-        // are handed on, and the cache charges the frozen indexes and
-        // nothing else.
+        // are handed on, and the cache charges the frozen indexes and their
+        // candidate sets.
         let entries = state.cache.entries();
         assert!(!Arc::ptr_eq(&entries[0].ceci, &index), "{gap}: a new index");
         index = Arc::clone(&entries[0].ceci);
@@ -2192,7 +2197,10 @@ fn every_stale_read_repairs_over_patched_sets_whatever_the_gap() {
             owner.choice.candidates.len(),
             "{gap}: decision record"
         );
-        let held: usize = entries.iter().map(|e| e.ceci.size_bytes()).sum();
+        let n = graph.num_vertices();
+        let held: usize = (entries.iter().map(|e| entry_bytes(e, n)))
+            .map(|(index, sets)| index + sets)
+            .sum();
         assert_eq!(state.cache.bytes(), held, "{gap}");
         assert_eq!(now["ceci_cache_bytes"], held as f64, "{gap}");
         let now = ledger(&mut client, &query_path).0;
@@ -2235,9 +2243,25 @@ fn every_stale_read_repairs_over_patched_sets_whatever_the_gap() {
     handle.shutdown();
 }
 
-/// The cache charges each entry its frozen index, once: over 50 entries,
-/// after misses and after every repair, `bytes` is the sum of the live
-/// frozen indexes.
+/// What a live entry holds: its frozen index and, once per allocation, its
+/// candidate sets, each a list of 4-byte ids plus a bitset of `⌈n/64⌉`
+/// words over an `n`-vertex graph.
+fn entry_bytes(entry: &CachedIndex, n: usize) -> (usize, usize) {
+    let sets = |sets: &[ceci_query::candidates::CandidateSet]| -> usize {
+        sets.iter()
+            .map(|s| 4 * s.candidates.len() + 8 * n.div_ceil(64))
+            .sum()
+    };
+    let (own, plans) = (entry.ceci.candidate_sets(), &**entry.plan.candidate_sets());
+    let shared = std::ptr::eq(own.as_ptr(), plans.as_ptr());
+    let sets = sets(own) + if shared { 0 } else { sets(plans) };
+    (entry.ceci.size_bytes(), sets)
+}
+
+/// The cache charges each entry its frozen index and its candidate sets,
+/// once: over 50 entries, after misses and after every repair, `bytes` is
+/// the sum of what the live entries hold. On a wide graph with sparse
+/// candidates the sets are most of it.
 #[test]
 fn cache_bytes_equal_the_live_frozen_indexes_over_fifty_entries() {
     let scratch = Scratch::new("cache-bytes");
@@ -2248,15 +2272,13 @@ fn cache_bytes_equal_the_live_frozen_indexes_over_fifty_entries() {
     client.request(&format!("LOAD g {graph_path}")).unwrap();
 
     // What the live entries hold, against what the cache charges.
+    let n = graph.num_vertices();
     let held = |state: &ServerState| -> usize {
-        let index: usize = state
-            .cache
-            .entries()
-            .iter()
-            .map(|e| e.ceci.size_bytes())
-            .sum();
-        assert_eq!(state.cache.bytes(), index);
-        index
+        let entries = state.cache.entries();
+        let sizes = entries.iter().map(|e| entry_bytes(e, n));
+        let held: usize = sizes.map(|(index, sets)| index + sets).sum();
+        assert_eq!(state.cache.bytes(), held);
+        held
     };
 
     // 50 one-shot misses.
@@ -2282,6 +2304,28 @@ fn cache_bytes_equal_the_live_frozen_indexes_over_fifty_entries() {
     assert_eq!(state.cache.len(), 50);
     let charged = held(&state);
     assert_eq!(prom(&mut client)["ceci_cache_bytes"], charged as f64);
+
+    // 20 000 vertices, eight of them on a labeled path: an edge query has
+    // four candidates a side, and its two bitsets dwarf the index.
+    use ceci_graph::{lid, vid, LabelSet};
+    let (wide, label) = (20_000, |l| LabelSet::single(lid(l)));
+    let labels = (0..wide as u32).map(|v| label(if v < 8 { 1 + v % 2 } else { 0 }));
+    let path: Vec<_> = (0..7).map(|v| (vid(v), vid(v + 1))).collect();
+    let wide_graph = Graph::new(labels.collect(), &path, false);
+    let wide_path = scratch.write_graph("wide.graph", &wide_graph);
+    let edge = Graph::new(vec![label(1), label(2)], &[(vid(0), vid(1))], false);
+    let edge_path = scratch.write_graph("edge.graph", &edge);
+    client.request(&format!("LOAD w {wide_path}")).unwrap();
+    let before = state.cache.bytes();
+    let resp = client.request(&format!("MATCH w {edge_path}")).unwrap();
+    assert_eq!(resp.field_u64("count"), Some(7), "{}", resp.terminal);
+    let entry = (state.cache.entries().into_iter())
+        .find(|e| e.ceci.candidate_sets()[0].candidates.len() == 4)
+        .expect("the wide entry");
+    let (index, sets) = entry_bytes(&entry, wide);
+    assert_eq!(sets, 2 * (4 * 4 + 8 * 313));
+    assert!(sets > 4 * index, "sets {sets} vs index {index}");
+    assert_eq!(state.cache.bytes() - before, index + sets);
     handle.shutdown();
 }
 
@@ -2683,14 +2727,17 @@ fn oversized_request_line_is_rejected_and_closed() {
 #[test]
 fn abrupt_disconnect_mid_request_does_not_wedge_the_server() {
     use std::io::Write;
-    let (handle, state) = serve(ServeConfig::default());
+    let (handle, state) = serve(ServeConfig {
+        chaos: true,
+        ..ServeConfig::default()
+    });
 
     // Park a request on the data plane, then vanish without reading the
     // response: the worker's completion lands on a dead connection and must
     // be discarded, not crash the loop or leak the slot.
     {
         let mut raw = std::net::TcpStream::connect(handle.addr()).unwrap();
-        raw.write_all(b"SLEEP 300\n").unwrap();
+        raw.write_all(b"CHAOS DELAY 300\n").unwrap();
         raw.flush().unwrap();
         std::thread::sleep(Duration::from_millis(50));
         // Drop: RST/FIN while the request is in flight.
