@@ -21,6 +21,7 @@
 //! random graphs in the workspace property tests.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod bare;
 pub mod boostiso;

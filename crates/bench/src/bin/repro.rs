@@ -5,6 +5,8 @@
 //! repro all [--scale quick|full]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use ceci_bench::experiments;
 use ceci_bench::Scale;
 use ceci_core::Kernel;

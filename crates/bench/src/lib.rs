@@ -9,6 +9,7 @@
 //! counterpart and dumps JSON records under `bench_results/`.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod datasets;
 pub mod experiments;

@@ -18,6 +18,8 @@
 //!   --estimate N       skip enumeration; estimate the count with N walks
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::process::exit;
 
 use ceci::prelude::*;

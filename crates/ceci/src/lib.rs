@@ -34,6 +34,8 @@
 //! assert_eq!(embeddings.len(), 2); // (a, x) and (a, y)
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use ceci_baselines as baselines;
 pub use ceci_core as core;
 pub use ceci_distributed as distributed;

@@ -380,7 +380,7 @@ const PRICED_REBUILDS: u64 = 2;
 
 /// Prices re-planning `plan`: a pilot index per challenger plus
 /// [`PRICED_REBUILDS`] rebuilds of the served index. `ceci` must be the index
-/// the miss built: a rebuild tests the adjacency entries that build tested
+/// the miss built: a rebuild is priced at that build's frontier degree sum
 /// ([`crate::BuildStats::filter_scans`]), and a pilot, whose every frontier
 /// is a subset of the full build's, is priced at half of it (measured: 0.4
 /// to 0.9 of a build on the perf ledger's workloads).

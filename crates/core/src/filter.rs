@@ -182,8 +182,11 @@ pub type BuilderParts = (
 /// Work profile of one BFS-filter run, surfaced through `BuildStats`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FilterProfile {
-    /// Data-graph adjacency entries the filter tested (the summed degree of
-    /// every table's frontier): Algorithm 1's work as an exact count.
+    /// The summed degree of every table's frontier: the adjacency Algorithm
+    /// 1 would test if it read whole lists. It is the re-plan price
+    /// (`replan_price`), so it stays this sum under any numbering; it is not
+    /// the entries tested, which `filter_into` cuts to the child's
+    /// candidate span.
     pub scans: u64,
 }
 
@@ -279,17 +282,23 @@ fn fill_table(
 }
 
 /// Appends the neighbors of `vf` that are candidates of the table's node —
-/// i.e. pass LF, DF and NLCF for it — to `out`. Appended values are sorted
-/// because adjacency lists are sorted and filtering preserves order.
+/// i.e. pass LF, DF and NLCF for it — to `out`. Only the span of `vf`'s list
+/// between the set's first and last candidate is read, and each entry there
+/// is still bit-tested. Under label-major ids
+/// ([`ceci_graph::rank_by_label_and_degree`]) a single-labeled child's
+/// candidates lie in its label's id range, so the span is the neighbours
+/// carrying that label; under any numbering it holds every candidate
+/// neighbour. Appended values are sorted because adjacency lists are sorted
+/// and filtering preserves order.
 #[inline]
 fn filter_into(graph: &Graph, set: &CandidateSet, vf: VertexId, out: &mut Vec<VertexId>) {
-    out.extend(
-        graph
-            .neighbors(vf)
-            .iter()
-            .copied()
-            .filter(|&v| set.contains(v)),
-    );
+    let (Some(&first), Some(&last)) = (set.candidates.first(), set.candidates.last()) else {
+        return;
+    };
+    let list = graph.neighbors(vf);
+    let lo = list.partition_point(|&v| v < first);
+    let hi = lo + list[lo..].partition_point(|&v| v <= last);
+    out.extend(list[lo..hi].iter().copied().filter(|&v| set.contains(v)));
 }
 
 #[cfg(test)]
@@ -410,5 +419,101 @@ mod tests {
         let state = bfs_filter(&graph, &plan);
         assert_eq!(state.pivots.len(), 3);
         assert_eq!(state.te_entries(), 0);
+    }
+
+    /// A hub (file 0, label 1) adjacent to every other vertex: 1 and 2 of
+    /// label 0, 3 and 4 of label 1, 5 and 6 of label 2, and 7 carrying
+    /// {0, 2}; plus edges 1-2 and 5-6. Ranked label-major, the ranks are
+    /// class 0 {1→0, 2→1}, class 1 {3→2, 4→3, hub→4}, class 2 {5→5, 6→6}
+    /// and the multi-labeled class {7→7}.
+    fn hub_graph() -> Graph {
+        use ceci_graph::{lid, LabelSet};
+        let mut labels: Vec<LabelSet> = [1, 0, 0, 1, 1, 2, 2]
+            .iter()
+            .map(|&l| LabelSet::single(lid(l)))
+            .collect();
+        labels.push(LabelSet::from_labels([lid(0), lid(2)]));
+        let mut edges: Vec<_> = (1..8).map(|v| (vid(0), vid(v))).collect();
+        edges.extend([(vid(1), vid(2)), (vid(5), vid(6))]);
+        ceci_graph::rank_by_label_and_degree(&Graph::new(labels, &edges, false)).0
+    }
+
+    /// The candidate set of node 0 of a query with these labels and edges.
+    fn set_of(graph: &Graph, labels: &[u32], edges: &[(u32, u32)]) -> CandidateSet {
+        let labels: Vec<_> = labels.iter().map(|&l| ceci_graph::lid(l)).collect();
+        let query = ceci_query::QueryGraph::with_labels(&labels, edges).unwrap();
+        ceci_query::candidates::compute_candidates(&query, graph).swap_remove(0)
+    }
+
+    fn sliced(graph: &Graph, set: &CandidateSet, vf: VertexId) -> Vec<VertexId> {
+        let mut out = Vec::new();
+        filter_into(graph, set, vf, &mut out);
+        out
+    }
+
+    fn whole_list(graph: &Graph, set: &CandidateSet, vf: VertexId) -> Vec<VertexId> {
+        let list = graph.neighbors(vf).iter().copied();
+        list.filter(|&v| set.contains(v)).collect()
+    }
+
+    #[test]
+    fn an_empty_candidate_list_reads_nothing() {
+        let graph = hub_graph();
+        // No label-2 vertex has three neighbours.
+        let set = set_of(&graph, &[2, 0, 0, 0], &[(0, 1), (0, 2), (0, 3)]);
+        assert!(set.candidates.is_empty());
+        let mut out = vec![vid(9)];
+        for v in graph.vertices() {
+            filter_into(&graph, &set, v, &mut out);
+        }
+        assert_eq!(out, [vid(9)], "appends nothing, keeps what was there");
+    }
+
+    #[test]
+    fn a_span_past_either_end_of_a_list_keeps_every_candidate() {
+        let graph = hub_graph();
+        let label_1 = set_of(&graph, &[1], &[]);
+        assert_eq!(label_1.candidates, [vid(2), vid(3), vid(4)]);
+        // Rank 5's list [4, 6]: the span [2, 4] starts below it and ends
+        // inside it.
+        assert_eq!(sliced(&graph, &label_1, vid(5)), [vid(4)]);
+        // Rank 7's list [4]: the span holds the whole list.
+        assert_eq!(sliced(&graph, &label_1, vid(7)), [vid(4)]);
+        // Label 0 with a label-0 neighbour: ranks 0 and 1, a span entirely
+        // below rank 5's list [4, 6]; label 2, a span entirely above rank
+        // 0's list [1, 4].
+        let low = set_of(&graph, &[0, 0], &[(0, 1)]);
+        assert_eq!(low.candidates, [vid(0), vid(1)]);
+        assert!(sliced(&graph, &low, vid(5)).is_empty());
+        let label_2 = set_of(&graph, &[2], &[]);
+        assert!(sliced(&graph, &label_2, vid(0)).is_empty());
+        for set in [&label_1, &low, &label_2] {
+            for v in graph.vertices() {
+                assert_eq!(
+                    sliced(&graph, set, v),
+                    whole_list(&graph, set, v),
+                    "rank {v}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_hub_list_crossing_every_class_yields_each_labels_neighbours() {
+        let graph = hub_graph();
+        let hub = vid(4);
+        assert_eq!(
+            graph.neighbors(hub),
+            [0, 1, 2, 3, 5, 6, 7].map(vid),
+            "the hub's list crosses every class"
+        );
+        // Label 0's span runs from class 0 to the multi-labeled class, so
+        // its bit test drops the classes in between.
+        for (label, want) in [(0, vec![0, 1, 7]), (1, vec![2, 3]), (2, vec![5, 6, 7])] {
+            let set = set_of(&graph, &[label], &[]);
+            let want: Vec<_> = want.into_iter().map(vid).collect();
+            assert_eq!(sliced(&graph, &set, hub), want, "label {label}");
+            assert_eq!(whole_list(&graph, &set, hub), want, "label {label}");
+        }
     }
 }

@@ -57,9 +57,11 @@ pub struct BuildStats {
     pub filter_time: Duration,
     /// Wall time of Algorithm 2.
     pub refine_time: Duration,
-    /// Data-graph adjacency entries Algorithm 1 tested — the build's work
-    /// as an exact, replayable count ([`crate::adaptive::replan_price`]
-    /// prices a rebuild with it).
+    /// The summed degree of every Algorithm 1 frontier — the build's work
+    /// as an exact, replayable count, and the re-plan price
+    /// ([`crate::adaptive::replan_price`] prices a rebuild with it). Not the
+    /// adjacency entries tested: the filter reads only the span of each
+    /// list that holds the child's candidates.
     pub filter_scans: u64,
     /// Flat value-arena bytes of the frozen tables (the paper's
     /// 4-bytes-per-candidate-edge payload).

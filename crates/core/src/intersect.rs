@@ -261,7 +261,10 @@ pub fn simd_intersect(
             break; // fall through to the scalar tail below
         }
         let start = block * SIMD_BLOCK;
-        if probe_block_eq(&lanes[start..start + SIMD_BLOCK], x, ops) {
+        let lanes_of_block = lanes[start..start + SIMD_BLOCK]
+            .try_into()
+            .expect("the range is SIMD_BLOCK lanes long");
+        if probe_block_eq(lanes_of_block, x, ops) {
             out.push(small[i]);
         }
         i += 1;
@@ -277,13 +280,13 @@ pub fn simd_intersect(
 /// whether the needle occurs. Counts one op per 4-lane vector compare ×
 /// 4 lanes (scalar-equivalent work).
 #[inline]
-fn probe_block_eq(block: &[u32], x: u32, ops: &mut u64) -> bool {
-    debug_assert_eq!(block.len(), SIMD_BLOCK);
+fn probe_block_eq(block: &[u32; SIMD_BLOCK], x: u32, ops: &mut u64) -> bool {
     *ops += SIMD_BLOCK as u64;
     #[cfg(target_arch = "x86_64")]
     {
-        // SAFETY: SSE2 is part of the x86_64 baseline; the two loads read
-        // 16 bytes each from a slice asserted to hold 8 u32 lanes.
+        // SAFETY: SSE2 is part of the x86_64 baseline. `block` is 8 u32
+        // lanes (32 bytes) by its type, so the unaligned 16-byte loads at
+        // lanes 0 and 4 read inside it.
         unsafe {
             use std::arch::x86_64::{
                 _mm_cmpeq_epi32, _mm_loadu_si128, _mm_movemask_epi8, _mm_or_si128, _mm_set1_epi32,

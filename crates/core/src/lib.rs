@@ -23,6 +23,7 @@
 //! works through.
 
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod adaptive;
 pub mod batch;

@@ -9,7 +9,9 @@
 //! per-node candidate caches, entry and arena accounting (holes are what
 //! the empty-entry cascade removed, tombstones and emptied lists where it
 //! removed them, so a cascade applied in another order or to other keys
-//! shows here), and the scan count.
+//! shows here), and the scan count. It runs on each graph's label-major
+//! ranked copy too, multi-labeled vertices included, where the build reads
+//! only the span of each adjacency list that holds the child's candidates.
 //!
 //! The oracle is the parent algorithm kept whole in this file: it calls
 //! [`VertexFilters::passes`] on every adjacency entry and never reads a
@@ -22,8 +24,8 @@
 
 use ceci_core::tables::BuildTable;
 use ceci_core::{bfs_filter_from, count_embeddings, BuilderState, Ceci};
-use ceci_graph::generators::{erdos_renyi, inject_random_labels};
-use ceci_graph::{vid, Graph, VertexId};
+use ceci_graph::generators::{erdos_renyi, inject_random_labels, inject_random_multilabels};
+use ceci_graph::{lid, rank_by_label_and_degree, vid, Graph, VertexId};
 use ceci_query::catalog::{clique, cycle, path, star};
 use ceci_query::{
     candidates_of, OrderStrategy, PaperQuery, PlanOptions, QueryGraph, QueryPlan, VertexFilters,
@@ -122,41 +124,69 @@ fn assert_same_state(plan: &QueryPlan, got: &BuilderState, want: &BuilderState, 
     }
 }
 
+/// The query set, and with more than one label each query again with node
+/// `u` labeled `u % labels`: under label-major ids those candidate spans
+/// start and end inside the id range.
+fn labeled_queries(labels: u32) -> Vec<(String, QueryGraph)> {
+    let mut all: Vec<(String, QueryGraph)> = Vec::new();
+    for (name, query) in queries() {
+        if labels > 1 {
+            let mixed: Vec<_> = query.vertices().map(|u| lid(u.0 % labels)).collect();
+            let edges: Vec<_> = query.edges().iter().map(|&(a, b)| (a.0, b.0)).collect();
+            let relabeled = QueryGraph::with_labels(&mixed, &edges).unwrap();
+            all.push((format!("{name}%{labels}"), relabeled));
+        }
+        all.push((name.to_string(), query));
+    }
+    all
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16 })]
 
+    /// On the file graph and on its label-major ranked copy, where the
+    /// filter reads only each list's candidate span.
     #[test]
     fn bitset_build_is_the_per_entry_build(
         n in 12usize..320,
         density in 2usize..5,
         seed in 0u64..10_000,
         labels in 1u32..4,
+        multi in 0u32..2,
     ) {
         let topology = erdos_renyi(n, n * density, seed);
         // One label is the unlabeled graph; with more, the all-label-0
         // queries match a random share of the vertices and LF / NLCF bite.
-        let graph = match labels {
-            1 => topology,
-            _ => inject_random_labels(&topology, labels, seed ^ 0x5EED),
+        // `multi` gives about half the vertices a second label, which the
+        // ranking puts in one last class.
+        let file = match (labels, multi) {
+            (1, _) => topology,
+            (_, 0) => inject_random_labels(&topology, labels, seed ^ 0x5EED),
+            _ => inject_random_multilabels(&topology, labels, 1, 2, seed ^ 0x5EED),
         };
-        for (name, query) in queries() {
-            for root in query.vertices() {
-                let what = format!("{name} root=u{root} n={n} seed={seed} labels={labels}");
-                let options = PlanOptions {
-                    root_override: Some(root),
-                    ..PlanOptions::default()
-                };
-                let plan = QueryPlan::with_options(query.clone(), &graph, &options);
-                let (want, scans) = reference_filter(&graph, &plan);
-                let pivots = plan.initial_candidates(root).to_vec();
-                let (got, profile) = bfs_filter_from(&graph, &plan, pivots);
-                prop_assert_eq!(profile.scans, scans, "{}", &what);
-                assert_same_state(&plan, &got, &want, &what);
-                // The served entry point reports the same work.
-                let stats = *Ceci::build(&graph, &plan).stats();
-                prop_assert_eq!(stats.filter_scans, scans, "{}", &what);
-                prop_assert_eq!(stats.te_entries_after_filter, want.te_entries(), "{}", &what);
-                prop_assert_eq!(stats.nte_entries_after_filter, want.nte_entries(), "{}", &what);
+        let (ranked, _) = rank_by_label_and_degree(&file);
+        for (ids, graph) in [("file", &file), ("ranked", &ranked)] {
+            for (name, query) in labeled_queries(labels) {
+                for root in query.vertices() {
+                    let what = format!(
+                        "{name} root=u{root} n={n} seed={seed} labels={labels} multi={multi} {ids}"
+                    );
+                    let options = PlanOptions {
+                        root_override: Some(root),
+                        ..PlanOptions::default()
+                    };
+                    let plan = QueryPlan::with_options(query.clone(), graph, &options);
+                    let (want, scans) = reference_filter(graph, &plan);
+                    let pivots = plan.initial_candidates(root).to_vec();
+                    let (got, profile) = bfs_filter_from(graph, &plan, pivots);
+                    prop_assert_eq!(profile.scans, scans, "{}", &what);
+                    assert_same_state(&plan, &got, &want, &what);
+                    // The served entry point reports the same work.
+                    let stats = *Ceci::build(graph, &plan).stats();
+                    prop_assert_eq!(stats.filter_scans, scans, "{}", &what);
+                    prop_assert_eq!(stats.te_entries_after_filter, want.te_entries(), "{}", &what);
+                    prop_assert_eq!(stats.nte_entries_after_filter, want.nte_entries(), "{}", &what);
+                }
             }
         }
     }

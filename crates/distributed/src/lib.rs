@@ -23,6 +23,7 @@
 //! real processes.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod config;
 pub mod fault;

@@ -19,8 +19,8 @@
 //!   datasets.
 //! * [`overlay`] — one batch of streaming edge mutations over an immutable
 //!   snapshot, committed as the next snapshot by patching its CSR.
-//! * [`rank`] — a graph's copy numbered by ascending degree, and the
-//!   [`Ranking`] between file ids and ranks.
+//! * [`rank`] — a graph's copy numbered by ascending `(label class,
+//!   degree)`, and the [`Ranking`] between file ids and ranks.
 //! * [`extract`] — DFS-based connected query extraction (§6.2).
 //! * [`stats`] — dataset statistics and the distributed pivot workload
 //!   estimates of §5.
@@ -49,5 +49,5 @@ pub use graph::{Graph, GraphStamp, LabelPairIndex};
 pub use ids::{lid, vid, LabelId, VertexId};
 pub use labels::LabelSet;
 pub use overlay::DeltaOverlay;
-pub use rank::{rank_by_degree, Ranking};
+pub use rank::{rank_by_label_and_degree, Ranking};
 pub use stats::GraphStats;

@@ -1,16 +1,27 @@
-//! Degree-ranked vertex numbering.
+//! Label-major, degree-ranked vertex numbering.
 //!
 //! CECI breaks a query's automorphisms with `f(u_i) < f(u_j)` on data-vertex
 //! ids (§4), and the enumerator slices every candidate list to that window
 //! before intersecting, so what the ids *mean* decides how much a window
 //! cuts. Under a file's numbering a hub's list is cut at an arbitrary point.
-//! Numbered by ascending `(degree, file id)`, the part of a vertex's list
-//! above it holds only neighbours of higher degree — its out-neighbourhood
-//! in the degree orientation, which for a hub is short. That is the
-//! orientation bound of triangle and clique listing (Chiba–Nishizeki).
+//! Numbered by ascending degree, the part of a vertex's list above it holds
+//! only neighbours of higher degree — its out-neighbourhood in the degree
+//! orientation, which for a hub is short. That is the orientation bound of
+//! triangle and clique listing (Chiba–Nishizeki).
 //!
-//! [`rank_by_degree`] produces a graph's ranked copy together with the
-//! [`Ranking`] that translates between the two numberings.
+//! The key is `(class, degree, file id)`: a single-labeled vertex's class
+//! is its label, and every multi-labeled vertex shares one last class. Each
+//! class is then one contiguous id range, so every sorted adjacency list is
+//! grouped by label with no extra array, and Algorithm 1 reads only the
+//! span of a list between the first and last candidate of the child it
+//! fills. Automorphic query vertices carry the same labels, and every
+//! candidate list of a single-labeled graph lies in one class, inside
+//! which the order is still `(degree, file id)`; so on such a graph the
+//! symmetry windows and every intersection cut exactly where a
+//! `(degree, file id)` numbering cuts them.
+//!
+//! [`rank_by_label_and_degree`] produces a graph's ranked copy together
+//! with the [`Ranking`] that translates between the two numberings.
 
 use crate::graph::Graph;
 use crate::ids::VertexId;
@@ -63,35 +74,64 @@ impl Ranking {
         }
     }
 
-    /// Ascending `(degree, file id)`: a counting sort on degree, whose
-    /// stable pass keeps file order among equal degrees.
-    fn by_degree(graph: &Graph) -> Ranking {
-        let mut next = vec![0usize; graph.max_degree() + 2];
-        for v in graph.vertices() {
-            next[graph.degree(v) + 1] += 1;
-        }
-        for d in 1..next.len() {
-            next[d] += next[d - 1];
-        }
-        let n = graph.num_vertices();
-        let mut rank_of = vec![VertexId::default(); n];
-        let mut file_of = vec![VertexId::default(); n];
-        for v in graph.vertices() {
-            let rank = &mut next[graph.degree(v)];
-            rank_of[v.index()] = VertexId::from_index(*rank);
-            file_of[*rank] = v;
-            *rank += 1;
+    /// Ascending `(class, degree, file id)` (see the module docs): the
+    /// vertices counting-sorted on degree, then that order stably
+    /// counting-sorted on class.
+    fn by_label_and_degree(graph: &Graph) -> Ranking {
+        let vertices = (0..graph.num_vertices()).map(VertexId::from_index);
+        let by_degree = stable_sort(vertices, graph.max_degree() + 1, |v| graph.degree(v));
+        let classes = graph.num_labels() as usize + 1;
+        let file_of = stable_sort(by_degree.iter().copied(), classes, |v| class(graph, v));
+        // Freed before `rank_of` is allocated, so at most two id arrays are
+        // alive at once.
+        drop(by_degree);
+        let mut rank_of = vec![VertexId::default(); file_of.len()];
+        for (rank, &file) in file_of.iter().enumerate() {
+            rank_of[file.index()] = VertexId::from_index(rank);
         }
         Ranking { rank_of, file_of }
     }
 }
 
-/// `graph` renumbered by ascending `(degree, file id)`, and the ranking that
-/// did it. A pure function of the graph. The copy's adjacency is permuted
-/// in one pass, not rebuilt from an edge list; labels move with their
-/// vertices and the label-pair index, which names labels only, is kept.
-pub fn rank_by_degree(graph: &Graph) -> (Graph, Ranking) {
-    let ranking = Ranking::by_degree(graph);
+/// `order` stably sorted by `key`, whose values lie below `keys`: a
+/// counting sort.
+fn stable_sort(
+    order: impl Iterator<Item = VertexId> + Clone,
+    keys: usize,
+    key: impl Fn(VertexId) -> usize,
+) -> Vec<VertexId> {
+    let mut next = vec![0usize; keys + 1];
+    for v in order.clone() {
+        next[key(v) + 1] += 1;
+    }
+    for k in 1..next.len() {
+        next[k] += next[k - 1];
+    }
+    let mut sorted = vec![VertexId::default(); next[keys]];
+    for v in order {
+        let at = &mut next[key(v)];
+        sorted[*at] = v;
+        *at += 1;
+    }
+    sorted
+}
+
+/// The ranking class of `v`: its label if it carries exactly one, else the
+/// last class, `num_labels`, which every multi-labeled vertex shares.
+fn class(graph: &Graph, v: VertexId) -> usize {
+    match graph.labels(v).as_slice() {
+        [label] => label.0 as usize,
+        _ => graph.num_labels() as usize,
+    }
+}
+
+/// `graph` renumbered by ascending `(class, degree, file id)`, and the
+/// ranking that did it. A pure function of the graph. The copy's adjacency
+/// is permuted in one pass, not rebuilt from an edge list; labels move with
+/// their vertices and the label-pair index, which names labels only, is
+/// kept.
+pub fn rank_by_label_and_degree(graph: &Graph) -> (Graph, Ranking) {
+    let ranking = Ranking::by_label_and_degree(graph);
     let ranked = graph.permuted(&ranking.rank_of, &ranking.file_of);
     (ranked, ranking)
 }
@@ -128,13 +168,14 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// The ranking is a bijection, ordered by `(degree, file id)`, the
-        /// same on every call, and the ranked copy is the file graph under
-        /// it: every edge maps to an edge and back, lists stay sorted, and
-        /// labels (and the label inverted index) travel with their vertices.
+        /// The ranking is a bijection, ordered by `(class, degree, file id)`
+        /// with each class one contiguous id range, the same on every call,
+        /// and the ranked copy is the file graph under it: every edge maps
+        /// to an edge and back, lists stay sorted, and labels (and the label
+        /// inverted index) travel with their vertices.
         #[test]
-        fn ranking_is_a_degree_ordered_bijection_that_preserves_edges(file in arb_graph()) {
-            let (ranked, ids) = rank_by_degree(&file);
+        fn ranking_is_a_label_major_degree_ordered_bijection_that_preserves_edges(file in arb_graph()) {
+            let (ranked, ids) = rank_by_label_and_degree(&file);
             let n = file.num_vertices();
             prop_assert_eq!(ranked.num_vertices(), n);
             prop_assert_eq!(ranked.num_edges(), file.num_edges());
@@ -145,12 +186,28 @@ mod tests {
                 hit[ids.rank(v).index()] = true;
             }
             prop_assert!(hit.iter().all(|&h| h), "rank is onto");
-            let key = |r: VertexId| (file.degree(ids.file(r)), ids.file(r));
+            let key = |r: VertexId| {
+                let f = ids.file(r);
+                let class = match file.labels(f).as_slice() {
+                    [l] => l.0,
+                    _ => file.num_labels(),
+                };
+                (class, file.degree(f), f)
+            };
             for r in 1..n as u32 {
                 prop_assert!(key(vid(r - 1)) < key(vid(r)), "rank {} out of order", r);
             }
+            let mut ranges: Vec<Option<(u32, u32, u32)>> = vec![None; file.num_labels() as usize + 1];
+            for r in ranked.vertices() {
+                let range = ranges[key(r).0 as usize].get_or_insert((r.0, r.0, 0));
+                range.1 = r.0;
+                range.2 += 1;
+            }
+            for &(first, last, len) in ranges.iter().flatten() {
+                prop_assert_eq!(last - first + 1, len, "class split at ranks {}..={}", first, last);
+            }
 
-            let (again, ids_again) = rank_by_degree(&file);
+            let (again, ids_again) = rank_by_label_and_degree(&file);
             prop_assert_eq!(&ids_again, &ids);
             for r in ranked.vertices() {
                 prop_assert_eq!(again.neighbors(r), ranked.neighbors(r));
@@ -198,12 +255,37 @@ mod tests {
             ],
         );
         star.build_label_pair_index();
-        let (ranked, ids) = rank_by_degree(&star);
+        let (ranked, ids) = rank_by_label_and_degree(&star);
         let order: Vec<u32> = ranked.vertices().map(|r| ids.file(r).0).collect();
         assert_eq!(order, [1, 2, 3, 4, 0]);
         assert_eq!(ranked.neighbors(vid(4)), &[vid(0), vid(1), vid(2), vid(3)]);
         assert!(!ids.is_identity());
         let pairs = ranked.label_pair_index().expect("carried over");
         assert_eq!(pairs.max_count(lid(0), lid(0)), 4);
+    }
+
+    #[test]
+    fn labels_rank_before_degree_and_multi_labeled_vertices_rank_last() {
+        // A path 0-1-2-3 whose ends carry label 1, whose middle carries
+        // label 0, plus vertex 4 with labels {0, 1} hanging off 1.
+        let labels = vec![
+            LabelSet::single(lid(1)),
+            LabelSet::single(lid(0)),
+            LabelSet::single(lid(0)),
+            LabelSet::single(lid(1)),
+            LabelSet::from_labels([lid(0), lid(1)]),
+        ];
+        let edges = [
+            (vid(0), vid(1)),
+            (vid(1), vid(2)),
+            (vid(2), vid(3)),
+            (vid(1), vid(4)),
+        ];
+        let (ranked, ids) = rank_by_label_and_degree(&Graph::new(labels, &edges, false));
+        let order: Vec<u32> = ranked.vertices().map(|r| ids.file(r).0).collect();
+        assert_eq!(order, [2, 1, 0, 3, 4]);
+        // File vertex 1 keeps rank 1; its list is grouped by class: label
+        // 0, label 1, then {0, 1}.
+        assert_eq!(ranked.neighbors(vid(1)), &[vid(0), vid(2), vid(4)]);
     }
 }

@@ -17,6 +17,7 @@
 //! * [`QueryPlan`] — the bundle every matching engine consumes.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod candidates;
 pub mod catalog;

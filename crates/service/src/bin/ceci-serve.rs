@@ -16,7 +16,7 @@
 //!                        for index repair (default 64; an older entry's
 //!                        repair scans for its candidate sets)
 //!   --preload NAME=FILE  LOAD a labeled graph before accepting connections
-//!                        (repeatable; numbered by degree as LOAD does)
+//!                        (repeatable; numbered as LOAD numbers)
 //!   --max-conns N        concurrent-connection cap; connections beyond it
 //!                        are answered BUSY and closed (default 10000)
 //!   --io-timeout-ms N    per-connection socket read/write timeout
@@ -46,7 +46,7 @@
 use std::process::exit;
 use std::sync::Arc;
 
-use ceci_graph::{io, rank_by_degree};
+use ceci_graph::{io, rank_by_label_and_degree};
 use ceci_service::{start_with_state, ServeConfig, ServerState};
 
 fn usage() -> ! {
@@ -120,7 +120,7 @@ fn main() {
     for (name, file) in &preloads {
         match io::load_labeled(file) {
             Ok(file) => {
-                let (graph, ids) = rank_by_degree(&file);
+                let (graph, ids) = rank_by_label_and_degree(&file);
                 drop(file);
                 let (entry, _) = state.registry.insert_ranked(name, graph, ids);
                 eprintln!(

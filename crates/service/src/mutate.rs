@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 
 use ceci_core::{batch_delta, count_embeddings, Ceci};
 use ceci_graph::io as graph_io;
-use ceci_graph::{rank_by_degree, vid, VertexId};
+use ceci_graph::{rank_by_label_and_degree, vid, VertexId};
 use ceci_query::QueryPlan;
 
 use crate::event_loop::SharedWriter;
@@ -17,9 +17,9 @@ use crate::protocol::ErrorCode;
 use crate::registry::ContinuousQuery;
 use crate::server::{record_tiled_spans, Reply, ServerState};
 
-/// `LOAD`: reads the file and serves its graph numbered by ascending degree
-/// (`rank_us=` is what the renumbering cost); requests keep naming vertices
-/// by their file ids.
+/// `LOAD`: reads the file and serves its graph numbered by ascending label
+/// class and degree (`rank_us=` is what the renumbering cost); requests keep
+/// naming vertices by their file ids.
 pub(crate) fn exec_load(
     state: &ServerState,
     name: &str,
@@ -35,7 +35,7 @@ pub(crate) fn exec_load(
     let file = loaded.map_err(|e| state.fail(ErrorCode::Load, format!("load failed: {e}")))?;
     let (vertices, edges) = (file.num_vertices(), file.num_edges());
     let t_rank = Instant::now();
-    let (graph, ids) = rank_by_degree(&file);
+    let (graph, ids) = rank_by_label_and_degree(&file);
     let rank = t_rank.elapsed();
     // Only the ranked copy is served; free the file's before the entry
     // builds its label-pair index.

@@ -30,11 +30,12 @@
 //! ## Vertex numbering
 //!
 //! Every vertex id on the wire is a file id; every id inside an entry is a
-//! rank. `LOAD` inserts the file's graph renumbered by ascending degree
-//! ([`ceci_graph::rank_by_degree`]) and the entry keeps that [`Ranking`] for
-//! its life: batches and compactions never renumber. Wire edges enter
-//! through [`GraphEntry::entry_edges`]. [`GraphRegistry::insert`] keeps the
-//! graph's own numbering (the identity ranking).
+//! rank. `LOAD` inserts the file's graph renumbered by ascending label
+//! class and degree ([`ceci_graph::rank_by_label_and_degree`]) and the entry
+//! keeps that [`Ranking`] for its life: batches and compactions never
+//! renumber. Wire edges enter through [`GraphEntry::entry_edges`].
+//! [`GraphRegistry::insert`] keeps the graph's own numbering (the identity
+//! ranking).
 //!
 //! Each applied batch is appended to a bounded **dirty log** of touched
 //! endpoints. A stale cached index's repair re-tests only those endpoints
@@ -336,7 +337,7 @@ impl GraphRegistry {
     }
 
     /// [`GraphRegistry::insert`] of a graph numbered by `ids` (`LOAD` and
-    /// `--preload` pass [`ceci_graph::rank_by_degree`]'s output).
+    /// `--preload` pass [`ceci_graph::rank_by_label_and_degree`]'s output).
     pub fn insert_ranked(
         &self,
         name: &str,

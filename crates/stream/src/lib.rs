@@ -18,6 +18,7 @@
 //! same snapshot.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use ceci_core::{BuildOptions, Ceci};
 use ceci_graph::{Graph, VertexId};

@@ -19,6 +19,7 @@
 //!   parser (used by tests and CI; no external dependency).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod profile;
 pub mod prom;

@@ -871,8 +871,8 @@ fn every_match_form_counts_the_same_through_one_drain() {
     handle.shutdown();
 }
 
-/// `LOAD` serves a graph numbered by ascending degree, and every vertex id
-/// on the wire stays a file id. On random labeled graphs (some vertices
+/// `LOAD` serves a graph numbered by ascending label class and degree, and
+/// every vertex id on the wire stays a file id. On random labeled graphs (some vertices
 /// with two labels), every `MATCH` form counts what the reference matcher
 /// counts on the file graph. A `BATCH` sequence written in file ids moves a
 /// registration's `EVENT DELTA` total as an edge-set model of the file
