@@ -29,9 +29,11 @@
 //!
 //! For adversarially symmetric queries the within-class permutation count is
 //! capped ([`MAX_CANONICAL_PERMS`]); past the cap the signature falls back
-//! to the refined-color multiset (still isomorphism-invariant, no longer
-//! guaranteed collision-free). Every catalog query and any realistic query
-//! template is far below the cap.
+//! to the query's own encoding under the numbering it arrived with. Two
+//! over-cap forms are then equal only for identical presentations: a
+//! re-presentation of such a pattern misses the cache instead of sharing an
+//! entry, but two non-isomorphic queries never compare equal. Every catalog
+//! query and any realistic query template is far below the cap.
 
 use ceci_graph::VertexId;
 
@@ -66,10 +68,11 @@ fn fold(acc: u64, word: u64) -> u64 {
 ///
 /// Two `CanonicalQuery` values compare equal iff the underlying queries are
 /// isomorphic (same shape, same labels) — unless both overflowed
-/// [`MAX_CANONICAL_PERMS`], in which case equality is the (still
-/// isomorphism-invariant) refined-color comparison. The serving layer keys
-/// its index cache by [`CanonicalQuery::hash`] and verifies hits against the
-/// full form, so a hash collision can never serve the wrong index.
+/// [`MAX_CANONICAL_PERMS`], in which case they are equal iff the two
+/// presentations are identical (same labels and edges under the same
+/// numbering). The serving layer keys its index cache by
+/// [`CanonicalQuery::hash`] and verifies hits against the full form, so a
+/// hash collision can never serve the wrong index.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CanonicalQuery {
     signature: Vec<u64>,
@@ -108,12 +111,11 @@ impl CanonicalQuery {
         let (signature, exact) = if perms <= MAX_CANONICAL_PERMS {
             (min_signature(query, &classes), true)
         } else {
-            // Fallback: the sorted refined-color multiset. Isomorphism
-            // -invariant, not collision-free; flagged so equality stays
-            // honest.
-            let mut sig: Vec<u64> = colors;
-            sig.sort_unstable();
-            sig.push(query.num_edges() as u64);
+            // Fallback: the encoding under the given numbering. Identical
+            // presentations share it; non-isomorphic queries never do.
+            let identity: Vec<VertexId> = query.vertices().collect();
+            let mut sig = Vec::new();
+            encode(query, &identity, &mut sig);
             (sig, false)
         };
 
@@ -135,9 +137,9 @@ impl CanonicalQuery {
         self.hash
     }
 
-    /// `true` when the signature is the exact canonical labeling (collision
-    /// -free equality); `false` when the permutation cap forced the
-    /// refined-color fallback.
+    /// `true` when the signature is the exact canonical labeling (equal for
+    /// every presentation of the pattern); `false` when the permutation cap
+    /// forced the fallback to the presentation's own encoding.
     #[inline]
     pub fn is_exact(&self) -> bool {
         self.exact
@@ -356,6 +358,28 @@ mod tests {
         // persisted cache statistics keyed by it are invalid.
         let h = canonical_hash(&q);
         assert_eq!(h, canonical_hash(&PaperQuery::Qg5.build()));
+    }
+
+    /// A 5-cycle joined by spokes to an inner 5-cycle whose vertex `i` is
+    /// adjacent to `i + step`: the 5-prism at step 1, the Petersen graph at
+    /// step 2. Unlabeled, 3-regular, 10 vertices: 1-WL leaves one color
+    /// class, and 10! orderings exceed the cap.
+    fn ring(step: u32) -> QueryGraph {
+        let edges: Vec<(u32, u32)> = (0..5)
+            .flat_map(|i| [(i, (i + 1) % 5), (i, i + 5), (i + 5, (i + step) % 5 + 5)])
+            .collect();
+        QueryGraph::unlabeled(10, &edges).unwrap()
+    }
+
+    #[test]
+    fn over_cap_forms_are_equal_only_for_identical_presentations() {
+        let (petersen, prism) = (ring(2), ring(1));
+        let (p, r) = (CanonicalQuery::of(&petersen), CanonicalQuery::of(&prism));
+        assert!(!p.is_exact() && !r.is_exact());
+        assert_ne!(p, r, "non-isomorphic over-cap queries share a form");
+        assert_ne!(p.hash(), r.hash());
+        assert_eq!(p, CanonicalQuery::of(&petersen));
+        assert_eq!(p.hash(), canonical_hash(&petersen));
     }
 
     #[test]

@@ -15,6 +15,11 @@
 //! * which `(graph, canonical query)` keys are cached at which sub-epoch and
 //!   which are quarantined, so the `cache=` token or `ERR` code of every
 //!   `MATCH` and `EXPLAIN` is predicted, not read back;
+//! * which cached entries carry a planted deadline rate: just before some
+//!   `MATCH … DEADLINE` jobs run on a hit, the sim writes a rate no deadline
+//!   can meet into the entry's [`PlanFeedback`], so the deadline ladder
+//!   answers `mode=APPROX` from that entry until a repair or a `LOAD`
+//!   replaces it, and from the estimator's fixed-seed walks;
 //! * every registration's running total, and the `EVENT DELTA` each applied
 //!   batch owes it;
 //! * the `STATS` counters ([`counters`]) each reply moves, and no other.
@@ -32,12 +37,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ceci_baselines::reference;
-use ceci_core::{count_embeddings, Ceci};
+use ceci_core::{count_embeddings, Ceci, EstimateOptions};
 use ceci_graph::extract::extract_query;
 use ceci_graph::generators::{barabasi_albert, erdos_renyi, inject_random_multilabels};
 use ceci_graph::{io, lid, vid, Graph, LabelSet};
 use ceci_query::{splitmix64, CanonicalQuery, QueryGraph, QueryPlan};
 
+use crate::cache::{FlightProbe, PlanFeedback};
 use crate::event_loop::{LoopShared, QueuedSink, SharedWriter};
 use crate::metrics::ServerMetrics;
 use crate::protocol::{parse_request, Request};
@@ -55,6 +61,10 @@ const HANDLES: [&str; 3] = ["r0", "r1", "r2"];
 const DIRTY_LOG_CAP: u64 = 3;
 /// Small enough that batches compact.
 const COMPACT_THRESHOLD: usize = 6;
+/// The one `MATCH` form the deadline ladder may degrade.
+const DEADLINE: &str = " DEADLINE 60000";
+/// A planted rate: a second a unit of work, so no 60 s deadline is met.
+const PLANTED_NS_PER_UNIT: f64 = 1e12;
 
 /// One request, as the model reads it: graph names, template indexes,
 /// registration handles, edges in file ids.
@@ -154,7 +164,11 @@ impl Fixture {
             let key = CanonicalQuery::of(&query).hash();
             (query, key)
         });
-        let templates = templates.collect();
+        let templates: Vec<_> = templates.collect();
+        // Every `cache=` prediction keys on these hashes: the renumbered
+        // copy must share its original's.
+        let keys: Vec<u64> = templates.iter().rev().take(2).map(|t| t.1).collect();
+        assert_eq!(keys[0], keys[1], "a renumbering moved the canonical hash");
         for (g, pair) in GRAPHS.iter().zip(&files) {
             for (k, graph) in pair.iter().enumerate() {
                 write(&dir, &format!("{g}{k}.graph"), graph);
@@ -257,6 +271,8 @@ struct Model {
     /// `(graph, canonical hash)` → sub-epoch of its cached index.
     cached: BTreeMap<(&'static str, u64), u64>,
     quarantined: BTreeSet<(&'static str, u64)>,
+    /// Cached keys whose entry carries the planted rate.
+    planted: BTreeSet<(&'static str, u64)>,
     regs: BTreeMap<&'static str, Registration>,
     armed: bool,
     /// Oracle counts by `(load, sub-epoch, canonical hash)`.
@@ -280,7 +296,7 @@ impl Model {
         g: &'static str,
         canonical: u64,
         moved: &mut Moves,
-    ) -> Result<&str, &str> {
+    ) -> Result<&'static str, &'static str> {
         let (key, now) = ((g, canonical), self.graphs[g].sub_epoch);
         if self.quarantined.contains(&key) {
             moved.extend([("quarantine_hits", 1), ("errors", 1)]);
@@ -302,7 +318,10 @@ impl Model {
             None => ("MISS", "cache_misses"),
         };
         moved.insert(counter, 1);
-        self.cached.insert(key, now);
+        // A repair or a build replaces the entry, and its rate with it.
+        if self.cached.insert(key, now) != Some(now) {
+            self.planted.remove(&key);
+        }
         Ok(tag)
     }
 }
@@ -397,10 +416,10 @@ impl Sim {
             19 => Op::Verb("STATS"),
             20 => Op::Verb("QUIT"),
             _ => {
-                let forms = ["", "", " RAW", " EXACT", " WORKERS 2", " DEADLINE 60000"];
+                let forms = ["", "", " RAW", " EXACT", " WORKERS 2", DEADLINE];
                 let suffix = match rng.below(forms.len() + 2) {
                     i if i < forms.len() => forms[i].to_string(),
-                    i if i == forms.len() => " DEADLINE 60000 EXACT".to_string(),
+                    i if i == forms.len() => format!("{DEADLINE} EXACT"),
                     _ => format!(" LIMIT {}", 1 + rng.below(4)),
                 };
                 // Now and then an unknown graph or a missing query file.
@@ -438,6 +457,7 @@ impl Sim {
                 model.graphs.insert(g, loaded);
                 model.cached.retain(|k, _| k.0 != *g);
                 model.quarantined.retain(|k| k.0 != *g);
+                model.planted.retain(|k| k.0 != *g);
                 model.regs.retain(|_, r| r.graph != *g);
                 moved.insert("load_requests", 1);
             }
@@ -510,6 +530,20 @@ impl Sim {
                         if let Some(totals) = lines.iter().find(|l| l.starts_with("| totals")) {
                             assert_eq!(field_u64(totals, "embeddings"), want);
                         }
+                    }
+                    // The probe above dropped the rate if it replaced the
+                    // entry; on a hit the estimator answers, its count the
+                    // rounded mean of its fixed-seed walks.
+                    (Ok(_), Some(DEADLINE)) if model.planted.contains(&(g, fx.templates[t].1)) => {
+                        let count = field_u64(last, "count");
+                        let head = format!("OK MATCH count={count} status=OK mode=APPROX mean=");
+                        assert!(last.starts_with(&head), "got {last:?}");
+                        let mean: f64 = field(last, "mean").unwrap().parse().expect("a mean");
+                        assert!((count as f64 - mean).abs() <= 0.55, "{last}");
+                        let walks = EstimateOptions::default().walks;
+                        let tail = format!(" walks={walks} cache=HIT build_us=0 enum_us=0 ");
+                        assert!(last.contains(&tail), "want {tail:?} in {last:?}");
+                        moved.insert("approx_answers", 1);
                     }
                     (Ok(tag), Some(suffix)) => {
                         let limit = (suffix.strip_prefix(" LIMIT "))
@@ -605,6 +639,38 @@ impl Sim {
             }
         }
         (moved, owed)
+    }
+
+    /// Just before client `c`'s job for `op` runs: when `op` is a
+    /// degradable `MATCH … DEADLINE` that will hit an entry with embeddings
+    /// (so its walks cannot prove zero), maybe plant a rate on the entry.
+    fn plant(&mut self, c: usize, op: &Op, rng: &mut Rng) {
+        let Op::Match(g, t, suffix) = op else { return };
+        let (Some(l), Some((query, key))) = (self.model.graphs.get(g), self.fx.templates.get(*t))
+        else {
+            return;
+        };
+        let (key, now) = ((*g, *key), l.sub_epoch);
+        if suffix != DEADLINE
+            || self.model.cached.get(&key) != Some(&now)
+            || self.model.planted.contains(&key)
+            || self.model.count(&self.fx, g, *t) == 0
+            || rng.below(2) == 0
+        {
+            return;
+        }
+        let entry = self.state.registry.get(g).expect("a loaded graph");
+        let canonical = CanonicalQuery::of(query);
+        let probe = self.state.cache.begin_at(entry.epoch, now, &canonical);
+        let FlightProbe::Hit(index) = probe else {
+            panic!("the model predicts a HIT on {key:?}")
+        };
+        *index.feedback.lock().expect("feedback lock") = Some(PlanFeedback {
+            ns_per_unit: PLANTED_NS_PER_UNIT,
+        });
+        self.model.planted.insert(key);
+        let planted = format!("c{c} ~ planted ns_per_unit={PLANTED_NS_PER_UNIT}");
+        self.transcript.push(planted);
     }
 
     /// [`Sim::expect`], then the counters, the pushed events and the state
@@ -719,7 +785,10 @@ fn run(seed: u64) -> Vec<String> {
         let (before, t0) = (counters(&state.metrics), Instant::now());
         let stepped = catch_unwind(AssertUnwindSafe(|| {
             let lines = match pending[c].take() {
-                Some((_, job)) => job(&state, Duration::ZERO),
+                Some((_, job)) => {
+                    sim.plant(c, &op, &mut rng);
+                    job(&state, Duration::ZERO)
+                }
                 None => match route(sim.send(c, &op), &state, &sim.sinks[c]) {
                     Routed::Inline(lines) => lines,
                     Routed::Data(job) => {
@@ -743,6 +812,47 @@ fn run(seed: u64) -> Vec<String> {
 
 mod tests {
     use super::*;
+
+    /// Past the canonical form's permutation cap, two non-isomorphic
+    /// templates get two cache entries. In the 5-prism, the Petersen graph
+    /// has no embedding and the prism one: both unlabeled, 3-regular and on
+    /// 10 vertices, so neither has an exact canonical form.
+    #[test]
+    fn over_cap_templates_do_not_share_a_cache_entry() {
+        // A 5-cycle with spokes to an inner one whose vertex i is adjacent
+        // to i + step: the prism at step 1, Petersen at step 2.
+        let ring = |step: u32| {
+            let edges: Vec<_> = (0..5)
+                .flat_map(|i| [(i, (i + 1) % 5), (i, i + 5), (i + 5, (i + step) % 5 + 5)])
+                .collect();
+            pattern(&[0; 10], &edges)
+        };
+        let (prism, petersen) = (ring(1), ring(2));
+        let dir = std::env::temp_dir().join(format!("ceci-sim-cap-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        let path = |name: &str| dir.join(name).display().to_string();
+        write(&dir, "prism.graph", &prism);
+        write(&dir, "petersen.graph", &petersen);
+        let state = Arc::new(ServerState::new(ServeConfig::default()));
+        let sink = QueuedSink::new(0, 1 << 20, LoopShared::new().expect("eventfd"));
+        let ask = |line: String| {
+            let request = parse_request(&line).ok().flatten().expect("a request");
+            let mut lines = match route(request, &state, &sink) {
+                Routed::Inline(lines) => lines,
+                Routed::Data(job) => job(&state, Duration::ZERO),
+            };
+            lines.pop().expect("a reply")
+        };
+        assert!(ask(format!("LOAD d {}", path("prism.graph"))).starts_with("OK LOADED"));
+        for (name, query, want) in [("petersen", &petersen, 0), ("prism", &prism, 1)] {
+            let query = QueryGraph::from_graph(query).expect("a template");
+            assert_eq!(oracle(&prism, &query), want, "{name}");
+            let reply = ask(format!("MATCH d {}", path(&format!("{name}.graph"))));
+            let head = format!("OK MATCH count={want} status=OK cache=MISS ");
+            assert!(reply.starts_with(&head), "{name}: {reply}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
 
     /// One hundred seeds and the regression seeds, every 25th replayed
     /// twice to the same transcript; `SIM_SEEDS=3,17` replays just those

@@ -1,13 +1,14 @@
 //! Integration tests for the streaming-mutation subsystem: the temporal
 //! edge-list loader, the registry's delta overlay (including compaction),
-//! and the differential invariant that repaired-index counts (the server's
-//! one repair rung, [`repair`]) and running [`batch_delta`] totals stay
-//! bit-identical to a from-scratch rebuild at every batch boundary.
+//! the label-pair index maintained across batches, and the differential
+//! invariant that repaired-index counts (the server's one repair rung,
+//! [`repair`]) and running [`batch_delta`] totals stay bit-identical to a
+//! from-scratch rebuild at every batch boundary. Served batches — every add
+//! before every delete, `EVENT DELTA` totals — are the seeded replay's
+//! (`crates/service/src/sim.rs`).
 
 use std::collections::BTreeSet;
 use std::io::Cursor;
-use std::sync::Arc;
-use std::time::Instant;
 
 use ceci_core::{batch_delta, count_embeddings, Ceci};
 use ceci_graph::extract::extract_query;
@@ -15,9 +16,7 @@ use ceci_graph::generators::{erdos_renyi, inject_random_labels};
 use ceci_graph::io::{batch_by_timestamp, load_temporal, read_temporal};
 use ceci_graph::{vid, Graph, VertexId};
 use ceci_query::{QueryGraph, QueryPlan};
-use ceci_service::{
-    start_with_state, BatchOutcome, Client, GraphRegistry, ServeConfig, ServerState,
-};
+use ceci_service::{BatchOutcome, GraphRegistry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -329,117 +328,10 @@ fn maintained_label_pair_index_stays_sound_across_batches() {
     }
 }
 
-/// Writes `graph` in the labeled text format under a fresh scratch path.
-fn write_graph(dir: &std::path::Path, name: &str, graph: &Graph) -> String {
-    let path = dir.join(name);
-    let mut f = std::fs::File::create(&path).unwrap();
-    ceci_graph::io::write_labeled(graph, &mut f).unwrap();
-    path.display().to_string()
-}
-
 /// A graph built from scratch (no optional index) over `graph`'s labels
 /// and the given edge set.
 fn from_edge_set(graph: &Graph, edges: &BTreeSet<(u32, u32)>) -> Graph {
     let labels = graph.vertices().map(|v| graph.labels(v).clone()).collect();
     let edges: Vec<_> = edges.iter().map(|&(a, b)| (vid(a), vid(b))).collect();
     Graph::new(labels, &edges, false)
-}
-
-/// The inline `BATCH` rule — every `+` before every `-`, each against the
-/// view the earlier ones left — pinned on the two lines that read the
-/// other way round, with a registered query's total checked against a
-/// fresh `LOAD` of the resulting edge set; and a write says where its time
-/// went (`apply_us=` / `delta_us=`, inside the client's round trip; a
-/// `service.mutate` span tiled by its stages on a traced server).
-#[test]
-fn inline_batch_applies_every_add_before_every_delete() {
-    let dir = std::env::temp_dir().join(format!("ceci-batch-order-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let graph = small_graph(80, 240, 17);
-    let pattern = extract_query(&graph, 3, 5, 50).unwrap().pattern;
-    let (p, q) = *edge_set(&graph).iter().next().unwrap();
-    let (x, y) = (0..80u32)
-        .flat_map(|a| (a + 1..80).map(move |b| (a, b)))
-        .find(|&(a, b)| !graph.has_edge(vid(a), vid(b)))
-        .unwrap();
-    let mut after = edge_set(&graph);
-    after.remove(&(p, q));
-    let after = from_edge_set(&graph, &after);
-    let graph_path = write_graph(&dir, "data.graph", &graph);
-    let after_path = write_graph(&dir, "after.graph", &after);
-    let query_path = write_graph(&dir, "query.graph", &pattern);
-
-    let state = Arc::new(ServerState::new(ServeConfig {
-        trace: true,
-        ..Default::default()
-    }));
-    let handle = start_with_state(Arc::clone(&state)).expect("bind loopback");
-    let mut client = Client::connect(handle.addr()).unwrap();
-    client.request(&format!("LOAD g {graph_path}")).unwrap();
-    let resp = client
-        .request(&format!("REGISTER w g {query_path}"))
-        .unwrap();
-    assert!(resp.is_ok(), "{}", resp.terminal);
-    client.request(&format!("LOAD fresh {after_path}")).unwrap();
-    let resp = client
-        .request(&format!("MATCH fresh {query_path}"))
-        .unwrap();
-    let expected = resp.field_u64("count").unwrap();
-
-    // (line, added, deleted, sub_epoch, pending)
-    let lines = [
-        // The add is dropped (the edge is there), then the delete applies.
-        (format!("BATCH g -{p}:{q} +{p}:{q}"), 0, 1, 1, 1),
-        // Both apply, on an edge set that ends where it started.
-        (format!("BATCH g +{x}:{y} -{x}:{y}"), 1, 1, 2, 1),
-    ];
-    for (line, added, deleted, sub_epoch, pending) in lines {
-        let sent = Instant::now();
-        let resp = client.request(&line).unwrap();
-        let round_trip_us = sent.elapsed().as_micros() as u64;
-        assert!(resp.is_ok(), "{}", resp.terminal);
-        assert_eq!(resp.field_u64("added"), Some(added), "{line}");
-        assert_eq!(resp.field_u64("deleted"), Some(deleted), "{line}");
-        assert_eq!(resp.field_u64("sub_epoch"), Some(sub_epoch), "{line}");
-        assert_eq!(resp.field_u64("pending"), Some(pending), "{line}");
-        assert_eq!(resp.field_u64("compacted"), Some(0), "{line}");
-        let apply_us = resp.field_u64("apply_us").expect("apply_us field");
-        let delta_us = resp.field_u64("delta_us").expect("delta_us field");
-        assert!(
-            apply_us + delta_us <= round_trip_us,
-            "{apply_us} + {delta_us} us inside a {round_trip_us} us round trip"
-        );
-        let event = client.wait_event().unwrap();
-        assert!(
-            event.contains(&format!(" batch={sub_epoch} ")) && event.contains("query=w"),
-            "{event}"
-        );
-        assert!(
-            event.ends_with(&format!("total={expected}")),
-            "{event} vs fresh LOAD count {expected}"
-        );
-    }
-    let resp = client.request(&format!("MATCH g {query_path}")).unwrap();
-    assert_eq!(resp.field_u64("count"), Some(expected));
-
-    // The traced server tiles each write: apply → delta → notify.
-    let spans = state.tracer.snapshot();
-    let writes: Vec<_> = spans
-        .iter()
-        .filter(|s| s.name == "service.mutate")
-        .collect();
-    assert_eq!(writes.len(), 2, "one span per BATCH");
-    for write in writes {
-        let stages: Vec<_> = spans.iter().filter(|s| s.parent == write.id).collect();
-        let names: Vec<&str> = stages.iter().map(|s| s.name).collect();
-        assert_eq!(names, ["service.apply", "service.delta", "service.notify"]);
-        let mut cursor = write.ts_ns;
-        for stage in stages {
-            assert_eq!(stage.ts_ns, cursor, "{} leaves a gap", stage.name);
-            cursor += stage.dur_ns;
-        }
-        assert_eq!(cursor, write.ts_ns + write.dur_ns, "stages tile the write");
-    }
-    handle.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
 }
