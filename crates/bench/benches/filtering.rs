@@ -1,16 +1,16 @@
 //! Criterion micro-bench: the candidate filters (LF/DF/NLCF) and the
-//! per-query-vertex global candidate computation.
+//! per-query-vertex global candidate computation, under file ids (label
+//! index, adjacency walks) and label-major ranks (class ranges, spans).
 
 use ceci_bench::{Dataset, Scale};
-use ceci_graph::Graph;
+use ceci_graph::{rank_by_label_and_degree, Graph};
 use ceci_query::candidates::{candidates_of, compute_candidates};
 use ceci_query::{PaperQuery, QueryGraph};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
+/// The RD stand-in numbered as `LOAD` serves it.
 fn labeled_graph() -> Graph {
-    let mut g = Dataset::Rd.build(Scale::Quick);
-    g.build_nlc_index();
-    g
+    rank_by_label_and_degree(&Dataset::Rd.build(Scale::Quick)).0
 }
 
 fn bench_candidates(c: &mut Criterion) {
@@ -32,13 +32,13 @@ fn bench_candidates(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_nlc_index(c: &mut Criterion) {
-    let mut group = c.benchmark_group("nlc_index");
+fn bench_nlc_filter(c: &mut Criterion) {
+    let mut group = c.benchmark_group("nlc_filter");
     group.sample_size(20);
-    let without = Dataset::Rd.build(Scale::Quick);
-    let with = labeled_graph();
+    let file = Dataset::Rd.build(Scale::Quick);
+    let ranked = labeled_graph();
     let query = PaperQuery::Qg1.build();
-    for (name, graph) in [("scan", &without), ("indexed", &with)] {
+    for (name, graph) in [("walk", &file), ("spans", &ranked)] {
         group.bench_with_input(BenchmarkId::from_parameter(name), graph, |b, graph| {
             b.iter(|| std::hint::black_box(compute_candidates(&query, graph)));
         });
@@ -46,5 +46,5 @@ fn bench_nlc_index(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_candidates, bench_nlc_index);
+criterion_group!(benches, bench_candidates, bench_nlc_filter);
 criterion_main!(benches);

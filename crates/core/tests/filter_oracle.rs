@@ -11,7 +11,9 @@
 //! removed them, so a cascade applied in another order or to other keys
 //! shows here), and the scan count. It runs on each graph's label-major
 //! ranked copy too, multi-labeled vertices included, where the build reads
-//! only the span of each adjacency list that holds the child's candidates.
+//! only the span of each adjacency list that holds the child's candidates,
+//! and whose candidate scan (class ranges, span counts) must find what the
+//! file graph's (label index, adjacency walks) finds.
 //!
 //! The oracle is the parent algorithm kept whole in this file: it calls
 //! [`VertexFilters::passes`] on every adjacency entry and never reads a
@@ -164,7 +166,18 @@ proptest! {
             (_, 0) => inject_random_labels(&topology, labels, seed ^ 0x5EED),
             _ => inject_random_multilabels(&topology, labels, 1, 2, seed ^ 0x5EED),
         };
-        let (ranked, _) = rank_by_label_and_degree(&file);
+        let (ranked, ranking) = rank_by_label_and_degree(&file);
+        // The two candidate scans agree: the label index with adjacency
+        // walks under file ids, class ranges with a DF suffix cut and span
+        // counts under ranks.
+        for (name, query) in labeled_queries(labels) {
+            for u in query.vertices() {
+                let mut want: Vec<VertexId> =
+                    candidates_of(&query, &file, u).iter().map(|&v| ranking.rank(v)).collect();
+                want.sort_unstable();
+                prop_assert_eq!(candidates_of(&query, &ranked, u), want, "{} u{} seed={}", name, u, seed);
+            }
+        }
         for (ids, graph) in [("file", &file), ("ranked", &ranked)] {
             for (name, query) in labeled_queries(labels) {
                 for root in query.vertices() {

@@ -2,9 +2,13 @@
 //!
 //! [`Graph`] combines CSR adjacency with per-vertex [`LabelSet`]s, a
 //! label → vertices inverted index (used by root selection and candidate
-//! seeding), and two optional indexes built by one walk of the adjacency:
-//! the per-vertex neighborhood-label-count (NLC) rows the paper's NLC filter
-//! reads (§3.2), and the label-pair admission index derived from those rows.
+//! seeding under a file's numbering) and an optional label-pair admission
+//! index. A graph numbered label-major
+//! ([`crate::rank_by_label_and_degree`]) also records where each label
+//! class's ids lie ([`Graph::class_bounds`]): every sorted adjacency list
+//! is then grouped by class, so the neighbourhood label counts of the
+//! paper's NLC filter (§3.2) are span lengths of the list, read with no
+//! stored rows.
 //!
 //! Directed inputs are symmetrized: the paper matches undirected query graphs
 //! against directed or undirected data graphs, and its candidate/adjacency
@@ -48,78 +52,14 @@ pub struct Graph {
     /// `label_index[l]` = sorted vertices whose label set contains `l`;
     /// shared like `labels`.
     label_index: Arc<[Vec<VertexId>]>,
-    /// Optional NLC index; see [`NlcIndex`].
-    nlc: Option<NlcIndex>,
+    /// `Some` on a label-major numbering; see [`Graph::class_bounds`].
+    /// Shared like `labels`: a batch adds no vertex and changes no label.
+    classes: Option<Arc<[VertexId]>>,
+    /// Degree ascends inside every class; see
+    /// [`Graph::degree_ascends_in_classes`].
+    degree_ranked: bool,
     /// Optional label-pair admission index; see [`LabelPairIndex`].
     label_pairs: Option<LabelPairIndex>,
-}
-
-/// Precomputed neighborhood label counts (l2Match's neighbouring-label
-/// index): for each vertex, a sorted `(label, count)` row over the labels
-/// appearing among its neighbors, all rows in one flat array.
-///
-/// The NLC filter asks, for every distinct label `l` in the query node's
-/// neighborhood, whether `count_v(l) >= count_u(l)`. With this index the
-/// check is a merge over two short sorted lists instead of a rescan of the
-/// data vertex's adjacency. The rows are also all the
-/// [`LabelPairIndex`] is derived from, so one label walk builds both.
-#[derive(Clone, Debug)]
-pub struct NlcIndex {
-    offsets: Vec<usize>,
-    entries: Vec<(LabelId, u32)>,
-}
-
-impl NlcIndex {
-    /// One walk of every adjacency list: each neighbor's labels are counted
-    /// into a dense per-label array, and the labels seen are sorted into
-    /// the vertex's row and zeroed again.
-    fn build(csr: &Csr, labels: &[LabelSet], num_labels: u32) -> Self {
-        let n = csr.num_vertices();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut entries: Vec<(LabelId, u32)> = Vec::new();
-        offsets.push(0);
-        let mut counts = vec![0u32; num_labels as usize];
-        let mut seen: Vec<LabelId> = Vec::new();
-        for v in 0..n {
-            for &nb in csr.neighbors(VertexId::from_index(v)) {
-                for m in labels[nb.index()].iter() {
-                    if counts[m.index()] == 0 {
-                        seen.push(m);
-                    }
-                    counts[m.index()] += 1;
-                }
-            }
-            seen.sort_unstable();
-            for m in seen.drain(..) {
-                entries.push((m, std::mem::take(&mut counts[m.index()])));
-            }
-            offsets.push(entries.len());
-        }
-        entries.shrink_to_fit();
-        NlcIndex { offsets, entries }
-    }
-
-    /// The sorted `(label, count)` list of `v`.
-    #[inline]
-    pub fn counts(&self, v: VertexId) -> &[(LabelId, u32)] {
-        &self.entries[self.offsets[v.index()]..self.offsets[v.index() + 1]]
-    }
-
-    /// How many neighbors of `v` carry label `l`.
-    #[inline]
-    pub fn count(&self, v: VertexId, l: LabelId) -> u32 {
-        let c = self.counts(v);
-        match c.binary_search_by_key(&l, |&(label, _)| label) {
-            Ok(i) => c[i].1,
-            Err(_) => 0,
-        }
-    }
-
-    /// Bytes of heap memory held by the index.
-    pub fn size_bytes(&self) -> usize {
-        self.offsets.capacity() * std::mem::size_of::<usize>()
-            + self.entries.capacity() * std::mem::size_of::<(LabelId, u32)>()
-    }
 }
 
 /// Label-pair admission index: for every ordered label pair `(l, m)` with at
@@ -148,17 +88,30 @@ impl LabelPairIndex {
         ((l.0 as u64) << 32) | m.0 as u64
     }
 
-    /// The exact maxima, read off the NLC rows label class by label class:
-    /// `(l, m)` is the largest `m` count in the rows of the vertices
-    /// `label_index[l]` lists. Classes come in label order and each class's
-    /// neighbor labels are sorted, so the entries come out sorted.
-    fn from_rows(rows: &NlcIndex, label_index: &[Vec<VertexId>]) -> Self {
-        let mut max = vec![0u32; label_index.len()];
-        let mut seen: Vec<LabelId> = Vec::new();
+    /// The exact maxima, label class by label class: `(l, m)` is the
+    /// largest `m` count over the vertices `label_index[l]` lists. Each
+    /// vertex's neighbour labels are counted into a dense per-label array
+    /// and folded straight into the class's maxima, so no per-vertex row is
+    /// kept; a vertex is walked once per label it carries. Classes come in
+    /// label order and each class's neighbour labels are sorted, so the
+    /// entries come out sorted.
+    fn build(graph: &Graph) -> Self {
+        let k = graph.num_labels as usize;
+        let (mut counts, mut max) = (vec![0u32; k], vec![0u32; k]);
+        let (mut counted, mut seen): (Vec<LabelId>, Vec<LabelId>) = (Vec::new(), Vec::new());
         let mut entries: Vec<(u64, u32)> = Vec::new();
-        for (l, members) in label_index.iter().enumerate() {
+        for (l, members) in graph.label_index.iter().enumerate() {
             for &v in members {
-                for &(m, count) in rows.counts(v) {
+                for &nb in graph.neighbors(v) {
+                    for m in graph.labels(nb).iter() {
+                        if counts[m.index()] == 0 {
+                            counted.push(m);
+                        }
+                        counts[m.index()] += 1;
+                    }
+                }
+                for m in counted.drain(..) {
+                    let count = std::mem::take(&mut counts[m.index()]);
                     let slot = &mut max[m.index()];
                     if *slot == 0 {
                         seen.push(m);
@@ -300,33 +253,46 @@ impl Graph {
             num_labels,
             directed_input,
             label_index: label_index.into(),
-            nlc: None,
+            classes: None,
+            degree_ranked: false,
             label_pairs,
         }
     }
 
-    /// This graph renumbered: vertex `file_of[r]` becomes `r` (`rank_of` is
-    /// the inverse). Adjacency is permuted in one pass ([`Csr::permuted`]);
-    /// the label-pair index, which speaks of labels only, is carried over.
-    pub(crate) fn permuted(&self, rank_of: &[VertexId], file_of: &[VertexId]) -> Graph {
+    /// This graph renumbered label-major: vertex `file_of[r]` becomes `r`
+    /// (`rank_of` is the inverse), class `c` holds ranks
+    /// `classes[c]..classes[c + 1]` and degree ascends inside each.
+    /// Adjacency is permuted in one pass ([`Csr::permuted`]); the label-pair
+    /// index, which speaks of labels only, is carried over.
+    pub(crate) fn permuted(
+        &self,
+        rank_of: &[VertexId],
+        file_of: &[VertexId],
+        classes: Vec<VertexId>,
+    ) -> Graph {
+        debug_assert_eq!(classes.len(), self.num_labels as usize + 2);
         let labels = file_of.iter().map(|&f| self.labels(f).clone()).collect();
-        Graph::from_csr(
-            self.csr.permuted(rank_of, file_of),
-            labels,
-            self.directed_input,
-            self.label_pairs.clone(),
-        )
+        Graph {
+            classes: Some(classes.into()),
+            degree_ranked: true,
+            ..Graph::from_csr(
+                self.csr.permuted(rank_of, file_of),
+                labels,
+                self.directed_input,
+                self.label_pairs.clone(),
+            )
+        }
     }
 
     /// The next streamed snapshot: this graph with one batch of net edge
     /// changes applied (see [`Csr::patched`] for what `delta` must be).
-    /// Reads this graph's adjacency only; labels, the label inverted index
-    /// and the alphabet size are shared with it, the stamp is fresh, and
-    /// the optional NLC and label-pair indexes are left unset (the
-    /// streaming layer attaches its maintained label-pair index itself).
-    /// Rows rebuilt here would cost every batch a walk of every adjacency
-    /// list and every live snapshot a copy of them; a candidate scan on a
-    /// snapshot without rows walks the adjacency of the vertices it tests.
+    /// Reads this graph's adjacency only; labels, the label inverted index,
+    /// the alphabet size and the class bounds are shared with it (a batch
+    /// adds no vertex and changes no label, so a label-major snapshot
+    /// counts neighbour labels from spans like the graph it came from), the
+    /// stamp is fresh, and the label-pair index is left unset (the
+    /// streaming layer attaches its maintained one itself). Degrees move,
+    /// so the snapshot does not claim they ascend inside a class.
     pub(crate) fn patched(&self, delta: &[EdgeDelta]) -> Graph {
         Graph {
             stamp: GraphStamp::fresh(),
@@ -335,7 +301,8 @@ impl Graph {
             num_labels: self.num_labels,
             directed_input: self.directed_input,
             label_index: Arc::clone(&self.label_index),
-            nlc: None,
+            classes: self.classes.clone(),
+            degree_ranked: false,
             label_pairs: None,
         }
     }
@@ -355,27 +322,34 @@ impl Graph {
         Graph::new(vec![LabelSet::single(LabelId(0)); n], edges, false)
     }
 
-    /// Precomputes the NLC index. Idempotent.
-    pub fn build_nlc_index(&mut self) {
-        if self.nlc.is_none() {
-            self.nlc = Some(NlcIndex::build(&self.csr, &self.labels, self.num_labels));
-        }
-    }
-
-    /// The NLC index, if built.
+    /// Where each label class's ids lie, on a graph numbered label-major
+    /// ([`crate::rank_by_label_and_degree`] and every snapshot patched from
+    /// its output): class `c` — label `c`, or `num_labels` for the class
+    /// every multi-labeled vertex shares — holds ids
+    /// `bounds[c]..bounds[c + 1]`, so the slice has `num_labels + 2` ids and
+    /// ends at `|V|`. Every sorted adjacency list is then grouped by class.
+    /// `None` under any other numbering.
     #[inline]
-    pub fn nlc_index(&self) -> Option<&NlcIndex> {
-        self.nlc.as_ref()
+    pub fn class_bounds(&self) -> Option<&[VertexId]> {
+        self.classes.as_deref()
     }
 
-    /// Precomputes the label-pair admission index and the NLC index it is
-    /// derived from: the rows are built if absent (the one walk of every
-    /// adjacency list), then the exact maxima are read off them. Idempotent.
+    /// Whether degree ascends inside every class of
+    /// [`Graph::class_bounds`], so the vertices of a class with at least a
+    /// given degree are a suffix of its range. True only on
+    /// [`crate::rank_by_label_and_degree`]'s output: a patched snapshot's
+    /// degrees have moved inside their classes.
+    #[inline]
+    pub fn degree_ascends_in_classes(&self) -> bool {
+        self.degree_ranked
+    }
+
+    /// Precomputes the exact label-pair admission index, whatever the
+    /// numbering: one walk of the adjacency folded into per-class maxima
+    /// ([`LabelPairIndex`]), keeping no per-vertex rows. Idempotent.
     pub fn build_label_pair_index(&mut self) {
-        self.build_nlc_index();
         if self.label_pairs.is_none() {
-            let rows = self.nlc.as_ref().expect("built above");
-            self.label_pairs = Some(LabelPairIndex::from_rows(rows, &self.label_index));
+            self.label_pairs = Some(LabelPairIndex::build(self));
         }
     }
 
@@ -461,17 +435,26 @@ impl Graph {
             .unwrap_or(&[])
     }
 
-    /// Count of neighbors of `v` carrying label `l`. Uses the NLC index when
-    /// built, otherwise scans the adjacency list.
+    /// Count of neighbors of `v` carrying label `l`. On a label-major
+    /// numbering ([`Graph::class_bounds`]) that is the length of `l`'s span
+    /// of `v`'s list plus the multi-labeled neighbours carrying `l`, found
+    /// in the last class's span; otherwise a scan of the whole list.
     pub fn neighbor_label_count(&self, v: VertexId, l: LabelId) -> u32 {
-        if let Some(nlc) = &self.nlc {
-            nlc.count(v, l)
-        } else {
-            self.neighbors(v)
-                .iter()
-                .filter(|&&nb| self.has_label(nb, l))
-                .count() as u32
-        }
+        let list = self.neighbors(v);
+        let carrying = |nbs: &[VertexId]| nbs.iter().filter(|&&nb| self.has_label(nb, l)).count();
+        let count = match self.class_bounds() {
+            None => carrying(list),
+            Some(_) if l.0 >= self.num_labels => 0,
+            Some(bounds) => {
+                let span = |class: usize| {
+                    let from = list.partition_point(|&nb| nb < bounds[class]);
+                    let to = from + list[from..].partition_point(|&nb| nb < bounds[class + 1]);
+                    &list[from..to]
+                };
+                span(l.index()).len() + carrying(span(self.num_labels as usize))
+            }
+        };
+        count as u32
     }
 
     /// Maximum degree over all vertices (0 for the empty graph).
@@ -485,7 +468,8 @@ impl Graph {
         &self.csr
     }
 
-    /// Approximate heap bytes held by the graph (adjacency + labels + indexes).
+    /// Approximate heap bytes held by the graph (adjacency, labels, class
+    /// bounds and indexes).
     pub fn size_bytes(&self) -> usize {
         let label_bytes: usize = self
             .labels
@@ -505,7 +489,7 @@ impl Graph {
         self.csr.size_bytes()
             + label_bytes
             + index_bytes
-            + self.nlc.as_ref().map(|n| n.size_bytes()).unwrap_or(0)
+            + self.class_bounds().map_or(0, std::mem::size_of_val)
             + self
                 .label_pairs
                 .as_ref()
@@ -557,7 +541,6 @@ mod tests {
     fn stamps_name_constructions_not_contents() {
         let g = fixture();
         let mut clone = g.clone();
-        clone.build_nlc_index();
         clone.build_label_pair_index();
         assert_eq!(g.stamp(), clone.stamp());
         assert_ne!(g.stamp(), fixture().stamp());
@@ -583,31 +566,40 @@ mod tests {
         assert_eq!(g.neighbor_label_count(vid(0), lid(2)), 0);
     }
 
+    /// The index is the label-major numbering: the ranked copy counts from
+    /// spans, the multi-labeled vertex 2 included, what the file graph
+    /// counts by scanning, and a label outside the alphabet counts 0.
     #[test]
     fn neighbor_label_count_with_index_matches_scan() {
-        let mut g = fixture();
-        let scans: Vec<u32> = g
-            .vertices()
-            .flat_map(|v| (0..3).map(move |l| (v, lid(l))))
-            .map(|(v, l)| g.neighbor_label_count(v, l))
-            .collect();
-        g.build_nlc_index();
-        assert!(g.nlc_index().is_some());
-        let indexed: Vec<u32> = g
-            .vertices()
-            .flat_map(|v| (0..3).map(move |l| (v, lid(l))))
-            .map(|(v, l)| g.neighbor_label_count(v, l))
-            .collect();
-        assert_eq!(scans, indexed);
+        let g = fixture();
+        let (ranked, ids) = crate::rank_by_label_and_degree(&g);
+        assert!(g.class_bounds().is_none());
+        for v in g.vertices() {
+            for l in (0..4).map(lid) {
+                let scan = g.neighbor_label_count(v, l);
+                assert_eq!(
+                    ranked.neighbor_label_count(ids.rank(v), l),
+                    scan,
+                    "{v:?} {l:?}"
+                );
+            }
+        }
+        assert_eq!(ranked.neighbor_label_count(ids.rank(vid(1)), lid(0)), 2);
     }
 
     #[test]
-    fn nlc_index_build_is_idempotent() {
-        let mut g = fixture();
-        g.build_nlc_index();
-        let before = g.nlc_index().unwrap().counts(vid(1)).to_vec();
-        g.build_nlc_index();
-        assert_eq!(g.nlc_index().unwrap().counts(vid(1)), before.as_slice());
+    fn a_patched_snapshot_keeps_the_class_bounds_but_not_the_degree_order() {
+        let (ranked, _) = crate::rank_by_label_and_degree(&fixture());
+        // Ranks: class 0 {0}, class 1 {1}, class 2 {3}, then {A, B} {2}.
+        assert_eq!(
+            ranked.class_bounds(),
+            Some(&[vid(0), vid(1), vid(2), vid(3), vid(4)][..])
+        );
+        assert!(ranked.degree_ascends_in_classes());
+        let snapshot = ranked.patched(&[]);
+        assert_eq!(snapshot.class_bounds(), ranked.class_bounds());
+        assert!(!snapshot.degree_ascends_in_classes());
+        assert!(ranked.size_bytes() > fixture().size_bytes());
     }
 
     #[test]
@@ -623,14 +615,6 @@ mod tests {
         assert_eq!(g.max_degree(), 3);
         let empty = Graph::unlabeled(0, &[]);
         assert_eq!(empty.max_degree(), 0);
-    }
-
-    #[test]
-    fn size_bytes_grows_with_nlc() {
-        let mut g = fixture();
-        let before = g.size_bytes();
-        g.build_nlc_index();
-        assert!(g.size_bytes() > before);
     }
 
     #[test]
@@ -665,24 +649,20 @@ mod tests {
     }
 
     #[test]
-    fn label_pair_index_builds_the_rows_it_is_derived_from() {
+    fn label_pair_index_is_the_same_under_either_numbering() {
         let mut g = fixture();
+        let (mut ranked, _) = crate::rank_by_label_and_degree(&g);
         g.build_label_pair_index();
-        let rows = g.nlc_index().expect("built with the label pairs");
-        // Vertex 1(B) has neighbors {0(A), 2(A,B), 3(C)}.
-        assert_eq!(
-            rows.counts(vid(1)),
-            &[(lid(0), 2), (lid(1), 1), (lid(2), 1)]
-        );
-        assert_eq!(rows.counts(vid(3)), &[(lid(0), 1), (lid(1), 2)]);
-        // Rows already present are kept, and the maxima read off them.
-        let mut h = fixture();
-        h.build_nlc_index();
-        h.build_label_pair_index();
-        assert_eq!(
-            h.label_pair_index().unwrap().entries,
-            g.label_pair_index().unwrap().entries
-        );
+        ranked.build_label_pair_index();
+        let entries = &g.label_pair_index().unwrap().entries;
+        assert_eq!(&ranked.label_pair_index().unwrap().entries, entries);
+        // Vertex 3(C) sees 1(B) and 2(A,B): two B neighbours, one A.
+        let key = LabelPairIndex::key;
+        assert!(entries.contains(&(key(lid(2), lid(1)), 2)));
+        assert!(entries.contains(&(key(lid(2), lid(0)), 1)));
+        // The index holds its entries and nothing per vertex.
+        let bytes = g.size_bytes() - fixture().size_bytes();
+        assert_eq!(bytes, g.label_pair_index().unwrap().size_bytes());
     }
 
     #[test]

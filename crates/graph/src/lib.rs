@@ -7,10 +7,9 @@
 //! Provides:
 //!
 //! * [`Graph`] — labeled graphs over sorted-adjacency CSR storage ([`Csr`]),
-//!   with a label inverted index and two optional indexes that one walk of
-//!   the adjacency builds: the neighborhood-label-count rows
-//!   ([`graph::NlcIndex`]) backing the paper's NLC filter, and the
-//!   [`LabelPairIndex`] admission summary derived from them.
+//!   with a label inverted index, the [`LabelPairIndex`] admission summary,
+//!   and, on a label-major numbering, the class bounds from which the
+//!   paper's NLC filter counts neighbour labels as spans of each list.
 //! * [`GraphBuilder`] — incremental construction.
 //! * [`io`] — SNAP edge lists, the labeled `t/v/e` text format, and a compact
 //!   binary format used by the simulated shared store.

@@ -21,7 +21,10 @@
 //! `(degree, file id)` numbering cuts them.
 //!
 //! [`rank_by_label_and_degree`] produces a graph's ranked copy together
-//! with the [`Ranking`] that translates between the two numberings.
+//! with the [`Ranking`] that translates between the two numberings. The
+//! copy records its class bounds ([`Graph::class_bounds`]) and that degree
+//! ascends inside each class, which is all the candidate scan needs to
+//! count neighbour labels from spans and to cut DF as a suffix.
 
 use crate::graph::Graph;
 use crate::ids::VertexId;
@@ -128,11 +131,19 @@ fn class(graph: &Graph, v: VertexId) -> usize {
 /// `graph` renumbered by ascending `(class, degree, file id)`, and the
 /// ranking that did it. A pure function of the graph. The copy's adjacency
 /// is permuted in one pass, not rebuilt from an edge list; labels move with
-/// their vertices and the label-pair index, which names labels only, is
-/// kept.
+/// their vertices, the label-pair index, which names labels only, is kept,
+/// and the class bounds are recorded on the copy.
 pub fn rank_by_label_and_degree(graph: &Graph) -> (Graph, Ranking) {
     let ranking = Ranking::by_label_and_degree(graph);
-    let ranked = graph.permuted(&ranking.rank_of, &ranking.file_of);
+    let classes = graph.num_labels() as usize + 1;
+    let mut bounds = vec![VertexId(0); classes + 1];
+    for v in graph.vertices() {
+        bounds[class(graph, v) + 1].0 += 1;
+    }
+    for c in 1..bounds.len() {
+        bounds[c].0 += bounds[c - 1].0;
+    }
+    let ranked = graph.permuted(&ranking.rank_of, &ranking.file_of, bounds);
     (ranked, ranking)
 }
 
@@ -169,7 +180,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
         /// The ranking is a bijection, ordered by `(class, degree, file id)`
-        /// with each class one contiguous id range, the same on every call,
+        /// with each class the id range its recorded bounds say, the same
+        /// on every call,
         /// and the ranked copy is the file graph under it: every edge maps
         /// to an edge and back, lists stay sorted, and labels (and the label
         /// inverted index) travel with their vertices.
@@ -197,15 +209,15 @@ mod tests {
             for r in 1..n as u32 {
                 prop_assert!(key(vid(r - 1)) < key(vid(r)), "rank {} out of order", r);
             }
-            let mut ranges: Vec<Option<(u32, u32, u32)>> = vec![None; file.num_labels() as usize + 1];
+            let bounds = ranked.class_bounds().expect("recorded at rank time");
+            prop_assert_eq!(bounds.len(), file.num_labels() as usize + 2);
+            prop_assert_eq!((bounds[0], bounds[bounds.len() - 1]), (vid(0), VertexId::from_index(n)));
             for r in ranked.vertices() {
-                let range = ranges[key(r).0 as usize].get_or_insert((r.0, r.0, 0));
-                range.1 = r.0;
-                range.2 += 1;
+                let class = key(r).0 as usize;
+                prop_assert!(bounds[class] <= r && r < bounds[class + 1], "rank {} outside its class", r);
             }
-            for &(first, last, len) in ranges.iter().flatten() {
-                prop_assert_eq!(last - first + 1, len, "class split at ranks {}..={}", first, last);
-            }
+            prop_assert!(ranked.degree_ascends_in_classes());
+            prop_assert!(file.class_bounds().is_none() && !file.degree_ascends_in_classes());
 
             let (again, ids_again) = rank_by_label_and_degree(&file);
             prop_assert_eq!(&ids_again, &ids);

@@ -2,7 +2,7 @@
 //! roundtrips, generator guarantees.
 
 use ceci_graph::generators::{attach_pendants, erdos_renyi, kronecker_default};
-use ceci_graph::{io, Graph, LabelId, LabelSet, VertexId};
+use ceci_graph::{io, rank_by_label_and_degree, Graph, LabelId, LabelSet, VertexId};
 use proptest::prelude::*;
 
 fn arb_edges(max_n: u32) -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
@@ -85,21 +85,34 @@ proptest! {
         }
     }
 
+    /// The NLC index is the label-major numbering: on the ranked copy,
+    /// every vertex's neighbour-label counts read from its list's class
+    /// spans (and the multi-labeled class's span) equal the file graph's
+    /// scans, for every label of the alphabet and one past it.
     #[test]
-    fn nlc_index_agrees_with_scans((n, raw) in arb_edges(20), labels in 1u32..4) {
+    fn nlc_index_agrees_with_scans(
+        (n, raw) in arb_edges(20),
+        labels in 1u32..4,
+        second in proptest::collection::vec(0u32..6, 20),
+    ) {
         let edges: Vec<(VertexId, VertexId)> =
             raw.iter().map(|&(a, b)| (VertexId(a), VertexId(b))).collect();
         let label_sets: Vec<LabelSet> = (0..n)
-            .map(|i| LabelSet::single(LabelId((i as u32 * 7 + 1) % labels)))
+            .map(|i| {
+                let l = (i as u32 * 7 + 1) % labels;
+                match second[i] {
+                    m if m < labels && m != l => LabelSet::from_labels([LabelId(l), LabelId(m)]),
+                    _ => LabelSet::single(LabelId(l)),
+                }
+            })
             .collect();
         let plain = Graph::new(label_sets, &edges, false);
-        let mut indexed = plain.clone();
-        indexed.build_nlc_index();
+        let (indexed, ids) = rank_by_label_and_degree(&plain);
         for v in plain.vertices() {
-            for l in 0..labels {
+            for l in 0..=labels {
                 prop_assert_eq!(
                     plain.neighbor_label_count(v, LabelId(l)),
-                    indexed.neighbor_label_count(v, LabelId(l))
+                    indexed.neighbor_label_count(ids.rank(v), LabelId(l))
                 );
             }
         }

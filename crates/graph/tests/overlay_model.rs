@@ -148,7 +148,7 @@ proptest! {
                 );
             }
             prop_assert!(next.stamp() != current.stamp() && next.stamp() != first.stamp());
-            prop_assert!(next.nlc_index().is_none() && next.label_pair_index().is_none());
+            prop_assert!(next.class_bounds().is_none() && next.label_pair_index().is_none());
 
             if pending >= threshold {
                 // The compaction boundary: the snapshot becomes the base.

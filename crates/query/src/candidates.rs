@@ -108,35 +108,68 @@ pub fn degree_filter(query: &QueryGraph, graph: &Graph, u: VertexId, v: VertexId
 }
 
 /// One walk of a data vertex's adjacency checks this many labels of a
-/// query-side NLC profile against a graph without NLC rows.
+/// query-side NLC profile against a graph under a file's numbering.
 const NLC_ONE_PASS: usize = 8;
 
 /// Returns `true` if `v` passes the neighborhood label count filter (NLCF)
 /// for `u`: for every distinct label `l` among `u`'s neighbors,
 /// `count_v(l) ≥ count_u(l)`.
 ///
-/// A graph with NLC rows answers by merging `v`'s row with the profile; a
-/// graph without (a streamed snapshot) by walking `v`'s adjacency, once per
-/// `NLC_ONE_PASS` (8) labels of the profile.
+/// A label-major graph ([`Graph::class_bounds`]: every `LOAD`ed graph and
+/// every snapshot patched from one) answers from the class spans of `v`'s
+/// list (`spans_pay`); a graph under a file's numbering by walking `v`'s
+/// adjacency, once per `NLC_ONE_PASS` (8) labels of the profile.
 pub fn nlc_filter(query_counts: &[(LabelId, u32)], graph: &Graph, v: VertexId) -> bool {
-    if let Some(nlc) = graph.nlc_index() {
-        // Merge the two sorted (label, count) lists.
-        let vc = nlc.counts(v);
-        let mut i = 0;
-        for &(l, cu) in query_counts {
-            while i < vc.len() && vc[i].0 < l {
-                i += 1;
-            }
-            if i >= vc.len() || vc[i].0 != l || vc[i].1 < cu {
-                return false;
-            }
-        }
-        true
-    } else {
-        query_counts
+    match graph.class_bounds() {
+        Some(bounds) => spans_pay(query_counts, graph, bounds, v),
+        None => query_counts
             .chunks(NLC_ONE_PASS)
-            .all(|chunk| walk_pays(chunk, graph, v))
+            .all(|chunk| walk_pays(chunk, graph, v)),
     }
+}
+
+/// Does `v`'s list, grouped by class under `bounds`, meet `profile`? The
+/// profile's labels ascend and so do their classes' starts, so one cursor
+/// moves forward through the list: a `partition_point` puts it at the start
+/// of label `m`'s span, and `count(v, m) ≥ c` iff the entry `c − 1` past it
+/// is still below the class's end. Only when that probe fails are the
+/// multi-labeled neighbours carrying `m` counted ([`multi_pays`]).
+fn spans_pay(profile: &[(LabelId, u32)], graph: &Graph, bounds: &[VertexId], v: VertexId) -> bool {
+    let list = graph.neighbors(v);
+    let multi_class = bounds.len() - 2;
+    let mut at = 0;
+    for &(m, c) in profile {
+        let c = c as usize;
+        if c == 0 {
+            continue;
+        }
+        if m.index() >= multi_class {
+            return false;
+        }
+        at += list[at..].partition_point(|&nb| nb < bounds[m.index()]);
+        let probe = list
+            .get(at + c - 1)
+            .is_some_and(|&nb| nb < bounds[m.index() + 1]);
+        if !probe && !multi_pays(graph, bounds, &list[at..], m, c) {
+            return false;
+        }
+    }
+    true
+}
+
+/// The fallback of [`spans_pay`]'s probe: do `m`'s span, which `from`
+/// starts with, and the multi-labeled neighbours carrying `m`, found in the
+/// last class's span, hold `c` between them? That span is empty on a
+/// single-labeled graph, which is answered without a search.
+#[cold]
+fn multi_pays(graph: &Graph, bounds: &[VertexId], from: &[VertexId], m: LabelId, c: usize) -> bool {
+    let multi_class = bounds.len() - 2;
+    if bounds[multi_class] == bounds[multi_class + 1] {
+        return false;
+    }
+    let single = from.partition_point(|&nb| nb < bounds[m.index() + 1]);
+    let multi = &from[from.partition_point(|&nb| nb < bounds[multi_class])..];
+    single + multi.iter().filter(|&&nb| graph.has_label(nb, m)).count() >= c
 }
 
 /// Does one walk of `v`'s adjacency meet `profile` (at most
@@ -177,7 +210,8 @@ fn walk_pays(profile: &[(LabelId, u32)], graph: &Graph, v: VertexId) -> bool {
 /// filtered adjacency at the endpoints' neighbors, so incremental index
 /// repair re-tests exactly those vertices against each query node instead of
 /// re-filtering the whole graph. The query-side NLC profiles are the query
-/// graph's own rows, so nothing is computed per call.
+/// graph's own, counted once at its construction, so nothing is computed
+/// per call.
 #[derive(Clone, Copy, Debug)]
 pub struct VertexFilters<'q> {
     query: &'q QueryGraph,
@@ -200,35 +234,63 @@ impl<'q> VertexFilters<'q> {
 }
 
 /// Candidate set of one query vertex: the data vertices passing LF ∧ DF ∧
-/// NLCF for it, as a sorted list and as a dense bitset over data-vertex ids
-/// (|V|/8 bytes) answering the same membership in one shift and mask.
+/// NLCF for it, as a sorted list and as a bitset spanning the first to the
+/// last candidate, answering the same membership in one subtraction, shift
+/// and mask.
 ///
 /// The verdict on `(u, v)` depends on nothing else, so every later stage —
 /// Algorithm 1's per-adjacency-entry test above all — looks it up here
-/// instead of re-deriving it.
+/// instead of re-deriving it. Under label-major ids a query vertex's
+/// candidates lie in its class's range and the multi-labeled one, so the
+/// bitset spans about `|V| / labels` ids, not `|V|`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CandidateSet {
     /// The query vertex.
     pub u: VertexId,
     /// Sorted data-vertex candidates of `u`.
     pub candidates: Vec<VertexId>,
-    /// Bit `v` set iff `v ∈ candidates`.
+    /// The first candidate's id (0 for an empty set): bit `i` of `members`
+    /// stands for id `base + i`.
+    base: u32,
+    /// Bit `v − base` set iff `v ∈ candidates`.
     members: Box<[u64]>,
 }
 
 impl CandidateSet {
+    /// The set of `u` with these sorted `candidates`, its bitset spanning
+    /// the first to the last of them.
+    fn new(u: VertexId, candidates: Vec<VertexId>) -> CandidateSet {
+        let (base, span) = match (candidates.first(), candidates.last()) {
+            (Some(first), Some(last)) => (first.0, (last.0 - first.0) as usize + 1),
+            _ => (0, 0),
+        };
+        let mut members = vec![0u64; span.div_ceil(64)].into_boxed_slice();
+        for v in &candidates {
+            let i = (v.0 - base) as usize;
+            members[i >> 6] |= 1u64 << (i & 63);
+        }
+        CandidateSet {
+            u,
+            candidates,
+            base,
+            members,
+        }
+    }
+
     /// Does `v` pass the three per-vertex filters for `u` on the graph the
-    /// set was computed on? `false` for ids past that graph's vertex range.
+    /// set was computed on? `false` for every id outside the span: below the
+    /// first candidate the subtraction wraps past the bitset's end.
     #[inline]
     pub fn contains(&self, v: VertexId) -> bool {
-        let i = v.index();
+        let i = v.0.wrapping_sub(self.base) as usize;
         self.members
             .get(i >> 6)
             .is_some_and(|word| (word >> (i & 63)) & 1 != 0)
     }
 
     /// Heap bytes the set holds: the sorted list and the membership bitset
-    /// (`⌈|V|/64⌉` words). Length-based, like `Ceci::size_bytes`.
+    /// (one bit per id from the first to the last candidate). Length-based,
+    /// like `Ceci::size_bytes`.
     pub fn size_bytes(&self) -> usize {
         self.candidates.len() * std::mem::size_of::<VertexId>()
             + self.members.len() * std::mem::size_of::<u64>()
@@ -236,36 +298,25 @@ impl CandidateSet {
 }
 
 /// Computes the candidate sets of every query vertex by scanning the data
-/// graph's label index and applying LF + DF + NLCF.
-///
-/// Candidates come out sorted (the label index is sorted).
+/// graph ([`candidates_of`]) and applying LF + DF + NLCF.
 pub fn compute_candidates(query: &QueryGraph, graph: &Graph) -> Vec<CandidateSet> {
     query
         .vertices()
-        .map(|u| {
-            let candidates = candidates_of(query, graph, u);
-            let mut members = vec![0u64; graph.num_vertices().div_ceil(64)].into_boxed_slice();
-            for v in &candidates {
-                members[v.index() >> 6] |= 1u64 << (v.index() & 63);
-            }
-            CandidateSet {
-                u,
-                candidates,
-                members,
-            }
-        })
+        .map(|u| CandidateSet::new(u, candidates_of(query, graph, u)))
         .collect()
 }
 
 /// The candidate sets of every query vertex on `graph`, from `previous` —
 /// the sets on an earlier snapshot whose edges differ from `graph`'s only at
-/// the `dirty` vertices — by re-testing the dirty vertices alone.
+/// the `dirty` vertices (sorted, distinct) — by re-testing the dirty
+/// vertices alone.
 ///
 /// LF, DF and NLCF read a vertex's own labels, its degree and its neighbors'
 /// labels. Labels are the same on every snapshot and an edge mutation moves
 /// the other two only at its endpoints, so every other verdict carries over.
-/// Each dirty verdict is set or cleared in a copy of the bitset and the
-/// sorted list is rebuilt from the bits: equal, bit for bit, to
+/// The dirty verdicts replace the old ones in one linear merge with the
+/// sorted list (a batch can dirty more vertices than a set holds), and the
+/// span bitset is rebuilt from the list: equal, bit for bit, to
 /// [`compute_candidates`] on `graph`.
 pub fn patch_candidates(
     query: &QueryGraph,
@@ -273,62 +324,94 @@ pub fn patch_candidates(
     previous: &[CandidateSet],
     dirty: &[VertexId],
 ) -> Vec<CandidateSet> {
+    debug_assert!(dirty.windows(2).all(|w| w[0] < w[1]), "dirty ids sorted");
     let filters = VertexFilters::new(query);
     previous
         .iter()
         .map(|prev| {
-            debug_assert_eq!(prev.members.len(), graph.num_vertices().div_ceil(64));
-            let mut members = prev.members.clone();
+            let mut candidates = Vec::with_capacity(prev.candidates.len() + dirty.len());
+            let mut old = prev.candidates.iter().copied().peekable();
             for &v in dirty {
-                let (word, bit) = (v.index() >> 6, 1u64 << (v.index() & 63));
+                while let Some(c) = old.next_if(|&c| c < v) {
+                    candidates.push(c);
+                }
+                old.next_if_eq(&v);
                 if filters.passes(graph, prev.u, v) {
-                    members[word] |= bit;
-                } else {
-                    members[word] &= !bit;
+                    candidates.push(v);
                 }
             }
-            let mut candidates = Vec::with_capacity(prev.candidates.len());
-            for (w, &word) in members.iter().enumerate() {
-                let mut rest = word;
-                while rest != 0 {
-                    candidates.push(VertexId((w * 64) as u32 + rest.trailing_zeros()));
-                    rest &= rest - 1;
-                }
-            }
-            CandidateSet {
-                u: prev.u,
-                candidates,
-                members,
-            }
+            candidates.extend(old);
+            CandidateSet::new(prev.u, candidates)
         })
         .collect()
 }
 
 /// Candidate set of a single query vertex (sorted ascending).
+///
+/// On a label-major graph ([`Graph::class_bounds`]) a single-labeled `u`
+/// scans its label's class range, which needs no LF, and then the
+/// multi-labeled class's range with LF; a multi-labeled `u` scans only the
+/// latter. On [`rank_by_label_and_degree`](ceci_graph::rank_by_label_and_degree)'s
+/// output degree ascends inside each class, so DF keeps a suffix of each
+/// range, found by one binary search; a patched snapshot's degrees have
+/// moved, so there DF tests every vertex. Under a file's numbering the scan
+/// seeds from the label index of `u`'s rarest label.
 pub fn candidates_of(query: &QueryGraph, graph: &Graph, u: VertexId) -> Vec<VertexId> {
     let qc = query.neighborhood_label_counts(u);
-    // Seed from the label index of the query vertex's primary label: every
-    // candidate must carry *all* of L_q(u), so any single member label gives
-    // a superset to scan. Pick the rarest member label for the smallest scan.
-    let seed_label = query
-        .labels(u)
-        .iter()
-        .min_by_key(|&l| graph.vertices_with_label(l).len())
-        .expect("label sets are non-empty");
-    graph
-        .vertices_with_label(seed_label)
-        .iter()
-        .copied()
-        .filter(|&v| label_filter(query, graph, u, v))
-        .filter(|&v| degree_filter(query, graph, u, v))
-        .filter(|&v| nlc_filter(qc, graph, v))
-        .collect()
+    let Some(bounds) = graph.class_bounds() else {
+        // Every candidate must carry *all* of L_q(u), so any single member
+        // label's vertices are a superset to scan: pick the rarest.
+        let seed_label = query
+            .labels(u)
+            .iter()
+            .min_by_key(|&l| graph.vertices_with_label(l).len())
+            .expect("label sets are non-empty");
+        return graph
+            .vertices_with_label(seed_label)
+            .iter()
+            .copied()
+            .filter(|&v| label_filter(query, graph, u, v))
+            .filter(|&v| degree_filter(query, graph, u, v))
+            .filter(|&v| nlc_filter(qc, graph, v))
+            .collect();
+    };
+    let multi_class = bounds.len() - 2;
+    let degree = query.degree(u);
+    let mut out = Vec::new();
+    let mut scan = |class: usize, lf: bool| {
+        let (mut lo, hi) = (bounds[class].0, bounds[class + 1].0);
+        if graph.degree_ascends_in_classes() {
+            // DF as a suffix cut: the first id of the class with degree ≥ deg(u).
+            let mut len = hi - lo;
+            while len > 0 {
+                let half = len / 2;
+                if graph.degree(VertexId(lo + half)) < degree {
+                    lo += half + 1;
+                    len -= half + 1;
+                } else {
+                    len = half;
+                }
+            }
+        }
+        out.extend((lo..hi).map(VertexId).filter(|&v| {
+            (graph.degree_ascends_in_classes() || degree_filter(query, graph, u, v))
+                && (!lf || label_filter(query, graph, u, v))
+                && nlc_filter(qc, graph, v)
+        }));
+    };
+    if let [l] = query.labels(u).as_slice() {
+        if l.index() < multi_class {
+            scan(l.index(), false);
+        }
+    }
+    scan(multi_class, true);
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ceci_graph::{lid, vid, LabelSet};
+    use ceci_graph::{lid, rank_by_label_and_degree, vid, LabelSet};
 
     /// Data graph:
     /// ```text
@@ -411,9 +494,15 @@ mod tests {
         Graph::new(labels, &edges, false)
     }
 
+    /// On a graph's file-numbered copy NLCF walks adjacency; on its ranked
+    /// copy it reads class spans (multi-labeled vertices included: every
+    /// third vertex of `chorded_ring` carries two labels). Both must give
+    /// every vertex the verdict of an exact count, and the candidate scans
+    /// — label index under file ids, class ranges with a DF suffix cut under
+    /// ranks, class ranges with DF per vertex on a patched snapshot — the
+    /// same sets.
     #[test]
-    fn nlc_filter_with_and_without_index_agree() {
-        let q = edge_query();
+    fn nlc_filter_spans_and_walk_agree() {
         // Star queries: the hub's profile asks for several labels at once
         // and for counts above one; the last two are longer than one walk's
         // need array, and the 17-label one is two full walks and a third.
@@ -426,50 +515,87 @@ mod tests {
             QueryGraph::with_labels(&labels, &edges).unwrap()
         };
         let all17: Vec<u32> = (1..=17).collect();
+        let two_labeled_hub = QueryGraph::new(
+            vec![
+                LabelSet::from_labels([lid(0), lid(1)]),
+                LabelSet::single(lid(1)),
+                LabelSet::single(lid(2)),
+            ],
+            &[(vid(0), vid(1)), (vid(0), vid(2))],
+        )
+        .unwrap();
         let cases = [
-            (data(), q),
+            (data(), edge_query()),
             (chorded_ring(4), star(0, &[1, 1, 2])),
             (chorded_ring(4), star(1, &[0, 0, 0, 3, 3])),
             (chorded_ring(3), star(2, &[0, 0, 1, 1, 2, 2])),
             (chorded_ring(12), star(0, &[1, 2, 3, 4, 5, 6, 7, 8, 9, 10])),
+            (chorded_ring(4), star(0, &[1, 7])),
+            (chorded_ring(4), two_labeled_hub),
             (fans(), star(0, &all17)),
         ];
-        for (mut g, q) in cases {
+        for (file, q) in cases {
+            let (ranked, ids) = rank_by_label_and_degree(&file);
+            // A snapshot patched from the ranked copy with no net change:
+            // the same adjacency and class bounds, degree order unclaimed.
+            let patched = ceci_graph::DeltaOverlay::new().commit(&ranked);
+            assert!(ranked.degree_ascends_in_classes() && !patched.degree_ascends_in_classes());
             let profile = q.neighborhood_label_counts(vid(0));
-            let plain: Vec<bool> = g.vertices().map(|v| nlc_filter(profile, &g, v)).collect();
+            let walked: Vec<bool> = file
+                .vertices()
+                .map(|v| nlc_filter(profile, &file, v))
+                .collect();
             if profile.len() == 17 {
-                let passing: Vec<usize> = (0..plain.len()).filter(|&v| plain[v]).collect();
+                let passing: Vec<usize> = (0..walked.len()).filter(|&v| walked[v]).collect();
                 assert_eq!(passing, [0], "only the hub that sees every label");
             }
-            let by_count: Vec<bool> = g
+            let by_count: Vec<bool> = file
                 .vertices()
                 .map(|v| {
                     profile
                         .iter()
-                        .all(|&(l, c)| g.neighbor_label_count(v, l) >= c)
+                        .all(|&(l, c)| file.neighbor_label_count(v, l) >= c)
                 })
                 .collect();
-            assert_eq!(plain, by_count, "profile {profile:?}");
-            let before: Vec<_> = q.vertices().map(|u| candidates_of(&q, &g, u)).collect();
-            g.build_nlc_index();
-            let indexed: Vec<bool> = g.vertices().map(|v| nlc_filter(profile, &g, v)).collect();
-            assert_eq!(plain, indexed, "profile {profile:?}");
-            let after: Vec<_> = q.vertices().map(|u| candidates_of(&q, &g, u)).collect();
-            assert_eq!(before, after);
+            assert_eq!(walked, by_count, "profile {profile:?}");
+            let spans: Vec<bool> = file
+                .vertices()
+                .map(|v| nlc_filter(profile, &ranked, ids.rank(v)))
+                .collect();
+            assert_eq!(walked, spans, "profile {profile:?}");
+            for u in q.vertices() {
+                let mut want: Vec<_> = candidates_of(&q, &file, u)
+                    .iter()
+                    .map(|&v| ids.rank(v))
+                    .collect();
+                want.sort_unstable();
+                assert_eq!(candidates_of(&q, &ranked, u), want, "ranked u{u}");
+                assert_eq!(candidates_of(&q, &patched, u), want, "patched u{u}");
+            }
         }
     }
 
     #[test]
     fn candidate_bitset_mirrors_the_sorted_list() {
-        let g = chorded_ring(4);
-        let q = QueryGraph::with_labels(&[lid(0), lid(1), lid(2)], &[(0, 1), (0, 2)]).unwrap();
-        for set in compute_candidates(&q, &g) {
-            for v in g.vertices() {
-                assert_eq!(set.contains(v), set.candidates.binary_search(&v).is_ok());
+        let file = chorded_ring(4);
+        let (ranked, _) = rank_by_label_and_degree(&file);
+        let q = QueryGraph::with_labels(&[lid(1), lid(2), lid(3)], &[(0, 1), (0, 2)]).unwrap();
+        for g in [file, ranked] {
+            for set in compute_candidates(&q, &g) {
+                let first = set.candidates[0];
+                assert!(first > vid(0), "ids below the first candidate exist");
+                for v in g.vertices() {
+                    assert_eq!(set.contains(v), set.candidates.binary_search(&v).is_ok());
+                }
+                // The bitset spans the candidates, not the graph, and ids
+                // below it, past it or past the graph are nobody's candidate.
+                let span = (set.candidates.last().unwrap().0 - first.0) as usize + 1;
+                assert_eq!(set.members.len(), span.div_ceil(64));
+                assert!(!set.contains(vid(first.0 - 1)));
+                assert!(!set.contains(vid(40)));
+                assert!(!set.contains(vid(4_000)));
+                assert!(!set.contains(vid(u32::MAX)));
             }
-            // Ids the graph never had are nobody's candidate.
-            assert!(!set.contains(vid(40)));
-            assert!(!set.contains(vid(4_000)));
         }
     }
 

@@ -145,8 +145,8 @@ impl QueryPlan {
 
     /// What [`QueryPlan::on_graph`] returns, without its scan: `previous`
     /// are this query's candidate sets on an earlier snapshot whose edges
-    /// differ from `graph`'s only at the `dirty` vertices, and only those
-    /// are re-tested ([`patch_candidates`]). Debug builds check the result
+    /// differ from `graph`'s only at the `dirty` vertices (sorted,
+    /// distinct), and only those are re-tested ([`patch_candidates`]). Debug builds check the result
     /// against a scan of `graph`.
     pub fn on_graph_patched(
         &self,

@@ -28,6 +28,8 @@ use ceci_graph::{Graph, LabelId, LabelSet, VertexId};
 pub struct QueryGraph {
     graph: Graph,
     edges: Vec<(VertexId, VertexId)>,
+    /// `profiles[u]`: see [`QueryGraph::neighborhood_label_counts`].
+    profiles: Vec<Box<[(LabelId, u32)]>>,
 }
 
 /// Error building a query graph.
@@ -59,13 +61,17 @@ impl QueryGraph {
         if labels.is_empty() {
             return Err(QueryGraphError::Empty);
         }
-        let mut graph = Graph::new(labels, edges, false);
+        let graph = Graph::new(labels, edges, false);
         if !is_connected(&graph) {
             return Err(QueryGraphError::Disconnected);
         }
-        graph.build_nlc_index();
         let edges = canonical_edges(&graph);
-        Ok(QueryGraph { graph, edges })
+        let profiles = graph.vertices().map(|u| profile(&graph, u)).collect();
+        Ok(QueryGraph {
+            graph,
+            edges,
+            profiles,
+        })
     }
 
     /// Builds a single-label-per-vertex query graph.
@@ -150,14 +156,11 @@ impl QueryGraph {
     }
 
     /// Distinct labels appearing among the neighbors of `u`, sorted, with
-    /// counts — the `(l, count_u(l))` pairs the NLC filter compares: `u`'s
-    /// row of the NLC index [`QueryGraph::new`] builds.
+    /// counts — the `(l, count_u(l))` pairs the NLC filter compares,
+    /// counted once by [`QueryGraph::new`] and borrowed here.
     #[inline]
     pub fn neighborhood_label_counts(&self, u: VertexId) -> &[(LabelId, u32)] {
-        self.graph
-            .nlc_index()
-            .expect("QueryGraph::new builds the NLC rows")
-            .counts(u)
+        &self.profiles[u.index()]
     }
 
     /// The underlying graph storage (used by automorphism search).
@@ -165,6 +168,22 @@ impl QueryGraph {
     pub fn as_graph(&self) -> &Graph {
         &self.graph
     }
+}
+
+/// `u`'s neighbours' labels, sorted and counted into `(label, count)` runs.
+fn profile(graph: &Graph, u: VertexId) -> Box<[(LabelId, u32)]> {
+    let mut labels: Vec<LabelId> = (graph.neighbors(u).iter())
+        .flat_map(|&nb| graph.labels(nb).iter())
+        .collect();
+    labels.sort_unstable();
+    let mut runs: Vec<(LabelId, u32)> = Vec::new();
+    for l in labels {
+        match runs.last_mut() {
+            Some((last, count)) if *last == l => *count += 1,
+            _ => runs.push((l, 1)),
+        }
+    }
+    runs.into()
 }
 
 fn canonical_edges(graph: &Graph) -> Vec<(VertexId, VertexId)> {

@@ -120,9 +120,9 @@ impl CachedIndex {
     }
 }
 
-/// Bytes of the candidate sets `plan` and `ceci` hold (a bitset of
-/// `⌈|V|/64⌉` words and a sorted list per query vertex), each allocation
-/// once.
+/// Bytes of the candidate sets `plan` and `ceci` hold (a sorted list and a
+/// bitset spanning its first to last candidate per query vertex), each
+/// allocation once.
 fn sets_bytes(plan: &QueryPlan, ceci: &Ceci) -> usize {
     let bytes = |sets: &[CandidateSet]| sets.iter().map(CandidateSet::size_bytes).sum();
     let (own, plans) = (ceci.candidate_sets(), &**plan.candidate_sets());

@@ -21,8 +21,8 @@
 //! exactly, and `pending` counts the net mutations between it and the
 //! current snapshot. Once `pending` reaches the configured threshold the
 //! entry *compacts*: the fresh snapshot gets an exact label-pair rebuild
-//! (one walk of its adjacency builds its NLC rows, and the maxima are read
-//! off them) and becomes the new `base`. Between compactions the index is
+//! (one walk of its adjacency folded into per-class maxima) and becomes the
+//! new `base`. Between compactions the index is
 //! *maintained* — the maxima at the endpoints of added edges are raised,
 //! deletions keep a sound overestimate — so the filter never rejects a
 //! satisfiable query.
@@ -33,7 +33,9 @@
 //! rank. `LOAD` inserts the file's graph renumbered by ascending label
 //! class and degree ([`ceci_graph::rank_by_label_and_degree`]) and the entry
 //! keeps that [`Ranking`] for its life: batches and compactions never
-//! renumber. Wire edges enter through [`GraphEntry::entry_edges`].
+//! renumber, and every snapshot inherits the ranked graph's class bounds
+//! ([`Graph::class_bounds`]), so its candidate scans count neighbour labels
+//! from spans. Wire edges enter through [`GraphEntry::entry_edges`].
 //! [`GraphRegistry::insert`] keeps the graph's own numbering (the identity
 //! ranking).
 //!
@@ -271,9 +273,8 @@ impl GraphEntry {
         let mut fresh = overlay.commit(&old_graph);
         let compacted = st.pending >= compact_threshold.max(1);
         if compacted {
-            // Exact rebuild at compaction: the fresh snapshot has neither
-            // index yet, so this walks its adjacency once for the NLC rows
-            // and reads the exact maxima off them.
+            // Exact rebuild at compaction: the fresh snapshot has no
+            // label-pair index yet, so this walks its adjacency once.
             fresh.build_label_pair_index();
         } else if let Some(lpi) = old_graph.label_pair_index() {
             // Maintained between compactions: raise the maxima at the
@@ -330,8 +331,9 @@ impl GraphRegistry {
     /// the entry that was displaced (so the caller can evict its cached
     /// indexes). Builds the graph's label-pair index if it has none: the
     /// admission filter passes everything beyond its label-occurrence test
-    /// on a graph without one, whichever way the graph got here. The same
-    /// call builds the NLC rows the candidate scan of every miss reads.
+    /// on a graph without one, whichever way the graph got here. A graph
+    /// under its file's numbering has no class bounds, so the candidate scan
+    /// of every miss on it seeds from the label index and walks adjacency.
     pub fn insert(&self, name: &str, graph: Graph) -> (Arc<GraphEntry>, Option<u64>) {
         self.insert_ranked(name, graph, Ranking::identity())
     }
@@ -442,7 +444,7 @@ impl ContinuousRegistry {
 mod tests {
     use super::*;
     use ceci_graph::extract::extract_query;
-    use ceci_graph::{vid, GraphBuilder, LabelId, LabelSet};
+    use ceci_graph::{rank_by_label_and_degree, vid, GraphBuilder, LabelId, LabelSet};
     use ceci_query::candidates::{compute_candidates, patch_candidates, CandidateSet};
     use ceci_query::{admission_check, QueryGraph};
     use proptest::prelude::*;
@@ -543,51 +545,34 @@ mod tests {
         assert_eq!(e.pending(), 0);
     }
 
-    /// Every vertex's `(label, count)` row, counted by walking its
-    /// neighbors' labels.
-    fn walked_rows(graph: &Graph) -> Vec<Vec<(LabelId, u32)>> {
-        (graph.vertices())
-            .map(|v| {
-                let mut row = std::collections::BTreeMap::new();
-                for &nb in graph.neighbors(v) {
-                    for m in graph.labels(nb).iter() {
-                        *row.entry(m).or_insert(0u32) += 1;
-                    }
-                }
-                row.into_iter().collect()
-            })
-            .collect()
-    }
-
-    /// `graph`'s NLC rows, `None` when it has none.
-    fn nlc_rows(graph: &Graph) -> Option<Vec<Vec<(LabelId, u32)>>> {
-        let rows = graph.nlc_index()?;
-        Some(graph.vertices().map(|v| rows.counts(v).to_vec()).collect())
-    }
-
     #[test]
     fn compaction_clears_overlay_and_rebuilds_exact() {
         let r = GraphRegistry::new();
-        let (e, _) = r.insert("g", path4());
-        // The inserted graph carries NLC rows next to its label pairs.
-        assert_eq!(nlc_rows(&e.graph()), Some(walked_rows(&e.graph())));
-        let out = e.apply_batch(&[(vid(0), vid(2))], &[], 1, 8).unwrap();
+        // Ranks 0 and 1 are the path's two ends (file 0 and 3).
+        let (ranked, ids) = rank_by_label_and_degree(&path4());
+        let bounds = ranked
+            .class_bounds()
+            .expect("recorded at rank time")
+            .to_vec();
+        let (e, _) = r.insert_ranked("g", ranked, ids);
+        let out = e.apply_batch(&[(vid(0), vid(1))], &[], 1, 8).unwrap();
         assert!(out.compacted);
         assert_eq!(out.pending, 0);
         assert_eq!(e.pending(), 0);
-        // The compacted snapshot carries an exact label-pair index and the
-        // rows of its own adjacency, built by the same walk.
-        assert!(e.graph().label_pair_index().is_some());
-        assert_eq!(nlc_rows(&e.graph()), Some(walked_rows(&e.graph())));
-        // Further batches build on the new base; a snapshot no compaction
-        // made carries no rows.
+        // The compacted snapshot inherits its base's class bounds, not its
+        // degree order, and carries the exact label-pair maxima.
+        let g = e.graph();
+        assert_eq!(g.class_bounds(), Some(&bounds[..]));
+        assert!(!g.degree_ascends_in_classes());
+        assert_eq!(pair_maxima(&g), walked_pair_maxima(&g));
+        // Further batches build on the new base and keep the bounds too.
         let out2 = e
-            .apply_batch(&[], &[(vid(0), vid(2))], 1_000_000, 8)
+            .apply_batch(&[], &[(vid(0), vid(1))], 1_000_000, 8)
             .unwrap();
         assert_eq!(out2.deleted.len(), 1);
         assert!(!out2.compacted);
-        assert!(!e.graph().has_edge(vid(0), vid(2)));
-        assert_eq!(nlc_rows(&e.graph()), None);
+        assert!(!e.graph().has_edge(vid(0), vid(1)));
+        assert_eq!(e.graph().class_bounds(), Some(&bounds[..]));
     }
 
     #[test]
@@ -621,8 +606,8 @@ mod tests {
             .collect()
     }
 
-    /// [`pair_maxima`]'s oracle, independent of the NLC rows the index is
-    /// derived from: every vertex's neighbor labels walked and sorted into
+    /// [`pair_maxima`]'s oracle, independent of the per-class fold the index
+    /// is built by: every vertex's neighbor labels walked and sorted into
     /// runs, each run's length raising the maxima of the vertex's labels.
     fn walked_pair_maxima(graph: &Graph) -> Vec<u32> {
         let k = graph.num_labels() as usize;
@@ -666,12 +651,15 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// The registry against an edge-set model: what applied, which
-        /// endpoints were logged, `pending` (the distance between the
+        /// The registry against an edge-set model, on a graph under its
+        /// file's numbering and on its label-major copy: what applied,
+        /// which endpoints were logged, `pending` (the distance between the
         /// model and its copy at the last compaction) and `compacted`;
-        /// the maintained label-pair index never under the exact one,
-        /// equal to it right after a compaction, untouched by a batch of
-        /// deletions; a query cut out of a snapshot never rejected on it.
+        /// every snapshot keeps the first one's class bounds; the
+        /// maintained label-pair index never under the exact one, equal to
+        /// a walk of the snapshot right after a compaction, untouched by a
+        /// batch of deletions; a query cut out of a snapshot never rejected
+        /// on it.
         #[test]
         fn batches_track_an_edge_set_model_and_keep_label_pairs_sound(
             (labels, base_edges, batches, threshold) in arb_stream()
@@ -681,67 +669,69 @@ mod tests {
                 raw.iter().map(|&(a, b)| (vid(a), vid(b))).collect()
             };
             let labels: Vec<LabelSet> = labels.iter().map(|&l| LabelSet::single(LabelId(l))).collect();
-            let first = Graph::new(labels.clone(), &vids(&base_edges), false);
-            let mut model: BTreeSet<(VertexId, VertexId)> = first
-                .vertices()
-                .flat_map(|a| first.neighbors(a).iter().map(move |&b| key((a, b))))
-                .collect();
-            let mut base_model = model.clone();
-            let (entry, _) = GraphRegistry::new().insert("g", first);
-            for (round, (adds, dels)) in batches.iter().enumerate() {
-                let adds = if round % 3 == 2 { Vec::new() } else { vids(adds) };
-                let dels = vids(dels);
-                let before = entry.graph();
-                let stale_plan = extract_query(&before, 3, round as u64, 20)
-                    .map(|q| QueryPlan::new(QueryGraph::from_graph(&q.pattern).unwrap(), &before));
-                let out = entry.apply_batch(&adds, &dels, threshold, 64).unwrap();
+            let file = Graph::new(labels, &vids(&base_edges), false);
+            let ranked = rank_by_label_and_degree(&file).0;
+            for first in [file, ranked] {
+                let labels: Vec<LabelSet> = first.vertices().map(|v| first.labels(v).clone()).collect();
+                let bounds = first.class_bounds().map(<[VertexId]>::to_vec);
+                let mut model: BTreeSet<(VertexId, VertexId)> = first
+                    .vertices()
+                    .flat_map(|a| first.neighbors(a).iter().map(move |&b| key((a, b))))
+                    .collect();
+                let mut base_model = model.clone();
+                let (entry, _) = GraphRegistry::new().insert("g", first);
+                for (round, (adds, dels)) in batches.iter().enumerate() {
+                    let adds = if round % 3 == 2 { Vec::new() } else { vids(adds) };
+                    let dels = vids(dels);
+                    let before = entry.graph();
+                    let stale_plan = extract_query(&before, 3, round as u64, 20)
+                        .map(|q| QueryPlan::new(QueryGraph::from_graph(&q.pattern).unwrap(), &before));
+                    let out = entry.apply_batch(&adds, &dels, threshold, 64).unwrap();
 
-                let added: Vec<_> = (adds.iter().copied())
-                    .filter(|&e| e.0 != e.1 && model.insert(key(e)))
-                    .collect();
-                let deleted: Vec<_> = (dels.iter().copied())
-                    .filter(|&e| model.remove(&key(e)))
-                    .collect();
-                prop_assert_eq!(&out.added, &added);
-                prop_assert_eq!(&out.deleted, &deleted);
-                let touched: BTreeSet<VertexId> = (added.iter().chain(&deleted))
-                    .flat_map(|&(a, b)| [a, b])
-                    .collect();
-                prop_assert_eq!(&out.endpoints, &touched.into_iter().collect::<Vec<_>>());
-                let pending = model.symmetric_difference(&base_model).count();
-                let compacted = out.applied() > 0 && pending >= threshold;
-                prop_assert_eq!(out.compacted, compacted);
-                if compacted {
-                    base_model = model.clone();
-                }
-                prop_assert_eq!(out.pending, if compacted { 0 } else { pending });
-                prop_assert_eq!(entry.pending(), out.pending);
+                    let added: Vec<_> = (adds.iter().copied())
+                        .filter(|&e| e.0 != e.1 && model.insert(key(e)))
+                        .collect();
+                    let deleted: Vec<_> = (dels.iter().copied())
+                        .filter(|&e| model.remove(&key(e)))
+                        .collect();
+                    prop_assert_eq!(&out.added, &added);
+                    prop_assert_eq!(&out.deleted, &deleted);
+                    let touched: BTreeSet<VertexId> = (added.iter().chain(&deleted))
+                        .flat_map(|&(a, b)| [a, b])
+                        .collect();
+                    prop_assert_eq!(&out.endpoints, &touched.into_iter().collect::<Vec<_>>());
+                    let pending = model.symmetric_difference(&base_model).count();
+                    let compacted = out.applied() > 0 && pending >= threshold;
+                    prop_assert_eq!(out.compacted, compacted);
+                    if compacted {
+                        base_model = model.clone();
+                    }
+                    prop_assert_eq!(out.pending, if compacted { 0 } else { pending });
+                    prop_assert_eq!(entry.pending(), out.pending);
 
-                let snapshot = entry.graph();
-                let edges: Vec<_> = model.iter().copied().collect();
-                let mut exact = Graph::new(labels.clone(), &edges, false);
-                for v in snapshot.vertices() {
-                    prop_assert_eq!(snapshot.neighbors(v), exact.neighbors(v));
-                }
-                exact.build_label_pair_index();
-                let (maintained, exact_maxima) = (pair_maxima(&snapshot), pair_maxima(&exact));
-                prop_assert_eq!(&exact_maxima, &walked_pair_maxima(&exact));
-                prop_assert!(maintained.iter().zip(&exact_maxima).all(|(m, e)| m >= e));
-                if out.applied() > 0 {
-                    let rows = compacted.then(|| walked_rows(&snapshot));
-                    prop_assert_eq!(nlc_rows(&snapshot), rows);
-                }
-                if compacted {
-                    prop_assert_eq!(&maintained, &exact_maxima);
-                } else if added.is_empty() {
-                    prop_assert_eq!(&maintained, &pair_maxima(&before));
-                }
-                if let Some(plan) = stale_plan.filter(|_| out.applied() > 0) {
-                    prop_assert!(plan.describes(&before) && !plan.describes(&snapshot));
-                }
-                if let Some(q) = extract_query(&snapshot, 3, round as u64, 20) {
-                    let query = QueryGraph::from_graph(&q.pattern).unwrap();
-                    prop_assert!(!admission_check(&query, &snapshot).rejected());
+                    let snapshot = entry.graph();
+                    let edges: Vec<_> = model.iter().copied().collect();
+                    let mut exact = Graph::new(labels.clone(), &edges, false);
+                    for v in snapshot.vertices() {
+                        prop_assert_eq!(snapshot.neighbors(v), exact.neighbors(v));
+                    }
+                    exact.build_label_pair_index();
+                    let (maintained, exact_maxima) = (pair_maxima(&snapshot), pair_maxima(&exact));
+                    prop_assert_eq!(&exact_maxima, &walked_pair_maxima(&exact));
+                    prop_assert!(maintained.iter().zip(&exact_maxima).all(|(m, e)| m >= e));
+                    prop_assert_eq!(snapshot.class_bounds(), bounds.as_deref());
+                    if compacted {
+                        prop_assert_eq!(&maintained, &walked_pair_maxima(&snapshot));
+                    } else if added.is_empty() {
+                        prop_assert_eq!(&maintained, &pair_maxima(&before));
+                    }
+                    if let Some(plan) = stale_plan.filter(|_| out.applied() > 0) {
+                        prop_assert!(plan.describes(&before) && !plan.describes(&snapshot));
+                    }
+                    if let Some(q) = extract_query(&snapshot, 3, round as u64, 20) {
+                        let query = QueryGraph::from_graph(&q.pattern).unwrap();
+                        prop_assert!(!admission_check(&query, &snapshot).rejected());
+                    }
                 }
             }
         }
@@ -751,6 +741,9 @@ mod tests {
         /// batch by batch (as successive repairs patch each other's), and
         /// from every earlier snapshot across any gap, compactions included.
         /// Some vertices carry two labels, and so do some query vertices.
+        /// It runs on the graph under its file's numbering and on its
+        /// label-major copy, whose snapshots count from spans but whose
+        /// degrees have moved, so their scans may not cut DF as a suffix.
         #[test]
         fn patched_candidate_sets_equal_a_scan_of_every_later_snapshot(
             (labels, base_edges, batches, threshold) in arb_stream(),
@@ -763,7 +756,7 @@ mod tests {
             let labels: Vec<LabelSet> = (labels.iter().zip(&second))
                 .map(|(&l, &m)| if m < 3 && m != l { two(l, m) } else { LabelSet::single(LabelId(l)) })
                 .collect();
-            let first = Graph::new(labels, &vids(&base_edges), false);
+            let file = Graph::new(labels, &vids(&base_edges), false);
             // A two-label hub needing two neighbors of label 1 (DF and NLC
             // both bite), and whatever can be cut out of the first snapshot.
             let mut queries = vec![QueryGraph::new(
@@ -771,28 +764,31 @@ mod tests {
                 &[(vid(0), vid(1)), (vid(0), vid(2))],
             ).unwrap()];
             queries.extend((3..5).filter_map(|size| {
-                let q = extract_query(&first, size, size as u64, 20)?;
+                let q = extract_query(&file, size, size as u64, 20)?;
                 QueryGraph::from_graph(&q.pattern).ok()
             }));
             let scan = |graph: &Graph| -> Vec<Vec<CandidateSet>> {
                 queries.iter().map(|q| compute_candidates(q, graph)).collect()
             };
-            let mut seen = vec![(0, scan(&first))];
-            let (entry, _) = GraphRegistry::new().insert("g", first);
-            for (adds, dels) in &batches {
-                let out = entry.apply_batch(&vids(adds), &vids(dels), threshold, 64).unwrap();
-                let snapshot = entry.graph();
-                let scanned = scan(&snapshot);
-                let (_, last) = seen.last().unwrap();
-                for (i, q) in queries.iter().enumerate() {
-                    let chained = patch_candidates(q, &snapshot, &last[i], &out.endpoints);
-                    prop_assert_eq!(&chained, &scanned[i]);
-                    for (from, sets) in &seen {
-                        let dirty = entry.dirty_endpoints_since(*from).unwrap();
-                        prop_assert_eq!(&patch_candidates(q, &snapshot, &sets[i], &dirty), &scanned[i]);
+            let ranked = rank_by_label_and_degree(&file).0;
+            for first in [file, ranked] {
+                let mut seen = vec![(0, scan(&first))];
+                let (entry, _) = GraphRegistry::new().insert("g", first);
+                for (adds, dels) in &batches {
+                    let out = entry.apply_batch(&vids(adds), &vids(dels), threshold, 64).unwrap();
+                    let snapshot = entry.graph();
+                    let scanned = scan(&snapshot);
+                    let (_, last) = seen.last().unwrap();
+                    for (i, q) in queries.iter().enumerate() {
+                        let chained = patch_candidates(q, &snapshot, &last[i], &out.endpoints);
+                        prop_assert_eq!(&chained, &scanned[i]);
+                        for (from, sets) in &seen {
+                            let dirty = entry.dirty_endpoints_since(*from).unwrap();
+                            prop_assert_eq!(&patch_candidates(q, &snapshot, &sets[i], &dirty), &scanned[i]);
+                        }
                     }
+                    seen.push((out.sub_epoch, scanned));
                 }
-                seen.push((out.sub_epoch, scanned));
             }
         }
     }

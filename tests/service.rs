@@ -2149,7 +2149,7 @@ fn every_stale_read_repairs_over_patched_sets_whatever_the_gap() {
     client.request(&format!("LOAD g {graph_path}")).unwrap();
     assert_eq!(served(&client.request(&request).unwrap()).cache, "MISS");
     let owner = state.cache.entries().pop().unwrap();
-    let (index_bytes, sets_bytes) = entry_bytes(&owner, graph.num_vertices());
+    let (index_bytes, sets_bytes) = entry_bytes(&owner);
     assert_eq!(state.cache.bytes(), index_bytes + sets_bytes);
     let mut index = Arc::clone(&owner.ceci);
     let mut spent = ledger(&mut client, &query_path).0;
@@ -2197,8 +2197,7 @@ fn every_stale_read_repairs_over_patched_sets_whatever_the_gap() {
             owner.choice.candidates.len(),
             "{gap}: decision record"
         );
-        let n = graph.num_vertices();
-        let held: usize = (entries.iter().map(|e| entry_bytes(e, n)))
+        let held: usize = (entries.iter().map(|e| entry_bytes(e)))
             .map(|(index, sets)| index + sets)
             .sum();
         assert_eq!(state.cache.bytes(), held, "{gap}");
@@ -2244,12 +2243,13 @@ fn every_stale_read_repairs_over_patched_sets_whatever_the_gap() {
 }
 
 /// What a live entry holds: its frozen index and, once per allocation, its
-/// candidate sets, each a list of 4-byte ids plus a bitset of `⌈n/64⌉`
-/// words over an `n`-vertex graph.
-fn entry_bytes(entry: &CachedIndex, n: usize) -> (usize, usize) {
+/// candidate sets, each a list of 4-byte ids plus a bitset of one bit per
+/// id from its first to its last candidate, in 8-byte words.
+fn entry_bytes(entry: &CachedIndex) -> (usize, usize) {
+    let span = |c: &[ceci_graph::VertexId]| c.last().map_or(0, |l| (l.0 - c[0].0) as usize + 1);
     let sets = |sets: &[ceci_query::candidates::CandidateSet]| -> usize {
         sets.iter()
-            .map(|s| 4 * s.candidates.len() + 8 * n.div_ceil(64))
+            .map(|s| 4 * s.candidates.len() + 8 * span(&s.candidates).div_ceil(64))
             .sum()
     };
     let (own, plans) = (entry.ceci.candidate_sets(), &**entry.plan.candidate_sets());
@@ -2261,7 +2261,7 @@ fn entry_bytes(entry: &CachedIndex, n: usize) -> (usize, usize) {
 /// The cache charges each entry its frozen index and its candidate sets,
 /// once: over 50 entries, after misses and after every repair, `bytes` is
 /// the sum of what the live entries hold. On a wide graph with sparse
-/// candidates the sets are most of it.
+/// candidates the bitsets span the candidates, not the graph.
 #[test]
 fn cache_bytes_equal_the_live_frozen_indexes_over_fifty_entries() {
     let scratch = Scratch::new("cache-bytes");
@@ -2272,10 +2272,9 @@ fn cache_bytes_equal_the_live_frozen_indexes_over_fifty_entries() {
     client.request(&format!("LOAD g {graph_path}")).unwrap();
 
     // What the live entries hold, against what the cache charges.
-    let n = graph.num_vertices();
     let held = |state: &ServerState| -> usize {
         let entries = state.cache.entries();
-        let sizes = entries.iter().map(|e| entry_bytes(e, n));
+        let sizes = entries.iter().map(|e| entry_bytes(e));
         let held: usize = sizes.map(|(index, sets)| index + sets).sum();
         assert_eq!(state.cache.bytes(), held);
         held
@@ -2306,7 +2305,8 @@ fn cache_bytes_equal_the_live_frozen_indexes_over_fifty_entries() {
     assert_eq!(prom(&mut client)["ceci_cache_bytes"], charged as f64);
 
     // 20 000 vertices, eight of them on a labeled path: an edge query has
-    // four candidates a side, and its two bitsets dwarf the index.
+    // four candidates a side, each side one class of four ranks, so each
+    // bitset is one word where a |V|-wide one was 313.
     use ceci_graph::{lid, vid, LabelSet};
     let (wide, label) = (20_000, |l| LabelSet::single(lid(l)));
     let labels = (0..wide as u32).map(|v| label(if v < 8 { 1 + v % 2 } else { 0 }));
@@ -2322,9 +2322,8 @@ fn cache_bytes_equal_the_live_frozen_indexes_over_fifty_entries() {
     let entry = (state.cache.entries().into_iter())
         .find(|e| e.ceci.candidate_sets()[0].candidates.len() == 4)
         .expect("the wide entry");
-    let (index, sets) = entry_bytes(&entry, wide);
-    assert_eq!(sets, 2 * (4 * 4 + 8 * 313));
-    assert!(sets > 4 * index, "sets {sets} vs index {index}");
+    let (index, sets) = entry_bytes(&entry);
+    assert_eq!(sets, 2 * (4 * 4 + 8));
     assert_eq!(state.cache.bytes() - before, index + sets);
     handle.shutdown();
 }
