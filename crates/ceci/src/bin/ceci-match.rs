@@ -147,7 +147,7 @@ fn main() {
     if args.stats {
         eprint!(
             "{}",
-            ceci::core::explain_plan(&plan, &graph, Default::default(), "sets@load")
+            ceci::core::explain_plan(&plan, &ceci, &graph, Default::default(), "sets@load")
         );
         eprint!("{}", ceci::core::explain_index(&ceci, &plan));
     }

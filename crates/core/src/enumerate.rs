@@ -21,6 +21,7 @@ use ceci_query::QueryPlan;
 use ceci_trace::DepthProfile;
 
 use std::cmp::Ordering;
+use std::fmt;
 use std::sync::Arc;
 
 use crate::bitmap::VertexBitmap;
@@ -28,6 +29,7 @@ use crate::index::Ceci;
 use crate::intersect::{intersect_many_with, Kernel};
 use crate::metrics::Counters;
 use crate::sink::{CancelToken, EmbeddingSink};
+use crate::twins::TwinTail;
 
 /// How many recursive calls pass between cooperative cancellation checks.
 /// A power of two so the check compiles to a mask test; small enough that a
@@ -71,17 +73,23 @@ pub struct EnumOptions {
     /// set minus its own membership ([`LeafMode::Reuse`]); if exactly one
     /// symmetry constraint does, the set is gathered with that constraint
     /// left out and a sibling's count is the part of the set above (or
-    /// below) it ([`LeafMode::ReuseOrdered`]). Embedding counts are
-    /// bit-identical; work counters legitimately shrink. Only takes effect
-    /// for counting sinks (bulk-capable) under [`VerifyMode::Intersection`].
-    /// Off by default.
+    /// below) it ([`LeafMode::ReuseOrdered`]). A plan that ends in a twin
+    /// tail the index confirmed is answered in closed form instead
+    /// ([`LeafMode::Twins`]). Embedding counts are bit-identical; work
+    /// counters legitimately shrink. Only takes effect for counting sinks
+    /// (bulk-capable) under [`VerifyMode::Intersection`]. Off by default.
     pub prune_redundant: bool,
 }
 
-/// How the last matching-order depth of a plan is answered for a
-/// bulk-capable sink (an unbounded count). Sinks that need each embedding
-/// (`LIMIT`, collection) and runs under a [`CancelToken`] deadline get
-/// [`LeafMode::Emit`] whatever the plan allows.
+/// How the last matching-order depths of a plan are answered for a
+/// bulk-capable sink (an unbounded count, bare or under a
+/// [`crate::DeadlineSink`], which passes bulk counts through). A sink that
+/// needs each embedding (`LIMIT`, collection) gets [`LeafMode::Emit`]
+/// whatever the plan allows. An enumerator holding a [`CancelToken`] walks
+/// the last depth of a [`LeafMode::Tally`] plan as `Emit` does, polling the
+/// token every 256 candidates; the other modes answer alike under a token,
+/// with one `emit_bulk` per sibling (the reuse modes) or per expansion
+/// ([`LeafMode::Twins`]), each of which a [`crate::DeadlineSink`] polls.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LeafMode {
     /// One `mapping` write and one `emit` per embedding.
@@ -94,22 +102,32 @@ pub enum LeafMode {
     /// As [`LeafMode::Reuse`], with one symmetry constraint between the last
     /// two vertices: the leaf's image must compare this way to the sibling's.
     ReuseOrdered(Ordering),
+    /// The plan ends in a [`TwinTail`] whose tables the index confirmed
+    /// equal: once the search reaches the tail, the first unmapped twin's
+    /// gathered set answers every completion in closed form (a binomial for
+    /// chained twins, a falling factorial otherwise) — one gather per
+    /// expansion, no walk.
+    Twins(TwinTail),
 }
 
 impl LeafMode {
-    /// The mode `plan` gets under `options`.
-    pub fn of(plan: &QueryPlan, options: EnumOptions) -> LeafMode {
+    /// The mode `plan` gets under `options` over `ceci`, the index built
+    /// for it (whose build confirmed any twin tail).
+    pub fn of(plan: &QueryPlan, ceci: &Ceci, options: EnumOptions) -> LeafMode {
         if options.verify != VerifyMode::Intersection {
             return LeafMode::Emit;
+        }
+        if !options.prune_redundant {
+            return LeafMode::Tally;
+        }
+        if let Some(tail) = ceci.twin_tail() {
+            return LeafMode::Twins(tail);
         }
         let &[.., pen, last] = plan.matching_order() else {
             return LeafMode::Tally;
         };
         // (A two-vertex order ends on the root's child: nothing to share.)
-        if !options.prune_redundant
-            || plan.tree().parent(last) == Some(pen)
-            || plan.backward_nte(last).contains(&pen)
-        {
+        if plan.tree().parent(last) == Some(pen) || plan.backward_nte(last).contains(&pen) {
             return LeafMode::Tally;
         }
         let above = plan.lower_bounds(last).contains(&pen);
@@ -135,6 +153,19 @@ impl LeafMode {
             _ => accepted.len() - usize::from(accepted.binary_search(&sibling).is_ok()),
         };
         n as u64
+    }
+}
+
+/// `EXPLAIN`'s name for the mode: `TALLY`, `REUSE_ORDERED`, `TWINS(2)`, ….
+impl fmt::Display for LeafMode {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            LeafMode::Emit => f.write_str("EMIT"),
+            LeafMode::Tally => f.write_str("TALLY"),
+            LeafMode::Reuse => f.write_str("REUSE"),
+            LeafMode::ReuseOrdered(_) => f.write_str("REUSE_ORDERED"),
+            LeafMode::Twins(tail) => write!(f, "TWINS({})", tail.twins),
+        }
     }
 }
 
@@ -179,8 +210,8 @@ pub struct Enumerator<'a> {
     /// [`Counters`], so all exact counters stay bit-identical with
     /// profiling on or off.
     profile: Option<Box<DepthProfile>>,
-    /// How the plan's last depth is answered for a bulk-capable sink,
-    /// precomputed per plan (see [`LeafMode::of`]).
+    /// How the plan's last depths are answered for a bulk-capable sink,
+    /// precomputed per plan and index (see [`LeafMode::of`]).
     leaf: LeafMode,
 }
 
@@ -213,7 +244,7 @@ impl<'a> Enumerator<'a> {
             cancel: None,
             drain_tick: 0,
             profile: None,
-            leaf: LeafMode::of(plan, options),
+            leaf: LeafMode::of(plan, ceci, options),
         }
     }
 
@@ -477,21 +508,38 @@ impl<'a> Enumerator<'a> {
         let order = plan.matching_order();
         let u = order[depth];
         let last = depth + 1 == order.len();
-        // Tally: the gather proved every edge and every symmetry constraint,
-        // so what completes the embedding is the gathered set minus the
-        // prefix images inside it. (A deadline asks for a poll every
-        // `DRAIN_CHECK_MASK`+1 candidates, which a tally cannot give.)
-        if last && self.leaf != LeafMode::Emit && self.cancel.is_none() && sink.supports_bulk() {
+        // Closed form: the gather proved every edge and every symmetry
+        // constraint, so what completes the embedding is a choice of images
+        // for the `left` vertices still unmapped out of the gathered set
+        // minus the prefix images inside it. At the last depth that is the
+        // set's size (a tally; under a token the walk below polls instead);
+        // inside a twin tail every unmapped twin draws from this one set.
+        let left = order.len() - depth;
+        let closed = match self.leaf {
+            LeafMode::Emit => false,
+            LeafMode::Twins(tail) => left <= tail.twins,
+            _ => last && self.cancel.is_none(),
+        };
+        if closed && sink.supports_bulk() {
             let image = |w: &VertexId| self.mapping[w.index()].expect("prefix is assigned");
             let prefix = order[..depth].iter().map(image);
             let taken = prefix.filter(|v| gathered.binary_search(v).is_ok()).count() as u64;
-            let n = gathered.len() as u64 - taken;
-            counters.injectivity_rejections += taken;
-            counters.embeddings += n;
-            if let Some(p) = self.profile.as_deref_mut() {
-                p.on_drain(depth, n, n);
+            let free = gathered.len() as u64 - taken;
+            let count = match self.leaf {
+                LeafMode::Twins(tail) => tail.completions(free, left),
+                _ => Some(free),
+            };
+            // An overflowing count (three or more twins) walks this depth
+            // instead; the next one tries again with one twin fewer.
+            if let Some(n) = count {
+                counters.injectivity_rejections += taken;
+                counters.embeddings += n;
+                // Credited to the last depth, where a walk would emit them.
+                if let Some(p) = self.profile.as_deref_mut() {
+                    p.on_drain(order.len() - 1, n, n);
+                }
+                return n == 0 || sink.emit_bulk(n);
             }
-            return n == 0 || sink.emit_bulk(n);
         }
         // Leaf-level redundant-extension elimination: every sibling drained
         // below would recurse into the last depth and gather the *same*
@@ -1049,21 +1097,42 @@ mod tests {
             prune_redundant: true,
             ..Default::default()
         };
-        let (graph, plan, _) = eligible_star();
-        assert_eq!(LeafMode::of(&plan, pruning), LeafMode::Reuse);
+        let (graph, plan, ceci) = eligible_star();
+        assert_eq!(LeafMode::of(&plan, &ceci, pruning), LeafMode::Reuse);
         // Default off: the last depth is still tallied, never shared.
-        assert_eq!(LeafMode::of(&plan, EnumOptions::default()), LeafMode::Tally);
+        assert_eq!(
+            LeafMode::of(&plan, &ceci, EnumOptions::default()),
+            LeafMode::Tally
+        );
         // Edge verification rejects per candidate all the way down.
         let verify = EnumOptions {
             verify: VerifyMode::EdgeVerification,
             ..pruning
         };
-        assert_eq!(LeafMode::of(&plan, verify), LeafMode::Emit);
-        // An unlabeled 2-leaf star has automorphic leaves: the one symmetry
-        // constraint between the last two order vertices orders the shared
-        // leaf set instead of forbidding it.
-        let sym_query = ceci_query::QueryGraph::unlabeled(3, &[(0, 1), (0, 2)]).unwrap();
-        let sym_plan = QueryPlan::new(sym_query, &graph);
+        assert_eq!(LeafMode::of(&plan, &ceci, verify), LeafMode::Emit);
+        let mode = |plan: &QueryPlan| LeafMode::of(plan, &Ceci::build(&graph, plan), pruning);
+        // An unlabeled 2-leaf star from its hub ends in twins, chained by
+        // the one symmetry constraint between them: one gather answers both.
+        let twins = ceci_query::QueryGraph::unlabeled(3, &[(0, 1), (0, 2)]).unwrap();
+        let twins = QueryPlan::new(twins, &graph);
+        assert_eq!(twins.matching_order()[0], VertexId(0));
+        let tail = TwinTail {
+            twins: 2,
+            chained: true,
+        };
+        assert_eq!(mode(&twins), LeafMode::Twins(tail));
+        // A 4-path from an inner vertex ends on its two automorphic leaves
+        // under different parents: the one symmetry constraint between the
+        // last two order vertices orders the shared leaf set instead of
+        // forbidding it.
+        let sym_plan = QueryPlan::with_options(
+            ceci_query::catalog::path(4),
+            &graph,
+            &ceci_query::PlanOptions {
+                root_override: Some(VertexId(2)),
+                ..Default::default()
+            },
+        );
         let [.., pen, last] = *sym_plan.matching_order() else {
             unreachable!()
         };
@@ -1077,15 +1146,12 @@ mod tests {
         } else {
             Ordering::Less
         };
-        assert_eq!(
-            LeafMode::of(&sym_plan, pruning),
-            LeafMode::ReuseOrdered(expected)
-        );
+        assert_eq!(mode(&sym_plan), LeafMode::ReuseOrdered(expected));
         // Triangle query: the leaf has a backward NTE to the penultimate
         // vertex (or is its tree child) — nothing to share.
         let tri_query = ceci_query::QueryGraph::unlabeled(3, &[(0, 1), (0, 2), (1, 2)]).unwrap();
         let tri_plan = QueryPlan::new(tri_query, &graph);
-        assert_eq!(LeafMode::of(&tri_plan, pruning), LeafMode::Tally);
+        assert_eq!(mode(&tri_plan), LeafMode::Tally);
     }
 
     #[test]
@@ -1169,6 +1235,56 @@ mod tests {
         assert_eq!(profile.total_reused(), counters.reused_subtrees);
         assert_eq!(profile.total_calls(), counters.recursive_calls);
         assert_eq!(profile.total_intersections(), counters.intersection_ops);
+    }
+
+    #[test]
+    fn a_deadline_keeps_the_twin_closed_form() {
+        use crate::parallel::{enumerate_parallel_cancellable, ParallelOptions, Strategy};
+        use ceci_graph::vid;
+        use std::time::Duration;
+
+        // A 3-leaf star from its hub over a 7-leaf fan: a chained twin tail,
+        // C(7, 3) embeddings in the hub's cluster.
+        let edges: Vec<_> = (1..=7).map(|leaf| (vid(0), vid(leaf))).collect();
+        let graph = Graph::unlabeled(8, &edges);
+        let options = ceci_query::PlanOptions {
+            root_override: Some(vid(0)),
+            ..Default::default()
+        };
+        let plan = QueryPlan::with_options(ceci_query::catalog::star(3), &graph, &options);
+        let ceci = Ceci::build(&graph, &plan);
+        let pruning = EnumOptions {
+            prune_redundant: true,
+            ..Default::default()
+        };
+        let tail = TwinTail {
+            twins: 3,
+            chained: true,
+        };
+        assert_eq!(LeafMode::of(&plan, &ceci, pruning), LeafMode::Twins(tail));
+        let run = |prune_redundant, token| {
+            let options = ParallelOptions {
+                workers: 1,
+                strategy: Strategy::Static,
+                prune_redundant,
+                ..ParallelOptions::default()
+            };
+            enumerate_parallel_cancellable(&graph, &plan, &ceci, &options, token)
+        };
+        let free = run(true, None);
+        // Under a token the enumerator holds it and the sink is a
+        // `DeadlineSink`; the twin tail still answers with one bulk count
+        // per expansion, so every counter is the untimed run's.
+        let timed = run(true, Some(CancelToken::after(Duration::from_secs(3600))));
+        assert!(!timed.cancelled);
+        assert_eq!(timed.total_embeddings, 35);
+        assert_eq!(timed.counters, free.counters);
+        // ... and that is the closed form, not a walk: one call for the
+        // hub's cluster against one per first and second leaf.
+        let walked = run(false, Some(CancelToken::after(Duration::from_secs(3600))));
+        assert_eq!(walked.total_embeddings, 35);
+        assert_eq!(timed.counters.recursive_calls, 1);
+        assert_eq!(walked.counters.recursive_calls, 1 + 7 + 21);
     }
 
     #[test]

@@ -69,14 +69,21 @@ pub fn explain_profile(plan: &QueryPlan, profile: &DepthProfile, counters: &Coun
 /// enumeration under `options` skip: per matching-order depth the mapped
 /// partners whose images bound its candidate lists (`window lo<-{..}
 /// hi<-{..}`: the symmetry constraints applied before the intersection), and
-/// how a count-only run answers the last depth (`leaf=`, see [`LeafMode`]).
+/// how a count-only run over `ceci`, the plan's index, answers its last
+/// depths (`leaf=`, see [`LeafMode`]).
 ///
 /// `sets` names the snapshot the plan's candidate sets — the listed
 /// `initial candidates` — were computed on, for the section header; it is
 /// marked `(lagging)` when that is not `graph` (a plan retained across
 /// repairs: its index was built from current sets, these counts and a
 /// re-plan's pilots read the retained ones).
-pub fn explain_plan(plan: &QueryPlan, graph: &Graph, options: EnumOptions, sets: &str) -> String {
+pub fn explain_plan(
+    plan: &QueryPlan,
+    ceci: &Ceci,
+    graph: &Graph,
+    options: EnumOptions,
+    sets: &str,
+) -> String {
     let query = plan.query();
     let mut out = String::new();
     let _ = writeln!(
@@ -142,13 +149,8 @@ pub fn explain_plan(plan: &QueryPlan, graph: &Graph, options: EnumOptions, sets:
     }
     let _ = writeln!(
         out,
-        "leaf={} for a count-only run (LIMIT, collected and deadline runs: EMIT)",
-        match LeafMode::of(plan, options) {
-            LeafMode::Emit => "EMIT",
-            LeafMode::Tally => "TALLY",
-            LeafMode::Reuse => "REUSE",
-            LeafMode::ReuseOrdered(_) => "REUSE_ORDERED",
-        }
+        "leaf={} for a count-only run (LIMIT and collected runs: EMIT; a deadline run walks a TALLY as EMIT)",
+        LeafMode::of(plan, ceci, options)
     );
     out
 }
@@ -367,14 +369,14 @@ mod tests {
 
     #[test]
     fn plan_report_mentions_key_facts() {
-        let (graph, plan, _) = setup();
-        let report = explain_plan(&plan, &graph, EnumOptions::default(), "sets@load");
+        let (graph, plan, ceci) = setup();
+        let report = explain_plan(&plan, &ceci, &graph, EnumOptions::default(), "sets@load");
         assert!(report.contains("root: u0"));
         assert!(report.contains("per-node preprocessing (sets@load):"));
         // Against any other construction of the graph the plan's sets lag.
         let (rebuilt, _) = paper::figure1();
         assert!(
-            explain_plan(&plan, &rebuilt, EnumOptions::default(), "sets@load")
+            explain_plan(&plan, &ceci, &rebuilt, EnumOptions::default(), "sets@load")
                 .contains("per-node preprocessing (sets@load (lagging)):")
         );
         assert!(report.contains("5 vertices, 6 edges (4 tree + 2 non-tree)"));
@@ -392,7 +394,14 @@ mod tests {
         let graph = ceci_graph::generators::erdos_renyi(30, 120, 3);
         // Triangle: every later vertex is bounded below by the earlier ones.
         let triangle = QueryPlan::new(PaperQuery::Qg1.build(), &graph);
-        let report = explain_plan(&triangle, &graph, EnumOptions::default(), "sets@load");
+        let ceci = Ceci::build(&graph, &triangle);
+        let report = explain_plan(
+            &triangle,
+            &ceci,
+            &graph,
+            EnumOptions::default(),
+            "sets@load",
+        );
         assert_eq!(
             triangle.matching_order(),
             [VertexId(0), VertexId(1), VertexId(2)]
@@ -400,19 +409,20 @@ mod tests {
         assert!(report.contains("u1: parent  u0 | NTE from [] | window lo<-{u0} hi<-{}"));
         assert!(report.contains("| NTE from [u1] | window lo<-{u0,u1} hi<-{}"));
         assert!(report.contains("leaf=TALLY"), "report:\n{report}");
-        // 2-leaf star: the leaves are tied by symmetry alone.
+        // 2-leaf star: the leaves are twins, tied by symmetry alone.
         let star = QueryPlan::new(ceci_query::catalog::star(2), &graph);
+        let ceci = Ceci::build(&graph, &star);
         let pruning = EnumOptions {
             prune_redundant: true,
             ..EnumOptions::default()
         };
-        let report = explain_plan(&star, &graph, pruning, "sets@load");
-        assert!(report.contains("leaf=REUSE_ORDERED"), "report:\n{report}");
+        let report = explain_plan(&star, &ceci, &graph, pruning, "sets@load");
+        assert!(report.contains("leaf=TWINS(2)"), "report:\n{report}");
         let verify = EnumOptions {
             verify: crate::enumerate::VerifyMode::EdgeVerification,
             ..pruning
         };
-        assert!(explain_plan(&star, &graph, verify, "sets@load").contains("leaf=EMIT"));
+        assert!(explain_plan(&star, &ceci, &graph, verify, "sets@load").contains("leaf=EMIT"));
     }
 
     #[test]

@@ -17,6 +17,7 @@ use ceci_query::QueryPlan;
 use crate::filter::bfs_filter_from;
 use crate::refine::reverse_bfs_refine;
 use crate::tables::CompactTable;
+use crate::twins::TwinTail;
 
 /// Options controlling CECI construction — the Figure 19 ablation toggles.
 #[derive(Clone, Copy, Debug)]
@@ -98,6 +99,8 @@ pub struct Ceci {
     /// The building plan's candidate sets (its own allocation, shared), so
     /// they describe the indexed graph.
     sets: Arc<[CandidateSet]>,
+    /// The plan's twin tail, confirmed on the frozen tables.
+    twins: Option<TwinTail>,
     stats: BuildStats,
 }
 
@@ -221,6 +224,7 @@ impl Ceci {
             .collect();
         let cardinality: Vec<Vec<(VertexId, u64)>> =
             (0..n).map(|i| cards.of_node(VertexId(i as u32))).collect();
+        let twins = TwinTail::of(plan).filter(|tail| tail.tables_agree(plan, &te, &nte));
 
         let mut ceci = Ceci {
             pivots,
@@ -229,6 +233,7 @@ impl Ceci {
             candidates: candidate_sets,
             cardinality,
             sets: Arc::clone(plan.candidate_sets()),
+            twins,
             stats,
         };
         ceci.stats.size_bytes = ceci.size_bytes();
@@ -285,6 +290,14 @@ impl Ceci {
     #[inline]
     pub fn candidate_sets(&self) -> &[CandidateSet] {
         &self.sets
+    }
+
+    /// The building plan's twin tail ([`TwinTail::of`]) when the twins'
+    /// TE and NTE tables came out equal, so one gather serves them all
+    /// (checked once here, never per request); `None` otherwise.
+    #[inline]
+    pub fn twin_tail(&self) -> Option<TwinTail> {
+        self.twins
     }
 
     /// Build statistics.

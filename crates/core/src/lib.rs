@@ -42,6 +42,7 @@ pub mod parallel;
 pub mod refine;
 pub mod sink;
 pub mod tables;
+pub mod twins;
 
 pub use adaptive::{
     admit, ns_per_unit_from_profile, plan_with_options, predicted_time, replan_price, served_cost,
@@ -72,6 +73,7 @@ pub use parallel::{
 pub use sink::{
     canonicalize, CancelToken, CollectSink, CountSink, DeadlineSink, EmbeddingSink, SharedBudget,
 };
+pub use twins::TwinTail;
 
 // Re-exported so downstream crates profile enumeration without depending on
 // `ceci-trace` directly.

@@ -1,20 +1,23 @@
 //! Differential property tests for the symmetry window, the tallied last
-//! depth and the ordered-sibling leaf reuse.
+//! depth, the ordered-sibling leaf reuse and the closed-form twin tail.
 //!
 //! The enumerator no longer filters an intersection's output by the
 //! automorphism-breaking order: it clips every candidate list to the window
 //! the mapped partners leave open, counts the last depth instead of walking
-//! it when the sink takes counts, and shares one leaf set between
-//! penultimate siblings that only a symmetry constraint ties to the leaf.
-//! None of that may change an answer. On random labeled and unlabeled
-//! graphs, for queries with non-trivial automorphism groups under every
-//! root override:
+//! it when the sink takes counts, shares one leaf set between penultimate
+//! siblings that only a symmetry constraint ties to the leaf, and answers a
+//! tail of interchangeable last vertices with one binomial (or falling
+//! factorial) per expansion. None of that may change an answer. On random
+//! labeled and unlabeled graphs, for queries with non-trivial automorphism
+//! groups under every root override:
 //!
 //! * the tally path (`CountSink::unbounded`), the per-embedding path
 //!   (`CountSink::with_limit(u64::MAX)`) and `CollectSink` agree on the
 //!   count, and the collected set is the `ceci-baselines` reference
 //!   matcher's;
-//! * `prune_redundant` on ≡ off;
+//! * `prune_redundant` on (`TWINS` wherever the plan ends in a twin tail)
+//!   ≡ off ≡ the reference, and the leaf mode is `TWINS` exactly where the
+//!   plan's structure says so;
 //! * forking from a shared frontier and the parallel strategies count the
 //!   same, with the same `intersection_ops` wherever they split the work
 //!   at cluster (or TE-only prefix) granularity;
@@ -27,9 +30,10 @@ use ceci_baselines::reference;
 use ceci_core::{
     canonicalize, enumerate_from_frontier, enumerate_parallel, enumerate_sequential, Ceci,
     CollectSink, CountSink, Counters, EnumOptions, LeafMode, ParallelOptions, PrefixSpec, Strategy,
+    TwinTail,
 };
 use ceci_graph::generators::{erdos_renyi, inject_random_labels};
-use ceci_graph::{vid, Graph, VertexId};
+use ceci_graph::{lid, vid, Graph, VertexId};
 use ceci_query::catalog::{clique, cycle, path, star};
 use ceci_query::{PaperQuery, PlanOptions, QueryGraph, QueryPlan};
 use proptest::prelude::*;
@@ -42,9 +46,19 @@ fn options(prune_redundant: bool) -> EnumOptions {
 }
 
 /// Queries whose automorphism group is non-trivial, so every plan carries
-/// symmetry constraints for the window to apply.
+/// symmetry constraints for the window to apply. A 4-star from its hub ends
+/// in four twins, from a leaf in three; `K_{2,3}` from a vertex of its
+/// 3-side in two. In the double star (two adjacent hubs with two leaves
+/// each) the last two leaves are twins whose gathered set holds the other
+/// hub's image, which the window does not clip. The near-twin diamond gives
+/// its degree-2 vertices different labels, so no root may see them as a
+/// tail.
 fn queries() -> Vec<(&'static str, QueryGraph)> {
     let tailed_triangle = QueryGraph::unlabeled(4, &[(0, 1), (1, 2), (2, 0), (2, 3)]).unwrap();
+    let k23 = QueryGraph::unlabeled(5, &[(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]).unwrap();
+    let diamond = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)];
+    let near_twin = QueryGraph::with_labels(&[lid(0), lid(0), lid(0), lid(1)], &diamond).unwrap();
+    let double_star = QueryGraph::unlabeled(6, &[(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)]).unwrap();
     vec![
         ("triangle", clique(3)),
         ("clique4", clique(4)),
@@ -54,7 +68,16 @@ fn queries() -> Vec<(&'static str, QueryGraph)> {
         ("star3", star(3)),
         ("path4", path(4)),
         ("tailed-triangle", tailed_triangle),
+        ("star4", star(4)),
+        ("k23", k23),
+        ("double-star", double_star),
+        ("near-twin-diamond", near_twin),
     ]
+}
+
+/// The leaf mode a count-only, `prune_redundant` run of `plan` gets.
+fn leaf_mode(plan: &QueryPlan, ceci: &Ceci) -> LeafMode {
+    LeafMode::of(plan, ceci, options(true))
 }
 
 fn plan_rooted(query: &QueryGraph, graph: &Graph, root: VertexId) -> QueryPlan {
@@ -116,10 +139,30 @@ proptest! {
                 prop_assert_eq!(base, walked_counters, "{}", &label);
                 prop_assert_eq!(base.symmetry_rejections, 0, "{}", &label);
 
-                // (b) prune_redundant on ≡ off.
+                // (b) prune_redundant on ≡ off, and TWINS exactly where the
+                // structure ends the order in twins (the build confirms
+                // their tables, which twins' always agree).
                 let (pruned, pruned_counters) = count(&graph, &plan, &ceci, options(true));
                 prop_assert_eq!(pruned, tallied, "{}", &label);
                 prop_assert_eq!(pruned_counters.embeddings, base.embeddings, "{}", &label);
+                let twins = TwinTail::of(&plan);
+                prop_assert_eq!(ceci.twin_tail(), twins, "{}", &label);
+                // A star rooted at a leaf whose image falls between two other
+                // leaves' splits them: the leaves below it and those above
+                // see different windows, so only a run on one side is a tail.
+                let expected_twins = match (name, root.0) {
+                    ("star4", 0) => Some(4),
+                    ("star3", 0) | ("star4", 1 | 4) => Some(3),
+                    ("diamond", 2) | ("k23", 2 | 4) | ("star3", 1 | 3) | ("star4", 2) => Some(2),
+                    ("double-star", _) => Some(2),
+                    _ => None,
+                };
+                prop_assert_eq!(twins.map(|t| t.twins), expected_twins, "{}", &label);
+                prop_assert_eq!(
+                    matches!(leaf_mode(&plan, &ceci), LeafMode::Twins(_)),
+                    twins.is_some(),
+                    "{}", &label
+                );
 
                 // (c) forking from a shared frontier. Depths 1 and 2 skip only
                 // gathers that intersect nothing (the root has no list, its
@@ -192,20 +235,19 @@ fn two_hubs() -> Graph {
 }
 
 /// Runs `query` rooted at `root` over [`two_hubs`] with the reuse off and
-/// on, checks the plan ties its last two vertices as `expected` and that
-/// both runs count what the reference matcher counts, and returns the two
-/// counter sets.
-fn ordered_reuse(query: QueryGraph, root: u32, expected: Ordering) -> (u64, Counters, Counters) {
+/// on, checks the plan's leaf mode is `expected` and that both runs count
+/// what the reference matcher counts, and returns the two counter sets.
+fn pruned_leaf(query: QueryGraph, root: u32, expected: LeafMode) -> (u64, Counters, Counters) {
     let graph = two_hubs();
     let plan = plan_rooted(&query, &graph, vid(root));
+    let ceci = Ceci::build(&graph, &plan);
     assert_eq!(
-        LeafMode::of(&plan, options(true)),
-        LeafMode::ReuseOrdered(expected),
+        leaf_mode(&plan, &ceci),
+        expected,
         "order {:?}, constraints {:?}",
         plan.matching_order(),
         plan.symmetry_constraints()
     );
-    let ceci = Ceci::build(&graph, &plan);
     let (base, base_counters) = count(&graph, &plan, &ceci, options(false));
     let (pruned, pruned_counters) = count(&graph, &plan, &ceci, options(true));
     assert_eq!(pruned, base);
@@ -220,26 +262,61 @@ fn ordered_reuse(query: QueryGraph, root: u32, expected: Ordering) -> (u64, Coun
 
 #[test]
 fn ordered_reuse_with_the_leaf_above_its_sibling() {
-    // 2-leaf star from its hub: order [u0, u1, u2] under `u1 < u2`, so the
-    // constraint's smaller vertex is the sibling (`pen < last`).
-    let (count, base, pruned) = ordered_reuse(star(2), 0, Ordering::Greater);
+    // 5-path from its center: order [u2, u1, u3, u0, u4] under `u0 < u4`,
+    // so the constraint's smaller vertex is the sibling (`pen < last`).
+    // The two ends hang off different parents: no twin tail.
+    let leaf = LeafMode::ReuseOrdered(Ordering::Greater);
+    let (count, base, pruned) = pruned_leaf(path(5), 2, leaf);
+    // The 5-paths run once around the 4-cycle 0-4-6-5 and out to one of
+    // hub 0's three pendant leaves: centered at 4 or at 5, three each.
+    assert_eq!(count, 3 + 3);
+    // The degree filter leaves u1 and u3 the images 0, 4, 5 and 6. Under
+    // center 4 with u1 = 0, u3 = 6 the siblings 1, 2, 3 and 5 of u0 share
+    // one leaf gather (3 reuses), and likewise under center 5.
+    assert_eq!(pruned.reused_subtrees, 3 + 3);
+    // Four clusters, two (u1, u3) pairs in each; without the reuse one more
+    // call per sibling of u0 (4 + 1 under 4 and under 5, 1 + 1 under 0
+    // and under 6).
+    assert_eq!(pruned.recursive_calls, 4 + 8 + 8);
+    assert_eq!(base.recursive_calls, pruned.recursive_calls + 14);
+}
+
+#[test]
+fn twin_leaves_of_a_star_count_in_closed_form() {
+    // 2-leaf star from its hub: order [u0, u1, u2] under `u1 < u2`, both
+    // leaves children of the hub with no non-tree edge: a chained twin
+    // tail.
+    let tail = TwinTail {
+        twins: 2,
+        chained: true,
+    };
+    let (count, base, pruned) = pruned_leaf(star(2), 0, LeafMode::Twins(tail));
     // Hub 0 has 5 leaves (C(5,2) = 10 pairs); hub 6 and the shared leaves 4
     // and 5 have two neighbors each (1 pair each).
     assert_eq!(count, 10 + 1 + 1 + 1);
-    // One leaf gather per hub image; every sibling after the first reuses
-    // it (4 + 1 + 1 + 1). The sibling is unmapped when the leaf set is
-    // gathered, so the window leaves it whole.
-    assert_eq!(pruned.reused_subtrees, 7);
-    // One call per cluster against one more per sibling without the reuse.
+    // One gather per hub image answers both leaves: C(n', 2), nothing
+    // walked and nothing reused, against one more call per first leaf
+    // without the closed form.
+    assert_eq!(pruned.reused_subtrees, 0);
     assert_eq!(pruned.recursive_calls, 4);
     assert_eq!(base.recursive_calls, pruned.recursive_calls + 11);
+    // Neither gather intersects (TE lists alone), and the hub image is
+    // never its own neighbor.
+    assert_eq!(pruned.intersection_ops, 0);
+    assert_eq!(pruned.injectivity_rejections, 0);
+    // A 3-leaf star from its hub is C(5, 3) in hub 0's cluster, the only
+    // one the degree filter leaves.
+    let tail = TwinTail { twins: 3, ..tail };
+    let (count, _, pruned) = pruned_leaf(star(3), 0, LeafMode::Twins(tail));
+    assert_eq!(count, 10);
+    assert_eq!(pruned.recursive_calls, 1);
 }
 
 #[test]
 fn ordered_reuse_with_the_leaf_below_its_sibling() {
     // 4-path from an inner vertex: order [u2, u1, u3, u0] under `u0 < u3`,
     // so the constraint's larger vertex is the sibling (`last < pen`).
-    let (count, base, pruned) = ordered_reuse(path(4), 2, Ordering::Less);
+    let (count, base, pruned) = pruned_leaf(path(4), 2, LeafMode::ReuseOrdered(Ordering::Less));
     // Middle edge (0, y), y in {4, 5}: four other leaves of hub 0 on one
     // end, hub 6 on the other; middle edge (y, 6): 0 - y - 6 - y'.
     assert_eq!(count, 8 + 2);

@@ -472,7 +472,7 @@ pub(crate) fn exec_explain(
     // Which snapshot the report's candidate counts describe: the entry's
     // own, unless it was repaired under a plan retained from an earlier one.
     let sets = format!("sets@sub_epoch={}", index.sets_sub_epoch);
-    let report = ceci_core::explain_plan(&index.plan, &graph, enum_options, &sets);
+    let report = ceci_core::explain_plan(&index.plan, &index.ceci, &graph, enum_options, &sets);
     let mut lines: Vec<String> = report.lines().map(|l| format!("| {l}")).collect();
     lines.push(path.describe());
     let mut line = format!("| index: bytes={} cache={}", index.bytes, path.cache_tag());

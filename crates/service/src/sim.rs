@@ -141,11 +141,17 @@ impl Fixture {
         let files = [[file(true), file(true)], [file(true), file(false)]];
         // Template 0 has a label no graph has: provably zero. A triangle
         // and a diamond bring the non-tree edges and automorphisms that
-        // extraction from sparse graphs rarely yields.
+        // extraction from sparse graphs rarely yields. Two one-label
+        // templates end their orders in twins, which a served count
+        // answers in closed form: the diamond, rooted at either degree-3
+        // vertex, in 2 and 3 (keyed by a non-tree edge too); the double
+        // star, from 0, in 4 and 5, whose gathered set holds 0's image.
         let mut patterns = vec![
             pattern(&[7, 7], &[(0, 1)]),
             pattern(&[0, 0, 0], &[(0, 1), (1, 2), (2, 0)]),
             pattern(&[0, 0, 1, 1], &[(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]),
+            pattern(&[0, 0, 0, 0], &[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]),
+            pattern(&[0; 6], &[(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)]),
         ];
         for (pair, size) in files.iter().zip([3, 4]).chain(files.iter().zip([4, 3])) {
             patterns.extend(extract_query(&pair[0], size, seed, 50).map(|e| e.pattern));

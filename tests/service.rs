@@ -470,7 +470,7 @@ fn explain_analyze_profile_sums_match_global_counters() {
     let scratch = Scratch::new("analyze");
     let labeled = small_graph();
     // One label, and a template with three interchangeable leaves: a
-    // count-only run answers its last depth by sibling reuse.
+    // count-only run answers them as a twin tail, in closed form.
     let unlabeled = erdos_renyi(400, 2_400, 5);
     let vid = ceci_graph::vid;
     let star = Graph::unlabeled(4, &[(vid(0), vid(1)), (vid(0), vid(2)), (vid(0), vid(3))]);
@@ -488,7 +488,7 @@ fn explain_analyze_profile_sums_match_global_counters() {
             .find(|(k, _)| *k == key)
             .and_then(|(_, v)| v.parse().ok())
     };
-    for (name, graph, pattern, reuses) in &cases {
+    for (name, graph, pattern, twins) in &cases {
         let graph_path = scratch.write_graph(&format!("{name}.graph"), graph);
         let query_path = scratch.write_graph(&format!("{name}-q.graph"), pattern);
         client
@@ -505,8 +505,8 @@ fn explain_analyze_profile_sums_match_global_counters() {
         let resp = client.request(&format!("{explain} ANALYZE")).unwrap();
         assert_eq!(resp.terminal, "OK EXPLAIN");
         assert!(resp.payload.iter().all(|l| l.starts_with("| ")));
-        let reused = resp.payload.iter().any(|l| l.contains("leaf=REUSE"));
-        assert_eq!(reused, *reuses, "{name}: {:?}", resp.payload);
+        let closed = resp.payload.iter().any(|l| l.contains("leaf=TWINS("));
+        assert_eq!(closed, *twins, "{name}: {:?}", resp.payload);
         let depth_rows: Vec<&String> = resp
             .payload
             .iter()
