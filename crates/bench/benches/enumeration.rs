@@ -3,7 +3,7 @@
 
 use ceci_bench::{Dataset, Scale};
 use ceci_core::{
-    count_embeddings, enumerate_parallel, Ceci, ParallelOptions, Strategy, VerifyMode,
+    count_embeddings, enumerate_parallel, Ceci, EnumOptions, ParallelOptions, Strategy,
 };
 use ceci_query::{PaperQuery, QueryPlan};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -50,12 +50,10 @@ fn bench_strategies(c: &mut Criterion) {
                     &ParallelOptions {
                         workers,
                         strategy,
-                        verify: VerifyMode::Intersection,
-                        kernel: Default::default(),
+                        enumeration: EnumOptions::default(),
                         limit: None,
                         collect: false,
                         profile: false,
-                        prune_redundant: false,
                     },
                 ))
             });

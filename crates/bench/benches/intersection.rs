@@ -1,9 +1,9 @@
 //! Criterion micro-bench: the §4.1 claim in isolation — intersection-based
 //! vs edge-verification enumeration over the same index, plus the raw
-//! merge/gallop kernels.
+//! kernels and the dispatch that picks between them.
 
 use ceci_bench::{Dataset, Scale};
-use ceci_core::intersect::{intersect_into, intersect_with, Kernel};
+use ceci_core::intersect::{gallop_intersect, intersect_into, merge_intersect, simd_intersect};
 use ceci_core::{enumerate_sequential, Ceci, CountSink, EnumOptions, VerifyMode};
 use ceci_graph::VertexId;
 use ceci_query::{PaperQuery, QueryPlan};
@@ -64,21 +64,32 @@ fn bench_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-/// Size-ratio sweep (1:1 … 1:1024) across the whole kernel suite — the
+/// An intersection kernel: appends `small ∩ large` to `out` and adds the
+/// comparisons it made to `ops`.
+type KernelFn = fn(&[VertexId], &[VertexId], &mut Vec<VertexId>, &mut u64);
+
+/// Size-ratio sweep (1:1 … 1:1024) across the kernels and the dispatch — the
 /// wall-time companion to `repro kernels`, which also records exact op
 /// counts into `bench_results/kernels.json`.
 fn bench_kernel_ratio_sweep(c: &mut Criterion) {
     const SMALL_LEN: u32 = 512;
+    const KERNELS: [(&str, KernelFn); 4] = [
+        ("merge", merge_intersect),
+        ("gallop", gallop_intersect),
+        ("simd", simd_intersect),
+        ("dispatch", intersect_into),
+    ];
     let small: Vec<VertexId> = (0..SMALL_LEN).map(|i| VertexId(i * 7)).collect();
     for ratio in [1u32, 4, 16, 64, 256, 1024] {
         let mut group = c.benchmark_group(format!("kernel_sweep_1_{ratio}"));
         let large: Vec<VertexId> = (0..SMALL_LEN * ratio).map(|i| VertexId(i * 3)).collect();
-        for kernel in Kernel::CONCRETE.into_iter().chain([Kernel::Adaptive]) {
-            group.bench_function(kernel.name(), |bch| {
+        for (name, kernel) in KERNELS {
+            group.bench_function(name, |bch| {
                 let mut out = Vec::new();
                 let mut ops = 0u64;
                 bch.iter(|| {
-                    intersect_with(kernel, &small, &large, &mut out, &mut ops);
+                    out.clear();
+                    kernel(&small, &large, &mut out, &mut ops);
                     std::hint::black_box(out.len())
                 });
             });
@@ -87,38 +98,10 @@ fn bench_kernel_ratio_sweep(c: &mut Criterion) {
     }
 }
 
-/// End-to-end enumeration with each kernel pinned through `EnumOptions`.
-fn bench_kernel_end_to_end(c: &mut Criterion) {
-    let mut group = c.benchmark_group("enumerate_kernel");
-    group.sample_size(10);
-    let graph = Dataset::Wt.build(Scale::Quick);
-    let plan = QueryPlan::new(PaperQuery::Qg4.build(), &graph);
-    let ceci = Ceci::build(&graph, &plan);
-    for kernel in Kernel::CONCRETE.into_iter().chain([Kernel::Adaptive]) {
-        group.bench_function(kernel.name(), |b| {
-            b.iter(|| {
-                let mut sink = CountSink::unbounded();
-                std::hint::black_box(enumerate_sequential(
-                    &graph,
-                    &plan,
-                    &ceci,
-                    EnumOptions {
-                        kernel,
-                        ..Default::default()
-                    },
-                    &mut sink,
-                ))
-            });
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_verify_modes,
     bench_kernels,
-    bench_kernel_ratio_sweep,
-    bench_kernel_end_to_end
+    bench_kernel_ratio_sweep
 );
 criterion_main!(benches);

@@ -9,7 +9,6 @@
 
 use ceci_bench::experiments;
 use ceci_bench::Scale;
-use ceci_core::Kernel;
 
 const HELP: &str = "\
 repro — regenerate the CECI paper's tables and figures on synthetic stand-ins
@@ -37,7 +36,8 @@ EXPERIMENTS:
     fig20               CECI construction IO/comm/compute breakdown (Figure 20)
     ablation-order      Matching-order heuristics vs naive BFS (§2.2)
     ablation-intersect  Intersection vs edge verification (§4.1)
-    kernels             Intersection-kernel sweep + end-to-end ablation (§4.1)
+    kernels             Intersection-kernel sweep, and QG1-QG5 under the
+                        dispatch checked against the reference matcher (§4)
     physical            Physical decomposition — future work (§8)
     faults              Fault-injection sweep: crashes, stragglers, steal
                         loss — asserts bit-identical counts vs fault-free
@@ -57,15 +57,12 @@ EXPERIMENTS:
 
 OPTIONS:
     --scale quick|full  Stand-in dataset size (default: quick)
-    --kernel <name>     Pin one kernel for the `kernels` experiment
-                        (merge|branchless|gallop|simd|adaptive; default: all)
 ";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut experiment: Option<String> = None;
     let mut scale = Scale::Quick;
-    let mut kernel: Option<Kernel> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -76,19 +73,6 @@ fn main() {
                     Some("full") => scale = Scale::Full,
                     other => {
                         eprintln!("error: --scale expects quick|full, got {other:?}");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--kernel" => {
-                i += 1;
-                match args.get(i).and_then(|s| Kernel::parse(s)) {
-                    Some(k) => kernel = Some(k),
-                    None => {
-                        eprintln!(
-                            "error: --kernel expects merge|branchless|gallop|simd|adaptive, got {:?}",
-                            args.get(i)
-                        );
                         std::process::exit(2);
                     }
                 }
@@ -109,14 +93,14 @@ fn main() {
         print!("{HELP}");
         std::process::exit(2);
     };
-    if !dispatch(&experiment, scale, kernel) {
+    if !dispatch(&experiment, scale) {
         eprintln!("error: unknown experiment {experiment:?}\n");
         print!("{HELP}");
         std::process::exit(2);
     }
 }
 
-fn dispatch(experiment: &str, scale: Scale, kernel: Option<Kernel>) -> bool {
+fn dispatch(experiment: &str, scale: Scale) -> bool {
     let section = |name: &str| {
         println!("\n================================================================");
         println!("== {name}");
@@ -140,7 +124,7 @@ fn dispatch(experiment: &str, scale: Scale, kernel: Option<Kernel>) -> bool {
         "fig18" => experiments::fig18::run(scale),
         "fig19" => experiments::fig19::run(scale),
         "fig20" => experiments::fig20::run(scale),
-        "kernels" => experiments::kernels::run_with(scale, kernel),
+        "kernels" => experiments::kernels::run(scale),
         "ablation-order" => experiments::ablation::run_order(scale),
         "ablation-intersect" => experiments::ablation::run_intersection(scale),
         "physical" => experiments::physical::run(scale),
@@ -164,7 +148,7 @@ const ALL_EXPERIMENTS: &[(&str, Runner)] = &[
     ("Table 1", experiments::table1::run),
     ("Table 2", experiments::table2::run),
     ("Figure 6 (queries)", |_| experiments::queries::run()),
-    ("Kernel ablation", experiments::kernels::run),
+    ("Kernel sweep", experiments::kernels::run),
     ("Figure 7", experiments::fig7_8::run_fig7),
     ("Figure 8", experiments::fig7_8::run_fig8),
     ("Figure 9", experiments::fig9_10::run_fig9),

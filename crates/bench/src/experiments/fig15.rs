@@ -3,7 +3,7 @@
 //! dominates the runtime).
 
 use ceci_core::{
-    enumerate_parallel, Ceci, ParallelOptions, Phase, PhaseTimeline, Strategy, VerifyMode,
+    enumerate_parallel, Ceci, EnumOptions, ParallelOptions, Phase, PhaseTimeline, Strategy,
 };
 use ceci_query::{PaperQuery, QueryPlan};
 
@@ -38,12 +38,10 @@ pub fn run(scale: Scale) {
                 &ParallelOptions {
                     workers,
                     strategy: Strategy::FineDynamic { beta: 0.2 },
-                    verify: VerifyMode::Intersection,
-                    kernel: Default::default(),
+                    enumeration: EnumOptions::default(),
                     limit: None,
                     collect: false,
                     profile: false,
-                    prune_redundant: false,
                 },
             )
         });

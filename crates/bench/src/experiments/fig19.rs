@@ -11,7 +11,9 @@
 use std::time::{Duration, Instant};
 
 use ceci_baselines::{enumerate_bare, BareOptions};
-use ceci_core::{enumerate_parallel, BuildOptions, Ceci, ParallelOptions, Strategy, VerifyMode};
+use ceci_core::{
+    enumerate_parallel, BuildOptions, Ceci, EnumOptions, ParallelOptions, Strategy, VerifyMode,
+};
 use ceci_query::{PaperQuery, QueryPlan};
 
 use crate::datasets::{Dataset, Scale};
@@ -35,12 +37,13 @@ fn timed_ceci_variant(
         &ParallelOptions {
             workers,
             strategy: Strategy::CoarseDynamic, // same distribution for all variants
-            verify,
-            kernel: Default::default(),
+            enumeration: EnumOptions {
+                verify,
+                ..EnumOptions::default()
+            },
             limit: None,
             collect: false,
             profile: false,
-            prune_redundant: false,
         },
     );
     (start.elapsed(), result.total_embeddings)

@@ -1,22 +1,23 @@
-//! Kernel ablation (§4.1 microscope): size-ratio sweep over the intersection
-//! kernel suite plus an end-to-end enumeration comparison.
+//! Kernel sweep (§4 microscope): size-ratio sweep over the intersection
+//! kernels plus an end-to-end check of the dispatch the enumerator runs.
 //!
 //! The sweep intersects a fixed-size small list against haystacks 1×…1024×
-//! larger and reports, per kernel, the exact comparison count and wall time;
-//! the end-to-end section re-runs the QG1–QG5 enumeration with each kernel
-//! pinned through [`EnumOptions`] and checks every count against the
-//! `ceci-baselines` reference matcher (`"counts_identical": true` on each
-//! record, asserted in-run). Beside them the general path gets a number:
-//! per query, the wall of `enumerate_parallel` at one worker over the wall of
-//! `enumerate_sequential` on the same plan, index and kernel
-//! (`st1_over_sequential`, median of 5 each) — what a served `MATCH` pays
-//! for going through the entry point every request form shares. Everything
-//! is dumped to `bench_results/kernels.json` so regressions are diffable.
+//! larger and reports, per kernel function and for the dispatch
+//! (`intersect_into`), the exact comparison count and wall time. The
+//! end-to-end section runs the QG1–QG5 enumeration under the dispatch and
+//! checks every count against the `ceci-baselines` reference matcher
+//! (`"counts_identical": true` on each record, asserted in-run). Beside it
+//! the general path gets a number: per query, the wall of
+//! `enumerate_parallel` at one worker over the wall of `enumerate_sequential`
+//! on the same plan and index (`st1_over_sequential`, median of 5 each) —
+//! what a served `MATCH` pays for going through the entry point every request
+//! form shares. Everything is dumped to `bench_results/kernels.json` so
+//! regressions are diffable.
 
 use std::time::{Duration, Instant};
 
 use ceci_baselines::reference;
-use ceci_core::intersect::{intersect_with, Kernel};
+use ceci_core::intersect::{gallop_intersect, intersect_into, merge_intersect, simd_intersect};
 use ceci_core::{
     enumerate_parallel, enumerate_sequential, Ceci, CountSink, EnumOptions, ParallelOptions,
     Strategy,
@@ -27,6 +28,20 @@ use ceci_query::{PaperQuery, QueryPlan};
 use crate::json::JsonValue;
 use crate::table::Table;
 use crate::{Dataset, Scale};
+
+/// An intersection kernel: appends `small ∩ large` to `out` and adds the
+/// comparisons it made to `ops`.
+type KernelFn = fn(&[VertexId], &[VertexId], &mut Vec<VertexId>, &mut u64);
+
+/// What the sweep times, by name: the scalar merge reference first (every
+/// speedup is against it), the two kernels the dispatch picks between, and
+/// the dispatch itself.
+const KERNELS: [(&str, KernelFn); 4] = [
+    ("merge", merge_intersect),
+    ("gallop", gallop_intersect),
+    ("simd", simd_intersect),
+    ("dispatch", intersect_into),
+];
 
 /// Haystack-to-needle size ratios of the sweep (1:1 … 1:1024).
 const RATIOS: [usize; 6] = [1, 4, 16, 64, 256, 1024];
@@ -55,7 +70,7 @@ fn random_sorted(len: usize, universe: u32, seed: u64) -> Vec<VertexId> {
 }
 
 fn time_kernel(
-    kernel: Kernel,
+    kernel: KernelFn,
     a: &[VertexId],
     b: &[VertexId],
     reps: u32,
@@ -63,12 +78,13 @@ fn time_kernel(
     let mut out = Vec::new();
     let mut ops = 0u64;
     // Warm-up + correctness probe.
-    intersect_with(kernel, a, b, &mut out, &mut ops);
+    kernel(a, b, &mut out, &mut ops);
     let hits = out.len();
     ops = 0;
     let start = Instant::now();
     for _ in 0..reps {
-        intersect_with(kernel, a, b, &mut out, &mut ops);
+        out.clear();
+        kernel(a, b, &mut out, &mut ops);
         std::hint::black_box(out.len());
     }
     (start.elapsed() / reps, ops / reps as u64, hits)
@@ -82,19 +98,8 @@ fn median(mut walls: Vec<Duration>) -> Duration {
     walls[walls.len() / 2]
 }
 
-/// Runs the full experiment (sweep + end-to-end) for every kernel.
+/// Runs the full experiment (sweep + end-to-end).
 pub fn run(scale: Scale) {
-    run_with(scale, None);
-}
-
-/// [`run`] restricted to one kernel when `only` is set (the `--kernel` repro
-/// flag); the scalar merge reference always runs so speedups stay defined.
-pub fn run_with(scale: Scale, only: Option<Kernel>) {
-    let kernels: Vec<Kernel> = Kernel::CONCRETE
-        .into_iter()
-        .chain([Kernel::Adaptive])
-        .filter(|&k| only.is_none() || k == Kernel::Merge || Some(k) == only)
-        .collect();
     let mut records: Vec<JsonValue> = Vec::new();
 
     // ------------------------------------------------------------------
@@ -116,19 +121,14 @@ pub fn run_with(scale: Scale, only: Option<Kernel>) {
         let universe = (SMALL_LEN * ratio * 4) as u32;
         let small = random_sorted(SMALL_LEN, universe, 0xcec1 ^ ratio as u64);
         let large = random_sorted(SMALL_LEN * ratio, universe, 0x5eed ^ ratio as u64);
-        let (merge_time, _, expected_hits) = time_kernel(Kernel::Merge, &small, &large, reps);
-        for &kernel in &kernels {
+        let (merge_time, _, expected_hits) = time_kernel(merge_intersect, &small, &large, reps);
+        for (name, kernel) in KERNELS {
             let (time, ops, hits) = time_kernel(kernel, &small, &large, reps);
-            assert_eq!(
-                hits,
-                expected_hits,
-                "{} diverges at 1:{ratio}",
-                kernel.name()
-            );
+            assert_eq!(hits, expected_hits, "{name} diverges at 1:{ratio}");
             let speedup = merge_time.as_secs_f64() / time.as_secs_f64().max(1e-12);
             t.row(vec![
                 format!("1:{ratio}"),
-                kernel.name().to_string(),
+                name.to_string(),
                 ops.to_string(),
                 format!("{:.2} µs", time.as_secs_f64() * 1e6),
                 format!("{speedup:.2}×"),
@@ -137,7 +137,7 @@ pub fn run_with(scale: Scale, only: Option<Kernel>) {
                 JsonValue::object()
                     .field("section", "sweep")
                     .field("ratio", ratio)
-                    .field("kernel", kernel.name())
+                    .field("kernel", name)
                     .field("ops", ops)
                     .field("nanos", time.as_nanos() as u64)
                     .field("hits", hits as u64)
@@ -148,17 +148,15 @@ pub fn run_with(scale: Scale, only: Option<Kernel>) {
     println!("{}", t.render());
 
     // ------------------------------------------------------------------
-    // Part 2: end-to-end enumeration with each kernel pinned.
+    // Part 2: end-to-end enumeration under the dispatch.
     // ------------------------------------------------------------------
-    println!("\nEnd-to-end enumeration (WT stand-in, sequential, kernel pinned)\n");
+    println!("\nEnd-to-end enumeration (WT stand-in, sequential)\n");
     let graph = Dataset::Wt.build(scale);
     let mut t = Table::new(vec![
         "query".to_string(),
-        "kernel".to_string(),
         "embeddings".to_string(),
         "intersect ops".to_string(),
         "time".to_string(),
-        "vs merge".to_string(),
     ]);
     let mut general = Table::new(vec![
         "query".to_string(),
@@ -166,6 +164,11 @@ pub fn run_with(scale: Scale, only: Option<Kernel>) {
         "ST x 1".to_string(),
         "ST1 / sequential".to_string(),
     ]);
+    let st1 = ParallelOptions {
+        workers: 1,
+        strategy: Strategy::Static,
+        ..ParallelOptions::default()
+    };
     for query in [
         PaperQuery::Qg1,
         PaperQuery::Qg2,
@@ -175,22 +178,6 @@ pub fn run_with(scale: Scale, only: Option<Kernel>) {
     ] {
         let plan = QueryPlan::new(query.build(), &graph);
         let ceci = Ceci::build(&graph, &plan);
-        let run_kernel = |kernel: Kernel| {
-            let mut sink = CountSink::unbounded();
-            let start = Instant::now();
-            let counters = enumerate_sequential(
-                &graph,
-                &plan,
-                &ceci,
-                EnumOptions {
-                    kernel,
-                    ..Default::default()
-                },
-                &mut sink,
-            );
-            (start.elapsed(), counters)
-        };
-        let (merge_time, _) = run_kernel(Kernel::Merge);
         // The oracle shares no code with the enumerator: plain id-order
         // backtracking under the plan's symmetry constraints.
         let oracle_start = Instant::now();
@@ -200,46 +187,11 @@ pub fn run_with(scale: Scale, only: Option<Kernel>) {
             query.name(),
             oracle_start.elapsed().as_secs_f64()
         );
-        for &kernel in &kernels {
-            let (time, counters) = run_kernel(kernel);
-            assert_eq!(
-                counters.embeddings,
-                expected,
-                "{} disagrees with the reference matcher on {}",
-                kernel.name(),
-                query.name()
-            );
-            let speedup = merge_time.as_secs_f64() / time.as_secs_f64().max(1e-12);
-            t.row(vec![
-                query.name().to_string(),
-                kernel.name().to_string(),
-                counters.embeddings.to_string(),
-                counters.intersection_ops.to_string(),
-                format!("{:.2} ms", time.as_secs_f64() * 1e3),
-                format!("{speedup:.2}×"),
-            ]);
-            records.push(
-                JsonValue::object()
-                    .field("section", "end_to_end")
-                    .field("query", query.name())
-                    .field("kernel", kernel.name())
-                    .field("embeddings", counters.embeddings)
-                    .field("intersection_ops", counters.intersection_ops)
-                    .field("nanos", time.as_nanos() as u64)
-                    .field("speedup_vs_merge", speedup)
-                    .field("counts_identical", true),
-            );
-        }
 
-        // The general path against the bare sequential loop, same plan,
-        // index and (default) kernel. Alternated, so a host-load drift
-        // lands on both.
-        let st1 = ParallelOptions {
-            workers: 1,
-            strategy: Strategy::Static,
-            ..ParallelOptions::default()
-        };
+        // The general path against the bare sequential loop, same plan and
+        // index. Alternated, so a host-load drift lands on both.
         let (mut sequential_walls, mut st1_walls) = (Vec::new(), Vec::new());
+        let mut counters = None;
         for _ in 0..GENERAL_PATH_REPS {
             let mut sink = CountSink::unbounded();
             let start = Instant::now();
@@ -255,8 +207,31 @@ pub fn run_with(scale: Scale, only: Option<Kernel>) {
                 "{}: one worker is not the sequential drain",
                 query.name()
             );
+            counters = Some(sequential);
         }
+        let counters = counters.expect("GENERAL_PATH_REPS is positive");
+        assert_eq!(
+            counters.embeddings,
+            expected,
+            "the dispatch disagrees with the reference matcher on {}",
+            query.name()
+        );
         let (sequential, st1) = (median(sequential_walls), median(st1_walls));
+        t.row(vec![
+            query.name().to_string(),
+            counters.embeddings.to_string(),
+            counters.intersection_ops.to_string(),
+            format!("{:.2} ms", sequential.as_secs_f64() * 1e3),
+        ]);
+        records.push(
+            JsonValue::object()
+                .field("section", "end_to_end")
+                .field("query", query.name())
+                .field("embeddings", counters.embeddings)
+                .field("intersection_ops", counters.intersection_ops)
+                .field("nanos", sequential.as_nanos() as u64)
+                .field("counts_identical", true),
+        );
         let ratio = st1.as_secs_f64() / sequential.as_secs_f64().max(1e-12);
         general.row(vec![
             query.name().to_string(),
@@ -276,7 +251,7 @@ pub fn run_with(scale: Scale, only: Option<Kernel>) {
     }
     println!("{}", t.render());
 
-    println!("\nOne-worker parallel entry point vs sequential drain (same plan, index, kernel)\n");
+    println!("\nOne-worker parallel entry point vs sequential drain (same plan, index)\n");
     println!("{}", general.render());
 
     crate::harness::persist("kernels", &JsonValue::Array(records));
@@ -297,10 +272,10 @@ mod tests {
     fn time_kernel_agrees_across_kernels() {
         let a = random_sorted(64, 400, 1);
         let b = random_sorted(512, 400, 2);
-        let (_, _, expected) = time_kernel(Kernel::Merge, &a, &b, 2);
-        for k in Kernel::CONCRETE {
-            let (_, _, hits) = time_kernel(k, &a, &b, 2);
-            assert_eq!(hits, expected, "{}", k.name());
+        let (_, _, expected) = time_kernel(merge_intersect, &a, &b, 2);
+        for (name, kernel) in KERNELS {
+            let (_, _, hits) = time_kernel(kernel, &a, &b, 2);
+            assert_eq!(hits, expected, "{name}");
         }
     }
 }

@@ -2,7 +2,7 @@
 
 use std::time::{Duration, Instant};
 
-use ceci_core::{enumerate_parallel, Ceci, Counters, ParallelOptions, Strategy, VerifyMode};
+use ceci_core::{enumerate_parallel, Ceci, Counters, EnumOptions, ParallelOptions, Strategy};
 use ceci_graph::Graph;
 use ceci_query::{QueryGraph, QueryPlan};
 
@@ -145,12 +145,10 @@ pub fn run_ceci_with(
     let options = ParallelOptions {
         workers,
         strategy,
-        verify: VerifyMode::Intersection,
-        kernel: Default::default(),
+        enumeration: EnumOptions::default(),
         limit,
         collect: false,
         profile: false,
-        prune_redundant: false,
     };
     let result = enumerate_parallel(graph, &plan, &ceci, &options);
     (

@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use crate::bitmap::VertexBitmap;
 use crate::index::Ceci;
-use crate::intersect::{intersect_many_with, Kernel};
+use crate::intersect::intersect_many_into;
 use crate::metrics::Counters;
 use crate::sink::{CancelToken, EmbeddingSink};
 use crate::twins::TwinTail;
@@ -63,8 +63,6 @@ pub enum VerifyMode {
 pub struct EnumOptions {
     /// Non-tree edge strategy.
     pub verify: VerifyMode,
-    /// Intersection kernel used for NTE conjunctions (§4.1 ablation knob).
-    pub kernel: Kernel,
     /// CEMR-style redundant-extension elimination: when no tree edge and no
     /// backward NTE joins the last matching-order vertex to the penultimate
     /// one, the leaf set is gathered once per penultimate expansion and
@@ -450,8 +448,7 @@ impl<'a> Enumerator<'a> {
                         !list.is_empty()
                     });
                 if live {
-                    intersect_many_with(
-                        self.options.kernel,
+                    intersect_many_into(
                         te_list,
                         &lists,
                         out,
@@ -1266,7 +1263,10 @@ mod tests {
             let options = ParallelOptions {
                 workers: 1,
                 strategy: Strategy::Static,
-                prune_redundant,
+                enumeration: EnumOptions {
+                    prune_redundant,
+                    ..EnumOptions::default()
+                },
                 ..ParallelOptions::default()
             };
             enumerate_parallel_cancellable(&graph, &plan, &ceci, &options, token)

@@ -217,13 +217,34 @@ pub fn explain_choice(
 /// at depth `d` is read from the observed profile: recursive calls entering
 /// depth `d + 1` for interior depths, emissions (plus reuse) at the leaf.
 /// `qerr` is the usual max(est/actual, actual/est), blank when either side
-/// is zero.
-pub fn explain_estimates(plan: &QueryPlan, cost: &CostEstimate, profile: &DepthProfile) -> String {
+/// is zero. `leaf` is the mode the profiled run drained under: a
+/// [`LeafMode::Twins`] tail is answered in closed form from its first twin
+/// on and credited to the last depth, so the rows from the first twin to the
+/// penultimate depth observe nothing and print `actual=- qerr=- (closed
+/// form)`.
+pub fn explain_estimates(
+    plan: &QueryPlan,
+    cost: &CostEstimate,
+    profile: &DepthProfile,
+    leaf: LeafMode,
+) -> String {
     let order = plan.matching_order();
     let stats = profile.depths();
     let n = order.len();
+    let closed = match leaf {
+        LeafMode::Twins(tail) => n - tail.twins..n - 1,
+        _ => 0..0,
+    };
     let mut out = String::new();
     for (d, &est) in cost.depth_volumes.iter().enumerate().take(n) {
+        let node = order[d];
+        if closed.contains(&d) {
+            let _ = writeln!(
+                out,
+                "estimate depth={d} node=u{node} est={est:.1} actual=- qerr=- (closed form)",
+            );
+            continue;
+        }
         let actual = if d + 1 < stats.len() {
             stats[d + 1].calls + stats[d + 1].reused
         } else {
@@ -237,8 +258,7 @@ pub fn explain_estimates(plan: &QueryPlan, cost: &CostEstimate, profile: &DepthP
         };
         let _ = writeln!(
             out,
-            "estimate depth={d} node=u{} est={est:.1} actual={actual} qerr={qerr}",
-            order[d],
+            "estimate depth={d} node=u{node} est={est:.1} actual={actual} qerr={qerr}",
         );
     }
     out
@@ -519,7 +539,8 @@ mod tests {
             enumerator.enumerate_cluster(pivot, &mut sink, &mut counters);
         }
         let profile = enumerator.take_profile().unwrap();
-        let report = explain_estimates(&plan, &cost, &profile);
+        let leaf = LeafMode::of(&plan, &ceci, EnumOptions::default());
+        let report = explain_estimates(&plan, &cost, &profile, leaf);
         assert_eq!(
             report.lines().count(),
             plan.matching_order().len(),
@@ -527,6 +548,52 @@ mod tests {
         );
         assert!(report.contains("estimate depth=0"), "{report}");
         assert!(report.contains("qerr="), "{report}");
+    }
+
+    #[test]
+    fn estimate_report_leaves_closed_form_depths_unobserved() {
+        use crate::estimate::{estimate_cost, EstimateOptions};
+        use crate::sink::CountSink;
+        use ceci_graph::vid;
+        // A 3-leaf star from its hub over a 7-leaf fan: its leaves are a
+        // chained twin tail, C(7, 3) = 35 embeddings answered in closed form.
+        let edges: Vec<_> = (1..=7).map(|leaf| (vid(0), vid(leaf))).collect();
+        let graph = Graph::unlabeled(8, &edges);
+        let plan_options = ceci_query::PlanOptions {
+            root_override: Some(vid(0)),
+            ..Default::default()
+        };
+        let plan = QueryPlan::with_options(ceci_query::catalog::star(3), &graph, &plan_options);
+        let ceci = Ceci::build(&graph, &plan);
+        let options = EnumOptions {
+            prune_redundant: true,
+            ..EnumOptions::default()
+        };
+        let leaf = LeafMode::of(&plan, &ceci, options);
+        assert!(matches!(leaf, LeafMode::Twins(_)), "{leaf}");
+        let cost = estimate_cost(&graph, &plan, &ceci, &EstimateOptions::default());
+        let mut enumerator = crate::enumerate::Enumerator::new(&graph, &plan, &ceci, options);
+        enumerator.enable_profile();
+        let mut counters = Counters::default();
+        let mut sink = CountSink::unbounded();
+        for &(pivot, _) in ceci.pivots() {
+            enumerator.enumerate_cluster(pivot, &mut sink, &mut counters);
+        }
+        assert_eq!(counters.embeddings, 35);
+        let profile = enumerator.take_profile().unwrap();
+        let report = explain_estimates(&plan, &cost, &profile, leaf);
+        let rows: Vec<&str> = report.lines().collect();
+        let (last, above) = rows.split_last().expect("one row per depth");
+        for row in above {
+            assert!(!row.contains("actual=0 "), "a false zero: {row}\n{report}");
+        }
+        // The first and second twins' rows are the closed-form ones.
+        assert_eq!(
+            report.matches("actual=- qerr=- (closed form)").count(),
+            2,
+            "{report}"
+        );
+        assert!(last.contains("actual=35 "), "{report}");
     }
 
     #[test]

@@ -1,118 +1,45 @@
-//! Sorted-set intersection kernels (§4, §4.1).
+//! Sorted-set intersection kernels (§4).
 //!
 //! CECI replaces per-candidate edge verification with set intersection
-//! between TE and NTE candidate lists. Lists are sorted `u32` id vectors, so
-//! intersection is a linear merge — or a galloping binary search when one
-//! side is much shorter, or a SIMD block scan when the hardware has 128-bit
-//! compares. This module provides the full kernel suite behind a single
-//! [`Kernel`] selector so the §4.1 ablation can pin any kernel, plus an
-//! adaptive dispatcher driven by the size ratio of the two lists.
+//! between TE and NTE candidate lists (the §4.1 ablation of that choice is
+//! [`crate::VerifyMode`]). Lists are sorted `u32` id vectors, so an
+//! intersection is a linear merge, a galloping binary search when one side is
+//! much shorter, or a block scan with 128-bit compares. [`intersect_into`]
+//! picks gallop or the block scan from the lengths of the two lists alone;
+//! [`merge_intersect`] is the reference every kernel is tested against.
 //!
 //! Kernels report the number of element comparisons into the caller's
 //! counter. Counting is **exact integer math** (actual probes, no
-//! `log2`-based estimates) so ablation numbers reproduce bit-for-bit across
+//! `log2`-based estimates) so op counts reproduce bit-for-bit across
 //! platforms. For SIMD probes, one 4-lane vector compare counts as 4
 //! element comparisons — the scalar-equivalent work, keeping op counts
 //! comparable across kernels.
 
 use ceci_graph::VertexId;
 
-/// Threshold ratio above which the galloping kernel beats the merge-style
-/// kernels. Tuned on the skew sweep in `crates/bench/benches/intersection.rs`.
+/// Size ratio from which [`intersect_into`] gallops instead of
+/// block-scanning. It is not the measured crossover: the committed sweep
+/// (`bench_results/kernels.json`, `repro kernels`) has the block scan ahead
+/// of gallop at 1:16 and 1:64, and gallop winning only from 1:256.
 pub const GALLOP_RATIO: usize = 16;
 
 /// Width of one SIMD probe block in `u32` lanes (two 128-bit SSE2 vectors).
 const SIMD_BLOCK: usize = 8;
 
-/// Selects the intersection kernel used by the enumeration hot path.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum Kernel {
-    /// Pick per call site by size ratio: galloping for skewed pairs, SIMD
-    /// block scan otherwise (branchless merge where SIMD is unavailable).
-    #[default]
-    Adaptive,
-    /// Scalar two-pointer merge — the reference kernel.
-    Merge,
-    /// Branch-free two-pointer merge (predicated advances, unconditional
-    /// writes) — avoids the branch mispredictions of [`Kernel::Merge`] on
-    /// unpredictable data.
-    BranchlessMerge,
-    /// Exponential probe + binary search of the larger list for each element
-    /// of the smaller list.
-    Gallop,
-    /// Block scan of the larger list with chunked `u32` equality compares
-    /// (SSE2 on x86_64, an auto-vectorizable portable loop elsewhere).
-    Simd,
-}
-
-impl Kernel {
-    /// All concrete (non-adaptive) kernels, for ablation sweeps.
-    pub const CONCRETE: [Kernel; 4] = [
-        Kernel::Merge,
-        Kernel::BranchlessMerge,
-        Kernel::Gallop,
-        Kernel::Simd,
-    ];
-
-    /// Short display name (bench labels, CLI flags).
-    pub fn name(self) -> &'static str {
-        match self {
-            Kernel::Adaptive => "adaptive",
-            Kernel::Merge => "merge",
-            Kernel::BranchlessMerge => "branchless",
-            Kernel::Gallop => "gallop",
-            Kernel::Simd => "simd",
-        }
-    }
-
-    /// Parses a kernel name as produced by [`Kernel::name`].
-    pub fn parse(name: &str) -> Option<Kernel> {
-        match name {
-            "adaptive" => Some(Kernel::Adaptive),
-            "merge" => Some(Kernel::Merge),
-            "branchless" => Some(Kernel::BranchlessMerge),
-            "gallop" => Some(Kernel::Gallop),
-            "simd" => Some(Kernel::Simd),
-            _ => None,
-        }
-    }
-}
-
-/// Intersects two sorted slices into `out` (cleared first) using the
-/// adaptive kernel. Adds the number of comparisons performed to `ops`.
+/// Intersects two sorted slices into `out` (cleared first): galloping when
+/// the longer list is at least [`GALLOP_RATIO`] times the shorter, the block
+/// scan otherwise. Adds the number of comparisons performed to `ops`.
 #[inline]
 pub fn intersect_into(a: &[VertexId], b: &[VertexId], out: &mut Vec<VertexId>, ops: &mut u64) {
-    intersect_with(Kernel::Adaptive, a, b, out, ops);
-}
-
-/// Intersects two sorted slices into `out` (cleared first) with an explicit
-/// kernel. Adds the number of comparisons performed to `ops`.
-pub fn intersect_with(
-    kernel: Kernel,
-    a: &[VertexId],
-    b: &[VertexId],
-    out: &mut Vec<VertexId>,
-    ops: &mut u64,
-) {
     out.clear();
     if a.is_empty() || b.is_empty() {
         return;
     }
     let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    match kernel {
-        Kernel::Adaptive => {
-            if large.len() / small.len() >= GALLOP_RATIO {
-                gallop_intersect(small, large, out, ops);
-            } else if cfg!(target_arch = "x86_64") {
-                simd_intersect(small, large, out, ops);
-            } else {
-                branchless_merge_intersect(small, large, out, ops);
-            }
-        }
-        Kernel::Merge => merge_intersect(small, large, out, ops),
-        Kernel::BranchlessMerge => branchless_merge_intersect(small, large, out, ops),
-        Kernel::Gallop => gallop_intersect(small, large, out, ops),
-        Kernel::Simd => simd_intersect(small, large, out, ops),
+    if large.len() / small.len() >= GALLOP_RATIO {
+        gallop_intersect(small, large, out, ops);
+    } else {
+        simd_intersect(small, large, out, ops);
     }
 }
 
@@ -132,32 +59,6 @@ pub fn merge_intersect(a: &[VertexId], b: &[VertexId], out: &mut Vec<VertexId>, 
             }
         }
     }
-}
-
-/// Branch-free two-pointer merge: the match is written unconditionally and
-/// the output cursor advances by the comparison result, so the loop body has
-/// no data-dependent branches for the predictor to miss.
-pub fn branchless_merge_intersect(
-    a: &[VertexId],
-    b: &[VertexId],
-    out: &mut Vec<VertexId>,
-    ops: &mut u64,
-) {
-    let cap = a.len().min(b.len());
-    // Unconditional writes need writable slots; the buffer is truncated to
-    // the real size afterwards. `resize` reuses capacity across calls, so
-    // steady-state recursion does not allocate.
-    out.resize(cap, VertexId(0));
-    let (mut i, mut j, mut k) = (0usize, 0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        let (x, y) = (a[i].0, b[j].0);
-        out[k] = a[i];
-        k += (x == y) as usize;
-        i += (x <= y) as usize;
-        j += (y <= x) as usize;
-        *ops += 1;
-    }
-    out.truncate(k);
 }
 
 /// Exponential probe + exact-counted binary search of `large` for each
@@ -313,21 +214,8 @@ fn probe_block_eq(block: &[u32; SIMD_BLOCK], x: u32, ops: &mut u64) -> bool {
 /// `out`. The first intersection reads `base` where it lies; `scratch` is the
 /// ping-pong buffer from the second list on (buffers are reused, not
 /// reallocated), and `base` is copied only when `others` is empty.
-/// Short-circuits to empty. Uses the adaptive kernel.
-#[inline]
+/// Short-circuits to empty. Each step is one [`intersect_into`].
 pub fn intersect_many_into(
-    base: &[VertexId],
-    others: &[&[VertexId]],
-    out: &mut Vec<VertexId>,
-    scratch: &mut Vec<VertexId>,
-    ops: &mut u64,
-) {
-    intersect_many_with(Kernel::Adaptive, base, others, out, scratch, ops);
-}
-
-/// [`intersect_many_into`] with an explicit kernel.
-pub fn intersect_many_with(
-    kernel: Kernel,
     base: &[VertexId],
     others: &[&[VertexId]],
     out: &mut Vec<VertexId>,
@@ -339,13 +227,13 @@ pub fn intersect_many_with(
         out.extend_from_slice(base);
         return;
     };
-    intersect_with(kernel, base, first, out, ops);
+    intersect_into(base, first, out, ops);
     for list in rest {
         if out.is_empty() {
             return;
         }
         std::mem::swap(out, scratch);
-        intersect_with(kernel, scratch, list, out, ops);
+        intersect_into(scratch, list, out, ops);
     }
 }
 
@@ -364,38 +252,48 @@ mod tests {
         ids.iter().map(|&i| vid(i)).collect()
     }
 
-    fn run(kernel: Kernel, a: &[VertexId], b: &[VertexId]) -> (Vec<VertexId>, u64) {
+    type KernelFn = fn(&[VertexId], &[VertexId], &mut Vec<VertexId>, &mut u64);
+
+    /// Every kernel and the dispatch, by name.
+    const KERNELS: [(&str, KernelFn); 4] = [
+        ("merge", merge_intersect),
+        ("gallop", gallop_intersect),
+        ("simd", simd_intersect),
+        ("dispatch", intersect_into),
+    ];
+
+    fn run(kernel: KernelFn, a: &[VertexId], b: &[VertexId]) -> (Vec<VertexId>, u64) {
         let mut out = Vec::new();
         let mut ops = 0;
-        intersect_with(kernel, a, b, &mut out, &mut ops);
+        kernel(a, b, &mut out, &mut ops);
         (out, ops)
     }
 
     #[test]
     fn merge_basic() {
-        let (out, ops) = run(Kernel::Merge, &v(&[1, 3, 5, 7]), &v(&[2, 3, 6, 7, 9]));
+        let (out, ops) = run(merge_intersect, &v(&[1, 3, 5, 7]), &v(&[2, 3, 6, 7, 9]));
         assert_eq!(out, v(&[3, 7]));
         assert!(ops > 0);
     }
 
     #[test]
     fn empty_inputs_all_kernels() {
-        for kernel in Kernel::CONCRETE.into_iter().chain([Kernel::Adaptive]) {
+        for (name, kernel) in KERNELS {
             let (out, ops) = run(kernel, &v(&[]), &v(&[1, 2]));
-            assert!(out.is_empty(), "{kernel:?}");
-            assert_eq!(ops, 0, "{kernel:?}");
+            assert!(out.is_empty(), "{name}");
+            assert_eq!(ops, 0, "{name}");
             let (out, _) = run(kernel, &v(&[1, 2]), &v(&[]));
-            assert!(out.is_empty(), "{kernel:?}");
+            assert!(out.is_empty(), "{name}");
         }
     }
 
     #[test]
     fn disjoint_and_identical_all_kernels() {
-        for kernel in Kernel::CONCRETE.into_iter().chain([Kernel::Adaptive]) {
+        for (name, kernel) in KERNELS {
             let (out, _) = run(kernel, &v(&[1, 2]), &v(&[3, 4]));
-            assert!(out.is_empty(), "{kernel:?}");
+            assert!(out.is_empty(), "{name}");
             let (out, _) = run(kernel, &v(&[1, 2, 3]), &v(&[1, 2, 3]));
-            assert_eq!(out, v(&[1, 2, 3]), "{kernel:?}");
+            assert_eq!(out, v(&[1, 2, 3]), "{name}");
         }
     }
 
@@ -403,7 +301,7 @@ mod tests {
     fn gallop_kicks_in_for_skewed_sizes() {
         let small = v(&[5, 500, 995]);
         let large: Vec<VertexId> = (0..1000).map(vid).collect();
-        let (out, ops) = run(Kernel::Adaptive, &small, &large);
+        let (out, ops) = run(intersect_into, &small, &large);
         assert_eq!(out, v(&[5, 500, 995]));
         // Galloping must do far fewer comparisons than a full merge.
         assert!(ops < 500, "gallop ops = {ops}");
@@ -415,15 +313,10 @@ mod tests {
         for (si, li) in [(3usize, 100usize), (5, 200), (1, 50), (7, 400), (64, 64)] {
             let small: Vec<VertexId> = (0..si as u32).map(|i| vid(i * 13 + 1)).collect();
             let large: Vec<VertexId> = (0..li as u32).map(|i| vid(i * 2)).collect();
-            let (reference, _) = run(Kernel::Merge, &small, &large);
-            for kernel in [
-                Kernel::BranchlessMerge,
-                Kernel::Gallop,
-                Kernel::Simd,
-                Kernel::Adaptive,
-            ] {
+            let (reference, _) = run(merge_intersect, &small, &large);
+            for (name, kernel) in KERNELS {
                 let (out, _) = run(kernel, &small, &large);
-                assert_eq!(out, reference, "{kernel:?} mismatch for sizes ({si},{li})");
+                assert_eq!(out, reference, "{name} mismatch for sizes ({si},{li})");
             }
         }
     }
@@ -453,10 +346,10 @@ mod tests {
             for offset in 0..6u32 {
                 let small: Vec<VertexId> =
                     (0..40u32).map(|i| vid(i * stride * 3 + offset)).collect();
-                let (reference, _) = run(Kernel::Merge, &small, &large);
-                for kernel in [Kernel::BranchlessMerge, Kernel::Gallop, Kernel::Simd] {
+                let (reference, _) = run(merge_intersect, &small, &large);
+                for (name, kernel) in KERNELS {
                     let (out, _) = run(kernel, &small, &large);
-                    assert_eq!(out, reference, "{kernel:?} stride {stride} offset {offset}");
+                    assert_eq!(out, reference, "{name} stride {stride} offset {offset}");
                 }
             }
         }
@@ -469,10 +362,10 @@ mod tests {
         let large: Vec<VertexId> = (0..37u32).map(|i| vid(i * 5)).collect();
         for lane in 0..37u32 {
             let needle = v(&[lane * 5]);
-            let (out, _) = run(Kernel::Simd, &needle, &large);
+            let (out, _) = run(simd_intersect, &needle, &large);
             assert_eq!(out, needle, "lane {lane}");
             let miss = v(&[lane * 5 + 1]);
-            let (out, _) = run(Kernel::Simd, &miss, &large);
+            let (out, _) = run(simd_intersect, &miss, &large);
             assert!(out.is_empty(), "lane {lane} false positive");
         }
     }
@@ -482,7 +375,7 @@ mod tests {
         // Lists shorter than one block exercise the scalar tail exclusively.
         let a = v(&[1, 4, 6]);
         let b = v(&[2, 4, 6, 9]);
-        let (out, _) = run(Kernel::Simd, &a, &b);
+        let (out, _) = run(simd_intersect, &a, &b);
         assert_eq!(out, v(&[4, 6]));
     }
 
@@ -490,11 +383,11 @@ mod tests {
     fn op_counts_are_deterministic() {
         let a: Vec<VertexId> = (0..123u32).map(|i| vid(i * 7 + 3)).collect();
         let b: Vec<VertexId> = (0..999u32).map(|i| vid(i * 2)).collect();
-        for kernel in Kernel::CONCRETE.into_iter().chain([Kernel::Adaptive]) {
+        for (name, kernel) in KERNELS {
             let (_, ops1) = run(kernel, &a, &b);
             let (_, ops2) = run(kernel, &a, &b);
-            assert_eq!(ops1, ops2, "{kernel:?} non-deterministic ops");
-            assert!(ops1 > 0, "{kernel:?} counted no work");
+            assert_eq!(ops1, ops2, "{name} non-deterministic ops");
+            assert!(ops1 > 0, "{name} counted no work");
         }
     }
 
@@ -502,8 +395,8 @@ mod tests {
     fn gallop_counts_fewer_ops_than_merge_when_skewed() {
         let small: Vec<VertexId> = (0..8u32).map(|i| vid(i * 100)).collect();
         let large: Vec<VertexId> = (0..4096u32).map(vid).collect();
-        let (_, merge_ops) = run(Kernel::Merge, &small, &large);
-        let (_, gallop_ops) = run(Kernel::Gallop, &small, &large);
+        let (_, merge_ops) = run(merge_intersect, &small, &large);
+        let (_, gallop_ops) = run(gallop_intersect, &small, &large);
         assert!(
             gallop_ops < merge_ops / 4,
             "gallop {gallop_ops} vs merge {merge_ops}"
@@ -511,25 +404,15 @@ mod tests {
     }
 
     #[test]
-    fn kernel_names_roundtrip() {
-        for kernel in Kernel::CONCRETE.into_iter().chain([Kernel::Adaptive]) {
-            assert_eq!(Kernel::parse(kernel.name()), Some(kernel));
-        }
-        assert_eq!(Kernel::parse("nope"), None);
-    }
-
-    #[test]
     fn many_way_intersection() {
         let base = v(&[1, 2, 3, 4, 5, 6]);
         let b = v(&[2, 4, 6, 8]);
         let c = v(&[1, 2, 4, 5, 6]);
-        for kernel in Kernel::CONCRETE.into_iter().chain([Kernel::Adaptive]) {
-            let mut out = Vec::new();
-            let mut scratch = Vec::new();
-            let mut ops = 0;
-            intersect_many_with(kernel, &base, &[&b, &c], &mut out, &mut scratch, &mut ops);
-            assert_eq!(out, v(&[2, 4, 6]), "{kernel:?}");
-        }
+        let mut out = Vec::new();
+        let mut scratch = Vec::new();
+        let mut ops = 0;
+        intersect_many_into(&base, &[&b, &c], &mut out, &mut scratch, &mut ops);
+        assert_eq!(out, v(&[2, 4, 6]));
     }
 
     #[test]
@@ -567,20 +450,5 @@ mod tests {
         let mut empty_ops = 0;
         assert!(!sorted_contains(&[], vid(1), &mut empty_ops));
         assert_eq!(empty_ops, 0);
-    }
-
-    #[test]
-    fn branchless_reuses_capacity() {
-        let a: Vec<VertexId> = (0..64u32).map(|i| vid(i * 2)).collect();
-        let b: Vec<VertexId> = (0..64u32).map(|i| vid(i * 3)).collect();
-        let mut out = Vec::new();
-        let mut ops = 0;
-        branchless_merge_intersect(&a, &b, &mut out, &mut ops);
-        let cap = out.capacity();
-        for _ in 0..8 {
-            out.clear();
-            branchless_merge_intersect(&a, &b, &mut out, &mut ops);
-        }
-        assert_eq!(out.capacity(), cap, "steady-state reallocation");
     }
 }

@@ -64,7 +64,6 @@ pub use explain::{
 pub use extreme::{decompose, decompose_with, WorkUnit};
 pub use filter::{bfs_filter, bfs_filter_from, BuilderState, FilterProfile};
 pub use index::{BuildOptions, BuildStats, Ceci};
-pub use intersect::Kernel;
 pub use metrics::{Counters, Phase, PhaseSpan, PhaseTimeline};
 pub use parallel::{
     count_parallel, enumerate_parallel, enumerate_parallel_cancellable, ParallelOptions,

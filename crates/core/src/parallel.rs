@@ -18,10 +18,9 @@ use std::time::{Duration, Instant};
 use ceci_graph::{Graph, VertexId};
 use ceci_query::QueryPlan;
 
-use crate::enumerate::{EnumOptions, Enumerator, VerifyMode};
+use crate::enumerate::{EnumOptions, Enumerator};
 use crate::extreme::{decompose_with, WorkUnit};
 use crate::index::Ceci;
-use crate::intersect::Kernel;
 use crate::metrics::{Counters, ThreadTimer};
 use crate::sink::{
     CancelToken, CollectSink, CountSink, DeadlineSink, EmbeddingSink, SharedBudget, SharedLimitSink,
@@ -82,10 +81,11 @@ pub struct ParallelOptions {
     pub workers: usize,
     /// Work distribution policy.
     pub strategy: Strategy,
-    /// Non-tree edge strategy.
-    pub verify: VerifyMode,
-    /// Intersection kernel used by every worker (§4.1 ablation knob).
-    pub kernel: Kernel,
+    /// What every worker's [`Enumerator`] runs with (and the ExtremeCluster
+    /// decomposition sizes its units under). `prune_redundant` takes effect
+    /// only for count-only runs (`collect = false`, no limit): collecting or
+    /// limited sinks are not bulk-capable, so they walk every depth.
+    pub enumeration: EnumOptions,
     /// Stop after this many embeddings globally (first-k semantics).
     pub limit: Option<u64>,
     /// Collect the embeddings (otherwise only count).
@@ -96,11 +96,6 @@ pub struct ParallelOptions {
     /// allocations to the steady-state recursion and never perturbs the
     /// exact [`Counters`].
     pub profile: bool,
-    /// Leaf-level redundant-extension elimination (see
-    /// [`EnumOptions::prune_redundant`]). Takes effect only for count-only
-    /// runs (`collect = false`, no limit) — collecting or limited sinks are
-    /// not bulk-capable, so they fall back to the full recursion.
-    pub prune_redundant: bool,
 }
 
 impl Default for ParallelOptions {
@@ -108,12 +103,10 @@ impl Default for ParallelOptions {
         ParallelOptions {
             workers: 1,
             strategy: Strategy::FineDynamic { beta: 0.2 },
-            verify: VerifyMode::Intersection,
-            kernel: Kernel::Adaptive,
+            enumeration: EnumOptions::default(),
             limit: None,
             collect: false,
             profile: false,
-            prune_redundant: false,
         }
     }
 }
@@ -220,11 +213,6 @@ pub fn enumerate_parallel_cancellable(
 ) -> ParallelResult {
     assert!(options.workers >= 1, "need at least one worker");
     let t0 = Instant::now();
-    let enum_opts = EnumOptions {
-        verify: options.verify,
-        kernel: options.kernel,
-        prune_redundant: options.prune_redundant,
-    };
     let units = match options.strategy {
         Strategy::FineDynamic { beta } => Units::Decomposed(decompose_with(
             graph,
@@ -232,7 +220,7 @@ pub fn enumerate_parallel_cancellable(
             ceci,
             options.workers,
             beta,
-            enum_opts,
+            options.enumeration,
         )),
         _ => Units::Clusters(ceci.pivots()),
     };
@@ -253,7 +241,7 @@ pub fn enumerate_parallel_cancellable(
         Option<Box<crate::DepthProfile>>,
     );
     let results: Vec<WorkerOut> = scoped_workers(workers, |w| {
-        let mut enumerator = Enumerator::new(graph, plan, ceci, enum_opts);
+        let mut enumerator = Enumerator::new(graph, plan, ceci, options.enumeration);
         enumerator.set_cancel(cancel.clone());
         if options.profile {
             enumerator.enable_profile();
@@ -656,29 +644,5 @@ mod tests {
         let (graph, plan) = paper::figure1();
         let ceci = Ceci::build(&graph, &plan);
         assert_eq!(count_parallel(&graph, &plan, &ceci, 2, Strategy::Static), 2);
-    }
-
-    #[test]
-    fn pinned_kernels_do_not_change_counts() {
-        use ceci_graph::generators::kronecker_default;
-        let graph = kronecker_default(9, 5, 13);
-        let plan = QueryPlan::new(PaperQuery::Qg3.build(), &graph);
-        let ceci = Ceci::build(&graph, &plan);
-        let options = ParallelOptions {
-            workers: 2,
-            ..Default::default()
-        };
-        let baseline = enumerate_parallel(&graph, &plan, &ceci, &options);
-        assert!(baseline.total_embeddings > 0);
-        // `ParallelOptions::kernel` pins one kernel for every worker and
-        // depth; which one only changes how an intersection is computed.
-        for kernel in Kernel::CONCRETE {
-            let pinned =
-                enumerate_parallel(&graph, &plan, &ceci, &ParallelOptions { kernel, ..options });
-            assert_eq!(
-                pinned.total_embeddings, baseline.total_embeddings,
-                "{kernel:?} changed the count"
-            );
-        }
     }
 }

@@ -1,15 +1,16 @@
 //! Differential property tests for the intersection kernel suite and the
 //! dense candidate-table lookup.
 //!
-//! Every concrete kernel (merge, branchless merge, gallop, SIMD) plus the
-//! adaptive dispatcher must agree element-for-element with the scalar merge
+//! Every kernel function (gallop, the SIMD block scan) and the dispatch that
+//! picks between them must agree element-for-element with the scalar merge
 //! reference on randomized sorted inputs covering empty, disjoint,
 //! identical, and heavily skewed list shapes; the frozen `CompactTable`'s
 //! O(1) dense lookup must agree with its binary-search reference for every
 //! probed key.
 
 use ceci_core::intersect::{
-    intersect_many_with, intersect_with, merge_intersect, sorted_contains, Kernel,
+    gallop_intersect, intersect_into, intersect_many_into, merge_intersect, simd_intersect,
+    sorted_contains,
 };
 use ceci_core::tables::BuildTable;
 use ceci_graph::{vid, VertexId};
@@ -22,6 +23,23 @@ fn sorted_ids(raw: Vec<u32>) -> Vec<VertexId> {
     v.sort_unstable();
     v.dedup();
     v
+}
+
+type KernelFn = fn(&[VertexId], &[VertexId], &mut Vec<VertexId>, &mut u64);
+
+/// Every kernel and the dispatch, by name; `merge` is the reference.
+const KERNELS: [(&str, KernelFn); 4] = [
+    ("merge", merge_intersect),
+    ("gallop", gallop_intersect),
+    ("simd", simd_intersect),
+    ("dispatch", intersect_into),
+];
+
+fn run(kernel: KernelFn, a: &[VertexId], b: &[VertexId]) -> (Vec<VertexId>, u64) {
+    let mut out = Vec::new();
+    let mut ops = 0u64;
+    kernel(a, b, &mut out, &mut ops);
+    (out, ops)
 }
 
 fn reference(a: &[VertexId], b: &[VertexId]) -> Vec<VertexId> {
@@ -53,32 +71,23 @@ proptest! {
     #[test]
     fn every_kernel_matches_merge_reference((a, b) in list_pair()) {
         let expected = reference(&a, &b);
-        for kernel in Kernel::CONCRETE.into_iter().chain([Kernel::Adaptive]) {
-            let mut out = vec![vid(99); 3]; // stale content must be overwritten
-            let mut ops = 0u64;
-            intersect_with(kernel, &a, &b, &mut out, &mut ops);
-            prop_assert_eq!(
-                &out,
-                &expected,
-                "kernel {} diverges from merge reference",
-                kernel.name()
-            );
+        for (name, kernel) in KERNELS {
+            prop_assert_eq!(&run(kernel, &a, &b).0, &expected, "kernel {} diverges from merge reference", name);
             // Argument order must not matter either.
-            let mut flipped = Vec::new();
-            let mut ops2 = 0u64;
-            intersect_with(kernel, &b, &a, &mut flipped, &mut ops2);
-            prop_assert_eq!(&flipped, &expected, "kernel {} asymmetric", kernel.name());
+            prop_assert_eq!(&run(kernel, &b, &a).0, &expected, "kernel {} asymmetric", name);
         }
+        // The dispatch clears its output: stale content must be overwritten.
+        let mut out = vec![vid(99); 3];
+        let mut ops = 0u64;
+        intersect_into(&a, &b, &mut out, &mut ops);
+        prop_assert_eq!(&out, &expected, "dispatch kept stale output");
     }
 
     #[test]
     fn identical_lists_are_fixpoints(raw in pvec(0u32..5_000, 0..512)) {
         let a = sorted_ids(raw);
-        for kernel in Kernel::CONCRETE {
-            let mut out = Vec::new();
-            let mut ops = 0u64;
-            intersect_with(kernel, &a, &a, &mut out, &mut ops);
-            prop_assert_eq!(&out, &a, "kernel {} not a fixpoint on x∩x", kernel.name());
+        for (name, kernel) in KERNELS {
+            prop_assert_eq!(&run(kernel, &a, &a).0, &a, "kernel {} not a fixpoint on x∩x", name);
         }
     }
 
@@ -89,32 +98,23 @@ proptest! {
     ) {
         let c = sorted_ids(c_raw);
         let expected = reference(&reference(&base, &b), &c);
-        for kernel in Kernel::CONCRETE.into_iter().chain([Kernel::Adaptive]) {
-            let mut out = Vec::new();
-            let mut scratch = Vec::new();
-            let mut ops = 0u64;
-            intersect_many_with(
-                kernel,
-                &base,
-                &[b.as_slice(), c.as_slice()],
-                &mut out,
-                &mut scratch,
-                &mut ops,
-            );
-            prop_assert_eq!(&out, &expected, "many-way {} diverges", kernel.name());
-        }
+        let mut out = Vec::new();
+        let mut scratch = Vec::new();
+        let mut ops = 0u64;
+        intersect_many_into(
+            &base,
+            &[b.as_slice(), c.as_slice()],
+            &mut out,
+            &mut scratch,
+            &mut ops,
+        );
+        prop_assert_eq!(&out, &expected, "many-way dispatch diverges");
     }
 
     #[test]
     fn ops_are_deterministic((a, b) in list_pair()) {
-        for kernel in Kernel::CONCRETE {
-            let run = || {
-                let mut out = Vec::new();
-                let mut ops = 0u64;
-                intersect_with(kernel, &a, &b, &mut out, &mut ops);
-                ops
-            };
-            prop_assert_eq!(run(), run(), "kernel {} ops nondeterministic", kernel.name());
+        for (name, kernel) in KERNELS {
+            prop_assert_eq!(run(kernel, &a, &b).1, run(kernel, &a, &b).1, "kernel {} ops nondeterministic", name);
         }
     }
 

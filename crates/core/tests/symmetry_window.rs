@@ -196,7 +196,7 @@ proptest! {
                         let result = enumerate_parallel(&graph, &plan, &ceci, &ParallelOptions {
                             workers: 2,
                             strategy,
-                            prune_redundant,
+                            enumeration: options(prune_redundant),
                             ..ParallelOptions::default()
                         });
                         prop_assert_eq!(result.total_embeddings, tallied, "{} {}", &label, strategy.abbrev());
@@ -212,7 +212,7 @@ proptest! {
                             let single = enumerate_parallel(&graph, &plan, &ceci, &ParallelOptions {
                                 workers: 1,
                                 strategy,
-                                prune_redundant,
+                                enumeration: options(prune_redundant),
                                 ..ParallelOptions::default()
                             });
                             prop_assert_eq!(

@@ -1,15 +1,15 @@
 //! Differential tests for observability: attaching the per-depth profile
 //! must be **invisible** to the engine's answers.
 //!
-//! For every intersection kernel × worker count, the run with `profile:
-//! true` must produce the *bit-identical* exact [`Counters`] struct, the
-//! same embedding count, and (when collected) the same canonical embedding
-//! list as the run with profiling off. On top of that, the profile's own
+//! For every worker count, the run with `profile: true` must produce the
+//! *bit-identical* exact [`Counters`] struct, the same embedding count, and
+//! (when collected) the same canonical embedding list as the run with
+//! profiling off. On top of that, the profile's own
 //! exact totals must reconcile with the global counters — per-depth
 //! intersections sum to `intersection_ops`, per-depth calls to
 //! `recursive_calls`, per-depth emissions to `embeddings`.
 
-use ceci_core::{enumerate_parallel, Ceci, Counters, Kernel, ParallelOptions, ParallelResult};
+use ceci_core::{enumerate_parallel, Ceci, Counters, ParallelOptions, ParallelResult};
 use ceci_graph::generators::{barabasi_albert, erdos_renyi, inject_random_labels};
 use ceci_graph::Graph;
 use ceci_query::{PaperQuery, QueryGraph, QueryPlan};
@@ -40,7 +40,6 @@ fn run(
     graph: &Graph,
     plan: &QueryPlan,
     ceci: &Ceci,
-    kernel: Kernel,
     workers: usize,
     profile: bool,
     collect: bool,
@@ -51,7 +50,6 @@ fn run(
         ceci,
         &ParallelOptions {
             workers,
-            kernel,
             profile,
             collect,
             ..Default::default()
@@ -104,13 +102,11 @@ fn profiling_is_invisible_across_kernels_and_workers() {
         for (qname, query) in queries() {
             let plan = QueryPlan::new(query, &graph);
             let ceci = Ceci::build(&graph, &plan);
-            for kernel in Kernel::CONCRETE.into_iter().chain([Kernel::Adaptive]) {
-                for workers in [1usize, 4] {
-                    let label = format!("{gname}/{qname}/{}/{workers}w", kernel.name());
-                    let off = run(&graph, &plan, &ceci, kernel, workers, false, false);
-                    let on = run(&graph, &plan, &ceci, kernel, workers, true, false);
-                    assert_identical(&label, &off, &on);
-                }
+            for workers in [1usize, 4] {
+                let label = format!("{gname}/{qname}/{workers}w");
+                let off = run(&graph, &plan, &ceci, workers, false, false);
+                let on = run(&graph, &plan, &ceci, workers, true, false);
+                assert_identical(&label, &off, &on);
             }
         }
     }
@@ -124,8 +120,8 @@ fn profiling_preserves_collected_embeddings_bitwise() {
         let ceci = Ceci::build(&graph, &plan);
         for workers in [1usize, 4] {
             let label = format!("collect/{qname}/{workers}w");
-            let off = run(&graph, &plan, &ceci, Kernel::Adaptive, workers, false, true);
-            let on = run(&graph, &plan, &ceci, Kernel::Adaptive, workers, true, true);
+            let off = run(&graph, &plan, &ceci, workers, false, true);
+            let on = run(&graph, &plan, &ceci, workers, true, true);
             assert_identical(&label, &off, &on);
             assert!(
                 off.embeddings.is_some(),
@@ -142,7 +138,7 @@ fn profiling_is_invisible_under_limits() {
     let graph = inject_random_labels(&barabasi_albert(500, 3, 0xBEEF), 3, 0x4AB);
     let plan = QueryPlan::new(PaperQuery::Qg1.build(), &graph);
     let ceci = Ceci::build(&graph, &plan);
-    let full = run(&graph, &plan, &ceci, Kernel::Adaptive, 1, false, false);
+    let full = run(&graph, &plan, &ceci, 1, false, false);
     assert!(full.total_embeddings > 8, "workload too small to truncate");
     for limit in [1u64, 7, full.total_embeddings / 2] {
         let mk = |profile: bool| {

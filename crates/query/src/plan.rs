@@ -17,17 +17,18 @@ use crate::query_graph::QueryGraph;
 use crate::root::select_root;
 use crate::tree::QueryTree;
 
+/// Step budget for the automorphism search behind symmetry breaking.
+const SYMMETRY_STEP_CAP: u64 = 1_000_000;
+
 /// Options controlling plan construction.
 #[derive(Clone, Debug)]
 pub struct PlanOptions {
     /// Matching-order strategy (default BFS, as in the paper's examples).
     pub order: OrderStrategy,
     /// Enforce automorphism breaking (§2.2). When off, or when the
-    /// automorphism search exceeds `symmetry_step_cap`, duplicates may be
+    /// automorphism search exceeds its step budget, duplicates may be
     /// listed.
     pub break_symmetry: bool,
-    /// Step budget for the automorphism search.
-    pub symmetry_step_cap: u64,
     /// Force a specific root instead of the cost-function choice.
     pub root_override: Option<VertexId>,
 }
@@ -37,7 +38,6 @@ impl Default for PlanOptions {
         PlanOptions {
             order: OrderStrategy::Bfs,
             break_symmetry: true,
-            symmetry_step_cap: 1_000_000,
             root_override: None,
         }
     }
@@ -89,7 +89,7 @@ impl QueryPlan {
             .root_override
             .unwrap_or_else(|| select_root(&query, &initial_candidates).root);
         let (symmetry, symmetry_complete) = if options.break_symmetry {
-            break_symmetry(&query, options.symmetry_step_cap)
+            break_symmetry(&query, SYMMETRY_STEP_CAP)
         } else {
             (Vec::new(), false)
         };

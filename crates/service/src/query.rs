@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 use ceci_core::{
     admit, enumerate_parallel_cancellable, estimate_embeddings, explain_choice, explain_estimates,
     ns_per_unit_from_profile, served_cost, Admission as DeadlineVerdict, CancelToken, EnumOptions,
-    Estimate, EstimateOptions, ParallelOptions, Strategy, DEFAULT_NS_PER_UNIT,
+    Estimate, EstimateOptions, LeafMode, ParallelOptions, Strategy, DEFAULT_NS_PER_UNIT,
 };
 use ceci_graph::Graph;
 use ceci_query::{admission_check, QueryGraph, QueryPlan};
@@ -124,7 +124,10 @@ fn drain_options(
     let mut options = ParallelOptions {
         workers,
         limit,
-        prune_redundant: config.prune_redundant && !raw,
+        enumeration: EnumOptions {
+            prune_redundant: config.prune_redundant && !raw,
+            ..EnumOptions::default()
+        },
         ..Default::default()
     };
     if workers == 1 {
@@ -465,14 +468,11 @@ pub(crate) fn exec_explain(
     let index = &served.index;
     // What a count-only `MATCH` of this template drains with.
     let options = drain_options(state.config(), *raw, *workers, None);
-    let enum_options = EnumOptions {
-        prune_redundant: options.prune_redundant,
-        ..EnumOptions::default()
-    };
     // Which snapshot the report's candidate counts describe: the entry's
     // own, unless it was repaired under a plan retained from an earlier one.
     let sets = format!("sets@sub_epoch={}", index.sets_sub_epoch);
-    let report = ceci_core::explain_plan(&index.plan, &index.ceci, &graph, enum_options, &sets);
+    let report =
+        ceci_core::explain_plan(&index.plan, &index.ceci, &graph, options.enumeration, &sets);
     let mut lines: Vec<String> = report.lines().map(|l| format!("| {l}")).collect();
     lines.push(path.describe());
     let mut line = format!("| index: bytes={} cache={}", index.bytes, path.cache_tag());
@@ -514,7 +514,8 @@ pub(crate) fn exec_explain(
             lines.extend(table.lines().map(|l| format!("| {l}")));
             // Estimated vs actual per-depth volumes (q-error column): how
             // well the planner's cost model predicted this execution.
-            let estimates = explain_estimates(&index.plan, &cost, profile);
+            let leaf = LeafMode::of(&index.plan, &index.ceci, options.enumeration);
+            let estimates = explain_estimates(&index.plan, &cost, profile, leaf);
             lines.extend(estimates.lines().map(|l| format!("| {l}")));
         } else {
             lines.push("| profile: unavailable for this run".to_string());
