@@ -12,9 +12,9 @@
 //!    [`OrderStrategy::Adaptive`] returns the paper's BFS plan and a
 //!    one-candidate [`PlanChoice`], and the index is built once under it.
 //!    Nothing is estimated: no walk, no pilot index, nothing built and
-//!    thrown away. The two readers of a cost estimate, deadline admission
-//!    and `EXPLAIN`, take it when they run, from [`served_cost`]'s
-//!    [`SCORE_WALKS`] random walks over the *served* index.
+//!    thrown away. `EXPLAIN`, the one reader of the served plan's cost,
+//!    takes it when it runs, from [`served_cost`]'s [`SCORE_WALKS`] random
+//!    walks over the *served* index.
 //! 2. **Every execution pays rent into a ledger.** The cached entry's
 //!    [`Reuse`] adds up the exact enumeration work of each execution
 //!    ([`Counters::intersection_ops`] + [`Counters::recursive_calls`]).
@@ -40,9 +40,9 @@
 //! never asked again pays nothing, and one asked forever pays at most twice
 //! what planning it right on arrival would have.
 //!
-//! Around that, [`admit`] answers a deadline with exact or approximate. No
-//! estimate sizes execution: the width is the request's own (`WORKERS`, one
-//! worker without it), and the strategy follows from that width.
+//! No estimate sizes or admits execution: the width is the request's own
+//! (`WORKERS`, one worker without it), the strategy follows from that
+//! width, and a deadline drains first and estimates only what it left.
 //!
 //! Only the *order* differs between portfolio members, and every order
 //! satisfies the parent-precedes-child invariant, so exact counts are
@@ -55,7 +55,6 @@ use std::time::{Duration, Instant};
 use ceci_graph::{Graph, VertexId};
 use ceci_query::root::select_root;
 use ceci_query::{matching_order, OrderStrategy, PlanOptions, QueryGraph, QueryPlan, QueryTree};
-use ceci_trace::DepthProfile;
 
 use crate::estimate::{estimate_cost, CostEstimate, EstimateOptions};
 use crate::index::{BuildOptions, Ceci};
@@ -109,8 +108,8 @@ pub struct CandidatePlan {
     pub root: VertexId,
     /// The resulting matching order.
     pub order: Vec<VertexId>,
-    /// Estimated total intermediate-result volume — the deadline-admission
-    /// cost unit. Zero where nothing was walked: the unscored served plan
+    /// Estimated total intermediate-result volume. Zero where nothing was
+    /// walked: the unscored served plan
     /// (`EXPLAIN` prints its row from the walks it takes) and an incumbent
     /// scored against.
     pub volume: f64,
@@ -227,30 +226,6 @@ impl PlanChoice {
     }
 }
 
-/// Default modeled cost of producing one partial embedding (intersection,
-/// injectivity and symmetry checks, bookkeeping), in nanoseconds. Refined
-/// per query by [`ns_per_unit_from_profile`] once a profiled execution
-/// exists.
-pub const DEFAULT_NS_PER_UNIT: f64 = 150.0;
-
-/// Predicted sequential enumeration time for an estimated intermediate
-/// volume at a modeled per-unit cost.
-pub fn predicted_time(volume: f64, ns_per_unit: f64) -> Duration {
-    Duration::from_nanos((volume.max(0.0) * ns_per_unit.max(0.0)) as u64)
-}
-
-/// Observed per-unit cost from a prior profiled execution: sampled time over
-/// candidates produced. `None` when the profile saw too little work to be
-/// meaningful.
-pub fn ns_per_unit_from_profile(profile: &DepthProfile) -> Option<f64> {
-    let units = profile.total_candidates();
-    let time = profile.total_time_ns();
-    if units < 1_000 || time == 0 {
-        return None;
-    }
-    Some(time as f64 / units as f64)
-}
-
 /// Builds a plan honoring `options.order`. [`OrderStrategy::Adaptive`]
 /// plans exactly as the paper does — best root, BFS order — and returns the
 /// one-candidate decision record a later re-plan extends; any other
@@ -316,9 +291,8 @@ fn challengers(plan: &QueryPlan) -> Vec<(OrderStrategy, VertexId, Vec<VertexId>)
 
 /// The cost estimate of `plan` over `ceci`: [`SCORE_WALKS`] random walks
 /// under one fixed seed, so the same index always estimates the same. Taken
-/// over the served index by the requests that read an estimate (deadline
-/// admission, `EXPLAIN`), and over each challenger's pilot index by a
-/// re-plan.
+/// over the served index by `EXPLAIN`, and over each challenger's pilot
+/// index by a re-plan.
 pub fn served_cost(graph: &Graph, plan: &QueryPlan, ceci: &Ceci) -> CostEstimate {
     estimate_cost(
         graph,
@@ -474,46 +448,6 @@ impl Reuse {
     pub fn snapshot(&self) -> (u64, bool) {
         let ledger = self.ledger();
         (ledger.spent, ledger.scored)
-    }
-}
-
-/// Deadline-admission verdict for a `MATCH … DEADLINE` request.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Admission {
-    /// Predicted to finish within the deadline: run exact enumeration.
-    Exact,
-    /// Exact enumeration predicted to blow the deadline: answer from the
-    /// estimate.
-    Approx,
-}
-
-/// Predicts feasibility of exact enumeration against `deadline`.
-///
-/// `ns_per_unit` is the modeled cost per intermediate-result unit —
-/// [`DEFAULT_NS_PER_UNIT`] absent feedback, or the observed value from
-/// [`ns_per_unit_from_profile`]. `workers` is the width the request will
-/// drain with, and the prediction assumes it divides the work evenly.
-/// `cost` is [`served_cost`] over the index the request would drain, taken
-/// at admission.
-///
-/// There is no third verdict for an estimate too noisy to answer with: over
-/// non-negative walk weights the standard error never exceeds the mean
-/// (equality when exactly one walk is non-zero), so the mean always stands
-/// at least one standard error above zero.
-pub fn admit(
-    cost: &CostEstimate,
-    deadline: Duration,
-    ns_per_unit: f64,
-    workers: usize,
-) -> Admission {
-    if cost.estimate.exact_zero {
-        return Admission::Exact;
-    }
-    let predicted = predicted_time(cost.volume() / workers.max(1) as f64, ns_per_unit);
-    if predicted <= deadline {
-        Admission::Exact
-    } else {
-        Admission::Approx
     }
 }
 
@@ -740,70 +674,5 @@ mod tests {
             handles.into_iter().map(|h| h.join().unwrap()).sum()
         });
         assert_eq!(claims, 1);
-    }
-
-    #[test]
-    fn admission_ladder() {
-        let cheap = CostEstimate {
-            estimate: crate::estimate::Estimate {
-                mean: 100.0,
-                std_error: 10.0,
-                walks: 64,
-                exact_zero: false,
-            },
-            depth_volumes: vec![10.0, 100.0],
-            depth_work: vec![10.0, 100.0],
-            work_std_error: 0.0,
-        };
-        assert_eq!(
-            admit(&cheap, Duration::from_secs(1), DEFAULT_NS_PER_UNIT, 1),
-            Admission::Exact
-        );
-        let huge = CostEstimate {
-            estimate: crate::estimate::Estimate {
-                mean: 1e12,
-                std_error: 1e11,
-                walks: 64,
-                exact_zero: false,
-            },
-            depth_volumes: vec![1e6, 1e12],
-            depth_work: vec![1e6, 1e12],
-            work_std_error: 0.0,
-        };
-        assert_eq!(
-            admit(&huge, Duration::from_millis(10), DEFAULT_NS_PER_UNIT, 1),
-            Admission::Approx
-        );
-        let zero = CostEstimate {
-            estimate: crate::estimate::Estimate {
-                mean: 0.0,
-                std_error: 0.0,
-                walks: 0,
-                exact_zero: true,
-            },
-            depth_volumes: vec![0.0, 0.0],
-            depth_work: vec![0.0, 0.0],
-            work_std_error: 0.0,
-        };
-        assert_eq!(
-            admit(&zero, Duration::from_millis(1), DEFAULT_NS_PER_UNIT, 1),
-            Admission::Exact
-        );
-    }
-
-    #[test]
-    fn ns_per_unit_needs_enough_signal() {
-        let mut profile = DepthProfile::with_stride(2, 0);
-        profile.on_call(0);
-        profile.on_expand(0, 10, 10);
-        assert!(ns_per_unit_from_profile(&profile).is_none());
-        for _ in 0..200 {
-            profile.on_call(0);
-            profile.on_expand(0, 10, 10);
-        }
-        // 2000+ candidates and sampled time on every call → a real estimate.
-        let got = ns_per_unit_from_profile(&profile);
-        assert!(got.is_some());
-        assert!(got.unwrap() >= 0.0);
     }
 }

@@ -49,7 +49,8 @@ pub struct Estimate {
     pub std_error: f64,
     /// Walks performed.
     pub walks: u64,
-    /// `true` when the index has no pivots — the count is exactly zero.
+    /// `true` when the walks had no pivot to start from (the index has
+    /// none, or the subset asked about is empty): the count is exactly zero.
     pub exact_zero: bool,
 }
 
@@ -119,9 +120,7 @@ impl CostEstimate {
         }
     }
 
-    /// Total estimated intermediate-result volume (sum over depths) — the
-    /// deadline-admission cost unit ([`crate::adaptive::admit`] multiplies it
-    /// by an observed or default per-unit time).
+    /// Total estimated intermediate-result volume (sum over depths).
     pub fn volume(&self) -> f64 {
         self.depth_volumes.iter().sum()
     }
@@ -183,9 +182,23 @@ pub fn estimate_cost(
     ceci: &Ceci,
     options: &EstimateOptions,
 ) -> CostEstimate {
+    let pivots: Vec<VertexId> = ceci.pivots().iter().map(|&(p, _)| p).collect();
+    estimate_pivots(graph, plan, ceci, &pivots, options)
+}
+
+/// [`estimate_cost`] over `pivots` alone, a subset of [`Ceci::pivots`]: the
+/// walks draw their first vertex from that population and weigh it by its
+/// size. Each pivot's cluster is its own stratum, so the estimate is
+/// unbiased for the subset's sum; `estimate_cost` is this over every pivot.
+pub fn estimate_pivots(
+    graph: &Graph,
+    plan: &QueryPlan,
+    ceci: &Ceci,
+    pivots: &[VertexId],
+    options: &EstimateOptions,
+) -> CostEstimate {
     assert!(options.walks >= 1, "need at least one walk");
     let n = plan.query().num_vertices();
-    let pivots: Vec<VertexId> = ceci.pivots().iter().map(|&(p, _)| p).collect();
     if pivots.is_empty() {
         return CostEstimate::empty(n, true);
     }
@@ -254,8 +267,7 @@ pub fn estimate_cost(
 /// Standard error of the mean of `walks` samples with this `sum` and sum of
 /// squares: `sqrt(popvar / (walks − 1))`, 0 for a single walk. Over
 /// non-negative samples it never exceeds the mean — equal when exactly one
-/// sample is non-zero — which is why deadline admission has no verdict for
-/// an estimate too noisy to answer with.
+/// sample is non-zero.
 fn std_error(walks: u64, sum: f64, sum_sq: f64) -> f64 {
     if walks <= 1 {
         return 0.0;

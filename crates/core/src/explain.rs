@@ -11,7 +11,7 @@ use std::fmt::Write as _;
 use ceci_graph::{Graph, VertexId};
 use ceci_query::QueryPlan;
 
-use crate::adaptive::{predicted_time, PlanChoice, Reuse, DEFAULT_NS_PER_UNIT};
+use crate::adaptive::{PlanChoice, Reuse};
 use crate::enumerate::{EnumOptions, LeafMode};
 use crate::estimate::CostEstimate;
 use crate::index::Ceci;
@@ -200,14 +200,13 @@ pub fn explain_choice(
     let (lo, hi) = est.ci95();
     let _ = writeln!(
         out,
-        "exec: strategy={} workers={workers} est_count={:.1} est_se={:.1} ci95=[{:.1}, {:.1}] est_volume={:.1} predicted_us={}",
+        "exec: strategy={} workers={workers} est_count={:.1} est_se={:.1} ci95=[{:.1}, {:.1}] est_volume={:.1}",
         strategy.abbrev(),
         est.mean,
         est.std_error,
         lo,
         hi,
         cost.volume(),
-        predicted_time(cost.volume(), DEFAULT_NS_PER_UNIT).as_micros(),
     );
     out
 }

@@ -45,9 +45,8 @@ pub mod tables;
 pub mod twins;
 
 pub use adaptive::{
-    admit, ns_per_unit_from_profile, plan_with_options, predicted_time, replan_price, served_cost,
-    AdaptiveOptions, Admission, CandidatePlan, Observed, PlanChoice, ReplanPrice, Reuse,
-    DEFAULT_NS_PER_UNIT,
+    plan_with_options, replan_price, served_cost, AdaptiveOptions, CandidatePlan, Observed,
+    PlanChoice, ReplanPrice, Reuse,
 };
 pub use batch::{enumerate_from_frontier, PrefixSpec};
 pub use bitmap::VertexBitmap;
@@ -56,7 +55,9 @@ pub use enumerate::{
     collect_embeddings, count_embeddings, enumerate_sequential, is_valid_embedding, EnumOptions,
     Enumerator, LeafMode, VerifyMode,
 };
-pub use estimate::{estimate_cost, estimate_embeddings, CostEstimate, Estimate, EstimateOptions};
+pub use estimate::{
+    estimate_cost, estimate_embeddings, estimate_pivots, CostEstimate, Estimate, EstimateOptions,
+};
 pub use explain::{
     cluster_skew, explain_choice, explain_estimates, explain_index, explain_plan, explain_profile,
     ClusterSkew,
@@ -66,7 +67,7 @@ pub use filter::{bfs_filter, bfs_filter_from, BuilderState, FilterProfile};
 pub use index::{BuildOptions, BuildStats, Ceci};
 pub use metrics::{Counters, Phase, PhaseSpan, PhaseTimeline};
 pub use parallel::{
-    count_parallel, enumerate_parallel, enumerate_parallel_cancellable, ParallelOptions,
+    count_parallel, enumerate_parallel, enumerate_parallel_cancellable, Cut, ParallelOptions,
     ParallelResult, Strategy,
 };
 pub use sink::{

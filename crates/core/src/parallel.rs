@@ -11,6 +11,7 @@
 //!   Algorithm 3 under threshold `β × cardinality_exp`, the resulting units
 //!   sorted largest-first, then pulled dynamically.
 
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -132,12 +133,26 @@ pub struct ParallelResult {
     pub enumerate_time: Duration,
     /// Collected embeddings, canonically sorted (when requested).
     pub embeddings: Option<Vec<Vec<VertexId>>>,
-    /// `true` if the run was cut short by a [`CancelToken`] (explicit cancel
-    /// or deadline). Counts/embeddings are then a valid partial result.
-    pub cancelled: bool,
+    /// `Some` when a [`CancelToken`] (explicit cancel or deadline) stopped
+    /// a work unit, or kept one from starting, and no limit had stopped the
+    /// run: which pivots drained and what they found. `None` for a run that
+    /// drained, or reached its limit.
+    pub cut: Option<Cut>,
     /// Merged per-depth profile across workers (when
     /// [`ParallelOptions::profile`] was set).
     pub profile: Option<crate::DepthProfile>,
+}
+
+/// How a [`CancelToken`] split a run's pivots. Each pivot's embedding
+/// cluster is an independent stratum (§4), so the drained pivots' count is
+/// exact and the rest can be estimated on their own.
+#[derive(Clone, Debug)]
+pub struct Cut {
+    /// Embeddings under the pivots whose every unit drained: exact. A pivot
+    /// with no units counts as drained.
+    pub exact: u64,
+    /// The other pivots, in [`Ceci::pivots`] order.
+    pub undrained: Vec<VertexId>,
 }
 
 impl ParallelResult {
@@ -154,11 +169,6 @@ impl ParallelResult {
                 .max()
                 .copied()
                 .unwrap_or(Duration::ZERO)
-    }
-
-    /// Total CPU time across workers (the single-core equivalent cost).
-    pub fn total_busy(&self) -> Duration {
-        self.worker_busy.iter().sum()
     }
 }
 
@@ -199,7 +209,8 @@ pub fn enumerate_parallel(
 /// (explicit cancellation or a wall-clock deadline). Workers poll the token
 /// between work units, inside the recursion (periodically), and on every
 /// emission, so a tripped token unwinds the whole pool in bounded time; the
-/// result then carries `cancelled = true` and valid partial counts.
+/// result then carries the [`Cut`]: the exact count of the pivots that
+/// drained, and the pivots that did not.
 ///
 /// At one worker this is an inline loop over the units with one reused
 /// [`Enumerator`] — what [`crate::enumerate_sequential`] does, plus the
@@ -239,6 +250,7 @@ pub fn enumerate_parallel_cancellable(
         Duration,
         Vec<Vec<VertexId>>,
         Option<Box<crate::DepthProfile>>,
+        Vec<(usize, u64)>,
     );
     let results: Vec<WorkerOut> = scoped_workers(workers, |w| {
         let mut enumerator = Enumerator::new(graph, plan, ceci, options.enumeration);
@@ -259,6 +271,7 @@ pub fn enumerate_parallel_cancellable(
             enumerator,
             counters: Counters::default(),
             busy: Duration::ZERO,
+            drained: Vec::new(),
         };
         let mut collected = Vec::new();
         if options.collect {
@@ -273,6 +286,7 @@ pub fn enumerate_parallel_cancellable(
             worker.busy,
             collected,
             worker.enumerator.take_profile(),
+            worker.drained,
         )
     });
     let enumerate_time = t1.elapsed();
@@ -281,8 +295,10 @@ pub fn enumerate_parallel_cancellable(
     let mut worker_busy = Vec::with_capacity(workers);
     let mut all: Vec<Vec<VertexId>> = Vec::new();
     let mut profile: Option<crate::DepthProfile> = None;
-    for (c, busy, collected, worker_profile) in results {
+    let mut drained = Vec::new();
+    for (c, busy, collected, worker_profile, worker_drained) in results {
         counters.merge(&c);
+        drained.extend(worker_drained);
         worker_busy.push(busy);
         all.extend(collected);
         if let Some(p) = worker_profile {
@@ -309,9 +325,31 @@ pub fn enumerate_parallel_cancellable(
         distribute_time,
         enumerate_time,
         embeddings,
-        cancelled: cancel.is_some_and(|t| t.is_cancelled()),
+        cut: cancel
+            .filter(|_| !budget.as_ref().is_some_and(|b| b.stopped()))
+            .and_then(|_| cut(&units, ceci, &drained)),
         profile,
     }
+}
+
+/// The [`Cut`] of a run under a token, from the units that drained and
+/// what each found; `None` when every unit drained. A pivot is undrained
+/// when any unit under it (FGD: any unit whose prefix starts at it) is.
+fn cut(units: &Units, ceci: &Ceci, drained: &[(usize, u64)]) -> Option<Cut> {
+    let mut done = vec![false; units.len()];
+    drained.iter().for_each(|&(i, _)| done[i] = true);
+    let pivot = |i: usize| units.prefix(i)[0];
+    let open: HashSet<VertexId> = (0..units.len()).filter(|&i| !done[i]).map(pivot).collect();
+    let exact = drained.iter().filter(|&&(i, _)| !open.contains(&pivot(i)));
+    let undrained = ceci
+        .pivots()
+        .iter()
+        .map(|&(p, _)| p)
+        .filter(|p| open.contains(p));
+    (!open.is_empty()).then(|| Cut {
+        exact: exact.map(|&(_, n)| n).sum(),
+        undrained: undrained.collect(),
+    })
 }
 
 /// The work units of one run. ST and CGD hand out whole clusters, which the
@@ -352,6 +390,9 @@ struct UnitLoop<'a, 'e> {
     enumerator: Enumerator<'e>,
     counters: Counters,
     busy: Duration,
+    /// Under a token only: each unit that drained, with the embeddings it
+    /// found.
+    drained: Vec<(usize, u64)>,
 }
 
 impl UnitLoop<'_, '_> {
@@ -359,17 +400,19 @@ impl UnitLoop<'_, '_> {
     /// the run shares something through: the global limit, the token.
     fn run_wrapped<S: EmbeddingSink>(&mut self, inner: &mut S) {
         match (self.budget.cloned(), self.cancel.cloned()) {
-            (None, None) => self.run(inner),
-            (Some(budget), None) => self.run(&mut SharedLimitSink::new(inner, budget)),
-            (None, Some(token)) => self.run(&mut DeadlineSink::new(inner, token)),
+            (None, None) => self.run::<_, false>(inner),
+            (Some(budget), None) => self.run::<_, false>(&mut SharedLimitSink::new(inner, budget)),
+            (None, Some(token)) => self.run::<_, true>(&mut DeadlineSink::new(inner, token)),
             (Some(budget), Some(token)) => {
                 let mut limited = SharedLimitSink::new(inner, budget);
-                self.run(&mut DeadlineSink::new(&mut limited, token))
+                self.run::<_, true>(&mut DeadlineSink::new(&mut limited, token))
             }
         }
     }
 
-    fn run<S: EmbeddingSink>(&mut self, sink: &mut S) {
+    /// `TOKEN` (a token is present) also logs each unit that drained: the
+    /// `bool` `enumerate_prefix` returns, and the embeddings it found.
+    fn run<S: EmbeddingSink, const TOKEN: bool>(&mut self, sink: &mut S) {
         // Neither way of taking units blocks between them, so one timer pair
         // around the loop reads the CPU time a pair per unit would add up to.
         let busy = ThreadTimer::start();
@@ -385,8 +428,13 @@ impl UnitLoop<'_, '_> {
             {
                 break;
             }
-            self.enumerator
-                .enumerate_prefix(self.units.prefix(i), sink, &mut self.counters);
+            let before = self.counters.embeddings;
+            let drained =
+                self.enumerator
+                    .enumerate_prefix(self.units.prefix(i), sink, &mut self.counters);
+            if TOKEN && drained {
+                self.drained.push((i, self.counters.embeddings - before));
+            }
         }
         self.busy = busy.elapsed();
     }
@@ -580,7 +628,9 @@ mod tests {
                     },
                     Some(token.clone()),
                 );
-                assert!(result.cancelled, "{} × {workers}", strategy.abbrev());
+                let cut = result.cut.expect("a pre-cancelled run is cut");
+                assert_eq!(cut.exact, 0, "{} × {workers}", strategy.abbrev());
+                assert_eq!(cut.undrained.len(), ceci.pivots().len());
                 assert!(
                     result.total_embeddings < total,
                     "{} × {workers}: cancelled run found {} of {total}",
@@ -609,7 +659,7 @@ mod tests {
             },
             Some(token),
         );
-        assert!(result.cancelled);
+        assert!(result.cut.is_some());
         // Whatever was collected before the stop is genuine.
         for emb in result.embeddings.as_deref().unwrap_or(&[]) {
             assert!(crate::enumerate::is_valid_embedding(&graph, &plan, emb));
@@ -620,23 +670,128 @@ mod tests {
     fn uncancelled_token_changes_nothing() {
         let (graph, plan) = paper::figure1();
         let ceci = Ceci::build(&graph, &plan);
-        let token = CancelToken::new();
+        let options = ParallelOptions {
+            workers: 2,
+            collect: true,
+            ..Default::default()
+        };
         let result = enumerate_parallel_cancellable(
             &graph,
             &plan,
             &ceci,
-            &ParallelOptions {
-                workers: 2,
-                collect: true,
-                ..Default::default()
-            },
-            Some(token),
+            &options,
+            Some(CancelToken::new()),
         );
-        assert!(!result.cancelled);
+        assert!(result.cut.is_none());
         assert_eq!(
             result.embeddings.unwrap(),
             crate::sink::canonicalize(paper::expected_embeddings())
         );
+        // A live token leaves every counter as no token does, whatever the
+        // strategy and width, counting or collecting.
+        let graph = skewed_graph();
+        let plan = QueryPlan::new(PaperQuery::Qg1.build(), &graph);
+        let ceci = Ceci::build(&graph, &plan);
+        for (strategy, workers) in [
+            (Strategy::Static, 1),
+            (Strategy::CoarseDynamic, 2),
+            (Strategy::FineDynamic { beta: 0.2 }, 4),
+        ] {
+            for collect in [false, true] {
+                let options = ParallelOptions {
+                    workers,
+                    strategy,
+                    collect,
+                    ..Default::default()
+                };
+                let free = enumerate_parallel(&graph, &plan, &ceci, &options);
+                let live = CancelToken::after(Duration::from_secs(3600));
+                let timed =
+                    enumerate_parallel_cancellable(&graph, &plan, &ceci, &options, Some(live));
+                assert!(timed.cut.is_none());
+                assert_eq!(
+                    timed.counters,
+                    free.counters,
+                    "{} × {workers}",
+                    strategy.abbrev()
+                );
+                assert_eq!(timed.embeddings, free.embeddings);
+            }
+        }
+    }
+
+    /// A token splits the pivots in two, however it lands: the undrained
+    /// ones, and the rest, whose exact part is the sum of their own
+    /// cluster counts. Pre-cancelled, never cancelled, or cancelled from a
+    /// second thread while the workers run, at every strategy and width.
+    #[test]
+    fn a_token_splits_the_pivots_into_drained_and_undrained() {
+        use ceci_graph::generators::barabasi_albert;
+        let graph = barabasi_albert(400, 6, 17);
+        let plan = QueryPlan::new(PaperQuery::Qg3.build(), &graph);
+        let ceci = Ceci::build(&graph, &plan);
+        let pivots: Vec<VertexId> = ceci.pivots().iter().map(|&(p, _)| p).collect();
+        let mut enumerator = Enumerator::new(&graph, &plan, &ceci, EnumOptions::default());
+        let per_pivot: Vec<u64> = (pivots.iter())
+            .map(|&p| {
+                let mut sink = CountSink::unbounded();
+                enumerator.enumerate_prefix(&[p], &mut sink, &mut Counters::default());
+                sink.count()
+            })
+            .collect();
+        let total: u64 = per_pivot.iter().sum();
+        assert!(pivots.len() > 50 && total > 0);
+        let mut cuts = 0;
+        for strategy in [
+            Strategy::Static,
+            Strategy::CoarseDynamic,
+            Strategy::FineDynamic { beta: 0.2 },
+        ] {
+            for workers in [1, 2, 4] {
+                for when in ["before", "never", "mid-run"] {
+                    let options = ParallelOptions {
+                        workers,
+                        strategy,
+                        ..Default::default()
+                    };
+                    let token = CancelToken::new();
+                    if when == "before" {
+                        token.cancel();
+                    }
+                    let result = std::thread::scope(|scope| {
+                        if when == "mid-run" {
+                            let token = Arc::clone(&token);
+                            scope.spawn(move || {
+                                std::thread::sleep(Duration::from_micros(300));
+                                token.cancel();
+                            });
+                        }
+                        enumerate_parallel_cancellable(&graph, &plan, &ceci, &options, Some(token))
+                    });
+                    let at = format!("{} × {workers}, cancelled {when}", strategy.abbrev());
+                    let Some(cut) = result.cut else {
+                        assert_ne!(when, "before", "{at}");
+                        assert_eq!(result.total_embeddings, total, "{at}");
+                        continue;
+                    };
+                    cuts += 1;
+                    assert_ne!(when, "never", "{at}");
+                    // Undrained: a subset of the pivots, in their order, so
+                    // the drained rest is its complement, disjoint from it.
+                    let mut rest = cut.undrained.iter().peekable();
+                    let mut exact = 0;
+                    for (p, n) in pivots.iter().zip(&per_pivot) {
+                        if rest.next_if_eq(&p).is_none() {
+                            exact += n;
+                        }
+                    }
+                    assert_eq!(rest.next(), None, "{at}: undrained outside the pivots");
+                    assert!(!cut.undrained.is_empty(), "{at}");
+                    assert_eq!(cut.exact, exact, "{at}");
+                }
+            }
+        }
+        assert!(cuts >= 9, "every pre-cancelled run is cut");
     }
 
     #[test]

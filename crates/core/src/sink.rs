@@ -287,9 +287,8 @@ impl CancelToken {
 
 /// Wraps any [`EmbeddingSink`] with a shared [`CancelToken`]: emissions stop
 /// (returning `false` to the enumerator) as soon as the token is cancelled
-/// or its deadline passes. Partial results already delivered to the inner
-/// sink remain available — the serving layer returns them with a
-/// `DEADLINE_EXCEEDED` status instead of discarding the work.
+/// or its deadline passes. The unit it stopped returns `false`, which is
+/// how a parallel run knows which pivots drained ([`crate::Cut`]).
 pub struct DeadlineSink<'a, S: EmbeddingSink> {
     inner: &'a mut S,
     token: Arc<CancelToken>,

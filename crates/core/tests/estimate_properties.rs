@@ -14,9 +14,13 @@
 //!    graphs and paper queries, the estimate lands within 4 standard errors
 //!    of the exact count (plus a small relative floor for near-zero-variance
 //!    cases), and the per-depth cost decomposition stays consistent with the
-//!    total.
+//!    total. The same holds over a random subset of the pivots, against the
+//!    sum of their own exact counts: the stratum a deadline leaves undrained.
 
-use ceci_core::{count_embeddings, estimate_cost, estimate_embeddings, Ceci, EstimateOptions};
+use ceci_core::{
+    count_embeddings, estimate_cost, estimate_embeddings, estimate_pivots, Ceci, CountSink,
+    Counters, EnumOptions, Enumerator, EstimateOptions,
+};
 use ceci_graph::generators::{barabasi_albert, erdos_renyi, kronecker_default};
 use ceci_graph::Graph;
 use ceci_query::{PaperQuery, QueryPlan};
@@ -44,7 +48,8 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 24 })]
 
     /// Mean within 4σ of the exact count on arbitrary generator graphs, and
-    /// the cost decomposition's deepest volume equals the mean.
+    /// the cost decomposition's deepest volume equals the mean; over the
+    /// pivots `subset` picks, within 4σ of their exact counts' sum.
     #[test]
     fn estimate_mean_within_four_sigma(
         family in 0u8..3,
@@ -52,6 +57,7 @@ proptest! {
         graph_seed in 0u64..1_000,
         query_idx in 0u8..4,
         est_seed in 1u64..1_000,
+        subset in any::<u64>(),
     ) {
         let graph = generator_graph(family, scale, graph_seed);
         let plan = QueryPlan::new(paper_query(query_idx).build(), &graph);
@@ -79,6 +85,26 @@ proptest! {
             prop_assert!(cost.depth_volumes.iter().all(|&v| v >= 0.0));
             prop_assert!(cost.volume() >= est.mean - 1e-9);
         }
+        // Pivot i is in the subset when bit i mod 64 of `subset` is set.
+        let mut enumerator = Enumerator::new(&graph, &plan, &ceci, EnumOptions::default());
+        let (mut picked, mut exact) = (Vec::new(), 0u64);
+        for (i, &(p, _)) in ceci.pivots().iter().enumerate() {
+            if subset.rotate_right(i as u32) & 1 == 1 {
+                let mut sink = CountSink::unbounded();
+                enumerator.enumerate_prefix(&[p], &mut sink, &mut Counters::default());
+                picked.push(p);
+                exact += sink.count();
+            }
+        }
+        let exact = exact as f64;
+        let part = estimate_pivots(&graph, &plan, &ceci, &picked, &opts).estimate;
+        prop_assert_eq!(part.exact_zero, picked.is_empty());
+        let slack = 4.0 * part.std_error + 0.10 * exact.max(1.0);
+        prop_assert!(
+            (part.mean - exact).abs() <= slack,
+            "subset of {}: estimate {} ± {} vs exact {}", picked.len(), part.mean,
+            part.std_error, exact
+        );
     }
 
     /// Identical options produce bit-identical estimates, on any input.
@@ -99,6 +125,11 @@ proptest! {
         prop_assert_eq!(a.estimate.mean, b.estimate.mean);
         prop_assert_eq!(a.estimate.std_error, b.estimate.std_error);
         prop_assert_eq!(a.depth_volumes.clone(), b.depth_volumes.clone());
+        // Over every pivot, in index order, the subset walk is the same walk.
+        let all: Vec<_> = ceci.pivots().iter().map(|&(p, _)| p).collect();
+        let c = estimate_pivots(&graph, &plan, &ceci, &all, &opts);
+        prop_assert_eq!(c.estimate.mean, a.estimate.mean);
+        prop_assert_eq!(c.estimate.std_error, a.estimate.std_error);
         // And the walk-budget-1 degenerate case renders a sane interval.
         if walks == 1 {
             prop_assert_eq!(a.estimate.std_error, 0.0);

@@ -42,19 +42,6 @@ use ceci_core::{Ceci, PlanChoice, Reuse};
 use ceci_query::candidates::CandidateSet;
 use ceci_query::{CanonicalQuery, QueryPlan};
 
-/// Execution feedback observed from a prior exact run of a cached index:
-/// the measured cost-unit rate. Stored beside the index so later
-/// `MATCH ... DEADLINE` requests on the same `(epoch, canonical)` key
-/// calibrate deadline admission from a real observation instead of the
-/// static default. Scoped to the cache entry, so `LOAD` epochs and stream
-/// sub-epoch bumps retire it together with the index it was measured on.
-#[derive(Clone, Copy, Debug)]
-pub struct PlanFeedback {
-    /// Observed nanoseconds per cost-model volume unit
-    /// ([`ceci_core::ns_per_unit_from_profile`]).
-    pub ns_per_unit: f64,
-}
-
 /// One cached, frozen index: everything needed to answer a `MATCH` without
 /// re-planning or re-filtering.
 #[derive(Debug)]
@@ -89,10 +76,6 @@ pub struct CachedIndex {
     /// derive from this one, so a stream of mutations neither resets the
     /// spent work nor buys a second re-plan.
     pub reuse: Arc<Reuse>,
-    /// Observed-execution feedback, populated by the first profiled exact
-    /// run (the first one under a deadline); later deadline admissions
-    /// read its rate.
-    pub feedback: Mutex<Option<PlanFeedback>>,
 }
 
 impl CachedIndex {
@@ -115,7 +98,6 @@ impl CachedIndex {
             sets_sub_epoch: sub_epoch,
             choice,
             reuse,
-            feedback: Mutex::new(None),
         }
     }
 }

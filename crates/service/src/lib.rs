@@ -17,8 +17,10 @@
 //!   degrades to `BUSY` (admission, connection cap) and slow-reader
 //!   disconnects before memory does ([`server`]),
 //! * **per-request deadlines** threaded into enumeration as cooperative
-//!   cancellation (`ceci_core::CancelToken`), returning partial counts with
-//!   `status=DEADLINE_EXCEEDED` ([`server`]),
+//!   cancellation (`ceci_core::CancelToken`): a drain the deadline stops
+//!   answers the exact count of the pivots that drained plus a random-walk
+//!   estimate of the rest, as an interval (`mode=APPROX exact=…`,
+//!   [`server`]),
 //! * **one way to serve a query**: every `MATCH` / `ESTIMATE` / `EXPLAIN`
 //!   resolves, in one function, to one execution path — the label-pair
 //!   admission filter answering provably-zero queries before any build,
@@ -39,12 +41,8 @@
 //!   `WORKERS n`, one worker without it); the plan portfolio is
 //!   scored at most once per cached entry, and only after the entry's own
 //!   reuse has spent as much enumeration work as scoring and one rebuild
-//!   cost (`ceci_core::adaptive`); `MATCH ... DEADLINE` degrades to an
-//!   estimator answer (`mode=APPROX`) when random walks over the served
-//!   index, taken at admission, say the exact run cannot finish in
-//!   time, at the per-unit rate an earlier deadline
-//!   run of the entry observed ([`cache::PlanFeedback`]; `EXACT` opts out;
-//!   `ESTIMATE` answers the cardinality question directly),
+//!   cost (`ceci_core::adaptive`); `ESTIMATE` answers the cardinality
+//!   question directly,
 //! * a line-oriented **text protocol** ([`protocol`]) and lock-free
 //!   **metrics** surfaced via `STATS` ([`metrics`]),
 //! * a blocking **client** doubling as a closed-loop load generator
@@ -76,9 +74,7 @@ pub mod shard;
 mod sim;
 mod stats;
 
-pub use cache::{
-    CachedIndex, Flight, FlightGuard, FlightProbe, FlightWait, IndexCache, PlanFeedback,
-};
+pub use cache::{CachedIndex, Flight, FlightGuard, FlightProbe, FlightWait, IndexCache};
 pub use client::{run_load, Client, LoadConfig, LoadReport, Response, RetryOutcome, RetryPolicy};
 pub use coord::{
     scatter_match, spawn_heartbeat, validate_shards, CoordConfig, CoordError, HeartbeatHandle,
@@ -86,9 +82,7 @@ pub use coord::{
 };
 pub use metrics::{LatencyHistogram, ServerMetrics};
 pub use pool::{Admission, PoolHandle, WorkerPool};
-pub use protocol::{
-    parse_request, ChaosCommand, ErrorCode, MatchForm, MatchStatus, ParseError, Request,
-};
+pub use protocol::{parse_request, ChaosCommand, ErrorCode, MatchForm, ParseError, Request};
 pub use registry::{BatchOutcome, ContinuousRegistry, DirtyRecord, GraphEntry, GraphRegistry};
 pub use server::{start, start_with_state, ServeConfig, ServerHandle, ServerState, ShutdownReport};
 pub use shard::{FragmentPlane, GraphStore};

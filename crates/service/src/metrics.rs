@@ -149,7 +149,8 @@ pub struct ServerMetrics {
     pub load_requests: AtomicU64,
     /// Requests rejected with `BUSY` by admission control.
     pub rejected_busy: AtomicU64,
-    /// MATCH requests that hit their deadline (partial result returned).
+    /// MATCH requests whose deadline stopped the drain: answered with an
+    /// interval (`mode=APPROX exact=…`) over the pivots left undrained.
     pub deadline_exceeded: AtomicU64,
     /// Requests answered with `ERR`.
     pub errors: AtomicU64,
@@ -173,7 +174,8 @@ pub struct ServerMetrics {
     pub quarantine_hits: AtomicU64,
     /// CHAOS commands executed (only counts when chaos mode is enabled).
     pub chaos_injected: AtomicU64,
-    /// Total embeddings returned across MATCH responses.
+    /// Total embeddings returned across exact MATCH responses (an interval
+    /// reply adds none).
     pub embeddings_returned: AtomicU64,
     /// MATCH requests answered `count=0` by the label-pair admission filter
     /// without building (or looking up) an index.
@@ -206,9 +208,6 @@ pub struct ServerMetrics {
     /// paid for scoring the portfolio and a challenger beat the incumbent's
     /// observed work by enough to pay for the rebuild.
     pub adaptive_replans: AtomicU64,
-    /// Deadline-infeasible MATCH requests answered from the estimator
-    /// (`mode=APPROX`) instead of enumerating.
-    pub approx_answers: AtomicU64,
     /// Connections closed after the socket read/write timeout expired with
     /// a request outstanding or a line half-read (stalled/half-open peer).
     pub timeouts: AtomicU64,
@@ -273,7 +272,7 @@ impl ServerMetrics {
     /// Every monotone counter as `(STATS key, help, value)`, in exposition
     /// order: `STATS` prints `STAT <key> <value>`, `STATS PROM` the counter
     /// `ceci_<key>_total`.
-    pub fn counters(&self) -> [(&'static str, &'static str, u64); 35] {
+    pub fn counters(&self) -> [(&'static str, &'static str, u64); 34] {
         let g = |a: &AtomicU64| a.load(Ordering::Relaxed);
         [
             (
@@ -298,7 +297,7 @@ impl ServerMetrics {
             ),
             (
                 "deadline_exceeded",
-                "MATCH requests that hit their deadline",
+                "MATCH requests whose deadline stopped the drain (interval replies)",
                 g(&self.deadline_exceeded),
             ),
             ("errors", "Requests answered ERR", g(&self.errors)),
@@ -402,11 +401,6 @@ impl ServerMetrics {
                 "adaptive_replans",
                 "Cached indexes rebuilt under a challenger plan their reuse paid to score",
                 g(&self.adaptive_replans),
-            ),
-            (
-                "approx_answers",
-                "Deadline-infeasible MATCH requests answered mode=APPROX",
-                g(&self.approx_answers),
             ),
             (
                 "io_timeouts",

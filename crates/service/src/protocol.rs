@@ -14,7 +14,7 @@
 //!
 //! ```text
 //! LOAD <name> <path> [EDGELIST] [DIRECTED]
-//! MATCH <graph> <query-path> [LIMIT <k>] [DEADLINE <ms>] [WORKERS <n>] [RAW] [EXACT]
+//! MATCH <graph> <query-path> [LIMIT <k>] [DEADLINE <ms>] [WORKERS <n>] [RAW]
 //! ESTIMATE <graph> <query-path> [WALKS <n>]
 //! EXPLAIN <graph> <query-path> [ANALYZE]
 //! STATS [PROM]
@@ -85,17 +85,16 @@
 //! layer (admission filter, redundant-extension pruning, the adaptive
 //! planner's re-plan) — the differential lever used to verify
 //! the optimized path returns bit-identical counts. Every `MATCH` form —
-//! plain, `LIMIT`, `DEADLINE`, `WORKERS`, `RAW`, `EXACT` — drains its cached
-//! index through the same enumeration entry point.
+//! plain, `LIMIT`, `DEADLINE`, `WORKERS`, `RAW` — drains its cached index
+//! through the same enumeration entry point, and `status=` is always `OK`.
 //!
-//! `MATCH ... DEADLINE <ms>` is *deadline-aware*: when the adaptive planner
-//! predicts the exact enumeration cannot finish inside the deadline, the
-//! server degrades gracefully — it answers from the random-walk estimator
-//! (`OK MATCH ... mode=APPROX mean=... std_error=... ci95_lo=... ci95_hi=...`)
-//! instead of burning a worker for the full deadline. `MATCH ... EXACT`
-//! opts out of degradation: the request always runs the exact enumeration,
-//! reporting `status=DEADLINE_EXCEEDED` with a partial count if the
-//! deadline trips (the pre-adaptive behavior).
+//! `MATCH ... DEADLINE <ms>` drains exactly until the deadline. A drain that
+//! finishes (or reaches its `LIMIT`) answers exactly, as any `MATCH` does.
+//! One the deadline stopped answers with an interval: the exact count of
+//! the pivots whose clusters drained, plus a random-walk estimate over the
+//! rest (`OK MATCH count=<rounded total> status=OK mode=APPROX
+//! exact=<drained> mean=... std_error=... ci95_lo=... ci95_hi=... walks=...`,
+//! `ci95_lo` never below `exact`, every value clipped to a `LIMIT`).
 //!
 //! A `MATCH` reply carrying `replan_us=<n>` paid for its cached entry's one
 //! re-plan (portfolio scoring, and a rebuild if a challenger won) before
@@ -132,14 +131,10 @@ pub struct MatchForm {
     /// Enumeration threads for this request (capped by the server).
     pub workers: Option<usize>,
     /// `RAW`: the one ablation lever — no admission filter, no re-plan, no
-    /// deadline ladder, no redundant-extension pruning — for verifying
-    /// bit-identical counts. Width and strategy are those of any `MATCH`:
-    /// `WORKERS n` (one worker without it), ST at one worker, FGD above.
+    /// redundant-extension pruning — for verifying bit-identical counts.
+    /// Width and strategy are those of any `MATCH`: `WORKERS n` (one worker
+    /// without it), ST at one worker, FGD above.
     pub raw: bool,
-    /// `EXACT`: opt out of deadline-aware graceful degradation — always
-    /// run the exact enumeration even when the planner predicts it cannot
-    /// finish inside the deadline.
-    pub exact: bool,
 }
 
 /// A parsed client request.
@@ -488,7 +483,6 @@ pub fn parse_request(line: &str) -> Result<Option<Request>, ParseError> {
                         form.workers = Some(w);
                     }
                     "RAW" => form.raw = true,
-                    "EXACT" => form.exact = true,
                     other => return Err(err(format!("unknown MATCH option {other:?}"))),
                 }
             }
@@ -746,25 +740,6 @@ pub fn parse_request(line: &str) -> Result<Option<Request>, ParseError> {
     Ok(Some(request))
 }
 
-/// Terminal status of a MATCH response.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MatchStatus {
-    /// Enumeration ran to completion (or to its LIMIT).
-    Ok,
-    /// The per-request deadline tripped; the count is partial.
-    DeadlineExceeded,
-}
-
-impl MatchStatus {
-    /// Wire spelling.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            MatchStatus::Ok => "OK",
-            MatchStatus::DeadlineExceeded => "DEADLINE_EXCEEDED",
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -832,18 +807,8 @@ mod tests {
                 },
             })
         );
-        assert_eq!(
-            parse_request("MATCH g q DEADLINE 10 EXACT").unwrap(),
-            Some(Request::Match {
-                graph: "g".into(),
-                query_path: "q".into(),
-                form: MatchForm {
-                    deadline_ms: Some(10),
-                    exact: true,
-                    ..MatchForm::default()
-                },
-            })
-        );
+        // No modifier opts a deadline out of its interval.
+        assert!(parse_request("MATCH g q DEADLINE 10 EXACT").is_err());
         assert!(parse_request("MATCH g q LIMIT").is_err());
         assert!(parse_request("MATCH g q LIMIT abc").is_err());
         assert!(parse_request("MATCH g q WORKERS 0").is_err());
@@ -954,10 +919,13 @@ mod tests {
         assert!(e.to_string().contains("FROB"));
     }
 
+    /// `status=` has one spelling, `OK`, so nothing on a `MATCH` line
+    /// selects another: `EXACT` is an unknown option, answered `E_PARSE`.
     #[test]
     fn status_spelling() {
-        assert_eq!(MatchStatus::Ok.as_str(), "OK");
-        assert_eq!(MatchStatus::DeadlineExceeded.as_str(), "DEADLINE_EXCEEDED");
+        let e = parse_request("MATCH g q DEADLINE 10 EXACT").unwrap_err();
+        assert_eq!(e.to_string(), "unknown MATCH option \"EXACT\"");
+        assert_eq!(ErrorCode::Parse.as_str(), "E_PARSE");
     }
 
     #[test]
@@ -1169,7 +1137,7 @@ mod tests {
         assert_eq!(ErrorCode::Shard.as_str(), "E_SHARD");
     }
     /// Words the grammar gives a meaning to somewhere.
-    const WORDS: [&str; 39] = [
+    const WORDS: [&str; 38] = [
         "LOAD",
         "EDGELIST",
         "DIRECTED",
@@ -1178,7 +1146,6 @@ mod tests {
         "DEADLINE",
         "WORKERS",
         "RAW",
-        "EXACT",
         "ESTIMATE",
         "WALKS",
         "EXPLAIN",

@@ -1,8 +1,10 @@
 //! The query verbs — `MATCH`, `ESTIMATE`, `EXPLAIN` — behind one resolver.
 //!
 //! [`resolve`] is the only place a request meets the registry, the admission
-//! filter, the shard table, the index cache, the rent/buy planner and the
-//! deadline ladder, in that order, and it ends on exactly one [`ExecPath`].
+//! filter, the shard table, the index cache and the rent/buy planner, in
+//! that order, and it ends on exactly one [`ExecPath`]. A deadline is not
+//! a path: every `MATCH` drains, and one its deadline stopped answers the
+//! drained pivots exactly plus an estimate over the rest.
 //! The reply's `filter=` / `mode=` / `cache=` tokens, the path's `STATS`
 //! counter, the drain's [`ParallelOptions`] and `EXPLAIN`'s `| path:` line
 //! are each derived from that value in one function below; the verbs only
@@ -12,20 +14,19 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ceci_core::{
-    admit, enumerate_parallel_cancellable, estimate_embeddings, explain_choice, explain_estimates,
-    ns_per_unit_from_profile, served_cost, Admission as DeadlineVerdict, CancelToken, EnumOptions,
-    Estimate, EstimateOptions, LeafMode, ParallelOptions, Strategy, DEFAULT_NS_PER_UNIT,
+    enumerate_parallel_cancellable, estimate_embeddings, estimate_pivots, explain_choice,
+    explain_estimates, served_cost, CancelToken, EnumOptions, Estimate, EstimateOptions, LeafMode,
+    ParallelOptions, Strategy,
 };
 use ceci_graph::Graph;
 use ceci_query::{admission_check, QueryGraph, QueryPlan};
 use ceci_trace::Tracer;
 
-use crate::cache::{CachedIndex, PlanFeedback};
+use crate::cache::CachedIndex;
 use crate::coord;
-use crate::event_loop::lock_recover;
 use crate::index::{index_for, replan_if_due, Acquired};
 use crate::metrics::ServerMetrics;
-use crate::protocol::{MatchForm, MatchStatus};
+use crate::protocol::MatchForm;
 use crate::registry::GraphEntry;
 use crate::server::{record_tiled_spans, Reply, ServeConfig, ServerState};
 
@@ -50,10 +51,8 @@ pub(crate) enum ExecPath {
     /// Coordinator mode, plain count-only `MATCH`: the pivots scatter across
     /// the shard fleet under the fixed deterministic plan.
     Sharded { query: QueryGraph, sub_epoch: u64 },
-    /// `DEADLINE` the exact run cannot meet: answered from the estimator
-    /// over the index.
-    Approx(Served),
-    /// Everything else: enumerate the index with `workers` threads.
+    /// Everything else: enumerate the index with `workers` threads, under
+    /// the request's deadline if it has one.
     Drain {
         served: Served,
         raw: bool,
@@ -69,7 +68,6 @@ impl ExecPath {
         match self {
             ExecPath::Rejected => ("rejected", "filter=REJECTED"),
             ExecPath::Sharded { .. } => ("sharded", "mode=SHARDED"),
-            ExecPath::Approx(_) => ("approx", "mode=APPROX"),
             ExecPath::Drain { .. } => ("drain", ""),
         }
     }
@@ -77,7 +75,7 @@ impl ExecPath {
     /// The index under a local path.
     fn served(&self) -> Option<&Served> {
         match self {
-            ExecPath::Approx(served) | ExecPath::Drain { served, .. } => Some(served),
+            ExecPath::Drain { served, .. } => Some(served),
             _ => None,
         }
     }
@@ -105,7 +103,6 @@ impl ExecPath {
     fn count(&self, metrics: &ServerMetrics) {
         match self {
             ExecPath::Rejected => ServerMetrics::inc(&metrics.filter_rejected),
-            ExecPath::Approx(_) => ServerMetrics::inc(&metrics.approx_answers),
             ExecPath::Sharded { .. } | ExecPath::Drain { .. } => {}
         }
     }
@@ -158,7 +155,7 @@ fn resolve(
 }
 
 /// The ladder itself, in order: admission → shard check → index acquisition
-/// (hit / miss / repaired) → re-plan → deadline ladder.
+/// (hit / miss / repaired) → re-plan.
 fn choose(
     state: &ServerState,
     entry: &GraphEntry,
@@ -205,23 +202,6 @@ fn choose(
         index_time,
         replan,
     };
-    // Deadline ladder: when the cost estimate, walked over the served index
-    // here (at the rate an earlier deadline run observed, when there is
-    // one), says the exact enumeration cannot finish inside the deadline,
-    // degrade to an estimator answer *before* occupying the worker for the
-    // full deadline. `RAW` and `EXACT` both opt out.
-    if let Some(deadline_ms) = form.deadline_ms.filter(|_| !form.raw && !form.exact) {
-        let index = &served.index;
-        let ns_per_unit = lock_recover(&index.feedback)
-            .as_ref()
-            .map_or(DEFAULT_NS_PER_UNIT, |f| f.ns_per_unit);
-        let deadline = Duration::from_millis(deadline_ms);
-        let cost = served_cost(graph, &index.plan, &index.ceci);
-        let verdict = admit(&cost, deadline, ns_per_unit, workers);
-        if verdict == DeadlineVerdict::Approx {
-            return Ok(ExecPath::Approx(served));
-        }
-    }
     Ok(ExecPath::Drain {
         served,
         raw: form.raw,
@@ -230,11 +210,18 @@ fn choose(
     })
 }
 
-fn estimate_line(est: &Estimate) -> String {
-    let (lo, hi) = est.ci95();
+/// The interval tokens of `exact` plus the estimate `rest`, every value
+/// clipped to `cap`: `ci95_lo` never falls below the exact part.
+fn estimate_line(exact: u64, rest: &Estimate, cap: u64) -> String {
+    let (lo, hi) = rest.ci95();
+    let at = |v: f64| (exact as f64 + v).min(cap as f64);
     format!(
-        "mean={:.1} std_error={:.1} ci95_lo={lo:.1} ci95_hi={hi:.1} walks={}",
-        est.mean, est.std_error, est.walks,
+        "mean={:.1} std_error={:.1} ci95_lo={:.1} ci95_hi={:.1} walks={}",
+        at(rest.mean),
+        rest.std_error,
+        at(lo),
+        at(hi),
+        rest.walks,
     )
 }
 
@@ -288,21 +275,6 @@ pub(crate) fn exec_match(
                 report.reconnects,
             )))
         }
-        ExecPath::Approx(served) => {
-            let index = &served.index;
-            let est = estimate_embeddings(
-                &graph,
-                &index.plan,
-                &index.ceci,
-                &EstimateOptions::default(),
-            );
-            Ok(finish(format!(
-                "OK MATCH count={} status=OK {lead} {} cache={cache_tag} build_us={} enum_us=0",
-                est.mean.round() as u64,
-                estimate_line(&est),
-                served.build.as_micros(),
-            )))
-        }
         ExecPath::Drain {
             served,
             raw,
@@ -313,39 +285,38 @@ pub(crate) fn exec_match(
             // index through the parallel entry point (an inline loop over
             // the pivots at one worker).
             let index = &served.index;
-            let options = ParallelOptions {
-                // Only the deadline ladder reads the observed rate, so only
-                // a deadline run pays to measure it, once per entry.
-                profile: !raw
-                    && form.deadline_ms.is_some()
-                    && lock_recover(&index.feedback).is_none(),
-                ..drain_options(state.config(), raw, workers, form.limit)
-            };
+            let options = drain_options(state.config(), raw, workers, form.limit);
             let t_enum = Instant::now();
             let result =
                 enumerate_parallel_cancellable(&graph, &index.plan, &index.ceci, &options, cancel);
-            if !result.cancelled {
-                if let Some(profile) = &result.profile {
-                    let ns_per_unit =
-                        ns_per_unit_from_profile(profile).unwrap_or(DEFAULT_NS_PER_UNIT);
-                    lock_recover(&index.feedback).get_or_insert(PlanFeedback { ns_per_unit });
-                }
-            }
             index.reuse.spend(&result.counters);
-            let enum_time = t_enum.elapsed();
-
-            let status = if result.cancelled {
-                ServerMetrics::inc(&state.metrics.deadline_exceeded);
-                MatchStatus::DeadlineExceeded
-            } else {
-                MatchStatus::Ok
+            let cap = form.limit.unwrap_or(u64::MAX);
+            // A drain the deadline stopped: the pivots that drained are
+            // exact, the rest is estimated (paper §4: one independent
+            // cluster per pivot), and the reply is the interval.
+            let (count, interval) = match &result.cut {
+                None => {
+                    let count = result.total_embeddings.min(cap);
+                    ServerMetrics::add(&state.metrics.embeddings_returned, count);
+                    (count, String::new())
+                }
+                Some(cut) => {
+                    ServerMetrics::inc(&state.metrics.deadline_exceeded);
+                    let (plan, ceci, options) = (&index.plan, &index.ceci, Default::default());
+                    let rest =
+                        estimate_pivots(&graph, plan, ceci, &cut.undrained, &options).estimate;
+                    let total = (cut.exact as f64 + rest.mean).round() as u64;
+                    let tokens = estimate_line(cut.exact, &rest, cap);
+                    (
+                        total.min(cap),
+                        format!(" mode=APPROX exact={} {tokens}", cut.exact),
+                    )
+                }
             };
-            let found = result.total_embeddings;
-            let count = form.limit.map_or(found, |k| found.min(k));
-            ServerMetrics::add(&state.metrics.embeddings_returned, count);
+            let enum_time = t_enum.elapsed();
             let mut lines = finish(format!(
-                "OK MATCH count={count} status={} cache={cache_tag} build_us={} enum_us={}",
-                status.as_str(),
+                "OK MATCH count={count} status=OK{interval} cache={cache_tag} build_us={} \
+                 enum_us={}",
                 served.build.as_micros(),
                 enum_time.as_micros(),
             ));
@@ -362,7 +333,7 @@ pub(crate) fn exec_match(
                     &[
                         ("embeddings", count),
                         ("cache_hit", (served.cache == Acquired::Hit) as u64),
-                        ("deadline_exceeded", result.cancelled as u64),
+                        ("deadline_exceeded", result.cut.is_some() as u64),
                         ("workers", workers as u64),
                     ],
                 );
@@ -404,7 +375,7 @@ pub(crate) fn exec_estimate(
     };
     Ok(vec![format!(
         "OK ESTIMATE {} exact_zero={} cache={} total_us={}",
-        estimate_line(&est),
+        estimate_line(0, &est, u64::MAX),
         est.exact_zero as u8,
         path.cache_tag(),
         t_start.elapsed().as_micros(),

@@ -28,9 +28,10 @@
 //! `MATCH ... DEADLINE <ms>` arms a [`ceci_core::CancelToken`] when the job
 //! *starts executing* (queue wait does not consume the budget). The token is
 //! threaded into [`ceci_core::enumerate_parallel_cancellable`], so
-//! enumeration unwinds cooperatively
-//! and the response reports the partial count with
-//! `status=DEADLINE_EXCEEDED`.
+//! enumeration unwinds cooperatively. A drain that finished answers exactly;
+//! one the token stopped answers the exact count of the pivots that drained
+//! plus a random-walk estimate over the rest ([`ceci_core::Cut`]), as an
+//! interval: `mode=APPROX exact=<drained> mean=… ci95_lo=… ci95_hi=…`.
 //!
 //! ## Fault tolerance
 //!

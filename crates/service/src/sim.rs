@@ -15,11 +15,11 @@
 //! * which `(graph, canonical query)` keys are cached at which sub-epoch and
 //!   which are quarantined, so the `cache=` token or `ERR` code of every
 //!   `MATCH` and `EXPLAIN` is predicted, not read back;
-//! * which cached entries carry a planted deadline rate: just before some
-//!   `MATCH … DEADLINE` jobs run on a hit, the sim writes a rate no deadline
-//!   can meet into the entry's [`PlanFeedback`], so the deadline ladder
-//!   answers `mode=APPROX` from that entry until a repair or a `LOAD`
-//!   replaces it, and from the estimator's fixed-seed walks;
+//! * what a deadline answers: `MATCH … DEADLINE 0` trips its token before
+//!   the first unit, so no pivot drains and the reply is the interval
+//!   `exact=0` plus the served estimator's fixed-seed walks over every
+//!   pivot (or an exact zero, on an index without pivots);
+//!   `MATCH … DEADLINE 60000` drains and is exact;
 //! * every registration's running total, and the `EVENT DELTA` each applied
 //!   batch owes it;
 //! * the `STATS` counters ([`counters`]) each reply moves, and no other.
@@ -37,13 +37,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ceci_baselines::reference;
-use ceci_core::{count_embeddings, Ceci, EstimateOptions};
+use ceci_core::{count_embeddings, estimate_embeddings, Ceci, EstimateOptions};
 use ceci_graph::extract::extract_query;
 use ceci_graph::generators::{barabasi_albert, erdos_renyi, inject_random_multilabels};
 use ceci_graph::{io, lid, vid, Graph, LabelSet};
 use ceci_query::{splitmix64, CanonicalQuery, QueryGraph, QueryPlan};
 
-use crate::cache::{FlightProbe, PlanFeedback};
+use crate::cache::{CachedIndex, FlightProbe};
 use crate::event_loop::{LoopShared, QueuedSink, SharedWriter};
 use crate::metrics::ServerMetrics;
 use crate::protocol::{parse_request, Request};
@@ -61,10 +61,10 @@ const HANDLES: [&str; 3] = ["r0", "r1", "r2"];
 const DIRTY_LOG_CAP: u64 = 3;
 /// Small enough that batches compact.
 const COMPACT_THRESHOLD: usize = 6;
-/// The one `MATCH` form the deadline ladder may degrade.
+/// A deadline no drain here reaches: the reply is exact.
 const DEADLINE: &str = " DEADLINE 60000";
-/// A planted rate: a second a unit of work, so no 60 s deadline is met.
-const PLANTED_NS_PER_UNIT: f64 = 1e12;
+/// A deadline that has passed before the first unit: nothing drains.
+const CUT: &str = " DEADLINE 0";
 
 /// One request, as the model reads it: graph names, template indexes,
 /// registration handles, edges in file ids.
@@ -108,10 +108,11 @@ macro_rules! counters {
 
 /// Every counter a step may move, by its `STATS` name.
 fn counters(m: &ServerMetrics) -> Moves {
-    counters!(m; approx_answers, cache_collisions, cache_hits, cache_misses, cache_quarantined,
-        compactions, continuous_events, deadline_exceeded, edges_added, edges_deleted, errors,
-        event_push_failures, filter_rejected, index_repair_fallbacks, index_repair_set_scans,
-        index_repairs, load_requests, mutation_batches, quarantine_hits)
+    counters!(m; cache_collisions, cache_hits, cache_misses, cache_quarantined, compactions,
+        continuous_events, deadline_exceeded, edges_added, edges_deleted, embeddings_returned,
+        errors, event_push_failures, filter_rejected, index_repair_fallbacks,
+        index_repair_set_scans, index_repairs, load_requests, match_requests, mutation_batches,
+        quarantine_hits)
 }
 
 /// What a seed serves, written under one scratch directory: per graph name
@@ -252,6 +253,20 @@ fn oracle(graph: &Graph, query: &QueryGraph) -> u64 {
     count
 }
 
+/// The snapshot `g` serves and the index the cache holds for `query` on
+/// it, which the model says is there.
+fn served(state: &ServerState, g: &str, query: &QueryGraph) -> (Arc<Graph>, Arc<CachedIndex>) {
+    let entry = state.registry.get(g).expect("a loaded graph");
+    let (graph, now) = entry.snapshot();
+    match state
+        .cache
+        .begin_at(entry.epoch, now, &CanonicalQuery::of(query))
+    {
+        FlightProbe::Hit(index) => (graph, index),
+        _ => panic!("the model predicts {g}'s entry is cached"),
+    }
+}
+
 /// One loaded name: its edge set in file ids, and the edge set of the last
 /// compaction (the reply's `pending=` is their symmetric difference).
 struct Loaded {
@@ -277,8 +292,6 @@ struct Model {
     /// `(graph, canonical hash)` → sub-epoch of its cached index.
     cached: BTreeMap<(&'static str, u64), u64>,
     quarantined: BTreeSet<(&'static str, u64)>,
-    /// Cached keys whose entry carries the planted rate.
-    planted: BTreeSet<(&'static str, u64)>,
     regs: BTreeMap<&'static str, Registration>,
     armed: bool,
     /// Oracle counts by `(load, sub-epoch, canonical hash)`.
@@ -324,10 +337,7 @@ impl Model {
             None => ("MISS", "cache_misses"),
         };
         moved.insert(counter, 1);
-        // A repair or a build replaces the entry, and its rate with it.
-        if self.cached.insert(key, now) != Some(now) {
-            self.planted.remove(&key);
-        }
+        self.cached.insert(key, now);
         Ok(tag)
     }
 }
@@ -422,10 +432,9 @@ impl Sim {
             19 => Op::Verb("STATS"),
             20 => Op::Verb("QUIT"),
             _ => {
-                let forms = ["", "", " RAW", " EXACT", " WORKERS 2", DEADLINE];
-                let suffix = match rng.below(forms.len() + 2) {
+                let forms = ["", "", " RAW", " WORKERS 2", DEADLINE, CUT];
+                let suffix = match rng.below(forms.len() + 1) {
                     i if i < forms.len() => forms[i].to_string(),
-                    i if i == forms.len() => format!("{DEADLINE} EXACT"),
                     _ => format!(" LIMIT {}", 1 + rng.below(4)),
                 };
                 // Now and then an unknown graph or a missing query file.
@@ -463,7 +472,6 @@ impl Sim {
                 model.graphs.insert(g, loaded);
                 model.cached.retain(|k, _| k.0 != *g);
                 model.quarantined.retain(|k| k.0 != *g);
-                model.planted.retain(|k| k.0 != *g);
                 model.regs.retain(|_, r| r.graph != *g);
                 moved.insert("load_requests", 1);
             }
@@ -501,6 +509,9 @@ impl Sim {
             }
             Op::Match(g, t, _) | Op::Explain(g, t, _) => {
                 let (g, t) = (*g, *t);
+                if matches!(op, Op::Match(..)) {
+                    moved.insert("match_requests", 1);
+                }
                 if !model.graphs.contains_key(g) || t == fx.templates.len() {
                     let unknown = format!("ERR E_UNKNOWN_GRAPH unknown graph {g:?}");
                     let missing = format!("q{t}.graph");
@@ -537,26 +548,41 @@ impl Sim {
                             assert_eq!(field_u64(totals, "embeddings"), want);
                         }
                     }
-                    // The probe above dropped the rate if it replaced the
-                    // entry; on a hit the estimator answers, its count the
-                    // rounded mean of its fixed-seed walks.
-                    (Ok(_), Some(DEADLINE)) if model.planted.contains(&(g, fx.templates[t].1)) => {
-                        let count = field_u64(last, "count");
-                        let head = format!("OK MATCH count={count} status=OK mode=APPROX mean=");
-                        assert!(last.starts_with(&head), "got {last:?}");
-                        let mean: f64 = field(last, "mean").unwrap().parse().expect("a mean");
-                        assert!((count as f64 - mean).abs() <= 0.55, "{last}");
-                        let walks = EstimateOptions::default().walks;
-                        let tail = format!(" walks={walks} cache=HIT build_us=0 enum_us=0 ");
-                        assert!(last.contains(&tail), "want {tail:?} in {last:?}");
-                        moved.insert("approx_answers", 1);
+                    // Nothing drained: every pivot is estimated, by the
+                    // walks the served estimator takes over the entry the
+                    // request left cached; an index without pivots has
+                    // nothing to estimate, and is exact.
+                    (Ok(tag), Some(CUT)) => {
+                        let (graph, index) = served(&self.state, g, &fx.templates[t].0);
+                        let (plan, ceci) = (&index.plan, &index.ceci);
+                        let head = if ceci.pivots().is_empty() {
+                            assert_eq!(want, 0, "embeddings without pivots");
+                            format!("OK MATCH count=0 status=OK cache={tag} ")
+                        } else {
+                            let est = estimate_embeddings(&graph, plan, ceci, &Default::default());
+                            assert_eq!(est.walks, EstimateOptions::default().walks);
+                            assert!(want > 0 || est.mean == 0.0, "walks completed no embedding");
+                            let (lo, hi) = est.ci95();
+                            moved.insert("deadline_exceeded", 1);
+                            format!(
+                                "OK MATCH count={} status=OK mode=APPROX exact=0 mean={:.1} \
+                                 std_error={:.1} ci95_lo={lo:.1} ci95_hi={hi:.1} walks={} \
+                                 cache={tag} ",
+                                est.mean.round() as u64,
+                                est.mean,
+                                est.std_error,
+                                est.walks,
+                            )
+                        };
+                        assert!(last.starts_with(&head), "want {head:?} in {last:?}");
                     }
                     (Ok(tag), Some(suffix)) => {
                         let limit = (suffix.strip_prefix(" LIMIT "))
                             .map_or(u64::MAX, |k| k.parse().expect("a limit"));
-                        let head =
-                            format!("OK MATCH count={} status=OK cache={tag} ", want.min(limit));
+                        let count = want.min(limit);
+                        let head = format!("OK MATCH count={count} status=OK cache={tag} ");
                         assert!(last.starts_with(&head), "want {head:?}");
+                        moved.insert("embeddings_returned", count);
                         let built = field(last, "build_us") != Some("0");
                         assert!(tag != "HIT" || !built, "a hit builds nothing");
                         let replan = field(last, "replan_us").is_some();
@@ -645,38 +671,6 @@ impl Sim {
             }
         }
         (moved, owed)
-    }
-
-    /// Just before client `c`'s job for `op` runs: when `op` is a
-    /// degradable `MATCH … DEADLINE` that will hit an entry with embeddings
-    /// (so its walks cannot prove zero), maybe plant a rate on the entry.
-    fn plant(&mut self, c: usize, op: &Op, rng: &mut Rng) {
-        let Op::Match(g, t, suffix) = op else { return };
-        let (Some(l), Some((query, key))) = (self.model.graphs.get(g), self.fx.templates.get(*t))
-        else {
-            return;
-        };
-        let (key, now) = ((*g, *key), l.sub_epoch);
-        if suffix != DEADLINE
-            || self.model.cached.get(&key) != Some(&now)
-            || self.model.planted.contains(&key)
-            || self.model.count(&self.fx, g, *t) == 0
-            || rng.below(2) == 0
-        {
-            return;
-        }
-        let entry = self.state.registry.get(g).expect("a loaded graph");
-        let canonical = CanonicalQuery::of(query);
-        let probe = self.state.cache.begin_at(entry.epoch, now, &canonical);
-        let FlightProbe::Hit(index) = probe else {
-            panic!("the model predicts a HIT on {key:?}")
-        };
-        *index.feedback.lock().expect("feedback lock") = Some(PlanFeedback {
-            ns_per_unit: PLANTED_NS_PER_UNIT,
-        });
-        self.model.planted.insert(key);
-        let planted = format!("c{c} ~ planted ns_per_unit={PLANTED_NS_PER_UNIT}");
-        self.transcript.push(planted);
     }
 
     /// [`Sim::expect`], then the counters, the pushed events and the state
@@ -791,10 +785,7 @@ fn run(seed: u64) -> Vec<String> {
         let (before, t0) = (counters(&state.metrics), Instant::now());
         let stepped = catch_unwind(AssertUnwindSafe(|| {
             let lines = match pending[c].take() {
-                Some((_, job)) => {
-                    sim.plant(c, &op, &mut rng);
-                    job(&state, Duration::ZERO)
-                }
+                Some((_, job)) => job(&state, Duration::ZERO),
                 None => match route(sim.send(c, &op), &state, &sim.sinks[c]) {
                     Routed::Inline(lines) => lines,
                     Routed::Data(job) => {
@@ -871,11 +862,20 @@ mod tests {
             }
             return;
         }
+        let mut intervals = 0;
         for seed in (1..=100).chain(REGRESSION_SEEDS) {
             let transcript = run(seed);
             if seed % 25 == 0 {
                 assert_eq!(run(seed), transcript, "seed {seed} replays differently");
             }
+            intervals += transcript
+                .iter()
+                .filter(|l| l.contains(" exact=0 "))
+                .count();
         }
+        assert!(
+            intervals > 0,
+            "no seed answered a DEADLINE 0 with an interval"
+        );
     }
 }

@@ -237,36 +237,27 @@ fn deadline_returns_partial_count_in_bounded_time() {
         .unwrap();
     assert!(warm.is_ok(), "warmup failed: {}", warm.terminal);
 
-    // EXACT opts out of deadline-aware degradation, so the request runs
-    // the exact enumeration and gets cancelled mid-flight.
-    let t0 = Instant::now();
-    let resp = client
-        .request(&format!("MATCH g {query_path} DEADLINE 1 EXACT"))
-        .unwrap();
-    let elapsed = t0.elapsed();
-    assert!(resp.is_ok(), "deadline response: {}", resp.terminal);
-    assert_eq!(resp.field("status"), Some("DEADLINE_EXCEEDED"));
-    assert_eq!(resp.field("cache"), Some("HIT"));
-    assert!(
-        elapsed < Duration::from_secs(5),
-        "deadline response took {elapsed:?}"
-    );
-
-    // Without EXACT the adaptive layer answers the same hopeless deadline
-    // from the estimator, never burning the full deadline on a worker: no
-    // DEADLINE_EXCEEDED partial count.
+    // The drain runs until the deadline stops it, then answers the pivots
+    // that drained exactly and estimates the rest: an interval that never
+    // reaches below the exact part, never a truncated count.
     let t0 = Instant::now();
     let resp = client
         .request(&format!("MATCH g {query_path} DEADLINE 1"))
         .unwrap();
     let elapsed = t0.elapsed();
-    assert!(resp.is_ok(), "{}", resp.terminal);
+    assert!(resp.is_ok(), "deadline response: {}", resp.terminal);
+    assert_eq!(resp.field("status"), Some("OK"), "{}", resp.terminal);
     assert_eq!(resp.field("mode"), Some("APPROX"), "{}", resp.terminal);
-    assert!(resp.field("mean").is_some());
-    assert!(resp.field("ci95_lo").is_some());
+    assert_eq!(resp.field("cache"), Some("HIT"));
+    let value = |key: &str| -> f64 { resp.field(key).unwrap().parse().unwrap() };
+    let exact = resp.field_u64("exact").expect("exact=") as f64;
+    let (lo, mean, hi) = (value("ci95_lo"), value("mean"), value("ci95_hi"));
+    assert!(exact <= lo && lo <= mean && mean <= hi, "{}", resp.terminal);
+    let count = resp.field_u64("count").expect("count=") as f64;
+    assert!((count - mean).abs() <= 0.55, "{}", resp.terminal);
     assert!(
         elapsed < Duration::from_secs(5),
-        "degraded response took {elapsed:?}"
+        "deadline response took {elapsed:?}"
     );
 
     // The drain's width is the request's own: a heavy template (over a
@@ -283,9 +274,55 @@ fn deadline_returns_partial_count_in_bounded_time() {
         .filter(|s| s.name == "service.request")
         .map(|s| s.args.iter().find(|(k, _)| *k == "workers").unwrap().1)
         .collect();
-    // The warm-up, the EXACT run, then `WORKERS 2` (the APPROX answer
-    // drains nothing and records no request span).
+    // The warm-up, the deadline run, then `WORKERS 2`.
     assert_eq!(widths, [1, 1, 2]);
+    handle.shutdown();
+}
+
+/// A drain with nothing left to do is exact, whatever its deadline: "cut
+/// short" means some unit the deadline stopped, not a clock read after the
+/// join. A triangle over a star passes the label-pair filter, but its index
+/// has no pivots, so `DEADLINE 0` answers an exact zero; a `LIMIT` reached
+/// before a short deadline answers exactly too.
+#[test]
+fn a_drain_with_nothing_left_is_exact_whatever_its_deadline() {
+    use ceci_graph::vid;
+    let scratch = Scratch::new("nothing-left");
+    let edges: Vec<_> = (1..=7).map(|leaf| (vid(0), vid(leaf))).collect();
+    let star = scratch.write_graph("star.graph", &Graph::unlabeled(8, &edges));
+    let triangle = [(vid(0), vid(1)), (vid(1), vid(2)), (vid(2), vid(0))];
+    let triangle = scratch.write_graph("triangle.graph", &Graph::unlabeled(3, &triangle));
+    let graph = small_graph();
+    let pattern = query_from(&graph, 4, 7);
+    let heavy = scratch.write_graph("data.graph", &graph);
+    let query = scratch.write_graph("query.graph", &pattern);
+    assert!(direct_count(&graph, &pattern) > 3);
+
+    let (handle, _state) = serve(ServeConfig::default());
+    let mut client = Client::connect(handle.addr()).unwrap();
+    client.request(&format!("LOAD s {star}")).unwrap();
+    client.request(&format!("LOAD g {heavy}")).unwrap();
+    client.request(&format!("MATCH g {query}")).unwrap();
+    for (request, count) in [
+        (format!("MATCH s {triangle} DEADLINE 0"), 0),
+        (format!("MATCH s {triangle} DEADLINE 0 WORKERS 2"), 0),
+        (format!("MATCH g {query} LIMIT 3 DEADLINE 5000"), 3),
+        (
+            format!("MATCH g {query} LIMIT 3 DEADLINE 5000 WORKERS 2"),
+            3,
+        ),
+    ] {
+        let was = prom(&mut client);
+        let resp = client.request(&request).unwrap();
+        let now = prom(&mut client);
+        assert!(resp.is_ok(), "{request}: {}", resp.terminal);
+        assert_eq!(resp.field("filter"), None, "{request}: {}", resp.terminal);
+        assert_eq!(resp.field("status"), Some("OK"), "{request}");
+        assert_eq!(resp.field("mode"), None, "{request}: {}", resp.terminal);
+        assert_eq!(resp.field_u64("count"), Some(count), "{request}");
+        let exceeded = "ceci_deadline_exceeded_total";
+        assert_eq!(now[exceeded], was[exceeded], "{request}");
+    }
     handle.shutdown();
 }
 
@@ -443,9 +480,7 @@ fn stats_prom_emits_valid_exposition_format() {
     assert_eq!(value("ceci_load_requests_total"), Some(1.0));
     assert_eq!(value("ceci_cache_misses_total"), Some(1.0));
     assert_eq!(value("ceci_graphs_loaded"), Some(1.0));
-    // Adaptive-execution counters are exported, all zero: nothing degraded
-    // here, and a cache miss scores no plan portfolio.
-    assert_eq!(value("ceci_approx_answers_total"), Some(0.0));
+    // A cache miss scores no plan portfolio.
     assert_eq!(value("ceci_adaptive_replans_total"), Some(0.0));
     assert_eq!(
         samples
@@ -843,11 +878,9 @@ fn every_match_form_counts_the_same_through_one_drain() {
             "",
             "",
             " RAW",
-            " EXACT",
             " WORKERS 2",
             " WORKERS 1",
             " DEADLINE 60000",
-            " DEADLINE 60000 EXACT",
         ] {
             assert_eq!(ask(suffix), expected, "{name}{suffix}");
         }
@@ -914,7 +947,6 @@ fn loaded_graphs_are_served_in_ranked_ids_and_answer_in_file_ids() {
             for (suffix, expect) in [
                 ("", want),
                 (" RAW", want),
-                (" EXACT", want),
                 (" WORKERS 2", want),
                 (" LIMIT 1", want.min(1)),
                 (limit.as_str(), want.min(want.max(2) - 1)),
@@ -2229,8 +2261,8 @@ fn every_stale_read_repairs_over_patched_sets_whatever_the_gap() {
     let repaired = state.cache.entries().pop().unwrap();
     let (snapshot, _) = state.registry.get("g").unwrap().snapshot();
     let fresh = ceci_core::served_cost(&snapshot, &repaired.plan, &repaired.ceci);
-    let volume = format!(" est_volume={:.1} ", fresh.volume());
-    assert!(line("exec:").contains(&volume), "{}", line("exec:"));
+    let volume = format!(" est_volume={:.1}", fresh.volume());
+    assert!(line("exec:").ends_with(&volume), "{}", line("exec:"));
     let reply = served(&client.request(&request).unwrap());
     assert_eq!(reply.cache, "HIT");
     assert_eq!(reply.count, direct_count(&reference, &pattern));
@@ -2334,10 +2366,6 @@ fn cache_bytes_equal_the_live_frozen_indexes_over_fifty_entries() {
 /// was come by. Mirrors DESIGN's "`ExecPath` → tokens / counter / span".
 #[test]
 fn every_exec_path_moves_its_own_counter_and_carries_its_own_tokens() {
-    use ceci_core::{PlanChoice, Reuse};
-    use ceci_query::CanonicalQuery;
-    use ceci_service::{CachedIndex, PlanFeedback};
-
     let scratch = Scratch::new("one-counter");
     let graph = small_graph();
     let pattern = query_from(&graph, 4, 7);
@@ -2359,26 +2387,6 @@ fn every_exec_path_moves_its_own_counter_and_carries_its_own_tokens() {
     let mut client = Client::connect(handle.addr()).unwrap();
     client.request(&format!("LOAD g {graph_path}")).unwrap();
 
-    // The deadline ladder's degraded rung needs an entry that "cannot
-    // finish": plant a real one, for another template, whose observed rate
-    // prices every walked unit at a thousand seconds.
-    let approx_path = {
-        let pattern = query_from(&graph, 3, 5);
-        let query = QueryGraph::from_graph(&pattern).unwrap();
-        let entry = state.registry.get("g").unwrap();
-        let (snapshot, sub_epoch) = entry.snapshot();
-        let canonical = CanonicalQuery::of(&query);
-        let plan = Arc::new(QueryPlan::new(query, &snapshot));
-        let ceci = Arc::new(Ceci::build(&snapshot, &plan));
-        let choice = PlanChoice::unscored(&plan);
-        let reuse = Arc::new(Reuse::new(ceci_core::replan_price(&plan, &ceci)));
-        let planted = CachedIndex::new(canonical, plan, ceci, sub_epoch, choice, reuse);
-        *planted.feedback.lock().unwrap() = Some(PlanFeedback { ns_per_unit: 1e12 });
-        state.cache.insert(entry.epoch, planted);
-        scratch.write_graph("approx.graph", &pattern)
-    };
-    assert_eq!(state.cache.len(), 1, "the planted template");
-
     // What a row does before its request.
     enum Before {
         Nothing,
@@ -2393,7 +2401,7 @@ fn every_exec_path_moves_its_own_counter_and_carries_its_own_tokens() {
         "cache_misses",
         "index_repairs",
         "index_repair_set_scans",
-        "approx_answers",
+        "deadline_exceeded",
         "index_repair_fallbacks",
         "cache_collisions",
     ];
@@ -2429,12 +2437,14 @@ fn every_exec_path_moves_its_own_counter_and_carries_its_own_tokens() {
             [None, None, Some("HIT")],
             &["cache_hits"],
         ),
+        // A deadline past before the first unit: nothing drains, so the
+        // reply is an interval over every pivot.
         (
-            "approx/hit",
+            "interval/hit",
             Nothing,
-            format!("MATCH g {approx_path} DEADLINE 10"),
+            format!("{plain} DEADLINE 0"),
             [None, Some("APPROX"), Some("HIT")],
-            &["approx_answers", "cache_hits"],
+            &["deadline_exceeded", "cache_hits"],
         ),
         // Every gap on the dirty log repairs one way, small or big.
         (
