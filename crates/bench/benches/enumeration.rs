@@ -2,9 +2,7 @@
 //! sequential vs parallel strategies (ST/CGD/FGD).
 
 use ceci_bench::{Dataset, Scale};
-use ceci_core::{
-    count_embeddings, enumerate_parallel, Ceci, EnumOptions, ParallelOptions, Strategy,
-};
+use ceci_core::{count_embeddings, enumerate_parallel, Ceci, ParallelOptions, Strategy};
 use ceci_query::{PaperQuery, QueryPlan};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -50,10 +48,7 @@ fn bench_strategies(c: &mut Criterion) {
                     &ParallelOptions {
                         workers,
                         strategy,
-                        enumeration: EnumOptions::default(),
-                        limit: None,
-                        collect: false,
-                        profile: false,
+                        ..Default::default()
                     },
                 ))
             });

@@ -2,7 +2,7 @@
 //! stand-in): smaller β trims the tail skew at the cost of more
 //! decomposition work.
 
-use ceci_core::{enumerate_parallel, Ceci, EnumOptions, ParallelOptions, Strategy};
+use ceci_core::{enumerate_parallel, Ceci, ParallelOptions, Strategy};
 use ceci_query::{PaperQuery, QueryPlan};
 
 use crate::datasets::{Dataset, Scale};
@@ -39,10 +39,7 @@ pub fn run(scale: Scale) {
             &ParallelOptions {
                 workers,
                 strategy: Strategy::FineDynamic { beta },
-                enumeration: EnumOptions::default(),
-                limit: None,
-                collect: false,
-                profile: false,
+                ..Default::default()
             },
         );
         let min = result.worker_busy.iter().min().copied().unwrap_or_default();

@@ -2,9 +2,7 @@
 //! load/preprocess/filter phases, near-100% during enumeration (which
 //! dominates the runtime).
 
-use ceci_core::{
-    enumerate_parallel, Ceci, EnumOptions, ParallelOptions, Phase, PhaseTimeline, Strategy,
-};
+use ceci_core::{enumerate_parallel, Ceci, ParallelOptions, Phase, PhaseTimeline, Strategy};
 use ceci_query::{PaperQuery, QueryPlan};
 
 use crate::datasets::{Dataset, Scale};
@@ -38,10 +36,7 @@ pub fn run(scale: Scale) {
                 &ParallelOptions {
                     workers,
                     strategy: Strategy::FineDynamic { beta: 0.2 },
-                    enumeration: EnumOptions::default(),
-                    limit: None,
-                    collect: false,
-                    profile: false,
+                    ..Default::default()
                 },
             )
         });

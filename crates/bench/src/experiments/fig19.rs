@@ -41,9 +41,7 @@ fn timed_ceci_variant(
                 verify,
                 ..EnumOptions::default()
             },
-            limit: None,
-            collect: false,
-            profile: false,
+            ..Default::default()
         },
     );
     (start.elapsed(), result.total_embeddings)

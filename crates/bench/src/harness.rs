@@ -2,7 +2,7 @@
 
 use std::time::{Duration, Instant};
 
-use ceci_core::{enumerate_parallel, Ceci, Counters, EnumOptions, ParallelOptions, Strategy};
+use ceci_core::{enumerate_parallel, Ceci, Counters, ParallelOptions, Strategy};
 use ceci_graph::Graph;
 use ceci_query::{QueryGraph, QueryPlan};
 
@@ -145,10 +145,8 @@ pub fn run_ceci_with(
     let options = ParallelOptions {
         workers,
         strategy,
-        enumeration: EnumOptions::default(),
         limit,
-        collect: false,
-        profile: false,
+        ..Default::default()
     };
     let result = enumerate_parallel(graph, &plan, &ceci, &options);
     (

@@ -46,9 +46,8 @@ pub use ceci_query as query;
 pub mod prelude {
     pub use ceci_core::{
         collect_embeddings, count_embeddings, count_parallel, enumerate_parallel,
-        enumerate_parallel_cancellable, enumerate_sequential, BuildOptions, CancelToken, Ceci,
-        CollectSink, CountSink, Counters, DeadlineSink, EnumOptions, Enumerator, ParallelOptions,
-        Strategy, VerifyMode,
+        enumerate_sequential, BuildOptions, CancelToken, Ceci, CollectSink, CountSink, Counters,
+        EnumOptions, Enumerator, ParallelOptions, Strategy, VerifyMode,
     };
     pub use ceci_distributed::{run_distributed, ClusterConfig, StorageMode};
     pub use ceci_graph::{lid, vid, Graph, GraphBuilder, LabelId, LabelSet, VertexId};

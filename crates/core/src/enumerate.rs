@@ -80,14 +80,11 @@ pub struct EnumOptions {
 }
 
 /// How the last matching-order depths of a plan are answered for a
-/// bulk-capable sink (an unbounded count, bare or under a
-/// [`crate::DeadlineSink`], which passes bulk counts through). A sink that
-/// needs each embedding (`LIMIT`, collection) gets [`LeafMode::Emit`]
-/// whatever the plan allows. An enumerator holding a [`CancelToken`] walks
-/// the last depth of a [`LeafMode::Tally`] plan as `Emit` does, polling the
-/// token every 256 candidates; the other modes answer alike under a token,
-/// with one `emit_bulk` per sibling (the reuse modes) or per expansion
-/// ([`LeafMode::Twins`]), each of which a [`crate::DeadlineSink`] polls.
+/// bulk-capable sink (an unbounded count). A sink that needs each embedding
+/// (`LIMIT`, collection) gets [`LeafMode::Emit`] whatever the plan allows.
+/// Every mode answers alike whether or not the enumerator holds a
+/// [`CancelToken`]: a unit the token stops is discarded whole, so a closed
+/// form needs no poll of its own.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LeafMode {
     /// One `mapping` write and one `emit` per embedding.
@@ -264,15 +261,6 @@ impl<'a> Enumerator<'a> {
         self.profile = Some(p);
     }
 
-    /// Attaches (or detaches, with `None`) an existing profile — used by the
-    /// parallel loops to keep one preallocated profile per worker.
-    pub fn set_profile(&mut self, profile: Option<Box<DepthProfile>>) {
-        self.profile = profile;
-        if let Some(p) = self.profile.as_deref_mut() {
-            p.arm_clock();
-        }
-    }
-
     /// Detaches and returns the accumulated profile, if any.
     pub fn take_profile(&mut self) -> Option<Box<DepthProfile>> {
         self.profile.take()
@@ -306,24 +294,6 @@ impl<'a> Enumerator<'a> {
         counters: &mut Counters,
     ) -> bool {
         self.enumerate_prefix(&[pivot], sink, counters)
-    }
-
-    /// Cancellation-safe counting variant of
-    /// [`Enumerator::enumerate_cluster`]: enumerates the cluster of `pivot`
-    /// into a fresh unbounded count sink and returns `Some(count)` only
-    /// when enumeration ran to completion. If the attached [`CancelToken`]
-    /// tripped mid-cluster the partial count is *discarded* (`None`) — the
-    /// caller can re-execute the cluster elsewhere without ever mixing a
-    /// partial tally into an exactly-once total. This is the draining
-    /// primitive the distributed fault-recovery path is built on.
-    pub fn enumerate_cluster_checked(
-        &mut self,
-        pivot: VertexId,
-        counters: &mut Counters,
-    ) -> Option<u64> {
-        let mut sink = crate::sink::CountSink::unbounded();
-        let completed = self.enumerate_cluster(pivot, &mut sink, counters);
-        completed.then(|| sink.count())
     }
 
     /// Enumerates all embeddings extending a work-unit `prefix`: images of
@@ -509,13 +479,13 @@ impl<'a> Enumerator<'a> {
         // constraint, so what completes the embedding is a choice of images
         // for the `left` vertices still unmapped out of the gathered set
         // minus the prefix images inside it. At the last depth that is the
-        // set's size (a tally; under a token the walk below polls instead);
-        // inside a twin tail every unmapped twin draws from this one set.
+        // set's size (a tally); inside a twin tail every unmapped twin draws
+        // from this one set.
         let left = order.len() - depth;
         let closed = match self.leaf {
             LeafMode::Emit => false,
             LeafMode::Twins(tail) => left <= tail.twins,
-            _ => last && self.cancel.is_none(),
+            _ => last,
         };
         if closed && sink.supports_bulk() {
             let image = |w: &VertexId| self.mapping[w.index()].expect("prefix is assigned");
@@ -908,10 +878,11 @@ mod tests {
         use ceci_query::QueryGraph;
         use std::time::{Duration, Instant};
 
-        // One hub with 200k leaves and a single-edge query: the hub cluster
+        // One hub with 20k leaves and a single-edge query: the hub cluster
         // is ONE recursive call whose candidate buffer holds every leaf, so
         // the per-call cancellation check never fires again — only the
-        // in-drain stride check can stop it.
+        // in-drain stride check can stop it. The sink collects, so the last
+        // depth is walked (a count would be tallied in one step).
         const N: u32 = 20_000;
         let edges: Vec<_> = (1..=N).map(|i| (vid(0), vid(i))).collect();
         let graph = Graph::unlabeled((N + 1) as usize, &edges);
@@ -930,15 +901,15 @@ mod tests {
         let mut e = Enumerator::new(&graph, &plan, &ceci, EnumOptions::default());
         e.set_cancel(Some(token));
         let mut counters = Counters::default();
-        let mut sink = CountSink::unbounded();
+        let mut sink = CollectSink::unbounded();
         let t0 = Instant::now();
         let keep_going = e.enumerate_cluster(hub, &mut sink, &mut counters);
         let overshoot = t0.elapsed();
         assert!(!keep_going, "expired deadline must stop the drain");
         assert!(
-            sink.count() <= DRAIN_CHECK_MASK + 2,
+            sink.len() as u64 <= DRAIN_CHECK_MASK + 2,
             "drain must stop within one stride, emitted {}",
-            sink.count()
+            sink.len()
         );
         assert!(
             overshoot < Duration::from_millis(10),
@@ -1236,7 +1207,7 @@ mod tests {
 
     #[test]
     fn a_deadline_keeps_the_twin_closed_form() {
-        use crate::parallel::{enumerate_parallel_cancellable, ParallelOptions, Strategy};
+        use crate::parallel::{enumerate_parallel, ParallelOptions, Strategy};
         use ceci_graph::vid;
         use std::time::Duration;
 
@@ -1259,7 +1230,7 @@ mod tests {
             chained: true,
         };
         assert_eq!(LeafMode::of(&plan, &ceci, pruning), LeafMode::Twins(tail));
-        let run = |prune_redundant, token| {
+        let run = |prune_redundant, cancel| {
             let options = ParallelOptions {
                 workers: 1,
                 strategy: Strategy::Static,
@@ -1267,14 +1238,15 @@ mod tests {
                     prune_redundant,
                     ..EnumOptions::default()
                 },
+                cancel,
                 ..ParallelOptions::default()
             };
-            enumerate_parallel_cancellable(&graph, &plan, &ceci, &options, token)
+            enumerate_parallel(&graph, &plan, &ceci, &options)
         };
         let free = run(true, None);
-        // Under a token the enumerator holds it and the sink is a
-        // `DeadlineSink`; the twin tail still answers with one bulk count
-        // per expansion, so every counter is the untimed run's.
+        // Under a token the enumerator holds it; the twin tail still
+        // answers with one bulk count per expansion, so every counter is
+        // the untimed run's.
         let timed = run(true, Some(CancelToken::after(Duration::from_secs(3600))));
         assert!(timed.cut.is_none());
         assert_eq!(timed.total_embeddings, 35);
@@ -1285,6 +1257,57 @@ mod tests {
         assert_eq!(walked.total_embeddings, 35);
         assert_eq!(timed.counters.recursive_calls, 1);
         assert_eq!(walked.counters.recursive_calls, 1 + 7 + 21);
+    }
+
+    #[test]
+    fn a_deadline_keeps_the_tally_closed_form() {
+        use std::time::Duration;
+
+        /// A count that records which way each embedding reached it.
+        #[derive(Default)]
+        struct Calls {
+            emits: u64,
+            bulks: u64,
+            count: u64,
+        }
+        impl EmbeddingSink for Calls {
+            fn emit(&mut self, _: &[VertexId]) -> bool {
+                self.emits += 1;
+                self.count += 1;
+                true
+            }
+            fn supports_bulk(&self) -> bool {
+                true
+            }
+            fn emit_bulk(&mut self, count: u64) -> bool {
+                self.bulks += 1;
+                self.count += count;
+                true
+            }
+        }
+
+        // 2 centers × 3 B-leaves reach the last depth, and each of those
+        // gathers finds the center's 3 C-leaves: 6 gathers, 18 embeddings.
+        let (graph, plan, ceci) = eligible_star();
+        let options = EnumOptions::default();
+        assert_eq!(LeafMode::of(&plan, &ceci, options), LeafMode::Tally);
+        let run = |cancel| {
+            let mut e = Enumerator::new(&graph, &plan, &ceci, options);
+            e.set_cancel(cancel);
+            let mut counters = Counters::default();
+            let mut sink = Calls::default();
+            for &(pivot, _) in ceci.pivots() {
+                assert!(e.enumerate_cluster(pivot, &mut sink, &mut counters));
+            }
+            (sink, counters)
+        };
+        let (free, free_counters) = run(None);
+        assert_eq!((free.emits, free.bulks, free.count), (0, 6, 18));
+        // Under a token the last depth is still one tally per gather, not a
+        // walk, and every counter is the untimed run's.
+        let (timed, timed_counters) = run(Some(CancelToken::after(Duration::from_secs(3600))));
+        assert_eq!((timed.emits, timed.bulks, timed.count), (0, 6, 18));
+        assert_eq!(timed_counters, free_counters);
     }
 
     #[test]

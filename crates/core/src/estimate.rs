@@ -132,17 +132,6 @@ impl CostEstimate {
         self.depth_work.iter().sum::<f64>() + self.volume()
     }
 
-    /// Estimated branch factor entering each depth:
-    /// `branch_factors()[d] = depth_volumes[d + 1] / depth_volumes[d]`
-    /// (0 when the parent depth's volume is 0). Length is one less than
-    /// `depth_volumes`.
-    pub fn branch_factors(&self) -> Vec<f64> {
-        self.depth_volumes
-            .windows(2)
-            .map(|w| if w[0] > 0.0 { w[1] / w[0] } else { 0.0 })
-            .collect()
-    }
-
     /// Scales the estimate by `factor` — used when walks ran over a pilot
     /// index built from a sampled pivot subset, so counts must be
     /// extrapolated back to the full pivot population.
@@ -416,10 +405,7 @@ mod tests {
             },
         );
         assert!(fewer.work_std_error > cost.work_std_error);
-        assert_eq!(
-            cost.branch_factors().len(),
-            cost.depth_volumes.len().saturating_sub(1)
-        );
+        assert_eq!(cost.depth_volumes.len(), plan.query().num_vertices());
     }
 
     #[test]

@@ -149,7 +149,7 @@ pub fn explain_plan(
     }
     let _ = writeln!(
         out,
-        "leaf={} for a count-only run (LIMIT and collected runs: EMIT; a deadline run walks a TALLY as EMIT)",
+        "leaf={} for a count-only run (LIMIT and collected runs: EMIT)",
         LeafMode::of(plan, ceci, options)
     );
     out

@@ -67,12 +67,9 @@ pub use filter::{bfs_filter, bfs_filter_from, BuilderState, FilterProfile};
 pub use index::{BuildOptions, BuildStats, Ceci};
 pub use metrics::{Counters, Phase, PhaseSpan, PhaseTimeline};
 pub use parallel::{
-    count_parallel, enumerate_parallel, enumerate_parallel_cancellable, Cut, ParallelOptions,
-    ParallelResult, Strategy,
+    count_parallel, enumerate_parallel, Cut, ParallelOptions, ParallelResult, Strategy,
 };
-pub use sink::{
-    canonicalize, CancelToken, CollectSink, CountSink, DeadlineSink, EmbeddingSink, SharedBudget,
-};
+pub use sink::{canonicalize, CancelToken, CollectSink, CountSink, EmbeddingSink, SharedBudget};
 pub use twins::TwinTail;
 
 // Re-exported so downstream crates profile enumeration without depending on

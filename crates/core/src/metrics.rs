@@ -193,15 +193,6 @@ impl PhaseTimeline {
             .sum()
     }
 
-    /// Fraction of total wall time spent in `phase` (0 if nothing recorded).
-    pub fn phase_fraction(&self, phase: Phase) -> f64 {
-        let total = self.total().as_secs_f64();
-        if total == 0.0 {
-            return 0.0;
-        }
-        self.phase_total(phase).as_secs_f64() / total
-    }
-
     /// Mean CPU utilization over the timeline for a machine with
     /// `total_workers` cores: time-weighted `active / total`.
     pub fn mean_utilization(&self, total_workers: usize) -> f64 {
@@ -266,7 +257,10 @@ mod tests {
         assert_eq!(tl.spans().len(), 2);
         assert!(tl.phase_total(Phase::Enumerate) >= Duration::from_millis(2));
         assert!(tl.total() >= tl.phase_total(Phase::Enumerate));
-        assert!(tl.phase_fraction(Phase::Enumerate) > 0.0);
+        assert_eq!(
+            tl.total(),
+            tl.phase_total(Phase::Filter) + tl.phase_total(Phase::Enumerate)
+        );
     }
 
     #[test]
@@ -293,7 +287,7 @@ mod tests {
         let tl = PhaseTimeline::new();
         assert_eq!(tl.total(), Duration::ZERO);
         assert_eq!(tl.mean_utilization(8), 0.0);
-        assert_eq!(tl.phase_fraction(Phase::Load), 0.0);
+        assert_eq!(tl.phase_total(Phase::Load), Duration::ZERO);
     }
 
     #[test]

@@ -24,12 +24,12 @@ use crate::extreme::{decompose_with, WorkUnit};
 use crate::index::Ceci;
 use crate::metrics::{Counters, ThreadTimer};
 use crate::sink::{
-    CancelToken, CollectSink, CountSink, DeadlineSink, EmbeddingSink, SharedBudget, SharedLimitSink,
+    CancelToken, CollectSink, CountSink, EmbeddingSink, SharedBudget, SharedLimitSink,
 };
 
 /// Runs `f(worker_index)` on `threads` scoped worker threads and returns
 /// the results in worker order: the worker pool of
-/// [`enumerate_parallel_cancellable`]. The degenerate single-thread case
+/// [`enumerate_parallel`]. The degenerate single-thread case
 /// runs inline on the caller (no spawn).
 pub(crate) fn scoped_workers<R, F>(threads: usize, f: F) -> Vec<R>
 where
@@ -76,7 +76,7 @@ impl Strategy {
 }
 
 /// Options for a parallel run.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct ParallelOptions {
     /// Number of worker threads.
     pub workers: usize,
@@ -89,6 +89,13 @@ pub struct ParallelOptions {
     pub enumeration: EnumOptions,
     /// Stop after this many embeddings globally (first-k semantics).
     pub limit: Option<u64>,
+    /// A cooperative [`CancelToken`] (explicit cancellation or a wall-clock
+    /// deadline). The enumerator polls it between work units, every 64
+    /// recursive calls, every 256 drained candidates and inside the
+    /// edge-verification gather; a unit it stopped is left out of the
+    /// result's [`Cut`], which is then the exact count of the pivots that
+    /// drained and the pivots that did not.
+    pub cancel: Option<Arc<CancelToken>>,
     /// Collect the embeddings (otherwise only count).
     pub collect: bool,
     /// Attach a per-depth [`crate::DepthProfile`] to every worker and merge
@@ -106,6 +113,7 @@ impl Default for ParallelOptions {
             strategy: Strategy::FineDynamic { beta: 0.2 },
             enumeration: EnumOptions::default(),
             limit: None,
+            cancel: None,
             collect: false,
             profile: false,
         }
@@ -174,6 +182,10 @@ impl ParallelResult {
 
 /// Runs parallel enumeration over a built CECI.
 ///
+/// At one worker this is an inline loop over the units with one reused
+/// [`Enumerator`] — what [`crate::enumerate_sequential`] does, plus the
+/// stop poll between units.
+///
 /// # Examples
 ///
 /// ```
@@ -201,26 +213,6 @@ pub fn enumerate_parallel(
     plan: &QueryPlan,
     ceci: &Ceci,
     options: &ParallelOptions,
-) -> ParallelResult {
-    enumerate_parallel_cancellable(graph, plan, ceci, options, None)
-}
-
-/// [`enumerate_parallel`] with an optional cooperative [`CancelToken`]
-/// (explicit cancellation or a wall-clock deadline). Workers poll the token
-/// between work units, inside the recursion (periodically), and on every
-/// emission, so a tripped token unwinds the whole pool in bounded time; the
-/// result then carries the [`Cut`]: the exact count of the pivots that
-/// drained, and the pivots that did not.
-///
-/// At one worker this is an inline loop over the units with one reused
-/// [`Enumerator`] — what [`crate::enumerate_sequential`] does, plus the
-/// stop poll between units.
-pub fn enumerate_parallel_cancellable(
-    graph: &Graph,
-    plan: &QueryPlan,
-    ceci: &Ceci,
-    options: &ParallelOptions,
-    cancel: Option<Arc<CancelToken>>,
 ) -> ParallelResult {
     assert!(options.workers >= 1, "need at least one worker");
     let t0 = Instant::now();
@@ -254,7 +246,7 @@ pub fn enumerate_parallel_cancellable(
     );
     let results: Vec<WorkerOut> = scoped_workers(workers, |w| {
         let mut enumerator = Enumerator::new(graph, plan, ceci, options.enumeration);
-        enumerator.set_cancel(cancel.clone());
+        enumerator.set_cancel(options.cancel.clone());
         if options.profile {
             enumerator.enable_profile();
         }
@@ -267,7 +259,7 @@ pub fn enumerate_parallel_cancellable(
             worker: w,
             workers,
             budget: budget.as_ref(),
-            cancel: cancel.as_ref(),
+            cancel: options.cancel.as_ref(),
             enumerator,
             counters: Counters::default(),
             busy: Duration::ZERO,
@@ -325,7 +317,7 @@ pub fn enumerate_parallel_cancellable(
         distribute_time,
         enumerate_time,
         embeddings,
-        cut: cancel
+        cut: (options.cancel.as_ref())
             .filter(|_| !budget.as_ref().is_some_and(|b| b.stopped()))
             .and_then(|_| cut(&units, ceci, &drained)),
         profile,
@@ -396,23 +388,18 @@ struct UnitLoop<'a, 'e> {
 }
 
 impl UnitLoop<'_, '_> {
-    /// Drains this worker's units into `inner`, wrapped in exactly the sinks
-    /// the run shares something through: the global limit, the token.
+    /// Drains this worker's units into `inner`, under the global limit when
+    /// the run has one.
     fn run_wrapped<S: EmbeddingSink>(&mut self, inner: &mut S) {
-        match (self.budget.cloned(), self.cancel.cloned()) {
-            (None, None) => self.run::<_, false>(inner),
-            (Some(budget), None) => self.run::<_, false>(&mut SharedLimitSink::new(inner, budget)),
-            (None, Some(token)) => self.run::<_, true>(&mut DeadlineSink::new(inner, token)),
-            (Some(budget), Some(token)) => {
-                let mut limited = SharedLimitSink::new(inner, budget);
-                self.run::<_, true>(&mut DeadlineSink::new(&mut limited, token))
-            }
+        match self.budget.cloned() {
+            None => self.run(inner),
+            Some(budget) => self.run(&mut SharedLimitSink::new(inner, budget)),
         }
     }
 
-    /// `TOKEN` (a token is present) also logs each unit that drained: the
-    /// `bool` `enumerate_prefix` returns, and the embeddings it found.
-    fn run<S: EmbeddingSink, const TOKEN: bool>(&mut self, sink: &mut S) {
+    /// Under a token, also logs each unit that drained: the `bool`
+    /// `enumerate_prefix` returns, and the embeddings it found.
+    fn run<S: EmbeddingSink>(&mut self, sink: &mut S) {
         // Neither way of taking units blocks between them, so one timer pair
         // around the loop reads the CPU time a pair per unit would add up to.
         let busy = ThreadTimer::start();
@@ -432,7 +419,7 @@ impl UnitLoop<'_, '_> {
             let drained =
                 self.enumerator
                     .enumerate_prefix(self.units.prefix(i), sink, &mut self.counters);
-            if TOKEN && drained {
+            if drained && self.cancel.is_some() {
                 self.drained.push((i, self.counters.embeddings - before));
             }
         }
@@ -617,16 +604,16 @@ mod tests {
             for workers in [1, 2, 4] {
                 let token = CancelToken::new();
                 token.cancel();
-                let result = enumerate_parallel_cancellable(
+                let result = enumerate_parallel(
                     &graph,
                     &plan,
                     &ceci,
                     &ParallelOptions {
                         workers,
                         strategy,
+                        cancel: Some(token),
                         ..Default::default()
                     },
-                    Some(token.clone()),
                 );
                 let cut = result.cut.expect("a pre-cancelled run is cut");
                 assert_eq!(cut.exact, 0, "{} × {workers}", strategy.abbrev());
@@ -647,7 +634,7 @@ mod tests {
         let plan = QueryPlan::new(PaperQuery::Qg1.build(), &graph);
         let ceci = Ceci::build(&graph, &plan);
         let token = CancelToken::after(Duration::ZERO);
-        let result = enumerate_parallel_cancellable(
+        let result = enumerate_parallel(
             &graph,
             &plan,
             &ceci,
@@ -655,9 +642,9 @@ mod tests {
                 workers: 2,
                 strategy: Strategy::CoarseDynamic,
                 collect: true,
+                cancel: Some(token),
                 ..Default::default()
             },
-            Some(token),
         );
         assert!(result.cut.is_some());
         // Whatever was collected before the stop is genuine.
@@ -673,15 +660,10 @@ mod tests {
         let options = ParallelOptions {
             workers: 2,
             collect: true,
+            cancel: Some(CancelToken::new()),
             ..Default::default()
         };
-        let result = enumerate_parallel_cancellable(
-            &graph,
-            &plan,
-            &ceci,
-            &options,
-            Some(CancelToken::new()),
-        );
+        let result = enumerate_parallel(&graph, &plan, &ceci, &options);
         assert!(result.cut.is_none());
         assert_eq!(
             result.embeddings.unwrap(),
@@ -705,9 +687,11 @@ mod tests {
                     ..Default::default()
                 };
                 let free = enumerate_parallel(&graph, &plan, &ceci, &options);
-                let live = CancelToken::after(Duration::from_secs(3600));
-                let timed =
-                    enumerate_parallel_cancellable(&graph, &plan, &ceci, &options, Some(live));
+                let live = ParallelOptions {
+                    cancel: Some(CancelToken::after(Duration::from_secs(3600))),
+                    ..options
+                };
+                let timed = enumerate_parallel(&graph, &plan, &ceci, &live);
                 assert!(timed.cut.is_none());
                 assert_eq!(
                     timed.counters,
@@ -749,15 +733,16 @@ mod tests {
         ] {
             for workers in [1, 2, 4] {
                 for when in ["before", "never", "mid-run"] {
-                    let options = ParallelOptions {
-                        workers,
-                        strategy,
-                        ..Default::default()
-                    };
                     let token = CancelToken::new();
                     if when == "before" {
                         token.cancel();
                     }
+                    let options = ParallelOptions {
+                        workers,
+                        strategy,
+                        cancel: Some(Arc::clone(&token)),
+                        ..Default::default()
+                    };
                     let result = std::thread::scope(|scope| {
                         if when == "mid-run" {
                             let token = Arc::clone(&token);
@@ -766,7 +751,7 @@ mod tests {
                                 token.cancel();
                             });
                         }
-                        enumerate_parallel_cancellable(&graph, &plan, &ceci, &options, Some(token))
+                        enumerate_parallel(&graph, &plan, &ceci, &options)
                     });
                     let at = format!("{} × {workers}, cancelled {when}", strategy.abbrev());
                     let Some(cut) = result.cut else {

@@ -84,15 +84,6 @@ impl Cardinalities {
             .map(|(&v, &c)| (v, c))
             .collect()
     }
-
-    /// Sum of cardinalities at the root — the upper bound on total
-    /// embeddings across all clusters.
-    pub fn total_at(&self, u: VertexId) -> u64 {
-        self.per_node[u.index()]
-            .vals
-            .iter()
-            .fold(0u64, |acc, &c| acc.saturating_add(c))
-    }
 }
 
 /// Runs Algorithm 2 over the builder state.
@@ -221,7 +212,8 @@ mod tests {
         assert_eq!(cards.get(paper::u(3), paper::v(6)), 1);
         // Root: (1 + 1) × (1 + 1) = 4 — an upper bound on the 2 embeddings.
         assert_eq!(cards.get(paper::u(1), paper::v(1)), 4);
-        assert_eq!(cards.total_at(paper::u(1)), 4);
+        let root: u64 = cards.of_node(paper::u(1)).iter().map(|&(_, c)| c).sum();
+        assert_eq!(root, 4);
     }
 
     #[test]

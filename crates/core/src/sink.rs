@@ -225,11 +225,11 @@ impl<S: EmbeddingSink> EmbeddingSink for SharedLimitSink<'_, S> {
 ///
 /// Enumeration is a deep recursion that can run for a very long time; a
 /// serving layer cannot afford to wedge a worker on one runaway request.
-/// Every cancellation point (sink emissions via [`DeadlineSink`], the
-/// periodic check inside the enumeration recursion, and the parallel worker
-/// loop between work units) polls the same token, so a request past its
-/// deadline unwinds everywhere within a bounded number of steps and the
-/// partial results observed so far remain valid.
+/// The enumerator is the token's only reader: it polls every 64 recursive
+/// calls, every 256 drained candidates, inside the edge-verification gather
+/// and between work units, so a request past its deadline unwinds within a
+/// bounded number of steps. A unit the token stopped is discarded whole
+/// ([`crate::Cut`]), so no single emission needs a poll of its own.
 #[derive(Debug)]
 pub struct CancelToken {
     cancelled: AtomicBool,
@@ -245,17 +245,12 @@ impl CancelToken {
         })
     }
 
-    /// A token that trips once `deadline` passes.
-    pub fn with_deadline(deadline: Instant) -> Arc<Self> {
-        Arc::new(CancelToken {
-            cancelled: AtomicBool::new(false),
-            deadline: Some(deadline),
-        })
-    }
-
     /// A token that trips `timeout` from now.
     pub fn after(timeout: Duration) -> Arc<Self> {
-        Self::with_deadline(Instant::now() + timeout)
+        Arc::new(CancelToken {
+            cancelled: AtomicBool::new(false),
+            deadline: Some(Instant::now() + timeout),
+        })
     }
 
     /// Requests cancellation explicitly.
@@ -277,47 +272,6 @@ impl CancelToken {
             }
             _ => false,
         }
-    }
-
-    /// The configured deadline, if any.
-    pub fn deadline(&self) -> Option<Instant> {
-        self.deadline
-    }
-}
-
-/// Wraps any [`EmbeddingSink`] with a shared [`CancelToken`]: emissions stop
-/// (returning `false` to the enumerator) as soon as the token is cancelled
-/// or its deadline passes. The unit it stopped returns `false`, which is
-/// how a parallel run knows which pivots drained ([`crate::Cut`]).
-pub struct DeadlineSink<'a, S: EmbeddingSink> {
-    inner: &'a mut S,
-    token: Arc<CancelToken>,
-}
-
-impl<'a, S: EmbeddingSink> DeadlineSink<'a, S> {
-    /// Wraps `inner` under `token`.
-    pub fn new(inner: &'a mut S, token: Arc<CancelToken>) -> Self {
-        DeadlineSink { inner, token }
-    }
-}
-
-impl<S: EmbeddingSink> EmbeddingSink for DeadlineSink<'_, S> {
-    fn emit(&mut self, embedding: &[VertexId]) -> bool {
-        if self.token.is_cancelled() {
-            return false;
-        }
-        self.inner.emit(embedding)
-    }
-
-    fn supports_bulk(&self) -> bool {
-        self.inner.supports_bulk()
-    }
-
-    fn emit_bulk(&mut self, count: u64) -> bool {
-        if self.token.is_cancelled() {
-            return false;
-        }
-        self.inner.emit_bulk(count)
     }
 }
 
@@ -401,36 +355,13 @@ mod tests {
     }
 
     #[test]
-    fn deadline_sink_stops_on_cancel() {
-        let token = CancelToken::new();
-        let mut inner = CountSink::unbounded();
-        let mut sink = DeadlineSink::new(&mut inner, token.clone());
-        assert!(sink.emit(&[vid(0)]));
-        assert!(sink.emit(&[vid(1)]));
-        token.cancel();
-        assert!(!sink.emit(&[vid(2)]));
-        // Partial results survive cancellation.
-        assert_eq!(inner.count(), 2);
-    }
-
-    #[test]
-    fn deadline_sink_trips_on_expired_deadline() {
-        let token = CancelToken::with_deadline(Instant::now() - Duration::from_millis(1));
-        let mut inner = CountSink::unbounded();
-        let mut sink = DeadlineSink::new(&mut inner, token.clone());
-        assert!(!sink.emit(&[vid(0)]));
-        assert_eq!(inner.count(), 0);
-        assert!(token.is_cancelled());
-    }
-
-    #[test]
     fn cancel_token_latches() {
         let token = CancelToken::after(Duration::ZERO);
         assert!(token.is_cancelled());
         assert!(token.is_cancelled()); // latched, no un-cancel
+        assert!(!CancelToken::after(Duration::from_secs(3600)).is_cancelled());
         let free = CancelToken::new();
         assert!(!free.is_cancelled());
-        assert!(free.deadline().is_none());
         free.cancel();
         assert!(free.is_cancelled());
     }
@@ -460,18 +391,6 @@ mod tests {
         let mut b = CountSink::unbounded();
         let s = SharedLimitSink::new(&mut b, limited);
         assert!(!s.supports_bulk(), "limits disable bulk");
-    }
-
-    #[test]
-    fn deadline_sink_bulk_honors_token() {
-        let token = CancelToken::new();
-        let mut inner = CountSink::unbounded();
-        let mut sink = DeadlineSink::new(&mut inner, token.clone());
-        assert!(sink.supports_bulk());
-        assert!(sink.emit_bulk(4));
-        token.cancel();
-        assert!(!sink.emit_bulk(4));
-        assert_eq!(inner.count(), 4);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! The estimator is the adaptive planner's eyes: if it is biased, silently
 //! non-deterministic, or blind to exact zeros, every downstream decision
-//! (order choice, deadline admission, APPROX answers) inherits the flaw.
+//! (order choice, the APPROX answer of a drain its deadline stopped)
+//! inherits the flaw.
 //! Three properties are pinned here:
 //!
 //! 1. **Exact-zero detection** — an index with no surviving pivots must

@@ -68,11 +68,6 @@ impl GraphBuilder {
         self
     }
 
-    /// Records many edges at once.
-    pub fn add_edges(&mut self, edges: impl IntoIterator<Item = (VertexId, VertexId)>) {
-        self.edges.extend(edges);
-    }
-
     /// Number of vertices added so far.
     pub fn num_vertices(&self) -> usize {
         self.labels.len()

@@ -15,8 +15,10 @@
 //! ```
 //!
 //! This is the on-disk format the simulated shared store (§5) maps, so the
-//! reader exposes both a full [`read_binary`]/[`load_binary`] path and the
-//! raw section offsets used by `ceci-distributed` for partial loads.
+//! reader exposes both a full [`read_binary`]/[`load_binary`] path and
+//! [`MappedCsr`], a zero-copy view over the mapped file: `ceci-distributed`'s
+//! physical decomposition extracts per-pivot fragments from it without
+//! materializing the whole graph.
 
 use std::io::{Read, Write};
 use std::path::Path;
@@ -414,13 +416,6 @@ impl MappedCsr {
     }
 }
 
-/// Loads a binary graph file through `mmap` and materializes it. Exists
-/// mainly as the differential lever for [`MappedCsr`]; callers that want
-/// out-of-core access keep the [`MappedCsr`] instead.
-pub fn load_binary_mmap(path: impl AsRef<Path>) -> Result<Graph> {
-    Ok(MappedCsr::open(path)?.to_graph())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -515,7 +510,7 @@ mod tests {
             assert_eq!(mapped.label_set(v.0), *heap.labels(v), "labels of {v:?}");
         }
         // Full materialization path too.
-        let g2 = load_binary_mmap(&path).unwrap();
+        let g2 = MappedCsr::open(&path).unwrap().to_graph();
         assert_eq!(g2.num_edges(), heap.num_edges());
         for v in heap.vertices() {
             assert_eq!(g2.neighbors(v), heap.neighbors(v));

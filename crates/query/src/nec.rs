@@ -5,8 +5,8 @@
 //! embedding is listed exactly once. We implement both pieces:
 //!
 //! * [`nec_groups`] — neighborhood equivalence classes (same label, same
-//!   neighborhood modulo each other), used by the TurboIso-style baseline
-//!   and as a fast path for generating constraints.
+//!   neighborhood modulo each other), a fast path for generating
+//!   constraints. (The TurboIso-lite baseline omits NEC compression.)
 //! * [`automorphisms`] + [`symmetry_constraints`] — the full Grochow–Kellis
 //!   scheme: enumerate `Aut(G_q)`, then repeatedly fix the smallest vertex
 //!   with a nontrivial orbit, emit `map(v) < map(w)` for its orbit, and

@@ -78,8 +78,9 @@ type Built = (Arc<QueryPlan>, Arc<Ceci>, PlanChoice);
 /// caller quarantines the key (a miss) or keeps the incumbent (a re-plan).
 ///
 /// The index is built once, under the plan `planner` returns. Nothing is
-/// estimated here: the requests that read a cost estimate (deadline
-/// admission, `EXPLAIN`) walk the served index themselves.
+/// estimated here: the requests that read a cost estimate (`ESTIMATE`,
+/// `EXPLAIN`, the rest of a drain its deadline stopped) walk the served
+/// index themselves.
 fn run_build(
     state: &ServerState,
     graph: &Graph,

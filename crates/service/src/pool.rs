@@ -141,16 +141,6 @@ impl WorkerPool {
         }
     }
 
-    /// Jobs currently waiting (not executing).
-    pub fn queue_depth(&self) -> usize {
-        self.shared
-            .queue
-            .lock()
-            .expect("pool lock poisoned")
-            .jobs
-            .len()
-    }
-
     /// Stops accepting work, drains queued jobs, and joins the workers.
     pub fn shutdown(mut self) {
         {

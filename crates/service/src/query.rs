@@ -14,9 +14,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ceci_core::{
-    enumerate_parallel_cancellable, estimate_embeddings, estimate_pivots, explain_choice,
-    explain_estimates, served_cost, CancelToken, EnumOptions, Estimate, EstimateOptions, LeafMode,
-    ParallelOptions, Strategy,
+    enumerate_parallel, estimate_embeddings, estimate_pivots, explain_choice, explain_estimates,
+    served_cost, CancelToken, EnumOptions, Estimate, EstimateOptions, LeafMode, ParallelOptions,
+    Strategy,
 };
 use ceci_graph::Graph;
 use ceci_query::{admission_check, QueryGraph, QueryPlan};
@@ -285,10 +285,12 @@ pub(crate) fn exec_match(
             // index through the parallel entry point (an inline loop over
             // the pivots at one worker).
             let index = &served.index;
-            let options = drain_options(state.config(), raw, workers, form.limit);
+            let options = ParallelOptions {
+                cancel,
+                ..drain_options(state.config(), raw, workers, form.limit)
+            };
             let t_enum = Instant::now();
-            let result =
-                enumerate_parallel_cancellable(&graph, &index.plan, &index.ceci, &options, cancel);
+            let result = enumerate_parallel(&graph, &index.plan, &index.ceci, &options);
             index.reuse.spend(&result.counters);
             let cap = form.limit.unwrap_or(u64::MAX);
             // A drain the deadline stopped: the pivots that drained are
@@ -476,8 +478,7 @@ pub(crate) fn exec_explain(
             profile: true,
             ..options
         };
-        let result =
-            enumerate_parallel_cancellable(&graph, &index.plan, &index.ceci, &options, None);
+        let result = enumerate_parallel(&graph, &index.plan, &index.ceci, &options);
         // `profile: true` was requested, but degrade gracefully if the
         // enumerator returned none rather than panicking the worker.
         if let Some(profile) = result.profile.as_ref() {

@@ -26,8 +26,8 @@
 //! ## Deadlines
 //!
 //! `MATCH ... DEADLINE <ms>` arms a [`ceci_core::CancelToken`] when the job
-//! *starts executing* (queue wait does not consume the budget). The token is
-//! threaded into [`ceci_core::enumerate_parallel_cancellable`], so
+//! *starts executing* (queue wait does not consume the budget). The token
+//! rides in the drain's [`ceci_core::ParallelOptions::cancel`], so
 //! enumeration unwinds cooperatively. A drain that finished answers exactly;
 //! one the token stopped answers the exact count of the pivots that drained
 //! plus a random-walk estimate over the rest ([`ceci_core::Cut`]), as an

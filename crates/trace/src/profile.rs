@@ -116,20 +116,6 @@ impl DepthProfile {
         self.stats[d].intersections += intersection_ops;
     }
 
-    /// Record one emitted embedding at `depth`.
-    #[inline]
-    pub fn on_emit(&mut self, depth: usize) {
-        let d = self.clamp(depth);
-        self.stats[d].emitted += 1;
-    }
-
-    /// Record a return from a mapped candidate's subtree at `depth`.
-    #[inline]
-    pub fn on_backtrack(&mut self, depth: usize) {
-        let d = self.clamp(depth);
-        self.stats[d].backtracks += 1;
-    }
-
     /// Flush one candidate drain's batched emissions and backtracks for
     /// `depth`. The enumeration inner loop accumulates these in plain stack
     /// locals and calls this **once per drain** instead of touching the
@@ -233,8 +219,8 @@ mod tests {
         p.on_expand(0, 7, 21);
         p.on_call(1);
         p.on_expand(1, 2, 4);
-        p.on_emit(2);
-        p.on_backtrack(0);
+        p.on_drain(2, 1, 0);
+        p.on_drain(0, 0, 1);
         assert_eq!(p.depths()[0].calls, 10);
         assert_eq!(p.depths()[0].candidates, 7);
         assert_eq!(p.depths()[0].intersections, 21);
@@ -281,7 +267,7 @@ mod tests {
     fn reset_clears_counters() {
         let mut p = DepthProfile::new(2);
         p.on_call(0);
-        p.on_emit(1);
+        p.on_drain(1, 1, 0);
         p.reset();
         assert_eq!(p.total_calls(), 0);
         assert_eq!(p.total_emitted(), 0);
