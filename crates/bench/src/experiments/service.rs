@@ -14,7 +14,7 @@
 //! errors, no `BUSY`) at every point and that embedding counts stay
 //! bit-identical to a direct enumeration, then reports per-point p50/p99
 //! latency and the p99 inflation of the largest point over the smallest
-//! (target: ≤ [`TARGET_P99_RATIO`]×; a miss warns rather than fails — tail
+//! (target: ≤ `TARGET_P99_RATIO` = 2×; a miss warns rather than fails — tail
 //! ratios on a loaded host are not deterministic, response integrity is).
 //! Writes `bench_results/service.json` with a `connections` axis.
 

@@ -353,7 +353,7 @@ impl ReplanPrice {
 const PRICED_REBUILDS: u64 = 2;
 
 /// Prices re-planning `plan`: a pilot index per challenger plus
-/// [`PRICED_REBUILDS`] rebuilds of the served index. `ceci` must be the index
+/// two rebuilds of the served index (`PRICED_REBUILDS`). `ceci` must be the index
 /// the miss built: a rebuild is priced at that build's frontier degree sum
 /// ([`crate::BuildStats::filter_scans`]), and a pilot, whose every frontier
 /// is a subset of the full build's, is priced at half of it (measured: 0.4

@@ -5,10 +5,10 @@
 //! `TE_Candidates[u][f(u_p)]`; every backward non-tree edge `(u_n, u)`
 //! intersects in `NTE_Candidates[u][f(u_n)]`. The symmetry-breaking order
 //! `f(u_i) < f(u_j)` is a *bound on those lists*, not a filter on their
-//! intersection: one [`Enumerator::gather`] slices every list to the window
-//! the already-mapped partners leave open before the kernel sees it, so the
-//! surviving *matching nodes* only need the injectivity check before the
-//! search recurses.
+//! intersection: one gather (`Enumerator::gather`) slices every list to the
+//! window the already-mapped partners leave open before the kernel sees it,
+//! so the surviving *matching nodes* only need the injectivity check before
+//! the search recurses.
 //!
 //! The edge-verification mode (§4.1's comparison point) skips the NTE
 //! intersection and instead verifies each candidate's non-tree edges against
@@ -27,6 +27,7 @@ use std::sync::Arc;
 use crate::bitmap::VertexBitmap;
 use crate::index::Ceci;
 use crate::intersect::intersect_many_into;
+use crate::memo::{CleanCut, SubCountMemo};
 use crate::metrics::Counters;
 use crate::sink::{CancelToken, EmbeddingSink};
 use crate::twins::TwinTail;
@@ -73,9 +74,12 @@ pub struct EnumOptions {
     /// left out and a sibling's count is the part of the set above (or
     /// below) it ([`LeafMode::ReuseOrdered`]). A plan that ends in a twin
     /// tail the index confirmed is answered in closed form instead
-    /// ([`LeafMode::Twins`]). Embedding counts are bit-identical; work
-    /// counters legitimately shrink. Only takes effect for counting sinks
-    /// (bulk-capable) under [`VerifyMode::Intersection`]. Off by default.
+    /// ([`LeafMode::Twins`]). Where the index confirmed a clean cut, each
+    /// search entering it is answered from the drain's memo of sub-counts
+    /// when its key repeats ([`crate::CleanCut`]). Embedding counts are
+    /// bit-identical; work counters legitimately shrink. Only takes effect
+    /// for counting sinks (bulk-capable) under [`VerifyMode::Intersection`].
+    /// Off by default.
     pub prune_redundant: bool,
 }
 
@@ -115,7 +119,13 @@ impl LeafMode {
         if !options.prune_redundant {
             return LeafMode::Tally;
         }
-        if let Some(tail) = ceci.twin_tail() {
+        LeafMode::pruned(plan, ceci.twin_tail())
+    }
+
+    /// The mode a `prune_redundant` count of `plan` gets, given the twin
+    /// tail its index confirmed.
+    pub(crate) fn pruned(plan: &QueryPlan, twins: Option<TwinTail>) -> LeafMode {
+        if let Some(tail) = twins {
             return LeafMode::Twins(tail);
         }
         let &[.., pen, last] = plan.matching_order() else {
@@ -132,6 +142,17 @@ impl LeafMode {
             (true, false) => LeafMode::ReuseOrdered(Ordering::Greater),
             (false, true) => LeafMode::ReuseOrdered(Ordering::Less),
             (true, true) => LeafMode::Tally, // contradictory: nothing to share
+        }
+    }
+
+    /// The last depth a search over an `n`-vertex order still enters under
+    /// this mode: the tally's last depth, the penultimate one when siblings
+    /// share the leaf gather, a twin tail's first twin.
+    pub(crate) fn reach(self, n: usize) -> usize {
+        match self {
+            LeafMode::Reuse | LeafMode::ReuseOrdered(_) => n.saturating_sub(2),
+            LeafMode::Twins(tail) => n.saturating_sub(tail.twins),
+            LeafMode::Emit | LeafMode::Tally => n.saturating_sub(1),
         }
     }
 
@@ -208,6 +229,9 @@ pub struct Enumerator<'a> {
     /// How the plan's last depths are answered for a bulk-capable sink,
     /// precomputed per plan and index (see [`LeafMode::of`]).
     leaf: LeafMode,
+    /// The sub-counts a bulk-capable sink's searches store and read at the
+    /// index's clean cut; `None` when the options or the index give none.
+    memo: Option<SubCountMemo<'a>>,
 }
 
 impl<'a> Enumerator<'a> {
@@ -240,6 +264,7 @@ impl<'a> Enumerator<'a> {
             drain_tick: 0,
             profile: None,
             leaf: LeafMode::of(plan, ceci, options),
+            memo: memo_cut(ceci, options).map(SubCountMemo::new),
         }
     }
 
@@ -323,7 +348,7 @@ impl<'a> Enumerator<'a> {
             counters.embeddings += 1;
             self.emit(sink)
         } else {
-            self.search(prefix.len(), sink, counters)
+            self.descend(prefix.len(), sink, counters)
         };
         self.map_prefix(prefix, false);
         keep_going
@@ -339,6 +364,40 @@ impl<'a> Enumerator<'a> {
                 self.used.remove(v);
             }
         }
+    }
+
+    /// [`Enumerator::search`] at `depth`, through the memo when `depth` is
+    /// the clean cut and the sink takes counts: a key the memo holds is one
+    /// `emit_bulk`, and a key it misses stores the sub-count the search
+    /// finds, unless the search stopped.
+    #[inline]
+    fn descend<S: EmbeddingSink>(
+        &mut self,
+        depth: usize,
+        sink: &mut S,
+        counters: &mut Counters,
+    ) -> bool {
+        let Some(memo) = (self.memo.as_mut()).filter(|m| m.at(depth) && sink.supports_bulk())
+        else {
+            return self.search(depth, sink, counters);
+        };
+        let key = memo.key(&self.mapping);
+        if let Some(n) = memo.get(&key) {
+            counters.memo_hits += 1;
+            counters.embeddings += n;
+            // Credited to the last depth, as the closed forms are.
+            if let Some(p) = self.profile.as_deref_mut() {
+                p.on_drain(self.plan.matching_order().len() - 1, n, n);
+            }
+            return n == 0 || sink.emit_bulk(n);
+        }
+        let before = counters.embeddings;
+        let keep_going = self.search(depth, sink, counters);
+        let memo = self.memo.as_mut().expect("the memo was asked above");
+        if keep_going && memo.insert(&key, counters.embeddings - before) {
+            counters.memo_keys += 1;
+        }
+        keep_going
     }
 
     /// Recursive backtracking search at `depth` in the matching order.
@@ -553,7 +612,7 @@ impl<'a> Enumerator<'a> {
                 leaf_emitted += sub;
                 sink.emit_bulk(sub)
             } else {
-                self.search(depth + 1, sink, counters)
+                self.descend(depth + 1, sink, counters)
             };
             self.mapping[u.index()] = None;
             self.used.remove(v);
@@ -622,6 +681,15 @@ impl<'a> Enumerator<'a> {
         self.map_prefix(prefix, false);
         out
     }
+}
+
+/// The clean cut a drain under `options` over `ceci` memoises at: the
+/// index's, for a `prune_redundant` count under [`VerifyMode::Intersection`]
+/// (the paper figures' default options get none).
+pub(crate) fn memo_cut(ceci: &Ceci, options: EnumOptions) -> Option<&CleanCut> {
+    (options.prune_redundant && options.verify == VerifyMode::Intersection)
+        .then(|| ceci.clean_cut())
+        .flatten()
 }
 
 /// Enumerates all clusters sequentially (pivot order). Returns the counters;
@@ -1308,6 +1376,63 @@ mod tests {
         let (timed, timed_counters) = run(Some(CancelToken::after(Duration::from_secs(3600))));
         assert_eq!((timed.emits, timed.bulks, timed.count), (0, 6, 18));
         assert_eq!(timed_counters, free_counters);
+    }
+
+    #[test]
+    fn a_token_tripping_inside_a_memoised_subtree_stores_nothing() {
+        use ceci_graph::{lid, vid, LabelSet};
+
+        // Pivot 0 (A); B vertices 1..=30, each adjacent to the pivot and to
+        // both C vertices 31 and 32; D vertices 33..=35 adjacent to both
+        // C's. The A–B–C–D path from the pivot cuts cleanly at depth 2 on
+        // the B image, and each B's subtree is three calls.
+        let label = |l| LabelSet::single(lid(l));
+        let mut labels = vec![label(0)];
+        labels.extend((0..30).map(|_| label(1)));
+        labels.extend([label(2), label(2), label(3), label(3), label(3)]);
+        let mut edges = Vec::new();
+        for b in 1..=30 {
+            edges.extend([(vid(0), vid(b)), (vid(b), vid(31)), (vid(b), vid(32))]);
+        }
+        for c in [31, 32] {
+            edges.extend((33..=35).map(|d| (vid(c), vid(d))));
+        }
+        let graph = Graph::new(labels, &edges, false);
+        let labels = [lid(0), lid(1), lid(2), lid(3)];
+        let query =
+            ceci_query::QueryGraph::with_labels(&labels, &[(0, 1), (1, 2), (2, 3)]).unwrap();
+        let options = ceci_query::PlanOptions {
+            root_override: Some(vid(0)),
+            ..Default::default()
+        };
+        let plan = QueryPlan::with_options(query, &graph, &options);
+        let ceci = Ceci::build(&graph, &plan);
+        let cut = ceci.clean_cut().expect("the path cuts cleanly");
+        assert_eq!((cut.depth, &cut.key[..]), (2, &[vid(1)][..]));
+        let pruning = EnumOptions {
+            prune_redundant: true,
+            ..Default::default()
+        };
+        let mut e = Enumerator::new(&graph, &plan, &ceci, pruning);
+        let token = CancelToken::new();
+        token.cancel();
+        e.set_cancel(Some(token));
+        let mut counters = Counters::default();
+        let mut sink = CountSink::unbounded();
+        assert!(!e.enumerate_cluster(vid(0), &mut sink, &mut counters));
+        // The token's first poll is call 64: the second C under the 21st
+        // B. The first 20 B subtrees drained and were stored; the 21st
+        // stopped inside and was not.
+        assert_eq!(counters.recursive_calls, 64);
+        assert_eq!((counters.memo_keys, counters.memo_hits), (20, 0));
+        // The same enumerator without the token: the 20 stored keys answer
+        // exactly, and the stopped one is counted afresh.
+        e.set_cancel(None);
+        let mut counters = Counters::default();
+        let mut sink = CountSink::unbounded();
+        assert!(e.enumerate_cluster(vid(0), &mut sink, &mut counters));
+        assert_eq!(sink.count(), 30 * 2 * 3);
+        assert_eq!((counters.memo_keys, counters.memo_hits), (10, 20));
     }
 
     #[test]

@@ -12,7 +12,7 @@ use ceci_graph::{Graph, VertexId};
 use ceci_query::QueryPlan;
 
 use crate::adaptive::{PlanChoice, Reuse};
-use crate::enumerate::{EnumOptions, LeafMode};
+use crate::enumerate::{memo_cut, EnumOptions, LeafMode};
 use crate::estimate::CostEstimate;
 use crate::index::Ceci;
 use crate::metrics::Counters;
@@ -23,7 +23,9 @@ use ceci_trace::DepthProfile;
 /// `EXPLAIN ANALYZE` table) as machine-parseable `key=value` rows plus a
 /// totals row carrying the run's exact global [`Counters`]. Per-depth
 /// `isect` values are exact op counts, so their sum always equals
-/// `intersection_ops` in the totals row.
+/// `intersection_ops` in the totals row. A memo hit at a clean cut walks
+/// nothing, so its embeddings are credited to the last depth's `emit`, and
+/// `memo_hits` / `memo_keys` close the row.
 pub fn explain_profile(plan: &QueryPlan, profile: &DepthProfile, counters: &Counters) -> String {
     let order = plan.matching_order();
     let mut out = String::new();
@@ -48,7 +50,7 @@ pub fn explain_profile(plan: &QueryPlan, profile: &DepthProfile, counters: &Coun
     }
     let _ = writeln!(
         out,
-        "totals depths={} calls={} cand={} isect={} emit={} sampled_us={} recursive_calls={} intersection_ops={} edge_verifications={} embeddings={} injectivity_rejections={} symmetry_rejections={}",
+        "totals depths={} calls={} cand={} isect={} emit={} sampled_us={} recursive_calls={} intersection_ops={} edge_verifications={} embeddings={} injectivity_rejections={} symmetry_rejections={} memo_hits={} memo_keys={}",
         profile.len(),
         profile.total_calls(),
         profile.total_candidates(),
@@ -61,6 +63,8 @@ pub fn explain_profile(plan: &QueryPlan, profile: &DepthProfile, counters: &Coun
         counters.embeddings,
         counters.injectivity_rejections,
         counters.symmetry_rejections,
+        counters.memo_hits,
+        counters.memo_keys,
     );
     out
 }
@@ -70,7 +74,8 @@ pub fn explain_profile(plan: &QueryPlan, profile: &DepthProfile, counters: &Coun
 /// partners whose images bound its candidate lists (`window lo<-{..}
 /// hi<-{..}`: the symmetry constraints applied before the intersection), and
 /// how a count-only run over `ceci`, the plan's index, answers its last
-/// depths (`leaf=`, see [`LeafMode`]).
+/// depths (`leaf=`, see [`LeafMode`]) and where it memoises sub-counts
+/// (`cut depth=d key=[..]` or `cut none`, see [`crate::CleanCut`]).
 ///
 /// `sets` names the snapshot the plan's candidate sets — the listed
 /// `initial candidates` — were computed on, for the section header; it is
@@ -147,9 +152,10 @@ pub fn explain_plan(
             plan.initial_candidates(u).len(),
         );
     }
+    let cut = memo_cut(ceci, options).map_or_else(|| "cut none".into(), |c| c.to_string());
     let _ = writeln!(
         out,
-        "leaf={} for a count-only run (LIMIT and collected runs: EMIT)",
+        "leaf={} {cut} for a count-only run (LIMIT and collected runs: EMIT, no cut)",
         LeafMode::of(plan, ceci, options)
     );
     out
@@ -442,6 +448,44 @@ mod tests {
             ..pruning
         };
         assert!(explain_plan(&star, &ceci, &graph, verify, "sets@load").contains("leaf=EMIT"));
+    }
+
+    #[test]
+    fn plan_report_names_the_clean_cut() {
+        use ceci_graph::lid;
+        let graph = ceci_graph::generators::inject_random_labels(
+            &ceci_graph::generators::erdos_renyi(30, 120, 3),
+            4,
+            3,
+        );
+        let labels = [lid(0), lid(1), lid(2), lid(3)];
+        let query =
+            ceci_query::QueryGraph::with_labels(&labels, &[(0, 1), (1, 2), (2, 3)]).unwrap();
+        let options = ceci_query::PlanOptions {
+            root_override: Some(VertexId(0)),
+            ..Default::default()
+        };
+        let path = QueryPlan::with_options(query, &graph, &options);
+        let ceci = Ceci::build(&graph, &path);
+        let pruning = EnumOptions {
+            prune_redundant: true,
+            ..EnumOptions::default()
+        };
+        // A–B–C–D from the A end: the suffix after u1 reads u1 alone, and
+        // u0's label is no suffix vertex's.
+        let report = explain_plan(&path, &ceci, &graph, pruning, "sets@load");
+        assert!(
+            report.contains("leaf=TALLY cut depth=2 key=[u1] for a count-only run"),
+            "report:\n{report}"
+        );
+        // The paper's options memoise nothing.
+        let report = explain_plan(&path, &ceci, &graph, EnumOptions::default(), "sets@load");
+        assert!(report.contains("leaf=TALLY cut none"), "report:\n{report}");
+        // The triangle's last vertex reads its whole prefix: no cut.
+        let triangle = QueryPlan::new(ceci_query::PaperQuery::Qg1.build(), &graph);
+        let ceci = Ceci::build(&graph, &triangle);
+        let report = explain_plan(&triangle, &ceci, &graph, pruning, "sets@load");
+        assert!(report.contains("leaf=TALLY cut none"), "report:\n{report}");
     }
 
     #[test]

@@ -14,7 +14,9 @@ use ceci_graph::{Graph, VertexId};
 use ceci_query::candidates::CandidateSet;
 use ceci_query::QueryPlan;
 
+use crate::enumerate::LeafMode;
 use crate::filter::bfs_filter_from;
+use crate::memo::CleanCut;
 use crate::refine::reverse_bfs_refine;
 use crate::tables::CompactTable;
 use crate::twins::TwinTail;
@@ -101,6 +103,8 @@ pub struct Ceci {
     sets: Arc<[CandidateSet]>,
     /// The plan's twin tail, confirmed on the frozen tables.
     twins: Option<TwinTail>,
+    /// The plan's shallowest clean cut, confirmed on the candidate sets.
+    cut: Option<CleanCut>,
     stats: BuildStats,
 }
 
@@ -225,6 +229,8 @@ impl Ceci {
         let cardinality: Vec<Vec<(VertexId, u64)>> =
             (0..n).map(|i| cards.of_node(VertexId(i as u32))).collect();
         let twins = TwinTail::of(plan).filter(|tail| tail.tables_agree(plan, &te, &nte));
+        let reach = LeafMode::pruned(plan, twins).reach(plan.matching_order().len());
+        let cut = CleanCut::find(plan, &candidate_sets, reach);
 
         let mut ceci = Ceci {
             pivots,
@@ -234,6 +240,7 @@ impl Ceci {
             cardinality,
             sets: Arc::clone(plan.candidate_sets()),
             twins,
+            cut,
             stats,
         };
         ceci.stats.size_bytes = ceci.size_bytes();
@@ -298,6 +305,15 @@ impl Ceci {
     #[inline]
     pub fn twin_tail(&self) -> Option<TwinTail> {
         self.twins
+    }
+
+    /// The shallowest clean cut ([`CleanCut`]) at or above the last
+    /// depth a count-only `prune_redundant` search reaches under this
+    /// index's leaf mode: where such a drain memoises its sub-counts.
+    /// Checked once here, never per request; `None` when no cut is clean.
+    #[inline]
+    pub fn clean_cut(&self) -> Option<&CleanCut> {
+        self.cut.as_ref()
     }
 
     /// Build statistics.

@@ -37,6 +37,7 @@ pub mod filter;
 pub mod fixtures;
 pub mod index;
 pub mod intersect;
+pub mod memo;
 pub mod metrics;
 pub mod parallel;
 pub mod refine;
@@ -65,6 +66,7 @@ pub use explain::{
 pub use extreme::{decompose, decompose_with, WorkUnit};
 pub use filter::{bfs_filter, bfs_filter_from, BuilderState, FilterProfile};
 pub use index::{BuildOptions, BuildStats, Ceci};
+pub use memo::CleanCut;
 pub use metrics::{Counters, Phase, PhaseSpan, PhaseTimeline};
 pub use parallel::{
     count_parallel, enumerate_parallel, Cut, ParallelOptions, ParallelResult, Strategy,

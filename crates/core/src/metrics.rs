@@ -86,6 +86,11 @@ pub struct Counters {
     /// sibling's, so its result multiset was reused instead of re-enumerated
     /// (CEMR-style pruning; requires `EnumOptions::prune_redundant`).
     pub reused_subtrees: u64,
+    /// Searches entering a clean cut that the drain's memo answered with
+    /// a stored sub-count instead of a walk ([`crate::CleanCut`]).
+    pub memo_hits: u64,
+    /// Sub-counts the drain's memo stored.
+    pub memo_keys: u64,
 }
 
 impl Counters {
@@ -98,6 +103,8 @@ impl Counters {
         self.injectivity_rejections += other.injectivity_rejections;
         self.symmetry_rejections += other.symmetry_rejections;
         self.reused_subtrees += other.reused_subtrees;
+        self.memo_hits += other.memo_hits;
+        self.memo_keys += other.memo_keys;
     }
 }
 
@@ -226,6 +233,8 @@ mod tests {
             injectivity_rejections: 3,
             symmetry_rejections: 4,
             reused_subtrees: 2,
+            memo_hits: 9,
+            memo_keys: 4,
         };
         let b = Counters {
             recursive_calls: 5,
@@ -235,6 +244,8 @@ mod tests {
             injectivity_rejections: 1,
             symmetry_rejections: 0,
             reused_subtrees: 1,
+            memo_hits: 3,
+            memo_keys: 6,
         };
         a.merge(&b);
         assert_eq!(a.recursive_calls, 15);
@@ -244,6 +255,8 @@ mod tests {
         assert_eq!(a.injectivity_rejections, 4);
         assert_eq!(a.symmetry_rejections, 4);
         assert_eq!(a.reused_subtrees, 3);
+        assert_eq!(a.memo_hits, 12);
+        assert_eq!(a.memo_keys, 10);
     }
 
     #[test]

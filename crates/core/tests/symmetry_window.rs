@@ -22,7 +22,14 @@
 //!   same, with the same `intersection_ops` wherever they split the work
 //!   at cluster (or TE-only prefix) granularity;
 //! * `enumerate_parallel` at one worker (ST and CGD) returns the whole
-//!   `Counters` of `enumerate_sequential`: it is the same drain.
+//!   `Counters` of `enumerate_sequential`: it is the same drain;
+//! * a `prune_redundant` count memoises sub-counts at the index's clean cut
+//!   and still counts what the reference matcher counts, on a clean cut, an
+//!   unclean one and a multi-labelled one (disjoint query labels, data
+//!   vertices carrying both) that must be refused; the memo answers
+//!   repeated keys, switches itself off at its 256th key when keys do not
+//!   repeat, and rests on every TE list entry of `u` lying in `u`'s
+//!   candidate set.
 
 use std::cmp::Ordering;
 
@@ -186,7 +193,9 @@ proptest! {
                     }
                 }
                 // ... and the parallel strategies: ST and CGD hand out whole
-                // clusters, so their op count is the sequential run's too.
+                // clusters, so their op count is the sequential run's too,
+                // unless a memo answered repeats there: each worker's memo
+                // sees only its own clusters' keys.
                 for strategy in [
                     Strategy::Static,
                     Strategy::CoarseDynamic,
@@ -202,10 +211,12 @@ proptest! {
                         prop_assert_eq!(result.total_embeddings, tallied, "{} {}", &label, strategy.abbrev());
                         if !matches!(strategy, Strategy::FineDynamic { .. }) {
                             let sequential = if prune_redundant { &pruned_counters } else { &base };
-                            prop_assert_eq!(
-                                result.counters.intersection_ops, sequential.intersection_ops,
-                                "{} {}", &label, strategy.abbrev()
-                            );
+                            if sequential.memo_hits == 0 {
+                                prop_assert_eq!(
+                                    result.counters.intersection_ops, sequential.intersection_ops,
+                                    "{} {}", &label, strategy.abbrev()
+                                );
+                            }
                             // One worker is the sequential drain: a single
                             // enumerator takes the clusters in pivot order,
                             // so every counter matches, not only the ops.
@@ -327,4 +338,243 @@ fn ordered_reuse_with_the_leaf_below_its_sibling() {
     // more call per sibling (8 under hub 0, 2 under each of 4, 5 and 6).
     assert_eq!(pruned.recursive_calls, 4 + 8);
     assert_eq!(base.recursive_calls, pruned.recursive_calls + 14);
+}
+
+/// Labeled queries for the memoised sub-counts, each rooted at `u0` and
+/// matched in order `[u0, u1, u2, u3]` (three vertices for the multi-label
+/// path):
+///
+/// * `clean-path` A–B–C–D: the cut at depth 2 reads `u1` alone, and `u0`'s
+///   label is no suffix vertex's;
+/// * `clean-square` A–B–D–C–A: the cut at depth 3 reads `u1` and `u2`;
+/// * `unclean-path` A–B–C–A: `u0` and `u3` share a label, so no cut is
+///   clean while their candidate sets meet;
+/// * `multi-path` A–B–C over data vertices that may carry both A and C:
+///   the query's labels are disjoint, yet the cut must be refused while
+///   `u0`'s and `u2`'s candidate sets meet.
+fn cut_queries() -> Vec<(&'static str, QueryGraph, bool)> {
+    let with = |labels: &[u32], edges: &[(u32, u32)]| {
+        let labels: Vec<_> = labels.iter().copied().map(lid).collect();
+        QueryGraph::with_labels(&labels, edges).unwrap()
+    };
+    vec![
+        (
+            "clean-path",
+            with(&[0, 1, 2, 3], &[(0, 1), (1, 2), (2, 3)]),
+            false,
+        ),
+        (
+            "clean-square",
+            with(&[0, 1, 2, 3], &[(0, 1), (0, 2), (1, 3), (2, 3)]),
+            false,
+        ),
+        (
+            "unclean-path",
+            with(&[0, 1, 2, 0], &[(0, 1), (1, 2), (2, 3)]),
+            false,
+        ),
+        ("multi-path", with(&[0, 1, 2], &[(0, 1), (1, 2)]), true),
+    ]
+}
+
+/// Whether `a` and `b` share a vertex.
+fn meet(a: &[VertexId], b: &[VertexId]) -> bool {
+    a.iter().any(|v| b.binary_search(v).is_ok())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24 })]
+
+    #[test]
+    fn memoised_cuts_are_exact(
+        n in 12usize..40,
+        density in 2usize..5,
+        graph_seed in 0u64..10_000,
+    ) {
+        let topology = erdos_renyi(n, n * density, graph_seed);
+        let single = inject_random_labels(&topology, 4, graph_seed ^ 0x5EED);
+        let multi = ceci_graph::generators::inject_random_multilabels(
+            &topology, 3, 1, 2, graph_seed ^ 0xB07,
+        );
+        for (name, query, multi_labelled) in cut_queries() {
+            let graph = if multi_labelled { &multi } else { &single };
+            let label = format!("{name} n={n} seed={graph_seed}");
+            let plan = plan_rooted(&query, graph, vid(0));
+            prop_assert_eq!(plan.matching_order(), &(0..query.num_vertices() as u32).map(vid).collect::<Vec<_>>()[..], "{}", &label);
+            let ceci = Ceci::build(graph, &plan);
+            let cands = |u: u32| ceci.candidates(vid(u));
+            let expected = reference::count_all(graph, &query, plan.symmetry_constraints());
+            let (pruned, counters) = count(graph, &plan, &ceci, options(true));
+            let (walked, base) = count(graph, &plan, &ceci, options(false));
+            prop_assert_eq!(pruned, expected, "{}", &label);
+            prop_assert_eq!(walked, expected, "{}", &label);
+            // The paper's options get no memo.
+            prop_assert_eq!((base.memo_hits, base.memo_keys), (0, 0), "{}", &label);
+            let cut = ceci.clean_cut();
+            match name {
+                "clean-path" => {
+                    let cut = cut.expect("A-B-C-D is clean at depth 2");
+                    prop_assert_eq!((cut.depth, &cut.key[..]), (2, &[vid(1)][..]), "{}", &label);
+                }
+                "clean-square" => {
+                    let cut = cut.expect("the square is clean at depth 3");
+                    prop_assert_eq!((cut.depth, &cut.key[..]), (3, &[vid(1), vid(2)][..]), "{}", &label);
+                }
+                "unclean-path" => {
+                    prop_assert!(cut.is_none() || !meet(cands(0), cands(3)), "{}", &label);
+                }
+                _ => {
+                    prop_assert!(cut.is_none() || !meet(cands(0), cands(2)), "{}", &label);
+                }
+            }
+            // Whatever cut was taken, nothing outside its key meets the
+            // suffix; without one the drain stores nothing.
+            if let Some(cut) = cut {
+                let (prefix, suffix) = plan.matching_order().split_at(cut.depth);
+                for w in prefix.iter().filter(|w| !cut.key.contains(w)) {
+                    for s in suffix {
+                        prop_assert!(!meet(ceci.candidates(*w), ceci.candidates(*s)), "{}", &label);
+                    }
+                }
+            } else {
+                prop_assert_eq!((counters.memo_hits, counters.memo_keys), (0, 0), "{}", &label);
+            }
+            // Each worker owns its memo: every strategy counts the same.
+            for strategy in [
+                Strategy::Static,
+                Strategy::CoarseDynamic,
+                Strategy::FineDynamic { beta: 0.2 },
+            ] {
+                let result = enumerate_parallel(graph, &plan, &ceci, &ParallelOptions {
+                    workers: 2,
+                    strategy,
+                    enumeration: options(true),
+                    ..ParallelOptions::default()
+                });
+                prop_assert_eq!(result.total_embeddings, expected, "{} {}", &label, strategy.abbrev());
+            }
+        }
+    }
+}
+
+#[test]
+fn te_list_entries_lie_in_their_vertex_candidate_set() {
+    // The memo's disjointness argument: every gather intersects `u`'s TE
+    // list, so the search maps `u` only to a TE list entry of `u` (or, at
+    // the root, a pivot), and those lie in `ceci.candidates(u)`. NTE lists
+    // need not: a neighbour of the NTE key that passes `u`'s filters under
+    // no tree-parent candidate stays in them, and the TE list drops it
+    // from every intersection.
+    for seed in 0..6u64 {
+        let topology = erdos_renyi(40, 120, seed);
+        let graphs = [
+            topology.clone(),
+            inject_random_labels(&topology, 3, seed),
+            ceci_graph::generators::inject_random_multilabels(&topology, 3, 1, 2, seed),
+        ];
+        let queries = queries().into_iter().chain(
+            cut_queries()
+                .into_iter()
+                .map(|(name, query, _)| (name, query)),
+        );
+        let queries: Vec<_> = queries.collect();
+        for graph in &graphs {
+            for (name, query) in &queries {
+                for refine in [true, false] {
+                    let plan = plan_rooted(query, graph, vid(0));
+                    let build = ceci_core::BuildOptions {
+                        refine,
+                        ..Default::default()
+                    };
+                    let ceci = Ceci::build_with(graph, &plan, build);
+                    let within = |u: VertexId, list: &[VertexId]| {
+                        let cands = ceci.candidates(u);
+                        list.iter().all(|v| cands.binary_search(v).is_ok())
+                    };
+                    let root = plan.root();
+                    let pivots: Vec<VertexId> = ceci.pivots().iter().map(|&(p, _)| p).collect();
+                    assert!(within(root, &pivots), "{name} seed={seed} refine={refine}");
+                    for u in query.vertices() {
+                        for (key, list) in ceci.te(u).into_iter().flat_map(|t| t.iter()) {
+                            assert!(
+                                within(u, list),
+                                "{name} seed={seed} refine={refine}: u{u} under {key:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Pivot `0` (label A) with `fan` B-neighbours, each with its own C- and
+/// D-neighbours: the `clean-path` query's keys (the B images) never
+/// repeat.
+fn fan_of_private_paths(fan: u32) -> Graph {
+    let mut labels = vec![ceci_graph::LabelSet::single(lid(0))];
+    let mut edges = Vec::new();
+    for i in 0..fan {
+        let b = 1 + 3 * i;
+        labels.extend([1, 2, 3].map(|l| ceci_graph::LabelSet::single(lid(l))));
+        edges.extend([
+            (vid(0), vid(b)),
+            (vid(b), vid(b + 1)),
+            (vid(b + 1), vid(b + 2)),
+        ]);
+    }
+    Graph::new(labels, &edges, false)
+}
+
+#[test]
+fn keys_that_never_repeat_switch_the_memo_off_at_the_256th() {
+    let graph = fan_of_private_paths(300);
+    let (_, query, _) = cut_queries().swap_remove(0);
+    let plan = plan_rooted(&query, &graph, vid(0));
+    let ceci = Ceci::build(&graph, &plan);
+    assert_eq!(ceci.clean_cut().map(|c| c.depth), Some(2));
+    let (pruned, counters) = count(&graph, &plan, &ceci, options(true));
+    assert_eq!(pruned, 300);
+    // 256 keys stored, no hit among them: the memo is off for the last 44.
+    assert_eq!((counters.memo_keys, counters.memo_hits), (256, 0));
+    // Every B image still costs its call and its C-image's call.
+    assert_eq!(counters.recursive_calls, 1 + 2 * 300);
+}
+
+#[test]
+fn repeated_keys_are_answered_from_the_memo() {
+    // Six A-pivots share three B-neighbours, each of which leads to two C's
+    // and each C to two D's: a key (the B image) repeats under every pivot
+    // after the first.
+    let labels = [[0; 6].as_slice(), &[1; 3], &[2; 6], &[3; 12]].concat();
+    let labels = labels
+        .into_iter()
+        .map(|l| ceci_graph::LabelSet::single(lid(l)))
+        .collect();
+    let mut edges = Vec::new();
+    for a in 0..6 {
+        edges.extend((6..9).map(|b| (vid(a), vid(b))));
+    }
+    for (i, b) in (6..9).enumerate() {
+        let cs = [9 + 2 * i as u32, 10 + 2 * i as u32];
+        for (j, c) in cs.into_iter().enumerate() {
+            edges.push((vid(b), vid(c)));
+            let d = 15 + 2 * (2 * i + j) as u32;
+            edges.extend([(vid(c), vid(d)), (vid(c), vid(d + 1))]);
+        }
+    }
+    let graph = Graph::new(labels, &edges, false);
+    let (_, query, _) = cut_queries().swap_remove(0);
+    let plan = plan_rooted(&query, &graph, vid(0));
+    let ceci = Ceci::build(&graph, &plan);
+    let (pruned, counters) = count(&graph, &plan, &ceci, options(true));
+    let (walked, base) = count(&graph, &plan, &ceci, options(false));
+    // 6 pivots × 3 B × 2 C × 2 D.
+    assert_eq!((pruned, walked), (72, 72));
+    assert_eq!((counters.memo_keys, counters.memo_hits), (3, 15));
+    // The first pivot walks each B's subtree (1 + 2 calls); the other five
+    // answer all three from the memo.
+    assert_eq!(counters.recursive_calls, 6 + 3 * 3);
+    assert_eq!(base.recursive_calls, 6 * (1 + 3 * 3));
+    assert!(counters.intersection_ops <= base.intersection_ops);
 }

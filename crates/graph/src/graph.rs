@@ -23,8 +23,8 @@ use crate::ids::{LabelId, VertexId};
 use crate::labels::LabelSet;
 
 /// Which construction a [`Graph`] value came out of: every constructor
-/// (a streamed snapshot's [`Graph::patched`] included) draws a fresh stamp, and a
-/// clone shares its source's. Anything derived from a graph's adjacency and
+/// (a streamed snapshot's, [`DeltaOverlay::commit`](crate::DeltaOverlay::commit),
+/// included) draws a fresh stamp, and a clone shares its source's. Anything derived from a graph's adjacency and
 /// labels — a plan's candidate sets — records the stamp it was derived on,
 /// so "do these describe that graph?" is one comparison. Opaque: stamps
 /// compare for equality and nothing else.

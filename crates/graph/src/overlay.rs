@@ -6,7 +6,7 @@
 //! one batch at a time: it records which edges the batch has flipped
 //! relative to the *current* snapshot, and [`DeltaOverlay::commit`] turns
 //! the net flips into one sorted flat list of directed entries and patches
-//! the snapshot's CSR with it in one pass ([`Graph::patched`]) — clean runs
+//! the snapshot's CSR with it in one pass (`Graph::patched`) — clean runs
 //! of vertices are bulk-copied, only this batch's endpoints are merged, and
 //! labels are shared, not copied. Nothing outlives the batch: the next one
 //! starts a fresh overlay on the snapshot this one produced.

@@ -74,6 +74,9 @@ pub struct QueryPlan {
     /// Per query vertex `u`: earlier vertices `w` with `map(u) < map(w)`
     /// required (upper bounds on `u`'s image).
     upper_bounds: Vec<Vec<VertexId>>,
+    /// Per depth `d` in `0..=n`: the boundary of the cut at `d` (see
+    /// [`QueryPlan::boundary`]).
+    boundaries: Vec<Vec<VertexId>>,
 }
 
 impl QueryPlan {
@@ -273,6 +276,21 @@ impl QueryPlan {
                 upper_bounds[s.index()].push(l);
             }
         }
+        let boundaries = (0..=order.len())
+            .map(|d| {
+                let reads = order[d..].iter().flat_map(|&s| {
+                    (tree.parent(s).into_iter())
+                        .chain(backward_nte[s.index()].iter().copied())
+                        .chain(lower_bounds[s.index()].iter().copied())
+                        .chain(upper_bounds[s.index()].iter().copied())
+                });
+                let mut boundary: Vec<VertexId> =
+                    reads.filter(|w| position[w.index()] < d).collect();
+                boundary.sort_by_key(|w| position[w.index()]);
+                boundary.dedup();
+                boundary
+            })
+            .collect();
         QueryPlan {
             query,
             tree,
@@ -286,6 +304,7 @@ impl QueryPlan {
             symmetry_complete,
             lower_bounds,
             upper_bounds,
+            boundaries,
         }
     }
 
@@ -370,6 +389,17 @@ impl QueryPlan {
         &self.upper_bounds[u.index()]
     }
 
+    /// The boundary `B_d` of the cut at `depth`: the vertices of
+    /// `matching_order[..depth]` that a later vertex reads, as its tree
+    /// parent, a backward non-tree neighbour or a symmetry bound, in
+    /// matching order. The lists and windows of every later gather depend on
+    /// the prefix only through these images; the other prefix vertices
+    /// matter to the rest of the search through injectivity alone.
+    #[inline]
+    pub fn boundary(&self, depth: usize) -> &[VertexId] {
+        &self.boundaries[depth]
+    }
+
     /// Checks `candidate` against the symmetry bounds of `u`, given the
     /// partial embedding `mapping[w] = Some(image)` for assigned vertices.
     #[inline]
@@ -395,7 +425,7 @@ impl QueryPlan {
 mod tests {
     use super::*;
     use crate::catalog::PaperQuery;
-    use ceci_graph::vid;
+    use ceci_graph::{lid, vid};
 
     fn triangle_data() -> Graph {
         // Two triangles sharing vertex 0: 0-1-2-0, 0-3-4-0
@@ -569,6 +599,28 @@ mod tests {
             &plan0.on_graph(&g0).initial_candidates,
             &plan0.initial_candidates
         ));
+    }
+
+    #[test]
+    fn boundary_is_what_the_suffix_reads() {
+        let g = triangle_data();
+        // A labeled 4-path from one end: each cut's suffix reads the last
+        // prefix vertex alone.
+        let labels = [lid(0), lid(1), lid(2), lid(3)];
+        let path = QueryGraph::with_labels(&labels, &[(0, 1), (1, 2), (2, 3)]).unwrap();
+        let order = vec![vid(0), vid(1), vid(2), vid(3)];
+        let plan = QueryPlan::from_parts(path, vid(0), order, &g, Vec::new(), true);
+        assert!(plan.boundary(0).is_empty());
+        assert_eq!(plan.boundary(1), &[vid(0)]);
+        assert_eq!(plan.boundary(2), &[vid(1)]);
+        assert_eq!(plan.boundary(3), &[vid(2)]);
+        assert!(plan.boundary(4).is_empty());
+        // The triangle's last vertex reads both others: its tree parent and
+        // its non-tree neighbour, which are also its symmetry bounds.
+        let tri = QueryPlan::new(PaperQuery::Qg1.build(), &g);
+        let order = tri.matching_order();
+        assert_eq!(tri.boundary(1), &order[..1]);
+        assert_eq!(tri.boundary(2), &order[..2]);
     }
 
     #[test]

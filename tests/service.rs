@@ -509,9 +509,34 @@ fn explain_analyze_profile_sums_match_global_counters() {
     let unlabeled = erdos_renyi(400, 2_400, 5);
     let vid = ceci_graph::vid;
     let star = Graph::unlabeled(4, &[(vid(0), vid(1)), (vid(0), vid(2)), (vid(0), vid(3))]);
+    // A labeled A–B–C–D path over six A's sharing three B's, each B with
+    // two C's and each C with two D's: the order cuts cleanly, and the
+    // key repeats under every sibling of the vertex outside it.
+    let label = |l: u32| ceci_graph::LabelSet::single(ceci_graph::lid(l));
+    let labels = [[0; 6].as_slice(), &[1; 3], &[2; 6], &[3; 12]].concat();
+    let mut edges: Vec<_> = (0..6)
+        .flat_map(|a| (6..9).map(move |b| (vid(a), vid(b))))
+        .collect();
+    for (i, b) in (6..9u32).enumerate() {
+        for (j, c) in [9 + 2 * i as u32, 10 + 2 * i as u32]
+            .into_iter()
+            .enumerate()
+        {
+            let d = 15 + 2 * (2 * i + j) as u32;
+            edges.extend([(vid(b), vid(c)), (vid(c), vid(d)), (vid(c), vid(d + 1))]);
+        }
+    }
+    let fan = Graph::new(labels.into_iter().map(label).collect(), &edges, false);
+    let path_labels = [0, 1, 2, 3].map(label);
+    let path = Graph::new(
+        path_labels.to_vec(),
+        &[(vid(0), vid(1)), (vid(1), vid(2)), (vid(2), vid(3))],
+        false,
+    );
     let cases = [
-        ("g", &labeled, query_from(&labeled, 4, 29), false),
-        ("s", &unlabeled, star, true),
+        ("g", &labeled, query_from(&labeled, 4, 29), false, false),
+        ("s", &unlabeled, star, true, false),
+        ("p", &fan, path, false, true),
     ];
 
     let (handle, _state) = serve(ServeConfig::default());
@@ -523,7 +548,7 @@ fn explain_analyze_profile_sums_match_global_counters() {
             .find(|(k, _)| *k == key)
             .and_then(|(_, v)| v.parse().ok())
     };
-    for (name, graph, pattern, twins) in &cases {
+    for (name, graph, pattern, twins, memo) in &cases {
         let graph_path = scratch.write_graph(&format!("{name}.graph"), graph);
         let query_path = scratch.write_graph(&format!("{name}-q.graph"), pattern);
         client
@@ -564,6 +589,14 @@ fn explain_analyze_profile_sums_match_global_counters() {
         assert_eq!(Some(depth_emit), kv(totals, "embeddings"));
         let depth_calls: u64 = depth_rows.iter().map(|l| kv(l, "calls").unwrap()).sum();
         assert_eq!(Some(depth_calls), kv(totals, "recursive_calls"));
+        // The memo's counters close the totals row; where the template
+        // memoises, its clean cut is named beside the leaf mode.
+        let hits = kv(totals, "memo_hits").expect("memo_hits field");
+        assert!(kv(totals, "memo_keys").is_some(), "{name}: {totals}");
+        if *memo {
+            let cut = resp.payload.iter().any(|l| l.contains(" cut depth="));
+            assert!(cut && hits > 0, "{name}: {:?}", resp.payload);
+        }
 
         // ANALYZE profiles the enumeration `MATCH` runs, not another one:
         // it counts what the unprofiled MATCH and the direct enumeration
