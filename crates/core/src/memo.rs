@@ -21,13 +21,14 @@
 //! [`Ceci::clean_cut`](crate::Ceci::clean_cut); no request compares
 //! candidate sets.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use ceci_graph::VertexId;
 use ceci_query::QueryPlan;
 
-/// The widest key a cut may have: a key is hashed and compared a word at a
-/// time, in a fixed-width buffer.
+/// The widest key a cut may have: a key is a fixed-width array.
 const MAX_KEY: usize = 8;
 /// Entries one memo holds at most. A full memo keeps answering from what
 /// it holds and stores nothing more; it never evicts.
@@ -37,12 +38,6 @@ const MEMO_ENTRIES: usize = 4096;
 const GUARD_KEYS: usize = 256;
 /// See [`GUARD_KEYS`].
 const GUARD_HITS: u64 = 256;
-/// Slots of a memo's first table, room for the guard's keys at half load;
-/// it doubles at half load after that.
-const FIRST_SLOTS: usize = 2 * GUARD_KEYS;
-/// A free slot's count (no sub-count reaches it: a count that did would not
-/// be stored).
-const EMPTY: u64 = u64::MAX;
 
 /// A clean cut of a plan's matching order, confirmed on its index.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -77,10 +72,7 @@ impl CleanCut {
             let mut outside = prefix.iter().filter(|w| !key.contains(w));
             outside
                 .all(|&w| suffix.iter().all(|&s| apart(w, s)))
-                .then(|| CleanCut {
-                    depth,
-                    key: key.to_vec(),
-                })
+                .then_some(CleanCut { depth, key })
         })
     }
 }
@@ -115,18 +107,52 @@ fn disjoint(a: &[VertexId], b: &[VertexId]) -> bool {
     true
 }
 
+/// A key: the boundary's images, zero past the boundary's width.
+type Key = [u32; MAX_KEY];
+
+/// Hashes a [`Key`] eight bytes at a time: rotate, xor in the word,
+/// multiply. Keys are images the index produced, not outside input, so
+/// they need none of the std default's keyed SipHash.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl WordHasher {
+    #[inline]
+    fn fold(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for WordHasher {
+    /// A key's images arrive as one run of bytes.
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.fold(u64::from_ne_bytes(word));
+        }
+    }
+
+    /// The key's length prefix.
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.fold(n as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// One drain's sub-counts under a [`CleanCut`], keyed by the boundary's
-/// images: an open-addressing table allocated on the first insert, capped
-/// at [`MEMO_ENTRIES`], switched off by the [`GUARD_KEYS`] guard. Each
-/// worker owns one, so what a worker counts never depends on another's
-/// memo.
+/// images: a map that allocates on its first insert, capped at
+/// [`MEMO_ENTRIES`], switched off by the [`GUARD_KEYS`] guard. Each worker
+/// owns one, so what a worker counts never depends on another's memo.
 pub(crate) struct SubCountMemo<'a> {
     cut: &'a CleanCut,
-    /// `keys[slot * width..][..width]`: the key in a used slot.
-    keys: Vec<u32>,
-    /// The sub-count in each slot, [`EMPTY`] where none is.
-    counts: Vec<u64>,
-    len: usize,
+    counts: HashMap<Key, u64, BuildHasherDefault<WordHasher>>,
     hits: u64,
     on: bool,
 }
@@ -135,9 +161,7 @@ impl<'a> SubCountMemo<'a> {
     pub(crate) fn new(cut: &'a CleanCut) -> Self {
         SubCountMemo {
             cut,
-            keys: Vec::new(),
-            counts: Vec::new(),
-            len: 0,
+            counts: HashMap::default(),
             hits: 0,
             on: true,
         }
@@ -149,10 +173,9 @@ impl<'a> SubCountMemo<'a> {
         self.on && depth == self.cut.depth
     }
 
-    /// The key of the partial embedding `mapping`: the boundary's images,
-    /// zero past the boundary's width.
+    /// The key of the partial embedding `mapping`.
     #[inline]
-    pub(crate) fn key(&self, mapping: &[Option<VertexId>]) -> [u32; MAX_KEY] {
+    pub(crate) fn key(&self, mapping: &[Option<VertexId>]) -> Key {
         let mut key = [0; MAX_KEY];
         for (word, w) in key.iter_mut().zip(&self.cut.key) {
             *word = mapping[w.index()].expect("the boundary is mapped").0;
@@ -162,80 +185,32 @@ impl<'a> SubCountMemo<'a> {
 
     /// The sub-count stored under `key`, if any (a hit).
     #[inline]
-    pub(crate) fn get(&mut self, key: &[u32; MAX_KEY]) -> Option<u64> {
-        if self.counts.is_empty() {
-            return None;
-        }
-        let count = self.counts[self.slot(&key[..self.width()])];
-        (count != EMPTY).then(|| {
-            self.hits += 1;
-            count
-        })
+    pub(crate) fn get(&mut self, key: &Key) -> Option<u64> {
+        let count = *self.counts.get(key)?;
+        self.hits += 1;
+        Some(count)
     }
 
     /// Stores `count` under `key`, a key [`SubCountMemo::get`] just missed;
     /// returns whether it was stored. The 256th key switches the memo off
     /// (and frees it) unless 256 hits came first.
-    pub(crate) fn insert(&mut self, key: &[u32; MAX_KEY], count: u64) -> bool {
-        if self.len == MEMO_ENTRIES || count == EMPTY {
+    pub(crate) fn insert(&mut self, key: &Key, count: u64) -> bool {
+        if self.counts.len() == MEMO_ENTRIES {
             return false;
         }
-        if 2 * (self.len + 1) > self.counts.len() {
-            self.grow();
+        if self.counts.capacity() == 0 {
+            // Room for the guard's keys: a memo that outlives them grows.
+            self.counts.reserve(GUARD_KEYS);
         }
-        let width = self.width();
-        let slot = self.slot(&key[..width]);
-        debug_assert_eq!(
-            self.counts[slot], EMPTY,
-            "a stored key is answered, not recounted"
-        );
-        self.keys[slot * width..][..width].copy_from_slice(&key[..width]);
-        self.counts[slot] = count;
-        self.len += 1;
-        if self.len == GUARD_KEYS && self.hits < GUARD_HITS {
+        let fresh = self.counts.insert(*key, count).is_none();
+        debug_assert!(fresh, "a stored key is answered, not recounted");
+        if self.counts.len() == GUARD_KEYS && self.hits < GUARD_HITS {
             *self = SubCountMemo {
                 on: false,
                 ..SubCountMemo::new(self.cut)
             };
         }
         true
-    }
-
-    #[inline]
-    fn width(&self) -> usize {
-        self.cut.key.len()
-    }
-
-    /// The slot that holds `key`, or the free slot where it goes: linear
-    /// probing from the top bits of a word-at-a-time multiplicative hash.
-    #[inline]
-    fn slot(&self, key: &[u32]) -> usize {
-        let hash = key.iter().fold(0u64, |h, &w| {
-            (h.rotate_left(5) ^ u64::from(w)).wrapping_mul(0x517c_c1b7_2722_0a95)
-        });
-        let mask = self.counts.len() - 1;
-        let mut slot = (hash >> (64 - self.counts.len().trailing_zeros())) as usize;
-        loop {
-            if self.counts[slot] == EMPTY || &self.keys[slot * key.len()..][..key.len()] == key {
-                return slot;
-            }
-            slot = (slot + 1) & mask;
-        }
-    }
-
-    /// Doubles the table (or allocates the first one) and re-inserts every
-    /// stored key.
-    fn grow(&mut self) {
-        let width = self.width();
-        let slots = (2 * self.counts.len()).max(FIRST_SLOTS);
-        let keys = std::mem::replace(&mut self.keys, vec![0; slots * width]);
-        let counts = std::mem::replace(&mut self.counts, vec![EMPTY; slots]);
-        for (old, &count) in counts.iter().enumerate().filter(|(_, &c)| c != EMPTY) {
-            let key = &keys[old * width..][..width];
-            let slot = self.slot(key);
-            self.keys[slot * width..][..width].copy_from_slice(key);
-            self.counts[slot] = count;
-        }
     }
 }
 
@@ -251,7 +226,7 @@ mod tests {
         }
     }
 
-    fn key(words: &[u32]) -> [u32; MAX_KEY] {
+    fn key(words: &[u32]) -> Key {
         let mut key = [0; MAX_KEY];
         key[..words.len()].copy_from_slice(words);
         key
@@ -261,7 +236,11 @@ mod tests {
     fn stores_answers_and_grows() {
         let cut = cut(2);
         let mut memo = SubCountMemo::new(&cut);
-        assert!(memo.counts.is_empty(), "nothing allocated before a store");
+        assert_eq!(
+            memo.counts.capacity(),
+            0,
+            "nothing allocated before a store"
+        );
         assert_eq!(memo.get(&key(&[1, 2])), None);
         // A guard's worth of hits first, so the memo stays on past 256 keys.
         assert!(memo.insert(&key(&[1, 2]), 7));
@@ -276,7 +255,7 @@ mod tests {
             assert_eq!(memo.get(&key(&[i, i + 5])), Some(u64::from(i)));
         }
         assert_eq!(memo.get(&key(&[2, 1])), None, "keys are ordered");
-        assert_eq!(memo.counts.len(), 2048);
+        assert_eq!(memo.counts.len(), 1001);
     }
 
     #[test]
@@ -290,7 +269,7 @@ mod tests {
         assert!(!memo.insert(&key(&[u32::MAX]), 1));
         assert_eq!(memo.get(&key(&[u32::MAX])), None);
         assert_eq!(memo.get(&key(&[0])), Some(1));
-        assert_eq!(memo.counts.len(), 2 * MEMO_ENTRIES);
+        assert_eq!(memo.counts.len(), MEMO_ENTRIES);
     }
 
     #[test]
@@ -303,7 +282,7 @@ mod tests {
         assert!(memo.at(cut.depth));
         assert!(memo.insert(&key(&[u32::MAX, 0, 0]), 0));
         assert!(!memo.at(cut.depth), "the 256th key with no hits");
-        assert!(memo.counts.is_empty() && memo.keys.is_empty(), "freed");
+        assert_eq!(memo.counts.capacity(), 0, "freed");
     }
 
     #[test]

@@ -36,8 +36,8 @@ use std::cmp::Ordering;
 use ceci_baselines::reference;
 use ceci_core::{
     canonicalize, enumerate_from_frontier, enumerate_parallel, enumerate_sequential, Ceci,
-    CollectSink, CountSink, Counters, EnumOptions, LeafMode, ParallelOptions, PrefixSpec, Strategy,
-    TwinTail,
+    CollectSink, CountSink, Counters, EnumOptions, Enumerator, LeafMode, ParallelOptions,
+    PrefixSpec, Strategy, TwinTail,
 };
 use ceci_graph::generators::{erdos_renyi, inject_random_labels};
 use ceci_graph::{lid, vid, Graph, VertexId};
@@ -99,6 +99,29 @@ fn count(graph: &Graph, plan: &QueryPlan, ceci: &Ceci, options: EnumOptions) -> 
     let mut sink = CountSink::unbounded();
     let counters = enumerate_sequential(graph, plan, ceci, options, &mut sink);
     (sink.count(), counters)
+}
+
+/// The `Counters` of [`Strategy::Static`] over `workers` workers, rebuilt
+/// from its split: worker `w` drains clusters `w`, `w + workers`, … in pivot
+/// order with an enumerator (and so a memo) of its own.
+fn static_split(
+    graph: &Graph,
+    plan: &QueryPlan,
+    ceci: &Ceci,
+    options: EnumOptions,
+    workers: usize,
+) -> Counters {
+    let mut total = Counters::default();
+    for w in 0..workers {
+        let mut enumerator = Enumerator::new(graph, plan, ceci, options);
+        let mut counters = Counters::default();
+        let mut sink = CountSink::unbounded();
+        for &(pivot, _) in ceci.pivots().iter().skip(w).step_by(workers) {
+            assert!(enumerator.enumerate_cluster(pivot, &mut sink, &mut counters));
+        }
+        total.merge(&counters);
+    }
+    total
 }
 
 proptest! {
@@ -193,9 +216,12 @@ proptest! {
                     }
                 }
                 // ... and the parallel strategies: ST and CGD hand out whole
-                // clusters, so their op count is the sequential run's too,
-                // unless a memo answered repeats there: each worker's memo
-                // sees only its own clusters' keys.
+                // clusters, so their op count is the sequential run's too
+                // wherever no memo acts. A memo belongs to one worker and
+                // sees only its clusters' keys: ST's split is fixed, so its
+                // whole `Counters` are its two enumerators' on every input;
+                // CGD's depends on which worker pulls first.
+                let memoised = ceci.clean_cut().is_some();
                 for strategy in [
                     Strategy::Static,
                     Strategy::CoarseDynamic,
@@ -209,9 +235,16 @@ proptest! {
                             ..ParallelOptions::default()
                         });
                         prop_assert_eq!(result.total_embeddings, tallied, "{} {}", &label, strategy.abbrev());
+                        if strategy == Strategy::Static {
+                            prop_assert_eq!(
+                                &result.counters,
+                                &static_split(&graph, &plan, &ceci, options(prune_redundant), 2),
+                                "{} ST", &label
+                            );
+                        }
                         if !matches!(strategy, Strategy::FineDynamic { .. }) {
                             let sequential = if prune_redundant { &pruned_counters } else { &base };
-                            if sequential.memo_hits == 0 {
+                            if !(prune_redundant && memoised) {
                                 prop_assert_eq!(
                                     result.counters.intersection_ops, sequential.intersection_ops,
                                     "{} {}", &label, strategy.abbrev()

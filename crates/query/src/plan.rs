@@ -74,9 +74,6 @@ pub struct QueryPlan {
     /// Per query vertex `u`: earlier vertices `w` with `map(u) < map(w)`
     /// required (upper bounds on `u`'s image).
     upper_bounds: Vec<Vec<VertexId>>,
-    /// Per depth `d` in `0..=n`: the boundary of the cut at `d` (see
-    /// [`QueryPlan::boundary`]).
-    boundaries: Vec<Vec<VertexId>>,
 }
 
 impl QueryPlan {
@@ -276,21 +273,6 @@ impl QueryPlan {
                 upper_bounds[s.index()].push(l);
             }
         }
-        let boundaries = (0..=order.len())
-            .map(|d| {
-                let reads = order[d..].iter().flat_map(|&s| {
-                    (tree.parent(s).into_iter())
-                        .chain(backward_nte[s.index()].iter().copied())
-                        .chain(lower_bounds[s.index()].iter().copied())
-                        .chain(upper_bounds[s.index()].iter().copied())
-                });
-                let mut boundary: Vec<VertexId> =
-                    reads.filter(|w| position[w.index()] < d).collect();
-                boundary.sort_by_key(|w| position[w.index()]);
-                boundary.dedup();
-                boundary
-            })
-            .collect();
         QueryPlan {
             query,
             tree,
@@ -304,7 +286,6 @@ impl QueryPlan {
             symmetry_complete,
             lower_bounds,
             upper_bounds,
-            boundaries,
         }
     }
 
@@ -394,10 +375,19 @@ impl QueryPlan {
     /// parent, a backward non-tree neighbour or a symmetry bound, in
     /// matching order. The lists and windows of every later gather depend on
     /// the prefix only through these images; the other prefix vertices
-    /// matter to the rest of the search through injectivity alone.
-    #[inline]
-    pub fn boundary(&self, depth: usize) -> &[VertexId] {
-        &self.boundaries[depth]
+    /// matter to the rest of the search through injectivity alone. Computed
+    /// on each call: only the index build asks, once per candidate depth.
+    pub fn boundary(&self, depth: usize) -> Vec<VertexId> {
+        let reads = self.matching_order[depth..].iter().flat_map(|&s| {
+            (self.tree.parent(s).into_iter())
+                .chain(self.backward_nte(s).iter().copied())
+                .chain(self.lower_bounds(s).iter().copied())
+                .chain(self.upper_bounds(s).iter().copied())
+        });
+        let mut boundary: Vec<VertexId> = reads.filter(|&w| self.position(w) < depth).collect();
+        boundary.sort_by_key(|&w| self.position(w));
+        boundary.dedup();
+        boundary
     }
 
     /// Checks `candidate` against the symmetry bounds of `u`, given the
