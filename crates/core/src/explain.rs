@@ -218,28 +218,32 @@ pub fn explain_choice(
 }
 
 /// Renders estimated vs actual cardinality per matching-order depth (the
-/// `EXPLAIN ANALYZE` mis-estimate view). The actual partial-embedding count
-/// at depth `d` is read from the observed profile: recursive calls entering
-/// depth `d + 1` for interior depths, emissions (plus reuse) at the leaf.
-/// `qerr` is the usual max(est/actual, actual/est), blank when either side
-/// is zero. `leaf` is the mode the profiled run drained under: a
-/// [`LeafMode::Twins`] tail is answered in closed form from its first twin
-/// on and credited to the last depth, so the rows from the first twin to the
-/// penultimate depth observe nothing and print `actual=- qerr=- (closed
-/// form)`.
+/// `EXPLAIN ANALYZE` mis-estimate view) of a run over `ceci` under
+/// `options` that left `profile` and `counters`. The actual partial-embedding
+/// count at depth `d` is read from the observed profile: searches entering
+/// depth `d + 1` for interior depths — recursive calls, reuses, and at the
+/// clean cut the memo hits, which walk nothing — and emissions (plus reuse)
+/// at the leaf. `qerr` is the usual max(est/actual, actual/est), blank when
+/// either side is zero. A [`LeafMode::Twins`] tail is answered in closed
+/// form from its first twin on and credited to the last depth, so the rows
+/// from the first twin to the penultimate depth observe nothing and print
+/// `actual=- qerr=- (closed form)`.
 pub fn explain_estimates(
     plan: &QueryPlan,
+    ceci: &Ceci,
+    options: EnumOptions,
     cost: &CostEstimate,
     profile: &DepthProfile,
-    leaf: LeafMode,
+    counters: &Counters,
 ) -> String {
     let order = plan.matching_order();
     let stats = profile.depths();
     let n = order.len();
-    let closed = match leaf {
+    let closed = match LeafMode::of(plan, ceci, options) {
         LeafMode::Twins(tail) => n - tail.twins..n - 1,
         _ => 0..0,
     };
+    let cut = memo_cut(ceci, options).map(|cut| cut.depth);
     let mut out = String::new();
     for (d, &est) in cost.depth_volumes.iter().enumerate().take(n) {
         let node = order[d];
@@ -251,7 +255,8 @@ pub fn explain_estimates(
             continue;
         }
         let actual = if d + 1 < stats.len() {
-            stats[d + 1].calls + stats[d + 1].reused
+            let hits = counters.memo_hits * u64::from(cut == Some(d + 1));
+            stats[d + 1].calls + stats[d + 1].reused + hits
         } else {
             stats.get(d).map(|s| s.emitted + s.reused).unwrap_or(0)
         };
@@ -364,21 +369,6 @@ pub fn cluster_skew(ceci: &Ceci) -> ClusterSkew {
         median,
         skew,
     }
-}
-
-/// Candidates of `u` that survive refinement, per initial candidate — the
-/// per-filter effectiveness view.
-pub fn filter_effectiveness(plan: &QueryPlan, ceci: &Ceci) -> Vec<(VertexId, usize, usize)> {
-    plan.query()
-        .vertices()
-        .map(|u| {
-            (
-                u,
-                plan.initial_candidates(u).len(),
-                ceci.candidates(u).len(),
-            )
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -582,8 +572,8 @@ mod tests {
             enumerator.enumerate_cluster(pivot, &mut sink, &mut counters);
         }
         let profile = enumerator.take_profile().unwrap();
-        let leaf = LeafMode::of(&plan, &ceci, EnumOptions::default());
-        let report = explain_estimates(&plan, &cost, &profile, leaf);
+        let options = EnumOptions::default();
+        let report = explain_estimates(&plan, &ceci, options, &cost, &profile, &counters);
         assert_eq!(
             report.lines().count(),
             plan.matching_order().len(),
@@ -624,7 +614,7 @@ mod tests {
         }
         assert_eq!(counters.embeddings, 35);
         let profile = enumerator.take_profile().unwrap();
-        let report = explain_estimates(&plan, &cost, &profile, leaf);
+        let report = explain_estimates(&plan, &ceci, options, &cost, &profile, &counters);
         let rows: Vec<&str> = report.lines().collect();
         let (last, above) = rows.split_last().expect("one row per depth");
         for row in above {
@@ -642,7 +632,8 @@ mod tests {
     #[test]
     fn filter_effectiveness_monotone() {
         let (_, plan, ceci) = setup();
-        for (u, initial, final_) in filter_effectiveness(&plan, &ceci) {
+        for u in plan.query().vertices() {
+            let (initial, final_) = (plan.initial_candidates(u).len(), ceci.candidates(u).len());
             assert!(final_ <= initial, "u{u}: {final_} > {initial}");
         }
     }

@@ -26,14 +26,14 @@
 //! copies), as the paper's filtering phase runs on one core (Fig 15, §6.6).
 //!
 //! Candidate sets are cached in [`BuilderState`] and kept in sync by
-//! [`BuilderState::remove_candidate`], so [`BuilderState::candidates_of`]
+//! [`BuilderState::remove_candidates`], so [`BuilderState::candidates_of`]
 //! is a borrow instead of a per-call `value_union()` allocation.
 
 use ceci_graph::{Graph, VertexId};
 use ceci_query::candidates::CandidateSet;
 use ceci_query::QueryPlan;
 
-use crate::tables::BuildTable;
+use crate::tables::{retain_absent, BuildTable};
 
 /// Mutable CECI under construction: pivots plus per-node TE/NTE tables.
 #[derive(Debug)]
@@ -46,7 +46,7 @@ pub struct BuilderState {
     /// `nte[u]` — one `(nte_parent, table)` per backward non-tree edge of `u`.
     pub nte: Vec<Vec<(VertexId, BuildTable)>>,
     /// Cached candidate set per non-root node — the value union of `te[u]`,
-    /// maintained incrementally by [`BuilderState::remove_candidate`] so
+    /// maintained incrementally by [`BuilderState::remove_candidates`] so
     /// [`BuilderState::candidates_of`] never allocates. The root's set lives
     /// in `pivots`.
     candidates: Vec<Vec<VertexId>>,
@@ -94,39 +94,38 @@ impl BuilderState {
         te + nte
     }
 
-    /// Removes `v` from the candidate set of query node `u`, cascading the
-    /// key removal into every *already built* table keyed by `u`'s
-    /// candidates (TE tables of `u`'s tree children, NTE tables whose parent
-    /// is `u`). Cached candidate sets are kept in sync: values that vanish
-    /// from a child table's union are dropped from the child's cache.
-    pub fn remove_candidate(&mut self, plan: &QueryPlan, u: VertexId, v: VertexId) {
-        if u == plan.root() {
-            if let Ok(i) = self.pivots.binary_search(&v) {
-                self.pivots.remove(i);
+    /// Removes the sorted `gone` from the candidate set of query node `u`,
+    /// cascading into every *already built* table keyed by `u`'s candidates
+    /// (TE tables of `u`'s tree children, NTE tables whose parent is `u`),
+    /// one pass over each table. A removal touches only values equal to a
+    /// removed vertex and lists keyed by one, so a set removed at once leaves
+    /// what its vertices removed one by one leave. Cached candidate sets stay
+    /// equal to their TE table's value union.
+    pub fn remove_candidates(&mut self, plan: &QueryPlan, u: VertexId, gone: &[VertexId]) {
+        // Only the root has no TE table; its set is the pivots.
+        let own = match self.te[u.index()].as_mut() {
+            Some(table) => {
+                table.remove_values(gone);
+                &mut self.candidates[u.index()]
             }
-        } else if let Some(table) = self.te[u.index()].as_mut() {
-            table.remove_value_everywhere(v);
-            if let Ok(i) = self.candidates[u.index()].binary_search(&v) {
-                self.candidates[u.index()].remove(i);
-            }
-        }
-        for (un, table) in self.nte[u.index()].iter_mut() {
-            let _ = un;
-            table.remove_value_everywhere(v);
+            None => &mut self.pivots,
+        };
+        let kept = retain_absent(own, gone);
+        own.truncate(kept);
+        for (_, table) in self.nte[u.index()].iter_mut() {
+            table.remove_values(gone);
         }
         for &uc in plan.tree().children(u) {
-            if let Some(child_table) = self.te[uc.index()].as_mut() {
-                for w in child_table.remove_key(v) {
-                    if let Ok(i) = self.candidates[uc.index()].binary_search(&w) {
-                        self.candidates[uc.index()].remove(i);
-                    }
-                }
+            if let Some(child) = self.te[uc.index()].as_mut() {
+                let cache = &mut self.candidates[uc.index()];
+                let kept = retain_absent(cache, child.remove_keys(gone));
+                cache.truncate(kept);
             }
         }
         for &uf in plan.forward_nte(u) {
             for (parent, table) in self.nte[uf.index()].iter_mut() {
                 if *parent == u {
-                    table.remove_key(v);
+                    table.remove_keys(gone);
                 }
             }
         }
@@ -234,9 +233,7 @@ pub fn bfs_filter_from(
         let (table, emptied) = fill_table(graph, &sets[u.index()], &frontier, &mut profile);
         state.candidates[u.index()] = table.value_union();
         state.te[u.index()] = Some(table);
-        for vf in emptied {
-            state.remove_candidate(plan, up, vf);
-        }
+        state.remove_candidates(plan, up, &emptied);
     }
 
     // Phase B: NTE tables in matching order.
@@ -246,9 +243,7 @@ pub fn bfs_filter_from(
             frontier.extend_from_slice(state.candidates_of(plan, un));
             let (table, emptied) = fill_table(graph, &sets[u.index()], &frontier, &mut profile);
             state.nte[u.index()].push((un, table));
-            for vf in emptied {
-                state.remove_candidate(plan, un, vf);
-            }
+            state.remove_candidates(plan, un, &emptied);
         }
     }
     (state, profile)
@@ -257,7 +252,7 @@ pub fn bfs_filter_from(
 /// Expands one table's frontier — `set` is the candidate set of the node
 /// the table is for — filtering every frontier vertex straight into the
 /// table arena. Returns the filled table and the emptied frontier vertices
-/// in frontier order.
+/// in frontier (ascending) order.
 fn fill_table(
     graph: &Graph,
     set: &CandidateSet,
@@ -387,7 +382,7 @@ mod tests {
     fn cached_candidates_track_value_unions() {
         // The cache must equal a fresh value_union() at every observation
         // point — during filtering the only mutation path is
-        // remove_candidate, which maintains it.
+        // remove_candidates, which maintains it.
         let (graph, plan) = paper::figure1();
         let state = bfs_filter(&graph, &plan);
         for u in plan.query().vertices() {

@@ -381,9 +381,7 @@ fn prune_stale_keys(table: &mut crate::tables::BuildTable, valid_keys: &[VertexI
         .map(|(k, _)| k)
         .filter(|k| valid_keys.binary_search(k).is_err())
         .collect();
-    for k in stale {
-        table.remove_key(k);
-    }
+    table.remove_keys(&stale);
 }
 
 #[cfg(test)]

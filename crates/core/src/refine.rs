@@ -13,7 +13,8 @@
 //! from one of `u`'s backward NTE tables is zeroed (it can never close that
 //! non-tree edge). Zero-cardinality candidates are deleted from `u`'s tables
 //! and their key entries removed from every child table — the green removals
-//! of Figure 3(c).
+//! of Figure 3(c) — in one removal per query node once its loop ends: no
+//! other candidate of `u` reads a value or a list that removal touches.
 //!
 //! Cardinality doubles as the workload estimate: `cardinality(u_s, v_s)` of
 //! a pivot bounds the embeddings its cluster can contain (§4.3).
@@ -100,7 +101,7 @@ pub fn reverse_bfs_refine(
     let mut cards = Cardinalities {
         per_node: vec![NodeCards::default(); n],
     };
-    let mut scratch: Vec<VertexId> = Vec::new();
+    let (mut scratch, mut zero): (Vec<VertexId>, Vec<VertexId>) = (Vec::new(), Vec::new());
     for &u in plan.matching_order().iter().rev() {
         scratch.clear();
         scratch.extend_from_slice(state.candidates_of(plan, u));
@@ -136,13 +137,15 @@ pub fn reverse_bfs_refine(
                 }
             }
             if card == 0 {
-                if remove_zero {
-                    state.remove_candidate(plan, u, v);
-                }
+                zero.push(v);
             } else {
                 node.vals[slot] = card;
             }
         }
+        if remove_zero {
+            state.remove_candidates(plan, u, &zero);
+        }
+        zero.clear();
         cards.per_node[u.index()] = node;
     }
     cards

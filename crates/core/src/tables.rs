@@ -7,9 +7,9 @@
 //! `(offset, len)` spans per key, so construction performs **zero per-key
 //! allocations** and freezing is (in the common fast path) a move, not a
 //! copy. Removals — required by the Algorithm 1 empty-entry cascade and by
-//! Algorithm 2 refinement — shift inside a span (value removal) or tombstone
-//! a span (key removal); the resulting holes are compacted *in place* at
-//! freeze time.
+//! Algorithm 2 refinement — shift inside a span (value removal, one pass per
+//! span for a whole set of values) or tombstone a span (key removal); the
+//! resulting holes are compacted *in place* at freeze time.
 //!
 //! Value membership is tracked by a dense grow-on-demand count array indexed
 //! by vertex id (the multiset the cascade needs), replacing the old
@@ -60,13 +60,6 @@ impl CountMap {
         *c == 0
     }
 
-    #[inline]
-    fn zero(&mut self, v: VertexId) {
-        if let Some(c) = self.counts.get_mut(v.index()) {
-            *c = 0;
-        }
-    }
-
     /// Distinct tracked values in ascending id order (no sort needed — the
     /// index *is* the id).
     fn distinct_sorted(&self) -> Vec<VertexId> {
@@ -87,7 +80,7 @@ struct Span {
     /// Live value count (gaps trail the live values inside the original
     /// allocation).
     len: u32,
-    /// Tombstone set by [`BuildTable::remove_key`].
+    /// Tombstone set by [`BuildTable::remove_keys`].
     dead: bool,
 }
 
@@ -105,12 +98,13 @@ pub struct BuildTable {
     value_counts: CountMap,
     /// Dense key id → index into `keys`/`spans` (`NO_SLOT` when absent).
     slot_of: Vec<u32>,
-    /// Live (key, value) entries — Σ live span lengths.
+    /// Live (key, value) entries — Σ live span lengths. The arena's other
+    /// slots are the holes removals left (compaction work at freeze).
     num_entries: usize,
-    /// Dead arena slots left behind by removals (compaction work at freeze).
-    holes: usize,
     /// Tombstoned keys.
     dead_keys: usize,
+    /// Scratch of the removals: the values a removal took out.
+    held: Vec<VertexId>,
 }
 
 impl BuildTable {
@@ -240,54 +234,58 @@ impl BuildTable {
         self.value_counts.distinct_sorted()
     }
 
-    /// Removes `key` and its whole value list. No-op if absent. Returns the
-    /// values whose table-wide count dropped to zero — they just left the
-    /// table's value union (the caller keeps cached candidate sets in sync).
-    pub fn remove_key(&mut self, key: VertexId) -> Vec<VertexId> {
-        let Some(i) = self.slot(key) else {
-            return Vec::new();
-        };
-        self.slot_of[key.index()] = NO_SLOT;
-        let s = &mut self.spans[i];
-        s.dead = true;
-        let (offset, len) = (s.offset as usize, s.len as usize);
-        self.dead_keys += 1;
-        self.num_entries -= len;
-        self.holes += len;
-        let mut vanished = Vec::new();
-        for j in offset..offset + len {
-            let v = self.values[j];
-            if self.value_counts.dec(v) {
-                vanished.push(v);
-            }
-        }
-        vanished
-    }
-
-    /// Removes `v` from every key's value list. Returns the keys whose lists
-    /// became empty as a result (the caller decides what to cascade).
-    pub fn remove_value_everywhere(&mut self, v: VertexId) -> Vec<VertexId> {
-        if self.value_counts.get(v) == 0 {
-            return Vec::new();
-        }
-        self.value_counts.zero(v);
-        let mut emptied = Vec::new();
-        for (i, s) in self.spans.iter_mut().enumerate() {
-            if s.dead {
+    /// Removes each of `keys` with its whole value list (absent keys are
+    /// no-ops). Returns the values whose table-wide count dropped to zero,
+    /// sorted: they just left the value union (the caller keeps cached
+    /// candidate sets in sync).
+    pub fn remove_keys(&mut self, keys: &[VertexId]) -> &[VertexId] {
+        self.held.clear();
+        for &key in keys {
+            let Some(i) = self.slot(key) else {
                 continue;
-            }
-            let span = &mut self.values[s.offset as usize..(s.offset + s.len) as usize];
-            if let Ok(p) = span.binary_search(&v) {
-                span.copy_within(p + 1.., p);
-                s.len -= 1;
-                self.num_entries -= 1;
-                self.holes += 1;
-                if s.len == 0 {
-                    emptied.push(self.keys[i]);
+            };
+            self.slot_of[key.index()] = NO_SLOT;
+            let s = &mut self.spans[i];
+            s.dead = true;
+            self.dead_keys += 1;
+            self.num_entries -= s.len as usize;
+            for &v in &self.values[s.offset as usize..(s.offset + s.len) as usize] {
+                if self.value_counts.dec(v) {
+                    self.held.push(v);
                 }
             }
         }
-        emptied
+        self.held.sort_unstable();
+        &self.held
+    }
+
+    /// Removes every value of the sorted `gone` from every key's list in one
+    /// pass over the live spans, each compacted once by a galloping
+    /// difference: values the table does not hold are skipped, and the pass
+    /// stops once every held occurrence is gone. A list may be left empty.
+    pub fn remove_values(&mut self, gone: &[VertexId]) {
+        debug_assert!(gone.windows(2).all(|w| w[0] < w[1]), "gone must be sorted");
+        self.held.clear();
+        let mut left = 0;
+        for &v in gone {
+            let count = self.value_counts.get(v);
+            if count > 0 {
+                left += count as usize;
+                self.value_counts.counts[v.index()] = 0;
+                self.held.push(v);
+            }
+        }
+        for s in self.spans.iter_mut().filter(|s| !s.dead) {
+            if left == 0 {
+                break;
+            }
+            let span = &mut self.values[s.offset as usize..(s.offset + s.len) as usize];
+            let kept = retain_absent(span, &self.held);
+            let removed = span.len() - kept;
+            s.len = kept as u32;
+            self.num_entries -= removed;
+            left -= removed;
+        }
     }
 
     /// Total candidate-edge entries currently stored (Σ live value-list
@@ -381,6 +379,41 @@ impl SlotMap {
     fn size_bytes(&self) -> usize {
         self.slots.len() * std::mem::size_of::<u32>()
     }
+}
+
+/// Drops from the sorted `span` every value of the sorted `gone` in place
+/// and returns how many are kept, in order, at its front. The side behind
+/// gallops to the other's value, so it costs no more than a merge nor than a
+/// search per value of the shorter side, and each kept run shifts once.
+pub(crate) fn retain_absent(span: &mut [VertexId], gone: &[VertexId]) -> usize {
+    let (mut i, mut j, mut write) = (0, 0, 0);
+    while i < span.len() && j < gone.len() {
+        if span[i] < gone[j] {
+            let kept = gallop(&span[i..], gone[j]);
+            if write < i {
+                span.copy_within(i..i + kept, write);
+            }
+            (i, write) = (i + kept, write + kept);
+        } else if span[i] > gone[j] {
+            j += gallop(&gone[j..], span[i]);
+        } else {
+            (i, j) = (i + 1, j + 1);
+        }
+    }
+    if write < i {
+        span.copy_within(i.., write);
+    }
+    write + span.len() - i
+}
+
+/// The first index of the sorted `list` whose value is at least `x`, probed
+/// 1, 2, 4, … ahead before a binary search of the last stride: O(log i).
+fn gallop(list: &[VertexId], x: VertexId) -> usize {
+    let mut bound = 1;
+    while bound <= list.len() && list[bound - 1] < x {
+        bound *= 2;
+    }
+    bound / 2 + list[bound / 2..bound.min(list.len())].partition_point(|&v| v < x)
 }
 
 fn values_len_guard(len: usize) {
@@ -510,8 +543,8 @@ mod tests {
         let mut t = sample();
         assert!(t.contains_value(vid(7)));
         // v7 appears under both keys; removing key v2 keeps it alive.
-        let vanished = t.remove_key(vid(2));
-        assert_eq!(vanished, vec![vid(9)]);
+        let vanished = t.remove_keys(&[vid(2)]);
+        assert_eq!(vanished, [vid(9)]);
         assert!(t.contains_value(vid(7)));
         assert!(!t.contains_value(vid(9)));
         assert_eq!(t.value_union(), vec![vid(3), vid(5), vid(7)]);
@@ -522,29 +555,85 @@ mod tests {
     #[test]
     fn remove_key_noop_when_absent() {
         let mut t = sample();
-        assert!(t.remove_key(vid(99)).is_empty());
+        assert!(t.remove_keys(&[vid(99)]).is_empty());
         assert_eq!(t.num_keys(), 2);
     }
 
+    /// The keys whose lists are empty.
+    fn emptied(t: &BuildTable) -> Vec<VertexId> {
+        t.iter()
+            .filter(|(_, l)| l.is_empty())
+            .map(|(k, _)| k)
+            .collect()
+    }
+
     #[test]
-    fn remove_value_everywhere_reports_emptied_keys() {
+    fn remove_values_reports_emptied_keys() {
         let mut t = BuildTable::new();
         t.push_key(vid(1), &[vid(5)]);
         t.push_key(vid(2), &[vid(5), vid(6)]);
-        let emptied = t.remove_value_everywhere(vid(5));
-        assert_eq!(emptied, vec![vid(1)]);
+        t.remove_values(&[vid(5)]);
+        assert_eq!(emptied(&t), vec![vid(1)]);
         assert!(!t.contains_value(vid(5)));
         assert_eq!(t.get(vid(1)), Some(&[][..]));
         assert_eq!(t.get(vid(2)), Some(&[vid(6)][..]));
         // Removing again is a no-op.
-        assert!(t.remove_value_everywhere(vid(5)).is_empty());
+        t.remove_values(&[vid(5)]);
+        assert_eq!(emptied(&t), vec![vid(1)]);
+        assert_eq!(t.num_entries(), 1);
+    }
+
+    /// One pass over a whole set equals removing its values one at a time,
+    /// whichever list is the shorter and wherever the values fall (before,
+    /// inside, between and past the spans, held or not).
+    #[test]
+    fn removing_a_set_equals_removing_each_value() {
+        let lists: [&[u32]; 5] = [
+            &[1, 2, 3, 4, 5, 6, 7, 8],
+            &[4],
+            &[2, 9, 30],
+            &[],
+            &[6, 7, 31, 40],
+        ];
+        let gones: [&[u32]; 6] = [
+            &[],
+            &[4],
+            &[0, 45],
+            &[1, 3, 5, 7, 30, 40],
+            &[2, 6, 7, 9],
+            &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 30, 31, 40],
+        ];
+        let table = || {
+            let mut t = BuildTable::new();
+            for (k, list) in lists.iter().enumerate() {
+                t.push_key(
+                    vid(k as u32),
+                    &list.iter().map(|&v| vid(v)).collect::<Vec<_>>(),
+                );
+            }
+            t
+        };
+        let image = |t: &BuildTable| {
+            let lists: Vec<_> = t.iter().map(|(k, l)| (k, l.to_vec())).collect();
+            (lists, t.value_union(), t.num_entries(), t.arena_bytes())
+        };
+        for gone in gones {
+            let gone: Vec<_> = gone.iter().map(|&v| vid(v)).collect();
+            let (mut batch, mut single) = (table(), table());
+            batch.remove_values(&gone);
+            for &v in &gone {
+                single.remove_values(&[v]);
+            }
+            assert_eq!(image(&batch), image(&single), "gone {gone:?}");
+            assert!(gone.iter().all(|&v| !batch.contains_value(v)));
+            assert_eq!(batch.freeze(), single.freeze(), "gone {gone:?}");
+        }
     }
 
     #[test]
     fn freeze_drops_empty_keys() {
         let mut t = sample();
-        t.remove_value_everywhere(vid(7));
-        t.remove_value_everywhere(vid(9));
+        t.remove_values(&[vid(7), vid(9)]);
         let c = t.freeze();
         assert_eq!(c.num_keys(), 1);
         assert_eq!(c.get(vid(1)), Some(&[vid(3), vid(5)][..]));
@@ -558,8 +647,8 @@ mod tests {
         t.push_key(vid(1), &[vid(10), vid(11)]);
         t.push_key(vid(2), &[vid(20)]);
         t.push_key(vid(3), &[vid(30), vid(31), vid(32)]);
-        t.remove_key(vid(2));
-        t.remove_value_everywhere(vid(31));
+        t.remove_keys(&[vid(2)]);
+        t.remove_values(&[vid(31)]);
         let c = t.freeze();
         assert_eq!(c.num_keys(), 2);
         assert_eq!(c.get(vid(1)), Some(&[vid(10), vid(11)][..]));
@@ -620,7 +709,7 @@ mod tests {
             t.push_key(vid(k), &[vid(k + 1)]);
         }
         assert_eq!(t.get(vid(40)), Some(&[vid(41)][..]));
-        t.remove_key(vid(40));
+        t.remove_keys(&[vid(40)]);
         assert_eq!(t.get(vid(40)), None);
         assert_eq!(t.get(vid(999)), Some(&[vid(1000)][..]));
         assert_eq!(t.get(vid(5000)), None);
@@ -658,8 +747,8 @@ mod tests {
             let mut t = BuildTable::new();
             t.push_key(vid(1), &[vid(3), vid(5), vid(9)]);
             t.push_key(vid(2), &[vid(9)]);
-            t.remove_value_everywhere(vid(9));
-            t.remove_key(vid(2));
+            t.remove_values(&[vid(9)]);
+            t.remove_keys(&[vid(2)]);
             t.freeze()
         };
         assert_eq!(a, b);

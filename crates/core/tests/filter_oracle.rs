@@ -19,11 +19,21 @@
 //! [`VertexFilters::passes`] on every adjacency entry and never reads a
 //! bitset, and it drives the cascade itself, in frontier order.
 //!
-//! Second half: a plan carried to a later snapshot. [`QueryPlan::on_graph`]
+//! Algorithm 2 removes each node's zero-cardinality candidates in one set
+//! removal once the node's loop ends; the parent algorithm, also kept
+//! whole here, removed each one as soon as it found it. Both must leave the
+//! same state (holes included: the arena keeps every removed slot until
+//! freeze, so `arena_bytes − 4 × entries` counts them) and the same
+//! cardinalities, and the served build must freeze that state.
+//!
+//! Last: a plan carried to a later snapshot. [`QueryPlan::on_graph`]
 //! makes it buildable there and counts like a fresh plan for every root;
 //! building under the carried plan as is trips the served entry points'
 //! debug assertion.
 
+use std::collections::BTreeMap;
+
+use ceci_core::refine::reverse_bfs_refine;
 use ceci_core::tables::BuildTable;
 use ceci_core::{bfs_filter_from, count_embeddings, BuilderState, Ceci};
 use ceci_graph::generators::{erdos_renyi, inject_random_labels, inject_random_multilabels};
@@ -86,7 +96,7 @@ fn reference_filter(graph: &Graph, plan: &QueryPlan) -> (BuilderState, u64) {
         }
         state = BuilderState::from_parts(plan, pivots, te, nte);
         for vf in emptied {
-            state.remove_candidate(plan, keyed_by, vf);
+            state.remove_candidates(plan, keyed_by, &[vf]);
         }
     }
     (state, scans)
@@ -203,6 +213,172 @@ proptest! {
             }
         }
     }
+}
+
+/// The parent commit's Algorithm 2: a candidate whose cardinality comes
+/// out zero is removed before the next candidate of its node is scored.
+/// Returns each node's non-zero cardinalities and the most candidates one
+/// node lost.
+fn reference_refine(
+    plan: &QueryPlan,
+    state: &mut BuilderState,
+) -> (Vec<BTreeMap<VertexId, u64>>, usize) {
+    let mut cards = vec![BTreeMap::new(); plan.query().num_vertices()];
+    let mut widest = 0;
+    for &u in plan.matching_order().iter().rev() {
+        let mut lost = 0;
+        for v in state.candidates_of(plan, u).to_vec() {
+            let closes = state.nte[u.index()]
+                .iter()
+                .all(|(_, table)| table.contains_value(v));
+            let mut card = u64::from(closes);
+            for &uc in plan.tree().children(u) {
+                let list = state.te[uc.index()].as_ref().and_then(|t| t.get(v));
+                let below = &cards[uc.index()];
+                let sum = (list.unwrap_or(&[]).iter()).fold(0u64, |acc, vc| {
+                    acc.saturating_add(below.get(vc).copied().unwrap_or(0))
+                });
+                card = card.saturating_mul(sum);
+            }
+            if card == 0 {
+                state.remove_candidates(plan, u, &[v]);
+                lost += 1;
+            } else {
+                cards[u.index()].insert(v, card);
+            }
+        }
+        widest = widest.max(lost);
+    }
+    (cards, widest)
+}
+
+/// Refines one filtered state both ways and checks the two agree, and that
+/// `Ceci::build` freezes the same candidates, pivots and cardinalities.
+/// Returns the most candidates one node lost in one removal.
+fn assert_same_refinement(graph: &Graph, plan: &QueryPlan, what: &str) -> usize {
+    let pivots = plan.initial_candidates(plan.root()).to_vec();
+    let (mut got, _) = bfs_filter_from(graph, plan, pivots.clone());
+    let (mut want, _) = bfs_filter_from(graph, plan, pivots);
+    let filtered: Vec<Vec<VertexId>> = (plan.query().vertices())
+        .map(|u| got.candidates_of(plan, u).to_vec())
+        .collect();
+    let cards = reverse_bfs_refine(plan, &mut got, true);
+    let (want_cards, widest) = reference_refine(plan, &mut want);
+    assert_same_state(plan, &got, &want, what);
+    // The cascade on its own terms: a candidate whose cardinality came out
+    // zero is a value of no table of its node and a key of no table keyed
+    // by it. (One that left with its last tree-parent key stays in its NTE
+    // tables and keys its children's until the build drops stale keys.)
+    for u in plan.query().vertices() {
+        let removed = (filtered[u.index()].iter()).filter(|&&v| cards.get(u, v) == 0);
+        let nte_of = |w: VertexId| got.nte[w.index()].iter();
+        let own: Vec<&BuildTable> = (got.te[u.index()].iter())
+            .chain(nte_of(u).map(|(_, table)| table))
+            .collect();
+        let keyed: Vec<&BuildTable> = (plan.tree().children(u).iter())
+            .filter_map(|uc| got.te[uc.index()].as_ref())
+            .chain(plan.forward_nte(u).iter().flat_map(|&uf| {
+                nte_of(uf)
+                    .filter(|(parent, _)| *parent == u)
+                    .map(|(_, table)| table)
+            }))
+            .collect();
+        for &v in removed {
+            assert!(
+                own.iter().all(|t| !t.contains_value(v)),
+                "{what}: value {v} of u{u}"
+            );
+            assert!(
+                keyed.iter().all(|t| t.get(v).is_none()),
+                "{what}: key {v} of u{u}"
+            );
+        }
+    }
+    let ceci = Ceci::build(graph, plan);
+    for u in plan.query().vertices() {
+        let want_card = |v: &VertexId| want_cards[u.index()].get(v).copied().unwrap_or(0);
+        for v in &filtered[u.index()] {
+            assert_eq!(
+                cards.get(u, *v),
+                want_card(v),
+                "{what}: cardinality of (u{u}, {v})"
+            );
+        }
+        assert_eq!(
+            ceci.candidates(u),
+            want.candidates_of(plan, u),
+            "{what}: frozen u{u}"
+        );
+        for v in ceci.candidates(u) {
+            assert_eq!(
+                ceci.cardinality(u, *v),
+                want_card(v),
+                "{what}: frozen (u{u}, {v})"
+            );
+        }
+    }
+    let root_cards = want_cards[plan.root().index()].clone().into_iter();
+    assert_eq!(
+        ceci.pivots(),
+        root_cards.collect::<Vec<_>>(),
+        "{what}: pivots"
+    );
+    widest
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 16 })]
+
+    /// Random graphs as above, file and ranked, every query of the set
+    /// under every root.
+    #[test]
+    fn one_removal_per_node_is_the_one_vertex_refinement(
+        n in 12usize..320,
+        density in 2usize..5,
+        seed in 0u64..10_000,
+        labels in 1u32..4,
+        multi in 0u32..2,
+    ) {
+        let topology = erdos_renyi(n, n * density, seed);
+        let file = match (labels, multi) {
+            (1, _) => topology,
+            (_, 0) => inject_random_labels(&topology, labels, seed ^ 0x5EED),
+            _ => inject_random_multilabels(&topology, labels, 1, 2, seed ^ 0x5EED),
+        };
+        let ranked = rank_by_label_and_degree(&file).0;
+        for (ids, graph) in [("file", &file), ("ranked", &ranked)] {
+            for (name, query) in labeled_queries(labels) {
+                for root in query.vertices() {
+                    let options = PlanOptions { root_override: Some(root), ..PlanOptions::default() };
+                    let plan = QueryPlan::with_options(query.clone(), graph, &options);
+                    let what = format!("{name} root=u{root} n={n} seed={seed} labels={labels} multi={multi} {ids}");
+                    assert_same_refinement(graph, &plan, &what);
+                }
+            }
+        }
+    }
+}
+
+/// Large removals occur, and agree: on sparse labelled graphs of a few
+/// thousand vertices, some node of the query set loses 100 candidates or
+/// more in one removal.
+#[test]
+fn one_removal_of_a_hundred_candidates_is_the_one_vertex_refinement() {
+    let mut widest = 0;
+    for (n, seed) in [(2_000, 7), (4_000, 11)] {
+        let labeled = inject_random_multilabels(&erdos_renyi(n, 2 * n, seed), 3, 1, 2, seed);
+        for (ids, graph) in [
+            ("file", labeled.clone()),
+            ("ranked", rank_by_label_and_degree(&labeled).0),
+        ] {
+            for (name, query) in labeled_queries(3) {
+                let plan = QueryPlan::new(query, &graph);
+                let what = format!("{name} n={n} seed={seed} {ids}");
+                widest = widest.max(assert_same_refinement(&graph, &plan, &what));
+            }
+        }
+    }
+    assert!(widest >= 100, "the widest removal took {widest} candidates");
 }
 
 /// G0: triangle 0-1-2 and a pendant edge 3-4. G1 adds 3-0 and 3-1, so

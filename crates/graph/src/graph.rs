@@ -75,7 +75,7 @@ pub struct Graph {
 /// can only map to a vertex with `max_count(l, m) >= c`. Both checks run in
 /// O(query edges × label-set size) — before any candidate computation or
 /// CECI build.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LabelPairIndex {
     /// Sorted by packed key `(l << 32) | m`; value = max `m`-neighbor count
     /// over vertices carrying `l`.
@@ -133,11 +133,11 @@ impl LabelPairIndex {
     /// already dominates.
     ///
     /// This is the streaming maintenance primitive: edge *additions* can only
-    /// raise per-vertex neighbor-label counts at the two endpoints, so
-    /// re-deriving the endpoints' counts ([`Self::absorb_vertices`]) and
-    /// calling `raise` keeps the index a sound overestimate. Deletions deliberately leave entries in place —
-    /// a too-large maximum can only admit more queries, never reject a
-    /// satisfiable one — and compaction rebuilds the exact index.
+    /// raise per-vertex neighbor-label counts at the two endpoints
+    /// ([`Self::absorb_edges`] raises what they can have raised).
+    /// Deletions deliberately leave entries in place — a too-large maximum
+    /// can only admit more queries, never reject a satisfiable one — and
+    /// compaction rebuilds the exact index.
     pub fn raise(&mut self, l: LabelId, m: LabelId, count: u32) {
         if count == 0 {
             return;
@@ -149,29 +149,24 @@ impl LabelPairIndex {
         }
     }
 
-    /// Re-derives the neighborhood label counts of each of `vertices` on
-    /// `graph` and raises every `(label-of-v, neighbor-label)` maximum
-    /// accordingly. Used after a mutation batch for the endpoints of its
-    /// *added* edges — a deletion's endpoints can raise nothing.
-    pub fn absorb_vertices(&mut self, graph: &Graph, vertices: &[VertexId]) {
-        // One dense count per label, zeroed again through `seen` after
-        // every vertex.
-        let mut counts = vec![0u32; graph.num_labels() as usize];
-        let mut seen: Vec<LabelId> = Vec::new();
-        for &v in vertices {
-            for &nb in graph.neighbors(v) {
-                for m in graph.labels(nb).iter() {
-                    if counts[m.index()] == 0 {
-                        seen.push(m);
+    /// Raises the maxima a batch's `added` edges can have raised, read on
+    /// `graph`, the snapshot after the batch: for each edge `(v, w)`, each
+    /// way round, every `(l, m)` with `l` a label of `v` and `m` one of `w`
+    /// to `v`'s count of `m`-labelled neighbours
+    /// ([`Graph::neighbor_label_count`]: class spans on a label-major
+    /// graph, one walk otherwise). Only an added neighbour carrying `m`
+    /// makes `v`'s count of `m` grow, and a count that did not grow is
+    /// already under its maximum, so these are the maxima a recount of every
+    /// label around every endpoint would reach.
+    pub fn absorb_edges(&mut self, graph: &Graph, added: &[(VertexId, VertexId)]) {
+        for &(a, b) in added {
+            for (v, w) in [(a, b), (b, a)] {
+                for m in graph.labels(w).iter() {
+                    let count = graph.neighbor_label_count(v, m);
+                    for l in graph.labels(v).iter() {
+                        self.raise(l, m, count);
                     }
-                    counts[m.index()] += 1;
                 }
-            }
-            for m in seen.drain(..) {
-                for l in graph.labels(v).iter() {
-                    self.raise(l, m, counts[m.index()]);
-                }
-                counts[m.index()] = 0;
             }
         }
     }

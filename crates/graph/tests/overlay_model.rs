@@ -6,10 +6,16 @@
 //! self-loops, no-ops, the same edge in a batch's adds and dels, re-adds of
 //! deleted base edges and deletes of pending adds across batches all occur
 //! in nearly every case.
+//!
+//! The same streams drive the label-pair maintenance between compactions:
+//! raising the pairs of each added edge must give the maxima of the rule it
+//! replaced, a recount of every label around every endpoint.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
-use ceci_graph::{DeltaOverlay, Graph, LabelId, LabelSet, VertexId};
+use ceci_graph::{
+    rank_by_label_and_degree, DeltaOverlay, Graph, LabelId, LabelPairIndex, LabelSet, VertexId,
+};
 use proptest::prelude::*;
 
 type Edge = (VertexId, VertexId);
@@ -155,6 +161,66 @@ proptest! {
                 (base, oracle, pending) = (next.clone(), BaseRelativeOverlay::default(), 0);
             }
             current = next;
+        }
+    }
+}
+
+/// The maintenance rule [`LabelPairIndex::absorb_edges`] replaced: every
+/// endpoint of an added edge recounts every label among its neighbours on
+/// the new snapshot, and each `(label of v, neighbour label)` pair is raised
+/// to its count.
+fn absorb_vertices(index: &mut LabelPairIndex, graph: &Graph, added: &[Edge]) {
+    let endpoints: BTreeSet<VertexId> = added.iter().flat_map(|&(a, b)| [a, b]).collect();
+    for v in endpoints {
+        let mut counts: BTreeMap<LabelId, u32> = BTreeMap::new();
+        for &nb in graph.neighbors(v) {
+            for m in graph.labels(nb).iter() {
+                *counts.entry(m).or_default() += 1;
+            }
+        }
+        for (m, count) in counts {
+            for l in graph.labels(v).iter() {
+                index.raise(l, m, count);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Under file ids (no class bounds: counts walk the list) and on the
+    /// label-major copy (class spans plus the multi-labelled class), with
+    /// one or two labels a vertex.
+    #[test]
+    fn raising_the_added_label_pairs_equals_recounting_every_endpoint(
+        (_n, labels, base_edges, batches, _threshold) in arb_stream()
+    ) {
+        let labels: Vec<LabelSet> = labels
+            .iter()
+            .map(|ls| LabelSet::from_labels(ls.iter().map(|&l| LabelId(l))))
+            .collect();
+        let file = Graph::new(labels, &edges_of(&base_edges), false);
+        let ranked = rank_by_label_and_degree(&file).0;
+        for (spans, mut current) in [(false, file), (true, ranked)] {
+            current.build_label_pair_index();
+            let mut got = current.label_pair_index().cloned().unwrap();
+            let mut want = got.clone();
+            for (adds, dels) in &batches {
+                let mut overlay = DeltaOverlay::new();
+                let added: Vec<Edge> = (edges_of(adds).into_iter())
+                    .filter(|&(a, b)| overlay.add_edge(&current, a, b))
+                    .collect();
+                for (a, b) in edges_of(dels) {
+                    overlay.delete_edge(&current, a, b);
+                }
+                let next = overlay.commit(&current);
+                prop_assert_eq!(next.class_bounds().is_some(), spans);
+                got.absorb_edges(&next, &added);
+                absorb_vertices(&mut want, &next, &added);
+                prop_assert_eq!(&got, &want);
+                current = next;
+            }
         }
     }
 }

@@ -15,8 +15,7 @@ use std::time::{Duration, Instant};
 
 use ceci_core::{
     enumerate_parallel, estimate_embeddings, estimate_pivots, explain_choice, explain_estimates,
-    served_cost, CancelToken, EnumOptions, Estimate, EstimateOptions, LeafMode, ParallelOptions,
-    Strategy,
+    served_cost, CancelToken, EnumOptions, Estimate, EstimateOptions, ParallelOptions, Strategy,
 };
 use ceci_graph::Graph;
 use ceci_query::{admission_check, QueryGraph, QueryPlan};
@@ -486,8 +485,14 @@ pub(crate) fn exec_explain(
             lines.extend(table.lines().map(|l| format!("| {l}")));
             // Estimated vs actual per-depth volumes (q-error column): how
             // well the planner's cost model predicted this execution.
-            let leaf = LeafMode::of(&index.plan, &index.ceci, options.enumeration);
-            let estimates = explain_estimates(&index.plan, &cost, profile, leaf);
+            let estimates = explain_estimates(
+                &index.plan,
+                &index.ceci,
+                options.enumeration,
+                &cost,
+                profile,
+                &result.counters,
+            );
             lines.extend(estimates.lines().map(|l| format!("| {l}")));
         } else {
             lines.push("| profile: unavailable for this run".to_string());

@@ -277,11 +277,11 @@ impl GraphEntry {
             // label-pair index yet, so this walks its adjacency once.
             fresh.build_label_pair_index();
         } else if let Some(lpi) = old_graph.label_pair_index() {
-            // Maintained between compactions: raise the maxima at the
-            // endpoints of added edges on the new adjacency. Deletions keep
-            // stale maxima — a sound overestimate for the admission filter.
+            // Maintained between compactions: raise the label pairs of the
+            // added edges on the new adjacency. Deletions keep stale maxima
+            // — a sound overestimate for the admission filter.
             let mut lpi = lpi.clone();
-            lpi.absorb_vertices(&fresh, &distinct_endpoints(applied_adds.iter()));
+            lpi.absorb_edges(&fresh, &applied_adds);
             fresh.set_label_pair_index(lpi);
         }
         let fresh = Arc::new(fresh);

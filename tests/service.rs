@@ -597,6 +597,21 @@ fn explain_analyze_profile_sums_match_global_counters() {
             let cut = resp.payload.iter().any(|l| l.contains(" cut depth="));
             assert!(cut && hits > 0, "{name}: {:?}", resp.payload);
         }
+        // The estimate row above a clean cut counts every search that
+        // entered the cut, its memo hits included: on `g` (cut at depth 3,
+        // two hits) 205 walked searches and 2 answered from the memo.
+        if *name == "g" {
+            let row = resp
+                .payload
+                .iter()
+                .find(|l| l.starts_with("| estimate depth=2 "));
+            let row = row.expect("estimate row of depth 2");
+            assert!(
+                resp.payload.iter().any(|l| l.contains(" cut depth=3 ")),
+                "{resp:?}"
+            );
+            assert_eq!((kv(row, "actual"), hits), (Some(207), 2), "{row}");
+        }
 
         // ANALYZE profiles the enumeration `MATCH` runs, not another one:
         // it counts what the unprofiled MATCH and the direct enumeration
