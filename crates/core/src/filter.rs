@@ -25,9 +25,10 @@
 //! the table's value arena ([`BuildTable::push_key_with`], zero staging
 //! copies), as the paper's filtering phase runs on one core (Fig 15, §6.6).
 //!
-//! Candidate sets are cached in [`BuilderState`] and kept in sync by
-//! [`BuilderState::remove_candidates`], so [`BuilderState::candidates_of`]
-//! is a borrow instead of a per-call `value_union()` allocation.
+//! A node's candidate set is its TE table's value union, read off the table
+//! ([`BuilderState::candidates_of`]). A table's dense maps span only its
+//! ids, the frontier's and the node's [`CandidateSet`]'s, so that read costs
+//! the candidate span, not the largest vertex id.
 
 use ceci_graph::{Graph, VertexId};
 use ceci_query::candidates::CandidateSet;
@@ -45,26 +46,18 @@ pub struct BuilderState {
     pub te: Vec<Option<BuildTable>>,
     /// `nte[u]` — one `(nte_parent, table)` per backward non-tree edge of `u`.
     pub nte: Vec<Vec<(VertexId, BuildTable)>>,
-    /// Cached candidate set per non-root node — the value union of `te[u]`,
-    /// maintained incrementally by [`BuilderState::remove_candidates`] so
-    /// [`BuilderState::candidates_of`] never allocates. The root's set lives
-    /// in `pivots`.
-    candidates: Vec<Vec<VertexId>>,
 }
 
 impl BuilderState {
-    /// Candidate set of query node `u`: pivots for the root, otherwise the
-    /// cached value union of its TE table. Borrowed — no per-call allocation
-    /// or union recomputation.
-    pub fn candidates_of(&self, plan: &QueryPlan, u: VertexId) -> &[VertexId] {
-        if u == plan.root() {
-            &self.pivots
-        } else {
-            debug_assert!(
-                self.te[u.index()].is_some(),
-                "non-root nodes have TE tables"
-            );
-            &self.candidates[u.index()]
+    /// Candidate set of query node `u`, sorted: the pivots for the root,
+    /// otherwise the value union of its TE table.
+    pub fn candidates_of(&self, plan: &QueryPlan, u: VertexId) -> Vec<VertexId> {
+        match &self.te[u.index()] {
+            Some(table) => table.value_union(),
+            None => {
+                debug_assert_eq!(u, plan.root(), "non-root nodes have TE tables");
+                self.pivots.clone()
+            }
         }
     }
 
@@ -99,27 +92,22 @@ impl BuilderState {
     /// (TE tables of `u`'s tree children, NTE tables whose parent is `u`),
     /// one pass over each table. A removal touches only values equal to a
     /// removed vertex and lists keyed by one, so a set removed at once leaves
-    /// what its vertices removed one by one leave. Cached candidate sets stay
-    /// equal to their TE table's value union.
+    /// what its vertices removed one by one leave.
     pub fn remove_candidates(&mut self, plan: &QueryPlan, u: VertexId, gone: &[VertexId]) {
         // Only the root has no TE table; its set is the pivots.
-        let own = match self.te[u.index()].as_mut() {
-            Some(table) => {
-                table.remove_values(gone);
-                &mut self.candidates[u.index()]
+        match self.te[u.index()].as_mut() {
+            Some(table) => table.remove_values(gone),
+            None => {
+                let kept = retain_absent(&mut self.pivots, gone);
+                self.pivots.truncate(kept);
             }
-            None => &mut self.pivots,
-        };
-        let kept = retain_absent(own, gone);
-        own.truncate(kept);
+        }
         for (_, table) in self.nte[u.index()].iter_mut() {
             table.remove_values(gone);
         }
         for &uc in plan.tree().children(u) {
             if let Some(child) = self.te[uc.index()].as_mut() {
-                let cache = &mut self.candidates[uc.index()];
-                let kept = retain_absent(cache, child.remove_keys(gone));
-                cache.truncate(kept);
+                child.remove_keys(gone);
             }
         }
         for &uf in plan.forward_nte(u) {
@@ -130,63 +118,6 @@ impl BuilderState {
             }
         }
     }
-
-    /// Consumes the state, releasing `(pivots, te, nte)` for freezing.
-    pub fn into_parts(self) -> BuilderParts {
-        (self.pivots, self.te, self.nte)
-    }
-
-    /// Reassembles a `BuilderState` from externally built parts, recomputing
-    /// the per-node candidate caches as the value union of each TE table.
-    ///
-    /// This is the inverse of [`BuilderState::into_parts`] for callers that
-    /// assemble filtered tables themselves — the filter oracle test builds
-    /// its reference state here. Invariants expected from the caller (and
-    /// `debug_assert`ed):
-    /// `pivots` sorted ascending; `te[u]` present exactly for non-root nodes
-    /// and keyed by (a superset of) the parent's candidates; all value lists
-    /// sorted — i.e. the same shape [`bfs_filter`] produces, minus the
-    /// empty-entry cascade (refinement subsumes it for counts).
-    pub fn from_parts(
-        plan: &QueryPlan,
-        pivots: Vec<VertexId>,
-        te: Vec<Option<BuildTable>>,
-        nte: Vec<Vec<(VertexId, BuildTable)>>,
-    ) -> BuilderState {
-        debug_assert!(pivots.windows(2).all(|w| w[0] < w[1]));
-        debug_assert_eq!(te.len(), plan.query().num_vertices());
-        debug_assert_eq!(nte.len(), plan.query().num_vertices());
-        let candidates: Vec<Vec<VertexId>> = te
-            .iter()
-            .map(|t| t.as_ref().map(BuildTable::value_union).unwrap_or_default())
-            .collect();
-        BuilderState {
-            pivots,
-            te,
-            nte,
-            candidates,
-        }
-    }
-}
-
-/// What [`BuilderState::into_parts`] releases: the surviving pivots, the
-/// per-node TE tables (indexed by query-vertex id; `None` for the root),
-/// and the per-node NTE tables keyed by the non-tree parent.
-pub type BuilderParts = (
-    Vec<VertexId>,
-    Vec<Option<BuildTable>>,
-    Vec<Vec<(VertexId, BuildTable)>>,
-);
-
-/// Work profile of one BFS-filter run, surfaced through `BuildStats`.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FilterProfile {
-    /// The summed degree of every table's frontier: the adjacency Algorithm
-    /// 1 would test if it read whole lists. It is the re-plan price
-    /// (`replan_price`), so it stays this sum under any numbering; it is not
-    /// the entries tested, which `filter_into` cuts to the child's
-    /// candidate span.
-    pub scans: u64,
 }
 
 /// Runs Algorithm 1: seeds the pivots from the plan's initial root
@@ -199,13 +130,13 @@ pub fn bfs_filter(graph: &Graph, plan: &QueryPlan) -> BuilderState {
 /// Runs Algorithm 1 from an explicit pivot set — used by the distributed
 /// simulation, where each machine indexes only its assigned embedding
 /// clusters (§5). `pivots` must be sorted and a subset of the root's
-/// initial candidates. Returns the builder state and the run's
-/// [`FilterProfile`].
+/// initial candidates. Returns the builder state and the summed degree of
+/// every table's frontier ([`crate::BuildStats::filter_scans`]).
 pub fn bfs_filter_from(
     graph: &Graph,
     plan: &QueryPlan,
     pivots: Vec<VertexId>,
-) -> (BuilderState, FilterProfile) {
+) -> (BuilderState, u64) {
     debug_assert!(
         pivots.windows(2).all(|w| w[0] < w[1]),
         "pivots must be sorted"
@@ -215,12 +146,9 @@ pub fn bfs_filter_from(
         pivots,
         te: (0..n).map(|_| None).collect(),
         nte: vec![Vec::new(); n],
-        candidates: vec![Vec::new(); n],
     };
-    let mut profile = FilterProfile::default();
+    let mut scans = 0;
     let sets = plan.candidate_sets();
-
-    let mut frontier: Vec<VertexId> = Vec::new();
 
     // Phase A: TE tables in matching order (root skipped).
     for &u in plan.matching_order().iter().skip(1) {
@@ -228,10 +156,8 @@ pub fn bfs_filter_from(
             .tree()
             .parent(u)
             .expect("non-root nodes have tree parents");
-        frontier.clear();
-        frontier.extend_from_slice(state.candidates_of(plan, up));
-        let (table, emptied) = fill_table(graph, &sets[u.index()], &frontier, &mut profile);
-        state.candidates[u.index()] = table.value_union();
+        let frontier = state.candidates_of(plan, up);
+        let (table, emptied) = fill_table(graph, &sets[u.index()], &frontier, &mut scans);
         state.te[u.index()] = Some(table);
         state.remove_candidates(plan, up, &emptied);
     }
@@ -239,31 +165,31 @@ pub fn bfs_filter_from(
     // Phase B: NTE tables in matching order.
     for &u in plan.matching_order().iter() {
         for &un in plan.backward_nte(u) {
-            frontier.clear();
-            frontier.extend_from_slice(state.candidates_of(plan, un));
-            let (table, emptied) = fill_table(graph, &sets[u.index()], &frontier, &mut profile);
+            let frontier = state.candidates_of(plan, un);
+            let (table, emptied) = fill_table(graph, &sets[u.index()], &frontier, &mut scans);
             state.nte[u.index()].push((un, table));
             state.remove_candidates(plan, un, &emptied);
         }
     }
-    (state, profile)
+    (state, scans)
 }
 
 /// Expands one table's frontier — `set` is the candidate set of the node
 /// the table is for — filtering every frontier vertex straight into the
-/// table arena. Returns the filled table and the emptied frontier vertices
-/// in frontier (ascending) order.
+/// table arena, and adds the frontier's summed degree to `scans`. Returns
+/// the filled table and the emptied frontier vertices in frontier
+/// (ascending) order.
 fn fill_table(
     graph: &Graph,
     set: &CandidateSet,
     frontier: &[VertexId],
-    profile: &mut FilterProfile,
+    scans: &mut u64,
 ) -> (BuildTable, Vec<VertexId>) {
-    profile.scans += frontier
+    *scans += frontier
         .iter()
         .map(|&vf| graph.degree(vf) as u64)
         .sum::<u64>();
-    let mut table = BuildTable::with_capacity(frontier.len(), 0);
+    let mut table = BuildTable::new(frontier, &set.candidates);
     let mut emptied: Vec<VertexId> = Vec::new();
     for &vf in frontier {
         let written = table.push_key_with(vf, |arena| {
@@ -376,23 +302,6 @@ mod tests {
             state.candidates_of(&plan, paper::u(5)),
             &[paper::v(12), paper::v(14)]
         );
-    }
-
-    #[test]
-    fn cached_candidates_track_value_unions() {
-        // The cache must equal a fresh value_union() at every observation
-        // point — during filtering the only mutation path is
-        // remove_candidates, which maintains it.
-        let (graph, plan) = paper::figure1();
-        let state = bfs_filter(&graph, &plan);
-        for u in plan.query().vertices() {
-            if u == plan.root() {
-                continue;
-            }
-            let cached = state.candidates_of(&plan, u).to_vec();
-            let fresh = state.te[u.index()].as_ref().unwrap().value_union();
-            assert_eq!(cached, fresh, "cache out of sync at node {u:?}");
-        }
     }
 
     #[test]

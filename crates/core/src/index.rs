@@ -15,7 +15,7 @@ use ceci_query::candidates::CandidateSet;
 use ceci_query::QueryPlan;
 
 use crate::enumerate::LeafMode;
-use crate::filter::bfs_filter_from;
+use crate::filter::{bfs_filter_from, BuilderState};
 use crate::memo::CleanCut;
 use crate::refine::reverse_bfs_refine;
 use crate::tables::CompactTable;
@@ -169,14 +169,14 @@ impl Ceci {
         };
 
         let t0 = Instant::now();
-        let (mut state, profile) = bfs_filter_from(graph, plan, pivots);
+        let (mut state, filter_scans) = bfs_filter_from(graph, plan, pivots);
         if !options.build_nte {
             for tables in &mut state.nte {
                 tables.clear();
             }
         }
         stats.filter_time = t0.elapsed();
-        stats.filter_scans = profile.scans;
+        stats.filter_scans = filter_scans;
         stats.te_entries_after_filter = state.te_entries();
         stats.nte_entries_after_filter = state.nte_entries();
 
@@ -191,7 +191,7 @@ impl Ceci {
         let candidate_sets: Vec<Vec<VertexId>> = plan
             .query()
             .vertices()
-            .map(|u| state.candidates_of(plan, u).to_vec())
+            .map(|u| state.candidates_of(plan, u))
             .collect();
         for u in plan.query().vertices() {
             if let Some(p) = plan.tree().parent(u) {
@@ -208,8 +208,8 @@ impl Ceci {
         stats.nte_entries_after_refine = state.nte_entries();
 
         let root = plan.root();
-        let (pivot_set, te_build, nte_build) = state.into_parts();
-        let pivots: Vec<(VertexId, u64)> = pivot_set
+        let BuilderState { pivots, te, nte } = state;
+        let pivots: Vec<(VertexId, u64)> = pivots
             .into_iter()
             .map(|v| (v, cards.get(root, v)))
             .collect();
@@ -218,11 +218,8 @@ impl Ceci {
         // Freezing consumes each build table: when refinement left no holes
         // in an arena, the value storage moves into the compact form without
         // a copy.
-        let te: Vec<Option<CompactTable>> = te_build
-            .into_iter()
-            .map(|t| t.map(|t| t.freeze()))
-            .collect();
-        let nte: Vec<Vec<(VertexId, CompactTable)>> = nte_build
+        let te: Vec<Option<CompactTable>> = te.into_iter().map(|t| t.map(|t| t.freeze())).collect();
+        let nte: Vec<Vec<(VertexId, CompactTable)>> = nte
             .into_iter()
             .map(|tables| tables.into_iter().map(|(un, t)| (un, t.freeze())).collect())
             .collect();

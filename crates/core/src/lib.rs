@@ -64,7 +64,7 @@ pub use explain::{
     ClusterSkew,
 };
 pub use extreme::{decompose, decompose_with, WorkUnit};
-pub use filter::{bfs_filter, bfs_filter_from, BuilderState, FilterProfile};
+pub use filter::{bfs_filter, bfs_filter_from, BuilderState};
 pub use index::{BuildOptions, BuildStats, Ceci};
 pub use memo::CleanCut;
 pub use metrics::{Counters, Phase, PhaseSpan, PhaseTimeline};

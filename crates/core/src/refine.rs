@@ -45,11 +45,11 @@ struct NodeCards {
 }
 
 impl NodeCards {
-    fn for_candidates(cands: &[VertexId]) -> NodeCards {
+    fn for_candidates(cands: Vec<VertexId>) -> NodeCards {
         NodeCards {
-            cands: cands.to_vec(),
-            slot_of: SlotMap::new(cands),
+            slot_of: SlotMap::new(&cands),
             vals: vec![0; cands.len()],
+            cands,
         }
     }
 }
@@ -101,12 +101,10 @@ pub fn reverse_bfs_refine(
     let mut cards = Cardinalities {
         per_node: vec![NodeCards::default(); n],
     };
-    let (mut scratch, mut zero): (Vec<VertexId>, Vec<VertexId>) = (Vec::new(), Vec::new());
+    let mut zero: Vec<VertexId> = Vec::new();
     for &u in plan.matching_order().iter().rev() {
-        scratch.clear();
-        scratch.extend_from_slice(state.candidates_of(plan, u));
-        let mut node = NodeCards::for_candidates(&scratch);
-        for (slot, &v) in scratch.iter().enumerate() {
+        let mut node = NodeCards::for_candidates(state.candidates_of(plan, u));
+        for (slot, &v) in node.cands.iter().enumerate() {
             let mut card: u64 = 1;
             // NTE membership: v must be a value of every backward NTE table.
             let nte_ok = state.nte[u.index()]

@@ -11,53 +11,60 @@
 //! span for a whole set of values) or tombstone a span (key removal); the
 //! resulting holes are compacted *in place* at freeze time.
 //!
-//! Value membership is tracked by a dense grow-on-demand count array indexed
-//! by vertex id (the multiset the cascade needs), replacing the old
-//! `HashMap<VertexId, u32>`: `contains_value` is two array reads and
-//! `value_union` is a single ascending scan — already sorted, no sort call.
-//!
-//! Freezing additionally builds a dense key → slot map (`slot_of`) indexed
-//! by the key's vertex id less the first key's, so the enumeration hot path
-//! resolves `TE_Candidates[u][f(u_p)]` with two array reads instead of a
-//! binary search per recursive call. A dense map accelerates *build-time*
-//! lookups too ([`BuildTable::get`] is O(1)), which turns reverse-BFS
-//! refinement into a linear array pass. The legacy binary-search path
-//! survives as [`CompactTable::get_binary`] for differential testing.
+//! Every table keeps two dense maps: key id → slot, so a lookup
+//! ([`BuildTable::get`], [`CompactTable::get`]) is two array reads instead
+//! of a binary search per recursive call, and, while building, value id →
+//! the number of lists holding it (the multiset the cascade needs), so
+//! `contains_value` is one read and `value_union` one ascending scan. A
+//! dense map spans only its ids: a build table's keys are its frontier and
+//! its values its node's candidate set, and a frozen table's keys are the
+//! ones that survived, so none of them grows with the largest vertex id.
+//! The binary-search path survives as [`CompactTable::get_binary`] for
+//! differential testing.
 
 use ceci_graph::VertexId;
 
 /// Sentinel marking "key absent" in the dense slot maps.
 const NO_SLOT: u32 = u32::MAX;
 
-/// Dense grow-on-demand `vertex id → u32` counter — the value-membership
-/// multiset of one table. Indexing past the current length reads 0.
+/// Dense `vertex id → u32` counter over the ids from a table's first
+/// possible value to its last — the value-membership multiset of one table.
+/// Ids outside the span read 0.
 #[derive(Clone, Debug, Default)]
 struct CountMap {
+    /// The first id; `counts[i]` counts id `first + i`.
+    first: u32,
     counts: Vec<u32>,
 }
 
 impl CountMap {
+    /// A zero count for every id from the first of the sorted `ids` to the
+    /// last.
+    fn spanning(ids: &[VertexId]) -> CountMap {
+        match (ids.first(), ids.last()) {
+            (Some(first), Some(last)) => CountMap {
+                first: first.0,
+                counts: vec![0; (last.0 - first.0) as usize + 1],
+            },
+            _ => CountMap::default(),
+        }
+    }
+
     #[inline]
     fn get(&self, v: VertexId) -> u32 {
-        self.counts.get(v.index()).copied().unwrap_or(0)
+        let i = v.0.wrapping_sub(self.first) as usize;
+        self.counts.get(i).copied().unwrap_or(0)
     }
 
     #[inline]
-    fn add(&mut self, v: VertexId, delta: u32) {
-        let i = v.index();
-        if i >= self.counts.len() {
-            self.counts.resize(i + 1, 0);
-        }
-        self.counts[i] += delta;
+    fn count_mut(&mut self, v: VertexId) -> &mut u32 {
+        &mut self.counts[(v.0 - self.first) as usize]
     }
 
-    /// Decrements and reports whether the count reached zero.
-    #[inline]
-    fn dec(&mut self, v: VertexId) -> bool {
-        let c = &mut self.counts[v.index()];
-        debug_assert!(*c > 0, "decrementing absent value");
-        *c -= 1;
-        *c == 0
+    /// Zeroes the count of `v` and returns what it was.
+    fn take(&mut self, v: VertexId) -> u32 {
+        let i = v.0.wrapping_sub(self.first) as usize;
+        self.counts.get_mut(i).map_or(0, std::mem::take)
     }
 
     /// Distinct tracked values in ascending id order (no sort needed — the
@@ -67,8 +74,13 @@ impl CountMap {
             .iter()
             .enumerate()
             .filter(|&(_, &c)| c > 0)
-            .map(|(i, _)| VertexId(i as u32))
+            .map(|(i, _)| VertexId(self.first + i as u32))
             .collect()
+    }
+
+    /// Heap bytes of the map.
+    fn size_bytes(&self) -> usize {
+        self.counts.len() * std::mem::size_of::<u32>()
     }
 }
 
@@ -86,7 +98,7 @@ struct Span {
 
 /// Mutable key → sorted-value-list table used while building CECI, stored as
 /// a CSR arena from the start (see module docs).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct BuildTable {
     /// Keys in insertion (= ascending) order, tombstones included.
     keys: Vec<VertexId>,
@@ -96,8 +108,8 @@ pub struct BuildTable {
     values: Vec<VertexId>,
     /// value → number of keys whose list currently contains it.
     value_counts: CountMap,
-    /// Dense key id → index into `keys`/`spans` (`NO_SLOT` when absent).
-    slot_of: Vec<u32>,
+    /// Key id → index into `keys`/`spans`.
+    slot_of: SlotMap,
     /// Live (key, value) entries — Σ live span lengths. The arena's other
     /// slots are the holes removals left (compaction work at freeze).
     num_entries: usize,
@@ -108,38 +120,21 @@ pub struct BuildTable {
 }
 
 impl BuildTable {
-    /// An empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An empty table whose arena is pre-reserved for `entries` values.
-    pub fn with_capacity(keys: usize, entries: usize) -> Self {
+    /// An empty table whose keys are among the sorted `keys` and whose
+    /// values lie between the first and the last of the sorted `values`:
+    /// Algorithm 1 passes a table's frontier and its node's candidates. Its
+    /// dense maps span those ids and no others.
+    pub fn new(keys: &[VertexId], values: &[VertexId]) -> Self {
         BuildTable {
-            keys: Vec::with_capacity(keys),
-            spans: Vec::with_capacity(keys),
-            values: Vec::with_capacity(entries),
-            ..Self::default()
+            keys: Vec::with_capacity(keys.len()),
+            spans: Vec::with_capacity(keys.len()),
+            values: Vec::new(),
+            value_counts: CountMap::spanning(values),
+            slot_of: SlotMap::spanning(keys),
+            num_entries: 0,
+            dead_keys: 0,
+            held: Vec::new(),
         }
-    }
-
-    #[inline]
-    fn slot(&self, key: VertexId) -> Option<usize> {
-        let s = *self.slot_of.get(key.index())?;
-        if s == NO_SLOT {
-            None
-        } else {
-            Some(s as usize)
-        }
-    }
-
-    #[inline]
-    fn record_slot(&mut self, key: VertexId, slot: usize) {
-        let i = key.index();
-        if i >= self.slot_of.len() {
-            self.slot_of.resize(i + 1, NO_SLOT);
-        }
-        self.slot_of[i] = slot as u32;
     }
 
     /// Inserts a key with its complete sorted value list, copying the slice
@@ -175,8 +170,8 @@ impl BuildTable {
         if len == 0 {
             return 0;
         }
-        for i in offset..offset + len {
-            self.value_counts.add(self.values[i], 1);
+        for &v in &self.values[offset..] {
+            *self.value_counts.count_mut(v) += 1;
         }
         let slot = self.keys.len();
         self.keys.push(key);
@@ -185,12 +180,8 @@ impl BuildTable {
             len: len as u32,
             dead: false,
         });
-        self.record_slot(key, slot);
+        self.slot_of.set(key, slot);
         self.num_entries += len;
-        debug_assert!(
-            self.keys.len() < NO_SLOT as usize,
-            "slot indices must fit below the NO_SLOT sentinel"
-        );
         len
     }
 
@@ -202,7 +193,7 @@ impl BuildTable {
     /// O(1) lookup of the value list for `key` (dense slot map).
     #[inline]
     pub fn get(&self, key: VertexId) -> Option<&[VertexId]> {
-        let i = self.slot(key)?;
+        let i = self.slot_of.get(key)?;
         let s = self.spans[i];
         Some(&self.values[s.offset as usize..(s.offset + s.len) as usize])
     }
@@ -229,34 +220,29 @@ impl BuildTable {
 
     /// The distinct values across all keys, sorted — the *candidate set* of
     /// the query node this table belongs to. An ascending scan of the dense
-    /// count array; no sort.
+    /// count array, which spans that node's candidate set; no sort.
     pub fn value_union(&self) -> Vec<VertexId> {
         self.value_counts.distinct_sorted()
     }
 
     /// Removes each of `keys` with its whole value list (absent keys are
-    /// no-ops). Returns the values whose table-wide count dropped to zero,
-    /// sorted: they just left the value union (the caller keeps cached
-    /// candidate sets in sync).
-    pub fn remove_keys(&mut self, keys: &[VertexId]) -> &[VertexId] {
-        self.held.clear();
+    /// no-ops).
+    pub fn remove_keys(&mut self, keys: &[VertexId]) {
         for &key in keys {
-            let Some(i) = self.slot(key) else {
+            let Some(i) = self.slot_of.get(key) else {
                 continue;
             };
-            self.slot_of[key.index()] = NO_SLOT;
+            self.slot_of.clear(key);
             let s = &mut self.spans[i];
             s.dead = true;
             self.dead_keys += 1;
             self.num_entries -= s.len as usize;
             for &v in &self.values[s.offset as usize..(s.offset + s.len) as usize] {
-                if self.value_counts.dec(v) {
-                    self.held.push(v);
-                }
+                let count = self.value_counts.count_mut(v);
+                debug_assert!(*count > 0, "decrementing absent value");
+                *count -= 1;
             }
         }
-        self.held.sort_unstable();
-        &self.held
     }
 
     /// Removes every value of the sorted `gone` from every key's list in one
@@ -268,10 +254,9 @@ impl BuildTable {
         self.held.clear();
         let mut left = 0;
         for &v in gone {
-            let count = self.value_counts.get(v);
+            let count = self.value_counts.take(v);
             if count > 0 {
                 left += count as usize;
-                self.value_counts.counts[v.index()] = 0;
                 self.held.push(v);
             }
         }
@@ -299,6 +284,16 @@ impl BuildTable {
     /// memory footprint of the value storage.
     pub fn arena_bytes(&self) -> usize {
         self.values.len() * std::mem::size_of::<VertexId>()
+    }
+
+    /// Heap bytes held by the table, both dense maps included, computed
+    /// from lengths as [`CompactTable::size_bytes`] is.
+    pub fn size_bytes(&self) -> usize {
+        self.keys.len() * std::mem::size_of::<VertexId>()
+            + self.spans.len() * std::mem::size_of::<Span>()
+            + self.arena_bytes()
+            + self.value_counts.size_bytes()
+            + self.slot_of.size_bytes()
     }
 
     /// Freezes into the compact immutable form, dropping empty and
@@ -349,7 +344,18 @@ pub(crate) struct SlotMap {
 }
 
 impl SlotMap {
+    /// The map of the sorted `keys`, key `i` at slot `i`.
     pub(crate) fn new(keys: &[VertexId]) -> SlotMap {
+        let mut map = SlotMap::spanning(keys);
+        for (i, &key) in keys.iter().enumerate() {
+            map.set(key, i);
+        }
+        map
+    }
+
+    /// A map spanning the first to the last of the sorted `keys`, every id
+    /// absent.
+    fn spanning(keys: &[VertexId]) -> SlotMap {
         let (Some(first), Some(last)) = (keys.first(), keys.last()) else {
             return SlotMap::default();
         };
@@ -357,14 +363,20 @@ impl SlotMap {
             keys.len() < NO_SLOT as usize,
             "slot indices must fit below the NO_SLOT sentinel"
         );
-        let mut slots = vec![NO_SLOT; (last.0 - first.0) as usize + 1];
-        for (i, k) in keys.iter().enumerate() {
-            slots[(k.0 - first.0) as usize] = i as u32;
-        }
         SlotMap {
             first: first.0,
-            slots,
+            slots: vec![NO_SLOT; (last.0 - first.0) as usize + 1],
         }
+    }
+
+    /// Puts `key`, an id of the span, at `slot`.
+    fn set(&mut self, key: VertexId, slot: usize) {
+        self.slots[(key.0 - self.first) as usize] = slot as u32;
+    }
+
+    /// Makes `key`, an id of the span, absent.
+    fn clear(&mut self, key: VertexId) {
+        self.set(key, NO_SLOT as usize);
     }
 
     /// The slot of `key`. An id below the first key wraps past the end of
@@ -521,7 +533,7 @@ mod tests {
     use ceci_graph::vid;
 
     fn sample() -> BuildTable {
-        let mut t = BuildTable::new();
+        let mut t = BuildTable::new(&[vid(1), vid(2)], &[vid(3), vid(9)]);
         t.push_key(vid(1), &[vid(3), vid(5), vid(7)]);
         t.push_key(vid(2), &[vid(7), vid(9)]);
         t
@@ -543,8 +555,7 @@ mod tests {
         let mut t = sample();
         assert!(t.contains_value(vid(7)));
         // v7 appears under both keys; removing key v2 keeps it alive.
-        let vanished = t.remove_keys(&[vid(2)]);
-        assert_eq!(vanished, [vid(9)]);
+        t.remove_keys(&[vid(2)]);
         assert!(t.contains_value(vid(7)));
         assert!(!t.contains_value(vid(9)));
         assert_eq!(t.value_union(), vec![vid(3), vid(5), vid(7)]);
@@ -555,7 +566,7 @@ mod tests {
     #[test]
     fn remove_key_noop_when_absent() {
         let mut t = sample();
-        assert!(t.remove_keys(&[vid(99)]).is_empty());
+        t.remove_keys(&[vid(99)]);
         assert_eq!(t.num_keys(), 2);
     }
 
@@ -569,7 +580,7 @@ mod tests {
 
     #[test]
     fn remove_values_reports_emptied_keys() {
-        let mut t = BuildTable::new();
+        let mut t = BuildTable::new(&[vid(1), vid(2)], &[vid(5), vid(6)]);
         t.push_key(vid(1), &[vid(5)]);
         t.push_key(vid(2), &[vid(5), vid(6)]);
         t.remove_values(&[vid(5)]);
@@ -604,7 +615,7 @@ mod tests {
             &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 30, 31, 40],
         ];
         let table = || {
-            let mut t = BuildTable::new();
+            let mut t = BuildTable::new(&[vid(0), vid(4)], &[vid(1), vid(40)]);
             for (k, list) in lists.iter().enumerate() {
                 t.push_key(
                     vid(k as u32),
@@ -643,7 +654,7 @@ mod tests {
 
     #[test]
     fn freeze_compacts_after_key_removal() {
-        let mut t = BuildTable::new();
+        let mut t = BuildTable::new(&[vid(1), vid(3)], &[vid(10), vid(32)]);
         t.push_key(vid(1), &[vid(10), vid(11)]);
         t.push_key(vid(2), &[vid(20)]);
         t.push_key(vid(3), &[vid(30), vid(31), vid(32)]);
@@ -660,7 +671,7 @@ mod tests {
 
     #[test]
     fn push_key_with_writes_directly_into_arena() {
-        let mut t = BuildTable::new();
+        let mut t = BuildTable::new(&[vid(7), vid(8)], &[vid(1), vid(4)]);
         let n = t.push_key_with(vid(7), |arena| {
             arena.extend([vid(1), vid(4)]);
         });
@@ -688,7 +699,7 @@ mod tests {
     fn dense_get_agrees_with_binary_search() {
         // Sparse, irregular key set: probe the whole surrounding id range so
         // both hits and misses (inside and past the slot map) are covered.
-        let mut t = BuildTable::new();
+        let mut t = BuildTable::new(&[vid(2), vid(999)], &[vid(4), vid(1999)]);
         for &k in &[2u32, 3, 17, 40, 41, 999] {
             t.push_key(vid(k), &[vid(k * 2), vid(k * 2 + 1)]);
         }
@@ -704,7 +715,7 @@ mod tests {
 
     #[test]
     fn build_get_is_dense_and_tracks_removals() {
-        let mut t = BuildTable::new();
+        let mut t = BuildTable::new(&[vid(2), vid(999)], &[vid(3), vid(1000)]);
         for &k in &[2u32, 40, 999] {
             t.push_key(vid(k), &[vid(k + 1)]);
         }
@@ -718,9 +729,10 @@ mod tests {
     #[test]
     fn slot_map_counted_in_size() {
         let table = |keys: &[u32]| {
-            let mut t = BuildTable::new();
-            for &k in keys {
-                t.push_key(vid(k), &[vid(1)]);
+            let keys: Vec<_> = keys.iter().map(|&k| vid(k)).collect();
+            let mut t = BuildTable::new(&keys, &[vid(1)]);
+            for &k in &keys {
+                t.push_key(k, &[vid(1)]);
             }
             t.freeze()
         };
@@ -739,12 +751,12 @@ mod tests {
         // (exact pushes vs incremental with removals) reports identical
         // bytes.
         let a = {
-            let mut t = BuildTable::new();
+            let mut t = BuildTable::new(&[vid(1)], &[vid(3), vid(5)]);
             t.push_key(vid(1), &[vid(3), vid(5)]);
             t.freeze()
         };
         let b = {
-            let mut t = BuildTable::new();
+            let mut t = BuildTable::new(&[vid(1), vid(2)], &[vid(3), vid(9)]);
             t.push_key(vid(1), &[vid(3), vid(5), vid(9)]);
             t.push_key(vid(2), &[vid(9)]);
             t.remove_values(&[vid(9)]);
@@ -756,9 +768,32 @@ mod tests {
         assert_eq!(a.arena_bytes(), b.arena_bytes());
     }
 
+    /// Keys near id 1 000 000 and values near 2 000 000: both dense maps
+    /// span only those ids, so the table holds a few KB, not the 12 MB of
+    /// maps indexed from id 0.
+    #[test]
+    fn a_build_table_spans_its_keys_and_values() {
+        let keys: Vec<_> = (1_000_000..1_000_100).map(vid).collect();
+        let values: Vec<_> = (2_000_000..2_000_200).map(vid).collect();
+        let mut t = BuildTable::new(&keys, &values);
+        for (i, &k) in keys.iter().enumerate().step_by(2) {
+            t.push_key(k, &values[i..i + 3]);
+        }
+        assert_eq!(t.get(keys[98]), Some(&values[98..101]));
+        assert_eq!(t.get(keys[1]), None);
+        assert_eq!(t.value_union(), &values[..101]);
+        t.remove_keys(&keys[..50]);
+        t.remove_values(&values[..60]);
+        assert_eq!(t.value_union(), &values[60..101]);
+        assert!(t.size_bytes() < 4096, "{} bytes", t.size_bytes());
+        let frozen = t.freeze();
+        assert_eq!(frozen.num_keys(), 21, "emptied lists go");
+        assert!(frozen.size_bytes() < 4096, "{} bytes", frozen.size_bytes());
+    }
+
     #[test]
     fn empty_table() {
-        let t = BuildTable::new();
+        let t = BuildTable::new(&[], &[]);
         assert_eq!(t.num_keys(), 0);
         assert!(t.value_union().is_empty());
         assert_eq!(t.arena_bytes(), 0);

@@ -139,11 +139,14 @@ proptest! {
         probes in pvec(0u32..4_400, 1..64),
     ) {
         let keys = sorted_ids(keys_raw);
-        let mut build = BuildTable::new();
-        for &k in &keys {
-            // Value list content is irrelevant to the lookup path; derive a
-            // small deterministic list per key.
-            build.push_key(k, &[vid(k.0 * 2), vid(k.0 * 2 + 1)]);
+        // Value list content is irrelevant to the lookup path; derive a
+        // small deterministic list per key.
+        let values: Vec<_> = (keys.iter())
+            .flat_map(|k| [vid(k.0 * 2), vid(k.0 * 2 + 1)])
+            .collect();
+        let mut build = BuildTable::new(&keys, &values);
+        for (&k, list) in keys.iter().zip(values.chunks(2)) {
+            build.push_key(k, list);
         }
         let table = build.freeze();
         for p in probes.into_iter().map(vid) {

@@ -54,14 +54,6 @@ impl GraphBuilder {
         id
     }
 
-    /// Adds `count` vertices sharing `label`; returns the first new id.
-    pub fn add_vertices(&mut self, count: usize, label: LabelId) -> VertexId {
-        let first = VertexId::from_index(self.labels.len());
-        self.labels
-            .extend(std::iter::repeat_with(|| LabelSet::single(label)).take(count));
-        first
-    }
-
     /// Records an edge. Endpoints must already exist when `build` runs.
     pub fn add_edge(&mut self, a: VertexId, b: VertexId) -> &mut Self {
         self.edges.push((a, b));
@@ -71,11 +63,6 @@ impl GraphBuilder {
     /// Number of vertices added so far.
     pub fn num_vertices(&self) -> usize {
         self.labels.len()
-    }
-
-    /// Number of edge records added so far (before dedup).
-    pub fn num_edge_records(&self) -> usize {
-        self.edges.len()
     }
 
     /// Finalizes the graph: symmetrizes, sorts, dedups.
@@ -101,7 +88,6 @@ mod tests {
         b.add_edge(a, c);
         b.add_edge(c, d);
         assert_eq!(b.num_vertices(), 3);
-        assert_eq!(b.num_edge_records(), 2);
         let g = b.build();
         assert_eq!(g.num_vertices(), 3);
         assert_eq!(g.num_edges(), 2);
@@ -113,8 +99,9 @@ mod tests {
     #[test]
     fn bulk_vertices_share_label() {
         let mut b = GraphBuilder::new();
-        let first = b.add_vertices(5, lid(3));
-        assert_eq!(first.index(), 0);
+        for _ in 0..5 {
+            b.add_vertex(lid(3));
+        }
         assert_eq!(b.num_vertices(), 5);
         let g = b.build();
         assert_eq!(g.vertices_with_label(lid(3)).len(), 5);

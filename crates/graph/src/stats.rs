@@ -39,16 +39,6 @@ impl GraphStats {
     }
 }
 
-/// Degree distribution histogram: `hist[d]` = number of vertices of degree
-/// `d`. Useful for verifying power-law shape of generated graphs.
-pub fn degree_histogram(graph: &Graph) -> Vec<usize> {
-    let mut hist = vec![0usize; graph.max_degree() + 1];
-    for v in graph.vertices() {
-        hist[graph.degree(v)] += 1;
-    }
-    hist
-}
-
 /// Estimated per-vertex workload used for distributed pivot placement (§5):
 /// in-memory mode uses `deg(v) + Σ_{w ∈ N(v)} deg(w)`, scaled by vertex id to
 /// account for automorphism-breaking order imbalance:
@@ -95,15 +85,6 @@ mod tests {
         assert!((s.avg_degree - 1.5).abs() < 1e-12);
         assert_eq!(s.num_labels, 1);
         assert!(!s.directed);
-    }
-
-    #[test]
-    fn histogram_sums_to_n() {
-        let g = path4();
-        let h = degree_histogram(&g);
-        assert_eq!(h.iter().sum::<usize>(), 4);
-        assert_eq!(h[1], 2); // endpoints
-        assert_eq!(h[2], 2); // middle
     }
 
     #[test]

@@ -115,12 +115,6 @@ impl QueryTree {
     pub fn non_tree_edges(&self) -> &[(VertexId, VertexId)] {
         &self.non_tree_edges
     }
-
-    /// `true` if `u` is a leaf of the tree.
-    #[inline]
-    pub fn is_leaf(&self, u: VertexId) -> bool {
-        self.children[u.index()].is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -165,9 +159,6 @@ mod tests {
         assert_eq!(t.parent(vid(0)), None);
         assert_eq!(t.parent(vid(3)), Some(vid(1)));
         assert_eq!(t.children(vid(0)), &[vid(1), vid(2)]);
-        assert!(t.is_leaf(vid(3)));
-        assert!(t.is_leaf(vid(4)));
-        assert!(!t.is_leaf(vid(2)));
     }
 
     #[test]
