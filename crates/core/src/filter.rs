@@ -75,18 +75,6 @@ impl BuilderState {
             .sum()
     }
 
-    /// Build-time arena bytes currently held across all tables.
-    pub fn arena_bytes(&self) -> usize {
-        let te: usize = self.te.iter().flatten().map(|t| t.arena_bytes()).sum();
-        let nte: usize = self
-            .nte
-            .iter()
-            .flat_map(|v| v.iter())
-            .map(|(_, t)| t.arena_bytes())
-            .sum();
-        te + nte
-    }
-
     /// Removes the sorted `gone` from the candidate set of query node `u`,
     /// cascading into every *already built* table keyed by `u`'s candidates
     /// (TE tables of `u`'s tree children, NTE tables whose parent is `u`),
@@ -312,7 +300,6 @@ mod tests {
         assert_eq!(state.te_entries(), 10);
         // NTE: u3:4 + u4:2 = 6
         assert_eq!(state.nte_entries(), 6);
-        assert!(state.arena_bytes() >= 16 * std::mem::size_of::<VertexId>());
     }
 
     #[test]

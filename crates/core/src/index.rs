@@ -66,9 +66,6 @@ pub struct BuildStats {
     /// adjacency entries tested: the filter reads only the span of each
     /// list that holds the child's candidates.
     pub filter_scans: u64,
-    /// Flat value-arena bytes of the frozen tables (the paper's
-    /// 4-bytes-per-candidate-edge payload).
-    pub arena_bytes: usize,
     /// Final index heap bytes.
     pub size_bytes: usize,
     /// The paper's theoretical bound `|E_q| × |E_g| × 8` bytes (Table 2).
@@ -241,7 +238,6 @@ impl Ceci {
             stats,
         };
         ceci.stats.size_bytes = ceci.size_bytes();
-        ceci.stats.arena_bytes = ceci.arena_bytes();
         ceci
     }
 
@@ -327,20 +323,6 @@ impl Ceci {
             .iter()
             .flat_map(|v| v.iter())
             .map(|(_, t)| t.num_entries())
-            .sum();
-        te + nte
-    }
-
-    /// Flat value-arena bytes across all frozen tables — the paper's
-    /// 4-bytes-per-candidate-edge payload, excluding keys/offsets/slot-map
-    /// and cardinality overhead.
-    pub fn arena_bytes(&self) -> usize {
-        let te: usize = self.te.iter().flatten().map(|t| t.arena_bytes()).sum();
-        let nte: usize = self
-            .nte
-            .iter()
-            .flat_map(|v| v.iter())
-            .map(|(_, t)| t.arena_bytes())
             .sum();
         te + nte
     }

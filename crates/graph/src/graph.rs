@@ -23,11 +23,11 @@ use crate::ids::{LabelId, VertexId};
 use crate::labels::LabelSet;
 
 /// Which construction a [`Graph`] value came out of: every constructor
-/// (a streamed snapshot's, [`DeltaOverlay::commit`](crate::DeltaOverlay::commit),
-/// included) draws a fresh stamp, and a clone shares its source's. Anything derived from a graph's adjacency and
-/// labels — a plan's candidate sets — records the stamp it was derived on,
-/// so "do these describe that graph?" is one comparison. Opaque: stamps
-/// compare for equality and nothing else.
+/// ([`Graph::with_batch`]'s streamed snapshot included) draws a fresh
+/// stamp, and a clone shares its source's. Anything derived from a graph's
+/// adjacency and labels — a plan's candidate sets — records the stamp it
+/// was derived on, so "do these describe that graph?" is one comparison.
+/// Opaque: stamps compare for equality and nothing else.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GraphStamp(u64);
 
@@ -38,6 +38,9 @@ impl GraphStamp {
         GraphStamp(NEXT.fetch_add(1, Ordering::Relaxed))
     }
 }
+
+/// Undirected edges, as endpoint pairs.
+type Edges = Vec<(VertexId, VertexId)>;
 
 /// A labeled graph with sorted CSR adjacency.
 #[derive(Clone, Debug)]
@@ -300,6 +303,55 @@ impl Graph {
             degree_ranked: false,
             label_pairs: None,
         }
+    }
+
+    /// Applies one batch of streamed edge mutations: every edge of `adds`,
+    /// then every edge of `dels`, each against the view the earlier ones
+    /// left. That is a set rule, so each side is normalised once to sorted,
+    /// distinct `(lo, hi)` keys without self-loops: `added` holds the adds
+    /// this graph lacks, `deleted` the dels this graph has or `added` holds.
+    /// Returns `(added, deleted, snapshot)`, the snapshot this graph's CSR
+    /// patched in one pass by `added \ deleted` (inserted) and
+    /// `deleted ∩ self` (removed), or `None`, building nothing, when the
+    /// batch applies no mutation.
+    ///
+    /// # Panics
+    /// Panics if an endpoint is out of range: a batch never grows the
+    /// vertex set.
+    pub fn with_batch(
+        &self,
+        adds: &[(VertexId, VertexId)],
+        dels: &[(VertexId, VertexId)],
+    ) -> Option<(Edges, Edges, Graph)> {
+        let n = self.num_vertices();
+        let keys = |edges: &[(VertexId, VertexId)]| {
+            let mut keys: Vec<_> = (edges.iter())
+                .inspect(|&&(a, b)| {
+                    assert!(a.index() < n && b.index() < n, "edge endpoint out of range")
+                })
+                .filter(|&&(a, b)| a != b)
+                .map(|&(a, b)| (a.min(b), a.max(b)))
+                .collect();
+            keys.sort_unstable();
+            keys.dedup();
+            keys
+        };
+        let mut added = keys(adds);
+        added.retain(|&(a, b)| !self.has_edge(a, b));
+        let mut deleted = keys(dels);
+        deleted.retain(|&(a, b)| self.has_edge(a, b) || added.binary_search(&(a, b)).is_ok());
+        if added.is_empty() && deleted.is_empty() {
+            return None;
+        }
+        let inserted = (added.iter()).filter(|e| deleted.binary_search(e).is_err());
+        let removed = (deleted.iter()).filter(|&&(a, b)| self.has_edge(a, b));
+        let mut delta: Vec<EdgeDelta> = (inserted.map(|&(a, b)| (a, b, true)))
+            .chain(removed.map(|&(a, b)| (a, b, false)))
+            .flat_map(|(a, b, add)| [(a, b, add), (b, a, add)])
+            .collect();
+        delta.sort_unstable();
+        let snapshot = self.patched(&delta);
+        Some((added, deleted, snapshot))
     }
 
     /// The construction stamp: equal for a graph and its clones, different
@@ -670,5 +722,112 @@ mod tests {
         assert_eq!(g.label_pair_index().unwrap().len(), n);
         assert!(g.size_bytes() > before);
         assert!(!g.label_pair_index().unwrap().is_empty());
+    }
+
+    /// The 0-1-2-3 path with alternating labels.
+    fn path() -> Graph {
+        Graph::new(
+            vec![
+                LabelSet::single(lid(0)),
+                LabelSet::single(lid(1)),
+                LabelSet::single(lid(0)),
+                LabelSet::single(lid(1)),
+            ],
+            &[(vid(0), vid(1)), (vid(1), vid(2)), (vid(2), vid(3))],
+            false,
+        )
+    }
+
+    fn same_adjacency(a: &Graph, b: &Graph) {
+        assert_eq!(a.num_edges(), b.num_edges());
+        for v in a.vertices() {
+            assert_eq!(a.neighbors(v), b.neighbors(v));
+        }
+    }
+
+    #[test]
+    fn batch_add_delete_noop_semantics() {
+        let g = path();
+        let adds = [(0, 1), (2, 2), (2, 0), (0, 2)].map(|(a, b)| (vid(a), vid(b)));
+        let dels = [(0, 3), (2, 1)].map(|(a, b)| (vid(a), vid(b)));
+        let (added, deleted, next) = g.with_batch(&adds, &dels).unwrap();
+        assert_eq!(
+            added,
+            [(vid(0), vid(2))],
+            "present, self-loop and repeat drop"
+        );
+        assert_eq!(deleted, [(vid(1), vid(2))], "an absent edge's delete drops");
+        assert!(next.has_edge(vid(2), vid(0)));
+        assert!(!next.has_edge(vid(2), vid(1)));
+        assert_eq!(next.num_edges(), 3);
+    }
+
+    #[test]
+    fn batch_add_then_delete_cancels() {
+        let g = path();
+        let (added, deleted, next) = g
+            .with_batch(&[(vid(0), vid(3))], &[(vid(3), vid(0))])
+            .unwrap();
+        assert_eq!(
+            (added, deleted),
+            (vec![(vid(0), vid(3))], vec![(vid(0), vid(3))])
+        );
+        same_adjacency(&next, &g);
+        assert_ne!(next.stamp(), g.stamp());
+        // Deletes come after adds: a present edge's add drops, its delete
+        // applies.
+        let (added, deleted, next) = g
+            .with_batch(&[(vid(1), vid(0))], &[(vid(0), vid(1))])
+            .unwrap();
+        assert!(added.is_empty());
+        assert_eq!(deleted, [(vid(0), vid(1))]);
+        assert!(!next.has_edge(vid(0), vid(1)));
+    }
+
+    #[test]
+    fn batch_matches_from_scratch() {
+        let g = path();
+        let (_, _, snap) = g
+            .with_batch(&[(vid(0), vid(2)), (vid(0), vid(3))], &[(vid(1), vid(2))])
+            .unwrap();
+        let expect = Graph::new(
+            (0..4).map(|i| g.labels(vid(i)).clone()).collect::<Vec<_>>(),
+            &[
+                (vid(0), vid(1)),
+                (vid(2), vid(3)),
+                (vid(0), vid(2)),
+                (vid(0), vid(3)),
+            ],
+            false,
+        );
+        same_adjacency(&snap, &expect);
+        for v in 0..4 {
+            assert_eq!(snap.labels(vid(v)), expect.labels(vid(v)));
+        }
+        assert_eq!(
+            snap.vertices_with_label(lid(0)),
+            expect.vertices_with_label(lid(0))
+        );
+        // A second batch patches the snapshot the first one produced.
+        let (_, _, next) = snap
+            .with_batch(&[(vid(1), vid(2))], &[(vid(0), vid(3))])
+            .unwrap();
+        assert_eq!(next.neighbors(vid(0)), &[vid(1), vid(2)]);
+        assert_eq!(next.neighbors(vid(2)), &[vid(0), vid(1), vid(3)]);
+        assert_eq!(next.neighbors(vid(3)), &[vid(2)]);
+    }
+
+    #[test]
+    fn empty_batch_builds_no_snapshot() {
+        let g = path();
+        assert!(g.with_batch(&[], &[]).is_none());
+        let no_ops = g.with_batch(&[(vid(0), vid(1)), (vid(2), vid(2))], &[(vid(0), vid(3))]);
+        assert!(no_ops.is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn batch_out_of_range_endpoint_panics() {
+        path().with_batch(&[(vid(0), vid(9))], &[]);
     }
 }

@@ -10,14 +10,14 @@
 //!   with a label inverted index, the [`LabelPairIndex`] admission summary,
 //!   and, on a label-major numbering, the class bounds from which the
 //!   paper's NLC filter counts neighbour labels as spans of each list.
+//!   A streamed batch of edge mutations nets to the next snapshot in one
+//!   sort ([`Graph::with_batch`]), which patches the CSR in one pass.
 //! * [`GraphBuilder`] — incremental construction.
 //! * [`io`] — SNAP edge lists, the labeled `t/v/e` text format, and a compact
 //!   binary format used by the simulated shared store.
 //! * [`generators`] — deterministic Erdős–Rényi, Graph500-style Kronecker
 //!   (R-MAT), and labeled-graph generators standing in for the paper's
 //!   datasets.
-//! * [`overlay`] — one batch of streaming edge mutations over an immutable
-//!   snapshot, committed as the next snapshot by patching its CSR.
 //! * [`rank`] — a graph's copy numbered by ascending `(label class,
 //!   degree)`, and the [`Ranking`] between file ids and ranks.
 //! * [`extract`] — DFS-based connected query extraction (§6.2).
@@ -36,7 +36,6 @@ pub mod graph;
 pub mod ids;
 pub mod io;
 pub mod labels;
-pub mod overlay;
 pub mod rank;
 pub mod stats;
 
@@ -47,6 +46,5 @@ pub use extract::{extract_query, ExtractedQuery};
 pub use graph::{Graph, GraphStamp, LabelPairIndex};
 pub use ids::{lid, vid, LabelId, VertexId};
 pub use labels::LabelSet;
-pub use overlay::DeltaOverlay;
 pub use rank::{rank_by_label_and_degree, Ranking};
 pub use stats::GraphStats;

@@ -1,6 +1,7 @@
 //! Model-based differential for streamed snapshots: random labeled graph ×
-//! random batch sequences, every snapshot checked against an edge-set model
-//! and against a copy of the base-relative overlay this design replaced.
+//! random batch sequences through [`Graph::with_batch`], every batch's
+//! applied mutations and snapshot checked against an edge-set model and
+//! against a copy of the base-relative overlay this design replaced.
 //!
 //! The vertex range is tiny on purpose: duplicates, reversed duplicates,
 //! self-loops, no-ops, the same edge in a batch's adds and dels, re-adds of
@@ -13,9 +14,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use ceci_graph::{
-    rank_by_label_and_degree, DeltaOverlay, Graph, LabelId, LabelPairIndex, LabelSet, VertexId,
-};
+use ceci_graph::{rank_by_label_and_degree, Graph, LabelId, LabelPairIndex, LabelSet, VertexId};
 use proptest::prelude::*;
 
 type Edge = (VertexId, VertexId);
@@ -108,34 +107,48 @@ proptest! {
         let (mut base, mut current) = (first.clone(), first.clone());
         let mut pending = 0usize;
         for (adds, dels) in &batches {
-            let mut overlay = DeltaOverlay::new();
-            for &e in &edges_of(adds) {
-                let applied = overlay.add_edge(&current, e.0, e.1);
-                prop_assert_eq!(applied, oracle.add_edge(&base, e));
+            let (adds, dels) = (edges_of(adds), edges_of(dels));
+            // The mutations the oracle and the model apply, one at a time.
+            let (mut want_added, mut want_deleted) = (Vec::new(), Vec::new());
+            for &e in &adds {
+                let applied = oracle.add_edge(&base, e);
                 prop_assert_eq!(applied, e.0 != e.1 && model.insert(key(e)));
                 if applied {
+                    want_added.push(key(e));
                     // The registry's counter rule, against the oracle's lists:
                     // back to what `base` has cancels, anything else is pending.
                     if base.has_edge(e.0, e.1) { pending -= 1 } else { pending += 1 }
                 }
             }
-            for &e in &edges_of(dels) {
-                let applied = overlay.delete_edge(&current, e.0, e.1);
-                prop_assert_eq!(applied, oracle.delete_edge(&base, e));
+            for &e in &dels {
+                let applied = oracle.delete_edge(&base, e);
                 prop_assert_eq!(applied, model.remove(&key(e)));
                 if applied {
+                    want_deleted.push(key(e));
                     if base.has_edge(e.0, e.1) { pending += 1 } else { pending -= 1 }
                 }
             }
             prop_assert_eq!(pending, oracle.pending());
+            want_added.sort_unstable();
+            want_deleted.sort_unstable();
+
+            // One batch nets the same mutations; a batch that applies none
+            // builds no snapshot.
+            let (added, deleted, next) = match current.with_batch(&adds, &dels) {
+                Some((added, deleted, next)) => {
+                    prop_assert!(next.stamp() != current.stamp() && next.stamp() != first.stamp());
+                    (added, deleted, next)
+                }
+                None => (Vec::new(), Vec::new(), current.clone()),
+            };
+            prop_assert_eq!(&added, &want_added);
+            prop_assert_eq!(&deleted, &want_deleted);
             for a in 0..n {
                 for b in 0..n {
                     let e = (VertexId(a), VertexId(b));
-                    prop_assert_eq!(overlay.has_edge(&current, e.0, e.1), model.contains(&key(e)));
+                    prop_assert_eq!(next.has_edge(e.0, e.1), model.contains(&key(e)));
                 }
             }
-
-            let next = overlay.commit(&current);
             let model_edges: Vec<Edge> = model.iter().copied().collect();
             let expect = Graph::new(labels.clone(), &model_edges, false);
             prop_assert_eq!(next.num_edges(), model.len());
@@ -153,7 +166,6 @@ proptest! {
                     first.vertices_with_label(l).as_ptr()
                 );
             }
-            prop_assert!(next.stamp() != current.stamp() && next.stamp() != first.stamp());
             prop_assert!(next.class_bounds().is_none() && next.label_pair_index().is_none());
 
             if pending >= threshold {
@@ -207,14 +219,10 @@ proptest! {
             let mut got = current.label_pair_index().cloned().unwrap();
             let mut want = got.clone();
             for (adds, dels) in &batches {
-                let mut overlay = DeltaOverlay::new();
-                let added: Vec<Edge> = (edges_of(adds).into_iter())
-                    .filter(|&(a, b)| overlay.add_edge(&current, a, b))
-                    .collect();
-                for (a, b) in edges_of(dels) {
-                    overlay.delete_edge(&current, a, b);
-                }
-                let next = overlay.commit(&current);
+                let Some((added, _, next)) = current.with_batch(&edges_of(adds), &edges_of(dels))
+                else {
+                    continue;
+                };
                 prop_assert_eq!(next.class_bounds().is_some(), spans);
                 got.absorb_edges(&next, &added);
                 absorb_vertices(&mut want, &next, &added);

@@ -536,9 +536,14 @@ mod tests {
         ];
         for (file, q) in cases {
             let (ranked, ids) = rank_by_label_and_degree(&file);
-            // A snapshot patched from the ranked copy with no net change:
-            // the same adjacency and class bounds, degree order unclaimed.
-            let patched = ceci_graph::DeltaOverlay::new().commit(&ranked);
+            // A snapshot patched from the ranked copy with no net change, by
+            // a batch that adds and deletes one absent edge: the same
+            // adjacency and class bounds, degree order unclaimed.
+            let absent = (ranked.vertices())
+                .flat_map(|a| ranked.vertices().map(move |b| (a, b)))
+                .find(|&(a, b)| a != b && !ranked.has_edge(a, b))
+                .expect("an absent edge");
+            let (_, _, patched) = ranked.with_batch(&[absent], &[absent]).expect("both apply");
             assert!(ranked.degree_ascends_in_classes() && !patched.degree_ascends_in_classes());
             let profile = q.neighborhood_label_counts(vid(0));
             let walked: Vec<bool> = file

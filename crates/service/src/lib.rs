@@ -83,6 +83,6 @@ pub use coord::{
 pub use metrics::{LatencyHistogram, ServerMetrics};
 pub use pool::{Admission, PoolHandle, WorkerPool};
 pub use protocol::{parse_request, ChaosCommand, ErrorCode, MatchForm, ParseError, Request};
-pub use registry::{BatchOutcome, ContinuousRegistry, DirtyRecord, GraphEntry, GraphRegistry};
+pub use registry::{BatchOutcome, ContinuousRegistry, GraphEntry, GraphRegistry};
 pub use server::{start, start_with_state, ServeConfig, ServerHandle, ServerState, ShutdownReport};
 pub use shard::{FragmentPlane, GraphStore};

@@ -189,7 +189,8 @@ pub struct ServerMetrics {
     pub edges_added: AtomicU64,
     /// Net edges deleted across all applied mutation batches.
     pub edges_deleted: AtomicU64,
-    /// Overlay compactions (delta merged into a fresh base CSR).
+    /// Compactions (a snapshot's label-pair index rebuilt exactly; the
+    /// snapshot becomes the new base).
     pub compactions: AtomicU64,
     /// Stale cached indexes repaired forward under their plan (frozen
     /// rebuild on the snapshot over patched candidate sets) instead of

@@ -13,7 +13,7 @@
 //! `ADDEDGE` / `DELEDGE` / `BATCH` mutate a loaded graph *between* epochs:
 //! each applied batch bumps the entry's **sub-epoch** and publishes a fresh
 //! immutable snapshot: the previous snapshot patched by this batch's net
-//! edges (a per-batch [`DeltaOverlay`]), sharing its labels. Readers always
+//! edges ([`Graph::with_batch`]), sharing its labels. Readers always
 //! see a consistent `(snapshot, sub_epoch)` pair; mutations never touch a
 //! snapshot a reader already holds.
 //!
@@ -50,7 +50,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
-use ceci_graph::{DeltaOverlay, Graph, Ranking, VertexId};
+use ceci_graph::{Graph, Ranking, VertexId};
 use ceci_query::QueryPlan;
 use std::collections::HashMap;
 
@@ -62,15 +62,11 @@ static NEXT_EPOCH: AtomicU64 = AtomicU64::new(1);
 
 /// One applied mutation batch in the dirty log.
 #[derive(Clone, Debug)]
-pub struct DirtyRecord {
+struct DirtyRecord {
     /// The sub-epoch this batch produced (first applied batch = 1).
-    pub sub_epoch: u64,
+    sub_epoch: u64,
     /// Distinct endpoints of every applied edge mutation in the batch.
-    pub endpoints: Vec<VertexId>,
-    /// Net edges added by the batch.
-    pub added: usize,
-    /// Net edges deleted by the batch.
-    pub deleted: usize,
+    endpoints: Vec<VertexId>,
 }
 
 /// Mutable streaming state of one loaded graph, guarded by the entry lock.
@@ -93,9 +89,11 @@ struct StreamState {
 pub struct BatchOutcome {
     /// Sub-epoch after the batch (unchanged when nothing applied).
     pub sub_epoch: u64,
-    /// Net edges added (mutations already present were dropped).
+    /// Net edges added, as sorted `(lo, hi)` keys (mutations already
+    /// present were dropped).
     pub added: Vec<(VertexId, VertexId)>,
-    /// Net edges deleted (mutations of absent edges were dropped).
+    /// Net edges deleted, as sorted `(lo, hi)` keys (mutations of absent
+    /// edges were dropped).
     pub deleted: Vec<(VertexId, VertexId)>,
     /// Distinct touched endpoints of the applied mutations.
     pub endpoints: Vec<VertexId>,
@@ -220,11 +218,12 @@ impl GraphEntry {
 
     /// Applies one mutation batch atomically, all `adds` before all `dels`,
     /// each against the view the earlier ones left (mutations the view
-    /// already agrees with are dropped). An applied batch publishes the
-    /// current snapshot patched by its net edges, bumps the sub-epoch,
-    /// maintains the label-pair admission index, logs the dirty endpoints
-    /// (log bounded by `dirty_log_cap`), and compacts once
-    /// `compact_threshold` net mutations are pending against `base`.
+    /// already agrees with are dropped; [`Graph::with_batch`] nets them).
+    /// An applied batch publishes the current snapshot patched by its net
+    /// edges, bumps the sub-epoch, maintains the label-pair admission
+    /// index, logs the dirty endpoints (log bounded by `dirty_log_cap`), and
+    /// compacts once `compact_threshold` net mutations are pending against
+    /// `base`.
     ///
     /// Returns `Err` when any endpoint is out of range for the graph; no
     /// mutation is applied in that case.
@@ -238,30 +237,22 @@ impl GraphEntry {
         let mut st = self.stream.write().expect("stream lock poisoned");
         check_range(adds.iter().chain(dels), st.current.num_vertices())?;
         let old_graph = Arc::clone(&st.current);
-        let mut overlay = DeltaOverlay::new();
-        let applied_adds: Vec<_> = (adds.iter().copied())
-            .filter(|&(a, b)| overlay.add_edge(&old_graph, a, b))
-            .collect();
-        let applied_dels: Vec<_> = (dels.iter().copied())
-            .filter(|&(a, b)| overlay.delete_edge(&old_graph, a, b))
-            .collect();
-        if applied_adds.is_empty() && applied_dels.is_empty() {
+        let Some((added, deleted, mut fresh)) = old_graph.with_batch(adds, dels) else {
             return Ok(BatchOutcome {
                 sub_epoch: st.sub_epoch,
-                added: applied_adds,
-                deleted: applied_dels,
+                added: Vec::new(),
+                deleted: Vec::new(),
                 endpoints: Vec::new(),
                 compacted: false,
                 pending: st.pending,
                 new_graph: Arc::clone(&old_graph),
                 old_graph,
             });
-        }
+        };
         // An applied mutation that puts the edge back the way `base` has it
         // cancels a pending one; any other is itself pending.
         let st = &mut *st;
-        let applied =
-            (applied_adds.iter().map(|e| (e, true))).chain(applied_dels.iter().map(|e| (e, false)));
+        let applied = (added.iter().map(|e| (e, true))).chain(deleted.iter().map(|e| (e, false)));
         for (&(a, b), add) in applied {
             if st.base.has_edge(a, b) == add {
                 st.pending -= 1;
@@ -269,8 +260,7 @@ impl GraphEntry {
                 st.pending += 1;
             }
         }
-        let endpoints = distinct_endpoints(applied_adds.iter().chain(&applied_dels));
-        let mut fresh = overlay.commit(&old_graph);
+        let endpoints = distinct_endpoints(added.iter().chain(&deleted));
         let compacted = st.pending >= compact_threshold.max(1);
         if compacted {
             // Exact rebuild at compaction: the fresh snapshot has no
@@ -281,7 +271,7 @@ impl GraphEntry {
             // added edges on the new adjacency. Deletions keep stale maxima
             // — a sound overestimate for the admission filter.
             let mut lpi = lpi.clone();
-            lpi.absorb_edges(&fresh, &applied_adds);
+            lpi.absorb_edges(&fresh, &added);
             fresh.set_label_pair_index(lpi);
         }
         let fresh = Arc::new(fresh);
@@ -295,16 +285,14 @@ impl GraphEntry {
         st.dirty_log.push_back(DirtyRecord {
             sub_epoch,
             endpoints: endpoints.clone(),
-            added: applied_adds.len(),
-            deleted: applied_dels.len(),
         });
         while st.dirty_log.len() > dirty_log_cap.max(1) {
             st.dirty_log.pop_front();
         }
         Ok(BatchOutcome {
             sub_epoch,
-            added: applied_adds,
-            deleted: applied_dels,
+            added,
+            deleted,
             endpoints,
             compacted,
             pending: st.pending,
@@ -688,12 +676,17 @@ mod tests {
                         .map(|q| QueryPlan::new(QueryGraph::from_graph(&q.pattern).unwrap(), &before));
                     let out = entry.apply_batch(&adds, &dels, threshold, 64).unwrap();
 
-                    let added: Vec<_> = (adds.iter().copied())
+                    // The model's applied edges, normalised and sorted.
+                    let mut added: Vec<_> = (adds.iter().copied())
                         .filter(|&e| e.0 != e.1 && model.insert(key(e)))
+                        .map(key)
                         .collect();
-                    let deleted: Vec<_> = (dels.iter().copied())
+                    let mut deleted: Vec<_> = (dels.iter().copied())
                         .filter(|&e| model.remove(&key(e)))
+                        .map(key)
                         .collect();
+                    added.sort_unstable();
+                    deleted.sort_unstable();
                     prop_assert_eq!(&out.added, &added);
                     prop_assert_eq!(&out.deleted, &deleted);
                     let touched: BTreeSet<VertexId> = (added.iter().chain(&deleted))

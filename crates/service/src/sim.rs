@@ -147,12 +147,18 @@ impl Fixture {
         // answers in closed form: the diamond, rooted at either degree-3
         // vertex, in 2 and 3 (keyed by a non-tree edge too); the double
         // star, from 0, in 4 and 5, whose gathered set holds 0's image.
+        // The one-label 5-path 0-2-1-3-4 is rooted at its middle vertex 1
+        // and ends its order on the far ends 0 and 4, under different
+        // parents: its one symmetry constraint, 0 < 4, orders the shared
+        // leaf set, so a served count takes only the leaves above 0's image
+        // (`leaf=REUSE_ORDERED`).
         let mut patterns = vec![
             pattern(&[7, 7], &[(0, 1)]),
             pattern(&[0, 0, 0], &[(0, 1), (1, 2), (2, 0)]),
             pattern(&[0, 0, 1, 1], &[(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]),
             pattern(&[0, 0, 0, 0], &[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]),
             pattern(&[0; 6], &[(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)]),
+            pattern(&[0; 5], &[(0, 2), (2, 1), (1, 3), (3, 4)]),
         ];
         for (pair, size) in files.iter().zip([3, 4]).chain(files.iter().zip([4, 3])) {
             patterns.extend(extract_query(&pair[0], size, seed, 50).map(|e| e.pattern));

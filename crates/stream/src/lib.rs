@@ -109,10 +109,10 @@ mod tests {
     use ceci_core::count_embeddings;
     use ceci_graph::extract::extract_query;
     use ceci_graph::generators::{erdos_renyi, inject_random_labels};
-    use ceci_graph::DeltaOverlay;
     use ceci_query::QueryGraph;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::collections::BTreeSet;
 
     fn test_graph(seed: u64) -> Graph {
         inject_random_labels(&erdos_renyi(120, 420, seed), 3, seed ^ 0x5eed)
@@ -154,8 +154,9 @@ mod tests {
         }
     }
 
-    /// Applies `batch` mutations to `graph` through an overlay, returning
-    /// the new snapshot and the touched endpoints.
+    /// Draws `adds` absent edges and `dels` present ones on `graph` and
+    /// applies them as one batch, returning the new snapshot and the
+    /// touched endpoints.
     fn apply_batch(
         graph: &Graph,
         rng: &mut StdRng,
@@ -163,22 +164,20 @@ mod tests {
         dels: usize,
     ) -> (Graph, Vec<VertexId>) {
         let n = graph.num_vertices() as u32;
-        let mut overlay = DeltaOverlay::new();
+        let key = |a: VertexId, b: VertexId| (a.min(b), a.max(b));
+        let (mut added, mut deleted) = (BTreeSet::new(), BTreeSet::new());
         let mut endpoints = Vec::new();
-        let mut applied = 0;
         let mut guard = 0;
-        while applied < adds && guard < 10_000 {
+        while added.len() < adds && guard < 10_000 {
             guard += 1;
             let a = VertexId(rng.gen_range(0..n));
             let b = VertexId(rng.gen_range(0..n));
-            if overlay.add_edge(graph, a, b) {
+            if a != b && !graph.has_edge(a, b) && added.insert(key(a, b)) {
                 endpoints.extend([a, b]);
-                applied += 1;
             }
         }
-        applied = 0;
         guard = 0;
-        while applied < dels && guard < 10_000 {
+        while deleted.len() < dels && guard < 10_000 {
             guard += 1;
             let a = VertexId(rng.gen_range(0..n));
             let deg = graph.degree(a);
@@ -186,12 +185,14 @@ mod tests {
                 continue;
             }
             let b = graph.neighbors(a)[rng.gen_range(0..deg)];
-            if overlay.delete_edge(graph, a, b) {
+            if deleted.insert(key(a, b)) {
                 endpoints.extend([a, b]);
-                applied += 1;
             }
         }
-        (overlay.commit(graph), endpoints)
+        let adds: Vec<_> = added.into_iter().collect();
+        let dels: Vec<_> = deleted.into_iter().collect();
+        let (_, _, next) = graph.with_batch(&adds, &dels).expect("the batch applies");
+        (next, endpoints)
     }
 
     fn differential_loop(seed: u64, adds: usize, dels: usize, batches: usize) {

@@ -387,11 +387,11 @@ fn a_dead_fleet_falls_back_in_file_ids_on_a_loaded_entry() {
 // ---------------------------------------------------------------------------
 
 /// Differential sweep of the streaming layer under fault injection: random
-/// mutation batches interleaved with injected worker panics, with overlay
+/// mutation batches interleaved with injected worker panics, with
 /// compaction forced mid-sweep. Every MATCH after every batch must count
 /// bit-identically to a from-scratch enumeration of a locally maintained
 /// reference copy — panicked workers, repaired caches, and compacted
-/// overlays included.
+/// snapshots included.
 #[test]
 fn mutation_sweep_stays_bit_identical_under_worker_panics() {
     use std::collections::BTreeSet;
@@ -400,7 +400,7 @@ fn mutation_sweep_stays_bit_identical_under_worker_panics() {
     let pattern = query_from(&graph, 77);
     let state = Arc::new(ServerState::new(ServeConfig {
         chaos: true,
-        // Low threshold so the sweep compacts the overlay at least once.
+        // Low threshold so the sweep compacts at least once.
         compact_threshold: 8,
         ..ServeConfig::default()
     }));
@@ -489,7 +489,7 @@ fn mutation_sweep_stays_bit_identical_under_worker_panics() {
             "diverged from reference at round {round}"
         );
     }
-    assert!(compacted_once, "sweep never compacted the overlay");
+    assert!(compacted_once, "sweep never compacted");
 
     std::fs::remove_dir_all(&dir).ok();
     handle.shutdown();
