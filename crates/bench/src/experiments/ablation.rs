@@ -100,7 +100,7 @@ pub fn run_intersection(scale: Scale) {
             "improvement",
         ]);
         for q in PaperQuery::ALL {
-            let plan = QueryPlan::new(q.build(), &graph);
+            let plan = QueryPlan::with_options(q.build(), &graph, &PlanOptions::paper());
             let ntes = plan
                 .query()
                 .vertices()

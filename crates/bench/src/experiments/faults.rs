@@ -19,7 +19,7 @@ use ceci_distributed::{
     run_distributed, run_distributed_with_faults, workload_estimate, ClusterConfig,
     DistributedResult, FaultPlan, StorageMode,
 };
-use ceci_query::{PaperQuery, QueryPlan};
+use ceci_query::{PaperQuery, PlanOptions, QueryPlan};
 
 use crate::datasets::{Dataset, Scale};
 use crate::json::JsonValue;
@@ -142,7 +142,7 @@ pub fn run(scale: Scale) {
     for d in [Dataset::Wt, Dataset::Lj] {
         let graph = d.build(scale);
         for q in [PaperQuery::Qg1, PaperQuery::Qg3] {
-            let plan = QueryPlan::new(q.build(), &graph);
+            let plan = QueryPlan::with_options(q.build(), &graph, &PlanOptions::paper());
             for storage in [StorageMode::Replicated, StorageMode::Shared] {
                 let config = ClusterConfig {
                     machines,

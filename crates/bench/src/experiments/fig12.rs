@@ -3,7 +3,7 @@
 //! decomposition work.
 
 use ceci_core::{enumerate_parallel, Ceci, ParallelOptions, Strategy};
-use ceci_query::{PaperQuery, QueryPlan};
+use ceci_query::{PaperQuery, PlanOptions, QueryPlan};
 
 use crate::datasets::{Dataset, Scale};
 use crate::experiments::default_workers;
@@ -20,7 +20,7 @@ pub fn run(scale: Scale) {
          {workers} workers), scale {scale:?}\n"
     );
     let graph = Dataset::Fs.build(scale);
-    let plan = QueryPlan::new(PaperQuery::Qg3.build(), &graph);
+    let plan = QueryPlan::with_options(PaperQuery::Qg3.build(), &graph, &PlanOptions::paper());
     let ceci = Ceci::build(&graph, &plan);
     let mut t = Table::new(vec![
         "beta",

@@ -3,7 +3,7 @@
 //! dominates the runtime).
 
 use ceci_core::{enumerate_parallel, Ceci, ParallelOptions, Phase, PhaseTimeline, Strategy};
-use ceci_query::{PaperQuery, QueryPlan};
+use ceci_query::{PaperQuery, PlanOptions, QueryPlan};
 
 use crate::datasets::{Dataset, Scale};
 use crate::experiments::default_workers;
@@ -26,7 +26,9 @@ pub fn run(scale: Scale) {
     for q in [PaperQuery::Qg1, PaperQuery::Qg3, PaperQuery::Qg5] {
         let mut timeline = PhaseTimeline::new();
         let graph = timeline.record(Phase::Load, 1, || Dataset::Ok.build(scale));
-        let plan = timeline.record(Phase::Preprocess, 1, || QueryPlan::new(q.build(), &graph));
+        let plan = timeline.record(Phase::Preprocess, 1, || {
+            QueryPlan::with_options(q.build(), &graph, &PlanOptions::paper())
+        });
         let ceci = timeline.record(Phase::Filter, 1, || Ceci::build(&graph, &plan));
         timeline.record(Phase::Enumerate, workers, || {
             enumerate_parallel(

@@ -4,7 +4,7 @@
 //! (Fig 17).
 
 use ceci_distributed::{run_distributed, ClusterConfig, StorageMode};
-use ceci_query::{PaperQuery, QueryPlan};
+use ceci_query::{PaperQuery, PlanOptions, QueryPlan};
 
 use crate::datasets::{Dataset, Scale};
 use crate::table::{fmt_duration, fmt_speedup, Table};
@@ -29,7 +29,7 @@ fn run_distributed_scaling(title: &str, storage: StorageMode, scale: Scale) {
     for d in [Dataset::Fs, Dataset::Ok] {
         let graph = d.build(scale);
         for q in [PaperQuery::Qg1, PaperQuery::Qg4] {
-            let plan = QueryPlan::new(q.build(), &graph);
+            let plan = QueryPlan::with_options(q.build(), &graph, &PlanOptions::paper());
             let mut t = Table::new(vec![
                 "machines",
                 "makespan (modeled)",

@@ -14,7 +14,7 @@ use ceci_baselines::{enumerate_bare, BareOptions};
 use ceci_core::{
     enumerate_parallel, BuildOptions, Ceci, EnumOptions, ParallelOptions, Strategy, VerifyMode,
 };
-use ceci_query::{PaperQuery, QueryPlan};
+use ceci_query::{PaperQuery, PlanOptions, QueryPlan};
 
 use crate::datasets::{Dataset, Scale};
 use crate::experiments::default_workers;
@@ -28,7 +28,7 @@ fn timed_ceci_variant(
     verify: VerifyMode,
 ) -> (Duration, u64) {
     let start = Instant::now();
-    let plan = QueryPlan::new(q.build(), graph);
+    let plan = QueryPlan::with_options(q.build(), graph, &PlanOptions::paper());
     let ceci = Ceci::build_with(graph, &plan, build);
     let result = enumerate_parallel(
         graph,
@@ -67,7 +67,7 @@ pub fn run(scale: Scale) {
         for q in [PaperQuery::Qg1, PaperQuery::Qg3, PaperQuery::Qg5] {
             let (bare, bn) = {
                 let start = Instant::now();
-                let plan = QueryPlan::new(q.build(), &graph);
+                let plan = QueryPlan::with_options(q.build(), &graph, &PlanOptions::paper());
                 let r = enumerate_bare(
                     &graph,
                     &plan,

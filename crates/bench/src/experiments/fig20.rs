@@ -2,7 +2,7 @@
 //! compute on the shared (lustre-like) store, as machines scale.
 
 use ceci_distributed::{run_distributed, ClusterConfig, StorageMode};
-use ceci_query::{PaperQuery, QueryPlan};
+use ceci_query::{PaperQuery, PlanOptions, QueryPlan};
 
 use crate::datasets::{Dataset, Scale};
 use crate::table::{fmt_duration, Table};
@@ -14,7 +14,7 @@ pub fn run(scale: Scale) {
          FS stand-in, scale {scale:?}\n"
     );
     let graph = Dataset::Fs.build(scale);
-    let plan = QueryPlan::new(PaperQuery::Qg1.build(), &graph);
+    let plan = QueryPlan::with_options(PaperQuery::Qg1.build(), &graph, &PlanOptions::paper());
     let mut t = Table::new(vec!["machines", "IO", "comm", "compute", "IO share"]);
     for machines in [2usize, 4, 8, 16] {
         let cfg = ClusterConfig {

@@ -13,7 +13,7 @@ use ceci_baselines::{
     TurboOptions, VertexEquivalence,
 };
 use ceci_graph::{extract_query, Graph};
-use ceci_query::{QueryGraph, QueryPlan};
+use ceci_query::{PlanOptions, QueryGraph, QueryPlan};
 
 use crate::datasets::{Dataset, Scale};
 use crate::harness::{geometric_mean, persist_records, run_ceci, RunRecord};
@@ -83,7 +83,7 @@ pub fn run_fig9(scale: Scale) {
                     &cc,
                 ));
                 let (res, ft) = crate::harness::time(|| {
-                    let plan = QueryPlan::new(q.clone(), &graph);
+                    let plan = QueryPlan::with_options(q.clone(), &graph, &PlanOptions::paper());
                     enumerate_cfl(
                         &graph,
                         &plan,
@@ -175,7 +175,7 @@ pub fn run_fig10(scale: Scale) {
                 &cc,
             ));
             let (res, tt) = crate::harness::time(|| {
-                let plan = QueryPlan::new(q.clone(), &graph);
+                let plan = QueryPlan::with_options(q.clone(), &graph, &PlanOptions::paper());
                 enumerate_turboiso(
                     &graph,
                     &plan,
@@ -195,7 +195,7 @@ pub fn run_fig10(scale: Scale) {
                 &res.counters,
             ));
             let (bres, bt) = crate::harness::time(|| {
-                let plan = QueryPlan::new(q.clone(), &graph);
+                let plan = QueryPlan::with_options(q.clone(), &graph, &PlanOptions::paper());
                 enumerate_boosted_with(
                     &graph,
                     &plan,
@@ -274,7 +274,7 @@ fn twin_rich_supplement(scale: Scale) {
         ("star3", ceci_query::catalog::star(3)),
         ("path4", ceci_query::catalog::path(4)),
     ] {
-        let plan = QueryPlan::new(query, &graph);
+        let plan = QueryPlan::with_options(query, &graph, &PlanOptions::paper());
         let (tres, tt) = crate::harness::time(|| {
             enumerate_turboiso(
                 &graph,

@@ -23,7 +23,7 @@ use ceci_core::{
     Strategy,
 };
 use ceci_graph::VertexId;
-use ceci_query::{PaperQuery, QueryPlan};
+use ceci_query::{PaperQuery, PlanOptions, QueryPlan};
 
 use crate::json::JsonValue;
 use crate::table::Table;
@@ -176,7 +176,7 @@ pub fn run(scale: Scale) {
         PaperQuery::Qg4,
         PaperQuery::Qg5,
     ] {
-        let plan = QueryPlan::new(query.build(), &graph);
+        let plan = QueryPlan::with_options(query.build(), &graph, &PlanOptions::paper());
         let ceci = Ceci::build(&graph, &plan);
         // The oracle shares no code with the enumerator: plain id-order
         // backtracking under the plan's symmetry constraints.

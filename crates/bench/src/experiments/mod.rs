@@ -28,7 +28,7 @@ use std::time::Duration;
 use ceci_baselines::{enumerate_dualsim, enumerate_psgl, DualSimOptions, PsglOptions};
 use ceci_core::Counters;
 use ceci_graph::Graph;
-use ceci_query::{QueryGraph, QueryPlan};
+use ceci_query::{PlanOptions, QueryGraph, QueryPlan};
 
 /// Default worker count for parallel experiments: the host's cores, but at
 /// least 4 and at most 16. Workers above the physical core count still
@@ -45,7 +45,8 @@ pub fn default_workers() -> usize {
 /// (Σ per-level max-chunk CPU time) so thread sweeps are meaningful on
 /// hosts with fewer cores than workers.
 pub fn run_psgl(graph: &Graph, query: QueryGraph, workers: usize) -> (Duration, Counters, u64) {
-    let (result, plan_time) = crate::harness::time(|| QueryPlan::new(query, graph));
+    let (result, plan_time) =
+        crate::harness::time(|| QueryPlan::with_options(query, graph, &PlanOptions::paper()));
     let plan = result;
     let psgl = enumerate_psgl(
         graph,
@@ -64,7 +65,7 @@ pub fn run_psgl(graph: &Graph, query: QueryGraph, workers: usize) -> (Duration, 
 
 /// Timed DualSim-lite run; returns the *modeled* time (CPU + paged IO).
 pub fn run_dualsim(graph: &Graph, query: QueryGraph) -> (Duration, Counters, u64) {
-    let plan = QueryPlan::new(query, graph);
+    let plan = QueryPlan::with_options(query, graph, &PlanOptions::paper());
     let result = enumerate_dualsim(graph, &plan, &DualSimOptions::default());
     (
         result.modeled_time,

@@ -3,7 +3,7 @@
 //! graph. The headline is the per-machine memory share as machines scale.
 
 use ceci_distributed::{run_physical, ClusterConfig};
-use ceci_query::{PaperQuery, QueryPlan};
+use ceci_query::{PaperQuery, PlanOptions, QueryPlan};
 
 use crate::datasets::{Dataset, Scale};
 use crate::table::{fmt_duration, Table};
@@ -17,7 +17,7 @@ pub fn run(scale: Scale) {
     for d in [Dataset::Wt, Dataset::Lj] {
         let graph = d.build(scale);
         for q in [PaperQuery::Qg1, PaperQuery::Qg3] {
-            let plan = QueryPlan::new(q.build(), &graph);
+            let plan = QueryPlan::with_options(q.build(), &graph, &PlanOptions::paper());
             let mut t = Table::new(vec![
                 "machines",
                 "embeddings",

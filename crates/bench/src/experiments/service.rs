@@ -24,7 +24,7 @@ use ceci_core::{count_embeddings, Ceci};
 use ceci_graph::extract::extract_query;
 use ceci_graph::generators::{erdos_renyi, inject_random_labels};
 use ceci_graph::io;
-use ceci_query::{QueryGraph, QueryPlan};
+use ceci_query::{PlanOptions, QueryGraph, QueryPlan};
 use ceci_service::{run_load, start_with_state, Client, LoadConfig, ServeConfig, ServerState};
 
 use crate::json::JsonValue;
@@ -63,7 +63,7 @@ pub fn run(scale: Scale) {
         extract_query(&graph, 4, 7, 50).expect("extractable query on the synthetic graph");
     let expected = {
         let query = QueryGraph::from_graph(&extracted.pattern).expect("valid query");
-        let plan = QueryPlan::new(query, &graph);
+        let plan = QueryPlan::with_options(query, &graph, &PlanOptions::paper());
         let ceci = Ceci::build(&graph, &plan);
         count_embeddings(&graph, &plan, &ceci)
     };

@@ -17,7 +17,7 @@ use std::time::Duration;
 
 use ceci_core::{count_embeddings, Ceci};
 use ceci_graph::Ranking;
-use ceci_query::{PaperQuery, QueryPlan};
+use ceci_query::{PaperQuery, PlanOptions, QueryPlan};
 use ceci_service::{scatter_match, Client, CoordConfig, RetryPolicy, ScatterReport, ShardSet};
 
 use crate::datasets::{Dataset, Scale};
@@ -207,7 +207,7 @@ pub fn run(scale: Scale) {
         let query_path = dir.join(format!("{}.graph", q.name()));
         let mut f = std::fs::File::create(&query_path).expect("create query file");
         ceci_graph::io::write_labeled(qg.as_graph(), &mut f).expect("write query file");
-        let plan = QueryPlan::new(qg, &graph);
+        let plan = QueryPlan::with_options(qg, &graph, &PlanOptions::paper());
         let ceci = Ceci::build(&graph, &plan);
         let oracle = count_embeddings(&graph, &plan, &ceci);
 

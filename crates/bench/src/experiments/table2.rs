@@ -3,7 +3,7 @@
 //! refinement.
 
 use ceci_core::Ceci;
-use ceci_query::{PaperQuery, QueryPlan};
+use ceci_query::{PaperQuery, PlanOptions, QueryPlan};
 
 use crate::datasets::{Dataset, Scale};
 use crate::table::Table;
@@ -30,7 +30,7 @@ pub fn run(scale: Scale) {
     for q in PaperQuery::ALL {
         let mut row = vec![q.name().to_string()];
         for (_, graph) in &graphs {
-            let plan = QueryPlan::new(q.build(), graph);
+            let plan = QueryPlan::with_options(q.build(), graph, &PlanOptions::paper());
             let ceci = Ceci::build(graph, &plan);
             let stats = ceci.stats();
             let actual_kb = stats.size_bytes as f64 / 1024.0;
@@ -58,7 +58,7 @@ mod tests {
     #[test]
     fn sizes_below_theoretical_on_small_sample() {
         let graph = Dataset::Wt.build(Scale::Quick);
-        let plan = QueryPlan::new(PaperQuery::Qg1.build(), &graph);
+        let plan = QueryPlan::with_options(PaperQuery::Qg1.build(), &graph, &PlanOptions::paper());
         let ceci = Ceci::build(&graph, &plan);
         let s = ceci.stats();
         let actual_entry_bytes =

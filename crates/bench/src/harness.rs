@@ -4,7 +4,7 @@ use std::time::{Duration, Instant};
 
 use ceci_core::{enumerate_parallel, Ceci, Counters, ParallelOptions, Strategy};
 use ceci_graph::Graph;
-use ceci_query::{QueryGraph, QueryPlan};
+use ceci_query::{PlanOptions, QueryGraph, QueryPlan};
 
 use crate::json::JsonValue;
 
@@ -139,7 +139,7 @@ pub fn run_ceci_with(
     strategy: Strategy,
 ) -> (Duration, Counters, u64) {
     let start = Instant::now();
-    let plan = QueryPlan::new(query, graph);
+    let plan = QueryPlan::with_options(query, graph, &PlanOptions::paper());
     let ceci = Ceci::build(graph, &plan);
     let setup = start.elapsed();
     let options = ParallelOptions {

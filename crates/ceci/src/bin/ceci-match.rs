@@ -12,7 +12,8 @@
 //!   --workers N        worker threads (default: available cores)
 //!   --strategy S       st | cgd | fgd (default fgd)
 //!   --beta F           FGD threshold factor (default 0.2)
-//!   --order S          bfs | edge-rank | path-rank (default bfs)
+//!   --order S          bfs | edge-rank | path-rank (default edge-rank,
+//!                      the library's default order)
 //!   --print            print each embedding (default: count only)
 //!   --stats            print plan/index reports (EXPLAIN-style)
 //!   --estimate N       skip enumeration; estimate the count with N walks
@@ -59,7 +60,7 @@ fn parse_args() -> Args {
             .map(|n| n.get())
             .unwrap_or(1),
         strategy: Strategy::FineDynamic { beta: 0.2 },
-        order: OrderStrategy::Bfs,
+        order: PlanOptions::default().order,
         print: false,
         stats: false,
         estimate: None,

@@ -1,17 +1,21 @@
-//! Cost-model-driven adaptive execution: rent BFS, buy the portfolio.
+//! Cost-model-driven adaptive execution: rent the connectivity-first plan,
+//! buy the portfolio.
 //!
-//! The paper plans once — one BFS tree from the min-`|C(u)|/deg(u)` root,
-//! then build and enumerate (§3, §6). A better matching order can cut a
-//! query's enumeration several-fold, but finding it means scoring a
-//! portfolio of plans, and that costs several index builds: worth it only
-//! for a query that comes back often enough, which the request that misses
-//! the cache cannot know. So the planner prices the portfolio like a ski
-//! rental:
+//! The paper plans once — one query tree from the min-`|C(u)|/deg(u)` root,
+//! visited in BFS order, then build and enumerate (§3, §6). A better
+//! matching order can cut a query's enumeration several-fold, but finding
+//! it means scoring a portfolio of plans, and that costs several index
+//! builds: worth it only for a query that comes back often enough, which
+//! the request that misses the cache cannot know. So the planner prices the
+//! portfolio like a ski rental:
 //!
 //! 1. **A miss rents.** [`plan_with_options`] with
-//!    [`OrderStrategy::Adaptive`] returns the paper's BFS plan and a
-//!    one-candidate [`PlanChoice`], and the index is built once under it.
-//!    Nothing is estimated: no walk, no pilot index, nothing built and
+//!    [`OrderStrategy::Adaptive`] returns the default static plan — the
+//!    paper's root, then the connectivity-first greedy
+//!    ([`OrderStrategy::EdgeRank`]: the vertex with the most placed query
+//!    neighbours next, so a cycle closes as early as the tree allows) —
+//!    and a one-candidate [`PlanChoice`], and the index is built once under
+//!    it. Nothing is estimated: no walk, no pilot index, nothing built and
 //!    thrown away. `EXPLAIN`, the one reader of the served plan's cost,
 //!    takes it when it runs, from [`served_cost`]'s [`SCORE_WALKS`] random
 //!    walks over the *served* index.
@@ -102,8 +106,9 @@ impl Default for AdaptiveOptions {
 /// One member of the plan portfolio, kept for EXPLAIN.
 #[derive(Clone, Debug)]
 pub struct CandidatePlan {
-    /// Order strategy this candidate used.
-    pub strategy: OrderStrategy,
+    /// Order strategy this candidate used (`None`: an order given
+    /// explicitly, [`QueryPlan::from_parts`]).
+    pub strategy: Option<OrderStrategy>,
     /// Root vertex this candidate used.
     pub root: VertexId,
     /// The resulting matching order.
@@ -133,19 +138,19 @@ pub struct PlanChoice {
     pub candidates: Vec<CandidatePlan>,
     /// Wall time spent scoring the portfolio: zero until a re-plan.
     pub score_time: Duration,
-    /// `true` when a re-plan replaced the paper-default plan (best root,
-    /// BFS order) with a challenger.
+    /// `true` when a re-plan replaced the plan the miss served with a
+    /// challenger.
     pub replanned: bool,
 }
 
 impl PlanChoice {
     /// The one-candidate record of a plan nobody has scored yet — what a
-    /// cache miss stores beside the paper's plan (best root, BFS order) and
-    /// a later re-plan extends.
+    /// cache miss stores beside its plan (best root, default order) and a
+    /// later re-plan extends. It names the strategy `plan` was ordered by.
     pub fn unscored(plan: &QueryPlan) -> PlanChoice {
         PlanChoice {
             candidates: vec![CandidatePlan {
-                strategy: OrderStrategy::Bfs,
+                strategy: plan.strategy(),
                 root: plan.root(),
                 order: plan.matching_order().to_vec(),
                 volume: 0.0,
@@ -202,7 +207,7 @@ impl PlanChoice {
             let cost = pilot_cost(graph, &sibling, plan.initial_candidates(root));
             let bound = cost.work() + cost.work_std_error;
             scored.candidates.push(CandidatePlan {
-                strategy,
+                strategy: Some(strategy),
                 root,
                 order,
                 volume: cost.volume(),
@@ -227,9 +232,10 @@ impl PlanChoice {
 }
 
 /// Builds a plan honoring `options.order`. [`OrderStrategy::Adaptive`]
-/// plans exactly as the paper does — best root, BFS order — and returns the
-/// one-candidate decision record a later re-plan extends; any other
-/// strategy delegates to [`QueryPlan::with_options`] with no record.
+/// plans as a cache miss does — best root, the default static order
+/// (`PlanOptions::default().order`) — and returns the one-candidate
+/// decision record a later re-plan extends; any other strategy delegates to
+/// [`QueryPlan::with_options`] with no record.
 /// `_adaptive` is not read (see [`AdaptiveOptions::max_workers`]).
 pub fn plan_with_options(
     query: QueryGraph,
@@ -242,7 +248,7 @@ pub fn plan_with_options(
             query,
             graph,
             &PlanOptions {
-                order: OrderStrategy::Bfs,
+                order: PlanOptions::default().order,
                 ..plan_options.clone()
             },
         );
@@ -476,13 +482,20 @@ mod tests {
     }
 
     #[test]
-    fn a_miss_plans_what_the_paper_plans() {
+    fn a_miss_plans_the_default_order() {
         let graph = kronecker_default(9, 5, 42);
+        let default = PlanOptions::default().order;
         for pq in [PaperQuery::Qg1, PaperQuery::Qg3, PaperQuery::Qg5] {
-            let bfs = QueryPlan::new(pq.build(), &graph);
+            let fixed = QueryPlan::new(pq.build(), &graph);
             let (plan, choice) = adaptive_plan(pq.build(), &graph);
-            assert_eq!(plan.matching_order(), bfs.matching_order(), "{pq:?}");
+            assert_eq!(plan.matching_order(), fixed.matching_order(), "{pq:?}");
+            assert_eq!(plan.strategy(), Some(default));
             assert_eq!(choice.candidates.len(), 1);
+            assert_eq!(
+                choice.candidates[0].strategy,
+                Some(default),
+                "EXPLAIN names it"
+            );
             assert!(choice.candidates[0].chosen);
             assert_eq!(choice.candidates[0].work, 0.0, "a miss walks nothing");
             assert_eq!(choice.score_time, Duration::ZERO);

@@ -188,6 +188,9 @@ pub fn explain_choice(
     let lone = choice.candidates.len() == 1;
     for (i, c) in choice.candidates.iter().enumerate() {
         let order: Vec<String> = c.order.iter().map(|u| format!("u{u}")).collect();
+        let named = c
+            .strategy
+            .map_or_else(|| "Given".to_string(), |s| format!("{s:?}"));
         let (volume, work, work_error) = if lone {
             (cost.volume(), cost.work(), cost.work_std_error)
         } else {
@@ -195,8 +198,7 @@ pub fn explain_choice(
         };
         let _ = writeln!(
             out,
-            "  cand={i} strategy={:?} root=u{} volume={volume:.1} work={work:.1} work_se={work_error:.1} chosen={} order=[{}]",
-            c.strategy,
+            "  cand={i} strategy={named} root=u{} volume={volume:.1} work={work:.1} work_se={work_error:.1} chosen={} order=[{}]",
             c.root,
             if c.chosen { 1 } else { 0 },
             order.join(", "),
@@ -538,6 +540,9 @@ mod tests {
             "{report}"
         );
         assert!(report.contains("chosen=1"), "{report}");
+        // It names the order the miss was served, not a fixed one.
+        let named = format!("cand=0 strategy={:?} root=", PlanOptions::default().order);
+        assert!(report.contains(&named), "{report}");
         // The lone unscored row prints the walked numbers it was handed.
         assert!(
             report.contains(&format!(

@@ -90,12 +90,12 @@ pub mod paper {
     }
 
     /// The data graph and the paper's plan: root `u1`, BFS matching order
-    /// `(u1, u2, u3, u4, u5)`.
+    /// `(u1, u2, u3, u4, u5)` ([`PlanOptions::paper`]).
     pub fn figure1() -> (Graph, QueryPlan) {
         let graph = data_graph();
         let options = PlanOptions {
             root_override: Some(u(1)),
-            ..Default::default()
+            ..PlanOptions::paper()
         };
         let plan = QueryPlan::with_options(query_graph(), &graph, &options);
         (graph, plan)
@@ -156,7 +156,7 @@ pub mod figure5 {
         let graph = data_graph();
         let options = PlanOptions {
             root_override: Some(VertexId(0)),
-            ..Default::default()
+            ..PlanOptions::paper()
         };
         let plan = QueryPlan::with_options(query_graph(), &graph, &options);
         (graph, plan)

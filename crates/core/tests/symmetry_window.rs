@@ -87,10 +87,12 @@ fn leaf_mode(plan: &QueryPlan, ceci: &Ceci) -> LeafMode {
     LeafMode::of(plan, ceci, options(true))
 }
 
+/// The paper's BFS plan from `root`: the shapes this suite pins (which
+/// depth a cut lands on, which leaves reuse or twin) are BFS shapes.
 fn plan_rooted(query: &QueryGraph, graph: &Graph, root: VertexId) -> QueryPlan {
     let options = PlanOptions {
         root_override: Some(root),
-        ..PlanOptions::default()
+        ..PlanOptions::paper()
     };
     QueryPlan::with_options(query.clone(), graph, &options)
 }

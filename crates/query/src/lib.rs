@@ -9,7 +9,8 @@
 //!   applied globally to seed candidate sets.
 //! * [`root`] — root selection by `argmin |candidate(u)| / degree(u)`.
 //! * [`tree`] — the BFS query tree with tree / non-tree edge split.
-//! * [`order`] — matching orders: BFS (default), edge-ranked, path-ranked.
+//! * [`order`] — matching orders: edge-ranked (the default), BFS (the
+//!   paper's, [`PlanOptions::paper`]), path-ranked.
 //! * [`nec`] — NEC equivalence groups and complete Grochow–Kellis
 //!   automorphism breaking.
 //! * [`hash`] — canonical (isomorphism-invariant, label-aware) query

@@ -1,26 +1,33 @@
 //! Matching (visit) orders (§2.2).
 //!
-//! The default is the BFS traversal order of the query tree — the order the
-//! paper uses in its running example. Any order works as long as the tree
-//! parent of each node precedes it (CECI keys a node's candidates by its
-//! tree parent's candidates). The paper reports up to 34.5% speedup from
-//! edge-ranked \[53\] or path-ranked \[17\] orders; we provide greedy
-//! approximations of both as alternative strategies.
+//! Any order works as long as the tree parent of each node precedes it
+//! (CECI keys a node's candidates by its tree parent's candidates). The
+//! paper's running example visits the query tree in BFS order, and reports
+//! up to 34.5% speedup from edge-ranked \[53\] or path-ranked \[17\] orders;
+//! we provide greedy approximations of both. The default
+//! ([`crate::PlanOptions`]) is the edge-ranked greedy: it takes the
+//! most-constrained vertex next, so a cyclic query closes its non-tree
+//! edges as early as the tree allows instead of expanding the root's
+//! children one after another. BFS stays the paper's configuration
+//! ([`crate::PlanOptions::paper`]).
 
 use ceci_graph::VertexId;
 
+use crate::plan::PlanOptions;
 use crate::query_graph::QueryGraph;
 use crate::tree::QueryTree;
 
-/// Strategy for choosing the matching order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+/// Strategy for choosing the matching order. The default is
+/// `PlanOptions::default().order`, and nowhere else.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OrderStrategy {
-    /// Plain BFS order of the query tree (the paper's default).
-    #[default]
+    /// Plain BFS order of the query tree (the paper's running example).
     Bfs,
-    /// Edge-ranked greedy: among eligible vertices, prefer the one with the
-    /// most already-placed query neighbors (maximally constrained first),
-    /// breaking ties toward fewer candidates. Approximates \[53\].
+    /// Edge-ranked greedy, connectivity first (the default): among
+    /// vertices whose tree parent is placed, prefer the one with the most
+    /// already-placed query neighbors (maximally constrained first),
+    /// breaking ties toward fewer candidates, then toward the lower id.
+    /// Approximates \[53\].
     EdgeRank,
     /// Path-ranked greedy: among eligible vertices, prefer the one with the
     /// fewest candidates (most selective first), breaking ties toward more
@@ -30,8 +37,8 @@ pub enum OrderStrategy {
     /// candidate orders (BFS plus the ranked greedies over several roots)
     /// with the random-walk cardinality estimator and picks the cheapest.
     /// When passed directly to [`matching_order`] — i.e. without the
-    /// planner — it falls back to [`OrderStrategy::PathRank`], the best
-    /// static heuristic.
+    /// planner — it falls back to the default static order
+    /// (`PlanOptions::default().order`).
     Adaptive,
 }
 
@@ -54,9 +61,11 @@ pub fn matching_order(
             greedy_order(query, tree, strategy, candidate_counts)
         }
         // Without the core-layer planner there is no estimator to consult;
-        // degrade to the most selective static heuristic.
+        // degrade to the default static order.
         OrderStrategy::Adaptive => {
-            greedy_order(query, tree, OrderStrategy::PathRank, candidate_counts)
+            let fallback = PlanOptions::default().order;
+            debug_assert_ne!(fallback, OrderStrategy::Adaptive);
+            matching_order(query, tree, fallback, candidate_counts)
         }
     }
 }
@@ -207,12 +216,13 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_without_planner_matches_path_rank() {
+    fn adaptive_without_planner_matches_the_default_order() {
         let (q, t) = house();
         let counts = vec![100, 100, 100, 1, 100];
         let adaptive = matching_order(&q, &t, OrderStrategy::Adaptive, &counts);
-        let path = matching_order(&q, &t, OrderStrategy::PathRank, &counts);
-        assert_eq!(adaptive, path);
+        let default = matching_order(&q, &t, PlanOptions::default().order, &counts);
+        assert_eq!(PlanOptions::default().order, OrderStrategy::EdgeRank);
+        assert_eq!(adaptive, default);
         assert!(is_valid_order(&t, &adaptive));
     }
 

@@ -1,10 +1,10 @@
 //! The query plan: everything preprocessing produces (§2.2), bundled.
 //!
-//! A [`QueryPlan`] fixes the root, the BFS query tree, the matching order,
-//! the orientation of non-tree edges relative to that order, and the
-//! compiled symmetry-breaking bounds. CECI construction and every
-//! enumeration engine consume plans, so all engines agree on the search
-//! shape and results are directly comparable.
+//! A [`QueryPlan`] fixes the root, the BFS query tree, the matching order
+//! (and the [`OrderStrategy`] that chose it), the orientation of non-tree
+//! edges relative to that order, and the compiled symmetry-breaking bounds.
+//! CECI construction and every enumeration engine consume plans, so all
+//! engines agree on the search shape and results are directly comparable.
 
 use std::sync::Arc;
 
@@ -23,7 +23,10 @@ const SYMMETRY_STEP_CAP: u64 = 1_000_000;
 /// Options controlling plan construction.
 #[derive(Clone, Debug)]
 pub struct PlanOptions {
-    /// Matching-order strategy (default BFS, as in the paper's examples).
+    /// Matching-order strategy. The default is
+    /// [`OrderStrategy::EdgeRank`], the connectivity-first greedy: on a
+    /// cyclic query it closes non-tree edges before it expands cross
+    /// products. [`PlanOptions::paper`] keeps the paper's BFS order.
     pub order: OrderStrategy,
     /// Enforce automorphism breaking (§2.2). When off, or when the
     /// automorphism search exceeds its step budget, duplicates may be
@@ -36,9 +39,21 @@ pub struct PlanOptions {
 impl Default for PlanOptions {
     fn default() -> Self {
         PlanOptions {
-            order: OrderStrategy::Bfs,
+            order: OrderStrategy::EdgeRank,
             break_symmetry: true,
             root_override: None,
+        }
+    }
+}
+
+impl PlanOptions {
+    /// The paper's §2.2 configuration: the min-`|C(u)|/deg(u)` root and
+    /// the BFS order of its query tree. The paper's figures, tables and
+    /// running example are reproduced under it.
+    pub fn paper() -> Self {
+        PlanOptions {
+            order: OrderStrategy::Bfs,
+            ..PlanOptions::default()
         }
     }
 }
@@ -49,6 +64,9 @@ pub struct QueryPlan {
     query: QueryGraph,
     tree: QueryTree,
     matching_order: Vec<VertexId>,
+    /// The strategy that chose `matching_order`; `None` for an order given
+    /// explicitly ([`QueryPlan::from_parts`]).
+    strategy: Option<OrderStrategy>,
     /// `position[u]` = index of query vertex `u` in the matching order.
     position: Vec<usize>,
     /// Per query vertex: non-tree neighbors that appear *earlier* in the
@@ -195,7 +213,7 @@ impl QueryPlan {
             .collect();
         let order = matching_order(&query, &tree, strategy, &counts);
         debug_assert!(is_valid_order(&tree, &order));
-        Self::assemble(
+        let mut plan = Self::assemble(
             query,
             tree,
             order,
@@ -203,7 +221,9 @@ impl QueryPlan {
             sets_graph,
             symmetry,
             symmetry_complete,
-        )
+        );
+        plan.strategy = Some(strategy);
+        plan
     }
 
     /// Builds a plan from preassembled parts (used by tests and by engines
@@ -277,6 +297,7 @@ impl QueryPlan {
             query,
             tree,
             matching_order: order,
+            strategy: None,
             position,
             backward_nte,
             forward_nte,
@@ -311,6 +332,13 @@ impl QueryPlan {
     #[inline]
     pub fn matching_order(&self) -> &[VertexId] {
         &self.matching_order
+    }
+
+    /// The strategy that chose the matching order: `None` when the order
+    /// was given ([`QueryPlan::from_parts`]).
+    #[inline]
+    pub fn strategy(&self) -> Option<OrderStrategy> {
+        self.strategy
     }
 
     /// Position of `u` in the matching order.
@@ -462,8 +490,8 @@ mod tests {
     fn symmetry_bounds_split_by_position() {
         let g = triangle_data();
         let plan = QueryPlan::new(PaperQuery::Qg1.build(), &g);
-        // All constraints are between earlier/later pairs; in a triangle with
-        // BFS order the chain 0<1<2 compiles to lower bounds only.
+        // All constraints are between earlier/later pairs; in a triangle
+        // ordered 0, 1, 2 the chain 0<1<2 compiles to lower bounds only.
         let total_lower: usize = plan
             .query()
             .vertices()
@@ -518,6 +546,8 @@ mod tests {
                 );
                 let sibling = plan.reordered(root, order);
                 assert_eq!(sibling.matching_order(), fresh.matching_order());
+                assert_eq!(sibling.strategy(), Some(order));
+                assert_eq!(fresh.strategy(), Some(order));
                 assert_eq!(sibling.symmetry_constraints(), fresh.symmetry_constraints());
                 for u in plan.query().vertices() {
                     assert_eq!(sibling.backward_nte(u), fresh.backward_nte(u));
@@ -600,6 +630,7 @@ mod tests {
         let path = QueryGraph::with_labels(&labels, &[(0, 1), (1, 2), (2, 3)]).unwrap();
         let order = vec![vid(0), vid(1), vid(2), vid(3)];
         let plan = QueryPlan::from_parts(path, vid(0), order, &g, Vec::new(), true);
+        assert_eq!(plan.strategy(), None, "a given order has no strategy");
         assert!(plan.boundary(0).is_empty());
         assert_eq!(plan.boundary(1), &[vid(0)]);
         assert_eq!(plan.boundary(2), &[vid(1)]);

@@ -251,7 +251,8 @@ fn quarantined(state: &ServerState, when: &str) -> Vec<String> {
     )
 }
 
-/// The build of a miss: the paper's plan (best root, BFS order) with the
+/// The build of a miss: the default plan (the paper's root, the
+/// connectivity-first order, [`QueryPlan::new`]) with the
 /// one-candidate decision record a later re-plan extends, one CECI build,
 /// phase latencies recorded (filter = Algorithm 1, refine = Algorithm 2).
 /// The leader of the key's flight publishes through `guard` (cached, its

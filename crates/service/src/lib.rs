@@ -36,8 +36,10 @@
 //!   the frozen build ([`registry`], [`cache`]) — and `REGISTER`ed **continuous
 //!   queries** emit per-batch embedding-count deltas (`EVENT DELTA`)
 //!   to their connection ([`server`]),
-//! * **rent BFS, buy the portfolio**: a cache miss plans as the paper does
-//!   and builds that index, estimating nothing (a `MATCH` drains on its own
+//! * **rent the connectivity-first plan, buy the portfolio**: a cache miss
+//!   plans the paper's root with the default connectivity-first order
+//!   (the most-constrained vertex next) and builds that index, estimating
+//!   nothing (a `MATCH` drains on its own
 //!   `WORKERS n`, one worker without it); the plan portfolio is
 //!   scored at most once per cached entry, and only after the entry's own
 //!   reuse has spent as much enumeration work as scoring and one rebuild

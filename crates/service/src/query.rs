@@ -247,7 +247,7 @@ pub(crate) fn exec_match(
         ))),
         ExecPath::Sharded { query, sub_epoch } => {
             // The plan is the *fixed* deterministic one (`QueryPlan::new`,
-            // BFS order) — shards replay it from the PREPARE line, so
+            // the default order) — shards replay it from the PREPARE line, so
             // coordinator and shards agree bit-for-bit on candidates, order,
             // and symmetry constraints. Pivots go out as file ids.
             let shards = state.shards().expect("a sharded path has shards");

@@ -47,6 +47,7 @@
 //! for the sets instead.
 
 use std::collections::VecDeque;
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
@@ -154,9 +155,10 @@ impl GraphEntry {
     }
 
     /// `edges` given in file ids, as every wire id is, in entry ids. They
-    /// are range-checked before they are translated, so an out-of-range
-    /// edge is refused with the file ids and the text
-    /// [`GraphEntry::apply_batch`] uses.
+    /// are range-checked here, where wire ids enter and before
+    /// [`Ranking::rank`] would index out of range: an out-of-range edge is
+    /// refused with the file ids it was sent with, and nothing is applied.
+    /// This is the one range check a `BATCH` passes.
     pub fn entry_edges(
         &self,
         edges: &[(VertexId, VertexId)],
@@ -225,17 +227,23 @@ impl GraphEntry {
     /// compacts once `compact_threshold` net mutations are pending against
     /// `base`.
     ///
-    /// Returns `Err` when any endpoint is out of range for the graph; no
-    /// mutation is applied in that case.
+    /// Precondition: every endpoint is in range, as
+    /// [`GraphEntry::entry_edges`] returns them (debug builds assert it;
+    /// [`Graph::with_batch`] panics on one that is not). It cannot fail
+    /// otherwise: the error type is [`Infallible`].
     pub fn apply_batch(
         &self,
         adds: &[(VertexId, VertexId)],
         dels: &[(VertexId, VertexId)],
         compact_threshold: usize,
         dirty_log_cap: usize,
-    ) -> Result<BatchOutcome, String> {
+    ) -> Result<BatchOutcome, Infallible> {
         let mut st = self.stream.write().expect("stream lock poisoned");
-        check_range(adds.iter().chain(dels), st.current.num_vertices())?;
+        debug_assert_eq!(
+            check_range(adds.iter().chain(dels), st.current.num_vertices()),
+            Ok(()),
+            "a batch's edges are range-checked by `entry_edges`"
+        );
         let old_graph = Arc::clone(&st.current);
         let Some((added, deleted, mut fresh)) = old_graph.with_batch(adds, dels) else {
             return Ok(BatchOutcome {
@@ -526,11 +534,15 @@ mod tests {
     fn out_of_range_rejected_without_effect() {
         let r = GraphRegistry::new();
         let (e, _) = r.insert("g", path4());
-        assert!(e
-            .apply_batch(&[(vid(0), vid(99))], &[], 1_000_000, 8)
-            .is_err());
+        let before = e.graph();
+        assert_eq!(
+            e.entry_edges(&[(vid(0), vid(1)), (vid(0), vid(99))]),
+            Err("edge (0, 99) out of range for a graph of 4 vertices".to_string())
+        );
         assert_eq!(e.sub_epoch(), 0);
         assert_eq!(e.pending(), 0);
+        assert!(Arc::ptr_eq(&e.graph(), &before), "no snapshot published");
+        assert!(e.dirty_endpoints_since(0).unwrap().is_empty());
     }
 
     #[test]

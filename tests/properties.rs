@@ -39,6 +39,33 @@ fn arb_graph() -> impl PropStrategy<Value = Graph> {
     })
 }
 
+/// [`arb_graph`]'s shapes with multi-labelled vertices: each carries one
+/// or two labels of a 2- or 3-label alphabet, so one data vertex can match
+/// query vertices of different labels.
+fn arb_multi_labeled_graph() -> impl PropStrategy<Value = Graph> {
+    (arb_graph(), 2u32..=3, any::<u64>()).prop_map(|(graph, labels, seed)| {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let label_sets: Vec<LabelSet> = graph
+            .vertices()
+            .map(|_| {
+                let first = lid(rng.gen_range(0..labels));
+                match rng.gen_bool(0.5) {
+                    true => LabelSet::from_labels([first, lid(rng.gen_range(0..labels))]),
+                    false => LabelSet::single(first),
+                }
+            })
+            .collect();
+        let edges: Vec<_> = graph
+            .vertices()
+            .flat_map(|a| graph.neighbors(a).iter().map(move |&b| (a, b)))
+            .filter(|(a, b)| a < b)
+            .collect();
+        Graph::new(label_sets, &edges, false)
+    })
+}
+
 /// One of a fixed set of query shapes, with labels drawn to match the data
 /// alphabet (label 0 always exists).
 fn arb_query() -> impl PropStrategy<Value = QueryGraph> {
@@ -305,18 +332,43 @@ proptest! {
         }
     }
 
+    /// Every order from every root lists the same embeddings, and counts
+    /// them as the reference matcher does under the served options: a
+    /// count-only drain with `prune_redundant` (TALLY, REUSE, REUSE_ORDERED,
+    /// TWINS and the clean-cut memo), on the graph ranked as `LOAD` ranks
+    /// it. The default order builds shapes the BFS-pinned suites never
+    /// build (a twin tail of K2,3 from `u0`, say).
     #[test]
-    fn matching_orders_do_not_change_results(graph in arb_graph(), query in arb_query()) {
-        let mut results = Vec::new();
-        for order in [OrderStrategy::Bfs, OrderStrategy::EdgeRank, OrderStrategy::PathRank] {
-            let plan = QueryPlan::with_options(query.clone(), &graph, &PlanOptions {
-                order,
-                ..Default::default()
-            });
-            let ceci = Ceci::build(&graph, &plan);
-            results.push(ceci::core::collect_embeddings(&graph, &plan, &ceci));
+    fn matching_orders_do_not_change_results(
+        graph in prop_oneof![arb_graph(), arb_multi_labeled_graph()],
+        query in prop_oneof![
+            arb_query(),
+            Just(QueryGraph::unlabeled(5, &[(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]).unwrap()),
+        ],
+    ) {
+        let (graph, _) = ceci::graph::rank_by_label_and_degree(&graph);
+        let served = ParallelOptions {
+            workers: 1,
+            strategy: DistStrategy::Static,
+            enumeration: EnumOptions {
+                prune_redundant: true,
+                ..EnumOptions::default()
+            },
+            ..Default::default()
+        };
+        let default = QueryPlan::new(query.clone(), &graph);
+        let constraints = default.symmetry_constraints();
+        let expected = ceci::baselines::reference::count_all(&graph, &query, constraints);
+        let listed = enumerate_all(&graph, &query, constraints);
+        for root in query.vertices() {
+            for order in [OrderStrategy::Bfs, OrderStrategy::EdgeRank, OrderStrategy::PathRank] {
+                let plan = default.reordered(root, order);
+                let ceci = Ceci::build(&graph, &plan);
+                let collected = ceci::core::collect_embeddings(&graph, &plan, &ceci);
+                prop_assert_eq!(&collected, &listed, "{:?} from {:?}", order, root);
+                let counted = enumerate_parallel(&graph, &plan, &ceci, &served).total_embeddings;
+                prop_assert_eq!(counted, expected, "{:?} from {:?}", order, root);
+            }
         }
-        prop_assert_eq!(&results[0], &results[1]);
-        prop_assert_eq!(&results[0], &results[2]);
     }
 }

@@ -566,19 +566,25 @@ fn explain_analyze_profile_sums_match_global_counters() {
             assert!(cut && hits > 0, "{name}: {:?}", resp.payload);
         }
         // The estimate row above a clean cut counts every search that
-        // entered the cut, its memo hits included: on `g` (cut at depth 3,
-        // two hits) 205 walked searches and 2 answered from the memo.
-        if *name == "g" {
+        // entered the cut, its memo hits included: on `p` (cut at depth 2,
+        // fifteen hits) 3 walked searches and 15 answered from the memo.
+        if *name == "p" {
             let row = resp
                 .payload
                 .iter()
-                .find(|l| l.starts_with("| estimate depth=2 "));
-            let row = row.expect("estimate row of depth 2");
+                .find(|l| l.starts_with("| estimate depth=1 "));
+            let row = row.expect("estimate row of depth 1");
             assert!(
-                resp.payload.iter().any(|l| l.contains(" cut depth=3 ")),
+                resp.payload.iter().any(|l| l.contains(" cut depth=2 ")),
                 "{resp:?}"
             );
-            assert_eq!((kv(row, "actual"), hits), (Some(207), 2), "{row}");
+            let walked = depth_rows.iter().find(|l| l.starts_with("| depth=2 "));
+            let walked = kv(walked.expect("depth 2 row"), "calls");
+            assert_eq!(
+                (kv(row, "actual"), walked, hits),
+                (Some(18), Some(3), 15),
+                "{row}"
+            );
         }
 
         // ANALYZE profiles the enumeration `MATCH` runs, not another one:
@@ -1488,8 +1494,8 @@ fn adaptive_counts_bit_identical_to_raw_and_fixed() {
 
     for (size, seed) in [(3, 41), (4, 42), (5, 43), (6, 44)] {
         let pattern = query_from(&graph, size, seed);
-        // The fixed-BFS reference: the paper's plan, built and counted
-        // outside the server.
+        // The reference: the default plan, built and counted outside the
+        // server.
         let expected = direct_count(&graph, &pattern);
         let query_path = scratch.write_graph(&format!("q{size}-{seed}.graph"), &pattern);
         // Adaptive plan: the miss, then the hit.
@@ -1511,8 +1517,8 @@ fn adaptive_counts_bit_identical_to_raw_and_fixed() {
     }
 
     // The post-re-plan entry: the order-sensitive template served until its
-    // reuse has bought the portfolio and a challenger order has replaced the
-    // BFS one, then the same four ways again.
+    // reuse has bought the portfolio and a challenger has replaced the
+    // plan the miss served, then the same four ways again.
     let (graph, pattern) = order_sensitive();
     let expected = direct_count(&graph, &pattern);
     let graph_path = scratch.write_graph("skewed.graph", &graph);
@@ -1544,14 +1550,16 @@ fn adaptive_counts_bit_identical_to_raw_and_fixed() {
 }
 
 // ---------------------------------------------------------------------------
-// Rent BFS, buy the portfolio: a miss plans once, and an entry re-plans at
-// most once, only after its own reuse has paid for it.
+// Rent the connectivity-first plan, buy the portfolio: a miss plans once,
+// and an entry re-plans at most once, only after its own reuse has paid for
+// it.
 // ---------------------------------------------------------------------------
 
 /// An Erdős–Rényi graph under a skewed 55/25/15/5 four-label alphabet, and a
-/// five-vertex template whose BFS order does about ten times the work of the
-/// best portfolio order on it — a gap no estimate's noise can hide, so its
-/// re-plan must happen, and must replace the plan.
+/// five-vertex cyclic template whose served plan (the paper's root, the
+/// default order) does about ten times the work of the best portfolio
+/// member, which starts from another root — a gap no estimate's noise can
+/// hide, so its re-plan must happen, and must replace the plan.
 fn order_sensitive() -> (Graph, Graph) {
     let (graph, extracted) = order_sensitive_with_witness();
     (graph, extracted.pattern)
@@ -1559,10 +1567,10 @@ fn order_sensitive() -> (Graph, Graph) {
 
 /// [`order_sensitive`] with the embedding the template was carved from.
 fn order_sensitive_with_witness() -> (Graph, ceci_graph::ExtractedQuery) {
-    let base = erdos_renyi(600, 3_000, 0xADA9);
+    let base = erdos_renyi(600, 3_000, 0xADAE);
     let mut b = ceci_graph::GraphBuilder::new();
     for v in base.vertices() {
-        let label = match ceci_query::splitmix64(v.0 as u64 ^ 0xADA9) % 100 {
+        let label = match ceci_query::splitmix64(v.0 as u64 ^ 0xADAE) % 100 {
             0..=54 => 0,
             55..=79 => 1,
             80..=94 => 2,
@@ -1578,7 +1586,7 @@ fn order_sensitive_with_witness() -> (Graph, ceci_graph::ExtractedQuery) {
         }
     }
     let graph = b.build();
-    let extracted = extract_query(&graph, 5, 7, 10).expect("extractable query");
+    let extracted = extract_query(&graph, 5, 66, 10).expect("extractable query");
     (graph, extracted)
 }
 
