@@ -97,9 +97,8 @@ pub struct CostEstimate {
     pub depth_work: Vec<f64>,
     /// Standard error of [`CostEstimate::work`]: the walks' per-walk work
     /// totals are averaged exactly like their weights, so the same sample
-    /// variance prices the score's own noise. A re-plan challenger must
-    /// beat the incumbent by more than this
-    /// ([`crate::adaptive::PlanChoice::score_challengers`]).
+    /// variance prices the score's own noise. `EXPLAIN` prints it beside
+    /// [`CostEstimate::work`] as `work_se=`.
     pub work_std_error: f64,
 }
 
@@ -125,27 +124,11 @@ impl CostEstimate {
         self.depth_volumes.iter().sum()
     }
 
-    /// The planner's scalar score: estimated intersection comparisons plus
-    /// one unit per intermediate result (the constant per-node bookkeeping).
-    /// Smaller means a cheaper plan.
+    /// Estimated enumeration work: intersection comparisons plus one unit
+    /// per intermediate result (the constant per-node bookkeeping). Smaller
+    /// means a cheaper plan.
     pub fn work(&self) -> f64 {
         self.depth_work.iter().sum::<f64>() + self.volume()
-    }
-
-    /// Scales the estimate by `factor` — used when walks ran over a pilot
-    /// index built from a sampled pivot subset, so counts must be
-    /// extrapolated back to the full pivot population.
-    pub fn scaled(&self, factor: f64) -> CostEstimate {
-        CostEstimate {
-            estimate: Estimate {
-                mean: self.estimate.mean * factor,
-                std_error: self.estimate.std_error * factor,
-                ..self.estimate
-            },
-            depth_volumes: self.depth_volumes.iter().map(|v| v * factor).collect(),
-            depth_work: self.depth_work.iter().map(|w| w * factor).collect(),
-            work_std_error: self.work_std_error * factor,
-        }
     }
 }
 
@@ -406,18 +389,6 @@ mod tests {
         );
         assert!(fewer.work_std_error > cost.work_std_error);
         assert_eq!(cost.depth_volumes.len(), plan.query().num_vertices());
-    }
-
-    #[test]
-    fn cost_estimate_scaling() {
-        let (graph, plan) = figure5::setup();
-        let ceci = Ceci::build(&graph, &plan);
-        let cost = estimate_cost(&graph, &plan, &ceci, &EstimateOptions::default());
-        let doubled = cost.scaled(2.0);
-        assert_eq!(doubled.estimate.mean, cost.estimate.mean * 2.0);
-        assert_eq!(doubled.volume(), cost.volume() * 2.0);
-        assert_eq!(doubled.work_std_error, cost.work_std_error * 2.0);
-        assert_eq!(doubled.estimate.walks, cost.estimate.walks);
     }
 
     #[test]

@@ -11,7 +11,6 @@ use std::fmt::Write as _;
 use ceci_graph::{Graph, VertexId};
 use ceci_query::QueryPlan;
 
-use crate::adaptive::{PlanChoice, Reuse};
 use crate::enumerate::{memo_cut, EnumOptions, LeafMode};
 use crate::estimate::CostEstimate;
 use crate::index::Ceci;
@@ -80,8 +79,8 @@ pub fn explain_profile(plan: &QueryPlan, profile: &DepthProfile, counters: &Coun
 /// `sets` names the snapshot the plan's candidate sets — the listed
 /// `initial candidates` — were computed on, for the section header; it is
 /// marked `(lagging)` when that is not `graph` (a plan retained across
-/// repairs: its index was built from current sets, these counts and a
-/// re-plan's pilots read the retained ones).
+/// repairs: its index was built from current sets, these counts read the
+/// retained ones).
 pub fn explain_plan(
     plan: &QueryPlan,
     ceci: &Ceci,
@@ -161,49 +160,36 @@ pub fn explain_plan(
     out
 }
 
-/// Renders the adaptive planner's decision record: where the entry's
-/// rent/buy ledger stands (whether the portfolio has been scored, the work
-/// spent on the entry and the price of re-planning it, same unit), every
-/// plan weighed so far, and the execution: the drain's `strategy` and
-/// `workers`, and `cost`, the served plan's estimate
-/// ([`crate::served_cost`] over the served index, taken by the caller). The
-/// lone row of an unscored record prints its numbers from `cost`.
-pub fn explain_choice(
-    choice: &PlanChoice,
-    reuse: &Reuse,
+/// Renders the served plan and its execution: one `plan:` row (the order
+/// strategy, root and matching order of `plan`, with the volume, work and
+/// its standard error of `cost`, the served plan's estimate —
+/// [`crate::served_cost`] over the served index, taken by the caller), then
+/// one `exec:` row (the drain's `strategy` and `workers`, and the count
+/// `cost` estimates).
+pub fn explain_served(
+    plan: &QueryPlan,
     cost: &CostEstimate,
     strategy: Strategy,
     workers: usize,
 ) -> String {
     let mut out = String::new();
-    let (spent, scored) = reuse.snapshot();
+    let order: Vec<String> = plan
+        .matching_order()
+        .iter()
+        .map(|u| format!("u{u}"))
+        .collect();
+    let named = plan
+        .strategy()
+        .map_or_else(|| "Given".to_string(), |s| format!("{s:?}"));
     let _ = writeln!(
         out,
-        "plan choice: scored={scored} spent={spent} price={} candidates={} score_us={} replanned={}",
-        reuse.price().total(),
-        choice.candidates.len(),
-        choice.score_time.as_micros(),
-        choice.replanned,
+        "plan: strategy={named} root=u{} volume={:.1} work={:.1} work_se={:.1} order=[{}]",
+        plan.root(),
+        cost.volume(),
+        cost.work(),
+        cost.work_std_error,
+        order.join(", "),
     );
-    let lone = choice.candidates.len() == 1;
-    for (i, c) in choice.candidates.iter().enumerate() {
-        let order: Vec<String> = c.order.iter().map(|u| format!("u{u}")).collect();
-        let named = c
-            .strategy
-            .map_or_else(|| "Given".to_string(), |s| format!("{s:?}"));
-        let (volume, work, work_error) = if lone {
-            (cost.volume(), cost.work(), cost.work_std_error)
-        } else {
-            (c.volume, c.work, c.work_error)
-        };
-        let _ = writeln!(
-            out,
-            "  cand={i} strategy={named} root=u{} volume={volume:.1} work={work:.1} work_se={work_error:.1} chosen={} order=[{}]",
-            c.root,
-            if c.chosen { 1 } else { 0 },
-            order.join(", "),
-        );
-    }
     let est = &cost.estimate;
     let (lo, hi) = est.ci95();
     let _ = writeln!(
@@ -229,7 +215,10 @@ pub fn explain_choice(
 /// either side is zero. A [`LeafMode::Twins`] tail is answered in closed
 /// form from its first twin on and credited to the last depth, so the rows
 /// from the first twin to the penultimate depth observe nothing and print
-/// `actual=- qerr=- (closed form)`.
+/// `actual=- qerr=- (closed form)`. Likewise, once the run answered a key
+/// from the memo, the searches below the clean cut are only the walked
+/// ones: the rows from the cut to the penultimate depth print
+/// `actual=- qerr=- (memoised)`.
 pub fn explain_estimates(
     plan: &QueryPlan,
     ceci: &Ceci,
@@ -246,13 +235,24 @@ pub fn explain_estimates(
         _ => 0..0,
     };
     let cut = memo_cut(ceci, options).map(|cut| cut.depth);
+    let memoised = match cut {
+        Some(c) if counters.memo_hits > 0 => c..n - 1,
+        _ => 0..0,
+    };
     let mut out = String::new();
     for (d, &est) in cost.depth_volumes.iter().enumerate().take(n) {
         let node = order[d];
-        if closed.contains(&d) {
+        let unobserved = if closed.contains(&d) {
+            Some("closed form")
+        } else if memoised.contains(&d) {
+            Some("memoised")
+        } else {
+            None
+        };
+        if let Some(why) = unobserved {
             let _ = writeln!(
                 out,
-                "estimate depth={d} node=u{node} est={est:.1} actual=- qerr=- (closed form)",
+                "estimate depth={d} node=u{node} est={est:.1} actual=- qerr=- ({why})",
             );
             continue;
         }
@@ -514,45 +514,31 @@ mod tests {
     }
 
     #[test]
-    fn choice_report_lists_candidates_and_exec() {
-        use crate::adaptive::{plan_with_options, replan_price, served_cost, AdaptiveOptions};
-        use ceci_query::{OrderStrategy, PlanOptions};
+    fn served_report_names_the_plan_and_exec() {
+        use crate::adaptive::served_cost;
+        use ceci_query::PlanOptions;
         let (graph, plan) = paper::figure1();
-        let (plan, choice) = plan_with_options(
-            plan.query().clone(),
-            &graph,
-            &PlanOptions {
-                order: OrderStrategy::Adaptive,
-                ..PlanOptions::default()
-            },
-            &AdaptiveOptions::default(),
-        );
-        let choice = choice.expect("the adaptive strategy records its choice");
+        let plan = QueryPlan::new(plan.query().clone(), &graph);
         let ceci = Ceci::build(&graph, &plan);
         let cost = served_cost(&graph, &plan, &ceci);
-        let reuse = Reuse::new(replan_price(&plan, &ceci));
-        let report = explain_choice(&choice, &reuse, &cost, Strategy::Static, 1);
-        assert!(
-            report.contains(&format!(
-                "plan choice: scored=false spent=0 price={} candidates=1",
-                reuse.price().total()
-            )),
-            "{report}"
+        let report = explain_served(&plan, &cost, Strategy::Static, 1);
+        let order: Vec<String> = plan
+            .matching_order()
+            .iter()
+            .map(|u| format!("u{u}"))
+            .collect();
+        // One row names the order the miss was served, with the walked
+        // numbers it was handed.
+        let row = format!(
+            "plan: strategy={:?} root=u{} volume={:.1} work={:.1} work_se={:.1} order=[{}]",
+            PlanOptions::default().order,
+            plan.root(),
+            cost.volume(),
+            cost.work(),
+            cost.work_std_error,
+            order.join(", "),
         );
-        assert!(report.contains("chosen=1"), "{report}");
-        // It names the order the miss was served, not a fixed one.
-        let named = format!("cand=0 strategy={:?} root=", PlanOptions::default().order);
-        assert!(report.contains(&named), "{report}");
-        // The lone unscored row prints the walked numbers it was handed.
-        assert!(
-            report.contains(&format!(
-                "volume={:.1} work={:.1} work_se={:.1} chosen=1",
-                cost.volume(),
-                cost.work(),
-                cost.work_std_error
-            )),
-            "{report}"
-        );
+        assert_eq!(report.lines().next(), Some(row.as_str()), "{report}");
         assert!(
             report.contains(&format!(
                 "exec: strategy=ST workers=1 est_count={:.1}",
@@ -560,6 +546,7 @@ mod tests {
             )),
             "{report}"
         );
+        assert_eq!(report.lines().count(), 2, "{report}");
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! per-adjacency-entry test here is one bit of
 //! [`ceci_query::candidates::CandidateSet`] — no filter runs during the
 //! build, and the bitsets, living with the plan, are paid for once however
-//! many (full, per-pivot, pilot) builds read them. The plan's sets must
+//! many (full or per-pivot) builds read them. The plan's sets must
 //! therefore describe `graph` ([`QueryPlan::describes`]); the served entry
 //! points in [`crate::index`] assert it.
 //!

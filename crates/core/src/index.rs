@@ -61,10 +61,9 @@ pub struct BuildStats {
     /// Wall time of Algorithm 2.
     pub refine_time: Duration,
     /// The summed degree of every Algorithm 1 frontier — the build's work
-    /// as an exact, replayable count, and the re-plan price
-    /// ([`crate::adaptive::replan_price`] prices a rebuild with it). Not the
-    /// adjacency entries tested: the filter reads only the span of each
-    /// list that holds the child's candidates.
+    /// as an exact, replayable count. Not the adjacency entries tested: the
+    /// filter reads only the span of each list that holds the child's
+    /// candidates.
     pub filter_scans: u64,
     /// Final index heap bytes.
     pub size_bytes: usize,

@@ -45,10 +45,7 @@ pub mod sink;
 pub mod tables;
 pub mod twins;
 
-pub use adaptive::{
-    plan_with_options, replan_price, served_cost, AdaptiveOptions, CandidatePlan, Observed,
-    PlanChoice, ReplanPrice, Reuse,
-};
+pub use adaptive::{plan_with_options, served_cost, AdaptiveOptions, PlanChoice};
 pub use batch::{enumerate_from_frontier, PrefixSpec};
 pub use bitmap::VertexBitmap;
 pub use delta::{batch_delta, count_matches_using, BatchDelta};
@@ -60,7 +57,7 @@ pub use estimate::{
     estimate_cost, estimate_embeddings, estimate_pivots, CostEstimate, Estimate, EstimateOptions,
 };
 pub use explain::{
-    cluster_skew, explain_choice, explain_estimates, explain_index, explain_plan, explain_profile,
+    cluster_skew, explain_estimates, explain_index, explain_plan, explain_profile, explain_served,
     ClusterSkew,
 };
 pub use extreme::{decompose, decompose_with, WorkUnit};

@@ -7,7 +7,7 @@
 //! `(degree, file id)` order the numbering had before. So a plan, its
 //! index and its enumeration must do exactly the work they do under a
 //! `(degree, file id)` numbering, built here from an edge list: the same
-//! matching order, frontier degree sum (the re-plan price), TE / NTE entry
+//! matching order, frontier degree sum, TE / NTE entry
 //! counts, embeddings, intersections and recursive calls.
 
 use ceci_core::{enumerate_sequential, Ceci, CountSink, EnumOptions};

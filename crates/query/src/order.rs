@@ -33,12 +33,11 @@ pub enum OrderStrategy {
     /// fewest candidates (most selective first), breaking ties toward more
     /// placed neighbors. Approximates TurboIso's least-frequent-path order.
     PathRank,
-    /// Cost-model-driven: the core-layer planner scores a portfolio of
-    /// candidate orders (BFS plus the ranked greedies over several roots)
-    /// with the random-walk cardinality estimator and picks the cheapest.
-    /// When passed directly to [`matching_order`] — i.e. without the
-    /// planner — it falls back to the default static order
-    /// (`PlanOptions::default().order`).
+    /// The default static order (`PlanOptions::default().order`), here and
+    /// in the core layer's `plan_with_options`, which plans it as a cache
+    /// miss does. Nothing scores orders any more: the variant is kept only
+    /// because the perf ledger's replay (`benchmark/`) names it, and is
+    /// retired by the `benchmark` change that stops naming it.
     Adaptive,
 }
 
@@ -60,8 +59,6 @@ pub fn matching_order(
         OrderStrategy::EdgeRank | OrderStrategy::PathRank => {
             greedy_order(query, tree, strategy, candidate_counts)
         }
-        // Without the core-layer planner there is no estimator to consult;
-        // degrade to the default static order.
         OrderStrategy::Adaptive => {
             let fallback = PlanOptions::default().order;
             debug_assert_ne!(fallback, OrderStrategy::Adaptive);

@@ -150,8 +150,8 @@ impl QueryPlan {
     /// The same root, matching order and symmetry bounds with candidate
     /// sets that describe `graph`: a clone when they already do, otherwise
     /// one candidate scan of `graph`. This is how a plan retained across
-    /// snapshots (a repair, a re-plan's winner) becomes buildable on the
-    /// current one without re-deciding anything.
+    /// snapshots by a repair becomes buildable on the current one without
+    /// re-deciding anything.
     pub fn on_graph(&self, graph: &Graph) -> Self {
         let mut plan = self.clone();
         if !self.describes(graph) {
@@ -186,8 +186,7 @@ impl QueryPlan {
     /// `self`'s root, matching order and symmetry bounds over the candidate
     /// sets of `current`, a plan of the same query — what
     /// [`QueryPlan::on_graph`] returns, with the scan `current` already paid
-    /// for shared instead of repeated (one scan serves every sibling a
-    /// re-plan weighs).
+    /// for shared instead of repeated.
     pub fn with_sets_of(&self, current: &QueryPlan) -> Self {
         debug_assert_eq!(self.query.edges(), current.query.edges());
         let mut plan = self.clone();

@@ -38,7 +38,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use ceci_core::{Ceci, PlanChoice, Reuse};
+use ceci_core::Ceci;
 use ceci_query::candidates::CandidateSet;
 use ceci_query::{CanonicalQuery, QueryPlan};
 
@@ -60,22 +60,11 @@ pub struct CachedIndex {
     /// Mutation sub-epoch of the snapshot the index was built against.
     pub sub_epoch: u64,
     /// Mutation sub-epoch of the snapshot `plan`'s candidate sets were
-    /// computed on: `sub_epoch` for a miss and a re-plan's winner, older
-    /// for an entry repaired under a retained plan (whoever derives such an
-    /// entry copies it over). The index itself is always built from sets of
-    /// its own snapshot; this says what `EXPLAIN`'s candidate counts and a
-    /// re-plan's pilots read.
+    /// computed on: `sub_epoch` for a miss, older for an entry repaired
+    /// under a retained plan (the repair copies it over). The index itself
+    /// is always built from sets of its own snapshot; this says what
+    /// `EXPLAIN`'s candidate counts read.
     pub sets_sub_epoch: u64,
-    /// The adaptive planner's decision record: the plans weighed so far.
-    /// It holds no cost estimate; a request that reads one walks this
-    /// entry's own `plan` and `ceci` ([`ceci_core::served_cost`]).
-    pub choice: PlanChoice,
-    /// The rent/buy ledger: enumeration work spent on this entry against
-    /// the price of re-planning it, and whether that re-plan has happened.
-    /// Shared, not copied, by the entries a repair or the re-plan itself
-    /// derive from this one, so a stream of mutations neither resets the
-    /// spent work nor buys a second re-plan.
-    pub reuse: Arc<Reuse>,
 }
 
 impl CachedIndex {
@@ -86,8 +75,6 @@ impl CachedIndex {
         plan: Arc<QueryPlan>,
         ceci: Arc<Ceci>,
         sub_epoch: u64,
-        choice: PlanChoice,
-        reuse: Arc<Reuse>,
     ) -> CachedIndex {
         CachedIndex {
             canonical,
@@ -96,8 +83,6 @@ impl CachedIndex {
             ceci,
             sub_epoch,
             sets_sub_epoch: sub_epoch,
-            choice,
-            reuse,
         }
     }
 }
@@ -446,7 +431,6 @@ impl IndexCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ceci_core::{replan_price, Ceci};
     use ceci_graph::{GraphBuilder, LabelId};
     use ceci_query::QueryGraph;
 
@@ -467,11 +451,9 @@ mod tests {
         let canonical = CanonicalQuery::of(&query);
         let plan = QueryPlan::new(query, &graph);
         let ceci = Ceci::build(&graph, &plan);
-        let choice = PlanChoice::unscored(&plan);
-        let reuse = Arc::new(Reuse::new(replan_price(&plan, &ceci)));
         CachedIndex {
             bytes,
-            ..CachedIndex::new(canonical, Arc::new(plan), Arc::new(ceci), 0, choice, reuse)
+            ..CachedIndex::new(canonical, Arc::new(plan), Arc::new(ceci), 0)
         }
     }
 

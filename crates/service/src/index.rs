@@ -7,8 +7,8 @@
 //! key however many requests miss it together (one leads, the rest wait on
 //! its flight gate, `cache_singleflight_waits` counts them); or, for an
 //! entry a mutation left behind, a **repair** forward under its retained
-//! plan ([`repair_entry`]). [`replan_if_due`] is the buy side of the
-//! rent/buy rule, run on a current entry.
+//! plan ([`repair_entry`]). An entry serves the plan its miss chose for as
+//! long as it lives.
 //!
 //! Every build runs under `catch_unwind`: a panicking one (a bad interaction
 //! between a specific query and graph — or an injected `CHAOS BUILDPANIC`)
@@ -23,7 +23,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ceci_core::{replan_price, Ceci, PlanChoice, Reuse};
+use ceci_core::Ceci;
 use ceci_graph::Graph;
 use ceci_query::{CanonicalQuery, QueryGraph, QueryPlan};
 
@@ -68,24 +68,20 @@ impl Acquired {
 /// the build (or repair) time it paid.
 pub(crate) type Indexed = (Arc<CachedIndex>, Acquired, Duration);
 
-/// What [`run_build`] produces: the plan, the frozen index and the
-/// planner's decision record.
-type Built = (Arc<QueryPlan>, Arc<Ceci>, PlanChoice);
-
-/// Runs the (panic-prone) plan + CECI build under `catch_unwind`, honoring
-/// the one-shot chaos levers (`BUILDDELAY` sleeps first, then `BUILDPANIC`
-/// fires, so the two compose). `Err(())` means the build panicked; the
-/// caller quarantines the key (a miss) or keeps the incumbent (a re-plan).
+/// Runs a miss's (panic-prone) plan + CECI build under `catch_unwind`,
+/// honoring the one-shot chaos levers (`BUILDDELAY` sleeps first, then
+/// `BUILDPANIC` fires, so the two compose). `Err(())` means the build
+/// panicked; the caller quarantines the key.
 ///
-/// The index is built once, under the plan `planner` returns. Nothing is
-/// estimated here: the requests that read a cost estimate (`ESTIMATE`,
-/// `EXPLAIN`, the rest of a drain its deadline stopped) walk the served
-/// index themselves.
+/// The index is built once, under the default plan (the paper's root, the
+/// connectivity-first order, [`QueryPlan::new`]). Nothing is estimated
+/// here: the requests that read a cost estimate (`ESTIMATE`, `EXPLAIN`, the
+/// rest of a drain its deadline stopped) walk the served index themselves.
 fn run_build(
     state: &ServerState,
     graph: &Graph,
-    planner: impl FnOnce() -> (QueryPlan, PlanChoice),
-) -> Result<Built, ()> {
+    query: QueryGraph,
+) -> Result<(Arc<QueryPlan>, Arc<Ceci>), ()> {
     let delay_ms = state.build_delay_ms.swap(0, Ordering::SeqCst);
     let armed = state.build_panic_armed.swap(false, Ordering::SeqCst);
     catch_unwind(AssertUnwindSafe(move || {
@@ -95,66 +91,11 @@ fn run_build(
         if armed {
             panic!("injected CHAOS BUILDPANIC during index build");
         }
-        let (plan, choice) = planner();
+        let plan = QueryPlan::new(query, graph);
         let ceci = Ceci::build(graph, &plan);
-        (Arc::new(plan), Arc::new(ceci), choice)
+        (Arc::new(plan), Arc::new(ceci))
     }))
     .map_err(|_| ())
-}
-
-/// The buy side of the rent/buy rule, run by a request that found a current
-/// (`HIT` / `REPAIRED`) entry. The one request whose [`Reuse::claim`]
-/// succeeds — the entry's spent work has reached its re-plan price and
-/// nobody scored before — scores the challengers against the incumbent's
-/// observed work and, only if one wins, rebuilds the index under it
-/// against the request's own snapshot — with candidate sets of that
-/// snapshot ([`QueryPlan::on_graph`], a clone when the scoring already
-/// moved the winner there): the incumbent's plan may have been retained
-/// across repairs, and a build never trusts sets of another graph. Either
-/// way the entry is
-/// swapped in place for one carrying the scored decision record and the
-/// same ledger, so this happens at most once per lineage of entries. The
-/// request keeps its cache tag: this is neither a miss, a repair nor an
-/// eviction, and it counts only as `plan_score_latency` and (on a win)
-/// `adaptive_replans`.
-///
-/// Returns the entry to execute against and what the re-plan took; `None`
-/// when nothing was due (or scoring panicked, which keeps the incumbent).
-pub(crate) fn replan_if_due(
-    state: &ServerState,
-    graph_epoch: u64,
-    graph: &Graph,
-    index: &Arc<CachedIndex>,
-) -> Option<(Arc<CachedIndex>, Duration)> {
-    let observed = index.reuse.claim()?;
-    let t0 = Instant::now();
-    let (winner, scored) = catch_unwind(AssertUnwindSafe(|| {
-        index
-            .choice
-            .score_challengers(graph, &index.plan, &observed)
-    }))
-    .ok()?;
-    state.metrics.plan_score_latency.record(scored.score_time);
-    let ((plan, ceci, choice), sets_sub_epoch) = match winner {
-        Some(plan) => {
-            let built = run_build(state, graph, move || (plan.on_graph(graph), scored)).ok()?;
-            ServerMetrics::inc(&state.metrics.adaptive_replans);
-            (built, index.sub_epoch)
-        }
-        // The incumbent stays: same index and plan (whatever snapshot its
-        // sets date from), now with the scores on record.
-        None => (
-            (Arc::clone(&index.plan), Arc::clone(&index.ceci), scored),
-            index.sets_sub_epoch,
-        ),
-    };
-    let canonical = index.canonical.clone();
-    let reuse = Arc::clone(&index.reuse);
-    let mut entry = CachedIndex::new(canonical, plan, ceci, index.sub_epoch, choice, reuse);
-    entry.sets_sub_epoch = sets_sub_epoch;
-    let entry = Arc::new(entry);
-    state.cache.insert(graph_epoch, Arc::clone(&entry));
-    Some((entry, t0.elapsed()))
 }
 
 /// Repairs a stale cached entry forward under its retained plan: the
@@ -222,20 +163,9 @@ fn repair_entry(
             args,
         );
     }
-    // The plan is unchanged by a repair, so the planner's decision record
-    // (the plans weighed; it holds no estimate of the old index) and the
-    // rent/buy ledger (work spent, re-plan done or not) carry over, as does
-    // the snapshot its candidate sets describe; execution feedback does
-    // NOT — it was measured against the pre-mutation candidate sets, and
-    // the repaired entry re-profiles on its next exact run.
-    let mut repaired = CachedIndex::new(
-        old.canonical.clone(),
-        plan,
-        Arc::new(ceci),
-        sub_epoch,
-        old.choice.clone(),
-        Arc::clone(&old.reuse),
-    );
+    // The plan is unchanged by a repair, and so is the snapshot its
+    // candidate sets describe.
+    let mut repaired = CachedIndex::new(old.canonical.clone(), plan, Arc::new(ceci), sub_epoch);
     repaired.sets_sub_epoch = old.sets_sub_epoch;
     Some((repaired, repair))
 }
@@ -251,9 +181,7 @@ fn quarantined(state: &ServerState, when: &str) -> Vec<String> {
     )
 }
 
-/// The build of a miss: the default plan (the paper's root, the
-/// connectivity-first order, [`QueryPlan::new`]) with the
-/// one-candidate decision record a later re-plan extends, one CECI build,
+/// The build of a miss: the default plan and one CECI build ([`run_build`]),
 /// phase latencies recorded (filter = Algorithm 1, refine = Algorithm 2).
 /// The leader of the key's flight publishes through `guard` (cached, its
 /// waiters woken); a request without one — its hash collides with another
@@ -268,12 +196,7 @@ fn build_miss(
 ) -> Result<Indexed, Vec<String>> {
     Acquired::Miss.count(&state.metrics);
     let t0 = Instant::now();
-    let planner = || {
-        let plan = QueryPlan::new(query, graph);
-        let choice = PlanChoice::unscored(&plan);
-        (plan, choice)
-    };
-    let Ok((plan, ceci, choice)) = run_build(state, graph, planner) else {
+    let Ok((plan, ceci)) = run_build(state, graph, query) else {
         // Quarantine *before* the guard drops and releases the gate, so
         // waiters and later probes agree on the verdict.
         state.cache.quarantine(graph_epoch, &canonical);
@@ -288,9 +211,7 @@ fn build_miss(
     let stats = ceci.stats();
     state.metrics.build_filter_latency.record(stats.filter_time);
     state.metrics.build_refine_latency.record(stats.refine_time);
-    // The ledger a re-plan is bought against.
-    let reuse = Arc::new(Reuse::new(replan_price(&plan, &ceci)));
-    let entry = CachedIndex::new(canonical, plan, ceci, sub_epoch, choice, reuse);
+    let entry = CachedIndex::new(canonical, plan, ceci, sub_epoch);
     let shared = match guard {
         Some(guard) => guard.complete(entry),
         None => Arc::new(entry),

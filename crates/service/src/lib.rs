@@ -36,15 +36,12 @@
 //!   the frozen build ([`registry`], [`cache`]) — and `REGISTER`ed **continuous
 //!   queries** emit per-batch embedding-count deltas (`EVENT DELTA`)
 //!   to their connection ([`server`]),
-//! * **rent the connectivity-first plan, buy the portfolio**: a cache miss
-//!   plans the paper's root with the default connectivity-first order
-//!   (the most-constrained vertex next) and builds that index, estimating
-//!   nothing (a `MATCH` drains on its own
-//!   `WORKERS n`, one worker without it); the plan portfolio is
-//!   scored at most once per cached entry, and only after the entry's own
-//!   reuse has spent as much enumeration work as scoring and one rebuild
-//!   cost (`ceci_core::adaptive`); `ESTIMATE` answers the cardinality
-//!   question directly,
+//! * **a miss plans once, connectivity-first**: a cache miss plans the
+//!   paper's root with the default connectivity-first order (the
+//!   most-constrained vertex next), builds that index, estimating nothing,
+//!   and the entry serves that plan for as long as it lives (a `MATCH`
+//!   drains on its own `WORKERS n`, one worker without it); `ESTIMATE`
+//!   answers the cardinality question directly,
 //! * a line-oriented **text protocol** ([`protocol`]) and lock-free
 //!   **metrics** surfaced via `STATS` ([`metrics`]),
 //! * a blocking **client** doubling as a closed-loop load generator

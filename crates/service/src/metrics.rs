@@ -205,10 +205,6 @@ pub struct ServerMetrics {
     pub index_repair_fallbacks: AtomicU64,
     /// Continuous-query delta events emitted to registered connections.
     pub continuous_events: AtomicU64,
-    /// Cached indexes rebuilt under a challenger plan: the entry's reuse
-    /// paid for scoring the portfolio and a challenger beat the incumbent's
-    /// observed work by enough to pay for the rebuild.
-    pub adaptive_replans: AtomicU64,
     /// Connections closed after the socket read/write timeout expired with
     /// a request outstanding or a line half-read (stalled/half-open peer).
     pub timeouts: AtomicU64,
@@ -242,10 +238,6 @@ pub struct ServerMetrics {
     /// frozen build), the counterpart of `build_latency` for the repair
     /// path.
     pub index_repair_latency: LatencyHistogram,
-    /// Time spent scoring a plan portfolio (pilot index builds +
-    /// random-walk costing), recorded once per cached entry whose reuse
-    /// paid for it — never on a cache miss.
-    pub plan_score_latency: LatencyHistogram,
 }
 
 impl ServerMetrics {
@@ -273,7 +265,7 @@ impl ServerMetrics {
     /// Every monotone counter as `(STATS key, help, value)`, in exposition
     /// order: `STATS` prints `STAT <key> <value>`, `STATS PROM` the counter
     /// `ceci_<key>_total`.
-    pub fn counters(&self) -> [(&'static str, &'static str, u64); 34] {
+    pub fn counters(&self) -> [(&'static str, &'static str, u64); 33] {
         let g = |a: &AtomicU64| a.load(Ordering::Relaxed);
         [
             (
@@ -399,11 +391,6 @@ impl ServerMetrics {
                 g(&self.continuous_events),
             ),
             (
-                "adaptive_replans",
-                "Cached indexes rebuilt under a challenger plan their reuse paid to score",
-                g(&self.adaptive_replans),
-            ),
-            (
                 "io_timeouts",
                 "Connections closed on a socket read/write timeout",
                 g(&self.timeouts),
@@ -452,15 +439,6 @@ impl ServerMetrics {
             .collect();
         rows.extend([
             ("connections_open".into(), g(&self.connections_open)),
-            ("plan_score_count".into(), self.plan_score_latency.count()),
-            (
-                "plan_score_mean_us".into(),
-                self.plan_score_latency.mean_us(),
-            ),
-            (
-                "plan_score_p99_us".into(),
-                self.plan_score_latency.quantile_us(0.99),
-            ),
             (
                 "index_repair_count".into(),
                 self.index_repair_latency.count(),

@@ -82,9 +82,9 @@
 //! connection; clients must treat them as out-of-band payload.
 //!
 //! `MATCH ... RAW` opts one request out of the multi-query optimization
-//! layer (admission filter, redundant-extension pruning, the adaptive
-//! planner's re-plan) — the differential lever used to verify
-//! the optimized path returns bit-identical counts. Every `MATCH` form —
+//! layer (admission filter, redundant-extension pruning) — the
+//! differential lever used to verify the optimized path returns
+//! bit-identical counts. Every `MATCH` form —
 //! plain, `LIMIT`, `DEADLINE`, `WORKERS`, `RAW` — drains its cached index
 //! through the same enumeration entry point, and `status=` is always `OK`.
 //!
@@ -95,10 +95,6 @@
 //! rest (`OK MATCH count=<rounded total> status=OK mode=APPROX
 //! exact=<drained> mean=... std_error=... ci95_lo=... ci95_hi=... walks=...`,
 //! `ci95_lo` never below `exact`, every value clipped to a `LIMIT`).
-//!
-//! A `MATCH` reply carrying `replan_us=<n>` paid for its cached entry's one
-//! re-plan (portfolio scoring, and a rebuild if a challenger won) before
-//! enumerating; it keeps the `cache=HIT|REPAIRED` tag it would have had.
 //!
 //! `ESTIMATE` answers the cardinality question directly: it runs the
 //! random-walk estimator over the (cached) index and reports the mean,
@@ -130,7 +126,7 @@ pub struct MatchForm {
     pub deadline_ms: Option<u64>,
     /// Enumeration threads for this request (capped by the server).
     pub workers: Option<usize>,
-    /// `RAW`: the one ablation lever — no admission filter, no re-plan, no
+    /// `RAW`: the one ablation lever — no admission filter, no
     /// redundant-extension pruning — for verifying bit-identical counts.
     /// Width and strategy are those of any `MATCH`: `WORKERS n` (one worker
     /// without it), ST at one worker, FGD above.

@@ -1,10 +1,10 @@
 //! The query verbs — `MATCH`, `ESTIMATE`, `EXPLAIN` — behind one resolver.
 //!
 //! [`resolve`] is the only place a request meets the registry, the admission
-//! filter, the shard table, the index cache and the rent/buy planner, in
-//! that order, and it ends on exactly one [`ExecPath`]. A deadline is not
-//! a path: every `MATCH` drains, and one its deadline stopped answers the
-//! drained pivots exactly plus an estimate over the rest.
+//! filter, the shard table and the index cache, in that order, and it ends
+//! on exactly one [`ExecPath`]. A deadline is not a path: every `MATCH`
+//! drains, and one its deadline stopped answers the drained pivots exactly
+//! plus an estimate over the rest.
 //! The reply's `filter=` / `mode=` / `cache=` tokens, the path's `STATS`
 //! counter, the drain's [`ParallelOptions`] and `EXPLAIN`'s `| path:` line
 //! are each derived from that value in one function below; the verbs only
@@ -14,7 +14,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ceci_core::{
-    enumerate_parallel, estimate_embeddings, estimate_pivots, explain_choice, explain_estimates,
+    enumerate_parallel, estimate_embeddings, estimate_pivots, explain_estimates, explain_served,
     served_cost, CancelToken, EnumOptions, Estimate, EstimateOptions, ParallelOptions, Strategy,
 };
 use ceci_graph::Graph;
@@ -23,7 +23,7 @@ use ceci_trace::Tracer;
 
 use crate::cache::CachedIndex;
 use crate::coord;
-use crate::index::{index_for, replan_if_due, Acquired};
+use crate::index::{index_for, Acquired};
 use crate::metrics::ServerMetrics;
 use crate::protocol::MatchForm;
 use crate::registry::GraphEntry;
@@ -37,9 +37,6 @@ pub(crate) struct Served {
     build: Duration,
     /// The whole acquisition: cache probe + `build`.
     index_time: Duration,
-    /// Portfolio scoring + rebuild, on the one request per entry that pays
-    /// for its re-plan (zero otherwise).
-    replan: Duration,
 }
 
 /// The one path a request takes, chosen by [`resolve`].
@@ -136,7 +133,7 @@ fn drain_options(
 /// lookup → snapshot → query load → [`choose`]) and counts that path. `form`
 /// is `Some` for `MATCH`; `ESTIMATE` and `EXPLAIN` pass `None` and resolve as
 /// the plain form does, except that they read the local index only: they
-/// never scatter and never pay an entry's re-plan.
+/// never scatter.
 fn resolve(
     state: &ServerState,
     graph_name: &str,
@@ -154,7 +151,7 @@ fn resolve(
 }
 
 /// The ladder itself, in order: admission → shard check → index acquisition
-/// (hit / miss / repaired) → re-plan.
+/// (hit / miss / repaired).
 fn choose(
     state: &ServerState,
     entry: &GraphEntry,
@@ -179,16 +176,8 @@ fn choose(
         .deadline_ms
         .map(|ms| CancelToken::after(Duration::from_millis(ms)));
     let t_index = Instant::now();
-    let (mut index, cache, build) = index_for(state, entry, graph, sub_epoch, query)?;
+    let (index, cache, build) = index_for(state, entry, graph, sub_epoch, query)?;
     let index_time = t_index.elapsed();
-    // Rent or buy: a current entry whose reuse has paid for it re-plans
-    // here, once, after any due repair and before this request enumerates.
-    let mut replan = Duration::ZERO;
-    if runs && !form.raw && cache != Acquired::Miss {
-        if let Some((swapped, took)) = replan_if_due(state, entry.epoch, graph, &index) {
-            (index, replan) = (swapped, took);
-        }
-    }
     // Worker count: the request's `WORKERS`, one worker without it.
     let workers = form
         .workers
@@ -199,7 +188,6 @@ fn choose(
         cache,
         build,
         index_time,
-        replan,
     };
     Ok(ExecPath::Drain {
         served,
@@ -290,7 +278,6 @@ pub(crate) fn exec_match(
             };
             let t_enum = Instant::now();
             let result = enumerate_parallel(&graph, &index.plan, &index.ceci, &options);
-            index.reuse.spend(&result.counters);
             let cap = form.limit.unwrap_or(u64::MAX);
             // A drain the deadline stopped: the pivots that drained are
             // exact, the rest is estimated (paper §4: one independent
@@ -315,15 +302,12 @@ pub(crate) fn exec_match(
                 }
             };
             let enum_time = t_enum.elapsed();
-            let mut lines = finish(format!(
+            let lines = finish(format!(
                 "OK MATCH count={count} status=OK{interval} cache={cache_tag} build_us={} \
                  enum_us={}",
                 served.build.as_micros(),
                 enum_time.as_micros(),
             ));
-            if served.replan > Duration::ZERO {
-                lines[0].push_str(&format!(" replan_us={}", served.replan.as_micros()));
-            }
             if state.tracer.enabled() {
                 record_request_spans(
                     &state.tracer,
@@ -385,7 +369,7 @@ pub(crate) fn exec_estimate(
 
 /// Records one `service.request` span with its stage children
 /// (`service.queue` → `service.cache_probe` → `service.build` →
-/// `service.replan` → `service.enumerate` → `service.serialize`) ending at
+/// `service.enumerate` → `service.serialize`) ending at
 /// the tracer's current clock. `queue_wait` is admission to execution
 /// start, `total` execution start to response-lines-ready; everything
 /// between the measured stages (registry lookup, query-file load, response
@@ -404,7 +388,6 @@ fn record_request_spans(
         ("service.queue", ns(queue_wait)),
         ("service.cache_probe", probe),
         ("service.build", ns(served.build)),
-        ("service.replan", ns(served.replan)),
         ("service.enumerate", ns(enum_time)),
     ];
     let total = ns(queue_wait) + ns(total);
@@ -456,18 +439,11 @@ pub(crate) fn exec_explain(
     };
     line.push_str(&format!(" ids={ids}"));
     lines.push(line);
-    // Plan-choice section: where the entry's rent/buy ledger stands, which
-    // orders have been weighed, the drain's width and strategy, and the
-    // served plan's estimated cost, walked over the served index now.
+    // The served plan, the drain's width and strategy, and the plan's
+    // estimated cost, walked over the served index now.
     let cost = served_cost(&graph, &index.plan, &index.ceci);
-    let choice = explain_choice(
-        &index.choice,
-        &index.reuse,
-        &cost,
-        options.strategy,
-        options.workers,
-    );
-    lines.extend(choice.lines().map(|l| format!("| {l}")));
+    let served = explain_served(&index.plan, &cost, options.strategy, options.workers);
+    lines.extend(served.lines().map(|l| format!("| {l}")));
     if analyze {
         // EXPLAIN ANALYZE: the drain itself with a per-depth profile
         // attached, and the profile table appended. Single worker so the

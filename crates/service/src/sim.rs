@@ -591,8 +591,6 @@ impl Sim {
                         moved.insert("embeddings_returned", count);
                         let built = field(last, "build_us") != Some("0");
                         assert!(tag != "HIT" || !built, "a hit builds nothing");
-                        let replan = field(last, "replan_us").is_some();
-                        assert!(!replan || (!raw && tag != "MISS"), "an unpaid re-plan");
                     }
                 }
             }
@@ -705,15 +703,11 @@ impl Sim {
                 events.push(format!("c{client} ! {line}"));
             }
         }
-        // A re-plan whose challenger wins rebuilds, and so may take an
-        // armed BUILDPANIC (keeping its incumbent).
+        // Only a miss's build takes an armed BUILDPANIC (a repair takes it
+        // only by falling back to one), and the model disarms on exactly
+        // that miss (`Model::acquire`): no other reply may.
         let armed = self.state.build_panic_armed.load(Ordering::SeqCst);
-        if self.model.armed && !armed {
-            let last = lines.last().expect("a reply");
-            assert!(field(last, "replan_us").is_some(), "BUILDPANIC lost");
-            self.model.armed = false;
-        }
-        assert_eq!(armed, self.model.armed);
+        assert_eq!(armed, self.model.armed, "BUILDPANIC taken off a miss");
         let cache = &self.state.cache;
         assert_eq!(cache.len(), self.model.cached.len());
         assert_eq!(cache.quarantined_len(), self.model.quarantined.len());

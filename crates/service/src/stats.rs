@@ -181,11 +181,6 @@ pub(crate) fn render_prometheus(state: &ServerState) -> String {
             "ceci_index_repair_us",
             "Stale-index repair time (candidate sets patched or scanned + frozen build), microseconds",
         ),
-        (
-            &m.plan_score_latency,
-            "ceci_plan_score_us",
-            "Plan-portfolio scoring time per re-plan a cached index's reuse paid for, microseconds",
-        ),
     ] {
         let (cum, sum, count) = hist.cumulative_us();
         w.histogram(name, help, &cum, sum, count);

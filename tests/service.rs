@@ -11,12 +11,14 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ceci_core::{count_embeddings, Ceci};
+use ceci_core::{
+    count_embeddings, enumerate_parallel, Ceci, EnumOptions, ParallelOptions, Strategy,
+};
 use ceci_graph::extract::extract_query;
 use ceci_graph::generators::{erdos_renyi, inject_random_labels};
 use ceci_graph::io;
 use ceci_graph::Graph;
-use ceci_query::{QueryGraph, QueryPlan};
+use ceci_query::{CanonicalQuery, QueryGraph, QueryPlan};
 use ceci_service::{
     run_load, start_with_state, CachedIndex, Client, LoadConfig, ServeConfig, ServerHandle,
     ServerState,
@@ -435,7 +437,7 @@ fn stats_prom_emits_valid_exposition_format() {
     let summary = ceci_trace::prom::validate(&text)
         .unwrap_or_else(|e| panic!("invalid Prometheus exposition: {e}\n{text}"));
     assert!(summary.families >= 20, "families: {}", summary.families);
-    assert_eq!(summary.histograms, 6, "latency histogram families");
+    assert_eq!(summary.histograms, 5, "latency histogram families");
 
     let samples = ceci_trace::prom::parse(&text).unwrap();
     let value = |name: &str| {
@@ -448,15 +450,6 @@ fn stats_prom_emits_valid_exposition_format() {
     assert_eq!(value("ceci_load_requests_total"), Some(1.0));
     assert_eq!(value("ceci_cache_misses_total"), Some(1.0));
     assert_eq!(value("ceci_graphs_loaded"), Some(1.0));
-    // A cache miss scores no plan portfolio.
-    assert_eq!(value("ceci_adaptive_replans_total"), Some(0.0));
-    assert_eq!(
-        samples
-            .iter()
-            .find(|s| s.name == "ceci_plan_score_us_count")
-            .map(|s| s.value),
-        Some(0.0)
-    );
     // The match latency histogram observed exactly one request.
     assert_eq!(
         samples
@@ -507,7 +500,7 @@ fn explain_analyze_profile_sums_match_global_counters() {
         ("p", &fan, path, false, true),
     ];
 
-    let (handle, _state) = serve(ServeConfig::default());
+    let (handle, state) = serve(ServeConfig::default());
     let mut client = Client::connect(handle.addr()).unwrap();
     // Pull `key=value` fields out of the profile rows.
     let kv = |line: &str, key: &str| -> Option<u64> {
@@ -522,15 +515,9 @@ fn explain_analyze_profile_sums_match_global_counters() {
         client
             .request(&format!("LOAD {name} {graph_path}"))
             .unwrap();
-        let explain = format!("EXPLAIN {name} {query_path}");
-        // Work spent on the entry so far, as its rent/buy ledger has it.
-        let spent = |client: &mut Client| -> u64 {
-            let resp = client.request(&explain).unwrap();
-            let choice = resp.payload.iter().find(|l| l.contains("plan choice:"));
-            kv(choice.expect("choice section"), "spent").expect("spent field")
-        };
-
-        let resp = client.request(&format!("{explain} ANALYZE")).unwrap();
+        let resp = client
+            .request(&format!("EXPLAIN {name} {query_path} ANALYZE"))
+            .unwrap();
         assert_eq!(resp.terminal, "OK EXPLAIN");
         assert!(resp.payload.iter().all(|l| l.starts_with("| ")));
         let closed = resp.payload.iter().any(|l| l.contains("leaf=TWINS("));
@@ -568,12 +555,16 @@ fn explain_analyze_profile_sums_match_global_counters() {
         // The estimate row above a clean cut counts every search that
         // entered the cut, its memo hits included: on `p` (cut at depth 2,
         // fifteen hits) 3 walked searches and 15 answered from the memo.
+        // Below the cut only the walked searches are seen, so the rows from
+        // the cut to the penultimate depth observe nothing, and the last
+        // row counts every embedding, the memo's included.
+        let estimate_row = |d: usize| {
+            let row = format!("| estimate depth={d} ");
+            let row = resp.payload.iter().find(|l| l.starts_with(&row));
+            row.unwrap_or_else(|| panic!("estimate row of depth {d}: {resp:?}"))
+        };
         if *name == "p" {
-            let row = resp
-                .payload
-                .iter()
-                .find(|l| l.starts_with("| estimate depth=1 "));
-            let row = row.expect("estimate row of depth 1");
+            let row = estimate_row(1);
             assert!(
                 resp.payload.iter().any(|l| l.contains(" cut depth=2 ")),
                 "{resp:?}"
@@ -585,21 +576,57 @@ fn explain_analyze_profile_sums_match_global_counters() {
                 (Some(18), Some(3), 15),
                 "{row}"
             );
+            let memoised = estimate_row(2);
+            assert!(
+                memoised.ends_with(" actual=- qerr=- (memoised)"),
+                "{memoised}"
+            );
+            assert!(estimate_row(3).contains(" actual=72 "), "{resp:?}");
         }
 
         // ANALYZE profiles the enumeration `MATCH` runs, not another one:
         // it counts what the unprofiled MATCH and the direct enumeration
-        // count, and its work is exactly what one plain count-only MATCH
-        // puts on the entry's ledger.
-        let before = spent(&mut client);
+        // count, and its work is exactly what the same drain does
+        // unprofiled over the served entry (one worker, the server's leaf
+        // pruning and memo).
         let resp = client
             .request(&format!("MATCH {name} {query_path}"))
             .unwrap();
         let expected = direct_count(graph, pattern);
         assert_eq!(resp.field_u64("count"), Some(expected), "{name}");
         assert_eq!(Some(expected), kv(totals, "embeddings"), "{name}");
-        let work = kv(totals, "recursive_calls").unwrap() + kv(totals, "intersection_ops").unwrap();
-        assert_eq!(spent(&mut client) - before, work, "{name}: {totals}");
+        let (snapshot, _) = state.registry.get(name).unwrap().snapshot();
+        let canonical = CanonicalQuery::of(&QueryGraph::from_graph(pattern).unwrap());
+        let entries = state.cache.entries();
+        let served = entries
+            .iter()
+            .find(|e| e.canonical == canonical && e.plan.describes(&snapshot))
+            .expect("the served entry");
+        let options = ParallelOptions {
+            workers: 1,
+            strategy: Strategy::Static,
+            enumeration: EnumOptions {
+                prune_redundant: ServeConfig::default().prune_redundant,
+                ..EnumOptions::default()
+            },
+            ..ParallelOptions::default()
+        };
+        let plain = enumerate_parallel(&snapshot, &served.plan, &served.ceci, &options).counters;
+        assert_eq!(
+            [
+                kv(totals, "recursive_calls"),
+                kv(totals, "intersection_ops"),
+                kv(totals, "embeddings"),
+                Some(hits),
+            ],
+            [
+                Some(plain.recursive_calls),
+                Some(plain.intersection_ops),
+                Some(plain.embeddings),
+                Some(plain.memo_hits),
+            ],
+            "{name}: {totals}"
+        );
     }
     handle.shutdown();
 }
@@ -638,7 +665,6 @@ fn traced_server_records_request_stage_spans() {
             "service.queue",
             "service.cache_probe",
             "service.build",
-            "service.replan",
             "service.enumerate",
             "service.serialize",
         ] {
@@ -1483,13 +1509,12 @@ fn adaptive_counts_bit_identical_to_raw_and_fixed() {
     let (handle, _state) = serve(ServeConfig::default());
     let mut client = Client::connect(handle.addr()).unwrap();
     client.request(&format!("LOAD g {graph_path}")).unwrap();
-    // Every `EXPLAIN` carries the planner's decision record: there is no
-    // server without one.
-    let assert_plan_choice = |client: &mut Client, request: String| {
+    // Every `EXPLAIN` names the served plan: there is no server without it.
+    let assert_plan_row = |client: &mut Client, request: String| {
         let explain = client.request(&request).unwrap();
         assert_eq!(explain.terminal, "OK EXPLAIN");
-        let choice = explain.payload.iter().any(|l| l.contains("plan choice:"));
-        assert!(choice, "{request}: {:?}", explain.payload);
+        let plan = explain.payload.iter().any(|l| l.starts_with("| plan: "));
+        assert!(plan, "{request}: {:?}", explain.payload);
     };
 
     for (size, seed) in [(3, 41), (4, 42), (5, 43), (6, 44)] {
@@ -1498,10 +1523,10 @@ fn adaptive_counts_bit_identical_to_raw_and_fixed() {
         // server.
         let expected = direct_count(&graph, &pattern);
         let query_path = scratch.write_graph(&format!("q{size}-{seed}.graph"), &pattern);
-        // Adaptive plan: the miss, then the hit.
+        // The miss, then the hit.
         let first = client.request(&format!("MATCH g {query_path}")).unwrap();
         let second = client.request(&format!("MATCH g {query_path}")).unwrap();
-        // RAW bypasses every adaptive execution decision.
+        // RAW bypasses every optimization.
         let raw = client
             .request(&format!("MATCH g {query_path} RAW"))
             .unwrap();
@@ -1513,29 +1538,22 @@ fn adaptive_counts_bit_identical_to_raw_and_fixed() {
                 resp.terminal
             );
         }
-        assert_plan_choice(&mut client, format!("EXPLAIN g {query_path}"));
+        assert_plan_row(&mut client, format!("EXPLAIN g {query_path}"));
     }
 
-    // The post-re-plan entry: the order-sensitive template served until its
-    // reuse has bought the portfolio and a challenger has replaced the
-    // plan the miss served, then the same four ways again.
+    // A long-served entry: the order-sensitive template read 60 times,
+    // then the same four ways again.
     let (graph, pattern) = order_sensitive();
     let expected = direct_count(&graph, &pattern);
     let graph_path = scratch.write_graph("skewed.graph", &graph);
     let query_path = scratch.write_graph("order-sensitive.graph", &pattern);
     client.request(&format!("LOAD s {graph_path}")).unwrap();
-    assert_plan_choice(&mut client, format!("EXPLAIN s {query_path}"));
-    let served = serve_until_replan(&mut client, &format!("MATCH s {query_path}"), 200);
+    assert_plan_row(&mut client, format!("EXPLAIN s {query_path}"));
+    let request = format!("MATCH s {query_path}");
+    let served: Vec<Served> = (0..60)
+        .map(|_| served(&client.request(&request).unwrap()))
+        .collect();
     assert!(served.iter().all(|r| r.count == expected), "{served:?}");
-    let explain = client.request(&format!("EXPLAIN s {query_path}")).unwrap();
-    assert!(
-        explain
-            .payload
-            .iter()
-            .any(|l| l.contains("scored=true") && l.contains("replanned=true")),
-        "{:?}",
-        explain.payload
-    );
     for request in [
         format!("MATCH s {query_path}"),
         format!("MATCH s {query_path} RAW"),
@@ -1550,23 +1568,16 @@ fn adaptive_counts_bit_identical_to_raw_and_fixed() {
 }
 
 // ---------------------------------------------------------------------------
-// Rent the connectivity-first plan, buy the portfolio: a miss plans once,
-// and an entry re-plans at most once, only after its own reuse has paid for
-// it.
+// A miss plans once, connectivity-first, and its entry serves that plan for
+// as long as it lives.
 // ---------------------------------------------------------------------------
 
 /// An Erdős–Rényi graph under a skewed 55/25/15/5 four-label alphabet, and a
 /// five-vertex cyclic template whose served plan (the paper's root, the
-/// default order) does about ten times the work of the best portfolio
-/// member, which starts from another root — a gap no estimate's noise can
-/// hide, so its re-plan must happen, and must replace the plan.
+/// default order) does about ten times the work of the best order, which
+/// starts from another root: the template on which serving another plan
+/// would show.
 fn order_sensitive() -> (Graph, Graph) {
-    let (graph, extracted) = order_sensitive_with_witness();
-    (graph, extracted.pattern)
-}
-
-/// [`order_sensitive`] with the embedding the template was carved from.
-fn order_sensitive_with_witness() -> (Graph, ceci_graph::ExtractedQuery) {
     let base = erdos_renyi(600, 3_000, 0xADAE);
     let mut b = ceci_graph::GraphBuilder::new();
     for v in base.vertices() {
@@ -1587,7 +1598,7 @@ fn order_sensitive_with_witness() -> (Graph, ceci_graph::ExtractedQuery) {
     }
     let graph = b.build();
     let extracted = extract_query(&graph, 5, 66, 10).expect("extractable query");
-    (graph, extracted)
+    (graph, extracted.pattern)
 }
 
 /// What one `MATCH` reply said.
@@ -1595,48 +1606,19 @@ fn order_sensitive_with_witness() -> (Graph, ceci_graph::ExtractedQuery) {
 struct Served {
     count: u64,
     cache: String,
-    /// The reply carried `replan_us=`: this request paid for the re-plan.
-    replanned: bool,
+    /// The reply's `build_us=` (0 on a hit).
+    build_us: u64,
 }
 
 fn served(resp: &ceci_service::Response) -> Served {
     assert!(resp.is_ok(), "{}", resp.terminal);
+    // No reply re-plans its entry, so none carries a re-plan's time.
+    assert_eq!(resp.field("replan_us"), None, "{}", resp.terminal);
     Served {
         count: resp.field_u64("count").expect("count field"),
         cache: resp.field("cache").expect("cache field").to_string(),
-        replanned: resp.field("replan_us").is_some(),
+        build_us: resp.field_u64("build_us").expect("build_us field"),
     }
-}
-
-/// Sends `request` until a reply carries `replan_us=` (at most `cap` times)
-/// and returns every reply, the re-planning one last.
-fn serve_until_replan(client: &mut Client, request: &str, cap: usize) -> Vec<Served> {
-    let mut replies = Vec::new();
-    while replies.len() < cap {
-        replies.push(served(&client.request(request).unwrap()));
-        if replies.last().unwrap().replanned {
-            return replies;
-        }
-    }
-    panic!("no re-plan within {cap} requests: {replies:?}");
-}
-
-/// Where `EXPLAIN` says the entry's rent/buy ledger stands: `(spent, scored)`.
-fn ledger(client: &mut Client, query_path: &str) -> (u64, bool) {
-    let explain = client.request(&format!("EXPLAIN g {query_path}")).unwrap();
-    let line = explain
-        .payload
-        .iter()
-        .find(|l| l.contains("plan choice:"))
-        .expect("choice section")
-        .clone();
-    let field = |key: &str| {
-        line.split_whitespace()
-            .find_map(|tok| tok.strip_prefix(key))
-            .unwrap_or_else(|| panic!("{key} in {line}"))
-            .to_string()
-    };
-    (field("spent=").parse().unwrap(), field("scored=") == "true")
 }
 
 /// The server's Prometheus samples by name (unlabeled ones).
@@ -1684,397 +1666,91 @@ fn one_shot_matches_never_score_a_portfolio() {
     for (path, pattern) in distinct_templates(&scratch, &graph, 50) {
         let reply = served(&client.request(&format!("MATCH g {path}")).unwrap());
         assert_eq!(reply.cache, "MISS", "{path}");
-        assert!(!reply.replanned, "{path}");
         assert_eq!(reply.count, direct_count(&graph, &pattern));
     }
     let stats = prom(&mut client);
     assert_eq!(stats["ceci_cache_misses_total"], 50.0);
     assert_eq!(stats["ceci_build_latency_us_count"], 50.0);
-    assert_eq!(stats["ceci_plan_score_us_count"], 0.0);
-    assert_eq!(stats["ceci_adaptive_replans_total"], 0.0);
     handle.shutdown();
 }
 
 #[test]
-fn order_sensitive_template_replans_exactly_once_at_the_same_request() {
-    let scratch = Scratch::new("replan-once");
+fn an_order_sensitive_template_keeps_its_miss_plan() {
+    let scratch = Scratch::new("keeps-plan");
     let (graph, pattern) = order_sensitive();
     let expected = direct_count(&graph, &pattern);
     let graph_path = scratch.write_graph("data.graph", &graph);
     let query_path = scratch.write_graph("query.graph", &pattern);
     let request = format!("MATCH g {query_path}");
+    let explain = format!("EXPLAIN g {query_path}");
+    let plan_row = |client: &mut Client| {
+        let resp = client.request(&explain).unwrap();
+        let row = resp.payload.iter().find(|l| l.starts_with("| plan: "));
+        row.expect("the served plan's row").clone()
+    };
 
-    // Two fresh servers, the same 60 requests: the trigger is exact
-    // counters, so both re-plan on the same request.
-    let mut runs: Vec<Vec<Served>> = Vec::new();
-    for _ in 0..2 {
+    // Two fresh servers, the same 60 requests: both serve them alike.
+    let mut runs: Vec<Vec<(u64, String)>> = Vec::new();
+    for run in 0..2 {
         let (handle, state) = serve(ServeConfig {
             trace: true,
             ..ServeConfig::default()
         });
         let mut client = Client::connect(handle.addr()).unwrap();
         client.request(&format!("LOAD g {graph_path}")).unwrap();
-        let replies: Vec<Served> = (0..60)
-            .map(|_| served(&client.request(&request).unwrap()))
-            .collect();
+        let mut replies = vec![served(&client.request(&request).unwrap())];
+        let missed = plan_row(&mut client);
+        let plan = Arc::clone(&state.cache.entries()[0].plan);
+        replies.extend((1..60).map(|_| served(&client.request(&request).unwrap())));
 
-        // Identical counts before, during and after; one miss, then hits.
+        // Identical counts throughout; one miss, then hits that build
+        // nothing.
         assert!(replies.iter().all(|r| r.count == expected), "{replies:?}");
         assert_eq!(replies[0].cache, "MISS");
-        assert!(replies[1..].iter().all(|r| r.cache == "HIT"), "{replies:?}");
-        assert!(!replies[0].replanned, "a miss never pays for a re-plan");
-        assert_eq!(replies.iter().filter(|r| r.replanned).count(), 1);
-
-        // The re-plan is neither a miss, a repair nor an eviction.
+        assert!(
+            replies[1..]
+                .iter()
+                .all(|r| r.cache == "HIT" && r.build_us == 0),
+            "{replies:?}"
+        );
         let stats = prom(&mut client);
         assert_eq!(stats["ceci_cache_misses_total"], 1.0);
-        assert_eq!(stats["ceci_cache_hits_total"], 59.0);
+        // 59 reads and the `EXPLAIN` after the miss.
+        assert_eq!(stats["ceci_cache_hits_total"], 60.0);
         assert_eq!(stats["ceci_build_latency_us_count"], 1.0);
         assert_eq!(stats["ceci_index_repairs_total"], 0.0);
         assert_eq!(stats["ceci_index_repair_fallbacks_total"], 0.0);
         assert_eq!(stats["ceci_cache_evictions_total"], 0.0);
-        assert_eq!(stats["ceci_plan_score_us_count"], 1.0);
-        assert_eq!(stats["ceci_adaptive_replans_total"], 1.0);
         assert_eq!(stats["ceci_cache_entries"], 1.0);
 
-        let explain = client.request(&format!("EXPLAIN g {query_path}")).unwrap();
-        let choice = explain
-            .payload
-            .iter()
-            .find(|l| l.contains("plan choice:"))
-            .expect("choice section");
-        assert!(
-            choice.contains("scored=true") && choice.contains("replanned=true"),
-            "{choice}"
-        );
-        assert!(
-            explain
-                .payload
-                .iter()
-                .filter(|l| l.contains("cand="))
-                .count()
-                > 1,
-            "the scored portfolio is on record: {:?}",
-            explain.payload
-        );
-
-        // The paying request's span has the one non-empty `replan` stage,
-        // and its stages still tile it.
+        // Every request's stages tile it, and none is a re-plan.
         let spans = state.tracer.snapshot();
-        let paid: Vec<_> = spans
+        let requests: Vec<_> = spans
             .iter()
-            .filter(|s| s.name == "service.replan" && s.dur_ns > 0)
+            .filter(|s| s.name == "service.request")
             .collect();
-        assert_eq!(paid.len(), 1);
-        let request = spans.iter().find(|s| s.id == paid[0].parent).unwrap();
-        assert_eq!(request.name, "service.request");
-        let stages: u64 = spans
-            .iter()
-            .filter(|s| s.parent == request.id)
-            .map(|s| s.dur_ns)
-            .sum();
-        assert_eq!(stages, request.dur_ns, "stages tile the request");
-        assert!(
-            paid[0].dur_ns * 2 > request.dur_ns,
-            "and the re-plan dominates it"
-        );
-        runs.push(replies);
-        handle.shutdown();
-    }
-    assert_eq!(runs[0], runs[1], "the re-plan lands on the same request");
-    let at = runs[0].iter().position(|r| r.replanned).unwrap();
-    assert!(at > 1, "reuse has to pay first, re-planned at request {at}");
-}
-
-#[test]
-fn rent_buy_ledger_rides_along_through_repairs() {
-    let scratch = Scratch::new("replan-repair");
-    let (graph, pattern) = order_sensitive();
-    let graph_path = scratch.write_graph("data.graph", &graph);
-    let query_path = scratch.write_graph("query.graph", &pattern);
-    let request = format!("MATCH g {query_path}");
-    let spent = |client: &mut Client| ledger(client, &query_path);
-
-    let (handle, _state) = serve(ServeConfig::default());
-    let mut client = Client::connect(handle.addr()).unwrap();
-    client.request(&format!("LOAD g {graph_path}")).unwrap();
-
-    // Rent for three requests, short of the price.
-    for i in 0..3 {
-        let reply = served(&client.request(&request).unwrap());
-        assert_eq!(reply.count, direct_count(&graph, &pattern));
-        assert!(!reply.replanned, "request {i} re-planned before reuse paid");
-    }
-    let (before, scored) = spent(&mut client);
-    assert!(before > 0 && !scored);
-
-    // A batch makes the entry stale; the repaired entry carries the ledger.
-    let ((a, b), (c, d)) = applicable_mutation(&graph, 97);
-    let resp = client
-        .request(&format!("BATCH g +{a}:{b} -{c}:{d}"))
-        .unwrap();
-    assert!(resp.is_ok(), "{}", resp.terminal);
-    let reference = mutated_copy(&graph, &[(a, b)], &[(c, d)]);
-    let reply = served(&client.request(&request).unwrap());
-    assert_eq!(reply.cache, "REPAIRED");
-    assert_eq!(reply.count, direct_count(&reference, &pattern));
-    let (after, scored) = spent(&mut client);
-    assert!(after > before && !scored, "{before} -> {after}");
-
-    // Reuse goes on paying until the one re-plan, on a current entry.
-    let replies = serve_until_replan(&mut client, &request, 200);
-    assert!(replies.iter().all(|r| r.cache == "HIT"), "{replies:?}");
-    assert!(replies
-        .iter()
-        .all(|r| r.count == direct_count(&reference, &pattern)));
-    assert!(spent(&mut client).1);
-
-    // Later batches repair the re-planned entry and never buy a second one.
-    let mut reference = reference;
-    for round in 0..3 {
-        let ((a, b), (c, d)) = applicable_mutation(&reference, 131 + round);
-        let resp = client
-            .request(&format!("BATCH g +{a}:{b} -{c}:{d}"))
-            .unwrap();
-        assert!(resp.is_ok(), "{}", resp.terminal);
-        reference = mutated_copy(&reference, &[(a, b)], &[(c, d)]);
-        for i in 0..30 {
-            let reply = served(&client.request(&request).unwrap());
-            assert_eq!(reply.cache, if i == 0 { "REPAIRED" } else { "HIT" });
-            assert_eq!(reply.count, direct_count(&reference, &pattern));
-            assert!(!reply.replanned, "round {round} request {i}");
+        assert_eq!(requests.len(), 60);
+        for request in requests {
+            let stages: Vec<_> = spans.iter().filter(|s| s.parent == request.id).collect();
+            assert!(stages.iter().all(|s| s.name != "service.replan"));
+            let tiled: u64 = stages.iter().map(|s| s.dur_ns).sum();
+            assert_eq!(tiled, request.dur_ns, "stages tile the request");
         }
-        assert!(spent(&mut client).1, "done stays done through a repair");
-    }
-    let stats = prom(&mut client);
-    assert_eq!(stats["ceci_adaptive_replans_total"], 1.0);
-    assert_eq!(stats["ceci_plan_score_us_count"], 1.0);
-    assert_eq!(stats["ceci_cache_misses_total"], 1.0);
-    assert_eq!(stats["ceci_index_repairs_total"], 4.0);
-    assert_eq!(stats["ceci_index_repair_fallbacks_total"], 0.0);
-    handle.shutdown();
-}
 
-#[test]
-fn batch_landing_between_replan_trigger_and_swap_is_repaired_forward() {
-    let scratch = Scratch::new("replan-race");
-    let (graph, pattern) = order_sensitive();
-    let graph_path = scratch.write_graph("data.graph", &graph);
-    let query_path = scratch.write_graph("query.graph", &pattern);
-    let request = format!("MATCH g {query_path}");
-
-    // A dry run on a twin server finds the triggering request: the trigger
-    // is exact counters, so it is the same request here.
-    let trigger = {
-        let (handle, _state) = serve(ServeConfig::default());
-        let mut client = Client::connect(handle.addr()).unwrap();
-        client.request(&format!("LOAD g {graph_path}")).unwrap();
-        let at = serve_until_replan(&mut client, &request, 200).len();
-        handle.shutdown();
-        at
-    };
-
-    let (handle, _state) = serve(ServeConfig {
-        chaos: true,
-        ..ServeConfig::default()
-    });
-    let addr = handle.addr();
-    let mut client = Client::connect(addr).unwrap();
-    client.request(&format!("LOAD g {graph_path}")).unwrap();
-    for _ in 1..trigger {
-        assert!(!served(&client.request(&request).unwrap()).replanned);
-    }
-    // The next index build — the re-plan's rebuild under the winner —
-    // sleeps first, holding the window between trigger and swap open.
-    let resp = client.request("CHAOS BUILDDELAY 600").unwrap();
-    assert!(resp.is_ok(), "{}", resp.terminal);
-    let replanner = {
-        let request = request.clone();
-        std::thread::spawn(move || {
-            let mut c = Client::connect(addr).unwrap();
-            c.request(&request).unwrap()
-        })
-    };
-    std::thread::sleep(Duration::from_millis(200));
-    let ((a, b), (c, d)) = applicable_mutation(&graph, 97);
-    let resp = client
-        .request(&format!("BATCH g +{a}:{b} -{c}:{d}"))
-        .unwrap();
-    assert!(resp.is_ok(), "{}", resp.terminal);
-    let reference = mutated_copy(&graph, &[(a, b)], &[(c, d)]);
-
-    // The re-planning request answers for the snapshot it started on.
-    let reply = served(&replanner.join().unwrap());
-    assert!(reply.replanned, "{reply:?}");
-    assert_eq!(reply.cache, "HIT");
-    assert_eq!(reply.count, direct_count(&graph, &pattern));
-
-    // Its swapped-in entry is one batch behind: repaired forward under the
-    // new plan, with the ledger still marked done.
-    let reply = served(&client.request(&request).unwrap());
-    assert_eq!(reply.cache, "REPAIRED");
-    assert!(!reply.replanned);
-    assert_eq!(reply.count, direct_count(&reference, &pattern));
-    for _ in 0..30 {
-        let reply = served(&client.request(&request).unwrap());
-        assert_eq!((reply.cache.as_str(), reply.replanned), ("HIT", false));
-        assert_eq!(reply.count, direct_count(&reference, &pattern));
-    }
-    let explain = client.request(&format!("EXPLAIN g {query_path}")).unwrap();
-    assert!(
-        explain
-            .payload
-            .iter()
-            .any(|l| l.contains("scored=true") && l.contains("replanned=true")),
-        "{:?}",
-        explain.payload
-    );
-    let stats = prom(&mut client);
-    assert_eq!(stats["ceci_adaptive_replans_total"], 1.0);
-    assert_eq!(stats["ceci_plan_score_us_count"], 1.0);
-    assert_eq!(stats["ceci_cache_misses_total"], 1.0);
-    assert_eq!(stats["ceci_index_repairs_total"], 1.0);
-    assert_eq!(stats["ceci_index_repair_fallbacks_total"], 0.0);
-    handle.shutdown();
-}
-
-#[test]
-fn a_replan_after_a_batch_builds_its_winner_from_the_snapshots_own_candidates() {
-    let scratch = Scratch::new("replan-sets");
-    let (graph, extracted) = order_sensitive_with_witness();
-    let (pattern, witness) = (extracted.pattern, extracted.witness);
-    let query = QueryGraph::from_graph(&pattern).unwrap();
-    let plan0 = QueryPlan::new(query.clone(), &graph);
-
-    // For every query node `r` (whichever root the re-plan picks is among
-    // them): a data vertex `x` outside the witness that carries `r`'s
-    // labels but fails DF / NLCF for it. Joined to the witness images of
-    // `r`'s query neighbours it passes, and the witness with `r -> x` is an
-    // embedding that exists only through `x`.
-    let mut adds: Vec<(u32, u32)> = Vec::new();
-    let mut through: Vec<(ceci_graph::VertexId, ceci_graph::VertexId)> = Vec::new();
-    for r in query.vertices() {
-        let fails_today = |x: &ceci_graph::VertexId| {
-            !witness.contains(x)
-                && through.iter().all(|(_, taken)| taken != x)
-                && query.labels(r).is_subset_of(graph.labels(*x))
-                && !plan0.candidate_sets()[r.index()].contains(*x)
-        };
-        let Some(x) = graph.vertices().find(fails_today) else {
-            continue;
-        };
-        for &nb in query.neighbors(r) {
-            let image = witness[nb.index()];
-            if !graph.has_edge(x, image) {
-                adds.push((x.0, image.0));
+        // After 200 reads the entry still serves the miss's plan: the
+        // connectivity-first order, the same plan object.
+        if run == 0 {
+            for _ in 60..200 {
+                assert_eq!(served(&client.request(&request).unwrap()).cache, "HIT");
             }
+            assert!(missed.contains(" strategy=EdgeRank "), "{missed}");
+            assert_eq!(plan_row(&mut client), missed);
+            assert!(Arc::ptr_eq(&state.cache.entries()[0].plan, &plan));
         }
-        through.push((r, x));
+        runs.push(replies.into_iter().map(|r| (r.count, r.cache)).collect());
+        handle.shutdown();
     }
-    let reference = mutated_copy(&graph, &adds, &[]);
-    let plan1 = QueryPlan::new(query, &reference);
-    for &(r, x) in &through {
-        assert!(
-            plan1.candidate_sets()[r.index()].contains(x),
-            "u{r} <- {x:?}"
-        );
-    }
-    let expected = direct_count(&reference, &pattern);
-    assert!(expected >= direct_count(&graph, &pattern) + through.len() as u64);
-
-    let graph_path = scratch.write_graph("data.graph", &graph);
-    let final_path = scratch.write_graph("final.graph", &reference);
-    let query_path = scratch.write_graph("query.graph", &pattern);
-    let request = format!("MATCH g {query_path}");
-    let (handle, _state) = serve(ServeConfig::default());
-    let mut client = Client::connect(handle.addr()).unwrap();
-    client.request(&format!("LOAD g {graph_path}")).unwrap();
-
-    // The miss plans at sub-epoch 0; the batch lands before reuse has paid.
-    assert_eq!(served(&client.request(&request).unwrap()).cache, "MISS");
-    let batch: Vec<String> = adds.iter().map(|(a, b)| format!("+{a}:{b}")).collect();
-    let resp = client
-        .request(&format!("BATCH g {}", batch.join(" ")))
-        .unwrap();
-    assert!(resp.is_ok(), "{}", resp.terminal);
-    let replies = serve_until_replan(&mut client, &request, 300);
-    assert_eq!(replies[0].cache, "REPAIRED");
-    assert!(replies.iter().all(|r| r.count == expected), "{replies:?}");
-
-    // The winner was built on the snapshot's own candidate sets ...
-    let explain = client.request(&format!("EXPLAIN g {query_path}")).unwrap();
-    let line = |needle: &str| -> &String {
-        let found = explain.payload.iter().find(|l| l.contains(needle));
-        found.unwrap_or_else(|| panic!("{needle} in {:?}", explain.payload))
-    };
-    assert!(line("plan choice:").contains("replanned=true"));
-    assert!(line("per-node preprocessing").contains("(sets@sub_epoch=1)"));
-    let root = line("| root: u")
-        .split_whitespace()
-        .find_map(|tok| tok.strip_prefix('u'))
-        .and_then(|r| r.parse::<u32>().ok())
-        .expect("root: u<r>");
-    assert!(
-        through.iter().any(|(r, _)| r.0 == root),
-        "the winner's root u{root} got no newly passing vertex: {through:?}"
-    );
-    // ... so it counts what every other path counts.
-    client.request(&format!("LOAD fresh {final_path}")).unwrap();
-    for request in [
-        request.clone(),
-        format!("{request} RAW"),
-        format!("MATCH fresh {query_path}"),
-    ] {
-        let reply = served(&client.request(&request).unwrap());
-        assert_eq!(reply.count, expected, "{request}");
-    }
-    handle.shutdown();
-}
-
-#[test]
-fn eight_concurrent_clients_elect_one_scorer() {
-    let scratch = Scratch::new("replan-concurrent");
-    let (graph, pattern) = order_sensitive();
-    let expected = direct_count(&graph, &pattern);
-    let graph_path = scratch.write_graph("data.graph", &graph);
-    let query_path = scratch.write_graph("query.graph", &pattern);
-
-    let (handle, _state) = serve(ServeConfig {
-        pool_workers: 8,
-        ..ServeConfig::default()
-    });
-    let addr = handle.addr();
-    let mut client = Client::connect(addr).unwrap();
-    client.request(&format!("LOAD g {graph_path}")).unwrap();
-
-    let barrier = Arc::new(std::sync::Barrier::new(8));
-    let threads: Vec<_> = (0..8)
-        .map(|_| {
-            let barrier = Arc::clone(&barrier);
-            let request = format!("MATCH g {query_path}");
-            std::thread::spawn(move || {
-                let mut c = Client::connect(addr).unwrap();
-                barrier.wait();
-                (0..40)
-                    .map(|_| served(&c.request(&request).unwrap()))
-                    .collect::<Vec<_>>()
-            })
-        })
-        .collect();
-    let replies: Vec<Served> = threads
-        .into_iter()
-        .flat_map(|t| t.join().unwrap())
-        .collect();
-    assert_eq!(replies.len(), 320);
-    assert!(replies.iter().all(|r| r.count == expected));
-    assert_eq!(replies.iter().filter(|r| r.replanned).count(), 1);
-    assert_eq!(replies.iter().filter(|r| r.cache == "MISS").count(), 1);
-    let stats = prom(&mut client);
-    assert_eq!(stats["ceci_plan_score_us_count"], 1.0);
-    assert_eq!(stats["ceci_adaptive_replans_total"], 1.0);
-    assert_eq!(stats["ceci_cache_misses_total"], 1.0);
-    assert_eq!(stats["ceci_build_latency_us_count"], 1.0);
-    handle.shutdown();
+    assert_eq!(runs[0], runs[1]);
 }
 
 // ---------------------------------------------------------------------------
@@ -2144,7 +1820,6 @@ fn every_stale_read_repairs_over_patched_sets_whatever_the_gap() {
     let (index_bytes, sets_bytes) = entry_bytes(&owner);
     assert_eq!(state.cache.bytes(), index_bytes + sets_bytes);
     let mut index = Arc::clone(&owner.ceci);
-    let mut spent = ledger(&mut client, &query_path).0;
 
     // A one-edge gap, a 120-edge gap, and three unread batches the
     // two-batch dirty log no longer reaches back over.
@@ -2173,30 +1848,17 @@ fn every_stale_read_repairs_over_patched_sets_whatever_the_gap() {
         assert_eq!(moved("ceci_index_repairs_total"), 1.0, "{gap}");
         let scanned = (sets == "sets=scan") as u64 as f64;
         assert_eq!(moved("ceci_index_repair_set_scans_total"), scanned, "{gap}");
-        // A new index; the plan object, the decision record and the ledger
-        // are handed on, and the cache charges the frozen indexes and their
-        // candidate sets.
+        // A new index; the plan object is handed on, and the cache charges
+        // the frozen indexes and their candidate sets.
         let entries = state.cache.entries();
         assert!(!Arc::ptr_eq(&entries[0].ceci, &index), "{gap}: a new index");
         index = Arc::clone(&entries[0].ceci);
         assert!(Arc::ptr_eq(&entries[0].plan, &owner.plan), "{gap}: plan");
-        assert!(
-            Arc::ptr_eq(&entries[0].reuse, &owner.reuse),
-            "{gap}: ledger"
-        );
-        assert_eq!(
-            entries[0].choice.candidates.len(),
-            owner.choice.candidates.len(),
-            "{gap}: decision record"
-        );
         let held: usize = (entries.iter().map(|e| entry_bytes(e)))
             .map(|(index, sets)| index + sets)
             .sum();
         assert_eq!(state.cache.bytes(), held, "{gap}");
         assert_eq!(now["ceci_cache_bytes"], held as f64, "{gap}");
-        let now = ledger(&mut client, &query_path).0;
-        assert!(now > spent, "{gap}: ledger {spent} -> {now}");
-        spent = now;
     }
 
     // An EXPLAIN ANALYZE that is itself the stale read says REPAIRED, and
@@ -2534,7 +2196,6 @@ fn dirty_log_overflow_rebases_under_the_plan_instead_of_missing() {
     let query_path = scratch.write_graph("query.graph", &pattern);
     let other_path = scratch.write_graph("other.graph", &other);
     let request = format!("MATCH g {query_path}");
-    let spent = |client: &mut Client| ledger(client, &query_path).0;
 
     let (handle, state) = serve(ServeConfig {
         dirty_log_cap: 2,
@@ -2548,7 +2209,6 @@ fn dirty_log_overflow_rebases_under_the_plan_instead_of_missing() {
     // `query` is repaired once on the log; `other` stays as missed.
     let mut reference = batch_one(&mut client, &graph, 97);
     assert_eq!(served(&client.request(&request).unwrap()).cache, "REPAIRED");
-    let before = spent(&mut client);
 
     // Four unread batches: the two-batch log no longer reaches back.
     for round in 0..4 {
@@ -2557,10 +2217,6 @@ fn dirty_log_overflow_rebases_under_the_plan_instead_of_missing() {
     let reply = served(&client.request(&request).unwrap());
     assert_eq!(reply.cache, "REPAIRED", "repaired, not rebuilt as a miss");
     assert_eq!(reply.count, direct_count(&reference, &pattern));
-    assert!(
-        spent(&mut client) > before,
-        "the lineage keeps its rent/buy ledger across the overflow"
-    );
     // So is the entry that missed before every batch.
     let reply = served(&client.request(&format!("MATCH g {other_path}")).unwrap());
     assert_eq!(reply.cache, "REPAIRED");
@@ -2922,17 +2578,18 @@ fn explain_shows_plan_choice_and_estimate_accuracy() {
         .unwrap();
     assert_eq!(resp.terminal, "OK EXPLAIN");
     let has = |needle: &str| resp.payload.iter().any(|l| l.contains(needle));
+    // One row names the served plan: the miss's connectivity-first order
+    // and its walked cost. No portfolio is weighed, so none is listed.
     assert!(
-        has("plan choice:"),
-        "missing choice section: {:?}",
+        has("| plan: strategy=EdgeRank root=u") && has(" work_se="),
+        "missing the served plan: {:?}",
         resp.payload
     );
     assert!(
-        has("plan choice: scored=false spent=") && has(" price="),
-        "missing the rent/buy ledger: {:?}",
+        !has("plan choice:") && !has("chosen="),
+        "{:?}",
         resp.payload
     );
-    assert!(has("chosen=1"), "no candidate marked chosen");
     assert!(has("exec: strategy="), "missing execution decision");
     assert!(
         !has("kernels:"),
@@ -2948,8 +2605,8 @@ fn explain_shows_plan_choice_and_estimate_accuracy() {
         let path = scratch.write_graph("other.graph", &query_from(&graph, size, seed));
         let resp = client.request(&format!("EXPLAIN g {path}")).unwrap();
         assert_eq!(resp.terminal, "OK EXPLAIN");
-        let choice = resp.payload.iter().any(|l| l.contains("plan choice:"));
-        assert!(choice, "size={size} seed={seed}: {:?}", resp.payload);
+        let plan = resp.payload.iter().any(|l| l.starts_with("| plan: "));
+        assert!(plan, "size={size} seed={seed}: {:?}", resp.payload);
     }
     handle.shutdown();
 }
