@@ -148,7 +148,7 @@ fn main() {
     if args.stats {
         eprint!(
             "{}",
-            ceci::core::explain_plan(&plan, &ceci, &graph, Default::default(), "sets@load")
+            ceci::core::explain_plan(&plan, &ceci, &graph, Default::default())
         );
         eprint!("{}", ceci::core::explain_index(&ceci, &plan));
     }

@@ -43,8 +43,8 @@
 //! symmetry-broken totals the rest of the system reports.
 
 use ceci_graph::{Graph, VertexId};
-use ceci_query::candidates::label_filter;
-use ceci_query::{QueryPlan, VertexFilters};
+use ceci_query::candidates::{label_filter, passes};
+use ceci_query::QueryPlan;
 
 /// Packs an undirected edge into an orientation-free key.
 #[inline]
@@ -105,8 +105,7 @@ pub fn count_matches_using(graph: &Graph, plan: &QueryPlan, edges: &[(VertexId, 
     keys.sort_unstable();
     keys.dedup();
 
-    let filters = VertexFilters::new(query);
-    let searcher = PinnedSearch::new(graph, plan, &filters, &keys);
+    let searcher = PinnedSearch::new(graph, plan, &keys);
     let mut mapping = vec![None; query.num_vertices()];
     let mut total = 0u64;
     'keys: for (rank, &key) in keys.iter().enumerate() {
@@ -134,7 +133,6 @@ pub fn count_matches_using(graph: &Graph, plan: &QueryPlan, edges: &[(VertexId, 
 struct PinnedSearch<'a> {
     graph: &'a Graph,
     plan: &'a QueryPlan,
-    filters: &'a VertexFilters<'a>,
     /// The S-edges' sorted, distinct keys; a key's index is its rank.
     keys: &'a [u64],
     /// Per query edge: an anchored traversal order starting at that edge's
@@ -145,12 +143,7 @@ struct PinnedSearch<'a> {
 }
 
 impl<'a> PinnedSearch<'a> {
-    fn new(
-        graph: &'a Graph,
-        plan: &'a QueryPlan,
-        filters: &'a VertexFilters<'a>,
-        keys: &'a [u64],
-    ) -> Self {
+    fn new(graph: &'a Graph, plan: &'a QueryPlan, keys: &'a [u64]) -> Self {
         let query = plan.query();
         let n = query.num_vertices();
         let orders = query
@@ -182,7 +175,6 @@ impl<'a> PinnedSearch<'a> {
         PinnedSearch {
             graph,
             plan,
-            filters,
             keys,
             orders,
         }
@@ -198,8 +190,9 @@ impl<'a> PinnedSearch<'a> {
         (x, y): (VertexId, VertexId),
         mapping: &mut [Option<VertexId>],
     ) -> u64 {
-        let (u1, u2) = self.plan.query().edges()[qe];
-        if !self.filters.passes(self.graph, u1, x) || !self.filters.passes(self.graph, u2, y) {
+        let query = self.plan.query();
+        let (u1, u2) = query.edges()[qe];
+        if !passes(query, self.graph, u1, x) || !passes(query, self.graph, u2, y) {
             return 0;
         }
         mapping[u1.index()] = Some(x);
@@ -262,7 +255,7 @@ impl<'a> PinnedSearch<'a> {
             if mapping.contains(&Some(v)) {
                 continue; // injectivity
             }
-            if !self.filters.passes(self.graph, u, v) {
+            if !passes(query, self.graph, u, v) {
                 continue;
             }
             mapping[u.index()] = Some(v);

@@ -76,18 +76,14 @@ pub fn explain_profile(plan: &QueryPlan, profile: &DepthProfile, counters: &Coun
 /// depths (`leaf=`, see [`LeafMode`]) and where it memoises sub-counts
 /// (`cut depth=d key=[..]` or `cut none`, see [`crate::CleanCut`]).
 ///
-/// `sets` names the snapshot the plan's candidate sets — the listed
-/// `initial candidates` — were computed on, for the section header; it is
-/// marked `(lagging)` when that is not `graph` (a plan retained across
-/// repairs: its index was built from current sets, these counts read the
-/// retained ones).
-pub fn explain_plan(
-    plan: &QueryPlan,
-    ceci: &Ceci,
-    graph: &Graph,
-    options: EnumOptions,
-    sets: &str,
-) -> String {
+/// The listed `initial candidates` are the plan's candidate sets, which
+/// describe `graph` ([`QueryPlan::describes`], checked in debug builds), as
+/// they must for `ceci` to have been built under the plan.
+pub fn explain_plan(plan: &QueryPlan, ceci: &Ceci, graph: &Graph, options: EnumOptions) -> String {
+    debug_assert!(
+        plan.describes(graph),
+        "the plan's candidate sets were computed on another graph"
+    );
     let query = plan.query();
     let mut out = String::new();
     let _ = writeln!(
@@ -121,12 +117,7 @@ pub fn explain_plan(
             "incomplete — duplicates possible"
         }
     );
-    let lagging = if plan.describes(graph) {
-        ""
-    } else {
-        " (lagging)"
-    };
-    let _ = writeln!(out, "per-node preprocessing ({sets}{lagging}):");
+    let _ = writeln!(out, "per-node preprocessing:");
     for &u in plan.matching_order() {
         let parent = plan
             .tree()
@@ -209,10 +200,11 @@ pub fn explain_served(
 /// `EXPLAIN ANALYZE` mis-estimate view) of a run over `ceci` under
 /// `options` that left `profile` and `counters`. The actual partial-embedding
 /// count at depth `d` is read from the observed profile: searches entering
-/// depth `d + 1` for interior depths — recursive calls, reuses, and at the
-/// clean cut the memo hits, which walk nothing — and emissions (plus reuse)
-/// at the leaf. `qerr` is the usual max(est/actual, actual/est), blank when
-/// either side is zero. A [`LeafMode::Twins`] tail is answered in closed
+/// depth `d + 1` for interior depths — recursive calls, and at the clean cut
+/// the memo hits, which walk nothing — except that under leaf reuse the
+/// penultimate depth's siblings search nothing and are its backtracks; and
+/// emissions at the leaf. `qerr` is the usual max(est/actual, actual/est),
+/// blank when either side is zero. A [`LeafMode::Twins`] tail is answered in closed
 /// form from its first twin on and credited to the last depth, so the rows
 /// from the first twin to the penultimate depth observe nothing and print
 /// `actual=- qerr=- (closed form)`. Likewise, once the run answered a key
@@ -230,10 +222,12 @@ pub fn explain_estimates(
     let order = plan.matching_order();
     let stats = profile.depths();
     let n = order.len();
-    let closed = match LeafMode::of(plan, ceci, options) {
+    let leaf = LeafMode::of(plan, ceci, options);
+    let closed = match leaf {
         LeafMode::Twins(tail) => n - tail.twins..n - 1,
         _ => 0..0,
     };
+    let shared_leaf = matches!(leaf, LeafMode::Reuse | LeafMode::ReuseOrdered(_));
     let cut = memo_cut(ceci, options).map(|cut| cut.depth);
     let memoised = match cut {
         Some(c) if counters.memo_hits > 0 => c..n - 1,
@@ -256,11 +250,17 @@ pub fn explain_estimates(
             );
             continue;
         }
-        let actual = if d + 1 < stats.len() {
-            let hits = counters.memo_hits * u64::from(cut == Some(d + 1));
-            stats[d + 1].calls + stats[d + 1].reused + hits
+        let actual = if d + 1 >= stats.len() {
+            // Every embedding, walked, tallied, read off a shared leaf set
+            // or answered from the memo, is emitted at the last depth.
+            stats.get(d).map_or(0, |s| s.emitted)
+        } else if shared_leaf && d + 2 == n {
+            // Siblings that read the shared leaf set search nothing below;
+            // each is one backtrack here.
+            stats[d].backtracks
         } else {
-            stats.get(d).map(|s| s.emitted + s.reused).unwrap_or(0)
+            let hits = counters.memo_hits * u64::from(cut == Some(d + 1));
+            stats[d + 1].calls + hits
         };
         let qerr = if est > 0.0 && actual > 0 {
             let a = actual as f64;
@@ -387,15 +387,9 @@ mod tests {
     #[test]
     fn plan_report_mentions_key_facts() {
         let (graph, plan, ceci) = setup();
-        let report = explain_plan(&plan, &ceci, &graph, EnumOptions::default(), "sets@load");
+        let report = explain_plan(&plan, &ceci, &graph, EnumOptions::default());
         assert!(report.contains("root: u0"));
-        assert!(report.contains("per-node preprocessing (sets@load):"));
-        // Against any other construction of the graph the plan's sets lag.
-        let (rebuilt, _) = paper::figure1();
-        assert!(
-            explain_plan(&plan, &ceci, &rebuilt, EnumOptions::default(), "sets@load")
-                .contains("per-node preprocessing (sets@load (lagging)):")
-        );
+        assert!(report.contains("per-node preprocessing:\n"));
         assert!(report.contains("5 vertices, 6 edges (4 tree + 2 non-tree)"));
         assert!(report.contains("complete — each embedding listed once"));
         // u3 (paper u4) has an NTE from u2 (paper u3).
@@ -412,13 +406,7 @@ mod tests {
         // Triangle: every later vertex is bounded below by the earlier ones.
         let triangle = QueryPlan::new(PaperQuery::Qg1.build(), &graph);
         let ceci = Ceci::build(&graph, &triangle);
-        let report = explain_plan(
-            &triangle,
-            &ceci,
-            &graph,
-            EnumOptions::default(),
-            "sets@load",
-        );
+        let report = explain_plan(&triangle, &ceci, &graph, EnumOptions::default());
         assert_eq!(
             triangle.matching_order(),
             [VertexId(0), VertexId(1), VertexId(2)]
@@ -433,13 +421,13 @@ mod tests {
             prune_redundant: true,
             ..EnumOptions::default()
         };
-        let report = explain_plan(&star, &ceci, &graph, pruning, "sets@load");
+        let report = explain_plan(&star, &ceci, &graph, pruning);
         assert!(report.contains("leaf=TWINS(2)"), "report:\n{report}");
         let verify = EnumOptions {
             verify: crate::enumerate::VerifyMode::EdgeVerification,
             ..pruning
         };
-        assert!(explain_plan(&star, &ceci, &graph, verify, "sets@load").contains("leaf=EMIT"));
+        assert!(explain_plan(&star, &ceci, &graph, verify).contains("leaf=EMIT"));
     }
 
     #[test]
@@ -465,18 +453,18 @@ mod tests {
         };
         // A–B–C–D from the A end: the suffix after u1 reads u1 alone, and
         // u0's label is no suffix vertex's.
-        let report = explain_plan(&path, &ceci, &graph, pruning, "sets@load");
+        let report = explain_plan(&path, &ceci, &graph, pruning);
         assert!(
             report.contains("leaf=TALLY cut depth=2 key=[u1] for a count-only run"),
             "report:\n{report}"
         );
         // The paper's options memoise nothing.
-        let report = explain_plan(&path, &ceci, &graph, EnumOptions::default(), "sets@load");
+        let report = explain_plan(&path, &ceci, &graph, EnumOptions::default());
         assert!(report.contains("leaf=TALLY cut none"), "report:\n{report}");
         // The triangle's last vertex reads its whole prefix: no cut.
         let triangle = QueryPlan::new(ceci_query::PaperQuery::Qg1.build(), &graph);
         let ceci = Ceci::build(&graph, &triangle);
-        let report = explain_plan(&triangle, &ceci, &graph, pruning, "sets@load");
+        let report = explain_plan(&triangle, &ceci, &graph, pruning);
         assert!(report.contains("leaf=TALLY cut none"), "report:\n{report}");
     }
 
@@ -551,21 +539,8 @@ mod tests {
 
     #[test]
     fn estimate_report_compares_depths() {
-        use crate::estimate::{estimate_cost, EstimateOptions};
-        use crate::sink::CountSink;
         let (graph, plan, ceci) = setup();
-        let cost = estimate_cost(&graph, &plan, &ceci, &EstimateOptions::default());
-        let mut enumerator =
-            crate::enumerate::Enumerator::new(&graph, &plan, &ceci, Default::default());
-        enumerator.enable_profile();
-        let mut counters = Counters::default();
-        let mut sink = CountSink::unbounded();
-        for &(pivot, _) in ceci.pivots() {
-            enumerator.enumerate_cluster(pivot, &mut sink, &mut counters);
-        }
-        let profile = enumerator.take_profile().unwrap();
-        let options = EnumOptions::default();
-        let report = explain_estimates(&plan, &ceci, options, &cost, &profile, &counters);
+        let report = estimate_rows(&graph, &plan, &ceci, EnumOptions::default());
         assert_eq!(
             report.lines().count(),
             plan.matching_order().len(),
@@ -577,8 +552,6 @@ mod tests {
 
     #[test]
     fn estimate_report_leaves_closed_form_depths_unobserved() {
-        use crate::estimate::{estimate_cost, EstimateOptions};
-        use crate::sink::CountSink;
         use ceci_graph::vid;
         // A 3-leaf star from its hub over a 7-leaf fan: its leaves are a
         // chained twin tail, C(7, 3) = 35 embeddings answered in closed form.
@@ -596,17 +569,7 @@ mod tests {
         };
         let leaf = LeafMode::of(&plan, &ceci, options);
         assert!(matches!(leaf, LeafMode::Twins(_)), "{leaf}");
-        let cost = estimate_cost(&graph, &plan, &ceci, &EstimateOptions::default());
-        let mut enumerator = crate::enumerate::Enumerator::new(&graph, &plan, &ceci, options);
-        enumerator.enable_profile();
-        let mut counters = Counters::default();
-        let mut sink = CountSink::unbounded();
-        for &(pivot, _) in ceci.pivots() {
-            enumerator.enumerate_cluster(pivot, &mut sink, &mut counters);
-        }
-        assert_eq!(counters.embeddings, 35);
-        let profile = enumerator.take_profile().unwrap();
-        let report = explain_estimates(&plan, &ceci, options, &cost, &profile, &counters);
+        let report = estimate_rows(&graph, &plan, &ceci, options);
         let rows: Vec<&str> = report.lines().collect();
         let (last, above) = rows.split_last().expect("one row per depth");
         for row in above {
@@ -619,6 +582,90 @@ mod tests {
             "{report}"
         );
         assert!(last.contains("actual=35 "), "{report}");
+    }
+
+    /// The estimate rows of one profiled single-worker count of `plan`
+    /// under `options`.
+    fn estimate_rows(graph: &Graph, plan: &QueryPlan, ceci: &Ceci, options: EnumOptions) -> String {
+        use crate::estimate::{estimate_cost, EstimateOptions};
+        use crate::sink::CountSink;
+        let cost = estimate_cost(graph, plan, ceci, &EstimateOptions::default());
+        let mut enumerator = crate::enumerate::Enumerator::new(graph, plan, ceci, options);
+        enumerator.enable_profile();
+        let mut counters = Counters::default();
+        let mut sink = CountSink::unbounded();
+        for &(pivot, _) in ceci.pivots() {
+            enumerator.enumerate_cluster(pivot, &mut sink, &mut counters);
+        }
+        let profile = enumerator.take_profile().unwrap();
+        explain_estimates(plan, ceci, options, &cost, &profile, &counters)
+    }
+
+    #[test]
+    fn estimate_rows_read_the_same_actuals_whatever_the_leaf_mode() {
+        use ceci_graph::generators::{erdos_renyi, inject_random_labels};
+        use ceci_graph::{lid, vid};
+        use ceci_query::{catalog, PlanOptions, QueryGraph};
+        let from = |root: u32| PlanOptions {
+            root_override: Some(vid(root)),
+            ..Default::default()
+        };
+        let unlabeled = erdos_renyi(40, 160, 11);
+        let labeled = inject_random_labels(&erdos_renyi(60, 300, 5), 4, 9);
+        let labels = [lid(0), lid(1), lid(2), lid(3)];
+        let path = QueryGraph::with_labels(&labels, &[(0, 1), (1, 2), (2, 3)]).unwrap();
+        // Two leaves leave no clean cut; three memoise at the hub.
+        let fork = QueryGraph::with_labels(&labels[..3], &[(0, 1), (0, 2)]).unwrap();
+        let star = QueryGraph::with_labels(&labels, &[(0, 1), (0, 2), (0, 3)]).unwrap();
+        let cases = [
+            ("TALLY", &labeled, path, from(0)),
+            (
+                "TALLY",
+                &unlabeled,
+                ceci_query::PaperQuery::Qg1.build(),
+                PlanOptions::default(),
+            ),
+            ("REUSE", &labeled, fork, from(0)),
+            ("REUSE", &labeled, star, from(0)),
+            ("REUSE_ORDERED", &unlabeled, catalog::path(4), from(2)),
+        ];
+        let pruning = EnumOptions {
+            prune_redundant: true,
+            ..EnumOptions::default()
+        };
+        for (mode, graph, query, plan_options) in cases {
+            let plan = QueryPlan::with_options(query, graph, &plan_options);
+            let ceci = Ceci::build(graph, &plan);
+            assert_eq!(LeafMode::of(&plan, &ceci, pruning).to_string(), mode);
+            let pruned = estimate_rows(graph, &plan, &ceci, pruning);
+            let walked = estimate_rows(graph, &plan, &ceci, EnumOptions::default());
+            let actual = |row: &str| {
+                row.split(" actual=")
+                    .nth(1)
+                    .unwrap()
+                    .split(' ')
+                    .next()
+                    .unwrap()
+                    .to_string()
+            };
+            assert_eq!(pruned.lines().count(), walked.lines().count());
+            for (row, reference) in pruned.lines().zip(walked.lines()) {
+                if row.ends_with("(closed form)") || row.ends_with("(memoised)") {
+                    continue;
+                }
+                assert_eq!(
+                    actual(row),
+                    actual(reference),
+                    "{mode}: {row}\n{pruned}\n{walked}"
+                );
+            }
+            let last = walked.lines().last().unwrap();
+            assert_ne!(
+                actual(last),
+                "0",
+                "{mode}: an empty run proves nothing\n{walked}"
+            );
+        }
     }
 
     #[test]

@@ -7,11 +7,9 @@
 //! cardinalities, and the surviving cluster pivots. Size accounting matches
 //! the paper's 8-bytes-per-candidate-edge convention (Table 2).
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ceci_graph::{Graph, VertexId};
-use ceci_query::candidates::CandidateSet;
 use ceci_query::QueryPlan;
 
 use crate::enumerate::LeafMode;
@@ -94,9 +92,6 @@ pub struct Ceci {
     candidates: Vec<Vec<VertexId>>,
     /// `(candidate, cardinality)` per query node, sorted by candidate.
     cardinality: Vec<Vec<(VertexId, u64)>>,
-    /// The building plan's candidate sets (its own allocation, shared), so
-    /// they describe the indexed graph.
-    sets: Arc<[CandidateSet]>,
     /// The plan's twin tail, confirmed on the frozen tables.
     twins: Option<TwinTail>,
     /// The plan's shallowest clean cut, confirmed on the candidate sets.
@@ -231,7 +226,6 @@ impl Ceci {
             nte,
             candidates: candidate_sets,
             cardinality,
-            sets: Arc::clone(plan.candidate_sets()),
             twins,
             cut,
             stats,
@@ -281,14 +275,6 @@ impl Ceci {
         self.pivots
             .iter()
             .fold(0u64, |acc, &(_, c)| acc.saturating_add(c))
-    }
-
-    /// The per-vertex candidate sets (LF ∧ DF ∧ NLCF) of the graph this
-    /// index was built on — the building plan's, kept so a later snapshot's
-    /// can be patched from them ([`QueryPlan::on_graph_patched`]).
-    #[inline]
-    pub fn candidate_sets(&self) -> &[CandidateSet] {
-        &self.sets
     }
 
     /// The building plan's twin tail ([`TwinTail::of`]) when the twins'
@@ -406,15 +392,6 @@ mod tests {
         assert_eq!(ceci.candidates(paper::u(3)), &[paper::v(4), paper::v(6)]);
         assert_eq!(ceci.candidates(paper::u(4)), &[paper::v(11), paper::v(13)]);
         assert_eq!(ceci.candidates(paper::u(5)), &[paper::v(12), paper::v(14)]);
-    }
-
-    #[test]
-    fn a_build_keeps_its_plans_candidate_sets_without_a_copy() {
-        let (_, plan, ceci) = built();
-        assert!(std::ptr::eq(
-            ceci.candidate_sets(),
-            &**plan.candidate_sets()
-        ));
     }
 
     #[test]

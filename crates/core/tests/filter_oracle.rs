@@ -16,7 +16,7 @@
 //! file graph's (label index, adjacency walks) finds.
 //!
 //! The oracle is the parent algorithm kept whole in this file: it calls
-//! [`VertexFilters::passes`] on every adjacency entry and never reads a
+//! [`passes`] on every adjacency entry and never reads a
 //! bitset, and it drives the cascade itself, in frontier order.
 //!
 //! Algorithm 2 removes each node's zero-cardinality candidates in one set
@@ -38,10 +38,9 @@ use ceci_core::tables::BuildTable;
 use ceci_core::{bfs_filter_from, count_embeddings, BuilderState, Ceci};
 use ceci_graph::generators::{erdos_renyi, inject_random_labels, inject_random_multilabels};
 use ceci_graph::{lid, rank_by_label_and_degree, vid, Graph, VertexId};
+use ceci_query::candidates::passes;
 use ceci_query::catalog::{clique, cycle, path, star};
-use ceci_query::{
-    candidates_of, OrderStrategy, PaperQuery, PlanOptions, QueryGraph, QueryPlan, VertexFilters,
-};
+use ceci_query::{candidates_of, OrderStrategy, PaperQuery, PlanOptions, QueryGraph, QueryPlan};
 use proptest::prelude::*;
 
 /// The query set of `symmetry_window.rs`.
@@ -63,7 +62,6 @@ fn queries() -> Vec<(&'static str, QueryGraph)> {
 /// of its frontier with the three filters run per entry, and a frontier
 /// vertex that comes up empty is cascaded away before the next table.
 fn reference_filter(graph: &Graph, plan: &QueryPlan) -> (BuilderState, u64) {
-    let filters = VertexFilters::new(plan.query());
     let n = plan.query().num_vertices();
     let order = plan.matching_order();
     // (node the table is for, node whose candidates key it), in build order.
@@ -86,7 +84,9 @@ fn reference_filter(graph: &Graph, plan: &QueryPlan) -> (BuilderState, u64) {
         for &vf in &frontier {
             scans += graph.degree(vf) as u64;
             let entries = graph.neighbors(vf).iter().copied();
-            let passing: Vec<VertexId> = entries.filter(|&v| filters.passes(graph, u, v)).collect();
+            let passing: Vec<VertexId> = entries
+                .filter(|&v| passes(plan.query(), graph, u, v))
+                .collect();
             table.push_key(vf, &passing); // an empty list records no key
         }
         let emptied = frontier.into_iter().filter(|&vf| table.get(vf).is_none());

@@ -201,36 +201,22 @@ fn walk_pays(profile: &[(LabelId, u32)], graph: &Graph, v: VertexId) -> bool {
     false
 }
 
-/// The per-vertex filters (LF + DF + NLCF) of one query for repeated
-/// membership tests — the dirty-candidate localization primitive of the
-/// streaming repair path.
+/// Does data vertex `v` pass all three per-vertex filters (LF + DF + NLCF)
+/// for query vertex `u` on `graph`? Identical to the Algorithm 1 membership
+/// test ([`candidates_of`]), one vertex at a time: the dirty-candidate
+/// localization primitive of the streaming repair path.
 ///
 /// A mutation batch can only change per-vertex filter outcomes at the
-/// mutation endpoints (their degree and neighborhood label counts moved) and
-/// filtered adjacency at the endpoints' neighbors, so incremental index
-/// repair re-tests exactly those vertices against each query node instead of
-/// re-filtering the whole graph. The query-side NLC profiles are the query
-/// graph's own, counted once at its construction, so nothing is computed
-/// per call.
-#[derive(Clone, Copy, Debug)]
-pub struct VertexFilters<'q> {
-    query: &'q QueryGraph,
-}
-
-impl<'q> VertexFilters<'q> {
-    /// The filters of `query`.
-    pub fn new(query: &'q QueryGraph) -> Self {
-        VertexFilters { query }
-    }
-
-    /// Does data vertex `v` pass all three per-vertex filters for query
-    /// vertex `u` on `graph`? Identical to the Algorithm 1 membership test.
-    #[inline]
-    pub fn passes(&self, graph: &Graph, u: VertexId, v: VertexId) -> bool {
-        label_filter(self.query, graph, u, v)
-            && degree_filter(self.query, graph, u, v)
-            && nlc_filter(self.query.neighborhood_label_counts(u), graph, v)
-    }
+/// mutation endpoints (their degree and neighborhood label counts moved), so
+/// a repair re-tests exactly those vertices against each query node instead
+/// of re-filtering the whole graph. The query-side NLC profiles are the
+/// query graph's own, counted once at its construction, so nothing is
+/// computed per call.
+#[inline]
+pub fn passes(query: &QueryGraph, graph: &Graph, u: VertexId, v: VertexId) -> bool {
+    label_filter(query, graph, u, v)
+        && degree_filter(query, graph, u, v)
+        && nlc_filter(query.neighborhood_label_counts(u), graph, v)
 }
 
 /// Candidate set of one query vertex: the data vertices passing LF ∧ DF ∧
@@ -325,7 +311,6 @@ pub fn patch_candidates(
     dirty: &[VertexId],
 ) -> Vec<CandidateSet> {
     debug_assert!(dirty.windows(2).all(|w| w[0] < w[1]), "dirty ids sorted");
-    let filters = VertexFilters::new(query);
     previous
         .iter()
         .map(|prev| {
@@ -336,7 +321,7 @@ pub fn patch_candidates(
                     candidates.push(c);
                 }
                 old.next_if_eq(&v);
-                if filters.passes(graph, prev.u, v) {
+                if passes(query, graph, prev.u, v) {
                     candidates.push(v);
                 }
             }

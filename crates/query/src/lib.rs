@@ -30,7 +30,7 @@ pub mod query_graph;
 pub mod root;
 pub mod tree;
 
-pub use candidates::{admission_check, candidates_of, AdmissionVerdict, VertexFilters};
+pub use candidates::{admission_check, candidates_of, AdmissionVerdict};
 pub use catalog::PaperQuery;
 pub use hash::{canonical_hash, splitmix64, CanonicalQuery};
 pub use nec::OrderConstraint;

@@ -183,18 +183,6 @@ impl QueryPlan {
         plan
     }
 
-    /// `self`'s root, matching order and symmetry bounds over the candidate
-    /// sets of `current`, a plan of the same query — what
-    /// [`QueryPlan::on_graph`] returns, with the scan `current` already paid
-    /// for shared instead of repeated.
-    pub fn with_sets_of(&self, current: &QueryPlan) -> Self {
-        debug_assert_eq!(self.query.edges(), current.query.edges());
-        let mut plan = self.clone();
-        plan.initial_candidates = Arc::clone(&current.initial_candidates);
-        plan.sets_graph = current.sets_graph;
-        plan
-    }
-
     fn ordered(
         query: QueryGraph,
         root: VertexId,
@@ -364,8 +352,9 @@ impl QueryPlan {
         &self.initial_candidates[u.index()].candidates
     }
 
-    /// Initial candidate sets of every query vertex, in vertex order (the
-    /// shared allocation, so an index built under the plan can keep it).
+    /// Initial candidate sets of every query vertex, in vertex order: the
+    /// one copy of them, shared by every plan that describes the same
+    /// snapshot ([`QueryPlan::reordered`], [`QueryPlan::on_graph`]).
     #[inline]
     pub fn candidate_sets(&self) -> &Arc<[CandidateSet]> {
         &self.initial_candidates
@@ -597,17 +586,9 @@ mod tests {
                 }
             }
         }
-        // One scan can serve many siblings: the same plan, sets shared.
-        let sibling = plan0.reordered(vid(2), OrderStrategy::Bfs);
-        let shared = sibling.with_sets_of(&fresh);
-        assert!(shared.describes(&g1));
-        assert_eq!(shared.matching_order(), sibling.matching_order());
-        assert!(Arc::ptr_eq(
-            &shared.initial_candidates,
-            &fresh.initial_candidates
-        ));
         // G1's new edges touch 0, 1 and 3: re-testing those alone gives the
         // scan's sets, under the same decision.
+        let sibling = plan0.reordered(vid(2), OrderStrategy::Bfs);
         let patched =
             sibling.on_graph_patched(&g1, plan0.candidate_sets(), &[vid(0), vid(1), vid(3)]);
         assert!(patched.describes(&g1));

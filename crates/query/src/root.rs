@@ -4,7 +4,7 @@
 //! means few embedding clusters, high degree means strong early pruning.
 //! Ties break toward the smaller vertex id for determinism.
 
-use ceci_graph::{Graph, VertexId};
+use ceci_graph::VertexId;
 
 use crate::candidates::CandidateSet;
 use crate::query_graph::QueryGraph;
@@ -41,17 +41,11 @@ pub fn select_root(query: &QueryGraph, candidate_sets: &[CandidateSet]) -> RootC
     RootChoice { root, scores }
 }
 
-/// Convenience: computes candidates and selects the root in one call.
-pub fn choose_root(query: &QueryGraph, graph: &Graph) -> RootChoice {
-    let sets = crate::candidates::compute_candidates(query, graph);
-    select_root(query, &sets)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::candidates::compute_candidates;
-    use ceci_graph::{lid, vid, LabelSet};
+    use ceci_graph::{lid, vid, Graph, LabelSet};
 
     #[test]
     fn fewest_candidates_per_degree_wins() {
@@ -67,7 +61,7 @@ mod tests {
             false,
         );
         let q = QueryGraph::with_labels(&[lid(0), lid(1)], &[(0, 1)]).unwrap();
-        let choice = choose_root(&q, &g);
+        let choice = select_root(&q, &compute_candidates(&q, &g));
         assert_eq!(choice.root, vid(1));
         assert!(choice.scores[1] < choice.scores[0]);
     }
@@ -77,7 +71,7 @@ mod tests {
         // Symmetric data and query → identical scores everywhere.
         let g = Graph::unlabeled(2, &[(vid(0), vid(1))]);
         let q = QueryGraph::unlabeled(2, &[(0, 1)]).unwrap();
-        let choice = choose_root(&q, &g);
+        let choice = select_root(&q, &compute_candidates(&q, &g));
         assert_eq!(choice.root, vid(0));
         assert_eq!(choice.scores[0], choice.scores[1]);
     }
@@ -97,7 +91,7 @@ mod tests {
     fn score_table_has_one_entry_per_query_vertex() {
         let g = Graph::unlabeled(4, &[(vid(0), vid(1)), (vid(1), vid(2)), (vid(2), vid(3))]);
         let q = QueryGraph::unlabeled(3, &[(0, 1), (1, 2)]).unwrap();
-        let choice = choose_root(&q, &g);
+        let choice = select_root(&q, &compute_candidates(&q, &g));
         assert_eq!(choice.scores.len(), 3);
     }
 }

@@ -53,18 +53,11 @@ pub struct CachedIndex {
     /// The frozen candidate index.
     pub ceci: Arc<Ceci>,
     /// Bytes charged against the cache budget: [`Ceci::size_bytes`] plus
-    /// the candidate sets the entry holds, once per allocation: a miss's
-    /// index shares its plan's sets, an index repaired under a retained
-    /// plan holds its own beside the plan's.
+    /// the plan's candidate sets, the one copy of them the entry holds.
     pub bytes: usize,
-    /// Mutation sub-epoch of the snapshot the index was built against.
+    /// Mutation sub-epoch of the snapshot the index was built against,
+    /// which the plan's candidate sets describe.
     pub sub_epoch: u64,
-    /// Mutation sub-epoch of the snapshot `plan`'s candidate sets were
-    /// computed on: `sub_epoch` for a miss, older for an entry repaired
-    /// under a retained plan (the repair copies it over). The index itself
-    /// is always built from sets of its own snapshot; this says what
-    /// `EXPLAIN`'s candidate counts read.
-    pub sets_sub_epoch: u64,
 }
 
 impl CachedIndex {
@@ -76,25 +69,19 @@ impl CachedIndex {
         ceci: Arc<Ceci>,
         sub_epoch: u64,
     ) -> CachedIndex {
+        let sets: usize = plan
+            .candidate_sets()
+            .iter()
+            .map(CandidateSet::size_bytes)
+            .sum();
         CachedIndex {
             canonical,
-            bytes: ceci.size_bytes() + sets_bytes(&plan, &ceci),
+            bytes: ceci.size_bytes() + sets,
             plan,
             ceci,
             sub_epoch,
-            sets_sub_epoch: sub_epoch,
         }
     }
-}
-
-/// Bytes of the candidate sets `plan` and `ceci` hold (a sorted list and a
-/// bitset spanning its first to last candidate per query vertex), each
-/// allocation once.
-fn sets_bytes(plan: &QueryPlan, ceci: &Ceci) -> usize {
-    let bytes = |sets: &[CandidateSet]| sets.iter().map(CandidateSet::size_bytes).sum();
-    let (own, plans) = (ceci.candidate_sets(), &**plan.candidate_sets());
-    let shared = std::ptr::eq(own.as_ptr(), plans.as_ptr());
-    bytes(own) + if shared { 0 } else { bytes(plans) }
 }
 
 #[derive(Debug)]

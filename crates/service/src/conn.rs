@@ -7,8 +7,8 @@
 //! socket, no epoll fd and no server state, and reads no clock: callers hand
 //! it the bytes they read and the `Instant` they read them at.
 //!
-//! Both servers drive it: the epoll loop (`crate::event_loop`) from
-//! readiness events, `ceci-shard` from a blocking read loop.
+//! The epoll loop (`crate::event_loop`) feeds it, from readiness events;
+//! `ceci-serve` and `ceci-shard` both run that loop (`start_with_state`).
 
 use std::time::{Duration, Instant};
 

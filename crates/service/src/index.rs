@@ -7,8 +7,9 @@
 //! key however many requests miss it together (one leads, the rest wait on
 //! its flight gate, `cache_singleflight_waits` counts them); or, for an
 //! entry a mutation left behind, a **repair** forward under its retained
-//! plan ([`repair_entry`]). An entry serves the plan its miss chose for as
-//! long as it lives.
+//! plan ([`repair_entry`]). An entry serves the root, matching order and
+//! symmetry its miss chose for as long as it lives; a repair brings only
+//! the plan's candidate sets to the snapshot.
 //!
 //! Every build runs under `catch_unwind`: a panicking one (a bad interaction
 //! between a specific query and graph — or an injected `CHAOS BUILDPANIC`)
@@ -99,11 +100,13 @@ fn run_build(
 }
 
 /// Repairs a stale cached entry forward under its retained plan: the
-/// frozen index is built on the request's snapshot, under the same plan,
-/// with candidate sets of that snapshot. Those are the old index's patched
-/// at the gap's endpoints ([`QueryPlan::on_graph_patched`], `sets=patch`);
-/// only a gap the dirty log no longer covers pays a scan
-/// ([`QueryPlan::on_graph`], `sets=scan`, `index_repair_set_scans`). `None`
+/// frozen index is built on the request's snapshot, under the same root,
+/// matching order and symmetry, with candidate sets of that snapshot. Those
+/// are the old plan's patched at the gap's endpoints
+/// ([`QueryPlan::on_graph_patched`], `sets=patch`); only a gap the dirty log
+/// no longer covers pays a scan ([`QueryPlan::on_graph`], `sets=scan`,
+/// `index_repair_set_scans`). The repaired entry keeps that plan, so its
+/// sets always describe its own snapshot. `None`
 /// means the caller must fall back to a miss: the entry is from the
 /// *future* relative to this snapshot, or the repair panicked.
 ///
@@ -121,17 +124,19 @@ fn repair_entry(
     if old.sub_epoch > sub_epoch {
         return None;
     }
-    let plan = Arc::clone(&old.plan);
     let t0 = Instant::now();
     let endpoints = entry.dirty_endpoints_since(old.sub_epoch);
     // Repair runs the same (panic-prone) index code paths a build does;
     // contain it the same way and fall back to a rebuild on unwind.
-    let ceci = catch_unwind(AssertUnwindSafe(|| {
+    let (plan, ceci) = catch_unwind(AssertUnwindSafe(|| {
         let built_on = match &endpoints {
-            Some(dirty) => plan.on_graph_patched(graph, old.ceci.candidate_sets(), dirty),
-            None => plan.on_graph(graph),
+            Some(dirty) => old
+                .plan
+                .on_graph_patched(graph, old.plan.candidate_sets(), dirty),
+            None => old.plan.on_graph(graph),
         };
-        Ceci::build(graph, &built_on)
+        let ceci = Ceci::build(graph, &built_on);
+        (built_on, ceci)
     }))
     .ok()?;
     let repair = t0.elapsed();
@@ -163,10 +168,14 @@ fn repair_entry(
             args,
         );
     }
-    // The plan is unchanged by a repair, and so is the snapshot its
-    // candidate sets describe.
-    let mut repaired = CachedIndex::new(old.canonical.clone(), plan, Arc::new(ceci), sub_epoch);
-    repaired.sets_sub_epoch = old.sets_sub_epoch;
+    // The miss's root, order and symmetry over the snapshot's sets: the
+    // next gap patches from them.
+    let repaired = CachedIndex::new(
+        old.canonical.clone(),
+        Arc::new(plan),
+        Arc::new(ceci),
+        sub_epoch,
+    );
     Some((repaired, repair))
 }
 

@@ -423,11 +423,7 @@ pub(crate) fn exec_explain(
     let index = &served.index;
     // What a count-only `MATCH` of this template drains with.
     let options = drain_options(state.config(), *raw, *workers, None);
-    // Which snapshot the report's candidate counts describe: the entry's
-    // own, unless it was repaired under a plan retained from an earlier one.
-    let sets = format!("sets@sub_epoch={}", index.sets_sub_epoch);
-    let report =
-        ceci_core::explain_plan(&index.plan, &index.ceci, &graph, options.enumeration, &sets);
+    let report = ceci_core::explain_plan(&index.plan, &index.ceci, &graph, options.enumeration);
     let mut lines: Vec<String> = report.lines().map(|l| format!("| {l}")).collect();
     lines.push(path.describe());
     let mut line = format!("| index: bytes={} cache={}", index.bytes, path.cache_tag());

@@ -95,11 +95,12 @@ impl StreamIndex {
     }
 
     /// The frozen index on `graph` — the snapshot last passed to
-    /// [`StreamIndex::build`] or [`StreamIndex::patch`] — under `plan` with
-    /// the held candidate sets: exactly what the server's repair builds.
+    /// [`StreamIndex::build`] or [`StreamIndex::patch`] — under the held
+    /// plan, which is `plan`'s decision over that snapshot's candidate sets:
+    /// exactly what the server's repair builds.
     pub fn materialize(&self, graph: &Graph, plan: &QueryPlan) -> Ceci {
-        let plan = plan.with_sets_of(&self.plan);
-        Ceci::build_with(graph, &plan, BuildOptions::default())
+        debug_assert_eq!(plan.matching_order(), self.plan.matching_order());
+        Ceci::build_with(graph, &self.plan, BuildOptions::default())
     }
 }
 
@@ -139,12 +140,13 @@ mod tests {
         for seed in [3u64, 11, 29] {
             let graph = test_graph(seed);
             let plan = test_plan(&graph, seed);
-            let ceci = StreamIndex::build(&graph, &plan).materialize(&graph, &plan);
+            let idx = StreamIndex::build(&graph, &plan);
             // The plan already describes the graph: its own sets, no scan.
-            assert!(std::ptr::eq(
-                ceci.candidate_sets(),
-                &**plan.candidate_sets()
+            assert!(std::sync::Arc::ptr_eq(
+                idx.plan.candidate_sets(),
+                plan.candidate_sets()
             ));
+            let ceci = idx.materialize(&graph, &plan);
             let got = count_embeddings(&graph, &plan, &ceci);
             let reference = {
                 let ceci = Ceci::build(&graph, &plan);

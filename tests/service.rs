@@ -1848,12 +1848,13 @@ fn every_stale_read_repairs_over_patched_sets_whatever_the_gap() {
         assert_eq!(moved("ceci_index_repairs_total"), 1.0, "{gap}");
         let scanned = (sets == "sets=scan") as u64 as f64;
         assert_eq!(moved("ceci_index_repair_set_scans_total"), scanned, "{gap}");
-        // A new index; the plan object is handed on, and the cache charges
-        // the frozen indexes and their candidate sets.
+        // A new index under the miss's decision, over sets of the snapshot
+        // it serves, and the cache charges each frozen index and its plan's
+        // candidate sets once.
         let entries = state.cache.entries();
         assert!(!Arc::ptr_eq(&entries[0].ceci, &index), "{gap}: a new index");
         index = Arc::clone(&entries[0].ceci);
-        assert!(Arc::ptr_eq(&entries[0].plan, &owner.plan), "{gap}: plan");
+        assert_same_decision_on_snapshot(&state, &entries[0].plan, &owner.plan, gap);
         let held: usize = (entries.iter().map(|e| entry_bytes(e)))
             .map(|(index, sets)| index + sets)
             .sum();
@@ -1862,8 +1863,8 @@ fn every_stale_read_repairs_over_patched_sets_whatever_the_gap() {
     }
 
     // An EXPLAIN ANALYZE that is itself the stale read says REPAIRED, and
-    // the plan's candidate counts still date from the miss; the MATCH after
-    // it hits.
+    // the plan's candidate counts are the snapshot's; the MATCH after it
+    // hits.
     reference = batch_one(&mut client, &reference, 211);
     let explain = client
         .request(&format!("EXPLAIN g {query_path} ANALYZE"))
@@ -1876,12 +1877,23 @@ fn every_stale_read_repairs_over_patched_sets_whatever_the_gap() {
         "{}",
         line("| index:")
     );
-    let header = line("per-node preprocessing");
-    assert!(header.contains("(sets@sub_epoch=0 (lagging))"), "{header}");
+    assert_eq!(line("per-node preprocessing"), "| per-node preprocessing:");
+    let repaired = state.cache.entries().pop().unwrap();
+    assert_same_decision_on_snapshot(&state, &repaired.plan, &owner.plan, "EXPLAIN");
+    let (snapshot, _) = state.registry.get("g").unwrap().snapshot();
+    let scanned = ceci_query::candidates::compute_candidates(repaired.plan.query(), &snapshot);
+    for &u in repaired.plan.matching_order() {
+        let count = scanned[u.index()].candidates.len();
+        let row = format!("| {count} initial candidates");
+        let node = explain
+            .payload
+            .iter()
+            .find(|l| l.starts_with(&format!("|   u{u}: ")));
+        assert!(node.unwrap().ends_with(&row), "u{u}: {node:?}, not {row}");
+    }
+    assert!(explain.payload.iter().all(|l| !l.contains("lagging")));
     // Its estimate is walked over the repaired index it serves, not carried
     // over from the miss.
-    let repaired = state.cache.entries().pop().unwrap();
-    let (snapshot, _) = state.registry.get("g").unwrap().snapshot();
     let fresh = ceci_core::served_cost(&snapshot, &repaired.plan, &repaired.ceci);
     let volume = format!(" est_volume={:.1}", fresh.volume());
     assert!(line("exec:").ends_with(&volume), "{}", line("exec:"));
@@ -1896,19 +1908,30 @@ fn every_stale_read_repairs_over_patched_sets_whatever_the_gap() {
     handle.shutdown();
 }
 
-/// What a live entry holds: its frozen index and, once per allocation, its
-/// candidate sets, each a list of 4-byte ids plus a bitset of one bit per
-/// id from its first to its last candidate, in 8-byte words.
+/// A repaired entry's plan: the miss's root, matching order and symmetry
+/// constraints, over candidate sets of the snapshot the server serves now.
+fn assert_same_decision_on_snapshot(
+    state: &ServerState,
+    plan: &QueryPlan,
+    missed: &QueryPlan,
+    when: &str,
+) {
+    let (snapshot, _) = state.registry.get("g").unwrap().snapshot();
+    assert!(plan.describes(&snapshot), "{when}: sets of the snapshot");
+    assert_eq!(plan.root(), missed.root(), "{when}: root");
+    assert_eq!(plan.matching_order(), missed.matching_order(), "{when}");
+    let symmetry = plan.symmetry_constraints();
+    assert_eq!(symmetry, missed.symmetry_constraints(), "{when}");
+}
+
+/// What a live entry holds: its frozen index and its plan's candidate
+/// sets, the one copy of them, each a list of 4-byte ids plus a bitset of
+/// one bit per id from its first to its last candidate, in 8-byte words.
 fn entry_bytes(entry: &CachedIndex) -> (usize, usize) {
     let span = |c: &[ceci_graph::VertexId]| c.last().map_or(0, |l| (l.0 - c[0].0) as usize + 1);
-    let sets = |sets: &[ceci_query::candidates::CandidateSet]| -> usize {
-        sets.iter()
-            .map(|s| 4 * s.candidates.len() + 8 * span(&s.candidates).div_ceil(64))
-            .sum()
-    };
-    let (own, plans) = (entry.ceci.candidate_sets(), &**entry.plan.candidate_sets());
-    let shared = std::ptr::eq(own.as_ptr(), plans.as_ptr());
-    let sets = sets(own) + if shared { 0 } else { sets(plans) };
+    let sets = (entry.plan.candidate_sets().iter())
+        .map(|s| 4 * s.candidates.len() + 8 * span(&s.candidates).div_ceil(64))
+        .sum();
     (entry.ceci.size_bytes(), sets)
 }
 
@@ -1974,7 +1997,7 @@ fn cache_bytes_equal_the_live_frozen_indexes_over_fifty_entries() {
     let resp = client.request(&format!("MATCH w {edge_path}")).unwrap();
     assert_eq!(resp.field_u64("count"), Some(7), "{}", resp.terminal);
     let entry = (state.cache.entries().into_iter())
-        .find(|e| e.ceci.candidate_sets()[0].candidates.len() == 4)
+        .find(|e| e.plan.candidate_sets()[0].candidates.len() == 4)
         .expect("the wide entry");
     let (index, sets) = entry_bytes(&entry);
     assert_eq!(sets, 2 * (4 * 4 + 8));
@@ -2598,6 +2621,16 @@ fn explain_shows_plan_choice_and_estimate_accuracy() {
     assert!(has("estimate depth="), "missing est-vs-actual table");
     assert!(has("qerr="), "missing q-error column");
     assert!(has("| path: drain cache=MISS"), "{:?}", resp.payload);
+    // The template's count-only run reads its leaf set once per sibling
+    // group: the penultimate row counts every sibling, the last row every
+    // embedding, once.
+    assert!(has("leaf=REUSE "), "{:?}", resp.payload);
+    let estimate = |depth: usize| {
+        let row = format!("| estimate depth={depth} ");
+        resp.payload.iter().find(|l| l.starts_with(&row)).unwrap()
+    };
+    assert!(estimate(2).contains(" actual=279 "), "{}", estimate(2));
+    assert!(estimate(3).contains(" actual=684 "), "{}", estimate(3));
 
     // The section is not an option: the plain form, a hit this time, carries
     // it too, and so does the `EXPLAIN` of every other template.

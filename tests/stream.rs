@@ -43,12 +43,14 @@ fn rebuild_count(graph: &Graph, pattern_source: &QueryPlan) -> u64 {
 }
 
 /// The server's one repair rung: `previous`'s candidate sets re-tested at
-/// the batch's endpoints, then the frozen build on the new snapshot under
-/// the same plan.
-fn repair(previous: &Ceci, plan: &QueryPlan, outcome: &BatchOutcome) -> Ceci {
+/// the batch's endpoints under the same root, order and symmetry, then the
+/// frozen build on the new snapshot over them. The patched plan is what a
+/// repaired cache entry keeps, so the next batch patches from it.
+fn repair(previous: &QueryPlan, outcome: &BatchOutcome) -> (QueryPlan, Ceci) {
     let sets = previous.candidate_sets();
-    let on_new = plan.on_graph_patched(&outcome.new_graph, sets, &outcome.endpoints);
-    Ceci::build(&outcome.new_graph, &on_new)
+    let plan = previous.on_graph_patched(&outcome.new_graph, sets, &outcome.endpoints);
+    let ceci = Ceci::build(&outcome.new_graph, &plan);
+    (plan, ceci)
 }
 
 /// Undirected edge set of a graph, canonically oriented.
@@ -193,7 +195,7 @@ fn incremental_maintenance_is_bit_identical_to_rebuild() {
 
             let expected = rebuild_count(&outcome.new_graph, plan);
             // Repaired index enumerates the same count as a fresh build...
-            *index = repair(index, plan, &outcome);
+            (*plan, *index) = repair(plan, &outcome);
             let repaired_count = count_embeddings(&outcome.new_graph, plan, index);
             assert_eq!(repaired_count, expected, "repair diverged at round {round}");
             // ...and the delta-maintained running total tracks it too.
@@ -211,8 +213,7 @@ fn single_edge_patches_match_rebuild_on_a_sparse_graph() {
     let (entry, _) = registry.insert("g", graph);
 
     let snapshot = entry.graph();
-    let plan = pattern_plan(&snapshot, 4, 17);
-    let mut index = Ceci::build(&snapshot, &plan);
+    let mut plan = pattern_plan(&snapshot, 4, 17);
 
     // One lone ADDEDGE, then one lone DELEDGE of an existing edge.
     let add = {
@@ -234,9 +235,10 @@ fn single_edge_patches_match_rebuild_on_a_sparse_graph() {
     for (adds, dels) in [(vec![add], vec![]), (vec![], vec![del])] {
         let outcome = entry.apply_batch(&adds, &dels, usize::MAX, 16).unwrap();
         assert_eq!(outcome.applied(), 1);
-        index = repair(&index, &plan, &outcome);
-        let got = count_embeddings(&outcome.new_graph, &plan, &index);
-        assert_eq!(got, rebuild_count(&outcome.new_graph, &plan));
+        let (next, index) = repair(&plan, &outcome);
+        let got = count_embeddings(&outcome.new_graph, &next, &index);
+        assert_eq!(got, rebuild_count(&outcome.new_graph, &next));
+        plan = next;
     }
 }
 
