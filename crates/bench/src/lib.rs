@@ -1,8 +1,8 @@
 //! # ceci-bench
 //!
 //! Benchmark harness reproducing every table and figure of the CECI paper's
-//! evaluation (§6) on synthetic stand-in datasets, plus Criterion
-//! micro-benchmarks for the core kernels.
+//! evaluation (§6) on synthetic stand-in datasets, plus the intersection
+//! kernel sweep (`repro kernels`) and the service, fault and shard runs.
 //!
 //! Run `cargo run --release -p ceci-bench --bin repro -- help` for the
 //! experiment index; each subcommand prints the rows/series of its paper

@@ -145,7 +145,10 @@ mod tests {
             served_cost(&graph, &plan, &ceci),
             served_cost(&graph, &plan, &ceci),
         );
-        assert_eq!((x.volume(), x.work()), (y.volume(), y.work()));
+        assert_eq!(
+            (x.volume(), x.estimate.mean, x.estimate.std_error),
+            (y.volume(), y.estimate.mean, y.estimate.std_error)
+        );
     }
 
     #[test]

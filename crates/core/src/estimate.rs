@@ -79,8 +79,8 @@ impl Estimate {
 ///
 /// `depth_volumes[d]` is an unbiased estimate of the number of partial
 /// embeddings with `d + 1` query vertices mapped (depth `d` of the matching
-/// order). Their sum is the total intermediate-result volume — the cost
-/// the adaptive planner minimizes when comparing candidate orders.
+/// order). Their sum is the total intermediate-result volume, which
+/// `EXPLAIN`'s `exec:` row prints as `est_volume=`.
 #[derive(Clone, Debug)]
 pub struct CostEstimate {
     /// The total-count estimate; identical to what
@@ -88,18 +88,6 @@ pub struct CostEstimate {
     pub estimate: Estimate,
     /// Estimated partial-embedding count per depth of the matching order.
     pub depth_volumes: Vec<f64>,
-    /// Estimated set-intersection comparisons per depth: each walk charges
-    /// the exact `intersection_ops` its matching-node computation performed,
-    /// weighted by the partial-embedding count it represents — an unbiased
-    /// estimate of the comparisons full enumeration would execute at that
-    /// depth. Tracks runtime far better than raw volume when candidate-list
-    /// lengths differ between orders.
-    pub depth_work: Vec<f64>,
-    /// Standard error of [`CostEstimate::work`]: the walks' per-walk work
-    /// totals are averaged exactly like their weights, so the same sample
-    /// variance prices the score's own noise. `EXPLAIN` prints it beside
-    /// [`CostEstimate::work`] as `work_se=`.
-    pub work_std_error: f64,
 }
 
 impl CostEstimate {
@@ -114,21 +102,12 @@ impl CostEstimate {
                 exact_zero,
             },
             depth_volumes: vec![0.0; n],
-            depth_work: vec![0.0; n],
-            work_std_error: 0.0,
         }
     }
 
     /// Total estimated intermediate-result volume (sum over depths).
     pub fn volume(&self) -> f64 {
         self.depth_volumes.iter().sum()
-    }
-
-    /// Estimated enumeration work: intersection comparisons plus one unit
-    /// per intermediate result (the constant per-node bookkeeping). Smaller
-    /// means a cheaper plan.
-    pub fn work(&self) -> f64 {
-        self.depth_work.iter().sum::<f64>() + self.volume()
     }
 }
 
@@ -180,10 +159,7 @@ pub fn estimate_pivots(
 
     let mut sum = 0.0f64;
     let mut sum_sq = 0.0f64;
-    let mut work_sum = 0.0f64;
-    let mut work_sum_sq = 0.0f64;
     let mut depth_sums = vec![0.0f64; n];
-    let mut depth_work = vec![0.0f64; n];
     let mut prefix: Vec<VertexId> = Vec::with_capacity(n);
     for _ in 0..options.walks {
         prefix.clear();
@@ -192,35 +168,19 @@ pub fn estimate_pivots(
         prefix.push(pivot);
         let mut weight = pivots.len() as f64;
         depth_sums[0] += weight;
-        depth_work[0] += pivots.len() as f64;
-        // This walk's share of `work()`: every term it adds to either table.
-        let mut walk_work = 2.0 * pivots.len() as f64;
         while prefix.len() < n {
-            // Charge this depth the comparisons the matching-node
-            // computation performs, scaled by the partial-embedding count
-            // the prefix represents (its pre-branch weight): an unbiased
-            // estimate of full enumeration's intersection work here.
-            // Counter snapshots consume no randomness, so the count
-            // estimate stays bit-identical to `estimate_embeddings`.
-            let ops_before = counters.intersection_ops;
             let matching = enumerator.matching_nodes_after_prefix(&prefix, &mut counters);
-            let ops = weight * (counters.intersection_ops - ops_before) as f64;
-            depth_work[prefix.len()] += ops;
-            walk_work += ops;
             if matching.is_empty() {
                 weight = 0.0;
                 break;
             }
             weight *= matching.len() as f64;
             depth_sums[prefix.len()] += weight;
-            walk_work += weight;
             let next = matching[rng.gen_range(0..matching.len())];
             prefix.push(next);
         }
         sum += weight;
         sum_sq += weight * weight;
-        work_sum += walk_work;
-        work_sum_sq += walk_work * walk_work;
     }
     let walks = options.walks as f64;
     CostEstimate {
@@ -231,8 +191,6 @@ pub fn estimate_pivots(
             exact_zero: false,
         },
         depth_volumes: depth_sums.iter().map(|s| s / walks).collect(),
-        depth_work: depth_work.iter().map(|s| s / walks).collect(),
-        work_std_error: std_error(options.walks, work_sum, work_sum_sq),
     }
 }
 
@@ -374,20 +332,6 @@ mod tests {
         let last = *cost.depth_volumes.last().unwrap();
         assert!((last - est.mean).abs() < 1e-9, "{last} vs {}", est.mean);
         assert!(cost.volume() >= est.mean);
-        // A single-pivot index still branches below the root, so the work
-        // score carries sampling noise, and a fifth of the walks carries
-        // more of it.
-        assert!(cost.work_std_error > 0.0 && cost.work_std_error < cost.work());
-        let fewer = estimate_cost(
-            &graph,
-            &plan,
-            &ceci,
-            &EstimateOptions {
-                walks: 100,
-                seed: 9,
-            },
-        );
-        assert!(fewer.work_std_error > cost.work_std_error);
         assert_eq!(cost.depth_volumes.len(), plan.query().num_vertices());
     }
 

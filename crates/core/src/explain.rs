@@ -152,11 +152,10 @@ pub fn explain_plan(plan: &QueryPlan, ceci: &Ceci, graph: &Graph, options: EnumO
 }
 
 /// Renders the served plan and its execution: one `plan:` row (the order
-/// strategy, root and matching order of `plan`, with the volume, work and
-/// its standard error of `cost`, the served plan's estimate —
-/// [`crate::served_cost`] over the served index, taken by the caller), then
-/// one `exec:` row (the drain's `strategy` and `workers`, and the count
-/// `cost` estimates).
+/// strategy, root and matching order of `plan`), then one `exec:` row (the
+/// drain's `strategy` and `workers`, and the count and volume `cost`
+/// estimates — [`crate::served_cost`] over the served index, taken by the
+/// caller).
 pub fn explain_served(
     plan: &QueryPlan,
     cost: &CostEstimate,
@@ -174,11 +173,8 @@ pub fn explain_served(
         .map_or_else(|| "Given".to_string(), |s| format!("{s:?}"));
     let _ = writeln!(
         out,
-        "plan: strategy={named} root=u{} volume={:.1} work={:.1} work_se={:.1} order=[{}]",
+        "plan: strategy={named} root=u{} order=[{}]",
         plan.root(),
-        cost.volume(),
-        cost.work(),
-        cost.work_std_error,
         order.join(", "),
     );
     let est = &cost.estimate;
@@ -515,15 +511,12 @@ mod tests {
             .iter()
             .map(|u| format!("u{u}"))
             .collect();
-        // One row names the order the miss was served, with the walked
-        // numbers it was handed.
+        // One row names the order the miss was served; the exec row carries
+        // the walked numbers it was handed.
         let row = format!(
-            "plan: strategy={:?} root=u{} volume={:.1} work={:.1} work_se={:.1} order=[{}]",
+            "plan: strategy={:?} root=u{} order=[{}]",
             PlanOptions::default().order,
             plan.root(),
-            cost.volume(),
-            cost.work(),
-            cost.work_std_error,
             order.join(", "),
         );
         assert_eq!(report.lines().next(), Some(row.as_str()), "{report}");

@@ -201,13 +201,20 @@ fn probe_block_eq(block: &[u32; SIMD_BLOCK], x: u32, ops: &mut u64) -> bool {
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        // Portable 8-wide equality reduction; LLVM vectorizes this shape.
-        let mut hit = false;
-        for &lane in block {
-            hit |= lane == x;
-        }
-        hit
+        block_contains(block, x)
     }
+}
+
+/// Whether `x` occurs in `block`: the portable 8-wide equality reduction
+/// (LLVM vectorizes this shape). [`probe_block_eq`]'s body off x86_64, and
+/// the reference its SSE2 body is tested against on x86_64.
+#[cfg(any(test, not(target_arch = "x86_64")))]
+fn block_contains(block: &[u32; SIMD_BLOCK], x: u32) -> bool {
+    let mut hit = false;
+    for &lane in block {
+        hit |= lane == x;
+    }
+    hit
 }
 
 /// Intersects `base` with each list in `others`, writing the final result to
@@ -450,5 +457,56 @@ mod tests {
         let mut empty_ops = 0;
         assert!(!sorted_contains(&[], vid(1), &mut empty_ops));
         assert_eq!(empty_ops, 0);
+    }
+
+    #[test]
+    fn the_block_probe_equals_the_portable_reduction() {
+        // Around 0, 2^31 (where `x as i32` turns negative) and u32::MAX,
+        // plus two ordinary ids.
+        let needles = [
+            0,
+            1,
+            12_345,
+            (1 << 31) - 1,
+            1 << 31,
+            (1 << 31) + 1,
+            u32::MAX - 1,
+            u32::MAX,
+        ];
+        for x in needles {
+            // Every filler differs from the needle, some only in the sign
+            // bit or the lowest bit.
+            let filler: [u32; SIMD_BLOCK] = [
+                0x8000_0000,
+                1,
+                u32::MAX,
+                0x100,
+                0x7FFF_FFFF,
+                2,
+                0x8000_0001,
+                0x1_0000,
+            ]
+            .map(|flip| x ^ flip);
+            let mut cases = vec![(filler, false)];
+            for lane in 0..SIMD_BLOCK {
+                let mut at = filler;
+                at[lane] = x;
+                cases.push((at, true));
+                let mut twice = at;
+                twice[(lane + 3) % SIMD_BLOCK] = x;
+                cases.push((twice, true));
+            }
+            cases.push(([x; SIMD_BLOCK], true));
+            for (block, present) in cases {
+                let mut ops = 0;
+                assert_eq!(
+                    probe_block_eq(&block, x, &mut ops),
+                    present,
+                    "{x:#x} in {block:x?}"
+                );
+                assert_eq!(block_contains(&block, x), present, "{x:#x} in {block:x?}");
+                assert_eq!(ops, SIMD_BLOCK as u64);
+            }
+        }
     }
 }

@@ -1,9 +1,9 @@
 //! Statistical property tests for the random-walk cardinality estimator.
 //!
-//! The estimator is the adaptive planner's eyes: if it is biased, silently
-//! non-deterministic, or blind to exact zeros, every downstream decision
-//! (order choice, the APPROX answer of a drain its deadline stopped)
-//! inherits the flaw.
+//! The estimator answers `ESTIMATE`, prices `EXPLAIN`'s `exec:` row and
+//! estimates the undrained pivots of a drain its deadline stopped (the
+//! APPROX answer): if it is biased, silently non-deterministic, or blind to
+//! exact zeros, every one of those answers inherits the flaw.
 //! Three properties are pinned here:
 //!
 //! 1. **Exact-zero detection** — an index with no surviving pivots must

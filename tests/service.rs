@@ -2601,10 +2601,13 @@ fn explain_shows_plan_choice_and_estimate_accuracy() {
         .unwrap();
     assert_eq!(resp.terminal, "OK EXPLAIN");
     let has = |needle: &str| resp.payload.iter().any(|l| l.contains(needle));
-    // One row names the served plan: the miss's connectivity-first order
-    // and its walked cost. No portfolio is weighed, so none is listed.
+    // One row names the served plan: the miss's connectivity-first order,
+    // its root and its matching order. No portfolio is weighed, so none is
+    // listed.
     assert!(
-        has("| plan: strategy=EdgeRank root=u") && has(" work_se="),
+        resp.payload
+            .iter()
+            .any(|l| l.starts_with("| plan: strategy=EdgeRank root=u") && l.contains(" order=[")),
         "missing the served plan: {:?}",
         resp.payload
     );
